@@ -12,8 +12,9 @@ import json
 import time
 
 from benchmarks.conftest import fmt_table
-from repro.core.integrator import IntegratorConfig, SurrogateLeapfrog
-from repro.core.pool import PoolManager
+from repro.core.integrator import IntegratorConfig
+from repro.core.runner import CoupledRunner
+from repro.serve import SurrogateServer
 from repro.sn.turbulence import make_turbulent_box
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 
@@ -22,14 +23,13 @@ N_PER_SIDE = 27
 N_STEPS = 3
 
 
-def _make_sim() -> SurrogateLeapfrog:
+def _make_sim() -> CoupledRunner:
     ps = make_turbulent_box(n_per_side=N_PER_SIDE, side=60.0, mean_density=0.05,
                             temperature=100.0, mach=2.0, seed=12)
     cfg = IntegratorConfig(self_gravity=True, enable_cooling=True,
-                           enable_star_formation=False)
+                           enable_star_formation=False, n_pool=5, latency_steps=5)
     surr = SNSurrogate(oracle=SedovBlastOracle(t_after=0.01), n_grid=8, side=60.0)
-    pool = PoolManager(surrogate=surr, n_pool=5, latency_steps=5)
-    return SurrogateLeapfrog(ps, pool, cfg)
+    return CoupledRunner(ps, SurrogateServer(surrogate=surr), n_ranks=1, config=cfg)
 
 
 def test_accel_reuse(benchmark, results_dir, write_result):

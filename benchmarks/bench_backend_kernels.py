@@ -25,11 +25,12 @@ import time
 from benchmarks.conftest import fmt_table
 from repro.accel.backends import available_backends, get_backend
 from repro.accel.backends.numba_backend import HAVE_NUMBA
-from repro.core.integrator import IntegratorConfig, SurrogateLeapfrog
-from repro.core.pool import PoolManager
+from repro.core.integrator import IntegratorConfig
+from repro.core.runner import CoupledRunner
 from repro.fdps.interaction import InteractionCounter
 from repro.gravity.kernels import grav_chunk_size
 from repro.gravity.treegrav import tree_accel
+from repro.serve import SurrogateServer
 from repro.sn.turbulence import make_turbulent_box
 from repro.sph.density import compute_density
 from repro.sph.forces import compute_hydro_forces
@@ -102,10 +103,10 @@ def _time_kernels(ps, backend):
 def _whole_step(n_per_side, backend):
     ps = _box(n_per_side)
     cfg = IntegratorConfig(self_gravity=True, enable_cooling=True,
-                           enable_star_formation=False, backend=backend)
+                           enable_star_formation=False, backend=backend,
+                           n_pool=5, latency_steps=5)
     surr = SNSurrogate(oracle=SedovBlastOracle(t_after=0.01), n_grid=8, side=60.0)
-    pool = PoolManager(surrogate=surr, n_pool=5, latency_steps=5)
-    sim = SurrogateLeapfrog(ps, pool, cfg)
+    sim = CoupledRunner(ps, SurrogateServer(surrogate=surr), n_ranks=1, config=cfg)
     sim.run(1)  # warm-up: startup force pass (and JIT compilation)
     rounds = WHOLE_STEP_ROUNDS[n_per_side]
     t0 = time.perf_counter()

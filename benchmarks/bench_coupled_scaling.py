@@ -1,6 +1,6 @@
 """Coupled scaling benchmark: multi-rank surrogate runs, priced at scale.
 
-The coupled runner (:mod:`repro.core.runner.coupled`) emulates ``p`` main
+The step host (:mod:`repro.core.runner`) emulates ``p`` main
 ranks serially in one process, so its wall clock is roughly the *sum* of
 the per-rank work.  This bench recovers the parallel story the paper tells
 (Figs. 6-7) from what the emulation actually measures:

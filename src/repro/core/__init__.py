@@ -4,12 +4,12 @@
 * :mod:`repro.core.pool` — the pool-node manager: communicator split,
   round-robin dispatch of (60 pc)^3 SN regions, the 50-step return latency,
   and ID-based particle replacement (Fig. 3);
-* :mod:`repro.core.runner` — the run-orchestration layer: the shared step
-  contract (drift/kick primitives, the eight-phase driver, tracing) and
-  ``CoupledRunner``, the multi-rank host that couples distributed gravity
-  with one shared surrogate service;
-* :mod:`repro.core.integrator` — ``SurrogateLeapfrog``, the single-rank
-  host of the fixed-global-timestep loop of Sec. 3.2;
+* :mod:`repro.core.integrator` — ``IntegratorConfig`` and
+  ``BaseIntegrator``, the physics operators every scheme shares;
+* :mod:`repro.core.runner` — ``CoupledRunner``, the one host of the
+  fixed-global-timestep eight-step loop of Sec. 3.2: ``n_ranks`` simulated
+  main ranks (1 included) coupling distributed gravity with one shared
+  surrogate service;
 * :mod:`repro.core.conventional` — ``ConventionalIntegrator``, the adaptive
   CFL-timestep baseline with direct thermal feedback (what the paper calls
   "conventional simulation" in Sec. 5.3);
@@ -18,7 +18,7 @@
 
 from repro.core.events import SNEvent
 from repro.core.pool import PoolManager, PoolOccupancy
-from repro.core.integrator import SurrogateLeapfrog
+from repro.core.runner import CoupledRunner
 from repro.core.conventional import ConventionalIntegrator
 from repro.core.simulation import GalaxySimulation
 
@@ -26,19 +26,7 @@ __all__ = [
     "SNEvent",
     "PoolManager",
     "PoolOccupancy",
-    "SurrogateLeapfrog",
     "ConventionalIntegrator",
     "CoupledRunner",
     "GalaxySimulation",
 ]
-
-
-def __getattr__(name: str):
-    # Lazy: CoupledRunner's module imports repro.fdps.distributed, which in
-    # turn imports the step primitives from repro.core.runner — an eager
-    # import here would re-enter this package mid-initialization.
-    if name == "CoupledRunner":
-        from repro.core.runner.coupled import CoupledRunner
-
-        return CoupledRunner
-    raise AttributeError(name)

@@ -10,6 +10,8 @@ material for the Sec. 5.3 timestep-ratio benchmark.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.integrator import BaseIntegrator, IntegratorConfig
@@ -37,15 +39,17 @@ class ConventionalIntegrator(BaseIntegrator):
         enable_cooling: bool | None = None,
         enable_star_formation: bool | None = None,
     ) -> None:
-        cfg = config or IntegratorConfig()
-        if courant is not None:
-            cfg.courant = courant
-        if self_gravity is not None:
-            cfg.self_gravity = self_gravity
-        if enable_cooling is not None:
-            cfg.enable_cooling = enable_cooling
-        if enable_star_formation is not None:
-            cfg.enable_star_formation = enable_star_formation
+        overrides = {
+            "courant": courant,
+            "self_gravity": self_gravity,
+            "enable_cooling": enable_cooling,
+            "enable_star_formation": enable_star_formation,
+        }
+        # A copy: the caller's config object is never written to.
+        cfg = replace(
+            config or IntegratorConfig(),
+            **{k: v for k, v in overrides.items() if v is not None},
+        )
         super().__init__(ps, cfg, cooling, star_formation)
         self.feedback = feedback or SNFeedback()
         self.dt_max = dt_max

@@ -1,33 +1,17 @@
-"""Integrators: the surrogate-coupled fixed-timestep leapfrog (Sec. 3.2).
+"""The physics half of every integrator: config + ``BaseIntegrator``.
 
-``SurrogateLeapfrog.step`` is the paper's eight-step loop:
-
-1. identify stars exploding between t and t + dt_global;
-2. pick up the (60 pc)^3 box around each and send it to a pool node;
-3. first kick, drift, force evaluation, second kick — *without adding any
-   feedback energy*;
-4. receive predicted particles from pool nodes and replace by particle ID;
-5. decompose the domain and exchange particles (bookkeeping here: the
-   single-process run keeps all particles, but the decomposition and its
-   costs are still computed when enabled);
-6. create new stars, calculate cooling;
-7. recalculate kernel sizes and hydro forces after the internal-energy
-   changes;
-8. repeat.
-
-The loop itself — phase order, timer brackets, kick/drift arithmetic, pool
-flush/collect placement — lives in :mod:`repro.core.runner.step`
-(:func:`~repro.core.runner.step.run_surrogate_step`); this module supplies
-the single-rank host: :class:`BaseIntegrator` implements the physics hooks
-around a shared :class:`repro.accel.ForceEngine`, and
-:class:`SurrogateLeapfrog` adds the SN dispatch/collect hooks over one
-:class:`~repro.core.pool.PoolManager`.  The multi-rank host sharing the
-same contract is :class:`repro.core.runner.CoupledRunner`.
+:class:`IntegratorConfig` holds the numerical and physical switches;
+:class:`BaseIntegrator` implements the operators both schemes share —
+force evaluation, kicks, drift, cooling, star formation and the step-(7)
+hydro refresh — around one :class:`repro.accel.ForceEngine`.  The
+surrogate-coupled eight-step loop of Sec. 3.2 is
+:class:`repro.core.runner.CoupledRunner` (every ``n_ranks``, 1 included);
+the adaptive-timestep baseline is
+:class:`repro.core.conventional.ConventionalIntegrator`.
 
 All spatial work goes through one :class:`repro.accel.ForceEngine`: a single
 tree build serves the gravity walk, one neighbor grid serves every
-kernel-size sweep, the hydro force pass, the SN-region extraction of step
-(2), and the decomposition sampling of step (5) — and step (7) re-evaluates
+kernel-size sweep and the hydro force pass — and step (7) re-evaluates
 hydro on the pair lists cached in step (3) (positions identical; only u and
 v changed) instead of paying a second full density solve.
 
@@ -42,22 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accel import ForceEngine
-from repro.core.pool import PoolManager
-from repro.core.runner.step import (
-    SurrogateStepLoop,
-    energy_kick,
-    leapfrog_drift,
-    leapfrog_kick,
-)
-from repro.fdps.domain import DomainDecomposition, process_grid
 from repro.fdps.interaction import InteractionCounter
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.obs.trace import NULL_TRACER
 from repro.physics.cooling import CoolingModel
 from repro.physics.star_formation import StarFormationModel
-from repro.physics.stellar import exploding_between
 from repro.sph.timestep import cfl_timestep
-from repro.surrogate.voxelize import extract_region
+from repro.util.leapfrog import energy_kick, leapfrog_drift, leapfrog_kick
 from repro.util.timers import TimerRegistry
 
 
@@ -79,7 +54,6 @@ class IntegratorConfig:
     region_side: float = 60.0     # pc, the surrogate box
     latency_steps: int = 50
     n_pool: int = 50
-    n_domains: int = 0            # >0 enables decomposition bookkeeping
     seed: int = 0
     #: Compute backend for the hot kernels (``repro.accel.backends``):
     #: None resolves $REPRO_BACKEND, then "numpy".
@@ -87,12 +61,9 @@ class IntegratorConfig:
 
 
 class BaseIntegrator:
-    """Physics operators around a shared :class:`ForceEngine` pipeline.
-
-    Implements the physics half of the step contract of
-    :mod:`repro.core.runner.step`: forces, kicks, drift, cooling, star
-    formation, and the step-(7) hydro refresh.
-    """
+    """Physics operators around a shared :class:`ForceEngine` pipeline:
+    forces, kicks, drift, cooling, star formation, and the step-(7) hydro
+    refresh."""
 
     def __init__(
         self,
@@ -244,77 +215,3 @@ class BaseIntegrator:
             "n_sf_events": self.n_sf_events,
             "n_sn_events": self.n_sn_events,
         }
-
-
-class SurrogateLeapfrog(SurrogateStepLoop, BaseIntegrator):
-    """The paper's scheme: fixed dt_global + pool-node surrogate for SNe.
-
-    The single-rank host of :func:`repro.core.runner.step
-    .run_surrogate_step`; the hooks below are the SN-pipeline half of the
-    step contract.
-    """
-
-    def __init__(
-        self,
-        ps: ParticleSet,
-        pool: PoolManager,
-        config: IntegratorConfig | None = None,
-        cooling: CoolingModel | None = None,
-        star_formation: StarFormationModel | None = None,
-        tracer=None,
-    ) -> None:
-        super().__init__(ps, config, cooling, star_formation, tracer=tracer)
-        self.pool = pool
-        self.decomp: DomainDecomposition | None = None
-
-    # ------------------------------------------------------------------ hooks
-    def identify_sne(self, dt: float) -> np.ndarray:
-        """Step (1): indices of stars exploding in [t, t + dt)."""
-        ps = self.ps
-        stars = np.flatnonzero(ps.where_type(ParticleType.STAR))
-        local = exploding_between(ps.tsn[stars], -np.inf, self.time + dt)
-        return stars[local]
-
-    def send_sne(self, exploding: np.ndarray) -> None:
-        """Step (2): ship each SN region to a pool node.  The cube query
-        runs on the engine's cached gas grid when one is valid (positions
-        are unchanged since the last force pass), else it falls back to a
-        scan."""
-        ps, cfg = self.ps, self.cfg
-        for si in exploding:
-            center = ps.pos[si].copy()
-            region, _idx = extract_region(
-                ps, center, cfg.region_side, index=self.engine.index
-            )
-            self.pool.dispatch(
-                region, center, int(ps.pid[si]), float(ps.tsn[si]), self.step_count
-            )
-            ps.tsn[si] = np.inf  # fires exactly once
-            self.n_sn_events += 1
-
-    def flush_pools(self) -> None:
-        self.pool.flush(self.step_count)
-
-    def receive_sne(self) -> None:
-        """Step (4): merge due predictions back by particle ID."""
-        n_replaced = 0
-        for _event, predicted in self.pool.collect(self.step_count):
-            n_replaced += self.ps.replace_by_pid(predicted)
-        if n_replaced:
-            # Predicted particles land with new coordinates.
-            self.engine.notify_positions_changed()
-
-    def redistribute(self, dt: float) -> None:
-        """Step (5): decomposition bookkeeping (the single-process run keeps
-        all particles but still computes the decomposition when enabled)."""
-        cfg = self.cfg
-        if cfg.n_domains > 1:
-            with self.timers.measure("Exchange_Particle"):
-                grid = process_grid(cfg.n_domains)
-                self.decomp = DomainDecomposition.fit(
-                    self.ps.pos,
-                    grid,
-                    weights=self.engine.work_weights(self.ps),
-                    sample=20000,
-                    index=self.engine.index,
-                )

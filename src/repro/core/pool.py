@@ -20,15 +20,16 @@ to the next free pool node, :meth:`collect` merges the prediction back
   instead of the old silent counter — no SN event is ever dropped without
   at least an oracle-fallback prediction.
 
-Multi-rank coupling (:class:`repro.core.runner.CoupledRunner`) runs one
-``PoolManager`` *per main rank* as a client of one shared server: requests
-are rank-tagged via ``client_id`` (so each rank's :meth:`collect` pops only
-its own events), the pool-node occupancy calendar is shared through one
-:class:`PoolOccupancy` (no double-booking across ranks), and
-``pool_rank_base`` places the pool nodes after *all* main ranks in the
-world communicator — every rank's traffic joins the same ``pool_p2p``
-ledger.  The defaults (private occupancy, ``pool_rank_base=1``,
-``client_id=None``) reproduce the single-rank layout byte-for-byte.
+The step host (:class:`repro.core.runner.CoupledRunner`) runs one
+``PoolManager`` *per main rank* — one on a 1-rank run — each a client of the
+one shared server: requests are rank-tagged via ``client_id`` (so each
+rank's :meth:`collect` pops only its own events), the pool-node occupancy
+calendar is shared through one :class:`PoolOccupancy` (no double-booking
+across ranks), and ``pool_rank_base`` places the pool nodes after *all* main
+ranks in the world communicator — every rank's traffic joins the same
+``pool_p2p`` ledger.  A manager built on its own (no ``comm``, no shared
+calendar, a private sync server from ``surrogate``) is the standalone client
+its unit tests and the pool-sizing ablation drive.
 """
 
 from __future__ import annotations
@@ -48,10 +49,9 @@ from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 class PoolOccupancy:
     """The pool nodes' shared busy calendar (round-robin, per-step grain).
 
-    One instance per *server*: single-rank runs keep a private one, the
-    coupled runner passes one object to every rank's :class:`PoolManager`
-    so two ranks can never book the same pool node for overlapping
-    latency windows.
+    One instance per *server*: the step host passes one object to every
+    rank's :class:`PoolManager` so two ranks can never book the same pool
+    node for overlapping latency windows.
     """
 
     n_pool: int
@@ -94,19 +94,17 @@ class PoolManager:
     #: Surrogate used by the drop-to-oracle policy; defaults to a Sedov
     #: oracle matching the main surrogate's grid at ``horizon``.
     fallback_oracle: SNSurrogate | None = None
-    #: World rank of pool node 0 on ``comm``.  The single-rank layout puts
-    #: the pool right after the one main rank (base 1); the coupled layout
-    #: places all ``n_ranks`` main ranks first (base ``n_ranks``).
+    #: World rank of pool node 0 on ``comm``: the pool sits after all
+    #: ``n_ranks`` main ranks (base ``n_ranks``; 1 for a lone main rank).
     pool_rank_base: int = 1
     #: Client tag for multi-rank runs: when set, the server hands this
     #: manager only its own events back (see ``SurrogateServer.collect``).
     client_id: int | None = None
-    #: Shared busy calendar; None builds a private one (single-rank layout).
+    #: Shared busy calendar; None builds a private one.
     occupancy: PoolOccupancy | None = None
 
     events: list[SNEvent] = field(default_factory=list)
     _by_event_id: dict[int, SNEvent] = field(default_factory=dict, repr=False)
-    _owns_server: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_pool < 1:
@@ -122,7 +120,6 @@ class PoolManager:
             if self.surrogate is None:
                 raise ValueError("need a surrogate or a SurrogateServer")
             self.server = SurrogateServer(surrogate=self.surrogate, transport="sync")
-            self._owns_server = True
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -287,7 +284,7 @@ class PoolManager:
     def __enter__(self) -> "PoolManager":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, *exc: object) -> None:
         self.close()
 
     # -------------------------------------------------------------- statistics

@@ -1,46 +1,62 @@
-"""``CoupledRunner`` — the multi-rank host of the surrogate step contract.
+"""``CoupledRunner`` — the one host of the surrogate-coupled step (Sec. 3.2).
 
-This couples the two halves of the paper's architecture that previously ran
-only in isolation: the distributed FDPS pipeline (domain decomposition,
-particle exchange, LET-based gravity — :mod:`repro.fdps.distributed`) and
-the surrogate inference service (:mod:`repro.serve`).  One
-:class:`CoupledRunner` is ``n_ranks`` simulated main ranks plus ``n_pool``
-shared pool ranks on two ledgers:
+The paper runs one code from one node to 148,900; so does this repo.
+:class:`CoupledRunner` is ``n_ranks`` simulated main ranks (``n_ranks=1``
+included — the same code with no cut) plus ``n_pool`` shared pool ranks on
+two ledgers:
 
 * the *driver communicator* (``DistributedGravity.comm``) carries domain
-  migration (``exchange_particles``), LET traffic, and the new cross-rank
+  migration (``exchange_particles``), LET traffic, and the cross-rank
   SN-region ghosts (``region_ghost``);
 * the *pool communicator* carries every rank's SN-region round trips under
   the ``pool_p2p`` label, with pool ranks placed after all main ranks
   (``pool_rank_base = n_ranks``).
 
-Bit-identity with the single-rank :class:`~repro.core.integrator
-.SurrogateLeapfrog` is a hard contract, kept by construction:
+:meth:`CoupledRunner.step` is the eight-step loop:
+
+1. identify stars exploding between t and t + dt_global;
+2. pick up the (60 pc)^3 box around each and send it to a pool node;
+3. first kick, drift, force evaluation, second kick — *without adding any
+   feedback energy*;
+4. receive predicted particles from pool nodes and replace by particle ID;
+5. decompose the domain and exchange particles;
+6. create new stars, calculate cooling;
+7. recalculate kernel sizes and hydro forces after the internal-energy
+   changes;
+8. repeat.
+
+Phase order, timer labels (the Fig. 6/Table 3 categories), pool
+flush/collect placement and the float grouping of the kicks are defined
+there and nowhere else; :class:`~repro.core.integrator.BaseIntegrator`
+supplies the physics operators.
+
+The particle state is independent of where the cuts fall (``n_ranks``,
+flat or torus collectives, transport) — a hard contract, kept by
+construction:
 
 * the canonical particle state stays one global pid-sorted
   :class:`~repro.fdps.particles.ParticleSet`; per-rank local sets are
   materialized views (copies) used for the communication phases, so the
   exchanged bytes are real while the physics state never round-trips
   through the wire format;
-* SN events are dispatched in **global index order** (= pid order, exactly
-  the single-rank order) through each owner rank's
-  :class:`~repro.core.pool.PoolManager`; all managers share one
-  :class:`~repro.serve.SurrogateServer` and one
+* SN events are dispatched in **global index order** (= pid order) through
+  each owner rank's :class:`~repro.core.pool.PoolManager`; all managers
+  share one :class:`~repro.serve.SurrogateServer` and one
   :class:`~repro.core.pool.PoolOccupancy`, so event ids, pool-node
   bookings, return steps and per-event Gibbs seeds
-  (``event_rng(base_seed, star_pid, dispatch_step)`` — rank-free) are
-  identical;
+  (``event_rng(base_seed, star_pid, dispatch_step)`` — rank-free) do not
+  depend on the owner map;
 * a region whose cube crosses the owner's domain box is completed with
   ghost particles pulled through
   :meth:`~repro.fdps.distributed.DistributedGravity.exchange_region_ghosts`
-  and pid-sorted, so its content *and order* match a single-rank
-  extraction from the global set;
+  and pid-sorted, so its content *and order* match an extraction from the
+  global set;
 * received predictions are merged across ranks and applied in event-id
-  order — the single-rank application order.
+  order.
 
 ``force_mode="global"`` (default) evaluates forces on the global
-:class:`~repro.accel.ForceEngine` — bit-identical by construction, with
-every communication phase still paid for on the ledgers.
+:class:`~repro.accel.ForceEngine` — bit-identical for every ``n_ranks``,
+with every communication phase still paid for on the ledgers.
 ``force_mode="distributed"`` runs gravity through the full per-rank
 tree + LET pipeline instead (tree-code-accurate, not bitwise-equal): the
 mode the coupled scaling benchmark measures.
@@ -52,29 +68,28 @@ import numpy as np
 
 from repro.core.integrator import BaseIntegrator, IntegratorConfig
 from repro.core.pool import PoolManager, PoolOccupancy
-from repro.core.runner.step import SurrogateStepLoop
-from repro.fdps.comm import SimComm
+from repro.fdps.comm import CommStats, SimComm
 from repro.fdps.distributed import DistributedGravity
 from repro.fdps.particles import ParticleSet, ParticleType
+from repro.obs.trace import NullTracer, Tracer
 from repro.physics.cooling import CoolingModel
 from repro.physics.star_formation import StarFormationModel
 from repro.physics.stellar import exploding_between
 from repro.serve import OverflowPolicy, SurrogateServer
 from repro.surrogate.voxelize import extract_region
-from repro.util.timers import TimerRegistry
 
 
-class CoupledRunner(SurrogateStepLoop, BaseIntegrator):
-    """Multi-rank surrogate-coupled integration over one shared service.
+class CoupledRunner(BaseIntegrator):
+    """Surrogate-coupled integration on ``n_ranks`` main ranks, one service.
 
     Parameters
     ----------
     ps : the global particle set (must be pid-sorted with unique pids —
-        the invariant that makes global index order, pid order, and the
-        single-rank dispatch order one and the same thing).
+        the invariant that makes global index order and pid order one and
+        the same thing, whatever the owner map).
     server : the shared :class:`~repro.serve.SurrogateServer`; every
         rank's :class:`~repro.core.pool.PoolManager` is a client of it.
-    n_ranks : number of simulated main ranks.
+    n_ranks : number of simulated main ranks (1 = no cut).
     use_torus : route the driver communicator's collectives through the
         3-phase 3D torus alltoallv.
     force_mode : ``"global"`` (bit-identical, default) or
@@ -89,7 +104,7 @@ class CoupledRunner(SurrogateStepLoop, BaseIntegrator):
         config: IntegratorConfig | None = None,
         cooling: CoolingModel | None = None,
         star_formation: StarFormationModel | None = None,
-        tracer=None,
+        tracer: Tracer | NullTracer | None = None,
         use_torus: bool = False,
         force_mode: str = "global",
         overflow_policy: OverflowPolicy | str = OverflowPolicy.QUEUE,
@@ -140,12 +155,67 @@ class CoupledRunner(SurrogateStepLoop, BaseIntegrator):
         ]
         self.decomp, self.owner = self.driver.decompose(ps)
 
+    # ----------------------------------------------------------- run control
+    def step(self) -> None:
+        """One fixed-dt surrogate-coupled step (the Sec. 3.2 eight-step loop)."""
+        dt = self.cfg.dt
+        with self.tracer.span("step", step=self.step_count):
+            # (1) identify SNe in [t, t + dt).  The window is open below so
+            # an *overdue* tsn also fires (a finite past tsn can only mean a
+            # checkpoint restore re-scheduled an SN whose prediction was in
+            # flight at save time).
+            with self.timers.measure("Identify_SNe"):
+                exploding = self.identify_sne(dt)
+
+            # (2) ship each SN region to a pool node, then flush due batches
+            # so inference runs overlapped with (3) instead of landing on
+            # the collect.
+            with self.timers.measure("Send_SNe"):
+                self.send_sne(exploding)
+                self.flush_pools()
+
+            # (3) KDK without feedback energy.
+            if not self.forces_ready:
+                self.compute_forces("1st")
+            with self.timers.measure("Integration"):
+                self.kick(0.5 * dt)
+                self.drift(dt)
+            self.compute_forces("1st")
+            with self.timers.measure("Final_kick"):
+                self.kick(0.5 * dt)
+
+            # (4) receive due predictions, replace by particle ID.
+            with self.timers.measure("Receive_SNe"):
+                self.receive_sne()
+
+            # (5) domain decomposition / particle exchange.
+            self.redistribute(dt)
+
+            # (6) star formation and cooling.
+            self.apply_star_formation(dt)
+            self.apply_cooling(dt)
+
+            # (7) recompute hydro after the internal-energy changes.
+            self.refresh_hydro()
+
+            # (8) advance the global clock; repeat.
+            self.time += dt
+            self.step_count += 1
+
+    def run(self, n_steps: int) -> None:
+        for _ in range(n_steps):
+            self.step()
+
+    def run_until(self, t_end: float, max_steps: int = 10_000_000) -> None:
+        while self.time < t_end and self.step_count < max_steps:
+            self.step()
+
     # -------------------------------------------------------------- locals
     def _locals(self) -> list[ParticleSet]:
         """Per-rank copies of the canonical set (current ownership)."""
         return [self.ps.select(self.owner == r) for r in range(self.n_ranks)]
 
-    # ---------------------------------------------------------------- hooks
+    # ---------------------------------------------------------------- phases
     def identify_sne(self, dt: float) -> np.ndarray:
         """Step (1): global indices of stars exploding in [t, t + dt)."""
         ps = self.ps
@@ -159,9 +229,9 @@ class CoupledRunner(SurrogateStepLoop, BaseIntegrator):
 
         The ghost exchange runs first (one collective for all of this
         step's events); the dispatch loop then walks events in ascending
-        global index — pid order, i.e. the single-rank dispatch order — so
-        the shared server assigns the same event ids and the shared
-        occupancy books the same pool nodes as a single-rank run.
+        global index — pid order — so the shared server assigns the same
+        event ids and the shared occupancy books the same pool nodes
+        wherever the cuts fall.
         """
         if len(exploding) == 0:
             return
@@ -196,7 +266,7 @@ class CoupledRunner(SurrogateStepLoop, BaseIntegrator):
 
     def receive_sne(self) -> None:
         """Step (4): gather every rank's due predictions, apply in event-id
-        order — the order the single-rank server would have delivered."""
+        order — the order the server assigned at dispatch."""
         pairs: list = []
         for pool in self.pools:
             pairs.extend(pool.collect(self.step_count))
@@ -205,6 +275,7 @@ class CoupledRunner(SurrogateStepLoop, BaseIntegrator):
         for _event, predicted in pairs:
             n_replaced += self.ps.replace_by_pid(predicted)
         if n_replaced:
+            # Predicted particles land with new coordinates.
             self.engine.notify_positions_changed()
 
     def redistribute(self, dt: float) -> None:
@@ -275,7 +346,7 @@ class CoupledRunner(SurrogateStepLoop, BaseIntegrator):
         self.owner = owner
 
     # ------------------------------------------------------------ accounting
-    def comm_stats(self) -> dict:
+    def comm_stats(self) -> dict[str, CommStats]:
         """Merged byte ledger: driver labels + the shared pool traffic.
 
         The label sets are disjoint by construction (``pool_p2p`` lives on
@@ -284,10 +355,6 @@ class CoupledRunner(SurrogateStepLoop, BaseIntegrator):
         merged = dict(self.driver.comm.stats)
         merged.update(self.pool_comm.stats)
         return merged
-
-    def distributed_timings(self) -> dict[str, float]:
-        """Slowest-rank merge of the driver's per-rank phase timers."""
-        return TimerRegistry.slowest(self.driver.timers)
 
     def pool_summary(self) -> dict:
         events = [e for pool in self.pools for e in pool.events]
@@ -316,9 +383,3 @@ class CoupledRunner(SurrogateStepLoop, BaseIntegrator):
     def close(self) -> None:
         """Shut down the shared service once (all pools are its clients)."""
         self.server.close()
-
-    def __enter__(self) -> "CoupledRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -1,9 +1,9 @@
 """``GalaxySimulation`` — the public facade of the library.
 
 Wires together initial conditions, the surrogate inference service (with
-either a trained U-Net or the analytic Sedov oracle), and the
-fixed-timestep surrogate leapfrog; exposes run control, diagnostics,
-snapshot hooks, and checkpoint/restore.
+either a trained U-Net or the analytic Sedov oracle), and the one step host
+(:class:`repro.core.runner.CoupledRunner`, for every ``n_ranks``); exposes
+run control, diagnostics, snapshot hooks, and checkpoint/restore.
 
 Example
 -------
@@ -18,10 +18,12 @@ Example
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from pathlib import Path
 
-from repro.core.integrator import IntegratorConfig, SurrogateLeapfrog
+from repro.core.integrator import IntegratorConfig
 from repro.core.pool import PoolManager
+from repro.core.runner import CoupledRunner
 from repro.fdps.particles import ParticleSet
 from repro.physics.cooling import CoolingModel
 from repro.physics.star_formation import StarFormationModel
@@ -86,16 +88,15 @@ class GalaxySimulation:
         report``.  The default :data:`~repro.obs.NULL_TRACER` keeps every
         bracket a no-op; tracing never changes particle state (asserted
         bit-identical in ``benchmarks/bench_obs_overhead.py``).
-    n_ranks : >1 runs the coupled multi-rank path
-        (:class:`repro.core.runner.CoupledRunner`): simulated main ranks
-        with genuine domain migration, cross-rank SN-region ghosts, and
-        one shared inference service with per-rank pool clients.
-        Bit-identical to ``n_ranks=1`` for the same seeds (with the
-        default ``coupled_force_mode="global"``).
-    use_torus : (coupled only) route the driver collectives through the
-        3-phase 3D torus alltoallv.
-    coupled_force_mode : (coupled only) ``"global"`` or ``"distributed"``
-        — see :class:`~repro.core.runner.CoupledRunner`.
+    n_ranks : number of simulated main ranks of the one step host
+        (:class:`repro.core.runner.CoupledRunner`): genuine domain
+        migration, cross-rank SN-region ghosts, and one shared inference
+        service with per-rank pool clients.  The particle state does not
+        depend on it (with the default ``coupled_force_mode="global"``).
+    use_torus : route the driver collectives through the 3-phase 3D torus
+        alltoallv.
+    coupled_force_mode : ``"global"`` or ``"distributed"`` — see
+        :class:`~repro.core.runner.CoupledRunner`.
     """
 
     def __init__(
@@ -129,11 +130,14 @@ class GalaxySimulation:
         from repro.obs.trace import NULL_TRACER
 
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        cfg = config or IntegratorConfig()
-        cfg.dt = dt
-        cfg.n_pool = n_pool
-        cfg.latency_steps = latency_steps if latency_steps is not None else n_pool
-        cfg.seed = seed
+        # A copy: the caller's config object is never written to.
+        cfg = replace(
+            config or IntegratorConfig(),
+            dt=dt,
+            n_pool=n_pool,
+            latency_steps=latency_steps if latency_steps is not None else n_pool,
+            seed=seed,
+        )
         horizon = cfg.latency_steps * dt      # prediction horizon (0.1 Myr dflt)
         if surrogate_model_path is not None:
             if surrogate is not None:
@@ -167,39 +171,28 @@ class GalaxySimulation:
             tracer=self.tracer,
         )
         self.server = server
-        if n_ranks > 1:
-            from repro.core.runner.coupled import CoupledRunner
-
-            self.pool = None
-            self.integrator = CoupledRunner(
-                ps,
-                server,
-                n_ranks=n_ranks,
-                config=cfg,
-                cooling=cooling,
-                star_formation=star_formation,
-                tracer=self.tracer,
-                use_torus=use_torus,
-                force_mode=coupled_force_mode,
-                overflow_policy=overflow_policy,
-                horizon=horizon,
-            )
-        else:
-            self.pool = PoolManager(
-                surrogate=surrogate,
-                n_pool=cfg.n_pool,
-                latency_steps=cfg.latency_steps,
-                seed=seed,
-                server=server,
-                overflow_policy=overflow_policy,
-                horizon=horizon,
-            )
-            self.integrator = SurrogateLeapfrog(
-                ps, self.pool, cfg, cooling=cooling,
-                star_formation=star_formation, tracer=self.tracer,
-            )
+        self.integrator = CoupledRunner(
+            ps,
+            server,
+            n_ranks=n_ranks,
+            config=cfg,
+            cooling=cooling,
+            star_formation=star_formation,
+            tracer=self.tracer,
+            use_torus=use_torus,
+            force_mode=coupled_force_mode,
+            overflow_policy=overflow_policy,
+            horizon=horizon,
+        )
 
     # ------------------------------------------------------------- delegation
+    @property
+    def pool(self) -> PoolManager | None:
+        """The pool client of a 1-rank run (``integrator.pools[0]``); None
+        when there are several — read-only either way."""
+        pools = self.integrator.pools
+        return pools[0] if len(pools) == 1 else None
+
     @property
     def ps(self) -> ParticleSet:
         return self.integrator.ps
@@ -220,11 +213,7 @@ class GalaxySimulation:
 
     def diagnostics(self) -> dict:
         out = self.integrator.diagnostics()
-        out["pool"] = (
-            self.pool.summary()
-            if self.pool is not None
-            else self.integrator.pool_summary()
-        )
+        out["pool"] = self.integrator.pool_summary()
         return out
 
     def timing_breakdown(self) -> dict[str, float]:
@@ -276,10 +265,7 @@ class GalaxySimulation:
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Shut down the inference service (process-transport workers)."""
-        if self.pool is not None:
-            self.pool.close()
-        else:
-            self.server.close()
+        self.server.close()
 
     def __enter__(self) -> "GalaxySimulation":
         return self
@@ -293,12 +279,6 @@ class GalaxySimulation:
         (see :func:`repro.fdps.io.save_simulation`)."""
         from repro.fdps.io import save_simulation
 
-        if self.pool is None:
-            raise NotImplementedError(
-                "checkpointing a coupled (n_ranks > 1) run is not supported "
-                "yet; the state is bit-identical to n_ranks=1, so save from "
-                "a single-rank run"
-            )
         return save_simulation(self, path)
 
     @classmethod
@@ -316,6 +296,16 @@ class GalaxySimulation:
         restored integrator re-dispatches them — overdue SNe fire on the
         first step after a restore and no event is lost.
 
+        The run mode (``n_ranks``, ``use_torus``, ``coupled_force_mode``)
+        is rebuilt from the checkpoint; the owner map is not stored but
+        re-derived by a fresh decomposition of the restored positions.  In
+        ``"global"`` force mode the state does not depend on it, so the
+        bit-identity above holds for every ``n_ranks``; in
+        ``"distributed"`` mode the continuation is tree-accurate, not
+        bitwise.  Checkpoints written before these keys existed load as
+        one rank, and ``integrator_config`` keys this version no longer
+        knows are dropped with a warning.
+
         ``overrides`` are passed through to the constructor (e.g. a
         different ``serve_transport`` or a freshly loaded ``surrogate``).
         """
@@ -324,6 +314,7 @@ class GalaxySimulation:
         from repro.serve import SurrogateSpec
         from repro.util.logging import get_logger
 
+        log = get_logger("simulation")
         state = load_checkpoint(path)
         meta = state.header.get("extra", {})
         kwargs: dict = {
@@ -332,8 +323,21 @@ class GalaxySimulation:
             "latency_steps": meta.get("latency_steps"),
             "seed": meta.get("seed", 0),
         }
+        for key in ("n_ranks", "use_torus", "coupled_force_mode"):
+            if key in meta:                        # absent in older checkpoints
+                kwargs[key] = meta[key]
         if "integrator_config" in meta:
-            kwargs["config"] = IntegratorConfig(**meta["integrator_config"])
+            known = {f.name for f in fields(IntegratorConfig)}
+            saved = meta["integrator_config"]
+            unknown = sorted(set(saved) - known)
+            if unknown:
+                log.warning(
+                    "checkpoint %s: dropping integrator_config keys this "
+                    "version does not know: %s", path, ", ".join(unknown),
+                )
+            kwargs["config"] = IntegratorConfig(
+                **{k: v for k, v in saved.items() if k in known}
+            )
         if "overflow_policy" in meta:
             kwargs["overflow_policy"] = meta["overflow_policy"]
         serve_meta = meta.get("serve") or {}
@@ -348,7 +352,7 @@ class GalaxySimulation:
         if meta.get("surrogate_spec") is not None:
             kwargs["surrogate"] = SurrogateSpec(**meta["surrogate_spec"]).build()
         elif "surrogate_spec" in meta and "surrogate" not in overrides:
-            get_logger("simulation").warning(
+            log.warning(
                 "checkpoint %s has no serializable surrogate spec (predictor"
                 "-backed run); restoring with the default Sedov oracle — pass "
                 "restore(surrogate=...) to resume the original model", path,

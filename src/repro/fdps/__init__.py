@@ -21,8 +21,8 @@ Coupled runs and cross-rank SN regions
 --------------------------------------
 
 :class:`DistributedGravity` is also the communication driver of the
-surrogate-coupled multi-rank runner
-(:class:`~repro.core.runner.coupled.CoupledRunner`).  Beyond migration and
+surrogate-coupled step host
+(:class:`~repro.core.runner.CoupledRunner`).  Beyond migration and
 LET traffic it exports SN-region *ghosts*: when a supernova's sampling
 cube pokes past its owner rank's domain box
 (:meth:`~repro.fdps.domain.DomainDecomposition.domain_box`), the owner

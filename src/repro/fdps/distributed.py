@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.accel.index import ConcatStratifiedSampler, SpatialIndex
-from repro.core.runner.step import leapfrog_drift, leapfrog_kick
 from repro.fdps.comm import SimComm, TorusTopology
 from repro.fdps.domain import DomainDecomposition, process_grid
 from repro.fdps.interaction import InteractionCounter
@@ -51,6 +50,7 @@ from repro.fdps.tree import Octree
 from repro.gravity.treegrav import tree_accel
 from repro.obs.trace import NULL_TRACER
 from repro.perf.costmodel import hydro_gravity_work_ratio
+from repro.util.leapfrog import leapfrog_drift, leapfrog_kick
 from repro.util.timers import TimerRegistry
 
 

@@ -123,40 +123,42 @@ def save_simulation(sim, path: str | Path) -> Path:
     """Checkpoint a :class:`~repro.core.simulation.GalaxySimulation`.
 
     Captures the particle state, the integrator clock and counters, the
-    star-formation RNG state, the pool sizing, and the current force
-    arrays, so :meth:`GalaxySimulation.restore` resumes bit-identically;
+    star-formation RNG state, the pool sizing, the run mode (``n_ranks``,
+    ``use_torus``, ``coupled_force_mode``), and the current force arrays, so
+    :meth:`GalaxySimulation.restore` resumes bit-identically;
     the pool's in-flight *predictions* are intentionally not captured (the
     paper's checkpointing strategy is the same: restart from the last
     global step).  So that those SNe are not lost, the saved ``tsn`` of
     each in-flight event's star is reset to its explosion time — dispatch
     marked it fired with ``inf`` — and the restored integrator re-dispatches
-    overdue SNe on its first step.
+    overdue SNe on its first step.  Pending events are gathered across every
+    rank's pool client; the owner map is not stored (restore re-derives it).
     """
     from dataclasses import asdict
 
     from repro.serve import SurrogateSpec
 
     integ = sim.integrator
-    pool = sim.pool
+    server = sim.server
     # Persist what is needed to rebuild the same service: the surrogate
     # itself only when a spec is derivable (the Sedov oracle, or a trained
     # export whose InferenceEngine records its model_path); a surrogate
     # backed by an anonymous in-memory predictor must be re-supplied via
     # restore(surrogate=) — restore() warns in that case.
     try:
-        surrogate_spec = asdict(SurrogateSpec.from_surrogate(pool.server.local_surrogate))
+        surrogate_spec = asdict(SurrogateSpec.from_surrogate(server.local_surrogate))
     except ValueError:
         surrogate_spec = None
     serve_meta = {
-        "transport": pool.server.transport_name,
-        "n_workers": max(1, pool.server.n_workers),
-        "max_batch": pool.server.scheduler.max_batch,
-        "max_wait_steps": pool.server.scheduler.max_wait_steps,
-        "shm_slots": pool.server.shm_slots,
-        "shm_slot_particles": pool.server.shm_slot_particles,
+        "transport": server.transport_name,
+        "n_workers": max(1, server.n_workers),
+        "max_batch": server.scheduler.max_batch,
+        "max_wait_steps": server.scheduler.max_wait_steps,
+        "shm_slots": server.shm_slots,
+        "shm_slot_particles": server.shm_slot_particles,
     }
     ps_save = sim.ps
-    pending = [e for e in sim.pool.events if not e.returned]
+    pending = [e for pool in integ.pools for e in pool.events if not e.returned]
     n_rescheduled = 0
     if pending:
         ps_save = sim.ps.copy()
@@ -184,12 +186,15 @@ def save_simulation(sim, path: str | Path) -> Path:
             "n_sf_events": integ.n_sf_events,
             "next_pid": integ.next_pid,
             "dt": integ.cfg.dt,
-            "n_pool": sim.pool.n_pool,
-            "latency_steps": sim.pool.latency_steps,
+            "n_pool": integ.cfg.n_pool,
+            "latency_steps": integ.cfg.latency_steps,
             "seed": integ.cfg.seed,
             "rng_state": integ.rng.bit_generator.state,
             "integrator_config": asdict(integ.cfg),
-            "overflow_policy": str(pool.overflow_policy.value),
+            "overflow_policy": str(integ.pools[0].overflow_policy.value),
+            "n_ranks": integ.n_ranks,
+            "use_torus": integ.driver.use_torus,
+            "coupled_force_mode": integ.force_mode,
             "serve": serve_meta,
             "surrogate_spec": surrogate_spec,
         },

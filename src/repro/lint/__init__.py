@@ -40,7 +40,8 @@ Repo invariants (the rule catalog)
     nor ``repro.core``/``repro.serve``.  Backends stay independently
     loadable leaves of the registry; the sanctioned exception (inheriting
     the always-available ``numpy`` reference implementation) carries an
-    inline suppression with its reason.
+    inline suppression with its reason.  The same forbidden-import table
+    keeps ``repro.fdps`` from importing ``repro.core``.
 
 ``hotpath-hygiene``
     No ``np.add.at`` or per-particle ``range(len(...))`` Python loops in

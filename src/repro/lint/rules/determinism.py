@@ -29,10 +29,9 @@ from repro.lint.registry import register_rule
 
 #: Subsystems whose outputs must be a pure function of (inputs, seeds).
 DETERMINISTIC_MODULES = (
-    # "repro.core" covers the run-orchestration layer too
-    # (repro.core.runner.*): the coupled runner's dispatch ordering and
-    # ghost exchange are exactly the code where ambient randomness would
-    # break the single-rank/multi-rank bit-identity contract.
+    # "repro.core" covers the step host (repro.core.runner): its dispatch
+    # ordering and ghost exchange are exactly the code where ambient
+    # randomness would break the cut-independence bit-identity contract.
     "repro.core",
     "repro.physics",
     "repro.sph",

@@ -17,7 +17,11 @@ modules — but not its sibling backends and never the orchestration layers
 imports invert the dependency arrow the registry exists to enforce.  The
 one sanctioned exception — inheriting the ``numpy`` reference backend as
 the always-available fallback implementation — is suppressed inline where
-it happens, with the reason on the line.
+it happens, with the reason on the line.  The orchestration half is one row
+of :data:`FORBIDDEN_IMPORTS`, the table of layering contracts this rule
+enforces.  Another row keeps ``repro.fdps`` (the framework layer the step
+host in ``repro.core`` drives) from importing ``repro.core``: one upward
+import there forces lazy re-exports on every package above it.
 """
 
 from __future__ import annotations
@@ -35,8 +39,15 @@ OPTIONAL_DEPS = ("numba", "cupy", "triton")
 GATED_IMPORT_MODULES = ("repro.accel.backends", "repro.pikg.codegen")
 
 BACKEND_PACKAGE = "repro.accel.backends"
-#: Modules a backend must never import (orchestration layers).
-FORBIDDEN_FOR_BACKENDS = ("repro.core", "repro.serve")
+#: Importing package -> packages it must never import (layers above it).
+FORBIDDEN_IMPORTS = {
+    BACKEND_PACKAGE: ("repro.core", "repro.serve"),
+    "repro.fdps": ("repro.core",),
+}
+
+
+def _under(module: str, package: str) -> bool:
+    return module == package or module.startswith(package + ".")
 
 
 def _imported_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -60,10 +71,7 @@ class ImportGatingRule(Rule):
 
     def check(self, ctx: ModuleContext) -> list[Finding]:
         out: list[Finding] = []
-        allowed_here = any(
-            ctx.module == p or ctx.module.startswith(p + ".")
-            for p in GATED_IMPORT_MODULES
-        )
+        allowed_here = any(_under(ctx.module, p) for p in GATED_IMPORT_MODULES)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
@@ -89,30 +97,34 @@ class ImportGatingRule(Rule):
 
 @register_rule
 class BackendPurityRule(Rule):
-    """R4: backend modules import neither siblings nor orchestration."""
+    """R4: no sibling-backend imports, no imports of a layer above."""
 
     name = "backend-purity"
     description = (
-        "a backend module must not import sibling backends (base excepted) "
-        "or repro.core/repro.serve"
+        "a backend module must not import sibling backends (base excepted); "
+        "no module imports a layer above it (backends -/-> repro.core, "
+        "repro.serve; repro.fdps -/-> repro.core)"
     )
-    scope_prefixes = (BACKEND_PACKAGE,)
+    scope_prefixes = tuple(FORBIDDEN_IMPORTS)
 
     def applies_to(self, module: str) -> bool:
-        # Submodules only: the package __init__ is the registry and has to
-        # import every backend to register it.
-        return (
-            module.startswith(BACKEND_PACKAGE + ".")
-            and module != BACKEND_PACKAGE + ".base"
-        )
+        # Of the backend package, submodules only: its __init__ is the
+        # registry and has to import every backend to register it.
+        if _under(module, BACKEND_PACKAGE):
+            return module not in (BACKEND_PACKAGE, BACKEND_PACKAGE + ".base")
+        return super().applies_to(module)
 
     def check(self, ctx: ModuleContext) -> list[Finding]:
         out: list[Finding] = []
+        forbidden = next(
+            above for pkg, above in FORBIDDEN_IMPORTS.items() if _under(ctx.module, pkg)
+        )
+        is_backend = _under(ctx.module, BACKEND_PACKAGE)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             for target in _imported_modules(node):
-                if target.startswith(BACKEND_PACKAGE + "."):
+                if is_backend and target.startswith(BACKEND_PACKAGE + "."):
                     sibling = target[len(BACKEND_PACKAGE) + 1:].split(".")[0]
                     if sibling != "base" and f"{BACKEND_PACKAGE}.{sibling}" != ctx.module:
                         out.append(ctx.finding(
@@ -120,13 +132,10 @@ class BackendPurityRule(Rule):
                             f"backend imports sibling backend '{sibling}'; "
                             "backends must stay independently loadable",
                         ))
-                elif any(
-                    target == p or target.startswith(p + ".")
-                    for p in FORBIDDEN_FOR_BACKENDS
-                ):
+                elif any(_under(target, p) for p in forbidden):
                     out.append(ctx.finding(
                         node, self.name,
-                        f"backend imports orchestration module '{target}'; "
+                        f"imports '{target}', a layer above this module; "
                         "the dependency arrow points the other way",
                     ))
         return out

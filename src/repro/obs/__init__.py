@@ -33,14 +33,15 @@ stable keys consumed by the report and the benchmarks:
 ======= ======================== =====================================================
 cat     emitted by               span names (attrs)
 ======= ======================== =====================================================
-sim     ``core.integrator`` via  ``step`` (step); ``Identify_SNe``; ``Send_SNe``;
-        the bridged              ``Integration``; ``Final_kick``; ``Receive_SNe``;
-        ``TimerRegistry``        ``Exchange_Particle``; ``Star Formation``;
-                                 ``Feedback_and_Cooling``
+sim     ``core.runner`` (the     ``step`` (step); ``Identify_SNe``; ``Send_SNe``;
+        step host, every         ``Integration``; ``Final_kick``; ``Receive_SNe``;
+        ``n_ranks``) via the     ``Star Formation``; ``Feedback_and_Cooling``
+        bridged ``TimerRegistry``
 sim     ``accel.engine`` /       ``{1st,2nd} Calc_Force``,
         ``fdps.distributed``     ``... Calc_Kernel_Size_and_Density``,
         (same bridge)            ``... Calc_Hydro_Force`` (backend);
-                                 ``Decompose_Domain``, ``Exchange_LET`` — per rank
+                                 ``Decompose_Domain``, ``Exchange_Particle``,
+                                 ``Exchange_Region``, ``Exchange_LET`` — per rank
                                  (rank)
 comm    ``fdps.comm.SimComm``    one span per ledger row: the op label
                                  (``pool_p2p``, ``exchange_particles``, ...) with
@@ -66,8 +67,8 @@ lanes.  Report examples::
 
 Tracing a simulation: pass ``tracer=Tracer()`` to
 :class:`repro.core.simulation.GalaxySimulation` (it threads the tracer
-through the integrator timers, the force engine, the serve pipeline, and —
-on multi-rank drivers — the communicator) and export with
+through the step host's timers, the force engine, the serve pipeline, and
+the communicators) and export with
 ``sim.write_trace(run_dir)``.
 """
 

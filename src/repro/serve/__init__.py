@@ -102,7 +102,7 @@ Coupled multi-rank runs: one server, many clients
 
 In the paper's production topology every *main* rank submits its own SN
 regions to the shared pool (Fig. 1); here the
-:class:`~repro.core.runner.coupled.CoupledRunner` gives each simulated
+:class:`~repro.core.runner.CoupledRunner` gives each simulated
 rank its own :class:`~repro.core.pool.PoolManager` client of **one**
 ``SurrogateServer``.  Two server features exist for exactly that shape:
 

@@ -19,12 +19,13 @@ from repro.accel.backends import (
 )
 from repro.accel.backends.base import KernelBackend
 from repro.accel.backends.numba_backend import HAVE_NUMBA, NumbaBackend
-from repro.core.integrator import IntegratorConfig, SurrogateLeapfrog
-from repro.core.pool import PoolManager
+from repro.core.integrator import IntegratorConfig
+from repro.core.runner import CoupledRunner
 from repro.fdps.distributed import DistributedGravity
 from repro.fdps.particles import ParticleSet
 from repro.gravity.kernels import accel_between, accel_direct
 from repro.gravity.treegrav import tree_accel
+from repro.serve import SurrogateServer
 from repro.sn.turbulence import make_turbulent_box
 from repro.sph.density import compute_density
 from repro.sph.forces import compute_hydro_forces
@@ -109,12 +110,12 @@ def test_register_backend_roundtrip():
 def test_backend_selection_reaches_engine():
     ps = make_turbulent_box(n_per_side=5, side=10.0, mean_density=0.05,
                             temperature=100.0, mach=1.0, seed=3)
-    cfg = IntegratorConfig(backend="seed", enable_star_formation=False)
-    pool = PoolManager(
-        surrogate=SNSurrogate(oracle=SedovBlastOracle(t_after=0.01), n_grid=4, side=10.0),
-        n_pool=2, latency_steps=2,
+    cfg = IntegratorConfig(backend="seed", enable_star_formation=False,
+                           n_pool=2, latency_steps=2)
+    server = SurrogateServer(
+        surrogate=SNSurrogate(oracle=SedovBlastOracle(t_after=0.01), n_grid=4, side=10.0)
     )
-    sim = SurrogateLeapfrog(ps, pool, cfg)
+    sim = CoupledRunner(ps, server, n_ranks=1, config=cfg)
     assert sim.engine.backend.name == "seed"
 
 
@@ -236,13 +237,13 @@ def test_whole_step_parity_with_fast_path(bk):
         cfg = IntegratorConfig(
             backend=backend, mixed_precision=False, enable_star_formation=False,
             direct_gravity_below=100, leaf_size=8, n_g=64,
-        )
-        pool = PoolManager(
-            surrogate=SNSurrogate(oracle=SedovBlastOracle(t_after=0.01),
-                                  n_grid=4, side=12.0),
             n_pool=2, latency_steps=2,
         )
-        sim = SurrogateLeapfrog(ps, pool, cfg)
+        server = SurrogateServer(
+            surrogate=SNSurrogate(oracle=SedovBlastOracle(t_after=0.01),
+                                  n_grid=4, side=12.0)
+        )
+        sim = CoupledRunner(ps, server, n_ranks=1, config=cfg)
         sim.run(2)
         assert sim.engine.fast_path_available
         return sim.ps

@@ -3,9 +3,10 @@
 import numpy as np
 
 from repro.accel import ForceEngine
-from repro.core.integrator import IntegratorConfig, SurrogateLeapfrog
-from repro.core.pool import PoolManager
+from repro.core.integrator import IntegratorConfig
+from repro.core.runner import CoupledRunner
 from repro.fdps.particles import ParticleType
+from repro.serve import SurrogateServer
 from repro.sph.density import compute_density
 from repro.sph.forces import compute_hydro_forces
 from repro.sph.kernels import DEFAULT_KERNEL
@@ -139,11 +140,11 @@ def test_extract_region_via_index_matches_scan():
 def _steady_integrator(n_per_side=8, **cfg_kw):
     ps = _gas_box(seed=8, n_per_side=n_per_side)
     cfg = IntegratorConfig(
-        enable_cooling=True, enable_star_formation=False, **cfg_kw
+        enable_cooling=True, enable_star_formation=False, n_pool=5,
+        latency_steps=5, **cfg_kw
     )
     surr = SNSurrogate(oracle=SedovBlastOracle(t_after=0.01), n_grid=8, side=60.0)
-    pool = PoolManager(surrogate=surr, n_pool=5, latency_steps=5)
-    return SurrogateLeapfrog(ps, pool, cfg)
+    return CoupledRunner(ps, SurrogateServer(surrogate=surr), n_ranks=1, config=cfg)
 
 
 def test_steady_step_build_budget():

@@ -1,32 +1,44 @@
 """Checkpoint/restore: a restored run continues bit-identically.
 
-The satellite fix for the old gap where ``load_simulation_state`` returned
-raw ``(ps, header)`` and nothing could rebuild a live run: `
 ``GalaxySimulation.restore`` reconstructs the integrator clock,
-``next_pid``, the SN/SF counters, the SF RNG state, and the stored force
-arrays, so save -> restore -> step matches an uninterrupted run exactly.
+``next_pid``, the SN/SF counters, the SF RNG state, the run mode
+(``n_ranks`` / torus / force mode) and the stored force arrays, so save ->
+restore -> step matches an uninterrupted run exactly — on every ``n_ranks``.
 """
 
+import logging
+
 import numpy as np
+import pytest
 
 from repro.core.integrator import IntegratorConfig
 from repro.core.simulation import GalaxySimulation
-from repro.fdps.io import load_checkpoint, load_simulation_state, save_simulation
+from repro.fdps.io import (
+    load_checkpoint,
+    load_simulation_state,
+    save_simulation,
+    save_snapshot,
+)
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.sn.turbulence import make_turbulent_box
+from repro.util.constants import SN_ENERGY
 
 
-def _ic(with_star=True, seed=5):
+def _ic(with_star=True, seed=5, second_tsn=None):
     box = make_turbulent_box(n_per_side=6, side=60.0, mean_density=0.05,
                              temperature=100.0, mach=2.0, seed=seed)
     if not with_star:
         return box
-    star = ParticleSet.empty(1)
-    star.pos[:] = 0.0
+    n_stars = 1 if second_tsn is None else 2
+    star = ParticleSet.empty(n_stars)
+    star.pos[:] = 0.0               # on the 2-rank cut: regions pull ghosts
     star.mass[:] = 20.0
     star.ptype[:] = int(ParticleType.STAR)
-    star.pid[:] = 10_000_000
-    star.tsn[:] = 0.003  # explodes at step 2, returns at step 4 (< save step)
+    star.pid[:] = 10_000_000 + np.arange(n_stars)
+    star.tsn[0] = 0.003  # explodes at step 2, returns at step 4 (< save step)
+    if second_tsn is not None:
+        star.pos[1] = [4.0, -3.0, 2.0]
+        star.tsn[1] = second_tsn
     star.eps[:] = 1.0
     return box.append(star)
 
@@ -38,25 +50,35 @@ def _sim(ps, **kw):
                             surrogate_grid=8, seed=11, config=cfg, **kw)
 
 
-def test_save_restore_step_matches_uninterrupted(tmp_path):
+@pytest.mark.parametrize("n_ranks", [1, 2])
+def test_save_restore_step_matches_uninterrupted(tmp_path, n_ranks):
+    """Mid-flight save -> restore -> continue == uninterrupted, by bytes.
+
+    The first star's prediction lands before the save; the second star's
+    (dispatched at step 5, due back at step 7) is in flight at the save at
+    step 6.  A checkpoint drops in-flight predictions and re-fires their
+    SNe on the first step after the restore, so the uninterrupted reference
+    is the run whose second star is due at step 6.
+    """
     path = tmp_path / "ckpt.npz"
 
-    straight = _sim(_ic())
-    straight.run(9)
+    straight = _sim(_ic(second_tsn=0.0125), n_ranks=n_ranks)
+    straight.run(10)
 
-    first = _sim(_ic())
+    first = _sim(_ic(second_tsn=0.011), n_ranks=n_ranks)
     first.run(6)
-    save_simulation(first, path)
+    assert first.server.n_outstanding == 1
+    first.save(path)
     resumed = GalaxySimulation.restore(path)
+    assert resumed.integrator.n_ranks == n_ranks
     assert resumed.step_count == 6
     assert resumed.time == first.time
-    resumed.run(3)
+    resumed.run(4)
 
     assert resumed.step_count == straight.step_count
     assert resumed.time == straight.time
-    for name, arr in straight.ps.data.items():
-        assert np.array_equal(resumed.ps.data[name], arr), name
-    assert resumed.integrator.n_sn_events == straight.integrator.n_sn_events
+    assert resumed.ps.pack().tobytes() == straight.ps.pack().tobytes()
+    assert resumed.integrator.n_sn_events == straight.integrator.n_sn_events == 2
     assert resumed.integrator.n_sf_events == straight.integrator.n_sf_events
     assert resumed.integrator.next_pid == straight.integrator.next_pid
 
@@ -82,6 +104,57 @@ def test_restore_rebuilds_counters_and_rng(tmp_path):
         == sim.integrator.rng.bit_generator.state
     )
     assert back.integrator._first_forces_done
+
+
+def test_restore_rebuilds_run_mode(tmp_path):
+    path = tmp_path / "ckpt.npz"
+    sim = _sim(_ic(), n_ranks=2, use_torus=True, coupled_force_mode="distributed")
+    sim.run(2)
+    sim.save(path)
+    back = GalaxySimulation.restore(path)
+    assert back.integrator.n_ranks == 2
+    assert back.integrator.driver.use_torus
+    assert back.integrator.force_mode == "distributed"
+    back.run(1)  # must not raise
+
+
+def test_restore_loads_old_schema_checkpoint(tmp_path, caplog):
+    # The meta a checkpoint carried before the one-host change: no rank
+    # keys, and an ``integrator_config`` that still has ``n_domains``.
+    old_meta = {
+        "n_sn_events": 1,
+        "n_sf_events": 0,
+        "next_pid": 10_000_001,
+        "dt": 2e-3,
+        "n_pool": 4,
+        "latency_steps": 2,
+        "seed": 11,
+        "integrator_config": {
+            "dt": 2e-3, "theta": 0.5, "n_ngb": 32, "courant": 0.3, "n_g": 256,
+            "leaf_size": 16, "direct_gravity_below": 800,
+            "mixed_precision": True, "self_gravity": False,
+            "enable_cooling": True, "enable_star_formation": True,
+            "region_side": 60.0, "latency_steps": 2, "n_pool": 4,
+            "n_domains": 0, "seed": 11, "backend": None,
+        },
+        "overflow_policy": "queue",
+        "serve": {"transport": "sync", "n_workers": 1, "max_batch": 8,
+                  "max_wait_steps": 1},
+        "surrogate_spec": {"kind": "oracle", "n_grid": 8, "side": 60.0,
+                           "gibbs_sweeps": 8, "t_after": 0.004,
+                           "energy": SN_ENERGY, "t_floor": 10.0,
+                           "model_path": None, "transform": None},
+    }
+    path = save_snapshot(_ic(), tmp_path / "old.npz", time=0.01, step=5,
+                         extra_meta=old_meta)
+    with caplog.at_level(logging.WARNING):
+        back = GalaxySimulation.restore(path)
+    assert "n_domains" in caplog.text
+    assert back.integrator.n_ranks == 1
+    assert back.pool.n_pool == 4
+    assert back.step_count == 5
+    assert back.integrator.cfg.self_gravity is False
+    back.run(1)  # must not raise
 
 
 def test_restore_accepts_overrides(tmp_path):

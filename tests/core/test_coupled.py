@@ -1,27 +1,31 @@
-"""Coupled multi-rank runs: bit-identity, byte ledgers, report reconciliation.
+"""The step host's state does not depend on where the cuts fall.
 
-The coupled runner's contract (see :mod:`repro.core.runner.coupled`) is that
-an ``n_ranks > 1`` run over one shared surrogate service produces *byte-for-
-byte* the particle state of the single-rank integrator, while genuinely
-paying for domain migration, cross-rank SN-region ghosts and per-rank pool
-traffic on the communication ledgers.  The ICs below force one SN whose
-(60 pc)^3 region straddles the 2-rank domain cut, so every run exercises the
-``region_ghost`` path.
+One class (:class:`repro.core.runner.CoupledRunner`) runs every ``n_ranks``,
+so ``n_ranks=1`` is not a second implementation to agree with: it is the
+same code with no cut.  What this suite pins is cut-independence — an
+``n_ranks > 1`` run over one shared surrogate service produces *byte-for-
+byte* the particle state, event ids and request wire bytes of the no-cut
+run, while genuinely paying for domain migration, cross-rank SN-region
+ghosts and per-rank pool traffic on the communication ledgers.  The ICs below
+force one SN whose (60 pc)^3 region straddles a domain cut, so every run
+exercises the ``region_ghost`` path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import GalaxySimulation
-from repro.core.integrator import IntegratorConfig, SurrogateLeapfrog
-from repro.core.pool import PoolManager, PoolOccupancy
-from repro.fdps.comm import SimComm
-from repro.fdps.particles import ParticleType
+from repro.core.integrator import IntegratorConfig
+from repro.core.pool import PoolOccupancy
+from repro.fdps.domain import DomainDecomposition, process_grid
+from repro.fdps.particles import ParticleSet, ParticleType
 from repro.ic.galaxy import make_mw_mini
-from repro.serve import SurrogateServer
-from repro.surrogate.model import SedovBlastOracle, SNSurrogate
+from repro.physics.star_formation import StarFormationModel
+from repro.sn.turbulence import make_turbulent_box
 
 DT = 2e-3
 N_POOL = 3
@@ -54,7 +58,7 @@ def _boundary_sn_ic():
 def _config():
     # Cooling off: the planted clump is unphysically dense and makes the
     # cooling substepping stiff; the coupling machinery under test here is
-    # orthogonal to it (cooling/SF parity is covered separately below).
+    # orthogonal to it (cooling/SF cut-independence is covered below).
     return IntegratorConfig(
         enable_cooling=False, enable_star_formation=False, seed=SEED
     )
@@ -70,27 +74,28 @@ def _run(n_ranks, **kw):
 
 
 @pytest.fixture(scope="module")
-def single_rank_state():
+def no_cut_state():
     sim = _run(1)
     state = sim.ps.pack().tobytes()
     diag = sim.diagnostics()
     events = [e.event_id for e in sim.pool.events]
     bytes_per_event = [e.region_bytes for e in sim.pool.events]
+    p2p = sim.integrator.comm_stats()["pool_p2p"]
     sim.close()
-    return state, diag, events, bytes_per_event
+    return state, diag, events, bytes_per_event, p2p
 
 
+@pytest.mark.parametrize("n_ranks", [2, 3])
 @pytest.mark.parametrize("use_torus", [False, True])
 @pytest.mark.parametrize("transport", ["sync", "process", "shm"])
-def test_coupled_bit_identical_to_single_rank(
-    single_rank_state, use_torus, transport
-):
-    """2 ranks x {flat, torus} x {sync, process, shm}: same bytes out."""
-    ref_state, ref_diag, _, _ = single_rank_state
+def test_state_independent_of_cuts(no_cut_state, n_ranks, use_torus, transport):
+    """{2, 3} ranks x {flat, torus} x {sync, process, shm}: the bytes of
+    the no-cut run."""
+    ref_state, ref_diag, *_ = no_cut_state
     kw = {} if transport == "sync" else {
         "serve_transport": transport, "serve_workers": 2,
     }
-    sim = _run(2, use_torus=use_torus, **kw)
+    sim = _run(n_ranks, use_torus=use_torus, **kw)
     try:
         assert sim.ps.pack().tobytes() == ref_state
         diag = sim.diagnostics()
@@ -101,7 +106,7 @@ def test_coupled_bit_identical_to_single_rank(
         sim.close()
 
 
-def test_region_ghost_ledger_charged(single_rank_state):
+def test_region_ghost_ledger_charged():
     """The boundary-crossing SN region pulls ghosts: bytes on the ledger."""
     sim = _run(2)
     try:
@@ -115,9 +120,9 @@ def test_region_ghost_ledger_charged(single_rank_state):
         sim.close()
 
 
-def test_event_ids_and_wire_bytes_match_single_rank(single_rank_state):
+def test_event_ids_and_region_bytes_independent_of_cuts(no_cut_state):
     """Shared-server event ids and per-event region bytes are rank-free."""
-    _, _, ref_events, ref_bytes = single_rank_state
+    _, _, ref_events, ref_bytes, _ = no_cut_state
     sim = _run(2)
     try:
         events = sorted(
@@ -130,28 +135,12 @@ def test_event_ids_and_wire_bytes_match_single_rank(single_rank_state):
         sim.close()
 
 
-def test_pool_p2p_ledger_matches_explicit_single_rank_reference():
-    """Coupled pool bytes == a single-rank PoolManager run with a ledger.
-
-    The facade's single-rank path doesn't attach a communicator, so the
-    reference is built by hand: one main rank + N_POOL pool ranks on a
-    SimComm, same seeds, same server sizing.  Every byte the coupled run's
-    per-rank clients charge to ``pool_p2p`` must appear in the single-rank
-    ledger too — requests and responses are rank-free wire buffers.
-    """
-    surrogate = SNSurrogate(
-        oracle=SedovBlastOracle(t_after=LATENCY * DT), n_grid=16, side=60.0
-    )
-    server = SurrogateServer(surrogate=surrogate, transport="sync")
-    comm = SimComm(1 + N_POOL)
-    pool = PoolManager(
-        n_pool=N_POOL, latency_steps=LATENCY, seed=SEED, comm=comm,
-        server=server, horizon=LATENCY * DT,
-    )
-    integ = SurrogateLeapfrog(_boundary_sn_ic(), pool, _config())
-    integ.run(STEPS)
-    ref = comm.stats["pool_p2p"]
-
+def test_pool_p2p_ledger_independent_of_cuts(no_cut_state):
+    """Every byte the 2-rank run's per-rank clients charge to ``pool_p2p``
+    is on the no-cut run's ledger too — requests and responses are
+    rank-free wire buffers."""
+    ref = no_cut_state[4]
+    assert ref.bytes_total > 0
     sim = _run(2)
     try:
         got = sim.integrator.comm_stats()["pool_p2p"]
@@ -160,7 +149,6 @@ def test_pool_p2p_ledger_matches_explicit_single_rank_reference():
         assert got.n_calls == ref.n_calls
     finally:
         sim.close()
-        pool.close()
 
 
 def test_run_report_reconciles_with_merged_ledger(tmp_path):
@@ -193,25 +181,131 @@ def test_run_report_reconciles_with_merged_ledger(tmp_path):
         sim.close()
 
 
-def test_full_physics_parity_with_star_formation():
-    """Cooling + star formation on (natural IC): still bit-identical.
+def _star(pos, pid, tsn):
+    star = ParticleSet.empty(1)
+    star.pos[:] = pos
+    star.mass[:] = 20.0
+    star.ptype[:] = int(ParticleType.STAR)
+    star.pid[:] = pid
+    star.tsn[:] = tsn
+    star.eps[:] = 1.0
+    return star
 
-    Exercises the coupled runner's owner remap across a membership change —
-    if star formation fires, gas disappears and new star pids appear; either
-    way the two runs must agree byte-for-byte.
+
+def _star_forming_ic():
+    """A cold turbulent box with a doomed star near its centre."""
+    box = make_turbulent_box(n_per_side=8, side=60.0, mean_density=0.1,
+                             temperature=30.0, mach=1.0, seed=3)
+    return box.append(_star([1.0, 2.0, -3.0], pid=10_000_000, tsn=1e-3))
+
+
+def _full_physics_run(n_ranks):
+    sf = StarFormationModel(density_threshold=0.01, temperature_threshold=500.0,
+                            efficiency=50.0, require_converging=False)
+    sim = GalaxySimulation(
+        _star_forming_ic(), dt=DT, n_pool=N_POOL, latency_steps=LATENCY,
+        seed=SEED, surrogate_grid=8, config=IntegratorConfig(seed=SEED),
+        star_formation=sf, n_ranks=n_ranks,
+    )
+    sim.run(STEPS)
+    diag = sim.diagnostics()
+    state = sim.ps.pack().tobytes()
+    sim.close()
+    return state, diag
+
+
+@pytest.fixture(scope="module")
+def no_cut_full_physics():
+    return _full_physics_run(1)
+
+
+@pytest.mark.parametrize("n_ranks", [2, 3])
+def test_state_independent_of_cuts_with_cooling_and_star_formation(
+    no_cut_full_physics, n_ranks
+):
+    """Cooling + star formation on: still the bytes of the no-cut run.
+
+    Star formation fires (gas disappears, new star pids appear) and an SN
+    prediction is dispatched and applied, so the host's owner remap across
+    a membership change is on the compared path.
     """
-    def run(n_ranks):
-        sim = GalaxySimulation(
-            make_mw_mini(n_total=800, seed=1), dt=DT, n_pool=N_POOL,
-            latency_steps=LATENCY, seed=SEED,
-            config=IntegratorConfig(seed=SEED), n_ranks=n_ranks,
-        )
-        sim.run(3)
-        state = sim.ps.pack().tobytes()
-        sim.close()
-        return state
+    ref_state, ref_diag = no_cut_full_physics
+    assert ref_diag["n_sf_events"] > 0
+    assert ref_diag["pool"]["n_returned"] == 1
+    state, diag = _full_physics_run(n_ranks)
+    assert state == ref_state
+    assert diag["n_sf_events"] == ref_diag["n_sf_events"]
+    assert sum(diag["rank_counts"]) == diag["n_particles"]
 
-    assert run(1) == run(2)
+
+def _request_wire_bytes(n_ranks, ps):
+    """Run two steps; return every dispatched request's wire bytes, the
+    cuts the first dispatch saw, and the final ledger."""
+    cfg = IntegratorConfig(enable_cooling=False, enable_star_formation=False,
+                           self_gravity=False, seed=SEED)
+    sim = GalaxySimulation(ps, dt=DT, n_pool=N_POOL, latency_steps=LATENCY,
+                           seed=SEED, surrogate_grid=8, config=cfg,
+                           n_ranks=n_ranks)
+    sent = []
+    submit = sim.server.submit
+
+    def recording_submit(*args, **kwargs):
+        request = submit(*args, **kwargs)
+        sent.append(request.to_buffer().tobytes())
+        return request
+
+    sim.server.submit = recording_submit
+    decomp = sim.integrator.decomp      # the cuts the first dispatch sees
+    sim.run(2)
+    sim.close()
+    return sent, decomp, sim.integrator.comm_stats()
+
+
+@given(
+    n_ranks=st.integers(1, 4),
+    offset=st.floats(-24.0, 24.0),
+    data=st.data(),
+)
+@settings(max_examples=12, deadline=None)
+def test_request_wire_bytes_independent_of_cuts(n_ranks, offset, data):
+    """An SN within +-30 pc of a cut ships the request the no-cut run ships.
+
+    The site is ``offset`` from a drawn face of a drawn rank's domain (the
+    box centre on one rank, which has no cut); a second star mirrored across
+    the face fires one step later, after the first migration.
+    """
+    box = make_turbulent_box(n_per_side=10, side=120.0, mean_density=0.05,
+                             temperature=100.0, mach=1.0, seed=5)
+    probe = DomainDecomposition.fit(box.pos, process_grid(n_ranks))
+    rank = data.draw(st.integers(0, n_ranks - 1), label="rank")
+    lo, hi = probe.finite_domain_box(rank, box.pos.min(axis=0), box.pos.max(axis=0))
+    faces = [
+        (axis, face[axis])
+        for face in probe.domain_box(rank)
+        for axis in range(3)
+        if np.isfinite(face[axis])
+    ]
+    site = 0.5 * (lo + hi)
+    mirror = site.copy()
+    axis, cut = data.draw(st.sampled_from(faces), label="face") if faces else (0, site[0])
+    site[axis] = cut + offset
+    mirror[axis] = cut - offset
+
+    def ic():
+        return box.copy().append(_star(site, 10_000_000, 1e-3)).append(
+            _star(mirror, 10_000_001, 3e-3)
+        )
+
+    sent, decomp, ledger = _request_wire_bytes(n_ranks, ic())
+    ref, _, _ = _request_wire_bytes(1, ic())
+    assert len(sent) == 2
+    assert sent == ref
+    if faces:
+        # Adding the stars moves a quantile cut by a lattice gap at most, so
+        # the first region still crosses it and is completed with ghosts.
+        owner_faces = np.concatenate(decomp.domain_box(int(decomp.assign(site[None])[0])))
+        assert np.min(np.abs(owner_faces - np.tile(site, 2))) <= 30.0
+        assert ledger["region_ghost"].bytes_total > 0
 
 
 def test_owner_remap_after_membership_change():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.conventional import ConventionalIntegrator
-from repro.core.integrator import IntegratorConfig, SurrogateLeapfrog
-from repro.core.pool import PoolManager
+from repro.core.integrator import IntegratorConfig
+from repro.core.runner import CoupledRunner
 from repro.core.simulation import GalaxySimulation
 from repro.fdps.particles import ParticleSet, ParticleType
+from repro.serve import SurrogateServer
 from repro.sn.turbulence import make_turbulent_box
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 from repro.util.constants import internal_energy_to_temperature
@@ -38,8 +39,7 @@ def _make_scheme(ps, dt=2e-3, latency=5, n_pool=5, **cfg_kw):
         **cfg_kw,
     )
     surr = SNSurrogate(oracle=SedovBlastOracle(t_after=latency * dt), n_grid=8, side=60.0)
-    pool = PoolManager(surrogate=surr, n_pool=n_pool, latency_steps=latency)
-    return SurrogateLeapfrog(ps, pool, cfg)
+    return CoupledRunner(ps, SurrogateServer(surrogate=surr), n_ranks=1, config=cfg)
 
 
 def test_fixed_timestep_is_respected():
@@ -53,7 +53,7 @@ def test_sn_detected_and_dispatched():
     sim = _make_scheme(_box_with_doomed_star(t_explode=0.003))
     sim.run(2)  # t covers [0, 0.004): the SN at 0.003 fires in step 2
     assert sim.n_sn_events == 1
-    assert sim.pool.n_in_flight == 1
+    assert sim.server.n_outstanding == 1
     # The star never re-explodes.
     sim.run(2)
     assert sim.n_sn_events == 1
@@ -75,7 +75,7 @@ def test_prediction_replaces_particles_after_latency():
     gas = sim.ps.where_type(ParticleType.GAS)
     t_max = internal_energy_to_temperature(sim.ps.u[gas]).max()
     assert t_max > 1e5  # the blast landed
-    assert sim.pool.summary()["n_returned"] == 1
+    assert sim.pool_summary()["n_returned"] == 1
 
 
 def test_replacement_conserves_mass_and_count():

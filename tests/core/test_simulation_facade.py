@@ -1,8 +1,11 @@
-"""GalaxySimulation facade: configuration paths, SFR, domain bookkeeping."""
+"""GalaxySimulation facade: configuration paths, SFR, domain decomposition."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.core.conventional import ConventionalIntegrator
 from repro.core.integrator import IntegratorConfig
 from repro.core.simulation import GalaxySimulation
 from repro.sn.turbulence import make_turbulent_box
@@ -39,14 +42,14 @@ def test_custom_surrogate_is_used():
     surr = SNSurrogate(oracle=SedovBlastOracle(t_after=0.05), n_grid=8, side=30.0)
     sim = GalaxySimulation(_small_box(), dt=1e-3, surrogate=surr,
                            config=_fast_cfg())
-    assert sim.pool.surrogate is surr
+    assert sim.server.local_surrogate is surr
 
 
 def test_default_oracle_horizon_matches_latency():
     # 50 steps x 2e-3 Myr = 0.1 Myr: the paper's prediction horizon.
     sim = GalaxySimulation(_small_box(), dt=2e-3, n_pool=50,
                            config=_fast_cfg(), surrogate_grid=8)
-    assert sim.pool.surrogate.oracle.t_after == pytest.approx(0.1)
+    assert sim.server.local_surrogate.oracle.t_after == pytest.approx(0.1)
 
 
 def test_run_until():
@@ -68,14 +71,35 @@ def test_sfr_window():
     assert sim.star_formation_rate(window=1.0) == 0.0
 
 
-def test_domain_bookkeeping_enabled():
-    cfg = _fast_cfg(n_domains=4)
-    sim = GalaxySimulation(_small_box(), dt=1e-3, n_pool=3, config=cfg,
-                           surrogate_grid=8)
+def test_caller_config_is_not_mutated():
+    # One config object reused for two runs: neither run writes to it, and
+    # each keeps its own dt / seed / pool sizing.
+    cfg = _fast_cfg()
+    before = dataclasses.asdict(cfg)
+    a = GalaxySimulation(_small_box(), dt=1e-3, n_pool=3, seed=1, config=cfg,
+                         surrogate_grid=8)
+    b = GalaxySimulation(_small_box(), dt=4e-3, n_pool=6, latency_steps=2,
+                         seed=2, config=cfg, surrogate_grid=8)
+    assert dataclasses.asdict(cfg) == before
+    ca, cb = a.integrator.cfg, b.integrator.cfg
+    assert (ca.dt, ca.seed, ca.n_pool, ca.latency_steps) == (1e-3, 1, 3, 3)
+    assert (cb.dt, cb.seed, cb.n_pool, cb.latency_steps) == (4e-3, 2, 6, 2)
+    assert ca.self_gravity is False and cb.self_gravity is False
+
+    conv = ConventionalIntegrator(_small_box(), config=cfg, courant=0.1,
+                                  enable_cooling=True)
+    assert dataclasses.asdict(cfg) == before
+    assert (conv.cfg.courant, conv.cfg.enable_cooling) == (0.1, True)
+
+
+def test_domain_decomposition_follows_n_ranks():
+    sim = GalaxySimulation(_small_box(), dt=1e-3, n_pool=3, config=_fast_cfg(),
+                           surrogate_grid=8, n_ranks=4)
     sim.run(1)
-    assert sim.integrator.decomp is not None
+    assert sim.pool is None                     # four pool clients, no single one
     assert sim.integrator.decomp.n_domains == 4
-    assert "Exchange_Particle" in sim.timing_breakdown()
+    assert sum(sim.diagnostics()["rank_counts"]) == len(sim.ps)
+    assert "Exchange_Particle" in sim.integrator.driver.timers[0].totals()
 
 
 def test_star_formation_inside_full_loop():

@@ -213,6 +213,24 @@ def test_backend_purity_exempts_registry_init_and_base():
     assert _lint(source, module="repro.accel.backends.base", select=["backend-purity"]) == []
 
 
+def test_forbidden_import_table_keeps_fdps_below_core():
+    source = """
+    from repro.core.runner import CoupledRunner
+
+    def lazy():
+        import repro.core.pool
+    """
+    findings = _lint(source, module="repro.fdps.distributed", select=["backend-purity"])
+    assert _rules(findings) == ["backend-purity", "backend-purity"]
+    # fdps may use the layers beside and below it; core may import fdps.
+    allowed = """
+    from repro.serve import SurrogateSpec
+    from repro.util.leapfrog import leapfrog_kick
+    """
+    assert _lint(allowed, module="repro.fdps.io", select=["backend-purity"]) == []
+    assert _lint(source, module="repro.core.simulation", select=["backend-purity"]) == []
+
+
 # --------------------------------------------------------- hotpath-hygiene
 def test_hotpath_flags_add_at_and_per_particle_loops():
     findings = _lint(
@@ -618,23 +636,17 @@ def test_determinism_covers_obs_clocks():
 
 # ------------------------------------------------------- runner-layer scope
 def test_scopes_cover_the_runner_layer():
-    """The new ``repro.core.runner`` layer rides the existing prefixes.
+    """``repro.core.runner`` rides the existing prefixes.
 
-    The coupled runner owns comm-crossing calls (region ghosts, pool
-    dispatch) and seeded randomness, so the ledger-label, determinism and
-    rng-plumbing rules must all apply to its modules — by prefix, not by a
+    The step host owns comm-crossing calls (region ghosts, pool dispatch)
+    and seeded randomness, so the ledger-label, determinism and
+    rng-plumbing rules must all apply to it — by prefix, not by a
     hand-maintained list that a rename would silently miss.
     """
     from repro.lint.registry import get_rule
 
     for rule_name in ("determinism", "rng-plumbing", "ledger-label"):
-        rule = get_rule(rule_name)
-        for module in (
-            "repro.core.runner",
-            "repro.core.runner.step",
-            "repro.core.runner.coupled",
-        ):
-            assert rule.applies_to(module), (rule_name, module)
+        assert get_rule(rule_name).applies_to("repro.core.runner"), rule_name
 
 
 def test_determinism_fires_in_runner_modules():
@@ -645,7 +657,7 @@ def test_determinism_fires_in_runner_modules():
         def jitter():
             return np.random.normal()
         """,
-        module="repro.core.runner.coupled",
+        module="repro.core.runner",
         select=["determinism"],
     )
     assert _rules(findings) == ["determinism"]
@@ -657,7 +669,7 @@ def test_ledger_label_fires_in_runner_modules():
         def ship(comm, arr):
             comm.send(0, 1, arr)
         """,
-        module="repro.core.runner.coupled",
+        module="repro.core.runner",
         select=["ledger-label"],
     )
     assert _rules(findings) == ["ledger-label"]
