@@ -9,6 +9,12 @@ For each registered backend this measures, at 5k/20k/50k particles:
   ``seed`` backend — the pre-registry kernels frozen inside the same
   harness, so the ratio isolates exactly the kernel-layer changes.
 
+It also records what one 4,000-particle tree-gravity pass costs the kernel
+(minor page faults, system time as a share of the wall clock) with the
+caller-owned tile workspace and without one, and asserts the pass with a
+workspace stays under 5,000 faults: per-tile temporaries took 63,000 faults
+and a quarter of the pass in the kernel before the workspace existed.
+
 Results land in ``benchmarks/results/BENCH_backend_kernels.json`` together
 with the gravity chunk size actually chosen (``REPRO_GRAV_CHUNK`` /
 ``REPRO_GRAV_TEMP_MB`` satellite).  The numba rows only appear where numba
@@ -20,16 +26,22 @@ model from these local measurements.
 
 import json
 import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from benchmarks.conftest import fmt_table
 from repro.accel.backends import available_backends, get_backend
+from repro.accel.backends.base import TileWorkspace
 from repro.accel.backends.numba_backend import HAVE_NUMBA
 from repro.core.integrator import IntegratorConfig
 from repro.core.runner import CoupledRunner
 from repro.fdps.interaction import InteractionCounter
 from repro.gravity.kernels import grav_chunk_size
 from repro.gravity.treegrav import tree_accel
+from repro.ic.galaxy import make_mw_mini
 from repro.serve import SurrogateServer
 from repro.sn.turbulence import make_turbulent_box
 from repro.sph.density import compute_density
@@ -40,6 +52,9 @@ from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 SIZES = {17: "5k", 27: "20k", 37: "50k"}
 WHOLE_STEP_ROUNDS = {17: 3, 27: 3, 37: 2}
 ACCEPT_SIZE = "20k"
+#: Tree passes averaged per page-fault row (ru_stime ticks are ~4-10 ms).
+FAULT_PASSES = 5
+MAX_FAULTS_WITH_WORKSPACE = 5000
 
 
 def _box(n_per_side):
@@ -100,6 +115,70 @@ def _time_kernels(ps, backend):
     return out
 
 
+#: name -> (backend, owns a workspace).  The frozen ``seed`` tile allocates
+#: ~7 temporaries per tile (the churn the workspace removed); ``numpy`` with
+#: ``workspace=None`` allocates one arena per tile, which glibc may or may
+#: not keep mapped between tiles; only a caller-owned workspace is free of
+#: faults by construction, and only that row is asserted.
+GRAVITY_PASS_ROWS = {
+    "seed_tile": ("seed", False),
+    "without_workspace": ("numpy", False),
+    "with_workspace": ("numpy", True),
+}
+
+
+def _measure_gravity_pass(row):
+    """Page faults and system time of one tree-gravity pass at N = 4000 (the
+    e2e ``halo_gravity`` workload: mixed precision, n_g = 256), averaged
+    over ``FAULT_PASSES`` passes after one warm-up pass."""
+    from repro.fdps.tree import Octree
+
+    backend, owns = GRAVITY_PASS_ROWS[row]
+    workspace = TileWorkspace() if owns else None
+    ps = make_mw_mini(4000, seed=3)
+    tree = Octree.build(ps.pos, ps.mass, leaf_size=16)
+
+    def one_pass():
+        tree_accel(ps.pos, ps.mass, ps.eps, theta=0.5, n_g=256, leaf_size=16,
+                   mixed_precision=True, tree=tree, backend=backend,
+                   workspace=workspace)
+
+    one_pass()  # the workspace grows to its largest tile here
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    t0 = time.perf_counter()
+    for _ in range(FAULT_PASSES):
+        one_pass()
+    wall = time.perf_counter() - t0
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        "ru_minflt_per_pass": (after.ru_minflt - before.ru_minflt) / FAULT_PASSES,
+        "stime_over_wall": (after.ru_stime - before.ru_stime) / wall,
+        "wall_per_pass_s": wall / FAULT_PASSES,
+        "workspace_mb": workspace.nbytes / 2**20 if owns else 0.0,
+    }
+
+
+def _gravity_pass_kernel_cost(row):
+    """:func:`_measure_gravity_pass` in a fresh interpreter.
+
+    What a pass costs the kernel depends on what the process freed before
+    it: after one large free glibc raises its mmap and trim thresholds and
+    per-tile temporaries stop being unmapped.  A simulation starts from a
+    fresh process, so that is where the rows are measured.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root), str(root / "src")]))
+    code = (
+        "import json; from benchmarks.bench_backend_kernels import _measure_gravity_pass; "
+        f"print(json.dumps(_measure_gravity_pass({row!r})))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=root, check=True,
+        capture_output=True, text=True, timeout=300,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def _whole_step(n_per_side, backend):
     ps = _box(n_per_side)
     cfg = IntegratorConfig(self_gravity=True, enable_cooling=True,
@@ -144,6 +223,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
         return whole[ACCEPT_SIZE]["numpy"]["speedup_vs_seed"]
 
     benchmark.pedantic(_run, rounds=1, iterations=1)
+    gravity_pass = {row: _gravity_pass_kernel_cost(row) for row in GRAVITY_PASS_ROWS}
 
     payload = {
         "available_backends": available_backends(),
@@ -154,6 +234,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
             "env_chunk": os.environ.get("REPRO_GRAV_CHUNK"),
             "env_budget_mb": os.environ.get("REPRO_GRAV_TEMP_MB"),
         },
+        "gravity_pass_n4000": gravity_pass,
         "kernels": kernels,
         "whole_step": whole,
     }
@@ -169,9 +250,17 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     for label, per_bk in whole.items():
         for bk, cell in per_bk.items():
             rows.append(["whole_step", bk, label, cell["speedup_vs_seed"]])
+    for label, cell in gravity_pass.items():
+        rows.append(["gravity faults/pass", "numpy", label, cell["ru_minflt_per_pass"]])
     write_result(
         "backend_kernels",
         fmt_table(["kernel", "backend", "size", "Minter/s | speedup"], rows),
+    )
+
+    # The regression alarm of the tile workspace: a pass that owns one takes
+    # (almost) no page faults once the workspace has grown.
+    assert (
+        gravity_pass["with_workspace"]["ru_minflt_per_pass"] < MAX_FAULTS_WITH_WORKSPACE
     )
 
     # Acceptance floors (ISSUE 3): bincount-scatter numpy >= 1.1x the seed

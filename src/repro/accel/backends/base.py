@@ -6,7 +6,8 @@ pipeline — exactly the kernels PIKG generates per ISA in the production code
 
 * **gravity tile** (:meth:`KernelBackend.grav_tile`) — the dense
   (targets x sources) pairwise kernel used by direct summation *and* by the
-  group-vs-interaction-list evaluation inside the tree walk;
+  group-vs-interaction-list evaluation inside the tree walk, with its
+  temporaries in a caller-owned :class:`TileWorkspace`;
 * **density gather** (:meth:`KernelBackend.density_gather`) — the
   h-iteration inner loop of the SPH kernel-size solve: repeated
   sum-of-W sweeps over one neighbor binning, then the final density /
@@ -46,6 +47,53 @@ if TYPE_CHECKING:  # import only for annotations: backends stay leaf modules
 
 class BackendUnavailable(RuntimeError):
     """Raised by a backend factory whose toolchain is not importable."""
+
+
+class TileWorkspace:
+    """Caller-owned, grow-only scratch for one dense gravity tile.
+
+    A (targets x sources) tile needs the separation ``d`` (n_t, c, 3), the
+    squared distance ``r2`` and the weight ``w`` (n_t, c) in the working
+    precision, plus one bool mask.  Allocated per call they are mapped,
+    faulted in and unmapped on every tile (~60k minor page faults per
+    4,000-particle tree pass); a workspace keeps one byte arena sized to the
+    largest tile it has seen (no growth factor) and hands out contiguous
+    views of its head, so a force pass at unchanged N allocates nothing.
+
+    The *caller* of the force pass owns it (:class:`repro.accel.ForceEngine`
+    and :class:`repro.fdps.distributed.DistributedGravity` hold one each);
+    it never lives on a backend instance, which the registry shares between
+    every simulation in the process.  Views from one :meth:`planes` call are
+    overwritten by the next, so a workspace serves one tile at a time: not
+    thread-safe, one per concurrent force pass.
+    """
+
+    def __init__(self) -> None:
+        self._arena = np.empty(0, dtype=np.uint8)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held (the largest tile seen so far)."""
+        return int(self._arena.size)
+
+    def planes(
+        self, n_targets: int, n_sources: int, dtype: type[np.floating]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Uninitialised C-contiguous ``(d, r2, w, mask)`` for one tile."""
+        pairs = n_targets * n_sources
+        plane = pairs * np.dtype(dtype).itemsize
+        need = 5 * plane + pairs
+        if need > self._arena.size:
+            self._arena = np.empty(0, dtype=np.uint8)   # free before growing
+            self._arena = np.empty(need, dtype=np.uint8)
+        a = self._arena
+        shape = (n_targets, n_sources)
+        return (
+            a[: 3 * plane].view(dtype).reshape(*shape, 3),
+            a[3 * plane : 4 * plane].view(dtype).reshape(shape),
+            a[4 * plane : 5 * plane].view(dtype).reshape(shape),
+            a[5 * plane : need].view(np.bool_).reshape(shape),
+        )
 
 
 class DensityGatherState:
@@ -91,12 +139,21 @@ class KernelBackend:
         exclude_self: bool = False,
         mixed: bool = False,
         g: float = GRAV_CONST,
+        workspace: TileWorkspace | None = None,
     ) -> np.ndarray:
         """Pairwise gravity of all sources on all targets -> (n_t, 3).
 
         ``exclude_self`` masks zero-separation pairs; ``mixed`` evaluates in
         float32 relative to the target-group centroid with float64
         accumulation (the production mixed-precision scheme of Sec. 4.3).
+
+        ``workspace`` is the caller's :class:`TileWorkspace`: the tile's
+        temporaries are written into it instead of being allocated, with
+        the same operations in the same order, so the result is
+        bit-identical with and without one.  ``None`` allocates for this
+        call only.  The returned array is always freshly allocated (never a
+        view of the workspace).  Backends whose kernels need no tile
+        temporaries (``numba``, ``pikg``) accept and ignore it.
         """
         raise NotImplementedError
 

@@ -501,7 +501,10 @@ class NumbaBackend(NumpyBackend):
     def grav_tile(
         self, target_pos, target_eps, source_pos, source_mass, source_eps,
         exclude_self: bool = False, mixed: bool = False, g: float = GRAV_CONST,
+        workspace=None,
     ) -> np.ndarray:
+        # The scalar loops keep every pair in registers: no tile temporaries,
+        # so the caller's workspace is not used.
         tp = np.ascontiguousarray(target_pos, dtype=np.float64)
         sp = np.ascontiguousarray(source_pos, dtype=np.float64)
         if len(tp) == 0 or len(sp) == 0:

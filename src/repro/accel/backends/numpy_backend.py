@@ -13,10 +13,17 @@ agree with:
   changed (the converged majority keeps its cached partial sum, which is
   exactly the value a full recompute would produce);
 * the gravity source-axis tile is sized from a temporary-buffer budget
-  (``REPRO_GRAV_CHUNK`` / ``REPRO_GRAV_TEMP_MB``) instead of a fixed 4096.
+  (``REPRO_GRAV_CHUNK`` / ``REPRO_GRAV_TEMP_MB``) instead of a fixed 4096;
+* the gravity tile writes its temporaries (separation, squared distance,
+  weight, coincidence mask) into the caller's
+  :class:`~repro.accel.backends.base.TileWorkspace` through ``out=`` — the
+  same ufuncs in the same order as the allocating expressions, so
+  bit-identical to them, without mapping and faulting in ~7 tile-sized
+  blocks per tile.
 
 ``seed`` reproduces the pre-backend kernels exactly (``np.add.at`` scatter,
-full candidate re-filtering, fixed 4096-source chunks): it exists so
+full candidate re-filtering, fixed 4096-source chunks, a gravity tile that
+allocates every temporary): it exists so
 ``benchmarks/bench_backend_kernels.py`` can report speedups against the
 seed-state cost profile from inside the same harness.
 """
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accel.backends.base import DensityGatherState, KernelBackend
+from repro.accel.backends.base import DensityGatherState, KernelBackend, TileWorkspace
 from repro.sph.neighbors import NeighborGrid
 from repro.util.constants import GRAV_CONST
 
@@ -115,56 +122,42 @@ class NumpyBackend(KernelBackend):
         exclude_self: bool = False,
         mixed: bool = False,
         g: float = GRAV_CONST,
+        workspace: TileWorkspace | None = None,
     ) -> np.ndarray:
-        if mixed:
-            return self._grav_tile_mixed(
-                target_pos, target_eps, source_pos, source_mass, source_eps,
-                exclude_self, g,
-            )
         tp = np.asarray(target_pos, dtype=np.float64)
-        te = np.asarray(target_eps, dtype=np.float64)
         sp = np.asarray(source_pos, dtype=np.float64)
-        sm = np.asarray(source_mass, dtype=np.float64)
-        se = np.asarray(source_eps, dtype=np.float64)
-        acc = np.zeros_like(tp)
+        if mixed:
+            # Positions shift to the target-group centroid and drop to
+            # float32; accumulation and the result stay float64 (Sec. 4.3).
+            origin = tp.mean(axis=0)
+            tp, sp = tp - origin, sp - origin
+            real, tiny = np.float32, np.float32(1e-30)
+        else:
+            real, tiny = np.float64, np.float64(1e-300)
+        tp = tp.astype(real, copy=False)
+        sp = sp.astype(real, copy=False)
+        sm = np.asarray(source_mass, dtype=real)
+        te2 = np.asarray(target_eps, dtype=real) ** 2
+        se2 = np.asarray(source_eps, dtype=real) ** 2
+        ws = workspace if workspace is not None else TileWorkspace()
+        acc = np.zeros((len(tp), 3))
         chunk = self._chunk_for(len(tp))
         for s0 in range(0, len(sp), chunk):
             s1 = min(s0 + chunk, len(sp))
-            d = tp[:, None, :] - sp[None, s0:s1, :]              # (n_t, c, 3)
-            r2 = np.einsum("ijk,ijk->ij", d, d)
-            soft2 = te[:, None] ** 2 + se[None, s0:s1] ** 2
-            denom = (r2 + soft2) ** 1.5
-            w = sm[None, s0:s1] / np.maximum(denom, 1e-300)
+            # Every plane is written in full before it is read, so what the
+            # previous tile left in the workspace never matters.
+            d, r2, w, coincident = ws.planes(len(tp), s1 - s0, real)
+            np.subtract(tp[:, None, :], sp[None, s0:s1, :], out=d)   # (n_t, c, 3)
+            np.einsum("ijk,ijk->ij", d, d, out=r2)
+            np.add(te2[:, None], se2[None, s0:s1], out=w)
+            np.add(r2, w, out=w)
+            np.power(w, real(1.5), out=w)
+            np.maximum(w, tiny, out=w)
+            np.divide(sm[None, s0:s1], w, out=w)
             if exclude_self:
-                w = np.where(r2 <= 0.0, 0.0, w)
-            acc -= g * np.einsum("ij,ijk->ik", w, d)
-        return acc
-
-    def _grav_tile_mixed(
-        self, target_pos, target_eps, source_pos, source_mass, source_eps,
-        exclude_self, g,
-    ) -> np.ndarray:
-        # Positions shift to the target-group centroid and drop to float32;
-        # accumulation and the result stay float64 (Sec. 4.3).
-        tp = np.asarray(target_pos, dtype=np.float64)
-        origin = tp.mean(axis=0)
-        tp32 = (tp - origin).astype(np.float32)
-        sp32 = (np.asarray(source_pos, dtype=np.float64) - origin).astype(np.float32)
-        te32 = np.asarray(target_eps, dtype=np.float32)
-        sm32 = np.asarray(source_mass, dtype=np.float32)
-        se32 = np.asarray(source_eps, dtype=np.float32)
-        acc = np.zeros_like(tp)
-        chunk = self._chunk_for(len(tp))
-        for s0 in range(0, len(sp32), chunk):
-            s1 = min(s0 + chunk, len(sp32))
-            d = tp32[:, None, :] - sp32[None, s0:s1, :]
-            r2 = np.einsum("ijk,ijk->ij", d, d)
-            soft2 = te32[:, None] ** 2 + se32[None, s0:s1] ** 2
-            denom = (r2 + soft2) ** np.float32(1.5)
-            w = sm32[None, s0:s1] / np.maximum(denom, np.float32(1e-30))
-            if exclude_self:
-                w = np.where(r2 <= np.float32(0.0), np.float32(0.0), w)
-            acc -= g * np.einsum("ij,ijk->ik", w, d).astype(np.float64)
+                np.less_equal(r2, real(0.0), out=coincident)
+                np.copyto(w, real(0.0), where=coincident)
+            acc -= g * np.einsum("ij,ijk->ik", w, d).astype(np.float64, copy=False)
         return acc
 
     # ------------------------------------------------------------- density
@@ -273,9 +266,10 @@ class SeedBackend(NumpyBackend):
     """The seed-state kernels, frozen for benchmarking.
 
     ``np.add.at`` scatter, full candidate re-filtering each sweep, fixed
-    4096-source gravity chunks — the exact cost profile of the repository
-    before the backend registry existed.  Physics-identical to ``numpy``
-    (bit-for-bit on the hydro kernels).
+    4096-source gravity chunks, per-tile gravity temporaries — the exact
+    cost profile of the repository before the backend registry existed.
+    Physics-identical to ``numpy`` (bit-for-bit on the hydro kernels, and on
+    the gravity tile at an equal chunk size).
     """
 
     name = "seed"
@@ -283,6 +277,71 @@ class SeedBackend(NumpyBackend):
 
     def _chunk_for(self, n_targets: int) -> int:
         return 4096
+
+    def grav_tile(
+        self,
+        target_pos: np.ndarray,
+        target_eps: np.ndarray,
+        source_pos: np.ndarray,
+        source_mass: np.ndarray,
+        source_eps: np.ndarray,
+        exclude_self: bool = False,
+        mixed: bool = False,
+        g: float = GRAV_CONST,
+        workspace: TileWorkspace | None = None,
+    ) -> np.ndarray:
+        # Frozen: ~7 tile-sized temporaries allocated per chunk, whatever
+        # ``workspace`` the caller offers.
+        if mixed:
+            return self._grav_tile_mixed(
+                target_pos, target_eps, source_pos, source_mass, source_eps,
+                exclude_self, g,
+            )
+        tp = np.asarray(target_pos, dtype=np.float64)
+        te = np.asarray(target_eps, dtype=np.float64)
+        sp = np.asarray(source_pos, dtype=np.float64)
+        sm = np.asarray(source_mass, dtype=np.float64)
+        se = np.asarray(source_eps, dtype=np.float64)
+        acc = np.zeros_like(tp)
+        chunk = self._chunk_for(len(tp))
+        for s0 in range(0, len(sp), chunk):
+            s1 = min(s0 + chunk, len(sp))
+            d = tp[:, None, :] - sp[None, s0:s1, :]              # (n_t, c, 3)
+            r2 = np.einsum("ijk,ijk->ij", d, d)
+            soft2 = te[:, None] ** 2 + se[None, s0:s1] ** 2
+            denom = (r2 + soft2) ** 1.5
+            w = sm[None, s0:s1] / np.maximum(denom, 1e-300)
+            if exclude_self:
+                w = np.where(r2 <= 0.0, 0.0, w)
+            acc -= g * np.einsum("ij,ijk->ik", w, d)
+        return acc
+
+    def _grav_tile_mixed(
+        self, target_pos, target_eps, source_pos, source_mass, source_eps,
+        exclude_self, g,
+    ) -> np.ndarray:
+        # Positions shift to the target-group centroid and drop to float32;
+        # accumulation and the result stay float64 (Sec. 4.3).
+        tp = np.asarray(target_pos, dtype=np.float64)
+        origin = tp.mean(axis=0)
+        tp32 = (tp - origin).astype(np.float32)
+        sp32 = (np.asarray(source_pos, dtype=np.float64) - origin).astype(np.float32)
+        te32 = np.asarray(target_eps, dtype=np.float32)
+        sm32 = np.asarray(source_mass, dtype=np.float32)
+        se32 = np.asarray(source_eps, dtype=np.float32)
+        acc = np.zeros_like(tp)
+        chunk = self._chunk_for(len(tp))
+        for s0 in range(0, len(sp32), chunk):
+            s1 = min(s0 + chunk, len(sp32))
+            d = tp32[:, None, :] - sp32[None, s0:s1, :]
+            r2 = np.einsum("ijk,ijk->ij", d, d)
+            soft2 = te32[:, None] ** 2 + se32[None, s0:s1] ** 2
+            denom = (r2 + soft2) ** np.float32(1.5)
+            w = sm32[None, s0:s1] / np.maximum(denom, np.float32(1e-30))
+            if exclude_self:
+                w = np.where(r2 <= np.float32(0.0), np.float32(0.0), w)
+            acc -= g * np.einsum("ij,ijk->ik", w, d).astype(np.float64)
+        return acc
 
     def _half_pairs(self, pos, h, grid):
         from repro.sph.neighbors import neighbor_pairs

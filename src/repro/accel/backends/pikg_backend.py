@@ -77,6 +77,7 @@ class PikgBackend(NumpyBackend):
     def grav_tile(
         self, target_pos, target_eps, source_pos, source_mass, source_eps,
         exclude_self: bool = False, mixed: bool = False, g: float = GRAV_CONST,
+        workspace=None,
     ) -> np.ndarray:
         te = np.asarray(target_eps, dtype=np.float64)
         se = np.asarray(source_eps, dtype=np.float64)
@@ -88,7 +89,7 @@ class PikgBackend(NumpyBackend):
             # reference implementation.
             return super().grav_tile(
                 target_pos, target_eps, source_pos, source_mass, source_eps,
-                exclude_self=exclude_self, mixed=mixed, g=g,
+                exclude_self=exclude_self, mixed=mixed, g=g, workspace=workspace,
             )
         out = self._grav(
             {"xi": target_pos, "eps2_i": te**2},

@@ -1,7 +1,8 @@
 """The per-step force pipeline: gravity + density + hydro behind one owner.
 
 The engine owns a :class:`SpatialIndex` (cached neighbor grid + octree), the
-persistent full-particle work buffers, and the cached per-step hydro state
+persistent full-particle work buffers, the gravity tile workspace, and the
+cached per-step hydro state
 (density result + half-pair edge list) that enables the step-7 fast path:
 after cooling/feedback changed only ``u`` (and kicks changed ``v``), hydro
 forces are re-evaluated on the *cached* pair lists — no neighbor search, no
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accel.backends import get_backend
+from repro.accel.backends.base import TileWorkspace
 from repro.accel.index import SpatialIndex
 from repro.fdps.interaction import InteractionCounter
 from repro.fdps.particles import ParticleSet, ParticleType
@@ -25,7 +27,10 @@ from repro.gravity.treegrav import tree_accel
 from repro.sph.density import DensityResult, compute_density, refresh_velocity_fields
 from repro.sph.eos import pressure, sound_speed_from_density
 from repro.sph.forces import compute_hydro_forces
+from repro.util.logging import get_logger
 from repro.util.timers import TimerRegistry
+
+_log = get_logger("accel")
 
 
 @dataclass
@@ -63,10 +68,16 @@ class ForceEngine:
         self.index = SpatialIndex()
         self.backend = get_backend(getattr(cfg, "backend", None))
         self._hydro_cache: _HydroCache | None = None
+        #: Gas particles the kernel-size solve left outside its tolerance,
+        #: summed over every :meth:`hydro` pass (0 on a healthy run).
+        self.n_unconverged = 0
         self._buffers_n = -1
         self._acc_buf: np.ndarray | None = None
         self._du_buf: np.ndarray | None = None
         self._vsig_buf: np.ndarray | None = None
+        #: Scratch of the gravity tiles, reused by every tile of every pass
+        #: (one engine = one force pass at a time; not thread-safe).
+        self._tile_workspace = TileWorkspace()
 
     # ---------------------------------------------------------- invalidation
     def notify_positions_changed(self) -> None:
@@ -83,6 +94,11 @@ class ForceEngine:
     @property
     def fast_path_available(self) -> bool:
         return self._hydro_cache is not None
+
+    def release_workspace(self) -> None:
+        """Hand the gravity tile scratch back (the owner is done stepping);
+        a later pass grows a new one."""
+        self._tile_workspace = TileWorkspace()
 
     # -------------------------------------------------------------- buffers
     def _full_buffers(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -107,7 +123,7 @@ class ForceEngine:
             if len(ps) <= cfg.direct_gravity_below:
                 return accel_direct(
                     ps.pos, ps.mass, ps.eps, counter=self.counter,
-                    backend=self.backend,
+                    backend=self.backend, workspace=self._tile_workspace,
                 )
             tree = self.index.tree_for(ps.pos, ps.mass, leaf_size=cfg.leaf_size)
             res = tree_accel(
@@ -121,9 +137,9 @@ class ForceEngine:
                 mixed_precision=cfg.mixed_precision,
                 tree=tree,
                 backend=self.backend,
+                workspace=self._tile_workspace,
             )
             return res.acc
-
 
     def work_weights(self, ps: ParticleSet) -> np.ndarray:
         """Per-particle domain-decomposition weights: unit gravity work for
@@ -172,6 +188,13 @@ class ForceEngine:
             # Register the gas scope so box queries (SN region extraction)
             # can answer through the same grid.
             self.index.set_grid_scope(gas)
+        if d.n_unconverged:
+            self.n_unconverged += d.n_unconverged
+            _log.warning(
+                "%s kernel-size solve: %d of %d gas particles outside tolerance "
+                "after %d sweeps",
+                label, d.n_unconverged, gas.size, d.iterations,
+            )
         self._write_gas_fields(ps, gas, d.h, d.dens, d.pres, d.csnd, d.divv, d.curlv, d.omega)
         with self.timers.measure(f"{label} Calc_Hydro_Force", backend=self.backend.name):
             f = compute_hydro_forces(

@@ -65,6 +65,7 @@ mode the coupled scaling benchmark measures.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from repro.core.integrator import BaseIntegrator, IntegratorConfig
 from repro.core.pool import PoolManager, PoolOccupancy
@@ -76,6 +77,7 @@ from repro.physics.cooling import CoolingModel
 from repro.physics.star_formation import StarFormationModel
 from repro.physics.stellar import exploding_between
 from repro.serve import OverflowPolicy, SurrogateServer
+from repro.sph.density import kernel_size_from_neighbors
 from repro.surrogate.voxelize import extract_region
 
 
@@ -271,12 +273,56 @@ class CoupledRunner(BaseIntegrator):
         for pool in self.pools:
             pairs.extend(pool.collect(self.step_count))
         pairs.sort(key=lambda ep: ep[0].event_id)
-        n_replaced = 0
+        if not pairs:
+            return
+        ps = self.ps
+        pids = np.concatenate([predicted.pid for _event, predicted in pairs])
+        slot = np.minimum(np.searchsorted(ps.pid, pids), len(ps) - 1)
+        rows = slot[ps.pid[slot] == pids]       # pid order == row order
+        vacated = ps.pos[rows]
         for _event, predicted in pairs:
-            n_replaced += self.ps.replace_by_pid(predicted)
-        if n_replaced:
+            ps.replace_by_pid(predicted)
+        if rows.size:
+            self._reseed_kernel_sizes(rows, vacated)
             # Predicted particles land with new coordinates.
             self.engine.notify_positions_changed()
+
+    def _reseed_kernel_sizes(self, rows: np.ndarray, vacated: np.ndarray) -> None:
+        """Give the gas an SN replacement touched an ``h`` that fits the
+        merged set, before the density pass that follows.
+
+        A pool node can only guess ``h`` from its predicted field, and one
+        overestimate coarsens the neighbor grid of the next pass (cell =
+        largest ``h``) for *every* gas particle; the gas around the region
+        keeps an ``h`` solved for neighbors that have just left.  From there
+        the fixed-point solve needs 7-10 sweeps on the blast shell and runs
+        into its iteration cap.  So every gas particle whose support holds a
+        vacated or a newly occupied position — the re-inserted ones
+        included — is solved here against its nearest neighbors in the
+        merged set (:func:`~repro.sph.density.kernel_size_from_neighbors`),
+        never above the largest ``h`` of the gas that stayed: the grid keeps
+        its cell and the pass converges in one to three sweeps.
+        """
+        ps = self.ps
+        stayed = ps.where_type(ParticleType.GAS)
+        gas = np.flatnonzero(stayed)
+        n_ngb = min(self.cfg.n_ngb, gas.size - 1)
+        if n_ngb < 1:
+            return
+        stayed[rows] = False
+        h_cap = float(ps.h[stayed].max()) if stayed.any() else self.cfg.region_side
+        ps.h[rows] = h_cap                      # re-inserted: always re-solved
+        moved = np.concatenate([vacated, ps.pos[rows]])
+        # A touched particle lies within h_cap of a moved position and its
+        # support reaches h_cap further: pad the search box by both.
+        lo, hi = moved.min(axis=0) - 2.0 * h_cap, moved.max(axis=0) + 2.0 * h_cap
+        near = gas[np.all((ps.pos[gas] >= lo) & (ps.pos[gas] <= hi), axis=1)]
+        reach, _ = cKDTree(moved).query(ps.pos[near])
+        touched = near[reach < ps.h[near]]
+        dist, _ = cKDTree(ps.pos[near]).query(
+            ps.pos[touched], k=np.arange(1, min(2 * n_ngb + 1, near.size) + 1)
+        )
+        ps.h[touched] = np.minimum(kernel_size_from_neighbors(dist, n_ngb), h_cap)
 
     def redistribute(self, dt: float) -> None:
         """Step (5): genuine re-decomposition and particle migration.
@@ -381,5 +427,9 @@ class CoupledRunner(BaseIntegrator):
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut down the shared service once (all pools are its clients)."""
+        """Shut down the shared service once (all pools are its clients) and
+        hand back the force passes' tile scratch — tens of MB that would
+        otherwise live as long as anything still refers to this run."""
         self.server.close()
+        self.engine.release_workspace()
+        self.driver.release_workspace()

@@ -264,8 +264,9 @@ class GalaxySimulation:
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut down the inference service (process-transport workers)."""
-        self.server.close()
+        """Shut down the inference service (process-transport workers) and
+        release the step host's scratch memory."""
+        self.integrator.close()
 
     def __enter__(self) -> "GalaxySimulation":
         return self

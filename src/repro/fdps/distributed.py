@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.accel.backends.base import TileWorkspace
 from repro.accel.index import ConcatStratifiedSampler, SpatialIndex
 from repro.fdps.comm import SimComm, TorusTopology
 from repro.fdps.domain import DomainDecomposition, process_grid
@@ -108,6 +109,14 @@ class DistributedGravity:
         from repro.accel.backends import get_backend
 
         self._backend = get_backend(self.backend)
+        #: Gravity tile scratch shared by the per-rank walks and their import
+        #: tiles (ranks run one after another; not thread-safe).
+        self._tile_workspace = TileWorkspace()
+
+    def release_workspace(self) -> None:
+        """Hand the gravity tile scratch back (the owner is done stepping);
+        a later pass grows a new one."""
+        self._tile_workspace = TileWorkspace()
 
     # ----------------------------------------------------------------- phases
     def decompose(
@@ -307,6 +316,7 @@ class DistributedGravity:
                     extra_mass=imports[rank].mass,
                     tree=trees[rank],
                     backend=self._backend,
+                    workspace=self._tile_workspace,
                 )
             accs.append(res.acc)
             work.append(res.work)

@@ -180,7 +180,7 @@ class Octree:
         box_lo = np.asarray(box_lo, dtype=np.float64)
         box_hi = np.asarray(box_hi, dtype=np.float64)
         accepted: list[np.ndarray] = []
-        leaf_slices: list[tuple[int, int]] = []
+        opened: list[np.ndarray] = []
 
         frontier = np.array([0], dtype=np.int64)
         while frontier.size:
@@ -194,10 +194,7 @@ class Octree:
             if rest.size == 0:
                 break
             is_leaf = self.node_is_leaf[rest]
-            for nid in rest[is_leaf]:
-                leaf_slices.append(
-                    (int(self.node_first[nid]), int(self.node_first[nid] + self.node_count[nid]))
-                )
+            opened.append(rest[is_leaf])
             kids = self.node_children[rest[~is_leaf]].ravel()
             frontier = kids[kids >= 0]
 
@@ -206,12 +203,14 @@ class Octree:
             if accepted
             else np.empty(0, dtype=np.int64)
         )
-        if leaf_slices:
-            parts = np.concatenate([np.arange(s, e) for s, e in leaf_slices])
-            parts = self.order[parts]
-        else:
-            parts = np.empty(0, dtype=np.int64)
-        return acc, parts
+        leaves = np.concatenate(opened) if opened else np.empty(0, dtype=np.int64)
+        # Expand every opened leaf's sorted-order slice [first, first + count)
+        # at once: position k of the output belongs to the leaf whose run
+        # covers k, at offset k - (start of that run).
+        first, count = self.node_first[leaves], self.node_count[leaves]
+        run_start = np.cumsum(count) - count
+        slots = np.arange(int(count.sum())) + np.repeat(first - run_start, count)
+        return acc, self.order[slots]
 
     def group_slices(self, n_g: int) -> list[tuple[int, int]]:
         """Contiguous Morton-order slices of at most ``n_g`` particles.

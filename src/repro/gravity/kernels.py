@@ -14,7 +14,9 @@ of Table 3/4.
 
 The numpy backend chunks the source axis to bound temporary memory; the
 tile size comes from :func:`grav_chunk_size` (env-tunable via
-``REPRO_GRAV_CHUNK`` / ``REPRO_GRAV_TEMP_MB``).
+``REPRO_GRAV_CHUNK`` / ``REPRO_GRAV_TEMP_MB``).  Callers that evaluate many
+tiles pass their own :class:`~repro.accel.backends.base.TileWorkspace` so
+those temporaries are reused instead of re-allocated per tile.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import os
 
 import numpy as np
 
+from repro.accel.backends.base import TileWorkspace
 from repro.fdps.interaction import InteractionCounter
 from repro.util.constants import GRAV_CONST
 
@@ -43,6 +46,14 @@ def grav_chunk_size(n_targets: int) -> int:
     so one tile's temporaries fit a ``REPRO_GRAV_TEMP_MB`` (default 64 MiB)
     budget, clamped to [256, 65536].  Benchmarks record the value actually
     chosen (``benchmarks/bench_backend_kernels.py``).
+
+    The budget counts the 7 doubles per pair of the allocate-per-call tile;
+    a caller-owned :class:`~repro.accel.backends.base.TileWorkspace` holds 5
+    reals + 1 byte per pair of the *largest* chunk it has served (about
+    5/7 of the budget in float64, half that in mixed precision) for as long
+    as its owner lives.  The workspace belongs to the caller of the force
+    pass, never to the registry's shared backend instance, and serves one
+    tile at a time (not thread-safe).
     """
     forced = os.environ.get("REPRO_GRAV_CHUNK")
     if forced:
@@ -63,6 +74,7 @@ def accel_between(
     g: float = GRAV_CONST,
     backend=None,
     mixed: bool = False,
+    workspace: TileWorkspace | None = None,
 ) -> np.ndarray:
     """Acceleration on targets from sources (double precision).
 
@@ -71,7 +83,8 @@ def accel_between(
     masking keeps the count ledger exact).  ``backend`` is a backend name or
     instance (default: the registry's selection, see
     :func:`repro.accel.backends.get_backend`); ``mixed`` selects the
-    float32 variant (see :func:`accel_between_mixed`).
+    float32 variant (see :func:`accel_between_mixed`); ``workspace`` is the
+    caller's tile scratch (see :meth:`KernelBackend.grav_tile`).
     """
     from repro.accel.backends import get_backend
 
@@ -79,7 +92,7 @@ def accel_between(
     se = np.zeros(n_src) if source_eps is None else source_eps
     acc = get_backend(backend).grav_tile(
         target_pos, target_eps, source_pos, source_mass, se,
-        exclude_self=exclude_self, mixed=mixed, g=g,
+        exclude_self=exclude_self, mixed=mixed, g=g, workspace=workspace,
     )
     if counter is not None:
         counter.add("gravity", len(acc), n_src)
@@ -120,11 +133,12 @@ def accel_direct(
     counter: InteractionCounter | None = None,
     g: float = GRAV_CONST,
     backend=None,
+    workspace: TileWorkspace | None = None,
 ) -> np.ndarray:
     """Full O(N^2) direct summation — the reference for tree accuracy tests."""
     return accel_between(
         pos, eps, pos, mass, eps, counter=counter, exclude_self=True, g=g,
-        backend=backend,
+        backend=backend, workspace=workspace,
     )
 
 

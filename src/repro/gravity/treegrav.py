@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.accel.backends.base import TileWorkspace
 from repro.fdps.interaction import InteractionCounter, walk_tree_for_group
 from repro.fdps.tree import Octree
 from repro.util.constants import GRAV_CONST
@@ -46,11 +47,15 @@ def tree_accel(
     g: float = GRAV_CONST,
     tree: Octree | None = None,
     backend=None,
+    workspace: TileWorkspace | None = None,
 ) -> TreeGravityResult:
     """Tree acceleration on all particles.
 
     ``backend`` selects the compute backend evaluating the group-vs-list
     tiles (name or instance; default: the registry's selection).
+    ``workspace`` is the caller's tile scratch, reused by every group tile
+    and the import tile of this pass (bit-identical to ``None``, which
+    allocates per tile; see :meth:`KernelBackend.grav_tile`).
 
     ``extra_pos/extra_mass`` inject imported LET matter (pseudo + boundary
     particles from remote ranks); they contribute force but receive none.
@@ -130,6 +135,7 @@ def tree_accel(
             exclude_self=True,
             mixed=mixed_precision,
             g=g,
+            workspace=workspace,
         )
         if counter is not None:
             counter.add("gravity", len(targets), len(src_mass))
@@ -143,7 +149,7 @@ def tree_accel(
         # all local targets instead of copying them into each group's list.
         acc += bk.grav_tile(
             pos, eps, extra_pos, extra_mass, extra_eps,
-            mixed=mixed_precision, g=g,
+            mixed=mixed_precision, g=g, workspace=workspace,
         )
         if counter is not None:
             counter.add("gravity", n_local, len(extra_pos))

@@ -26,6 +26,10 @@ from repro.sph.kernels import DEFAULT_KERNEL, SPHKernel
 from repro.sph.neighbors import NeighborGrid
 
 
+#: Volume factor of the smoothed neighbor number N(h) = (4 pi / 3) h^3 sum_j W.
+_KERNEL_VOLUME = 4.0 * np.pi / 3.0
+
+
 @dataclass
 class DensityResult:
     """Output of the density/kernel-size pass."""
@@ -39,6 +43,9 @@ class DensityResult:
     csnd: np.ndarray
     n_neighbors: np.ndarray
     iterations: int        # h-solve sweeps actually used
+    #: Particles still outside ``tol`` on the last sweep (0 = converged;
+    #: ``iterations == max_iter`` alone cannot tell the two apart).
+    n_unconverged: int = 0
     grid_builds: int = 0   # neighbor grids constructed during the solve
     grid: NeighborGrid | None = None  # the grid of the final sweep (reusable)
     pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # gather (i, j, r)
@@ -79,8 +86,8 @@ def compute_density(
     h = np.asarray(h_guess, dtype=np.float64).copy()
     bk = get_backend(backend)
 
-    kernel_volume = 4.0 * np.pi / 3.0
     used_iter = 0
+    n_unconverged = 0
     grid: NeighborGrid | None = None
     gather = None
     grid_builds = 0
@@ -102,10 +109,11 @@ def compute_density(
         # Unlike the discrete count this is continuous in h, so the
         # multiplicative fixed point converges instead of oscillating
         # between neighbor shells (the standard GADGET/ASURA device).
-        n_smooth = kernel_volume * h**3 * gather.weight_sum(h)
+        n_smooth = _KERNEL_VOLUME * h**3 * gather.weight_sum(h)
         n_smooth = np.maximum(n_smooth, 0.1)
         converged = np.abs(n_smooth - n_ngb) <= tol * n_ngb
-        if converged.all():
+        n_unconverged = n - int(np.count_nonzero(converged))
+        if n_unconverged == 0:
             break
         fac = np.clip((float(n_ngb) / n_smooth) ** (1.0 / 3.0), 0.7, 1.5)
         h[~converged] *= fac[~converged]
@@ -135,10 +143,45 @@ def compute_density(
         csnd=csnd,
         n_neighbors=counts,
         iterations=used_iter,
+        n_unconverged=n_unconverged,
         grid_builds=grid_builds,
         grid=grid,
         pairs=pairs,
     )
+
+
+def kernel_size_from_neighbors(
+    dist: np.ndarray,
+    n_ngb: int,
+    kernel: SPHKernel = DEFAULT_KERNEL,
+    n_bisect: int = 12,
+) -> np.ndarray:
+    """Kernel sizes from nearest-neighbor distances alone (no grid, no guess).
+
+    ``dist`` is (m, K): row i holds the distances from particle i to its K
+    nearest particles, itself included, ascending (a KD-tree query).  Returns
+    the ``h`` at which the smoothed neighbor number of
+    :func:`compute_density` over those K equals ``n_ngb``, bisected in
+    (0, ``dist[:, -1]``] to 2^-``n_bisect`` of that radius.  N(h) is
+    monotone in h, so the bisection cannot stall on sheets and shells the
+    way the multiplicative fixed point does — the way to seed a few
+    particles whose neighborhood was just rewritten.  Rows whose K neighbors
+    do not hold ``n_ngb`` even at the last distance are ``inf``.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
+
+    def n_smooth(h: np.ndarray) -> np.ndarray:
+        return _KERNEL_VOLUME * h**3 * kernel.value(dist, h[:, None]).sum(axis=1)
+
+    hi = np.maximum(dist[:, -1], 1e-300)
+    bracketed = n_smooth(hi) >= n_ngb
+    lo = np.zeros_like(hi)
+    for _ in range(n_bisect):
+        mid = 0.5 * (lo + hi)
+        above = n_smooth(mid) > n_ngb
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return np.where(bracketed, 0.5 * (lo + hi), np.inf)
 
 
 def _velocity_estimators(

@@ -95,6 +95,7 @@ def devoxelize_to_particles(
     template: ParticleSet,
     rng: np.random.Generator,
     n_sweeps: int = 8,
+    n_ngb: int = 32,
 ) -> ParticleSet:
     """Create particles from a field cube, conserving count, mass, and IDs.
 
@@ -102,7 +103,10 @@ def devoxelize_to_particles(
     the same ``pid``, ``mass``, ``ptype``, softening and metallicity, with
     positions drawn from the predicted density via Gibbs sampling and
     velocities/internal energy interpolated from the predicted fields —
-    this is what a pool node sends back to the main nodes.
+    this is what a pool node sends back to the main nodes.  The kernel
+    size is a guess from the predicted density alone (``n_ngb`` neighbors
+    inside the support); the main nodes re-derive it against the gas the
+    particles land in (``CoupledRunner.receive_sne``).
     """
     n_particles = len(template)
     if n_particles == 0:
@@ -118,9 +122,10 @@ def devoxelize_to_particles(
     out.vel[:, 2] = fields[4]
     out.u[:] = temperature_to_internal_energy(np.maximum(fields[1], 1.0))
     out.dens[:] = np.maximum(fields[0], 0.0)
-    # Smoothing guess from the local predicted density: h ~ (m N_ngb / rho)^(1/3).
-    with np.errstate(divide="ignore"):
-        h_est = (out.mass * 32.0 / np.maximum(out.dens, 1e-12)) ** (1.0 / 3.0)
+    # h is the full support radius: (4 pi / 3) h^3 rho = N_ngb m.
+    h_est = np.cbrt(
+        3.0 * n_ngb * out.mass / (4.0 * np.pi * np.maximum(out.dens, 1e-12))
+    )
     out.h[:] = np.clip(h_est, 0.25 * cell, grid.side)
     out.ptype[:] = int(ParticleType.GAS)
     return out

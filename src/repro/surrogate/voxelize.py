@@ -12,9 +12,9 @@ kernel convolution and the Shepard algorithm".  Concretely:
 * voxels no particle kernel reaches fall back to nearest-particle values so
   the grid never contains undefined entries.
 
-The scatter is vectorized per stencil offset: every particle deposits into
-the voxels of a (2K+1)^3 cube around it (K from the largest kernel).  The
-per-offset contributions are collected and reduced with one
+The scatter is vectorized over (stencil offset, particle) pairs: every
+particle deposits into the voxels of a (2K+1)^3 cube around it (K from the
+largest kernel).  The contributions are collected and reduced with one
 ``np.bincount`` per field — bit-identical to the sequential ``np.add.at``
 chain it replaces (both accumulate contributions per voxel left-to-right
 in deposit order, starting from zero) but without the buffered
@@ -33,6 +33,10 @@ from repro.util.constants import internal_energy_to_temperature
 
 #: Order of the 5 physical fields in the voxel cube.
 FIELD_NAMES = ("density", "temperature", "vx", "vy", "vz")
+
+#: (offset, particle) pairs expanded per pass of the deposit: bounds its
+#: temporaries (~100 B per pair) whatever the stencil and region size.
+_DEPOSIT_BLOCK_PAIRS = 2**18
 
 
 @dataclass
@@ -99,56 +103,20 @@ def voxelize_particles(
     # Effective kernel radius: at least one cell so every particle reaches
     # its nearest voxel centre even when h is unresolved by the grid.
     h_eff = np.maximum(np.asarray(h, dtype=np.float64), 1.001 * cell)
-    k_max = int(np.ceil(h_eff.max() / cell))
-    base = np.rint(fc).astype(np.int64)
 
     values = np.stack([temp, vel[:, 0], vel[:, 1], vel[:, 2]])
 
-    # Collect (voxel, contribution) pairs per offset, then reduce each field
-    # with a single np.bincount.  bincount accumulates per voxel in input
-    # order starting from zero — exactly the order the per-offset np.add.at
-    # chain used — so the result is bit-identical while avoiding the
+    # One np.bincount per field over the deposit list: bincount accumulates
+    # per voxel in input order starting from zero — exactly the order a
+    # sequential np.add.at chain over the deposits would use — without the
     # buffered per-element scatter on the hot path.
-    flat_parts: list[np.ndarray] = []
-    w_parts: list[np.ndarray] = []
-    mw_parts: list[np.ndarray] = []
-    val_parts: list[list[np.ndarray]] = [[] for _ in range(4)]
-
-    offsets = range(-k_max, k_max + 1)
-    for dx in offsets:
-        for dy in offsets:
-            for dz in offsets:
-                vox = base + np.array([dx, dy, dz])
-                ok = np.all((vox >= 0) & (vox < n), axis=1)
-                if not ok.any():
-                    continue
-                d = (vox - fc) * cell
-                r = np.sqrt(np.einsum("ij,ij->i", d, d))
-                w = kernel.value(r, h_eff)
-                live = ok & (w > 0)
-                if not live.any():
-                    continue
-                flat_parts.append((vox[live, 0] * n + vox[live, 1]) * n + vox[live, 2])
-                w_parts.append(w[live])
-                mw_parts.append(mass[live] * w[live])
-                for f in range(4):
-                    val_parts[f].append(w[live] * values[f, live])
-
+    flat, p, w = _deposit_pairs(fc, h_eff, n, cell, kernel)
     size = n * n * n
-    if flat_parts:
-        flat_all = np.concatenate(flat_parts)
-        rho = np.bincount(flat_all, weights=np.concatenate(mw_parts), minlength=size)
-        wsum = np.bincount(flat_all, weights=np.concatenate(w_parts), minlength=size)
-        acc = np.stack(
-            [
-                np.bincount(flat_all, weights=np.concatenate(val_parts[f]), minlength=size)
-                for f in range(4)
-            ]
-        )
-    else:
-        rho = np.zeros(size)
-        wsum = np.zeros(size)
-        acc = np.zeros((4, size))
+    rho = np.bincount(flat, weights=mass[p] * w, minlength=size)
+    wsum = np.bincount(flat, weights=w, minlength=size)
+    acc = np.stack(
+        [np.bincount(flat, weights=w * values[f, p], minlength=size) for f in range(4)]
+    )
     rho = rho.reshape(n, n, n)
     wsum = wsum.reshape(n, n, n)
     acc = acc.reshape(4, n, n, n)  # temperature + 3 velocities
@@ -175,6 +143,42 @@ def voxelize_particles(
 
     fields = np.concatenate([rho[None], acc], axis=0)
     return VoxelGrid(fields=fields, center=center, side=float(side))
+
+
+def _deposit_pairs(
+    fc: np.ndarray, h_eff: np.ndarray, n: int, cell: float, kernel: SPHKernel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (voxel, particle) pair with a positive kernel weight.
+
+    Returns ``(flat voxel index, particle index, weight)`` in deposit order:
+    stencil offsets run dx, dy, dz-major over the (2K+1)^3 cube around each
+    particle's nearest voxel (K from the largest kernel), particles in input
+    order within one offset.  The order is part of the result — the caller's
+    bincount sums follow it.  A block of offsets is expanded against all
+    particles per pass (at most ``_DEPOSIT_BLOCK_PAIRS`` pairs); row-major
+    compaction of the in-grid mask keeps the order.
+    """
+    k_max = int(np.ceil(h_eff.max() / cell))
+    base = np.rint(fc).astype(np.int64)
+    k = np.arange(-k_max, k_max + 1)
+    offsets = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1).reshape(-1, 3)
+    per_block = max(1, _DEPOSIT_BLOCK_PAIRS // len(fc))
+    flat_parts: list[np.ndarray] = []
+    p_parts: list[np.ndarray] = []
+    w_parts: list[np.ndarray] = []
+    for o0 in range(0, len(offsets), per_block):
+        vox = base[None, :, :] + offsets[o0 : o0 + per_block, None, :]
+        o, p = np.nonzero(np.all((vox >= 0) & (vox < n), axis=2))
+        vox = vox[o, p]                     # in-grid (offset, particle) pairs
+        d = (vox - fc[p]) * cell
+        r = np.sqrt(np.einsum("ij,ij->i", d, d))
+        w = kernel.value(r, h_eff[p])
+        live = w > 0
+        vox = vox[live]
+        flat_parts.append((vox[:, 0] * n + vox[:, 1]) * n + vox[:, 2])
+        p_parts.append(p[live])
+        w_parts.append(w[live])
+    return np.concatenate(flat_parts), np.concatenate(p_parts), np.concatenate(w_parts)
 
 
 def _nearest_particle(points: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -182,3 +182,30 @@ def test_work_weights_surcharge_gas():
     from repro.perf.costmodel import hydro_gravity_work_ratio
 
     assert np.allclose(w[gas], 1.0 + hydro_gravity_work_ratio())
+
+
+def test_unconverged_kernel_sizes_are_logged_and_counted(monkeypatch, caplog):
+    """A solve that runs out of sweeps is visible: a warning on the
+    ``repro.accel`` logger and a running count on the engine."""
+    import functools
+    import logging
+
+    from repro.accel import engine as engine_mod
+
+    ps = make_turbulent_box(n_per_side=8, side=60.0, seed=2)
+    ps.h[:] *= 3.0                                    # a poor guess ...
+    monkeypatch.setattr(                              # ... and one sweep to fix it
+        engine_mod, "compute_density", functools.partial(compute_density, max_iter=1)
+    )
+    engine = ForceEngine(IntegratorConfig())
+    with caplog.at_level(logging.WARNING, logger="repro.accel"):
+        engine.hydro(ps, "1st")
+    assert engine.n_unconverged > 0
+    assert f"{engine.n_unconverged} of {len(ps)} gas particles" in caplog.text
+
+    monkeypatch.undo()
+    caplog.clear()
+    healthy = ForceEngine(IntegratorConfig())
+    with caplog.at_level(logging.WARNING, logger="repro.accel"):
+        healthy.hydro(ps, "1st")
+    assert healthy.n_unconverged == 0 and not caplog.records

@@ -135,3 +135,50 @@ def test_tree_mass_invariant_property(n, leaf_size):
     assert tree.node_mass[0] == pytest.approx(mass.sum())
     leaves = np.flatnonzero(tree.node_is_leaf)
     assert tree.node_count[leaves].sum() == n
+
+
+def _walk_box_reference(tree, box_lo, box_hi, theta):
+    """``Octree.walk_box`` with opened leaves expanded one ``np.arange`` per
+    leaf — the loop the repeat/cumsum expansion replaced; kept as its oracle."""
+    accepted = []
+    leaf_slices = []
+    frontier = np.array([0], dtype=np.int64)
+    while frontier.size:
+        com = tree.node_com[frontier]
+        nearest = np.clip(com, box_lo, box_hi)
+        d = np.sqrt(np.sum((com - nearest) ** 2, axis=1))
+        ok = tree.node_side[frontier] < theta * d
+        accepted.append(frontier[ok])
+        rest = frontier[~ok]
+        if rest.size == 0:
+            break
+        is_leaf = tree.node_is_leaf[rest]
+        for nid in rest[is_leaf]:
+            first = int(tree.node_first[nid])
+            leaf_slices.append((first, first + int(tree.node_count[nid])))
+        kids = tree.node_children[rest[~is_leaf]].ravel()
+        frontier = kids[kids >= 0]
+    if leaf_slices:
+        parts = tree.order[np.concatenate([np.arange(s, e) for s, e in leaf_slices])]
+    else:
+        parts = np.empty(0, dtype=np.int64)
+    return np.concatenate(accepted), parts
+
+
+@given(
+    st.integers(1, 400), st.integers(1, 24), st.floats(0.0, 1.2), st.integers(0, 10_000)
+)
+@settings(max_examples=60, deadline=None)
+def test_walk_box_matches_per_leaf_reference(n, leaf_size, theta, seed):
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(0.0, 10.0, (n, 3))
+    tree = Octree.build(pos, rng.uniform(0.1, 5.0, n), leaf_size=leaf_size)
+    # Boxes inside, straddling and far outside the tree (nothing opened).
+    for centre, half in ((rng.normal(0.0, 10.0, 3), rng.uniform(0.0, 8.0, 3)),
+                         (np.full(3, 1e4), np.ones(3))):
+        lo, hi = centre - half, centre + half
+        nodes, parts = tree.walk_box(lo, hi, theta)
+        ref_nodes, ref_parts = _walk_box_reference(tree, lo, hi, theta)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(parts, ref_parts)
+        assert parts.dtype == ref_parts.dtype

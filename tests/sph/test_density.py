@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.sph.density import compute_density
-from repro.sph.kernels import WendlandC2
+from scipy.spatial import cKDTree
+
+from repro.sph.density import compute_density, kernel_size_from_neighbors
+from repro.sph.kernels import DEFAULT_KERNEL, WendlandC2
 from repro.util.constants import GAMMA
 
 
@@ -140,3 +142,48 @@ def test_mass_weighting():
         pos, np.zeros((n, 3)), 2 * np.ones(n), np.ones(n), np.full(n, 0.3), n_ngb=40
     )
     assert np.allclose(r2.dens, 2 * r1.dens)
+
+
+def test_unconverged_particles_are_reported():
+    """``iterations == max_iter`` alone cannot tell a solve that converged on
+    its last sweep from one that ran out of sweeps; ``n_unconverged`` can."""
+    pos = _lattice(8, side=1.0, jitter=0.2, seed=3)
+    n = len(pos)
+    args = (pos, np.zeros((n, 3)), np.ones(n), np.ones(n), np.full(n, 0.9))
+    cut_short = compute_density(*args, n_ngb=32, max_iter=2)
+    assert cut_short.iterations == 2 and cut_short.n_unconverged > 0
+    full = compute_density(*args, n_ngb=32, max_iter=30)
+    assert full.n_unconverged == 0 and full.iterations < 30
+    # Exactly as many sweeps as it takes: converged *on* the last one.
+    on_the_cap = compute_density(*args, n_ngb=32, max_iter=full.iterations)
+    assert on_the_cap.iterations == full.iterations and on_the_cap.n_unconverged == 0
+
+
+def test_kernel_size_from_neighbors_solves_the_smoothed_count():
+    """The bisected h has the smoothed neighbor number of the h solve —
+    also on a sheet, where the multiplicative fixed point converges slowly."""
+    rng = np.random.default_rng(11)
+    blob = rng.normal(0.0, 1.0, (400, 3))
+    sheet = np.column_stack([rng.uniform(-3, 3, (300, 2)), rng.normal(4.0, 0.02, 300)])
+    pos = np.concatenate([blob, sheet])
+    n_ngb = 32
+    dist, _ = cKDTree(pos).query(pos, k=2 * n_ngb + 1)
+    h = kernel_size_from_neighbors(dist, n_ngb)
+    solved = np.isfinite(h)
+    assert solved.mean() > 0.95
+    assert np.all(h[solved] <= dist[solved, -1])
+    r = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)[solved]
+    hs = h[solved]
+    n_smooth = 4.0 * np.pi / 3.0 * hs**3 * DEFAULT_KERNEL.value(r, hs[:, None]).sum(axis=1)
+    assert np.allclose(n_smooth, n_ngb, rtol=0.01)
+    # ... so the h solve accepts it on its first sweep.
+    m = len(pos)
+    seeded = np.where(solved, h, dist[:, -1])
+    res = compute_density(pos, np.zeros((m, 3)), np.ones(m), np.ones(m), seeded, n_ngb=n_ngb)
+    assert np.array_equal(res.h[solved], hs)
+
+
+def test_kernel_size_from_neighbors_flags_rows_it_cannot_bracket():
+    # Three neighbors can never hold 32: the answer lies beyond the last one.
+    dist = np.array([[0.0, 1.0, 2.0], [0.0, 0.5, 0.7]])
+    assert np.all(np.isinf(kernel_size_from_neighbors(dist, 32)))

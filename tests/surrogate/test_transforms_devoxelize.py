@@ -166,3 +166,20 @@ def test_devoxelize_empty_template():
     grid = VoxelGrid(fields=_random_fields(seed=9), center=np.zeros(3), side=60.0)
     out = devoxelize_to_particles(grid, ParticleSet.empty(0), rng)
     assert len(out) == 0
+
+
+def test_devoxelize_kernel_size_holds_n_ngb_neighbors():
+    """h is the full support radius: (4 pi / 3) h^3 rho = n_ngb m."""
+    fields = _random_fields(seed=10)
+    fields[0] = 0.02                                   # uniform predicted density
+    grid = VoxelGrid(fields=fields, center=np.zeros(3), side=60.0)
+    template = _template(50)                           # m = 0.75
+    for n_ngb in (32, 64):
+        out = devoxelize_to_particles(
+            grid, template, np.random.default_rng(1), n_ngb=n_ngb
+        )
+        assert np.allclose(4.0 * np.pi / 3.0 * out.h**3 * 0.02, n_ngb * 0.75)
+    # Vanishing density: bounded by the region, not by 32^(1/3) of it.
+    fields[0] = 1e-9
+    out = devoxelize_to_particles(grid, template, np.random.default_rng(1))
+    assert np.all(out.h == 60.0)

@@ -93,3 +93,66 @@ def test_extract_region_gas_only(uniform_gas_ps):
     ps.ptype[0] = int(ParticleType.STAR)
     region, _ = extract_region(ps, ps.pos[0], 20.0)
     assert not np.any(region.pid == ps.pid[0])
+
+
+def _deposit_pairs_reference(fc, h_eff, n, cell, kernel):
+    """The deposit as one Python iteration per stencil offset — the loop the
+    blocked (offsets x particles) passes replaced; kept as their oracle."""
+    k_max = int(np.ceil(h_eff.max() / cell))
+    base = np.rint(fc).astype(np.int64)
+    flat, part, weight = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    offsets = range(-k_max, k_max + 1)
+    for dx in offsets:
+        for dy in offsets:
+            for dz in offsets:
+                vox = base + np.array([dx, dy, dz])
+                ok = np.all((vox >= 0) & (vox < n), axis=1)
+                d = (vox - fc) * cell
+                r = np.sqrt(np.einsum("ij,ij->i", d, d))
+                w = kernel.value(r, h_eff)
+                live = ok & (w > 0)
+                flat.append((vox[live, 0] * n + vox[live, 1]) * n + vox[live, 2])
+                part.append(np.flatnonzero(live))
+                weight.append(w[live])
+    return np.concatenate(flat), np.concatenate(part), np.concatenate(weight)
+
+
+@pytest.mark.parametrize("n_grid", [4, 8])
+@pytest.mark.parametrize("block_pairs", [1, 50, 2**18])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_blocked_deposit_matches_per_offset_reference(monkeypatch, seed, block_pairs, n_grid):
+    from repro.surrogate import voxelize as vz
+    from repro.fdps.particles import ParticleSet
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    side = 60.0
+    ps = ParticleSet.from_arrays(
+        # A third of the particles fall outside the box; their kernels may
+        # still reach edge voxels.
+        pos=rng.uniform(-0.75 * side, 0.75 * side, (n, 3)),
+        mass=rng.uniform(0.5, 2.0, n),
+        vel=rng.normal(0.0, 10.0, (n, 3)),
+        pid=np.arange(n),
+        ptype=np.full(n, int(ParticleType.GAS)),
+    )
+    # From far below one cell (h_eff floors at the cell) to several cells.
+    ps.h[:] = rng.uniform(0.05, 3.0, n) * side / n_grid
+    ps.u[:] = rng.uniform(1.0, 100.0, n)
+    centre = rng.normal(0.0, 3.0, 3)
+
+    # k_max spans several blocks, one block, or a fraction of one.
+    monkeypatch.setattr(vz, "_DEPOSIT_BLOCK_PAIRS", block_pairs)
+    got = vz.voxelize_particles(ps, centre, side, n_grid)
+
+    cell = side / n_grid
+    fc = (ps.pos - centre + side / 2.0) / cell - 0.5
+    h_eff = np.maximum(ps.h, 1.001 * cell)
+    new = vz._deposit_pairs(fc, h_eff, n_grid, cell, vz.DEFAULT_KERNEL)
+    ref = _deposit_pairs_reference(fc, h_eff, n_grid, cell, vz.DEFAULT_KERNEL)
+    for a, b in zip(new, ref):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+
+    monkeypatch.setattr(vz, "_deposit_pairs", _deposit_pairs_reference)
+    want = vz.voxelize_particles(ps, centre, side, n_grid)
+    assert np.array_equal(got.fields, want.fields)          # all five fields
