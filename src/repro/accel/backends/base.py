@@ -52,10 +52,11 @@ class BackendUnavailable(RuntimeError):
 class TileWorkspace:
     """Caller-owned, grow-only scratch for one dense gravity tile.
 
-    A (targets x sources) tile needs the separation ``d`` (n_t, c, 3), the
-    squared distance ``r2`` and the weight ``w`` (n_t, c) in the working
-    precision, plus one bool mask.  Allocated per call they are mapped,
-    faulted in and unmapped on every tile (~60k minor page faults per
+    A (targets x sources) tile needs the separation as three coordinate
+    planes ``dx, dy, dz``, the squared distance ``r2`` and the weight ``w``
+    — five (n_t, c) planes in the working precision — plus one bool mask:
+    5 reals + 1 byte per pair.  Allocated per call they are mapped, faulted
+    in and unmapped on every tile (~60k minor page faults per
     4,000-particle tree pass); a workspace keeps one byte arena sized to the
     largest tile it has seen (no growth factor) and hands out contiguous
     views of its head, so a force pass at unchanged N allocates nothing.
@@ -79,7 +80,14 @@ class TileWorkspace:
     def planes(
         self, n_targets: int, n_sources: int, dtype: type[np.floating]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Uninitialised C-contiguous ``(d, r2, w, mask)`` for one tile."""
+        """Uninitialised C-contiguous ``(d, r2, w, mask)`` for one tile.
+
+        Arena layout, head first: ``d`` is ``(3, n_targets, n_sources)`` —
+        ``dx, dy, dz = d``, each axis one contiguous plane, never a trailing
+        axis of 3, so every ufunc over a plane runs unit-stride — then the
+        ``(n_targets, n_sources)`` planes ``r2`` and ``w`` in ``dtype``,
+        then the bool ``mask``.
+        """
         pairs = n_targets * n_sources
         plane = pairs * np.dtype(dtype).itemsize
         need = 5 * plane + pairs
@@ -89,7 +97,7 @@ class TileWorkspace:
         a = self._arena
         shape = (n_targets, n_sources)
         return (
-            a[: 3 * plane].view(dtype).reshape(*shape, 3),
+            a[: 3 * plane].view(dtype).reshape(3, *shape),
             a[3 * plane : 4 * plane].view(dtype).reshape(shape),
             a[4 * plane : 5 * plane].view(dtype).reshape(shape),
             a[5 * plane : need].view(np.bool_).reshape(shape),
@@ -154,6 +162,13 @@ class KernelBackend:
         call only.  The returned array is always freshly allocated (never a
         view of the workspace).  Backends whose kernels need no tile
         temporaries (``numba``, ``pikg``) accept and ignore it.
+
+        What is exact and what is bounded: every backend evaluates the same
+        pairs and masks the same coincident ones; the values agree between
+        backends to rounding (float64 1e-10 relative, mixed 5e-5 of the
+        largest acceleration — the parity tests), not bit for bit, because
+        the order of the per-pair operations and of the source-axis sum is
+        the backend's own.
         """
         raise NotImplementedError
 

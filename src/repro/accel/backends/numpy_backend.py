@@ -14,18 +14,29 @@ agree with:
   exactly the value a full recompute would produce);
 * the gravity source-axis tile is sized from a temporary-buffer budget
   (``REPRO_GRAV_CHUNK`` / ``REPRO_GRAV_TEMP_MB``) instead of a fixed 4096;
-* the gravity tile writes its temporaries (separation, squared distance,
-  weight, coincidence mask) into the caller's
-  :class:`~repro.accel.backends.base.TileWorkspace` through ``out=`` — the
-  same ufuncs in the same order as the allocating expressions, so
-  bit-identical to them, without mapping and faulting in ~7 tile-sized
-  blocks per tile.
+* the gravity tile works on coordinate planes — ``dx, dy, dz`` each one
+  contiguous (targets x sources) array, never a trailing axis of 3 — carved
+  with ``r2``, the weight and the coincidence mask from the caller's
+  :class:`~repro.accel.backends.base.TileWorkspace` (5 reals + 1 byte per
+  pair, written through ``out=``), with ``w * sqrt(w)`` for ``w ** 1.5``:
+  the arithmetic of the jitted kernels.
+
+What is exact and what is bounded.  Pair sets and their order (the
+compacted candidates, the gather and half-pair lists, which tile pairs are
+masked as coincident) are exact against the frozen ``seed`` kernels.
+Values are not: the tile sums its squares per plane and reduces over the
+source axis per coordinate, so it agrees with the frozen tile to 1e-13
+relative in float64 and 5e-6 of the largest acceleration in mixed
+precision, and the candidate separations to 2 ulp (hence SPH sums to
+~1e-12) — the tolerances of ``tests/accel``.  With and without a workspace
+the tile is bit-identical.
 
 ``seed`` reproduces the pre-backend kernels exactly (``np.add.at`` scatter,
 full candidate re-filtering, fixed 4096-source chunks, a gravity tile that
-allocates every temporary): it exists so
+allocates every temporary in the (targets, sources, 3) layout): it exists so
 ``benchmarks/bench_backend_kernels.py`` can report speedups against the
-seed-state cost profile from inside the same harness.
+seed-state cost profile from inside the same harness, and as the in-tree
+oracle of the tolerances above.
 """
 
 from __future__ import annotations
@@ -134,31 +145,42 @@ class NumpyBackend(KernelBackend):
             real, tiny = np.float32, np.float32(1e-30)
         else:
             real, tiny = np.float64, np.float64(1e-300)
-        tp = tp.astype(real, copy=False)
-        sp = sp.astype(real, copy=False)
+        # One contiguous plane per coordinate: numpy cannot vectorise over a
+        # trailing axis of 3, it can over a unit-stride row of sources.
+        t_xyz = np.ascontiguousarray(tp.T, dtype=real)
+        s_xyz = np.ascontiguousarray(sp.T, dtype=real)
         sm = np.asarray(source_mass, dtype=real)
         te2 = np.asarray(target_eps, dtype=real) ** 2
         se2 = np.asarray(source_eps, dtype=real) ** 2
         ws = workspace if workspace is not None else TileWorkspace()
-        acc = np.zeros((len(tp), 3))
+        acc = np.zeros((3, len(tp)))
         chunk = self._chunk_for(len(tp))
         for s0 in range(0, len(sp), chunk):
             s1 = min(s0 + chunk, len(sp))
             # Every plane is written in full before it is read, so what the
             # previous tile left in the workspace never matters.
             d, r2, w, coincident = ws.planes(len(tp), s1 - s0, real)
-            np.subtract(tp[:, None, :], sp[None, s0:s1, :], out=d)   # (n_t, c, 3)
-            np.einsum("ijk,ijk->ij", d, d, out=r2)
+            for d_k, t_k, s_k in zip(d, t_xyz, s_xyz):
+                np.subtract(t_k[:, None], s_k[None, s0:s1], out=d_k)
+            np.multiply(d[0], d[0], out=r2)
+            for d_k in d[1:]:
+                np.multiply(d_k, d_k, out=w)
+                np.add(r2, w, out=r2)
+            if exclude_self:
+                np.less_equal(r2, real(0.0), out=coincident)
             np.add(te2[:, None], se2[None, s0:s1], out=w)
             np.add(r2, w, out=w)
-            np.power(w, real(1.5), out=w)
+            # w^1.5 as w * sqrt(w) (what the jitted kernels do); the mask is
+            # taken, so r2's plane is free to hold the root.
+            np.sqrt(w, out=r2)
+            np.multiply(w, r2, out=w)
             np.maximum(w, tiny, out=w)
             np.divide(sm[None, s0:s1], w, out=w)
             if exclude_self:
-                np.less_equal(r2, real(0.0), out=coincident)
                 np.copyto(w, real(0.0), where=coincident)
-            acc -= g * np.einsum("ij,ijk->ik", w, d).astype(np.float64, copy=False)
-        return acc
+            for acc_k, d_k in zip(acc, d):
+                acc_k -= g * np.einsum("ij,ij->i", w, d_k).astype(np.float64, copy=False)
+        return np.ascontiguousarray(acc.T)
 
     # ------------------------------------------------------------- density
     def density_gather(self, grid, pos: np.ndarray, kernel) -> DensityGatherState:
@@ -268,8 +290,8 @@ class SeedBackend(NumpyBackend):
     ``np.add.at`` scatter, full candidate re-filtering each sweep, fixed
     4096-source gravity chunks, per-tile gravity temporaries — the exact
     cost profile of the repository before the backend registry existed.
-    Physics-identical to ``numpy`` (bit-for-bit on the hydro kernels, and on
-    the gravity tile at an equal chunk size).
+    Physics-identical to ``numpy``: the same pairs, values to the bounds in
+    the module docstring.
     """
 
     name = "seed"

@@ -27,14 +27,20 @@ OPS_PER_INTERACTION = {
 
 @dataclass
 class InteractionCounter:
-    """Counts pairwise interactions per kernel kind and converts to FLOPs."""
+    """Counts pairwise interactions per kernel kind and converts to FLOPs.
+
+    State is O(kinds) however long the run: per kind one interaction total
+    and a running ``[n_lists, total_length]`` for the mean list length.
+    """
 
     counts: dict[str, int] = field(default_factory=dict)
-    list_lengths: dict[str, list[int]] = field(default_factory=dict)
+    _lists: dict[str, list[int]] = field(default_factory=dict, repr=False)
 
     def add(self, kind: str, n_targets: int, n_sources: int) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + int(n_targets) * int(n_sources)
-        self.list_lengths.setdefault(kind, []).append(int(n_sources))
+        tally = self._lists.setdefault(kind, [0, 0])
+        tally[0] += 1
+        tally[1] += int(n_sources)
 
     def interactions(self, kind: str) -> int:
         return self.counts.get(kind, 0)
@@ -48,12 +54,12 @@ class InteractionCounter:
         )
 
     def mean_list_length(self, kind: str) -> float:
-        ll = self.list_lengths.get(kind, [])
-        return float(np.mean(ll)) if ll else 0.0
+        n_lists, total = self._lists.get(kind, (0, 0))
+        return total / n_lists if n_lists else 0.0
 
     def reset(self) -> None:
         self.counts.clear()
-        self.list_lengths.clear()
+        self._lists.clear()
 
 
 def make_groups(tree: Octree, n_g: int) -> list[tuple[int, int]]:

@@ -34,8 +34,8 @@ from repro.util.constants import GRAV_CONST
 #: at the default interaction-group size of 256 targets.
 DEFAULT_GRAV_TEMP_MB = 64.0
 
-#: float64 temporaries per (target, source) cell of a tile: the (n_t, c, 3)
-#: separation plus four (n_t, c) scalars -> 7 doubles.
+#: float64 temporaries per (target, source) pair the budget is counted in:
+#: three separation planes plus four scalars of an allocate-per-call tile.
 _TILE_DOUBLES = 7
 
 
@@ -152,19 +152,30 @@ def potential_direct(
 
     Used by the conservation audits (total energy E = K + U + thermal).
     """
-    pos = np.asarray(pos, dtype=np.float64)
+    xyz = np.ascontiguousarray(np.asarray(pos, dtype=np.float64).T)   # coordinate planes
     mass = np.asarray(mass, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    pot = np.zeros(len(pos))
-    chunk = grav_chunk_size(len(pos))
-    for s0 in range(0, len(pos), chunk):
-        s1 = min(s0 + chunk, len(pos))
-        d = pos[:, None, :] - pos[None, s0:s1, :]
-        r2 = np.einsum("ijk,ijk->ij", d, d)
-        soft2 = eps[:, None] ** 2 + eps[None, s0:s1] ** 2
-        inv = 1.0 / np.sqrt(r2 + soft2)
-        inv = np.where(r2 <= 0.0, 0.0, inv)
-        pot -= g * np.einsum("j,ij->i", mass[s0:s1], inv)
+    eps2 = np.asarray(eps, dtype=np.float64) ** 2
+    n = len(mass)
+    pot = np.zeros(n)
+    chunk = grav_chunk_size(n)
+    r2 = np.empty((n, min(chunk, n)))
+    tmp = np.empty_like(r2)
+    for s0 in range(0, n, chunk):
+        s1 = min(s0 + chunk, n)
+        r2_c, tmp_c = r2[:, : s1 - s0], tmp[:, : s1 - s0]
+        np.subtract(xyz[0][:, None], xyz[0][None, s0:s1], out=r2_c)
+        np.multiply(r2_c, r2_c, out=r2_c)
+        for x_k in xyz[1:]:
+            np.subtract(x_k[:, None], x_k[None, s0:s1], out=tmp_c)
+            np.multiply(tmp_c, tmp_c, out=tmp_c)
+            np.add(r2_c, tmp_c, out=r2_c)
+        coincident = r2_c <= 0.0
+        np.add(eps2[:, None], eps2[None, s0:s1], out=tmp_c)
+        np.add(r2_c, tmp_c, out=tmp_c)
+        np.sqrt(tmp_c, out=tmp_c)
+        np.divide(1.0, tmp_c, out=tmp_c)
+        tmp_c[coincident] = 0.0
+        pot -= g * (tmp_c @ mass[s0:s1])
     return pot
 
 

@@ -9,6 +9,10 @@ particles (only the fixed loop over the 27 offsets).
 
 The output is a flat *edge list* ``(i, j)`` of candidate pairs, which is the
 natural input for scatter-add SPH sums (``np.add.at`` / ``np.bincount``).
+The edge list — which pairs, in which order — is exact and the same from
+every entry point; the separations ``r`` of the compacted list
+(:meth:`NeighborGrid.compact_self_pairs`, computed on coordinate planes)
+agree with those of :meth:`NeighborGrid.self_pairs` to 2 ulp.
 
 A built :class:`NeighborGrid` is *reusable*: the same grid serves every
 h-iteration of the density solve and the force pass, as long as the largest
@@ -84,25 +88,27 @@ class NeighborGrid:
         ``source_slot`` indexes the grid's sorted order; map through
         ``self.order`` for original indices.
         """
-        empty = np.empty(0, dtype=np.int64)
         c = qc + np.array(off, dtype=np.int64)
         valid = np.all((c >= 0) & (c < self.dims), axis=1)
-        if not valid.any():
-            return empty, empty
         keys = (c[valid, 0] * self.dims[1] + c[valid, 1]) * self.dims[2] + c[valid, 2]
+        return self._expand_cells(np.flatnonzero(valid), keys)
+
+    def _expand_cells(
+        self, qidx: np.ndarray, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pair each query row ``qidx[k]`` with every slot of cell ``keys[k]``,
+        queries in the order given, slots ascending within one query."""
         starts = np.searchsorted(self.sorted_keys, keys, side="left")
-        ends = np.searchsorted(self.sorted_keys, keys, side="right")
-        lens = ends - starts
+        lens = np.searchsorted(self.sorted_keys, keys, side="right") - starts
         total = int(lens.sum())
         if total == 0:
+            empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        qidx = np.flatnonzero(valid)
-        # Expand ranges [starts, ends) into flat index arrays.
-        rep_q = np.repeat(qidx, lens)
-        cum = np.concatenate([[0], np.cumsum(lens)])
-        local = np.arange(total) - np.repeat(cum[:-1], lens)
-        slots = np.repeat(starts, lens) + local
-        return rep_q, slots
+        # Expand ranges [starts, starts + lens) into flat index arrays.
+        first = np.cumsum(lens) - lens
+        slots = np.repeat(starts - first, lens)
+        slots += np.arange(total)
+        return np.repeat(qidx, lens), slots
 
     def _query_cells(self, query_pos: np.ndarray) -> np.ndarray:
         qp = np.asarray(query_pos, dtype=np.float64)
@@ -146,44 +152,55 @@ class NeighborGrid:
         size (:meth:`covers`), so stencil candidates at r >= cell can never
         survive a distance filter — dropping them once shrinks the cached
         list ~6x (sphere-to-stencil volume ratio) and every later sweep
-        filters the small list.  Built directly per stencil offset (squared
-        distances, sqrt only on survivors) without materializing the full
-        list; kept pairs appear in exactly the order :meth:`self_pairs`
-        would yield them, so downstream scatter sums are bit-identical.
+        filters the small list.  Built per stencil offset without
+        materializing the full list, on coordinate planes: cell indices,
+        query coordinates and the sources (gathered once, in cell order)
+        each live in one contiguous array per axis, so the validity masks,
+        the separations and the squared distance are unit-stride ufuncs
+        (sqrt only on survivors).
+
+        Exact: ``(i, j)`` and their order — the pairs :meth:`self_pairs`
+        yields, filtered at ``r < cell``.  Bounded: ``r`` is within 2 ulp of
+        that list's (sum of squares in x, y, z order instead of an einsum).
         """
         if self._compact_pairs is None:
-            if self._self_pairs is not None:
-                i, j, r = self._self_pairs
-                keep = r < self.cell
-                self._compact_pairs = (i[keep], j[keep], r[keep])
+            cell2 = self.cell * self.cell
+            q_xyz = np.ascontiguousarray(self.pos.T)
+            s_xyz = np.ascontiguousarray(self.pos[self.order].T)
+            # (axis, shift, point): the neighbor cell's index along one axis
+            # for shifts -1, 0, +1, and whether it is inside the grid.
+            c = self._query_cells(self.pos).T[:, None, :] + np.arange(-1, 2)[None, :, None]
+            ok = (c >= 0) & (c < self.dims[:, None, None])
+            out_i: list[np.ndarray] = []
+            out_j: list[np.ndarray] = []
+            out_r: list[np.ndarray] = []
+            for ix in range(3):
+                for iy in range(3):
+                    ok_xy = ok[0, ix] & ok[1, iy]
+                    key_xy = (c[0, ix] * self.dims[1] + c[1, iy]) * self.dims[2]
+                    for iz in range(3):
+                        qidx = np.flatnonzero(ok_xy & ok[2, iz])
+                        rep_q, slots = self._expand_cells(
+                            qidx, key_xy[qidx] + c[2, iz][qidx]
+                        )
+                        if not len(rep_q):
+                            continue
+                        d2 = _squared_separation(q_xyz[0], rep_q, s_xyz[0], slots)
+                        d2 += _squared_separation(q_xyz[1], rep_q, s_xyz[1], slots)
+                        d2 += _squared_separation(q_xyz[2], rep_q, s_xyz[2], slots)
+                        keep = np.flatnonzero(d2 < cell2)
+                        out_i.append(rep_q.take(keep))
+                        out_j.append(self.order.take(slots.take(keep)))
+                        out_r.append(np.sqrt(d2.take(keep)))
+            if out_i:
+                self._compact_pairs = (
+                    np.concatenate(out_i),
+                    np.concatenate(out_j),
+                    np.concatenate(out_r),
+                )
             else:
-                cell2 = self.cell * self.cell
-                qc = self._query_cells(self.pos)
-                out_i: list[np.ndarray] = []
-                out_j: list[np.ndarray] = []
-                out_r: list[np.ndarray] = []
-                for dx in (-1, 0, 1):
-                    for dy in (-1, 0, 1):
-                        for dz in (-1, 0, 1):
-                            rep_q, slots = self._slots_for_offset(qc, (dx, dy, dz))
-                            if not len(rep_q):
-                                continue
-                            jj = self.order[slots]
-                            d = self.pos[rep_q] - self.pos[jj]
-                            d2 = np.einsum("ij,ij->i", d, d)
-                            keep = d2 < cell2
-                            out_i.append(rep_q[keep])
-                            out_j.append(jj[keep])
-                            out_r.append(np.sqrt(d2[keep]))
-                if out_i:
-                    self._compact_pairs = (
-                        np.concatenate(out_i),
-                        np.concatenate(out_j),
-                        np.concatenate(out_r),
-                    )
-                else:
-                    empty = np.empty(0, dtype=np.int64)
-                    self._compact_pairs = (empty, empty, np.empty(0))
+                empty = np.empty(0, dtype=np.int64)
+                self._compact_pairs = (empty, empty, np.empty(0))
         return self._compact_pairs
 
     def release_pairs(self) -> None:
@@ -219,6 +236,16 @@ class NeighborGrid:
         p = self.pos[cand]
         inside = np.all((p >= box_lo) & (p <= box_hi), axis=1)
         return cand[inside]
+
+
+def _squared_separation(
+    q_k: np.ndarray, rows: np.ndarray, s_k: np.ndarray, slots: np.ndarray
+) -> np.ndarray:
+    """``(q_k[rows] - s_k[slots]) ** 2`` along one axis, in one temporary."""
+    d = q_k.take(rows)
+    d -= s_k.take(slots)
+    d *= d
+    return d
 
 
 def neighbor_pairs(

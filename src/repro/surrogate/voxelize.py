@@ -14,11 +14,14 @@ kernel convolution and the Shepard algorithm".  Concretely:
 
 The scatter is vectorized over (stencil offset, particle) pairs: every
 particle deposits into the voxels of a (2K+1)^3 cube around it (K from the
-largest kernel).  The contributions are collected and reduced with one
-``np.bincount`` per field — bit-identical to the sequential ``np.add.at``
-chain it replaces (both accumulate contributions per voxel left-to-right
-in deposit order, starting from zero) but without the buffered
-per-element scatter on the hot path.
+largest kernel).  The cube is separable, so the pair list is built from one
+``(2K+1, particles)`` plane per axis — never a trailing axis of 3 — and is
+exact in its (voxel, particle) pairs and their order; the weights are
+within rounding of a per-offset evaluation (see :func:`_deposit_pairs`).
+The contributions are reduced with one ``np.bincount`` per field —
+bit-identical to a sequential ``np.add.at`` chain over the same list (both
+accumulate contributions per voxel left-to-right in deposit order, starting
+from zero) but without the buffered per-element scatter on the hot path.
 """
 
 from __future__ import annotations
@@ -154,30 +157,51 @@ def _deposit_pairs(
     stencil offsets run dx, dy, dz-major over the (2K+1)^3 cube around each
     particle's nearest voxel (K from the largest kernel), particles in input
     order within one offset.  The order is part of the result — the caller's
-    bincount sums follow it.  A block of offsets is expanded against all
-    particles per pass (at most ``_DEPOSIT_BLOCK_PAIRS`` pairs); row-major
-    compaction of the in-grid mask keeps the order.
+    bincount sums follow it.
+
+    The cube is separable: per axis one ``(2K+1, particles)`` plane each for
+    the voxel's contribution to the flat index, the in-grid mask and the
+    squared offset from the particle.  A block of offsets (at most
+    ``_DEPOSIT_BLOCK_PAIRS`` pairs) combines three plane rows per offset;
+    row-major compaction of the in-grid mask keeps the order.
+
+    Exact: the pairs and their order.  Bounded: the squared distance is
+    summed x, y, z from the planes, so ``r`` is within 1 ulp of a per-offset
+    ``(P, 3)`` evaluation and each weight within 4 ulp of the particle's
+    peak weight ``W(0, h)`` (relative error is unbounded only where
+    ``W -> 0`` at the support edge).
     """
     k_max = int(np.ceil(h_eff.max() / cell))
-    base = np.rint(fc).astype(np.int64)
     k = np.arange(-k_max, k_max + 1)
-    offsets = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1).reshape(-1, 3)
-    per_block = max(1, _DEPOSIT_BLOCK_PAIRS // len(fc))
+    n_p = len(fc)
+    vox = np.rint(fc).astype(np.int64).T[:, None, :] + k[None, :, None]   # (3, 2K+1, P)
+    inside = (vox >= 0) & (vox < n)
+    d2_x, d2_y, d2_z = (((vox - fc.T[:, None, :]) * cell) ** 2).reshape(3, -1)
+    flat_x, flat_y, flat_z = (vox * np.array([n * n, n, 1])[:, None, None]).reshape(3, -1)
+    offsets = np.arange(len(k) ** 3)
+    per_block = max(1, _DEPOSIT_BLOCK_PAIRS // n_p)
     flat_parts: list[np.ndarray] = []
     p_parts: list[np.ndarray] = []
     w_parts: list[np.ndarray] = []
     for o0 in range(0, len(offsets), per_block):
-        vox = base[None, :, :] + offsets[o0 : o0 + per_block, None, :]
-        o, p = np.nonzero(np.all((vox >= 0) & (vox < n), axis=2))
-        vox = vox[o, p]                     # in-grid (offset, particle) pairs
-        d = (vox - fc[p]) * cell
-        r = np.sqrt(np.einsum("ij,ij->i", d, d))
-        w = kernel.value(r, h_eff[p])
-        live = w > 0
-        vox = vox[live]
-        flat_parts.append((vox[:, 0] * n + vox[:, 1]) * n + vox[:, 2])
-        p_parts.append(p[live])
-        w_parts.append(w[live])
+        ox, oy, oz = np.unravel_index(offsets[o0 : o0 + per_block], (len(k),) * 3)
+        pair = np.flatnonzero(inside[0][ox] & inside[1][oy] & inside[2][oz])
+        o = pair // n_p                      # in-grid (offset, particle) pairs
+        p = pair - o * n_p
+        # Where each pair sits in the flattened (2K+1, P) planes of an axis.
+        at_x, at_y, at_z = (row.take(o) * n_p + p for row in (ox, oy, oz))
+        r2 = d2_x.take(at_x)
+        r2 += d2_y.take(at_y)
+        r2 += d2_z.take(at_z)
+        w = kernel.value(np.sqrt(r2), h_eff.take(p))
+        live = np.flatnonzero(w > 0)
+        flat_parts.append(
+            flat_x.take(at_x.take(live))
+            + flat_y.take(at_y.take(live))
+            + flat_z.take(at_z.take(live))
+        )
+        p_parts.append(p.take(live))
+        w_parts.append(w.take(live))
     return np.concatenate(flat_parts), np.concatenate(p_parts), np.concatenate(w_parts)
 
 

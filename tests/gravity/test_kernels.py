@@ -56,6 +56,28 @@ def test_counter_counts_n_squared():
     assert c.flops("gravity") == 400 * 27
 
 
+def test_counter_state_does_not_grow_with_adds():
+    """One add per tile / pass for the life of a run: the ledger keeps
+    running totals per kind, never a list entry per call."""
+    import pickle
+
+    rng = np.random.default_rng(1)
+    lengths = {kind: rng.integers(1, 5000, 50_000) for kind in ("gravity", "hydro_density")}
+    c = InteractionCounter()
+    for kind, ll in lengths.items():
+        for n_sources in ll.tolist():
+            c.add(kind, 256, n_sources)
+    size = len(pickle.dumps(c))
+    for kind, ll in lengths.items():
+        assert c.mean_list_length(kind) == pytest.approx(np.mean(ll), rel=1e-12)
+        assert c.interactions(kind) == 256 * int(ll.sum())
+    c.add("gravity", 1, 1)
+    assert len(pickle.dumps(c)) <= size + 8        # O(kinds), not O(adds)
+    assert size < 400
+    c.reset()
+    assert c.mean_list_length("gravity") == 0.0 and c.interactions("gravity") == 0
+
+
 def test_mixed_precision_close_to_double(rng):
     pos = rng.normal(0, 100.0, (100, 3)) + np.array([5000.0, 0.0, 0.0])
     mass = rng.uniform(0.5, 2.0, 100)
@@ -87,7 +109,10 @@ def test_mixed_precision_beats_naive_float32_far_from_origin(rng):
     assert err_mixed < 0.01 * err_naive
 
 
-def test_potential_matches_pairwise_sum(rng):
+@pytest.mark.parametrize("chunk", [None, "16"], ids=["one-chunk", "two-chunks"])
+def test_potential_matches_pairwise_sum(rng, monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setenv("REPRO_GRAV_CHUNK", chunk)
     pos = rng.normal(0, 5, (30, 3))
     mass = rng.uniform(0.5, 2.0, 30)
     eps = np.full(30, 0.2)
@@ -100,7 +125,7 @@ def test_potential_matches_pairwise_sum(rng):
                 continue
             r2 = np.sum((pos[i] - pos[j]) ** 2)
             ref[i] -= GRAV_CONST * mass[j] / np.sqrt(r2 + eps[i] ** 2 + eps[j] ** 2)
-    assert np.allclose(pot, ref)
+    np.testing.assert_allclose(pot, ref, rtol=1e-13)
 
 
 def test_total_potential_energy_negative(rng):

@@ -45,6 +45,25 @@ def test_tree_error_decreases_with_theta(cluster):
     assert errs[0] > errs[1] > errs[2]
 
 
+@pytest.mark.parametrize("mixed", [False, True], ids=["float64", "mixed"])
+def test_p99_force_error_vs_opening_angle(cluster, mixed):
+    """The accuracy gate of the tile: tree against float64 direct summation,
+    99th-percentile relative force error monotone in theta and under the
+    e2e benchmark's 5e-3 bound at the production theta = 0.5, in both tile
+    precisions (the mixed tile's own error sits two decades below)."""
+    pos, mass, eps = cluster
+    ref = accel_direct(pos, mass, eps)
+    p99 = [
+        np.percentile(
+            _rel_err(tree_accel(pos, mass, eps, theta=theta, mixed_precision=mixed).acc, ref),
+            99,
+        )
+        for theta in (0.3, 0.5, 0.7)
+    ]
+    assert p99[0] < p99[1] < p99[2]
+    assert p99[1] <= 5e-3
+
+
 def test_theta_zero_is_exact_direct(cluster):
     pos, mass, eps = cluster
     ref = accel_direct(pos, mass, eps)

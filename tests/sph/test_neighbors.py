@@ -106,3 +106,25 @@ def test_pair_count_property(n, radius, seed):
     pos = rng.uniform(0, 5, (n, 3))
     i, j, _ = neighbor_pairs(pos, radius, mode="gather", include_self=True)
     assert len(i) == len(_brute_pairs(pos, radius, "gather"))
+
+
+@given(
+    n=st.integers(1, 80),
+    extent=st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0), st.floats(0.0, 6.0)),
+    cell=st.floats(0.4, 8.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_compact_self_pairs_are_the_filtered_self_pairs(n, extent, cell, seed):
+    """The coordinate-plane candidate search against the trailing-axis one:
+    (i, j) and their order exact, r to 2 ulp.  Extents below one cell give
+    one-cell grids and flat (n, 1, 1) ones where most offsets are empty; a
+    zero extent stacks every point on one site (r = 0 throughout)."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 1.0, (n, 3)) * np.array(extent)
+    i, j, r = NeighborGrid.build(pos, cell).self_pairs()
+    keep = r < cell
+    ci, cj, cr = NeighborGrid.build(pos, cell).compact_self_pairs()
+    assert ci.dtype == i.dtype and cj.dtype == j.dtype and cr.dtype == r.dtype
+    assert np.array_equal(ci, i[keep]) and np.array_equal(cj, j[keep])
+    assert np.all(np.abs(cr - r[keep]) <= 2 * np.spacing(r[keep]))

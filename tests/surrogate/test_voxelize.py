@@ -96,8 +96,9 @@ def test_extract_region_gas_only(uniform_gas_ps):
 
 
 def _deposit_pairs_reference(fc, h_eff, n, cell, kernel):
-    """The deposit as one Python iteration per stencil offset — the loop the
-    blocked (offsets x particles) passes replaced; kept as their oracle."""
+    """The deposit as one Python iteration per stencil offset on (P, 3)
+    arrays — the loop the blocked (offsets x particles) plane passes
+    replaced; kept as their oracle."""
     k_max = int(np.ceil(h_eff.max() / cell))
     base = np.rint(fc).astype(np.int64)
     flat, part, weight = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
@@ -148,11 +149,24 @@ def test_blocked_deposit_matches_per_offset_reference(monkeypatch, seed, block_p
     cell = side / n_grid
     fc = (ps.pos - centre + side / 2.0) / cell - 0.5
     h_eff = np.maximum(ps.h, 1.001 * cell)
-    new = vz._deposit_pairs(fc, h_eff, n_grid, cell, vz.DEFAULT_KERNEL)
-    ref = _deposit_pairs_reference(fc, h_eff, n_grid, cell, vz.DEFAULT_KERNEL)
-    for a, b in zip(new, ref):
-        assert np.array_equal(a, b) and a.dtype == b.dtype
+    flat, part, w = vz._deposit_pairs(fc, h_eff, n_grid, cell, vz.DEFAULT_KERNEL)
+    ref_flat, ref_part, ref_w = _deposit_pairs_reference(
+        fc, h_eff, n_grid, cell, vz.DEFAULT_KERNEL
+    )
+    # Indices and deposit order are exact.
+    assert np.array_equal(flat, ref_flat) and flat.dtype == ref_flat.dtype
+    assert np.array_equal(part, ref_part) and part.dtype == ref_part.dtype
+    # Weights: the separable planes sum the squared offset x, y, z, the
+    # reference by einsum, so r moves by <= 1 ulp and W(r, h) by <= 4 ulp of
+    # the particle's peak weight W(0, h) (a relative bound cannot hold at the
+    # support edge, where W -> 0).
+    peak = vz.DEFAULT_KERNEL.value(np.zeros(len(part)), h_eff[part])
+    assert w.dtype == ref_w.dtype
+    assert np.all(np.abs(w - ref_w) <= 4 * np.spacing(peak))
 
     monkeypatch.setattr(vz, "_deposit_pairs", _deposit_pairs_reference)
     want = vz.voxelize_particles(ps, centre, side, n_grid)
-    assert np.array_equal(got.fields, want.fields)          # all five fields
+    for got_f, want_f in zip(got.fields, want.fields):       # all five fields
+        np.testing.assert_allclose(
+            got_f, want_f, rtol=1e-13, atol=1e-13 * np.abs(want_f).max()
+        )
