@@ -27,6 +27,18 @@ the trailing-axis compaction 1.4x), ms per ``_deposit_pairs`` against the
 per-offset oracle of ``tests/surrogate/test_voxelize.py`` (>= 7x: measured
 12x, the blocked (offsets, particles, 3) deposit 2.4x on the same region).
 
+The SPH pass after the candidate list is timed the same way
+(``sph_pair_kernels``, ms per call and the ratio) on the same 5k turbulent
+box and on the gas of an exponential disk: the coordinate-plane ``finalize``
+/ ``_velocity_estimators`` / ``hydro_force_pairs(pairs=)`` against the frozen
+``seed`` gather, the row-gather estimator oracle of
+``tests/sph/test_density.py`` and the frozen ``seed`` force kernel (box:
+>= 1.3x / 1.8x / 1.25x), and the half pairs derived from the gather list
+against the search over the compacted candidates (disk: >= 8x; that ratio
+is the candidates-to-gather-list ratio, 2.6 on the uniform box).
+``tree_build`` is the level-by-level ``Octree.build`` of the 4,000-particle
+halo against the per-node oracle of ``tests/fdps/test_tree.py`` (>= 3x).
+
 Results land in ``benchmarks/results/BENCH_backend_kernels.json`` together
 with the gravity chunk size actually chosen (``REPRO_GRAV_CHUNK`` /
 ``REPRO_GRAV_TEMP_MB`` satellite).  The numba rows only appear where numba
@@ -55,14 +67,17 @@ from repro.core.runner import CoupledRunner
 from repro.fdps.interaction import InteractionCounter
 from repro.gravity.kernels import grav_chunk_size
 from repro.gravity.treegrav import tree_accel
-from repro.ic.galaxy import make_mw_mini
+from repro.ic.galaxy import MW_SPEC, make_mw_mini, make_mw_model
 from repro.serve import SurrogateServer
 from repro.sn.turbulence import make_turbulent_box
-from repro.sph.density import compute_density
+from repro.sph.density import _velocity_estimators, compute_density
 from repro.sph.forces import compute_hydro_forces
-from repro.sph.neighbors import NeighborGrid
+from repro.sph.kernels import DEFAULT_KERNEL
+from repro.sph.neighbors import NeighborGrid, half_pairs_from_gather
 from repro.surrogate import voxelize
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
+from tests.fdps.test_tree import _build_per_node_reference
+from tests.sph.test_density import _velocity_estimators_reference
 from tests.surrogate.test_voxelize import _deposit_pairs_reference
 
 #: n_per_side -> ~5k / ~20k / ~50k particles.
@@ -75,6 +90,17 @@ MAX_FAULTS_WITH_WORKSPACE = 5000
 #: Floors on (reference seconds / coordinate-plane seconds), see the module
 #: docstring for what each reference is and what the old layout measured.
 MIN_PLANE_SPEEDUP = {"tile_float64": 1.6, "tile_mixed": 2.0, "candidates": 1.8, "deposit": 7.0}
+#: Floors on (reference ms / ms) of the SPH pass after the candidate list,
+#: per cloud.  Measured on the box 3.3-3.7 / 2.1-2.6 / 1.44-1.66 (the force
+#: kernel's ~135 array passes are bound by memory at 67 k pairs); half pairs
+#: 4.4 there, where the candidate list is 2.6x the gather list, and 130 on the
+#: disk, where it is 80x — the floor is set where the search costs.
+MIN_SPH_PAIR_SPEEDUP = {
+    "box_5k": {"finalize": 1.3, "velocity_estimators": 1.8, "hydro_force": 1.25},
+    "gas_disk": {"half_pairs": 8.0},
+}
+#: Level-by-level ``Octree.build`` over the per-node oracle: measured 5.5-7.
+MIN_TREE_BUILD_SPEEDUP = 3.0
 #: numpy whole step over the seed kernels at 20k: measured 5.1x (2.1x before
 #: the coordinate planes), minus a third.
 MIN_WHOLE_STEP_SPEEDUP = 3.4
@@ -140,9 +166,9 @@ def _time_kernels(ps, backend):
 
 #: name -> (backend, owns a workspace).  The frozen ``seed`` tile allocates
 #: ~7 temporaries per tile (the churn the workspace removed); ``numpy`` with
-#: ``workspace=None`` allocates one arena per tile, which glibc may or may
-#: not keep mapped between tiles; only a caller-owned workspace is free of
-#: faults by construction, and only that row is asserted.
+#: ``workspace=None`` maps one arena per pass and faults it in again every
+#: pass; only a caller-owned workspace is free of faults by construction,
+#: and only that row is asserted.
 GRAVITY_PASS_ROWS = {
     "seed_tile": ("seed", False),
     "without_workspace": ("numpy", False),
@@ -261,6 +287,62 @@ def _time_plane_kernels():
     return out
 
 
+def _gas_disk():
+    """The gas of a 2,500-particle exponential disk: kernel sizes span 10x,
+    so the cell (= the largest) leaves a candidate list ~20x the gather list
+    — where a search over the candidates costs most."""
+    ps = make_mw_model(2500, seed=3, spec=MW_SPEC.scaled(0.01),
+                       count_fractions=(0.02, 0.02, 0.96))
+    return ps.gas()
+
+
+def _time_sph_pair_kernels(cloud):
+    """What the SPH pass does on ``cloud`` after the candidate list, piece by
+    piece: ms per call (best of a few) against each reference."""
+    pos, vel, mass = cloud.pos, cloud.vel, cloud.mass
+    numpy_bk, seed_bk = get_backend("numpy"), get_backend("seed")
+    d = compute_density(pos, vel, mass, cloud.u, cloud.h, n_ngb=32, backend=numpy_bk)
+    dens_safe = np.maximum(d.dens, 1e-300)
+    half = half_pairs_from_gather(d.pairs, d.h)
+    # Gather states built (candidate lists made) outside the timed calls.
+    gathers = {bk.name: bk.density_gather(d.grid, pos, DEFAULT_KERNEL)
+               for bk in (numpy_bk, seed_bk)}
+    estimator_args = (d.pairs, pos, vel, mass, d.h, dens_safe, DEFAULT_KERNEL)
+
+    def force(bk):
+        return compute_hydro_forces(pos, vel, mass, d.h, d.dens, d.pres, d.csnd,
+                                    omega=d.omega, divv=d.divv, curlv=d.curlv,
+                                    pairs=half, backend=bk)
+
+    pieces = {
+        "finalize": (lambda: gathers["numpy"].finalize(d.h, mass),
+                     lambda: gathers["seed"].finalize(d.h, mass)),
+        "velocity_estimators": (lambda: _velocity_estimators(*estimator_args),
+                                lambda: _velocity_estimators_reference(*estimator_args)),
+        "hydro_force": (lambda: force(numpy_bk), lambda: force(seed_bk)),
+        "half_pairs": (lambda: half_pairs_from_gather(d.pairs, d.h),
+                       lambda: numpy_bk._half_pairs(pos, d.h, d.grid)),
+    }
+    out = {"gather_pairs": len(d.pairs[0]), "half_pairs_n": len(half[0]),
+           "candidates": len(d.grid.compact_self_pairs()[0])}
+    for label, (fn, ref_fn) in pieces.items():
+        ms, ref_ms = _best_of(fn, 7) * 1e3, _best_of(ref_fn, 5) * 1e3
+        out[label] = {"ms": ms, "reference_ms": ref_ms, "speedup": ref_ms / ms}
+    return out
+
+
+def _time_tree_build():
+    """``Octree.build`` of the 4,000-particle halo against the per-node build."""
+    from repro.fdps.tree import Octree
+
+    halo = make_mw_mini(4000, seed=3)
+    ms = _best_of(lambda: Octree.build(halo.pos, halo.mass, leaf_size=16), 7) * 1e3
+    ref_ms = _best_of(
+        lambda: _build_per_node_reference(halo.pos, halo.mass, leaf_size=16), 5
+    ) * 1e3
+    return {"ms": ms, "reference_ms": ref_ms, "speedup": ref_ms / ms}
+
+
 def _whole_step(n_per_side, backend):
     ps = _box(n_per_side)
     cfg = IntegratorConfig(self_gravity=True, enable_cooling=True,
@@ -307,6 +389,9 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     benchmark.pedantic(_run, rounds=1, iterations=1)
     gravity_pass = {row: _gravity_pass_kernel_cost(row) for row in GRAVITY_PASS_ROWS}
     plane_kernels = _time_plane_kernels()
+    sph_pair_kernels = {"box_5k": _time_sph_pair_kernels(_box(17)),
+                        "gas_disk": _time_sph_pair_kernels(_gas_disk())}
+    tree_build = _time_tree_build()
 
     payload = {
         "available_backends": available_backends(),
@@ -319,6 +404,8 @@ def test_backend_kernels(benchmark, results_dir, write_result):
         },
         "gravity_pass_n4000": gravity_pass,
         "plane_kernels": plane_kernels,
+        "sph_pair_kernels": sph_pair_kernels,
+        "tree_build": tree_build,
         "kernels": kernels,
         "whole_step": whole,
     }
@@ -338,6 +425,11 @@ def test_backend_kernels(benchmark, results_dir, write_result):
         rows.append(["gravity faults/pass", "numpy", label, cell["ru_minflt_per_pass"]])
     for label, cell in plane_kernels.items():
         rows.append(["planes vs reference", "numpy", label, cell["speedup"]])
+    for cloud, floors in MIN_SPH_PAIR_SPEEDUP.items():
+        for label in floors:
+            rows.append([f"sph {label} vs reference", "numpy", cloud,
+                         sph_pair_kernels[cloud][label]["speedup"]])
+    rows.append(["tree build vs per-node", "numpy", "4k halo", tree_build["speedup"]])
     write_result(
         "backend_kernels",
         fmt_table(["kernel", "backend", "size", "Minter/s | speedup"], rows),
@@ -353,6 +445,13 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     # trailing-axis implementation it replaced, as a ratio.
     for label, floor in MIN_PLANE_SPEEDUP.items():
         assert plane_kernels[label]["speedup"] >= floor, (label, plane_kernels[label])
+
+    # The same alarm for the SPH pass after the candidate list and the tree.
+    for cloud, floors in MIN_SPH_PAIR_SPEEDUP.items():
+        for label, floor in floors.items():
+            cell = sph_pair_kernels[cloud][label]
+            assert cell["speedup"] >= floor, (cloud, label, cell)
+    assert tree_build["speedup"] >= MIN_TREE_BUILD_SPEEDUP, tree_build
 
     # Acceptance floors: numpy over the seed kernels on the 20k whole step;
     # jitted numba >= 3x (CI numba leg).

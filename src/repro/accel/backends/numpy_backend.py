@@ -4,39 +4,51 @@
 agree with:
 
 * scatter-adds are :func:`np.bincount` reductions instead of ``np.add.at``
-  (same element order per target, so the sums are bit-identical — asserted
-  in the tests — while avoiding the ufunc.at inner-loop overhead);
+  (same element order per target, so on equal inputs the sums are
+  bit-identical — asserted in the tests — while avoiding the ufunc.at
+  inner-loop overhead);
 * the density/force pair searches run over the grid's *compacted* candidate
   list (``r < cell`` once, instead of re-filtering the full 27-stencil list
-  every sweep);
+  every sweep), compacted again per sweep with ``flatnonzero`` + ``take``;
 * repeated kernel-size sweeps only re-evaluate targets whose h actually
   changed (the converged majority keeps its cached partial sum, which is
   exactly the value a full recompute would produce);
+* the gather sums run over the dimensionless profile ``w(q)`` and are
+  normalized by ``sigma / h_i^3`` once per target, not once per pair;
+* the half-pair force kernel works on coordinate planes — ``dx, dy, dz`` and
+  the velocity differences each one contiguous per-pair array gathered with
+  ``take`` from a unit-stride coordinate row, never an (n_pairs, 3) array —
+  with ``v.r`` written out per component and per-particle terms
+  (``P / (Omega rho^2)``, the halves of the pair means) formed once per
+  particle;
 * the gravity source-axis tile is sized from a temporary-buffer budget
   (``REPRO_GRAV_CHUNK`` / ``REPRO_GRAV_TEMP_MB``) instead of a fixed 4096;
-* the gravity tile works on coordinate planes — ``dx, dy, dz`` each one
-  contiguous (targets x sources) array, never a trailing axis of 3 — carved
-  with ``r2``, the weight and the coincidence mask from the caller's
+* the gravity tile works on coordinate planes too, carved with ``r2``, the
+  weight and the coincidence mask from the caller's
   :class:`~repro.accel.backends.base.TileWorkspace` (5 reals + 1 byte per
   pair, written through ``out=``), with ``w * sqrt(w)`` for ``w ** 1.5``:
   the arithmetic of the jitted kernels.
 
-What is exact and what is bounded.  Pair sets and their order (the
-compacted candidates, the gather and half-pair lists, which tile pairs are
-masked as coincident) are exact against the frozen ``seed`` kernels.
-Values are not: the tile sums its squares per plane and reduces over the
-source axis per coordinate, so it agrees with the frozen tile to 1e-13
-relative in float64 and 5e-6 of the largest acceleration in mixed
-precision, and the candidate separations to 2 ulp (hence SPH sums to
-~1e-12) — the tolerances of ``tests/accel``.  With and without a workspace
-the tile is bit-identical.
+What is exact and what is bounded.  Exact against the frozen ``seed``
+kernels: pair sets and their order (the compacted candidates, the gather
+and the searched half-pair lists, which tile pairs are masked as
+coincident), ``n_neighbors`` and the h-solve's iteration counts.  Bounded:
+the tile sums its squares per plane and reduces over the source axis per
+coordinate, so it agrees with the frozen tile to 1e-13 relative in float64
+and 5e-6 of the largest acceleration in mixed precision; the candidate
+separations agree to 2 ulp, and with the per-target normalization and the
+per-plane pair kernels every SPH sum (``h``, ``dens``, ``omega``, ``divv``,
+``curlv``, ``acc``, ``du_dt``) to 1e-12, the signal velocity (a max, but of
+``v.r / r``) to 1e-13 — the tolerances of ``tests/accel`` and
+``tests/sph``.  With and without a workspace the tile is bit-identical.
 
-``seed`` reproduces the pre-backend kernels exactly (``np.add.at`` scatter,
-full candidate re-filtering, fixed 4096-source chunks, a gravity tile that
-allocates every temporary in the (targets, sources, 3) layout): it exists so
-``benchmarks/bench_backend_kernels.py`` can report speedups against the
-seed-state cost profile from inside the same harness, and as the in-tree
-oracle of the tolerances above.
+``seed`` reproduces the pre-backend kernels (``np.add.at`` scatter, full
+candidate re-filtering through boolean masks, ``W`` per pair, (n_pairs, 3)
+row gathers with ``einsum`` in the force kernel, fixed 4096-source chunks, a
+gravity tile that allocates every temporary in the (targets, sources, 3)
+layout): it exists so ``benchmarks/bench_backend_kernels.py`` can report
+speedups against the seed-state cost profile from inside the same harness,
+and as the in-tree oracle of the tolerances above.
 """
 
 from __future__ import annotations
@@ -44,34 +56,47 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accel.backends.base import DensityGatherState, KernelBackend, TileWorkspace
-from repro.sph.neighbors import NeighborGrid
+from repro.sph.neighbors import NeighborGrid, pair_differences
 from repro.util.constants import GRAV_CONST
 
 
 class _NumpyDensityGather(DensityGatherState):
-    """Candidate-list gather with changed-target sweep reuse."""
+    """Compacted-candidate gather with changed-target sweep reuse.
 
-    #: Use the r<cell compacted candidates and skip unchanged targets.
-    compact = True
-    active_set = True
+    ``W(r, h_i) = (sigma / h_i^3) w(r / h_i)`` has the target's own
+    normalization, so the pair sums run over the dimensionless ``w`` (and
+    ``3 w + q dw`` for the grad-h term) and are scaled once per target.
+    """
 
     def __init__(self, grid: NeighborGrid, pos: np.ndarray, kernel) -> None:
         self.kernel = kernel
         self.n = len(pos)
-        if self.compact:
-            self.ci, self.cj, self.cr = grid.compact_self_pairs()
-        else:
-            self.ci, self.cj, self.cr = grid.self_pairs()
+        self.ci, self.cj, self.cr = grid.compact_self_pairs()
         self._h_prev: np.ndarray | None = None
         self._wsum: np.ndarray | None = None
 
+    @staticmethod
+    def _within_support(
+        i: np.ndarray, r: np.ndarray, h: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Which of the candidates ``(i, r)`` have ``r < h_i``, and their
+        ``q = r / h_i``."""
+        h_i = h.take(i)
+        keep = np.flatnonzero(r < h_i)
+        q = r.take(keep)
+        q /= h_i.take(keep)
+        return keep, q
+
+    def _profile_sum(self, i: np.ndarray, r: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """sum_j w(r_ij / h_i) per target over the candidates ``(i, r)``."""
+        keep, q = self._within_support(i, r, h)
+        return np.bincount(i.take(keep), weights=self.kernel.w(q), minlength=self.n)
+
     def weight_sum(self, h: np.ndarray) -> np.ndarray:
         i, r = self.ci, self.cr
-        if not self.active_set or self._h_prev is None:
-            keep = r < h[i]
-            ii = i[keep]
-            w = self.kernel.value(r[keep], h[ii])
-            wsum = np.bincount(ii, weights=w, minlength=self.n)
+        norm = self.kernel.sigma / (h * h * h)
+        if self._h_prev is None:
+            wsum = norm * self._profile_sum(i, r, h)
         else:
             changed = h != self._h_prev
             if not changed.any():
@@ -79,18 +104,48 @@ class _NumpyDensityGather(DensityGatherState):
             # Every candidate of a changed target is recomputed in the same
             # order a full sweep would visit it, so the partial sums match a
             # cold evaluation bit-for-bit; unchanged targets keep theirs.
-            sub = changed[i]
-            i_s, r_s = i[sub], r[sub]
-            keep = r_s < h[i_s]
-            ii = i_s[keep]
-            w = self.kernel.value(r_s[keep], h[ii])
-            upd = np.bincount(ii, weights=w, minlength=self.n)
-            wsum = self._wsum.copy()
-            wsum[changed] = upd[changed]
-        if self.active_set:
-            self._h_prev = h.copy()
-            self._wsum = wsum.copy()
+            sub = np.flatnonzero(changed.take(i))
+            upd = norm * self._profile_sum(i.take(sub), r.take(sub), h)
+            wsum = np.where(changed, upd, self._wsum)
+        self._h_prev = h.copy()
+        self._wsum = wsum.copy()
         return wsum
+
+    def finalize(
+        self, h: np.ndarray, mass: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        keep, q = self._within_support(self.ci, self.cr, h)
+        ii, jj, rr = self.ci.take(keep), self.cj.take(keep), self.cr.take(keep)
+        m_j = mass.take(jj)
+        w = self.kernel.w(q)
+        w *= m_j
+        # dW/dh = -(sigma / h^4) (3 w + q dw): the grad-h pair term.
+        dwdh = self.kernel.dw(q)
+        dwdh *= q
+        dwdh *= m_j
+        dwdh += 3.0 * w
+        norm = self.kernel.sigma / (h * h * h)
+        dens = norm * np.bincount(ii, weights=w, minlength=self.n)
+        drho_dh = -norm / h * np.bincount(ii, weights=dwdh, minlength=self.n)
+        counts = np.bincount(ii, minlength=self.n)
+        return dens, drho_dh, counts, (ii, jj, rr)
+
+
+class _SeedDensityGather(DensityGatherState):
+    """Frozen: the full stencil list re-filtered through boolean masks on
+    every sweep, every sweep a cold one, ``W`` evaluated per pair."""
+
+    def __init__(self, grid: NeighborGrid, pos: np.ndarray, kernel) -> None:
+        self.kernel = kernel
+        self.n = len(pos)
+        self.ci, self.cj, self.cr = grid.self_pairs()
+
+    def weight_sum(self, h: np.ndarray) -> np.ndarray:
+        i, r = self.ci, self.cr
+        keep = r < h[i]
+        ii = i[keep]
+        w = self.kernel.value(r[keep], h[ii])
+        return np.bincount(ii, weights=w, minlength=self.n)
 
     def finalize(
         self, h: np.ndarray, mass: np.ndarray
@@ -104,11 +159,6 @@ class _NumpyDensityGather(DensityGatherState):
         drho_dh = np.bincount(ii, weights=mass[jj] * dwdh, minlength=self.n)
         counts = np.bincount(ii, minlength=self.n)
         return dens, drho_dh, counts, (ii, jj, rr)
-
-
-class _SeedDensityGather(_NumpyDensityGather):
-    compact = False
-    active_set = False
 
 
 class NumpyBackend(KernelBackend):
@@ -190,30 +240,35 @@ class NumpyBackend(KernelBackend):
     def _half_pairs(
         self, pos: np.ndarray, h: np.ndarray, grid: NeighborGrid | None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each unordered pair with r < max(h_i, h_j) exactly once."""
+        """Each unordered pair with r < max(h_i, h_j) exactly once, searched
+        in the candidate list — for callers that hold no gather list (the
+        engine derives its pairs: :func:`~repro.sph.neighbors.half_pairs_from_gather`)."""
         r_max = float(h.max())
         if grid is None or not grid.covers(r_max) or grid.n_points != len(pos):
             grid = NeighborGrid.build(pos, r_max)
         i, j, r = grid.compact_self_pairs()
-        keep = (r < np.maximum(h[i], h[j])) & (i < j)
-        return i[keep], j[keep], r[keep]
+        keep = np.flatnonzero((r < np.maximum(h.take(i), h.take(j))) & (i < j))
+        return i.take(keep), j.take(keep), r.take(keep)
 
     @staticmethod
     def _scatter_add_pairs(
         n: int, i: np.ndarray, j: np.ndarray, w_i: np.ndarray, w_j: np.ndarray,
-        dvec: np.ndarray,
+        d_xyz: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> np.ndarray:
-        """acc[i] += w_i * dvec, acc[j] += w_j * dvec via bincount reduction.
+        """acc[i] += w_i * d, acc[j] += w_j * d for d = (dx, dy, dz) planes.
 
-        One bincount over the concatenated endpoints accumulates each
-        target's terms in exactly the order the sequential ``np.add.at``
-        pair of the seed kernels visited them, so the result is
-        bit-identical — only the ufunc.at inner-loop overhead is gone.
+        One bincount per axis over the concatenated endpoints accumulates
+        each target's terms in exactly the order a sequential ``np.add.at``
+        pair (the frozen seed scatter) visits them, so on equal inputs the
+        result is bit-identical — only the ufunc.at inner loop is gone.
         """
+        n_pairs = len(i)
         idx = np.concatenate([i, j])
+        w = np.empty(2 * n_pairs)
         acc = np.empty((n, 3))
-        for ax in range(3):
-            w = np.concatenate([w_i * dvec[:, ax], w_j * dvec[:, ax]])
+        for ax, d_k in enumerate(d_xyz):
+            np.multiply(w_i, d_k, out=w[:n_pairs])
+            np.multiply(w_j, d_k, out=w[n_pairs:])
             acc[:, ax] = np.bincount(idx, weights=w, minlength=n)
         return acc
 
@@ -243,41 +298,50 @@ class NumpyBackend(KernelBackend):
         if len(i) == 0:
             return np.zeros((n, 3)), np.zeros(n), csnd.copy(), (i, j, r)
 
-        dvec = pos[i] - pos[j]
-        vvec = vel[i] - vel[j]
-        vdotr = np.einsum("ij,ij->i", vvec, dvec)
+        def pair_mean(x: np.ndarray) -> np.ndarray:
+            half = 0.5 * x                  # once per particle, exact
+            out = half.take(i)
+            out += half.take(j)
+            return out
 
-        gf_i = kernel.grad_factor(r, h[i])   # (1/r) dW/dr at h_i
-        gf_j = kernel.grad_factor(r, h[j])
-        gf_bar = 0.5 * (gf_i + gf_j)
+        d_xyz = pair_differences(pos, i, j)
+        vdotr, vy_dy, vz_dz = pair_differences(vel, i, j)
+        vdotr *= d_xyz[0]
+        vy_dy *= d_xyz[1]
+        vz_dz *= d_xyz[2]
+        vdotr += vy_dy
+        vdotr += vz_dz
+
+        gf_i = kernel.grad_factor(r, h.take(i))   # (1/r) dW/dr at h_i
+        gf_j = kernel.grad_factor(r, h.take(j))
 
         # --- artificial viscosity ----------------------------------------
-        h_bar = 0.5 * (h[i] + h[j])
-        rho_bar = 0.5 * (dens_safe[i] + dens_safe[j])
-        c_bar = 0.5 * (csnd[i] + csnd[j])
-        mu = h_bar * vdotr / (r**2 + 0.01 * h_bar**2)
+        h_bar = pair_mean(h)
+        mu = h_bar * vdotr / (r * r + 0.01 * (h_bar * h_bar))
         mu = np.where(vdotr < 0.0, mu, 0.0)  # only approaching pairs dissipate
-        fb = 0.5 * (balsara[i] + balsara[j]) if balsara is not None else 1.0
-        visc = fb * (-alpha_visc * c_bar * mu + beta_visc * mu**2) / rho_bar
+        visc = (beta_visc * mu - alpha_visc * pair_mean(csnd)) * mu / pair_mean(dens_safe)
+        if balsara is not None:
+            visc *= pair_mean(balsara)
+        visc_gf = 0.5 * (gf_i + gf_j)
+        visc_gf *= visc
 
         # --- pressure gradient -------------------------------------------
-        p_term_i = pres[i] / (omega[i] * dens_safe[i] ** 2)
-        p_term_j = pres[j] / (omega[j] * dens_safe[j] ** 2)
-        scal = p_term_i * gf_i + p_term_j * gf_j + visc * gf_bar
-        acc = self._scatter_add_pairs(n, i, j, -mass[j] * scal, mass[i] * scal, dvec)
+        p_term = pres / (omega * dens_safe * dens_safe)   # once per particle
+        pg_i = p_term.take(i) * gf_i
+        pg_j = p_term.take(j) * gf_j
+        scal = pg_i + pg_j
+        scal += visc_gf
+        m_i, m_j = mass.take(i), mass.take(j)
+        acc = self._scatter_add_pairs(n, i, j, -m_j * scal, m_i * scal, d_xyz)
 
         # --- energy equation ---------------------------------------------
-        du_visc = 0.5 * visc * vdotr * gf_bar
-        du_dt = np.bincount(
-            i, weights=mass[j] * (p_term_i * vdotr * gf_i + du_visc), minlength=n
-        )
-        du_dt += np.bincount(
-            j, weights=mass[i] * (p_term_j * vdotr * gf_j + du_visc), minlength=n
-        )
+        visc_gf *= 0.5
+        du_dt = np.bincount(i, weights=m_j * vdotr * (pg_i + visc_gf), minlength=n)
+        du_dt += np.bincount(j, weights=m_i * vdotr * (pg_j + visc_gf), minlength=n)
 
         # --- signal velocity (Monaghan 1997) -----------------------------
         w_rel = np.where(r > 0, vdotr / np.maximum(r, 1e-300), 0.0)
-        vsig_pair = csnd[i] + csnd[j] - 3.0 * np.minimum(w_rel, 0.0)
+        vsig_pair = csnd.take(i) + csnd.take(j) - 3.0 * np.minimum(w_rel, 0.0)
         v_signal = csnd.copy()
         np.maximum.at(v_signal, i, vsig_pair)
         np.maximum.at(v_signal, j, vsig_pair)
@@ -287,11 +351,11 @@ class NumpyBackend(KernelBackend):
 class SeedBackend(NumpyBackend):
     """The seed-state kernels, frozen for benchmarking.
 
-    ``np.add.at`` scatter, full candidate re-filtering each sweep, fixed
-    4096-source gravity chunks, per-tile gravity temporaries — the exact
-    cost profile of the repository before the backend registry existed.
-    Physics-identical to ``numpy``: the same pairs, values to the bounds in
-    the module docstring.
+    ``np.add.at`` scatter, full candidate re-filtering each sweep, row-gather
+    SPH pair kernels, fixed 4096-source gravity chunks, per-tile gravity
+    temporaries — the cost profile of the repository before the backend
+    registry existed.  Physics-identical to ``numpy``: the same pairs,
+    values to the bounds in the module docstring.
     """
 
     name = "seed"
@@ -372,10 +436,69 @@ class SeedBackend(NumpyBackend):
             pos, h, mode="symmetric", include_self=False, grid=grid, half=True
         )
 
-    @staticmethod
-    def _scatter_add_pairs(n, i, j, w_i, w_j, dvec):
+    def hydro_force_pairs(
+        self,
+        pos: np.ndarray,
+        vel: np.ndarray,
+        mass: np.ndarray,
+        h: np.ndarray,
+        dens: np.ndarray,
+        pres: np.ndarray,
+        csnd: np.ndarray,
+        omega: np.ndarray,
+        balsara: np.ndarray | None,
+        alpha_visc: float,
+        beta_visc: float,
+        kernel,
+        grid=None,
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        # Frozen: (n_pairs, 3) row gathers, every per-particle term formed
+        # once per pair end, ``np.add.at`` scatter.
+        n = len(pos)
+        dens_safe = np.maximum(dens, 1e-300)
+        if pairs is not None:
+            i, j, r = pairs
+        else:
+            i, j, r = self._half_pairs(pos, h, grid)
+        if len(i) == 0:
+            return np.zeros((n, 3)), np.zeros(n), csnd.copy(), (i, j, r)
+
+        dvec = pos[i] - pos[j]
+        vvec = vel[i] - vel[j]
+        vdotr = np.einsum("ij,ij->i", vvec, dvec)
+
+        gf_i = kernel.grad_factor(r, h[i])
+        gf_j = kernel.grad_factor(r, h[j])
+        gf_bar = 0.5 * (gf_i + gf_j)
+
+        h_bar = 0.5 * (h[i] + h[j])
+        rho_bar = 0.5 * (dens_safe[i] + dens_safe[j])
+        c_bar = 0.5 * (csnd[i] + csnd[j])
+        mu = h_bar * vdotr / (r**2 + 0.01 * h_bar**2)
+        mu = np.where(vdotr < 0.0, mu, 0.0)
+        fb = 0.5 * (balsara[i] + balsara[j]) if balsara is not None else 1.0
+        visc = fb * (-alpha_visc * c_bar * mu + beta_visc * mu**2) / rho_bar
+
+        p_term_i = pres[i] / (omega[i] * dens_safe[i] ** 2)
+        p_term_j = pres[j] / (omega[j] * dens_safe[j] ** 2)
+        scal = p_term_i * gf_i + p_term_j * gf_j + visc * gf_bar
         acc = np.zeros((n, 3))
         for ax in range(3):
-            np.add.at(acc[:, ax], i, w_i * dvec[:, ax])
-            np.add.at(acc[:, ax], j, w_j * dvec[:, ax])
-        return acc
+            np.add.at(acc[:, ax], i, -mass[j] * scal * dvec[:, ax])
+            np.add.at(acc[:, ax], j, mass[i] * scal * dvec[:, ax])
+
+        du_visc = 0.5 * visc * vdotr * gf_bar
+        du_dt = np.bincount(
+            i, weights=mass[j] * (p_term_i * vdotr * gf_i + du_visc), minlength=n
+        )
+        du_dt += np.bincount(
+            j, weights=mass[i] * (p_term_j * vdotr * gf_j + du_visc), minlength=n
+        )
+
+        w_rel = np.where(r > 0, vdotr / np.maximum(r, 1e-300), 0.0)
+        vsig_pair = csnd[i] + csnd[j] - 3.0 * np.minimum(w_rel, 0.0)
+        v_signal = csnd.copy()
+        np.maximum.at(v_signal, i, vsig_pair)
+        np.maximum.at(v_signal, j, vsig_pair)
+        return acc, du_dt, v_signal, (i, j, r)

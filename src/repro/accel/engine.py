@@ -27,6 +27,7 @@ from repro.gravity.treegrav import tree_accel
 from repro.sph.density import DensityResult, compute_density, refresh_velocity_fields
 from repro.sph.eos import pressure, sound_speed_from_density
 from repro.sph.forces import compute_hydro_forces
+from repro.sph.neighbors import half_pairs_from_gather
 from repro.util.logging import get_logger
 from repro.util.timers import TimerRegistry
 
@@ -209,16 +210,18 @@ class ForceEngine:
                 divv=d.divv,
                 curlv=d.curlv,
                 counter=self.counter,
-                grid=d.grid,
+                # The gather list is complete at d.h, so the force pairs
+                # fall out of it: no second pass over the candidates.
+                pairs=half_pairs_from_gather(d.pairs, d.h),
                 backend=self.backend,
             )
         acc[gas] = f.acc
         du[gas] = f.du_dt
         vsig[gas] = f.v_signal
         if d.grid is not None:
-            # The raw candidate list (the step's largest transient) has
-            # served every sweep and the force pass; only the compacted
-            # pair lists below are needed for the fast path.
+            # The candidate lists (the step's largest transient) have
+            # served every sweep; only the gather and half-pair lists
+            # below are needed from here on.
             d.grid.release_pairs()
         self._hydro_cache = _HydroCache(
             n_total=len(ps), gas=gas, density=d, force_pairs=f.pairs

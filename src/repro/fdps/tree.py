@@ -83,54 +83,54 @@ class Octree:
         pm = np.concatenate([[0.0], np.cumsum(smass)])
         pmx = np.concatenate([np.zeros((1, 3)), np.cumsum(smass[:, None] * spos, axis=0)])
 
-        # Breadth-first vectorized construction over key prefixes.
-        centers: list[np.ndarray] = []
-        sides: list[float] = []
-        firsts: list[int] = []
-        counts: list[int] = []
+        # Breadth-first construction, one level per iteration: every node of
+        # the frontier that must split finds its eight child ranges in one
+        # ``searchsorted`` of the sorted keys against its octants' first
+        # keys.  Children are numbered frontier node by frontier node, octant
+        # by octant — the order a node-at-a-time build appends them in.
+        octant_offset = np.array(
+            [[(o >> 2) & 1, (o >> 1) & 1, o & 1] for o in range(8)], dtype=np.float64
+        )
+        start = np.zeros(1, dtype=np.int64)
+        end = np.full(1, n, dtype=np.int64)
+        node_lo = root_lo[None, :]
+        node_side = side
+        firsts, counts = [start], [end - start]
+        centers, sides = [node_lo + 0.5 * node_side], [np.full(1, node_side)]
         children: list[np.ndarray] = []
-        leaf_flags: list[bool] = []
-
-        def _new_node(level: int, start: int, end: int, clo: np.ndarray, cside: float) -> int:
-            idx = len(firsts)
-            centers.append(clo + 0.5 * cside)
-            sides.append(cside)
+        leaf_flags: list[np.ndarray] = []
+        n_nodes = 1
+        for level in range(MORTON_BITS):
+            splits = end - start > leaf_size
+            splits &= level < MORTON_BITS - 1   # the keys resolve no deeper
+            kids = np.full((len(start), 8), -1, dtype=np.int64)
+            children.append(kids)
+            leaf_flags.append(~splits)
+            parents = np.flatnonzero(splits)
+            if parents.size == 0:
+                break
+            # A node at this level owns the keys sharing its top 3*level
+            # bits; octant o of it starts at key (prefix * 8 + o) << shift.
+            shift = np.uint64(3 * (MORTON_BITS - 1 - level))
+            prefix = skeys[start[parents]] >> (shift + np.uint64(3))
+            first_key = (
+                (prefix[:, None] << np.uint64(3)) + np.arange(9, dtype=np.uint64)
+            ) << shift
+            bounds = np.searchsorted(skeys, first_key.ravel()).reshape(-1, 9)
+            occupied = bounds[:, 1:] > bounds[:, :-1]
+            parent_row, octant = np.nonzero(occupied)
+            kids[parents[parent_row], octant] = n_nodes + np.arange(len(octant))
+            n_nodes += len(octant)
+            start, end = bounds[:, :-1][occupied], bounds[:, 1:][occupied]
+            node_side = 0.5 * node_side
+            node_lo = node_lo[parents[parent_row]] + octant_offset[octant] * node_side
             firsts.append(start)
             counts.append(end - start)
-            children.append(np.full(8, -1, dtype=np.int64))
-            leaf_flags.append(True)
-            return idx
+            centers.append(node_lo + 0.5 * node_side)
+            sides.append(np.full(len(start), node_side))
 
-        root = _new_node(0, 0, n, root_lo, side)
-        frontier = [(root, 0, 0, n, root_lo, side)]
-        while frontier:
-            nxt: list[tuple[int, int, int, int, np.ndarray, float]] = []
-            for node, level, start, end, nlo, nside in frontier:
-                if end - start <= leaf_size or level >= MORTON_BITS - 1:
-                    continue
-                leaf_flags[node] = False
-                shift = np.uint64(3 * (MORTON_BITS - 1 - level))
-                octant = ((skeys[start:end] >> shift) & np.uint64(7)).astype(np.int64)
-                # Morton order makes octants non-decreasing within the slice.
-                bounds = np.searchsorted(octant, np.arange(9))
-                half = 0.5 * nside
-                for oct_id in range(8):
-                    s = start + bounds[oct_id]
-                    e = start + bounds[oct_id + 1]
-                    if e <= s:
-                        continue
-                    off = np.array(
-                        [(oct_id >> 2) & 1, (oct_id >> 1) & 1, oct_id & 1],
-                        dtype=np.float64,
-                    )
-                    clo = nlo + off * half
-                    child = _new_node(level + 1, s, e, clo, half)
-                    children[node][oct_id] = child
-                    nxt.append((child, level + 1, s, e, clo, half))
-            frontier = nxt
-
-        node_first = np.asarray(firsts, dtype=np.int64)
-        node_count = np.asarray(counts, dtype=np.int64)
+        node_first = np.concatenate(firsts)
+        node_count = np.concatenate(counts)
         node_mass = pm[node_first + node_count] - pm[node_first]
         mx = pmx[node_first + node_count] - pmx[node_first]
         safe = np.maximum(node_mass, 1e-300)
@@ -139,14 +139,14 @@ class Octree:
         return cls(
             root_lo=root_lo,
             root_side=side,
-            node_center=np.asarray(centers),
-            node_side=np.asarray(sides),
+            node_center=np.concatenate(centers),
+            node_side=np.concatenate(sides),
             node_com=node_com,
             node_mass=node_mass,
             node_first=node_first,
             node_count=node_count,
-            node_children=np.asarray(children),
-            node_is_leaf=np.asarray(leaf_flags, dtype=bool),
+            node_children=np.concatenate(children),
+            node_is_leaf=np.concatenate(leaf_flags),
             order=order,
             sorted_pos=spos,
             sorted_mass=smass,

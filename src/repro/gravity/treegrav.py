@@ -54,8 +54,8 @@ def tree_accel(
     ``backend`` selects the compute backend evaluating the group-vs-list
     tiles (name or instance; default: the registry's selection).
     ``workspace`` is the caller's tile scratch, reused by every group tile
-    and the import tile of this pass (bit-identical to ``None``, which
-    allocates per tile; see :meth:`KernelBackend.grav_tile`).
+    and the import tile of this pass (bit-identical to ``None``, which maps
+    one for this pass alone; see :meth:`KernelBackend.grav_tile`).
 
     ``extra_pos/extra_mass`` inject imported LET matter (pseudo + boundary
     particles from remote ranks); they contribute force but receive none.
@@ -109,6 +109,8 @@ def tree_accel(
     from repro.accel.backends import get_backend
 
     bk = get_backend(backend)
+    if workspace is None:
+        workspace = TileWorkspace()
 
     acc = np.zeros_like(pos)
     work = np.zeros(n_local)

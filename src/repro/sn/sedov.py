@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.util.constants import GAMMA
 
@@ -58,6 +57,11 @@ def _integrate_profile(gamma: float, lam_min: float = 1e-3) -> tuple:
     Returns (lam_grid, U, G, P, beta) with beta the shock-position
     normalization from the energy integral.
     """
+    # Only this solve needs scipy.integrate (and the optimize / linalg /
+    # sparse stack it pulls in): every process that imports repro.core pays
+    # for a module-level import, only the one that solves should.
+    from scipy.integrate import solve_ivp
+
     y0 = np.array(
         [2.0 / (gamma + 1.0), (gamma + 1.0) / (gamma - 1.0), 2.0 / (gamma + 1.0)]
     )

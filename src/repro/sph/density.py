@@ -12,18 +12,30 @@ each sweep is one neighbor exchange with remote ranks).  Alongside density
 we accumulate everything else obtainable in the same pass: the grad-h
 correction Omega, velocity divergence and curl (for the Balsara viscosity
 limiter), pressure and sound speed.
+
+The velocity estimators run on coordinate planes (per-axis ``take`` gathers,
+``v.r`` and the curl written out per component), like the backend's pair
+kernels.  Exact across backends and against the frozen ``seed`` kernels: the
+gather pair list, ``n_neighbors`` and the sweep count; ``h`` and every sum
+agree to 1e-12 (summation order, the spline to 2 ulp).  The gather list is
+complete at the returned ``h`` — also when the solve ran out of sweeps —
+which is what lets the force pass derive its pairs from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.fdps.interaction import InteractionCounter
 from repro.sph.eos import pressure, sound_speed_from_density
 from repro.sph.kernels import DEFAULT_KERNEL, SPHKernel
-from repro.sph.neighbors import NeighborGrid
+from repro.sph.neighbors import NeighborGrid, pair_differences
+
+if TYPE_CHECKING:  # annotation only: the backends import this package
+    from repro.accel.backends.base import DensityGatherState
 
 
 #: Volume factor of the smoothed neighbor number N(h) = (4 pi / 3) h^3 sum_j W.
@@ -91,9 +103,11 @@ def compute_density(
     grid: NeighborGrid | None = None
     gather = None
     grid_builds = 0
-    for it in range(max_iter):
-        used_iter = it + 1
-        h_max = float(h.max())
+
+    def gather_covering(h_max: float) -> DensityGatherState:
+        """The per-solve gather state, rebuilt over a new grid when ``h_max``
+        outgrew the binning (or on first use)."""
+        nonlocal grid, gather, grid_builds
         if index is not None:
             new_grid = index.grid_for(pos, h_max)
         elif grid is None or not grid.covers(h_max):
@@ -102,9 +116,13 @@ def compute_density(
         else:
             new_grid = grid
         if gather is None or new_grid is not grid:
-            # First sweep, or h outgrew the binning: new per-solve state.
             grid = new_grid
             gather = bk.density_gather(grid, pos, kernel)
+        return gather
+
+    for it in range(max_iter):
+        used_iter = it + 1
+        gather = gather_covering(float(h.max()))
         # Smoothed neighbor number: N(h) = (4 pi / 3) h^3 sum_j W(r_ij, h).
         # Unlike the discrete count this is continuous in h, so the
         # multiplicative fixed point converges instead of oscillating
@@ -118,7 +136,11 @@ def compute_density(
         fac = np.clip((float(n_ngb) / n_smooth) ** (1.0 / 3.0), 0.7, 1.5)
         h[~converged] *= fac[~converged]
 
-    assert gather is not None
+    # A solve that ran out of sweeps returns an h it has not evaluated, and
+    # that last update may have outgrown the cell: the final sums and the
+    # gather list are made on a grid that covers the h they are made at.
+    if grid is None or not grid.covers(float(h.max())):
+        gather = gather_covering(float(h.max()))
     dens, drho_dh, counts, pairs = gather.finalize(h, mass)
     if counter is not None:
         counter.add("hydro_density", 1, len(pairs[0]))
@@ -200,18 +222,23 @@ def _velocity_estimators(
     """
     i, j, r = pairs
     n = len(dens_safe)
-    gf = kernel.grad_factor(r, h[i])           # (1/r) dW/dr
-    dvec = np.asarray(pos)[i] - np.asarray(pos)[j]
-    vvec = np.asarray(vel)[i] - np.asarray(vel)[j]
+    # m_j (1/r) dW/dr at h_i: the weight all four sums share.
+    wgt = kernel.grad_factor(r, h.take(i))
+    wgt *= mass.take(j)
+    dx, dy, dz = pair_differences(pos, i, j)
+    vx, vy, vz = pair_differences(vel, i, j)
+
+    def gather_sum(term: np.ndarray) -> np.ndarray:
+        term *= wgt
+        return np.bincount(i, weights=term, minlength=n)
+
     # div v_i = -(1/rho_i) sum_j m_j (v_ij . r_ij) gf
-    vdotr = np.einsum("ij,ij->i", vvec, dvec)
-    divv = -np.bincount(i, weights=mass[j] * vdotr * gf, minlength=n) / dens_safe
+    divv = -gather_sum(vx * dx + vy * dy + vz * dz) / dens_safe
     # curl v_i = (1/rho_i) | sum_j m_j (v_ij x r_ij) gf |
-    cross = np.cross(vvec, dvec)
-    cx = np.bincount(i, weights=mass[j] * cross[:, 0] * gf, minlength=n)
-    cy = np.bincount(i, weights=mass[j] * cross[:, 1] * gf, minlength=n)
-    cz = np.bincount(i, weights=mass[j] * cross[:, 2] * gf, minlength=n)
-    curlv = np.sqrt(cx**2 + cy**2 + cz**2) / dens_safe
+    cx = gather_sum(vy * dz - vz * dy)
+    cy = gather_sum(vz * dx - vx * dz)
+    cz = gather_sum(vx * dy - vy * dx)
+    curlv = np.sqrt(cx * cx + cy * cy + cz * cz) / dens_safe
     return divv, curlv
 
 

@@ -21,7 +21,10 @@ answers box queries (:meth:`NeighborGrid.points_in_box`) for region
 extraction.  The symmetric force search additionally
 supports a *half-pair* mode that emits each unordered pair exactly once
 (an ``i < j`` cut of the cached candidates), so the force kernel does half
-the pairwise work and mirrors the result by scatter-add.
+the pairwise work and mirrors the result by scatter-add.  A caller that
+already holds the gather list of a density pass gets the same set from it
+with :func:`half_pairs_from_gather` — the same unordered pairs with bit-equal
+``r``, in another order — without a second pass over the candidates.
 """
 
 from __future__ import annotations
@@ -246,6 +249,48 @@ def _squared_separation(
     d -= s_k.take(slots)
     d *= d
     return d
+
+
+def pair_differences(
+    a: np.ndarray, i: np.ndarray, j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``a[i] - a[j]`` for an (n, 3) array, one contiguous array per axis.
+
+    Each axis is gathered with ``take`` from its own unit-stride coordinate
+    row, so the pair kernels never touch an (n_pairs, 3) array.
+    """
+    out = []
+    for a_k in np.ascontiguousarray(np.asarray(a, dtype=np.float64).T):
+        d = a_k.take(i)
+        d -= a_k.take(j)
+        out.append(d)
+    return out[0], out[1], out[2]
+
+
+def half_pairs_from_gather(
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray], h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The symmetric half-pair list derived from a complete gather list.
+
+    ``pairs`` holds every ordered ``(i, j, r)`` with ``r < h[i]`` (self
+    pairs allowed).  An unordered pair ``a < b`` with ``r < max(h[a], h[b])``
+    is in it as ``(a, b)`` when ``r < h[a]``; otherwise only as ``(b, a)``,
+    with ``r >= h[a]``.  So: the entries with ``i < j`` as they are, then the
+    entries with ``i > j`` and ``r >= h[j]`` mirrored — each unordered pair
+    exactly once with its smaller index first, the set
+    ``neighbor_pairs(mode="symmetric", half=True)`` finds, without touching
+    the candidate list again.  Only as complete as the gather list: it must
+    have been made at this ``h`` on a grid that covers ``h.max()``.
+    """
+    i, j, r = pairs
+    fwd = np.flatnonzero(i < j)
+    rev = np.flatnonzero(i > j)
+    rev = rev.take(np.flatnonzero(r.take(rev) >= h.take(j.take(rev))))
+    return (
+        np.concatenate([i.take(fwd), j.take(rev)]),
+        np.concatenate([j.take(fwd), i.take(rev)]),
+        np.concatenate([r.take(fwd), r.take(rev)]),
+    )
 
 
 def neighbor_pairs(

@@ -21,10 +21,11 @@ from repro.accel.backends import (
 )
 from repro.accel.backends.base import KernelBackend
 from repro.accel.backends.numba_backend import HAVE_NUMBA, NumbaBackend
+from repro.accel.engine import ForceEngine
 from repro.core.integrator import IntegratorConfig
 from repro.core.runner import CoupledRunner
 from repro.fdps.distributed import DistributedGravity
-from repro.fdps.particles import ParticleSet
+from repro.fdps.particles import ParticleSet, ParticleType
 from repro.gravity.kernels import accel_between, accel_direct
 from repro.gravity.treegrav import tree_accel
 from repro.serve import SurrogateServer
@@ -32,7 +33,7 @@ from repro.sn.turbulence import make_turbulent_box
 from repro.sph.density import compute_density
 from repro.sph.forces import compute_hydro_forces
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
-from tests.conftest import plummer_positions
+from tests.conftest import pairs_by_key, plummer_positions
 
 RTOL = 1e-10
 
@@ -210,8 +211,11 @@ def test_hydro_force_parity(bk, cluster):
 
 def test_seed_backend_bit_consistency(cluster):
     """numpy against the frozen seed kernels: the same pairs exactly, values
-    to 1e-12 (the candidate separations differ by <= 2 ulp); the bincount
-    scatter itself == the np.add.at scatter, bitwise, on equal inputs."""
+    to 1e-12 (the candidate separations differ by <= 2 ulp, the pair kernels
+    sum per coordinate plane); the bincount scatter itself == the np.add.at
+    scatter, bitwise, on equal inputs.  Both backends *search* here
+    (``compute_hydro_forces(grid=)``); the engine's force pairs, derived
+    from the gather list, are the searched ones as a set."""
     pos, vel, mass, u, h0 = cluster
     outs = {}
     for bk in ("numpy", "seed"):
@@ -241,10 +245,39 @@ def test_seed_backend_bit_consistency(cluster):
     i, j, _ = f_s.pairs
     rng = np.random.default_rng(0)
     w_i, w_j, dvec = rng.normal(size=len(i)), rng.normal(size=len(i)), pos[i] - pos[j]
+    add_at = np.zeros((len(pos), 3))
+    for ax in range(3):
+        np.add.at(add_at[:, ax], i, w_i * dvec[:, ax])
+        np.add.at(add_at[:, ax], j, w_j * dvec[:, ax])
+    planes = tuple(np.ascontiguousarray(dvec.T))
     np.testing.assert_array_equal(
-        get_backend("numpy")._scatter_add_pairs(len(pos), i, j, w_i, w_j, dvec),
-        get_backend("seed")._scatter_add_pairs(len(pos), i, j, w_i, w_j, dvec),
+        get_backend("numpy")._scatter_add_pairs(len(pos), i, j, w_i, w_j, planes), add_at
     )
+
+
+@pytest.mark.parametrize("backend", [get_backend("numpy"), *ALT_ONLY], ids=["numpy", *ALT_IDS])
+def test_engine_force_pairs_are_the_searched_ones(backend, cluster):
+    """``ForceEngine.hydro`` derives its half pairs from the gather list
+    instead of searching: the same unordered pairs, each once with i < j,
+    with the separations the frozen search finds (to the 2 ulp of the
+    compacted candidates) — whichever backend made the gather list."""
+    pos, vel, mass, u, h0 = cluster
+    n = len(pos)
+    ps = ParticleSet.from_arrays(pos=pos, vel=vel, mass=mass, u=u, h=h0,
+                                 pid=np.arange(n),
+                                 ptype=np.full(n, int(ParticleType.GAS)))
+    cfg = IntegratorConfig(backend=backend, n_ngb=24)
+    engine = ForceEngine(cfg)
+    engine.hydro(ps, "1st")
+    got = pairs_by_key(engine._hydro_cache.force_pairs)
+    d = engine._hydro_cache.density
+    searched = compute_hydro_forces(pos, vel, mass, d.h, d.dens, d.pres, d.csnd,
+                                    backend="seed").pairs
+    ref = pairs_by_key(searched)
+    assert np.all(got[0] < got[1])
+    np.testing.assert_array_equal(got[0], ref[0])
+    np.testing.assert_array_equal(got[1], ref[1])
+    assert np.all(np.abs(got[2] - ref[2]) <= 2 * np.spacing(ref[2]))
 
 
 # ---------------------------------------------------- integrator-level parity

@@ -9,6 +9,9 @@ float64, 5e-6 of the largest acceleration in mixed precision — and, against
 a float64 direct sum, an error no worse than 1.5x the frozen tile's.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -149,6 +152,45 @@ def test_workspace_grows_to_the_largest_tile_only():
     )
 
 
+_RELEASE_PROBE = """
+import resource
+import numpy as np
+from repro.accel.backends.base import TileWorkspace
+
+def resident_mb():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * resource.getpagesize() / 2**20
+
+def one_run(tiles):
+    ws = TileWorkspace()
+    for n_sources in tiles:
+        for plane in ws.planes(256, n_sources, np.float32):   # mixed precision
+            plane.fill(0)
+
+one_run([16])
+base = resident_mb()
+one_run([3963])              # 20.3 MiB arena, then released
+one_run([3000, 4000])        # the next run grows through a smaller tile first
+print(resident_mb() - base)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
+def test_released_workspace_leaves_nothing_resident():
+    """Run after run in one process (the benchmark's three realisations): a
+    dropped or outgrown arena goes back to the system whatever the runs
+    before it allocated.  As a ``malloc`` block the second run's first arena
+    came from the heap and stayed resident beside the one that outgrew it
+    (+15 MB here; ~+17 MB ``peak_rss_mb`` on ``halo_gravity`` for the
+    seeds whose later realisation met the larger tile)."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _RELEASE_PROBE], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert float(out.stdout) < 4.0
+
+
 def _halo(n, seed=4):
     rng = np.random.default_rng(seed)
     return ParticleSet.from_arrays(
@@ -194,7 +236,7 @@ def test_engine_and_driver_forces_unchanged_by_their_workspaces():
     driver = DistributedGravity(n_ranks=2, theta=0.4, n_g=64)
     decomp, locals_ = driver.scatter(ps)
     with_ws = driver.forces(locals_, decomp)
-    driver._tile_workspace = None          # tree_accel(workspace=None): per-tile arenas
+    driver._tile_workspace = None          # tree_accel(workspace=None): an arena per pass
     for index in driver.indices:
         index.invalidate_all()
     without = driver.forces(locals_, decomp)

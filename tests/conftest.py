@@ -25,6 +25,16 @@ def plummer_positions(n: int, a: float = 100.0, rng: np.random.Generator | None 
     return np.column_stack([r * s * np.cos(phi), r * s * np.sin(phi), r * mu])
 
 
+def pairs_by_key(
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A pair list ``(i, j, r)`` sorted by ``(i, j)``: comparable as a set,
+    each pair with its separation."""
+    i, j, r = pairs
+    order = np.lexsort((j, i))
+    return i[order], j[order], r[order]
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(123)

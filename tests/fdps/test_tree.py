@@ -182,3 +182,118 @@ def test_walk_box_matches_per_leaf_reference(n, leaf_size, theta, seed):
         assert np.array_equal(nodes, ref_nodes)
         assert np.array_equal(parts, ref_parts)
         assert parts.dtype == ref_parts.dtype
+
+
+def _build_per_node_reference(pos, mass, leaf_size=16, pad=1e-3):
+    """``Octree.build`` one node at a time — the Python loop the
+    level-by-level construction replaced; kept as its oracle."""
+    from repro.fdps.morton import MORTON_BITS, morton_keys
+
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    mass = np.ascontiguousarray(mass, dtype=np.float64)
+    n = len(pos)
+    lo = pos.min(axis=0)
+    hi = pos.max(axis=0)
+    side = float(max(np.max(hi - lo), 1e-12)) * (1.0 + pad)
+    center = 0.5 * (lo + hi)
+    root_lo = center - 0.5 * side
+
+    keys = morton_keys(pos, root_lo, root_lo + side)
+    order = np.argsort(keys, kind="stable")
+    skeys = keys[order]
+    spos = pos[order]
+    smass = mass[order]
+    pm = np.concatenate([[0.0], np.cumsum(smass)])
+    pmx = np.concatenate([np.zeros((1, 3)), np.cumsum(smass[:, None] * spos, axis=0)])
+
+    centers, sides, firsts, counts, children, leaf_flags = [], [], [], [], [], []
+
+    def new_node(start, end, clo, cside):
+        centers.append(clo + 0.5 * cside)
+        sides.append(cside)
+        firsts.append(start)
+        counts.append(end - start)
+        children.append(np.full(8, -1, dtype=np.int64))
+        leaf_flags.append(True)
+        return len(firsts) - 1
+
+    frontier = [(new_node(0, n, root_lo, side), 0, 0, n, root_lo, side)]
+    while frontier:
+        nxt = []
+        for node, level, start, end, nlo, nside in frontier:
+            if end - start <= leaf_size or level >= MORTON_BITS - 1:
+                continue
+            leaf_flags[node] = False
+            shift = np.uint64(3 * (MORTON_BITS - 1 - level))
+            octant = ((skeys[start:end] >> shift) & np.uint64(7)).astype(np.int64)
+            bounds = np.searchsorted(octant, np.arange(9))
+            half = 0.5 * nside
+            for oct_id in range(8):
+                s = start + bounds[oct_id]
+                e = start + bounds[oct_id + 1]
+                if e <= s:
+                    continue
+                off = np.array(
+                    [(oct_id >> 2) & 1, (oct_id >> 1) & 1, oct_id & 1], dtype=np.float64
+                )
+                clo = nlo + off * half
+                child = new_node(s, e, clo, half)
+                children[node][oct_id] = child
+                nxt.append((child, level + 1, s, e, clo, half))
+        frontier = nxt
+
+    node_first = np.asarray(firsts, dtype=np.int64)
+    node_count = np.asarray(counts, dtype=np.int64)
+    node_mass = pm[node_first + node_count] - pm[node_first]
+    mx = pmx[node_first + node_count] - pmx[node_first]
+    return Octree(
+        root_lo=root_lo,
+        root_side=side,
+        node_center=np.asarray(centers),
+        node_side=np.asarray(sides),
+        node_com=mx / np.maximum(node_mass, 1e-300)[:, None],
+        node_mass=node_mass,
+        node_first=node_first,
+        node_count=node_count,
+        node_children=np.asarray(children),
+        node_is_leaf=np.asarray(leaf_flags, dtype=bool),
+        order=order,
+        sorted_pos=spos,
+        sorted_mass=smass,
+        leaf_size=leaf_size,
+    )
+
+
+_NODE_ARRAYS = (
+    "node_first", "node_count", "node_children", "node_center", "node_side",
+    "node_is_leaf", "node_com", "node_mass", "order", "sorted_pos", "sorted_mass",
+)
+
+
+@given(
+    st.integers(1, 500),
+    st.sampled_from([1, 8, 16]),
+    st.sampled_from(["normal", "clustered", "coincident", "some_coincident"]),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_build_matches_per_node_reference(n, leaf_size, shape, seed):
+    """Every node array of the level-by-level build equals the per-node
+    build exactly: same numbering, same slices, same float geometry."""
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(0.0, 10.0, (n, 3))
+    if shape == "clustered":
+        # Ten tight clumps spread over six decades: a deep, uneven tree.
+        pos = rng.normal(0.0, 1e3, (10, 3))[rng.integers(0, 10, n)] + pos * 1e-3
+    elif shape == "coincident":
+        pos[:] = pos[0]
+    elif shape == "some_coincident":
+        pos[::3] = pos[0]
+    mass = rng.uniform(0.1, 5.0, n)
+    tree = Octree.build(pos, mass, leaf_size=leaf_size)
+    ref = _build_per_node_reference(pos, mass, leaf_size=leaf_size)
+    for name in _NODE_ARRAYS:
+        got, want = getattr(tree, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    assert np.array_equal(tree.root_lo, ref.root_lo) and tree.root_side == ref.root_side

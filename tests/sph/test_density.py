@@ -5,7 +5,11 @@ import pytest
 
 from scipy.spatial import cKDTree
 
-from repro.sph.density import compute_density, kernel_size_from_neighbors
+from repro.sph.density import (
+    _velocity_estimators,
+    compute_density,
+    kernel_size_from_neighbors,
+)
 from repro.sph.kernels import DEFAULT_KERNEL, WendlandC2
 from repro.util.constants import GAMMA
 
@@ -187,3 +191,56 @@ def test_kernel_size_from_neighbors_flags_rows_it_cannot_bracket():
     # Three neighbors can never hold 32: the answer lies beyond the last one.
     dist = np.array([[0.0, 1.0, 2.0], [0.0, 0.5, 0.7]])
     assert np.all(np.isinf(kernel_size_from_neighbors(dist, 32)))
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 10])
+def test_gather_list_is_complete_at_the_returned_h(max_iter):
+    """A solve cut short returns an h one update past the last sweep, which
+    may have outgrown the grid the sweeps ran on (here h grows x1.5 per
+    update from a cell of 1): the final sums still see every neighbor."""
+    pos = np.random.default_rng(5).uniform(0.0, 8.0, (400, 3))
+    n = len(pos)
+    res = compute_density(
+        pos, np.zeros((n, 3)), np.ones(n), np.ones(n), np.ones(n),
+        n_ngb=32, max_iter=max_iter,
+    )
+    assert res.grid.covers(float(res.h.max()))
+    brute = cKDTree(pos).query_ball_point(pos, res.h * (1 - 1e-12), return_length=True)
+    assert np.array_equal(res.n_neighbors, brute)
+    assert np.array_equal(np.bincount(res.pairs[0], minlength=n), brute)
+    if max_iter == 2:
+        assert res.n_unconverged > 0 and res.h.max() > 1.5   # past the first cell
+
+
+def _velocity_estimators_reference(pairs, pos, vel, mass, h, dens_safe, kernel):
+    """(divv, curlv) through (n_pairs, 3) row gathers, ``einsum`` and
+    ``np.cross`` — what the coordinate-plane estimators replaced."""
+    i, j, r = pairs
+    n = len(dens_safe)
+    gf = kernel.grad_factor(r, h[i])
+    dvec = pos[i] - pos[j]
+    vvec = vel[i] - vel[j]
+    vdotr = np.einsum("ij,ij->i", vvec, dvec)
+    divv = -np.bincount(i, weights=mass[j] * vdotr * gf, minlength=n) / dens_safe
+    cross = np.cross(vvec, dvec)
+    cx = np.bincount(i, weights=mass[j] * cross[:, 0] * gf, minlength=n)
+    cy = np.bincount(i, weights=mass[j] * cross[:, 1] * gf, minlength=n)
+    cz = np.bincount(i, weights=mass[j] * cross[:, 2] * gf, minlength=n)
+    return divv, np.sqrt(cx**2 + cy**2 + cz**2) / dens_safe
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_velocity_estimators_match_the_row_gather_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 250
+    pos = rng.uniform(0.0, 1.0, (n, 3)) * rng.uniform(0.3, 3.0, 3)
+    vel = rng.normal(0.0, 2.0, (n, 3))
+    mass = rng.uniform(0.5, 1.5, n)
+    res = compute_density(pos, vel, mass, np.ones(n), np.full(n, 0.3), n_ngb=30)
+    dens_safe = np.maximum(res.dens, 1e-300)
+    args = (res.pairs, pos, vel, mass, res.h, dens_safe, DEFAULT_KERNEL)
+    divv, curlv = _velocity_estimators(*args)
+    divv_ref, curlv_ref = _velocity_estimators_reference(*args)
+    assert np.array_equal(divv, res.divv) and np.array_equal(curlv, res.curlv)
+    for got, want in ((divv, divv_ref), (curlv, curlv_ref)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

@@ -159,3 +159,34 @@ def test_conservation_property(n, seed):
     de = np.sum(mass * f.du_dt) + np.sum(mass * np.einsum("ij,ij->i", vel, f.acc))
     escale = np.abs(mass * f.du_dt).sum() + 1e-300
     assert abs(de) < 1e-8 * max(escale, 1.0)
+
+
+@given(st.integers(40, 200), st.integers(0, 1000), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_plane_force_kernel_matches_the_frozen_row_gather_kernel(n, seed, balsara):
+    """``numpy`` (coordinate planes, per-particle terms) against ``seed``
+    (the frozen (n_pairs, 3) kernel) on one pair list: sums to 1e-12; the
+    signal velocity — a max over pairs, no sum — to 1e-13 (``einsum`` adds
+    the three products of v.r as (x + z) + y on AVX builds, the planes in
+    x, y, z order: equal only where the pair recedes); the plane kernel's
+    total momentum at rounding."""
+    pos, vel, mass, u = _random_cloud(n=n, seed=seed, vscale=2.0)
+    d = _prepared_state(pos, vel, mass, u, h0=0.4, n_ngb=min(30, n - 1))
+    limiter = dict(divv=d.divv, curlv=d.curlv) if balsara else {}
+    pairs = compute_hydro_forces(
+        pos, vel, mass, d.h, d.dens, d.pres, d.csnd, grid=d.grid, backend="seed"
+    ).pairs
+    out = {
+        bk: compute_hydro_forces(
+            pos, vel, mass, d.h, d.dens, d.pres, d.csnd, omega=d.omega,
+            pairs=pairs, backend=bk, **limiter,
+        )
+        for bk in ("numpy", "seed")
+    }
+    got, want = out["numpy"], out["seed"]
+    for name in ("acc", "du_dt"):
+        a, b = getattr(got, name), getattr(want, name)
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+    np.testing.assert_allclose(got.v_signal, want.v_signal, rtol=1e-13)
+    momentum = (mass[:, None] * got.acc).sum(axis=0)
+    assert np.all(np.abs(momentum) <= 1e-13 * np.abs(mass[:, None] * got.acc).sum())

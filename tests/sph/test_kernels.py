@@ -89,3 +89,55 @@ def test_wendland_known_values():
     k = WendlandC2()
     assert k.w(np.array([0.0]))[0] == pytest.approx(1.0)
     assert k.w(np.array([0.5]))[0] == pytest.approx(0.5**4 * 3.0)
+
+
+def _cubic_piecewise(q):
+    """The M4 spline as its definition reads: one boolean mask per piece,
+    powers through ``**`` — what the branch-free form replaced."""
+    lo = q < 0.5
+    hi = (q >= 0.5) & (q < 1.0)
+    w, dw = np.zeros_like(q), np.zeros_like(q)
+    w[lo] = 1.0 - 6.0 * q[lo] ** 2 + 6.0 * q[lo] ** 3
+    w[hi] = 2.0 * (1.0 - q[hi]) ** 3
+    dw[lo] = -12.0 * q[lo] + 18.0 * q[lo] ** 2
+    dw[hi] = -6.0 * (1.0 - q[hi]) ** 2
+    return w, dw
+
+
+def test_cubic_spline_matches_piecewise_definition():
+    """Branch-free against piecewise, to 2 ulp of the largest term either
+    form adds up (1 for w; 6 = 12 q at the knot for dw), across both pieces,
+    at the knots and their float neighbours, and beyond the support."""
+    k = CubicSpline()
+    knots = np.array([0.0, 0.5, 1.0])
+    q = np.concatenate([
+        np.linspace(0.0, 1.2, 200_001), knots,
+        np.nextafter(knots, -1.0)[1:], np.nextafter(knots, 2.0),
+    ])
+    w_ref, dw_ref = _cubic_piecewise(q)
+    assert np.abs(k.w(q) - w_ref).max() <= 2 * np.spacing(1.0)
+    assert np.abs(k.dw(q) - dw_ref).max() <= 2 * np.spacing(6.0)
+    assert np.all(k.w(q[q >= 1.0]) == 0.0) and np.all(k.dw(q[q >= 1.0]) == 0.0)
+    assert k.w(knots).tolist() == [1.0, 0.25, 0.0]
+    assert k.dw(knots).tolist() == [0.0, -1.5, 0.0]
+    # 0-d in, 0-d out, like any ufunc-built profile.
+    assert k.w(np.float64(0.25)) == k.w(np.array([0.25]))[0]
+
+
+@pytest.mark.parametrize("profile", ["w", "dw"])
+def test_cubic_spline_peak_memory(profile):
+    """The result and at most two more arrays of its size are ever alive:
+    the spline sees the 10^6-value sweeps that set the run's peak RSS."""
+    import tracemalloc
+
+    q = np.random.default_rng(0).random(10**6) * 1.2
+    fn = getattr(CubicSpline(), profile)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(q)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == q.shape
+    assert peak <= 3 * q.nbytes

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from repro.sph.neighbors import NeighborGrid, neighbor_counts, neighbor_pairs
+from repro.accel.backends import get_backend
+from repro.sph.neighbors import (
+    NeighborGrid,
+    half_pairs_from_gather,
+    neighbor_counts,
+    neighbor_pairs,
+)
+from tests.conftest import pairs_by_key
 
 
 def _brute_pairs(pos, radius, mode):
@@ -128,3 +135,46 @@ def test_compact_self_pairs_are_the_filtered_self_pairs(n, extent, cell, seed):
     assert ci.dtype == i.dtype and cj.dtype == j.dtype and cr.dtype == r.dtype
     assert np.array_equal(ci, i[keep]) and np.array_equal(cj, j[keep])
     assert np.all(np.abs(cr - r[keep]) <= 2 * np.spacing(r[keep]))
+
+
+@given(
+    n=st.integers(2, 90),
+    extent=st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0), st.floats(0.0, 6.0)),
+    h_lo=st.floats(0.2, 3.0),
+    h_spread=st.sampled_from([1.0, 3.0, 10.0]),
+    n_edge=st.integers(0, 10),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_half_pairs_from_gather_are_the_searched_half_pairs(
+    n, extent, h_lo, h_spread, n_edge, seed
+):
+    """Derived from the gather list == searched in the candidate list: the
+    same (i, j) keys with bit-equal r, for the frozen full-stencil search and
+    the compacted one.  ``h`` spans up to 10x across particles; zero extents
+    stack points on one site or a line; small extents give a single cell;
+    ``n_edge`` particles get an ``h`` exactly equal to one of their pair
+    separations, the ``r < h_i`` / ``r >= h_j`` edge of the derivation."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 1.0, (n, 3)) * np.array(extent)
+    h = h_lo * rng.uniform(1.0, h_spread, n)
+    grid = NeighborGrid.build(pos, float(h.max()))
+    ci, _, cr = grid.self_pairs()
+    in_reach = np.flatnonzero((cr > 0) & (cr < grid.cell))
+    if n_edge and in_reach.size:
+        edge = rng.choice(in_reach, size=min(n_edge, in_reach.size), replace=False)
+        h[ci[edge]] = cr[edge]          # below the cell: the grid still covers h
+
+    gather = neighbor_pairs(pos, h, mode="gather", include_self=True, grid=grid)
+    searched = neighbor_pairs(pos, h, mode="symmetric", grid=grid, half=True)
+    for got, want in zip(pairs_by_key(half_pairs_from_gather(gather, h)), pairs_by_key(searched)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    i, j, r = grid.compact_self_pairs()
+    keep = r < h[i]
+    compact_gather = (i[keep], j[keep], r[keep])
+    compact_searched = get_backend("numpy")._half_pairs(pos, h, grid)
+    for got, want in zip(
+        pairs_by_key(half_pairs_from_gather(compact_gather, h)), pairs_by_key(compact_searched)
+    ):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
