@@ -39,6 +39,15 @@ is the candidates-to-gather-list ratio, 2.6 on the uniform box).
 ``tree_build`` is the level-by-level ``Octree.build`` of the 4,000-particle
 halo against the per-node oracle of ``tests/fdps/test_tree.py`` (>= 3x).
 
+``sn_local_edit`` is the SN return: ms per ``NeighborGrid.move_points`` (the
+local edit: re-bin the moved points, repair the cached candidate list)
+against a fresh ``compact_self_pairs`` of the same positions on the same
+binning, on the 12^3 turbulent box of the ``sn_storm`` workload with 4% of
+the points moved (one 60 pc region; >= 3x asserted, measured 4x) and with 55%
+moved (what ``cluster_2rank`` replaces per event; recorded, no floor — the
+edit walks the moved points' stencils, so it approaches the fresh cost as
+the moved share approaches 1 and stays below it).
+
 Results land in ``benchmarks/results/BENCH_backend_kernels.json`` together
 with the gravity chunk size actually chosen (``REPRO_GRAV_CHUNK`` /
 ``REPRO_GRAV_TEMP_MB`` satellite).  The numba rows only appear where numba
@@ -101,6 +110,9 @@ MIN_SPH_PAIR_SPEEDUP = {
 }
 #: Level-by-level ``Octree.build`` over the per-node oracle: measured 5.5-7.
 MIN_TREE_BUILD_SPEEDUP = 3.0
+#: Fresh ``compact_self_pairs`` over ``move_points`` with 4% of the 1,728
+#: points moved: measured 3.7-4.3.
+MIN_LOCAL_EDIT_SPEEDUP = 3.0
 #: numpy whole step over the seed kernels at 20k: measured 5.1x (2.1x before
 #: the coordinate planes), minus a third.
 MIN_WHOLE_STEP_SPEEDUP = 3.4
@@ -287,6 +299,42 @@ def _time_plane_kernels():
     return out
 
 
+def _time_sn_local_edit():
+    """``move_points`` against a fresh candidate generation on the same
+    binning, per moved share: ms (best of a few) and the ratio."""
+    box = make_turbulent_box(n_per_side=12, side=180.0, seed=3)
+    pos, n = box.pos, len(box)
+    # The cell the workload's passes bin with: the converged solve's grid.
+    cell = compute_density(pos, box.vel, box.mass, box.u, box.h, n_ngb=32).grid.cell
+    rng = np.random.default_rng(19)
+    out = {"n_points": n}
+    for label, share in (("moved_4pct", 0.04), ("moved_55pct", 0.55)):
+        rows = rng.choice(n, size=round(share * n), replace=False)
+        # Scattered around where they were, inside the box of the points.
+        new_pos = np.clip(pos[rows] + rng.normal(0.0, 10.0, (len(rows), 3)),
+                          pos.min(axis=0), pos.max(axis=0))
+        edited = pos.copy()
+        edited[rows] = new_pos
+        edit_s = fresh_s = np.inf
+        for _ in range(7):
+            grid = NeighborGrid.build(pos, cell)
+            grid.compact_self_pairs()
+            t0 = time.perf_counter()
+            repaired = grid.move_points(rows, new_pos)
+            edit_s = min(edit_s, time.perf_counter() - t0)
+            assert repaired
+            # The same binning over the edited positions, list not yet made.
+            fresh = NeighborGrid(lo=grid.lo, cell=grid.cell, dims=grid.dims, order=grid.order,
+                                 sorted_keys=grid.sorted_keys, pos=edited)
+            t0 = time.perf_counter()
+            fresh.compact_self_pairs()
+            fresh_s = min(fresh_s, time.perf_counter() - t0)
+        out[label] = {"rows": len(rows), "candidates": len(grid.compact_self_pairs()[0]),
+                      "edit_ms": edit_s * 1e3, "fresh_ms": fresh_s * 1e3,
+                      "speedup": fresh_s / edit_s}
+    return out
+
+
 def _gas_disk():
     """The gas of a 2,500-particle exponential disk: kernel sizes span 10x,
     so the cell (= the largest) leaves a candidate list ~20x the gather list
@@ -392,6 +440,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     sph_pair_kernels = {"box_5k": _time_sph_pair_kernels(_box(17)),
                         "gas_disk": _time_sph_pair_kernels(_gas_disk())}
     tree_build = _time_tree_build()
+    sn_local_edit = _time_sn_local_edit()
 
     payload = {
         "available_backends": available_backends(),
@@ -406,6 +455,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
         "plane_kernels": plane_kernels,
         "sph_pair_kernels": sph_pair_kernels,
         "tree_build": tree_build,
+        "sn_local_edit": sn_local_edit,
         "kernels": kernels,
         "whole_step": whole,
     }
@@ -430,6 +480,9 @@ def test_backend_kernels(benchmark, results_dir, write_result):
             rows.append([f"sph {label} vs reference", "numpy", cloud,
                          sph_pair_kernels[cloud][label]["speedup"]])
     rows.append(["tree build vs per-node", "numpy", "4k halo", tree_build["speedup"]])
+    for label in ("moved_4pct", "moved_55pct"):
+        rows.append(["grid edit vs fresh candidates", "numpy", label,
+                     sn_local_edit[label]["speedup"]])
     write_result(
         "backend_kernels",
         fmt_table(["kernel", "backend", "size", "Minter/s | speedup"], rows),
@@ -452,6 +505,8 @@ def test_backend_kernels(benchmark, results_dir, write_result):
             cell = sph_pair_kernels[cloud][label]
             assert cell["speedup"] >= floor, (cloud, label, cell)
     assert tree_build["speedup"] >= MIN_TREE_BUILD_SPEEDUP, tree_build
+    # One SN region's edit must stay well under a second candidate generation.
+    assert sn_local_edit["moved_4pct"]["speedup"] >= MIN_LOCAL_EDIT_SPEEDUP, sn_local_edit
 
     # Acceptance floors: numpy over the seed kernels on the 20k whole step;
     # jitted numba >= 3x (CI numba leg).

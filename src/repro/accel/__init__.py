@@ -43,19 +43,55 @@ Caching / invalidation contract
 :class:`~repro.fdps.tree.Octree`.  Because checking array *contents* would
 cost as much as rebuilding, validity is explicit:
 
-* The owner MUST call :meth:`SpatialIndex.invalidate_positions` whenever any
-  coordinate it previously indexed changes (drift kicks, SN-region particle
-  replacement), and :meth:`SpatialIndex.invalidate_all` whenever membership
-  changes (star formation, domain exchange).  Pure internal-energy or
-  velocity updates require no invalidation.
+* The owner MUST signal every change of an indexed coordinate or of the
+  membership.  Pure internal-energy or velocity updates need no signal.
+  There are three signals, from blunt to sharp:
+
+  - *membership changed* (star formation, domain exchange) —
+    :meth:`ForceEngine.notify_membership_changed` /
+    :meth:`SpatialIndex.invalidate_all`: grid, tree and pair lists go;
+  - *any coordinate may have changed* (drift) —
+    :meth:`ForceEngine.notify_positions_changed` /
+    :meth:`SpatialIndex.invalidate_positions`: grid, tree and pair lists go;
+  - *these rows moved and nothing else did* (an SN region replaced by
+    particle ID) — :meth:`ForceEngine.notify_rows_moved` /
+    :meth:`SpatialIndex.move_points`: tree and pair lists go (and the grid's
+    full stencil list), but the grid is **edited** — the moved points
+    re-binned, the compact candidate list repaired
+    (:meth:`NeighborGrid.move_points
+    <repro.sph.neighbors.NeighborGrid.move_points>`) — so the full pass that
+    follows neither bins nor generates candidates a second time.
+
+  A local edit answers exactly or not at all: when no grid or no candidate
+  list is cached, a row is outside the grid's scope, the particle count
+  changed, or a new position leaves the grid's box, the index falls back to
+  ``invalidate_positions`` by itself (never a half-repaired grid), counts
+  nothing in ``stats.grid_repairs`` and logs the cause once on the
+  ``repro.accel`` logger.  No option, threshold or environment variable
+  chooses between repair and rebuild.
+* What an edited grid guarantees: the same candidate *set* with bit-equal
+  separations as a fresh generation on the same binning, hence the same
+  gather pairs, ``n_neighbors`` and sweep count; the list's *order* differs,
+  so sums agree to rounding (1e-12), not bit for bit.
 * Accessors (:meth:`SpatialIndex.grid_for`, :meth:`SpatialIndex.tree_for`)
   additionally verify cheap structural facts — particle count, cell-size
   coverage of the requested search radius, scope identity — and rebuild
-  (never silently return a stale structure) when they fail.
-* :attr:`SpatialIndex.stats` counts builds vs reuses; the steady-state
+  (never silently return a stale structure) when they fail.  The density
+  solve asks for its grid *under the gas scope*, so a second full pass at
+  unchanged or locally edited positions reuses the first one's grid.
+* The compact candidate list — the step's largest transient — lives from the
+  first pass that generates it to the end of the step's last hydro
+  evaluation (:meth:`ForceEngine.release_candidates`, called by the
+  integrators after step 7, or after the only pass of the conventional
+  scheme); the grid itself stays for box queries until the next signal.
+* :attr:`SpatialIndex.stats` counts builds, repairs and reuses (the engine
+  mirrors the grid counts as ``accel.grid_*`` tracer counters, which
+  ``python -m repro.obs report`` prints per step); the steady-state
   integrator step performs at most one grid build per density solve and at
   most one tree build per step (asserted by the tier-1 tests and recorded
-  by ``benchmarks/bench_accel_reuse.py``).
+  by ``benchmarks/bench_accel_reuse.py``), and a step whose SN replacement
+  was a local edit still builds one grid unless its step-7 solve outgrows
+  the cell.
 
 :class:`ForceEngine` layers the per-step force pipeline on top: persistent
 work buffers, one full gravity + density + hydro pass
@@ -63,10 +99,10 @@ work buffers, one full gravity + density + hydro pass
 fast path (:meth:`ForceEngine.refresh_hydro`) that re-evaluates hydro on the
 cached pair lists after cooling/feedback changed ``u`` and kicks changed
 ``v`` — positions and kernel sizes being untouched, the result is identical
-to a cold recompute whose h solve converges on its first sweep.  Owners
-signal state changes through :meth:`ForceEngine.notify_positions_changed`
-and :meth:`ForceEngine.notify_membership_changed`, which forward to the
-index and drop the pair-list cache.
+to a cold recompute whose h solve converges on its first sweep.  After a
+position signal of any kind it returns ``None`` and step 7 is a full
+:meth:`ForceEngine.hydro` — one solve path — which after
+:meth:`ForceEngine.notify_rows_moved` starts on the edited grid.
 
 The multi-rank driver (:class:`repro.fdps.distributed.DistributedGravity`)
 owns one :class:`SpatialIndex` per rank under the same contract —

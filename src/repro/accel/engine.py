@@ -82,10 +82,27 @@ class ForceEngine:
 
     # ---------------------------------------------------------- invalidation
     def notify_positions_changed(self) -> None:
-        """Coordinates moved (drift, SN-region replacement): spatial caches
-        and pair lists are stale."""
+        """Every coordinate may have moved (drift): spatial caches and pair
+        lists are stale."""
         self.index.invalidate_positions()
         self._hydro_cache = None
+
+    def notify_rows_moved(self, ps: ParticleSet, rows: np.ndarray) -> None:
+        """Only ``rows`` of ``ps`` have new coordinates (an SN region
+        replaced by particle ID); nothing else moved.
+
+        The pair lists are stale — :meth:`refresh_hydro` returns ``None``
+        and the caller runs a full :meth:`hydro` — but the neighbor grid of
+        the last pass is edited in place (:meth:`SpatialIndex.move_points`),
+        so that pass finds its grid and the candidate list ready instead of
+        generating both a second time.  Where the edit cannot be exact the
+        index invalidates itself: the same pass, from a fresh grid.
+        """
+        cache, self._hydro_cache = self._hydro_cache, None
+        if cache is not None and cache.n_total != len(ps):
+            self.index.abandon_grid("the particle count changed since the indexed pass")
+        elif self.index.move_points(rows, ps.pos[rows]):
+            self.timers.tracer.count("accel.grid_repairs")
 
     def notify_membership_changed(self) -> None:
         """Particles appeared/vanished/reordered (star formation, exchange)."""
@@ -95,6 +112,14 @@ class ForceEngine:
     @property
     def fast_path_available(self) -> bool:
         return self._hydro_cache is not None
+
+    def release_candidates(self) -> None:
+        """The step's last hydro evaluation is done: drop the neighbor
+        grid's candidate lists, the step's largest transient.  They live
+        from the first pass to here so that a step-7 full pass (after
+        :meth:`notify_rows_moved`) reuses them; the grid itself stays for
+        box queries."""
+        self.index.release_pairs()
 
     def release_workspace(self) -> None:
         """Hand the gravity tile scratch back (the owner is done stepping);
@@ -158,7 +183,11 @@ class ForceEngine:
 
         Returns (acc, du_dt, vsig) scattered to full-particle arrays,
         refreshes the gas SPH fields on ``ps``, and primes the fast-path
-        cache (grid, gather pairs, half force pairs).
+        cache (grid, gather pairs, half force pairs).  The grid comes from
+        the index under the gas scope: a second pass at unchanged or locally
+        edited positions (:meth:`notify_rows_moved`) reuses the cached grid
+        and its candidate list, which therefore outlive this call — the
+        owner ends their life with :meth:`release_candidates`.
 
         The returned arrays are the engine's *persistent work buffers*:
         they are overwritten in place by the next :meth:`hydro` /
@@ -172,6 +201,8 @@ class ForceEngine:
             self._hydro_cache = None
             return acc, du, vsig
         pos_g, vel_g, mass_g = ps.pos[gas], ps.vel[gas], ps.mass[gas]
+        stats = self.index.stats
+        builds, reuses = stats.grid_builds, stats.grid_reuses
         with self.timers.measure(
             f"{label} Calc_Kernel_Size_and_Density", backend=self.backend.name
         ):
@@ -184,11 +215,14 @@ class ForceEngine:
                 n_ngb=min(cfg.n_ngb, max(gas.size - 1, 1)),
                 counter=self.counter,
                 index=self.index,
+                # The gas scope: box queries (SN region extraction) answer
+                # through the same grid, and the next pass recognises it.
+                scope=gas,
                 backend=self.backend,
             )
-            # Register the gas scope so box queries (SN region extraction)
-            # can answer through the same grid.
-            self.index.set_grid_scope(gas)
+        tracer = self.timers.tracer
+        tracer.count("accel.grid_builds", stats.grid_builds - builds)
+        tracer.count("accel.grid_reuses", stats.grid_reuses - reuses)
         if d.n_unconverged:
             self.n_unconverged += d.n_unconverged
             _log.warning(
@@ -218,11 +252,6 @@ class ForceEngine:
         acc[gas] = f.acc
         du[gas] = f.du_dt
         vsig[gas] = f.v_signal
-        if d.grid is not None:
-            # The candidate lists (the step's largest transient) have
-            # served every sweep; only the gather and half-pair lists
-            # below are needed from here on.
-            d.grid.release_pairs()
         self._hydro_cache = _HydroCache(
             n_total=len(ps), gas=gas, density=d, force_pairs=f.pairs
         )
@@ -237,10 +266,12 @@ class ForceEngine:
         Reuses the cached gather and half-pair edge lists — equivalent to a
         cold :meth:`hydro` call (the h solve would converge on its first
         sweep and return identical pairs) at a fraction of the cost.
-        Returns ``None`` when no valid cache exists (positions or membership
-        changed since the last full pass): the caller must fall back to
-        :meth:`hydro`.  Like :meth:`hydro`, the returned arrays are the
-        engine's persistent buffers — valid until the next pass.
+        Returns ``None`` when no valid cache exists (positions — all of them
+        or a few rows — or membership changed since the last full pass): the
+        caller must fall back to :meth:`hydro`, the one solve path, which
+        after :meth:`notify_rows_moved` starts from the repaired grid.  Like
+        :meth:`hydro`, the returned arrays are the engine's persistent
+        buffers — valid until the next pass.
         """
         cache = self._hydro_cache
         if cache is None or cache.n_total != len(ps):

@@ -5,12 +5,15 @@ See :mod:`repro.accel` for the caching/invalidation contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from repro.fdps.tree import Octree
 from repro.sph.neighbors import NeighborGrid
+from repro.util.logging import get_logger
+
+_log = get_logger("accel")
 
 
 @dataclass
@@ -18,21 +21,17 @@ class IndexStats:
     """Build/reuse counters — the instrumentation the reuse benchmark records."""
 
     grid_builds: int = 0
+    grid_repairs: int = 0      # local edits: SpatialIndex.move_points
     grid_reuses: int = 0
     tree_builds: int = 0
     tree_reuses: int = 0
 
     def reset(self) -> None:
-        self.grid_builds = self.grid_reuses = 0
-        self.tree_builds = self.tree_reuses = 0
+        for f in fields(self):
+            setattr(self, f.name, 0)
 
-    def as_dict(self) -> dict:
-        return {
-            "grid_builds": self.grid_builds,
-            "grid_reuses": self.grid_reuses,
-            "tree_builds": self.tree_builds,
-            "tree_reuses": self.tree_reuses,
-        }
+    def as_dict(self) -> dict[str, int]:
+        return asdict(self)
 
 
 @dataclass
@@ -41,14 +40,17 @@ class SpatialIndex:
 
     The index never inspects array *contents* to decide validity — that would
     cost as much as rebuilding.  Validity is driven by the owner through
-    :meth:`invalidate_positions` / :meth:`invalidate_all` plus cheap
-    structural checks (particle count, cell-size coverage, scope identity).
+    :meth:`invalidate_positions` / :meth:`move_points` /
+    :meth:`invalidate_all` plus cheap structural checks (particle count,
+    cell-size coverage, scope identity).
     """
 
     stats: IndexStats = field(default_factory=IndexStats)
     _grid: NeighborGrid | None = field(default=None, repr=False)
     _grid_scope: np.ndarray | None = field(default=None, repr=False)
     _tree: Octree | None = field(default=None, repr=False)
+    #: Causes a :meth:`move_points` fell back for, each logged once.
+    _fallbacks_logged: set[str] = field(default_factory=set, repr=False)
 
     # -------------------------------------------------------------- validity
     def invalidate_positions(self) -> None:
@@ -60,6 +62,57 @@ class SpatialIndex:
     def invalidate_all(self) -> None:
         """Membership changed (particles added/removed/reordered)."""
         self.invalidate_positions()
+
+    def move_points(self, rows: np.ndarray, new_pos: np.ndarray) -> bool:
+        """Rows ``rows`` of the indexed particle set now sit at ``new_pos``;
+        no other coordinate changed.
+
+        The octree is dropped.  The neighbor grid is *edited*
+        (:meth:`NeighborGrid.move_points <repro.sph.neighbors.NeighborGrid.move_points>`,
+        rows mapped through the grid's scope): the next :meth:`grid_for` at a
+        radius it covers reuses it, candidate list included.  Returns
+        ``True`` when the grid was repaired.  When it cannot be — no grid,
+        a row outside the grid's scope, no candidate list to repair, a
+        position outside the grid's box — the index ends as after
+        :meth:`invalidate_positions` (never half-repaired), the cause is
+        logged once, and ``False`` is returned.
+        """
+        self._tree = None
+        grid = self._grid
+        if grid is None:
+            return self.abandon_grid("no neighbor grid is cached")
+        rows = np.asarray(rows, dtype=np.int64)
+        scope = self._grid_scope
+        if scope is not None and len(rows):
+            slot = np.minimum(np.searchsorted(scope, rows), len(scope) - 1)
+            if not np.array_equal(scope[slot], rows):
+                return self.abandon_grid("a moved row is outside the grid's scope")
+            rows = slot
+        if not grid.has_compact_pairs:
+            return self.abandon_grid(
+                "the grid holds no candidate list (released, or a backend that walks cells)"
+            )
+        if not grid.move_points(rows, new_pos):
+            return self.abandon_grid("a row or a new position lies outside the grid")
+        self.stats.grid_repairs += 1
+        return True
+
+    def abandon_grid(self, cause: str) -> bool:
+        """A local edit cannot be answered exactly: invalidate as for any
+        position change, say why once per cause.  Returns ``False``."""
+        if cause not in self._fallbacks_logged:
+            self._fallbacks_logged.add(cause)
+            _log.info(
+                "neighbor grid rebuilt instead of repaired: %s "
+                "(this cause is reported once)", cause,
+            )
+        self.invalidate_positions()
+        return False
+
+    def release_pairs(self) -> None:
+        """Drop the cached grid's candidate lists (the grid stays)."""
+        if self._grid is not None:
+            self._grid.release_pairs()
 
     @property
     def has_grid(self) -> bool:
@@ -80,7 +133,8 @@ class SpatialIndex:
         points, else a fresh build (which becomes the new cache entry).
 
         ``scope`` identifies the subset of a larger particle set the grid
-        covers (e.g. global indices of the gas); box queries report indices
+        covers (e.g. global indices of the gas, ascending); box queries
+        report indices through it and :meth:`move_points` finds grid rows
         through it.  A cached grid is reused only for an equal scope.
         """
         g = self._grid
@@ -97,12 +151,6 @@ class SpatialIndex:
         self._grid = g
         self._grid_scope = None if scope is None else np.asarray(scope)
         return g
-
-    def set_grid_scope(self, scope: np.ndarray | None) -> None:
-        """Attach subset indices to the cached grid without rebuilding: the
-        grid's points are ``pos[scope]`` of a larger particle set, and box
-        queries will report indices into that larger set."""
-        self._grid_scope = None if scope is None else np.asarray(scope)
 
     def query_box(self, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray | None:
         """Indices of cached-grid points inside [box_lo, box_hi] (inclusive),

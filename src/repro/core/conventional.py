@@ -56,6 +56,11 @@ class ConventionalIntegrator(BaseIntegrator):
         self.dt_min = dt_min
         self.dt_history: list[float] = []
 
+    def compute_forces(self, label: str = "1st") -> None:
+        super().compute_forces(label)
+        # No step (7) here: every pass is its step's last hydro evaluation.
+        self.engine.release_candidates()
+
     def current_timestep(self) -> float:
         """Shared adaptive step: min CFL over the gas, clamped."""
         if not self._first_forces_done:

@@ -169,9 +169,11 @@ class BaseIntegrator:
         is stale once cooling/feedback touched u.  When positions are
         untouched since (3) the engine re-evaluates on the cached pair lists
         (no h solve, no neighbor search); if SN replacements moved particles
-        it falls back to a full pass, and if star formation changed the
-        membership ``_replace_particle_set`` already flagged a full recompute
-        for the next step.
+        it falls back to a full pass — on the neighbor grid of (3), edited
+        for the replaced rows, where that edit was exact — and if star
+        formation changed the membership ``_replace_particle_set`` already
+        flagged a full recompute for the next step.  Either way this was the
+        step's last hydro evaluation: the candidate lists go.
         """
         if not self._first_forces_done:
             return
@@ -179,6 +181,7 @@ class BaseIntegrator:
         if refreshed is None:
             refreshed = self._hydro("2nd")
         self._hydro_acc, self._du_dt, self._vsig = refreshed
+        self.engine.release_candidates()
 
     def _replace_particle_set(self, new_ps: ParticleSet) -> None:
         """Swap in a set with different membership; force arrays re-size."""

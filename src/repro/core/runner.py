@@ -268,7 +268,14 @@ class CoupledRunner(BaseIntegrator):
 
     def receive_sne(self) -> None:
         """Step (4): gather every rank's due predictions, apply in event-id
-        order — the order the server assigned at dispatch."""
+        order — the order the server assigned at dispatch.
+
+        The engine is told *which rows* landed with new coordinates
+        (:meth:`~repro.accel.ForceEngine.notify_rows_moved`), not that
+        everything moved: step (7) then solves on the neighbor grid of
+        step (3), edited for these rows, instead of binning and generating
+        candidates for all the gas a second time.
+        """
         pairs: list = []
         for pool in self.pools:
             pairs.extend(pool.collect(self.step_count))
@@ -285,7 +292,7 @@ class CoupledRunner(BaseIntegrator):
         if rows.size:
             self._reseed_kernel_sizes(rows, vacated)
             # Predicted particles land with new coordinates.
-            self.engine.notify_positions_changed()
+            self.engine.notify_rows_moved(ps, rows)
 
     def _reseed_kernel_sizes(self, rows: np.ndarray, vacated: np.ndarray) -> None:
         """Give the gas an SN replacement touched an ``h`` that fits the

@@ -19,6 +19,10 @@ recorded trace:
   :func:`repro.perf.costmodel.serve_summary` into hidden vs exposed
   inference seconds — the paper's "DL fully overlaps" claim, checked
   against this run;
+* the ``accel.grid_*`` counters of :class:`repro.accel.ForceEngine` become
+  neighbor-grid builds / repairs / reuses per step — a step whose SN
+  replacement was a local edit of the grid shows as a repair and a reuse
+  where it used to show a second build;
 * :func:`diff_reports` lines two runs up row by row for regression triage
   (``python -m repro.obs report A --diff B``).
 """
@@ -56,6 +60,16 @@ class RunReport:
     serve_summary: dict[str, float] = field(default_factory=dict)
     counters: dict[str, float] = field(default_factory=dict)
 
+    def neighbor_grid_per_step(self) -> dict[str, float]:
+        """Neighbor-grid builds / repairs / reuses per step, from the force
+        engine's ``accel.grid_*`` counters (empty when the run emitted none)."""
+        steps = max(self.n_steps, 1)
+        return {
+            kind: self.counters[f"accel.grid_{kind}"] / steps
+            for kind in ("builds", "repairs", "reuses")
+            if f"accel.grid_{kind}" in self.counters
+        }
+
     # -------------------------------------------------------------- exports
     def to_json_obj(self) -> dict:
         return {
@@ -68,6 +82,7 @@ class RunReport:
             "serve_spans": self.serve_spans,
             "serve_summary": self.serve_summary,
             "counters": self.counters,
+            "neighbor_grid_per_step": self.neighbor_grid_per_step(),
         }
 
     def to_text(self) -> str:
@@ -112,6 +127,11 @@ class RunReport:
                     f"(overlap efficiency "
                     f"{summary.get('overlap_efficiency', 0.0):.3f})"
                 )
+        grid = self.neighbor_grid_per_step()
+        if grid:
+            lines += ["", "neighbor grid (per step): " + ", ".join(
+                f"{name} {value:.2f}" for name, value in grid.items()
+            )]
         if self.counters:
             lines += ["", "counters"]
             for name, value in sorted(self.counters.items()):

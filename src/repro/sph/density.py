@@ -75,6 +75,7 @@ def compute_density(
     tol: float = 0.05,
     counter: InteractionCounter | None = None,
     index=None,
+    scope: np.ndarray | None = None,
     backend=None,
 ) -> DensityResult:
     """Solve for h and compute density and companion fields.
@@ -85,7 +86,9 @@ def compute_density(
     sweep and reused by every subsequent one, rebinning only when ``max(h)``
     outgrows the cell size; pass ``index`` (a
     :class:`repro.accel.SpatialIndex`) to source the grid from a shared
-    cache instead.  The gather sums run on the selected compute backend
+    cache instead, and ``scope`` — the indices of ``pos`` in the larger
+    particle set the index serves box queries for — so that the cached grid
+    is recognised by the next pass over the same subset.  The gather sums run on the selected compute backend
     (name or instance; see :func:`repro.accel.backends.get_backend`), which
     keeps per-solve state so repeated sweeps over one grid stay cheap.
     """
@@ -109,7 +112,7 @@ def compute_density(
         outgrew the binning (or on first use)."""
         nonlocal grid, gather, grid_builds
         if index is not None:
-            new_grid = index.grid_for(pos, h_max)
+            new_grid = index.grid_for(pos, h_max, scope=scope)
         elif grid is None or not grid.covers(h_max):
             new_grid = NeighborGrid.build(pos, h_max)
             grid_builds += 1

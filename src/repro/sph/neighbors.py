@@ -25,6 +25,14 @@ the pairwise work and mirrors the result by scatter-add.  A caller that
 already holds the gather list of a density pass gets the same set from it
 with :func:`half_pairs_from_gather` — the same unordered pairs with bit-equal
 ``r``, in another order — without a second pass over the candidates.
+
+A grid is also *editable*: when a few points moved and nothing else did
+(an SN region replaced by particle ID), :meth:`NeighborGrid.move_points`
+re-bins those points and repairs the cached candidate list instead of
+generating it a second time.  Exact after an edit: the *set* of candidates
+and every ``r`` (bit-equal to a fresh generation on the same binning).  Not
+kept: their order — so sums over the list agree with a fresh grid's to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +43,11 @@ import numpy as np
 
 @dataclass
 class NeighborGrid:
-    """A built cell grid over one set of points."""
+    """A built cell grid over one set of points.
+
+    The grid owns ``pos``: :meth:`build` copies the caller's array, so
+    :meth:`move_points` never writes through to an array the caller holds.
+    """
 
     lo: np.ndarray
     cell: float
@@ -58,7 +70,7 @@ class NeighborGrid:
 
     @classmethod
     def build(cls, pos: np.ndarray, cell: float) -> "NeighborGrid":
-        pos = np.asarray(pos, dtype=np.float64)
+        pos = np.array(pos, dtype=np.float64)      # owned: see move_points
         lo = pos.min(axis=0) - 1e-9
         hi = pos.max(axis=0) + 1e-9
         dims = np.maximum(((hi - lo) / cell).astype(np.int64) + 1, 1)
@@ -155,56 +167,140 @@ class NeighborGrid:
         size (:meth:`covers`), so stencil candidates at r >= cell can never
         survive a distance filter — dropping them once shrinks the cached
         list ~6x (sphere-to-stencil volume ratio) and every later sweep
-        filters the small list.  Built per stencil offset without
-        materializing the full list, on coordinate planes: cell indices,
-        query coordinates and the sources (gathered once, in cell order)
-        each live in one contiguous array per axis, so the validity masks,
-        the separations and the squared distance are unit-stride ufuncs
-        (sqrt only on survivors).
+        filters the small list.
 
         Exact: ``(i, j)`` and their order — the pairs :meth:`self_pairs`
         yields, filtered at ``r < cell``.  Bounded: ``r`` is within 2 ulp of
         that list's (sum of squares in x, y, z order instead of an einsum).
+        After a :meth:`move_points` the set and ``r`` are still those of a
+        fresh generation on this binning; the order is not.
         """
         if self._compact_pairs is None:
-            cell2 = self.cell * self.cell
-            q_xyz = np.ascontiguousarray(self.pos.T)
-            s_xyz = np.ascontiguousarray(self.pos[self.order].T)
-            # (axis, shift, point): the neighbor cell's index along one axis
-            # for shifts -1, 0, +1, and whether it is inside the grid.
-            c = self._query_cells(self.pos).T[:, None, :] + np.arange(-1, 2)[None, :, None]
-            ok = (c >= 0) & (c < self.dims[:, None, None])
-            out_i: list[np.ndarray] = []
-            out_j: list[np.ndarray] = []
-            out_r: list[np.ndarray] = []
-            for ix in range(3):
-                for iy in range(3):
-                    ok_xy = ok[0, ix] & ok[1, iy]
-                    key_xy = (c[0, ix] * self.dims[1] + c[1, iy]) * self.dims[2]
-                    for iz in range(3):
-                        qidx = np.flatnonzero(ok_xy & ok[2, iz])
-                        rep_q, slots = self._expand_cells(
-                            qidx, key_xy[qidx] + c[2, iz][qidx]
-                        )
-                        if not len(rep_q):
-                            continue
-                        d2 = _squared_separation(q_xyz[0], rep_q, s_xyz[0], slots)
-                        d2 += _squared_separation(q_xyz[1], rep_q, s_xyz[1], slots)
-                        d2 += _squared_separation(q_xyz[2], rep_q, s_xyz[2], slots)
-                        keep = np.flatnonzero(d2 < cell2)
-                        out_i.append(rep_q.take(keep))
-                        out_j.append(self.order.take(slots.take(keep)))
-                        out_r.append(np.sqrt(d2.take(keep)))
-            if out_i:
-                self._compact_pairs = (
-                    np.concatenate(out_i),
-                    np.concatenate(out_j),
-                    np.concatenate(out_r),
-                )
-            else:
-                empty = np.empty(0, dtype=np.int64)
-                self._compact_pairs = (empty, empty, np.empty(0))
+            self._compact_pairs = self._pairs_within_cell(None)
         return self._compact_pairs
+
+    def _pairs_within_cell(
+        self, rows: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ordered stencil pairs (i, j, r) with ``r < cell`` whose first end
+        is one of ``rows`` (``None``: every point), rows in the order given.
+
+        Built per stencil offset without materializing the full list, on
+        coordinate planes: cell indices, query coordinates and the sources
+        (gathered once, in cell order) each live in one contiguous array per
+        axis, so the validity masks, the separations and the squared
+        distance are unit-stride ufuncs (sqrt only on survivors).
+        """
+        cell2 = self.cell * self.cell
+        q_pos = self.pos if rows is None else self.pos[rows]
+        q_xyz = np.ascontiguousarray(q_pos.T)
+        s_xyz = np.ascontiguousarray(self.pos[self.order].T)
+        # (axis, shift, point): the neighbor cell's index along one axis
+        # for shifts -1, 0, +1, and whether it is inside the grid.
+        c = self._query_cells(q_pos).T[:, None, :] + np.arange(-1, 2)[None, :, None]
+        ok = (c >= 0) & (c < self.dims[:, None, None])
+        out_i: list[np.ndarray] = []
+        out_j: list[np.ndarray] = []
+        out_r: list[np.ndarray] = []
+        for ix in range(3):
+            for iy in range(3):
+                ok_xy = ok[0, ix] & ok[1, iy]
+                key_xy = (c[0, ix] * self.dims[1] + c[1, iy]) * self.dims[2]
+                for iz in range(3):
+                    qidx = np.flatnonzero(ok_xy & ok[2, iz])
+                    rep_q, slots = self._expand_cells(
+                        qidx, key_xy[qidx] + c[2, iz][qidx]
+                    )
+                    if not len(rep_q):
+                        continue
+                    d2 = _squared_separation(q_xyz[0], rep_q, s_xyz[0], slots)
+                    d2 += _squared_separation(q_xyz[1], rep_q, s_xyz[1], slots)
+                    d2 += _squared_separation(q_xyz[2], rep_q, s_xyz[2], slots)
+                    keep = np.flatnonzero(d2 < cell2)
+                    out_i.append(rep_q.take(keep))
+                    out_j.append(self.order.take(slots.take(keep)))
+                    out_r.append(np.sqrt(d2.take(keep)))
+        if not out_i:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0)
+        i = np.concatenate(out_i)
+        return (
+            i if rows is None else rows.take(i),
+            np.concatenate(out_j),
+            np.concatenate(out_r),
+        )
+
+    @property
+    def has_compact_pairs(self) -> bool:
+        """True while the compacted candidate list is cached — the state
+        :meth:`move_points` can repair."""
+        return self._compact_pairs is not None
+
+    def move_points(self, rows: np.ndarray, new_pos: np.ndarray) -> bool:
+        """Points ``rows`` now sit at ``new_pos``; nothing else moved.
+
+        Re-bins the moved points (``pos``, ``order`` and ``sorted_keys`` end
+        up exactly as a fresh binning of the edited positions on this
+        ``lo``/``cell``/``dims`` would leave them, so box queries and the
+        cell-walking searches stay exact) and *repairs* the cached compact
+        candidate list: entries with either end in ``rows`` are dropped, and
+        the stencil walk of :meth:`compact_self_pairs` — the same code, run
+        for the moved points only — adds every pair ``r < cell`` of a moved
+        point, in both orderings (a pair of two moved points once from each
+        end, a self pair once).  The list then holds the same *set* a fresh
+        generation on this binning yields, with bit-equal ``r``, in another
+        order; sums over it agree to rounding.  Cost: O(n) bookkeeping plus
+        the stencil of the moved points, instead of the stencil of all.
+
+        Returns ``False``, leaving the grid untouched, when it cannot answer
+        exactly: no compact list is cached, a row is not a point of the
+        grid, or a new position lies outside the grid's box (or is not
+        finite).  The caller then invalidates, as for any position change.
+        Duplicate ``rows`` are allowed (the last position given wins).  The
+        full list of :meth:`self_pairs` is dropped, not repaired.
+        """
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        new_pos = np.asarray(new_pos, dtype=np.float64).reshape(len(rows), 3)
+        n = self.n_points
+        if self._compact_pairs is None:
+            return False
+        if not len(rows):
+            return True
+        if rows.min() < 0 or rows.max() >= n:
+            return False
+        cells = np.floor((new_pos - self.lo) / self.cell)
+        if not np.all((cells >= 0) & (cells < self.dims)):      # NaN fails too
+            return False
+
+        self.pos[rows] = new_pos
+        rows = np.unique(rows)
+        keys = np.empty(n, dtype=np.int64)
+        keys[self.order] = self.sorted_keys
+        keys[rows] = self._keys_of(self.pos[rows], self.lo, self.cell, self.dims)
+        # New arrays, never written in place: a caller may hold the old order.
+        self.order = np.argsort(keys, kind="stable")
+        self.sorted_keys = keys[self.order]
+        self._self_pairs = None
+
+        moved = np.zeros(n, dtype=bool)
+        moved[rows] = True
+        old_i, old_j, old_r = self._compact_pairs
+        keep = np.flatnonzero(~(moved.take(old_i) | moved.take(old_j)))
+        new_i, new_j, new_r = self._pairs_within_cell(rows)
+        # (moved, other) came out of the walk; (other, moved) is its mirror —
+        # with the same r, squares being sign-blind — unless the other end
+        # moved too and walks its own stencil.
+        mirror = np.flatnonzero(~moved.take(new_j))
+        # One array at a time: the old and the new triple never coexist.
+        self._compact_pairs = None
+        ci = np.concatenate([old_i.take(keep), new_i, new_j.take(mirror)])
+        del old_i
+        cj = np.concatenate([old_j.take(keep), new_j, new_i.take(mirror)])
+        del old_j
+        cr = np.concatenate([old_r.take(keep), new_r, new_r.take(mirror)])
+        del old_r
+        self._compact_pairs = (ci, cj, cr)
+        return True
 
     def release_pairs(self) -> None:
         """Drop the cached candidate lists (the largest transients of a step)."""

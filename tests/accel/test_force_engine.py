@@ -1,11 +1,13 @@
 """ForceEngine: half-pair force parity, fast-path exactness, build budgets."""
 
 import numpy as np
+import pytest
 
+from repro import GalaxySimulation
 from repro.accel import ForceEngine
 from repro.core.integrator import IntegratorConfig
 from repro.core.runner import CoupledRunner
-from repro.fdps.particles import ParticleType
+from repro.fdps.particles import ParticleSet, ParticleType
 from repro.serve import SurrogateServer
 from repro.sph.density import compute_density
 from repro.sph.forces import compute_hydro_forces
@@ -13,6 +15,7 @@ from repro.sph.kernels import DEFAULT_KERNEL
 from repro.sn.turbulence import make_turbulent_box
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 from repro.surrogate.voxelize import extract_region
+from tests.conftest import pairs_by_key
 
 
 def _ordered_pair_reference(pos, vel, mass, h, dens, pres, csnd, omega, divv, curlv,
@@ -209,3 +212,148 @@ def test_unconverged_kernel_sizes_are_logged_and_counted(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="repro.accel"):
         healthy.hydro(ps, "1st")
     assert healthy.n_unconverged == 0 and not caplog.records
+
+
+# ------------------------------------------------- passes that share one grid
+def _stars_then_gas(seed: int) -> ParticleSet:
+    """Five stars *ahead of* a gas box: global rows differ from gas rows, so
+    every index <-> grid mapping goes through the scope."""
+    box = _gas_box(seed=seed)
+    rng = np.random.default_rng(seed)
+    stars = ParticleSet.from_arrays(
+        pos=rng.uniform(-20.0, 20.0, (5, 3)), mass=np.full(5, 10.0),
+        pid=np.arange(len(box), len(box) + 5),
+        ptype=np.full(5, int(ParticleType.STAR)), eps=np.full(5, 1.0),
+    )
+    return stars.append(box)
+
+
+def test_second_pass_at_unchanged_positions_reuses_the_grid():
+    """``compute_density`` asks for its grid under the gas scope, so a second
+    full pass without a notification finds the first one's (it used to ask
+    with no scope and rebuild every time)."""
+    ps = _stars_then_gas(seed=9)
+    engine = ForceEngine(IntegratorConfig(self_gravity=False))
+    first = [a.copy() for a in engine.hydro(ps, "1st")]
+    stats = engine.index.stats
+    builds, reuses = stats.grid_builds, stats.grid_reuses
+    second = engine.hydro(ps, "2nd")
+    assert stats.grid_builds == builds and stats.grid_reuses > reuses
+    for a, b in zip(first, second):
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(a).max())
+    # Box queries still report global rows through that scope.
+    center = np.array([5.0, -3.0, 2.0])
+    _, idx = extract_region(ps, center, 30.0, index=engine.index)
+    assert np.array_equal(idx, extract_region(ps, center, 30.0)[1])
+
+
+def _replace_a_region(ps: ParticleSet, seed: int) -> np.ndarray:
+    """What ``receive_sne`` does to the state: the gas of a central sphere
+    swept into a shell, hotter, with an ``h`` no larger than the rest's."""
+    gas = ps.where_type(ParticleType.GAS)
+    rows = np.flatnonzero(gas & (np.linalg.norm(ps.pos, axis=1) < 14.0))
+    assert 0.02 * len(ps) < rows.size < 0.2 * len(ps)
+    stayed = gas.copy()
+    stayed[rows] = False
+    shell = np.random.default_rng(seed).normal(size=(rows.size, 3))
+    ps.pos[rows] = 12.0 * shell / np.linalg.norm(shell, axis=1, keepdims=True)
+    ps.u[rows] *= 50.0
+    ps.h[rows] = np.minimum(ps.h[rows], ps.h[stayed].max())
+    return rows
+
+
+@pytest.mark.parametrize("backend", ["numpy", "pikg", "seed"])
+def test_step7_pass_on_the_repaired_grid_matches_a_cold_pass(backend):
+    """After ``notify_rows_moved`` the full pass runs on the edited grid of
+    the pass before and finds what a fresh engine finds: gather set,
+    ``n_neighbors`` and sweep count exact, every sum to 1e-12.  The ``seed``
+    backend caches no compact list, so its edit falls back to a rebuild —
+    same answer, one more grid."""
+    cfg = IntegratorConfig(self_gravity=False, backend=backend)
+    ps = _stars_then_gas(seed=10)
+    engine = ForceEngine(cfg)
+    engine.hydro(ps, "1st")
+    rows = _replace_a_region(ps, seed=10)
+    rows = np.concatenate([rows, rows[:3]])         # two regions naming one pid
+    engine.notify_rows_moved(ps, rows)
+    assert not engine.fast_path_available and engine.refresh_hydro(ps, "2nd") is None
+    repaired = backend != "seed"
+    stats = engine.index.stats
+    assert stats.grid_repairs == int(repaired) and engine.index.has_grid == repaired
+
+    cold_ps = ps.copy()
+    builds = stats.grid_builds
+    got = [a.copy() for a in engine.hydro(ps, "2nd")]
+    assert stats.grid_builds - builds == (0 if repaired else 1)
+    cold = ForceEngine(cfg)
+    want = cold.hydro(cold_ps, "2nd")
+
+    d_got, d_want = engine._hydro_cache.density, cold._hydro_cache.density
+    for a, b in zip(pairs_by_key(d_got.pairs), pairs_by_key(d_want.pairs)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(d_got.n_neighbors, d_want.n_neighbors)
+    assert d_got.iterations == d_want.iterations
+    for a, b in zip(
+        (ps.h, ps.dens, *got[:2]), (cold_ps.h, cold_ps.dens, *want[:2])
+    ):
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
+def test_edit_that_cannot_be_exact_invalidates_and_says_so_once(caplog):
+    """Rows outside the gas scope, a changed particle count, a position
+    outside the grid's box: full invalidation each time, one log line per
+    cause however often it recurs."""
+    import logging
+
+    ps = _stars_then_gas(seed=11)
+    engine = ForceEngine(IntegratorConfig(self_gravity=False))
+    gas_row = int(np.flatnonzero(ps.where_type(ParticleType.GAS))[7])
+
+    def edit(ps_now, rows) -> None:
+        engine.notify_rows_moved(ps_now, np.asarray(rows))
+        assert not engine.index.has_grid and not engine.fast_path_available
+
+    with caplog.at_level(logging.INFO, logger="repro.accel"):
+        for _ in range(3):
+            engine.hydro(ps, "1st")
+            edit(ps, [0])                            # a star: not in the scope
+            engine.hydro(ps, "1st")
+            edit(ps.select(np.arange(len(ps) - 1)), [gas_row])
+            engine.hydro(ps, "1st")
+            home = ps.pos[gas_row].copy()
+            ps.pos[gas_row] += 1e4                   # far outside the box
+            edit(ps, [gas_row])
+            ps.pos[gas_row] = home
+        engine.notify_rows_moved(ps, np.array([gas_row]))    # nothing cached at all
+    causes = [r.getMessage() for r in caplog.records if "instead of repaired" in r.getMessage()]
+    assert len(causes) == 4 and len(set(causes)) == 4
+    assert engine.index.stats.grid_repairs == 0
+
+
+def test_candidate_lists_end_with_step7_on_both_branches():
+    """The compact list lives from the first pass to the end of step (7) —
+    cached-pairs refresh or full pass alike — and not into the next step."""
+    from tests.core.test_sn_reinsertion import DT, LATENCY, _storm
+
+    sim = GalaxySimulation(
+        _storm(6), dt=DT, latency_steps=LATENCY, n_pool=4, surrogate_grid=8,
+        config=IntegratorConfig(enable_star_formation=False),
+    )
+    with sim:
+        engine = sim.integrator.engine
+        fallbacks = 0
+        for _ in range(6):
+            repairs = engine.index.stats.grid_repairs
+            sim.run(1)
+            assert engine.index.has_grid and not engine.index._grid.has_compact_pairs
+            # A step that repaired took the full-pass branch of step (7).
+            fallbacks += engine.index.stats.grid_repairs - repairs
+        assert 0 < fallbacks < 6
+
+
+def test_conventional_integrator_releases_after_its_only_pass():
+    from repro.core.conventional import ConventionalIntegrator
+
+    integ = ConventionalIntegrator(_gas_box(seed=12), enable_star_formation=False)
+    integ.compute_forces("1st")
+    assert integ.engine.index.has_grid and not integ.engine.index._grid.has_compact_pairs

@@ -122,6 +122,50 @@ def test_query_box_through_scope(rng):
     assert np.array_equal(got, np.sort(ref))
 
 
+def test_move_points_edits_the_grid_through_the_scope_and_drops_the_tree(rng):
+    """Global rows are mapped to grid rows through the scope; the edited grid
+    is the next ``grid_for``'s answer, box queries see the new positions,
+    the octree is gone, and the edit is counted."""
+    idx = SpatialIndex()
+    all_pos = rng.uniform(0, 10, (400, 3))
+    scope = np.flatnonzero(all_pos[:, 0] > 3.0)
+    grid = idx.grid_for(all_pos[scope], 1.0, scope=scope)
+    grid.compact_self_pairs()
+    idx.tree_for(all_pos, np.ones(400))
+    rows = scope[[3, 50, 51]]
+    all_pos[rows] = rng.uniform(4.0, 9.0, (3, 3))
+    assert idx.move_points(rows, all_pos[rows])
+    assert not idx.has_tree and idx.stats.grid_repairs == 1
+    assert idx.grid_for(all_pos[scope], 0.9, scope=scope) is grid
+    assert idx.stats.grid_builds == 1
+    assert np.array_equal(grid.pos, all_pos[scope])
+    lo, hi = np.array([4.0, 2.0, 2.0]), np.array([8.0, 8.0, 8.0])
+    ref = scope[np.all((all_pos[scope] >= lo) & (all_pos[scope] <= hi), axis=1)]
+    assert np.array_equal(np.sort(idx.query_box(lo, hi)), ref)
+
+    stats = idx.stats.as_dict()
+    assert stats["grid_repairs"] == 1 and stats["grid_builds"] == 1
+    idx.stats.reset()
+    assert set(idx.stats.as_dict().values()) == {0}
+
+
+def test_move_points_that_cannot_repair_leaves_nothing_cached(rng):
+    idx = SpatialIndex()
+    all_pos = rng.uniform(0, 10, (400, 3))
+    scope = np.flatnonzero(all_pos[:, 0] > 3.0)
+    outside = np.flatnonzero(all_pos[:, 0] <= 3.0)[:1]
+    for prepare, rows in (
+        (lambda g: g.compact_self_pairs(), outside),        # not in the scope
+        (lambda g: None, scope[:2]),                        # no list to repair
+    ):
+        prepare(idx.grid_for(all_pos[scope], 1.0, scope=scope))
+        idx.tree_for(all_pos, np.ones(400))
+        assert not idx.move_points(rows, all_pos[rows])
+        assert not idx.has_grid and not idx.has_tree
+    assert not idx.move_points(scope[:2], all_pos[scope[:2]])    # nothing cached
+    assert idx.stats.grid_repairs == 0
+
+
 def test_query_box_none_without_grid():
     idx = SpatialIndex()
     assert idx.query_box(np.zeros(3), np.ones(3)) is None

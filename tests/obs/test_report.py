@@ -130,3 +130,30 @@ def test_report_diff_lines_up_rows():
     assert "Calc_Force" in out
     assert "2.00" in out  # 8.0 / 4.0 ratio column
     assert out.splitlines()[-1].lstrip().startswith("WALL")
+
+
+def test_report_shows_neighbor_grid_work_per_step():
+    """A traced SN run answers "why did step 7 get cheap" from the trace:
+    the engine's grid counters, per step, with the local edits as repairs."""
+    from repro import GalaxySimulation
+    from repro.core.integrator import IntegratorConfig
+    from tests.core.test_sn_reinsertion import DT, LATENCY, _storm
+
+    tr = Tracer(run_id="storm")
+    sim = GalaxySimulation(
+        _storm(6), dt=DT, latency_steps=LATENCY, n_pool=4, surrogate_grid=8, tracer=tr,
+        config=IntegratorConfig(enable_star_formation=False),
+    )
+    with sim:
+        sim.run(6)
+        stats = sim.integrator.engine.index.stats.as_dict()
+    report = report_traces([_as_loaded(tr)])
+    per_step = report.neighbor_grid_per_step()
+    assert per_step == {
+        kind: stats[f"grid_{kind}"] / 6 for kind in ("builds", "repairs", "reuses")
+    }
+    assert per_step["repairs"] > 0
+    assert "neighbor grid (per step): builds" in report.to_text()
+    assert report.to_json_obj()["neighbor_grid_per_step"] == per_step
+    # A run that emitted no grid counters prints no such line.
+    assert "neighbor grid" not in report_traces([_as_loaded(_synthetic_tracer())]).to_text()

@@ -178,3 +178,118 @@ def test_half_pairs_from_gather_are_the_searched_half_pairs(
         pairs_by_key(half_pairs_from_gather(compact_gather, h)), pairs_by_key(compact_searched)
     ):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# ------------------------------------------------------ local edits of a grid
+def _fresh_on_same_binning(grid: NeighborGrid, pos: np.ndarray) -> NeighborGrid:
+    """A grid over ``pos`` binned on ``grid``'s ``lo``/``cell``/``dims``."""
+    keys = NeighborGrid._keys_of(pos, grid.lo, grid.cell, grid.dims)
+    order = np.argsort(keys, kind="stable")
+    return NeighborGrid(
+        lo=grid.lo, cell=grid.cell, dims=grid.dims, order=order,
+        sorted_keys=keys[order], pos=pos.copy(),
+    )
+
+
+def _assert_grids_answer_alike(got: NeighborGrid, want: NeighborGrid, rng) -> None:
+    """Same candidate set with bit-equal r, same binning, same box and
+    external-query answers."""
+    for a, b in zip(pairs_by_key(got.compact_self_pairs()), pairs_by_key(want.compact_self_pairs())):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(got.pos, want.pos)
+    assert np.array_equal(got.order, want.order)
+    assert np.array_equal(got.sorted_keys, want.sorted_keys)
+    lo, hi = np.sort(rng.uniform(want.pos.min() - 1.0, want.pos.max() + 1.0, (2, 3)), axis=0)
+    assert np.array_equal(got.points_in_box(lo, hi), want.points_in_box(lo, hi))
+    queries = rng.uniform(want.pos.min() - 1.0, want.pos.max() + 1.0, (7, 3))
+    for a, b in zip(got.candidate_pairs(queries), want.candidate_pairs(queries)):
+        assert np.array_equal(a, b)
+
+
+@given(
+    n=st.integers(1, 90),
+    extent=st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0), st.floats(0.0, 6.0)),
+    cell=st.floats(0.4, 8.0),
+    moved=st.sampled_from(["none", "one", "4%", "55%", "all"]),
+    onto_another=st.booleans(),
+    n_duplicates=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=120, deadline=None)
+def test_move_points_repairs_to_the_fresh_candidate_list(
+    n, extent, cell, moved, onto_another, n_duplicates, seed
+):
+    """After ``move_points`` the compact list, sorted by (i, j), equals a
+    fresh generation on the same binning — keys exact, r bit-equal — and box
+    and external queries answer alike.  Zero extents stack every point on
+    one site or a line, small ones give a single cell; ``onto_another`` lands
+    one moved point exactly on an unmoved one; duplicate rows repeat a moved
+    point (same position: the last one given wins anyway)."""
+    rng = np.random.default_rng(seed)
+    scale = np.array(extent)
+    pos = rng.uniform(0.0, 1.0, (n, 3)) * scale
+    grid = NeighborGrid.build(pos, cell)
+    grid.compact_self_pairs()
+    k = {"none": 0, "one": 1, "4%": max(1, round(0.04 * n)),
+         "55%": max(1, round(0.55 * n)), "all": n}[moved]
+    rows = rng.choice(n, size=k, replace=False)
+    # Anywhere inside the grid's box, which reaches a little beyond the points.
+    box_hi = grid.lo + grid.dims * grid.cell
+    new_pos = np.clip(rng.uniform(-0.2, 1.2, (k, 3)) * scale, grid.lo, box_hi - 1e-6)
+    stayed = np.setdiff1d(np.arange(n), rows)
+    if onto_another and k and stayed.size:
+        new_pos[0] = pos[stayed[0]]
+    if k:
+        again = rng.integers(0, k, n_duplicates)
+        rows, new_pos = np.concatenate([rows, rows[again]]), np.concatenate([new_pos, new_pos[again]])
+
+    caller_pos = pos.copy()
+    assert grid.move_points(rows, new_pos)
+    assert np.array_equal(pos, caller_pos)          # the grid owns its copy
+    edited = pos.copy()
+    edited[rows] = new_pos
+    _assert_grids_answer_alike(grid, _fresh_on_same_binning(grid, edited), rng)
+
+
+def test_move_points_refuses_what_it_cannot_answer_exactly(rng):
+    """No cached list, a row that is no point of the grid, a position outside
+    the box or not finite: ``False``, and the grid is untouched."""
+    pos = rng.uniform(0.0, 10.0, (120, 3))
+    grid = NeighborGrid.build(pos, 1.5)
+    inside = np.array([[5.0, 5.0, 5.0]])
+    assert not grid.move_points(np.array([3]), inside)         # nothing cached yet
+    before = [a.copy() for a in grid.compact_self_pairs()]
+    order, keys = grid.order.copy(), grid.sorted_keys.copy()
+    box_hi = grid.lo + grid.dims * grid.cell
+    for rows, new_pos in (
+        (np.array([120]), inside),
+        (np.array([-1]), inside),
+        (np.array([3]), np.array([[box_hi[0], 5.0, 5.0]])),
+        (np.array([3]), np.array([[5.0, grid.lo[1] - 1e-6, 5.0]])),
+        (np.array([3, 4]), np.array([[5.0, 5.0, 5.0], [5.0, np.nan, 5.0]])),
+    ):
+        assert not grid.move_points(rows, new_pos)
+        assert np.array_equal(grid.pos, pos)
+        assert np.array_equal(grid.order, order) and np.array_equal(grid.sorted_keys, keys)
+        for got, want in zip(grid.compact_self_pairs(), before):
+            assert np.array_equal(got, want)
+    grid.release_pairs()
+    assert not grid.move_points(np.array([3]), inside)         # released again
+
+
+def test_move_points_twice_and_full_list_dropped(rng):
+    """Edits compose (two SN returns on one grid), and the full stencil list
+    — not repaired — is regenerated from the edited positions."""
+    pos = rng.uniform(0.0, 8.0, (300, 3))
+    grid = NeighborGrid.build(pos, 1.2)
+    grid.compact_self_pairs()
+    grid.self_pairs()
+    edited = pos.copy()
+    for rows in (np.arange(10, 40), np.arange(30, 55)):        # overlapping sets
+        new_pos = rng.uniform(0.5, 7.5, (len(rows), 3))
+        assert grid.move_points(rows, new_pos)
+        edited[rows] = new_pos
+    fresh = _fresh_on_same_binning(grid, edited)
+    _assert_grids_answer_alike(grid, fresh, rng)
+    for a, b in zip(pairs_by_key(grid.self_pairs()), pairs_by_key(fresh.self_pairs())):
+        assert np.array_equal(a, b)
