@@ -48,6 +48,15 @@ moved (what ``cluster_2rank`` replaces per event; recorded, no floor — the
 edit walks the moved points' stencils, so it approaches the fresh cost as
 the moved share approaches 1 and stays below it).
 
+``h_solve`` is the kernel-size solve on the two shapes the multiplicative
+fixed point could not close: a blast shell re-inserted with ``h`` at the cap
+of ``receive_sne`` (it contracted at ~0.65 per sweep there, which is why a
+private bisection used to run in front of it) and the sparse tail of the gas
+disk with 95% of its gas kept, seed 11 (10 sweeps, up to 6 grids and one
+particle unconverged on every pass).  Sweeps, grid builds and ms per pass are
+recorded; the *counts* are asserted: nobody unconverged, <= 5 sweeps, one
+grid.
+
 Results land in ``benchmarks/results/BENCH_backend_kernels.json`` together
 with the gravity chunk size actually chosen (``REPRO_GRAV_CHUNK`` /
 ``REPRO_GRAV_TEMP_MB`` satellite).  The numba rows only appear where numba
@@ -86,7 +95,7 @@ from repro.sph.neighbors import NeighborGrid, half_pairs_from_gather
 from repro.surrogate import voxelize
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 from tests.fdps.test_tree import _build_per_node_reference
-from tests.sph.test_density import _velocity_estimators_reference
+from tests.sph.test_density import _velocity_estimators_reference, sparse_disk_gas
 from tests.surrogate.test_voxelize import _deposit_pairs_reference
 
 #: n_per_side -> ~5k / ~20k / ~50k particles.
@@ -113,6 +122,9 @@ MIN_TREE_BUILD_SPEEDUP = 3.0
 #: Fresh ``compact_self_pairs`` over ``move_points`` with 4% of the 1,728
 #: points moved: measured 3.7-4.3.
 MIN_LOCAL_EDIT_SPEEDUP = 3.0
+#: Sweeps of one kernel-size solve on the ``h_solve`` fixtures (measured: see
+#: the JSON; the fixed point ran into ``max_iter = 10`` on both).
+MAX_H_SOLVE_SWEEPS = 5
 #: numpy whole step over the seed kernels at 20k: measured 5.1x (2.1x before
 #: the coordinate planes), minus a third.
 MIN_WHOLE_STEP_SPEEDUP = 3.4
@@ -335,6 +347,47 @@ def _time_sn_local_edit():
     return out
 
 
+def _time_h_solve():
+    """The kernel-size solve where a fixed point stalls: sweeps, grid builds
+    and ms per ``compute_density`` (best of a few; the counts repeat).
+
+    ``blast_shell``: the ``sn_storm`` box after a converged pass, the gas of
+    one 60 pc region swept into a thin shell and handed back with ``h`` at
+    the cap ``receive_sne`` applies (the largest ``h`` of the gas that
+    stayed).  ``sparse_disk``: the gas disk with 95% of its gas kept, seed
+    11, one small drift after a converged pass — the draw whose tail
+    particle oscillated across the cell boundary on every pass.
+    """
+    out = {}
+
+    def solve(label, pos, vel, mass, u, h_guess, n_ngb):
+        best = np.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            d = compute_density(pos, vel, mass, u, h_guess, n_ngb=n_ngb)
+            best = min(best, time.perf_counter() - t0)
+        out[label] = {"n_gas": len(pos), "sweeps": d.iterations, "grid_builds": d.grid_builds,
+                      "n_unconverged": d.n_unconverged, "ms": best * 1e3}
+        return d
+
+    box = make_turbulent_box(n_per_side=12, side=180.0, seed=3)
+    h = compute_density(box.pos, box.vel, box.mass, box.u, box.h, n_ngb=64).h
+    rows = np.flatnonzero(np.all(np.abs(box.pos) < 30.0, axis=1))
+    rng = np.random.default_rng(19)
+    shell = rng.normal(size=(len(rows), 3))
+    pos = box.pos.copy()
+    pos[rows] = 25.0 * shell / np.linalg.norm(shell, axis=1, keepdims=True)
+    h[rows] = np.delete(h, rows).max()
+    solve("blast_shell", pos, box.vel, box.mass, box.u, h, 64)
+
+    gas = sparse_disk_gas(11)
+    args = (gas.vel, gas.mass, gas.u)
+    h = compute_density(gas.pos, *args, gas.h, n_ngb=64).h
+    solve("sparse_disk", gas.pos + 0.002 * h[:, None] * rng.normal(size=gas.pos.shape),
+          *args, h, 64)
+    return out
+
+
 def _gas_disk():
     """The gas of a 2,500-particle exponential disk: kernel sizes span 10x,
     so the cell (= the largest) leaves a candidate list ~20x the gather list
@@ -441,6 +494,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
                         "gas_disk": _time_sph_pair_kernels(_gas_disk())}
     tree_build = _time_tree_build()
     sn_local_edit = _time_sn_local_edit()
+    h_solve = _time_h_solve()
 
     payload = {
         "available_backends": available_backends(),
@@ -456,6 +510,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
         "sph_pair_kernels": sph_pair_kernels,
         "tree_build": tree_build,
         "sn_local_edit": sn_local_edit,
+        "h_solve": h_solve,
         "kernels": kernels,
         "whole_step": whole,
     }
@@ -483,6 +538,8 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     for label in ("moved_4pct", "moved_55pct"):
         rows.append(["grid edit vs fresh candidates", "numpy", label,
                      sn_local_edit[label]["speedup"]])
+    for label, cell in h_solve.items():
+        rows.append(["h solve: sweeps", "numpy", label, cell["sweeps"]])
     write_result(
         "backend_kernels",
         fmt_table(["kernel", "backend", "size", "Minter/s | speedup"], rows),
@@ -507,6 +564,12 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     assert tree_build["speedup"] >= MIN_TREE_BUILD_SPEEDUP, tree_build
     # One SN region's edit must stay well under a second candidate generation.
     assert sn_local_edit["moved_4pct"]["speedup"] >= MIN_LOCAL_EDIT_SPEEDUP, sn_local_edit
+    # The kernel-size solve converges where the fixed point did not — counts,
+    # not milliseconds: every particle inside tolerance, a handful of sweeps,
+    # and no regridding back and forth across a cell boundary.
+    for label, cell in h_solve.items():
+        assert cell["n_unconverged"] == 0 and cell["sweeps"] <= MAX_H_SOLVE_SWEEPS, (label, cell)
+        assert cell["grid_builds"] == 1, (label, cell)
 
     # Acceptance floors: numpy over the seed kernels on the 20k whole step;
     # jitted numba >= 3x (CI numba leg).

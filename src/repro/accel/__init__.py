@@ -64,11 +64,13 @@ cost as much as rebuilding, validity is explicit:
 
   A local edit answers exactly or not at all: when no grid or no candidate
   list is cached, a row is outside the grid's scope, the particle count
-  changed, or a new position leaves the grid's box, the index falls back to
+  changed, or a new position is not finite, the index falls back to
   ``invalidate_positions`` by itself (never a half-repaired grid), counts
   nothing in ``stats.grid_repairs`` and logs the cause once on the
   ``repro.accel`` logger.  No option, threshold or environment variable
-  chooses between repair and rebuild.
+  chooses between repair and rebuild.  A finite position *outside* the box
+  of the first binning is no such case: it is binned to the edge cell, which
+  keeps every search exact.
 * What an edited grid guarantees: the same candidate *set* with bit-equal
   separations as a fresh generation on the same binning, hence the same
   gather pairs, ``n_neighbors`` and sweep count; the list's *order* differs,

@@ -196,20 +196,17 @@ class ForceEngine:
         """
         cfg = self.cfg
         gas = np.flatnonzero(ps.where_type(ParticleType.GAS))
-        acc, du, vsig = self._full_buffers(len(ps))
         if gas.size < 2:
             self._hydro_cache = None
-            return acc, du, vsig
-        pos_g, vel_g, mass_g = ps.pos[gas], ps.vel[gas], ps.mass[gas]
-        stats = self.index.stats
-        builds, reuses = stats.grid_builds, stats.grid_reuses
+            return self._full_buffers(len(ps))
+        reuses = self.index.stats.grid_reuses
         with self.timers.measure(
             f"{label} Calc_Kernel_Size_and_Density", backend=self.backend.name
         ):
             d = compute_density(
-                pos_g,
-                vel_g,
-                mass_g,
+                ps.pos[gas],
+                ps.vel[gas],
+                ps.mass[gas],
                 ps.u[gas],
                 ps.h[gas],
                 n_ngb=min(cfg.n_ngb, max(gas.size - 1, 1)),
@@ -221,41 +218,31 @@ class ForceEngine:
                 backend=self.backend,
             )
         tracer = self.timers.tracer
-        tracer.count("accel.grid_builds", stats.grid_builds - builds)
-        tracer.count("accel.grid_reuses", stats.grid_reuses - reuses)
-        if d.n_unconverged:
+        tracer.count("accel.grid_builds", d.grid_builds)
+        tracer.count("accel.grid_reuses", self.index.stats.grid_reuses - reuses)
+        tracer.count("accel.density_passes")
+        tracer.count("accel.density_sweeps", d.iterations)
+        if d.worst_bracket is not None:            # set whenever n_unconverged > 0
             self.n_unconverged += d.n_unconverged
+            tracer.count("accel.h_unconverged", d.n_unconverged)
+            k, lo, hi, cell = d.worst_bracket
             _log.warning(
                 "%s kernel-size solve: %d of %d gas particles outside tolerance "
-                "after %d sweeps",
+                "after %d sweeps; the furthest, particle %d, has its root in "
+                "(lo=%.6g, hi=%.6g) on a grid of cell %.6g",
                 label, d.n_unconverged, gas.size, d.iterations,
+                int(gas[k]), lo, hi, cell,
             )
-        self._write_gas_fields(ps, gas, d.h, d.dens, d.pres, d.csnd, d.divv, d.curlv, d.omega)
-        with self.timers.measure(f"{label} Calc_Hydro_Force", backend=self.backend.name):
-            f = compute_hydro_forces(
-                pos_g,
-                vel_g,
-                mass_g,
-                d.h,
-                d.dens,
-                d.pres,
-                d.csnd,
-                omega=d.omega,
-                divv=d.divv,
-                curlv=d.curlv,
-                counter=self.counter,
-                # The gather list is complete at d.h, so the force pairs
-                # fall out of it: no second pass over the candidates.
-                pairs=half_pairs_from_gather(d.pairs, d.h),
-                backend=self.backend,
-            )
-        acc[gas] = f.acc
-        du[gas] = f.du_dt
-        vsig[gas] = f.v_signal
-        self._hydro_cache = _HydroCache(
-            n_total=len(ps), gas=gas, density=d, force_pairs=f.pairs
+        # The gather list is complete at d.h, so the force pairs fall out of
+        # it: no second pass over the candidates.
+        force_pairs, out = self._force_pass(
+            ps, label, gas, d, d.pres, d.csnd, d.divv, d.curlv,
+            half_pairs_from_gather(d.pairs, d.h),
         )
-        return acc, du, vsig
+        self._hydro_cache = _HydroCache(
+            n_total=len(ps), gas=gas, density=d, force_pairs=force_pairs
+        )
+        return out
 
     def refresh_hydro(
         self, ps: ParticleSet, label: str
@@ -277,42 +264,27 @@ class ForceEngine:
         if cache is None or cache.n_total != len(ps):
             return None
         gas, d = cache.gas, cache.density
-        pos_g, vel_g, mass_g = ps.pos[gas], ps.vel[gas], ps.mass[gas]
-        acc, du, vsig = self._full_buffers(len(ps))
         with self.timers.measure(
             f"{label} Calc_Kernel_Size_and_Density", backend=self.backend.name
         ):
             pres = pressure(d.dens, ps.u[gas])
             csnd = sound_speed_from_density(d.dens, pres)
-            divv, curlv = refresh_velocity_fields(d, pos_g, vel_g, mass_g)
-        self._write_gas_fields(ps, gas, d.h, d.dens, pres, csnd, divv, curlv, d.omega)
+            divv, curlv = refresh_velocity_fields(d, ps.pos[gas], ps.vel[gas], ps.mass[gas])
+        return self._force_pass(ps, label, gas, d, pres, csnd, divv, curlv, cache.force_pairs)[1]
+
+    def _force_pass(self, ps, label, gas, d, pres, csnd, divv, curlv, pairs):
+        """What a full pass and the fast path share: write the gas fields of
+        ``ps``, evaluate the hydro forces over ``pairs`` and scatter them into
+        the persistent full-particle buffers.  Returns the force pairs and
+        ``(acc, du_dt, vsig)``."""
+        ps.h[gas], ps.dens[gas], ps.pres[gas], ps.csnd[gas] = d.h, d.dens, pres, csnd
+        ps.divv[gas], ps.curlv[gas], ps.fgrad[gas] = divv, curlv, d.omega
+        acc, du, vsig = self._full_buffers(len(ps))
         with self.timers.measure(f"{label} Calc_Hydro_Force", backend=self.backend.name):
             f = compute_hydro_forces(
-                pos_g,
-                vel_g,
-                mass_g,
-                d.h,
-                d.dens,
-                pres,
-                csnd,
-                omega=d.omega,
-                divv=divv,
-                curlv=curlv,
-                counter=self.counter,
-                pairs=cache.force_pairs,
-                backend=self.backend,
+                ps.pos[gas], ps.vel[gas], ps.mass[gas], d.h, d.dens, pres, csnd,
+                omega=d.omega, divv=divv, curlv=curlv,
+                counter=self.counter, pairs=pairs, backend=self.backend,
             )
-        acc[gas] = f.acc
-        du[gas] = f.du_dt
-        vsig[gas] = f.v_signal
-        return acc, du, vsig
-
-    @staticmethod
-    def _write_gas_fields(ps, gas, h, dens, pres, csnd, divv, curlv, omega) -> None:
-        ps.h[gas] = h
-        ps.dens[gas] = dens
-        ps.pres[gas] = pres
-        ps.csnd[gas] = csnd
-        ps.divv[gas] = divv
-        ps.curlv[gas] = curlv
-        ps.fgrad[gas] = omega
+        acc[gas], du[gas], vsig[gas] = f.acc, f.du_dt, f.v_signal
+        return f.pairs, (acc, du, vsig)

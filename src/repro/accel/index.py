@@ -73,7 +73,7 @@ class SpatialIndex:
         radius it covers reuses it, candidate list included.  Returns
         ``True`` when the grid was repaired.  When it cannot be — no grid,
         a row outside the grid's scope, no candidate list to repair, a
-        position outside the grid's box — the index ends as after
+        position that is not finite — the index ends as after
         :meth:`invalidate_positions` (never half-repaired), the cause is
         logged once, and ``False`` is returned.
         """
@@ -93,7 +93,7 @@ class SpatialIndex:
                 "the grid holds no candidate list (released, or a backend that walks cells)"
             )
         if not grid.move_points(rows, new_pos):
-            return self.abandon_grid("a row or a new position lies outside the grid")
+            return self.abandon_grid("a moved row is no point of the grid, or its position is not finite")
         self.stats.grid_repairs += 1
         return True
 

@@ -65,7 +65,6 @@ mode the coupled scaling benchmark measures.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.core.integrator import BaseIntegrator, IntegratorConfig
 from repro.core.pool import PoolManager, PoolOccupancy
@@ -77,7 +76,6 @@ from repro.physics.cooling import CoolingModel
 from repro.physics.star_formation import StarFormationModel
 from repro.physics.stellar import exploding_between
 from repro.serve import OverflowPolicy, SurrogateServer
-from repro.sph.density import kernel_size_from_neighbors
 from repro.surrogate.voxelize import extract_region
 
 
@@ -270,11 +268,24 @@ class CoupledRunner(BaseIntegrator):
         """Step (4): gather every rank's due predictions, apply in event-id
         order — the order the server assigned at dispatch.
 
-        The engine is told *which rows* landed with new coordinates
+        Three things happen, in this order: the predicted particles replace
+        their originals by ID; their ``h`` — a pool node's guess from its
+        predicted density field — is capped at the largest ``h`` of the gas
+        that stayed (``region_side`` when none stayed), because the neighbor
+        grid's cell is the largest ``h`` and one overestimate would coarsen
+        it for every gas particle; and the engine is told *which rows* landed
+        with new coordinates
         (:meth:`~repro.accel.ForceEngine.notify_rows_moved`), not that
-        everything moved: step (7) then solves on the neighbor grid of
+        everything moved.  Step (7) then solves on the neighbor grid of
         step (3), edited for these rows, instead of binning and generating
         candidates for all the gas a second time.
+
+        Nothing here fits ``h`` to the merged set: the re-inserted particles
+        and the gas around them — whose ``h`` was solved for neighbors that
+        have just left — are found by the first sweep of step (7)'s
+        kernel-size solve (they are the ones outside tolerance) and closed
+        in on by its bracketed update (:mod:`repro.sph.density`), which needs
+        no better seed than this.
         """
         pairs: list = []
         for pool in self.pools:
@@ -286,50 +297,15 @@ class CoupledRunner(BaseIntegrator):
         pids = np.concatenate([predicted.pid for _event, predicted in pairs])
         slot = np.minimum(np.searchsorted(ps.pid, pids), len(ps) - 1)
         rows = slot[ps.pid[slot] == pids]       # pid order == row order
-        vacated = ps.pos[rows]
         for _event, predicted in pairs:
             ps.replace_by_pid(predicted)
         if rows.size:
-            self._reseed_kernel_sizes(rows, vacated)
+            stayed = ps.where_type(ParticleType.GAS)
+            stayed[rows] = False
+            h_cap = ps.h[stayed].max() if stayed.any() else self.cfg.region_side
+            ps.h[rows] = np.minimum(ps.h[rows], h_cap)
             # Predicted particles land with new coordinates.
             self.engine.notify_rows_moved(ps, rows)
-
-    def _reseed_kernel_sizes(self, rows: np.ndarray, vacated: np.ndarray) -> None:
-        """Give the gas an SN replacement touched an ``h`` that fits the
-        merged set, before the density pass that follows.
-
-        A pool node can only guess ``h`` from its predicted field, and one
-        overestimate coarsens the neighbor grid of the next pass (cell =
-        largest ``h``) for *every* gas particle; the gas around the region
-        keeps an ``h`` solved for neighbors that have just left.  From there
-        the fixed-point solve needs 7-10 sweeps on the blast shell and runs
-        into its iteration cap.  So every gas particle whose support holds a
-        vacated or a newly occupied position — the re-inserted ones
-        included — is solved here against its nearest neighbors in the
-        merged set (:func:`~repro.sph.density.kernel_size_from_neighbors`),
-        never above the largest ``h`` of the gas that stayed: the grid keeps
-        its cell and the pass converges in one to three sweeps.
-        """
-        ps = self.ps
-        stayed = ps.where_type(ParticleType.GAS)
-        gas = np.flatnonzero(stayed)
-        n_ngb = min(self.cfg.n_ngb, gas.size - 1)
-        if n_ngb < 1:
-            return
-        stayed[rows] = False
-        h_cap = float(ps.h[stayed].max()) if stayed.any() else self.cfg.region_side
-        ps.h[rows] = h_cap                      # re-inserted: always re-solved
-        moved = np.concatenate([vacated, ps.pos[rows]])
-        # A touched particle lies within h_cap of a moved position and its
-        # support reaches h_cap further: pad the search box by both.
-        lo, hi = moved.min(axis=0) - 2.0 * h_cap, moved.max(axis=0) + 2.0 * h_cap
-        near = gas[np.all((ps.pos[gas] >= lo) & (ps.pos[gas] <= hi), axis=1)]
-        reach, _ = cKDTree(moved).query(ps.pos[near])
-        touched = near[reach < ps.h[near]]
-        dist, _ = cKDTree(ps.pos[near]).query(
-            ps.pos[touched], k=np.arange(1, min(2 * n_ngb + 1, near.size) + 1)
-        )
-        ps.h[touched] = np.minimum(kernel_size_from_neighbors(dist, n_ngb), h_cap)
 
     def redistribute(self, dt: float) -> None:
         """Step (5): genuine re-decomposition and particle migration.

@@ -22,7 +22,9 @@ recorded trace:
 * the ``accel.grid_*`` counters of :class:`repro.accel.ForceEngine` become
   neighbor-grid builds / repairs / reuses per step — a step whose SN
   replacement was a local edit of the grid shows as a repair and a reuse
-  where it used to show a second build;
+  where it used to show a second build; ``accel.density_sweeps`` over
+  ``accel.density_passes`` is the kernel-size solve's sweeps per pass, and
+  any ``accel.h_unconverged`` is flagged;
 * :func:`diff_reports` lines two runs up row by row for regression triage
   (``python -m repro.obs report A --diff B``).
 """
@@ -132,6 +134,15 @@ class RunReport:
             lines += ["", "neighbor grid (per step): " + ", ".join(
                 f"{name} {value:.2f}" for name, value in grid.items()
             )]
+        passes = self.counters.get("accel.density_passes")
+        if passes:
+            line = (f"kernel-size solve: {self.counters['accel.density_sweeps'] / passes:.2f} "
+                    f"sweeps per pass over {int(passes)} passes")
+            left = int(self.counters.get("accel.h_unconverged", 0))
+            if left:
+                line += (f"  ** {left} particle(s) left outside tolerance "
+                         "(see the repro.accel warnings) **")
+            lines += ["", line]
         if self.counters:
             lines += ["", "counters"]
             for name, value in sorted(self.counters.items()):

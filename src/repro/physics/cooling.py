@@ -98,30 +98,40 @@ class CoolingModel:
         z: np.ndarray | None = None,
         max_subcycles: int = 64,
     ) -> np.ndarray:
-        """Advance u over dt with adaptive sub-cycling (new u returned).
+        """Advance u over dt with adaptive sub-cycling (new u returned);
+        ``u``, ``dens`` and ``z`` hold one entry per particle.
 
         Each sub-step is limited to a 25% relative change of u (explicit but
         stable because of the limiter), and the result is clamped to the
-        temperature floor/ceiling.
+        temperature floor/ceiling.  After the first sub-cycle only the few
+        particles with time remaining (the SN-heated ones) are still
+        integrated: the working arrays are compacted to them, so a sub-cycle
+        costs what is left, not the whole gas.  Every operation is
+        element-wise, so the result equals, bit for bit, that of carrying
+        every particle through every sub-cycle with a zero step.
         """
         u = np.asarray(u, dtype=np.float64).copy()
-        dens = np.asarray(dens, dtype=np.float64)
-        remaining = np.full_like(u, float(dt))
+        u_a, dens_a, z_a = u, np.asarray(dens, dtype=np.float64), z
+        idx = np.arange(u.size)
+        remaining = np.full(u.size, float(dt))
         u_floor = temperature_to_internal_energy(self.t_floor)
         u_ceil = temperature_to_internal_energy(self.t_ceiling)
         for _ in range(max_subcycles):
-            active = remaining > 0.0
-            if not active.any():
+            active = np.flatnonzero(remaining > 0.0)
+            if not active.size:
                 break
-            rate = self.du_dt(u, dens, z)
+            if active.size < idx.size:
+                idx, u_a, dens_a = idx[active], u_a[active], dens_a[active]
+                remaining, z_a = remaining[active], None if z_a is None else z_a[active]
+            rate = self.du_dt(u_a, dens_a, z_a)
             # Sub-step: min(remaining, 0.25 u / |rate|).
-            safe = np.where(rate != 0.0, 0.25 * u / np.abs(rate), np.inf)
+            safe = np.where(rate != 0.0, 0.25 * u_a / np.abs(rate), np.inf)
             step = np.minimum(remaining, np.maximum(safe, 1e-12))
-            step = np.where(active, step, 0.0)
-            u = np.clip(u + rate * step, u_floor, u_ceil)
+            u_a = np.clip(u_a + rate * step, u_floor, u_ceil)
+            u[idx] = u_a
             # At the floor/ceiling the remaining time can be dropped.
-            at_limit = (u <= u_floor * (1 + 1e-12)) & (rate < 0)
-            at_limit |= (u >= u_ceil * (1 - 1e-12)) & (rate > 0)
+            at_limit = (u_a <= u_floor * (1 + 1e-12)) & (rate < 0)
+            at_limit |= (u_a >= u_ceil * (1 - 1e-12)) & (rate > 0)
             remaining = np.where(at_limit, 0.0, remaining - step)
         return u
 

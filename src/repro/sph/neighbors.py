@@ -252,12 +252,19 @@ class NeighborGrid:
         order; sums over it agree to rounding.  Cost: O(n) bookkeeping plus
         the stencil of the moved points, instead of the stencil of all.
 
+        A new position may lie outside the box the grid was built over: it
+        is binned to the edge cell, as :meth:`build` and every query bin by
+        clipping.  That stays exact — clipping cell indices is 1-Lipschitz,
+        so two points within ``cell`` of each other still sit in equal or
+        adjacent cells, and the ``r < cell`` filter and
+        :meth:`points_in_box` compare true coordinates.
+
         Returns ``False``, leaving the grid untouched, when it cannot answer
         exactly: no compact list is cached, a row is not a point of the
-        grid, or a new position lies outside the grid's box (or is not
-        finite).  The caller then invalidates, as for any position change.
-        Duplicate ``rows`` are allowed (the last position given wins).  The
-        full list of :meth:`self_pairs` is dropped, not repaired.
+        grid, or a new position is not finite.  The caller then invalidates,
+        as for any position change.  Duplicate ``rows`` are allowed (the last
+        position given wins).  The full list of :meth:`self_pairs` is
+        dropped, not repaired.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         new_pos = np.asarray(new_pos, dtype=np.float64).reshape(len(rows), 3)
@@ -268,8 +275,7 @@ class NeighborGrid:
             return True
         if rows.min() < 0 or rows.max() >= n:
             return False
-        cells = np.floor((new_pos - self.lo) / self.cell)
-        if not np.all((cells >= 0) & (cells < self.dims)):      # NaN fails too
+        if not np.all(np.isfinite(new_pos)):
             return False
 
         self.pos[rows] = new_pos

@@ -105,8 +105,9 @@ def devoxelize_to_particles(
     velocities/internal energy interpolated from the predicted fields —
     this is what a pool node sends back to the main nodes.  The kernel
     size is a guess from the predicted density alone (``n_ngb`` neighbors
-    inside the support); the main nodes re-derive it against the gas the
-    particles land in (``CoupledRunner.receive_sne``).
+    inside the support); the main nodes cap it
+    (``CoupledRunner.receive_sne``) and their next kernel-size solve fits it
+    to the gas the particles land in.
     """
     n_particles = len(template)
     if n_particles == 0:

@@ -88,19 +88,28 @@ def internal_energy_to_temperature(
 ) -> np.ndarray | float:
     """Temperature [K] from specific internal energy [(pc/Myr)^2].
 
-    When ``mu`` is not given the neutral/ionized blend is solved by a single
-    fixed-point sweep (the blend is monotone, so one pass after an initial
-    neutral guess is accurate to better than a percent).
+    When ``mu`` is not given, ``T = (gamma - 1) u mu(T) / k_B`` is inverted
+    for the blend of :func:`mean_molecular_weight`.  ``mu`` is constant below
+    1e4 K and above 10^4.5 K, so there ``T`` is a formula; in between
+    ``10^L = a (mu_n + 2 (mu_i - mu_n) (L - 4))`` with ``L = log10 T`` has one
+    root (the left side rises, the right side falls), found by Newton from
+    the upper knot: the residual is convex, so the iterates descend on the
+    root and seven of them reach rounding.  Exact inverse of
+    :func:`temperature_to_internal_energy` to 1e-15 over 1-1e9 K.
     """
     u = np.asarray(u, dtype=np.float64)
     if mu is not None:
         return (GAMMA - 1.0) * np.asarray(mu) * u / BOLTZMANN
-    t = (GAMMA - 1.0) * MU_NEUTRAL * u / BOLTZMANN
-    # Damped fixed-point: the blend makes the bare map contract at only
-    # ~0.6x per sweep near 2e4 K, so average each step with the previous.
-    for _ in range(40):
-        t = 0.5 * (t + (GAMMA - 1.0) * mean_molecular_weight(t) * u / BOLTZMANN)
-    return t
+    a = np.ravel((GAMMA - 1.0) / BOLTZMANN * u)
+    t = np.where(MU_NEUTRAL * a <= 1.0e4, MU_NEUTRAL * a, MU_IONIZED * a)
+    blend = np.flatnonzero((MU_NEUTRAL * a > 1.0e4) & (MU_IONIZED * a < 10.0**4.5))
+    a_b, log_t = a[blend], np.full(blend.size, 4.5)
+    slope = 2.0 * (MU_NEUTRAL - MU_IONIZED) * a_b
+    for _ in range(7):
+        t_b = 10.0**log_t
+        log_t -= (t_b - MU_NEUTRAL * a_b + slope * (log_t - 4.0)) / (np.log(10.0) * t_b + slope)
+    t[blend] = 10.0**log_t
+    return t.reshape(u.shape)[()]
 
 
 def sound_speed(u: np.ndarray | float) -> np.ndarray | float:

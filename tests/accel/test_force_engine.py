@@ -196,6 +196,7 @@ def test_unconverged_kernel_sizes_are_logged_and_counted(monkeypatch, caplog):
     from repro.accel import engine as engine_mod
 
     ps = make_turbulent_box(n_per_side=8, side=60.0, seed=2)
+    h_before = ps.h.copy()
     ps.h[:] *= 3.0                                    # a poor guess ...
     monkeypatch.setattr(                              # ... and one sweep to fix it
         engine_mod, "compute_density", functools.partial(compute_density, max_iter=1)
@@ -205,6 +206,13 @@ def test_unconverged_kernel_sizes_are_logged_and_counted(monkeypatch, caplog):
         engine.hydro(ps, "1st")
     assert engine.n_unconverged > 0
     assert f"{engine.n_unconverged} of {len(ps)} gas particles" in caplog.text
+    # ... with what the solve knew about the worst of them: every guess was
+    # too large, so its one sample is the upper end and no lower end exists.
+    d = engine._hydro_cache.density
+    k, lo, hi, cell = d.worst_bracket
+    assert (lo, hi, cell) == (0.0, 3.0 * h_before[k], d.grid.cell)
+    assert f"particle {k}, has its root in (lo=0, hi={hi:.6g})" in caplog.text
+    assert f"cell {cell:.6g}" in caplog.text
 
     monkeypatch.undo()
     caplog.clear()
@@ -300,9 +308,9 @@ def test_step7_pass_on_the_repaired_grid_matches_a_cold_pass(backend):
 
 
 def test_edit_that_cannot_be_exact_invalidates_and_says_so_once(caplog):
-    """Rows outside the gas scope, a changed particle count, a position
-    outside the grid's box: full invalidation each time, one log line per
-    cause however often it recurs."""
+    """Rows outside the gas scope, a changed particle count, a position that
+    is not finite: full invalidation each time, one log line per cause
+    however often it recurs."""
     import logging
 
     ps = _stars_then_gas(seed=11)
@@ -321,7 +329,7 @@ def test_edit_that_cannot_be_exact_invalidates_and_says_so_once(caplog):
             edit(ps.select(np.arange(len(ps) - 1)), [gas_row])
             engine.hydro(ps, "1st")
             home = ps.pos[gas_row].copy()
-            ps.pos[gas_row] += 1e4                   # far outside the box
+            ps.pos[gas_row] = np.nan                 # nowhere: cannot be binned
             edit(ps, [gas_row])
             ps.pos[gas_row] = home
         engine.notify_rows_moved(ps, np.array([gas_row]))    # nothing cached at all

@@ -3,14 +3,16 @@
 A pool node guesses ``h`` from its predicted density field; taken as is
 (it used to come back at the 60 pc region side) it coarsens the neighbor
 grid of the post-SN density pass for every gas particle and sends the h
-solve to its iteration cap.  ``CoupledRunner.receive_sne`` re-derives ``h``
-against the merged set instead: the post-SN pass keeps the grid of the pass
-before it and converges with sweeps to spare.
+solve to its iteration cap.  ``CoupledRunner.receive_sne`` caps it at the largest
+``h`` of the gas that stayed, and the bracketed kernel-size solve of step (7)
+does the rest: the post-SN pass keeps the grid of the pass before it and
+converges with sweeps to spare.
 """
 
 from __future__ import annotations
 
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.core.integrator import IntegratorConfig
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.sn.turbulence import make_turbulent_box
 from repro.sph.density import compute_density
+from repro.sph.kernels import DEFAULT_KERNEL
 
 DT = 2e-3
 LATENCY = 2
@@ -86,9 +89,18 @@ def test_post_sn_density_pass_keeps_the_grid_and_converges(density_passes):
         assert sim.diagnostics()["n_sn_events"] == n_steps
 
 
+def _land(runner, predicted: ParticleSet) -> None:
+    """Step (4) with ``predicted`` as the one prediction due: the pool hands
+    it over, ``receive_sne`` does the rest."""
+    event = SimpleNamespace(event_id=0)
+    runner.pools[0].collect = lambda step: [(event, predicted)]
+    runner.receive_sne()
+
+
 def test_reseeded_kernel_sizes_fit_the_merged_set():
-    """Around a re-inserted region every touched particle holds ``n_ngb``
-    smoothed neighbors, and nothing exceeds the h of the gas that stayed."""
+    """A re-inserted blast shell enters step (7) with no ``h`` above that of
+    the gas that stayed, and the one solver fits every touched particle to
+    the merged set with sweeps to spare — no reseed in front of it."""
     ps = make_turbulent_box(n_per_side=10, side=150.0, seed=1)
     sim = GalaxySimulation(
         ps, dt=DT, config=IntegratorConfig(enable_star_formation=False)
@@ -96,20 +108,33 @@ def test_reseeded_kernel_sizes_fit_the_merged_set():
     with sim:
         sim.run(1)                                       # converged h everywhere
         runner, ps = sim.integrator, sim.ps
+        runner.compute_forces("1st")                     # the grid step (7) edits
         rows = np.flatnonzero(np.all(np.abs(ps.pos) < 30.0, axis=1))
         stayed = np.setdiff1d(np.arange(len(ps)), rows)
         h_cap = ps.h[stayed].max()
-        vacated = ps.pos[rows]
         # A blast: the region's gas swept into a thin shell, h overestimated.
+        predicted = ps.select(rows)
         rng = np.random.default_rng(0)
         shell = rng.normal(size=(rows.size, 3))
-        ps.pos[rows] = 25.0 * shell / np.linalg.norm(shell, axis=1, keepdims=True)
-        ps.h[rows] = 60.0
-        runner._reseed_kernel_sizes(rows, vacated)
+        predicted.pos[:] = 25.0 * shell / np.linalg.norm(shell, axis=1, keepdims=True)
+        predicted.h[:] = 60.0
+        _land(runner, predicted)
+        assert np.array_equal(ps.pos[rows], predicted.pos)
         assert ps.h.max() == h_cap
+        builds = runner.engine.index.stats.grid_builds
+        runner.engine.hydro(ps, "2nd")
+        d = runner.engine._hydro_cache.density
+        assert d.iterations <= 5 and d.n_unconverged == 0
+        assert runner.engine.n_unconverged == 0
+        assert runner.engine.index.stats.grid_builds == builds      # the edited grid
         assert np.all(ps.h[rows] < 60.0) and np.all(ps.h > 0.0)
-        d = compute_density(ps.pos, ps.vel, ps.mass, ps.u, ps.h, n_ngb=runner.cfg.n_ngb)
-        assert d.iterations <= 3 and d.n_unconverged == 0
+        n_smooth = (
+            4.0 * np.pi / 3.0 * ps.h**3
+            * DEFAULT_KERNEL.value(
+                np.linalg.norm(ps.pos[:, None, :] - ps.pos[None, :, :], axis=2), ps.h[:, None]
+            ).sum(axis=1)
+        )
+        assert np.all(np.abs(n_smooth - runner.cfg.n_ngb) <= 0.05 * runner.cfg.n_ngb)
 
 
 def test_reseed_with_no_gas_left_to_bound_it():
@@ -126,10 +151,13 @@ def test_reseed_with_no_gas_left_to_bound_it():
     sim = GalaxySimulation(ps, dt=DT, config=IntegratorConfig(enable_star_formation=False))
     with sim:
         runner = sim.integrator
-        runner._reseed_kernel_sizes(np.arange(n), runner.ps.pos.copy())
+        _land(runner, runner.ps.copy())
+        assert runner.ps.h.max() <= runner.cfg.region_side
+        runner.engine.hydro(runner.ps, "2nd")
+        d = runner.engine._hydro_cache.density
+        assert d.iterations <= 5 and d.n_unconverged == 0
         h = runner.ps.h
         assert np.all(np.isfinite(h)) and np.all(h > 0.0)
-        assert h.max() <= runner.cfg.region_side
 
 
 def test_local_edit_ends_where_the_blanket_invalidation_ends(monkeypatch):

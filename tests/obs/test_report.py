@@ -155,5 +155,22 @@ def test_report_shows_neighbor_grid_work_per_step():
     assert per_step["repairs"] > 0
     assert "neighbor grid (per step): builds" in report.to_text()
     assert report.to_json_obj()["neighbor_grid_per_step"] == per_step
-    # A run that emitted no grid counters prints no such line.
-    assert "neighbor grid" not in report_traces([_as_loaded(_synthetic_tracer())]).to_text()
+    # The kernel-size solve: sweeps per pass, nothing left unconverged.
+    passes, sweeps = tr.counters["accel.density_passes"], tr.counters["accel.density_sweeps"]
+    assert passes >= 6 + stats["grid_repairs"] and passes <= sweeps <= 5 * passes
+    assert "accel.h_unconverged" not in tr.counters
+    assert f"kernel-size solve: {sweeps / passes:.2f} sweeps per pass" in report.to_text()
+    assert "**" not in report.to_text()
+    # A run that emitted no such counters prints no such lines.
+    quiet = report_traces([_as_loaded(_synthetic_tracer())]).to_text()
+    assert "neighbor grid" not in quiet and "kernel-size solve" not in quiet
+
+
+def test_report_flags_unconverged_kernel_sizes():
+    tr = _synthetic_tracer()
+    tr.count("accel.density_passes", 4)
+    tr.count("accel.density_sweeps", 22)
+    tr.count("accel.h_unconverged", 3)
+    text = report_traces([_as_loaded(tr)]).to_text()
+    assert "kernel-size solve: 5.50 sweeps per pass over 4 passes" in text
+    assert "** 3 particle(s) left outside tolerance" in text

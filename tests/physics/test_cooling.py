@@ -108,3 +108,58 @@ def test_vectorized_integration_matches_scalar(cool):
     batch = cool.integrate(u, dens, dt=5.0)
     singles = [cool.integrate(u[i : i + 1], dens[i : i + 1], dt=5.0)[0] for i in range(3)]
     assert np.allclose(batch, singles)
+
+
+# ------------------------------------------ sub-cycling on the active subset
+def _integrate_everyone(cool, u, dens, dt, z=None, max_subcycles=64):
+    """``CoolingModel.integrate`` as it was: every particle carried through
+    every sub-cycle, the finished ones with a zero step."""
+    u = np.asarray(u, dtype=np.float64).copy()
+    dens = np.asarray(dens, dtype=np.float64)
+    remaining = np.full_like(u, float(dt))
+    u_floor = temperature_to_internal_energy(cool.t_floor)
+    u_ceil = temperature_to_internal_energy(cool.t_ceiling)
+    for _ in range(max_subcycles):
+        active = remaining > 0.0
+        if not active.any():
+            break
+        rate = cool.du_dt(u, dens, z)
+        safe = np.where(rate != 0.0, 0.25 * u / np.abs(rate), np.inf)
+        step = np.minimum(remaining, np.maximum(safe, 1e-12))
+        step = np.where(active, step, 0.0)
+        u = np.clip(u + rate * step, u_floor, u_ceil)
+        at_limit = (u <= u_floor * (1 + 1e-12)) & (rate < 0)
+        at_limit |= (u >= u_ceil * (1 - 1e-12)) & (rate > 0)
+        remaining = np.where(at_limit, 0.0, remaining - step)
+    return u
+
+
+@pytest.mark.parametrize(
+    "temperature",
+    [
+        "hot minority",                       # the sn_storm shape: 70 of 1,728
+        10.0,                                 # everyone at the floor
+        1.0e9,                                # everyone at the ceiling
+        "decades",
+    ],
+)
+@pytest.mark.parametrize("with_z", [False, True])
+def test_subset_integration_equals_carrying_everyone(temperature, with_z):
+    rng = np.random.default_rng(7)
+    n = 1728
+    if temperature == "hot minority":
+        t = np.full(n, 100.0)
+        t[rng.choice(n, 70, replace=False)] = 10.0 ** rng.uniform(5.0, 7.5, 70)
+    elif temperature == "decades":
+        t = 10.0 ** rng.uniform(1.0, 9.0, n)
+    else:
+        t = np.full(n, temperature)
+    u = temperature_to_internal_energy(t)
+    dens = 10.0 ** rng.uniform(-3.0, 2.0, n)
+    z = 0.0134 * 10.0 ** rng.uniform(-2.0, 0.5, n) if with_z else None
+    cool = CoolingModel(metallicity_scaling=with_z)
+    for dt in (2e-3, 0.5):
+        got = cool.integrate(u, dens, dt, z=z)
+        assert np.array_equal(got, _integrate_everyone(cool, u, dens, dt, z=z))
+    assert np.array_equal(cool.integrate(u, dens, 0.0), u)         # no time: untouched
+    assert np.array_equal(u, temperature_to_internal_energy(t))     # the input is not written

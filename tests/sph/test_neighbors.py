@@ -251,21 +251,61 @@ def test_move_points_repairs_to_the_fresh_candidate_list(
     _assert_grids_answer_alike(grid, _fresh_on_same_binning(grid, edited), rng)
 
 
+@given(
+    n=st.integers(2, 70),
+    cell=st.floats(0.5, 3.0),
+    n_moved=st.integers(1, 12),
+    sides=st.tuples(*[st.sampled_from([-1, 0, 1])] * 3),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_move_points_outside_the_box_stays_exact(n, cell, n_moved, sides, seed):
+    """Moved points may land up to 3 cells outside the box of the first
+    binning — beyond a face, an edge or a corner (``sides``: which way per
+    axis) — and are binned to the edge cell: the repaired list is the fresh
+    one on the same binning (keys exact, r bit-equal), and it is the truth —
+    every pair closer than ``cell``, found by brute force."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 6.0, (n, 3))
+    grid = NeighborGrid.build(pos, cell)
+    grid.compact_self_pairs()
+    rows = rng.choice(n, size=min(n_moved, n), replace=False)
+    box_lo, box_hi = grid.lo, grid.lo + grid.dims * grid.cell
+    out = rng.uniform(0.0, 3.0 * cell, (len(rows), 3))
+    inside = rng.uniform(box_lo, box_hi, (len(rows), 3))
+    side = np.array(sides)
+    new_pos = np.where(side < 0, box_lo - out, np.where(side > 0, box_hi + out, inside))
+    assert grid.move_points(rows, new_pos)
+    edited = pos.copy()
+    edited[rows] = new_pos
+    _assert_grids_answer_alike(grid, _fresh_on_same_binning(grid, edited), rng)
+    r = np.linalg.norm(edited[:, None, :] - edited[None, :, :], axis=2)
+    want_i, want_j = np.nonzero(r < cell)
+    got_i, got_j, got_r = pairs_by_key(grid.compact_self_pairs())
+    assert np.array_equal(got_i, want_i) and np.array_equal(got_j, want_j)
+    np.testing.assert_allclose(got_r, r[want_i, want_j], rtol=1e-14, atol=1e-14)
+    lo, hi = new_pos.min(axis=0), new_pos.max(axis=0)
+    assert np.array_equal(
+        np.sort(grid.points_in_box(lo, hi)),
+        np.flatnonzero(np.all((edited >= lo) & (edited <= hi), axis=1)),
+    )
+
+
 def test_move_points_refuses_what_it_cannot_answer_exactly(rng):
-    """No cached list, a row that is no point of the grid, a position outside
-    the box or not finite: ``False``, and the grid is untouched."""
+    """No cached list, a row that is no point of the grid, a position that is
+    not finite: ``False``, and the grid is untouched.  (A finite position
+    outside the box is answered: see the test above.)"""
     pos = rng.uniform(0.0, 10.0, (120, 3))
     grid = NeighborGrid.build(pos, 1.5)
     inside = np.array([[5.0, 5.0, 5.0]])
     assert not grid.move_points(np.array([3]), inside)         # nothing cached yet
     before = [a.copy() for a in grid.compact_self_pairs()]
     order, keys = grid.order.copy(), grid.sorted_keys.copy()
-    box_hi = grid.lo + grid.dims * grid.cell
     for rows, new_pos in (
         (np.array([120]), inside),
         (np.array([-1]), inside),
-        (np.array([3]), np.array([[box_hi[0], 5.0, 5.0]])),
-        (np.array([3]), np.array([[5.0, grid.lo[1] - 1e-6, 5.0]])),
+        (np.array([3]), np.array([[np.inf, 5.0, 5.0]])),
+        (np.array([3]), np.array([[5.0, -np.inf, 5.0]])),
         (np.array([3, 4]), np.array([[5.0, 5.0, 5.0], [5.0, np.nan, 5.0]])),
     ):
         assert not grid.move_points(rows, new_pos)

@@ -65,3 +65,41 @@ def test_mean_molecular_weight_limits():
 def test_density_to_nh_order_of_magnitude():
     # 1 M_sun/pc^3 ~ 30 H atoms / cm^3 (for X_H = 0.76).
     assert C.DENSITY_TO_NH == pytest.approx(30.0, rel=0.15)
+
+
+# ------------------------------------------------------- T(u) as a formula
+def _temperature_by_damped_sweeps(u):
+    """``internal_energy_to_temperature`` as it was: 40 damped fixed-point
+    sweeps from the neutral guess (converged to ~1e-12)."""
+    from repro.util.constants import BOLTZMANN, GAMMA, MU_NEUTRAL, mean_molecular_weight
+
+    t = (GAMMA - 1.0) * MU_NEUTRAL * u / BOLTZMANN
+    for _ in range(40):
+        t = 0.5 * (t + (GAMMA - 1.0) * mean_molecular_weight(t) * u / BOLTZMANN)
+    return t
+
+
+def test_temperature_inverts_internal_energy_across_the_blend():
+    """Closed form on the two flat branches of mu(T), Newton in log10 T on
+    the blend: within 1e-11 of the 40-sweep solve it replaces, and an inverse
+    of ``temperature_to_internal_energy`` to 1e-12, over 1-1e9 K with both
+    knots and their neighbors."""
+    from repro.util.constants import internal_energy_to_temperature, temperature_to_internal_energy
+
+    knots = np.array([1.0e4, 10.0**4.5])
+    t = np.concatenate(
+        [np.logspace(0.0, 9.0, 20001), knots, knots * (1 - 1e-14), knots * (1 + 1e-14)]
+    )
+    u = temperature_to_internal_energy(t)
+    got = internal_energy_to_temperature(u)
+    np.testing.assert_allclose(got, _temperature_by_damped_sweeps(u), rtol=1e-11)
+    np.testing.assert_allclose(got, t, rtol=1e-12)
+    np.testing.assert_allclose(temperature_to_internal_energy(got), u, rtol=1e-12)
+    assert np.all(np.diff(got[:20001]) > 0)                         # monotone through both knots
+    # Scalars stay scalars, shapes stay shapes, an explicit mu is honored.
+    assert np.ndim(internal_energy_to_temperature(float(u[5]))) == 0
+    assert internal_energy_to_temperature(float(u[5])) == got[5]
+    assert internal_energy_to_temperature(u[:6].reshape(2, 3)).shape == (2, 3)
+    assert internal_energy_to_temperature(2.0, mu=1.0) == pytest.approx(
+        internal_energy_to_temperature(2.0, mu=2.0) / 2.0
+    )
