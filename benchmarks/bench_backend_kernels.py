@@ -57,9 +57,18 @@ particle unconverged on every pass).  Sweeps, grid builds and ms per pass are
 recorded; the *counts* are asserted: nobody unconverged, <= 5 sweeps, one
 grid.
 
-Results land in ``benchmarks/results/BENCH_backend_kernels.json`` together
-with the gravity chunk size actually chosen (``REPRO_GRAV_CHUNK`` /
-``REPRO_GRAV_TEMP_MB`` satellite).  The numba rows only appear where numba
+``grav_tile`` times the gravity tile on the three shapes the workloads run
+— an interaction group of the 4,000-particle halo against its list
+(256 x 3,140, mixed precision), the LET import tile of a two-rank run
+(1,370 x 2,600, mixed) and a direct sum below ``direct_gravity_below``
+(800 x 800, float64) — in Mpair/s for the blocked ``numpy`` tile and the
+frozen ``seed`` tile, with the bytes the ``numpy`` tile's workspace holds
+afterwards.  Asserted: the workspace is one pair block
+(``5 * 8 * _TILE_PAIRS + _TILE_PAIRS`` bytes at most) on every shape, and
+the blocked tile is >= 1.3x ``seed`` on the import shape.
+
+Results land in ``benchmarks/results/BENCH_backend_kernels.json``.  The
+numba rows only appear where numba
 is installed (the dedicated CI leg); the acceptance floors are asserted
 here: numpy >= 3.4x and, when jitted, numba >= 3x on the 20k whole step.
 ``repro.perf.calibrate`` consumes the JSON to calibrate the Table-4 cost
@@ -77,13 +86,12 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks.conftest import fmt_table
-from repro.accel.backends import available_backends, get_backend
+from repro.accel.backends import available_backends, get_backend, numpy_backend
 from repro.accel.backends.base import TileWorkspace
 from repro.accel.backends.numba_backend import HAVE_NUMBA
 from repro.core.integrator import IntegratorConfig
 from repro.core.runner import CoupledRunner
 from repro.fdps.interaction import InteractionCounter
-from repro.gravity.kernels import grav_chunk_size
 from repro.gravity.treegrav import tree_accel
 from repro.ic.galaxy import MW_SPEC, make_mw_mini, make_mw_model
 from repro.serve import SurrogateServer
@@ -108,6 +116,14 @@ MAX_FAULTS_WITH_WORKSPACE = 5000
 #: Floors on (reference seconds / coordinate-plane seconds), see the module
 #: docstring for what each reference is and what the old layout measured.
 MIN_PLANE_SPEEDUP = {"tile_float64": 1.6, "tile_mixed": 2.0, "candidates": 1.8, "deposit": 7.0}
+#: (targets, sources, mixed, exclude_self) of the gravity tiles the
+#: workloads run, and the floor of blocked over ``seed`` on the import shape.
+GRAV_TILE_SHAPES = {
+    "group_256x3140": (256, 3140, True, True),
+    "import_1370x2600": (1370, 2600, True, False),
+    "direct_800x800": (800, 800, False, True),
+}
+MIN_IMPORT_TILE_SPEEDUP = 1.3
 #: Floors on (reference ms / ms) of the SPH pass after the candidate list,
 #: per cloud.  Measured on the box 3.3-3.7 / 2.1-2.6 / 1.44-1.66 (the force
 #: kernel's ~135 array passes are bound by memory at 67 k pairs); half pairs
@@ -259,6 +275,33 @@ def _best_of(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _time_grav_tile():
+    """Mpair/s of the blocked ``numpy`` tile and the frozen ``seed`` tile on
+    the workloads' three tile shapes, and the ``numpy`` workspace's bytes."""
+    rng = np.random.default_rng(9)
+    numpy_bk, seed_bk = get_backend("numpy"), get_backend("seed")
+    out = {}
+    for label, (n_t, n_s, mixed, exclude_self) in GRAV_TILE_SHAPES.items():
+        tile = (
+            rng.normal(size=(n_t, 3)) * 100.0, np.full(n_t, 1.0),
+            rng.normal(size=(n_s, 3)) * 1000.0, rng.uniform(0.5, 2.0, n_s), np.full(n_s, 1.0),
+        )
+        if exclude_self:
+            tile[2][: min(n_t, n_s)] = tile[0][: min(n_t, n_s)]
+        kw = {"exclude_self": exclude_self, "mixed": mixed}
+        workspace = TileWorkspace()
+        blocked = _best_of(lambda: numpy_bk.grav_tile(*tile, workspace=workspace, **kw), 7)
+        frozen = _best_of(lambda: seed_bk.grav_tile(*tile, **kw), 7)
+        out[label] = {
+            "mixed": mixed,
+            "blocked_mpair_per_s": n_t * n_s / blocked / 1e6,
+            "seed_mpair_per_s": n_t * n_s / frozen / 1e6,
+            "speedup": frozen / blocked,
+            "workspace_bytes": workspace.nbytes,
+        }
+    return out
 
 
 def _time_plane_kernels():
@@ -489,6 +532,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
 
     benchmark.pedantic(_run, rounds=1, iterations=1)
     gravity_pass = {row: _gravity_pass_kernel_cost(row) for row in GRAVITY_PASS_ROWS}
+    grav_tile = _time_grav_tile()
     plane_kernels = _time_plane_kernels()
     sph_pair_kernels = {"box_5k": _time_sph_pair_kernels(_box(17)),
                         "gas_disk": _time_sph_pair_kernels(_gas_disk())}
@@ -499,12 +543,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     payload = {
         "available_backends": available_backends(),
         "numba_jitted": HAVE_NUMBA,
-        "grav_chunk": {
-            "chosen_for_group_256": grav_chunk_size(256),
-            "chosen_for_group_2048": grav_chunk_size(2048),
-            "env_chunk": os.environ.get("REPRO_GRAV_CHUNK"),
-            "env_budget_mb": os.environ.get("REPRO_GRAV_TEMP_MB"),
-        },
+        "grav_tile": {"tile_pairs": numpy_backend._TILE_PAIRS, "shapes": grav_tile},
         "gravity_pass_n4000": gravity_pass,
         "plane_kernels": plane_kernels,
         "sph_pair_kernels": sph_pair_kernels,
@@ -528,6 +567,9 @@ def test_backend_kernels(benchmark, results_dir, write_result):
             rows.append(["whole_step", bk, label, cell["speedup_vs_seed"]])
     for label, cell in gravity_pass.items():
         rows.append(["gravity faults/pass", "numpy", label, cell["ru_minflt_per_pass"]])
+    for label, cell in grav_tile.items():
+        rows.append(["grav tile Mpair/s", "numpy", label, cell["blocked_mpair_per_s"]])
+        rows.append(["grav tile Mpair/s", "seed", label, cell["seed_mpair_per_s"]])
     for label, cell in plane_kernels.items():
         rows.append(["planes vs reference", "numpy", label, cell["speedup"]])
     for cloud, floors in MIN_SPH_PAIR_SPEEDUP.items():
@@ -550,6 +592,13 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     assert (
         gravity_pass["with_workspace"]["ru_minflt_per_pass"] < MAX_FAULTS_WITH_WORKSPACE
     )
+
+    # The gravity tile holds one pair block whatever its shape, and blocking
+    # both axes pays where the frozen tile streams the most: the import tile.
+    block_bytes = 5 * 8 * numpy_backend._TILE_PAIRS + numpy_backend._TILE_PAIRS
+    for label, cell in grav_tile.items():
+        assert cell["workspace_bytes"] <= block_bytes, (label, cell)
+    assert grav_tile["import_1370x2600"]["speedup"] >= MIN_IMPORT_TILE_SPEEDUP, grav_tile
 
     # The regression alarm of the coordinate planes: each kernel against the
     # trailing-axis implementation it replaced, as a ratio.

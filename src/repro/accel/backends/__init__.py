@@ -10,7 +10,7 @@ and implementations register here by name:
 
 ``numpy``
     The tuned vectorized reference (default) — bincount scatter reduction,
-    compacted candidate lists, budget-sized gravity tiles.
+    compacted candidate lists, gravity tiles in pair blocks sized to L2 (mixed precision).
 ``numba``
     ``@njit(parallel=True, fastmath=True)`` scalar-loop kernels with
     grid-walk neighbor iteration; import-gated — selecting it without

@@ -60,14 +60,20 @@ def _anonymous_bytes(n: int) -> np.ndarray:
 class TileWorkspace:
     """Caller-owned, grow-only scratch for one dense gravity tile.
 
-    A (targets x sources) tile needs the separation as three coordinate
-    planes ``dx, dy, dz``, the squared distance ``r2`` and the weight ``w``
-    — five (n_t, c) planes in the working precision — plus one bool mask:
-    5 reals + 1 byte per pair.  Allocated per call they are mapped, faulted
-    in and unmapped on every tile (~60k minor page faults per
-    4,000-particle tree pass); a workspace keeps one byte arena sized to the
-    largest tile it has seen (no growth factor) and hands out contiguous
-    views of its head, so a force pass at unchanged N allocates nothing.
+    A (targets x sources) block of a tile needs the separation as three
+    coordinate planes ``dx, dy, dz``, the squared distance ``r2`` and the
+    weight ``w`` — five planes in the working precision — plus one bool
+    mask: 5 reals + 1 byte per pair.  Allocated per call they are mapped,
+    faulted in and unmapped on every block; a workspace keeps one byte
+    arena sized to the largest block it has seen (no growth factor) and
+    hands out contiguous views of its head, so a force pass allocates
+    nothing after its first block.  The numpy backend cuts every tile into
+    blocks of at most ``_TILE_PAIRS`` pairs
+    (:mod:`repro.accel.backends.numpy_backend`), so its workspace holds at
+    most ``5 * 8 * _TILE_PAIRS + _TILE_PAIRS`` bytes (2.7 MB in float64,
+    1.4 MB in mixed precision) whatever N, ``n_g`` or the LET import count:
+    one block, sized so a mixed-precision block stays in a core's 2 MB L2
+    while it is worked on (a float64 block, 2.7 MB, does not).
 
     The arena is an anonymous mapping of its own, not a ``malloc`` block:
     released or outgrown it goes straight back to the system.  Through
@@ -90,13 +96,13 @@ class TileWorkspace:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held (the largest tile seen so far)."""
+        """Bytes held (the largest block seen so far)."""
         return int(self._arena.size)
 
     def planes(
         self, n_targets: int, n_sources: int, dtype: type[np.floating]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Uninitialised C-contiguous ``(d, r2, w, mask)`` for one tile.
+        """Uninitialised C-contiguous ``(d, r2, w, mask)`` for one block.
 
         Arena layout, head first: ``d`` is ``(3, n_targets, n_sources)`` —
         ``dx, dy, dz = d``, each axis one contiguous plane, never a trailing

@@ -21,26 +21,38 @@ agree with:
   with ``v.r`` written out per component and per-particle terms
   (``P / (Omega rho^2)``, the halves of the pair means) formed once per
   particle;
-* the gravity source-axis tile is sized from a temporary-buffer budget
-  (``REPRO_GRAV_CHUNK`` / ``REPRO_GRAV_TEMP_MB``) instead of a fixed 4096;
+* the gravity tile runs in fixed pair blocks of at most :data:`_TILE_PAIRS`
+  (about 256 targets x 256 sources, :func:`pair_blocks`) whatever the
+  tile's shape — a tree group against its list, the LET imports against a
+  rank's targets, a direct sum — so in mixed precision (what every tree
+  pass runs) each block's planes, 1.4 MB, stay in a core's 2 MB L2 through
+  all ~19 ufunc passes, instead of one source-only chunk of ~16 MB
+  streaming from L3 on every pass; a float64 block (the direct sums below
+  ``direct_gravity_below``, :func:`potential_direct`) is 2.7 MB and does
+  not fit; the per-coordinate reduction of a block accumulates into its
+  target rows;
 * the gravity tile works on coordinate planes too, carved with ``r2``, the
   weight and the coincidence mask from the caller's
   :class:`~repro.accel.backends.base.TileWorkspace` (5 reals + 1 byte per
-  pair, written through ``out=``), with ``w * sqrt(w)`` for ``w ** 1.5``:
-  the arithmetic of the jitted kernels.
+  pair of one block, written through ``out=``), with ``w * sqrt(w)`` for
+  ``w ** 1.5``: the arithmetic of the jitted kernels.
 
 What is exact and what is bounded.  Exact against the frozen ``seed``
 kernels: pair sets and their order (the compacted candidates, the gather
 and the searched half-pair lists, which tile pairs are masked as
-coincident), ``n_neighbors`` and the h-solve's iteration counts.  Bounded:
-the tile sums its squares per plane and reduces over the source axis per
-coordinate, so it agrees with the frozen tile to 1e-13 relative in float64
-and 5e-6 of the largest acceleration in mixed precision; the candidate
+coincident — in whichever block they land), ``n_neighbors`` and the
+h-solve's iteration counts.  Bounded: the tile sums its squares per plane
+and reduces per coordinate over a block's sources, the blocks' partial sums
+added in float64, so it agrees with the frozen tile (and with an unblocked
+one) to 1e-13 relative in float64 and 5e-6 of the largest acceleration in
+mixed precision; the candidate
 separations agree to 2 ulp, and with the per-target normalization and the
 per-plane pair kernels every SPH sum (``h``, ``dens``, ``omega``, ``divv``,
 ``curlv``, ``acc``, ``du_dt``) to 1e-12, the signal velocity (a max, but of
 ``v.r / r``) to 1e-13 — the tolerances of ``tests/accel`` and
-``tests/sph``.  With and without a workspace the tile is bit-identical.
+``tests/sph``.  With and without a workspace the tile is bit-identical, and
+the workspace never holds more than one block.  No environment variable,
+config field or argument selects the block size.
 
 ``seed`` reproduces the pre-backend kernels (``np.add.at`` scatter, full
 candidate re-filtering through boolean masks, ``W`` per pair, (n_pairs, 3)
@@ -53,11 +65,46 @@ and as the in-tree oracle of the tolerances above.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.accel.backends.base import DensityGatherState, KernelBackend, TileWorkspace
 from repro.sph.neighbors import NeighborGrid, pair_differences
 from repro.util.constants import GRAV_CONST
+
+#: Pairs in one gravity tile block (target block x source block).  Five
+#: working-precision planes and the mask of a 256 x 256 block take 1.4 MB in
+#: float32 and 2.7 MB in float64: in mixed precision the block stays in a
+#: core's 2 MB L2 through the ~19 ufunc passes over it instead of streaming
+#: from L3; a float64 block does not fit.  Measured on a
+#: 2-core Xeon (2 MB L2 per core), 4,000-particle halo tree pass, best of 9:
+#: mixed 93 / 76 / 71 / 76 ms at 128x128 / 128x256 / 256x256 / 256x512 pairs
+#: (94 ms with the whole source list per tile); float64 152 / 145 / 158 /
+#: 172 ms.  Every workload's tree pass is mixed, so 256 x 256: float64 tiles
+#: (direct sums, the potential) run about 9% slower than at its best shape.
+_TILE_PAIRS = 256 * 256
+
+
+def _edges(n: int, cap: int) -> list[int]:
+    """Bounds of the fewest near-equal runs of at most ``cap`` covering
+    ``range(n)``."""
+    k = max(-(-n // cap), 1)
+    return [i * n // k for i in range(k + 1)]
+
+
+def pair_blocks(n_targets: int, n_sources: int) -> tuple[list[int], list[int]]:
+    """Target and source block bounds of one ``n_targets x n_sources`` tile.
+
+    Every block holds at most :data:`_TILE_PAIRS` pairs.  Both axes split
+    into near-equal runs: targets into runs of at most ``sqrt(_TILE_PAIRS)``
+    (more when the sources are few), sources into runs that fill the rest of
+    the block.
+    """
+    side = math.isqrt(_TILE_PAIRS)
+    t_edges = _edges(n_targets, max(side, _TILE_PAIRS // max(n_sources, 1)))
+    t_block = max(-(-n_targets // (len(t_edges) - 1)), 1)    # the longest run
+    return t_edges, _edges(n_sources, _TILE_PAIRS // t_block)
 
 
 class _NumpyDensityGather(DensityGatherState):
@@ -168,11 +215,6 @@ class NumpyBackend(KernelBackend):
     _gather_cls = _NumpyDensityGather
 
     # ------------------------------------------------------------- gravity
-    def _chunk_for(self, n_targets: int) -> int:
-        from repro.gravity.kernels import grav_chunk_size
-
-        return grav_chunk_size(n_targets)
-
     def grav_tile(
         self,
         target_pos: np.ndarray,
@@ -204,32 +246,36 @@ class NumpyBackend(KernelBackend):
         se2 = np.asarray(source_eps, dtype=real) ** 2
         ws = workspace if workspace is not None else TileWorkspace()
         acc = np.zeros((3, len(tp)))
-        chunk = self._chunk_for(len(tp))
-        for s0 in range(0, len(sp), chunk):
-            s1 = min(s0 + chunk, len(sp))
-            # Every plane is written in full before it is read, so what the
-            # previous tile left in the workspace never matters.
-            d, r2, w, coincident = ws.planes(len(tp), s1 - s0, real)
-            for d_k, t_k, s_k in zip(d, t_xyz, s_xyz):
-                np.subtract(t_k[:, None], s_k[None, s0:s1], out=d_k)
-            np.multiply(d[0], d[0], out=r2)
-            for d_k in d[1:]:
-                np.multiply(d_k, d_k, out=w)
-                np.add(r2, w, out=r2)
-            if exclude_self:
-                np.less_equal(r2, real(0.0), out=coincident)
-            np.add(te2[:, None], se2[None, s0:s1], out=w)
-            np.add(r2, w, out=w)
-            # w^1.5 as w * sqrt(w) (what the jitted kernels do); the mask is
-            # taken, so r2's plane is free to hold the root.
-            np.sqrt(w, out=r2)
-            np.multiply(w, r2, out=w)
-            np.maximum(w, tiny, out=w)
-            np.divide(sm[None, s0:s1], w, out=w)
-            if exclude_self:
-                np.copyto(w, real(0.0), where=coincident)
-            for acc_k, d_k in zip(acc, d):
-                acc_k -= g * np.einsum("ij,ij->i", w, d_k).astype(np.float64, copy=False)
+        t_edges, s_edges = pair_blocks(len(tp), len(sp))
+        for t0, t1 in zip(t_edges[:-1], t_edges[1:], strict=True):
+            t_blk = [t_k[t0:t1, None] for t_k in t_xyz]
+            te2_blk = te2[t0:t1, None]
+            for s0, s1 in zip(s_edges[:-1], s_edges[1:], strict=True):
+                # Every plane is written in full before it is read, so what
+                # the previous block left in the workspace never matters.
+                d, r2, w, coincident = ws.planes(t1 - t0, s1 - s0, real)
+                for d_k, t_k, s_k in zip(d, t_blk, s_xyz, strict=True):
+                    np.subtract(t_k, s_k[None, s0:s1], out=d_k)
+                np.multiply(d[0], d[0], out=r2)
+                for d_k in d[1:]:
+                    np.multiply(d_k, d_k, out=w)
+                    np.add(r2, w, out=r2)
+                if exclude_self:
+                    np.less_equal(r2, real(0.0), out=coincident)
+                np.add(te2_blk, se2[None, s0:s1], out=w)
+                np.add(r2, w, out=w)
+                # w^1.5 as w * sqrt(w) (what the jitted kernels do); the mask
+                # is taken, so r2's plane is free to hold the root.
+                np.sqrt(w, out=r2)
+                np.multiply(w, r2, out=w)
+                np.maximum(w, tiny, out=w)
+                np.divide(sm[None, s0:s1], w, out=w)
+                if exclude_self:
+                    np.copyto(w, real(0.0), where=coincident)
+                for acc_k, d_k in zip(acc, d, strict=True):
+                    acc_k[t0:t1] -= g * np.einsum("ij,ij->i", w, d_k).astype(
+                        np.float64, copy=False
+                    )
         return np.ascontiguousarray(acc.T)
 
     # ------------------------------------------------------------- density
@@ -361,9 +407,6 @@ class SeedBackend(NumpyBackend):
     name = "seed"
     _gather_cls = _SeedDensityGather
 
-    def _chunk_for(self, n_targets: int) -> int:
-        return 4096
-
     def grav_tile(
         self,
         target_pos: np.ndarray,
@@ -378,10 +421,11 @@ class SeedBackend(NumpyBackend):
     ) -> np.ndarray:
         # Frozen: ~7 tile-sized temporaries allocated per chunk, whatever
         # ``workspace`` the caller offers.
+        chunk = 4096
         if mixed:
             return self._grav_tile_mixed(
                 target_pos, target_eps, source_pos, source_mass, source_eps,
-                exclude_self, g,
+                exclude_self, g, chunk,
             )
         tp = np.asarray(target_pos, dtype=np.float64)
         te = np.asarray(target_eps, dtype=np.float64)
@@ -389,7 +433,6 @@ class SeedBackend(NumpyBackend):
         sm = np.asarray(source_mass, dtype=np.float64)
         se = np.asarray(source_eps, dtype=np.float64)
         acc = np.zeros_like(tp)
-        chunk = self._chunk_for(len(tp))
         for s0 in range(0, len(sp), chunk):
             s1 = min(s0 + chunk, len(sp))
             d = tp[:, None, :] - sp[None, s0:s1, :]              # (n_t, c, 3)
@@ -404,7 +447,7 @@ class SeedBackend(NumpyBackend):
 
     def _grav_tile_mixed(
         self, target_pos, target_eps, source_pos, source_mass, source_eps,
-        exclude_self, g,
+        exclude_self, g, chunk,
     ) -> np.ndarray:
         # Positions shift to the target-group centroid and drop to float32;
         # accumulation and the result stay float64 (Sec. 4.3).
@@ -416,7 +459,6 @@ class SeedBackend(NumpyBackend):
         sm32 = np.asarray(source_mass, dtype=np.float32)
         se32 = np.asarray(source_eps, dtype=np.float32)
         acc = np.zeros_like(tp)
-        chunk = self._chunk_for(len(tp))
         for s0 in range(0, len(sp32), chunk):
             s1 = min(s0 + chunk, len(sp32))
             d = tp32[:, None, :] - sp32[None, s0:s1, :]

@@ -23,7 +23,7 @@ from repro.accel.index import SpatialIndex
 from repro.fdps.interaction import InteractionCounter
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.gravity.kernels import accel_direct
-from repro.gravity.treegrav import tree_accel
+from repro.gravity.treegrav import record_gravity_pass, tree_accel
 from repro.sph.density import DensityResult, compute_density, refresh_velocity_fields
 from repro.sph.eos import pressure, sound_speed_from_density
 from repro.sph.forces import compute_hydro_forces
@@ -147,10 +147,12 @@ class ForceEngine:
         cfg = self.cfg
         with self.timers.measure(f"{label} Calc_Force", backend=self.backend.name):
             if len(ps) <= cfg.direct_gravity_below:
-                return accel_direct(
+                acc = accel_direct(
                     ps.pos, ps.mass, ps.eps, counter=self.counter,
                     backend=self.backend, workspace=self._tile_workspace,
                 )
+                record_gravity_pass(self.timers.tracer, len(ps) ** 2, self._tile_workspace)
+                return acc
             tree = self.index.tree_for(ps.pos, ps.mass, leaf_size=cfg.leaf_size)
             res = tree_accel(
                 ps.pos,
@@ -165,6 +167,7 @@ class ForceEngine:
                 backend=self.backend,
                 workspace=self._tile_workspace,
             )
+            record_gravity_pass(self.timers.tracer, res.interactions, self._tile_workspace)
             return res.acc
 
     def work_weights(self, ps: ParticleSet) -> np.ndarray:

@@ -48,7 +48,7 @@ from repro.fdps.interaction import InteractionCounter
 from repro.fdps.let import exchange_let
 from repro.fdps.particles import ParticleSet, ParticleType, packed_width
 from repro.fdps.tree import Octree
-from repro.gravity.treegrav import tree_accel
+from repro.gravity.treegrav import record_gravity_pass, tree_accel
 from repro.obs.trace import NULL_TRACER
 from repro.perf.costmodel import hydro_gravity_work_ratio
 from repro.util.leapfrog import leapfrog_drift, leapfrog_kick
@@ -297,6 +297,7 @@ class DistributedGravity:
             )
         accs: list[np.ndarray] = []
         work: list[np.ndarray] = []
+        pairs = 0
         for rank, ps in enumerate(locals_):
             if len(ps) == 0:
                 accs.append(np.zeros((0, 3)))
@@ -320,6 +321,8 @@ class DistributedGravity:
                 )
             accs.append(res.acc)
             work.append(res.work)
+            pairs += res.interactions
+        record_gravity_pass(self.tracer, pairs, self._tile_workspace)
         self._last_work = work
         return accs
 

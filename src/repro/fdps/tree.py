@@ -165,7 +165,7 @@ class Octree:
     def walk_box(
         self, box_lo: np.ndarray, box_hi: np.ndarray, theta: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Wave traversal against an axis-aligned target box.
+        """:meth:`walk_boxes` against one axis-aligned target box.
 
         Returns ``(accepted_nodes, leaf_particles)``:
 
@@ -173,44 +173,91 @@ class Octree:
           target inside the box (MAC satisfied);
         * ``leaf_particles`` — indices (into the *original* particle order)
           of particles in leaves that had to be fully opened.
-
-        The whole frontier is evaluated per iteration with vectorized
-        arithmetic; Python-level iteration count is only the tree depth.
         """
-        box_lo = np.asarray(box_lo, dtype=np.float64)
-        box_hi = np.asarray(box_hi, dtype=np.float64)
-        accepted: list[np.ndarray] = []
-        opened: list[np.ndarray] = []
+        box_lo = np.asarray(box_lo, dtype=np.float64)[None]
+        box_hi = np.asarray(box_hi, dtype=np.float64)[None]
+        return self.walk_boxes(box_lo, box_hi, theta)[0]
 
-        frontier = np.array([0], dtype=np.int64)
+    def walk_groups(
+        self, slices: list[tuple[int, int]], theta: float
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """:meth:`walk_boxes` against the bounding boxes of particle groups.
+
+        ``slices`` are non-empty sorted-order particle slices in increasing
+        order (those of :meth:`group_slices`, or a subset of them); each
+        group's target box is its slice's bounding box, as
+        :meth:`group_box` gives it.
+        """
+        if not slices:
+            return []
+        bounds = np.asarray(slices, dtype=np.int64).ravel()
+        # reduceat over [start_0, end_0, start_1, ...]: the even rows are the
+        # group boxes (the odd ones span the gaps between groups).
+        if bounds[-1] == self.n_particles:
+            bounds = bounds[:-1]
+        box_lo = np.minimum.reduceat(self.sorted_pos, bounds, axis=0)[::2]
+        box_hi = np.maximum.reduceat(self.sorted_pos, bounds, axis=0)[::2]
+        return self.walk_boxes(box_lo, box_hi, theta)
+
+    def walk_boxes(
+        self, box_lo: np.ndarray, box_hi: np.ndarray, theta: float
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Wave traversal against ``n`` target boxes, ``(n, 3)`` corners each.
+
+        The frontier holds ``(box, node)`` pairs and is evaluated per
+        iteration with vectorized arithmetic, so the Python-level iteration
+        count is the tree depth however many boxes there are.  Returns one
+        ``(accepted_nodes, leaf_particles)`` per box (see :meth:`walk_box`).
+        Within a box the frontier keeps the order of a walk of that box
+        alone, and the accepted and opened pairs are stable-sorted by box at
+        the end, so each box's lists do not depend on the other boxes.
+        """
+        n_boxes = len(box_lo)
+        accepted: list[tuple[np.ndarray, np.ndarray]] = []
+        opened: list[tuple[np.ndarray, np.ndarray]] = []
+
+        group = np.arange(n_boxes)
+        frontier = np.zeros(n_boxes, dtype=np.int64)
         while frontier.size:
             com = self.node_com[frontier]
-            nearest = np.clip(com, box_lo, box_hi)
+            nearest = np.clip(com, box_lo[group], box_hi[group])
             d = np.sqrt(np.sum((com - nearest) ** 2, axis=1))
             side = self.node_side[frontier]
             ok = side < theta * d  # MAC; d = 0 (overlap) always fails
-            accepted.append(frontier[ok])
-            rest = frontier[~ok]
+            accepted.append((group[ok], frontier[ok]))
+            rest, rest_group = frontier[~ok], group[~ok]
             if rest.size == 0:
                 break
             is_leaf = self.node_is_leaf[rest]
-            opened.append(rest[is_leaf])
-            kids = self.node_children[rest[~is_leaf]].ravel()
-            frontier = kids[kids >= 0]
+            opened.append((rest_group[is_leaf], rest[is_leaf]))
+            inner = ~is_leaf
+            kids = self.node_children[rest[inner]].ravel()
+            present = kids >= 0
+            frontier = kids[present]
+            group = np.repeat(rest_group[inner], 8)[present]
 
-        acc = (
-            np.concatenate(accepted)
-            if accepted
-            else np.empty(0, dtype=np.int64)
-        )
-        leaves = np.concatenate(opened) if opened else np.empty(0, dtype=np.int64)
+        def by_box(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+            if not pairs:
+                return np.empty(0, dtype=np.int64), np.zeros(n_boxes, dtype=np.int64)
+            g = np.concatenate([p[0] for p in pairs])
+            ids = np.concatenate([p[1] for p in pairs])
+            order = np.argsort(g, kind="stable")
+            return ids[order], np.bincount(g, minlength=n_boxes)
+
+        nodes, n_nodes = by_box(accepted)
+        leaves, n_leaves = by_box(opened)
         # Expand every opened leaf's sorted-order slice [first, first + count)
         # at once: position k of the output belongs to the leaf whose run
-        # covers k, at offset k - (start of that run).
+        # covers k, at offset k - (start of that run).  A box's particles are
+        # the runs of its leaves, contiguous in the box-sorted leaf list.
         first, count = self.node_first[leaves], self.node_count[leaves]
         run_start = np.cumsum(count) - count
         slots = np.arange(int(count.sum())) + np.repeat(first - run_start, count)
-        return acc, self.order[slots]
+        parts = self.order[slots]
+        part_end = np.concatenate([[0], np.cumsum(count)])[np.cumsum(n_leaves)]
+        node_splits = np.split(nodes, np.cumsum(n_nodes)[:-1])
+        part_splits = np.split(parts, part_end[:-1])
+        return list(zip(node_splits, part_splits, strict=True))
 
     def group_slices(self, n_g: int) -> list[tuple[int, int]]:
         """Contiguous Morton-order slices of at most ``n_g`` particles.

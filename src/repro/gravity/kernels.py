@@ -12,55 +12,30 @@ dispatch the tile, and report interaction counts to an
 :class:`~repro.fdps.interaction.InteractionCounter` for the FLOP accounting
 of Table 3/4.
 
-The numpy backend chunks the source axis to bound temporary memory; the
-tile size comes from :func:`grav_chunk_size` (env-tunable via
-``REPRO_GRAV_CHUNK`` / ``REPRO_GRAV_TEMP_MB``).  Callers that evaluate many
-tiles pass their own :class:`~repro.accel.backends.base.TileWorkspace` so
-those temporaries are reused instead of re-allocated per tile.
+The numpy backend evaluates every tile — a tree group against its list,
+the LET imports against a rank's targets, a direct sum — as a sequence of
+pair blocks of at most ``_TILE_PAIRS`` (target block x source block,
+:func:`~repro.accel.backends.numpy_backend.pair_blocks`), the way a
+PIKG-generated kernel keeps a group's i- and j-particles in registers and
+cache: in mixed precision the block's planes (1.4 MB) stay in a core's
+2 MB L2 whatever the tile's shape; a float64 block is 2.7 MB.
+No environment variable, config field or argument selects the block.
+What that changes is the float grouping of the sums only: the pairs, their
+order, the masked coincident pairs and the interaction counts are those of
+one unblocked tile.  Callers that evaluate many tiles pass their own
+:class:`~repro.accel.backends.base.TileWorkspace`, which then holds one
+block's scratch for the life of its owner.  :func:`potential_direct` runs
+over the same blocks.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from repro.accel.backends.base import TileWorkspace
+from repro.accel.backends import numpy_backend
+from repro.accel.backends.base import KernelBackend, TileWorkspace
 from repro.fdps.interaction import InteractionCounter
 from repro.util.constants import GRAV_CONST
-
-#: Default temporary-buffer budget (MiB) for one source-axis tile of the
-#: vectorized kernel; ~64 MiB reproduces the historical 4096-source chunk
-#: at the default interaction-group size of 256 targets.
-DEFAULT_GRAV_TEMP_MB = 64.0
-
-#: float64 temporaries per (target, source) pair the budget is counted in:
-#: three separation planes plus four scalars of an allocate-per-call tile.
-_TILE_DOUBLES = 7
-
-
-def grav_chunk_size(n_targets: int) -> int:
-    """Source-axis tile size for the vectorized pairwise kernel.
-
-    ``REPRO_GRAV_CHUNK`` forces a fixed value; otherwise the chunk is sized
-    so one tile's temporaries fit a ``REPRO_GRAV_TEMP_MB`` (default 64 MiB)
-    budget, clamped to [256, 65536].  Benchmarks record the value actually
-    chosen (``benchmarks/bench_backend_kernels.py``).
-
-    The budget counts the 7 doubles per pair of the allocate-per-call tile;
-    a caller-owned :class:`~repro.accel.backends.base.TileWorkspace` holds 5
-    reals + 1 byte per pair of the *largest* chunk it has served (about
-    5/7 of the budget in float64, half that in mixed precision) for as long
-    as its owner lives.  The workspace belongs to the caller of the force
-    pass, never to the registry's shared backend instance, and serves one
-    tile at a time (not thread-safe).
-    """
-    forced = os.environ.get("REPRO_GRAV_CHUNK")
-    if forced:
-        return max(int(forced), 16)
-    budget_mb = float(os.environ.get("REPRO_GRAV_TEMP_MB", DEFAULT_GRAV_TEMP_MB))
-    per_source = _TILE_DOUBLES * 8 * max(int(n_targets), 1)
-    return int(np.clip(budget_mb * 2**20 // per_source, 256, 65536))
 
 
 def accel_between(
@@ -72,7 +47,7 @@ def accel_between(
     counter: InteractionCounter | None = None,
     exclude_self: bool = False,
     g: float = GRAV_CONST,
-    backend=None,
+    backend: str | KernelBackend | None = None,
     mixed: bool = False,
     workspace: TileWorkspace | None = None,
 ) -> np.ndarray:
@@ -108,7 +83,7 @@ def accel_between_mixed(
     counter: InteractionCounter | None = None,
     exclude_self: bool = False,
     g: float = GRAV_CONST,
-    backend=None,
+    backend: str | KernelBackend | None = None,
 ) -> np.ndarray:
     """Mixed-precision kernel (Sec. 4.3).
 
@@ -132,7 +107,7 @@ def accel_direct(
     eps: np.ndarray,
     counter: InteractionCounter | None = None,
     g: float = GRAV_CONST,
-    backend=None,
+    backend: str | KernelBackend | None = None,
     workspace: TileWorkspace | None = None,
 ) -> np.ndarray:
     """Full O(N^2) direct summation — the reference for tree accuracy tests."""
@@ -151,31 +126,36 @@ def potential_direct(
     """Softened specific potential phi_i = -G sum_j m_j / sqrt(r^2 + eps^2).
 
     Used by the conservation audits (total energy E = K + U + thermal).
+    Evaluated in the gravity tile's pair blocks
+    (:func:`~repro.accel.backends.numpy_backend.pair_blocks`), so its two
+    scratch planes stay one block whatever ``n``.
     """
     xyz = np.ascontiguousarray(np.asarray(pos, dtype=np.float64).T)   # coordinate planes
     mass = np.asarray(mass, dtype=np.float64)
     eps2 = np.asarray(eps, dtype=np.float64) ** 2
     n = len(mass)
     pot = np.zeros(n)
-    chunk = grav_chunk_size(n)
-    r2 = np.empty((n, min(chunk, n)))
-    tmp = np.empty_like(r2)
-    for s0 in range(0, n, chunk):
-        s1 = min(s0 + chunk, n)
-        r2_c, tmp_c = r2[:, : s1 - s0], tmp[:, : s1 - s0]
-        np.subtract(xyz[0][:, None], xyz[0][None, s0:s1], out=r2_c)
-        np.multiply(r2_c, r2_c, out=r2_c)
-        for x_k in xyz[1:]:
-            np.subtract(x_k[:, None], x_k[None, s0:s1], out=tmp_c)
-            np.multiply(tmp_c, tmp_c, out=tmp_c)
-            np.add(r2_c, tmp_c, out=r2_c)
-        coincident = r2_c <= 0.0
-        np.add(eps2[:, None], eps2[None, s0:s1], out=tmp_c)
-        np.add(r2_c, tmp_c, out=tmp_c)
-        np.sqrt(tmp_c, out=tmp_c)
-        np.divide(1.0, tmp_c, out=tmp_c)
-        tmp_c[coincident] = 0.0
-        pot -= g * (tmp_c @ mass[s0:s1])
+    t_edges, s_edges = numpy_backend.pair_blocks(n, n)
+    r2_buf = np.empty(min(n * n, numpy_backend._TILE_PAIRS))
+    tmp_buf = np.empty_like(r2_buf)
+    for t0, t1 in zip(t_edges[:-1], t_edges[1:], strict=True):
+        for s0, s1 in zip(s_edges[:-1], s_edges[1:], strict=True):
+            shape = (t1 - t0, s1 - s0)
+            r2_c = r2_buf[: shape[0] * shape[1]].reshape(shape)
+            tmp_c = tmp_buf[: shape[0] * shape[1]].reshape(shape)
+            np.subtract(xyz[0][t0:t1, None], xyz[0][None, s0:s1], out=r2_c)
+            np.multiply(r2_c, r2_c, out=r2_c)
+            for x_k in xyz[1:]:
+                np.subtract(x_k[t0:t1, None], x_k[None, s0:s1], out=tmp_c)
+                np.multiply(tmp_c, tmp_c, out=tmp_c)
+                np.add(r2_c, tmp_c, out=r2_c)
+            coincident = r2_c <= 0.0
+            np.add(eps2[t0:t1, None], eps2[None, s0:s1], out=tmp_c)
+            np.add(r2_c, tmp_c, out=tmp_c)
+            np.sqrt(tmp_c, out=tmp_c)
+            np.divide(1.0, tmp_c, out=tmp_c)
+            tmp_c[coincident] = 0.0
+            pot[t0:t1] -= g * (tmp_c @ mass[s0:s1])
     return pot
 
 

@@ -1,23 +1,30 @@
 """Barnes–Hut tree gravity using the FDPS group-walk strategy.
 
-For each Morton-contiguous interaction group of up to ``n_g`` particles, one
+For each Morton-contiguous interaction group of up to ``n_g`` particles, a
 tree walk builds a shared interaction list (accepted monopoles + opened-leaf
 particles) and a single vectorized kernel call evaluates the whole
-group-versus-list tile.  This is the structure whose cost trade-off the
-paper analyses in Sec. 5.2.4: tree-walk cost ~ O(N log(N_loc)/n_g), kernel
-cost ~ O(N n_l) with list length n_l ~ O(log N + n_g).
+group-versus-list tile.  The walks of all groups run as one wave traversal
+(:meth:`~repro.fdps.tree.Octree.walk_groups`), each group's list equal,
+order included, to a walk of that group alone.  This is the structure whose
+cost trade-off the paper analyses in Sec. 5.2.4: tree-walk cost
+~ O(N log(N_loc)/n_g), kernel cost ~ O(N n_l) with list length
+n_l ~ O(log N + n_g).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.accel.backends.base import TileWorkspace
-from repro.fdps.interaction import InteractionCounter, walk_tree_for_group
+from repro.fdps.interaction import InteractionCounter
 from repro.fdps.tree import Octree
 from repro.util.constants import GRAV_CONST
+
+if TYPE_CHECKING:
+    from repro.obs.trace import NullTracer, Tracer
 
 
 @dataclass
@@ -118,13 +125,17 @@ def tree_accel(
     lists = 0
     total_list = 0
     total_inter = 0
-    for (start, end) in tree.group_slices(n_g):
+    # Groups holding local targets (the others are all imports), walked
+    # together in one traversal.
+    groups = [
+        (start, end) for start, end in tree.group_slices(n_g)
+        if (tree.order[start:end] < n_local).any()
+    ]
+    for (start, end), (nodes, parts) in zip(
+        groups, tree.walk_groups(groups, theta), strict=True
+    ):
         members = tree.order[start:end]           # original indices in group
-        local = members < n_local
-        if not local.any():
-            continue
-        targets = members[local]
-        nodes, parts = walk_tree_for_group(tree, start, end, theta)
+        targets = members[members < n_local]
         src_pos = np.concatenate([tree.node_com[nodes], all_pos[parts]])
         src_mass = np.concatenate([tree.node_mass[nodes], all_mass[parts]])
         src_eps = np.concatenate([np.zeros(len(nodes)), all_eps[parts]])
@@ -166,3 +177,16 @@ def tree_accel(
         interactions=total_inter,
         work=work,
     )
+
+
+def record_gravity_pass(
+    tracer: Tracer | NullTracer, pairs: int, workspace: TileWorkspace | None
+) -> None:
+    """Trace one force pass: ``accel.gravity_passes`` / ``accel.gravity_pairs``
+    counters (the report's Mpair/s over the ``Calc_Force`` spans) and the
+    tile workspace's bytes as the ``accel.grav_workspace_bytes`` gauge — the
+    scratch the pass holds, one pair block whatever N."""
+    tracer.count("accel.gravity_passes")
+    tracer.count("accel.gravity_pairs", pairs)
+    if workspace is not None:
+        tracer.gauge("accel.grav_workspace_bytes", workspace.nbytes)

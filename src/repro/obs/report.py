@@ -25,6 +25,10 @@ recorded trace:
   where it used to show a second build; ``accel.density_sweeps`` over
   ``accel.density_passes`` is the kernel-size solve's sweeps per pass, and
   any ``accel.h_unconverged`` is flagged;
+* ``accel.gravity_pairs`` over the ``Calc_Force`` span seconds (every rank)
+  is the force pass's pair rate, printed with the gravity tile workspace's
+  bytes (the ``accel.grav_workspace_bytes`` gauge: the scratch a pass
+  holds, one pair block whatever N);
 * :func:`diff_reports` lines two runs up row by row for regression triage
   (``python -m repro.obs report A --diff B``).
 """
@@ -61,6 +65,9 @@ class RunReport:
     serve_spans: dict[str, float] = field(default_factory=dict)
     serve_summary: dict[str, float] = field(default_factory=dict)
     counters: dict[str, float] = field(default_factory=dict)
+    gauges: dict[str, float] = field(default_factory=dict)
+    #: Seconds in ``Calc_Force`` spans, summed over every rank.
+    gravity_s: float = 0.0
 
     def neighbor_grid_per_step(self) -> dict[str, float]:
         """Neighbor-grid builds / repairs / reuses per step, from the force
@@ -70,6 +77,19 @@ class RunReport:
             kind: self.counters[f"accel.grid_{kind}"] / steps
             for kind in ("builds", "repairs", "reuses")
             if f"accel.grid_{kind}" in self.counters
+        }
+
+    def gravity_per_pass(self) -> dict[str, float]:
+        """Pair rate and tile workspace of the gravity passes (empty when
+        the run traced none)."""
+        passes = self.counters.get("accel.gravity_passes")
+        if not passes:
+            return {}
+        pairs = self.counters.get("accel.gravity_pairs", 0.0)
+        return {
+            "passes": passes,
+            "mpair_per_s": pairs / self.gravity_s / 1e6 if self.gravity_s > 0 else 0.0,
+            "workspace_mb": self.gauges.get("accel.grav_workspace_bytes", 0.0) / 1e6,
         }
 
     # -------------------------------------------------------------- exports
@@ -84,7 +104,9 @@ class RunReport:
             "serve_spans": self.serve_spans,
             "serve_summary": self.serve_summary,
             "counters": self.counters,
+            "gauges": self.gauges,
             "neighbor_grid_per_step": self.neighbor_grid_per_step(),
+            "gravity_per_pass": self.gravity_per_pass(),
         }
 
     def to_text(self) -> str:
@@ -129,6 +151,11 @@ class RunReport:
                     f"(overlap efficiency "
                     f"{summary.get('overlap_efficiency', 0.0):.3f})"
                 )
+        gravity = self.gravity_per_pass()
+        if gravity:
+            lines += ["", f"gravity: {gravity['mpair_per_s']:.1f} Mpair/s, "
+                      f"workspace {gravity['workspace_mb']:.2f} MB "
+                      f"over {int(gravity['passes'])} passes"]
         grid = self.neighbor_grid_per_step()
         if grid:
             lines += ["", "neighbor grid (per step): " + ", ".join(
@@ -193,6 +220,8 @@ def report_traces(traces: list[LoadedTrace]) -> RunReport:
             t_end = max(t_end, rec.t0 + rec.dur)
             if rec.name == "step" and rec.cat == "sim":
                 report.n_steps += 1
+            elif rec.cat == "sim" and rec.name.endswith("Calc_Force"):
+                report.gravity_s += rec.dur
             elif rec.cat == "comm":
                 row = report.comm.setdefault(rec.name, {
                     "seconds": 0.0, "bytes": 0.0, "messages": 0.0,
@@ -209,6 +238,8 @@ def report_traces(traces: list[LoadedTrace]) -> RunReport:
                 )
         for name, value in trace.counters.items():
             report.counters[name] = report.counters.get(name, 0.0) + value
+        for name, value in trace.gauges.items():
+            report.gauges[name] = max(report.gauges.get(name, value), value)
     report.wall_s = t_end
 
     # --- hidden vs exposed inference from the attached service metrics ----

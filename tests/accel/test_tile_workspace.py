@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,30 +21,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel import ForceEngine
+from repro.accel.backends import numpy_backend
 from repro.accel.backends.base import TileWorkspace
 from repro.accel.backends.numpy_backend import NumpyBackend, SeedBackend
 from repro.core.integrator import IntegratorConfig
 from repro.fdps.distributed import DistributedGravity
 from repro.fdps.particles import ParticleSet
+from repro.util.constants import GRAV_CONST
 from tests.conftest import plummer_positions
 
 
-class _Chunked:
-    """Force the source-axis chunk so small tiles span several chunks."""
-
-    def __init__(self, chunk):
-        self.chunk = chunk
-
-    def _chunk_for(self, n_targets):
-        return self.chunk or super()._chunk_for(n_targets)
-
-
-class _ChunkedNumpy(_Chunked, NumpyBackend):
-    pass
-
-
-class _ChunkedSeed(_Chunked, SeedBackend):
-    pass
+def _blocked(pairs):
+    """Shrink the tile's pair block so small tiles span several blocks
+    (``None`` keeps the module's block)."""
+    return mock.patch.object(numpy_backend, "_TILE_PAIRS", pairs or numpy_backend._TILE_PAIRS)
 
 
 def _tile(rng, n_t, n_s, coincident):
@@ -81,20 +72,21 @@ def _assert_close_to_frozen(got, want, mixed):
     ),
     mixed=st.booleans(),
     exclude_self=st.booleans(),
-    chunk=st.sampled_from([None, 7, 32]),
+    pairs=st.sampled_from([None, 7, 32, 7 * 9]),
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=60, deadline=None)
-def test_workspace_tile_is_bit_identical(shapes, mixed, exclude_self, chunk, seed):
+def test_workspace_tile_is_bit_identical(shapes, mixed, exclude_self, pairs, seed):
     rng = np.random.default_rng(seed)
-    bk, frozen = _ChunkedNumpy(chunk), _ChunkedSeed(chunk)
+    bk, frozen = NumpyBackend(), SeedBackend()
     ws = TileWorkspace()
     for n_t, n_s in shapes:       # one workspace across tiles of changing shape
         args = _tile(rng, n_t, n_s, coincident=exclude_self)
         kw = {"exclude_self": exclude_self, "mixed": mixed}
         ws._arena[:] = 0xFF       # whatever the last tile left must not leak (NaN bits)
-        got = bk.grav_tile(*args, workspace=ws, **kw)
-        assert np.array_equal(got, bk.grav_tile(*args, **kw))
+        with _blocked(pairs):
+            got = bk.grav_tile(*args, workspace=ws, **kw)
+            assert np.array_equal(got, bk.grav_tile(*args, **kw))
         _assert_close_to_frozen(got, frozen.grav_tile(*args, **kw), mixed)
         assert np.isfinite(got).all()
         assert got.shape == (n_t, 3) and got.flags.c_contiguous
@@ -104,8 +96,6 @@ def test_workspace_tile_is_bit_identical(shapes, mixed, exclude_self, chunk, see
 def _direct_sum(tp, te, sp, sm, se, exclude_self):
     """Pairwise sum in extended precision, one target at a time (no tile, no
     chunks): the reference both tiles' rounding is measured against."""
-    from repro.util.constants import GRAV_CONST
-
     ext = np.longdouble
     tp, te, sp, sm, se = (np.asarray(a, dtype=ext) for a in (tp, te, sp, sm, se))
     acc = np.zeros((len(tp), 3))
@@ -135,6 +125,91 @@ def test_tile_error_against_direct_sum_no_worse_than_frozen(seed, mixed):
     # In float64 both sit at a few ulp of the sum, where a ratio is noise.
     floor = 0.0 if mixed else 1e-14
     assert err["numpy"] <= max(1.5 * err["seed"], floor)
+
+
+def _one_shot_tile(tp, te, sp, sm, se, exclude_self, mixed):
+    """The tile without pair blocks: every target reduced over its whole
+    source row in one pass (rows in batches only to bound this test's
+    memory; a target's sum does not depend on the batch)."""
+    tp, sp = np.asarray(tp, dtype=np.float64), np.asarray(sp, dtype=np.float64)
+    if mixed:
+        origin = tp.mean(axis=0)
+        tp, sp = tp - origin, sp - origin
+        real, tiny = np.float32, np.float32(1e-30)
+    else:
+        real, tiny = np.float64, np.float64(1e-300)
+    t_xyz, s_xyz = tp.T.astype(real), sp.T.astype(real)
+    sm, te2, se2 = sm.astype(real), te.astype(real) ** 2, se.astype(real) ** 2
+    acc = np.zeros((3, len(tp)))
+    for t0 in range(0, len(tp), 128):
+        rows = slice(t0, t0 + 128)
+        d = [t_k[rows, None] - s_k[None, :] for t_k, s_k in zip(t_xyz, s_xyz)]
+        r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+        w = r2 + (te2[rows, None] + se2[None, :])
+        w = sm[None, :] / np.maximum(w * np.sqrt(w), tiny)
+        if exclude_self:
+            w[r2 <= 0.0] = 0.0
+        for acc_k, d_k in zip(acc, d):
+            acc_k[rows] -= GRAV_CONST * np.einsum("ij,ij->i", w, d_k)
+    return acc.T
+
+
+#: The block's side: tiles straddle it on each axis by one either way.
+_B = int(np.sqrt(numpy_backend._TILE_PAIRS))
+_EDGE_SHAPES = [
+    *((n_t, n_s) for n_t in (1, _B - 1, _B, _B + 1) for n_s in (_B - 1, _B, _B + 1)),
+    (_B + 1, 4 * _B + 3),          # several source blocks, two target blocks
+    (1370, 2600),                  # the LET import tile of a two-rank run
+]
+
+
+def _assert_within_tile_bounds(got, want, mixed):
+    scale = np.abs(want).max()
+    if mixed:
+        assert np.abs(got - want).max() <= MIXED_OF_MAX * scale
+    else:
+        np.testing.assert_allclose(got, want, rtol=F64_RTOL, atol=F64_RTOL * scale)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["float64", "mixed"])
+def test_blocked_tile_matches_one_shot_tile(mixed):
+    """Blocking regroups the sums, nothing else: every shape straddling a
+    block edge agrees with the unblocked tile within the module's bounds,
+    with and without a workspace bit for bit, and the workspace never holds
+    more than one block."""
+    rng = np.random.default_rng(11)
+    bk, ws = NumpyBackend(), TileWorkspace()
+    for n_t, n_s in _EDGE_SHAPES:
+        args = _tile(rng, n_t, n_s, coincident=True)
+        got = bk.grav_tile(*args, exclude_self=True, mixed=mixed, workspace=ws)
+        assert np.array_equal(got, bk.grav_tile(*args, exclude_self=True, mixed=mixed))
+        _assert_within_tile_bounds(got, _one_shot_tile(*args, True, mixed), mixed)
+        assert np.isfinite(got).all()
+        assert ws.nbytes <= 5 * numpy_backend._TILE_PAIRS * 8 + numpy_backend._TILE_PAIRS
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["float64", "mixed"])
+@pytest.mark.parametrize("axis", ["targets", "sources"])
+def test_exclude_self_masks_across_a_block_edge(axis, mixed):
+    """Coincident pairs just before and just after a block edge — one of
+    them unsoftened, whose weight is 0/0 unless masked — are masked in
+    whichever block they land, exactly as in the one-shot tile."""
+    rng = np.random.default_rng(5)
+    n_t, n_s = (_B + 1, _B) if axis == "targets" else (_B, _B + 1)
+    tp, te, sp, sm, se = _tile(rng, n_t, n_s, coincident=False)
+    t_edges, s_edges = numpy_backend.pair_blocks(n_t, n_s)
+    edges = t_edges if axis == "targets" else s_edges
+    assert len(edges) > 2                   # the tile really is cut on that axis
+    cut = edges[1]
+    for k in (cut - 1, cut):                # both sides of the edge
+        t, s = (k, k % n_s) if axis == "targets" else (k % n_t, k)
+        sp[s] = tp[t]
+    t, s = (cut, cut % n_s) if axis == "targets" else (cut % n_t, cut)
+    te[t] = se[s] = 0.0                     # the unsoftened coincident pair
+    args = (tp, te, sp, sm, se)
+    got = NumpyBackend().grav_tile(*args, exclude_self=True, mixed=mixed)
+    assert np.isfinite(got).all()
+    _assert_within_tile_bounds(got, _one_shot_tile(*args, True, mixed), mixed)
 
 
 def test_workspace_grows_to_the_largest_tile_only():
@@ -203,11 +278,11 @@ def _halo(n, seed=4):
 
 def test_second_gravity_pass_allocates_no_tile():
     """At an unchanged N the tree pass reuses the engine's workspace: no
-    tile-sized block is allocated (the tiles here are ~3 MB each)."""
+    tile-sized block is allocated (a block is 1.4 MB here)."""
     ps = _halo(1500)
     engine = ForceEngine(IntegratorConfig(direct_gravity_below=0))
     first = engine.gravity(ps, "warm").copy()
-    assert engine._tile_workspace.nbytes > 2**21
+    assert engine._tile_workspace.nbytes > 2**20      # one 1.4 MB float32 block
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()

@@ -184,6 +184,37 @@ def test_walk_box_matches_per_leaf_reference(n, leaf_size, theta, seed):
         assert parts.dtype == ref_parts.dtype
 
 
+@given(
+    n=st.integers(1, 700),
+    leaf_size=st.integers(1, 24),
+    theta=st.floats(0.2, 1.0),
+    n_g=st.sampled_from([1, 7, 64, 256, None]),     # None: one group of all N
+    keep=st.sampled_from(["all", "some"]),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_walk_groups_equals_walk_box_per_group(n, leaf_size, theta, n_g, keep, seed):
+    """One traversal for every group gives each group exactly the list —
+    node ids and particle indices, in order — of its own walk, also over a
+    subset of the groups (the tree pass skips groups without local targets)."""
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(0.0, 10.0, (n, 3))
+    if seed % 3 == 0:
+        pos[: n // 2] = pos[0]                      # a clump of coincident points
+    tree = Octree.build(pos, rng.uniform(0.1, 5.0, n), leaf_size=leaf_size)
+    slices = tree.group_slices(n_g or n)
+    if keep == "some":
+        slices = [sl for sl in slices if rng.random() < 0.5]
+    got = tree.walk_groups(slices, theta)
+    assert len(got) == len(slices)
+    for (start, end), (nodes, parts) in zip(slices, got):
+        box = tree.group_box(start, end)
+        for ref_nodes, ref_parts in (tree.walk_box(*box, theta),
+                                     _walk_box_reference(tree, *box, theta)):
+            assert np.array_equal(nodes, ref_nodes) and nodes.dtype == ref_nodes.dtype
+            assert np.array_equal(parts, ref_parts) and parts.dtype == ref_parts.dtype
+
+
 def _build_per_node_reference(pos, mass, leaf_size=16, pad=1e-3):
     """``Octree.build`` one node at a time — the Python loop the
     level-by-level construction replaced; kept as its oracle."""

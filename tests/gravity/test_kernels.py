@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accel.backends import numpy_backend
 from repro.fdps.interaction import InteractionCounter
 from repro.gravity.kernels import (
     accel_between,
@@ -109,10 +110,11 @@ def test_mixed_precision_beats_naive_float32_far_from_origin(rng):
     assert err_mixed < 0.01 * err_naive
 
 
-@pytest.mark.parametrize("chunk", [None, "16"], ids=["one-chunk", "two-chunks"])
-def test_potential_matches_pairwise_sum(rng, monkeypatch, chunk):
-    if chunk:
-        monkeypatch.setenv("REPRO_GRAV_CHUNK", chunk)
+@pytest.mark.parametrize("pairs", [None, 16], ids=["one-chunk", "two-chunks"])
+def test_potential_matches_pairwise_sum(rng, monkeypatch, pairs):
+    if pairs:
+        # 4 x 4 pair blocks: both axes of the 30 x 30 sum split.
+        monkeypatch.setattr(numpy_backend, "_TILE_PAIRS", pairs)
     pos = rng.normal(0, 5, (30, 3))
     mass = rng.uniform(0.5, 2.0, 30)
     eps = np.full(30, 0.2)
@@ -149,26 +151,11 @@ def test_momentum_conservation_property(n, seed):
 
 
 def test_chunking_consistency(rng, monkeypatch):
-    # Results must not depend on the source-axis chunk boundary.
+    # Results must not depend on where the pair blocks are cut.
     pos = rng.normal(0, 10, (300, 3))
     mass = rng.uniform(0.5, 2.0, 300)
     eps = np.full(300, 0.3)
     a_ref = accel_direct(pos, mass, eps)
-    monkeypatch.setenv("REPRO_GRAV_CHUNK", "16")
+    monkeypatch.setattr(numpy_backend, "_TILE_PAIRS", 16 * 16)
     a_small = accel_direct(pos, mass, eps)
     assert np.allclose(a_ref, a_small)
-
-
-def test_grav_chunk_size_tunable(monkeypatch):
-    from repro.gravity.kernels import grav_chunk_size
-
-    monkeypatch.delenv("REPRO_GRAV_CHUNK", raising=False)
-    monkeypatch.delenv("REPRO_GRAV_TEMP_MB", raising=False)
-    auto = grav_chunk_size(256)
-    assert 256 <= auto <= 65536
-    # Auto-sizing shrinks the tile as the target count grows.
-    assert grav_chunk_size(8192) <= auto
-    monkeypatch.setenv("REPRO_GRAV_TEMP_MB", "8")
-    assert grav_chunk_size(256) < auto
-    monkeypatch.setenv("REPRO_GRAV_CHUNK", "1234")
-    assert grav_chunk_size(256) == 1234

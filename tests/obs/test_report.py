@@ -67,6 +67,7 @@ def _as_loaded(tr):
     out.rank = tr.rank
     out.records = list(tr.records)
     out.counters = dict(tr.counters)
+    out.gauges = dict(tr.gauges)
     out.meta = dict(tr.meta)
     return out
 
@@ -174,3 +175,34 @@ def test_report_flags_unconverged_kernel_sizes():
     text = report_traces([_as_loaded(tr)]).to_text()
     assert "kernel-size solve: 5.50 sweeps per pass over 4 passes" in text
     assert "** 3 particle(s) left outside tolerance" in text
+
+
+def test_report_shows_gravity_pair_rate_and_workspace():
+    """The force pass's pair rate and the tile workspace it holds are read
+    off the report: the workspace gauge is one pair block, not a tile."""
+    from repro.accel import ForceEngine
+    from repro.accel.backends import numpy_backend
+    from repro.core.integrator import IntegratorConfig
+    from repro.util.timers import TimerRegistry
+
+    tr = Tracer(run_id="halo")
+    engine = ForceEngine(IntegratorConfig(direct_gravity_below=0), timers=TimerRegistry(tracer=tr))
+    ps = _cluster(1500)
+    for _ in range(2):
+        engine.gravity(ps, "step")
+    driver = DistributedGravity(n_ranks=2, theta=0.5, n_g=64, tracer=tr)
+    decomp, locals_ = driver.scatter(ps)
+    driver.forces(locals_, decomp)
+
+    bound = 5 * numpy_backend._TILE_PAIRS * 8 + numpy_backend._TILE_PAIRS
+    workspace = tr.gauges["accel.grav_workspace_bytes"]
+    assert 0 < workspace <= bound
+    assert tr.counters["accel.gravity_passes"] == 3
+    report = report_traces([_as_loaded(tr)])
+    gravity = report.gravity_per_pass()
+    assert gravity["passes"] == 3 and gravity["mpair_per_s"] > 0
+    assert gravity["workspace_mb"] == workspace / 1e6
+    assert f"gravity: {gravity['mpair_per_s']:.1f} Mpair/s, workspace" in report.to_text()
+    assert report.to_json_obj()["gravity_per_pass"] == gravity
+    # A run that traced no gravity pass prints no such line.
+    assert "gravity:" not in report_traces([_as_loaded(_synthetic_tracer())]).to_text()
