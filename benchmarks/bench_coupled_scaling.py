@@ -20,7 +20,7 @@ the per-rank work.  This bench recovers the parallel story the paper tells
   148,896-node) step time — once at the paper's modeled kernel speeds and
   once rescaled by this machine's measured kernel calibration
   (``BENCH_backend_kernels.json`` via :func:`calibration_factors`);
-* **overlap**: one ``process``-transport run scores the paper's
+* **overlap**: one ``shm``-transport run scores the paper's
   "inference fully overlaps" claim via :func:`serve_summary`.
 
 The numba backend is used when its toolchain is importable; otherwise the
@@ -218,7 +218,7 @@ def run_coupled_scaling(sizes, rank_plans, steps, backend):
 
     # Overlap probe: same workload, async transport, shared server.
     _, _, probe = _run(
-        sizes[0], 2, steps, backend, force_mode="global", transport="process"
+        sizes[0], 2, steps, backend, force_mode="global", transport="shm"
     )
     payload["serve_overlap"] = probe["serve"]
 
@@ -281,7 +281,7 @@ def _fmt(payload, rows):
             f"{scal['strong_efficiency']:.2f}"
         )
     lines.append(
-        "serve overlap efficiency (process, 2 workers): "
+        "serve overlap efficiency (shm, 2 workers): "
         f"{payload['serve_overlap']['overlap_efficiency']:.2f}"
     )
     lines.append(

@@ -1,8 +1,8 @@
 """Serve fault-tolerance benchmark: what a worker crash actually costs.
 
 Runs the same submit/collect workload three ways — fault-free, with one
-injected SIGKILL mid-flight, and with one hung worker — over the
-``process`` and ``shm`` transports, and measures:
+injected SIGKILL mid-flight, and with one hung worker — over the ``shm``
+transport, and measures:
 
 * **recovery overhead**: wall-clock of the faulted run vs the fault-free
   baseline (a kill costs one supervision pass + one re-dispatch; a hang
@@ -92,7 +92,7 @@ def _assert_bit_identical(got, reference):
 def run_fault_bench(n_events):
     payload = {"smoke": SMOKE, "n_events": n_events, "transports": {}}
     rows = []
-    for transport in ("process", "shm"):
+    for transport in ("shm",):
         per = {}
         baseline_got = None
         for scenario, plan in SCENARIOS.items():
@@ -152,7 +152,7 @@ def main(argv):
     for transport, per in payload["transports"].items():
         assert per["kill"]["n_redispatch"] + per["kill"]["n_fault_oracle"] >= 1, transport
         assert per["hang"]["n_batch_timeouts"] >= 1, transport
-    print("serve fault bench: recoveries bit-identical on both transports")
+    print("serve fault bench: recoveries bit-identical")
     return 0
 
 

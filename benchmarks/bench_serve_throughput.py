@@ -6,7 +6,7 @@ Measures the two claims the `repro.serve` subsystem makes:
    ``SNSurrogate.predict_fields_batch`` (one batched U-Net forward instead
    of a per-region loop) raises inference regions/s — floor asserted at
    >= 1.5x serial for batch >= 4 (the CI smoke floor).
-2. **Overlap works**: with the ``process`` transport, predictions run on
+2. **Overlap works**: with the ``shm`` transport, predictions run on
    worker processes while the main loop keeps integrating; overlap
    efficiency — the fraction of inference wall-clock hidden from the main
    path — lands >= 80% with 2 workers (asserted outside smoke mode, where
@@ -80,7 +80,7 @@ def _worker_scaling(n_regions):
     out = {}
     for label, kwargs in [
         ("sync", dict(transport="sync")),
-        *((f"process-{w}", dict(transport="process", n_workers=w)) for w in WORKER_COUNTS),
+        *((f"shm-{w}", dict(transport="shm", n_workers=w)) for w in WORKER_COUNTS),
     ]:
         with SurrogateServer(spec=spec, max_batch=4, **kwargs) as srv:
             t0 = time.perf_counter()
@@ -144,9 +144,9 @@ def test_serve_throughput(benchmark, results_dir, write_result):
 
     t_main = n_steps * main_step_s
     t_sync, sync_summary = _overlap_run("sync", 0, n_steps, main_step_s)
-    t_proc, proc_summary = _overlap_run("process", 2, n_steps, main_step_s)
+    t_shm, shm_summary = _overlap_run("shm", 2, n_steps, main_step_s)
     inference_s = max(t_sync - t_main, 1e-9)
-    overlap_efficiency = min(max((t_sync - t_proc) / inference_s, 0.0), 1.0)
+    overlap_efficiency = min(max((t_sync - t_shm) / inference_s, 0.0), 1.0)
 
     payload = {
         "smoke": SMOKE,
@@ -161,10 +161,10 @@ def test_serve_throughput(benchmark, results_dir, write_result):
             "main_step_s": main_step_s,
             "wall_main_only_s": t_main,
             "wall_sync_s": t_sync,
-            "wall_process_2w_s": t_proc,
+            "wall_shm_2w_s": t_shm,
             "overlap_efficiency": overlap_efficiency,
             "sync_summary": sync_summary,
-            "process_summary": proc_summary,
+            "shm_summary": shm_summary,
         },
     }
     (results_dir / "BENCH_serve_throughput.json").write_text(
@@ -183,9 +183,9 @@ def test_serve_throughput(benchmark, results_dir, write_result):
     rows += [
         ["wall main-only [s]", f"{t_main:.3f}"],
         ["wall sync (inference inline) [s]", f"{t_sync:.3f}"],
-        ["wall process 2 workers [s]", f"{t_proc:.3f}"],
+        ["wall shm 2 workers [s]", f"{t_shm:.3f}"],
         ["overlap efficiency", f"{overlap_efficiency:.2f}"],
-        ["process worker utilization", f"{proc_summary['worker_utilization']:.2f}"],
+        ["shm worker utilization", f"{shm_summary['worker_utilization']:.2f}"],
     ]
     write_result("serve_throughput", fmt_table(["metric", "value"], rows))
 
@@ -200,4 +200,4 @@ def test_serve_throughput(benchmark, results_dir, write_result):
         assert overlap_efficiency >= 0.8, (
             f"overlap efficiency {overlap_efficiency:.2f} < 0.8"
         )
-        assert proc_summary["overlap_efficiency"] >= 0.8
+        assert shm_summary["overlap_efficiency"] >= 0.8

@@ -43,7 +43,7 @@ def make_region(n: int, seed: int) -> ParticleSet:
 def main() -> None:
     spec = SurrogateSpec(kind="oracle", n_grid=12, side=60.0, t_after=0.1)
     server = SurrogateServer(
-        spec=spec, transport="process", n_workers=2,
+        spec=spec, transport="shm", n_workers=2,
         max_batch=4, max_wait_steps=1,
     )
     print(f"server up: {server.n_workers} workers, "

@@ -11,7 +11,7 @@ to the next free pool node, :meth:`collect` merges the prediction back
   :mod:`repro.serve.wire`, and exactly those bytes are charged to the
   :class:`SimComm` ledger (label ``"pool_p2p"``);
 * the server's scheduler coalesces concurrent SNe into batches and its
-  ``process`` transport runs them on worker processes genuinely overlapped
+  ``shm`` transport runs them on worker processes genuinely overlapped
   with the main loop — the default ``sync`` transport executes at flush
   time in-process, preserving the old deterministic critical path for
   tests (per-event Gibbs seeding makes both transports bit-identical);
@@ -82,7 +82,7 @@ class PoolManager:
     comm: SimComm | None = None     # optional: counts pool traffic bytes
     main_rank: int = 0
     #: Inference service; built lazily (sync transport) from ``surrogate``
-    #: when not supplied.  Pass a ``process``-transport server for true
+    #: when not supplied.  Pass a ``shm``-transport server for true
     #: pool-node overlap.
     server: SurrogateServer | None = None
     overflow_policy: OverflowPolicy | str = OverflowPolicy.QUEUE
@@ -253,7 +253,7 @@ class PoolManager:
         """Predictions due at ``step`` (step 4 of the loop).
 
         Returns (event, predicted particles) pairs; the caller merges them
-        with ``replace_by_pid``.  With the process transport the work
+        with ``replace_by_pid``.  With the shm transport the work
         already happened on the pool workers — a late prediction blocks
         here and the wait is charged to the service metrics.
         """
@@ -277,7 +277,7 @@ class PoolManager:
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut down the service (terminates process-transport workers)."""
+        """Shut down the service (terminates shm-transport workers)."""
         if self.server is not None:
             self.server.close()
 

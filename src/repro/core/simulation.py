@@ -58,11 +58,10 @@ class GalaxySimulation:
     n_pool / latency_steps : the pool sizing rule of Sec. 3.2 — by default
         latency = n_pool so every SN region spends 0.1 Myr worth of global
         steps in flight.
-    serve_transport : ``"sync"`` (in-process, the deterministic default),
-        ``"process"`` (worker processes fed through pickled queues), or
+    serve_transport : ``"sync"`` (in-process, the deterministic default) or
         ``"shm"`` (worker processes reading/writing a zero-copy
         shared-memory ring) — see the transport table in
-        :mod:`repro.serve`.  All produce bit-identical particle state for
+        :mod:`repro.serve`.  Both produce bit-identical particle state for
         the same seeds.
     serve_workers / serve_max_batch / serve_max_wait_steps : service sizing
         (worker processes, batch coalescing, deadline-aware flush).
@@ -264,8 +263,8 @@ class GalaxySimulation:
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut down the inference service (process-transport workers) and
-        release the step host's scratch memory."""
+        """Shut down the inference service (the ``shm`` transport's worker
+        processes) and release the step host's scratch memory."""
         self.integrator.close()
 
     def __enter__(self) -> "GalaxySimulation":
@@ -304,8 +303,9 @@ class GalaxySimulation:
         bit-identity above holds for every ``n_ranks``; in
         ``"distributed"`` mode the continuation is tree-accurate, not
         bitwise.  Checkpoints written before these keys existed load as
-        one rank, and ``integrator_config`` keys this version no longer
-        knows are dropped with a warning.
+        one rank, ``integrator_config`` keys this version no longer knows
+        are dropped with a warning, and a saved serve transport of
+        ``"process"`` (retired) restores onto ``"shm"`` with a warning.
 
         ``overrides`` are passed through to the constructor (e.g. a
         different ``serve_transport`` or a freshly loaded ``surrogate``).
@@ -344,6 +344,12 @@ class GalaxySimulation:
         serve_meta = meta.get("serve") or {}
         if serve_meta:
             kwargs["serve_transport"] = serve_meta["transport"]
+            if serve_meta["transport"] == "process":    # retired, bit-identical
+                log.warning(
+                    "checkpoint %s: serve transport 'process' is retired; "
+                    "restoring onto 'shm'", path,
+                )
+                kwargs["serve_transport"] = "shm"
             kwargs["serve_workers"] = serve_meta["n_workers"]
             kwargs["serve_max_batch"] = serve_meta["max_batch"]
             kwargs["serve_max_wait_steps"] = serve_meta["max_wait_steps"]

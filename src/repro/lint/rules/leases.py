@@ -1,9 +1,9 @@
 """Shm slot-lease pairing: leases release on success *and* exception edges.
 
 The zero-copy transport (PR 5) hands shared-memory ring slots to in-flight
-batches: ``dispatch`` pops indices off the free stack, ``_convert`` returns
-them when the batch lands.  A leaked slot is not a crash — it is a ring
-that quietly shrinks until every request takes the pickled fallback path
+batches: ``dispatch`` pops indices off the free stack, ``_handle_row``
+returns them when the batch lands.  A leaked slot is not a crash — it is a
+ring that quietly shrinks until every request takes the pickled fallback path
 and the "zero-copy" benchmark numbers stop being zero-copy (the exact
 regression ``tests/serve/test_shm.py`` pins for the worker-exception path).
 
@@ -16,8 +16,10 @@ The rule is an intraprocedural walk over each function in
   still touch the slot, ``<x>._zombies[...]``);
 * a function that *releases* (``<x>._free.extend/append``) after acquiring
   or taking over leases (``<x>._batch_slots.pop(...)`` /
-  ``<x>._zombies.pop(...)``) must do so on a ``finally`` edge, so the
-  exception path releases too;
+  ``<x>._zombies.pop(...)``) must make *every* such release on a
+  ``finally`` edge, so the exception path releases too — one function may
+  serve several lease sites (the row pump frees claim-row zombies and
+  done-row leases), and a guarded site must not vouch for another;
 * a takeover with neither a release nor a handoff to the other registry is
   a leak.
 
@@ -103,10 +105,11 @@ class LeasePairingRule(Rule):
                 f"records it in {INFLIGHT_REGISTRY_ATTR}/"
                 f"{ZOMBIE_REGISTRY_ATTR}; the slot leaks",
             ))
-        if (acquires or takeovers) and releases:
-            if not any(in_finally_block(r) for r in releases):
+        if acquires or takeovers:
+            outside = [r for r in releases if not in_finally_block(r)]
+            if outside:
                 out.append(ctx.finding(
-                    releases[0], self.name,
+                    outside[0], self.name,
                     f"'{fn.name}' releases slot leases outside any finally "
                     "block; an exception on the way leaks every leased slot",
                 ))

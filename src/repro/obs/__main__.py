@@ -98,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     p_smoke.add_argument("--n", type=int, default=400, help="particle count")
     p_smoke.add_argument("--steps", type=int, default=4, help="steps to run")
     p_smoke.add_argument("--transport", default="sync",
-                         choices=("sync", "process", "shm"))
+                         choices=("sync", "shm"))
     p_smoke.set_defaults(func=_cmd_smoke)
 
     args = parser.parse_args(argv)

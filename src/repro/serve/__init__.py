@@ -27,7 +27,7 @@ measure regions/s, overlap efficiency, and cross-transport parity.
 Choosing a transport
 --------------------
 
-All three produce bit-identical predictions (per-event seeded Gibbs); they
+Both produce bit-identical predictions (per-event seeded Gibbs); they
 differ only in *where* inference runs and *how* the payload bytes move:
 
 ========== ===================== ============================== =====================
@@ -38,28 +38,28 @@ transport  where inference runs  payload copy semantics         when to use
                                                                  inference is fully
                                                                  exposed on the main
                                                                  path
-``process`` ``n_workers`` OS     pickled through a queue pipe,   overlap on small
-           processes             twice per direction (request    payloads / toy
-                                 out, response back)             grids; no shared
-                                                                 memory available
-``shm``    ``n_workers`` OS      zero-copy: one memmove into a   production regions
-           processes             shared ring slot, worker        (the paper's 64^3
-                                 decodes from and overwrites     serving path) —
-                                 the slot in place; queues       pipe traffic is
+``shm``    ``n_workers`` OS      zero-copy: one memmove into a   overlapped serving
+           processes             shared ring slot, worker        (the paper's pool
+                                 decodes from and overwrites     nodes) — pipe
+                                 the slot in place; queues       traffic is
                                  carry only slot indices         O(events), not
                                                                  O(bytes)
 ========== ===================== ============================== =====================
 
-The ``SimComm`` ``pool_p2p`` ledger always charges the wire buffer's exact
-``nbytes``, so the measured communication volume is transport-independent.
+Under ``shm`` a request that does not fit a ring slot, or that arrives
+while every slot is leased, is pickled through the request queue instead —
+per event, counted in ``ServiceMetrics.n_shm_fallback`` — so the ring's
+size is a performance knob, never a correctness limit.  The ``SimComm``
+``pool_p2p`` ledger always charges the wire buffer's exact ``nbytes``, so
+the measured communication volume is transport-independent.
 
 Failure modes and recovery
 --------------------------
 
 A long production run must treat the oracle fallback — not a crash — as
 the worst case (the shared-ML-server deployments the paper line targets
-run for days).  Under the default ``fault_mode="recover"`` the worker
-transports survive every worker-side fault; the ``sync`` transport has no
+run for days).  Under the default ``fault_mode="recover"`` the ``shm``
+transport survives every worker-side fault; the ``sync`` transport has no
 workers and nothing to survive:
 
 =================== ======================== ===============================
@@ -127,14 +127,8 @@ from repro.serve.batch import BatchScheduler
 from repro.serve.faults import Fault, FaultInjector, FaultPlan, InjectedWorkerError
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.policies import FaultMode, OverflowPolicy
-from repro.serve.server import (
-    SupervisionConfig,
-    SurrogateServer,
-    SurrogateSpec,
-    WorkerLost,
-    predict_batch_buffers,
-)
-from repro.serve.shm import SharedMemoryRing
+from repro.serve.server import SurrogateServer, SurrogateSpec, predict_batch_buffers
+from repro.serve.shm import SharedMemoryRing, SupervisionConfig, WorkerLost
 from repro.serve.wire import (
     ServeRequest,
     ServeResponse,

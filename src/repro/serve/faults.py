@@ -1,13 +1,13 @@
 """Deterministic fault injection for the serve worker pool.
 
-The fault-tolerance layer of :mod:`repro.serve.server` (supervision,
-re-dispatch, inline-oracle degradation) is only trustworthy if its failure
-paths are *testable on purpose*.  This module scripts worker failures
-deterministically so the chaos suite (``tests/serve/test_faults.py``) and
-``benchmarks/bench_serve_faults.py`` can assert the headline invariant: a
-run with injected faults finishes **bit-identical** to a fault-free run,
-with the recoveries visible only in :class:`~repro.serve.metrics
-.ServiceMetrics`.
+The fault-tolerance layer — worker supervision in :mod:`repro.serve.shm`,
+re-dispatch and inline-oracle degradation in :mod:`repro.serve.server` —
+is only trustworthy if its failure paths are *testable on purpose*.  This
+module scripts worker failures deterministically so the chaos suite
+(``tests/serve/test_faults.py``) and ``benchmarks/bench_serve_faults.py``
+can assert the headline invariant: a run with injected faults finishes
+**bit-identical** to a fault-free run, with the recoveries visible only in
+:class:`~repro.serve.metrics.ServiceMetrics`.
 
 * :class:`Fault` — one scripted failure: ``(action, worker, nth batch)``
   plus an optional duration.  Actions:
@@ -24,9 +24,9 @@ with the recoveries visible only in :class:`~repro.serve.metrics
               response fault; again the per-batch timeout must fire)
   ========== ============================================================
 
-* :class:`FaultPlan` — a picklable tuple of faults, threaded to
-  ``_worker_main``/``_shm_worker_main`` through the worker spawn args (next
-  to the :class:`~repro.serve.server.SurrogateSpec`), parseable from the
+* :class:`FaultPlan` — a picklable tuple of faults, threaded to the
+  ``shm`` worker main through the worker spawn args (next to the
+  :class:`~repro.serve.server.SurrogateSpec`), parseable from the
   ``REPRO_SERVE_FAULTS`` environment variable or a
   :class:`~repro.core.simulation.GalaxySimulation` kwarg.
 * :class:`FaultInjector` — the per-worker runtime: counts the batches this

@@ -1,30 +1,29 @@
 """`SurrogateServer` — the asynchronous, batched SN-inference service.
 
-The server owns a :class:`BatchScheduler` and a transport:
+The server owns a :class:`BatchScheduler`, the recovery policy, and one of
+two transports:
 
 * ``sync`` — predictions execute in-process at flush time on the caller's
   thread.  Deterministic, dependency-free, and exactly the critical-path
   shape of the old lazy ``PoolManager`` — the tests' reference path.
-* ``process`` — ``n_workers`` OS processes, each of which builds its own
+* ``shm`` — ``n_workers`` OS processes, each of which builds its own
   surrogate (from a picklable :class:`SurrogateSpec` or a pickled
-  :class:`SNSurrogate`) and serves batches from a shared request queue.
-  Inference then genuinely overlaps the main loop: the only wall-clock the
-  main rank ever pays is the submit/collect bookkeeping, plus an *exposed
-  wait* (recorded in :class:`ServiceMetrics`) when a prediction misses its
-  return step.
-* ``shm`` — the same worker pool, but every request and prediction lives
-  in a :class:`repro.serve.shm.SharedMemoryRing` slot; the queues carry
-  only slot indices, so nothing is pickled and no payload bytes cross a
-  pipe (see :mod:`repro.serve.shm`).
+  :class:`SNSurrogate`) and serves batches whose requests and predictions
+  live in :class:`repro.serve.shm.SharedMemoryRing` slots; the queues
+  carry only slot indices (see :mod:`repro.serve.shm`, which owns the
+  worker protocol and supervision).  Inference then genuinely overlaps the
+  main loop: the only wall-clock the main rank ever pays is the
+  submit/collect bookkeeping, plus an *exposed wait* (recorded in
+  :class:`ServiceMetrics`) when a prediction misses its return step.
 
 Because the Gibbs re-sampling is seeded per event
-(:func:`repro.serve.wire.event_rng`), all transports — and any batch
+(:func:`repro.serve.wire.event_rng`), both transports — and any batch
 composition or worker count — produce bit-identical predictions.
 
 Fault tolerance
 ---------------
 
-The worker transports survive worker faults instead of surfacing them as
+The ``shm`` transport survives worker faults instead of surfacing them as
 crashes of the main rank (``fault_mode="recover"``, the default):
 
 * **In-flight request registry** — the server keeps every dispatched
@@ -34,7 +33,8 @@ crashes of the main rank (``fault_mode="recover"``, the default):
   resolved *inline* on the main rank by the same surrogate recipe the
   workers build.  Duplicate replies from a worker that was merely slow are
   idempotent: a response for an event already completed is dropped.
-* **Worker supervision** — :class:`_WorkerSupervisor` detects dead workers
+* **Worker supervision** — the transport's supervisor
+  (:class:`repro.serve.shm._WorkerSupervisor`) detects dead workers
   (``is_alive`` plus tagged heartbeat/claim rows on the result queue),
   restarts them from the picklable recipe with capped exponential backoff,
   and attributes each in-flight batch to the worker that claimed it so a
@@ -59,20 +59,20 @@ on purpose through a :class:`~repro.serve.faults.FaultPlan` (or the
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import queue as queue_mod
 import time
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.fdps.particles import ParticleSet
 from repro.serve.batch import BatchScheduler
-from repro.serve.faults import FaultInjector, FaultPlan
+from repro.serve.faults import FaultPlan
 from repro.obs.trace import NULL_TRACER
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.policies import FaultMode
-from repro.serve.wire import ServeRequest, ServeResponse, WireFormatError
+from repro.serve.shm import Reply, SupervisionConfig, WorkerLost, _ShmTransport
+from repro.serve.wire import ServeRequest, ServeResponse, WireFormatError, request_nfloats
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 from repro.util.constants import SN_ENERGY
 
@@ -81,51 +81,6 @@ from repro.util.constants import SN_ENERGY
 #: protocol bugs, not the per-batch deadline (that is
 #: ``SupervisionConfig.batch_timeout_s``).
 WORKER_TIMEOUT_S = 120.0
-
-#: Seconds an idle worker waits for a request before posting a heartbeat
-#: row — the supervisor's liveness signal between batches.
-HEARTBEAT_S = 5.0
-
-#: Longest single blocking read on the result queue; bounds how stale the
-#: supervisor's death/timeout checks can get while the main rank waits.
-_WAIT_SLICE_S = 0.25
-
-#: A transport reply: ``(batch_id, worker_id, payload, busy_seconds)``
-#: where the payload is the response buffers, a worker-side exception, or
-#: a :class:`WorkerLost` marker for a batch lost to a dead worker.
-Reply = tuple[int, int, "list[np.ndarray] | Exception", float]
-
-
-class WorkerLost(RuntimeError):
-    """Marker payload: the worker holding this batch died before replying.
-
-    Travels *in band* as a reply payload so the server's absorb loop sees
-    worker deaths in dispatch order relative to real replies; it is never
-    raised by the transports themselves.
-    """
-
-
-@dataclass(frozen=True)
-class SupervisionConfig:
-    """Tunables for worker supervision and in-flight recovery."""
-
-    #: Worker deaths without an intervening served batch before the
-    #: supervisor stops restarting that worker slot.
-    max_consecutive_failures: int = 3
-    #: Restart backoff: ``base * 2**(failures-1)`` seconds, capped.
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    #: Seconds a dispatched batch may go unanswered before it is declared
-    #: lost (hung worker / dropped reply) and recovered.
-    batch_timeout_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.max_consecutive_failures < 1:
-            raise ValueError("max_consecutive_failures must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < self.backoff_base_s:
-            raise ValueError("need 0 <= backoff_base_s <= backoff_cap_s")
-        if self.batch_timeout_s <= 0:
-            raise ValueError("batch_timeout_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -151,9 +106,9 @@ class SurrogateSpec:
     #: v_floor, v_scale); None means the default FieldTransform.  Captured
     #: so a worker-built surrogate encodes/decodes exactly like the
     #: in-process one.
-    transform: tuple | None = None
+    transform: tuple[float, ...] | None = None
 
-    def _transform_kwargs(self) -> dict:
+    def _transform_kwargs(self) -> dict[str, Any]:
         if self.transform is None:
             return {}
         from repro.surrogate.transforms import FieldTransform
@@ -239,10 +194,6 @@ class SurrogateSpec:
         )
 
 
-def _resolve_surrogate(spec) -> SNSurrogate:
-    return spec.build() if isinstance(spec, SurrogateSpec) else spec
-
-
 def predict_batch_buffers(
     surrogate: SNSurrogate, buffers: list[np.ndarray], pad_to: int | None = None
 ) -> list[np.ndarray]:
@@ -264,49 +215,6 @@ def predict_batch_buffers(
         ).to_buffer()
         for r, p in zip(requests, predicted, strict=True)
     ]
-
-
-def _worker_main(worker_id: int, spec, req_q, res_q, pad_to: int | None,
-                 fault_plan: FaultPlan | None = None) -> None:
-    """Pool-node worker: build the surrogate once, then serve batches.
-
-    Result-queue rows are tagged so the main rank can supervise:
-
-    * ``("hb", worker_id)`` — idle heartbeat, every :data:`HEARTBEAT_S`.
-    * ``("claim", worker_id, batch_id)`` — posted *before* serving, so a
-      death mid-batch is attributable to exactly this batch.
-    * ``("done", worker_id, batch_id, payload, busy_s)`` — the response
-      buffers, or the worker-side exception.
-
-    ``fault_plan`` scripts deliberate failures (chaos tests); the injector
-    is rebuilt per worker lifetime, so a restarted worker re-runs its
-    script from claim #1.
-    """
-    injector = FaultInjector(fault_plan or FaultPlan(), worker_id)
-    surrogate = _resolve_surrogate(spec)
-    while True:
-        try:
-            item = req_q.get(timeout=HEARTBEAT_S)
-        except queue_mod.Empty:
-            res_q.put(("hb", worker_id))
-            continue
-        if item is None:
-            break
-        batch_id, buffers = item
-        res_q.put(("claim", worker_id, batch_id))
-        injector.on_claim()
-        t0 = time.perf_counter()
-        try:
-            injector.on_predict()
-            responses = predict_batch_buffers(surrogate, buffers, pad_to=pad_to)
-        except Exception as exc:  # ship the failure instead of dying silently
-            res_q.put(("done", worker_id, batch_id, exc, 0.0))
-            continue
-        if injector.corrupts_response() and responses:
-            responses[0][0] = -1.0      # tear the wire magic
-        if injector.drops_response():
-            continue
-        res_q.put(("done", worker_id, batch_id, responses, time.perf_counter() - t0))
 
 
 class _SyncTransport:
@@ -348,361 +256,19 @@ class _SyncTransport:
         pass
 
 
-@dataclass
-class _WorkerSlot:
-    """Supervision state for one worker position in the pool."""
-
-    worker_id: int
-    proc: mp.process.BaseProcess | None = None
-    #: Deaths since the last successfully served batch.
-    failures: int = 0
-    #: Monotonic time the pending restart fires (None: no restart pending).
-    restart_at: float | None = None
-    died_at: float | None = None
-    last_seen: float = 0.0
-    #: True once the supervisor stopped restarting this slot.
-    gave_up: bool = False
-
-
-class _WorkerSupervisor:
-    """Detects dead workers, restarts them with backoff, tracks give-up.
-
-    Owns the worker processes for a transport; the transport supplies the
-    spawn callable (so supervisor logic is transport-agnostic).  Liveness
-    combines ``is_alive`` with the tagged rows workers post on the result
-    queue (heartbeats while idle, claims while busy) — ``note_seen``
-    timestamps both, and ``reap`` turns ``is_alive`` edges into restart
-    schedules.  A slot that dies ``max_consecutive_failures`` times without
-    serving a batch in between is abandoned; when every slot is abandoned
-    the supervisor reports ``degraded`` and the server finishes the run
-    inline.
-    """
-
-    def __init__(self, spawn, n_workers: int, config: SupervisionConfig,
-                 metrics: ServiceMetrics, tracer=None) -> None:
-        self._spawn = spawn
-        self._config = config
-        self._metrics = metrics
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._slots = [_WorkerSlot(worker_id=i) for i in range(n_workers)]
-
-    def start(self) -> None:
-        now = time.monotonic()
-        for slot in self._slots:
-            slot.proc = self._spawn(slot.worker_id)
-            slot.last_seen = now
-
-    @property
-    def n_workers(self) -> int:
-        return len(self._slots)
-
-    @property
-    def degraded(self) -> bool:
-        return all(s.gave_up for s in self._slots)
-
-    def alive_worker_ids(self) -> list[int]:
-        return [
-            s.worker_id for s in self._slots
-            if s.proc is not None and s.proc.is_alive()
-        ]
-
-    def note_seen(self, worker_id: int) -> None:
-        self._slots[worker_id].last_seen = time.monotonic()
-
-    def note_success(self, worker_id: int) -> None:
-        """A served batch resets the slot's consecutive-failure count."""
-        self._slots[worker_id].failures = 0
-
-    def reap(self) -> list[int]:
-        """One supervision pass; returns worker ids found dead *this* pass.
-
-        Newly dead workers get a restart scheduled ``backoff_base_s *
-        2**(failures-1)`` (capped) in the future, executed by a later pass;
-        each restart is counted and its detection-to-respawn latency
-        sampled into ``metrics.recovery_s``.
-        """
-        now = time.monotonic()
-        cfg = self._config
-        dead: list[int] = []
-        for slot in self._slots:
-            if slot.gave_up:
-                continue
-            if slot.proc is not None and not slot.proc.is_alive():
-                slot.proc.join(timeout=0)       # reap the zombie process
-                slot.proc = None
-                slot.failures += 1
-                slot.died_at = now
-                dead.append(slot.worker_id)
-                if slot.failures > cfg.max_consecutive_failures:
-                    slot.gave_up = True
-                    slot.restart_at = None
-                else:
-                    backoff = min(
-                        cfg.backoff_cap_s,
-                        cfg.backoff_base_s * 2.0 ** (slot.failures - 1),
-                    )
-                    slot.restart_at = now + backoff
-            elif (slot.proc is None and slot.restart_at is not None
-                  and now >= slot.restart_at):
-                slot.proc = self._spawn(slot.worker_id)
-                slot.restart_at = None
-                slot.last_seen = now
-                self._metrics.n_worker_restarts += 1
-                self._tracer.instant(
-                    "serve.worker_restart", cat="serve",
-                    tid=f"worker-{slot.worker_id}", worker=slot.worker_id,
-                    failures=slot.failures,
-                )
-                if slot.died_at is not None:
-                    self._metrics.recovery_s.append(now - slot.died_at)
-        if dead and self.degraded:
-            self._metrics.degraded = True
-        return dead
-
-    def close(self) -> None:
-        for slot in self._slots:
-            proc, slot.proc = slot.proc, None
-            slot.gave_up = True
-            if proc is None:
-                continue
-            proc.join(timeout=10.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-
-
-class _WorkerTransportBase:
-    """Shared machinery of the ``process``/``shm`` transports.
-
-    Owns the queue pair, the :class:`_WorkerSupervisor`, and the tagged-row
-    pump that turns worker rows into :data:`Reply` items — including the
-    synthetic :class:`WorkerLost` replies for batches whose claiming worker
-    died.  Subclasses provide the worker entry point and may hook batch
-    encoding (shm slot leasing) and lease reclamation.
-    """
-
-    _worker_kind = "worker"
-
-    def __init__(self, spec, n_workers: int, ctx_method: str | None = None,
-                 pad_to: int | None = None, metrics: ServiceMetrics | None = None,
-                 fault_plan: FaultPlan | None = None,
-                 supervision: SupervisionConfig | None = None,
-                 tracer=None) -> None:
-        if n_workers < 1:
-            raise ValueError(f"{self._worker_kind} transport needs at least one worker")
-        methods = mp.get_all_start_methods()
-        method = ctx_method or ("fork" if "fork" in methods else "spawn")
-        self._ctx = mp.get_context(method)
-        self._spec = spec
-        self._pad_to = pad_to
-        self._fault_plan = fault_plan
-        self._metrics = metrics if metrics is not None else ServiceMetrics()
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._req_q = self._ctx.Queue()
-        self._res_q = self._ctx.Queue()
-        #: batch_id -> worker_id that posted the claim row (in-flight only).
-        self._claims: dict[int, int] = {}
-        self._closed = False
-        self._supervisor = _WorkerSupervisor(
-            self._spawn, n_workers, supervision or SupervisionConfig(),
-            self._metrics, tracer=self._tracer,
-        )
-        self._supervisor.start()
-
-    # ------------------------------------------------------- subclass hooks
-    def _worker_target(self):
-        raise NotImplementedError
-
-    def _worker_args(self, worker_id: int) -> tuple:
-        raise NotImplementedError
-
-    def _encode_batch(self, batch_id: int, buffers: list[np.ndarray]):
-        """What actually rides the request queue for this batch."""
-        return buffers
-
-    def _convert_payload(self, batch_id: int, payload):
-        """Turn a done-row payload into response buffers (or pass the exc)."""
-        return payload
-
-    def _on_claim_row(self, worker_id: int, batch_id: int) -> None:
-        pass
-
-    def _reclaim_batch(self, batch_id: int) -> None:
-        """Reclaim transport resources of a batch lost to a dead worker."""
-
-    def _on_worker_dead(self, worker_id: int) -> None:
-        pass
-
-    def _reclaim_all(self) -> None:
-        """Reclaim every outstanding transport resource (no live workers)."""
-
-    def _close_extra(self) -> None:
-        pass
-
-    # ------------------------------------------------------------- plumbing
-    def _spawn(self, worker_id: int) -> mp.process.BaseProcess:
-        proc = self._ctx.Process(
-            target=self._worker_target(),
-            args=self._worker_args(worker_id),
-            daemon=True,
-            name=f"repro-serve-{self._worker_kind}-{worker_id}",
-        )
-        proc.start()
-        return proc
-
-    @property
-    def n_workers(self) -> int:
-        return self._supervisor.n_workers
-
-    @property
-    def degraded(self) -> bool:
-        return self._supervisor.degraded
-
-    def dispatch(self, batch_id: int, buffers: list[np.ndarray]) -> None:
-        self._req_q.put((batch_id, self._encode_batch(batch_id, buffers)))
-
-    def expire_batch(self, batch_id: int) -> None:
-        """The server timed this batch out; release what can be released.
-
-        The claim attribution is kept: if the (possibly hung) worker later
-        dies while still holding the batch, the death is attributed and
-        reclaimed normally; if it eventually replies, the reply converts
-        and the server drops it as a stale duplicate.
-        """
-
-    def _handle_row(self, row) -> Reply | None:
-        tag, worker_id = row[0], row[1]
-        self._supervisor.note_seen(worker_id)
-        if tag == "hb":
-            return None
-        if tag == "claim":
-            batch_id = row[2]
-            self._claims[batch_id] = worker_id
-            self._tracer.instant(
-                "serve.claim", cat="serve", tid=f"worker-{worker_id}",
-                batch=batch_id, worker=worker_id,
-            )
-            self._on_claim_row(worker_id, batch_id)
-            return None
-        _tag, worker_id, batch_id, payload, busy_s = row
-        self._claims.pop(batch_id, None)
-        if not isinstance(payload, Exception):
-            self._supervisor.note_success(worker_id)
-        return (batch_id, worker_id, self._convert_payload(batch_id, payload), busy_s)
-
-    def _drain(self) -> list[Reply]:
-        out: list[Reply] = []
-        while True:
-            try:
-                row = self._res_q.get_nowait()
-            except queue_mod.Empty:
-                return out
-            reply = self._handle_row(row)
-            if reply is not None:
-                out.append(reply)
-
-    def _reap(self) -> list[Reply]:
-        """Supervision pass: convert worker deaths into WorkerLost replies."""
-        dead = self._supervisor.reap()
-        lost: list[Reply] = []
-        for worker_id in dead:
-            for batch_id in [b for b, w in self._claims.items() if w == worker_id]:
-                del self._claims[batch_id]
-                self._reclaim_batch(batch_id)
-                lost.append((
-                    batch_id, worker_id,
-                    WorkerLost(
-                        f"serve worker {worker_id} died holding batch {batch_id}"
-                    ),
-                    0.0,
-                ))
-            self._on_worker_dead(worker_id)
-        if dead and self._supervisor.degraded:
-            # No worker will ever run again: everything still leased to the
-            # transport (claimed or queued) is safe to take back.
-            self._reclaim_all()
-        return lost
-
-    def poll(self) -> list[Reply]:
-        return self._drain() + self._reap()
-
-    def wait(self, timeout: float) -> list[Reply]:
-        """Block up to ``timeout`` for replies; [] on timeout or degraded.
-
-        Unlike the pre-supervision protocol this never raises on worker
-        death — deaths come back as :class:`WorkerLost` replies and the
-        *server* decides (recover or raise) per its fault mode.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            replies = self.poll()
-            if replies:
-                return replies
-            if self._supervisor.degraded:
-                return []
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return []
-            try:
-                row = self._res_q.get(timeout=min(_WAIT_SLICE_S, remaining))
-            except queue_mod.Empty:
-                continue
-            reply = self._handle_row(row)
-            if reply is not None:
-                return [reply]
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for _ in self._supervisor.alive_worker_ids():
-            self._req_q.put(None)
-        self._supervisor.close()
-        # All workers are gone.  Drain both queues: late done-rows still
-        # return their slot leases through _handle_row, and an empty
-        # request pipe is what lets join_thread() below terminate even when
-        # undelivered batches were buffered for dead workers.
-        while True:
-            try:
-                self._handle_row(self._res_q.get_nowait())
-            except queue_mod.Empty:
-                break
-        while True:
-            try:
-                self._req_q.get_nowait()
-            except queue_mod.Empty:
-                break
-        self._reclaim_all()
-        self._close_extra()
-        for q in (self._req_q, self._res_q):
-            q.close()
-            q.join_thread()
-
-
-class _ProcessTransport(_WorkerTransportBase):
-    """N worker processes fed from one shared request queue (pipes)."""
-
-    def _worker_target(self):
-        return _worker_main
-
-    def _worker_args(self, worker_id: int) -> tuple:
-        return (worker_id, self._spec, self._req_q, self._res_q, self._pad_to,
-                self._fault_plan)
-
-
 class SurrogateServer:
-    """Batched inference over SN regions with sync or process transport.
+    """Batched inference over SN regions with the sync or shm transport.
 
     Parameters
     ----------
-    surrogate : in-process surrogate (required for ``sync``; for the
-        worker transports it is the recipe source when ``spec`` is absent —
-        a spec is derived when possible, else the object itself is pickled
-        — and the builder of inline spill/oracle predictions).
-    spec : a :class:`SurrogateSpec` workers build from (preferred for the
-        worker transports — each worker loads its own model instead of
-        inheriting a pickled copy through the queue args).
-    transport : ``"sync"``, ``"process"``, or ``"shm"`` (zero-copy
+    surrogate : in-process surrogate (required for ``sync``; for ``shm``
+        it is the recipe source when ``spec`` is absent — a spec is derived
+        when possible, else the object itself is pickled — and the builder
+        of inline spill/oracle predictions).
+    spec : a :class:`SurrogateSpec` workers build from (preferred for
+        ``shm`` — each worker loads its own model instead of inheriting a
+        pickled copy through the spawn args).
+    transport : ``"sync"`` or ``"shm"`` (worker processes over a zero-copy
         shared-memory ring, see :mod:`repro.serve.shm`).
     n_workers / max_batch / max_wait_steps / pad_to : see module and
         :class:`BatchScheduler` docs.
@@ -731,14 +297,13 @@ class SurrogateServer:
         max_batch: int = 8,
         max_wait_steps: int = 1,
         pad_to: int | None = None,
-        ctx_method: str | None = None,
         shm_slots: int = 32,
         shm_slot_particles: int = 4096,
         fault_mode: FaultMode | str = FaultMode.RECOVER,
         fault_plan: FaultPlan | str | None = None,
         supervision: SupervisionConfig | None = None,
         max_redispatch: int = 2,
-        tracer=None,
+        tracer: Any = None,
     ) -> None:
         if surrogate is None and spec is None:
             raise ValueError("need a surrogate or a SurrogateSpec")
@@ -763,24 +328,14 @@ class SurrogateServer:
         self._fault_plan = fault_plan
         self._supervision = supervision if supervision is not None else SupervisionConfig()
         self._max_redispatch = int(max_redispatch)
+        self._transport: _SyncTransport | _ShmTransport
         if transport == "sync":
             self._transport = _SyncTransport(
                 self.local_surrogate, self.metrics, pad_to
             )
-        elif transport == "process":
-            self._transport = _ProcessTransport(
-                self._worker_recipe(), n_workers, ctx_method=ctx_method,
-                pad_to=pad_to, metrics=self.metrics,
-                fault_plan=self._fault_plan, supervision=self._supervision,
-                tracer=self.tracer,
-            )
         elif transport == "shm":
-            from repro.serve.shm import _ShmTransport
-            from repro.serve.wire import request_nfloats
-
             self._transport = _ShmTransport(
-                self._worker_recipe(), n_workers, ctx_method=ctx_method,
-                pad_to=pad_to,
+                self._worker_recipe(), n_workers, pad_to=pad_to,
                 n_slots=shm_slots,
                 slot_floats=request_nfloats(shm_slot_particles),
                 metrics=self.metrics,
@@ -789,6 +344,11 @@ class SurrogateServer:
             )
             self.metrics.shm_n_slots = shm_slots
             self.metrics.shm_slot_bytes = request_nfloats(shm_slot_particles) * 8
+        elif transport == "process":
+            raise ValueError(
+                "the 'process' transport is retired: use transport='shm' "
+                "(the same worker pool; results are bit-identical)"
+            )
         else:
             raise ValueError(f"unknown transport {transport!r}")
         self._next_event_id = 0
@@ -808,8 +368,8 @@ class SurrogateServer:
         self._closed = False
 
     # -------------------------------------------------------------- plumbing
-    def _worker_recipe(self):
-        """What the worker transports build their surrogate from.
+    def _worker_recipe(self) -> SurrogateSpec | SNSurrogate | None:
+        """What the ``shm`` workers build their surrogate from.
 
         Prefer a :class:`SurrogateSpec` (explicit, or derived from the
         in-process surrogate — oracle- and exported-model-backed both
@@ -852,10 +412,7 @@ class SurrogateServer:
     @property
     def degraded(self) -> bool:
         """True once the worker pool is abandoned and service runs inline."""
-        return self._transport_degraded()
-
-    def _transport_degraded(self) -> bool:
-        return bool(getattr(self._transport, "degraded", False))
+        return self._transport.degraded
 
     def supervise(self) -> None:
         """One explicit supervision pass (deaths → recovery, due restarts).
@@ -942,7 +499,7 @@ class SurrogateServer:
             self._dispatch(buffers)
 
     def _dispatch(self, buffers: list[np.ndarray], redispatch_gen: int = 0) -> None:
-        if self._transport_degraded():
+        if self._transport.degraded:
             # No live workers: the batch would sit in the request queue
             # until its timeout; resolve it inline right away instead.
             self._resolve_inline_fault(buffers, "service degraded: no live workers")
@@ -986,7 +543,7 @@ class SurrogateServer:
             self._check_timeouts()
             if not self._missing_due(step):
                 break
-            if self._transport_degraded():
+            if self._transport.degraded:
                 self._recover_all_in_flight("service degraded: no live workers")
                 if self._missing_due(step):
                     raise RuntimeError(
@@ -1032,7 +589,7 @@ class SurrogateServer:
             self._check_timeouts()
             if not self._in_flight:
                 break
-            if self._transport_degraded():
+            if self._transport.degraded:
                 self._recover_all_in_flight("service degraded: no live workers")
                 break
             replies = self._transport.wait(self._wait_slice())
@@ -1120,7 +677,7 @@ class SurrogateServer:
             redispatch
             and generation < self._max_redispatch
             and self.n_workers > 0
-            and not self._transport_degraded()
+            and not self._transport.degraded
         )
         if can_redispatch:
             self.metrics.n_redispatch += 1
@@ -1161,7 +718,7 @@ class SurrogateServer:
         for buf in responses:
             self._store_response(buf)
 
-    def _absorb(self, replies) -> None:
+    def _absorb(self, replies: list[Reply]) -> None:
         for batch_id, worker_id, payload, busy_s in replies:
             if batch_id not in self._in_flight:
                 # Stale duplicate: a hung worker finally answered a batch
@@ -1242,7 +799,7 @@ class SurrogateServer:
     def __enter__(self) -> "SurrogateServer":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, *exc: object) -> None:
         self.close()
 
     def __del__(self) -> None:
@@ -1254,7 +811,7 @@ class SurrogateServer:
             # operation (__exit__, explicit) still surfaces everything.
             pass
 
-    def metrics_dict(self) -> dict:
+    def metrics_dict(self) -> dict[str, Any]:
         return self.metrics.as_dict(
             max_batch=self.scheduler.max_batch, n_workers=self.n_workers
         )

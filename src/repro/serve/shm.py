@@ -1,11 +1,15 @@
-"""Zero-copy shared-memory transport: a ring of packed-``FIELDS`` slots.
+"""The worker transport: supervised pool processes over a shared-memory ring.
 
-The ``process`` transport ships every request and response through a
-``multiprocessing.Queue`` — each crossing pickles the float64 payload and
-copies it through a pipe twice (feeder thread write + reader drain).  At
-the paper's production grid the per-event payload is hundreds of kilobytes
-and, as the precursor works found, that data movement (not the forward
-pass) is what dominates pool-node cost.  This module removes it:
+``shm`` is the one transport of :mod:`repro.serve` that runs inference off
+the main rank: ``n_workers`` OS processes, each of which builds its own
+surrogate (from a picklable :class:`~repro.serve.server.SurrogateSpec` or a
+pickled :class:`~repro.surrogate.model.SNSurrogate`) and serves batches
+from a shared request queue.  A ``multiprocessing.Queue`` alone would
+pickle every float64 payload and copy it through a pipe twice (feeder
+thread write + reader drain); at the paper's production grid the per-event
+payload is hundreds of kilobytes and, as the precursor works found, that
+data movement (not the forward pass) is what dominates pool-node cost.
+This module keeps the payloads off the pipe:
 
 * :class:`SharedMemoryRing` — one ``multiprocessing.shared_memory`` block
   cut into fixed-size float64 slots, mapped as an ``(n_slots, slot_floats)``
@@ -21,13 +25,26 @@ pass) is what dominates pool-node cost.  This module removes it:
 The slots reuse the exact :mod:`repro.serve.wire` framing, so the byte
 figures charged to the :class:`~repro.fdps.comm.SimComm` ``pool_p2p``
 ledger — always the wire buffer's ``nbytes`` — are identical across the
-``sync``, ``process`` and ``shm`` transports.
+``sync`` and ``shm`` transports.
 
 Backpressure: a request that does not fit a slot (or arrives while every
-slot is in flight) falls back to the pickled-queue path of the ``process``
-transport for that one event, counted in
-:attr:`~repro.serve.metrics.ServiceMetrics.n_shm_fallback` — correctness
-never depends on the ring being big enough.
+slot is in flight) rides the request queue pickled, for that one event,
+counted in :attr:`~repro.serve.metrics.ServiceMetrics.n_shm_fallback` —
+correctness never depends on the ring being big enough.
+
+Worker protocol
+---------------
+
+This module owns the whole worker side: the worker main, the
+:class:`_WorkerSupervisor` that restarts dead workers, and the tagged-row
+pump of :class:`_ShmTransport`.  Workers post three kinds of row on the
+result queue:
+
+* ``("hb", worker_id)`` — idle heartbeat, every :data:`HEARTBEAT_S`.
+* ``("claim", worker_id, batch_id)`` — posted *before* serving, so a death
+  mid-batch is attributable to exactly this batch.
+* ``("done", worker_id, batch_id, payload, busy_s)`` — the response
+  entries, or the worker-side exception.
 
 Lease safety under faults
 -------------------------
@@ -36,8 +53,8 @@ A slot leased to an in-flight batch has three ways home, and every one of
 them must be crash-safe (the ``lease-pairing`` lint rule checks the
 acquire/release pairing statically):
 
-* **done row** — the normal path: :meth:`_ShmTransport._convert_payload`
-  frees the batch's leases on success *and* failure edges (``finally``).
+* **done row** — the normal path: :meth:`_ShmTransport._handle_row` frees
+  the batch's leases on success *and* failure edges (``finally``).
 * **dead worker** — the supervisor attributes claimed batches to the dead
   process; its leases are reclaimed immediately (a dead worker cannot
   touch the ring again), counted in ``metrics.n_slots_reclaimed``.
@@ -52,26 +69,34 @@ acquire/release pairing statically):
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import queue as queue_mod
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Any, Union
+from typing import Any, Union
 
 import numpy as np
 
+from repro.obs.trace import NULL_TRACER
 from repro.serve.faults import FaultInjector, FaultPlan
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.server import (
-    HEARTBEAT_S,
-    Reply,
-    SupervisionConfig,
-    _WorkerTransportBase,
-)
 from repro.serve.wire import ServeRequest, ServeResponse, WireFormatError
+from repro.surrogate.model import SNSurrogate
 
-if TYPE_CHECKING:  # annotation-only imports
-    from repro.serve.server import SurrogateSpec
-    from repro.surrogate.model import SNSurrogate
+#: Seconds an idle worker waits for a request before posting a heartbeat
+#: row — the supervisor's liveness signal between batches.
+HEARTBEAT_S = 5.0
+
+#: Longest single blocking read on the result queue; bounds how stale the
+#: supervisor's death/timeout checks can get while the main rank waits.
+_WAIT_SLICE_S = 0.25
+
+#: A transport reply: ``(batch_id, worker_id, payload, busy_seconds)``
+#: where the payload is the response buffers, a worker-side exception, or
+#: a :class:`WorkerLost` marker for a batch lost to a dead worker.
+Reply = tuple[int, int, "list[np.ndarray] | Exception", float]
 
 #: A control entry: ``(SLOT, index, nfloats)`` for ring-resident payloads,
 #: ``(INLINE, buffer)`` for queue-pickled fallbacks.
@@ -80,6 +105,38 @@ Entry = Union[tuple[int, int, int], tuple[int, np.ndarray]]
 #: Control-entry tags: payload lives in a ring slot / rides the queue.
 SLOT = 0
 INLINE = 1
+
+
+class WorkerLost(RuntimeError):
+    """Marker payload: the worker holding this batch died before replying.
+
+    Travels *in band* as a reply payload so the server's absorb loop sees
+    worker deaths in dispatch order relative to real replies; it is never
+    raised by the transports themselves.
+    """
+
+
+@dataclass(frozen=True)
+class SupervisionConfig:
+    """Tunables for worker supervision and in-flight recovery."""
+
+    #: Worker deaths without an intervening served batch before the
+    #: supervisor stops restarting that worker slot.
+    max_consecutive_failures: int = 3
+    #: Restart backoff: ``base * 2**(failures-1)`` seconds, capped.
+    backoff_base_s: float = 0.05
+    backoff_cap_s: float = 2.0
+    #: Seconds a dispatched batch may go unanswered before it is declared
+    #: lost (hung worker / dropped reply) and recovered.
+    batch_timeout_s: float = 30.0
+
+    def __post_init__(self) -> None:
+        if self.max_consecutive_failures < 1:
+            raise ValueError("max_consecutive_failures must be >= 1")
+        if self.backoff_base_s < 0 or self.backoff_cap_s < self.backoff_base_s:
+            raise ValueError("need 0 <= backoff_base_s <= backoff_cap_s")
+        if self.batch_timeout_s <= 0:
+            raise ValueError("batch_timeout_s must be positive")
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
@@ -193,8 +250,8 @@ def serve_batch_in_place(
     fallback requests that rode the queue.  Returns response entries of the
     same two shapes.  The prediction path is byte-identical to
     :func:`repro.serve.server.predict_batch_buffers` — same decode, same
-    batched predictor call, same per-event seeded RNG — so the three
-    transports stay bit-identical.
+    batched predictor call, same per-event seeded RNG — so both transports
+    stay bit-identical.
     """
     requests: list[ServeRequest] = []
     out_slots: list[int | None] = []
@@ -229,7 +286,7 @@ def serve_batch_in_place(
 
 def _shm_worker_main(
     worker_id: int,
-    spec: SurrogateSpec | SNSurrogate,
+    recipe: Any,
     ring_name: str,
     n_slots: int,
     slot_floats: int,
@@ -240,18 +297,17 @@ def _shm_worker_main(
 ) -> None:
     """Pool-node worker: attach the ring, build the surrogate, serve.
 
-    Speaks the same tagged-row protocol as
-    :func:`repro.serve.server._worker_main` (heartbeat / claim / done), and
-    honours the same :class:`~repro.serve.faults.FaultPlan` script —
-    ``corrupt`` tears the wire magic of the first response *in its ring
-    slot* when the response is slot-resident.
+    ``recipe`` is an :class:`SNSurrogate` (used as is) or anything with a
+    ``build()`` returning one — a :class:`~repro.serve.server.SurrogateSpec`.
+    ``fault_plan`` scripts deliberate failures (chaos tests); the injector
+    is rebuilt per worker lifetime, so a restarted worker re-runs its
+    script from claim #1.  ``corrupt`` tears the wire magic of the first
+    response *in its ring slot* when the response is slot-resident.
     """
-    from repro.serve.server import _resolve_surrogate  # import cycle at top level
-
     injector = FaultInjector(fault_plan or FaultPlan(), worker_id)
     ring = SharedMemoryRing(n_slots, slot_floats, name=ring_name)
     try:
-        surrogate = _resolve_surrogate(spec)
+        surrogate = recipe if isinstance(recipe, SNSurrogate) else recipe.build()
         while True:
             try:
                 item = req_q.get(timeout=HEARTBEAT_S)
@@ -285,21 +341,143 @@ def _shm_worker_main(
         ring.close()
 
 
-class _ShmTransport(_WorkerTransportBase):
-    """N workers reading/writing ring slots; queues carry only slot indices.
+@dataclass
+class _WorkerSlot:
+    """Supervision state for one worker position in the pool."""
 
-    Extends :class:`~repro.serve.server._WorkerTransportBase` (queues,
-    supervisor, tagged-row pump) with the slot-lease life cycle — see the
-    module docstring's fault section for the three ways a lease comes home.
+    worker_id: int
+    proc: mp.process.BaseProcess | None = None
+    #: Deaths since the last successfully served batch.
+    failures: int = 0
+    #: Monotonic time the pending restart fires (None: no restart pending).
+    restart_at: float | None = None
+    died_at: float | None = None
+    last_seen: float = 0.0
+    #: True once the supervisor stopped restarting this slot.
+    gave_up: bool = False
+
+
+class _WorkerSupervisor:
+    """Detects dead workers, restarts them with backoff, tracks give-up.
+
+    Owns the worker processes; the transport supplies the spawn callable.
+    Liveness combines ``is_alive`` with the tagged rows workers post on the
+    result queue (heartbeats while idle, claims while busy) — ``note_seen``
+    timestamps both, and ``reap`` turns ``is_alive`` edges into restart
+    schedules.  A slot that dies ``max_consecutive_failures`` times without
+    serving a batch in between is abandoned; when every slot is abandoned
+    the supervisor reports ``degraded`` and the server finishes the run
+    inline.
     """
 
-    _worker_kind = "shm-worker"
+    def __init__(self, spawn: Callable[[int], mp.process.BaseProcess],
+                 n_workers: int, config: SupervisionConfig,
+                 metrics: ServiceMetrics, tracer: Any = None) -> None:
+        self._spawn = spawn
+        self._config = config
+        self._metrics = metrics
+        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._slots = [_WorkerSlot(worker_id=i) for i in range(n_workers)]
+
+    def start(self) -> None:
+        now = time.monotonic()
+        for slot in self._slots:
+            slot.proc = self._spawn(slot.worker_id)
+            slot.last_seen = now
+
+    @property
+    def n_workers(self) -> int:
+        return len(self._slots)
+
+    @property
+    def degraded(self) -> bool:
+        return all(s.gave_up for s in self._slots)
+
+    def alive_worker_ids(self) -> list[int]:
+        return [
+            s.worker_id for s in self._slots
+            if s.proc is not None and s.proc.is_alive()
+        ]
+
+    def note_seen(self, worker_id: int) -> None:
+        self._slots[worker_id].last_seen = time.monotonic()
+
+    def note_success(self, worker_id: int) -> None:
+        """A served batch resets the slot's consecutive-failure count."""
+        self._slots[worker_id].failures = 0
+
+    def reap(self) -> list[int]:
+        """One supervision pass; returns worker ids found dead *this* pass.
+
+        Newly dead workers get a restart scheduled ``backoff_base_s *
+        2**(failures-1)`` (capped) in the future, executed by a later pass;
+        each restart is counted and its detection-to-respawn latency
+        sampled into ``metrics.recovery_s``.
+        """
+        now = time.monotonic()
+        cfg = self._config
+        dead: list[int] = []
+        for slot in self._slots:
+            if slot.gave_up:
+                continue
+            if slot.proc is not None and not slot.proc.is_alive():
+                slot.proc.join(timeout=0)       # reap the zombie process
+                slot.proc = None
+                slot.failures += 1
+                slot.died_at = now
+                dead.append(slot.worker_id)
+                if slot.failures > cfg.max_consecutive_failures:
+                    slot.gave_up = True
+                    slot.restart_at = None
+                else:
+                    backoff = min(
+                        cfg.backoff_cap_s,
+                        cfg.backoff_base_s * 2.0 ** (slot.failures - 1),
+                    )
+                    slot.restart_at = now + backoff
+            elif (slot.proc is None and slot.restart_at is not None
+                  and now >= slot.restart_at):
+                slot.proc = self._spawn(slot.worker_id)
+                slot.restart_at = None
+                slot.last_seen = now
+                self._metrics.n_worker_restarts += 1
+                self._tracer.instant(
+                    "serve.worker_restart", cat="serve",
+                    tid=f"worker-{slot.worker_id}", worker=slot.worker_id,
+                    failures=slot.failures,
+                )
+                if slot.died_at is not None:
+                    self._metrics.recovery_s.append(now - slot.died_at)
+        if dead and self.degraded:
+            self._metrics.degraded = True
+        return dead
+
+    def close(self) -> None:
+        for slot in self._slots:
+            proc, slot.proc = slot.proc, None
+            slot.gave_up = True
+            if proc is None:
+                continue
+            proc.join(timeout=10.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5.0)
+
+
+class _ShmTransport:
+    """N supervised workers reading/writing ring slots; queues carry indices.
+
+    Owns the queue pair, the :class:`_WorkerSupervisor`, the ring with its
+    slot-lease books, and the tagged-row pump that turns worker rows into
+    :data:`Reply` items — including the synthetic :class:`WorkerLost`
+    replies for batches whose claiming worker died.  See the module
+    docstring's fault section for the three ways a lease comes home.
+    """
 
     def __init__(
         self,
-        spec: SurrogateSpec | SNSurrogate,
+        recipe: Any,
         n_workers: int,
-        ctx_method: str | None = None,
         pad_to: int | None = None,
         n_slots: int = 32,
         slot_floats: int = 0,
@@ -308,38 +486,61 @@ class _ShmTransport(_WorkerTransportBase):
         supervision: SupervisionConfig | None = None,
         tracer: Any = None,
     ) -> None:
+        if n_workers < 1:
+            raise ValueError("shm transport needs at least one worker")
         if slot_floats < 1:
             raise ValueError("shm transport needs a positive slot size")
-        # The ring and lease books exist before super().__init__ spawns the
-        # workers: _worker_args reads the ring name.
+        self._ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
+        self._recipe = recipe
+        self._pad_to = pad_to
+        self._fault_plan = fault_plan
+        self._metrics = metrics if metrics is not None else ServiceMetrics()
+        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._req_q = self._ctx.Queue()
+        self._res_q = self._ctx.Queue()
+        #: batch_id -> worker_id that posted the claim row (in-flight only).
+        self._claims: dict[int, int] = {}
+        self._closed = False
         self._ring = SharedMemoryRing(n_slots, slot_floats)
         self._free = list(range(n_slots - 1, -1, -1))   # stack of free slots
         self._batch_slots: dict[int, list[int]] = {}    # in-flight slot leases
         #: Leases of expired (timed-out) batches, parked until their holder
         #: is provably done: batch_id -> (claiming worker or None, slots).
         self._zombies: dict[int, tuple[int | None, list[int]]] = {}
-        super().__init__(
-            spec, n_workers, ctx_method=ctx_method, pad_to=pad_to,
-            metrics=metrics, fault_plan=fault_plan, supervision=supervision,
-            tracer=tracer,
+        self._supervisor = _WorkerSupervisor(
+            self._spawn, n_workers, supervision or SupervisionConfig(),
+            self._metrics, tracer=self._tracer,
         )
+        self._supervisor.start()
 
-    def _worker_target(self) -> Any:
-        return _shm_worker_main
-
-    def _worker_args(self, worker_id: int) -> tuple:
-        return (
-            worker_id, self._spec, self._ring.name, self._ring.n_slots,
-            self._ring.slot_floats, self._req_q, self._res_q, self._pad_to,
-            self._fault_plan,
+    def _spawn(self, worker_id: int) -> mp.process.BaseProcess:
+        proc = self._ctx.Process(
+            target=_shm_worker_main,
+            args=(
+                worker_id, self._recipe, self._ring.name, self._ring.n_slots,
+                self._ring.slot_floats, self._req_q, self._res_q, self._pad_to,
+                self._fault_plan,
+            ),
+            daemon=True,
+            name=f"repro-serve-shm-worker-{worker_id}",
         )
+        proc.start()
+        return proc
+
+    @property
+    def n_workers(self) -> int:
+        return self._supervisor.n_workers
+
+    @property
+    def degraded(self) -> bool:
+        return self._supervisor.degraded
 
     @property
     def n_free_slots(self) -> int:
         return len(self._free)
 
     # ------------------------------------------------------------ dispatch
-    def _encode_batch(self, batch_id: int, buffers: list[np.ndarray]) -> list[Entry]:
+    def dispatch(self, batch_id: int, buffers: list[np.ndarray]) -> None:
         tt0 = self._tracer.now()
         entries: list[Entry] = []
         leased: list[int] = []
@@ -353,7 +554,7 @@ class _ShmTransport(_WorkerTransportBase):
                 self._metrics.n_shm_slot += 1
             else:
                 # Oversize request or exhausted ring: this one event rides
-                # the queue (pickled), like the process transport.
+                # the queue, pickled.
                 self._metrics.n_shm_fallback += 1
                 n_fallback += 1
                 entries.append((INLINE, buf))
@@ -363,25 +564,65 @@ class _ShmTransport(_WorkerTransportBase):
                 "serve.shm.encode", tt0, self._tracer.now() - tt0, cat="serve",
                 batch=batch_id, slots=len(leased), fallbacks=n_fallback,
             )
-        return entries
+        self._req_q.put((batch_id, entries))
+
+    def expire_batch(self, batch_id: int) -> None:
+        """The server timed this batch out: park its leases as zombies.
+
+        The holder may be a *hung* worker that will still write its
+        in-place response into these slots; returning them to the free
+        stack now would hand a worker's output buffer to a new request.
+        The claim attribution is kept: if the worker later dies still
+        holding the batch, the death reclaims the zombie; if it eventually
+        replies, the reply frees the leases and the server drops it as a
+        stale duplicate.
+        """
+        leased = self._batch_slots.pop(batch_id, [])
+        if leased:
+            self._zombies[batch_id] = (self._claims.get(batch_id), leased)
 
     # ------------------------------------------------------------- replies
-    def _convert_payload(
-        self, batch_id: int, payload: Any
-    ) -> "list[np.ndarray] | Exception":
-        """Memmove slot-resident responses out of the ring; free the leases.
-
-        Runs for normal *and* late (previously expired) done rows — the
-        lease lookup falls back to the zombie registry — and releases on
-        success and failure edges alike, so a worker exception cannot leak
-        slots.
-        """
+    def _handle_row(self, row: tuple[Any, ...]) -> Reply | None:
+        tag, worker_id = row[0], row[1]
+        self._supervisor.note_seen(worker_id)
+        if tag == "hb":
+            return None
+        if tag == "claim":
+            batch_id = row[2]
+            self._claims[batch_id] = worker_id
+            self._tracer.instant(
+                "serve.claim", cat="serve", tid=f"worker-{worker_id}",
+                batch=batch_id, worker=worker_id,
+            )
+            # Workers are strictly serial: a fresh claim proves this worker
+            # is done touching every batch it claimed earlier, so any zombie
+            # leases attributed to it are safe to free.  The claim also
+            # attributes a previously unclaimed zombie batch to its holder.
+            if batch_id in self._zombies:
+                self._zombies[batch_id] = (worker_id, self._zombies[batch_id][1])
+            stale = [
+                b for b, (w, _) in self._zombies.items()
+                if w == worker_id and b != batch_id
+            ]
+            freed: list[int] = []
+            try:
+                for b in stale:
+                    freed.extend(self._zombies.pop(b)[1])
+            finally:
+                self._free.extend(freed)
+            return None
+        _tag, worker_id, batch_id, payload, busy_s = row
+        self._claims.pop(batch_id, None)
+        # Memmove slot-resident responses out of the ring and free the
+        # leases — for late (previously expired) done rows too, via the
+        # zombie registry, and on the worker-exception edge alike.
         leased = self._batch_slots.pop(batch_id, None)
         if leased is None:
             leased = self._zombies.pop(batch_id, (None, []))[1]
         try:
             if isinstance(payload, Exception):
-                return payload
+                return (batch_id, worker_id, payload, busy_s)
+            self._supervisor.note_success(worker_id)
             buffers: list[np.ndarray] = []
             for entry in payload:
                 if entry[0] == SLOT:
@@ -389,59 +630,53 @@ class _ShmTransport(_WorkerTransportBase):
                     buffers.append(np.array(self._ring.slot(index, nfloats)))
                 else:
                     buffers.append(entry[1])
-            return buffers
+            return (batch_id, worker_id, buffers, busy_s)
         finally:
             self._free.extend(leased)
 
-    # ------------------------------------------------------ lease recovery
-    def expire_batch(self, batch_id: int) -> None:
-        """Park a timed-out batch's leases as zombies.
+    def _drain(self) -> list[Reply]:
+        out: list[Reply] = []
+        while True:
+            try:
+                row = self._res_q.get_nowait()
+            except queue_mod.Empty:
+                return out
+            reply = self._handle_row(row)
+            if reply is not None:
+                out.append(reply)
 
-        The holder may be a *hung* worker that will still write its
-        in-place response into these slots; returning them to the free
-        stack now would hand a worker's output buffer to a new request.
+    def _reap(self) -> list[Reply]:
+        """Supervision pass: convert worker deaths into WorkerLost replies.
+
+        A dead worker can never touch the ring again, so the leases of the
+        batches it claimed and the zombie leases attributed to it return to
+        the free stack at once.
         """
-        leased = self._batch_slots.pop(batch_id, [])
-        if leased:
-            self._zombies[batch_id] = (self._claims.get(batch_id), leased)
-
-    def _on_claim_row(self, worker_id: int, batch_id: int) -> None:
-        # Workers are strictly serial: a fresh claim proves this worker is
-        # done touching every batch it claimed earlier, so any zombie
-        # leases attributed to it are safe to free.  The claim also
-        # attributes a previously unclaimed zombie batch to its holder.
-        if batch_id in self._zombies:
-            self._zombies[batch_id] = (worker_id, self._zombies[batch_id][1])
-        stale = [
-            b for b, (w, _) in self._zombies.items()
-            if w == worker_id and b != batch_id
-        ]
+        dead = self._supervisor.reap()
+        lost: list[Reply] = []
         freed: list[int] = []
         try:
-            for b in stale:
-                freed.extend(self._zombies.pop(b)[1])
-        finally:
-            self._free.extend(freed)
-
-    def _reclaim_batch(self, batch_id: int) -> None:
-        # The claiming worker died: it can never touch the ring again, so
-        # the batch's leases return to the free stack immediately.
-        freed: list[int] = []
-        try:
-            freed.extend(self._batch_slots.pop(batch_id, []))
+            for worker_id in dead:
+                for batch_id in [b for b, w in self._claims.items() if w == worker_id]:
+                    del self._claims[batch_id]
+                    freed.extend(self._batch_slots.pop(batch_id, []))
+                    lost.append((
+                        batch_id, worker_id,
+                        WorkerLost(
+                            f"serve worker {worker_id} died holding batch {batch_id}"
+                        ),
+                        0.0,
+                    ))
+                for b in [b for b, (w, _) in self._zombies.items() if w == worker_id]:
+                    freed.extend(self._zombies.pop(b)[1])
         finally:
             self._free.extend(freed)
             self._metrics.n_slots_reclaimed += len(freed)
-
-    def _on_worker_dead(self, worker_id: int) -> None:
-        stale = [b for b, (w, _) in self._zombies.items() if w == worker_id]
-        freed: list[int] = []
-        try:
-            for b in stale:
-                freed.extend(self._zombies.pop(b)[1])
-        finally:
-            self._free.extend(freed)
-            self._metrics.n_slots_reclaimed += len(freed)
+        if dead and self._supervisor.degraded:
+            # No worker will ever run again: everything still leased to the
+            # transport (claimed or queued) is safe to take back.
+            self._reclaim_all()
+        return lost
 
     def _reclaim_all(self) -> None:
         # No live workers remain (degraded, or close after join): every
@@ -458,8 +693,60 @@ class _ShmTransport(_WorkerTransportBase):
             self._free.extend(freed)
             self._metrics.n_slots_reclaimed += len(freed)
 
-    def _close_extra(self) -> None:
+    def poll(self) -> list[Reply]:
+        return self._drain() + self._reap()
+
+    def wait(self, timeout: float) -> list[Reply]:
+        """Block up to ``timeout`` for replies; [] on timeout or degraded.
+
+        This never raises on worker death — deaths come back as
+        :class:`WorkerLost` replies and the *server* decides (recover or
+        raise) per its fault mode.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            replies = self.poll()
+            if replies:
+                return replies
+            if self._supervisor.degraded:
+                return []
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return []
+            try:
+                row = self._res_q.get(timeout=min(_WAIT_SLICE_S, remaining))
+            except queue_mod.Empty:
+                continue
+            reply = self._handle_row(row)
+            if reply is not None:
+                return [reply]
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        for _ in self._supervisor.alive_worker_ids():
+            self._req_q.put(None)
+        self._supervisor.close()
+        # All workers are gone.  Drain both queues: late done-rows still
+        # return their slot leases through _handle_row, and an empty
+        # request pipe is what lets join_thread() below terminate even when
+        # undelivered batches were buffered for dead workers.
+        while True:
+            try:
+                self._handle_row(self._res_q.get_nowait())
+            except queue_mod.Empty:
+                break
+        while True:
+            try:
+                self._req_q.get_nowait()
+            except queue_mod.Empty:
+                break
+        self._reclaim_all()
         self._ring.close()
+        for q in (self._req_q, self._res_q):
+            q.close()
+            q.join_thread()
 
 
 __all__ = [
@@ -468,5 +755,7 @@ __all__ = [
     "Entry",
     "Reply",
     "SharedMemoryRing",
+    "SupervisionConfig",
+    "WorkerLost",
     "serve_batch_in_place",
 ]

@@ -7,6 +7,7 @@ restore -> step matches an uninterrupted run exactly — on every ``n_ranks``.
 """
 
 import logging
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -155,6 +156,45 @@ def test_restore_loads_old_schema_checkpoint(tmp_path, caplog):
     assert back.step_count == 5
     assert back.integrator.cfg.self_gravity is False
     back.run(1)  # must not raise
+
+
+def test_restore_maps_retired_process_transport_to_shm(tmp_path, caplog):
+    # A checkpoint written when the pickled-queue ``process`` transport
+    # existed: it restores onto ``shm`` and steps exactly like ``sync``.
+    cfg = IntegratorConfig(self_gravity=False, enable_cooling=True,
+                           enable_star_formation=True, dt=2e-3, n_pool=4,
+                           latency_steps=2, seed=11)
+    meta = {
+        "n_sn_events": 0,
+        "n_sf_events": 0,
+        "next_pid": 10_000_001,
+        "dt": 2e-3,
+        "n_pool": 4,
+        "latency_steps": 2,
+        "seed": 11,
+        "integrator_config": asdict(cfg),
+        "serve": {"transport": "process", "n_workers": 2, "max_batch": 8,
+                  "max_wait_steps": 1},
+    }
+    # Saved at step 2: the star (tsn 0.003) is overdue, so the first step
+    # dispatches its SN and the prediction lands two steps later.
+    path = save_snapshot(_ic(), tmp_path / "process.npz", time=0.004, step=2,
+                         extra_meta=meta)
+    with caplog.at_level(logging.WARNING):
+        on_shm = GalaxySimulation.restore(path)
+    on_sync = GalaxySimulation.restore(path, serve_transport="sync")
+    try:
+        assert "'process' is retired" in caplog.text
+        assert on_shm.server.transport_name == "shm"
+        assert on_shm.server.n_workers == 2
+        on_shm.run(4)
+        on_sync.run(4)
+        assert on_shm.pool.summary()["n_returned"] == 1
+        assert on_shm.integrator.n_sn_events == on_sync.integrator.n_sn_events == 1
+        assert on_shm.ps.pack().tobytes() == on_sync.ps.pack().tobytes()
+    finally:
+        on_shm.close()
+        on_sync.close()
 
 
 def test_restore_accepts_overrides(tmp_path):

@@ -87,9 +87,9 @@ def no_cut_state():
 
 @pytest.mark.parametrize("n_ranks", [2, 3])
 @pytest.mark.parametrize("use_torus", [False, True])
-@pytest.mark.parametrize("transport", ["sync", "process", "shm"])
+@pytest.mark.parametrize("transport", ["sync", "shm"])
 def test_state_independent_of_cuts(no_cut_state, n_ranks, use_torus, transport):
-    """{2, 3} ranks x {flat, torus} x {sync, process, shm}: the bytes of
+    """{2, 3} ranks x {flat, torus} x {sync, shm}: the bytes of
     the no-cut run."""
     ref_state, ref_diag, *_ = no_cut_state
     kw = {} if transport == "sync" else {

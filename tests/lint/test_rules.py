@@ -303,6 +303,32 @@ def test_lease_pairing_flags_release_outside_finally():
     assert "finally" in findings[0].message
 
 
+def test_lease_pairing_flags_each_release_outside_finally():
+    # One guarded release must not vouch for a second, unguarded one.
+    findings = _lint(
+        """
+        class T:
+            def handle(self, tag, batch_id):
+                if tag == "claim":
+                    freed = []
+                    try:
+                        freed.extend(self._zombies.pop(batch_id, []))
+                    finally:
+                        self._free.extend(freed)
+                    return None
+                leased = self._batch_slots.pop(batch_id, [])
+                buffers = self.read(leased)
+                self._free.extend(leased)
+                return buffers
+        """,
+        module="repro.serve.shm",
+        select=["lease-pairing"],
+    )
+    assert _rules(findings) == ["lease-pairing"]
+    assert "finally" in findings[0].message
+    assert findings[0].line == 13      # the unguarded done-path release
+
+
 def test_lease_pairing_flags_takeover_without_release():
     findings = _lint(
         """

@@ -13,7 +13,9 @@ from repro.obs.export import write_run
 from repro.obs.report import report_run
 from repro.obs.trace import Tracer
 from repro.serve import SurrogateServer
-from tests.serve.test_faults import FAST, _await_restart, _run_rounds, _surr
+from tests.serve.test_faults import (
+    _assert_slots_free, _await_restart, _chaos_server, _run_rounds, _surr,
+)
 
 
 def _spans(tr, name):
@@ -25,16 +27,14 @@ def chaos_trace():
     """One killed-worker run: (tracer, final metrics, server knobs)."""
     tr = Tracer(run_id="chaos")
     rounds = ((0, 5, 4), (6, 11, 4))
-    with SurrogateServer(
-        surrogate=_surr(), transport="process", n_workers=2, max_batch=2,
-        fault_plan="kill@w0:b1", supervision=FAST, tracer=tr,
-    ) as srv:
+    with _chaos_server("shm", "kill@w0:b1", tracer=tr) as srv:
         _run_rounds(srv, rounds)
         _await_restart(srv)  # make the kill's restart span observable
         metrics = srv.metrics
         tr.attach_meta("service_metrics", metrics.to_dict(
             max_batch=srv.scheduler.max_batch, n_workers=srv.n_workers,
         ))
+    _assert_slots_free(srv)
     return tr, metrics
 
 

@@ -5,8 +5,8 @@ Every test drives a :class:`SurrogateServer` through a scripted
 corrupt response, raise in predict, dropped response) and asserts the
 headline invariant of the fault-tolerance work: the delivered predictions
 are byte-for-byte what the deterministic ``sync`` transport produces, with
-the recovery visible only in the :class:`ServiceMetrics` counters — and,
-for ``shm``, with every ring slot back on the free stack afterwards.
+the recovery visible only in the :class:`ServiceMetrics` counters — and
+with every ring slot back on the free stack afterwards.
 """
 
 import time
@@ -23,7 +23,8 @@ from repro.serve import (
 )
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 
-TRANSPORTS = ["process", "shm"]
+#: The transports with workers to fault (``sync`` has none).
+TRANSPORTS = ["shm"]
 
 #: Fast-recovery knobs: tests must not wait out production timeouts.
 FAST = SupervisionConfig(
@@ -106,8 +107,7 @@ def _chaos_server(transport, plan, **kw):
 
 
 def _assert_slots_free(srv):
-    if srv.transport_name == "shm":
-        assert srv._transport.n_free_slots == srv.metrics.shm_n_slots
+    assert srv._transport.n_free_slots == srv.metrics.shm_n_slots
 
 
 # ---------------------------------------------------------------- fault plan
@@ -184,10 +184,13 @@ def test_corrupt_response_redispatches(transport):
 # -------------------------------------------------------------- chaos: drop
 def test_dropped_response_recovers_via_timeout():
     rounds = ((0, 5, 4),)
-    with _chaos_server("process", "drop@w0:b1") as srv:
+    with _chaos_server("shm", "drop@w0:b1") as srv:
         got = _run_rounds(srv, rounds)
         assert srv.metrics.n_batch_timeouts >= 1
     _assert_bit_identical(got, _reference(rounds))
+    # The dropped batch's leases park as zombies until the worker's next
+    # claim or close; either way every slot is home afterwards.
+    _assert_slots_free(srv)
 
 
 # ----------------------------------------------------- chaos: worker raises
@@ -216,20 +219,23 @@ def test_repeated_kills_degrade_to_inline_and_finish():
         batch_timeout_s=2.0,
     )
     with SurrogateServer(
-        surrogate=_surr(), transport="process", n_workers=1, max_batch=2,
-        fault_plan="kill@w0:b1", supervision=supervision,
+        surrogate=_surr(), transport="shm", n_workers=1, max_batch=2,
+        shm_slots=8, fault_plan="kill@w0:b1", supervision=supervision,
     ) as srv:
         got = _run_rounds(srv, rounds)
         m = srv.metrics
         assert srv.degraded and m.degraded
         assert m.n_worker_restarts >= 1
         assert m.n_fault_oracle >= 1
+        # Degrading took back every lease while the server was still open.
+        _assert_slots_free(srv)
     _assert_bit_identical(got, _reference(rounds))
+    _assert_slots_free(srv)
 
 
 # ------------------------------------------------------- fault_mode="raise"
 def test_fault_mode_raise_surfaces_worker_death():
-    with _chaos_server("process", "kill@w0:b1", fault_mode="raise") as srv:
+    with _chaos_server("shm", "kill@w0:b1", fault_mode="raise") as srv:
         for k in range(4):
             srv.submit(
                 _region(seed=k), np.zeros(3), star_pid=k,
@@ -237,10 +243,11 @@ def test_fault_mode_raise_surfaces_worker_death():
             )
         with pytest.raises((RuntimeError, TimeoutError)):
             srv.collect(5)
+    _assert_slots_free(srv)
 
 
 def test_fault_mode_raise_surfaces_worker_exception():
-    with _chaos_server("process", "raise@w0:b1", fault_mode="raise") as srv:
+    with _chaos_server("shm", "raise@w0:b1", fault_mode="raise") as srv:
         for k in range(4):
             srv.submit(
                 _region(seed=k), np.zeros(3), star_pid=k,
@@ -248,6 +255,7 @@ def test_fault_mode_raise_surfaces_worker_exception():
             )
         with pytest.raises(RuntimeError, match="serve worker"):
             srv.collect(5)
+    _assert_slots_free(srv)
 
 
 # ------------------------------------------------------------ env threading
@@ -255,9 +263,10 @@ def test_env_fault_plan_reaches_workers(monkeypatch):
     monkeypatch.setenv("REPRO_SERVE_FAULTS", "raise@w0:b1")
     rounds = ((0, 5, 4),)
     with SurrogateServer(
-        surrogate=_surr(), transport="process", n_workers=2, max_batch=2,
-        supervision=FAST,
+        surrogate=_surr(), transport="shm", n_workers=2, max_batch=2,
+        shm_slots=8, supervision=FAST,
     ) as srv:
         got = _run_rounds(srv, rounds)
         assert srv.metrics.n_worker_errors >= 1
     _assert_bit_identical(got, _reference(rounds))
+    _assert_slots_free(srv)

@@ -1,7 +1,5 @@
 """SurrogateServer: transport parity, deadlines, metrics, lifecycle."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -14,12 +12,6 @@ from repro.sn.turbulence import make_turbulent_box
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 
 N_WORKERS = 2  # the CI serve leg runs these tests with two worker processes
-#: Worker transport the single-transport lifecycle tests run under; the CI
-#: serve leg re-runs this module with REPRO_SERVE_TRANSPORT=shm so the same
-#: matrix exercises the shared-memory path.
-WORKER_TRANSPORT = os.environ.get("REPRO_SERVE_TRANSPORT", "process")
-#: Both worker transports, for the explicit parity matrix.
-WORKER_TRANSPORTS = ("process", "shm")
 
 
 def _region(n=40, seed=0):
@@ -56,7 +48,7 @@ def test_sync_collect_respects_return_step():
         assert srv.n_outstanding == 0
 
 
-@pytest.mark.parametrize("transport", WORKER_TRANSPORTS)
+@pytest.mark.parametrize("transport", ["shm"])
 def test_worker_transport_bit_identical_to_sync(transport):
     """The acceptance criterion: >= 2 workers, identical bytes out."""
     reference = {}
@@ -79,9 +71,9 @@ def test_worker_transport_bit_identical_to_sync(transport):
                 assert np.array_equal(res.particles.data[name], arr), name
 
 
-def test_process_spec_built_in_worker():
+def test_spec_built_in_worker():
     spec = SurrogateSpec(kind="oracle", n_grid=8, side=60.0, t_after=0.1)
-    with SurrogateServer(spec=spec, transport=WORKER_TRANSPORT, n_workers=1) as srv:
+    with SurrogateServer(spec=spec, transport="shm", n_workers=1) as srv:
         _submit(srv, 3)
         [res] = srv.collect(5)
     with SurrogateServer(surrogate=_surr(), transport="sync") as sync:
@@ -151,7 +143,7 @@ def test_spec_captures_custom_transform(tmp_path):
         _submit(srv, 0)
         [ref] = srv.collect(5)
     with SurrogateServer(
-        surrogate=surr, transport=WORKER_TRANSPORT, n_workers=1
+        surrogate=surr, transport="shm", n_workers=1
     ) as srv:
         _submit(srv, 0)
         [res] = srv.collect(5)
@@ -176,7 +168,7 @@ def test_trained_model_bit_identical_across_all_transports(tmp_path):
         n_grid=8, side=60.0,
     )
     results = {}
-    for transport in ("sync",) + WORKER_TRANSPORTS:
+    for transport in ("sync", "shm"):
         with SurrogateServer(
             spec=spec, transport=transport, n_workers=N_WORKERS, max_batch=2
         ) as srv:
@@ -186,17 +178,14 @@ def test_trained_model_bit_identical_across_all_transports(tmp_path):
                 res.event_id: res.particles for res in srv.collect(5)
             }
             assert len(results[transport]) == 4
-    for transport in WORKER_TRANSPORTS:
-        for eid, ref in results["sync"].items():
-            for name, arr in ref.data.items():
-                assert np.array_equal(
-                    results[transport][eid].data[name], arr
-                ), (transport, name)
+    for eid, ref in results["sync"].items():
+        for name, arr in ref.data.items():
+            assert np.array_equal(results["shm"][eid].data[name], arr), name
 
 
 def test_collect_all_drains_outstanding():
     with SurrogateServer(
-        surrogate=_surr(), transport=WORKER_TRANSPORT, n_workers=N_WORKERS,
+        surrogate=_surr(), transport="shm", n_workers=N_WORKERS,
         max_batch=8,
     ) as srv:
         for k in range(3):
@@ -233,7 +222,7 @@ def test_serve_summary_prices_sync_as_fully_exposed():
 
 def test_serve_summary_prices_overlap():
     with SurrogateServer(
-        surrogate=_surr(), transport=WORKER_TRANSPORT, n_workers=N_WORKERS
+        surrogate=_surr(), transport="shm", n_workers=N_WORKERS
     ) as srv:
         for k in range(4):
             _submit(srv, k, return_step=5)
@@ -248,7 +237,7 @@ def test_serve_summary_prices_overlap():
 
 
 def test_close_is_idempotent():
-    srv = SurrogateServer(surrogate=_surr(), transport=WORKER_TRANSPORT, n_workers=1)
+    srv = SurrogateServer(surrogate=_surr(), transport="shm", n_workers=1)
     _submit(srv, 0)
     srv.collect(5)
     srv.close()
@@ -262,9 +251,14 @@ def test_requires_surrogate_or_spec():
         SurrogateServer(surrogate=_surr(), transport="smoke-signals")
 
 
-@pytest.mark.parametrize("transport", WORKER_TRANSPORTS)
+def test_retired_process_transport_points_to_shm():
+    with pytest.raises(ValueError, match="'shm'"):
+        SurrogateServer(surrogate=_surr(), transport="process")
+
+
+@pytest.mark.parametrize("transport", ["shm"])
 def test_simulation_worker_transport_bit_identical_to_sync(transport):
-    """End-to-end: a run with SN events, sync vs each worker transport."""
+    """End-to-end: a run with SN events, sync vs the worker transport."""
 
     def _run(transport):
         box = make_turbulent_box(n_per_side=6, side=60.0, mean_density=0.05,
@@ -293,6 +287,6 @@ def test_simulation_worker_transport_bit_identical_to_sync(transport):
             sim.close()
 
     ps_sync = _run("sync")
-    ps_proc = _run(transport)
+    ps_worker = _run(transport)
     for name, arr in ps_sync.data.items():
-        assert np.array_equal(ps_proc.data[name], arr), name
+        assert np.array_equal(ps_worker.data[name], arr), name

@@ -9,9 +9,9 @@
 #                  silent-except); see the repro.lint package docstring
 #                  for the rule catalog
 #   3. mypy        strictly-typed subset (serve.wire, serve.shm,
-#                  accel.backends.base, accel.index, sph.neighbors,
-#                  sph.density, core.runner, core.pool, gravity.kernels,
-#                  fdps.tree; config in pyproject)
+#                  serve.server, accel.backends.base, accel.index,
+#                  sph.neighbors, sph.density, core.runner, core.pool,
+#                  gravity.kernels, fdps.tree; config in pyproject)
 #
 # ruff/mypy are optional locally (skipped with a note when not installed);
 # the invariant checker has no dependencies beyond the repo itself and
@@ -32,7 +32,7 @@ echo "== repro.lint"
 PYTHONPATH=src python -m repro.lint src || status=1
 
 if command -v mypy >/dev/null 2>&1; then
-    echo "== mypy (strict: serve.wire serve.shm accel.backends.base accel.index sph.neighbors sph.density core.runner core.pool gravity.kernels fdps.tree)"
+    echo "== mypy (strict: serve.wire serve.shm serve.server accel.backends.base accel.index sph.neighbors sph.density core.runner core.pool gravity.kernels fdps.tree)"
     mypy || status=1
 else
     echo "== mypy: not installed, skipping (CI runs it)"
