@@ -23,9 +23,9 @@ the per-rank work.  This bench recovers the parallel story the paper tells
 * **overlap**: one ``shm``-transport run scores the paper's
   "inference fully overlaps" claim via :func:`serve_summary`.
 
-The numba backend is used when its toolchain is importable; otherwise the
-registry's fallback (``numpy``) runs and the JSON records which backend the
-numbers belong to.  Results land in
+The backend is the registry's selection (``$REPRO_BACKEND``, else
+``numpy``), and the JSON records which backend the numbers belong to.
+Results land in
 ``benchmarks/results/BENCH_coupled_scaling.json``.  Runs as a pytest bench
 or standalone (the CI coupled leg):
 
@@ -156,7 +156,7 @@ def _extrapolate(backend):
     factors = {}
     if bench_path.exists():
         bench = load_bench(bench_path)
-        name = backend if backend in bench.get("available_backends", []) else "numpy"
+        name = backend if backend in bench.get("backends", []) else "numpy"
         factors = calibration_factors(bench, backend=name)
     local_parts = {
         part: s / factors[KERNEL_OF_PART[part]]
@@ -294,7 +294,7 @@ def _fmt(payload, rows):
 
 
 def _plan():
-    backend = get_backend("numba").name  # falls back to numpy when not jitted
+    backend = get_backend().name
     if SMOKE:
         # One weak pair (800/rank) keeps the CI leg under a minute.
         return [800, 1600], {800: [2], 1600: [2]}, 3, backend

@@ -9,22 +9,18 @@ owns the pluggable compute backends evaluating the kernels themselves.
 Compute-backend contract
 ------------------------
 
-:mod:`repro.accel.backends` is a registry of
+:mod:`repro.accel.backends` holds two
 :class:`~repro.accel.backends.base.KernelBackend` implementations of the
-four hot kernels (pairwise/tree-walk gravity tile, SPH density gather,
+hot kernels (pairwise/tree-walk gravity tile, SPH density gather,
 half-pair hydro scatter).  The rules:
 
-* **Registration** — ``register_backend(name, factory)``; built-ins are
-  ``numpy`` (reference, default), ``numba`` (JIT scalar loops), ``pikg``
-  (DSL-generated kernels) and ``seed`` (the frozen pre-registry kernels,
-  for benchmarking).  Selection: explicit ``cfg.backend`` >
-  ``$REPRO_BACKEND`` > ``numpy``; :class:`ForceEngine` resolves once at
-  construction and threads the instance everywhere, so single-rank and
-  multi-rank (:class:`repro.fdps.distributed.DistributedGravity`) paths
-  hit identical kernels.
-* **Fallback** — a factory whose toolchain is missing raises
-  ``BackendUnavailable``; ``get_backend`` logs one warning and returns
-  ``numpy``, so a bare environment always works.
+* **Two backends** — ``numpy`` (reference, default) and ``pikg``
+  (DSL-generated kernels, jitted when numba is importable, plain Python
+  otherwise).  Selection: explicit ``cfg.backend`` > ``$REPRO_BACKEND`` >
+  ``numpy``; :class:`ForceEngine` resolves once at construction and threads
+  the instance everywhere, so single-rank and multi-rank
+  (:class:`repro.fdps.distributed.DistributedGravity`) paths hit identical
+  kernels.
 * **Invalidation interplay** — backends are *stateless* with respect to
   the simulation: all spatial caching stays in :class:`SpatialIndex`
   (grids, trees) and in per-solve
@@ -55,8 +51,8 @@ cost as much as rebuilding, validity is explicit:
     :meth:`SpatialIndex.invalidate_positions`: grid, tree and pair lists go;
   - *these rows moved and nothing else did* (an SN region replaced by
     particle ID) — :meth:`ForceEngine.notify_rows_moved` /
-    :meth:`SpatialIndex.move_points`: tree and pair lists go (and the grid's
-    full stencil list), but the grid is **edited** — the moved points
+    :meth:`SpatialIndex.move_points`: tree and pair lists go, but the grid
+    is **edited** — the moved points
     re-binned, the compact candidate list repaired
     (:meth:`NeighborGrid.move_points
     <repro.sph.neighbors.NeighborGrid.move_points>`) — so the full pass that
@@ -115,7 +111,7 @@ stratified along the chained per-rank Morton orders
 budget).
 """
 
-from repro.accel.backends import available_backends, get_backend, register_backend
+from repro.accel.backends import get_backend
 from repro.accel.engine import ForceEngine
 from repro.accel.index import ConcatStratifiedSampler, IndexStats, SpatialIndex
 
@@ -124,7 +120,5 @@ __all__ = [
     "ForceEngine",
     "IndexStats",
     "SpatialIndex",
-    "available_backends",
     "get_backend",
-    "register_backend",
 ]

@@ -24,12 +24,10 @@ every backend sees identical inputs and the physics is backend-independent
 by construction (asserted by the parity tests in
 ``tests/accel/test_backends.py``).
 
-A backend may implement only a subset natively and inherit the rest: the
-``pikg`` backend, for instance, overrides the kernels its DSL expresses and
-shares the reference implementation elsewhere.  Construction raises
-:class:`BackendUnavailable` when a required toolchain (e.g. numba) is
-missing; the registry in :mod:`repro.accel.backends` catches it and falls
-back to ``numpy`` with a logged warning.
+There are two: ``numpy``, the reference, and ``pikg``, which overrides the
+kernels its DSL expresses (the float64 gravity tile, the density sweep) and
+inherits ``numpy``'s elsewhere.  Both construct in any environment: ``pikg``
+runs its generated kernels as plain Python where numba is missing.
 """
 
 from __future__ import annotations
@@ -44,10 +42,6 @@ from repro.util.constants import GRAV_CONST
 if TYPE_CHECKING:  # import only for annotations: backends stay leaf modules
     from repro.sph.kernels import SPHKernel
     from repro.sph.neighbors import NeighborGrid
-
-
-class BackendUnavailable(RuntimeError):
-    """Raised by a backend factory whose toolchain is not importable."""
 
 
 def _anonymous_bytes(n: int) -> np.ndarray:
@@ -182,15 +176,14 @@ class KernelBackend:
         the same operations in the same order, so the result is
         bit-identical with and without one.  ``None`` allocates for this
         call only.  The returned array is always freshly allocated (never a
-        view of the workspace).  Backends whose kernels need no tile
-        temporaries (``numba``, ``pikg``) accept and ignore it.
+        view of the workspace).  The generated ``pikg`` float64 tile keeps
+        every pair in registers and ignores it.
 
-        What is exact and what is bounded: every backend evaluates the same
-        pairs and masks the same coincident ones; the values agree between
-        backends to rounding (float64 1e-10 relative, mixed 5e-5 of the
-        largest acceleration — the parity tests), not bit for bit, because
-        the order of the per-pair operations and of the source-axis sum is
-        the backend's own.
+        What is exact and what is bounded: both backends evaluate the same
+        pairs and mask the same coincident ones; the values agree to
+        rounding (float64 1e-10 relative — the parity tests), not bit for
+        bit, because the order of the per-pair operations and of the
+        source-axis sum is the backend's own.
         """
         raise NotImplementedError
 

@@ -1,7 +1,6 @@
-"""NumPy reference backend (default) and the frozen ``seed`` baseline.
+"""NumPy reference backend (the default; every workload runs it).
 
-``numpy`` is the tuned vectorized implementation every other backend must
-agree with:
+``numpy`` is the tuned vectorized implementation ``pikg`` must agree with:
 
 * scatter-adds are :func:`np.bincount` reductions instead of ``np.add.at``
   (same element order per target, so on equal inputs the sums are
@@ -37,30 +36,24 @@ agree with:
   pair of one block, written through ``out=``), with ``w * sqrt(w)`` for
   ``w ** 1.5``: the arithmetic of the jitted kernels.
 
-What is exact and what is bounded.  Exact against the frozen ``seed``
-kernels: pair sets and their order (the compacted candidates, the gather
-and the searched half-pair lists, which tile pairs are masked as
-coincident — in whichever block they land), ``n_neighbors`` and the
-h-solve's iteration counts.  Bounded: the tile sums its squares per plane
-and reduces per coordinate over a block's sources, the blocks' partial sums
-added in float64, so it agrees with the frozen tile (and with an unblocked
-one) to 1e-13 relative in float64 and 5e-6 of the largest acceleration in
-mixed precision; the candidate
-separations agree to 2 ulp, and with the per-target normalization and the
-per-plane pair kernels every SPH sum (``h``, ``dens``, ``omega``, ``divv``,
-``curlv``, ``acc``, ``du_dt``) to 1e-12, the signal velocity (a max, but of
-``v.r / r``) to 1e-13 — the tolerances of ``tests/accel`` and
-``tests/sph``.  With and without a workspace the tile is bit-identical, and
-the workspace never holds more than one block.  No environment variable,
-config field or argument selects the block size.
-
-``seed`` reproduces the pre-backend kernels (``np.add.at`` scatter, full
-candidate re-filtering through boolean masks, ``W`` per pair, (n_pairs, 3)
-row gathers with ``einsum`` in the force kernel, fixed 4096-source chunks, a
-gravity tile that allocates every temporary in the (targets, sources, 3)
-layout): it exists so ``benchmarks/bench_backend_kernels.py`` can report
-speedups against the seed-state cost profile from inside the same harness,
-and as the in-tree oracle of the tolerances above.
+What is exact and what is bounded, against the plain references under
+``tests/`` — the trailing-axis tile of ``tests/accel/test_tile_workspace.py``,
+the full-stencil candidates of ``tests/sph/test_neighbors.py``, the masked
+``kernel.value`` finalize of ``tests/sph/test_density.py`` and the row-gather
+force kernel of ``tests/sph/test_forces.py``.  Exact: pair sets and their
+order (the compacted candidates, the gather and the searched half-pair
+lists, which tile pairs are masked as coincident — in whichever block they
+land) and ``n_neighbors``.  Bounded: the tile sums its squares per plane and
+reduces per coordinate over a block's sources, the blocks' partial sums
+added in float64, so it agrees with the trailing-axis tile (and with an
+unblocked one) to 1e-13 relative in float64 and 5e-6 of the largest
+acceleration in mixed precision; the candidate separations agree to 2 ulp,
+and with the per-target normalization and the per-plane pair kernels every
+SPH sum (``dens``, ``drho_dh``, ``divv``, ``curlv``, ``acc``, ``du_dt``) to
+1e-12, the signal velocity (a max, but of ``v.r / r``) to 1e-13.  With and
+without a workspace the tile is bit-identical, and the workspace never holds
+more than one block.  No environment variable, config field or argument
+selects the block size.
 """
 
 from __future__ import annotations
@@ -178,41 +171,10 @@ class _NumpyDensityGather(DensityGatherState):
         return dens, drho_dh, counts, (ii, jj, rr)
 
 
-class _SeedDensityGather(DensityGatherState):
-    """Frozen: the full stencil list re-filtered through boolean masks on
-    every sweep, every sweep a cold one, ``W`` evaluated per pair."""
-
-    def __init__(self, grid: NeighborGrid, pos: np.ndarray, kernel) -> None:
-        self.kernel = kernel
-        self.n = len(pos)
-        self.ci, self.cj, self.cr = grid.self_pairs()
-
-    def weight_sum(self, h: np.ndarray) -> np.ndarray:
-        i, r = self.ci, self.cr
-        keep = r < h[i]
-        ii = i[keep]
-        w = self.kernel.value(r[keep], h[ii])
-        return np.bincount(ii, weights=w, minlength=self.n)
-
-    def finalize(
-        self, h: np.ndarray, mass: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        i, j, r = self.ci, self.cj, self.cr
-        keep = r < h[i]
-        ii, jj, rr = i[keep], j[keep], r[keep]
-        w = self.kernel.value(rr, h[ii])
-        dens = np.bincount(ii, weights=mass[jj] * w, minlength=self.n)
-        dwdh = self.kernel.dvalue_dh(rr, h[ii])
-        drho_dh = np.bincount(ii, weights=mass[jj] * dwdh, minlength=self.n)
-        counts = np.bincount(ii, minlength=self.n)
-        return dens, drho_dh, counts, (ii, jj, rr)
-
-
 class NumpyBackend(KernelBackend):
     """The vectorized reference implementation (default backend)."""
 
     name = "numpy"
-    _gather_cls = _NumpyDensityGather
 
     # ------------------------------------------------------------- gravity
     def grav_tile(
@@ -280,7 +242,7 @@ class NumpyBackend(KernelBackend):
 
     # ------------------------------------------------------------- density
     def density_gather(self, grid, pos: np.ndarray, kernel) -> DensityGatherState:
-        return self._gather_cls(grid, pos, kernel)
+        return _NumpyDensityGather(grid, pos, kernel)
 
     # --------------------------------------------------------- hydro force
     def _half_pairs(
@@ -305,8 +267,8 @@ class NumpyBackend(KernelBackend):
 
         One bincount per axis over the concatenated endpoints accumulates
         each target's terms in exactly the order a sequential ``np.add.at``
-        pair (the frozen seed scatter) visits them, so on equal inputs the
-        result is bit-identical — only the ufunc.at inner loop is gone.
+        pair visits them, so on equal inputs the result is bit-identical —
+        only the ufunc.at inner loop is gone.
         """
         n_pairs = len(i)
         idx = np.concatenate([i, j])
@@ -388,158 +350,6 @@ class NumpyBackend(KernelBackend):
         # --- signal velocity (Monaghan 1997) -----------------------------
         w_rel = np.where(r > 0, vdotr / np.maximum(r, 1e-300), 0.0)
         vsig_pair = csnd.take(i) + csnd.take(j) - 3.0 * np.minimum(w_rel, 0.0)
-        v_signal = csnd.copy()
-        np.maximum.at(v_signal, i, vsig_pair)
-        np.maximum.at(v_signal, j, vsig_pair)
-        return acc, du_dt, v_signal, (i, j, r)
-
-
-class SeedBackend(NumpyBackend):
-    """The seed-state kernels, frozen for benchmarking.
-
-    ``np.add.at`` scatter, full candidate re-filtering each sweep, row-gather
-    SPH pair kernels, fixed 4096-source gravity chunks, per-tile gravity
-    temporaries — the cost profile of the repository before the backend
-    registry existed.  Physics-identical to ``numpy``: the same pairs,
-    values to the bounds in the module docstring.
-    """
-
-    name = "seed"
-    _gather_cls = _SeedDensityGather
-
-    def grav_tile(
-        self,
-        target_pos: np.ndarray,
-        target_eps: np.ndarray,
-        source_pos: np.ndarray,
-        source_mass: np.ndarray,
-        source_eps: np.ndarray,
-        exclude_self: bool = False,
-        mixed: bool = False,
-        g: float = GRAV_CONST,
-        workspace: TileWorkspace | None = None,
-    ) -> np.ndarray:
-        # Frozen: ~7 tile-sized temporaries allocated per chunk, whatever
-        # ``workspace`` the caller offers.
-        chunk = 4096
-        if mixed:
-            return self._grav_tile_mixed(
-                target_pos, target_eps, source_pos, source_mass, source_eps,
-                exclude_self, g, chunk,
-            )
-        tp = np.asarray(target_pos, dtype=np.float64)
-        te = np.asarray(target_eps, dtype=np.float64)
-        sp = np.asarray(source_pos, dtype=np.float64)
-        sm = np.asarray(source_mass, dtype=np.float64)
-        se = np.asarray(source_eps, dtype=np.float64)
-        acc = np.zeros_like(tp)
-        for s0 in range(0, len(sp), chunk):
-            s1 = min(s0 + chunk, len(sp))
-            d = tp[:, None, :] - sp[None, s0:s1, :]              # (n_t, c, 3)
-            r2 = np.einsum("ijk,ijk->ij", d, d)
-            soft2 = te[:, None] ** 2 + se[None, s0:s1] ** 2
-            denom = (r2 + soft2) ** 1.5
-            w = sm[None, s0:s1] / np.maximum(denom, 1e-300)
-            if exclude_self:
-                w = np.where(r2 <= 0.0, 0.0, w)
-            acc -= g * np.einsum("ij,ijk->ik", w, d)
-        return acc
-
-    def _grav_tile_mixed(
-        self, target_pos, target_eps, source_pos, source_mass, source_eps,
-        exclude_self, g, chunk,
-    ) -> np.ndarray:
-        # Positions shift to the target-group centroid and drop to float32;
-        # accumulation and the result stay float64 (Sec. 4.3).
-        tp = np.asarray(target_pos, dtype=np.float64)
-        origin = tp.mean(axis=0)
-        tp32 = (tp - origin).astype(np.float32)
-        sp32 = (np.asarray(source_pos, dtype=np.float64) - origin).astype(np.float32)
-        te32 = np.asarray(target_eps, dtype=np.float32)
-        sm32 = np.asarray(source_mass, dtype=np.float32)
-        se32 = np.asarray(source_eps, dtype=np.float32)
-        acc = np.zeros_like(tp)
-        for s0 in range(0, len(sp32), chunk):
-            s1 = min(s0 + chunk, len(sp32))
-            d = tp32[:, None, :] - sp32[None, s0:s1, :]
-            r2 = np.einsum("ijk,ijk->ij", d, d)
-            soft2 = te32[:, None] ** 2 + se32[None, s0:s1] ** 2
-            denom = (r2 + soft2) ** np.float32(1.5)
-            w = sm32[None, s0:s1] / np.maximum(denom, np.float32(1e-30))
-            if exclude_self:
-                w = np.where(r2 <= np.float32(0.0), np.float32(0.0), w)
-            acc -= g * np.einsum("ij,ijk->ik", w, d).astype(np.float64)
-        return acc
-
-    def _half_pairs(self, pos, h, grid):
-        from repro.sph.neighbors import neighbor_pairs
-
-        return neighbor_pairs(
-            pos, h, mode="symmetric", include_self=False, grid=grid, half=True
-        )
-
-    def hydro_force_pairs(
-        self,
-        pos: np.ndarray,
-        vel: np.ndarray,
-        mass: np.ndarray,
-        h: np.ndarray,
-        dens: np.ndarray,
-        pres: np.ndarray,
-        csnd: np.ndarray,
-        omega: np.ndarray,
-        balsara: np.ndarray | None,
-        alpha_visc: float,
-        beta_visc: float,
-        kernel,
-        grid=None,
-        pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        # Frozen: (n_pairs, 3) row gathers, every per-particle term formed
-        # once per pair end, ``np.add.at`` scatter.
-        n = len(pos)
-        dens_safe = np.maximum(dens, 1e-300)
-        if pairs is not None:
-            i, j, r = pairs
-        else:
-            i, j, r = self._half_pairs(pos, h, grid)
-        if len(i) == 0:
-            return np.zeros((n, 3)), np.zeros(n), csnd.copy(), (i, j, r)
-
-        dvec = pos[i] - pos[j]
-        vvec = vel[i] - vel[j]
-        vdotr = np.einsum("ij,ij->i", vvec, dvec)
-
-        gf_i = kernel.grad_factor(r, h[i])
-        gf_j = kernel.grad_factor(r, h[j])
-        gf_bar = 0.5 * (gf_i + gf_j)
-
-        h_bar = 0.5 * (h[i] + h[j])
-        rho_bar = 0.5 * (dens_safe[i] + dens_safe[j])
-        c_bar = 0.5 * (csnd[i] + csnd[j])
-        mu = h_bar * vdotr / (r**2 + 0.01 * h_bar**2)
-        mu = np.where(vdotr < 0.0, mu, 0.0)
-        fb = 0.5 * (balsara[i] + balsara[j]) if balsara is not None else 1.0
-        visc = fb * (-alpha_visc * c_bar * mu + beta_visc * mu**2) / rho_bar
-
-        p_term_i = pres[i] / (omega[i] * dens_safe[i] ** 2)
-        p_term_j = pres[j] / (omega[j] * dens_safe[j] ** 2)
-        scal = p_term_i * gf_i + p_term_j * gf_j + visc * gf_bar
-        acc = np.zeros((n, 3))
-        for ax in range(3):
-            np.add.at(acc[:, ax], i, -mass[j] * scal * dvec[:, ax])
-            np.add.at(acc[:, ax], j, mass[i] * scal * dvec[:, ax])
-
-        du_visc = 0.5 * visc * vdotr * gf_bar
-        du_dt = np.bincount(
-            i, weights=mass[j] * (p_term_i * vdotr * gf_i + du_visc), minlength=n
-        )
-        du_dt += np.bincount(
-            j, weights=mass[i] * (p_term_j * vdotr * gf_j + du_visc), minlength=n
-        )
-
-        w_rel = np.where(r > 0, vdotr / np.maximum(r, 1e-300), 0.0)
-        vsig_pair = csnd[i] + csnd[j] - 3.0 * np.minimum(w_rel, 0.0)
         v_signal = csnd.copy()
         np.maximum.at(v_signal, i, vsig_pair)
         np.maximum.at(v_signal, j, vsig_pair)

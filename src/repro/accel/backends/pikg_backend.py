@@ -5,8 +5,8 @@ per ISA from the DSL (Sec. 3.5).  This backend does the same for the
 reproduction: the gravity tile and the cubic-spline density gather are
 *generated* from :data:`~repro.pikg.dsl.GRAVITY_DSL` /
 :data:`~repro.pikg.dsl.CUBIC_DENSITY_DSL` through
-:func:`~repro.pikg.codegen.generate_numba_kernel` and plugged into the same
-registry slots the hand-written backends fill.  Kernels are numba-jitted
+:func:`~repro.pikg.codegen.generate_numba_kernel` and plugged into the
+kernel slots ``numpy`` fills by hand.  Kernels are numba-jitted
 when numba is importable and run as plain Python otherwise (correct but
 slow — fine for the parity tests a bare environment runs).
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accel.backends.numpy_backend import (  # repro-lint: disable=backend-purity -- numpy is the always-available reference backend; the PIKG backend falls back to it when numba is absent
+from repro.accel.backends.numpy_backend import (  # repro-lint: disable=backend-purity -- numpy is the reference backend; PIKG inherits the kernels its DSL does not express
     NumpyBackend,
     _NumpyDensityGather,
 )

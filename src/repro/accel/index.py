@@ -89,9 +89,7 @@ class SpatialIndex:
                 return self.abandon_grid("a moved row is outside the grid's scope")
             rows = slot
         if not grid.has_compact_pairs:
-            return self.abandon_grid(
-                "the grid holds no candidate list (released, or a backend that walks cells)"
-            )
+            return self.abandon_grid("the grid holds no candidate list (released)")
         if not grid.move_points(rows, new_pos):
             return self.abandon_grid("a moved row is no point of the grid, or its position is not finite")
         self.stats.grid_repairs += 1

@@ -304,8 +304,10 @@ class GalaxySimulation:
         ``"distributed"`` mode the continuation is tree-accurate, not
         bitwise.  Checkpoints written before these keys existed load as
         one rank, ``integrator_config`` keys this version no longer knows
-        are dropped with a warning, and a saved serve transport of
-        ``"process"`` (retired) restores onto ``"shm"`` with a warning.
+        are dropped with a warning, a saved serve transport of
+        ``"process"`` (retired) restores onto ``"shm"`` with a warning, and
+        a saved backend of ``"seed"`` or ``"numba"`` (retired) restores onto
+        the default backend with a warning.
 
         ``overrides`` are passed through to the constructor (e.g. a
         different ``serve_transport`` or a freshly loaded ``surrogate``).
@@ -336,9 +338,14 @@ class GalaxySimulation:
                     "checkpoint %s: dropping integrator_config keys this "
                     "version does not know: %s", path, ", ".join(unknown),
                 )
-            kwargs["config"] = IntegratorConfig(
-                **{k: v for k, v in saved.items() if k in known}
-            )
+            config = {k: v for k, v in saved.items() if k in known}
+            if config.get("backend") in ("seed", "numba"):      # retired backends
+                log.warning(
+                    "checkpoint %s: backend %r is retired; restoring with the "
+                    "default backend", path, config["backend"],
+                )
+                config["backend"] = None
+            kwargs["config"] = IntegratorConfig(**config)
         if "overflow_policy" in meta:
             kwargs["overflow_policy"] = meta["overflow_policy"]
         serve_meta = meta.get("serve") or {}

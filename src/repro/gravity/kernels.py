@@ -5,8 +5,9 @@
     \\mathbf{F}_{ij} = -G \\frac{m_i m_j}
         {(r_{ij}^2 + \\epsilon_i^2 + \\epsilon_j^2)^{3/2}} \\mathbf{r}_{ij}
 
-The arithmetic lives in the pluggable compute backends of
-:mod:`repro.accel.backends` (numpy reference, numba JIT, PIKG-generated);
+The arithmetic lives in the two compute backends of
+:mod:`repro.accel.backends` (``numpy``, the reference, and ``pikg``, whose
+float64 tile is generated from the PIKG DSL);
 the functions here are the stable entry points: they resolve the backend,
 dispatch the tile, and report interaction counts to an
 :class:`~repro.fdps.interaction.InteractionCounter` for the FLOP accounting

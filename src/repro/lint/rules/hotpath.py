@@ -9,9 +9,9 @@ vectorized kernel-owning modules: ``np.add.at`` is a buffered per-element
 scatter with no fast path, and a Python ``for`` over ``range(len(arr))`` /
 ``range(arr.shape[0])`` is a per-particle loop the interpreter executes.
 
-Inside ``repro.accel.backends`` both idioms are legitimate (the ``seed``
-baseline reproduces them on purpose; numba backends JIT their scalar
-loops), so backends are exempt.
+``repro.accel.backends`` is in scope too: its two backends are vectorized
+(``numpy``) or generated from the PIKG DSL (``pikg``, whose loop nests live
+in :mod:`repro.pikg.codegen`), so neither idiom belongs there.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from repro.lint.base import ModuleContext, Rule, dotted_name
 from repro.lint.findings import Finding
 from repro.lint.registry import register_rule
 
-#: Modules that own vectorized per-particle kernels outside backends/:
-#: the SPH/gravity pipeline plus the two deposit kernels (voxelize feeds
-#: every surrogate prediction; maps feeds the Fig. 5 observables).
+#: Modules that own vectorized per-particle kernels: the backends, the
+#: SPH/gravity pipeline plus the two deposit kernels (voxelize feeds every
+#: surrogate prediction; maps feeds the Fig. 5 observables).
 KERNEL_MODULES = (
+    "repro.accel.backends",
     "repro.sph",
     "repro.gravity",
     "repro.surrogate.voxelize",
@@ -35,12 +36,12 @@ KERNEL_MODULES = (
 
 @register_rule
 class HotPathRule(Rule):
-    """R5: no np.add.at / per-particle Python loops outside backends."""
+    """R5: no np.add.at / per-particle Python loops in kernel modules."""
 
     name = "hotpath-hygiene"
     description = (
         "kernel-owning modules use bincount-style reductions, not np.add.at "
-        "or per-particle range(len(...)) loops (backends are exempt)"
+        "or per-particle range(len(...)) loops"
     )
     scope_prefixes = KERNEL_MODULES
 
@@ -57,15 +58,14 @@ class HotPathRule(Rule):
                         node, self.name,
                         "np.add.at is a buffered per-element scatter; use a "
                         "np.bincount reduction (same accumulation order, "
-                        "bit-identical) or move the kernel into a backend",
+                        "bit-identical)",
                     ))
             elif isinstance(node, ast.For):
                 if self._per_element_range(node.iter):
                     out.append(ctx.finding(
                         node, self.name,
                         "per-particle Python loop (for ... in range(len/shape)); "
-                        "vectorize it or move the kernel behind "
-                        "repro.accel.backends",
+                        "vectorize it or generate it from the PIKG DSL",
                     ))
         return out
 

@@ -1,7 +1,7 @@
 """Import rules: optional-dependency gating and backend purity.
 
 ``import-gating`` (R3): CPU-only CI and bare user environments must import
-every module of the tree — the numba job leg is *additive*, never required.
+every module of the tree — the CI leg with numba is *additive*, never required.
 Optional toolchains (numba today; cupy/triton when the GPU backend of
 ROADMAP.md lands) may therefore only be imported inside try/except
 ImportError scopes, and only in the modules whose whole job is wrapping

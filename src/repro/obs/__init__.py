@@ -62,7 +62,7 @@ lanes.  Report examples::
 
     python -m repro.obs report runs/mw20k/
     python -m repro.obs report runs/mw20k/ --json
-    python -m repro.obs report runs/mw20k/ --diff runs/mw20k-numba/
+    python -m repro.obs report runs/mw20k/ --diff runs/mw20k-pikg/
     python -m repro.obs smoke --out runs/smoke
 
 Tracing a simulation: pass ``tracer=Tracer()`` to

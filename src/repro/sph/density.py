@@ -48,9 +48,11 @@ viscosity limiter), pressure and sound speed.
 
 The velocity estimators run on coordinate planes (per-axis ``take`` gathers,
 ``v.r`` and the curl written out per component), like the backend's pair
-kernels.  Exact across backends and against the frozen ``seed`` kernels: the
-gather pair list, ``n_neighbors`` and the sweep count; ``h`` and every sum
-agree to 1e-12 (summation order, the spline to 2 ulp).  The gather list is
+kernels.  Exact across the two backends: the gather pair list,
+``n_neighbors`` and the sweep count; ``h`` and every sum agree to 1e-9
+(summation order, the spline to 2 ulp).  The finalize and the estimators
+agree with their row-gather references in ``tests/sph/test_density.py`` to
+1e-12.  The gather list is
 complete at the returned ``h`` — also when the solve ran out of sweeps —
 which is what lets the force pass derive its pairs from it.
 """

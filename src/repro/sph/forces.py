@@ -24,8 +24,10 @@ same product scaled by m_j and m_i) while the kernel work is half that of
 the ordered-pair formulation — verified property-style in the test suite.
 
 The per-pair arithmetic and the scatter reduction run on the selected
-compute backend (:mod:`repro.accel.backends`): vectorized
-bincount-reduction on ``numpy``, a fused jitted loop on ``numba``.
+compute backend (:mod:`repro.accel.backends`): a vectorized
+bincount-reduction on coordinate planes, on both ``numpy`` and ``pikg``
+(the PIKG DSL does not express the half-pair scatter, so ``pikg`` inherits
+``numpy``'s kernel).
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ particles (only the fixed loop over the 27 offsets).
 
 The output is a flat *edge list* ``(i, j)`` of candidate pairs, which is the
 natural input for scatter-add SPH sums (``np.add.at`` / ``np.bincount``).
-The edge list — which pairs, in which order — is exact and the same from
-every entry point; the separations ``r`` of the compacted list
-(:meth:`NeighborGrid.compact_self_pairs`, computed on coordinate planes)
-agree with those of :meth:`NeighborGrid.self_pairs` to 2 ulp.
+Every search filters one cached list,
+:meth:`NeighborGrid.compact_self_pairs` (the stencil candidates with
+``r < cell``, separations computed on coordinate planes), so the edge list
+— which pairs, in which order — is the same from every entry point.
 
 A built :class:`NeighborGrid` is *reusable*: the same grid serves every
 h-iteration of the density solve and the force pass, as long as the largest
@@ -55,15 +55,10 @@ class NeighborGrid:
     order: np.ndarray         # particle indices sorted by cell key
     sorted_keys: np.ndarray   # cell key per sorted particle
     pos: np.ndarray
-    # Lazily cached (i, j, r) candidates among the grid's own points: they
-    # depend only on the binning, so every h-iteration and the force pass
-    # share one generation.  Sized O(27-stencil pairs) — release with
-    # :meth:`release_pairs` once the per-step searches are done.
-    _self_pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
-    # Compacted variant: candidates with r < cell only (see
-    # :meth:`compact_self_pairs`).
+    # Lazily cached (i, j, r) candidates with r < cell among the grid's own
+    # points (see :meth:`compact_self_pairs`): they depend only on the
+    # binning, so every h-iteration and the force pass share one generation.
+    # Release with :meth:`release_pairs` once the per-step searches are done.
     _compact_pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
@@ -95,19 +90,6 @@ class NeighborGrid:
         return float(radius) <= self.cell
 
     # ----------------------------------------------------------- pair search
-    def _slots_for_offset(
-        self, qc: np.ndarray, off: tuple[int, int, int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(query_row, source_slot) pairs for one cell offset.
-
-        ``source_slot`` indexes the grid's sorted order; map through
-        ``self.order`` for original indices.
-        """
-        c = qc + np.array(off, dtype=np.int64)
-        valid = np.all((c >= 0) & (c < self.dims), axis=1)
-        keys = (c[valid, 0] * self.dims[1] + c[valid, 1]) * self.dims[2] + c[valid, 2]
-        return self._expand_cells(np.flatnonzero(valid), keys)
-
     def _expand_cells(
         self, qidx: np.ndarray, keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -130,36 +112,6 @@ class NeighborGrid:
         qc = np.floor((qp - self.lo) / self.cell).astype(np.int64)
         return np.clip(qc, 0, self.dims - 1)
 
-    def candidate_pairs(self, query_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """All (query, source) pairs with the source in a cell adjacent to
-        the query's cell (27-cell stencil).  Distances are NOT filtered here.
-        """
-        qc = self._query_cells(query_pos)
-        out_i: list[np.ndarray] = []
-        out_j: list[np.ndarray] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    rep_q, slots = self._slots_for_offset(qc, (dx, dy, dz))
-                    if len(rep_q):
-                        out_i.append(rep_q)
-                        out_j.append(self.order[slots])
-        if not out_i:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(out_i), np.concatenate(out_j)
-
-    def self_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unfiltered candidate pairs (i, j, r) among the grid's own points,
-        computed once and cached: repeated searches at different radii (the
-        h iteration, then the force pass) only re-run the cheap distance
-        comparison."""
-        if self._self_pairs is None:
-            i, j = self.candidate_pairs(self.pos)
-            d = self.pos[i] - self.pos[j]
-            r = np.sqrt(np.einsum("ij,ij->i", d, d))
-            self._self_pairs = (i, j, r)
-        return self._self_pairs
-
     def compact_self_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Candidate pairs (i, j, r) compacted to ``r < cell``.
 
@@ -169,11 +121,13 @@ class NeighborGrid:
         list ~6x (sphere-to-stencil volume ratio) and every later sweep
         filters the small list.
 
-        Exact: ``(i, j)`` and their order — the pairs :meth:`self_pairs`
-        yields, filtered at ``r < cell``.  Bounded: ``r`` is within 2 ulp of
-        that list's (sum of squares in x, y, z order instead of an einsum).
-        After a :meth:`move_points` the set and ``r`` are still those of a
-        fresh generation on this binning; the order is not.
+        Exact: ``(i, j)`` and their order — the full 27-stencil candidate
+        list (per offset, x-major, every point in order with the points of
+        that neighbor cell in cell order) filtered at ``r < cell``.
+        Bounded: ``r`` is within 2 ulp of an ``einsum`` over (n_pairs, 3)
+        rows (sum of squares in x, y, z order).  After a :meth:`move_points`
+        the set and ``r`` are still those of a fresh generation on this
+        binning; the order is not.
         """
         if self._compact_pairs is None:
             self._compact_pairs = self._pairs_within_cell(None)
@@ -263,8 +217,7 @@ class NeighborGrid:
         exactly: no compact list is cached, a row is not a point of the
         grid, or a new position is not finite.  The caller then invalidates,
         as for any position change.  Duplicate ``rows`` are allowed (the last
-        position given wins).  The full list of :meth:`self_pairs` is
-        dropped, not repaired.
+        position given wins).
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         new_pos = np.asarray(new_pos, dtype=np.float64).reshape(len(rows), 3)
@@ -286,7 +239,6 @@ class NeighborGrid:
         # New arrays, never written in place: a caller may hold the old order.
         self.order = np.argsort(keys, kind="stable")
         self.sorted_keys = keys[self.order]
-        self._self_pairs = None
 
         moved = np.zeros(n, dtype=bool)
         moved[rows] = True
@@ -309,8 +261,7 @@ class NeighborGrid:
         return True
 
     def release_pairs(self) -> None:
-        """Drop the cached candidate lists (the largest transients of a step)."""
-        self._self_pairs = None
+        """Drop the cached candidate list (the largest transient of a step)."""
         self._compact_pairs = None
 
     # ------------------------------------------------------------ box query
@@ -435,7 +386,9 @@ def neighbor_pairs(
         raise ValueError("half-pair search requires mode='symmetric'")
     if grid is None or not grid.covers(r_max) or grid.n_points != len(pos):
         grid = NeighborGrid.build(pos, r_max)
-    i, j, r = grid.self_pairs()
+    # Every radius is <= the cell, so the compacted list (r < cell) holds
+    # every pair any of them keeps.
+    i, j, r = grid.compact_self_pairs()
     if mode == "gather":
         keep = r < r_arr[i]
     elif mode == "symmetric":
@@ -443,8 +396,8 @@ def neighbor_pairs(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if half:
-        # The full candidate list holds both orderings of every unordered
-        # pair; i < j keeps each exactly once (and drops self pairs).
+        # The candidate list holds both orderings of every unordered pair;
+        # i < j keeps each exactly once (and drops self pairs).
         keep &= i < j
     elif not include_self:
         keep &= i != j

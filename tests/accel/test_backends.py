@@ -1,26 +1,18 @@
 """Backend registry + cross-backend kernel parity.
 
-Every registered backend must reproduce the numpy reference physics: the
-frozen ``seed`` baseline on exactly the same pairs with values to 1e-12
-(``numpy`` sums its squared separations per coordinate plane),
-``numba``/``pikg`` to 1e-10 relative tolerance (their scalar loops
-reassociate sums).  The numba backend runs
-here in pure-Python mode when numba isn't installed — the jitted kernels
-are the same source, exercised by the CI leg that installs numba with
-``REPRO_BACKEND=numba``.
+The two backends must agree: ``pikg`` reproduces the ``numpy`` reference
+physics to 1e-10 relative tolerance (its generated scalar loops reassociate
+sums).  Without numba its kernels run as plain Python — the same generated
+source the CI leg that installs numba jits, under ``REPRO_BACKEND=pikg``.
+The ``numpy`` kernels' own references (the trailing-axis tile, the
+full-stencil candidates, the masked finalize, the row-gather force kernel)
+live beside their tests in ``tests/accel`` and ``tests/sph``.
 """
 
 import numpy as np
 import pytest
 
-from repro.accel.backends import (
-    available_backends,
-    get_backend,
-    register_backend,
-    registered_backends,
-)
-from repro.accel.backends.base import KernelBackend
-from repro.accel.backends.numba_backend import HAVE_NUMBA, NumbaBackend
+from repro.accel.backends import BACKENDS, get_backend
 from repro.accel.engine import ForceEngine
 from repro.core.integrator import IntegratorConfig
 from repro.core.runner import CoupledRunner
@@ -38,18 +30,8 @@ from tests.conftest import pairs_by_key, plummer_positions
 RTOL = 1e-10
 
 
-def _alt_backends():
-    """Non-reference backends to check against numpy: (id, instance)."""
-    out = [("seed", get_backend("seed")), ("pikg", get_backend("pikg"))]
-    out.append(("numba-py", NumbaBackend(force_python=True)))
-    if HAVE_NUMBA:
-        out.append(("numba-jit", get_backend("numba")))
-    return out
-
-
-ALT_BACKENDS = _alt_backends()
-ALT_IDS = [name for name, _ in ALT_BACKENDS]
-ALT_ONLY = [bk for _, bk in ALT_BACKENDS]
+#: The backend checked against the numpy reference.
+PIKG = [pytest.param(get_backend("pikg"), id="pikg")]
 
 
 @pytest.fixture
@@ -66,60 +48,35 @@ def cluster():
 
 # ------------------------------------------------------------------- registry
 def test_registry_contents():
-    assert {"numpy", "seed", "numba", "pikg"} <= set(registered_backends())
-    avail = available_backends()
-    assert "numpy" in avail and "seed" in avail and "pikg" in avail
-    assert ("numba" in avail) == HAVE_NUMBA
+    assert sorted(BACKENDS) == ["numpy", "pikg"]
+    for name in BACKENDS:
+        assert get_backend(name).name == name
+        assert get_backend(name.upper()) is get_backend(name)       # one instance
 
 
 def test_get_backend_resolution(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     assert get_backend().name == "numpy"
-    monkeypatch.setenv("REPRO_BACKEND", "seed")
-    assert get_backend().name == "seed"
+    monkeypatch.setenv("REPRO_BACKEND", "pikg")
+    assert get_backend().name == "pikg"
     # Explicit name beats the environment; instances pass through.
     assert get_backend("numpy").name == "numpy"
-    bk = get_backend("seed")
+    bk = get_backend("pikg")
     assert get_backend(bk) is bk
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\['numpy', 'pikg'\]"):
         get_backend("no-such-backend")
-
-
-def test_numba_gate():
-    bk = get_backend("numba")
-    if HAVE_NUMBA:
-        assert bk.name == "numba"
-    else:
-        # Import-gated: a bare environment falls back to the default.
-        assert bk.name == "numpy"
-
-
-def test_register_backend_roundtrip():
-    class Dummy(KernelBackend):
-        name = "dummy-test"
-
-    register_backend("dummy-test", Dummy)
-    try:
-        assert get_backend("dummy-test").name == "dummy-test"
-        with pytest.raises(ValueError):
-            register_backend("dummy-test", Dummy)
-    finally:
-        from repro.accel.backends import _FACTORIES, _INSTANCES
-
-        _FACTORIES.pop("dummy-test")
-        _INSTANCES.pop("dummy-test", None)
 
 
 def test_backend_selection_reaches_engine():
     ps = make_turbulent_box(n_per_side=5, side=10.0, mean_density=0.05,
                             temperature=100.0, mach=1.0, seed=3)
-    cfg = IntegratorConfig(backend="seed", enable_star_formation=False,
+    cfg = IntegratorConfig(backend="pikg", enable_star_formation=False,
                            n_pool=2, latency_steps=2)
     server = SurrogateServer(
         surrogate=SNSurrogate(oracle=SedovBlastOracle(t_after=0.01), n_grid=4, side=10.0)
     )
     sim = CoupledRunner(ps, server, n_ranks=1, config=cfg)
-    assert sim.engine.backend.name == "seed"
+    assert sim.engine.backend.name == "pikg"
 
 
 # ------------------------------------------------------------ gravity parity
@@ -135,7 +92,7 @@ def test_pikg_coincident_unsoftened_pair_is_finite():
     np.testing.assert_allclose(out, ref, rtol=RTOL)
 
 
-@pytest.mark.parametrize("bk", ALT_ONLY, ids=ALT_IDS)
+@pytest.mark.parametrize("bk", PIKG)
 def test_gravity_direct_parity(bk, cluster):
     pos, _, mass, _, _ = cluster
     eps = np.full(len(pos), 0.05)
@@ -144,7 +101,7 @@ def test_gravity_direct_parity(bk, cluster):
     np.testing.assert_allclose(alt, ref, rtol=RTOL, atol=1e-12 * np.abs(ref).max())
 
 
-@pytest.mark.parametrize("bk", ALT_ONLY, ids=ALT_IDS)
+@pytest.mark.parametrize("bk", PIKG)
 def test_gravity_mixed_parity(bk, cluster):
     pos, _, mass, _, _ = cluster
     eps = np.full(len(pos), 0.05)
@@ -166,7 +123,7 @@ def test_gravity_mixed_parity(bk, cluster):
     np.testing.assert_allclose(alt32, ref32, rtol=5e-5, atol=5e-5 * scale)
 
 
-@pytest.mark.parametrize("bk", ALT_ONLY, ids=ALT_IDS)
+@pytest.mark.parametrize("bk", PIKG)
 def test_tree_walk_parity(bk):
     rng = np.random.default_rng(11)
     n = 600
@@ -179,7 +136,7 @@ def test_tree_walk_parity(bk):
 
 
 # ------------------------------------------------------------ density parity
-@pytest.mark.parametrize("bk", ALT_ONLY, ids=ALT_IDS)
+@pytest.mark.parametrize("bk", PIKG)
 def test_density_parity(bk, cluster):
     pos, vel, mass, u, h0 = cluster
     ref = compute_density(pos, vel, mass, u, h0, n_ngb=24, backend="numpy")
@@ -192,7 +149,7 @@ def test_density_parity(bk, cluster):
 
 
 # -------------------------------------------------------------- hydro parity
-@pytest.mark.parametrize("bk", ALT_ONLY, ids=ALT_IDS)
+@pytest.mark.parametrize("bk", PIKG)
 def test_hydro_force_parity(bk, cluster):
     pos, vel, mass, u, h0 = cluster
     ref_d = compute_density(pos, vel, mass, u, h0, n_ngb=24, backend="numpy")
@@ -209,58 +166,13 @@ def test_hydro_force_parity(bk, cluster):
     np.testing.assert_allclose(alt.v_signal, ref.v_signal, rtol=RTOL)
 
 
-def test_seed_backend_bit_consistency(cluster):
-    """numpy against the frozen seed kernels: the same pairs exactly, values
-    to 1e-12 (the candidate separations differ by <= 2 ulp, the pair kernels
-    sum per coordinate plane); the bincount scatter itself == the np.add.at
-    scatter, bitwise, on equal inputs.  Both backends *search* here
-    (``compute_hydro_forces(grid=)``); the engine's force pairs, derived
-    from the gather list, are the searched ones as a set."""
-    pos, vel, mass, u, h0 = cluster
-    outs = {}
-    for bk in ("numpy", "seed"):
-        d = compute_density(pos, vel, mass, u, h0, n_ngb=24, backend=bk)
-        f = compute_hydro_forces(pos, vel, mass, d.h, d.dens, d.pres, d.csnd,
-                                 omega=d.omega, divv=d.divv, curlv=d.curlv,
-                                 grid=d.grid, backend=bk)
-        outs[bk] = (d, f)
-    d_n, f_n = outs["numpy"]
-    d_s, f_s = outs["seed"]
-    np.testing.assert_array_equal(d_n.n_neighbors, d_s.n_neighbors)
-    for pairs_n, pairs_s in ((d_n.pairs, d_s.pairs), (f_n.pairs, f_s.pairs)):
-        np.testing.assert_array_equal(pairs_n[0], pairs_s[0])
-        np.testing.assert_array_equal(pairs_n[1], pairs_s[1])
-        assert np.all(np.abs(pairs_n[2] - pairs_s[2]) <= 2 * np.spacing(pairs_s[2]))
-    tol = 1e-12
-    for field in ("h", "dens", "omega", "divv", "curlv"):
-        ref = getattr(d_s, field)
-        np.testing.assert_allclose(getattr(d_n, field), ref, rtol=tol,
-                                   atol=tol * np.abs(ref).max())
-    np.testing.assert_allclose(f_n.acc, f_s.acc, rtol=tol,
-                               atol=tol * np.abs(f_s.acc).max())
-    np.testing.assert_allclose(f_n.du_dt, f_s.du_dt, rtol=tol,
-                               atol=tol * np.abs(f_s.du_dt).max())
-    np.testing.assert_allclose(f_n.v_signal, f_s.v_signal, rtol=tol)
-
-    i, j, _ = f_s.pairs
-    rng = np.random.default_rng(0)
-    w_i, w_j, dvec = rng.normal(size=len(i)), rng.normal(size=len(i)), pos[i] - pos[j]
-    add_at = np.zeros((len(pos), 3))
-    for ax in range(3):
-        np.add.at(add_at[:, ax], i, w_i * dvec[:, ax])
-        np.add.at(add_at[:, ax], j, w_j * dvec[:, ax])
-    planes = tuple(np.ascontiguousarray(dvec.T))
-    np.testing.assert_array_equal(
-        get_backend("numpy")._scatter_add_pairs(len(pos), i, j, w_i, w_j, planes), add_at
-    )
-
-
-@pytest.mark.parametrize("backend", [get_backend("numpy"), *ALT_ONLY], ids=["numpy", *ALT_IDS])
+@pytest.mark.parametrize("backend", [pytest.param(get_backend("numpy"), id="numpy"), *PIKG])
 def test_engine_force_pairs_are_the_searched_ones(backend, cluster):
     """``ForceEngine.hydro`` derives its half pairs from the gather list
     instead of searching: the same unordered pairs, each once with i < j,
-    with the separations the frozen search finds (to the 2 ulp of the
-    compacted candidates) — whichever backend made the gather list."""
+    with bit-equal separations, as the search of
+    ``compute_hydro_forces(grid=)`` on ``numpy`` — whichever backend made
+    the gather list."""
     pos, vel, mass, u, h0 = cluster
     n = len(pos)
     ps = ParticleSet.from_arrays(pos=pos, vel=vel, mass=mass, u=u, h=h0,
@@ -272,16 +184,14 @@ def test_engine_force_pairs_are_the_searched_ones(backend, cluster):
     got = pairs_by_key(engine._hydro_cache.force_pairs)
     d = engine._hydro_cache.density
     searched = compute_hydro_forces(pos, vel, mass, d.h, d.dens, d.pres, d.csnd,
-                                    backend="seed").pairs
-    ref = pairs_by_key(searched)
+                                    grid=d.grid, backend="numpy").pairs
     assert np.all(got[0] < got[1])
-    np.testing.assert_array_equal(got[0], ref[0])
-    np.testing.assert_array_equal(got[1], ref[1])
-    assert np.all(np.abs(got[2] - ref[2]) <= 2 * np.spacing(ref[2]))
+    for a, b in zip(got, pairs_by_key(searched)):
+        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------- integrator-level parity
-@pytest.mark.parametrize("bk", ALT_ONLY, ids=ALT_IDS)
+@pytest.mark.parametrize("bk", PIKG)
 def test_whole_step_parity_with_fast_path(bk):
     """Two full surrogate-leapfrog steps, including the step-7 cached-pair
     fast path, agree across backends (f64 kernels, no mixed precision)."""
@@ -314,7 +224,7 @@ def test_whole_step_parity_with_fast_path(bk):
 
 
 # ------------------------------------------------------ distributed parity
-@pytest.mark.parametrize("bk", ALT_ONLY, ids=ALT_IDS)
+@pytest.mark.parametrize("bk", PIKG)
 def test_distributed_local_tree_parity(bk):
     """The multi-rank path (cached local trees + LET imports as direct
     sources) hits identical kernels on every backend."""

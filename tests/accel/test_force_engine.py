@@ -270,22 +270,35 @@ def _replace_a_region(ps: ParticleSet, seed: int) -> np.ndarray:
     return rows
 
 
-@pytest.mark.parametrize("backend", ["numpy", "pikg", "seed"])
-def test_step7_pass_on_the_repaired_grid_matches_a_cold_pass(backend):
+@pytest.mark.parametrize(
+    "backend, released",
+    [
+        pytest.param("numpy", False, id="numpy"),
+        pytest.param("pikg", False, id="pikg"),
+        pytest.param("numpy", True, id="numpy-released"),
+    ],
+)
+def test_step7_pass_on_the_repaired_grid_matches_a_cold_pass(backend, released, caplog):
     """After ``notify_rows_moved`` the full pass runs on the edited grid of
     the pass before and finds what a fresh engine finds: gather set,
-    ``n_neighbors`` and sweep count exact, every sum to 1e-12.  The ``seed``
-    backend caches no compact list, so its edit falls back to a rebuild —
-    same answer, one more grid."""
+    ``n_neighbors`` and sweep count exact, every sum to 1e-12.  With its
+    candidate list released first, the edit falls back to a rebuild and
+    says why — same answer, one more grid."""
+    import logging
+
     cfg = IntegratorConfig(self_gravity=False, backend=backend)
     ps = _stars_then_gas(seed=10)
     engine = ForceEngine(cfg)
     engine.hydro(ps, "1st")
+    if released:
+        engine.index.release_pairs()
     rows = _replace_a_region(ps, seed=10)
     rows = np.concatenate([rows, rows[:3]])         # two regions naming one pid
-    engine.notify_rows_moved(ps, rows)
+    with caplog.at_level(logging.INFO, logger="repro.accel"):
+        engine.notify_rows_moved(ps, rows)
+    assert ("no candidate list (released)" in caplog.text) == released
     assert not engine.fast_path_available and engine.refresh_hydro(ps, "2nd") is None
-    repaired = backend != "seed"
+    repaired = not released
     stats = engine.index.stats
     assert stats.grid_repairs == int(repaired) and engine.index.has_grid == repaired
 

@@ -158,9 +158,10 @@ def test_restore_loads_old_schema_checkpoint(tmp_path, caplog):
     back.run(1)  # must not raise
 
 
-def test_restore_maps_retired_process_transport_to_shm(tmp_path, caplog):
-    # A checkpoint written when the pickled-queue ``process`` transport
-    # existed: it restores onto ``shm`` and steps exactly like ``sync``.
+def _save_at_step_2(path, backend=None, serve=None):
+    """A hand-written checkpoint at step 2: the star (tsn 0.003) is overdue,
+    so the first step dispatches its SN and the prediction lands two steps
+    later."""
     cfg = IntegratorConfig(self_gravity=False, enable_cooling=True,
                            enable_star_formation=True, dt=2e-3, n_pool=4,
                            latency_steps=2, seed=11)
@@ -172,14 +173,20 @@ def test_restore_maps_retired_process_transport_to_shm(tmp_path, caplog):
         "n_pool": 4,
         "latency_steps": 2,
         "seed": 11,
-        "integrator_config": asdict(cfg),
-        "serve": {"transport": "process", "n_workers": 2, "max_batch": 8,
-                  "max_wait_steps": 1},
+        "integrator_config": {**asdict(cfg), "backend": backend},
     }
-    # Saved at step 2: the star (tsn 0.003) is overdue, so the first step
-    # dispatches its SN and the prediction lands two steps later.
-    path = save_snapshot(_ic(), tmp_path / "process.npz", time=0.004, step=2,
-                         extra_meta=meta)
+    if serve is not None:
+        meta["serve"] = serve
+    return save_snapshot(_ic(), path, time=0.004, step=2, extra_meta=meta)
+
+
+def test_restore_maps_retired_process_transport_to_shm(tmp_path, caplog):
+    # A checkpoint written when the pickled-queue ``process`` transport
+    # existed: it restores onto ``shm`` and steps exactly like ``sync``.
+    path = _save_at_step_2(
+        tmp_path / "process.npz",
+        serve={"transport": "process", "n_workers": 2, "max_batch": 8, "max_wait_steps": 1},
+    )
     with caplog.at_level(logging.WARNING):
         on_shm = GalaxySimulation.restore(path)
     on_sync = GalaxySimulation.restore(path, serve_transport="sync")
@@ -195,6 +202,22 @@ def test_restore_maps_retired_process_transport_to_shm(tmp_path, caplog):
     finally:
         on_shm.close()
         on_sync.close()
+
+
+def test_restore_maps_retired_backends_to_the_default(tmp_path, caplog):
+    # A checkpoint written when the hand-written ``numba`` backend existed
+    # restores onto the default backend and steps byte for byte like the
+    # same checkpoint saved with ``backend`` None.
+    with caplog.at_level(logging.WARNING):
+        retired = GalaxySimulation.restore(_save_at_step_2(tmp_path / "numba.npz", "numba"))
+    default = GalaxySimulation.restore(_save_at_step_2(tmp_path / "none.npz"))
+    assert "backend 'numba' is retired" in caplog.text
+    assert retired.integrator.cfg.backend is None
+    retired.run(4)
+    default.run(4)
+    assert retired.integrator.n_sn_events == default.integrator.n_sn_events == 1
+    assert retired.pool.summary()["n_returned"] == 1
+    assert retired.ps.pack().tobytes() == default.ps.pack().tobytes()
 
 
 def test_restore_accepts_overrides(tmp_path):

@@ -183,7 +183,7 @@ def test_import_gating_accepts_guarded_import_in_seam():
 def test_backend_purity_flags_sibling_and_orchestration_imports():
     findings = _lint(
         """
-        from repro.accel.backends.numba_backend import NumbaBackend
+        from repro.accel.backends.pikg_backend import PikgBackend
         from repro.core.sim import Simulation
         """,
         module="repro.accel.backends.gpu_backend",
@@ -250,7 +250,7 @@ def test_hotpath_flags_add_at_and_per_particle_loops():
     assert _rules(findings) == ["hotpath-hygiene"] * 3
 
 
-def test_hotpath_accepts_bincount_and_exempts_backends():
+def test_hotpath_accepts_bincount_and_covers_backends():
     clean = """
     import numpy as np
 
@@ -264,10 +264,10 @@ def test_hotpath_accepts_bincount_and_exempts_backends():
     def kernel(grid, idx, w, pos):
         np.add.at(grid, idx, w)
     """
-    # Backends reproduce the seed idioms on purpose; the rule is scoped out.
-    assert _lint(
+    # The backends are kernel modules too: no exemption.
+    assert _rules(_lint(
         scalar, module="repro.accel.backends.numpy_backend", select=["hotpath-hygiene"]
-    ) == []
+    )) == ["hotpath-hygiene"]
 
 
 # ----------------------------------------------------------- lease-pairing

@@ -61,7 +61,7 @@ def test_calibration_factors_roundtrip():
 
 
 def test_missing_backend_yields_no_rows():
-    assert calibrate(_synthetic_bench(), backend="numba") == []
+    assert calibrate(_synthetic_bench(), backend="pikg") == []
 
 
 def test_calibrate_real_bench_output(tmp_path):

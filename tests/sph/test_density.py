@@ -13,7 +13,9 @@ from scipy.spatial import cKDTree
 from repro.accel.backends.numpy_backend import _NumpyDensityGather
 from repro.sph.density import _velocity_estimators, compute_density
 from repro.sph.kernels import DEFAULT_KERNEL, WendlandC2
+from repro.sph.neighbors import NeighborGrid
 from repro.util.constants import GAMMA
+from tests.sph.test_neighbors import _stencil_pairs_reference
 
 
 def _lattice(npts=10, side=1.0, jitter=0.0, seed=0):
@@ -395,4 +397,45 @@ def test_velocity_estimators_match_the_row_gather_reference(seed):
     divv_ref, curlv_ref = _velocity_estimators_reference(*args)
     assert np.array_equal(divv, res.divv) and np.array_equal(curlv, res.curlv)
     for got, want in ((divv, divv_ref), (curlv, curlv_ref)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _finalize_reference(pairs, h, mass, kernel):
+    """(dens, drho_dh, counts, gather pairs) from the candidates ``pairs`` cut
+    at ``r < h_i`` by a boolean mask, with ``kernel.value`` and
+    ``kernel.dvalue_dh`` per pair — what the normalized-profile finalize
+    replaced."""
+    i, j, r = pairs
+    n = len(h)
+    keep = r < h[i]
+    ii, jj, rr = i[keep], j[keep], r[keep]
+    dens = np.bincount(ii, weights=mass[jj] * kernel.value(rr, h[ii]), minlength=n)
+    drho_dh = np.bincount(ii, weights=mass[jj] * kernel.dvalue_dh(rr, h[ii]), minlength=n)
+    return dens, drho_dh, np.bincount(ii, minlength=n), (ii, jj, rr)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gather_finalize_matches_the_masked_kernel_value_reference(seed):
+    """The numpy gather (profile sums over the compacted candidates,
+    normalized once per target) against ``kernel.value`` per pair over the
+    full stencil: gather pairs and their order exact, r to 2 ulp, counts
+    exact, sums to 1e-12; a sweep's weight sum is the reference density of
+    unit masses."""
+    rng = np.random.default_rng(seed)
+    n = 250
+    pos = rng.uniform(0.0, 1.0, (n, 3)) * rng.uniform(0.3, 3.0, 3)
+    mass = rng.uniform(0.5, 1.5, n)
+    h = rng.uniform(0.15, 0.4, n)
+    grid = NeighborGrid.build(pos, float(h.max()))
+    gather = _NumpyDensityGather(grid, pos, DEFAULT_KERNEL)
+    full = _stencil_pairs_reference(grid)
+    dens, drho_dh, counts, (i, j, r) = gather.finalize(h, mass)
+    dens_ref, drho_dh_ref, counts_ref, (i_ref, j_ref, r_ref) = _finalize_reference(
+        full, h, mass, DEFAULT_KERNEL
+    )
+    assert np.array_equal(i, i_ref) and np.array_equal(j, j_ref)
+    assert np.all(np.abs(r - r_ref) <= 2 * np.spacing(r_ref))
+    assert np.array_equal(counts, counts_ref)
+    wsum_ref = _finalize_reference(full, h, np.ones(n), DEFAULT_KERNEL)[0]
+    for got, want in ((dens, dens_ref), (drho_dh, drho_dh_ref), (gather.weight_sum(h), wsum_ref)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

@@ -4,8 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accel.backends import get_backend
 from repro.sph.density import compute_density
 from repro.sph.forces import compute_hydro_forces
+from repro.sph.kernels import DEFAULT_KERNEL
+from tests.sph.test_neighbors import _stencil_pairs_reference
 
 
 def _prepared_state(pos, vel, mass, u, h0=0.3, n_ngb=40):
@@ -161,32 +164,99 @@ def test_conservation_property(n, seed):
     assert abs(de) < 1e-8 * max(escale, 1.0)
 
 
+def _hydro_force_reference(pos, vel, mass, h, dens, pres, csnd, omega, balsara,
+                           alpha_visc, beta_visc, kernel, pairs):
+    """(acc, du_dt, v_signal) on the half pairs ``pairs`` through (n_pairs, 3)
+    row gathers, ``einsum`` and ``np.add.at``, every per-particle term formed
+    once per pair end — the kernel the coordinate-plane one replaced."""
+    i, j, r = pairs
+    n = len(pos)
+    dens_safe = np.maximum(dens, 1e-300)
+    dvec = pos[i] - pos[j]
+    vvec = vel[i] - vel[j]
+    vdotr = np.einsum("ij,ij->i", vvec, dvec)
+    gf_i = kernel.grad_factor(r, h[i])
+    gf_j = kernel.grad_factor(r, h[j])
+    gf_bar = 0.5 * (gf_i + gf_j)
+    h_bar = 0.5 * (h[i] + h[j])
+    rho_bar = 0.5 * (dens_safe[i] + dens_safe[j])
+    c_bar = 0.5 * (csnd[i] + csnd[j])
+    mu = np.where(vdotr < 0.0, h_bar * vdotr / (r**2 + 0.01 * h_bar**2), 0.0)
+    fb = 0.5 * (balsara[i] + balsara[j]) if balsara is not None else 1.0
+    visc = fb * (-alpha_visc * c_bar * mu + beta_visc * mu**2) / rho_bar
+    p_i = pres[i] / (omega[i] * dens_safe[i] ** 2)
+    p_j = pres[j] / (omega[j] * dens_safe[j] ** 2)
+    scal = p_i * gf_i + p_j * gf_j + visc * gf_bar
+    acc = np.zeros((n, 3))
+    for ax in range(3):
+        np.add.at(acc[:, ax], i, -mass[j] * scal * dvec[:, ax])
+        np.add.at(acc[:, ax], j, mass[i] * scal * dvec[:, ax])
+    du_visc = 0.5 * visc * vdotr * gf_bar
+    du_dt = np.bincount(i, weights=mass[j] * (p_i * vdotr * gf_i + du_visc), minlength=n)
+    du_dt += np.bincount(j, weights=mass[i] * (p_j * vdotr * gf_j + du_visc), minlength=n)
+    w_rel = np.where(r > 0, vdotr / np.maximum(r, 1e-300), 0.0)
+    vsig_pair = csnd[i] + csnd[j] - 3.0 * np.minimum(w_rel, 0.0)
+    v_signal = csnd.copy()
+    np.maximum.at(v_signal, i, vsig_pair)
+    np.maximum.at(v_signal, j, vsig_pair)
+    return acc, du_dt, v_signal
+
+
 @given(st.integers(40, 200), st.integers(0, 1000), st.booleans())
 @settings(max_examples=15, deadline=None)
 def test_plane_force_kernel_matches_the_frozen_row_gather_kernel(n, seed, balsara):
-    """``numpy`` (coordinate planes, per-particle terms) against ``seed``
-    (the frozen (n_pairs, 3) kernel) on one pair list: sums to 1e-12; the
-    signal velocity — a max over pairs, no sum — to 1e-13 (``einsum`` adds
-    the three products of v.r as (x + z) + y on AVX builds, the planes in
-    x, y, z order: equal only where the pair recedes); the plane kernel's
-    total momentum at rounding."""
+    """The ``numpy`` kernel (coordinate planes, per-particle terms) against
+    the row-gather reference on one pair list: sums to 1e-12; the signal
+    velocity — a max over pairs, no sum — to 1e-13 (``einsum`` adds the
+    three products of v.r as (x + z) + y on AVX builds, the planes in x, y,
+    z order: equal only where the pair recedes); the plane kernel's total
+    momentum at rounding."""
     pos, vel, mass, u = _random_cloud(n=n, seed=seed, vscale=2.0)
     d = _prepared_state(pos, vel, mass, u, h0=0.4, n_ngb=min(30, n - 1))
-    limiter = dict(divv=d.divv, curlv=d.curlv) if balsara else {}
-    pairs = compute_hydro_forces(
-        pos, vel, mass, d.h, d.dens, d.pres, d.csnd, grid=d.grid, backend="seed"
-    ).pairs
-    out = {
-        bk: compute_hydro_forces(
-            pos, vel, mass, d.h, d.dens, d.pres, d.csnd, omega=d.omega,
-            pairs=pairs, backend=bk, **limiter,
-        )
-        for bk in ("numpy", "seed")
-    }
-    got, want = out["numpy"], out["seed"]
-    for name in ("acc", "du_dt"):
-        a, b = getattr(got, name), getattr(want, name)
+    limiter = np.random.default_rng(seed).uniform(0.0, 1.0, n) if balsara else None
+    args = (pos, vel, mass, d.h, d.dens, d.pres, d.csnd, d.omega, limiter, 1.0, 2.0,
+            DEFAULT_KERNEL)
+    pairs = compute_hydro_forces(pos, vel, mass, d.h, d.dens, d.pres, d.csnd, grid=d.grid).pairs
+    got = get_backend("numpy").hydro_force_pairs(*args, pairs=pairs)
+    want = _hydro_force_reference(*args, pairs)
+    for a, b in zip(got[:2], want[:2]):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
-    np.testing.assert_allclose(got.v_signal, want.v_signal, rtol=1e-13)
-    momentum = (mass[:, None] * got.acc).sum(axis=0)
-    assert np.all(np.abs(momentum) <= 1e-13 * np.abs(mass[:, None] * got.acc).sum())
+    np.testing.assert_allclose(got[2], want[2], rtol=1e-13)
+    momentum = (mass[:, None] * got[0]).sum(axis=0)
+    assert np.all(np.abs(momentum) <= 1e-13 * np.abs(mass[:, None] * got[0]).sum())
+
+
+def test_searched_force_pass_matches_the_row_gather_reference():
+    """``compute_hydro_forces(grid=)`` searches the compacted candidates: the
+    half pairs the full-stencil reference finds, in its order, with r to
+    2 ulp; every sum to 1e-12 of the row-gather kernel on them; and the
+    bincount scatter is the ``np.add.at`` scatter bit for bit on equal
+    inputs."""
+    rng = np.random.default_rng(7)
+    n = 150
+    pos = rng.random((n, 3)) * 4.0
+    vel = rng.normal(size=(n, 3)) * 0.2
+    mass = rng.uniform(0.3, 0.7, n)
+    d = compute_density(pos, vel, mass, rng.uniform(0.5, 2.0, n), np.full(n, 0.9), n_ngb=24)
+    f = compute_hydro_forces(pos, vel, mass, d.h, d.dens, d.pres, d.csnd, omega=d.omega,
+                             grid=d.grid)
+    i, j, r = _stencil_pairs_reference(d.grid)
+    keep = (r < np.maximum(d.h[i], d.h[j])) & (i < j)
+    np.testing.assert_array_equal(f.pairs[0], i[keep])
+    np.testing.assert_array_equal(f.pairs[1], j[keep])
+    assert np.all(np.abs(f.pairs[2] - r[keep]) <= 2 * np.spacing(r[keep]))
+    want = _hydro_force_reference(pos, vel, mass, d.h, d.dens, d.pres, d.csnd, d.omega, None,
+                                  1.0, 2.0, DEFAULT_KERNEL, f.pairs)
+    for got, ref, rtol in zip((f.acc, f.du_dt, f.v_signal), want, (1e-12, 1e-12, 1e-13)):
+        np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+
+    i, j, _ = f.pairs
+    w_i, w_j, dvec = rng.normal(size=len(i)), rng.normal(size=len(i)), pos[i] - pos[j]
+    add_at = np.zeros((n, 3))
+    for ax in range(3):
+        np.add.at(add_at[:, ax], i, w_i * dvec[:, ax])
+        np.add.at(add_at[:, ax], j, w_j * dvec[:, ax])
+    planes = tuple(np.ascontiguousarray(dvec.T))
+    np.testing.assert_array_equal(
+        get_backend("numpy")._scatter_add_pairs(n, i, j, w_i, w_j, planes), add_at
+    )

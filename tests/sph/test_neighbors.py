@@ -1,5 +1,7 @@
 """Cell-linked-list neighbor search vs brute force and scipy."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,28 @@ def _brute_pairs(pos, radius, mode):
     else:
         keep = d < np.maximum(r_arr[:, None], r_arr[None, :])
     return {(i, j) for i, j in zip(*np.nonzero(keep))}
+
+
+def _stencil_pairs_reference(grid, query_pos=None):
+    """(i, j, r): every (query, point) pair with the point in one of the 27
+    cells around the query's cell, unfiltered — per offset (x-major) the
+    queries in the order given (``None``: the grid's own points), each with
+    its cell's points in cell order; ``r`` by an ``einsum`` over (n_pairs, 3)
+    rows.  The full candidate list the compacted one is the ``r < cell``
+    cut of."""
+    q = grid.pos if query_pos is None else np.asarray(query_pos, dtype=np.float64)
+    qc = grid._query_cells(q)
+    out_i, out_j = [], []
+    for off in itertools.product((-1, 0, 1), repeat=3):
+        c = qc + np.array(off)
+        valid = np.all((c >= 0) & (c < grid.dims), axis=1)
+        keys = (c[valid, 0] * grid.dims[1] + c[valid, 1]) * grid.dims[2] + c[valid, 2]
+        rows, slots = grid._expand_cells(np.flatnonzero(valid), keys)
+        out_i.append(rows)
+        out_j.append(grid.order[slots])
+    i, j = np.concatenate(out_i), np.concatenate(out_j)
+    d = q[i] - grid.pos[j]
+    return i, j, np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
 @pytest.mark.parametrize("mode", ["gather", "symmetric"])
@@ -97,13 +121,16 @@ def test_grid_handles_single_point():
     assert list(i) == [0] and list(j) == [0] and r[0] == 0.0
 
 
-def test_candidate_pairs_superset_of_true_pairs(rng):
+def test_candidates_superset_of_true_pairs(rng):
+    """The full stencil holds every true pair; its ``r < cell`` cut, the
+    compacted list, holds exactly them."""
     pos = rng.uniform(0, 10, (100, 3))
     grid = NeighborGrid.build(pos, 1.0)
-    ci, cj = grid.candidate_pairs(pos)
-    cand = set(zip(ci.tolist(), cj.tolist()))
+    ci, cj, _ = _stencil_pairs_reference(grid)
     true = _brute_pairs(pos, 1.0, "gather")
-    assert true <= cand
+    assert true <= set(zip(ci.tolist(), cj.tolist()))
+    i, j, _ = grid.compact_self_pairs()
+    assert set(zip(i.tolist(), j.tolist())) == true
 
 
 @given(st.integers(2, 60), st.floats(0.3, 3.0), st.integers(0, 50))
@@ -123,13 +150,14 @@ def test_pair_count_property(n, radius, seed):
 )
 @settings(max_examples=60, deadline=None)
 def test_compact_self_pairs_are_the_filtered_self_pairs(n, extent, cell, seed):
-    """The coordinate-plane candidate search against the trailing-axis one:
-    (i, j) and their order exact, r to 2 ulp.  Extents below one cell give
-    one-cell grids and flat (n, 1, 1) ones where most offsets are empty; a
-    zero extent stacks every point on one site (r = 0 throughout)."""
+    """The coordinate-plane candidate search against the full-stencil
+    reference cut at ``r < cell``: (i, j) and their order exact, r to 2 ulp.
+    Extents below one cell give one-cell grids and flat (n, 1, 1) ones where
+    most offsets are empty; a zero extent stacks every point on one site
+    (r = 0 throughout)."""
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, 1.0, (n, 3)) * np.array(extent)
-    i, j, r = NeighborGrid.build(pos, cell).self_pairs()
+    i, j, r = _stencil_pairs_reference(NeighborGrid.build(pos, cell))
     keep = r < cell
     ci, cj, cr = NeighborGrid.build(pos, cell).compact_self_pairs()
     assert ci.dtype == i.dtype and cj.dtype == j.dtype and cr.dtype == r.dtype
@@ -150,34 +178,36 @@ def test_half_pairs_from_gather_are_the_searched_half_pairs(
     n, extent, h_lo, h_spread, n_edge, seed
 ):
     """Derived from the gather list == searched in the candidate list: the
-    same (i, j) keys with bit-equal r, for the frozen full-stencil search and
-    the compacted one.  ``h`` spans up to 10x across particles; zero extents
-    stack points on one site or a line; small extents give a single cell;
-    ``n_edge`` particles get an ``h`` exactly equal to one of their pair
-    separations, the ``r < h_i`` / ``r >= h_j`` edge of the derivation."""
+    same (i, j) keys with bit-equal r, for the full-stencil reference and the
+    compacted list (``neighbor_pairs`` and the numpy backend's search).
+    ``h`` spans up to 10x across particles; zero extents stack points on one
+    site or a line; small extents give a single cell; ``n_edge`` particles
+    get an ``h`` exactly equal to one of their pair separations, the
+    ``r < h_i`` / ``r >= h_j`` edge of the derivation."""
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, 1.0, (n, 3)) * np.array(extent)
     h = h_lo * rng.uniform(1.0, h_spread, n)
     grid = NeighborGrid.build(pos, float(h.max()))
-    ci, _, cr = grid.self_pairs()
-    in_reach = np.flatnonzero((cr > 0) & (cr < grid.cell))
+    ci, _, cr = grid.compact_self_pairs()
+    in_reach = np.flatnonzero(cr > 0)
     if n_edge and in_reach.size:
         edge = rng.choice(in_reach, size=min(n_edge, in_reach.size), replace=False)
         h[ci[edge]] = cr[edge]          # below the cell: the grid still covers h
 
-    gather = neighbor_pairs(pos, h, mode="gather", include_self=True, grid=grid)
-    searched = neighbor_pairs(pos, h, mode="symmetric", grid=grid, half=True)
-    for got, want in zip(pairs_by_key(half_pairs_from_gather(gather, h)), pairs_by_key(searched)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-
-    i, j, r = grid.compact_self_pairs()
-    keep = r < h[i]
-    compact_gather = (i[keep], j[keep], r[keep])
-    compact_searched = get_backend("numpy")._half_pairs(pos, h, grid)
-    for got, want in zip(
-        pairs_by_key(half_pairs_from_gather(compact_gather, h)), pairs_by_key(compact_searched)
+    i, j, r = _stencil_pairs_reference(grid)
+    full_gather, full_searched = (
+        (i[keep], j[keep], r[keep])
+        for keep in (r < h[i], (r < np.maximum(h[i], h[j])) & (i < j))
+    )
+    compact_searched = neighbor_pairs(pos, h, mode="symmetric", grid=grid, half=True)
+    for a, b in zip(compact_searched, get_backend("numpy")._half_pairs(pos, h, grid)):
+        assert np.array_equal(a, b)
+    for gather, searched in (
+        (full_gather, full_searched),
+        (neighbor_pairs(pos, h, mode="gather", include_self=True, grid=grid), compact_searched),
     ):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        for got, want in zip(pairs_by_key(half_pairs_from_gather(gather, h)), pairs_by_key(searched)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ------------------------------------------------------ local edits of a grid
@@ -202,7 +232,7 @@ def _assert_grids_answer_alike(got: NeighborGrid, want: NeighborGrid, rng) -> No
     lo, hi = np.sort(rng.uniform(want.pos.min() - 1.0, want.pos.max() + 1.0, (2, 3)), axis=0)
     assert np.array_equal(got.points_in_box(lo, hi), want.points_in_box(lo, hi))
     queries = rng.uniform(want.pos.min() - 1.0, want.pos.max() + 1.0, (7, 3))
-    for a, b in zip(got.candidate_pairs(queries), want.candidate_pairs(queries)):
+    for a, b in zip(_stencil_pairs_reference(got, queries), _stencil_pairs_reference(want, queries)):
         assert np.array_equal(a, b)
 
 
@@ -318,12 +348,11 @@ def test_move_points_refuses_what_it_cannot_answer_exactly(rng):
 
 
 def test_move_points_twice_and_full_list_dropped(rng):
-    """Edits compose (two SN returns on one grid), and the full stencil list
-    — not repaired — is regenerated from the edited positions."""
+    """Edits compose (two SN returns on one grid), and the full stencil
+    walked over the edited grid is the fresh grid's, in the same order."""
     pos = rng.uniform(0.0, 8.0, (300, 3))
     grid = NeighborGrid.build(pos, 1.2)
     grid.compact_self_pairs()
-    grid.self_pairs()
     edited = pos.copy()
     for rows in (np.arange(10, 40), np.arange(30, 55)):        # overlapping sets
         new_pos = rng.uniform(0.5, 7.5, (len(rows), 3))
@@ -331,5 +360,5 @@ def test_move_points_twice_and_full_list_dropped(rng):
         edited[rows] = new_pos
     fresh = _fresh_on_same_binning(grid, edited)
     _assert_grids_answer_alike(grid, fresh, rng)
-    for a, b in zip(pairs_by_key(grid.self_pairs()), pairs_by_key(fresh.self_pairs())):
+    for a, b in zip(_stencil_pairs_reference(grid), _stencil_pairs_reference(fresh)):
         assert np.array_equal(a, b)
