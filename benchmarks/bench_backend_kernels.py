@@ -29,8 +29,10 @@ precision >= 2x: measured 3.5x, the pre-planes tile 1.6x; float64 >= 1.6x:
 measured 3.1x alone and 2.3x late in this long process, where the reference
 tile's allocations have become cheap, the pre-planes tile 1.5x alone), ms
 per ``compact_self_pairs`` against the full-stencil reference of
-``tests/sph/test_neighbors.py`` filtered at ``r < cell`` (>= 1.8x: measured
-3.2x, the trailing-axis compaction 1.4x), ms per ``_deposit_pairs`` against
+``tests/sph/test_neighbors.py`` filtered at ``r < cell`` (>= 3x: measured
+5.8-6.6x for the half stencil, which walks each pair of neighbor cells once
+and mirrors the kept pairs; 3.6-4.6x for the 27-offset walk before it, 1.4x
+for the trailing-axis compaction before that), ms per ``_deposit_pairs`` against
 the per-offset oracle of ``tests/surrogate/test_voxelize.py`` (>= 7x:
 measured 12x, the blocked (offsets, particles, 3) deposit 2.4x on the same
 region).
@@ -52,10 +54,15 @@ halo against the per-node oracle of ``tests/fdps/test_tree.py`` (>= 3x).
 local edit: re-bin the moved points, repair the cached candidate list)
 against a fresh ``compact_self_pairs`` of the same positions on the same
 binning, on the 12^3 turbulent box of the ``sn_storm`` workload with 4% of
-the points moved (one 60 pc region; >= 3x asserted, measured 4x) and with 55%
-moved (what ``cluster_2rank`` replaces per event; recorded, no floor — the
-edit walks the moved points' stencils, so it approaches the fresh cost as
-the moved share approaches 1 and stays below it).
+the points moved (one 60 pc region; >= 2x asserted, measured 2.5-2.9x) and
+with 55% moved (what ``cluster_2rank`` replaces per event; recorded, no
+floor).  The edit walks all 27 offsets of each moved point, a fresh
+generation the 13 forward offsets of every point (half the work of the
+27-offset walk it replaced, so the ratio at 4% fell from 3.7-4.0x): at 55%
+moved the edit now costs more than a fresh generation — 8.7-11 ms against
+4.3-6.3 ms, a ratio of 0.49-0.55 — where it cost 0.75x of the 27-offset
+generation.  The edit's full stencil of each moved point is twice the half
+stencil per point of a fresh generation, plus O(n) bookkeeping.
 
 ``h_solve`` is the kernel-size solve on the two shapes the multiplicative
 fixed point could not close: a blast shell re-inserted with ``h`` at the cap
@@ -126,7 +133,7 @@ FAULT_PASSES = 5
 MAX_FAULTS_WITH_WORKSPACE = 5000
 #: Floors on (reference seconds / coordinate-plane seconds), see the module
 #: docstring for what each reference is and what the old layout measured.
-MIN_PLANE_SPEEDUP = {"tile_float64": 1.6, "tile_mixed": 2.0, "candidates": 1.8, "deposit": 7.0}
+MIN_PLANE_SPEEDUP = {"tile_float64": 1.6, "tile_mixed": 2.0, "candidates": 3.0, "deposit": 7.0}
 #: (targets, sources, mixed, exclude_self) of the gravity tiles the
 #: workloads run, and the floor of blocked over the reference on the import
 #: shape.
@@ -148,8 +155,9 @@ MIN_SPH_PAIR_SPEEDUP = {
 #: Level-by-level ``Octree.build`` over the per-node oracle: measured 5.5-7.
 MIN_TREE_BUILD_SPEEDUP = 3.0
 #: Fresh ``compact_self_pairs`` over ``move_points`` with 4% of the 1,728
-#: points moved: measured 3.7-4.3.
-MIN_LOCAL_EDIT_SPEEDUP = 3.0
+#: points moved: measured 2.5-2.9 since the fresh generation walks a half
+#: stencil (3.7-4.3 against the 27-offset walk, when the floor was 3).
+MIN_LOCAL_EDIT_SPEEDUP = 2.0
 #: Sweeps of one kernel-size solve on the ``h_solve`` fixtures (measured: see
 #: the JSON; the fixed point ran into ``max_iter = 10`` on both).
 MAX_H_SOLVE_SWEEPS = 5

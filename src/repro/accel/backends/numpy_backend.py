@@ -40,10 +40,14 @@ What is exact and what is bounded, against the plain references under
 ``tests/`` — the trailing-axis tile of ``tests/accel/test_tile_workspace.py``,
 the full-stencil candidates of ``tests/sph/test_neighbors.py``, the masked
 ``kernel.value`` finalize of ``tests/sph/test_density.py`` and the row-gather
-force kernel of ``tests/sph/test_forces.py``.  Exact: pair sets and their
-order (the compacted candidates, the gather and the searched half-pair
-lists, which tile pairs are masked as coincident — in whichever block they
-land) and ``n_neighbors``.  Bounded: the tile sums its squares per plane and
+force kernel of ``tests/sph/test_forces.py``.  Exact: pair sets (the
+compacted candidates, the gather and the searched half-pair lists, which
+tile pairs are masked as coincident — in whichever block they land) and
+``n_neighbors``.  Not their order: the candidates come from the half
+stencil of :meth:`~repro.sph.neighbors.NeighborGrid.compact_self_pairs`
+(a forward block, its mirror, then the self pairs), the references walk
+the full stencil per offset, so the lists agree by ``(i, j)`` key and every
+sum over them to rounding.  Bounded: the tile sums its squares per plane and
 reduces per coordinate over a block's sources, the blocks' partial sums
 added in float64, so it agrees with the trailing-axis tile (and with an
 unblocked one) to 1e-13 relative in float64 and 5e-6 of the largest

@@ -22,7 +22,11 @@ recorded trace:
 * the ``accel.grid_*`` counters of :class:`repro.accel.ForceEngine` become
   neighbor-grid builds / repairs / reuses per step — a step whose SN
   replacement was a local edit of the grid shows as a repair and a reuse
-  where it used to show a second build; ``accel.density_sweeps`` over
+  where it used to show a second build — and, on the same line, the
+  candidate lists generated per step (``accel.candidate_generations``),
+  their pairs per step (``accel.candidate_pairs``) and the megabytes of the
+  last list (the ``accel.candidate_bytes`` gauge: the step's largest
+  transient); ``accel.density_sweeps`` over
   ``accel.density_passes`` is the kernel-size solve's sweeps per pass, and
   any ``accel.h_unconverged`` is flagged;
 * ``accel.gravity_pairs`` over the ``Calc_Force`` span seconds (every rank)
@@ -79,6 +83,19 @@ class RunReport:
             if f"accel.grid_{kind}" in self.counters
         }
 
+    def candidates_per_step(self) -> dict[str, float]:
+        """Candidate lists generated per step, their pairs per step, and the
+        bytes of the last list a pass ran on (empty when the run emitted no
+        ``accel.candidate_*`` counters)."""
+        if "accel.candidate_generations" not in self.counters:
+            return {}
+        steps = max(self.n_steps, 1)
+        return {
+            "generations": self.counters["accel.candidate_generations"] / steps,
+            "kpairs": self.counters.get("accel.candidate_pairs", 0.0) / steps / 1e3,
+            "mb": self.gauges.get("accel.candidate_bytes", 0.0) / 1e6,
+        }
+
     def gravity_per_pass(self) -> dict[str, float]:
         """Pair rate and tile workspace of the gravity passes (empty when
         the run traced none)."""
@@ -106,6 +123,7 @@ class RunReport:
             "counters": self.counters,
             "gauges": self.gauges,
             "neighbor_grid_per_step": self.neighbor_grid_per_step(),
+            "candidates_per_step": self.candidates_per_step(),
             "gravity_per_pass": self.gravity_per_pass(),
         }
 
@@ -158,9 +176,14 @@ class RunReport:
                       f"over {int(gravity['passes'])} passes"]
         grid = self.neighbor_grid_per_step()
         if grid:
-            lines += ["", "neighbor grid (per step): " + ", ".join(
+            line = "neighbor grid (per step): " + ", ".join(
                 f"{name} {value:.2f}" for name, value in grid.items()
-            )]
+            )
+            cand = self.candidates_per_step()
+            if cand:
+                line += (f"; candidates: {cand['generations']:.2f} generations/step, "
+                         f"{cand['kpairs']:.1f} k pairs, {cand['mb']:.2f} MB")
+            lines += ["", line]
         passes = self.counters.get("accel.density_passes")
         if passes:
             line = (f"kernel-size solve: {self.counters['accel.density_sweeps'] / passes:.2f} "

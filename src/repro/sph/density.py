@@ -101,6 +101,10 @@ class DensityResult:
     #: grid in hand (what the solve knew about it).
     worst_bracket: tuple[int, float, float, float] | None = None
     grid_builds: int = 0   # neighbor grids constructed during the solve
+    #: Candidate lists generated during the solve (a grid found with its list
+    #: cached or repaired generates none), and their pairs.
+    candidate_generations: int = 0
+    candidate_pairs: int = 0
     grid: NeighborGrid | None = None  # the grid of the final sweep (reusable)
     pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # gather (i, j, r)
 
@@ -152,6 +156,7 @@ def compute_density(
     n_unconverged = 0
     grid: NeighborGrid | None = None
     gather: DensityGatherState | None = None
+    generated: list[int] = []       # pairs of each candidate list generated
 
     def gather_covering(h_max: float) -> DensityGatherState:
         """The per-solve gather state, rebuilt over a new grid when ``h_max``
@@ -159,8 +164,12 @@ def compute_density(
         nonlocal grid, gather
         new_grid = index.grid_for(pos, h_max, scope=scope)
         if gather is None or new_grid is not grid:
+            fresh = not new_grid.has_compact_pairs
             grid = new_grid
+            # Every backend's gather state is made over the candidate list.
             gather = bk.density_gather(new_grid, pos, kernel)
+            if fresh:
+                generated.append(len(new_grid.compact_self_pairs()[0]))
         return gather
 
     # Per-particle bracket of the root and the sample before the current one
@@ -229,6 +238,8 @@ def compute_density(
         n_unconverged=n_unconverged,
         worst_bracket=worst_bracket,
         grid_builds=index.stats.grid_builds - builds_before,
+        candidate_generations=len(generated),
+        candidate_pairs=sum(generated),
         grid=grid,
         pairs=pairs,
     )

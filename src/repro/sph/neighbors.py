@@ -5,14 +5,25 @@ radius; candidate neighbors of a query then live in the 27 surrounding
 cells.  Everything — binning, per-cell ranges, candidate-pair generation —
 is done with sorted integer keys and ``searchsorted``/``repeat`` arithmetic,
 so the cost is O(N + n_pairs) NumPy work with no Python-level loops over
-particles (only the fixed loop over the 27 offsets).
+particles (only the fixed loop over the stencil offsets).  Bad input — a
+coordinate or a cell size that is not finite, a cell that is not positive
+or that would give more cells than int64 keys hold — raises ``ValueError``
+at :meth:`NeighborGrid.build`.
 
 The output is a flat *edge list* ``(i, j)`` of candidate pairs, which is the
 natural input for scatter-add SPH sums (``np.add.at`` / ``np.bincount``).
 Every search filters one cached list,
 :meth:`NeighborGrid.compact_self_pairs` (the stencil candidates with
 ``r < cell``, separations computed on coordinate planes), so the edge list
-— which pairs, in which order — is the same from every entry point.
+— which pairs, in which order — is the same from every entry point.  That
+list is generated as a *half stencil*: each pair of neighbor cells is walked
+once (a query's own cell from the slot after its own, then the 13 offsets
+lexicographically after ``(0, 0, 0)``), on one cell-ordered copy of the
+coordinate planes, and the kept pairs are mirrored.  Its exact order: the
+forward block ``(a, b, r)`` — own cell, then the 13 offsets in
+``itertools.product`` order, per offset the queries in cell order, each with
+its sources in cell order — then the mirror ``(b, a, r)`` in the same order,
+then every self pair ``(k, k, 0)`` by ascending ``k``.
 
 A built :class:`NeighborGrid` is *reusable*: the same grid serves every
 h-iteration of the density solve and the force pass, as long as the largest
@@ -37,9 +48,24 @@ rounding, not bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: The 27 stencil offsets, x-major (``itertools.product`` order).
+_STENCIL = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
+#: The 13 of them lexicographically after ``(0, 0, 0)``: a neighbor cell at
+#: one of them has a larger key, so with the own cell they reach each pair of
+#: neighbor cells once.
+_FORWARD_OFFSETS = _STENCIL[14:]
+#: Query cells per expansion of a stencil walk (see
+#: :meth:`NeighborGrid._stencil_pairs`).
+_WALK_BLOCK = 2048
+#: Most cells a grid may have: keys (and their sums in a stencil walk) stay
+#: well inside int64.
+_MAX_CELLS = 2.0**62
+
 
 @dataclass
 class NeighborGrid:
@@ -65,13 +91,36 @@ class NeighborGrid:
 
     @classmethod
     def build(cls, pos: np.ndarray, cell: float) -> "NeighborGrid":
+        """Bin ``pos`` into cells of side ``cell``.
+
+        Raises ``ValueError`` naming the cause where the binning would be
+        garbage: a coordinate that is not finite (a NaN collapses its axis
+        to one cell and drops the point from every pair), a ``cell`` that is
+        not positive and finite, or one so small for the points' extent that
+        the cell keys would overflow int64.
+        """
         pos = np.array(pos, dtype=np.float64)      # owned: see move_points
+        cell = float(cell)
+        if not (np.isfinite(cell) and cell > 0.0):
+            raise ValueError(f"cell size must be positive and finite, got {cell!r}")
+        bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
+        if bad.size:
+            raise ValueError(
+                f"{bad.size} point(s) have a non-finite coordinate "
+                f"(first: point {bad[0]} at {pos[bad[0]].tolist()})"
+            )
         lo = pos.min(axis=0) - 1e-9
         hi = pos.max(axis=0) + 1e-9
-        dims = np.maximum(((hi - lo) / cell).astype(np.int64) + 1, 1)
+        span = (hi - lo) / cell
+        if float(np.prod(span + 1.0)) > _MAX_CELLS:
+            raise ValueError(
+                f"cell {cell!r} is too small for points spanning {(hi - lo).tolist()}: "
+                f"{np.floor(span + 1.0).tolist()} cells per axis overflow the int64 cell keys"
+            )
+        dims = span.astype(np.int64) + 1
         keys = cls._keys_of(pos, lo, cell, dims)
         order = np.argsort(keys, kind="stable")
-        return cls(lo=lo, cell=float(cell), dims=dims, order=order,
+        return cls(lo=lo, cell=cell, dims=dims, order=order,
                    sorted_keys=keys[order], pos=pos)
 
     @staticmethod
@@ -90,30 +139,71 @@ class NeighborGrid:
         return float(radius) <= self.cell
 
     # ----------------------------------------------------------- pair search
-    def _expand_cells(
-        self, qidx: np.ndarray, keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pair each query row ``qidx[k]`` with every slot of cell ``keys[k]``,
-        queries in the order given, slots ascending within one query."""
-        starts = np.searchsorted(self.sorted_keys, keys, side="left")
-        lens = np.searchsorted(self.sorted_keys, keys, side="right") - starts
-        total = int(lens.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        # Expand ranges [starts, starts + lens) into flat index arrays.
-        first = np.cumsum(lens) - lens
-        slots = np.repeat(starts - first, lens)
-        slots += np.arange(total)
-        return np.repeat(qidx, lens), slots
-
     def _query_cells(self, query_pos: np.ndarray) -> np.ndarray:
         qp = np.asarray(query_pos, dtype=np.float64)
         qc = np.floor((qp - self.lo) / self.cell).astype(np.int64)
         return np.clip(qc, 0, self.dims - 1)
 
+    def _pairs_in_ranges(
+        self, q_xyz: np.ndarray, q_ids: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+        s_xyz: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs of query ``k`` (coordinates ``q_xyz[:, k]``, reported as
+        ``q_ids[k]``) with the source slots ``[starts[k], ends[k])`` (planes
+        ``s_xyz``, cell order) closer than the cell: ``(q_ids[k],
+        order[slot], r)``, queries in the order given, slots ascending.
+
+        Unit-stride ufuncs on one contiguous array per axis; the squares are
+        summed in x, y, z order and rooted only for the survivors.
+        """
+        lens = ends - starts
+        first = np.cumsum(lens) - lens
+        slots = np.repeat(starts - first, lens)
+        slots += np.arange(len(slots))
+        d2 = _squared_separation(q_xyz[0], lens, s_xyz[0], slots)
+        d2 += _squared_separation(q_xyz[1], lens, s_xyz[1], slots)
+        d2 += _squared_separation(q_xyz[2], lens, s_xyz[2], slots)
+        keep = np.flatnonzero(d2 < self.cell * self.cell)
+        return (
+            np.repeat(q_ids, lens).take(keep),
+            self.order.take(slots.take(keep)),
+            np.sqrt(d2.take(keep)),
+        )
+
+    def _stencil_pairs(
+        self, q_xyz: np.ndarray, q_ids: np.ndarray, q_cells: np.ndarray,
+        offsets: np.ndarray, s_xyz: np.ndarray,
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The stencil walk of both generations: the pairs of every query
+        (cells ``q_cells``, shape (3, m)) with the points of the cells
+        ``offsets`` (shape (k, 3)) away from its own, as
+        :meth:`_pairs_in_ranges` returns them — offset by offset in the order
+        given, the queries ascending within one.
+
+        The offsets go in groups of about :data:`_WALK_BLOCK` query cells per
+        expansion, one part each: a few moved rows walk their whole stencil
+        in one expansion, many points one offset at a time, so that a part's
+        candidates stay in cache.
+        """
+        per = max(1, _WALK_BLOCK // max(len(q_ids), 1))
+        parts = []
+        for first in range(0, len(offsets), per):
+            c = q_cells[None, :, :] + offsets[first:first + per, :, None]    # (k, 3, m)
+            inside = np.all((c >= 0) & (c < self.dims[None, :, None]), axis=1)
+            keys = (c[:, 0] * self.dims[1] + c[:, 1]) * self.dims[2] + c[:, 2]
+            pick = np.flatnonzero(inside)
+            keys = keys.take(pick)
+            q = pick % len(q_ids)
+            parts.append(self._pairs_in_ranges(
+                q_xyz.take(q, axis=1), q_ids.take(q),
+                np.searchsorted(self.sorted_keys, keys, side="left"),
+                np.searchsorted(self.sorted_keys, keys, side="right"), s_xyz,
+            ))
+        return parts
+
     def compact_self_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Candidate pairs (i, j, r) compacted to ``r < cell``.
+        """Candidate pairs (i, j, r) compacted to ``r < cell``: every ordered
+        pair of the grid's points closer than one cell, self pairs included.
 
         Any search this grid can answer exactly uses a radius <= the cell
         size (:meth:`covers`), so stencil candidates at r >= cell can never
@@ -121,68 +211,60 @@ class NeighborGrid:
         list ~6x (sphere-to-stencil volume ratio) and every later sweep
         filters the small list.
 
-        Exact: ``(i, j)`` and their order — the full 27-stencil candidate
-        list (per offset, x-major, every point in order with the points of
-        that neighbor cell in cell order) filtered at ``r < cell``.
-        Bounded: ``r`` is within 2 ulp of an ``einsum`` over (n_pairs, 3)
-        rows (sum of squares in x, y, z order).  After a :meth:`move_points`
-        the set and ``r`` are still those of a fresh generation on this
-        binning; the order is not.
+        Generated as a half stencil, each pair of neighbor cells walked
+        once: queries and sources both come from one cell-ordered copy of
+        the coordinate planes, and the query at slot ``q`` meets the slots
+        after ``q`` in its own cell, then the cells of the 13 offsets
+        lexicographically after ``(0, 0, 0)`` (all of larger key), so every
+        unordered pair of distinct points is met once.  Exact: the layout —
+        ``f`` forward entries ``(a, b, r)`` (the own cell, then the offsets
+        in ``itertools.product`` order from ``(0, 0, 1)`` to ``(1, 1, 1)``;
+        within each, the queries in cell order, each with its sources in
+        cell order), then their mirror ``(b, a, r)`` in the same order, then
+        the self pairs ``(k, k, 0.0)`` for ``k = 0 .. n - 1`` — and every
+        ``r``, bit-equal to the row walk of :meth:`_pairs_within_cell` over
+        every point (squares are sign-blind and both sum them in x, y, z
+        order).  Bounded: ``r`` is within 2 ulp of an ``einsum`` over
+        (n_pairs, 3) rows.  After a :meth:`move_points` the set and ``r``
+        are still those of a fresh generation on this binning; the layout is
+        not.
         """
         if self._compact_pairs is None:
-            self._compact_pairs = self._pairs_within_cell(None)
+            self._compact_pairs = self._half_stencil_pairs()
         return self._compact_pairs
 
-    def _pairs_within_cell(
-        self, rows: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ordered stencil pairs (i, j, r) with ``r < cell`` whose first end
-        is one of ``rows`` (``None``: every point), rows in the order given.
+    def _half_stencil_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The list :meth:`compact_self_pairs` caches (its docstring has the
+        layout)."""
+        n, keys, order = self.n_points, self.sorted_keys, self.order
+        s_xyz = np.ascontiguousarray(self.pos[order].T)
+        slots = np.arange(n)
+        own_cell_end = np.searchsorted(keys, keys, side="right")
+        parts = [self._pairs_in_ranges(s_xyz, order, slots + 1, own_cell_end, s_xyz)]
+        xy, z = np.divmod(keys, self.dims[2])
+        cells = np.stack([xy // self.dims[1], xy % self.dims[1], z])
+        parts += self._stencil_pairs(s_xyz, order, cells, _FORWARD_OFFSETS, s_xyz)
+        i_parts, j_parts, r_parts = zip(*parts, strict=True)
+        return (
+            np.concatenate([*i_parts, *j_parts, slots]),
+            np.concatenate([*j_parts, *i_parts, slots]),
+            np.concatenate([*r_parts, *r_parts, np.zeros(n)]),
+        )
 
-        Built per stencil offset without materializing the full list, on
-        coordinate planes: cell indices, query coordinates and the sources
-        (gathered once, in cell order) each live in one contiguous array per
-        axis, so the validity masks, the separations and the squared
-        distance are unit-stride ufuncs (sqrt only on survivors).
-        """
-        cell2 = self.cell * self.cell
-        q_pos = self.pos if rows is None else self.pos[rows]
+    def _pairs_within_cell(
+        self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The row walk: ordered pairs (i, j, r) with ``r < cell`` whose
+        first end is one of ``rows`` — all 27 stencil offsets of each row,
+        per offset (x-major) the rows in the order given, each with that
+        cell's points in cell order."""
+        q_pos = self.pos[rows]
         q_xyz = np.ascontiguousarray(q_pos.T)
         s_xyz = np.ascontiguousarray(self.pos[self.order].T)
-        # (axis, shift, point): the neighbor cell's index along one axis
-        # for shifts -1, 0, +1, and whether it is inside the grid.
-        c = self._query_cells(q_pos).T[:, None, :] + np.arange(-1, 2)[None, :, None]
-        ok = (c >= 0) & (c < self.dims[:, None, None])
-        out_i: list[np.ndarray] = []
-        out_j: list[np.ndarray] = []
-        out_r: list[np.ndarray] = []
-        for ix in range(3):
-            for iy in range(3):
-                ok_xy = ok[0, ix] & ok[1, iy]
-                key_xy = (c[0, ix] * self.dims[1] + c[1, iy]) * self.dims[2]
-                for iz in range(3):
-                    qidx = np.flatnonzero(ok_xy & ok[2, iz])
-                    rep_q, slots = self._expand_cells(
-                        qidx, key_xy[qidx] + c[2, iz][qidx]
-                    )
-                    if not len(rep_q):
-                        continue
-                    d2 = _squared_separation(q_xyz[0], rep_q, s_xyz[0], slots)
-                    d2 += _squared_separation(q_xyz[1], rep_q, s_xyz[1], slots)
-                    d2 += _squared_separation(q_xyz[2], rep_q, s_xyz[2], slots)
-                    keep = np.flatnonzero(d2 < cell2)
-                    out_i.append(rep_q.take(keep))
-                    out_j.append(self.order.take(slots.take(keep)))
-                    out_r.append(np.sqrt(d2.take(keep)))
-        if not out_i:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0)
-        i = np.concatenate(out_i)
-        return (
-            i if rows is None else rows.take(i),
-            np.concatenate(out_j),
-            np.concatenate(out_r),
-        )
+        q_cells = self._query_cells(q_pos).T
+        parts = self._stencil_pairs(q_xyz, rows, q_cells, _STENCIL, s_xyz)
+        i, j, r = (np.concatenate(col) for col in zip(*parts, strict=True))
+        return i, j, r
 
     @property
     def has_compact_pairs(self) -> bool:
@@ -198,13 +280,17 @@ class NeighborGrid:
         ``lo``/``cell``/``dims`` would leave them, so box queries and the
         cell-walking searches stay exact) and *repairs* the cached compact
         candidate list: entries with either end in ``rows`` are dropped, and
-        the stencil walk of :meth:`compact_self_pairs` — the same code, run
-        for the moved points only — adds every pair ``r < cell`` of a moved
-        point, in both orderings (a pair of two moved points once from each
-        end, a self pair once).  The list then holds the same *set* a fresh
-        generation on this binning yields, with bit-equal ``r``, in another
-        order; sums over it agree to rounding.  Cost: O(n) bookkeeping plus
-        the stencil of the moved points, instead of the stencil of all.
+        the row walk of :meth:`_pairs_within_cell` — all 27 offsets of each
+        moved point, through :meth:`_stencil_pairs`, the walk the half
+        stencil of :meth:`compact_self_pairs` runs — adds every pair
+        ``r < cell`` of a moved point, in both orderings (a pair of two moved
+        points once from each end, a self pair once).  The list then holds
+        the same *set* a fresh generation on this binning yields, with
+        bit-equal ``r``, in another order; sums over it agree to rounding.
+        Cost: O(n) bookkeeping plus the full stencil of the moved points,
+        against the half stencil of every point for a fresh generation —
+        cheaper while few points move (about a third of the fresh cost at 4%
+        moved), dearer once about half of them do (1.6-2x at 55%).
 
         A new position may lie outside the box the grid was built over: it
         is binned to the edge cell, as :meth:`build` and every query bin by
@@ -295,10 +381,11 @@ class NeighborGrid:
 
 
 def _squared_separation(
-    q_k: np.ndarray, rows: np.ndarray, s_k: np.ndarray, slots: np.ndarray
+    q_k: np.ndarray, lens: np.ndarray, s_k: np.ndarray, slots: np.ndarray
 ) -> np.ndarray:
-    """``(q_k[rows] - s_k[slots]) ** 2`` along one axis, in one temporary."""
-    d = q_k.take(rows)
+    """``(q_k[k] - s_k[slot]) ** 2`` along one axis, query ``k`` repeated
+    over its ``lens[k]`` slots, in one temporary."""
+    d = np.repeat(q_k, lens)
     d -= s_k.take(slots)
     d *= d
     return d

@@ -320,6 +320,44 @@ def test_step7_pass_on_the_repaired_grid_matches_a_cold_pass(backend, released, 
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
 
+def test_candidate_generations_are_counted_and_the_list_gauged():
+    """A pass counts the candidate lists it generates (one per grid it
+    builds) and their pairs, and gauges the i/j/r bytes of the list it ran
+    on; a pass that reuses the cached list or runs on the repaired one
+    generates none."""
+    from repro.obs.trace import Tracer
+    from repro.util.timers import TimerRegistry
+
+    tr = Tracer(run_id="candidates")
+    engine = ForceEngine(IntegratorConfig(self_gravity=False), timers=TimerRegistry(tracer=tr))
+    stats = engine.index.stats
+    ps = _stars_then_gas(seed=12)
+
+    def ran_on() -> int:
+        """Pairs of the list the last pass ran on; the gauge is its bytes."""
+        n_pairs = len(engine.index._grid.compact_self_pairs()[0])
+        assert tr.gauges["accel.candidate_bytes"] == 3 * 8 * n_pairs
+        return n_pairs
+
+    engine.hydro(ps, "1st")
+    assert tr.counters["accel.candidate_generations"] == stats.grid_builds >= 1
+    assert tr.counters["accel.candidate_pairs"] >= ran_on() > 0
+    counts = dict(tr.counters)
+    engine.hydro(ps, "2nd")                                   # the cached list
+    engine.notify_rows_moved(ps, _replace_a_region(ps, seed=12))
+    engine.hydro(ps, "2nd")                                   # the repaired list
+    assert stats.grid_repairs == 1
+    for name in ("accel.candidate_generations", "accel.candidate_pairs"):
+        assert tr.counters[name] == counts[name]
+    ran_on()
+    engine.notify_positions_changed()
+    builds = stats.grid_builds
+    engine.hydro(ps, "1st")                                   # a fresh list
+    assert tr.counters["accel.candidate_generations"] - counts["accel.candidate_generations"] \
+        == stats.grid_builds - builds >= 1
+    assert tr.counters["accel.candidate_pairs"] - counts["accel.candidate_pairs"] >= ran_on()
+
+
 def test_edit_that_cannot_be_exact_invalidates_and_says_so_once(caplog):
     """Rows outside the gas scope, a changed particle count, a position that
     is not finite: full invalidation each time, one log line per cause

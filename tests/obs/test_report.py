@@ -156,6 +156,15 @@ def test_report_shows_neighbor_grid_work_per_step():
     assert per_step["repairs"] > 0
     assert "neighbor grid (per step): builds" in report.to_text()
     assert report.to_json_obj()["neighbor_grid_per_step"] == per_step
+    # Candidate lists: one generated per grid built (the repaired ones are
+    # not generated again), their pairs, and the bytes of the last list.
+    cand = report.candidates_per_step()
+    assert cand["generations"] == per_step["builds"]
+    assert cand["kpairs"] == tr.counters["accel.candidate_pairs"] / 6 / 1e3 > 0
+    assert cand["mb"] == tr.gauges["accel.candidate_bytes"] / 1e6 > 0
+    assert (f"; candidates: {cand['generations']:.2f} generations/step, "
+            f"{cand['kpairs']:.1f} k pairs, {cand['mb']:.2f} MB") in report.to_text()
+    assert report.to_json_obj()["candidates_per_step"] == cand
     # The kernel-size solve: sweeps per pass, nothing left unconverged.
     passes, sweeps = tr.counters["accel.density_passes"], tr.counters["accel.density_sweeps"]
     assert passes >= 6 + stats["grid_repairs"] and passes <= sweeps <= 5 * passes
@@ -163,8 +172,9 @@ def test_report_shows_neighbor_grid_work_per_step():
     assert f"kernel-size solve: {sweeps / passes:.2f} sweeps per pass" in report.to_text()
     assert "**" not in report.to_text()
     # A run that emitted no such counters prints no such lines.
-    quiet = report_traces([_as_loaded(_synthetic_tracer())]).to_text()
-    assert "neighbor grid" not in quiet and "kernel-size solve" not in quiet
+    quiet = report_traces([_as_loaded(_synthetic_tracer())])
+    assert quiet.candidates_per_step() == {}
+    assert "neighbor grid" not in quiet.to_text() and "kernel-size solve" not in quiet.to_text()
 
 
 def test_report_flags_unconverged_kernel_sizes():

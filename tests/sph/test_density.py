@@ -15,6 +15,7 @@ from repro.sph.density import _velocity_estimators, compute_density
 from repro.sph.kernels import DEFAULT_KERNEL, WendlandC2
 from repro.sph.neighbors import NeighborGrid
 from repro.util.constants import GAMMA
+from tests.conftest import pairs_by_key
 from tests.sph.test_neighbors import _stencil_pairs_reference
 
 
@@ -418,9 +419,9 @@ def _finalize_reference(pairs, h, mass, kernel):
 def test_gather_finalize_matches_the_masked_kernel_value_reference(seed):
     """The numpy gather (profile sums over the compacted candidates,
     normalized once per target) against ``kernel.value`` per pair over the
-    full stencil: gather pairs and their order exact, r to 2 ulp, counts
-    exact, sums to 1e-12; a sweep's weight sum is the reference density of
-    unit masses."""
+    full stencil: the same gather pairs by key, r to 2 ulp, counts exact,
+    sums to 1e-12; a sweep's weight sum is the reference density of unit
+    masses."""
     rng = np.random.default_rng(seed)
     n = 250
     pos = rng.uniform(0.0, 1.0, (n, 3)) * rng.uniform(0.3, 3.0, 3)
@@ -429,10 +430,11 @@ def test_gather_finalize_matches_the_masked_kernel_value_reference(seed):
     grid = NeighborGrid.build(pos, float(h.max()))
     gather = _NumpyDensityGather(grid, pos, DEFAULT_KERNEL)
     full = _stencil_pairs_reference(grid)
-    dens, drho_dh, counts, (i, j, r) = gather.finalize(h, mass)
-    dens_ref, drho_dh_ref, counts_ref, (i_ref, j_ref, r_ref) = _finalize_reference(
+    dens, drho_dh, counts, pairs = gather.finalize(h, mass)
+    dens_ref, drho_dh_ref, counts_ref, pairs_ref = _finalize_reference(
         full, h, mass, DEFAULT_KERNEL
     )
+    (i, j, r), (i_ref, j_ref, r_ref) = pairs_by_key(pairs), pairs_by_key(pairs_ref)
     assert np.array_equal(i, i_ref) and np.array_equal(j, j_ref)
     assert np.all(np.abs(r - r_ref) <= 2 * np.spacing(r_ref))
     assert np.array_equal(counts, counts_ref)

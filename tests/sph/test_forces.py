@@ -8,6 +8,7 @@ from repro.accel.backends import get_backend
 from repro.sph.density import compute_density
 from repro.sph.forces import compute_hydro_forces
 from repro.sph.kernels import DEFAULT_KERNEL
+from tests.conftest import pairs_by_key
 from tests.sph.test_neighbors import _stencil_pairs_reference
 
 
@@ -228,10 +229,9 @@ def test_plane_force_kernel_matches_the_frozen_row_gather_kernel(n, seed, balsar
 
 def test_searched_force_pass_matches_the_row_gather_reference():
     """``compute_hydro_forces(grid=)`` searches the compacted candidates: the
-    half pairs the full-stencil reference finds, in its order, with r to
-    2 ulp; every sum to 1e-12 of the row-gather kernel on them; and the
-    bincount scatter is the ``np.add.at`` scatter bit for bit on equal
-    inputs."""
+    half pairs the full-stencil reference finds, by key, with r to 2 ulp;
+    every sum to 1e-12 of the row-gather kernel on them; and the bincount
+    scatter is the ``np.add.at`` scatter bit for bit on equal inputs."""
     rng = np.random.default_rng(7)
     n = 150
     pos = rng.random((n, 3)) * 4.0
@@ -242,9 +242,10 @@ def test_searched_force_pass_matches_the_row_gather_reference():
                              grid=d.grid)
     i, j, r = _stencil_pairs_reference(d.grid)
     keep = (r < np.maximum(d.h[i], d.h[j])) & (i < j)
-    np.testing.assert_array_equal(f.pairs[0], i[keep])
-    np.testing.assert_array_equal(f.pairs[1], j[keep])
-    assert np.all(np.abs(f.pairs[2] - r[keep]) <= 2 * np.spacing(r[keep]))
+    (gi, gj, gr), (i, j, r) = pairs_by_key(f.pairs), pairs_by_key((i[keep], j[keep], r[keep]))
+    np.testing.assert_array_equal(gi, i)
+    np.testing.assert_array_equal(gj, j)
+    assert np.all(np.abs(gr - r) <= 2 * np.spacing(r))
     want = _hydro_force_reference(pos, vel, mass, d.h, d.dens, d.pres, d.csnd, d.omega, None,
                                   1.0, 2.0, DEFAULT_KERNEL, f.pairs)
     for got, ref, rtol in zip((f.acc, f.du_dt, f.v_signal), want, (1e-12, 1e-12, 1e-13)):

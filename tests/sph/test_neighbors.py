@@ -42,8 +42,10 @@ def _stencil_pairs_reference(grid, query_pos=None):
         c = qc + np.array(off)
         valid = np.all((c >= 0) & (c < grid.dims), axis=1)
         keys = (c[valid, 0] * grid.dims[1] + c[valid, 1]) * grid.dims[2] + c[valid, 2]
-        rows, slots = grid._expand_cells(np.flatnonzero(valid), keys)
-        out_i.append(rows)
+        starts = np.searchsorted(grid.sorted_keys, keys, side="left")
+        lens = np.searchsorted(grid.sorted_keys, keys, side="right") - starts
+        slots = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+        out_i.append(np.repeat(np.flatnonzero(valid), lens))
         out_j.append(grid.order[slots])
     i, j = np.concatenate(out_i), np.concatenate(out_j)
     d = q[i] - grid.pos[j]
@@ -151,7 +153,7 @@ def test_pair_count_property(n, radius, seed):
 @settings(max_examples=60, deadline=None)
 def test_compact_self_pairs_are_the_filtered_self_pairs(n, extent, cell, seed):
     """The coordinate-plane candidate search against the full-stencil
-    reference cut at ``r < cell``: (i, j) and their order exact, r to 2 ulp.
+    reference cut at ``r < cell``: the same (i, j) keys, r to 2 ulp.
     Extents below one cell give one-cell grids and flat (n, 1, 1) ones where
     most offsets are empty; a zero extent stacks every point on one site
     (r = 0 throughout)."""
@@ -159,10 +161,99 @@ def test_compact_self_pairs_are_the_filtered_self_pairs(n, extent, cell, seed):
     pos = rng.uniform(0.0, 1.0, (n, 3)) * np.array(extent)
     i, j, r = _stencil_pairs_reference(NeighborGrid.build(pos, cell))
     keep = r < cell
-    ci, cj, cr = NeighborGrid.build(pos, cell).compact_self_pairs()
+    ci, cj, cr = pairs_by_key(NeighborGrid.build(pos, cell).compact_self_pairs())
+    i, j, r = pairs_by_key((i[keep], j[keep], r[keep]))
     assert ci.dtype == i.dtype and cj.dtype == j.dtype and cr.dtype == r.dtype
-    assert np.array_equal(ci, i[keep]) and np.array_equal(cj, j[keep])
-    assert np.all(np.abs(cr - r[keep]) <= 2 * np.spacing(r[keep]))
+    assert np.array_equal(ci, i) and np.array_equal(cj, j)
+    assert np.all(np.abs(cr - r) <= 2 * np.spacing(r))
+
+
+def _points_on_cell_faces(rng, n, cell):
+    """Coordinates on the cell faces of the grid built over them (a quarter
+    of the points stacked on the origin, the lowest point, so the grid's
+    ``lo`` is ``-1e-9``), the others inside a cell: points on faces, edges
+    and corners, some exactly ``cell`` apart along an axis."""
+    face = -1e-9 + rng.integers(1, 4, (n, 3)) * cell
+    pos = np.where(rng.random((n, 3)) < 0.5, face, rng.uniform(0.0, 3.0 * cell, (n, 3)))
+    pos[: max(1, n // 4)] = 0.0
+    return pos
+
+
+@given(
+    n=st.integers(1, 80),
+    shape=st.sampled_from(["uniform", "one_cell", "flat", "stacked", "faces"]),
+    cell=st.floats(0.4, 4.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_half_stencil_list_is_the_mirrored_row_walk(n, shape, cell, seed):
+    """The half stencil against the row walk over every point (all 27
+    offsets of each point): the same (i, j) keys with bit-equal r, laid out
+    as a forward block, its mirror with equal r, then each self pair once at
+    r = 0.  Run on 1-cell grids, flat (n, 1, 1) ones, points stacked on one
+    site, and points on cell faces, edges and corners."""
+    rng = np.random.default_rng(seed)
+    extent = {
+        "uniform": np.full(3, 4.0 * cell), "one_cell": np.full(3, 0.5 * cell),
+        "flat": np.array([6.0 * cell, 0.0, 0.0]), "stacked": np.zeros(3),
+        "faces": np.zeros(3),
+    }[shape]
+    pos = rng.uniform(0.0, 1.0, (n, 3)) * extent
+    if shape == "faces":
+        pos = _points_on_cell_faces(rng, n, cell)
+    grid = NeighborGrid.build(pos, cell)
+    i, j, r = grid.compact_self_pairs()
+    for got, want in zip(pairs_by_key((i, j, r)), pairs_by_key(grid._pairs_within_cell(np.arange(n)))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    f = (len(i) - n) // 2
+    assert len(i) == 2 * f + n
+    assert np.all(i[:f] != j[:f])
+    assert np.array_equal(i[f:2 * f], j[:f]) and np.array_equal(j[f:2 * f], i[:f])
+    assert np.array_equal(r[f:2 * f], r[:f])
+    assert np.array_equal(i[2 * f:], np.arange(n)) and np.array_equal(j[2 * f:], np.arange(n))
+    assert np.all(r[2 * f:] == 0.0)
+    # Each unordered pair once in the forward block.
+    assert len({(min(a, b), max(a, b)) for a, b in zip(i[:f].tolist(), j[:f].tolist())}) == f
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_rejects_a_non_finite_coordinate(rng, bad):
+    pos = rng.uniform(0.0, 10.0, (50, 3))
+    pos[17, 1] = bad
+    with pytest.raises(ValueError, match="non-finite coordinate.*point 17"):
+        NeighborGrid.build(pos, 1.0)
+
+
+@pytest.mark.parametrize("cell", [0.0, -1.0, np.inf, np.nan])
+def test_build_rejects_a_cell_that_is_not_positive_and_finite(rng, cell):
+    with pytest.raises(ValueError, match="cell size must be positive and finite"):
+        NeighborGrid.build(rng.uniform(0.0, 10.0, (50, 3)), cell)
+
+
+def test_build_rejects_a_cell_whose_keys_overflow(rng):
+    """1e-12 over a 10-unit box is ~1e13 cells per axis: the keys would wrap."""
+    with pytest.raises(ValueError, match="overflow the int64 cell keys"):
+        NeighborGrid.build(rng.uniform(0.0, 10.0, (50, 3)), 1e-12)
+
+
+def test_grid_callers_pass_the_build_checks_on_valid_input(rng):
+    """What the solve and the searches hand the grid — one point, stacked
+    points, a flat cloud, a cell far below the extent — builds."""
+    from repro.accel.index import SpatialIndex
+
+    for pos, radius in (
+        (np.array([[1.0, 2.0, 3.0]]), 1.0),
+        (np.zeros((5, 3)), 0.5),
+        (np.column_stack([rng.uniform(0.0, 10.0, 40), np.zeros(40), np.zeros(40)]), 0.3),
+        (rng.uniform(0.0, 10.0, (40, 3)), 1e-4),
+    ):
+        h = np.full(len(pos), radius)
+        grid = SpatialIndex().grid_for(pos, radius)
+        i, _, _ = neighbor_pairs(pos, h, grid=grid)
+        brute = cKDTree(pos).query_ball_point(pos, radius * (1 - 1e-12), return_length=True)
+        assert np.array_equal(np.bincount(i, minlength=len(pos)), brute)
+        half = get_backend("numpy")._half_pairs(pos, h, grid)
+        assert 2 * len(half[0]) + len(pos) == len(i)
 
 
 @given(
