@@ -102,21 +102,20 @@ position signal of any kind it returns ``None`` and step 7 is a full
 :meth:`ForceEngine.hydro` — one solve path — which after
 :meth:`ForceEngine.notify_rows_moved` starts on the edited grid.
 
-The multi-rank driver (:class:`repro.fdps.distributed.DistributedGravity`)
-owns one :class:`SpatialIndex` per rank under the same contract —
-invalidated at the drift and exchange boundaries — and uses
-:class:`ConcatStratifiedSampler` to draw the domain-decomposition subsample
-stratified along the chained per-rank Morton orders
-(``benchmarks/bench_distributed_reuse.py`` records the cross-rank build
-budget).
+The multi-rank phases (:class:`repro.fdps.distributed.DistributedGravity`)
+own one :class:`SpatialIndex` per rank under the same contract, invalidated
+at the exchange boundary.  The one step host,
+:class:`repro.core.runner.CoupledRunner`, drives them; in its
+``force_mode="distributed"`` every rank builds exactly one tree per step,
+which serves both the LET export and the force walk (asserted by the
+tier-1 tests in ``tests/core/test_coupled.py``).
 """
 
 from repro.accel.backends import get_backend
 from repro.accel.engine import ForceEngine
-from repro.accel.index import ConcatStratifiedSampler, IndexStats, SpatialIndex
+from repro.accel.index import IndexStats, SpatialIndex
 
 __all__ = [
-    "ConcatStratifiedSampler",
     "ForceEngine",
     "IndexStats",
     "SpatialIndex",

@@ -174,69 +174,6 @@ class SpatialIndex:
         self._tree = t
         return t
 
-    def cached_order(self, n_total: int) -> np.ndarray | None:
-        """The space-filling permutation of a cached structure covering
-        exactly ``n_total`` points (octree Morton order, else the grid's
-        cell-sorted order); ``None`` when nothing valid is cached."""
-        if self._tree is not None and self._tree.n_particles == n_total:
-            return self._tree.order
-        if (
-            self._grid is not None
-            and self._grid_scope is None
-            and self._grid.n_points == n_total
-        ):
-            return self._grid.order
-        return None
-
-    def stratified_sample(self, n_sample: int, n_total: int) -> np.ndarray | None:
-        """Spatially stratified subsample: every k-th particle of a cached
-        space-filling order.  ``None`` when nothing valid is cached for
-        ``n_total`` points — the caller falls back to random sampling.
-        """
-        order = self.cached_order(n_total)
-        if order is None or n_sample >= n_total:
-            return None
-        return order[_even_picks(n_total, n_sample)]
-
-
-@dataclass
-class ConcatStratifiedSampler:
-    """Stratified sampling over a concatenation of per-rank particle sets.
-
-    The multi-rank analogue of :meth:`SpatialIndex.stratified_sample`: rank
-    *r*'s particles occupy rows ``[offset_r, offset_r + counts[r])`` of the
-    concatenated array, and ``orders[r]`` is that rank's cached space-filling
-    permutation (snapshotted from its :class:`SpatialIndex` *before* a drift
-    invalidates it — a permutation stays a spatially coherent visiting order
-    even after sub-cell position updates).  Sampling evenly along the chained
-    per-rank curves draws from each rank proportionally to its count and
-    spatially evenly within it.
-
-    Duck-typed for :func:`repro.fdps.domain.multisection_bounds`'s ``index``
-    hook — only :meth:`stratified_sample` is required.
-    """
-
-    orders: list[np.ndarray | None]
-    counts: list[int]
-
-    def stratified_sample(self, n_sample: int, n_total: int) -> np.ndarray | None:
-        if sum(self.counts) != n_total or n_sample >= n_total:
-            return None
-        if any(o is None for o, c in zip(self.orders, self.counts, strict=True) if c > 0):
-            return None
-        offsets = np.concatenate([[0], np.cumsum(self.counts)])[:-1]
-        chained = np.concatenate(
-            [off + o for off, o, c in zip(offsets, self.orders, self.counts, strict=True) if c > 0]
-        )
-        return chained[_even_picks(n_total, n_sample)]
-
-
-def _even_picks(n_total: int, n_sample: int) -> np.ndarray:
-    # Evenly spaced positions along the whole curve — a plain stride
-    # would truncate the tail whenever n_total/n_sample isn't integral,
-    # spatially biasing the sample toward the curve's start.
-    return np.linspace(0, n_total - 1, n_sample).astype(np.int64)
-
 
 def _same_scope(a: np.ndarray | None, b: np.ndarray | None) -> bool:
     if a is None or b is None:

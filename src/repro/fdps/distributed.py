@@ -1,37 +1,39 @@
 """The distributed FDPS pipeline over the simulated communicator.
 
 This is the multi-rank execution path the paper runs on Fugaku, executed
-faithfully (same phases, same messages) on the in-process MPI.  Each rank
-owns a :class:`repro.accel.SpatialIndex` whose cached octree is reused
-everywhere a tree is needed within a step, with explicit invalidation at
-the drift and exchange boundaries:
+faithfully (same phases, same messages) on the in-process MPI.  It holds
+phases, not a step: the one step host,
+:class:`~repro.core.runner.CoupledRunner`, calls them from its eight-step
+loop (with ``force_mode="distributed"`` for the force phases too).  Each
+rank owns a :class:`repro.accel.SpatialIndex` whose cached octree is reused
+everywhere a tree is needed within a force pass, with explicit invalidation
+at the exchange boundary (and by the host after its drift):
 
-1. **domain decomposition** — multisection over sampled particles, with
-   per-particle work weights (Sec. 5.2: the decomposition minimizes the
-   *sum* of gravity and hydro work).  Re-decomposition in :meth:`step`
-   samples stratified along the per-rank Morton orders (snapshotted from
-   the rank indices) and weights particles by the measured interaction
-   work of the last force pass plus the hydro surcharge on gas;
+1. **domain decomposition** — multisection over a seeded random subsample,
+   with optional per-particle work weights (Sec. 5.2: the decomposition
+   minimizes the *sum* of gravity and hydro work; in global force mode
+   the host passes its engine's Table-3-anchored weights);
 2. **particle exchange** — every rank sends emigrants through the (flat or
    3-phase torus) alltoallv.  The payload is the *full* packed particle
    (every :data:`repro.fdps.particles.FIELDS` column), so the byte ledger
    counts exactly what migration costs; membership changed, so every rank's
    spatial index is invalidated;
 3. **local tree construction** per rank — at most one build per rank per
-   step, through :meth:`SpatialIndex.tree_for` (a still-valid cached tree
-   is reused, and the build/reuse counters record the guarantee);
+   force pass, through :meth:`SpatialIndex.tree_for` (a still-valid cached
+   tree is reused, and the build/reuse counters record the guarantee);
 4. **LET exchange** — monopoles + boundary particles toward every remote
    domain, exported by walking the *same* cached per-rank tree;
 5. **force calculation** — group-wise walks over that same cached local
    tree, with the imported LET matter (already per-domain aggregated)
    appended to each group's interaction list;
-6. a KDK **leapfrog step** built from those forces; the drift invalidates
-   every rank's positions before re-decomposition.
+6. **SN-region ghosts** — the remote gas of an SN cube that crosses its
+   owner's domain box (:meth:`DistributedGravity.exchange_region_ghosts`).
 
 The driver is the integration test of the whole framework: forces computed
 through the full distributed pipeline must match a single-rank global tree
-at tree-code accuracy, with all communication visible in the CommStats
-ledgers (used by the performance model's byte-anchored comm terms).
+at tree-code accuracy (:meth:`DistributedGravity.global_accel`), with all
+communication visible in the CommStats ledgers (used by the performance
+model's byte-anchored comm terms).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.accel.backends.base import TileWorkspace
-from repro.accel.index import ConcatStratifiedSampler, SpatialIndex
+from repro.accel.index import SpatialIndex
 from repro.fdps.comm import SimComm, TorusTopology
 from repro.fdps.domain import DomainDecomposition, process_grid
 from repro.fdps.interaction import InteractionCounter
@@ -49,9 +51,7 @@ from repro.fdps.let import exchange_let
 from repro.fdps.particles import ParticleSet, ParticleType, packed_width
 from repro.fdps.tree import Octree
 from repro.gravity.treegrav import record_gravity_pass, tree_accel
-from repro.obs.trace import NULL_TRACER
-from repro.perf.costmodel import hydro_gravity_work_ratio
-from repro.util.leapfrog import leapfrog_drift, leapfrog_kick
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.util.timers import TimerRegistry
 
 
@@ -66,8 +66,6 @@ class DistributedGravity:
     use_torus : route the LET exchange through the 3-phase 3D alltoallv
         (requires ``n_ranks`` to factor into a torus; any count works —
         the factorization is the near-cubic one of ``process_grid``).
-    decomp_sample : subsample size for (re-)decomposition fits, as in
-        :func:`repro.fdps.domain.multisection_bounds`.
     backend : compute-backend name for the force kernels (None resolves
         ``$REPRO_BACKEND``, then ``numpy``) — every rank's walk runs the
         same kernels the single-rank :class:`repro.accel.ForceEngine` uses.
@@ -79,12 +77,11 @@ class DistributedGravity:
     leaf_size: int = 16
     use_torus: bool = False
     mixed_precision: bool = False
-    decomp_sample: int | None = 100_000
     backend: str | None = None
-    #: Optional :class:`repro.obs.trace.Tracer`: per-rank phase spans and
-    #: the communicator's ledger spans land on it (``rank`` attr = the
-    #: simulated rank, so the run report's slowest-rank merge sees ranks).
-    tracer: object | None = None
+    #: Per-rank phase spans and the communicator's ledger spans land on it
+    #: (``rank`` attr = the simulated rank, so the run report's
+    #: slowest-rank merge sees ranks); disabled by default.
+    tracer: Tracer | NullTracer = NULL_TRACER
     grid: tuple[int, int, int] = field(init=False)
     comm: SimComm = field(init=False)
     #: One spatial index per rank: the cached octree serves the LET export
@@ -97,7 +94,6 @@ class DistributedGravity:
     def __post_init__(self) -> None:
         if self.n_ranks < 1:
             raise ValueError("need at least one rank")
-        self.tracer = self.tracer if self.tracer is not None else NULL_TRACER
         self.grid = process_grid(self.n_ranks)
         topo = TorusTopology(self.grid) if self.use_torus else None
         self.comm = SimComm(self.n_ranks, topology=topo, tracer=self.tracer)
@@ -105,7 +101,6 @@ class DistributedGravity:
         self.timers = [
             TimerRegistry(tracer=self.tracer, rank=r) for r in range(self.n_ranks)
         ]
-        self._last_work: list[np.ndarray] | None = None
         from repro.accel.backends import get_backend
 
         self._backend = get_backend(self.backend)
@@ -124,9 +119,7 @@ class DistributedGravity:
     ) -> tuple[DomainDecomposition, np.ndarray]:
         """Phase 1: fit the multisection and assign every particle a rank."""
         with self.timers[0].measure("Decompose_Domain"):
-            decomp = DomainDecomposition.fit(
-                ps.pos, self.grid, weights=weights, sample=self.decomp_sample
-            )
+            decomp = DomainDecomposition.fit(ps.pos, self.grid, weights=weights)
             return decomp, decomp.assign(ps.pos)
 
     def exchange_particles(
@@ -169,9 +162,9 @@ class DistributedGravity:
             with self.timers[dst].measure("Exchange_Particle"):
                 merged = keep[dst]
                 immigrated = False
-                for src in range(p):
-                    if recv[dst][src] is not None:
-                        merged = merged.append(ParticleSet.unpack(recv[dst][src]))
+                for buf in recv[dst]:
+                    if buf is not None:
+                        merged = merged.append(ParticleSet.unpack(buf))
                         immigrated = True
                 out.append(merged)
                 if emigrated[dst] or immigrated:
@@ -296,12 +289,10 @@ class DistributedGravity:
                 use_3d=self.use_torus,
             )
         accs: list[np.ndarray] = []
-        work: list[np.ndarray] = []
         pairs = 0
         for rank, ps in enumerate(locals_):
             if len(ps) == 0:
                 accs.append(np.zeros((0, 3)))
-                work.append(np.zeros(0))
                 continue
             with self.timers[rank].measure("Calc_Force", backend=self._backend.name):
                 res = tree_accel(
@@ -320,13 +311,11 @@ class DistributedGravity:
                     workspace=self._tile_workspace,
                 )
             accs.append(res.acc)
-            work.append(res.work)
             pairs += res.interactions
         record_gravity_pass(self.tracer, pairs, self._tile_workspace)
-        self._last_work = work
         return accs
 
-    # ------------------------------------------------------------ full driver
+    # ------------------------------------------------------- whole-set entry
     def scatter(self, ps: ParticleSet) -> tuple[DomainDecomposition, list[ParticleSet]]:
         """Initial distribution of a global set onto the ranks."""
         decomp, owner = self.decompose(ps)
@@ -360,89 +349,3 @@ class DistributedGravity:
         # its pid in that sorted order, restoring input-row alignment.
         inv = np.argsort(np.argsort(ps.pid, kind="stable"), kind="stable")
         return acc[order][inv]
-
-    # ----------------------------------------------------------- step helpers
-    def _step_weights(self, locals_: list[ParticleSet]) -> list[np.ndarray]:
-        """Per-rank decomposition weights: the measured per-particle gravity
-        work of the last force pass (interaction-list lengths) plus the
-        Table-3-anchored hydro surcharge on gas particles.
-
-        The surcharge is scaled by the *global* mean gravity work so that
-        identical gas particles carry identical weight wherever they
-        currently sit — per-gas hydro cost is rank-independent.
-        """
-        work = self._last_work
-        grav: list[np.ndarray] = []
-        for rank, ps in enumerate(locals_):
-            if work is not None and len(work[rank]) == len(ps):
-                grav.append(work[rank].copy())
-            else:
-                grav.append(np.ones(len(ps)))
-        n_total = sum(len(w) for w in grav)
-        global_mean = (
-            sum(float(w.sum()) for w in grav) / n_total if n_total else 1.0
-        )
-        surcharge = hydro_gravity_work_ratio() * max(global_mean, 1.0)
-        out: list[np.ndarray] = []
-        for ps, w in zip(locals_, grav, strict=True):
-            gas = ps.where_type(ParticleType.GAS)
-            if gas.any():
-                w[gas] += surcharge
-            out.append(w)
-        return out
-
-    def step(
-        self,
-        locals_: list[ParticleSet],
-        decomp: DomainDecomposition,
-        dt: float,
-        accs: list[np.ndarray] | None = None,
-    ) -> tuple[list[ParticleSet], DomainDecomposition, list[np.ndarray]]:
-        """One distributed KDK leapfrog step with re-decomposition.
-
-        Returns (new locals, new decomposition, new accelerations) — the
-        accelerations are returned so consecutive steps reuse the closing
-        force evaluation as the next opening kick (standard KDK chaining).
-
-        Re-decomposition goes through ``DomainDecomposition.fit(weights=...,
-        index=...)``: weights are the measured gravity work of the last
-        force pass plus the gas hydro surcharge, and the decomposition
-        subsample is drawn stratified along the per-rank Morton orders
-        (snapshotted before the drift invalidates the caches — a
-        permutation remains a spatially even visiting order across one
-        sub-cell drift).
-        """
-        if accs is None:
-            accs = self.forces(locals_, decomp)
-        weights = self._step_weights(locals_)
-        orders = [
-            self.indices[rank].cached_order(len(ps))
-            for rank, ps in enumerate(locals_)
-        ]
-        for rank, (ps, acc) in enumerate(zip(locals_, accs, strict=True)):
-            if len(ps):
-                leapfrog_kick(ps.vel, acc, 0.5 * dt)
-                leapfrog_drift(ps.pos, ps.vel, dt)
-                self.indices[rank].invalidate_positions()
-        # Re-decompose and migrate before the closing force evaluation.
-        nonempty = [rank for rank, ps in enumerate(locals_) if len(ps)]
-        merged_pos = np.concatenate([locals_[rank].pos for rank in nonempty])
-        merged_w = np.concatenate([weights[rank] for rank in nonempty])
-        sampler = ConcatStratifiedSampler(
-            orders=[orders[rank] for rank in nonempty],
-            counts=[len(locals_[rank]) for rank in nonempty],
-        )
-        with self.timers[0].measure("Decompose_Domain"):
-            decomp = DomainDecomposition.fit(
-                merged_pos,
-                self.grid,
-                weights=merged_w,
-                sample=self.decomp_sample,
-                index=sampler,
-            )
-        locals_ = self.exchange_particles(locals_, decomp)
-        accs = self.forces(locals_, decomp)
-        for ps, acc in zip(locals_, accs, strict=True):
-            if len(ps):
-                leapfrog_kick(ps.vel, acc, 0.5 * dt)
-        return locals_, decomp, accs

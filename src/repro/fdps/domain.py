@@ -44,7 +44,6 @@ def multisection_bounds(
     weights: np.ndarray | None = None,
     sample: int | None = 100_000,
     rng: np.random.Generator | None = None,
-    index=None,
 ) -> np.ndarray:
     """Compute multisection domain boundaries.
 
@@ -53,13 +52,11 @@ def multisection_bounds(
     pos : (N, 3) positions.
     grid : (px, py, pz) process grid; ``px*py*pz`` ranks.
     weights : optional per-particle work estimate; equal weights if None.
-    sample : decompose on a subsample of this size (FDPS samples particles
-        to keep decomposition cost independent of N); ``None`` uses every
-        particle.
-    index : optional :class:`repro.accel.SpatialIndex`; when its cached
-        space-filling order covers these particles, the subsample is drawn
-        stratified along that order (every k-th particle of the Morton/cell
-        sort — spatially even by construction) instead of via ``rng``.
+    sample : decompose on a random subsample of this size (FDPS samples
+        particles to keep decomposition cost independent of N); ``None``
+        uses every particle.
+    rng : the subsample's generator; ``None`` is a fixed seed, so the same
+        positions always give the same cuts.
 
     Returns
     -------
@@ -72,10 +69,8 @@ def multisection_bounds(
     n = len(pos)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
     if sample is not None and n > sample:
-        pick = index.stratified_sample(sample, n) if index is not None else None
-        if pick is None:
-            rng = rng or np.random.default_rng(12345)
-            pick = rng.choice(n, size=sample, replace=False)
+        rng = rng or np.random.default_rng(12345)
+        pick = rng.choice(n, size=sample, replace=False)
         pos_s, w_s = pos[pick], w[pick]
     else:
         pos_s, w_s = pos, w
@@ -110,12 +105,8 @@ class DomainDecomposition:
         weights: np.ndarray | None = None,
         sample: int | None = 100_000,
         rng: np.random.Generator | None = None,
-        index=None,
-    ) -> "DomainDecomposition":
-        return cls(
-            grid=grid,
-            bounds=multisection_bounds(pos, grid, weights, sample, rng, index=index),
-        )
+    ) -> DomainDecomposition:
+        return cls(grid=grid, bounds=multisection_bounds(pos, grid, weights, sample, rng))
 
     @property
     def n_domains(self) -> int:
@@ -209,7 +200,8 @@ def process_grid(n_ranks: int) -> tuple[int, int, int]:
             if rem % py:
                 continue
             pz = rem // py
-            trio = tuple(sorted((px, py, pz), reverse=True))
+            a, b, c = sorted((px, py, pz), reverse=True)
+            trio = (a, b, c)
             if best is None or _grid_badness(trio) < _grid_badness(best):
                 best = trio
     assert best is not None

@@ -35,9 +35,6 @@ class TreeGravityResult:
     n_groups: int
     mean_list_length: float
     interactions: int
-    #: Per-particle interaction-list length — the measured gravity work of
-    #: each target, usable as a domain-decomposition weight (Sec. 5.2).
-    work: np.ndarray | None = None
 
 
 def tree_accel(
@@ -120,7 +117,6 @@ def tree_accel(
         workspace = TileWorkspace()
 
     acc = np.zeros_like(pos)
-    work = np.zeros(n_local)
 
     lists = 0
     total_list = 0
@@ -152,7 +148,6 @@ def tree_accel(
         )
         if counter is not None:
             counter.add("gravity", len(targets), len(src_mass))
-        work[targets] = len(src_mass)
         lists += 1
         total_list += len(src_mass)
         total_inter += len(targets) * len(src_mass)
@@ -166,7 +161,6 @@ def tree_accel(
         )
         if counter is not None:
             counter.add("gravity", n_local, len(extra_pos))
-        work += len(extra_pos)
         total_list += lists * len(extra_pos)
         total_inter += n_local * len(extra_pos)
 
@@ -175,7 +169,6 @@ def tree_accel(
         n_groups=lists,
         mean_list_length=total_list / lists if lists else 0.0,
         interactions=total_inter,
-        work=work,
     )
 
 

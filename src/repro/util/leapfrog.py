@@ -1,9 +1,10 @@
 """In-place kick/drift primitives shared by every integrator.
 
-``repro.core`` (the step host and the conventional baseline) and
-``repro.fdps.distributed.DistributedGravity.step`` all advance particles
-through these three functions, so a kick reordered in one place cannot
-silently break the bit-identity contracts between them.  They take the
+Both integrators of ``repro.core`` — the one step host
+(:class:`~repro.core.runner.CoupledRunner`, every ``n_ranks`` and force
+mode) and the conventional baseline — advance particles through these
+three functions, so a kick reordered in one place cannot silently break
+the bit-identity contracts between them.  They take the
 *pre-multiplied* interval (callers pass ``0.5 * dt`` for a half kick), which
 keeps the float arithmetic literally ``vel += (0.5 * dt) * acc``.
 """

@@ -169,77 +169,3 @@ def test_move_points_that_cannot_repair_leaves_nothing_cached(rng):
 def test_query_box_none_without_grid():
     idx = SpatialIndex()
     assert idx.query_box(np.zeros(3), np.ones(3)) is None
-
-
-def test_stratified_sample_spans_space(rng):
-    idx = SpatialIndex()
-    pos = rng.uniform(0, 10, (2000, 3))
-    idx.tree_for(pos, np.ones(2000))
-    pick = idx.stratified_sample(200, 2000)
-    assert pick is not None and len(pick) == 200
-    assert len(np.unique(pick)) == 200
-    # Spatial stratification: the sample's bounding box nearly fills the set's.
-    assert np.all(pos[pick].min(axis=0) < 1.0) and np.all(pos[pick].max(axis=0) > 9.0)
-
-
-def test_stratified_sample_none_when_stale(rng):
-    idx = SpatialIndex()
-    pos = rng.uniform(0, 10, (1000, 3))
-    idx.tree_for(pos, np.ones(1000))
-    assert idx.stratified_sample(100, 999) is None   # count mismatch
-    idx.invalidate_all()
-    assert idx.stratified_sample(100, 1000) is None
-
-
-# ------------------------------------------------------- multi-rank sampler
-def test_concat_sampler_proportional_and_stratified(rng):
-    from repro.accel import ConcatStratifiedSampler
-
-    counts = [900, 300, 600]
-    blocks, orders = [], []
-    for c in counts:
-        pos = rng.uniform(0, 10, (c, 3))
-        idx = SpatialIndex()
-        idx.tree_for(pos, np.ones(c))
-        blocks.append(pos)
-        orders.append(idx.cached_order(c))
-    n_total = sum(counts)
-    sampler = ConcatStratifiedSampler(orders=orders, counts=counts)
-    pick = sampler.stratified_sample(180, n_total)
-    assert pick is not None and len(pick) == 180
-    assert len(np.unique(pick)) == 180
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    for r, c in enumerate(counts):
-        in_block = ((pick >= offsets[r]) & (pick < offsets[r + 1])).sum()
-        # Proportional to the rank's share, up to linspace edge effects.
-        assert abs(in_block - 180 * c / n_total) <= 2, r
-
-
-def test_concat_sampler_falls_back_when_an_order_is_missing(rng):
-    from repro.accel import ConcatStratifiedSampler
-
-    idx = SpatialIndex()
-    pos = rng.uniform(0, 10, (500, 3))
-    idx.tree_for(pos, np.ones(500))
-    order = idx.cached_order(500)
-    sampler = ConcatStratifiedSampler(orders=[order, None], counts=[500, 200])
-    assert sampler.stratified_sample(50, 700) is None     # rank 1 has no order
-    sampler = ConcatStratifiedSampler(orders=[order], counts=[500])
-    assert sampler.stratified_sample(50, 600) is None     # count mismatch
-    assert sampler.stratified_sample(600, 500) is None    # sample >= total
-    assert sampler.stratified_sample(50, 500) is not None
-    # Empty ranks are skipped without needing an order.
-    sampler = ConcatStratifiedSampler(orders=[order, None], counts=[500, 0])
-    assert sampler.stratified_sample(50, 500) is not None
-
-
-def test_cached_order_reflects_validity(rng):
-    idx = SpatialIndex()
-    pos = rng.uniform(0, 10, (400, 3))
-    assert idx.cached_order(400) is None
-    idx.tree_for(pos, np.ones(400))
-    order = idx.cached_order(400)
-    assert order is not None and np.array_equal(np.sort(order), np.arange(400))
-    assert idx.cached_order(399) is None
-    idx.invalidate_positions()
-    assert idx.cached_order(400) is None

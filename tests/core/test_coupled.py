@@ -181,6 +181,58 @@ def test_run_report_reconciles_with_merged_ledger(tmp_path):
         sim.close()
 
 
+# ------------------------------------------------- force_mode="distributed"
+# Gravity through per-rank trees + LET imports is tree-code accurate, not
+# bitwise cut-independent; these pin what it does keep.
+
+
+def _distributed_run(n_ranks):
+    return GalaxySimulation(
+        make_mw_mini(n_total=800, seed=1), dt=DT, n_pool=N_POOL, seed=SEED,
+        config=_config(), n_ranks=n_ranks, coupled_force_mode="distributed",
+    )
+
+
+def test_distributed_mode_conserves_momentum():
+    sim = _distributed_run(4)
+    p0 = sim.ps.momentum()
+    with sim:
+        sim.run(3)
+        ps = sim.ps
+        scale = np.abs(ps.mass[:, None] * ps.vel).sum()
+        assert np.all(np.abs(ps.momentum() - p0) < 2e-3 * scale)  # tree asymmetry only
+        assert len(ps) == 800
+
+
+def test_distributed_mode_matches_one_rank():
+    """4 ranks vs 1: the same particles on trajectories that agree to
+    tree-code accuracy (per-rank trees + LET imports vs one tree)."""
+    runs = []
+    for n_ranks in (1, 4):
+        with _distributed_run(n_ranks) as sim:
+            sim.run(3)
+            runs.append((sim.ps.copy(), sim.diagnostics()["kinetic_energy"]))
+    (one, ke1), (four, ke4) = runs
+    assert np.array_equal(one.pid, four.pid)
+    disp = np.linalg.norm(one.pos - four.pos, axis=1)
+    assert np.median(disp) < 1e-3 * np.linalg.norm(one.pos, axis=1).mean()
+    assert abs(ke4 - ke1) <= 1e-5 * abs(ke1)
+
+
+def test_distributed_mode_builds_one_tree_per_rank_per_step():
+    """After a warm-up step, each step builds exactly one tree per rank —
+    it serves the LET export and the force walk — and pays LET bytes."""
+    with _distributed_run(4) as sim:
+        sim.run(1)
+        driver = sim.integrator.driver
+        for index in driver.indices:
+            index.stats.reset()
+        driver.comm.reset_stats()
+        sim.run(3)
+        assert [i.stats.tree_builds for i in driver.indices] == [3] * 4
+        assert driver.comm.stats["exchange_let"].bytes_total > 0
+
+
 def _star(pos, pid, tsn):
     star = ParticleSet.empty(1)
     star.pos[:] = pos

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.accel.index import ConcatStratifiedSampler
 from repro.fdps.distributed import DistributedGravity
 from repro.fdps.domain import DomainDecomposition
 from repro.fdps.interaction import InteractionCounter
-from repro.fdps.particles import ParticleSet, packed_width
+from repro.fdps.particles import FIELDS, ParticleSet, packed_width
 from repro.gravity.kernels import accel_direct
 from tests.conftest import plummer_positions
 
@@ -85,40 +87,6 @@ def test_exchange_particles_moves_emigrants():
     assert driver.comm.stats["exchange_particles"].n_messages > 0
 
 
-def test_distributed_step_conserves_momentum():
-    ps = _cluster(seed=25)
-    p0 = ps.momentum()
-    driver = DistributedGravity(n_ranks=4, theta=0.3)
-    decomp, locals_ = driver.scatter(ps)
-    accs = None
-    for _ in range(3):
-        locals_, decomp, accs = driver.step(locals_, decomp, dt=0.01, accs=accs)
-    merged = driver.gather(locals_)
-    p1 = merged.momentum()
-    scale = np.abs(merged.mass[:, None] * merged.vel).sum()
-    assert np.all(np.abs(p1 - p0) < 2e-3 * scale)  # tree-force asymmetry only
-    assert len(merged) == len(ps)
-
-
-def test_distributed_step_matches_single_rank():
-    ps = _cluster(n=500, seed=26)
-    single = DistributedGravity(n_ranks=1, theta=0.3)
-    multi = DistributedGravity(n_ranks=4, theta=0.3)
-
-    d1, l1 = single.scatter(ps.copy())
-    d4, l4 = multi.scatter(ps.copy())
-    a1 = a4 = None
-    for _ in range(2):
-        l1, d1, a1 = single.step(l1, d1, dt=0.02, accs=a1)
-        l4, d4, a4 = multi.step(l4, d4, dt=0.02, accs=a4)
-    g1, g4 = single.gather(l1), multi.gather(l4)
-    # Same particles, nearly identical trajectories (tree-walk order only).
-    assert np.array_equal(g1.pid, g4.pid)
-    disp = np.linalg.norm(g1.pos - g4.pos, axis=1)
-    typical = np.linalg.norm(g1.pos, axis=1).mean()
-    assert np.median(disp) < 1e-3 * typical
-
-
 def test_interaction_counter_collects():
     ps = _cluster(n=400, seed=27)
     driver = DistributedGravity(n_ranks=4, theta=0.4)
@@ -193,52 +161,76 @@ def test_exchange_particles_carries_full_payload():
         assert np.array_equal(back.data[name], ps.data[name][order]), name
 
 
-def test_one_tree_build_per_rank_per_step():
+def test_repeated_forces_reuse_every_cached_tree():
+    """A force pass builds one tree per rank; a re-evaluation at unchanged
+    positions reuses every one of them.  (One build per rank per *step* is
+    pinned on the step host, in ``tests/core/test_coupled.py``.)"""
     ps = _cluster(n=600, seed=33)
-    driver = DistributedGravity(n_ranks=4, theta=0.35, decomp_sample=64)
+    driver = DistributedGravity(n_ranks=4, theta=0.35)
     decomp, locals_ = driver.scatter(ps)
-    accs = driver.forces(locals_, decomp)  # warm-up pays the first builds
-    for index in driver.indices:
-        index.stats.reset()
-    n_steps = 3
-    for _ in range(n_steps):
-        locals_, decomp, accs = driver.step(locals_, decomp, dt=0.01, accs=accs)
-    for index in driver.indices:
-        assert index.stats.tree_builds <= n_steps  # <= 1 build per step
-    assert sum(i.stats.tree_builds for i in driver.indices) > 0
-    # A force re-evaluation at unchanged positions reuses every cached tree.
-    builds_before = [i.stats.tree_builds for i in driver.indices]
     driver.forces(locals_, decomp)
-    assert [i.stats.tree_builds for i in driver.indices] == builds_before
-    assert any(i.stats.tree_reuses > 0 for i in driver.indices)
+    assert [i.stats.tree_builds for i in driver.indices] == [1] * 4
+    driver.forces(locals_, decomp)
+    assert [i.stats.tree_builds for i in driver.indices] == [1] * 4
+    assert [i.stats.tree_reuses for i in driver.indices] == [1] * 4
 
 
-def test_step_refit_gets_weights_and_stratified_sampler(monkeypatch):
-    captured = []
-    orig = DomainDecomposition.fit.__func__
+def _rows_sorted(buf):
+    """Packed particle rows in lexicographic order: a set's field multiset."""
+    return buf[np.lexsort(buf.T[::-1])]
 
-    def spy(cls, pos, grid, weights=None, sample=100_000, rng=None, index=None):
-        captured.append({"n": len(pos), "weights": weights, "index": index})
-        return orig(cls, pos, grid, weights=weights, sample=sample, rng=rng, index=index)
 
-    monkeypatch.setattr(DomainDecomposition, "fit", classmethod(spy))
-    ps = _cluster(n=800, seed=34)
-    # Small groups so per-particle work (interaction-list length) varies.
-    driver = DistributedGravity(n_ranks=4, theta=0.35, n_g=32)
-    decomp, locals_ = driver.scatter(ps)
-    driver.step(locals_, decomp, dt=0.01)
-    refit = captured[-1]
-    assert isinstance(refit["index"], ConcatStratifiedSampler)
-    w = refit["weights"]
-    assert w is not None and len(w) == refit["n"] and np.all(w > 0)
-    # The measured gravity work varies between particles (it is not a
-    # silently-dropped all-ones placeholder).
-    assert np.unique(w).size > 1
-    # The sampler snapshotted valid per-rank Morton orders: it can draw a
-    # stratified subsample of the merged set.
-    pick = refit["index"].stratified_sample(50, refit["n"])
-    assert pick is not None and len(pick) == 50
-    assert len(np.unique(pick)) == 50 and pick.min() >= 0 and pick.max() < refit["n"]
+@given(
+    grid=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_decomposition_is_an_exact_partition(grid, data):
+    """Any positions, weights, process grid and subsample: ``assign`` puts
+    every point in exactly one domain — the one whose box holds it — and
+    ``exchange_particles`` hands back every particle with every field
+    intact, each on the rank that owns it."""
+    n = data.draw(st.integers(1, 200), label="n")
+    coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    pos = data.draw(hnp.arrays(np.float64, (n, 3), elements=coord), label="pos")
+    weights = data.draw(
+        st.none() | hnp.arrays(np.float64, n, elements=st.floats(0.0, 100.0)),
+        label="weights",
+    )
+    sample = data.draw(st.none() | st.integers(1, n), label="sample")
+    seed = data.draw(st.none() | st.integers(0, 2**32 - 1), label="seed")
+    rng = None if seed is None else np.random.default_rng(seed)
+    decomp = DomainDecomposition.fit(pos, grid, weights=weights, sample=sample, rng=rng)
+
+    n_ranks = decomp.n_domains
+    owner = decomp.assign(pos)
+    holds = np.array([
+        np.all((pos >= lo) & (pos < hi), axis=1)
+        for lo, hi in map(decomp.domain_box, range(n_ranks))
+    ])
+    assert np.array_equal(holds.sum(axis=0), np.ones(n))
+    assert np.array_equal(np.argmax(holds, axis=0), owner)
+
+    fill = np.random.default_rng(n)
+    ps = ParticleSet.from_arrays(pos=pos)
+    for name, (shape, dtype, _) in FIELDS.items():
+        if name != "pos":
+            ps.data[name][...] = fill.normal(0.0, 10.0, (n, *shape)).astype(dtype)
+    ps.pid[:] = fill.integers(0, n, n)  # repeats allowed: a multiset
+    driver = DistributedGravity(
+        n_ranks=n_ranks, use_torus=data.draw(st.booleans(), label="torus")
+    )
+    # Start from another owner map (the mirrored fit) so particles migrate.
+    before = DomainDecomposition.fit(-pos, grid).assign(pos)
+    moved = driver.exchange_particles(
+        [ps.select(before == r) for r in range(n_ranks)], decomp
+    )
+    for rank, loc in enumerate(moved):
+        assert np.all(decomp.assign(loc.pos) == rank)
+        assert all(loc.data[k].dtype == FIELDS[k][1] for k in FIELDS)
+    back = driver.gather(moved)
+    assert np.array_equal(np.sort(back.pid), np.sort(ps.pid))
+    assert np.array_equal(_rows_sorted(back.pack()), _rows_sorted(ps.pack()))
 
 
 def test_global_accel_row_order_with_shuffled_pids():

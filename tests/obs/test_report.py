@@ -82,8 +82,16 @@ def test_distributed_run_report_matches_in_process_accounting(
                             tracer=tr)
     ps = _cluster()
     decomp, locals_ = dg.scatter(ps)
-    accs = dg.forces(locals_, decomp)
-    dg.step(locals_, decomp, dt=1e-3, accs=accs)
+    dg.forces(locals_, decomp)
+    # Drift, refit and migrate, then a second force pass: the phases the
+    # step host runs between two force evaluations.
+    for loc, index in zip(locals_, dg.indices):
+        loc.pos += 2.0 * loc.vel
+        index.invalidate_positions()
+    decomp, _ = dg.decompose(dg.gather(locals_))
+    locals_ = dg.exchange_particles(locals_, decomp)
+    dg.forces(locals_, decomp)
+    assert dg.comm.stats["exchange_particles"].bytes_total > 0
 
     run_dir = tmp_path / "run"
     write_run(tr, run_dir)
