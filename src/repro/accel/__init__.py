@@ -102,6 +102,47 @@ position signal of any kind it returns ``None`` and step 7 is a full
 :meth:`ForceEngine.hydro` — one solve path — which after
 :meth:`ForceEngine.notify_rows_moved` starts on the edited grid.
 
+Gravity helper: two processes per tree pass
+-------------------------------------------
+
+Inside a node the paper's force loop runs in parallel over interaction
+groups; here :class:`ForceEngine` splits every tree pass with one helper
+process (:mod:`repro.accel.gravity_helper`):
+
+* **Ownership** — the engine owns the helper process and its shared block
+  (a :class:`~repro.serve.shm.SharedMemoryRing`: ``pos``/``mass``/``eps``
+  in, the helper's ``acc`` rows out, tagged with the pass number); it
+  re-creates the block when star formation outgrows it and
+  :meth:`ForceEngine.close` stops and reaps the process and unlinks the
+  block (``CoupledRunner.close()`` / ``GalaxySimulation.close()`` call it).
+  The helper is forked with the start-method rule of the shm transport
+  (:func:`repro.serve.shm.process_context`) and owns nothing it inherits.
+* **Start rule** — :meth:`ForceEngine.start_gravity_helper`, called by the
+  step host at construction when the engine does the run's gravity
+  (``force_mode="global"``), starts it only when ``cfg.self_gravity`` is
+  on, the particle count is above ``cfg.direct_gravity_below`` and the host
+  has at least two CPUs.  Distributed force mode, direct summation and a
+  one-CPU host start no process.
+* **Bit-identity** — main and helper build the same octree, walk every
+  group, and cut the groups at the same point into two contiguous runs
+  (:func:`~repro.gravity.treegrav.split_point`): the helper's holds its
+  share of the pairs, half at first, then the share it delivered at the
+  last pass's rates, so a helper that shares its CPU with a serve worker
+  is given less instead of being waited for; each evaluates its
+  run with :meth:`GroupTiles.evaluate
+  <repro.gravity.treegrav.GroupTiles.evaluate>`, the one group loop that
+  :func:`~repro.gravity.treegrav.tree_accel` runs over every group.  A
+  tile writes only its targets' rows, so the assembled ``acc`` equals
+  ``tree_accel``'s bit for bit, and so does the particle state of a run.
+* **Fallback** — a dead helper, one that misses
+  :data:`~repro.accel.gravity_helper.DEADLINE_S`, or an answer for another
+  pass: main evaluates the helper's run itself, counts
+  ``accel.grav_helper_lost``, logs one warning and runs every later pass
+  alone.  No restart.
+* **No option** — no config field, keyword or environment variable turns
+  the helper on or off; a serial reference is ``tree_accel`` itself, or
+  the same engine after :meth:`ForceEngine.close`.
+
 The multi-rank phases (:class:`repro.fdps.distributed.DistributedGravity`)
 own one :class:`SpatialIndex` per rank under the same contract, invalidated
 at the exchange boundary.  The one step host,

@@ -13,17 +13,21 @@ See :mod:`repro.accel` for the invalidation contract.
 
 from __future__ import annotations
 
+import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.accel.backends import get_backend
 from repro.accel.backends.base import TileWorkspace
+from repro.accel.gravity_helper import GravityHelper, HelperLost
 from repro.accel.index import SpatialIndex
 from repro.fdps.interaction import InteractionCounter
 from repro.fdps.particles import ParticleSet, ParticleType
+from repro.fdps.tree import Octree
 from repro.gravity.kernels import accel_direct
-from repro.gravity.treegrav import record_gravity_pass, tree_accel
+from repro.gravity.treegrav import GroupTiles, record_gravity_pass, split_point
 from repro.sph.density import DensityResult, compute_density, refresh_velocity_fields
 from repro.sph.eos import pressure, sound_speed_from_density
 from repro.sph.forces import compute_hydro_forces
@@ -55,6 +59,15 @@ class ForceEngine:
     (``cfg.backend`` > ``$REPRO_BACKEND`` > ``numpy``) and threaded through
     every kernel call, so single-rank and multi-rank paths hit identical
     kernels.
+
+    Once :meth:`start_gravity_helper` has started a helper process (the
+    step host does at construction: global force mode, self-gravity, more
+    particles than ``direct_gravity_below``, two CPUs), every tree pass of
+    :meth:`gravity` is split between this process and the helper,
+    bit-identical to the serial pass; a lost helper is replaced by this
+    process for the rest of the run, and :meth:`close` stops it.  The
+    engine owns the helper and its shared block; nothing configures it.
+    See :mod:`repro.accel`.
     """
 
     def __init__(
@@ -79,6 +92,9 @@ class ForceEngine:
         #: Scratch of the gravity tiles, reused by every tile of every pass
         #: (one engine = one force pass at a time; not thread-safe).
         self._tile_workspace = TileWorkspace()
+        #: The process evaluating part of every tree pass, when one runs
+        #: (:meth:`start_gravity_helper`; stopped by :meth:`close`).
+        self._helper: GravityHelper | None = None
 
     # ---------------------------------------------------------- invalidation
     def notify_positions_changed(self) -> None:
@@ -126,6 +142,15 @@ class ForceEngine:
         a later pass grows a new one."""
         self._tile_workspace = TileWorkspace()
 
+    def close(self) -> None:
+        """Stop and reap the gravity helper, unlink its shared block and
+        hand the tile scratch back; idempotent.  The engine stays usable:
+        its later passes run on this process alone."""
+        helper, self._helper = self._helper, None
+        if helper is not None:
+            helper.close()
+        self.release_workspace()
+
     # -------------------------------------------------------------- buffers
     def _full_buffers(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Persistent (acc, du, vsig) work buffers, zeroed for this call."""
@@ -141,10 +166,47 @@ class ForceEngine:
         return self._acc_buf, self._du_buf, self._vsig_buf
 
     # -------------------------------------------------------------- gravity
+    def start_gravity_helper(self, n_particles: int) -> bool:
+        """Start the gravity helper process when this engine's tree passes
+        can use one; returns whether one runs.
+
+        The rule: ``cfg.self_gravity`` is on, ``n_particles`` is above
+        ``cfg.direct_gravity_below`` (smaller sets are summed directly) and
+        the host has at least two CPUs.  The step host calls this at
+        construction, when the engine does the run's gravity
+        (``force_mode="global"``) — not lazily at the first pass, so the
+        child starts with the affinity the process had before any pinning
+        of the main loop and a harness can move it to the other CPUs along
+        with every other child.  See :mod:`repro.accel.gravity_helper`.
+        """
+        cfg = self.cfg
+        if (
+            self._helper is None
+            and cfg.self_gravity
+            and n_particles > cfg.direct_gravity_below
+            and (os.cpu_count() or 1) >= 2
+        ):
+            self._helper = GravityHelper(self.backend.name, n_particles)
+        return self._helper is not None
+
     def gravity(self, ps: ParticleSet, label: str) -> np.ndarray:
         """Self-gravity on all particles; at most one octree build per call
-        (and zero when the cached tree is still valid)."""
+        (and zero when the cached tree is still valid).
+
+        Raises ``ValueError`` naming the first row of ``pos``, ``mass`` or
+        ``eps`` that is not finite, before any work is done or shipped.
+        With a gravity helper the tree pass is split between two processes,
+        bit-identical to :func:`~repro.gravity.treegrav.tree_accel`.
+        """
         cfg = self.cfg
+        for name in ("pos", "mass", "eps"):
+            values = getattr(ps, name)
+            finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+            if not finite.all():
+                row = int(np.argmin(finite))
+                raise ValueError(
+                    f"gravity input {name}[{row}] is not finite: {values[row]!r}"
+                )
         with self.timers.measure(f"{label} Calc_Force", backend=self.backend.name):
             if len(ps) <= cfg.direct_gravity_below:
                 acc = accel_direct(
@@ -154,21 +216,61 @@ class ForceEngine:
                 record_gravity_pass(self.timers.tracer, len(ps) ** 2, self._tile_workspace)
                 return acc
             tree = self.index.tree_for(ps.pos, ps.mass, leaf_size=cfg.leaf_size)
-            res = tree_accel(
-                ps.pos,
-                ps.mass,
-                ps.eps,
-                theta=cfg.theta,
-                n_g=cfg.n_g,
-                leaf_size=cfg.leaf_size,
-                counter=self.counter,
-                mixed_precision=cfg.mixed_precision,
-                tree=tree,
-                backend=self.backend,
-                workspace=self._tile_workspace,
-            )
-            record_gravity_pass(self.timers.tracer, res.interactions, self._tile_workspace)
-            return res.acc
+            acc, pairs = self._tree_pass(ps, tree)
+            record_gravity_pass(self.timers.tracer, pairs, self._tile_workspace)
+            return acc
+
+    def _tree_pass(self, ps: ParticleSet, tree: Octree) -> tuple[np.ndarray, int]:
+        """One tree pass: the helper's run of groups goes out before main
+        walks, main evaluates its own run, then takes the helper's rows —
+        or, without a helper, evaluates every group itself."""
+        cfg, tracer, helper = self.cfg, self.timers.tracer, self._helper
+        if helper is not None:
+            try:
+                pass_no = helper.submit(
+                    ps.pos, ps.mass, ps.eps,
+                    cfg.theta, cfg.n_g, cfg.leaf_size, cfg.mixed_precision,
+                )
+            except HelperLost as lost:
+                self._lose_helper(lost)
+                helper = None
+        t0 = time.perf_counter()
+        tiles = GroupTiles.walk(
+            tree, ps.pos, ps.eps, (ps.pos, ps.mass, ps.eps),
+            n_g=cfg.n_g, theta=cfg.theta, mixed=cfg.mixed_precision,
+        )
+        acc = np.zeros_like(ps.pos)
+        costs = tiles.costs
+        cut = tiles.n_groups if helper is None else split_point(costs, helper.share)
+        tiles.evaluate(acc, 0, cut, self.backend, self._tile_workspace)
+        if helper is not None:
+            main_s = time.perf_counter() - t0
+            try:
+                helper_s = helper.collect(pass_no, acc, tiles.rows(cut, tiles.n_groups))
+            except HelperLost as lost:
+                self._lose_helper(lost)
+                tiles.evaluate(acc, cut, tiles.n_groups, self.backend, self._tile_workspace)
+            else:
+                helper.rebalance(costs[:cut].sum() / main_s, costs[cut:].sum() / helper_s)
+                tracer.count("accel.grav_split_passes")
+                tracer.gauge("accel.grav_main_busy_s", main_s)
+                tracer.gauge("accel.grav_helper_busy_s", helper_s)
+        if self.counter is not None:
+            tiles.count(self.counter)
+        return acc, int(costs.sum())
+
+    def _lose_helper(self, cause: Exception) -> None:
+        """The helper cannot deliver: stop it for good and say so once."""
+        helper, self._helper = self._helper, None
+        assert helper is not None
+        pid = helper.pid
+        helper.kill()
+        helper.close()
+        self.timers.tracer.count("accel.grav_helper_lost")
+        _log.warning(
+            "gravity helper (pid %s) lost: %s; this process evaluates its "
+            "groups, in this pass and every later one", pid, cause,
+        )
 
     def work_weights(self, ps: ParticleSet) -> np.ndarray:
         """Per-particle domain-decomposition weights: unit gravity work for

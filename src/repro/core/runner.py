@@ -154,6 +154,11 @@ class CoupledRunner(BaseIntegrator):
             for r in range(self.n_ranks)
         ]
         self.decomp, self.owner = self.driver.decompose(ps)
+        if force_mode == "global":
+            # The engine does the gravity: part of every tree pass goes to a
+            # helper process started now, with the affinity this process has
+            # (repro.accel.gravity_helper).
+            self.engine.start_gravity_helper(len(ps))
 
     # ----------------------------------------------------------- run control
     def step(self) -> None:
@@ -410,9 +415,10 @@ class CoupledRunner(BaseIntegrator):
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut down the shared service once (all pools are its clients) and
-        hand back the force passes' tile scratch — tens of MB that would
-        otherwise live as long as anything still refers to this run."""
+        """Shut down the shared service once (all pools are its clients),
+        stop and reap the engine's gravity helper, and hand back the force
+        passes' tile scratch — tens of MB that would otherwise live as long
+        as anything still refers to this run.  Idempotent."""
         self.server.close()
-        self.engine.release_workspace()
+        self.engine.close()
         self.driver.release_workspace()

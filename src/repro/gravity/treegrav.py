@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.accel.backends.base import TileWorkspace
+from repro.accel.backends.base import KernelBackend, TileWorkspace
 from repro.fdps.interaction import InteractionCounter
 from repro.fdps.tree import Octree
 from repro.util.constants import GRAV_CONST
@@ -35,6 +35,114 @@ class TreeGravityResult:
     n_groups: int
     mean_list_length: float
     interactions: int
+
+
+@dataclass
+class GroupTiles:
+    """The group-vs-list tiles of one tree pass, walked but not evaluated.
+
+    ``targets`` are the local rows of each sorted-order group that holds
+    any (imports receive no force) and ``lists`` the groups' interaction
+    lists (accepted node ids, opened-leaf particles) from one wave
+    traversal; ``sources`` are the ``(pos, mass, eps)`` of every particle
+    the tree covers.  A tile writes its own targets' rows and nothing else,
+    so any contiguous run of groups can be evaluated on its own, by any
+    process that walked the same tree: :meth:`evaluate` is the one group
+    loop, which :func:`tree_accel` runs over every group and
+    :class:`repro.accel.ForceEngine` splits between itself and its gravity
+    helper.
+    """
+
+    tree: Octree
+    pos: np.ndarray
+    eps: np.ndarray
+    sources: tuple[np.ndarray, np.ndarray, np.ndarray]
+    targets: list[np.ndarray]
+    lists: list[tuple[np.ndarray, np.ndarray]]
+    mixed: bool = False
+    g: float = GRAV_CONST
+
+    @classmethod
+    def walk(
+        cls,
+        tree: Octree,
+        pos: np.ndarray,
+        eps: np.ndarray,
+        sources: tuple[np.ndarray, np.ndarray, np.ndarray],
+        n_g: int,
+        theta: float,
+        mixed: bool = False,
+        g: float = GRAV_CONST,
+    ) -> GroupTiles:
+        """Walk every group holding local targets in one traversal."""
+        groups, targets = [], []
+        for start, end in tree.group_slices(n_g):
+            members = tree.order[start:end]       # original indices in group
+            local = members[members < len(pos)]
+            if len(local):
+                groups.append((start, end))
+                targets.append(local)
+        return cls(tree, pos, eps, sources, targets, tree.walk_groups(groups, theta), mixed, g)
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.targets)
+
+    @property
+    def list_len(self) -> np.ndarray:
+        return np.array([len(nodes) + len(parts) for nodes, parts in self.lists], dtype=np.int64)
+
+    @property
+    def costs(self) -> np.ndarray:
+        """Pairs per group tile: targets x list length."""
+        return np.array([len(t) for t in self.targets], dtype=np.int64) * self.list_len
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The target rows that groups ``lo:hi`` write."""
+        return np.concatenate(self.targets[lo:hi]) if lo < hi else np.empty(0, dtype=np.int64)
+
+    def evaluate(
+        self, acc: np.ndarray, lo: int, hi: int, backend: KernelBackend,
+        workspace: TileWorkspace,
+    ) -> None:
+        """Write the accelerations of groups ``lo:hi`` into their rows of ``acc``."""
+        node_com, node_mass = self.tree.node_com, self.tree.node_mass
+        src_pos, src_mass, src_eps = self.sources
+        for k in range(lo, hi):
+            nodes, parts = self.lists[k]
+            targets = self.targets[k]
+            acc[targets] = backend.grav_tile(
+                self.pos[targets],
+                self.eps[targets],
+                np.concatenate([node_com[nodes], src_pos[parts]]),
+                np.concatenate([node_mass[nodes], src_mass[parts]]),
+                np.concatenate([np.zeros(len(nodes)), src_eps[parts]]),
+                exclude_self=True,
+                mixed=self.mixed,
+                g=self.g,
+                workspace=workspace,
+            )
+
+    def count(self, counter: InteractionCounter) -> None:
+        """Charge every tile to ``counter``, one list per group."""
+        for targets, length in zip(self.targets, self.list_len, strict=True):
+            counter.add("gravity", len(targets), length)
+
+
+def split_point(costs: np.ndarray, share: float = 0.5) -> int:
+    """The cut of one pass: main evaluates groups ``[0, cut)``, the helper
+    ``[cut, n)``, about ``share`` of the pairs.
+
+    ``cut`` is the first at which main's run holds at least ``1 - share``
+    of the pairs, kept inside ``[1, n - 1]`` so that each process has a run
+    to measure; each run then misses its share of the total by at most the
+    largest single group (with ``share = 0.5``, the heavier run exceeds half
+    by at most that much).  Both processes get the same cut from the same
+    costs and share.
+    """
+    prefix = np.concatenate([[0], np.cumsum(costs, dtype=np.int64)])
+    cut = int(np.searchsorted(prefix, (1.0 - share) * prefix[-1], side="left"))
+    return min(max(cut, 1), len(costs) - 1) if len(costs) > 1 else cut
 
 
 def tree_accel(
@@ -116,41 +224,17 @@ def tree_accel(
     if workspace is None:
         workspace = TileWorkspace()
 
+    tiles = GroupTiles.walk(
+        tree, pos, eps, (all_pos, all_mass, all_eps),
+        n_g=n_g, theta=theta, mixed=mixed_precision, g=g,
+    )
     acc = np.zeros_like(pos)
-
-    lists = 0
-    total_list = 0
-    total_inter = 0
-    # Groups holding local targets (the others are all imports), walked
-    # together in one traversal.
-    groups = [
-        (start, end) for start, end in tree.group_slices(n_g)
-        if (tree.order[start:end] < n_local).any()
-    ]
-    for (start, end), (nodes, parts) in zip(
-        groups, tree.walk_groups(groups, theta), strict=True
-    ):
-        members = tree.order[start:end]           # original indices in group
-        targets = members[members < n_local]
-        src_pos = np.concatenate([tree.node_com[nodes], all_pos[parts]])
-        src_mass = np.concatenate([tree.node_mass[nodes], all_mass[parts]])
-        src_eps = np.concatenate([np.zeros(len(nodes)), all_eps[parts]])
-        acc[targets] = bk.grav_tile(
-            pos[targets],
-            eps[targets],
-            src_pos,
-            src_mass,
-            src_eps,
-            exclude_self=True,
-            mixed=mixed_precision,
-            g=g,
-            workspace=workspace,
-        )
-        if counter is not None:
-            counter.add("gravity", len(targets), len(src_mass))
-        lists += 1
-        total_list += len(src_mass)
-        total_inter += len(targets) * len(src_mass)
+    tiles.evaluate(acc, 0, tiles.n_groups, bk, workspace)
+    if counter is not None:
+        tiles.count(counter)
+    lists = tiles.n_groups
+    total_list = int(tiles.list_len.sum())
+    total_inter = int(tiles.costs.sum())
 
     if local_tree_mode:
         # The imports are needed by every group, so evaluate them once for

@@ -32,7 +32,10 @@ recorded trace:
 * ``accel.gravity_pairs`` over the ``Calc_Force`` span seconds (every rank)
   is the force pass's pair rate, printed with the gravity tile workspace's
   bytes (the ``accel.grav_workspace_bytes`` gauge: the scratch a pass
-  holds, one pair block whatever N);
+  holds, one pair block whatever N) and, when the passes were split with
+  the gravity helper (``accel.grav_split_passes``), the busy milliseconds
+  of main and helper in the last such pass (the
+  ``accel.grav_main_busy_s`` / ``accel.grav_helper_busy_s`` gauges);
 * :func:`diff_reports` lines two runs up row by row for regression triage
   (``python -m repro.obs report A --diff B``).
 """
@@ -98,16 +101,25 @@ class RunReport:
 
     def gravity_per_pass(self) -> dict[str, float]:
         """Pair rate and tile workspace of the gravity passes (empty when
-        the run traced none)."""
+        the run traced none); for a run whose passes were split with the
+        gravity helper, also the busy milliseconds of each process in the
+        last split pass — main's walk and run against the helper's build,
+        walk and run, so an unbalanced cut shows."""
         passes = self.counters.get("accel.gravity_passes")
         if not passes:
             return {}
         pairs = self.counters.get("accel.gravity_pairs", 0.0)
-        return {
+        out = {
             "passes": passes,
             "mpair_per_s": pairs / self.gravity_s / 1e6 if self.gravity_s > 0 else 0.0,
             "workspace_mb": self.gauges.get("accel.grav_workspace_bytes", 0.0) / 1e6,
         }
+        split = self.counters.get("accel.grav_split_passes")
+        if split:
+            out["split_passes"] = split
+            out["main_ms"] = self.gauges.get("accel.grav_main_busy_s", 0.0) * 1e3
+            out["helper_ms"] = self.gauges.get("accel.grav_helper_busy_s", 0.0) * 1e3
+        return out
 
     # -------------------------------------------------------------- exports
     def to_json_obj(self) -> dict:
@@ -171,7 +183,11 @@ class RunReport:
                 )
         gravity = self.gravity_per_pass()
         if gravity:
-            lines += ["", f"gravity: {gravity['mpair_per_s']:.1f} Mpair/s, "
+            split = (
+                f"2 processes, main {gravity['main_ms']:.1f} ms / helper "
+                f"{gravity['helper_ms']:.1f} ms per pass, " if "split_passes" in gravity else ""
+            )
+            lines += ["", f"gravity: {split}{gravity['mpair_per_s']:.1f} Mpair/s, "
                       f"workspace {gravity['workspace_mb']:.2f} MB "
                       f"over {int(gravity['passes'])} passes"]
         grid = self.neighbor_grid_per_step()

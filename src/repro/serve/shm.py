@@ -139,6 +139,15 @@ class SupervisionConfig:
             raise ValueError("batch_timeout_s must be positive")
 
 
+def process_context() -> mp.context.BaseContext:
+    """The start method of every process this repo starts: ``fork`` where
+    the platform has it (a child starts in milliseconds, with the parent's
+    imports), else ``spawn``.  A child must therefore take everything it
+    uses as arguments and own nothing it inherits (see
+    :class:`SharedMemoryRing` on why a ring has no finalizer)."""
+    return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
+
+
 def _attach(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing segment without taking tracker ownership.
 
@@ -490,7 +499,7 @@ class _ShmTransport:
             raise ValueError("shm transport needs at least one worker")
         if slot_floats < 1:
             raise ValueError("shm transport needs a positive slot size")
-        self._ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
+        self._ctx = process_context()
         self._recipe = recipe
         self._pad_to = pad_to
         self._fault_plan = fault_plan
@@ -757,5 +766,6 @@ __all__ = [
     "SharedMemoryRing",
     "SupervisionConfig",
     "WorkerLost",
+    "process_context",
     "serve_batch_in_place",
 ]

@@ -1,6 +1,8 @@
 """Run reports: the Table-3 slowest-rank merge and the comm ledger,
 both driven *through the span layer* of a multi-rank simulated run."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -224,3 +226,34 @@ def test_report_shows_gravity_pair_rate_and_workspace():
     assert report.to_json_obj()["gravity_per_pass"] == gravity
     # A run that traced no gravity pass prints no such line.
     assert "gravity:" not in report_traces([_as_loaded(_synthetic_tracer())]).to_text()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the helper needs two CPUs")
+def test_report_shows_split_gravity_passes_per_process():
+    """A pass split with the gravity helper prints both processes' busy
+    time on the gravity line, so an unbalanced cut is visible."""
+    from repro.accel import ForceEngine
+    from repro.core.integrator import IntegratorConfig
+
+    tr = Tracer(run_id="split")
+    ps = _cluster(1500)
+    engine = ForceEngine(IntegratorConfig(), timers=TimerRegistry(tracer=tr))
+    assert engine.start_gravity_helper(len(ps))
+    try:
+        for _ in range(2):
+            engine.gravity(ps, "step")
+    finally:
+        engine.close()
+    report = report_traces([_as_loaded(tr)])
+    gravity = report.gravity_per_pass()
+    assert gravity["split_passes"] == tr.counters["accel.grav_split_passes"] == 2
+    assert gravity["main_ms"] == tr.gauges["accel.grav_main_busy_s"] * 1e3 > 0
+    assert gravity["helper_ms"] == tr.gauges["accel.grav_helper_busy_s"] * 1e3 > 0
+    assert (f"gravity: 2 processes, main {gravity['main_ms']:.1f} ms / helper "
+            f"{gravity['helper_ms']:.1f} ms per pass, "
+            f"{gravity['mpair_per_s']:.1f} Mpair/s") in report.to_text()
+    assert report.to_json_obj()["gravity_per_pass"] == gravity
+    # A serial run's gravity line names no processes.
+    serial = Tracer(run_id="serial")
+    ForceEngine(IntegratorConfig(), timers=TimerRegistry(tracer=serial)).gravity(ps, "step")
+    assert "processes" not in report_traces([_as_loaded(serial)]).to_text()

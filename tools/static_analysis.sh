@@ -10,7 +10,8 @@
 #                  for the rule catalog
 #   3. mypy        strictly-typed subset (serve.wire, serve.shm,
 #                  serve.server, accel.backends.base, accel.index,
-#                  sph.neighbors, sph.density, core.runner, core.pool,
+#                  accel.gravity_helper, sph.neighbors, sph.density,
+#                  core.runner, core.pool,
 #                  gravity.kernels, fdps.tree, fdps.domain,
 #                  fdps.distributed; config in pyproject)
 #
@@ -33,7 +34,7 @@ echo "== repro.lint"
 PYTHONPATH=src python -m repro.lint src || status=1
 
 if command -v mypy >/dev/null 2>&1; then
-    echo "== mypy (strict: serve.wire serve.shm serve.server accel.backends.base accel.index sph.neighbors sph.density core.runner core.pool gravity.kernels fdps.tree fdps.domain fdps.distributed)"
+    echo "== mypy (strict: serve.wire serve.shm serve.server accel.backends.base accel.index accel.gravity_helper sph.neighbors sph.density core.runner core.pool gravity.kernels fdps.tree fdps.domain fdps.distributed)"
     mypy || status=1
 else
     echo "== mypy: not installed, skipping (CI runs it)"
