@@ -110,13 +110,16 @@ groups; here :class:`ForceEngine` splits every tree pass with one helper
 process (:mod:`repro.accel.gravity_helper`):
 
 * **Ownership** — the engine owns the helper process and its shared block
-  (a :class:`~repro.serve.shm.SharedMemoryRing`: ``pos``/``mass``/``eps``
+  (a :class:`~repro.util.shm.SharedMemoryRing`: ``pos``/``mass``/``eps``
   in, the helper's ``acc`` rows out, tagged with the pass number); it
   re-creates the block when star formation outgrows it and
   :meth:`ForceEngine.close` stops and reaps the process and unlinks the
-  block (``CoupledRunner.close()`` / ``GalaxySimulation.close()`` call it).
-  The helper is forked with the start-method rule of the shm transport
-  (:func:`repro.serve.shm.process_context`) and owns nothing it inherits.
+  block (``CoupledRunner.close()`` / ``GalaxySimulation.close()`` call it;
+  in a forked child holding a copy, the close does nothing).  The ring, the
+  fork rule (:func:`repro.util.shm.process_context`) and the reap come from
+  :mod:`repro.util.shm`, the process toolkit the serve workers use too, so
+  this package imports nothing from :mod:`repro.serve`; the helper owns
+  nothing it inherits.
 * **Start rule** — :meth:`ForceEngine.start_gravity_helper`, called by the
   step host at construction when the engine does the run's gravity
   (``force_mode="global"``), starts it only when ``cfg.self_gravity`` is

@@ -6,7 +6,7 @@ the interaction groups (FDPS splits the group loop across threads).  Here a
 forked helper, and every tree pass works like this:
 
 1. main copies ``pos`` / ``mass`` / ``eps`` into the input slot of a
-   :class:`~repro.serve.shm.SharedMemoryRing` and sends ``go`` (the pass
+   :class:`~repro.util.shm.SharedMemoryRing` and sends ``go`` (the pass
    number, the walk parameters and the helper's share) over a pipe;
 2. main and helper each build the same octree and walk every group — both
    steps are deterministic, so both hold the same interaction lists;
@@ -30,7 +30,9 @@ the ring when the particle count outgrows it, and :meth:`GravityHelper.close`
 stops and reaps the process and unlinks the ring (also when the handle is
 garbage-collected or the interpreter exits).  The helper owns nothing it
 inherits: it gets the pipe end and the backend name as arguments, attaches
-each ring by name and only unmaps it.
+each ring by name and only unmaps it.  The ring, the fork rule, the
+stop-and-reap and the owner-only finalizer are :mod:`repro.util.shm`'s,
+shared with the serve workers.
 
 Failure never changes a result.  A dead helper, one that has not answered
 within :data:`DEADLINE_S`, or an answer for another pass raises
@@ -42,9 +44,8 @@ option, keyword or environment variable turns the helper on or off.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
-import weakref
+from contextlib import suppress
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 
@@ -54,7 +55,7 @@ from repro.accel.backends import get_backend
 from repro.accel.backends.base import TileWorkspace
 from repro.fdps.tree import Octree
 from repro.gravity.treegrav import GroupTiles, split_point
-from repro.serve.shm import SharedMemoryRing, process_context
+from repro.util.shm import SharedMemoryRing, owner_finalizer, process_context, stop_process
 
 #: Seconds main waits for the helper's run before evaluating it itself.
 DEADLINE_S = 10.0
@@ -123,27 +124,18 @@ def _helper_main(conn: Connection, main_end: Connection, backend_name: str) -> N
 class _Handle:
     """What shutting the helper down needs (shared with the finalizer)."""
 
-    owner: int                    # pid of the process that started the helper
     proc: mp.process.BaseProcess | None
     conn: Connection
     ring: SharedMemoryRing | None = None
 
 
 def _shutdown(h: _Handle) -> None:
-    """Stop and reap the helper, unlink the ring.  In any process but the
-    owner (a forked child holding a copy) this does nothing."""
-    if os.getpid() != h.owner:
-        return
+    """Stop and reap the helper, unlink the ring."""
     proc, h.proc = h.proc, None
     if proc is not None:
-        try:
+        with suppress(OSError):   # the pipe is gone: the helper is too
             _put(h.conn, None)
-        except OSError:
-            proc.kill()           # the pipe is gone: nothing will read the stop
-        proc.join(timeout=5.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
+        stop_process(proc, grace_s=5.0)
         h.conn.close()
     ring, h.ring = h.ring, None
     if ring is not None:
@@ -169,8 +161,8 @@ class GravityHelper:
             target=_helper_main, args=(child_end, conn, backend_name),
             daemon=True, name="repro-gravity-helper",
         )
-        self._h = _Handle(owner=os.getpid(), proc=None, conn=conn, ring=ring)
-        self._finalizer = weakref.finalize(self, _shutdown, self._h)
+        self._h = _Handle(proc=None, conn=conn, ring=ring)
+        self._finalizer = owner_finalizer(self, _shutdown, self._h)
         proc.start()
         self._h.proc = proc
         child_end.close()
@@ -249,7 +241,8 @@ class GravityHelper:
             self._h.proc.kill()
 
     def close(self) -> None:
-        """Stop and reap the helper and unlink its ring; idempotent."""
+        """Stop and reap the helper and unlink its ring; idempotent, and a
+        no-op in a forked child holding a copy of this handle."""
         self._finalizer()
 
 

@@ -18,12 +18,15 @@ Example
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.integrator import IntegratorConfig
 from repro.core.pool import PoolManager
 from repro.core.runner import CoupledRunner
+from repro.fdps.io import load_checkpoint, save_snapshot
 from repro.fdps.particles import ParticleSet
 from repro.physics.cooling import CoolingModel
 from repro.physics.star_formation import StarFormationModel
@@ -33,8 +36,10 @@ from repro.serve import (
     OverflowPolicy,
     SupervisionConfig,
     SurrogateServer,
+    SurrogateSpec,
 )
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
+from repro.util.logging import get_logger
 
 
 class GalaxySimulation:
@@ -275,20 +280,97 @@ class GalaxySimulation:
 
     # ------------------------------------------------------ checkpoint/restore
     def save(self, path: str | Path) -> Path:
-        """Checkpoint this run atomically; returns the final ``.npz`` path
-        (see :func:`repro.fdps.io.save_simulation`)."""
-        from repro.fdps.io import save_simulation
+        """Checkpoint this run atomically; returns the final ``.npz`` path.
 
-        return save_simulation(self, path)
+        The checkpoint format is defined here and read back by
+        :meth:`restore`, its one reader: a :func:`repro.fdps.io.save_snapshot`
+        file whose ``extra`` header keys carry the integrator clock and
+        counters, the star-formation RNG state, the pool sizing, the run
+        mode (``n_ranks``, ``use_torus``, ``coupled_force_mode``), the
+        serve sizing and the surrogate spec, and whose ``extra/`` arrays are
+        the current force arrays, so :meth:`restore` resumes
+        bit-identically.  The pool's in-flight *predictions* are
+        intentionally not captured (the paper's checkpointing strategy is
+        the same: restart from the last global step).  So that those SNe
+        are not lost, the saved ``tsn`` of each in-flight event's star is
+        reset to its explosion time — dispatch marked it fired with ``inf``
+        — and the restored integrator re-dispatches overdue SNe on its
+        first step.  Pending events are gathered across every rank's pool
+        client; the owner map is not stored (restore re-derives it).
+        """
+        integ = self.integrator
+        server = self.server
+        # Persist what is needed to rebuild the same service: the surrogate
+        # itself only when a spec is derivable (the Sedov oracle, or a trained
+        # export whose InferenceEngine records its model_path); a surrogate
+        # backed by an anonymous in-memory predictor must be re-supplied via
+        # restore(surrogate=) — restore() warns in that case.
+        try:
+            surrogate_spec = asdict(SurrogateSpec.from_surrogate(server.local_surrogate))
+        except ValueError:
+            surrogate_spec = None
+        serve_meta = {
+            "transport": server.transport_name,
+            "n_workers": max(1, server.n_workers),
+            "max_batch": server.scheduler.max_batch,
+            "max_wait_steps": server.scheduler.max_wait_steps,
+            "shm_slots": server.shm_slots,
+            "shm_slot_particles": server.shm_slot_particles,
+        }
+        ps_save = self.ps
+        pending = [e for pool in integ.pools for e in pool.events if not e.returned]
+        n_rescheduled = 0
+        if pending:
+            ps_save = self.ps.copy()
+            for event in pending:
+                idx = np.flatnonzero(ps_save.pid == event.star_pid)
+                if idx.size:
+                    ps_save.tsn[idx] = event.time
+                    n_rescheduled += 1
+        extra_arrays = None
+        if integ._first_forces_done:
+            extra_arrays = {
+                "grav_acc": integ._grav_acc,
+                "hydro_acc": integ._hydro_acc,
+                "du_dt": integ._du_dt,
+                "vsig": integ._vsig,
+            }
+        return save_snapshot(
+            ps_save,
+            path,
+            time=self.time,
+            step=self.step_count,
+            extra_meta={
+                # Re-scheduled in-flight SNe will be counted again on restore.
+                "n_sn_events": integ.n_sn_events - n_rescheduled,
+                "n_sf_events": integ.n_sf_events,
+                "next_pid": integ.next_pid,
+                "dt": integ.cfg.dt,
+                "n_pool": integ.cfg.n_pool,
+                "latency_steps": integ.cfg.latency_steps,
+                "seed": integ.cfg.seed,
+                "rng_state": integ.rng.bit_generator.state,
+                "integrator_config": asdict(integ.cfg),
+                "overflow_policy": str(integ.pools[0].overflow_policy.value),
+                "n_ranks": integ.n_ranks,
+                "use_torus": integ.driver.use_torus,
+                "coupled_force_mode": integ.force_mode,
+                "serve": serve_meta,
+                "surrogate_spec": surrogate_spec,
+            },
+            extra_arrays=extra_arrays,
+        )
 
     @classmethod
     def restore(cls, path: str | Path, **overrides) -> "GalaxySimulation":
         """Rebuild a live run from a :meth:`save` checkpoint.
 
-        Restores the particle state, the integrator clock (``time`` /
-        ``step_count``), ``next_pid``, the SN/SF event counters, the star
-        -formation RNG state, and — when the checkpoint carries them — the
-        stored force arrays, so the first step after a restore is
+        This is the one reader of the checkpoint format :meth:`save`
+        defines; the two stay side by side so that a key is added, renamed
+        or retired in one module.  Restores the particle state, the
+        integrator clock (``time`` / ``step_count``), ``next_pid``, the
+        SN/SF event counters, the star-formation RNG state, and — when the
+        checkpoint carries them — the stored force arrays, so the first step after a restore is
         bit-identical to the step an uninterrupted run would have taken.
         In-flight pool *predictions* are not part of a checkpoint (the
         paper restarts from the last global step); the save path instead
@@ -312,11 +394,6 @@ class GalaxySimulation:
         ``overrides`` are passed through to the constructor (e.g. a
         different ``serve_transport`` or a freshly loaded ``surrogate``).
         """
-        from repro.fdps.io import load_checkpoint
-
-        from repro.serve import SurrogateSpec
-        from repro.util.logging import get_logger
-
         log = get_logger("simulation")
         state = load_checkpoint(path)
         meta = state.header.get("extra", {})

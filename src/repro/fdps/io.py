@@ -1,7 +1,12 @@
-"""Snapshot I/O: ParticleSet persistence and run checkpointing.
+"""Snapshot I/O: ParticleSet persistence and the checkpoint container.
 
 Snapshots are single ``.npz`` files holding every registered particle field
-plus a small JSON header (time, step, format version).  The format is
+plus a small JSON header (time, step, format version).  A run checkpoint is
+a snapshot with ``extra`` header keys and ``extra/`` arrays; what those
+keys mean is defined by their writer and reader,
+:meth:`GalaxySimulation.save <repro.core.simulation.GalaxySimulation.save>`
+and :meth:`~repro.core.simulation.GalaxySimulation.restore`, not here.  The
+format is
 self-describing: loading tolerates snapshots written by older field
 registries (missing fields get defaults; unknown fields in the file are
 ignored with a warning), so long-running campaigns survive library
@@ -117,95 +122,6 @@ def load_snapshot(path: str | Path) -> tuple[ParticleSet, dict]:
     """
     with np.load(path) as data:
         return _read_snapshot(data, path)
-
-
-def save_simulation(sim, path: str | Path) -> Path:
-    """Checkpoint a :class:`~repro.core.simulation.GalaxySimulation`.
-
-    Captures the particle state, the integrator clock and counters, the
-    star-formation RNG state, the pool sizing, the run mode (``n_ranks``,
-    ``use_torus``, ``coupled_force_mode``), and the current force arrays, so
-    :meth:`GalaxySimulation.restore` resumes bit-identically;
-    the pool's in-flight *predictions* are intentionally not captured (the
-    paper's checkpointing strategy is the same: restart from the last
-    global step).  So that those SNe are not lost, the saved ``tsn`` of
-    each in-flight event's star is reset to its explosion time — dispatch
-    marked it fired with ``inf`` — and the restored integrator re-dispatches
-    overdue SNe on its first step.  Pending events are gathered across every
-    rank's pool client; the owner map is not stored (restore re-derives it).
-    """
-    from dataclasses import asdict
-
-    from repro.serve import SurrogateSpec
-
-    integ = sim.integrator
-    server = sim.server
-    # Persist what is needed to rebuild the same service: the surrogate
-    # itself only when a spec is derivable (the Sedov oracle, or a trained
-    # export whose InferenceEngine records its model_path); a surrogate
-    # backed by an anonymous in-memory predictor must be re-supplied via
-    # restore(surrogate=) — restore() warns in that case.
-    try:
-        surrogate_spec = asdict(SurrogateSpec.from_surrogate(server.local_surrogate))
-    except ValueError:
-        surrogate_spec = None
-    serve_meta = {
-        "transport": server.transport_name,
-        "n_workers": max(1, server.n_workers),
-        "max_batch": server.scheduler.max_batch,
-        "max_wait_steps": server.scheduler.max_wait_steps,
-        "shm_slots": server.shm_slots,
-        "shm_slot_particles": server.shm_slot_particles,
-    }
-    ps_save = sim.ps
-    pending = [e for pool in integ.pools for e in pool.events if not e.returned]
-    n_rescheduled = 0
-    if pending:
-        ps_save = sim.ps.copy()
-        for event in pending:
-            idx = np.flatnonzero(ps_save.pid == event.star_pid)
-            if idx.size:
-                ps_save.tsn[idx] = event.time
-                n_rescheduled += 1
-    extra_arrays = None
-    if integ._first_forces_done:
-        extra_arrays = {
-            "grav_acc": integ._grav_acc,
-            "hydro_acc": integ._hydro_acc,
-            "du_dt": integ._du_dt,
-            "vsig": integ._vsig,
-        }
-    return save_snapshot(
-        ps_save,
-        path,
-        time=sim.time,
-        step=sim.step_count,
-        extra_meta={
-            # Re-scheduled in-flight SNe will be counted again on restore.
-            "n_sn_events": integ.n_sn_events - n_rescheduled,
-            "n_sf_events": integ.n_sf_events,
-            "next_pid": integ.next_pid,
-            "dt": integ.cfg.dt,
-            "n_pool": integ.cfg.n_pool,
-            "latency_steps": integ.cfg.latency_steps,
-            "seed": integ.cfg.seed,
-            "rng_state": integ.rng.bit_generator.state,
-            "integrator_config": asdict(integ.cfg),
-            "overflow_policy": str(integ.pools[0].overflow_policy.value),
-            "n_ranks": integ.n_ranks,
-            "use_torus": integ.driver.use_torus,
-            "coupled_force_mode": integ.force_mode,
-            "serve": serve_meta,
-            "surrogate_spec": surrogate_spec,
-        },
-        extra_arrays=extra_arrays,
-    )
-
-
-def load_simulation_state(path: str | Path) -> tuple[ParticleSet, dict]:
-    """Read back a checkpoint written by :func:`save_simulation`."""
-    ps, header = load_snapshot(path)
-    return ps, header
 
 
 @dataclass

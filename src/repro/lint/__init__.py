@@ -36,12 +36,14 @@ Repo invariants (the rule catalog)
     CPU-only CI must import every module.
 
 ``backend-purity``
-    Backend modules import neither sibling backends (``base`` excepted)
-    nor ``repro.core``/``repro.serve``.  Backends stay independently
-    loadable leaves of the registry; the sanctioned exception (inheriting
-    the always-available ``numpy`` reference implementation) carries an
-    inline suppression with its reason.  The same forbidden-import table
-    keeps ``repro.fdps`` from importing ``repro.core``.
+    Backend modules import no sibling backends (``base`` excepted), so
+    they stay independently loadable leaves of the registry; the
+    sanctioned exception (inheriting the always-available ``numpy``
+    reference implementation) carries an inline suppression with its
+    reason.  The rule also enforces the layering table
+    ``FORBIDDEN_IMPORTS``: ``repro.accel``/``gravity``/``sph``/``fdps``
+    import neither ``repro.core`` nor ``repro.serve``, and ``repro.util``
+    imports neither ``repro.serve`` nor ``repro.accel`` — lazily or not.
 
 ``hotpath-hygiene``
     No ``np.add.at`` or per-particle ``range(len(...))`` Python loops in

@@ -11,17 +11,21 @@ backend seam is what keeps the other 90 modules trivially importable.
 
 ``backend-purity`` (R4): a compute backend is a leaf.  It may import the
 contract (``base``), the numeric/toolchain world, and the kernel-parameter
-modules — but not its sibling backends and never the orchestration layers
-(``repro.core``, ``repro.serve``).  Sibling imports couple availability
-(the GPU backend must not die because numba is missing); orchestration
-imports invert the dependency arrow the registry exists to enforce.  The
+modules — but not its sibling backends.  Sibling imports couple
+availability (the GPU backend must not die because numba is missing).  The
 one sanctioned exception — inheriting the ``numpy`` reference backend as
 the always-available fallback implementation — is suppressed inline where
-it happens, with the reason on the line.  The orchestration half is one row
-of :data:`FORBIDDEN_IMPORTS`, the table of layering contracts this rule
-enforces.  Another row keeps ``repro.fdps`` (the framework layer the step
-host in ``repro.core`` drives) from importing ``repro.core``: one upward
-import there forces lazy re-exports on every package above it.
+it happens, with the reason on the line.
+
+The rule also enforces :data:`FORBIDDEN_IMPORTS`, the table of layering
+contracts, at module level and inside functions alike.  The compute and
+framework layers (``repro.accel``, ``repro.gravity``, ``repro.sph``,
+``repro.fdps``) import neither the step host (``repro.core``) nor the
+surrogate service (``repro.serve``): one upward import forces lazy
+re-exports on every package above it, and importing the compute layer
+would load the whole serve stack.  ``repro.util`` — where the process
+toolkit both the serve workers and the gravity helper use lives — imports
+neither of its users.
 """
 
 from __future__ import annotations
@@ -39,10 +43,11 @@ OPTIONAL_DEPS = ("numba", "cupy", "triton")
 GATED_IMPORT_MODULES = ("repro.accel.backends", "repro.pikg.codegen")
 
 BACKEND_PACKAGE = "repro.accel.backends"
-#: Importing package -> packages it must never import (layers above it).
-FORBIDDEN_IMPORTS = {
-    BACKEND_PACKAGE: ("repro.core", "repro.serve"),
-    "repro.fdps": ("repro.core",),
+#: One row per layer: importing packages -> packages none of them may
+#: import (the layers above it).
+FORBIDDEN_IMPORTS: dict[tuple[str, ...], tuple[str, ...]] = {
+    ("repro.accel", "repro.gravity", "repro.sph", "repro.fdps"): ("repro.core", "repro.serve"),
+    ("repro.util",): ("repro.serve", "repro.accel"),
 }
 
 
@@ -102,24 +107,26 @@ class BackendPurityRule(Rule):
     name = "backend-purity"
     description = (
         "a backend module must not import sibling backends (base excepted); "
-        "no module imports a layer above it (backends -/-> repro.core, "
-        "repro.serve; repro.fdps -/-> repro.core)"
+        "no module imports a layer above it ("
+        + "; ".join(
+            f"{', '.join(pkgs)} -/-> {', '.join(above)}"
+            for pkgs, above in FORBIDDEN_IMPORTS.items()
+        )
+        + ")"
     )
-    scope_prefixes = tuple(FORBIDDEN_IMPORTS)
-
-    def applies_to(self, module: str) -> bool:
-        # Of the backend package, submodules only: its __init__ is the
-        # registry and has to import every backend to register it.
-        if _under(module, BACKEND_PACKAGE):
-            return module not in (BACKEND_PACKAGE, BACKEND_PACKAGE + ".base")
-        return super().applies_to(module)
+    scope_prefixes = tuple(pkg for pkgs in FORBIDDEN_IMPORTS for pkg in pkgs)
 
     def check(self, ctx: ModuleContext) -> list[Finding]:
         out: list[Finding] = []
         forbidden = next(
-            above for pkg, above in FORBIDDEN_IMPORTS.items() if _under(ctx.module, pkg)
+            above for pkgs, above in FORBIDDEN_IMPORTS.items()
+            if any(_under(ctx.module, p) for p in pkgs)
         )
-        is_backend = _under(ctx.module, BACKEND_PACKAGE)
+        # Of the backend package, submodules only: its __init__ is the
+        # registry and has to import every backend to register it.
+        is_backend = _under(ctx.module, BACKEND_PACKAGE) and ctx.module not in (
+            BACKEND_PACKAGE, BACKEND_PACKAGE + ".base",
+        )
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue

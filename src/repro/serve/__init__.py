@@ -49,7 +49,12 @@ transport  where inference runs  payload copy semantics         when to use
 Under ``shm`` a request that does not fit a ring slot, or that arrives
 while every slot is leased, is pickled through the request queue instead —
 per event, counted in ``ServiceMetrics.n_shm_fallback`` — so the ring's
-size is a performance knob, never a correctness limit.  The ``SimComm``
+size is a performance knob, never a correctness limit.  The ring
+(:class:`~repro.util.shm.SharedMemoryRing`) and the rule that workers are
+forked after it is created and own nothing they inherit live in
+:mod:`repro.util.shm`, the process toolkit this package shares with the
+force engine's gravity helper; :mod:`repro.serve.shm` is the worker
+protocol on top of it.  The ``SimComm``
 ``pool_p2p`` ledger always charges the wire buffer's exact ``nbytes``, so
 the measured communication volume is transport-independent.
 
@@ -128,7 +133,7 @@ from repro.serve.faults import Fault, FaultInjector, FaultPlan, InjectedWorkerEr
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.policies import FaultMode, OverflowPolicy
 from repro.serve.server import SurrogateServer, SurrogateSpec, predict_batch_buffers
-from repro.serve.shm import SharedMemoryRing, SupervisionConfig, WorkerLost
+from repro.serve.shm import SupervisionConfig, WorkerLost
 from repro.serve.wire import (
     ServeRequest,
     ServeResponse,
@@ -149,7 +154,6 @@ __all__ = [
     "ServeRequest",
     "ServeResponse",
     "ServiceMetrics",
-    "SharedMemoryRing",
     "SupervisionConfig",
     "SurrogateServer",
     "SurrogateSpec",

@@ -9,7 +9,7 @@ two transports:
 * ``shm`` — ``n_workers`` OS processes, each of which builds its own
   surrogate (from a picklable :class:`SurrogateSpec` or a pickled
   :class:`SNSurrogate`) and serves batches whose requests and predictions
-  live in :class:`repro.serve.shm.SharedMemoryRing` slots; the queues
+  live in :class:`repro.util.shm.SharedMemoryRing` slots; the queues
   carry only slot indices (see :mod:`repro.serve.shm`, which owns the
   worker protocol and supervision).  Inference then genuinely overlaps the
   main loop: the only wall-clock the main rank ever pays is the
@@ -71,10 +71,17 @@ from repro.serve.faults import FaultPlan
 from repro.obs.trace import NULL_TRACER
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.policies import FaultMode
-from repro.serve.shm import Reply, SupervisionConfig, WorkerLost, _ShmTransport
+from repro.serve.shm import (
+    Reply,
+    SupervisionConfig,
+    WorkerLost,
+    _ShmTransport,
+    predict_responses,
+)
 from repro.serve.wire import ServeRequest, ServeResponse, WireFormatError, request_nfloats
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 from repro.util.constants import SN_ENERGY
+from repro.util.shm import owner_finalizer
 
 #: Seconds of *zero progress* (no replies, no recoveries) the server
 #: tolerates before giving up with TimeoutError — a backstop against
@@ -197,24 +204,9 @@ class SurrogateSpec:
 def predict_batch_buffers(
     surrogate: SNSurrogate, buffers: list[np.ndarray], pad_to: int | None = None
 ) -> list[np.ndarray]:
-    """Decode a request batch, run the batched predictor, encode responses.
-
-    This is the worker inner loop — shared verbatim by the sync transport so
-    both paths execute identical code on identical bytes.
-    """
-    requests = [ServeRequest.from_buffer(b) for b in buffers]
-    predicted = surrogate.predict_batch(
-        [r.region for r in requests],
-        [r.center for r in requests],
-        [r.rng() for r in requests],
-        pad_to=pad_to,
-    )
-    return [
-        ServeResponse(
-            event_id=r.event_id, return_step=r.return_step, particles=p
-        ).to_buffer()
-        for r, p in zip(requests, predicted, strict=True)
-    ]
+    """Decode a request batch, run the batched predictor, encode responses
+    (:func:`~repro.serve.shm.predict_responses`, the shm worker's path)."""
+    return [r.to_buffer() for r in predict_responses(surrogate, buffers, pad_to)]
 
 
 class _SyncTransport:
@@ -365,7 +357,9 @@ class SurrogateServer:
         self._dispatch_trace_t0: dict[int, float] = {}   # id -> tracer.now() at dispatch
         self._redispatch_gen: dict[int, int] = {}        # id -> re-dispatch generation
         self._last_depth_sample_step: int | None = None
-        self._closed = False
+        #: Stops the transport on close() or collection, in this process
+        #: only: a forked child's copy of the server owns no worker.
+        self._finalizer = owner_finalizer(self, self._transport.close)
 
     # -------------------------------------------------------------- plumbing
     def _worker_recipe(self) -> SurrogateSpec | SNSurrogate | None:
@@ -790,26 +784,17 @@ class SurrogateServer:
 
     # ----------------------------------------------------------------- close
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.metrics.stopped_at = time.perf_counter()
-        self._transport.close()
+        """Stop the transport's workers; idempotent, and a no-op in a
+        forked child holding a copy of this server."""
+        if self._finalizer.alive:
+            self.metrics.stopped_at = time.perf_counter()
+        self._finalizer()
 
     def __enter__(self) -> "SurrogateServer":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except (OSError, ValueError, AttributeError, RuntimeError):
-            # Interpreter teardown: queues, processes, and module globals
-            # may already be half-collected; close() during normal
-            # operation (__exit__, explicit) still surfaces everything.
-            pass
 
     def metrics_dict(self) -> dict[str, Any]:
         return self.metrics.as_dict(

@@ -11,9 +11,12 @@ payload is hundreds of kilobytes and, as the precursor works found, that
 data movement (not the forward pass) is what dominates pool-node cost.
 This module keeps the payloads off the pipe:
 
-* :class:`SharedMemoryRing` — one ``multiprocessing.shared_memory`` block
-  cut into fixed-size float64 slots, mapped as an ``(n_slots, slot_floats)``
-  array in the main process and in every worker.
+* a :class:`~repro.util.shm.SharedMemoryRing` — one
+  ``multiprocessing.shared_memory`` block cut into fixed-size float64
+  slots, mapped as an ``(n_slots, slot_floats)`` array in the main process
+  and in every worker.  The ring, the fork rule and the stop-and-reap of a
+  worker come from :mod:`repro.util.shm`, the toolkit the gravity helper
+  uses too.
 * Requests are encoded straight into a free slot (one memmove of the
   already-wire-framed buffer); workers decode them *from the slot*, run the
   batched predictor, and overwrite the slot with the encoded prediction in
@@ -74,7 +77,6 @@ import queue as queue_mod
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Any, Union
 
 import numpy as np
@@ -82,8 +84,9 @@ import numpy as np
 from repro.obs.trace import NULL_TRACER
 from repro.serve.faults import FaultInjector, FaultPlan
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.wire import ServeRequest, ServeResponse, WireFormatError
+from repro.serve.wire import ServeRequest, ServeResponse
 from repro.surrogate.model import SNSurrogate
+from repro.util.shm import SharedMemoryRing, process_context, stop_process
 
 #: Seconds an idle worker waits for a request before posting a heartbeat
 #: row — the supervisor's liveness signal between batches.
@@ -139,111 +142,29 @@ class SupervisionConfig:
             raise ValueError("batch_timeout_s must be positive")
 
 
-def process_context() -> mp.context.BaseContext:
-    """The start method of every process this repo starts: ``fork`` where
-    the platform has it (a child starts in milliseconds, with the parent's
-    imports), else ``spawn``.  A child must therefore take everything it
-    uses as arguments and own nothing it inherits (see
-    :class:`SharedMemoryRing` on why a ring has no finalizer)."""
-    return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
+def predict_responses(
+    surrogate: SNSurrogate, buffers: list[np.ndarray], pad_to: int | None = None
+) -> list[ServeResponse]:
+    """Decode request buffers, run the batched predictor once, and pair
+    each prediction with its request.
 
-
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without taking tracker ownership.
-
-    Python 3.13+ has ``track=False`` for exactly this.  Before 3.13 an
-    attach re-registers the name with the resource tracker; within one
-    multiprocessing process tree the tracker is shared (its fd rides fork
-    and the spawn preparation data) and its cache is a set, so the extra
-    registration is an idempotent no-op that the owner's ``unlink``
-    clears — explicitly unregistering here would instead make that
-    ``unlink`` double-remove and spam KeyError from the tracker.
+    The one inference path of every transport — the ``sync`` transport,
+    inline recovery (:func:`repro.serve.server.predict_batch_buffers`) and
+    the shm worker (:func:`serve_batch_in_place`) — so their response bytes
+    agree by construction: same decode, same batched call, same per-event
+    seeded RNG.
     """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: shared tracker, registration harmless
-        return shared_memory.SharedMemory(name=name)
-
-
-class SharedMemoryRing:
-    """A shared block of ``n_slots`` fixed-size float64 slots.
-
-    The creating (main) process owns the segment and unlinks it on
-    :meth:`close`; workers attach by ``name`` and only unmap.  Slot
-    allocation policy lives with the caller — the ring itself is just the
-    mapped memory.
-    """
-
-    def __init__(self, n_slots: int, slot_floats: int, name: str | None = None) -> None:
-        if n_slots < 1 or slot_floats < 1:
-            raise ValueError("ring needs at least one slot of at least one float")
-        self.n_slots = int(n_slots)
-        self.slot_floats = int(slot_floats)
-        if name is None:
-            self._seg = shared_memory.SharedMemory(
-                create=True, size=self.n_slots * self.slot_floats * 8
-            )
-            self._owner = True
-        else:
-            self._seg = _attach(name)
-            self._owner = False
-        self.name = self._seg.name
-        self._arr: np.ndarray | None = np.ndarray(
-            (self.n_slots, self.slot_floats), dtype=np.float64, buffer=self._seg.buf
-        )
-
-    @property
-    def nbytes(self) -> int:
-        return self.n_slots * self.slot_floats * 8
-
-    def slot(self, index: int, nfloats: int | None = None) -> np.ndarray:
-        """A live view of slot ``index`` (optionally length-trimmed).
-
-        Control tuples cross process boundaries, so both coordinates are
-        validated before any memory is touched: an out-of-range index or a
-        length exceeding the slot capacity raises
-        :class:`~repro.serve.wire.WireFormatError` — a corrupt control
-        entry is a recoverable transport fault, not an IndexError deep in
-        numpy.
-        """
-        if self._arr is None:
-            raise ValueError("ring is closed")
-        if not 0 <= int(index) < self.n_slots:
-            raise WireFormatError(
-                f"shm slot index {index} outside ring of {self.n_slots} slots"
-            )
-        row = self._arr[int(index)]
-        if nfloats is None:
-            return row
-        if not 0 < int(nfloats) <= self.slot_floats:
-            raise WireFormatError(
-                f"shm slot payload length {nfloats} not in (0, {self.slot_floats}]"
-            )
-        return row[: int(nfloats)]
-
-    def write(self, index: int, buf: np.ndarray) -> int:
-        """Memmove an encoded wire buffer into a slot; returns floats used."""
-        if self._arr is None:
-            raise ValueError("ring is closed")
-        n = buf.size
-        self._arr[index, :n] = buf
-        return n
-
-    def close(self) -> None:
-        if self._arr is None:
-            return
-        self._arr = None
-        self._seg.close()
-        if self._owner:
-            try:
-                self._seg.unlink()
-            except FileNotFoundError:
-                pass
-    # No __del__: a fork-started worker inherits the owner's ring object,
-    # and a finalizer there would unlink the segment under the main process
-    # when the worker exits.  Lifetime is explicit — the transport (owner)
-    # and the worker main (attachments) both close() in their shutdown
-    # paths, and the resource tracker covers hard crashes of the creator.
+    requests = [ServeRequest.from_buffer(b) for b in buffers]
+    predicted = surrogate.predict_batch(
+        [r.region for r in requests],
+        [r.center for r in requests],
+        [r.rng() for r in requests],
+        pad_to=pad_to,
+    )
+    return [
+        ServeResponse(event_id=r.event_id, return_step=r.return_step, particles=p)
+        for r, p in zip(requests, predicted, strict=True)
+    ]
 
 
 def serve_batch_in_place(
@@ -257,39 +178,18 @@ def serve_batch_in_place(
     ``entries`` come from :meth:`_ShmTransport.dispatch`: ``(SLOT, index,
     nfloats)`` for ring-resident requests, ``(INLINE, buffer)`` for
     fallback requests that rode the queue.  Returns response entries of the
-    same two shapes.  The prediction path is byte-identical to
-    :func:`repro.serve.server.predict_batch_buffers` — same decode, same
-    batched predictor call, same per-event seeded RNG — so both transports
-    stay bit-identical.
+    same two shapes.  Every request is decoded before the first response
+    overwrites its slot.
     """
-    requests: list[ServeRequest] = []
-    out_slots: list[int | None] = []
-    for entry in entries:
+    views = [ring.slot(e[1], e[2]) if e[0] == SLOT else e[1] for e in entries]
+    out: list[Entry] = []
+    for entry, response in zip(
+        entries, predict_responses(surrogate, views, pad_to), strict=True
+    ):
         if entry[0] == SLOT:
-            _, index, nfloats = entry
-            requests.append(ServeRequest.from_buffer(ring.slot(index, nfloats)))
-            out_slots.append(index)
+            out.append((SLOT, entry[1], response.encode_into(ring.slot(entry[1]))))
         else:
-            requests.append(ServeRequest.from_buffer(entry[1]))
-            out_slots.append(None)
-    predicted = surrogate.predict_batch(
-        [r.region for r in requests],
-        [r.center for r in requests],
-        [r.rng() for r in requests],
-        pad_to=pad_to,
-    )
-    out = []
-    for request, index, particles in zip(requests, out_slots, predicted, strict=True):
-        response = ServeResponse(
-            event_id=request.event_id,
-            return_step=request.return_step,
-            particles=particles,
-        )
-        if index is None:
             out.append((INLINE, response.to_buffer()))
-        else:
-            used = response.encode_into(ring.slot(index))
-            out.append((SLOT, index, used))
     return out
 
 
@@ -465,12 +365,8 @@ class _WorkerSupervisor:
         for slot in self._slots:
             proc, slot.proc = slot.proc, None
             slot.gave_up = True
-            if proc is None:
-                continue
-            proc.join(timeout=10.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
+            if proc is not None:
+                stop_process(proc, grace_s=10.0)
 
 
 class _ShmTransport:
@@ -509,7 +405,6 @@ class _ShmTransport:
         self._res_q = self._ctx.Queue()
         #: batch_id -> worker_id that posted the claim row (in-flight only).
         self._claims: dict[int, int] = {}
-        self._closed = False
         self._ring = SharedMemoryRing(n_slots, slot_floats)
         self._free = list(range(n_slots - 1, -1, -1))   # stack of free slots
         self._batch_slots: dict[int, list[int]] = {}    # in-flight slot leases
@@ -731,9 +626,6 @@ class _ShmTransport:
                 return [reply]
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
         for _ in self._supervisor.alive_worker_ids():
             self._req_q.put(None)
         self._supervisor.close()
@@ -763,9 +655,8 @@ __all__ = [
     "SLOT",
     "Entry",
     "Reply",
-    "SharedMemoryRing",
     "SupervisionConfig",
     "WorkerLost",
-    "process_context",
+    "predict_responses",
     "serve_batch_in_place",
 ]

@@ -1,0 +1,163 @@
+"""The process toolkit of every child this repo forks.
+
+Two kinds of child use it: the surrogate service's pool workers
+(:mod:`repro.serve.shm`) and the force engine's gravity helper
+(:mod:`repro.accel.gravity_helper`).  Both follow one rule:
+
+* **Before the fork** the parent creates the :class:`SharedMemoryRing`
+  the child will map.  Its segment starts the parent's resource tracker,
+  which a forked child inherits instead of starting its own (one of its
+  own would unlink the segment when the child exits).
+* **After the fork** the child owns nothing it inherits.  It gets what it
+  uses as arguments, attaches rings by name and only unmaps them; an
+  inherited object's ``close()`` does nothing there
+  (:func:`owner_finalizer`).
+* **At close** the parent stops and reaps the child
+  (:func:`stop_process`) and unlinks the ring.
+
+This module imports nothing from the layers that use it.
+"""
+
+from __future__ import annotations
+
+import multiprocessing as mp
+import os
+import weakref
+from collections.abc import Callable
+from multiprocessing import shared_memory
+from multiprocessing.process import BaseProcess
+from typing import Any
+
+import numpy as np
+
+
+def process_context() -> mp.context.BaseContext:
+    """The start method of every process this repo starts: ``fork`` where
+    the platform has it (a child starts in milliseconds, with the parent's
+    imports), else ``spawn``.  A child must therefore take everything it
+    uses as arguments and own nothing it inherits (see
+    :class:`SharedMemoryRing` on why a ring has no finalizer)."""
+    return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
+
+
+def stop_process(proc: BaseProcess, grace_s: float) -> None:
+    """Reap ``proc``: wait up to ``grace_s`` for it to exit, then SIGKILL
+    it and wait for that.  The caller has already asked it to stop."""
+    proc.join(timeout=grace_s)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+
+
+def owner_finalizer(obj: object, func: Callable[..., Any], *args: Any) -> weakref.finalize:
+    """``weakref.finalize(obj, func, *args)`` that runs ``func`` only in
+    the process that made it.
+
+    A forked child inherits the object and its finalizer.  Calling the
+    finalizer there (an inherited ``close()``) must not stop the parent's
+    children or unlink its segments, and cannot: ``join`` and ``is_alive``
+    work only on one's own children.  Outside the owner it does nothing.
+    """
+    return weakref.finalize(obj, _in_owner, os.getpid(), func, *args)
+
+
+def _in_owner(owner: int, func: Callable[..., Any], *args: Any) -> None:
+    if os.getpid() == owner:
+        func(*args)
+
+
+def _attach(name: str) -> shared_memory.SharedMemory:
+    """Attach to an existing segment without taking tracker ownership.
+
+    Python 3.13+ has ``track=False`` for exactly this.  Before 3.13 an
+    attach re-registers the name with the resource tracker; within one
+    multiprocessing process tree the tracker is shared (its fd rides fork
+    and the spawn preparation data) and its cache is a set, so the extra
+    registration is an idempotent no-op that the owner's ``unlink``
+    clears — explicitly unregistering here would instead make that
+    ``unlink`` double-remove and spam KeyError from the tracker.
+    """
+    try:
+        return shared_memory.SharedMemory(name=name, track=False)
+    except TypeError:  # Python < 3.13: shared tracker, registration harmless
+        return shared_memory.SharedMemory(name=name)
+
+
+class SharedMemoryRing:
+    """A shared block of ``n_slots`` fixed-size float64 slots.
+
+    The creating process owns the segment and unlinks it on :meth:`close`;
+    a child attaches by ``name`` and only unmaps.  Slot allocation policy
+    lives with the caller — the ring itself is just the mapped memory.
+    """
+
+    def __init__(self, n_slots: int, slot_floats: int, name: str | None = None) -> None:
+        if n_slots < 1 or slot_floats < 1:
+            raise ValueError("ring needs at least one slot of at least one float")
+        self.n_slots = int(n_slots)
+        self.slot_floats = int(slot_floats)
+        if name is None:
+            self._seg = shared_memory.SharedMemory(
+                create=True, size=self.n_slots * self.slot_floats * 8
+            )
+            self._owner = True
+        else:
+            self._seg = _attach(name)
+            self._owner = False
+        self.name = self._seg.name
+        self._arr: np.ndarray | None = np.ndarray(
+            (self.n_slots, self.slot_floats), dtype=np.float64, buffer=self._seg.buf
+        )
+
+    @property
+    def nbytes(self) -> int:
+        return self.n_slots * self.slot_floats * 8
+
+    def slot(self, index: int, nfloats: int | None = None) -> np.ndarray:
+        """A live view of slot ``index`` (optionally length-trimmed).
+
+        Slot coordinates cross process boundaries, so both are validated
+        before any memory is touched: an out-of-range index or a length
+        exceeding the slot capacity raises :class:`ValueError` — a corrupt
+        control entry is a recoverable transport fault, not an IndexError
+        deep in numpy.
+        """
+        if self._arr is None:
+            raise ValueError("ring is closed")
+        if not 0 <= int(index) < self.n_slots:
+            raise ValueError(f"shm slot index {index} outside ring of {self.n_slots} slots")
+        row = self._arr[int(index)]
+        if nfloats is None:
+            return row
+        if not 0 < int(nfloats) <= self.slot_floats:
+            raise ValueError(
+                f"shm slot payload length {nfloats} not in (0, {self.slot_floats}]"
+            )
+        return row[: int(nfloats)]
+
+    def write(self, index: int, buf: np.ndarray) -> int:
+        """Memmove an encoded wire buffer into a slot; returns floats used."""
+        if self._arr is None:
+            raise ValueError("ring is closed")
+        n = buf.size
+        self._arr[index, :n] = buf
+        return n
+
+    def close(self) -> None:
+        if self._arr is None:
+            return
+        self._arr = None
+        self._seg.close()
+        if self._owner:
+            try:
+                self._seg.unlink()
+            except FileNotFoundError:
+                pass
+    # No __del__: a forked child inherits the owner's ring object, and a
+    # finalizer there would unlink the segment under the parent when the
+    # child exits.  Lifetime is explicit — the owner and the child's
+    # attachments both close() in their shutdown paths, and the resource
+    # tracker covers hard crashes of the creator.
+
+
+__all__ = ["SharedMemoryRing", "owner_finalizer", "process_context", "stop_process"]

@@ -14,12 +14,7 @@ import pytest
 
 from repro.core.integrator import IntegratorConfig
 from repro.core.simulation import GalaxySimulation
-from repro.fdps.io import (
-    load_checkpoint,
-    load_simulation_state,
-    save_simulation,
-    save_snapshot,
-)
+from repro.fdps.io import load_checkpoint, load_snapshot, save_snapshot
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.sn.turbulence import make_turbulent_box
 from repro.util.constants import SN_ENERGY
@@ -89,7 +84,7 @@ def test_restore_rebuilds_counters_and_rng(tmp_path):
     sim = _sim(_ic())
     sim.run(5)
     sim.integrator.next_pid = 123456  # make the value distinctive
-    save_simulation(sim, path)
+    sim.save(path)
 
     back = GalaxySimulation.restore(path)
     assert back.step_count == 5
@@ -224,7 +219,7 @@ def test_restore_accepts_overrides(tmp_path):
     path = tmp_path / "ckpt.npz"
     sim = _sim(_ic(with_star=False))
     sim.run(2)
-    save_simulation(sim, path)
+    sim.save(path)
     back = GalaxySimulation.restore(path, n_pool=9, overflow_policy="block")
     assert back.pool.n_pool == 9
     assert str(back.pool.overflow_policy) == "OverflowPolicy.BLOCK"
@@ -235,13 +230,37 @@ def test_checkpoint_is_a_valid_plain_snapshot(tmp_path):
     path = tmp_path / "ckpt.npz"
     sim = _sim(_ic(with_star=False))
     sim.run(2)
-    save_simulation(sim, path)
-    ps, header = load_simulation_state(path)
+    sim.save(path)
+    ps, header = load_snapshot(path)
     assert len(ps) == len(sim.ps)
     assert header["step"] == 2
     state = load_checkpoint(path)
     assert set(state.arrays) == {"grav_acc", "hydro_acc", "du_dt", "vsig"}
     assert state.arrays["grav_acc"].shape == (len(ps), 3)
+
+
+def test_simulation_checkpoint(tmp_path):
+    # A plain snapshot reader can restart a run by hand from a checkpoint.
+    box = make_turbulent_box(n_per_side=6, side=20.0, seed=1)
+    cfg = IntegratorConfig(enable_cooling=False, enable_star_formation=False,
+                           self_gravity=False)
+    sim = GalaxySimulation(box, dt=1e-3, n_pool=3, config=cfg, surrogate_grid=8)
+    sim.run(3)
+    p = tmp_path / "ckpt.npz"
+    sim.save(p)
+    ps, header = load_snapshot(p)
+    assert header["step"] == 3
+    assert header["time"] == pytest.approx(3e-3)
+    assert header["extra"]["dt"] == pytest.approx(1e-3)
+    assert np.array_equal(np.sort(ps.pid), np.sort(sim.ps.pid))
+
+    # Restarting from the checkpoint continues cleanly.
+    sim2 = GalaxySimulation(ps, dt=header["extra"]["dt"], n_pool=3,
+                            config=cfg, surrogate_grid=8)
+    sim2.integrator.time = header["time"]
+    sim2.integrator.step_count = header["step"]
+    sim2.run(2)
+    assert sim2.step_count == 5
 
 
 def test_in_flight_sn_is_rescheduled_not_lost(tmp_path):
@@ -255,7 +274,7 @@ def test_in_flight_sn_is_rescheduled_not_lost(tmp_path):
                            surrogate_grid=8, seed=11, config=cfg)
     sim.run(4)  # SN dispatched at step 2, due back at step 22: in flight
     assert sim.pool.n_in_flight == 1
-    save_simulation(sim, path)
+    sim.save(path)
 
     back = GalaxySimulation.restore(path)
     assert np.isfinite(back.ps.tsn[back.ps.pid == 10_000_000])[0]
@@ -273,7 +292,7 @@ def test_restore_without_force_arrays_recomputes(tmp_path):
     # restored run recomputes them on its first step.
     path = tmp_path / "fresh.npz"
     sim = _sim(_ic(with_star=False))
-    save_simulation(sim, path)
+    sim.save(path)
     state = load_checkpoint(path)
     assert state.arrays == {}
     back = GalaxySimulation.restore(path)
@@ -294,7 +313,7 @@ def test_checkpoint_carries_model_spec_for_exported_surrogate(tmp_path):
     sim.save(path)
     sim.close()
 
-    _, header = load_simulation_state(path)
+    _, header = load_snapshot(path)
     spec_meta = header["extra"]["surrogate_spec"]
     assert spec_meta is not None
     assert spec_meta["kind"] == "model"

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.integrator import IntegratorConfig
-from repro.core.simulation import GalaxySimulation
-from repro.fdps.io import (
-    load_simulation_state,
-    load_snapshot,
-    save_simulation,
-    save_snapshot,
-)
+from repro.fdps.io import load_snapshot, save_snapshot
 from repro.fdps.particles import ParticleSet
 
 
@@ -69,31 +62,6 @@ def test_corrupt_length_rejected(plummer_ps, tmp_path):
     np_mod.savez(tmp_path / "bad2.npz", **payload)
     with pytest.raises(ValueError):
         load_snapshot(tmp_path / "bad2.npz")
-
-
-def test_simulation_checkpoint(tmp_path):
-    from repro.sn.turbulence import make_turbulent_box
-
-    box = make_turbulent_box(n_per_side=6, side=20.0, seed=1)
-    cfg = IntegratorConfig(enable_cooling=False, enable_star_formation=False,
-                           self_gravity=False)
-    sim = GalaxySimulation(box, dt=1e-3, n_pool=3, config=cfg, surrogate_grid=8)
-    sim.run(3)
-    p = tmp_path / "ckpt.npz"
-    save_simulation(sim, p)
-    ps, header = load_simulation_state(p)
-    assert header["step"] == 3
-    assert header["time"] == pytest.approx(3e-3)
-    assert header["extra"]["dt"] == pytest.approx(1e-3)
-    assert np.array_equal(np.sort(ps.pid), np.sort(sim.ps.pid))
-
-    # Restarting from the checkpoint continues cleanly.
-    sim2 = GalaxySimulation(ps, dt=header["extra"]["dt"], n_pool=3,
-                            config=cfg, surrogate_grid=8)
-    sim2.integrator.time = header["time"]
-    sim2.integrator.step_count = header["step"]
-    sim2.run(2)
-    assert sim2.step_count == 5
 
 
 def test_empty_set_roundtrip(tmp_path):

@@ -222,13 +222,55 @@ def test_forbidden_import_table_keeps_fdps_below_core():
     """
     findings = _lint(source, module="repro.fdps.distributed", select=["backend-purity"])
     assert _rules(findings) == ["backend-purity", "backend-purity"]
-    # fdps may use the layers beside and below it; core may import fdps.
+    # fdps may use the layers beside and below it, not the service;
+    # core may import fdps.
     allowed = """
-    from repro.serve import SurrogateSpec
     from repro.util.leapfrog import leapfrog_kick
     """
     assert _lint(allowed, module="repro.fdps.io", select=["backend-purity"]) == []
+    serve = """
+    from repro.serve import SurrogateSpec
+    """
+    findings = _lint(serve, module="repro.fdps.io", select=["backend-purity"])
+    assert _rules(findings) == ["backend-purity"]
     assert _lint(source, module="repro.core.simulation", select=["backend-purity"]) == []
+
+
+def test_forbidden_import_table_keeps_compute_below_core_and_serve():
+    source = """
+    from repro.serve.shm import SharedMemoryRing
+
+    def lazy():
+        import repro.core.runner
+    """
+    for module in ("repro.accel.gravity_helper", "repro.accel.engine",
+                   "repro.gravity.treegrav", "repro.sph.density"):
+        findings = _lint(source, module=module, select=["backend-purity"])
+        assert _rules(findings) == ["backend-purity", "backend-purity"], module
+    allowed = """
+    from repro.util.shm import SharedMemoryRing
+    from repro.fdps.tree import Octree
+    from repro.obs.trace import NULL_TRACER
+    """
+    assert _lint(allowed, module="repro.accel.gravity_helper", select=["backend-purity"]) == []
+    # The layers above may import the compute layer.
+    assert _lint(allowed, module="repro.serve.shm", select=["backend-purity"]) == []
+
+
+def test_forbidden_import_table_keeps_util_below_serve_and_accel():
+    source = """
+    from repro.serve.wire import WireFormatError
+
+    def lazy():
+        from repro.accel import ForceEngine
+    """
+    findings = _lint(source, module="repro.util.shm", select=["backend-purity"])
+    assert _rules(findings) == ["backend-purity", "backend-purity"]
+    allowed = """
+    import numpy as np
+    from repro.util.logging import get_logger
+    """
+    assert _lint(allowed, module="repro.util.shm", select=["backend-purity"]) == []
 
 
 # --------------------------------------------------------- hotpath-hygiene

@@ -5,8 +5,9 @@ import pytest
 
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.perf.costmodel import serve_summary
-from repro.serve import SharedMemoryRing, SurrogateServer, SurrogateSpec
+from repro.serve import SurrogateServer, SurrogateSpec
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
+from repro.util.shm import SharedMemoryRing
 
 N_WORKERS = 2
 
@@ -204,15 +205,13 @@ def test_shm_worker_exception_propagates_and_frees_slots():
 
 
 def test_ring_slot_validates_index_and_nfloats():
-    from repro.serve.wire import WireFormatError
-
     ring = SharedMemoryRing(n_slots=4, slot_floats=16)
     try:
         for bad_index in (4, -1, 100):
-            with pytest.raises(WireFormatError):
+            with pytest.raises(ValueError, match="slot index"):
                 ring.slot(bad_index)
         for bad_nfloats in (0, -3, 17):
-            with pytest.raises(WireFormatError):
+            with pytest.raises(ValueError, match="payload length"):
                 ring.slot(0, bad_nfloats)
         assert ring.slot(0, 16).size == 16
     finally:

@@ -8,12 +8,8 @@
 #                  lease pairing, wire symmetry, rng plumbing,
 #                  silent-except); see the repro.lint package docstring
 #                  for the rule catalog
-#   3. mypy        strictly-typed subset (serve.wire, serve.shm,
-#                  serve.server, accel.backends.base, accel.index,
-#                  accel.gravity_helper, sph.neighbors, sph.density,
-#                  core.runner, core.pool,
-#                  gravity.kernels, fdps.tree, fdps.domain,
-#                  fdps.distributed; config in pyproject)
+#   3. mypy        strictly-typed subset: the modules of the strict
+#                  [[tool.mypy.overrides]] in pyproject.toml (printed below)
 #
 # ruff/mypy are optional locally (skipped with a note when not installed);
 # the invariant checker has no dependencies beyond the repo itself and
@@ -34,7 +30,13 @@ echo "== repro.lint"
 PYTHONPATH=src python -m repro.lint src || status=1
 
 if command -v mypy >/dev/null 2>&1; then
-    echo "== mypy (strict: serve.wire serve.shm serve.server accel.backends.base accel.index accel.gravity_helper sph.neighbors sph.density core.runner core.pool gravity.kernels fdps.tree fdps.domain fdps.distributed)"
+    strict=$(python -c 'import tomllib
+with open("pyproject.toml", "rb") as fh:
+    rows = tomllib.load(fh)["tool"]["mypy"]["overrides"]
+print(" ".join(m.removeprefix("repro.") for row in rows
+               if row.get("disallow_untyped_defs") for m in row["module"]))' \
+        2>/dev/null || echo "see pyproject.toml")
+    echo "== mypy (strict: $strict)"
     mypy || status=1
 else
     echo "== mypy: not installed, skipping (CI runs it)"
