@@ -102,17 +102,37 @@ position signal of any kind it returns ``None`` and step 7 is a full
 :meth:`ForceEngine.hydro` — one solve path — which after
 :meth:`ForceEngine.notify_rows_moved` starts on the edited grid.
 
-Gravity helper: two processes per tree pass
--------------------------------------------
+Gravity helper: two processes per tree pass, overlapped with hydro
+------------------------------------------------------------------
 
 Inside a node the paper's force loop runs in parallel over interaction
-groups; here :class:`ForceEngine` splits every tree pass with one helper
-process (:mod:`repro.accel.gravity_helper`):
+groups, and gravity and hydro are independent passes over the same
+positions; here :class:`ForceEngine` shares every tree pass with one
+helper process (:mod:`repro.accel.gravity_helper`) and lets it run during
+the SPH pass:
 
+* **Flow** — submit → hydro → claim from both ends → collect.  The step
+  host checks both passes' inputs, then
+  :meth:`ForceEngine.submit_gravity` copies ``pos``/``mass``/``eps`` into
+  the shared block and sends ``go``; :meth:`ForceEngine.hydro` runs while
+  the helper builds the octree, walks every group and evaluates groups
+  ``0, 1, ...``; :meth:`ForceEngine.gravity` then builds and walks the
+  same tree here, evaluates ``n-1, n-2, ...`` until it meets the helper's
+  claims, and copies the helper's rows.  A :meth:`~ForceEngine.gravity`
+  call with nothing submitted submits its own pass (one flow); an
+  exception between submit and collect cancels the pass
+  (:meth:`ForceEngine.drain_gravity`), so none stays in flight.
+* **Claims, not a cut** — two counters in the shared block's header,
+  ``helper_hi`` and ``main_lo``, are reset before every ``go``; each side
+  publishes a group before evaluating it and stops at the first group the
+  other holds.  No lock and no rate prediction: a helper that shares its
+  CPU with a serve worker claims fewer groups instead of being waited for.
+  Every group is evaluated at least once, and at most the one both sides
+  reached together twice, with the same bits both times.
 * **Ownership** — the engine owns the helper process and its shared block
   (a :class:`~repro.util.shm.SharedMemoryRing`: ``pos``/``mass``/``eps``
-  in, the helper's ``acc`` rows out, tagged with the pass number); it
-  re-creates the block when star formation outgrows it and
+  in; the pass-number tag, the two claims and the helper's ``acc`` rows
+  out); it re-creates the block when star formation outgrows it and
   :meth:`ForceEngine.close` stops and reaps the process and unlinks the
   block (``CoupledRunner.close()`` / ``GalaxySimulation.close()`` call it;
   in a forked child holding a copy, the close does nothing).  The ring, the
@@ -126,22 +146,24 @@ process (:mod:`repro.accel.gravity_helper`):
   on, the particle count is above ``cfg.direct_gravity_below`` and the host
   has at least two CPUs.  Distributed force mode, direct summation and a
   one-CPU host start no process.
-* **Bit-identity** — main and helper build the same octree, walk every
-  group, and cut the groups at the same point into two contiguous runs
-  (:func:`~repro.gravity.treegrav.split_point`): the helper's holds its
-  share of the pairs, half at first, then the share it delivered at the
-  last pass's rates, so a helper that shares its CPU with a serve worker
-  is given less instead of being waited for; each evaluates its
-  run with :meth:`GroupTiles.evaluate
+* **Bit-identity** — the SPH pass never writes ``pos``/``mass``/``eps``;
+  main and helper build the same octree and walk the same lists; each
+  evaluates its groups with :meth:`GroupTiles.evaluate
   <repro.gravity.treegrav.GroupTiles.evaluate>`, the one group loop that
   :func:`~repro.gravity.treegrav.tree_accel` runs over every group.  A
-  tile writes only its targets' rows, so the assembled ``acc`` equals
-  ``tree_accel``'s bit for bit, and so does the particle state of a run.
+  tile writes only its targets' rows, in any order, so the assembled
+  ``acc`` equals ``tree_accel``'s bit for bit, and so does the particle
+  state of a run.
 * **Fallback** — a dead helper, one that misses
   :data:`~repro.accel.gravity_helper.DEADLINE_S`, or an answer for another
-  pass: main evaluates the helper's run itself, counts
+  pass: main evaluates every group below its own claims itself, counts
   ``accel.grav_helper_lost``, logs one warning and runs every later pass
   alone.  No restart.
+* **Trace** — a collected pass counts ``accel.grav_split_passes`` and
+  gauges the busy seconds of each side, main's seconds between submit and
+  its own walk (``accel.grav_overlap_s``) and the groups each side claimed
+  (``accel.grav_main_groups`` / ``accel.grav_helper_groups`` of
+  ``accel.grav_groups``).
 * **No option** — no config field, keyword or environment variable turns
   the helper on or off; a serial reference is ``tree_accel`` itself, or
   the same engine after :meth:`ForceEngine.close`.

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from repro.fdps.interaction import InteractionCounter
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.fdps.tree import Octree
 from repro.gravity.kernels import accel_direct
-from repro.gravity.treegrav import GroupTiles, record_gravity_pass, split_point
+from repro.gravity.treegrav import GroupTiles, record_gravity_pass
 from repro.sph.density import DensityResult, compute_density, refresh_velocity_fields
 from repro.sph.eos import pressure, sound_speed_from_density
 from repro.sph.forces import compute_hydro_forces
@@ -36,6 +37,25 @@ from repro.util.logging import get_logger
 from repro.util.timers import TimerRegistry
 
 _log = get_logger("accel")
+#: The per-particle fields an SPH pass reads besides the positions (which
+#: the neighbor grid checks).
+_SPH_INPUTS = ("u", "h", "vel", "mass")
+
+
+def _require_finite(
+    kind: str, ps: ParticleSet, names: tuple[str, ...], rows: np.ndarray | None = None
+) -> None:
+    """Raise ``ValueError`` naming the first row (of ``rows``, or of every
+    particle) whose value of one of ``names`` is not finite."""
+    for name in names:
+        values = getattr(ps, name) if rows is None else getattr(ps, name)[rows]
+        finite = np.isfinite(values)
+        if finite.ndim > 1:
+            finite = finite.all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            row = k if rows is None else int(rows[k])
+            raise ValueError(f"{kind} input {name}[{row}] is not finite: {values[k]!r}")
 
 
 @dataclass
@@ -62,17 +82,18 @@ class ForceEngine:
 
     Once :meth:`start_gravity_helper` has started a helper process (the
     step host does at construction: global force mode, self-gravity, more
-    particles than ``direct_gravity_below``, two CPUs), every tree pass of
-    :meth:`gravity` is split between this process and the helper,
-    bit-identical to the serial pass; a lost helper is replaced by this
-    process for the rest of the run, and :meth:`close` stops it.  The
-    engine owns the helper and its shared block; nothing configures it.
-    See :mod:`repro.accel`.
+    particles than ``direct_gravity_below``, two CPUs), every tree pass is
+    shared between this process and the helper, bit-identical to the
+    serial pass: :meth:`submit_gravity` ships it before the SPH pass and
+    :meth:`gravity` claims groups and collects it afterwards.  A lost
+    helper is replaced by this process for the rest of the run, and
+    :meth:`close` stops it.  The engine owns the helper and its shared
+    block; nothing configures it.  See :mod:`repro.accel`.
     """
 
     def __init__(
         self,
-        cfg,
+        cfg: Any,
         timers: TimerRegistry | None = None,
         counter: InteractionCounter | None = None,
     ) -> None:
@@ -85,16 +106,16 @@ class ForceEngine:
         #: Gas particles the kernel-size solve left outside its tolerance,
         #: summed over every :meth:`hydro` pass (0 on a healthy run).
         self.n_unconverged = 0
-        self._buffers_n = -1
-        self._acc_buf: np.ndarray | None = None
-        self._du_buf: np.ndarray | None = None
-        self._vsig_buf: np.ndarray | None = None
+        self._buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         #: Scratch of the gravity tiles, reused by every tile of every pass
         #: (one engine = one force pass at a time; not thread-safe).
         self._tile_workspace = TileWorkspace()
         #: The process evaluating part of every tree pass, when one runs
         #: (:meth:`start_gravity_helper`; stopped by :meth:`close`).
         self._helper: GravityHelper | None = None
+        #: The gravity pass :meth:`submit_gravity` shipped and :meth:`gravity`
+        #: has not collected yet: (helper pass number or None, submit time).
+        self._pending: tuple[int | None, float] | None = None
 
     # ---------------------------------------------------------- invalidation
     def notify_positions_changed(self) -> None:
@@ -147,6 +168,7 @@ class ForceEngine:
         hand the tile scratch back; idempotent.  The engine stays usable:
         its later passes run on this process alone."""
         helper, self._helper = self._helper, None
+        self._pending = None
         if helper is not None:
             helper.close()
         self.release_workspace()
@@ -154,16 +176,12 @@ class ForceEngine:
     # -------------------------------------------------------------- buffers
     def _full_buffers(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Persistent (acc, du, vsig) work buffers, zeroed for this call."""
-        if n != self._buffers_n:
-            self._acc_buf = np.zeros((n, 3))
-            self._du_buf = np.zeros(n)
-            self._vsig_buf = np.zeros(n)
-            self._buffers_n = n
+        if self._buffers is None or len(self._buffers[1]) != n:
+            self._buffers = (np.zeros((n, 3)), np.zeros(n), np.zeros(n))
         else:
-            self._acc_buf.fill(0.0)
-            self._du_buf.fill(0.0)
-            self._vsig_buf.fill(0.0)
-        return self._acc_buf, self._du_buf, self._vsig_buf
+            for buf in self._buffers:
+                buf.fill(0.0)
+        return self._buffers
 
     # -------------------------------------------------------------- gravity
     def start_gravity_helper(self, n_particles: int) -> bool:
@@ -189,43 +207,17 @@ class ForceEngine:
             self._helper = GravityHelper(self.backend.name, n_particles)
         return self._helper is not None
 
-    def gravity(self, ps: ParticleSet, label: str) -> np.ndarray:
-        """Self-gravity on all particles; at most one octree build per call
-        (and zero when the cached tree is still valid).
+    def submit_gravity(self, ps: ParticleSet) -> None:
+        """Check the gravity inputs and, with a helper and a tree pass,
+        ship the pass (ring copy + ``go``) so the helper works while this
+        process runs the SPH pass; :meth:`gravity` collects it.
 
         Raises ``ValueError`` naming the first row of ``pos``, ``mass`` or
-        ``eps`` that is not finite, before any work is done or shipped.
-        With a gravity helper the tree pass is split between two processes,
-        bit-identical to :func:`~repro.gravity.treegrav.tree_accel`.
+        ``eps`` that is not finite, before anything is shipped.
         """
-        cfg = self.cfg
-        for name in ("pos", "mass", "eps"):
-            values = getattr(ps, name)
-            finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
-            if not finite.all():
-                row = int(np.argmin(finite))
-                raise ValueError(
-                    f"gravity input {name}[{row}] is not finite: {values[row]!r}"
-                )
-        with self.timers.measure(f"{label} Calc_Force", backend=self.backend.name):
-            if len(ps) <= cfg.direct_gravity_below:
-                acc = accel_direct(
-                    ps.pos, ps.mass, ps.eps, counter=self.counter,
-                    backend=self.backend, workspace=self._tile_workspace,
-                )
-                record_gravity_pass(self.timers.tracer, len(ps) ** 2, self._tile_workspace)
-                return acc
-            tree = self.index.tree_for(ps.pos, ps.mass, leaf_size=cfg.leaf_size)
-            acc, pairs = self._tree_pass(ps, tree)
-            record_gravity_pass(self.timers.tracer, pairs, self._tile_workspace)
-            return acc
-
-    def _tree_pass(self, ps: ParticleSet, tree: Octree) -> tuple[np.ndarray, int]:
-        """One tree pass: the helper's run of groups goes out before main
-        walks, main evaluates its own run, then takes the helper's rows —
-        or, without a helper, evaluates every group itself."""
-        cfg, tracer, helper = self.cfg, self.timers.tracer, self._helper
-        if helper is not None:
+        _require_finite("gravity", ps, ("pos", "mass", "eps"))
+        cfg, helper, pass_no = self.cfg, self._helper, None
+        if helper is not None and len(ps) > cfg.direct_gravity_below:
             try:
                 pass_no = helper.submit(
                     ps.pos, ps.mass, ps.eps,
@@ -233,31 +225,87 @@ class ForceEngine:
                 )
             except HelperLost as lost:
                 self._lose_helper(lost)
-                helper = None
+        self._pending = (pass_no, time.perf_counter())
+
+    def drain_gravity(self) -> None:
+        """Leave no pass in flight: cancel one :meth:`submit_gravity` shipped
+        that :meth:`gravity` will not collect (an exception came in
+        between), or lose the helper; a no-op once the pass is collected."""
+        pending, self._pending, helper = self._pending, None, self._helper
+        pass_no = None if pending is None else pending[0]
+        if pass_no is None or helper is None:
+            return
+        try:
+            helper.cancel(pass_no)
+        except HelperLost as lost:
+            self._lose_helper(lost)
+
+    def gravity(self, ps: ParticleSet, label: str) -> np.ndarray:
+        """Self-gravity on all particles; at most one octree build per call
+        (and zero when the cached tree is still valid).
+
+        Collects the pass :meth:`submit_gravity` shipped, or submits its own
+        first (so it raises the same ``ValueError`` on non-finite inputs).
+        With a gravity helper the tree pass is shared between two processes,
+        bit-identical to :func:`~repro.gravity.treegrav.tree_accel`.
+        """
+        cfg = self.cfg
+        if self._pending is None:
+            self.submit_gravity(ps)
+        try:
+            with self.timers.measure(f"{label} Calc_Force", backend=self.backend.name):
+                if len(ps) <= cfg.direct_gravity_below:
+                    acc = accel_direct(
+                        ps.pos, ps.mass, ps.eps, counter=self.counter,
+                        backend=self.backend, workspace=self._tile_workspace,
+                    )
+                    record_gravity_pass(self.timers.tracer, len(ps) ** 2, self._tile_workspace)
+                    return acc
+                tree = self.index.tree_for(ps.pos, ps.mass, leaf_size=cfg.leaf_size)
+                acc, pairs = self._tree_pass(ps, tree)
+                record_gravity_pass(self.timers.tracer, pairs, self._tile_workspace)
+                return acc
+        finally:
+            self.drain_gravity()
+
+    def _tree_pass(self, ps: ParticleSet, tree: Octree) -> tuple[np.ndarray, int]:
+        """One tree pass: walk every group, then evaluate the groups this
+        process claims from the top while the helper claims from the bottom,
+        and take the helper's rows — or, without a helper, evaluate every
+        group."""
+        cfg, tracer, helper = self.cfg, self.timers.tracer, self._helper
+        assert self._pending is not None
+        pass_no, submitted = self._pending
         t0 = time.perf_counter()
         tiles = GroupTiles.walk(
             tree, ps.pos, ps.eps, (ps.pos, ps.mass, ps.eps),
             n_g=cfg.n_g, theta=cfg.theta, mixed=cfg.mixed_precision,
         )
         acc = np.zeros_like(ps.pos)
-        costs = tiles.costs
-        cut = tiles.n_groups if helper is None else split_point(costs, helper.share)
-        tiles.evaluate(acc, 0, cut, self.backend, self._tile_workspace)
-        if helper is not None:
+        n = tiles.n_groups
+        if pass_no is None or helper is None:
+            tiles.evaluate(acc, range(n), self.backend, self._tile_workspace)
+        else:
+            tiles.evaluate(acc, helper.claims(n), self.backend, self._tile_workspace)
+            main_lo = helper.main_lo(n)
             main_s = time.perf_counter() - t0
             try:
-                helper_s = helper.collect(pass_no, acc, tiles.rows(cut, tiles.n_groups))
+                helper_hi, helper_s = helper.collect(pass_no, acc, tiles)
             except HelperLost as lost:
                 self._lose_helper(lost)
-                tiles.evaluate(acc, cut, tiles.n_groups, self.backend, self._tile_workspace)
+                tiles.evaluate(acc, range(main_lo), self.backend, self._tile_workspace)
             else:
-                helper.rebalance(costs[:cut].sum() / main_s, costs[cut:].sum() / helper_s)
+                self._pending = None
                 tracer.count("accel.grav_split_passes")
                 tracer.gauge("accel.grav_main_busy_s", main_s)
                 tracer.gauge("accel.grav_helper_busy_s", helper_s)
+                tracer.gauge("accel.grav_overlap_s", t0 - submitted)
+                tracer.gauge("accel.grav_groups", n)
+                tracer.gauge("accel.grav_main_groups", n - main_lo)
+                tracer.gauge("accel.grav_helper_groups", helper_hi)
         if self.counter is not None:
             tiles.count(self.counter)
-        return acc, int(costs.sum())
+        return acc, int(tiles.costs.sum())
 
     def _lose_helper(self, cause: Exception) -> None:
         """The helper cannot deliver: stop it for good and say so once."""
@@ -283,9 +331,17 @@ class ForceEngine:
         return w
 
     # ---------------------------------------------------------------- hydro
+    def check_sph_inputs(self, ps: ParticleSet) -> None:
+        """Raise ``ValueError`` naming the first gas row whose ``u``, ``h``,
+        ``vel`` or ``mass`` is not finite (:meth:`hydro` checks this first;
+        the step host checks it before a gravity pass is shipped)."""
+        _require_finite("SPH", ps, _SPH_INPUTS, np.flatnonzero(ps.where_type(ParticleType.GAS)))
+
     def hydro(self, ps: ParticleSet, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full density + hydro-force pass on the gas.
 
+        Raises ``ValueError`` on a non-finite SPH input
+        (:meth:`check_sph_inputs`) before any work is done.
         Returns (acc, du_dt, vsig) scattered to full-particle arrays,
         refreshes the gas SPH fields on ``ps``, and primes the fast-path
         cache (grid, gather pairs, half force pairs).  The grid comes from
@@ -304,6 +360,7 @@ class ForceEngine:
         """
         cfg = self.cfg
         gas = np.flatnonzero(ps.where_type(ParticleType.GAS))
+        _require_finite("SPH", ps, _SPH_INPUTS, gas)
         if gas.size < 2:
             self._hydro_cache = None
             return self._full_buffers(len(ps))
@@ -325,6 +382,8 @@ class ForceEngine:
                 scope=gas,
                 backend=self.backend,
             )
+        grid, gather = d.grid, d.pairs
+        assert grid is not None and gather is not None     # a finished solve has both
         tracer = self.timers.tracer
         tracer.count("accel.grid_builds", d.grid_builds)
         tracer.count("accel.grid_reuses", self.index.stats.grid_reuses - reuses)
@@ -335,7 +394,7 @@ class ForceEngine:
         # The i/j/r bytes of the list this pass ran on: the step's largest
         # transient, alive until release_candidates().
         tracer.gauge(
-            "accel.candidate_bytes", sum(a.nbytes for a in d.grid.compact_self_pairs())
+            "accel.candidate_bytes", sum(a.nbytes for a in grid.compact_self_pairs())
         )
         if d.worst_bracket is not None:            # set whenever n_unconverged > 0
             self.n_unconverged += d.n_unconverged
@@ -350,10 +409,8 @@ class ForceEngine:
             )
         # The gather list is complete at d.h, so the force pairs fall out of
         # it: no second pass over the candidates.
-        force_pairs, out = self._force_pass(
-            ps, label, gas, d, d.pres, d.csnd, d.divv, d.curlv,
-            half_pairs_from_gather(d.pairs, d.h),
-        )
+        force_pairs = half_pairs_from_gather(gather, d.h)
+        out = self._force_pass(ps, label, gas, d, d.pres, d.csnd, d.divv, d.curlv, force_pairs)
         self._hydro_cache = _HydroCache(
             n_total=len(ps), gas=gas, density=d, force_pairs=force_pairs
         )
@@ -373,25 +430,30 @@ class ForceEngine:
         caller must fall back to :meth:`hydro`, the one solve path, which
         after :meth:`notify_rows_moved` starts from the repaired grid.  Like
         :meth:`hydro`, the returned arrays are the engine's persistent
-        buffers — valid until the next pass.
+        buffers — valid until the next pass.  Raises ``ValueError`` on a
+        non-finite SPH input, as :meth:`hydro` does.
         """
         cache = self._hydro_cache
         if cache is None or cache.n_total != len(ps):
             return None
         gas, d = cache.gas, cache.density
+        _require_finite("SPH", ps, _SPH_INPUTS, gas)
         with self.timers.measure(
             f"{label} Calc_Kernel_Size_and_Density", backend=self.backend.name
         ):
             pres = pressure(d.dens, ps.u[gas])
             csnd = sound_speed_from_density(d.dens, pres)
             divv, curlv = refresh_velocity_fields(d, ps.pos[gas], ps.vel[gas], ps.mass[gas])
-        return self._force_pass(ps, label, gas, d, pres, csnd, divv, curlv, cache.force_pairs)[1]
+        return self._force_pass(ps, label, gas, d, pres, csnd, divv, curlv, cache.force_pairs)
 
-    def _force_pass(self, ps, label, gas, d, pres, csnd, divv, curlv, pairs):
+    def _force_pass(
+        self, ps: ParticleSet, label: str, gas: np.ndarray, d: DensityResult,
+        pres: np.ndarray, csnd: np.ndarray, divv: np.ndarray, curlv: np.ndarray,
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """What a full pass and the fast path share: write the gas fields of
         ``ps``, evaluate the hydro forces over ``pairs`` and scatter them into
-        the persistent full-particle buffers.  Returns the force pairs and
-        ``(acc, du_dt, vsig)``."""
+        the persistent full-particle buffers ``(acc, du_dt, vsig)``."""
         ps.h[gas], ps.dens[gas], ps.pres[gas], ps.csnd[gas] = d.h, d.dens, pres, csnd
         ps.divv[gas], ps.curlv[gas], ps.fgrad[gas] = divv, curlv, d.omega
         acc, du, vsig = self._full_buffers(len(ps))
@@ -402,4 +464,4 @@ class ForceEngine:
                 counter=self.counter, pairs=pairs, backend=self.backend,
             )
         acc[gas], du[gas], vsig[gas] = f.acc, f.du_dt, f.v_signal
-        return f.pairs, (acc, du, vsig)
+        return acc, du, vsig

@@ -1,29 +1,39 @@
-"""The gravity helper: a second process that evaluates part of every tree pass.
+"""The gravity helper: a second process that takes part in every tree pass.
 
 Inside one node the paper's ranks run their force loop in parallel over
-the interaction groups (FDPS splits the group loop across threads).  Here a
-:class:`~repro.accel.ForceEngine` that does the gravity of a run gets one
-forked helper, and every tree pass works like this:
+the interaction groups (FDPS splits the group loop across threads), and
+gravity and hydro are two independent interaction passes over the same
+positions.  Here a :class:`~repro.accel.ForceEngine` that does the gravity
+of a run gets one forked helper, and every tree pass works like this:
 
-1. main copies ``pos`` / ``mass`` / ``eps`` into the input slot of a
-   :class:`~repro.util.shm.SharedMemoryRing` and sends ``go`` (the pass
-   number, the walk parameters and the helper's share) over a pipe;
-2. main and helper each build the same octree and walk every group — both
-   steps are deterministic, so both hold the same interaction lists;
-3. both compute the same cut
-   (:func:`~repro.gravity.treegrav.split_point`): two contiguous group
-   runs, the helper's holding its share of the ``targets x list`` pairs —
-   half at first, then what it delivered at the rate of the last pass
-   (:meth:`GravityHelper.rebalance`), so a helper sharing its CPU is not
-   waited for;
-4. each evaluates its own run's tiles
-   (:meth:`~repro.gravity.treegrav.GroupTiles.evaluate`, the one group
-   loop); the helper writes its ``acc`` rows into the output slot, tags the
-   slot with the pass number and answers ``done`` with its busy seconds.
+1. **submit** — before the SPH pass, main copies ``pos`` / ``mass`` /
+   ``eps`` into the input slot of a :class:`~repro.util.shm.SharedMemoryRing`,
+   resets the two claim counters in the output slot's header
+   (``helper_hi = 0``, ``main_lo = +inf``) and sends ``go`` (the pass
+   number and the walk parameters) over a pipe;
+2. **hydro** — main runs density + hydro while the helper builds the
+   octree, walks every group and starts evaluating;
+3. **claim from both ends** — the helper takes groups ``0, 1, ...`` and
+   main, after hydro, its own build and walk, takes ``n-1, n-2, ...``:
+   each side stops at the first group the other has claimed, and publishes
+   its claim (``helper_hi = g + 1`` / ``main_lo = g``) before it evaluates
+   ``g`` (:func:`claim_up`, :func:`claim_down`).  No lock: a claim is
+   never given back, so every group is evaluated at least once, and only
+   the group both sides reached together is evaluated twice.  A helper
+   that shares its CPU (with a serve worker, or another tenant of the
+   host) simply claims fewer groups — nothing predicts its rate;
+4. **collect** — the helper tags the output slot with the pass number and
+   answers ``done`` with its busy seconds and final ``helper_hi``; main
+   copies the helper's rows of groups ``[0, main_lo)``.
 
-A tile writes only its own targets' rows, and the same tile on the same
-lists gives the same floats in either process, so the assembled ``acc`` is
-bit-identical to :func:`~repro.gravity.treegrav.tree_accel`.
+The result is bit-identical to :func:`~repro.gravity.treegrav.tree_accel`:
+gravity reads only ``pos`` / ``mass`` / ``eps``, which the SPH pass never
+writes; both processes build the same octree and walk the same lists
+(both steps are deterministic); and a tile
+(:meth:`~repro.gravity.treegrav.GroupTiles.evaluate`, the one group loop)
+writes only its own targets' rows, giving the same floats in either
+process, in any order — so whichever side evaluated a group, and if both
+did, the assembled ``acc`` holds the same bits.
 
 Ownership.  Main owns the process and the ring: it creates both, re-creates
 the ring when the particle count outgrows it, and :meth:`GravityHelper.close`
@@ -36,15 +46,19 @@ shared with the serve workers.
 
 Failure never changes a result.  A dead helper, one that has not answered
 within :data:`DEADLINE_S`, or an answer for another pass raises
-:class:`HelperLost`; the engine then evaluates the helper's run itself,
-logs once, and runs every later pass alone.  There is no restart, and no
-option, keyword or environment variable turns the helper on or off.
+:class:`HelperLost`; the engine then evaluates the groups below its own
+claims itself, logs once, and runs every later pass alone.  A submitted
+pass that main will not collect (an exception in between) is cancelled
+(:meth:`GravityHelper.cancel`), so none is left in flight.  There is no
+restart, and no option, keyword or environment variable turns the helper
+on or off.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import time
+from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
@@ -54,19 +68,20 @@ import numpy as np
 from repro.accel.backends import get_backend
 from repro.accel.backends.base import TileWorkspace
 from repro.fdps.tree import Octree
-from repro.gravity.treegrav import GroupTiles, split_point
+from repro.gravity.treegrav import GroupTiles
 from repro.util.shm import SharedMemoryRing, owner_finalizer, process_context, stop_process
 
-#: Seconds main waits for the helper's run before evaluating it itself.
+#: Seconds main waits for the helper's answer before evaluating its groups itself.
 DEADLINE_S = 10.0
 #: Longest single wait on the pipe between liveness checks.
 _POLL_S = 0.05
-#: Ring slots: pos | mass | eps in; pass-number tag | acc out.
+#: Ring slots: pos | mass | eps in; header | acc out.
 _IN, _OUT = 0, 1
+#: The output slot's header: pass-number tag, the helper's claims
+#: ``[0, helper_hi)``, main's claims ``[main_lo, n)``; ``acc`` follows.
+_TAG, _HELPER_HI, _MAIN_LO, _HEADER = 0, 1, 2, 3
 #: Floats of ring capacity per particle (the input slot is the larger).
 _FLOATS_PER_PARTICLE = 5
-#: Bounds of the helper's share of a pass's pairs.
-_MIN_SHARE, _MAX_SHARE = 0.05, 0.95
 
 
 def _ring_floats(n: int) -> int:
@@ -83,6 +98,32 @@ class HelperLost(RuntimeError):
     """The helper cannot deliver this pass: dead, late or out of step."""
 
 
+def claim_up(header: np.ndarray, n_groups: int) -> Iterator[int]:
+    """The helper's claims: groups ``0, 1, ...`` until one main holds.
+
+    ``g`` is published (``helper_hi = g + 1``) before it is yielded for
+    evaluation, and the walk stops at the first ``g >= main_lo``.
+    """
+    g = 0
+    while g < n_groups and g < header[_MAIN_LO]:
+        header[_HELPER_HI] = g + 1
+        yield g
+        g += 1
+
+
+def claim_down(header: np.ndarray, n_groups: int) -> Iterator[int]:
+    """Main's claims: groups ``n-1, n-2, ...`` until one the helper holds.
+
+    ``g`` is published (``main_lo = g``) before it is yielded for
+    evaluation, and the walk stops at the first ``g < helper_hi``.
+    """
+    g = n_groups - 1
+    while g >= 0 and g >= header[_HELPER_HI]:
+        header[_MAIN_LO] = g
+        yield g
+        g -= 1
+
+
 def _helper_main(conn: Connection, main_end: Connection, backend_name: str) -> None:
     """The helper process: serve ``go`` messages until ``None`` or EOF."""
     main_end.close()          # inherited under fork: EOF must mean main is gone
@@ -97,7 +138,7 @@ def _helper_main(conn: Connection, main_end: Connection, backend_name: str) -> N
                 return
             if msg is None:
                 return
-            pass_no, ring_name, slot_floats, n, theta, n_g, leaf_size, mixed, share = msg
+            pass_no, ring_name, slot_floats, n, theta, n_g, leaf_size, mixed = msg
             t0 = time.perf_counter()
             if ring is None or ring.name != ring_name:
                 if ring is not None:
@@ -110,11 +151,10 @@ def _helper_main(conn: Connection, main_end: Connection, backend_name: str) -> N
                 Octree.build(pos, mass, leaf_size=leaf_size), pos, eps, (pos, mass, eps),
                 n_g=n_g, theta=theta, mixed=mixed,
             )
-            acc = out[1 : 1 + 3 * n].reshape(n, 3)
-            cut = split_point(tiles.costs, share)
-            tiles.evaluate(acc, cut, tiles.n_groups, backend, workspace)
-            out[0] = pass_no
-            _put(conn, ("done", pass_no, time.perf_counter() - t0))
+            acc = out[_HEADER : _HEADER + 3 * n].reshape(n, 3)
+            tiles.evaluate(acc, claim_up(out, tiles.n_groups), backend, workspace)
+            out[_TAG] = pass_no
+            _put(conn, ("done", pass_no, time.perf_counter() - t0, int(out[_HELPER_HI])))
     finally:
         if ring is not None:
             ring.close()
@@ -146,8 +186,9 @@ class GravityHelper:
     """Main's side of the helper: the process, its pipe and the ring.
 
     Started by :meth:`repro.accel.ForceEngine.start_gravity_helper`; one
-    pass is :meth:`submit` (copy the inputs, send ``go``) then
-    :meth:`collect` (wait for ``done``, copy the helper's rows).
+    pass is :meth:`submit` (copy the inputs, reset the claims, send
+    ``go``), main's own :meth:`claims`, then :meth:`collect` (wait for
+    ``done``, copy the helper's rows) — or :meth:`cancel`.
     """
 
     def __init__(self, backend_name: str, n_particles: int) -> None:
@@ -167,19 +208,21 @@ class GravityHelper:
         self._h.proc = proc
         child_end.close()
         self._pass = 0
-        #: The helper's share of the next pass's pairs (see :meth:`rebalance`).
-        self.share = 0.5
 
     @property
     def pid(self) -> int | None:
         return None if self._h.proc is None else int(self._h.proc.pid)
 
+    def _out(self) -> np.ndarray:
+        assert self._h.ring is not None
+        return self._h.ring.slot(_OUT)
+
     def submit(
         self, pos: np.ndarray, mass: np.ndarray, eps: np.ndarray,
         theta: float, n_g: int, leaf_size: int, mixed: bool,
     ) -> int:
-        """Copy the pass's inputs into the ring and send ``go``; returns
-        the pass number :meth:`collect` expects."""
+        """Copy the pass's inputs into the ring, reset the claims and send
+        ``go``; returns the pass number :meth:`collect` expects."""
         h = self._h
         n = len(pos)
         assert h.ring is not None
@@ -192,20 +235,29 @@ class GravityHelper:
         inp[: 3 * n] = pos.ravel()
         inp[3 * n : 4 * n] = mass
         inp[4 * n : 5 * n] = eps
+        out = h.ring.slot(_OUT)
+        out[_HELPER_HI], out[_MAIN_LO] = 0, np.inf
         self._pass += 1
         try:
             _put(h.conn, (
                 self._pass, h.ring.name, h.ring.slot_floats, n,
-                float(theta), int(n_g), int(leaf_size), bool(mixed), self.share,
+                float(theta), int(n_g), int(leaf_size), bool(mixed),
             ))
         except OSError as exc:
             raise HelperLost(f"the helper's pipe is closed ({exc})") from exc
         return self._pass
 
-    def collect(self, pass_no: int, acc: np.ndarray, rows: np.ndarray) -> float:
-        """Wait for pass ``pass_no``, copy ``rows`` of the helper's ``acc``
-        into ``acc``; returns the helper's busy seconds.  Raises
-        :class:`HelperLost` instead of waiting past :data:`DEADLINE_S`."""
+    def claims(self, n_groups: int) -> Iterator[int]:
+        """Main's claims on the submitted pass (:func:`claim_down`)."""
+        return claim_down(self._out(), n_groups)
+
+    def main_lo(self, n_groups: int) -> int:
+        """Main's lowest claim on this pass (``n_groups`` before any)."""
+        return int(min(self._out()[_MAIN_LO], n_groups))
+
+    def _wait(self, pass_no: int) -> tuple[int, float]:
+        """Wait for ``done`` of pass ``pass_no``; returns the helper's final
+        ``helper_hi`` and busy seconds."""
         h = self._h
         deadline = time.monotonic() + DEADLINE_S
         while not h.conn.poll(_POLL_S):
@@ -214,26 +266,35 @@ class GravityHelper:
             if time.monotonic() > deadline:
                 raise HelperLost(f"no answer within {DEADLINE_S:g} s")
         try:
-            _tag, done_pass, busy_s = h.conn.recv()
+            _tag, done_pass, busy_s, helper_hi = h.conn.recv()
         except (EOFError, OSError) as exc:
             raise HelperLost("the helper process died") from exc
-        assert h.ring is not None
-        out = h.ring.slot(_OUT)
-        if done_pass != pass_no or out[0] != pass_no:
+        tag = self._out()[_TAG]
+        if done_pass != pass_no or tag != pass_no:
             raise HelperLost(
-                f"answer for pass {done_pass} (slot tag {out[0]:g}), expected {pass_no}"
+                f"answer for pass {done_pass} (slot tag {tag:g}), expected {pass_no}"
             )
-        acc[rows] = out[1 : 1 + acc.size].reshape(acc.shape)[rows]
-        return float(busy_s)
+        return int(helper_hi), float(busy_s)
 
-    def rebalance(self, main_rate: float, helper_rate: float) -> None:
-        """Move the share toward the one at which both would have finished
-        together at this pass's rates (pairs per busy second), halfway: a
-        helper that shares its CPU (with a serve worker, or another tenant
-        of the host) gets less, and gets it back when the CPU frees up."""
-        if main_rate > 0 and helper_rate > 0:
-            balanced = helper_rate / (main_rate + helper_rate)
-            self.share = min(max(0.5 * (self.share + balanced), _MIN_SHARE), _MAX_SHARE)
+    def collect(self, pass_no: int, acc: np.ndarray, tiles: GroupTiles) -> tuple[int, float]:
+        """Wait for pass ``pass_no`` and copy the helper's rows of the groups
+        below main's claims into ``acc``; returns the groups the helper
+        claimed and its busy seconds.  Raises :class:`HelperLost` instead of
+        waiting past :data:`DEADLINE_S`."""
+        helper_hi, busy_s = self._wait(pass_no)
+        main_lo = self.main_lo(tiles.n_groups)
+        if helper_hi < main_lo:
+            raise HelperLost(f"claims [0, {helper_hi}) and [{main_lo}, n) leave a gap")
+        rows = tiles.rows(0, main_lo)
+        acc[rows] = self._out()[_HEADER : _HEADER + acc.size].reshape(acc.shape)[rows]
+        return helper_hi, busy_s
+
+    def cancel(self, pass_no: int) -> None:
+        """Drop pass ``pass_no``, which main will not collect: claim every
+        group so the helper stops at its next, and wait for its answer.
+        Raises :class:`HelperLost` as :meth:`collect` does."""
+        self._out()[_MAIN_LO] = 0
+        self._wait(pass_no)
 
     def kill(self) -> None:
         """SIGKILL the helper (a lost one must not touch the ring again)."""

@@ -115,12 +115,30 @@ class BaseIntegrator:
         return self.engine.hydro(self.ps, label)
 
     def compute_forces(self, label: str = "1st") -> None:
-        """Full force evaluation; stores acc/du_dt/vsig for the kicks."""
+        """Full force evaluation; stores acc/du_dt/vsig for the kicks.
+
+        Gravity and hydro are two independent passes over the same
+        positions — gravity reads only ``pos``/``mass``/``eps``, which the
+        SPH pass never writes — so they overlap: after both passes' inputs
+        are checked (a ``ValueError`` names the first non-finite row, before
+        anything is shipped), the tree pass goes out to the engine's gravity
+        helper (:meth:`ForceEngine.submit_gravity`), this process runs
+        density + hydro, then :meth:`ForceEngine.gravity` claims its share of
+        the groups and collects the helper's.  The result is bit-identical to
+        running the two passes one after the other; an exception in between
+        leaves no pass in flight.
+        """
+        ps, engine = self.ps, self.engine
+        engine.check_sph_inputs(ps)
         if self.cfg.self_gravity:
-            self._grav_acc = self._gravity(label)
-        else:
-            self._grav_acc = np.zeros((len(self.ps), 3))
-        self._hydro_acc, self._du_dt, self._vsig = self._hydro(label)
+            engine.submit_gravity(ps)
+        try:
+            self._hydro_acc, self._du_dt, self._vsig = self._hydro(label)
+            self._grav_acc = (
+                self._gravity(label) if self.cfg.self_gravity else np.zeros((len(ps), 3))
+            )
+        finally:
+            engine.drain_gravity()
         self._first_forces_done = True
 
     def kick(self, dt: float) -> None:

@@ -13,6 +13,7 @@ n_l ~ O(log N + n_g).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -46,11 +47,11 @@ class GroupTiles:
     lists (accepted node ids, opened-leaf particles) from one wave
     traversal; ``sources`` are the ``(pos, mass, eps)`` of every particle
     the tree covers.  A tile writes its own targets' rows and nothing else,
-    so any contiguous run of groups can be evaluated on its own, by any
+    so any group can be evaluated on its own, in any order and by any
     process that walked the same tree: :meth:`evaluate` is the one group
     loop, which :func:`tree_accel` runs over every group and
-    :class:`repro.accel.ForceEngine` splits between itself and its gravity
-    helper.
+    :class:`repro.accel.ForceEngine` and its gravity helper run over the
+    groups each claims (:mod:`repro.accel.gravity_helper`).
     """
 
     tree: Octree
@@ -102,13 +103,15 @@ class GroupTiles:
         return np.concatenate(self.targets[lo:hi]) if lo < hi else np.empty(0, dtype=np.int64)
 
     def evaluate(
-        self, acc: np.ndarray, lo: int, hi: int, backend: KernelBackend,
+        self, acc: np.ndarray, groups: Iterable[int], backend: KernelBackend,
         workspace: TileWorkspace,
     ) -> None:
-        """Write the accelerations of groups ``lo:hi`` into their rows of ``acc``."""
+        """Write the accelerations of ``groups`` into their rows of ``acc``,
+        in the order the iterable yields them (it may be a claimer that
+        decides the next group only when asked)."""
         node_com, node_mass = self.tree.node_com, self.tree.node_mass
         src_pos, src_mass, src_eps = self.sources
-        for k in range(lo, hi):
+        for k in groups:
             nodes, parts = self.lists[k]
             targets = self.targets[k]
             acc[targets] = backend.grav_tile(
@@ -127,22 +130,6 @@ class GroupTiles:
         """Charge every tile to ``counter``, one list per group."""
         for targets, length in zip(self.targets, self.list_len, strict=True):
             counter.add("gravity", len(targets), length)
-
-
-def split_point(costs: np.ndarray, share: float = 0.5) -> int:
-    """The cut of one pass: main evaluates groups ``[0, cut)``, the helper
-    ``[cut, n)``, about ``share`` of the pairs.
-
-    ``cut`` is the first at which main's run holds at least ``1 - share``
-    of the pairs, kept inside ``[1, n - 1]`` so that each process has a run
-    to measure; each run then misses its share of the total by at most the
-    largest single group (with ``share = 0.5``, the heavier run exceeds half
-    by at most that much).  Both processes get the same cut from the same
-    costs and share.
-    """
-    prefix = np.concatenate([[0], np.cumsum(costs, dtype=np.int64)])
-    cut = int(np.searchsorted(prefix, (1.0 - share) * prefix[-1], side="left"))
-    return min(max(cut, 1), len(costs) - 1) if len(costs) > 1 else cut
 
 
 def tree_accel(
@@ -229,7 +216,7 @@ def tree_accel(
         n_g=n_g, theta=theta, mixed=mixed_precision, g=g,
     )
     acc = np.zeros_like(pos)
-    tiles.evaluate(acc, 0, tiles.n_groups, bk, workspace)
+    tiles.evaluate(acc, range(tiles.n_groups), bk, workspace)
     if counter is not None:
         tiles.count(counter)
     lists = tiles.n_groups

@@ -91,6 +91,14 @@ Repo invariants (the rule catalog)
     subsystem: traces must stay comparable across runs and complete under
     exceptions.
 
+``strict-annotations``
+    Every ``def`` in a module of the strict ``[[tool.mypy.overrides]]`` in
+    ``pyproject.toml`` (the one list, read from there) annotates each
+    parameter — ``*args``/``**kwargs`` included, a method's ``self``/``cls``
+    excepted — and its return.  mypy checks the types in CI; this rule
+    keeps the signatures it needs complete wherever the tier-1 loop runs,
+    mypy installed or not.
+
 Suppressions
 ------------
 

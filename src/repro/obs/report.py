@@ -32,10 +32,13 @@ recorded trace:
 * ``accel.gravity_pairs`` over the ``Calc_Force`` span seconds (every rank)
   is the force pass's pair rate, printed with the gravity tile workspace's
   bytes (the ``accel.grav_workspace_bytes`` gauge: the scratch a pass
-  holds, one pair block whatever N) and, when the passes were split with
+  holds, one pair block whatever N) and, when the passes were shared with
   the gravity helper (``accel.grav_split_passes``), the busy milliseconds
   of main and helper in the last such pass (the
-  ``accel.grav_main_busy_s`` / ``accel.grav_helper_busy_s`` gauges);
+  ``accel.grav_main_busy_s`` / ``accel.grav_helper_busy_s`` gauges), the
+  milliseconds of it that overlapped the SPH pass
+  (``accel.grav_overlap_s``) and the groups the helper claimed
+  (``accel.grav_helper_groups`` of ``accel.grav_groups``);
 * :func:`diff_reports` lines two runs up row by row for regression triage
   (``python -m repro.obs report A --diff B``).
 """
@@ -101,10 +104,12 @@ class RunReport:
 
     def gravity_per_pass(self) -> dict[str, float]:
         """Pair rate and tile workspace of the gravity passes (empty when
-        the run traced none); for a run whose passes were split with the
-        gravity helper, also the busy milliseconds of each process in the
-        last split pass — main's walk and run against the helper's build,
-        walk and run, so an unbalanced cut shows."""
+        the run traced none); for a run whose passes were shared with the
+        gravity helper, also, of the last such pass, the busy milliseconds
+        of each process — main's walk and claims against the helper's
+        build, walk and claims — the milliseconds main spent between
+        submitting the pass and its own walk (the SPH pass the helper
+        overlapped), and the groups the helper claimed of all groups."""
         passes = self.counters.get("accel.gravity_passes")
         if not passes:
             return {}
@@ -119,6 +124,9 @@ class RunReport:
             out["split_passes"] = split
             out["main_ms"] = self.gauges.get("accel.grav_main_busy_s", 0.0) * 1e3
             out["helper_ms"] = self.gauges.get("accel.grav_helper_busy_s", 0.0) * 1e3
+            out["overlap_ms"] = self.gauges.get("accel.grav_overlap_s", 0.0) * 1e3
+            out["helper_groups"] = self.gauges.get("accel.grav_helper_groups", 0.0)
+            out["groups"] = self.gauges.get("accel.grav_groups", 0.0)
         return out
 
     # -------------------------------------------------------------- exports
@@ -187,9 +195,14 @@ class RunReport:
                 f"2 processes, main {gravity['main_ms']:.1f} ms / helper "
                 f"{gravity['helper_ms']:.1f} ms per pass, " if "split_passes" in gravity else ""
             )
+            claims = (
+                f", overlapped with hydro {gravity['overlap_ms']:.1f} ms, helper "
+                f"{int(gravity['helper_groups'])}/{int(gravity['groups'])} groups"
+                if "split_passes" in gravity else ""
+            )
             lines += ["", f"gravity: {split}{gravity['mpair_per_s']:.1f} Mpair/s, "
                       f"workspace {gravity['workspace_mb']:.2f} MB "
-                      f"over {int(gravity['passes'])} passes"]
+                      f"over {int(gravity['passes'])} passes{claims}"]
         grid = self.neighbor_grid_per_step()
         if grid:
             line = "neighbor grid (per step): " + ", ".join(

@@ -1,10 +1,13 @@
-"""The gravity helper: half of every tree pass in a second process.
+"""The gravity helper: a second process in every tree pass, overlapped with hydro.
 
-Contracts: the split pass is bit-identical to ``tree_accel`` (the serial
-reference); the cut partitions the groups in order and balances their
-pairs; a helper that dies before or during a pass changes no byte of the
-run and is reported once; ``close()`` leaves no process and no shared
-segment; only a run whose engine does the gravity on a tree starts one.
+Contracts: the shared pass is bit-identical to ``tree_accel`` (the serial
+reference), also when both processes share one CPU; the claims from both
+ends cover every group and evaluate at most one twice, under any
+interleaving; a helper that dies before, during or after the SPH pass
+changes no byte of the run and is reported once; a non-finite input, or
+any exception between submit and collect, leaves no pass in flight;
+``close()`` leaves no process and no shared segment; only a run whose
+engine does the gravity on a tree starts one.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import logging
 import multiprocessing as mp
 import os
 import signal
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +27,11 @@ from hypothesis import strategies as st
 
 from repro import GalaxySimulation
 from repro.accel import ForceEngine
-from repro.core.integrator import IntegratorConfig
+from repro.accel.gravity_helper import _HELPER_HI, _MAIN_LO, claim_down, claim_up
+from repro.core.integrator import BaseIntegrator, IntegratorConfig
 from repro.fdps.interaction import InteractionCounter
-from repro.gravity.treegrav import GroupTiles, split_point, tree_accel
+from repro.fdps.particles import ParticleType
+from repro.gravity.treegrav import GroupTiles, tree_accel
 from repro.ic.galaxy import make_mw_mini
 from repro.obs.trace import Tracer
 from repro.sn.turbulence import make_turbulent_box
@@ -93,6 +100,79 @@ def test_gravity_names_the_first_non_finite_row_before_shipping(field):
         engine.close()
 
 
+def _forces(integ):
+    return [integ._grav_acc.copy(), integ._hydro_acc.copy(), integ._du_dt.copy(),
+            integ._vsig.copy(), integ.ps.pack()]
+
+
+def _assert_same_forces(integ, reference):
+    assert all(np.array_equal(a, b) for a, b in zip(_forces(integ), reference, strict=True))
+
+
+def _assert_no_pass_in_flight(engine):
+    assert engine._pending is None
+    assert not engine._helper._h.conn.poll(0)             # no answer owed or unread
+
+
+@pytest.fixture(scope="module")
+def serial_box_forces():
+    """One force evaluation of the gas box on this process alone."""
+    integ = BaseIntegrator(_ic("turbulent_box"))
+    integ.compute_forces("1st")
+    return _forces(integ)
+
+
+def _box_integrator():
+    integ = BaseIntegrator(_ic("turbulent_box"), tracer=Tracer())
+    assert integ.engine.start_gravity_helper(len(integ.ps))
+    return integ
+
+
+@pytest.mark.parametrize("field", ["u", "h", "vel", "mass"])
+def test_sph_inputs_are_checked_before_the_gravity_pass_ships(field, serial_box_forces):
+    integ = _box_integrator()
+    engine = integ.engine
+    try:
+        gas = np.flatnonzero(integ.ps.where_type(ParticleType.GAS))
+        values = getattr(integ.ps, field)
+        kept = values.copy()
+        values[gas[7]] = np.nan
+        values[gas[9]] = np.inf
+        with pytest.raises(ValueError, match=rf"SPH input {field}\[{gas[7]}\] is not finite"):
+            integ.compute_forces("1st")
+        assert engine._helper._pass == 0                  # nothing went out
+        _assert_no_pass_in_flight(engine)
+        values[:] = kept
+        integ.compute_forces("1st")
+        _assert_same_forces(integ, serial_box_forces)
+        assert integ.tracer.counters["accel.grav_split_passes"] == 1
+    finally:
+        engine.close()
+
+
+def test_an_exception_between_submit_and_collect_leaves_no_pass_in_flight(serial_box_forces):
+    integ = _box_integrator()
+    engine = integ.engine
+    hydro = engine.hydro
+
+    def hydro_that_fails(*args):
+        engine.hydro = hydro
+        raise KeyboardInterrupt
+
+    engine.hydro = hydro_that_fails
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            integ.compute_forces("1st")
+        assert engine._helper._pass == 1                  # the pass went out ...
+        _assert_no_pass_in_flight(engine)                 # ... and was cancelled
+        integ.compute_forces("1st")
+        _assert_same_forces(integ, serial_box_forces)
+        assert integ.tracer.counters["accel.grav_split_passes"] == 1
+        assert LOST not in integ.tracer.counters          # cancelled, not lost
+    finally:
+        engine.close()
+
+
 # ------------------------------------------------------------- bit-identity
 @pytest.mark.parametrize("mixed", [True, False])
 @pytest.mark.parametrize("kind", ["mw_mini", "turbulent_box"])
@@ -125,71 +205,100 @@ def test_the_two_runs_write_every_row_once():
     tree = ForceEngine(cfg).index.tree_for(ps.pos, ps.mass, leaf_size=cfg.leaf_size)
     tiles = GroupTiles.walk(tree, ps.pos, ps.eps, (ps.pos, ps.mass, ps.eps), n_g=cfg.n_g,
                             theta=cfg.theta)
-    cut = split_point(tiles.costs)
-    assert 0 < cut < tiles.n_groups
-    rows = np.concatenate([tiles.rows(0, cut), tiles.rows(cut, tiles.n_groups)])
-    assert np.array_equal(np.sort(rows), np.arange(len(ps)))
+    assert tiles.n_groups > 1
+    for meet in range(tiles.n_groups + 1):       # wherever the claims meet
+        rows = np.concatenate([tiles.rows(0, meet), tiles.rows(meet, tiles.n_groups)])
+        assert np.array_equal(np.sort(rows), np.arange(len(ps)))
 
 
-_costs = st.one_of(
-    st.lists(st.integers(0, 10**9), max_size=80),
-    st.lists(st.just(0), max_size=20),                                   # zeros
-    st.integers(0, 10**12).map(lambda c: [c]),                           # one group
-    st.tuples(                                                           # one dominant
-        st.lists(st.integers(0, 100), max_size=20),
-        st.integers(10**9, 10**12),
-        st.lists(st.integers(0, 100), max_size=20),
-    ).map(lambda t: [*t[0], t[1], *t[2]]),
+class _Header:
+    """The two claim counters as both sides see them, in a model of the
+    hardware: a side's publish sits in its store buffer, invisible to the
+    other side, until it drains (in order, a few entries at a time)."""
+
+    def __init__(self):
+        self.visible = {_HELPER_HI: 0.0, _MAIN_LO: np.inf}
+        self.buffered = {_HELPER_HI: [], _MAIN_LO: []}
+
+    def drain(self, slot, k=None):
+        pending = self.buffered[slot]
+        k = len(pending) if k is None else min(k, len(pending))
+        if k:
+            self.visible[slot] = pending[k - 1]
+            del pending[:k]
+
+    def view(self, own):
+        header = self
+
+        class View:
+            def __getitem__(self, slot):
+                assert slot != own                        # a side reads only the other's
+                return header.visible[slot]
+
+            def __setitem__(self, slot, value):
+                assert slot == own                        # ... and writes only its own
+                header.buffered[slot].append(value)
+
+        return View()
+
+
+_SLOT = {"helper": _HELPER_HI, "main": _MAIN_LO}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(0, 12),
+    schedule=st.lists(
+        st.tuples(st.sampled_from(["helper", "main", "drain helper", "drain main"]),
+                  st.integers(1, 3)),
+        max_size=60,
+    ),
+    bounded=st.booleans(),
 )
+def test_claims_from_both_ends_cover_every_group_and_meet_once(n, schedule, bounded):
+    """Both claimers under any interleaving of their read / publish /
+    evaluate steps, each read of the other side's counter any number of
+    steps stale.  ``bounded`` adds what the hardware guarantees: a publish
+    has drained by the time its side has evaluated the group (a tile is far
+    more stores than a store buffer holds)."""
+    header = _Header()
+    claims = {"helper": claim_up(header.view(_HELPER_HI), n),
+              "main": claim_down(header.view(_MAIN_LO), n)}
+    evaluated = {"helper": [], "main": []}
 
+    def step(side):
+        if bounded:
+            header.drain(_SLOT[side])     # its last evaluation is done
+        g = next(claims[side], None)
+        if g is None:
+            del claims[side]
+        else:
+            evaluated[side].append(g)
 
-@settings(max_examples=300, deadline=None)
-@given(costs=_costs, share=st.one_of(st.just(0.5), st.floats(0.05, 0.95)))
-def test_cut_partitions_groups_in_order_and_balances_pairs(costs, share):
-    costs = np.asarray(costs, dtype=np.int64)
-    cut = split_point(costs, share)
-    n = len(costs)
-    assert 0 <= cut <= n
-    main, helper = list(range(cut)), list(range(cut, n))
-    assert main + helper == list(range(n))
-    total = int(costs.sum())
-    largest = int(costs.max()) if n else 0
-    main_pairs = int(costs[:cut].sum())
-    if n > 1:
-        assert 0 < cut < n                      # both processes have a run
-    assert abs(main_pairs - (1.0 - share) * total) <= largest
-    if share == 0.5:
-        heavier = max(main_pairs, total - main_pairs)
-        assert 2 * heavier - total <= 2 * largest
+    for action, k in schedule:
+        if action in claims:
+            step(action)
+        elif action.startswith("drain"):
+            header.drain(_SLOT[action.split()[1]], k)
+    while claims:                         # both run to the end, alternating
+        for side in list(claims):
+            step(side)
 
-
-def test_rebalance_moves_the_share_toward_the_faster_process():
-    ps = _ic("turbulent_box")
-    engine = _engine(ps)
-    helper = engine._helper
-    try:
-        assert helper.share == 0.5
-        helper.rebalance(2.0, 1.0)              # the helper delivered half main's rate
-        assert helper.share == pytest.approx(0.5 * (0.5 + 1 / 3))
-        for _ in range(40):
-            helper.rebalance(2.0, 1.0)
-        assert helper.share == pytest.approx(1 / 3)
-        helper.rebalance(0.0, 1.0)              # no measurement: no move
-        assert helper.share == pytest.approx(1 / 3)
-        for _ in range(40):
-            helper.rebalance(1.0, 1e9)
-        assert helper.share == 0.95
-        ref = _serial(ps, engine.cfg)
-        for share in (0.95, 0.05, 0.3):         # any cut: the same forces
-            helper.share = share
-            engine.index.invalidate_positions()
-            assert np.array_equal(engine.gravity(ps, "1st"), ref.acc)
-    finally:
-        engine.close()
+    helper, main = evaluated["helper"], evaluated["main"]
+    h, m = len(helper), n - len(main)
+    assert helper == list(range(h))                       # [0, h), in order
+    assert main == list(range(n - 1, m - 1, -1))          # [m, n), from the top
+    assert h >= m                                         # every group covered
+    if bounded:
+        assert h - m <= 1                                 # at most one twice
+    header.drain(_HELPER_HI)                              # what collect reads
+    header.drain(_MAIN_LO)
+    assert header.visible[_HELPER_HI] == h
+    assert header.visible[_MAIN_LO] == (m if m < n else np.inf)
 
 
 # ------------------------------------------------------------- helper loss
-@pytest.mark.parametrize("when", ["between_passes", "after_go"])
+@pytest.mark.parametrize("when", ["between_passes", "after_go", "after_a_claim"])
 def test_pass_survives_a_killed_helper(when, caplog):
     ps = _ic("mw_mini")
     tracer = Tracer()
@@ -205,6 +314,11 @@ def test_pass_survives_a_killed_helper(when, caplog):
 
         def submit_then_die(*args):
             pass_no = submit(*args)
+            if when == "after_a_claim":         # its groups' rows never arrive
+                header, deadline = helper._out(), time.monotonic() + 10
+                while header[_HELPER_HI] < 1 and time.monotonic() < deadline:
+                    pass
+                assert header[_HELPER_HI] >= 1
             _kill(helper.pid)
             return pass_no
 
@@ -219,8 +333,91 @@ def test_pass_survives_a_killed_helper(when, caplog):
     _assert_closed(engine, segment)
 
 
+def _kill_in_next_hydro_with_a_pass_out(engine):
+    """SIGKILL the helper when main enters the SPH pass next while a tree
+    pass is out (between submit and collect)."""
+    hydro, helper = engine.hydro, engine._helper
+
+    def kill_then_hydro(*args):
+        if engine._pending is not None and engine._pending[0] is not None:
+            engine.hydro = hydro
+            _kill(helper.pid)
+        return hydro(*args)
+
+    engine.hydro = kill_then_hydro
+
+
+def test_pass_survives_a_helper_killed_during_hydro(caplog):
+    serial = BaseIntegrator(_ic("turbulent_box"))
+    integ = _box_integrator()
+    engine = integ.engine
+    segment = _segment(engine)
+    ref = _serial(integ.ps, integ.cfg).acc
+    with caplog.at_level(logging.WARNING, logger="repro.accel"):
+        for k in range(3):
+            if k == 1:
+                _kill_in_next_hydro_with_a_pass_out(engine)
+            integ.compute_forces("1st")
+            serial.compute_forces("1st")
+            assert np.array_equal(integ._grav_acc, ref)
+            _assert_same_forces(integ, _forces(serial))
+    assert integ.tracer.counters[LOST] == 1
+    assert integ.tracer.counters["accel.grav_split_passes"] == 1
+    assert len([r for r in caplog.records if "gravity helper" in r.getMessage()]) == 1
+    _assert_closed(engine, segment)
+
+
+def test_a_starved_helper_claims_nothing_and_main_evaluates_every_group():
+    """A helper that gets no CPU until main is done claims no group: main
+    evaluates them all and waits only for the empty answer."""
+    ps = _ic("mw_mini")
+    tracer = Tracer()
+    engine = _engine(ps, tracer)
+    pid = engine._helper.pid
+    ref = _serial(ps, engine.cfg)
+    os.kill(pid, signal.SIGSTOP)                          # the go waits in the pipe
+    resume = threading.Timer(0.5, os.kill, (pid, signal.SIGCONT))
+    resume.start()
+    try:
+        assert np.array_equal(engine.gravity(ps, "1st"), ref.acc)
+    finally:
+        resume.join()
+        engine.close()
+    groups = tracer.gauges["accel.grav_groups"]
+    assert groups > 1
+    assert tracer.gauges["accel.grav_main_groups"] == groups
+    assert tracer.gauges["accel.grav_helper_groups"] == 0
+    assert tracer.counters["accel.grav_split_passes"] == 1 and LOST not in tracer.counters
+
+
+def test_passes_on_one_shared_cpu_are_bit_identical():
+    """Main and helper pinned to one CPU: the claims meet wherever the
+    scheduler lets them, and every pass is still the serial one."""
+    integ = _box_integrator()
+    engine = integ.engine
+    ref = _serial(integ.ps, integ.cfg).acc
+    before = os.sched_getaffinity(0)
+    cpu = {min(before)}
+    try:
+        os.sched_setaffinity(0, cpu)
+        os.sched_setaffinity(engine._helper.pid, cpu)
+        for _ in range(20):
+            integ.compute_forces("1st")
+            assert np.array_equal(integ._grav_acc, ref)
+    finally:
+        os.sched_setaffinity(0, before)
+        engine.close()
+    assert integ.tracer.counters["accel.grav_split_passes"] == 20
+    assert LOST not in integ.tracer.counters
+
+
 def _mw_sim():
     return GalaxySimulation(make_mw_mini(4000, seed=1), dt=2e-3, n_pool=4, surrogate_grid=8,
+                            tracer=Tracer())
+
+
+def _box_sim():
+    return GalaxySimulation(_ic("turbulent_box"), dt=2e-3, n_pool=4, surrogate_grid=8,
                             tracer=Tracer())
 
 
@@ -254,6 +451,25 @@ def test_run_survives_a_killed_helper(when, serial_mw_run, caplog):
             helper.submit = submit_then_die
         sim.run(4)
     assert sim.ps.pack().tobytes() == serial_mw_run
+    assert sim.tracer.counters[LOST] == 1
+    assert sim.tracer.counters["accel.grav_split_passes"] >= 2
+    assert len([r for r in caplog.records if "gravity helper" in r.getMessage()]) == 1
+    _assert_closed(sim, segment)
+
+
+def test_gas_run_survives_a_helper_killed_during_hydro(caplog):
+    with _box_sim() as serial:
+        serial.integrator.engine.close()
+        serial.run(6)
+        reference = serial.ps.pack().tobytes()
+    sim = _box_sim()
+    engine = sim.integrator.engine
+    segment = _segment(engine)
+    with caplog.at_level(logging.WARNING, logger="repro.accel"):
+        sim.run(2)
+        _kill_in_next_hydro_with_a_pass_out(engine)
+        sim.run(4)
+    assert sim.ps.pack().tobytes() == reference
     assert sim.tracer.counters[LOST] == 1
     assert sim.tracer.counters["accel.grav_split_passes"] >= 2
     assert len([r for r in caplog.records if "gravity helper" in r.getMessage()]) == 1

@@ -13,14 +13,14 @@ REPO = Path(__file__).resolve().parents[2]
 VIOLATING = """import numpy as np
 
 
-def deposit(grid, idx, w):
+def deposit(grid: np.ndarray, idx: np.ndarray, w: np.ndarray) -> None:
     np.add.at(grid, idx, w)
 """
 
 CLEAN = """import numpy as np
 
 
-def deposit(idx, w, size):
+def deposit(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(idx, weights=w, minlength=size)
 """
 
@@ -84,7 +84,7 @@ def test_cli_list_rules_names_the_catalog():
     assert proc.returncode == 0
     for name in registered_rules():
         assert name in proc.stdout
-    assert len(registered_rules()) == 10
+    assert len(registered_rules()) == 11
 
 
 def test_module_name_for_anchors_at_repro():

@@ -20,7 +20,7 @@ def test_determinism_flags_global_rng():
         """
         import numpy as np
 
-        def kick(x):
+        def kick(x: np.ndarray) -> np.ndarray:
             return x + np.random.normal(size=x.shape)
         """,
         module="repro.sph.density",
@@ -741,3 +741,64 @@ def test_ledger_label_fires_in_runner_modules():
         select=["ledger-label"],
     )
     assert _rules(findings) == ["ledger-label"]
+
+
+# ------------------------------------------------------- strict-annotations
+def test_strict_annotations_reads_the_strict_modules_from_pyproject():
+    from repro.lint.rules.annotations import strict_modules
+
+    strict = strict_modules()
+    assert {"repro.accel.gravity_helper", "repro.accel.engine", "repro.util.shm"} <= strict
+    assert "repro.core.integrator" not in strict
+
+
+def test_strict_annotations_flags_each_missing_annotation():
+    findings = _lint(
+        """
+        class Helper:
+            def submit(self, pos, n: int):
+                def claim(g: int):
+                    return g
+                return claim(n)
+
+            @classmethod
+            def start(cls, *args, **kwargs) -> "Helper":
+                return cls()
+
+
+        def collect(pass_no: int, *, acc) -> None:
+            pass
+        """,
+        module="repro.accel.gravity_helper",
+        select=["strict-annotations"],
+    )
+    assert _rules(findings) == ["strict-annotations"] * 4
+    messages = [f.message for f in findings]
+    assert "submit() is in a strictly typed module but does not annotate pos, return" in messages
+    assert any(m.startswith("claim() ") and m.endswith("annotate return") for m in messages)
+    assert any(m.startswith("start() ") and m.endswith("annotate *args, **kwargs")
+               for m in messages)
+    assert any(m.startswith("collect() ") and m.endswith("annotate acc") for m in messages)
+
+
+def test_strict_annotations_accepts_annotated_defs_and_ignores_other_modules():
+    source = """
+        from collections.abc import Iterator
+
+        import numpy as np
+
+
+        class Helper:
+            def __init__(self, n: int) -> None:
+                self.n = n
+
+            def claims(self, n_groups: int) -> Iterator[int]:
+                yield from range(n_groups)
+
+
+        def collect(pass_no: int, *rows: int, acc: np.ndarray, **kw: float) -> None:
+            pass
+        """
+    assert _lint(source, module="repro.accel.engine", select=["strict-annotations"]) == []
+    untyped = "def step(self, dt):\n    return dt\n"
+    assert _lint(untyped, module="repro.core.integrator", select=["strict-annotations"]) == []

@@ -7,7 +7,7 @@ from repro.lint import UNUSED_RULE, lint_source
 VIOLATION = """
 import numpy as np
 
-def deposit(grid, idx, w):
+def deposit(grid: np.ndarray, idx: np.ndarray, w: np.ndarray) -> None:
     np.add.at(grid, idx, w){comment}
 """
 
@@ -38,7 +38,7 @@ def test_suppression_on_wrong_line_does_not_silence():
     import numpy as np
     # repro-lint: disable=hotpath-hygiene
 
-    def deposit(grid, idx, w):
+    def deposit(grid: np.ndarray, idx: np.ndarray, w: np.ndarray) -> None:
         np.add.at(grid, idx, w)
     """
     rules = {f.rule for f in _lint(src)}
@@ -50,7 +50,7 @@ def test_unused_suppression_reported():
     src = """
     import numpy as np
 
-    def deposit(idx, w, size):
+    def deposit(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
         return np.bincount(idx, weights=w, minlength=size)  # repro-lint: disable=hotpath-hygiene
     """
     findings = _lint(src)
@@ -62,7 +62,7 @@ def test_unused_suppression_not_reported_for_unselected_rule():
     src = """
     import numpy as np
 
-    def deposit(idx, w, size):
+    def deposit(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
         return np.bincount(idx, weights=w, minlength=size)  # repro-lint: disable=hotpath-hygiene
     """
     # Under --select determinism the hotpath rule never ran; the suppression
@@ -74,7 +74,7 @@ def test_docstring_mention_is_not_a_suppression():
     src = '''
     import numpy as np
 
-    def deposit(idx, w, size):
+    def deposit(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
         """Silence the checker with ``# repro-lint: disable=hotpath-hygiene``."""
         return np.bincount(idx, weights=w, minlength=size)
     '''

@@ -257,3 +257,34 @@ def test_report_shows_split_gravity_passes_per_process():
     serial = Tracer(run_id="serial")
     ForceEngine(IntegratorConfig(), timers=TimerRegistry(tracer=serial)).gravity(ps, "step")
     assert "processes" not in report_traces([_as_loaded(serial)]).to_text()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the helper needs two CPUs")
+def test_report_shows_the_gravity_overlap_with_hydro_and_the_claims():
+    """A force evaluation ships the tree pass before the SPH pass: the
+    gravity line prints how long main ran hydro while the helper worked and
+    how many groups the helper claimed, so a starved helper shows."""
+    from repro.core.integrator import BaseIntegrator
+    from repro.sn.turbulence import make_turbulent_box
+
+    tr = Tracer(run_id="overlap")
+    box = make_turbulent_box(n_per_side=11, side=60.0, mach=2.0, seed=4)
+    integ = BaseIntegrator(box, tracer=tr)
+    assert integ.engine.start_gravity_helper(len(box))
+    try:
+        for _ in range(2):
+            integ.compute_forces("1st")
+    finally:
+        integ.engine.close()
+    report = report_traces([_as_loaded(tr)])
+    gravity = report.gravity_per_pass()
+    assert gravity["split_passes"] == 2
+    assert gravity["overlap_ms"] == tr.gauges["accel.grav_overlap_s"] * 1e3 > 0
+    groups, helper = tr.gauges["accel.grav_groups"], tr.gauges["accel.grav_helper_groups"]
+    assert gravity["groups"] == groups > 1 and gravity["helper_groups"] == helper
+    assert 0 <= helper <= groups
+    # Together the claims cover every group; at most the meeting one twice.
+    assert helper + tr.gauges["accel.grav_main_groups"] in (groups, groups + 1)
+    assert (f"over 2 passes, overlapped with hydro {gravity['overlap_ms']:.1f} ms, "
+            f"helper {int(helper)}/{int(groups)} groups") in report.to_text()
+    assert report.to_json_obj()["gravity_per_pass"] == gravity

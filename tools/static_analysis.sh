@@ -6,14 +6,16 @@
 #   2. repro.lint  repo-invariant checker (determinism, ledger labels,
 #                  import gating, backend purity, hot-path hygiene, shm
 #                  lease pairing, wire symmetry, rng plumbing,
-#                  silent-except); see the repro.lint package docstring
-#                  for the rule catalog
+#                  silent-except, span pairing, strict-annotations); see
+#                  the repro.lint package docstring for the rule catalog
 #   3. mypy        strictly-typed subset: the modules of the strict
 #                  [[tool.mypy.overrides]] in pyproject.toml (printed below)
 #
 # ruff/mypy are optional locally (skipped with a note when not installed);
 # the invariant checker has no dependencies beyond the repo itself and
-# always runs.
+# always runs.  Its strict-annotations rule is the part of gate 3 that
+# needs no mypy: every def in the strict modules annotates each parameter
+# and its return, so an unannotated signature fails here too.
 set -u
 cd "$(dirname "$0")/.."
 
