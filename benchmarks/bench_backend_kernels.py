@@ -73,6 +73,15 @@ particle unconverged on every pass).  Sweeps, grid builds and ms per pass are
 recorded; the *counts* are asserted: nobody unconverged, <= 5 sweeps, one
 grid.
 
+``density_reach`` is the density solve's candidate list on the gas of the
+``gas_disk`` workload's initial conditions (seed 21, at its converged ``h``):
+ms of one generation and of two sweeps plus the finalize, over the full
+``r < cell`` list and over the reach list of ``min(cell, 1.5 h_i)`` the solve
+makes, with both lists' pairs.  Asserted: the reach list is made (its
+expected share of the full list is at most ``_MAX_REACH_SHARE``), and its
+sweeps, finalize and gather list are bit-identical to the full list's; the
+milliseconds are recorded, with no floor.
+
 ``grav_tile`` times the gravity tile on the three shapes the workloads run
 — an interaction group of the 4,000-particle halo against its list
 (256 x 3,140, mixed precision), the LET import tile of a two-rank run
@@ -99,6 +108,7 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks.conftest import fmt_table
+from benchmarks.e2e.workloads import gas_disk
 from repro.accel.backends import get_backend, numpy_backend
 from repro.accel.backends.base import TileWorkspace
 from repro.core.integrator import IntegratorConfig
@@ -108,7 +118,7 @@ from repro.gravity.treegrav import tree_accel
 from repro.ic.galaxy import MW_SPEC, make_mw_mini, make_mw_model
 from repro.serve import SurrogateServer
 from repro.sn.turbulence import make_turbulent_box
-from repro.sph.density import _velocity_estimators, compute_density
+from repro.sph.density import _REACH, _velocity_estimators, compute_density
 from repro.sph.forces import compute_hydro_forces
 from repro.sph.kernels import DEFAULT_KERNEL
 from repro.sph.neighbors import NeighborGrid, half_pairs_from_gather
@@ -434,6 +444,41 @@ def _time_h_solve():
     return out
 
 
+def _time_density_reach():
+    """Generation, then two sweeps and the finalize, over the full candidate
+    list and over the reach list: ms (best of a few) and pairs per list."""
+    gas = gas_disk(21).gas()
+    pos, mass = gas.pos, gas.mass
+    h = compute_density(pos, gas.vel, mass, gas.u, gas.h, n_ngb=64).h
+    # The second sweep: a fifth of the particles moved their h by up to 3%.
+    rng = np.random.default_rng(21)
+    h2 = h * np.where(rng.random(len(h)) < 0.2, rng.uniform(0.97, 1.03, len(h)), 1.0)
+    cell = float(max(h.max(), h2.max()))
+    numpy_bk = get_backend("numpy")
+    out: dict = {"n_gas": len(pos), "cell": cell, "median_h": float(np.median(h))}
+    sums = {}
+    for label, reach in (("full", None), ("reach", np.minimum(cell, _REACH * h))):
+        grid = NeighborGrid.build(pos, cell)
+        generate_s = sweeps_s = np.inf
+        for _ in range(5):
+            grid.release_pairs()
+            t0 = time.perf_counter()
+            pairs = grid.compact_self_pairs(reach)
+            generate_s = min(generate_s, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            gather = numpy_bk.density_gather(grid, pos, DEFAULT_KERNEL)
+            got = (gather.weight_sum(h), gather.weight_sum(h2), *gather.finalize(h2, mass))
+            sweeps_s = min(sweeps_s, time.perf_counter() - t0)
+        sums[label] = got
+        out[label] = {"reach_list": grid.has_reach_list, "candidates": len(pairs[0]),
+                      "generate_ms": generate_s * 1e3, "sweeps_finalize_ms": sweeps_s * 1e3}
+    full, reach = sums["full"], sums["reach"]
+    out["bit_identical"] = all(
+        np.array_equal(a, b) for a, b in zip((*full[:5], *full[5]), (*reach[:5], *reach[5]))
+    )
+    return out
+
+
 def _gas_disk():
     """The gas of a 2,500-particle exponential disk: kernel sizes span 10x,
     so the cell (= the largest) leaves a candidate list ~20x the gather list
@@ -534,6 +579,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     tree_build = _time_tree_build()
     sn_local_edit = _time_sn_local_edit()
     h_solve = _time_h_solve()
+    density_reach = _time_density_reach()
 
     payload = {
         "backends": _backends(),
@@ -545,6 +591,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
         "tree_build": tree_build,
         "sn_local_edit": sn_local_edit,
         "h_solve": h_solve,
+        "density_reach": density_reach,
         "kernels": kernels,
         "whole_step": whole,
     }
@@ -577,6 +624,11 @@ def test_backend_kernels(benchmark, results_dir, write_result):
                      sn_local_edit[label]["speedup"]])
     for label, cell in h_solve.items():
         rows.append(["h solve: sweeps", "numpy", label, cell["sweeps"]])
+    for label in ("full", "reach"):
+        rows.append(["density list: generate ms", "numpy", label,
+                     density_reach[label]["generate_ms"]])
+        rows.append(["density list: 2 sweeps + finalize ms", "numpy", label,
+                     density_reach[label]["sweeps_finalize_ms"]])
     write_result(
         "backend_kernels",
         fmt_table(["kernel", "backend", "size", "Minter/s | s | speedup"], rows),
@@ -615,6 +667,10 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     for label, cell in h_solve.items():
         assert cell["n_unconverged"] == 0 and cell["sweeps"] <= MAX_H_SOLVE_SWEEPS, (label, cell)
         assert cell["grid_builds"] == 1, (label, cell)
+    # The gas disk's kernel sizes span far more than the cell needs: the
+    # solve's list is a reach list there, and nothing summed over it differs.
+    assert density_reach["reach"]["reach_list"] and not density_reach["full"]["reach_list"]
+    assert density_reach["bit_identical"], density_reach
     for per_bk in kernels.values():
         for per_size in per_bk.values():
             for cell in per_size.values():

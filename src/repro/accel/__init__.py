@@ -71,6 +71,20 @@ cost as much as rebuilding, validity is explicit:
   separations as a fresh generation on the same binning, hence the same
   gather pairs, ``n_neighbors`` and sweep count; the list's *order* differs,
   so sums agree to rounding (1e-12), not bit for bit.
+* The density solve's list covers each gas particle's reach
+  (:meth:`NeighborGrid.compact_self_pairs
+  <repro.sph.neighbors.NeighborGrid.compact_self_pairs>`), and a kernel size
+  beyond its reach *widens* it.  So that a widened list is exactly the list
+  the same generation and edits would give, a grid holding a reach list
+  also keeps an *edit log*: a copy of the positions, order and keys it was
+  generated on, and every local edit since, in order.  A widening
+  regenerates on that binning and replays the log — a fresh generation on
+  the edited grid would hold the same pairs in another order, and change
+  the digests of the runs that edit.  The log goes with the list: a
+  position or membership signal drops the grid, and
+  :meth:`SpatialIndex.release_pairs` (or replacing the grid in
+  :meth:`SpatialIndex.grid_for`) drops list, reach and log together, so one
+  candidate list is alive at a time.
 * Accessors (:meth:`SpatialIndex.grid_for`, :meth:`SpatialIndex.tree_for`)
   additionally verify cheap structural facts — particle count, cell-size
   coverage of the requested search radius, scope identity — and rebuild
@@ -78,7 +92,7 @@ cost as much as rebuilding, validity is explicit:
   solve asks for its grid *under the gas scope*, so a second full pass at
   unchanged or locally edited positions reuses the first one's grid.
 * The compact candidate list — the step's largest transient — lives from the
-  first pass that generates it to the end of the step's last hydro
+  first pass that generates (or widens) it to the end of the step's last hydro
   evaluation (:meth:`ForceEngine.release_candidates`, called by the
   integrators after step 7, or after the only pass of the conventional
   scheme); the grid itself stays for box queries until the next signal.

@@ -123,11 +123,14 @@ class TileWorkspace:
 class DensityGatherState:
     """Per-solve state of the density gather kernel.
 
-    Built once per kernel-size solve over one neighbor binning; the h
+    Built over one candidate list — the grid's list as it is
+    (:meth:`~repro.sph.neighbors.NeighborGrid.candidates`), a reach list
+    too, and made again when the solve regrids or widens the list; the h
     iteration calls :meth:`weight_sum` per sweep and :meth:`finalize` once
-    after convergence.  Implementations may cache whatever per-candidate
-    state (compacted pair lists, last-sweep kernel values) makes repeated
-    sweeps cheap — positions are immutable for the lifetime of the object.
+    after convergence, with every ``h_i`` within the list's reach.
+    Implementations may cache whatever per-candidate state (compacted
+    pair lists, last-sweep kernel values) makes repeated sweeps cheap —
+    positions are immutable for the lifetime of the object.
     """
 
     def weight_sum(self, h: np.ndarray) -> np.ndarray:

@@ -115,7 +115,9 @@ class _NumpyDensityGather(DensityGatherState):
     def __init__(self, grid: NeighborGrid, pos: np.ndarray, kernel) -> None:
         self.kernel = kernel
         self.n = len(pos)
-        self.ci, self.cj, self.cr = grid.compact_self_pairs()
+        # The grid's list as it is: a reach list holds every pair the solve
+        # evaluates, in the full list's order.
+        self.ci, self.cj, self.cr = grid.candidates()
         self._h_prev: np.ndarray | None = None
         self._wsum: np.ndarray | None = None
 

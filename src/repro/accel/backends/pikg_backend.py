@@ -13,7 +13,8 @@ slow — fine for the parity tests a bare environment runs).
 Coverage follows what the DSL expresses: the hydro force (whose half-pair
 scatter structure the tile DSL does not model) and the mixed-precision
 gravity variant inherit the numpy reference.  The density gather feeds the
-generated kernel the *unfiltered* compact candidate list: pairs beyond the
+generated kernel the grid's candidate list as it is (a reach list too, the
+very list the numpy gather reads), unfiltered: pairs beyond the
 support radius contribute exactly zero because the DSL encodes the cutoff
 branch-free (``max(1-q, 0)``), the same trick the production PIKG uses
 instead of per-lane branches.

@@ -349,9 +349,11 @@ class ForceEngine:
         edited positions (:meth:`notify_rows_moved`) reuses the cached grid
         and its candidate list, which therefore outlive this call — the
         owner ends their life with :meth:`release_candidates`.  On a
-        tracer it counts ``accel.candidate_generations`` and
-        ``accel.candidate_pairs`` (the lists this pass generated; a reused
-        or repaired one adds none) and gauges ``accel.candidate_bytes``.
+        tracer it counts ``accel.candidate_generations``,
+        ``accel.candidate_widenings`` and ``accel.candidate_pairs`` (the
+        lists this pass generated or widened; a reused or repaired one adds
+        none), ``accel.reach_list_passes`` (this pass ran on a reach list)
+        and gauges ``accel.candidate_bytes``.
 
         The returned arrays are the engine's *persistent work buffers*:
         they are overwritten in place by the next :meth:`hydro` /
@@ -390,12 +392,12 @@ class ForceEngine:
         tracer.count("accel.density_passes")
         tracer.count("accel.density_sweeps", d.iterations)
         tracer.count("accel.candidate_generations", d.candidate_generations)
+        tracer.count("accel.candidate_widenings", d.candidate_widenings)
         tracer.count("accel.candidate_pairs", d.candidate_pairs)
-        # The i/j/r bytes of the list this pass ran on: the step's largest
-        # transient, alive until release_candidates().
-        tracer.gauge(
-            "accel.candidate_bytes", sum(a.nbytes for a in grid.compact_self_pairs())
-        )
+        tracer.count("accel.reach_list_passes", int(d.reach_list))
+        # The i/j/r bytes of the list this pass ran on (a reach list too):
+        # the step's largest transient, alive until release_candidates().
+        tracer.gauge("accel.candidate_bytes", sum(a.nbytes for a in grid.candidates()))
         if d.worst_bracket is not None:            # set whenever n_unconverged > 0
             self.n_unconverged += d.n_unconverged
             tracer.count("accel.h_unconverged", d.n_unconverged)

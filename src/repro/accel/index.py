@@ -144,6 +144,8 @@ class SpatialIndex:
         ):
             self.stats.grid_reuses += 1
             return g
+        if g is not None:
+            g.release_pairs()       # one candidate list alive at a time
         g = NeighborGrid.build(pos, float(radius))
         self.stats.grid_builds += 1
         self._grid = g

@@ -24,9 +24,12 @@ recorded trace:
   replacement was a local edit of the grid shows as a repair and a reuse
   where it used to show a second build — and, on the same line, the
   candidate lists generated per step (``accel.candidate_generations``),
-  their pairs per step (``accel.candidate_pairs``) and the megabytes of the
+  their pairs per step (``accel.candidate_pairs``), the megabytes of the
   last list (the ``accel.candidate_bytes`` gauge: the step's largest
-  transient); ``accel.density_sweeps`` over
+  transient), the lists widened per step for a kernel size beyond its reach
+  (``accel.candidate_widenings``) and the passes that ran on a per-particle
+  reach list (``accel.reach_list_passes`` of ``accel.density_passes``);
+  ``accel.density_sweeps`` over
   ``accel.density_passes`` is the kernel-size solve's sweeps per pass, and
   any ``accel.h_unconverged`` is flagged;
 * ``accel.gravity_pairs`` over the ``Calc_Force`` span seconds (every rank)
@@ -90,9 +93,10 @@ class RunReport:
         }
 
     def candidates_per_step(self) -> dict[str, float]:
-        """Candidate lists generated per step, their pairs per step, and the
-        bytes of the last list a pass ran on (empty when the run emitted no
-        ``accel.candidate_*`` counters)."""
+        """Candidate lists generated per step, their pairs per step, the
+        bytes of the last list a pass ran on, lists widened per step, and
+        the density passes that ran on a reach list out of all (empty when
+        the run emitted no ``accel.candidate_*`` counters)."""
         if "accel.candidate_generations" not in self.counters:
             return {}
         steps = max(self.n_steps, 1)
@@ -100,6 +104,9 @@ class RunReport:
             "generations": self.counters["accel.candidate_generations"] / steps,
             "kpairs": self.counters.get("accel.candidate_pairs", 0.0) / steps / 1e3,
             "mb": self.gauges.get("accel.candidate_bytes", 0.0) / 1e6,
+            "widenings": self.counters.get("accel.candidate_widenings", 0.0) / steps,
+            "reach_passes": self.counters.get("accel.reach_list_passes", 0.0),
+            "passes": self.counters.get("accel.density_passes", 0.0),
         }
 
     def gravity_per_pass(self) -> dict[str, float]:
@@ -211,7 +218,9 @@ class RunReport:
             cand = self.candidates_per_step()
             if cand:
                 line += (f"; candidates: {cand['generations']:.2f} generations/step, "
-                         f"{cand['kpairs']:.1f} k pairs, {cand['mb']:.2f} MB")
+                         f"{cand['kpairs']:.1f} k pairs, {cand['mb']:.2f} MB, "
+                         f"{cand['widenings']:.2f} widenings/step, reach list in "
+                         f"{int(cand['reach_passes'])}/{int(cand['passes'])} passes")
             lines += ["", line]
         passes = self.counters.get("accel.density_passes")
         if passes:

@@ -36,6 +36,18 @@ stop, the others get a new ``h``:
   whose ``lo`` has reached the cell, i.e. that are known to need it, at most
   1.5 cells wide.  A solve therefore never regrids back and forth across a
   cell boundary.
+* *The candidate list* covers each particle's own reach, not the cell: it is
+  generated with ``R_i = min(cell, 1.5 h_i)`` — 1.5 the largest first
+  update, so a particle that converges on its first update never leaves it —
+  and holds the pairs with ``r < R_i`` of each particle
+  (:meth:`NeighborGrid.compact_self_pairs`; the full ``r < cell`` list
+  where reaches would not halve it).  A sweep that evaluates an ``h_i``
+  beyond its ``R_i`` first widens the list: those particles reach the cell,
+  the others keep their reach.  The pairs with ``r < h_i`` come in the full
+  list's order with bit-equal ``r``, so every sum, the gather list and the
+  sweep count are those of the full list; the ``h`` iterates do not depend
+  on the list at all.  One list is alive at a time: a regrid or a widening
+  drops the previous one and its gather state before making the next.
 * *No root.*  Where ``N`` stays above ``N_ngb`` without falling as ``h``
   shrinks, every neighbor in reach coincides with the particle (or the target
   is below the self contribution) and no ``h`` satisfies the equation: the
@@ -78,6 +90,9 @@ if TYPE_CHECKING:  # annotation only: the backends import this package
 _KERNEL_VOLUME = 4.0 * np.pi / 3.0
 #: ln of the per-sweep shrink/growth limits of the fixed-point step.
 _LN_SHRINK, _LN_GROW = float(np.log(0.7)), float(np.log(1.5))
+#: Reach of a candidate list over the ``h`` it is generated at: the largest
+#: first update of a particle, so one that converges on it stays inside.
+_REACH = float(np.exp(_LN_GROW))
 
 
 @dataclass
@@ -102,9 +117,13 @@ class DensityResult:
     worst_bracket: tuple[int, float, float, float] | None = None
     grid_builds: int = 0   # neighbor grids constructed during the solve
     #: Candidate lists generated during the solve (a grid found with its list
-    #: cached or repaired generates none), and their pairs.
+    #: cached or repaired generates none), lists widened for an ``h`` beyond
+    #: their reach, and the pairs of both.
     candidate_generations: int = 0
+    candidate_widenings: int = 0
     candidate_pairs: int = 0
+    #: The final sums ran on a reach list (not the full ``r < cell`` list).
+    reach_list: bool = False
     grid: NeighborGrid | None = None  # the grid of the final sweep (reusable)
     pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # gather (i, j, r)
 
@@ -131,7 +150,10 @@ def compute_density(
     paper's observation), and a poor one is bracketed and closed in on (the
     module docstring has the update rule).  One :class:`NeighborGrid` is
     built on the first sweep and reused by every subsequent one, rebinning
-    only for a particle known to need more than the cell.  The grid always
+    only for a particle known to need more than the cell; its candidate list
+    covers each particle's reach, ``min(cell, 1.5 h_i)`` at generation, and is
+    widened to the cell for the particles whose ``h_i`` outgrows it — the same
+    sums and gather list as over the full list, bit for bit.  The grid always
     comes from a :class:`repro.accel.SpatialIndex`: pass ``index`` to share
     one (a private one serves otherwise), and ``scope`` — the indices of
     ``pos`` in the larger particle set the index serves box queries for — so
@@ -156,20 +178,30 @@ def compute_density(
     n_unconverged = 0
     grid: NeighborGrid | None = None
     gather: DensityGatherState | None = None
-    generated: list[int] = []       # pairs of each candidate list generated
+    generated = widened = made = 0  # lists generated, widened; their pairs
 
-    def gather_covering(h_max: float) -> DensityGatherState:
-        """The per-solve gather state, rebuilt over a new grid when ``h_max``
-        outgrew the binning (or on first use)."""
-        nonlocal grid, gather
-        new_grid = index.grid_for(pos, h_max, scope=scope)
-        if gather is None or new_grid is not grid:
-            fresh = not new_grid.has_compact_pairs
-            grid = new_grid
-            # Every backend's gather state is made over the candidate list.
-            gather = bk.density_gather(new_grid, pos, kernel)
-            if fresh:
-                generated.append(len(new_grid.compact_self_pairs()[0]))
+    def gather_covering(h: np.ndarray) -> DensityGatherState:
+        """The per-solve gather state over a list that holds every pair
+        ``r < h_i``: rebuilt over a new grid when ``h.max()`` outgrew the
+        binning (or on first use), over a widened list when an ``h_i``
+        outgrew its reach."""
+        nonlocal grid, gather, generated, widened, made
+        new_grid = index.grid_for(pos, float(h.max()), scope=scope)
+        if gather is not None and new_grid is grid and grid.reaches(h):
+            return gather
+        # One list alive at a time: the old list's gather state goes before
+        # the next list is made (the index released a replaced grid's list).
+        gather = None
+        grid = new_grid
+        if not grid.reaches(h):
+            if grid.has_compact_pairs:
+                widened += 1
+                made += len(grid.compact_self_pairs(h)[0])
+            else:
+                generated += 1
+                made += len(grid.compact_self_pairs(np.minimum(grid.cell, _REACH * h))[0])
+        # Every backend's gather state is made over the grid's list as it is.
+        gather = bk.density_gather(grid, pos, kernel)
         return gather
 
     # Per-particle bracket of the root and the sample before the current one
@@ -180,7 +212,7 @@ def compute_density(
 
     for it in range(max_iter):
         used_iter = it + 1
-        gather = gather_covering(float(h.max()))
+        gather = gather_covering(h)
         assert grid is not None
         # Smoothed neighbor number: N(h) = (4 pi / 3) h^3 sum_j W(r_ij, h).
         # Unlike the discrete count this is continuous (and monotone) in h,
@@ -206,11 +238,11 @@ def compute_density(
         worst_bracket = (k, float(lo[k]), float(hi[k]), grid.cell)
 
     # A solve that ran out of sweeps returns an h it has not evaluated, and
-    # that last update may have outgrown the cell: the final sums and the
-    # gather list are made on a grid that covers the h they are made at.
-    if grid is None or not grid.covers(float(h.max())):
-        gather = gather_covering(float(h.max()))
-    assert gather is not None
+    # that last update may have outgrown the cell or a reach: the final sums
+    # and the gather list are made on a list that covers the h they are made at.
+    if grid is None or not (grid.covers(float(h.max())) and grid.reaches(h)):
+        gather = gather_covering(h)
+    assert grid is not None and gather is not None
     dens, drho_dh, counts, pairs = gather.finalize(h, mass)
     if counter is not None:
         counter.add("hydro_density", 1, len(pairs[0]))
@@ -238,8 +270,10 @@ def compute_density(
         n_unconverged=n_unconverged,
         worst_bracket=worst_bracket,
         grid_builds=index.stats.grid_builds - builds_before,
-        candidate_generations=len(generated),
-        candidate_pairs=sum(generated),
+        candidate_generations=generated,
+        candidate_widenings=widened,
+        candidate_pairs=made,
+        reach_list=grid.has_reach_list,
         grid=grid,
         pairs=pairs,
     )

@@ -25,6 +25,17 @@ forward block ``(a, b, r)`` — own cell, then the 13 offsets in
 its sources in cell order — then the mirror ``(b, a, r)`` in the same order,
 then every self pair ``(k, k, 0)`` by ascending ``k``.
 
+The list may instead cover a *per-point reach* ``R <= cell`` (FDPS's
+per-particle search radius): a *reach list* keeps a forward entry
+``(a, b, r)`` only if ``r < R[a]`` and its mirror ``(b, a, r)`` only if
+``r < R[b]`` — an ordered subsequence of the layout above, so for every
+point ``i`` with a radius ``h_i <= R[i]`` the entries with ``r < h_i`` come
+in the full list's order with bit-equal ``r``, and every sum over them is
+the full list's bit for bit.  Where a radius outgrows its reach the list is
+*widened*: those points reach the cell, the others keep theirs.  The density
+solve asks for one (:mod:`repro.sph.density`), where the kernel sizes span
+far more than the cell needs; every other search asks for the full list.
+
 A built :class:`NeighborGrid` is *reusable*: the same grid serves every
 h-iteration of the density solve and the force pass, as long as the largest
 search radius still fits inside one cell (``grid.covers(radius)``), and it
@@ -65,6 +76,15 @@ _WALK_BLOCK = 2048
 #: Most cells a grid may have: keys (and their sums in a stencil walk) stay
 #: well inside int64.
 _MAX_CELLS = 2.0**62
+#: Largest share of the full candidate list a reach list is expected to keep.
+#: A point of reach ``R`` keeps about ``(R / cell)^3`` of its pairs, so a
+#: generation with reaches whose mean of that exceeds this makes the full
+#: list instead — on the full list's code path, with no per-pair reach test
+#: and no edit log: a reach list pays for its filter and its widenings only
+#: when it at least halves the list.  Measured means at 1.5 ``h``: 0.16-0.23
+#: on the gas disk and the halo's gas, 0.84-1.0 on the SN storm's turbulent
+#: box, 0.21-1.0 on the two-rank cluster's (its SN regions spread ``h``).
+_MAX_REACH_SHARE = 0.5
 
 
 @dataclass
@@ -87,6 +107,16 @@ class NeighborGrid:
     # Release with :meth:`release_pairs` once the per-step searches are done.
     _compact_pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
+    )
+    # Per-point reach of the cached list (``None``: the cell for every
+    # point) and, for a reach list, what widening it takes: the positions,
+    # order and keys it was generated on, and every move_points edit since.
+    _reach: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _origin: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
+    _edits: list[tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=list, repr=False, compare=False
     )
 
     @classmethod
@@ -201,9 +231,13 @@ class NeighborGrid:
             ))
         return parts
 
-    def compact_self_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def compact_self_pairs(
+        self, reach: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Candidate pairs (i, j, r) compacted to ``r < cell``: every ordered
-        pair of the grid's points closer than one cell, self pairs included.
+        pair of the grid's points closer than one cell, self pairs included —
+        or, with a per-point ``reach`` (each ``<= cell``), a list that holds
+        at least every pair with ``r < reach[i]`` of each point ``i``.
 
         Any search this grid can answer exactly uses a radius <= the cell
         size (:meth:`covers`), so stencil candidates at r >= cell can never
@@ -228,14 +262,88 @@ class NeighborGrid:
         (n_pairs, 3) rows.  After a :meth:`move_points` the set and ``r``
         are still those of a fresh generation on this binning; the layout is
         not.
+
+        The cached list is returned as it is whenever it holds what is asked
+        (:meth:`reaches`).  Otherwise, with nothing cached, a ``reach`` makes
+        a *reach list*: the entries of the full list with ``r < reach[i]``,
+        in its order (a forward entry kept for ``r < reach[a]``, its mirror
+        for ``r < reach[b]``, every self pair) — unless it is expected to
+        keep more than :data:`_MAX_REACH_SHARE` of the full list, which is
+        then made instead.  A cached reach list that falls short is
+        *widened*: every point whose asked radius exceeds its reach gets the
+        cell (``reach=None``: every point), the others keep theirs, and the
+        list is generated again on the binning it was first generated on,
+        with every :meth:`move_points` edit since replayed (an edit gives
+        the points it moves the cell for a reach).  So a list, however
+        widened and edited, is always the full list that the same generation
+        and edits give, cut to ``r < reach[i]`` — a fresh generation on an
+        edited grid would hold the same pairs in another order.  The previous
+        list is dropped before the next one is made.
         """
-        if self._compact_pairs is None:
-            self._compact_pairs = self._half_stencil_pairs()
+        if not self.reaches(reach):
+            if self._compact_pairs is None:
+                self._generate(reach)
+            else:
+                self._widen(reach)
+        assert self._compact_pairs is not None
         return self._compact_pairs
 
-    def _half_stencil_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def reaches(self, radius: np.ndarray | None = None) -> bool:
+        """True if the cached list holds every pair with ``r < radius[i]`` of
+        each point ``i`` (``None``: with ``r < cell``) — the full list holds
+        every pair a radius the grid :meth:`covers` keeps; False when no
+        list is cached."""
+        if self._compact_pairs is None:
+            return False
+        if self._reach is None:
+            return True
+        return radius is not None and bool(np.all(radius <= self._reach))
+
+    @property
+    def has_reach_list(self) -> bool:
+        """True while the cached list is a reach list (some point's reach is
+        below the cell)."""
+        return self._reach is not None
+
+    def candidates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cached candidate list as it is — a reach list too; the full
+        list, generated, when none is cached."""
+        return self.compact_self_pairs(self._reach)
+
+    def _generate(self, reach: np.ndarray | None) -> None:
+        """Cache the list of ``reach`` (see :meth:`compact_self_pairs`) on
+        the binning as it is now."""
+        if reach is not None:
+            reach = np.minimum(reach, self.cell)
+            if float(np.mean((reach / self.cell) ** 3)) > _MAX_REACH_SHARE:
+                reach = None
+        self._compact_pairs = self._half_stencil_pairs(reach)
+        self._reach = reach
+        if reach is not None:
+            # Owned copies: move_points writes pos in place, never order or keys.
+            self._origin = (self.pos.copy(), self.order, self.sorted_keys)
+
+    def _widen(self, radius: np.ndarray | None) -> None:
+        """Regenerate the cached reach list with the points whose ``radius``
+        exceeds their reach at the cell (``None``: all), on the binning of
+        its generation, and replay the edits made since."""
+        assert self._reach is not None and self._origin is not None
+        reach = (
+            None if radius is None
+            else np.where(radius > self._reach, self.cell, self._reach)
+        )
+        (pos, order, keys), edits = self._origin, self._edits
+        self.release_pairs()
+        self.pos, self.order, self.sorted_keys = pos, order, keys
+        self._generate(reach)
+        for rows, new_pos in edits:
+            self._edit(rows, new_pos)
+
+    def _half_stencil_pairs(
+        self, reach: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The list :meth:`compact_self_pairs` caches (its docstring has the
-        layout)."""
+        layout), cut to the per-point ``reach`` when one is given."""
         n, keys, order = self.n_points, self.sorted_keys, self.order
         s_xyz = np.ascontiguousarray(self.pos[order].T)
         slots = np.arange(n)
@@ -244,11 +352,14 @@ class NeighborGrid:
         xy, z = np.divmod(keys, self.dims[2])
         cells = np.stack([xy // self.dims[1], xy % self.dims[1], z])
         parts += self._stencil_pairs(s_xyz, order, cells, _FORWARD_OFFSETS, s_xyz)
-        i_parts, j_parts, r_parts = zip(*parts, strict=True)
+        blocks = parts + [(b, a, r) for a, b, r in parts]        # forward, mirror
+        if reach is not None:
+            blocks = [_within_reach(block, reach) for block in blocks]
+        i_parts, j_parts, r_parts = zip(*blocks, strict=True)
         return (
-            np.concatenate([*i_parts, *j_parts, slots]),
-            np.concatenate([*j_parts, *i_parts, slots]),
-            np.concatenate([*r_parts, *r_parts, np.zeros(n)]),
+            np.concatenate([*i_parts, slots]),
+            np.concatenate([*j_parts, slots]),
+            np.concatenate([*r_parts, np.zeros(n)]),
         )
 
     def _pairs_within_cell(
@@ -287,6 +398,9 @@ class NeighborGrid:
         points once from each end, a self pair once).  The list then holds
         the same *set* a fresh generation on this binning yields, with
         bit-equal ``r``, in another order; sums over it agree to rounding.
+        A reach list gives the moved points the cell for a reach (so all
+        their entries stay), keeps of the mirror entries those within the
+        reach of their unmoved end, and logs the edit for a later widening.
         Cost: O(n) bookkeeping plus the full stencil of the moved points,
         against the half stencil of every point for a fresh generation —
         cheaper while few points move (about a third of the fresh cost at 4%
@@ -307,18 +421,29 @@ class NeighborGrid:
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         new_pos = np.asarray(new_pos, dtype=np.float64).reshape(len(rows), 3)
-        n = self.n_points
         if self._compact_pairs is None:
             return False
         if not len(rows):
             return True
-        if rows.min() < 0 or rows.max() >= n:
+        if rows.min() < 0 or rows.max() >= self.n_points:
             return False
         if not np.all(np.isfinite(new_pos)):
             return False
+        self._edit(rows, new_pos)
+        return True
 
+    def _edit(self, rows: np.ndarray, new_pos: np.ndarray) -> None:
+        """The re-binning and list repair of :meth:`move_points`, on
+        arguments it checked (for a reach list, logged as given)."""
+        assert self._compact_pairs is not None
+        if self._reach is not None:
+            self._edits.append((rows.copy(), new_pos.copy()))
+        n = self.n_points
         self.pos[rows] = new_pos
         rows = np.unique(rows)
+        if self._reach is not None:
+            # Nothing bounds a moved point's next radius by its old one.
+            self._reach[rows] = self.cell
         keys = np.empty(n, dtype=np.int64)
         keys[self.order] = self.sorted_keys
         keys[rows] = self._keys_of(self.pos[rows], self.lo, self.cell, self.dims)
@@ -335,20 +460,27 @@ class NeighborGrid:
         # with the same r, squares being sign-blind — unless the other end
         # moved too and walks its own stencil.
         mirror = np.flatnonzero(~moved.take(new_j))
+        mirrored = (new_j.take(mirror), new_i.take(mirror), new_r.take(mirror))
+        if self._reach is not None:
+            # A moved point reaches the cell: only its mirror entries are cut.
+            mirrored = _within_reach(mirrored, self._reach)
         # One array at a time: the old and the new triple never coexist.
         self._compact_pairs = None
-        ci = np.concatenate([old_i.take(keep), new_i, new_j.take(mirror)])
+        ci = np.concatenate([old_i.take(keep), new_i, mirrored[0]])
         del old_i
-        cj = np.concatenate([old_j.take(keep), new_j, new_i.take(mirror)])
+        cj = np.concatenate([old_j.take(keep), new_j, mirrored[1]])
         del old_j
-        cr = np.concatenate([old_r.take(keep), new_r, new_r.take(mirror)])
+        cr = np.concatenate([old_r.take(keep), new_r, mirrored[2]])
         del old_r
         self._compact_pairs = (ci, cj, cr)
-        return True
 
     def release_pairs(self) -> None:
-        """Drop the cached candidate list (the largest transient of a step)."""
+        """Drop the cached candidate list (the largest transient of a step),
+        with its reach and edit log."""
         self._compact_pairs = None
+        self._reach = None
+        self._origin = None
+        self._edits = []
 
     # ------------------------------------------------------------ box query
     def points_in_box(self, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:
@@ -389,6 +521,15 @@ def _squared_separation(
     d -= s_k.take(slots)
     d *= d
     return d
+
+
+def _within_reach(
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray], reach: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries ``(i, j, r)`` of ``pairs`` with ``r < reach[i]``, in order."""
+    i, j, r = pairs
+    keep = np.flatnonzero(r < reach.take(i))
+    return i.take(keep), j.take(keep), r.take(keep)
 
 
 def pair_differences(

@@ -334,8 +334,9 @@ def test_candidate_generations_are_counted_and_the_list_gauged():
     ps = _stars_then_gas(seed=12)
 
     def ran_on() -> int:
-        """Pairs of the list the last pass ran on; the gauge is its bytes."""
-        n_pairs = len(engine.index._grid.compact_self_pairs()[0])
+        """Pairs of the list the last pass ran on (a reach list too: the
+        grid's list as it is); the gauge is its bytes."""
+        n_pairs = len(engine.index._grid.candidates()[0])
         assert tr.gauges["accel.candidate_bytes"] == 3 * 8 * n_pairs
         return n_pairs
 
@@ -356,6 +357,28 @@ def test_candidate_generations_are_counted_and_the_list_gauged():
     assert tr.counters["accel.candidate_generations"] - counts["accel.candidate_generations"] \
         == stats.grid_builds - builds >= 1
     assert tr.counters["accel.candidate_pairs"] - counts["accel.candidate_pairs"] >= ran_on()
+
+
+def test_a_gas_disk_pass_runs_on_a_reach_list_and_gauges_it():
+    """Where kernel sizes span far more than the cell needs (a gas disk) the
+    pass runs on a per-particle reach list — counted, and gauged as the list
+    it is — which a full search would have to widen to the whole cell."""
+    from repro.ic.galaxy import MW_SPEC, make_mw_model
+    from repro.obs.trace import Tracer
+    from repro.util.timers import TimerRegistry
+
+    tr = Tracer(run_id="reach")
+    engine = ForceEngine(IntegratorConfig(self_gravity=False), timers=TimerRegistry(tracer=tr))
+    ps = make_mw_model(1200, seed=3, spec=MW_SPEC.scaled(0.01), count_fractions=(0.02, 0.02, 0.96))
+    engine.hydro(ps, "1st")                  # cold: refreshes ps.h
+    engine.notify_positions_changed()
+    engine.hydro(ps, "1st")
+    grid = engine.index._grid
+    assert grid.has_reach_list and tr.counters["accel.reach_list_passes"] >= 1
+    n_pairs = len(grid.candidates()[0])
+    assert tr.gauges["accel.candidate_bytes"] == 3 * 8 * n_pairs
+    assert len(grid.compact_self_pairs()[0]) > 2 * n_pairs and not grid.has_reach_list
+
 
 
 def test_edit_that_cannot_be_exact_invalidates_and_says_so_once(caplog):

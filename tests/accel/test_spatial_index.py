@@ -65,9 +65,13 @@ def test_grid_rebuilt_when_radius_outgrows_cell(rng):
     idx = SpatialIndex()
     pos = rng.uniform(0, 10, (300, 3))
     g1 = idx.grid_for(pos, 1.0)
+    g1.compact_self_pairs(np.full(300, 0.5))
     g2 = idx.grid_for(pos, 1.5)     # cell no longer covers the search
     assert g2 is not g1
     assert idx.stats.grid_builds == 2
+    # The replaced grid's list goes with it, also where a caller still holds
+    # the grid: one candidate list alive at a time.
+    assert not g1.has_compact_pairs and not g1.has_reach_list
 
 
 def test_grid_invalidated_on_position_change(rng):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.fdps.distributed import DistributedGravity
-from repro.fdps.particles import ParticleSet
+from repro.fdps.particles import ParticleSet, ParticleType
 from repro.obs.export import write_run
 from repro.obs.report import diff_reports, report_run, report_traces
 from repro.obs.trace import Tracer
@@ -288,3 +288,32 @@ def test_report_shows_the_gravity_overlap_with_hydro_and_the_claims():
     assert (f"over 2 passes, overlapped with hydro {gravity['overlap_ms']:.1f} ms, "
             f"helper {int(helper)}/{int(groups)} groups") in report.to_text()
     assert report.to_json_obj()["gravity_per_pass"] == gravity
+
+
+def test_report_shows_reach_lists_and_widenings():
+    """On a gas disk the density passes run on per-particle reach lists; a
+    pass whose kernel sizes outgrow their reach widens its list, and the
+    candidate line says both: widenings per step, reach-list passes of all."""
+    from repro import GalaxySimulation
+    from repro.core.integrator import IntegratorConfig
+    from repro.ic.galaxy import MW_SPEC, make_mw_model
+
+    ps = make_mw_model(1200, seed=3, spec=MW_SPEC.scaled(0.01), count_fractions=(0.02, 0.02, 0.96))
+    tr = Tracer(run_id="disk")
+    sim = GalaxySimulation(ps, dt=2e-3, tracer=tr,
+                           config=IntegratorConfig(enable_star_formation=False))
+    with sim:
+        sim.run(2)
+        # A tenth of the gas re-enters with half its kernel size (as an SN
+        # region's particles do): reaches made from these guesses fall short.
+        gas = np.flatnonzero(sim.ps.where_type(ParticleType.GAS))
+        sim.ps.h[gas[::10]] *= 0.5
+        sim.run(2)
+    report = report_traces([_as_loaded(tr)])
+    cand = report.candidates_per_step()
+    assert cand["widenings"] == tr.counters["accel.candidate_widenings"] / 4 > 0
+    assert cand["passes"] == tr.counters["accel.density_passes"]
+    assert 0 < cand["reach_passes"] == tr.counters["accel.reach_list_passes"] <= cand["passes"]
+    assert (f"{cand['mb']:.2f} MB, {cand['widenings']:.2f} widenings/step, reach list in "
+            f"{int(cand['reach_passes'])}/{int(cand['passes'])} passes") in report.to_text()
+    assert report.to_json_obj()["candidates_per_step"] == cand

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from repro.accel.backends.numpy_backend import _NumpyDensityGather
+from repro.accel.backends.pikg_backend import _PikgDensityGather
 from repro.sph.density import _velocity_estimators, compute_density
 from repro.sph.kernels import DEFAULT_KERNEL, WendlandC2
+from repro.sph import neighbors
 from repro.sph.neighbors import NeighborGrid
 from repro.util.constants import GAMMA
 from tests.conftest import pairs_by_key
@@ -228,20 +231,27 @@ def _solved_h(shape: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 @contextlib.contextmanager
 def _recorded_sweeps():
-    """Every ``weight_sum`` call of the numpy gather, as (h, N(h))."""
+    """Every ``weight_sum`` call of the density gather — numpy's, or the
+    generated kernel's where ``$REPRO_BACKEND`` selects ``pikg`` — as
+    (h, N(h))."""
     log: list[tuple[np.ndarray, np.ndarray]] = []
-    inner = _NumpyDensityGather.weight_sum
+    gathers = (_NumpyDensityGather, _PikgDensityGather)
+    inner = [cls.__dict__["weight_sum"] for cls in gathers]
 
-    def spy(self, h):
-        wsum = inner(self, h)
-        log.append((h.copy(), 4.0 * np.pi / 3.0 * h**3 * wsum))
-        return wsum
+    def spying(weight_sum):
+        def spy(self, h):
+            wsum = weight_sum(self, h)
+            log.append((h.copy(), 4.0 * np.pi / 3.0 * h**3 * wsum))
+            return wsum
+        return spy
 
-    _NumpyDensityGather.weight_sum = spy
+    for cls, weight_sum in zip(gathers, inner):
+        cls.weight_sum = spying(weight_sum)
     try:
         yield log
     finally:
-        _NumpyDensityGather.weight_sum = inner
+        for cls, weight_sum in zip(gathers, inner):
+            cls.weight_sum = weight_sum
 
 
 def _assert_every_sweep_inside_its_bracket(log, n_ngb):
@@ -346,6 +356,48 @@ def test_sparse_disk_tail_converges_without_regridding(seed):
         warm = compute_density(*args, cold.h, n_ngb=64)
         assert warm.iterations <= 3 and warm.n_unconverged == 0 and warm.grid_builds == 1
         cold = warm
+
+
+@pytest.mark.parametrize("start", ["cold", "widening"])
+def test_one_candidate_list_is_alive_at_a_time(monkeypatch, start):
+    """Every regrid and every widening drops the previous list — from the
+    grid and from the gather state — before the next one is generated: a
+    cold solve (``h`` from 0.3x the converged) regrids, a warm one with 5%
+    of its particles at half their ``h`` widens the reach list.  Both end
+    with the ``h`` and gather list of the same solve over full lists, bit
+    for bit."""
+    gas = sparse_disk_gas(8, keep=0.9)
+    n = len(gas)
+    args = (gas.pos, np.zeros((n, 3)), gas.mass, np.ones(n))
+    warm = compute_density(*args, gas.h, n_ngb=64)
+    rng = np.random.default_rng(8)
+    guess = 0.3 * warm.h if start == "cold" else warm.h * np.where(rng.random(n) < 0.05, 0.5, 1.0)
+    with monkeypatch.context() as full_lists:
+        full_lists.setattr(neighbors, "_MAX_REACH_SHARE", -1.0)
+        same = compute_density(*args, guess, n_ngb=64)
+    assert not same.reach_list and same.candidate_widenings == 0
+    real = NeighborGrid._half_stencil_pairs
+    made = []
+
+    def spy(grid, reach):
+        assert all(ref() is None for ref in made)      # the previous list is gone
+        pairs = real(grid, reach)
+        made.append(weakref.ref(pairs[0]))
+        return pairs
+
+    monkeypatch.setattr(NeighborGrid, "_half_stencil_pairs", spy)
+    d = compute_density(*args, guess, n_ngb=64)
+    assert d.reach_list and d.n_unconverged == 0
+    if start == "cold":
+        assert d.grid_builds == d.candidate_generations == len(made) >= 3
+    else:
+        assert (d.grid_builds, d.candidate_generations, d.candidate_widenings) == (1, 1, 1)
+        assert len(made) == 2
+    for field in ("h", "dens", "omega", "divv"):
+        assert np.array_equal(getattr(d, field), getattr(same, field))
+    for got, want in zip(d.pairs, same.pairs):
+        assert np.array_equal(got, want)
+    assert d.iterations == same.iterations
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 10])

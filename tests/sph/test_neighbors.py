@@ -453,3 +453,149 @@ def test_move_points_twice_and_full_list_dropped(rng):
     _assert_grids_answer_alike(grid, fresh, rng)
     for a, b in zip(_stencil_pairs_reference(grid), _stencil_pairs_reference(fresh)):
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------- per-point reach lists
+def _reach_cloud(n, spread, seed):
+    """Points of one cloud whose radii ``h`` are log-normal, clipped to a
+    ``spread``-fold range; the cell is the largest, each reach a random
+    ``R <= cell`` at least ``h`` — exactly ``h`` for a quarter of the
+    points, within ``1.5 h`` (the density solve's reach) for half."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 6.0, (n, 3))
+    h = np.clip(np.exp(rng.normal(0.0, 0.7, n)), 1.0 / np.sqrt(spread), np.sqrt(spread))
+    cell = float(h.max())
+    pick = rng.random(n)
+    reach = np.where(
+        pick < 0.25, h,
+        np.where(pick < 0.75, rng.uniform(h, np.minimum(1.5 * h, cell)), rng.uniform(h, cell)),
+    )
+    return rng, pos, h, cell, reach
+
+
+def _within(pairs, h):
+    """The entries ``(i, j, r)`` with ``r < h[i]``, in the list's order."""
+    i, j, r = pairs
+    keep = r < h[i]
+    return i[keep], j[keep], r[keep]
+
+
+def _assert_same_list(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+_cloud = {
+    "n": st.integers(2, 90),
+    "spread": st.floats(1.5, 4.0),
+    "seed": st.integers(0, 2**16),
+}
+
+
+@given(**_cloud)
+@settings(max_examples=80, deadline=None)
+def test_reach_list_holds_the_full_lists_pairs_within_every_radius(n, spread, seed):
+    """For every radius ``h <= R`` the reach list's entries with ``r < h_i``
+    are the full list's, in its order, with bit-equal ``r``; and the reach
+    list is the full list cut to ``r < R[i]`` (self pairs kept) whenever it
+    is made at all."""
+    rng, pos, h, cell, reach = _reach_cloud(n, spread, seed)
+    full = NeighborGrid.build(pos, cell).compact_self_pairs()
+    grid = NeighborGrid.build(pos, cell)
+    listed = grid.compact_self_pairs(reach)
+    assert grid.reaches(reach) and grid.reaches(h)
+    _assert_same_list(_within(listed, h), _within(full, h))
+    radius = rng.uniform(0.5, 1.0, n) * reach
+    _assert_same_list(_within(listed, radius), _within(full, radius))
+    if grid.has_reach_list:
+        i, j, r = full
+        keep = (r < reach[i]) | (i == j)
+        _assert_same_list(listed, (i[keep], j[keep], r[keep]))
+    else:
+        _assert_same_list(listed, full)
+
+
+def test_reach_list_is_made_only_where_it_halves_the_list(rng):
+    """The expected share ``mean((R / cell)^3)`` decides: at most
+    :data:`_MAX_REACH_SHARE` gives a reach list, above it the full list —
+    the very arrays a generation without a reach makes."""
+    from repro.sph.neighbors import _MAX_REACH_SHARE
+
+    pos = rng.uniform(0.0, 6.0, (300, 3))
+    cell = 1.5
+    full = NeighborGrid.build(pos, cell).compact_self_pairs()
+    for share, is_reach in ((0.999 * _MAX_REACH_SHARE, True), (1.001 * _MAX_REACH_SHARE, False)):
+        grid = NeighborGrid.build(pos, cell)
+        listed = grid.compact_self_pairs(np.full(300, cell * share ** (1.0 / 3.0)))
+        assert grid.has_reach_list is is_reach
+        assert (len(listed[0]) < len(full[0])) is is_reach
+    _assert_same_list(listed, full)
+    assert grid.reaches(None) and grid.reaches(np.full(300, cell))
+
+
+@given(
+    **_cloud,
+    n_edits=st.integers(0, 4),
+    widen_share=st.sampled_from([0.0, 0.1, 1.0]),
+)
+@settings(max_examples=80, deadline=None)
+def test_widened_reach_list_after_edits_is_the_edited_full_list_cut(
+    n, spread, seed, n_edits, widen_share
+):
+    """``move_points`` edits, then a widening: the reach list and the full
+    list, edited by the same sequence, agree on the pairs within every
+    radius the widened list covers — in order, ``r`` bit-equal — before and
+    after the widening, and the widened list is the edited full list cut to
+    its reach (the cell for the points that outgrew theirs).  Without a
+    reach the grid widens to the full list itself."""
+    rng, pos, h, cell, reach = _reach_cloud(n, spread, seed)
+    full, grid = NeighborGrid.build(pos, cell), NeighborGrid.build(pos, cell)
+    full.compact_self_pairs()
+    grid.compact_self_pairs(reach)
+    for _ in range(n_edits):
+        rows = rng.choice(n, size=rng.integers(1, n + 1), replace=True)
+        new_pos = rng.uniform(-0.5, 6.5, (len(rows), 3))
+        assert grid.move_points(rows, new_pos) and full.move_points(rows, new_pos)
+        reach[rows] = cell                  # a moved point reaches the cell
+        assert grid.reaches(reach)          # ... without a widening
+        _assert_same_list(_within(grid.compact_self_pairs(reach), h),
+                          _within(full.compact_self_pairs(), h))
+    was_reach_list = grid.has_reach_list
+    grown = np.where(rng.random(n) < widen_share, rng.uniform(reach, cell), h)
+    widened = grid.compact_self_pairs(grown)
+    assert grid.reaches(grown)
+    for got, want in ((grid.pos, full.pos), (grid.order, full.order),
+                      (grid.sorted_keys, full.sorted_keys)):
+        assert np.array_equal(got, want)
+    _assert_same_list(_within(widened, grown), _within(full.compact_self_pairs(), grown))
+    if grid.has_reach_list:
+        assert was_reach_list
+        wide = np.where(grown > reach, cell, reach)
+        i, j, r = full.compact_self_pairs()
+        keep = (r < wide[i]) | (i == j)
+        _assert_same_list(widened, (i[keep], j[keep], r[keep]))
+    _assert_same_list(grid.compact_self_pairs(), full.compact_self_pairs())
+    assert not grid.has_reach_list
+
+
+@pytest.mark.parametrize("backend", ["numpy", "pikg"])
+@given(**_cloud)
+@settings(max_examples=25, deadline=None)
+def test_density_gather_over_a_reach_list_is_bit_identical(backend, n, spread, seed):
+    """``weight_sum`` (a cold sweep and one with changed targets) and
+    ``finalize`` read the grid's list as it is, and give the same bits over
+    the reach list as over the full one, on both backends."""
+    from repro.sph.kernels import DEFAULT_KERNEL
+
+    rng, pos, h, cell, reach = _reach_cloud(n, spread, seed)
+    mass = rng.uniform(0.5, 2.0, n)
+    h2 = np.where(rng.random(n) < 0.3, rng.uniform(0.5, 1.0, n) * reach, h)
+    bk = get_backend(backend)
+    sums = []
+    for listed in (None, reach):
+        grid = NeighborGrid.build(pos, cell)
+        grid.compact_self_pairs(listed)
+        gather = bk.density_gather(grid, pos, DEFAULT_KERNEL)
+        dens, drho_dh, counts, pairs = gather.finalize(h2, mass)
+        sums.append((gather.weight_sum(h), gather.weight_sum(h2), dens, drho_dh, counts, *pairs))
+    _assert_same_list(sums[1], sums[0])
