@@ -77,10 +77,23 @@ grid.
 ``gas_disk`` workload's initial conditions (seed 21, at its converged ``h``):
 ms of one generation and of two sweeps plus the finalize, over the full
 ``r < cell`` list and over the reach list of ``min(cell, 1.5 h_i)`` the solve
-makes, with both lists' pairs.  Asserted: the reach list is made (its
+makes, with both lists' pairs.  The reach list's walk drops a pair beyond
+both its ends' reaches before making it (``_squared_bound``), so its
+generation no longer materializes the full list first.  Asserted: the reach list is made (its
 expected share of the full list is at most ``_MAX_REACH_SHARE``), and its
 sweeps, finalize and gather list are bit-identical to the full list's; the
 milliseconds are recorded, with no floor.
+
+``density_cold`` is the first kernel-size solve of a run on the gas of the
+``gas_disk`` workload's initial conditions (seed 21, ``n_ngb = 32``), from
+two starts: ``constant_h``, one size for every particle — the
+``2 gas_rd / n_gas^(1/3) x 10`` that ``make_mw_model`` used to assign,
+passed in as input — and ``seeded_h``, the neighbour-distance guess it
+assigns now (:func:`repro.sph.density.kernel_size_guess`).  Sweeps,
+candidate pairs made, ms (best of a few) and the ``tracemalloc`` peak of
+one solve are recorded; asserted: the seeded start runs on a reach list
+and holds a smaller peak than the constant one.  The cold solve on full
+lists is what set a ``gas_disk`` run's resident high-water.
 
 ``grav_tile`` times the gravity tile on the three shapes the workloads run
 — an interaction group of the 4,000-particle halo against its list
@@ -108,7 +121,7 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks.conftest import fmt_table
-from benchmarks.e2e.workloads import gas_disk
+from benchmarks.e2e.workloads import DISK_FRACTIONS, DISK_N, gas_disk
 from repro.accel.backends import get_backend, numpy_backend
 from repro.accel.backends.base import TileWorkspace
 from repro.core.integrator import IntegratorConfig
@@ -479,6 +492,32 @@ def _time_density_reach():
     return out
 
 
+def _time_density_cold():
+    """The first solve on the ``gas_disk`` IC from a constant ``h`` and from
+    the seeded one: sweeps, pairs made, ms (best of a few), tracemalloc peak."""
+    import tracemalloc
+
+    gas = gas_disk(21).gas()
+    spec = MW_SPEC.scaled(0.01)
+    n_gas = round(DISK_N * DISK_FRACTIONS[2])             # before the workload's cut
+    constant = np.full(len(gas), 2.0 * spec.gas_rd / n_gas ** (1.0 / 3.0) * 10.0)
+    out: dict = {"n_gas": len(gas)}
+    for label, h_guess in (("constant_h", constant), ("seeded_h", gas.h)):
+        def solve(h_guess=h_guess):
+            return compute_density(gas.pos, gas.vel, gas.mass, gas.u, h_guess, n_ngb=32)
+
+        seconds = _best_of(solve, 3)
+        tracemalloc.start()
+        d = solve()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        out[label] = {"median_h_guess": float(np.median(h_guess)), "sweeps": d.iterations,
+                      "grid_builds": d.grid_builds, "candidate_pairs": d.candidate_pairs,
+                      "reach_list": d.reach_list, "n_unconverged": d.n_unconverged,
+                      "ms": seconds * 1e3, "tracemalloc_peak_mb": peak / 1e6}
+    return out
+
+
 def _gas_disk():
     """The gas of a 2,500-particle exponential disk: kernel sizes span 10x,
     so the cell (= the largest) leaves a candidate list ~20x the gather list
@@ -580,6 +619,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     sn_local_edit = _time_sn_local_edit()
     h_solve = _time_h_solve()
     density_reach = _time_density_reach()
+    density_cold = _time_density_cold()
 
     payload = {
         "backends": _backends(),
@@ -592,6 +632,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
         "sn_local_edit": sn_local_edit,
         "h_solve": h_solve,
         "density_reach": density_reach,
+        "density_cold": density_cold,
         "kernels": kernels,
         "whole_step": whole,
     }
@@ -629,6 +670,9 @@ def test_backend_kernels(benchmark, results_dir, write_result):
                      density_reach[label]["generate_ms"]])
         rows.append(["density list: 2 sweeps + finalize ms", "numpy", label,
                      density_reach[label]["sweeps_finalize_ms"]])
+    for label in ("constant_h", "seeded_h"):
+        rows.append(["cold density solve: tracemalloc MB", "numpy", label,
+                     density_cold[label]["tracemalloc_peak_mb"]])
     write_result(
         "backend_kernels",
         fmt_table(["kernel", "backend", "size", "Minter/s | s | speedup"], rows),
@@ -671,6 +715,11 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     # solve's list is a reach list there, and nothing summed over it differs.
     assert density_reach["reach"]["reach_list"] and not density_reach["full"]["reach_list"]
     assert density_reach["bit_identical"], density_reach
+    # The seeded cold start solves on reach lists, in less memory than from
+    # one size for every particle.
+    cold, seeded = density_cold["constant_h"], density_cold["seeded_h"]
+    assert seeded["reach_list"] and seeded["n_unconverged"] == 0, density_cold
+    assert seeded["tracemalloc_peak_mb"] < cold["tracemalloc_peak_mb"], density_cold
     for per_bk in kernels.values():
         for per_size in per_bk.values():
             for cell in per_size.values():

@@ -64,6 +64,8 @@ mode the coupled scaling benchmark measures.
 
 from __future__ import annotations
 
+import resource
+
 import numpy as np
 
 from repro.core.integrator import BaseIntegrator, IntegratorConfig
@@ -164,7 +166,7 @@ class CoupledRunner(BaseIntegrator):
     def step(self) -> None:
         """One fixed-dt surrogate-coupled step (the Sec. 3.2 eight-step loop)."""
         dt = self.cfg.dt
-        with self.tracer.span("step", step=self.step_count):
+        with self.tracer.span("step", step=self.step_count) as span:
             # (1) identify SNe in [t, t + dt).  The window is open below so
             # an *overdue* tsn also fires (a finite past tsn can only mean a
             # checkpoint restore re-scheduled an SN whose prediction was in
@@ -206,6 +208,11 @@ class CoupledRunner(BaseIntegrator):
             # (8) advance the global clock; repeat.
             self.time += dt
             self.step_count += 1
+            if self.tracer.enabled:
+                # Main's resident high-water so far (ru_maxrss is in KiB).
+                rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+                span.set(rss_mb=rss_mb)
+                self.tracer.gauge("obs.rss_mb", rss_mb)
 
     def run(self, n_steps: int) -> None:
         for _ in range(n_steps):

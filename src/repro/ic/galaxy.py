@@ -20,6 +20,11 @@ from repro.ic.disk import sample_stellar_disk
 from repro.ic.gasdisk import sample_gas_disk
 from repro.ic.halo import sample_halo
 from repro.ic.profiles import CompositeRotation, ExponentialDisk, NFWHalo
+from repro.sph.density import kernel_size_guess
+
+#: Neighbour count the gas kernel sizes are seeded at: the integrator's
+#: default target (``IntegratorConfig.n_ngb``).
+_SEED_N_NGB = 32
 
 
 @dataclass
@@ -90,6 +95,11 @@ def make_mw_model(
     gas-rich sampling with per-species particle masses, the usual
     different-resolution-per-species setup (the paper itself uses ~8x
     heavier DM particles, Table 2).
+
+    Gas kernel sizes ``h`` are a neighbour-distance guess: each gas
+    particle's distance to its 32nd nearest gas neighbour
+    (:func:`repro.sph.density.kernel_size_guess` at the integrator's default
+    ``n_ngb``), so the first density solve starts next to its root.
     """
     spec = spec or MW_SPEC
     rng = np.random.default_rng(seed)
@@ -164,7 +174,7 @@ def make_mw_model(
     )
     gas.eps[:] = _softening(spec.m_gas / n_gas, softening)
     gas.u[:] = u
-    gas.h[:] = 2.0 * spec.gas_rd / max(n_gas, 1) ** (1.0 / 3.0) * 10.0
+    gas.h[:] = kernel_size_guess(pos, _SEED_N_NGB)
     pieces.append(gas)
 
     out = pieces[0]

@@ -42,6 +42,10 @@ recorded trace:
   milliseconds of it that overlapped the SPH pass
   (``accel.grav_overlap_s``) and the groups the helper claimed
   (``accel.grav_helper_groups`` of ``accel.grav_groups``);
+* the ``rss_mb`` attribute of the first ``step`` span and the
+  ``obs.rss_mb`` gauge (main's ``ru_maxrss``, set once per step) are the
+  resident high-water after step 1 and after the last step — a cold start
+  that costs more memory than a warm step shows as a gap between them;
 * :func:`diff_reports` lines two runs up row by row for regression triage
   (``python -m repro.obs report A --diff B``).
 """
@@ -81,6 +85,8 @@ class RunReport:
     gauges: dict[str, float] = field(default_factory=dict)
     #: Seconds in ``Calc_Force`` spans, summed over every rank.
     gravity_s: float = 0.0
+    #: Main's resident high-water [MB] after the first step (0: not traced).
+    rss_step1_mb: float = 0.0
 
     def neighbor_grid_per_step(self) -> dict[str, float]:
         """Neighbor-grid builds / repairs / reuses per step, from the force
@@ -136,6 +142,13 @@ class RunReport:
             out["groups"] = self.gauges.get("accel.grav_groups", 0.0)
         return out
 
+    def rss_high_water(self) -> dict[str, float]:
+        """Main's resident high-water [MB] after step 1 and after the last
+        step (empty when the run traced none)."""
+        if "obs.rss_mb" not in self.gauges:
+            return {}
+        return {"after_step_1": self.rss_step1_mb, "after_last_step": self.gauges["obs.rss_mb"]}
+
     # -------------------------------------------------------------- exports
     def to_json_obj(self) -> dict:
         return {
@@ -152,6 +165,7 @@ class RunReport:
             "neighbor_grid_per_step": self.neighbor_grid_per_step(),
             "candidates_per_step": self.candidates_per_step(),
             "gravity_per_pass": self.gravity_per_pass(),
+            "rss_high_water_mb": self.rss_high_water(),
         }
 
     def to_text(self) -> str:
@@ -231,6 +245,10 @@ class RunReport:
                 line += (f"  ** {left} particle(s) left outside tolerance "
                          "(see the repro.accel warnings) **")
             lines += ["", line]
+        rss = self.rss_high_water()
+        if rss:
+            lines += ["", f"RSS high-water: after step 1 {rss['after_step_1']:.1f} MB, "
+                          f"after the last step {rss['after_last_step']:.1f} MB"]
         if self.counters:
             lines += ["", "counters"]
             for name, value in sorted(self.counters.items()):
@@ -276,11 +294,15 @@ def report_traces(traces: list[LoadedTrace]) -> RunReport:
 
     # --- steps + wall extent ----------------------------------------------
     t_end = 0.0
+    first_step_t0 = float("inf")
     for trace in traces:
         for rec in trace.records:
             t_end = max(t_end, rec.t0 + rec.dur)
             if rec.name == "step" and rec.cat == "sim":
                 report.n_steps += 1
+                if "rss_mb" in rec.attrs and rec.t0 < first_step_t0:
+                    first_step_t0 = rec.t0
+                    report.rss_step1_mb = float(rec.attrs["rss_mb"])
             elif rec.cat == "sim" and rec.name.endswith("Calc_Force"):
                 report.gravity_s += rec.dur
             elif rec.cat == "comm":

@@ -96,6 +96,11 @@ HEARTBEAT_S = 5.0
 #: supervisor's death/timeout checks can get while the main rank waits.
 _WAIT_SLICE_S = 0.25
 
+#: Seconds :meth:`_ShmTransport.close` gives a worker to exit before it is
+#: killed; a worker still holding an expired batch gets the short one (it
+#: exits in that time if it only lost its reply, not if it hangs).
+_CLOSE_GRACE_S, _HUNG_GRACE_S = 10.0, 0.25
+
 #: A transport reply: ``(batch_id, worker_id, payload, busy_seconds)``
 #: where the payload is the response buffers, a worker-side exception, or
 #: a :class:`WorkerLost` marker for a batch lost to a dead worker.
@@ -361,12 +366,16 @@ class _WorkerSupervisor:
             self._metrics.degraded = True
         return dead
 
-    def close(self) -> None:
+    def close(self, hung: frozenset[int]) -> None:
+        """Stop every worker after a grace period to finish and exit — a
+        short one for the ``hung`` ones (holding a batch past its deadline):
+        waiting longer for them would only wait out their hang."""
         for slot in self._slots:
             proc, slot.proc = slot.proc, None
             slot.gave_up = True
             if proc is not None:
-                stop_process(proc, grace_s=10.0)
+                grace = _HUNG_GRACE_S if slot.worker_id in hung else _CLOSE_GRACE_S
+                stop_process(proc, grace_s=grace)
 
 
 class _ShmTransport:
@@ -628,7 +637,10 @@ class _ShmTransport:
     def close(self) -> None:
         for _ in self._supervisor.alive_worker_ids():
             self._req_q.put(None)
-        self._supervisor.close()
+        # A worker that still holds an expired batch after the rows it
+        # posted are read is hung on it.
+        self._drain()
+        self._supervisor.close(frozenset(w for w, _ in self._zombies.values() if w is not None))
         # All workers are gone.  Drain both queues: late done-rows still
         # return their slot leases through _handle_row, and an empty
         # request pipe is what lets join_thread() below terminate even when

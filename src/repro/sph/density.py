@@ -41,13 +41,16 @@ stop, the others get a new ``h``:
   update, so a particle that converges on its first update never leaves it —
   and holds the pairs with ``r < R_i`` of each particle
   (:meth:`NeighborGrid.compact_self_pairs`; the full ``r < cell`` list
-  where reaches would not halve it).  A sweep that evaluates an ``h_i``
-  beyond its ``R_i`` first widens the list: those particles reach the cell,
-  the others keep their reach.  The pairs with ``r < h_i`` come in the full
-  list's order with bit-equal ``r``, so every sum, the gather list and the
-  sweep count are those of the full list; the ``h`` iterates do not depend
-  on the list at all.  One list is alive at a time: a regrid or a widening
-  drops the previous one and its gather state before making the next.
+  where reaches would not halve it).  Its walk cuts each pair it meets to
+  the larger reach of its two ends before it makes the pair, so the
+  ``r < cell`` pairs it drops are never materialized.  A sweep that
+  evaluates an ``h_i`` beyond its ``R_i`` first widens the list: those
+  particles reach the cell, the others keep their reach.  The pairs with
+  ``r < h_i`` come in the full list's order with bit-equal ``r``, so every
+  sum, the gather list and the sweep count are those of the full list; the
+  ``h`` iterates do not depend on the list at all.  One list is alive at a
+  time: a regrid or a widening drops the previous one and its gather state
+  before making the next.
 * *No root.*  Where ``N`` stays above ``N_ngb`` without falling as ``h``
   shrinks, every neighbor in reach coincides with the particle (or the target
   is below the self contribution) and no ``h`` satisfies the equation: the
@@ -151,9 +154,13 @@ def compute_density(
     module docstring has the update rule).  One :class:`NeighborGrid` is
     built on the first sweep and reused by every subsequent one, rebinning
     only for a particle known to need more than the cell; its candidate list
-    covers each particle's reach, ``min(cell, 1.5 h_i)`` at generation, and is
+    covers each particle's reach, ``min(cell, 1.5 h_i)`` at generation (the
+    walk drops a pair beyond both its ends' reaches before making it), and is
     widened to the cell for the particles whose ``h_i`` outgrows it — the same
-    sums and gather list as over the full list, bit for bit.  The grid always
+    sums and gather list as over the full list, bit for bit.  Seed ``h_guess``
+    with :func:`kernel_size_guess` where nothing better is known: one size
+    for every particle makes the cell that of the largest, and the first
+    solve's lists full ones.  The grid always
     comes from a :class:`repro.accel.SpatialIndex`: pass ``index`` to share
     one (a private one serves otherwise), and ``scope`` — the indices of
     ``pos`` in the larger particle set the index serves box queries for — so
@@ -277,6 +284,29 @@ def compute_density(
         grid=grid,
         pairs=pairs,
     )
+
+
+def kernel_size_guess(pos: np.ndarray, n_ngb: int) -> np.ndarray:
+    """A starting ``h`` per point: the distance to its ``n_ngb``-th nearest
+    neighbour (to the farthest point when there are no more than ``n_ngb``
+    others).
+
+    A sphere of that radius holds ``n_ngb`` neighbours, which is what the
+    solve aims at, so a solve seeded with it starts inside the bracket's
+    first clip and on a reach list — not from one size for every point,
+    whose cold solve runs on the full lists of a cell set by the largest.
+    A point whose guess is 0 (coincident with that many others, or alone)
+    gets the largest guess of the set, and 1 when every guess is 0: always
+    positive.
+    """
+    from scipy.spatial import cKDTree
+
+    pos = np.asarray(pos, dtype=np.float64)
+    k = min(n_ngb + 1, len(pos))             # the point itself comes first
+    if k < 2:
+        return np.ones(len(pos))
+    h = cKDTree(pos).query(pos, k=[k])[0][:, 0]
+    return np.where(h > 0.0, h, h.max() if h.max() > 0.0 else 1.0)
 
 
 def _next_kernel_size(

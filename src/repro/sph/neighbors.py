@@ -31,8 +31,12 @@ per-particle search radius): a *reach list* keeps a forward entry
 ``r < R[b]`` — an ordered subsequence of the layout above, so for every
 point ``i`` with a radius ``h_i <= R[i]`` the entries with ``r < h_i`` come
 in the full list's order with bit-equal ``r``, and every sum over them is
-the full list's bit for bit.  Where a radius outgrows its reach the list is
-*widened*: those points reach the cell, the others keep theirs.  The density
+the full list's bit for bit.  The walk of a reach list drops a pair as soon
+as its squared separation is past both ends' reaches (with a margin, before
+the exact cuts), so the ``r < cell`` pairs outside every reach — most of
+them where reaches are short — are never materialized.  Where a radius
+outgrows its reach the list is *widened*: those points reach the cell, the
+others keep theirs.  The density
 solve asks for one (:mod:`repro.sph.density`), where the kernel sizes span
 far more than the cell needs; every other search asks for the full list.
 
@@ -85,6 +89,14 @@ _MAX_CELLS = 2.0**62
 #: on the gas disk and the halo's gas, 0.84-1.0 on the SN storm's turbulent
 #: box, 0.21-1.0 on the two-rank cluster's (its SN regions spread ``h``).
 _MAX_REACH_SHARE = 0.5
+#: Relative widening of the squared reach below which the walk of a reach
+#: list keeps the pairs it meets, ahead of the exact ``r < R`` cut
+#: (:func:`_squared_bound`).  Correctly rounded ``sqrt`` and products alone
+#: give ``r < R  =>  d² < R * R``; the margin (~10^7 ulp) keeps the early
+#: cut from ever dropping a pair the exact one keeps where a square is not
+#: correctly rounded (a fused or reordered product), and lets through only
+#: pairs within 5e-10 relative of a reach, which the exact cut then drops.
+_REACH_MARGIN = 1e-9
 
 
 @dataclass
@@ -176,12 +188,15 @@ class NeighborGrid:
 
     def _pairs_in_ranges(
         self, q_xyz: np.ndarray, q_ids: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-        s_xyz: np.ndarray,
+        s_xyz: np.ndarray, bound: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pairs of query ``k`` (coordinates ``q_xyz[:, k]``, reported as
         ``q_ids[k]``) with the source slots ``[starts[k], ends[k])`` (planes
         ``s_xyz``, cell order) closer than the cell: ``(q_ids[k],
         order[slot], r)``, queries in the order given, slots ascending.
+        With a ``bound`` — squared separations per query and per slot (see
+        :func:`_squared_bound`) — only the pairs whose squared separation is
+        below the larger of their two ends' bounds.
 
         Unit-stride ufuncs on one contiguous array per axis; the squares are
         summed in x, y, z order and rooted only for the survivors.
@@ -193,7 +208,13 @@ class NeighborGrid:
         d2 = _squared_separation(q_xyz[0], lens, s_xyz[0], slots)
         d2 += _squared_separation(q_xyz[1], lens, s_xyz[1], slots)
         d2 += _squared_separation(q_xyz[2], lens, s_xyz[2], slots)
-        keep = np.flatnonzero(d2 < self.cell * self.cell)
+        if bound is None:
+            keep = np.flatnonzero(d2 < self.cell * self.cell)
+        else:
+            limit = np.repeat(bound[0], lens)
+            np.maximum(limit, bound[1].take(slots), out=limit)
+            keep = np.flatnonzero(d2 < limit)
+            del limit
         return (
             np.repeat(q_ids, lens).take(keep),
             self.order.take(slots.take(keep)),
@@ -202,13 +223,15 @@ class NeighborGrid:
 
     def _stencil_pairs(
         self, q_xyz: np.ndarray, q_ids: np.ndarray, q_cells: np.ndarray,
-        offsets: np.ndarray, s_xyz: np.ndarray,
+        offsets: np.ndarray, s_xyz: np.ndarray, bound: np.ndarray | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The stencil walk of both generations: the pairs of every query
         (cells ``q_cells``, shape (3, m)) with the points of the cells
         ``offsets`` (shape (k, 3)) away from its own, as
         :meth:`_pairs_in_ranges` returns them — offset by offset in the order
-        given, the queries ascending within one.
+        given, the queries ascending within one.  A ``bound`` per slot (the
+        queries then being the slots in cell order) cuts every range as
+        :meth:`_pairs_in_ranges` does.
 
         The offsets go in groups of about :data:`_WALK_BLOCK` query cells per
         expansion, one part each: a few moved rows walk their whole stencil
@@ -228,6 +251,7 @@ class NeighborGrid:
                 q_xyz.take(q, axis=1), q_ids.take(q),
                 np.searchsorted(self.sorted_keys, keys, side="left"),
                 np.searchsorted(self.sorted_keys, keys, side="right"), s_xyz,
+                None if bound is None else (bound.take(q), bound),
             ))
         return parts
 
@@ -347,11 +371,15 @@ class NeighborGrid:
         n, keys, order = self.n_points, self.sorted_keys, self.order
         s_xyz = np.ascontiguousarray(self.pos[order].T)
         slots = np.arange(n)
+        bound = None if reach is None else _squared_bound(reach.take(order), self.cell)
         own_cell_end = np.searchsorted(keys, keys, side="right")
-        parts = [self._pairs_in_ranges(s_xyz, order, slots + 1, own_cell_end, s_xyz)]
+        parts = [self._pairs_in_ranges(
+            s_xyz, order, slots + 1, own_cell_end, s_xyz,
+            None if bound is None else (bound, bound),
+        )]
         xy, z = np.divmod(keys, self.dims[2])
         cells = np.stack([xy // self.dims[1], xy % self.dims[1], z])
-        parts += self._stencil_pairs(s_xyz, order, cells, _FORWARD_OFFSETS, s_xyz)
+        parts += self._stencil_pairs(s_xyz, order, cells, _FORWARD_OFFSETS, s_xyz, bound)
         blocks = parts + [(b, a, r) for a, b, r in parts]        # forward, mirror
         if reach is not None:
             blocks = [_within_reach(block, reach) for block in blocks]
@@ -521,6 +549,25 @@ def _squared_separation(
     d -= s_k.take(slots)
     d *= d
     return d
+
+
+def _squared_bound(reach: np.ndarray, cell: float) -> np.ndarray:
+    """Per point, the squared separation below which the walk of a reach
+    list keeps a pair it meets: ``min(R² (1 + margin), cell²)``.
+
+    A pair is kept as a forward entry for ``r < R_a`` and as a mirror entry
+    for ``r < R_b``, so the walk may drop every pair whose squared
+    separation ``d²`` is at least both ends' bound: such a pair has
+    ``d² > R²`` for both reaches (the margin, :data:`_REACH_MARGIN`, is far
+    wider than the rounding of ``R * R``), so ``r = sqrt(d²) >= R``
+    (``sqrt`` is monotone) and :func:`_within_reach` would have dropped it
+    — or ``d² >= cell²``, the full walk's own cut.  A pair that passes
+    still meets the exact cuts after it, so the list is bit for bit the one
+    the uncut walk gives.
+    """
+    bound = reach * reach
+    bound *= 1.0 + _REACH_MARGIN
+    return np.minimum(bound, cell * cell, out=bound)
 
 
 def _within_reach(

@@ -144,3 +144,22 @@ def test_per_domain_particles_inside_their_domain():
             continue
         lo, hi = dd.domain_box(r)
         assert np.all(part.pos >= lo) and np.all(part.pos < hi)
+
+
+# ------------------------------------------------------- gas kernel sizes
+@pytest.mark.parametrize("seed", [3, 21])
+def test_gas_kernel_sizes_are_seeded_near_their_converged_values(seed):
+    """The ``gas_disk``-sized model's gas ``h`` is each particle's distance
+    to its 32nd nearest gas neighbour — positive, and with a median within
+    20% of the one the density solve converges to at ``n_ngb = 32``."""
+    from repro.sph.density import compute_density, kernel_size_guess
+
+    ps = make_mw_model(
+        2500, seed=seed, spec=MW_SPEC.scaled(0.01), count_fractions=(0.02, 0.02, 0.96)
+    )
+    gas = ps.gas()
+    assert np.array_equal(gas.h, kernel_size_guess(gas.pos, 32)) and np.all(gas.h > 0.0)
+    n = len(gas)
+    d = compute_density(gas.pos, np.zeros((n, 3)), gas.mass, np.ones(n), gas.h, n_ngb=32)
+    assert d.n_unconverged == 0
+    assert np.median(gas.h) == pytest.approx(np.median(d.h), rel=0.2)

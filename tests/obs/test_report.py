@@ -317,3 +317,33 @@ def test_report_shows_reach_lists_and_widenings():
     assert (f"{cand['mb']:.2f} MB, {cand['widenings']:.2f} widenings/step, reach list in "
             f"{int(cand['reach_passes'])}/{int(cand['passes'])} passes") in report.to_text()
     assert report.to_json_obj()["candidates_per_step"] == cand
+
+
+def test_report_shows_the_rss_high_water_after_step_1_and_the_last_step():
+    """The step host gauges main's ``ru_maxrss`` once per step (and puts it
+    on the step span): the report prints the high-water after step 1 and
+    after the last step, the second never below the first."""
+    import resource
+
+    from repro import GalaxySimulation
+    from repro.sn.turbulence import make_turbulent_box
+
+    ps = make_turbulent_box(n_per_side=6, side=60.0, seed=3)
+    tr = Tracer(run_id="rss")
+    with GalaxySimulation(ps, dt=2e-3, tracer=tr) as sim:
+        sim.run(3)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    steps = [rec for rec in tr.records if rec.name == "step"]
+    assert len(steps) == 3 and all("rss_mb" in rec.attrs for rec in steps)
+    assert tr.gauges["obs.rss_mb"] == steps[-1].attrs["rss_mb"] <= after
+    report = report_traces([_as_loaded(tr)])
+    rss = report.rss_high_water()
+    assert rss == {"after_step_1": steps[0].attrs["rss_mb"],
+                   "after_last_step": steps[-1].attrs["rss_mb"]}
+    assert 0.0 < rss["after_step_1"] <= rss["after_last_step"]
+    assert (f"RSS high-water: after step 1 {rss['after_step_1']:.1f} MB, "
+            f"after the last step {rss['after_last_step']:.1f} MB") in report.to_text()
+    assert report.to_json_obj()["rss_high_water_mb"] == rss
+    # A run that gauged none prints no such line.
+    quiet = report_traces([_as_loaded(_synthetic_tracer())])
+    assert quiet.rss_high_water() == {} and "RSS" not in quiet.to_text()

@@ -515,6 +515,50 @@ def test_reach_list_holds_the_full_lists_pairs_within_every_radius(n, spread, se
         _assert_same_list(listed, full)
 
 
+@given(n=st.integers(2, 80), seed=st.integers(0, 2**16))
+@settings(max_examples=80, deadline=None)
+def test_reach_walk_cuts_exactly_at_each_reach(n, seed):
+    """Each point's reach sits at the separation of one of its pairs — at
+    ``r``, one ulp either side, or ``r (1 ± 2^-52)`` — or is random: the
+    reach list, which the walk cuts to the larger reach of each pair before
+    it materializes the pair, is the full list cut at ``R[i]`` (self pairs
+    kept), entry for entry in ``i``, ``j`` and ``r``."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 4.0, (n, 3))
+    cell = 2.0
+    i, j, r = full = NeighborGrid.build(pos, cell).compact_self_pairs()
+    reach = rng.uniform(0.1, 1.4, n)
+    # Points of a random pair each (the last of a point's picks wins).
+    picks = rng.permutation(np.flatnonzero((i != j) & (r < 1.4)))[: rng.integers(0, n + 1)]
+    at = r[picks]
+    at = np.select(
+        [rng.random(len(at)) < q for q in (0.2, 0.4, 0.6, 0.8)],
+        [at, np.nextafter(at, np.inf), np.nextafter(at, 0.0), at * (1.0 + 2.0**-52)],
+        at * (1.0 - 2.0**-52),
+    )
+    reach[i[picks]] = at
+    grid = NeighborGrid.build(pos, cell)
+    listed = grid.compact_self_pairs(reach)
+    assert grid.has_reach_list
+    keep = (r < reach[i]) | (i == j)
+    _assert_same_list(listed, (i[keep], j[keep], r[keep]))
+    assert grid.reaches(reach)
+    _assert_same_list(_within(listed, reach), _within(full, reach))
+
+
+def test_reach_walk_bound_keeps_a_margin_over_the_squared_reach():
+    """The walk keeps a pair below ``min(R² (1 + margin), cell²)``: strictly
+    above ``R * R`` for every reach under the cell, and exactly ``cell²``
+    from there on — the full walk's own cut."""
+    from repro.sph.neighbors import _REACH_MARGIN, _squared_bound
+
+    reach = np.exp(np.random.default_rng(2).uniform(-20.0, 0.0, 10_000))
+    bound = _squared_bound(reach, 1.0)
+    assert np.all(bound >= reach * reach * (1.0 + 0.5 * _REACH_MARGIN))
+    assert np.all(bound > reach * reach) and np.all(bound < 1.0)
+    assert np.array_equal(_squared_bound(np.array([1.0, 2.0]), 1.0), [1.0, 1.0])
+
+
 def test_reach_list_is_made_only_where_it_halves_the_list(rng):
     """The expected share ``mean((R / cell)^3)`` decides: at most
     :data:`_MAX_REACH_SHARE` gives a reach list, above it the full list —
