@@ -53,10 +53,12 @@ cost as much as rebuilding, validity is explicit:
     particle ID) — :meth:`ForceEngine.notify_rows_moved` /
     :meth:`SpatialIndex.move_points`: tree and pair lists go, but the grid
     is **edited** — the moved points
-    re-binned, the compact candidate list repaired
+    re-binned, the compact candidate list repaired in place: the entries
+    with a moved end die in a mask, the moved points' walk is appended
     (:meth:`NeighborGrid.move_points
-    <repro.sph.neighbors.NeighborGrid.move_points>`) — so the full pass that
-    follows neither bins nor generates candidates a second time.
+    <repro.sph.neighbors.NeighborGrid.move_points>`) — so the pass that
+    follows neither bins nor generates candidates a second time, and
+    re-solves only the gas the moved rows touched (below).
 
   A local edit answers exactly or not at all: when no grid or no candidate
   list is cached, a row is outside the grid's scope, the particle count
@@ -70,7 +72,19 @@ cost as much as rebuilding, validity is explicit:
 * What an edited grid guarantees: the same candidate *set* with bit-equal
   separations as a fresh generation on the same binning, hence the same
   gather pairs, ``n_neighbors`` and sweep count; the list's *order* differs,
-  so sums agree to rounding (1e-12), not bit for bit.
+  so sums agree to rounding (1e-12), not bit for bit.  Against the pass
+  before the edit, every entry without a moved end keeps its place: a gas
+  particle with no moved row inside its ``h`` before or after the move keeps
+  its sums bit for bit.  So the pass after :meth:`ForceEngine.notify_rows_moved`
+  is a *region pass*: it re-solves the touched set — the moved rows and
+  every gas particle with a moved row inside its ``h`` before or after —
+  and keeps the rest's ``h``, density, grad-h term, neighbor count and
+  weight sum from the pass before; the gather list, half pairs, velocity
+  estimators and forces still run over all the gas.  Bit-identical to the
+  full solve on the edited grid (:func:`repro.sph.density.compute_density`
+  has the argument), so no threshold chooses between them: with every
+  particle touched it *is* the full solve, and a regrid in its course makes
+  it one.
 * The density solve's list covers each gas particle's reach
   (:meth:`NeighborGrid.compact_self_pairs
   <repro.sph.neighbors.NeighborGrid.compact_self_pairs>`), and a kernel size
@@ -95,7 +109,9 @@ cost as much as rebuilding, validity is explicit:
   first pass that generates (or widens) it to the end of the step's last hydro
   evaluation (:meth:`ForceEngine.release_candidates`, called by the
   integrators after step 7, or after the only pass of the conventional
-  scheme); the grid itself stays for box queries until the next signal.
+  scheme) — a step-7 pass (``ForceEngine.hydro(last=True)``) drops it as
+  soon as its gather list is made, so the rest of the pass reuses its
+  memory; the grid itself stays for box queries until the next signal.
 * :attr:`SpatialIndex.stats` counts builds, repairs and reuses (the engine
   mirrors the grid counts as ``accel.grid_*`` tracer counters, which
   ``python -m repro.obs report`` prints per step); the steady-state
@@ -112,9 +128,10 @@ fast path (:meth:`ForceEngine.refresh_hydro`) that re-evaluates hydro on the
 cached pair lists after cooling/feedback changed ``u`` and kicks changed
 ``v`` — positions and kernel sizes being untouched, the result is identical
 to a cold recompute whose h solve converges on its first sweep.  After a
-position signal of any kind it returns ``None`` and step 7 is a full
+position signal of any kind it returns ``None`` and step 7 is a
 :meth:`ForceEngine.hydro` — one solve path — which after
-:meth:`ForceEngine.notify_rows_moved` starts on the edited grid.
+:meth:`ForceEngine.notify_rows_moved` starts on the edited grid and
+re-solves the region the moved rows touched.
 
 Gravity helper: two processes per tree pass, overlapped with hydro
 ------------------------------------------------------------------

@@ -67,7 +67,7 @@ import math
 import numpy as np
 
 from repro.accel.backends.base import DensityGatherState, KernelBackend, TileWorkspace
-from repro.sph.neighbors import NeighborGrid, pair_differences
+from repro.sph.neighbors import CandidateList, NeighborGrid, pair_differences
 from repro.util.constants import GRAV_CONST
 
 #: Pairs in one gravity tile block (target block x source block).  Five
@@ -110,6 +110,9 @@ class _NumpyDensityGather(DensityGatherState):
     ``W(r, h_i) = (sigma / h_i^3) w(r / h_i)`` has the target's own
     normalization, so the pair sums run over the dimensionless ``w`` (and
     ``3 w + q dw`` for the grad-h term) and are scaled once per target.
+    Every sum reads the grid's :class:`~repro.sph.neighbors.CandidateList`
+    through one cut (:meth:`~repro.sph.neighbors.CandidateList.select`), so
+    an edited list is never copied whole.
     """
 
     def __init__(self, grid: NeighborGrid, pos: np.ndarray, kernel) -> None:
@@ -117,31 +120,36 @@ class _NumpyDensityGather(DensityGatherState):
         self.n = len(pos)
         # The grid's list as it is: a reach list holds every pair the solve
         # evaluates, in the full list's order.
-        self.ci, self.cj, self.cr = grid.candidates()
+        self.candidates = grid.candidate_list()
         self._h_prev: np.ndarray | None = None
         self._wsum: np.ndarray | None = None
+        #: A resumed pass (see :meth:`resume`): its stale targets, their
+        #: candidates in the list's order, and its (dens, drho_dh, counts).
+        self._resumed: tuple[
+            np.ndarray, CandidateList, tuple[np.ndarray, np.ndarray, np.ndarray]
+        ] | None = None
 
-    @staticmethod
-    def _within_support(
-        i: np.ndarray, r: np.ndarray, h: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Which of the candidates ``(i, r)`` have ``r < h_i``, and their
-        ``q = r / h_i``."""
-        h_i = h.take(i)
-        keep = np.flatnonzero(r < h_i)
-        q = r.take(keep)
-        q /= h_i.take(keep)
-        return keep, q
+    def resume(
+        self, stale: np.ndarray, h: np.ndarray, wsum: np.ndarray,
+        dens: np.ndarray, drho_dh: np.ndarray, counts: np.ndarray,
+    ) -> None:
+        # A stale target's last h is NaN: the first sweep sees it changed.
+        self._h_prev = np.where(stale, np.nan, h)
+        self._wsum = wsum.copy()
+        # Every sweep changes stale targets only: cut their entries once.
+        region = CandidateList(self.candidates.select(targets=stale))
+        self._resumed = (stale, region, (dens, drho_dh, counts))
 
     def _profile_sum(self, i: np.ndarray, r: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """sum_j w(r_ij / h_i) per target over the candidates ``(i, r)``."""
-        keep, q = self._within_support(i, r, h)
-        return np.bincount(i.take(keep), weights=self.kernel.w(q), minlength=self.n)
+        """sum_j w(r_ij / h_i) per target over candidates ``(i, r)`` inside
+        their target's support."""
+        q = r / h.take(i)
+        return np.bincount(i, weights=self.kernel.w(q), minlength=self.n)
 
     def weight_sum(self, h: np.ndarray) -> np.ndarray:
-        i, r = self.ci, self.cr
         norm = self.kernel.sigma / (h * h * h)
         if self._h_prev is None:
+            i, _, r = self.candidates.select(radius=h)
             wsum = norm * self._profile_sum(i, r, h)
         else:
             changed = h != self._h_prev
@@ -150,19 +158,22 @@ class _NumpyDensityGather(DensityGatherState):
             # Every candidate of a changed target is recomputed in the same
             # order a full sweep would visit it, so the partial sums match a
             # cold evaluation bit-for-bit; unchanged targets keep theirs.
-            sub = np.flatnonzero(changed.take(i))
-            upd = norm * self._profile_sum(i.take(sub), r.take(sub), h)
+            source = self.candidates
+            if self._resumed is not None and not np.any(changed & ~self._resumed[0]):
+                source = self._resumed[1]
+            i, _, r = source.select(radius=h, targets=changed)
+            upd = norm * self._profile_sum(i, r, h)
             wsum = np.where(changed, upd, self._wsum)
         self._h_prev = h.copy()
         self._wsum = wsum.copy()
         return wsum
 
-    def finalize(
-        self, h: np.ndarray, mass: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        keep, q = self._within_support(self.ci, self.cr, h)
-        ii, jj, rr = self.ci.take(keep), self.cj.take(keep), self.cr.take(keep)
-        m_j = mass.take(jj)
+    def _sums(
+        self, i: np.ndarray, j: np.ndarray, r: np.ndarray, h: np.ndarray, mass: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dens, drho_dh, counts) per target over gather entries ``(i, j, r)``."""
+        q = r / h.take(i)
+        m_j = mass.take(j)
         w = self.kernel.w(q)
         w *= m_j
         # dW/dh = -(sigma / h^4) (3 w + q dw): the grad-h pair term.
@@ -171,9 +182,20 @@ class _NumpyDensityGather(DensityGatherState):
         dwdh *= m_j
         dwdh += 3.0 * w
         norm = self.kernel.sigma / (h * h * h)
-        dens = norm * np.bincount(ii, weights=w, minlength=self.n)
-        drho_dh = -norm / h * np.bincount(ii, weights=dwdh, minlength=self.n)
-        counts = np.bincount(ii, minlength=self.n)
+        dens = norm * np.bincount(i, weights=w, minlength=self.n)
+        drho_dh = -norm / h * np.bincount(i, weights=dwdh, minlength=self.n)
+        return dens, drho_dh, np.bincount(i, minlength=self.n)
+
+    def finalize(
+        self, h: np.ndarray, mass: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        ii, jj, rr = self.candidates.select(radius=h)
+        if self._resumed is None:
+            return (*self._sums(ii, jj, rr, h, mass), (ii, jj, rr))
+        # The stale targets' entries of the gather list, in its order.
+        stale, region, kept = self._resumed
+        fresh = self._sums(*region.select(radius=h), h, mass)
+        dens, drho_dh, counts = (np.where(stale, a, b) for a, b in zip(fresh, kept, strict=True))
         return dens, drho_dh, counts, (ii, jj, rr)
 
 

@@ -43,6 +43,8 @@ class _PikgDensityGather(_NumpyDensityGather):
 
     def __init__(self, grid, pos, kernel, pikg_kernel) -> None:
         super().__init__(grid, pos, kernel)
+        # The generated kernel walks one (i, j) array pair: the list as one.
+        self.ci, self.cj, _ = self.candidates.select()
         self._pikg = pikg_kernel
         self._pos = np.asarray(pos, dtype=np.float64)
         self._ones = np.ones(self.n)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -29,7 +29,12 @@ from repro.fdps.particles import ParticleSet, ParticleType
 from repro.fdps.tree import Octree
 from repro.gravity.kernels import accel_direct
 from repro.gravity.treegrav import GroupTiles, record_gravity_pass
-from repro.sph.density import DensityResult, compute_density, refresh_velocity_fields
+from repro.sph.density import (
+    DensityResult,
+    compute_density,
+    moved_neighborhood,
+    refresh_velocity_fields,
+)
 from repro.sph.eos import pressure, sound_speed_from_density
 from repro.sph.forces import compute_hydro_forces
 from repro.sph.neighbors import half_pairs_from_gather
@@ -116,6 +121,10 @@ class ForceEngine:
         #: The gravity pass :meth:`submit_gravity` shipped and :meth:`gravity`
         #: has not collected yet: (helper pass number or None, submit time).
         self._pending: tuple[int | None, float] | None = None
+        #: After one repaired :meth:`notify_rows_moved`: the gas of the last
+        #: pass, its density result (without its pair lists) and the gas it
+        #: knows touched — the next :meth:`hydro` re-solves only that region.
+        self._moved_since: tuple[np.ndarray, DensityResult, np.ndarray] | None = None
 
     # ---------------------------------------------------------- invalidation
     def notify_positions_changed(self) -> None:
@@ -123,28 +132,45 @@ class ForceEngine:
         lists are stale."""
         self.index.invalidate_positions()
         self._hydro_cache = None
+        self._moved_since = None
 
     def notify_rows_moved(self, ps: ParticleSet, rows: np.ndarray) -> None:
         """Only ``rows`` of ``ps`` have new coordinates (an SN region
-        replaced by particle ID); nothing else moved.
+        replaced by particle ID); nothing else moved, and no other row
+        changed its mass or ``h``.
 
         The pair lists are stale — :meth:`refresh_hydro` returns ``None``
-        and the caller runs a full :meth:`hydro` — but the neighbor grid of
-        the last pass is edited in place (:meth:`SpatialIndex.move_points`),
-        so that pass finds its grid and the candidate list ready instead of
-        generating both a second time.  Where the edit cannot be exact the
-        index invalidates itself: the same pass, from a fresh grid.
+        and the caller runs :meth:`hydro` — but the neighbor grid of the
+        last pass is edited in place (:meth:`SpatialIndex.move_points`), so
+        that pass finds its grid and the candidate list ready instead of
+        generating both a second time, and re-solves only the gas the
+        replacement touched (a region pass of
+        :func:`~repro.sph.density.compute_density`).  Where the edit cannot
+        be exact the index invalidates itself: the same pass, from a fresh
+        grid, over all the gas.  The last pass's pair lists go here, as
+        before: what the region needs of them — the gas with a moved row
+        inside its ``h`` — is taken first.  A second notification before the
+        pass makes it a full one.
         """
         cache, self._hydro_cache = self._hydro_cache, None
+        self._moved_since = None
         if cache is not None and cache.n_total != len(ps):
             self.index.abandon_grid("the particle count changed since the indexed pass")
         elif self.index.move_points(rows, ps.pos[rows]):
             self.timers.tracer.count("accel.grid_repairs")
+            if cache is not None:
+                # Rows inside the gas scope (the index checked): gas indices.
+                moved = np.searchsorted(cache.gas, np.asarray(rows, dtype=np.int64))
+                d = cache.density
+                self._moved_since = (
+                    cache.gas, replace(d, pairs=None), moved_neighborhood(d, moved)
+                )
 
     def notify_membership_changed(self) -> None:
         """Particles appeared/vanished/reordered (star formation, exchange)."""
         self.index.invalidate_all()
         self._hydro_cache = None
+        self._moved_since = None
 
     @property
     def fast_path_available(self) -> bool:
@@ -152,8 +178,9 @@ class ForceEngine:
 
     def release_candidates(self) -> None:
         """The step's last hydro evaluation is done: drop the neighbor
-        grid's candidate lists, the step's largest transient.  They live
-        from the first pass to here so that a step-7 full pass (after
+        grid's candidate lists, the step's largest transient (a
+        ``hydro(last=True)`` pass dropped them already).  They live from
+        the first pass to here so that a step-7 pass (after
         :meth:`notify_rows_moved`) reuses them; the grid itself stays for
         box queries."""
         self.index.release_pairs()
@@ -337,7 +364,9 @@ class ForceEngine:
         the step host checks it before a gravity pass is shipped)."""
         _require_finite("SPH", ps, _SPH_INPUTS, np.flatnonzero(ps.where_type(ParticleType.GAS)))
 
-    def hydro(self, ps: ParticleSet, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def hydro(
+        self, ps: ParticleSet, label: str, last: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full density + hydro-force pass on the gas.
 
         Raises ``ValueError`` on a non-finite SPH input
@@ -348,12 +377,18 @@ class ForceEngine:
         the index under the gas scope: a second pass at unchanged or locally
         edited positions (:meth:`notify_rows_moved`) reuses the cached grid
         and its candidate list, which therefore outlive this call — the
-        owner ends their life with :meth:`release_candidates`.  On a
+        owner ends their life with :meth:`release_candidates`, or with
+        ``last`` (the step's last pass: the list goes as soon as the gather
+        list is made, and the rest of the pass reuses its memory).  On a
         tracer it counts ``accel.candidate_generations``,
         ``accel.candidate_widenings`` and ``accel.candidate_pairs`` (the
         lists this pass generated or widened; a reused or repaired one adds
         none), ``accel.reach_list_passes`` (this pass ran on a reach list)
-        and gauges ``accel.candidate_bytes``.
+        and gauges ``accel.candidate_bytes``.  After
+        :meth:`notify_rows_moved` the pass re-solves only the gas the moved
+        rows touched, bit-identical to a full solve on the edited grid, and
+        counts ``accel.region_passes``, ``accel.region_targets`` (the gas
+        it re-solved) and ``accel.region_gas`` (all of it).
 
         The returned arrays are the engine's *persistent work buffers*:
         they are overwritten in place by the next :meth:`hydro` /
@@ -363,9 +398,13 @@ class ForceEngine:
         cfg = self.cfg
         gas = np.flatnonzero(ps.where_type(ParticleType.GAS))
         _require_finite("SPH", ps, _SPH_INPUTS, gas)
+        since, self._moved_since = self._moved_since, None
         if gas.size < 2:
             self._hydro_cache = None
             return self._full_buffers(len(ps))
+        prior = touched = None
+        if since is not None and np.array_equal(since[0], gas):
+            _, prior, touched = since
         reuses = self.index.stats.grid_reuses
         with self.timers.measure(
             f"{label} Calc_Kernel_Size_and_Density", backend=self.backend.name
@@ -383,6 +422,10 @@ class ForceEngine:
                 # through the same grid, and the next pass recognises it.
                 scope=gas,
                 backend=self.backend,
+                # After notify_rows_moved: re-solve the region it touched.
+                prior=prior,
+                touched=touched,
+                release_list=last,
             )
         grid, gather = d.grid, d.pairs
         assert grid is not None and gather is not None     # a finished solve has both
@@ -395,9 +438,14 @@ class ForceEngine:
         tracer.count("accel.candidate_widenings", d.candidate_widenings)
         tracer.count("accel.candidate_pairs", d.candidate_pairs)
         tracer.count("accel.reach_list_passes", int(d.reach_list))
-        # The i/j/r bytes of the list this pass ran on (a reach list too):
-        # the step's largest transient, alive until release_candidates().
-        tracer.gauge("accel.candidate_bytes", sum(a.nbytes for a in grid.candidates()))
+        if prior is not None:
+            tracer.count("accel.region_passes")
+            tracer.count("accel.region_targets", d.n_resolved)
+            tracer.count("accel.region_gas", gas.size)
+        # The bytes of the list this pass ran on (a reach list, an edited
+        # one too): the step's largest transient, alive until the step's
+        # last pass has its gather list.
+        tracer.gauge("accel.candidate_bytes", d.candidate_bytes)
         if d.worst_bracket is not None:            # set whenever n_unconverged > 0
             self.n_unconverged += d.n_unconverged
             tracer.count("accel.h_unconverged", d.n_unconverged)

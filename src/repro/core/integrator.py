@@ -188,7 +188,8 @@ class BaseIntegrator:
         untouched since (3) the engine re-evaluates on the cached pair lists
         (no h solve, no neighbor search); if SN replacements moved particles
         it falls back to a full pass — on the neighbor grid of (3), edited
-        for the replaced rows, where that edit was exact — and if star
+        for the replaced rows, where that edit was exact, re-solving only
+        the gas they touched — and if star
         formation changed the membership ``_replace_particle_set`` already
         flagged a full recompute for the next step.  Either way this was the
         step's last hydro evaluation: the candidate lists go.
@@ -197,7 +198,8 @@ class BaseIntegrator:
             return
         refreshed = self.engine.refresh_hydro(self.ps, "2nd")
         if refreshed is None:
-            refreshed = self._hydro("2nd")
+            # The step's last pass: its candidate list goes with its gather list.
+            refreshed = self.engine.hydro(self.ps, "2nd", last=True)
         self._hydro_acc, self._du_dt, self._vsig = refreshed
         self.engine.release_candidates()
 

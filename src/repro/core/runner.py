@@ -290,7 +290,9 @@ class CoupledRunner(BaseIntegrator):
         (:meth:`~repro.accel.ForceEngine.notify_rows_moved`), not that
         everything moved.  Step (7) then solves on the neighbor grid of
         step (3), edited for these rows, instead of binning and generating
-        candidates for all the gas a second time.
+        candidates for all the gas a second time — and only for the gas the
+        replacement touched: the rest keeps step (3)'s kernel sizes and
+        sums, bit for bit what a full solve would find.
 
         Nothing here fits ``h`` to the merged set: the re-inserted particles
         and the gas around them — whose ``h`` was solved for neighbors that

@@ -58,14 +58,22 @@ FIELDS: dict[str, tuple[tuple[int, ...], np.dtype, float]] = {
 METAL_SPECIES = ("C", "O", "Mg", "Fe")
 
 
+#: Flattened columns of each :data:`FIELDS` entry, in registry order.
+_COLUMNS: dict[str, int] = {
+    name: int(np.prod(shape, dtype=np.int64)) for name, (shape, _, _) in FIELDS.items()
+}
+_PACKED_WIDTH = sum(_COLUMNS.values())
+
+
 def packed_width() -> int:
     """Flattened float64 columns of one particle in the migration payload.
 
     Every :data:`FIELDS` column rides along when a particle migrates between
     domains, so the wire format is the full registry, not a subset — the
-    communication ledger must see exactly these bytes.
+    communication ledger must see exactly these bytes.  The registry is
+    static: the width is computed once, at import.
     """
-    return sum(int(np.prod(shape, dtype=np.int64)) for shape, _, _ in FIELDS.values())
+    return _PACKED_WIDTH
 
 
 @dataclass
@@ -117,9 +125,14 @@ class ParticleSet:
         return len(self.data["pos"])
 
     # -- bulk operations ------------------------------------------------------
-    def select(self, index: np.ndarray) -> "ParticleSet":
-        """A *copy* holding the particles selected by mask or index array."""
-        return ParticleSet({k: v[index].copy() for k, v in self.data.items()})
+    def select(self, index: np.ndarray | slice) -> "ParticleSet":
+        """A *copy* holding the particles selected by mask, index array or
+        slice — copied once: a mask or an index array gathers into new
+        arrays already, only a slice's view is copied."""
+        if isinstance(index, slice):
+            return ParticleSet({k: v[index].copy() for k, v in self.data.items()})
+        index = np.asarray(index)
+        return ParticleSet({k: v[index] for k, v in self.data.items()})
 
     def where_type(self, ptype: ParticleType) -> np.ndarray:
         """Boolean mask of particles of the given species."""
@@ -166,8 +179,7 @@ class ParticleSet:
         n = len(self)
         out = np.empty((n, packed_width()), dtype=np.float64)
         col = 0
-        for name, (shape, _dtype, _fill) in FIELDS.items():
-            w = int(np.prod(shape, dtype=np.int64))
+        for name, w in _COLUMNS.items():
             out[:, col : col + w] = self.data[name].reshape(n, w)
             col += w
         return out
@@ -180,7 +192,7 @@ class ParticleSet:
         ps = cls.empty(n)
         col = 0
         for name, (shape, dtype, _fill) in FIELDS.items():
-            w = int(np.prod(shape, dtype=np.int64))
+            w = _COLUMNS[name]
             ps.data[name][...] = buf[:, col : col + w].reshape((n, *shape)).astype(dtype)
             col += w
         return ps

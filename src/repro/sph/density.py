@@ -51,6 +51,21 @@ stop, the others get a new ``h``:
   ``h`` iterates do not depend on the list at all.  One list is alive at a
   time: a regrid or a widening drops the previous one and its gather state
   before making the next.
+* *A region pass.*  A solve given the finished pass before it on the same
+  grid (``prior``) and the points :meth:`NeighborGrid.move_points` moved
+  since, with those that had one inside their ``h``
+  (:func:`moved_neighborhood`, ``touched``), re-solves only the *touched*
+  set: those, every point with a moved one inside its ``h`` after the move
+  (the list's tail), and any point whose ``h`` is not the prior's.  Every other point has the same entries within
+  its ``h``, in the same order, as in the prior pass — the edit kept them
+  in place — so its sums, ``h`` and convergence are the prior's bits, and
+  it keeps them (:meth:`DensityGatherState.resume
+  <repro.accel.backends.base.DensityGatherState.resume>`).  The gather
+  list and the velocity estimators still cover every point.  A regrid or
+  a widening makes a new gather state, which computes every point again:
+  then the solve is the full one.  With every point touched it is the
+  full one from the start.  Bit for bit the full solve on the edited list,
+  so no size threshold chooses between them.
 * *No root.*  Where ``N`` stays above ``N_ngb`` without falling as ``h``
   shrinks, every neighbor in reach coincides with the particle (or the target
   is below the self contribution) and no ``h`` satisfies the equation: the
@@ -125,10 +140,22 @@ class DensityResult:
     candidate_generations: int = 0
     candidate_widenings: int = 0
     candidate_pairs: int = 0
-    #: The final sums ran on a reach list (not the full ``r < cell`` list).
+    #: The final sums ran on a reach list (not the full ``r < cell`` list),
+    #: whose live entries' i/j/r took ``candidate_bytes``.
     reach_list: bool = False
+    candidate_bytes: int = 0
+    #: Points whose sums this solve computed: all of them, or the touched
+    #: set of a region pass (see the module docstring).
+    n_resolved: int = 0
     grid: NeighborGrid | None = None  # the grid of the final sweep (reusable)
     pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # gather (i, j, r)
+    #: Sum_j W(r_ij, h_i) of the last sweep and d rho / d h at ``h``: with
+    #: ``dens`` and ``n_neighbors`` what a region pass keeps of this one,
+    #: while ``grid`` holds the list of its final sums (``grid.generations``
+    #: still ``list_generation``).
+    wsum: np.ndarray | None = None
+    drho_dh: np.ndarray | None = None
+    list_generation: int = 0
 
 
 def compute_density(
@@ -145,6 +172,9 @@ def compute_density(
     index: SpatialIndex | None = None,
     scope: np.ndarray | None = None,
     backend: str | KernelBackend | None = None,
+    prior: DensityResult | None = None,
+    touched: np.ndarray | None = None,
+    release_list: bool = False,
 ) -> DensityResult:
     """Solve for h and compute density and companion fields.
 
@@ -168,6 +198,16 @@ def compute_density(
     The gather sums run on the selected compute backend (name or instance;
     see :func:`repro.accel.backends.get_backend`), which keeps per-solve
     state so repeated sweeps over one grid stay cheap.
+
+    ``prior`` — a converged solve over the same points on the index's grid
+    (its pair lists may be dropped) — and ``touched`` —
+    :func:`moved_neighborhood` of it for the points the grid's
+    :meth:`NeighborGrid.move_points` moved since, the only ones whose
+    position or mass changed — make this a region pass (module docstring),
+    bit-identical to the full one; a prior whose grid or list is gone is
+    ignored.  ``release_list`` marks the solve as the candidate list's last
+    reader: the index releases it as soon as the gather list is made, so
+    the velocity estimators (and the caller's force pass) reuse its memory.
     """
     from repro.accel.backends import get_backend
     from repro.accel.index import SpatialIndex
@@ -183,33 +223,45 @@ def compute_density(
 
     used_iter = 0
     n_unconverged = 0
+    wsum: np.ndarray | None = None
     grid: NeighborGrid | None = None
     gather: DensityGatherState | None = None
     generated = widened = made = 0  # lists generated, widened; their pairs
+    stale: np.ndarray | None = None  # the points a region pass re-solves
 
     def gather_covering(h: np.ndarray) -> DensityGatherState:
         """The per-solve gather state over a list that holds every pair
         ``r < h_i``: rebuilt over a new grid when ``h.max()`` outgrew the
         binning (or on first use), over a widened list when an ``h_i``
-        outgrew its reach."""
-        nonlocal grid, gather, generated, widened, made
+        outgrew its reach — and then computing every point."""
+        nonlocal grid, gather, generated, widened, made, stale
         new_grid = index.grid_for(pos, float(h.max()), scope=scope)
         if gather is not None and new_grid is grid and grid.reaches(h):
             return gather
         # One list alive at a time: the old list's gather state goes before
         # the next list is made (the index released a replaced grid's list).
         gather = None
+        stale = None
         grid = new_grid
         if not grid.reaches(h):
             if grid.has_compact_pairs:
                 widened += 1
-                made += len(grid.compact_self_pairs(h)[0])
+                made += len(grid.cover(h))
             else:
                 generated += 1
-                made += len(grid.compact_self_pairs(np.minimum(grid.cell, _REACH * h))[0])
+                made += len(grid.cover(np.minimum(grid.cell, _REACH * h)))
         # Every backend's gather state is made over the grid's list as it is.
         gather = bk.density_gather(grid, pos, kernel)
         return gather
+
+    if prior is not None and touched is not None and _resumable(prior, n):
+        gather = gather_covering(h)
+        # The prior's grid with its list, edited in place: not regenerated.
+        if grid is prior.grid and grid.generations == prior.list_generation:
+            stale = _stale(prior, touched, grid.candidate_list().tail, h)
+            assert prior.wsum is not None and prior.drho_dh is not None
+            gather.resume(stale, prior.h, prior.wsum, prior.dens, prior.drho_dh,
+                          prior.n_neighbors)
 
     # Per-particle bracket of the root and the sample before the current one
     # (see the module docstring); ``err`` is ln(N / N_ngb).
@@ -224,7 +276,8 @@ def compute_density(
         # Smoothed neighbor number: N(h) = (4 pi / 3) h^3 sum_j W(r_ij, h).
         # Unlike the discrete count this is continuous (and monotone) in h,
         # so a bracket of the root is a bracket for good.
-        n_smooth = _KERNEL_VOLUME * h**3 * gather.weight_sum(h)
+        wsum = gather.weight_sum(h)
+        n_smooth = _KERNEL_VOLUME * h**3 * wsum
         unconverged = np.abs(n_smooth - n_ngb) > tol * n_ngb
         n_unconverged = int(np.count_nonzero(unconverged))
         if n_unconverged == 0:
@@ -251,6 +304,10 @@ def compute_density(
         gather = gather_covering(h)
     assert grid is not None and gather is not None
     dens, drho_dh, counts, pairs = gather.finalize(h, mass)
+    reach_list, candidate_bytes = grid.has_reach_list, grid.candidate_nbytes
+    if release_list:
+        gather = None
+        index.release_pairs()
     if counter is not None:
         counter.add("hydro_density", 1, len(pairs[0]))
 
@@ -280,10 +337,53 @@ def compute_density(
         candidate_generations=generated,
         candidate_widenings=widened,
         candidate_pairs=made,
-        reach_list=grid.has_reach_list,
+        reach_list=reach_list,
+        candidate_bytes=candidate_bytes,
+        n_resolved=n if stale is None else int(np.count_nonzero(stale)),
         grid=grid,
         pairs=pairs,
+        wsum=wsum,
+        drho_dh=drho_dh,
+        list_generation=grid.generations,
     )
+
+
+def moved_neighborhood(d: DensityResult, moved: np.ndarray) -> np.ndarray:
+    """Mask of the points ``moved`` and of those with a moved point inside
+    their ``h`` in the solve ``d`` (an entry of its gather list): what a
+    region pass after the move re-solves at least."""
+    assert d.pairs is not None
+    touched = np.zeros(len(d.h), dtype=bool)
+    touched[moved] = True
+    gather_i, gather_j, _ = d.pairs
+    reached = gather_i.take(np.flatnonzero(touched.take(gather_j)))
+    touched[reached] = True
+    return touched
+
+
+def _resumable(prior: DensityResult, n: int) -> bool:
+    """Whether a region pass can keep ``prior``'s values: a solve over ``n``
+    points that converged on its last sweep (so its sums are at its ``h``)."""
+    return (
+        prior.n_unconverged == 0 and len(prior.h) == n
+        and prior.wsum is not None and prior.drho_dh is not None
+    )
+
+
+def _stale(
+    prior: DensityResult, touched: np.ndarray, tail: tuple[np.ndarray, ...] | None,
+    h: np.ndarray,
+) -> np.ndarray:
+    """The points a region pass re-solves (mask): the ``touched`` ones, every
+    point with a moved one inside its ``h`` after the move (an entry of the
+    edited list's ``tail``, which holds every entry with a moved end), and
+    every point whose ``h`` is not ``prior``'s."""
+    stale = h != prior.h
+    stale |= touched
+    if tail is not None:
+        tail_i, _, tail_r = tail
+        stale[tail_i.take(np.flatnonzero(tail_r < h.take(tail_i)))] = True
+    return stale
 
 
 def kernel_size_guess(pos: np.ndarray, n_ngb: int) -> np.ndarray:

@@ -55,10 +55,14 @@ with :func:`half_pairs_from_gather` — the same unordered pairs with bit-equal
 A grid is also *editable*: when a few points moved and nothing else did
 (an SN region replaced by particle ID), :meth:`NeighborGrid.move_points`
 re-bins those points and repairs the cached candidate list instead of
-generating it a second time.  Exact after an edit: the *set* of candidates
-and every ``r`` (bit-equal to a fresh generation on the same binning).  Not
-kept: their order — so sums over the list agree with a fresh grid's to
-rounding, not bit for bit.
+generating it a second time — without copying it: the entries with a moved
+end die in a mask over the list, and the moved points' stencil walk is
+appended behind it (a :class:`CandidateList`, which readers filter in one
+pass).  Exact after an edit: the *set* of candidates and every ``r``
+(bit-equal to a fresh generation on the same binning).  Not kept: their
+order — so sums over the list agree with a fresh grid's to rounding, not
+bit for bit; every entry that did not move keeps its place, so a point no
+moved point came near or left keeps its sums bit for bit.
 """
 
 from __future__ import annotations
@@ -99,6 +103,78 @@ _MAX_REACH_SHARE = 0.5
 _REACH_MARGIN = 1e-9
 
 
+@dataclass(frozen=True)
+class CandidateList:
+    """A cached candidate list as it reads: the entries of ``base`` that
+    ``alive`` marks (every one when ``None``), then the ``tail``.
+
+    A fresh generation is all ``base``.  :meth:`NeighborGrid.move_points`
+    edits without copying the base: an entry with a moved end dies in
+    ``alive``, and the tail holds every entry with an end moved since the
+    base was generated — the moved points' stencil walk and its mirror, in
+    the order the edits appended them.  Readers cut what they need in one
+    pass (:meth:`select`); :meth:`select` without cuts is the list as one
+    triple, copied only when it has been edited.
+    """
+
+    base: tuple[np.ndarray, np.ndarray, np.ndarray]
+    alive: np.ndarray | None = None
+    tail: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        n = len(self.base[0]) if self.alive is None else int(np.count_nonzero(self.alive))
+        return n + (0 if self.tail is None else len(self.tail[0]))
+
+    @property
+    def nbytes(self) -> int:
+        """The ``i``/``j``/``r`` bytes of the live entries (the list as one
+        triple; an edited one holds its dead entries and mask besides)."""
+        return len(self) * sum(a.itemsize for a in self.base)
+
+    def select(
+        self, radius: np.ndarray | None = None, targets: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live entries ``(i, j, r)`` with ``r < radius[i]`` and
+        ``targets[i]`` (each cut only when given), in the list's order."""
+        parts = [_cut(self.base, self.alive, radius, targets)]
+        if self.tail is not None:
+            parts.append(_cut(self.tail, None, radius, targets))
+        if len(parts) == 1:
+            return parts[0]
+        i, j, r = (np.concatenate(col) for col in zip(*parts, strict=True))
+        return i, j, r
+
+
+def _cut(
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray], alive: np.ndarray | None,
+    radius: np.ndarray | None, targets: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of one block of a :class:`CandidateList` that ``alive``,
+    ``radius`` and ``targets`` keep, in order.  With ``targets`` (a few
+    changed points) the block is cut to them first, ``radius`` applied to
+    what is left; otherwise one mask over the block."""
+    i, j, r = entries
+    if targets is not None:
+        keep = targets.take(i)
+        if alive is not None:
+            keep &= alive
+        idx = np.flatnonzero(keep)
+        i, j, r = i.take(idx), j.take(idx), r.take(idx)
+        if radius is None:
+            return i, j, r
+        keep = r < radius.take(i)
+    elif radius is not None:
+        keep = r < radius.take(i)
+        if alive is not None:
+            keep &= alive
+    elif alive is not None:
+        keep = alive
+    else:
+        return entries
+    idx = np.flatnonzero(keep)
+    return i.take(idx), j.take(idx), r.take(idx)
+
+
 @dataclass
 class NeighborGrid:
     """A built cell grid over one set of points.
@@ -117,9 +193,7 @@ class NeighborGrid:
     # points (see :meth:`compact_self_pairs`): they depend only on the
     # binning, so every h-iteration and the force pass share one generation.
     # Release with :meth:`release_pairs` once the per-step searches are done.
-    _compact_pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _list: CandidateList | None = field(default=None, repr=False, compare=False)
     # Per-point reach of the cached list (``None``: the cell for every
     # point) and, for a reach list, what widening it takes: the positions,
     # order and keys it was generated on, and every move_points edit since.
@@ -130,6 +204,10 @@ class NeighborGrid:
     _edits: list[tuple[np.ndarray, np.ndarray]] = field(
         default_factory=list, repr=False, compare=False
     )
+    #: Lists this grid has generated or widened so far: a list that reads
+    #: ``generations`` equal to an earlier reading is the one read then,
+    #: changed by :meth:`move_points` edits only.
+    generations: int = field(default=0, compare=False)
 
     @classmethod
     def build(cls, pos: np.ndarray, cell: float) -> "NeighborGrid":
@@ -285,7 +363,8 @@ class NeighborGrid:
         order).  Bounded: ``r`` is within 2 ulp of an ``einsum`` over
         (n_pairs, 3) rows.  After a :meth:`move_points` the set and ``r``
         are still those of a fresh generation on this binning; the layout is
-        not.
+        not, and the list returned is a copy (:meth:`CandidateList.select`):
+        the grid keeps it as :meth:`candidate_list` reads it.
 
         The cached list is returned as it is whenever it holds what is asked
         (:meth:`reaches`).  Otherwise, with nothing cached, a ``reach`` makes
@@ -304,20 +383,27 @@ class NeighborGrid:
         edited grid would hold the same pairs in another order.  The previous
         list is dropped before the next one is made.
         """
+        return self.cover(reach).select()
+
+    def cover(self, reach: np.ndarray | None = None) -> CandidateList:
+        """The cached list as :meth:`compact_self_pairs` makes it for
+        ``reach`` — generated or widened until it :meth:`reaches` it — in
+        the form the grid keeps it: a :class:`CandidateList`, which an edit
+        left uncopied."""
         if not self.reaches(reach):
-            if self._compact_pairs is None:
+            if self._list is None:
                 self._generate(reach)
             else:
                 self._widen(reach)
-        assert self._compact_pairs is not None
-        return self._compact_pairs
+        assert self._list is not None
+        return self._list
 
     def reaches(self, radius: np.ndarray | None = None) -> bool:
         """True if the cached list holds every pair with ``r < radius[i]`` of
         each point ``i`` (``None``: with ``r < cell``) — the full list holds
         every pair a radius the grid :meth:`covers` keeps; False when no
         list is cached."""
-        if self._compact_pairs is None:
+        if self._list is None:
             return False
         if self._reach is None:
             return True
@@ -332,7 +418,17 @@ class NeighborGrid:
     def candidates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cached candidate list as it is — a reach list too; the full
         list, generated, when none is cached."""
-        return self.compact_self_pairs(self._reach)
+        return self.candidate_list().select()
+
+    def candidate_list(self) -> CandidateList:
+        """:meth:`candidates` as the grid keeps them (see :meth:`cover`)."""
+        return self.cover(self._reach)
+
+    @property
+    def candidate_nbytes(self) -> int:
+        """The ``i``/``j``/``r`` bytes of the cached list's live entries
+        (0 when none is cached)."""
+        return 0 if self._list is None else self._list.nbytes
 
     def _generate(self, reach: np.ndarray | None) -> None:
         """Cache the list of ``reach`` (see :meth:`compact_self_pairs`) on
@@ -341,8 +437,9 @@ class NeighborGrid:
             reach = np.minimum(reach, self.cell)
             if float(np.mean((reach / self.cell) ** 3)) > _MAX_REACH_SHARE:
                 reach = None
-        self._compact_pairs = self._half_stencil_pairs(reach)
+        self._list = CandidateList(self._half_stencil_pairs(reach))
         self._reach = reach
+        self.generations += 1
         if reach is not None:
             # Owned copies: move_points writes pos in place, never order or keys.
             self._origin = (self.pos.copy(), self.order, self.sorted_keys)
@@ -409,7 +506,7 @@ class NeighborGrid:
     def has_compact_pairs(self) -> bool:
         """True while the compacted candidate list is cached — the state
         :meth:`move_points` can repair."""
-        return self._compact_pairs is not None
+        return self._list is not None
 
     def move_points(self, rows: np.ndarray, new_pos: np.ndarray) -> bool:
         """Points ``rows`` now sit at ``new_pos``; nothing else moved.
@@ -418,21 +515,25 @@ class NeighborGrid:
         up exactly as a fresh binning of the edited positions on this
         ``lo``/``cell``/``dims`` would leave them, so box queries and the
         cell-walking searches stay exact) and *repairs* the cached compact
-        candidate list: entries with either end in ``rows`` are dropped, and
-        the row walk of :meth:`_pairs_within_cell` — all 27 offsets of each
-        moved point, through :meth:`_stencil_pairs`, the walk the half
-        stencil of :meth:`compact_self_pairs` runs — adds every pair
-        ``r < cell`` of a moved point, in both orderings (a pair of two moved
-        points once from each end, a self pair once).  The list then holds
-        the same *set* a fresh generation on this binning yields, with
-        bit-equal ``r``, in another order; sums over it agree to rounding.
-        A reach list gives the moved points the cell for a reach (so all
-        their entries stay), keeps of the mirror entries those within the
-        reach of their unmoved end, and logs the edit for a later widening.
-        Cost: O(n) bookkeeping plus the full stencil of the moved points,
-        against the half stencil of every point for a fresh generation —
-        cheaper while few points move (about a third of the fresh cost at 4%
-        moved), dearer once about half of them do (1.6-2x at 55%).
+        candidate list in place of a copy: the entries with either end in
+        ``rows`` die in the :class:`CandidateList` mask (and leave its
+        tail), and the row walk of :meth:`_pairs_within_cell` — all 27
+        offsets of each moved point, through :meth:`_stencil_pairs`, the
+        walk the half stencil of :meth:`compact_self_pairs` runs — appends
+        to the tail every pair ``r < cell`` of a moved point, in both
+        orderings (a pair of two moved points once from each end, a self
+        pair once).  The list then holds the same *set* a fresh generation
+        on this binning yields, with bit-equal ``r``, in another order; sums
+        over it agree to rounding.  The live entries read in the order a
+        compacting repair would leave them: the surviving entries in place,
+        then the tail — so the entries of a point with no moved end keep
+        their order, and its sums their bits.  A reach list gives the moved
+        points the cell for a reach (so all their entries stay), keeps of
+        the mirror entries those within the reach of their unmoved end, and
+        logs the edit for a later widening.  Cost: one pass of two boolean
+        gathers over the list plus the full stencil of the moved points —
+        no copy of the list, against the half stencil of every point for a
+        fresh generation.
 
         A new position may lie outside the box the grid was built over: it
         is binned to the edge cell, as :meth:`build` and every query bin by
@@ -449,7 +550,7 @@ class NeighborGrid:
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         new_pos = np.asarray(new_pos, dtype=np.float64).reshape(len(rows), 3)
-        if self._compact_pairs is None:
+        if self._list is None:
             return False
         if not len(rows):
             return True
@@ -463,7 +564,8 @@ class NeighborGrid:
     def _edit(self, rows: np.ndarray, new_pos: np.ndarray) -> None:
         """The re-binning and list repair of :meth:`move_points`, on
         arguments it checked (for a reach list, logged as given)."""
-        assert self._compact_pairs is not None
+        listed = self._list
+        assert listed is not None
         if self._reach is not None:
             self._edits.append((rows.copy(), new_pos.copy()))
         n = self.n_points
@@ -481,8 +583,18 @@ class NeighborGrid:
 
         moved = np.zeros(n, dtype=bool)
         moved[rows] = True
-        old_i, old_j, old_r = self._compact_pairs
-        keep = np.flatnonzero(~(moved.take(old_i) | moved.take(old_j)))
+        # New arrays too: a gather state may hold the list as it was.
+        base_i, base_j, _ = listed.base
+        alive = moved.take(base_i)
+        alive |= moved.take(base_j)
+        np.logical_not(alive, out=alive)
+        if listed.alive is not None:
+            alive &= listed.alive
+        blocks = []
+        if listed.tail is not None:
+            tail_i, tail_j, tail_r = listed.tail
+            keep = np.flatnonzero(~(moved.take(tail_i) | moved.take(tail_j)))
+            blocks.append((tail_i.take(keep), tail_j.take(keep), tail_r.take(keep)))
         new_i, new_j, new_r = self._pairs_within_cell(rows)
         # (moved, other) came out of the walk; (other, moved) is its mirror —
         # with the same r, squares being sign-blind — unless the other end
@@ -492,20 +604,14 @@ class NeighborGrid:
         if self._reach is not None:
             # A moved point reaches the cell: only its mirror entries are cut.
             mirrored = _within_reach(mirrored, self._reach)
-        # One array at a time: the old and the new triple never coexist.
-        self._compact_pairs = None
-        ci = np.concatenate([old_i.take(keep), new_i, mirrored[0]])
-        del old_i
-        cj = np.concatenate([old_j.take(keep), new_j, mirrored[1]])
-        del old_j
-        cr = np.concatenate([old_r.take(keep), new_r, mirrored[2]])
-        del old_r
-        self._compact_pairs = (ci, cj, cr)
+        blocks += [(new_i, new_j, new_r), mirrored]
+        i, j, r = (np.concatenate(col) for col in zip(*blocks, strict=True))
+        self._list = CandidateList(listed.base, alive, (i, j, r))
 
     def release_pairs(self) -> None:
         """Drop the cached candidate list (the largest transient of a step),
         with its reach and edit log."""
-        self._compact_pairs = None
+        self._list = None
         self._reach = None
         self._origin = None
         self._edits = []

@@ -40,6 +40,9 @@ FIELD_NAMES = ("density", "temperature", "vx", "vy", "vz")
 #: (offset, particle) pairs expanded per pass of the deposit: bounds its
 #: temporaries (~100 B per pair) whatever the stencil and region size.
 _DEPOSIT_BLOCK_PAIRS = 2**18
+#: Relative widening of ``h²`` below which an axis offset is kept by the
+#: deposit's support cut (see :func:`_deposit_pairs`).
+_SUPPORT_MARGIN = 1e-9
 
 
 @dataclass
@@ -163,7 +166,12 @@ def _deposit_pairs(
     the voxel's contribution to the flat index, the in-grid mask and the
     squared offset from the particle.  A block of offsets (at most
     ``_DEPOSIT_BLOCK_PAIRS`` pairs) combines three plane rows per offset;
-    row-major compaction of the in-grid mask keeps the order.
+    row-major compaction of the in-grid mask keeps the order.  The mask
+    also drops, per axis, the offsets at least a particle's own support
+    away (``d² >= h² (1 + 1e-9)``): K comes from the largest kernel, and
+    for the others most of the cube lies outside theirs.  Such a pair has
+    ``r >= h`` whatever its other axes, a weight of exactly 0, and would
+    be dropped after the kernel anyway: the list is the same, bit for bit.
 
     Exact: the pairs and their order.  Bounded: the squared distance is
     summed x, y, z from the planes, so ``r`` is within 1 ulp of a per-offset
@@ -175,8 +183,12 @@ def _deposit_pairs(
     k = np.arange(-k_max, k_max + 1)
     n_p = len(fc)
     vox = np.rint(fc).astype(np.int64).T[:, None, :] + k[None, :, None]   # (3, 2K+1, P)
-    inside = (vox >= 0) & (vox < n)
-    d2_x, d2_y, d2_z = (((vox - fc.T[:, None, :]) * cell) ** 2).reshape(3, -1)
+    d2 = ((vox - fc.T[:, None, :]) * cell) ** 2
+    # In the grid, and inside the particle's support along this axis (the
+    # margin is far above the rounding of h * h: no pair with a positive
+    # weight is cut).
+    inside = (vox >= 0) & (vox < n) & (d2 < (h_eff * h_eff * (1.0 + _SUPPORT_MARGIN))[None, None, :])
+    d2_x, d2_y, d2_z = d2.reshape(3, -1)
     flat_x, flat_y, flat_z = (vox * np.array([n * n, n, 1])[:, None, None]).reshape(3, -1)
     offsets = np.arange(len(k) ** 3)
     per_block = max(1, _DEPOSIT_BLOCK_PAIRS // n_p)

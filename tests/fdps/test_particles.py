@@ -30,6 +30,21 @@ def test_select_copies(plummer_ps):
     assert np.all(plummer_ps.mass[:10] == 10.0)
 
 
+@pytest.mark.parametrize("how", ["mask", "index", "slice"])
+def test_select_never_shares_memory_with_the_source(plummer_ps, how):
+    """A mask, an index array and a slice all give arrays of their own (the
+    first two copied once, by the gather itself), with the selected rows."""
+    n = len(plummer_ps)
+    index = {"mask": np.arange(n) % 3 == 0, "index": np.arange(0, n, 3),
+             "slice": slice(0, n, 3)}[how]
+    sub = plummer_ps.select(index)
+    assert len(sub) == len(range(0, n, 3))
+    for name, column in sub.data.items():
+        source = plummer_ps.data[name]
+        assert not np.shares_memory(column, source), name
+        assert np.array_equal(column, source[::3]), name
+
+
 def test_type_masks(plummer_ps):
     assert plummer_ps.where_type(ParticleType.DARK_MATTER).all()
     assert len(plummer_ps.gas()) == 0

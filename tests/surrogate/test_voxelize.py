@@ -170,3 +170,30 @@ def test_blocked_deposit_matches_per_offset_reference(monkeypatch, seed, block_p
         np.testing.assert_allclose(
             got_f, want_f, rtol=1e-13, atol=1e-13 * np.abs(want_f).max()
         )
+
+
+@pytest.mark.parametrize("n_grid", [8, 16])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_support_cut_deposit_is_the_uncut_one(monkeypatch, seed, n_grid):
+    """The per-axis cut at each particle's own support drops only pairs of
+    weight exactly 0: the (voxel, particle, weight) list is ``np.array_equal``
+    to the one without it — also where a support ends exactly on a voxel
+    centre (a particle on a centre with ``h`` a whole number of cells)."""
+    from repro.surrogate import voxelize as vz
+
+    rng = np.random.default_rng(seed)
+    cell = 60.0 / n_grid
+    n = 80
+    fc = rng.uniform(-1.0, n_grid, (n, 3))
+    h_eff = np.maximum(rng.uniform(0.05, 3.0, n), 1.001) * cell
+    # On a voxel centre, support reaching exactly k centres out per axis.
+    on = rng.choice(n, size=n // 4, replace=False)
+    fc[on] = rng.integers(0, n_grid, (len(on), 3)).astype(float)
+    h_eff[on] = rng.integers(2, 4, len(on)) * cell
+    args = (fc, h_eff, n_grid, cell, vz.DEFAULT_KERNEL)
+    cut = vz._deposit_pairs(*args)
+    monkeypatch.setattr(vz, "_SUPPORT_MARGIN", np.inf)        # no cut
+    uncut = vz._deposit_pairs(*args)
+    for a, b in zip(cut, uncut, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.all(cut[2] > 0.0)
