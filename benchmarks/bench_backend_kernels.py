@@ -473,7 +473,7 @@ def _time_sn_region_pass():
         else:
             timings["edit"].append(t1 - t0)
         t0 = time.perf_counter()
-        forces = [a.copy() for a in engine.hydro(ps, "2nd", last=True)]
+        forces = [a.copy() for a in engine.hydro(ps, "2nd")]
         timings["region" if region else "full"].append(time.perf_counter() - t0)
         cache = engine._hydro_cache
         results[region] = (

@@ -109,9 +109,7 @@ cost as much as rebuilding, validity is explicit:
   first pass that generates (or widens) it to the end of the step's last hydro
   evaluation (:meth:`ForceEngine.release_candidates`, called by the
   integrators after step 7, or after the only pass of the conventional
-  scheme) — a step-7 pass (``ForceEngine.hydro(last=True)``) drops it as
-  soon as its gather list is made, so the rest of the pass reuses its
-  memory; the grid itself stays for box queries until the next signal.
+  scheme); the grid itself stays for box queries until the next signal.
 * :attr:`SpatialIndex.stats` counts builds, repairs and reuses (the engine
   mirrors the grid counts as ``accel.grid_*`` tracer counters, which
   ``python -m repro.obs report`` prints per step); the steady-state

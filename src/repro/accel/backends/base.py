@@ -70,12 +70,14 @@ class TileWorkspace:
     while it is worked on (a float64 block, 2.7 MB, does not).
 
     The arena is an anonymous mapping of its own, not a ``malloc`` block:
-    released or outgrown it goes straight back to the system.  Through
-    ``malloc`` every freed arena raised glibc's mmap threshold to its own
-    size, so the next run's arenas came from the heap, and a process that
-    ran several simulations kept a dead arena resident beside the live one
-    exactly when a later run met a larger tile than an earlier one (+17 to
-    +20 MB high-water RSS on about one 4,000-particle halo draw in ten).
+    released or outgrown it goes straight back to the system.  A heap block
+    no longer would: a :class:`repro.accel.ForceEngine` fixes glibc's trim
+    and mmap thresholds far above any arena, so a freed block stays
+    resident for reuse, and a process that runs several simulations would
+    keep a dead arena beside the live one whenever a later run met a larger
+    tile than an earlier one (+17 to +20 MB high-water RSS on about one
+    4,000-particle halo draw in ten, seen when glibc's dynamic mmap
+    threshold sent the arenas to the heap).
 
     The *caller* of the force pass owns it (:class:`repro.accel.ForceEngine`
     and :class:`repro.fdps.distributed.DistributedGravity` hold one each);

@@ -13,7 +13,9 @@ See :mod:`repro.accel` for the invalidation contract.
 
 from __future__ import annotations
 
+import ctypes
 import os
+import platform
 import time
 from dataclasses import dataclass, replace
 from typing import Any
@@ -45,6 +47,45 @@ _log = get_logger("accel")
 #: The per-particle fields an SPH pass reads besides the positions (which
 #: the neighbor grid checks).
 _SPH_INPUTS = ("u", "h", "vel", "mass")
+
+#: glibc's trim and mmap thresholds [bytes], fixed by
+#: :func:`_keep_heap_resident`.  Left dynamic, glibc hands the heap top back
+#: to the system after every pass and raises the mmap threshold to each
+#: freed block's size, so every step faults its transients in again (2,000-
+#: 5,400 minor faults per ``gas_disk`` step, most inside the density
+#: solve).  The value must sit well above the largest per-step transient,
+#: the candidate list (``accel.candidate_bytes``: ~4 MB in a warm step of
+#: the benchmark workloads, ~12 MB on a cold gas-disk start), so that no
+#: transient is ever mapped on its own and the freed top is never trimmed;
+#: memory is still reused, only no longer returned.
+_RESIDENT_HEAP_BYTES = 256 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3       # glibc's mallopt params
+_heap_fixed: bool | None = None                     # the call's outcome, once
+
+
+def _keep_heap_resident() -> bool:
+    """Fix glibc's trim and mmap thresholds at :data:`_RESIDENT_HEAP_BYTES`
+    for this process (and every child it forks later); returns whether
+    both took.  Idempotent: the first call decides.  Off glibc, or when
+    ``mallopt`` refuses, nothing changes and a debug line says so once.
+    Both are needed: either alone still faults a freed block back in
+    (a trimmed top, or a block that went to its own mapping)."""
+    global _heap_fixed
+    if _heap_fixed is None:
+        _heap_fixed = False
+        if platform.libc_ver()[0] != "glibc":
+            _log.debug("heap thresholds left dynamic: the C library is not glibc")
+        else:
+            mallopt = ctypes.CDLL(None).mallopt
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            _heap_fixed = all(
+                mallopt(param, _RESIDENT_HEAP_BYTES) == 1
+                for param in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD)
+            )
+            if not _heap_fixed:
+                _log.debug("heap thresholds left dynamic: mallopt refused %d bytes",
+                           _RESIDENT_HEAP_BYTES)
+    return _heap_fixed
 
 
 def _require_finite(
@@ -94,6 +135,10 @@ class ForceEngine:
     helper is replaced by this process for the rest of the run, and
     :meth:`close` stops it.  The engine owns the helper and its shared
     block; nothing configures it.  See :mod:`repro.accel`.
+
+    Constructing one keeps this process's heap resident
+    (:func:`_keep_heap_resident`): a step's transients are reused from the
+    heap instead of being unmapped and faulted in again every pass.
     """
 
     def __init__(
@@ -102,6 +147,7 @@ class ForceEngine:
         timers: TimerRegistry | None = None,
         counter: InteractionCounter | None = None,
     ) -> None:
+        _keep_heap_resident()
         self.cfg = cfg
         self.timers = timers or TimerRegistry()
         self.counter = counter
@@ -178,9 +224,8 @@ class ForceEngine:
 
     def release_candidates(self) -> None:
         """The step's last hydro evaluation is done: drop the neighbor
-        grid's candidate lists, the step's largest transient (a
-        ``hydro(last=True)`` pass dropped them already).  They live from
-        the first pass to here so that a step-7 pass (after
+        grid's candidate lists, the step's largest transient.  They live
+        from the first pass to here so that a step-7 pass (after
         :meth:`notify_rows_moved`) reuses them; the grid itself stays for
         box queries."""
         self.index.release_pairs()
@@ -364,9 +409,7 @@ class ForceEngine:
         the step host checks it before a gravity pass is shipped)."""
         _require_finite("SPH", ps, _SPH_INPUTS, np.flatnonzero(ps.where_type(ParticleType.GAS)))
 
-    def hydro(
-        self, ps: ParticleSet, label: str, last: bool = False
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def hydro(self, ps: ParticleSet, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full density + hydro-force pass on the gas.
 
         Raises ``ValueError`` on a non-finite SPH input
@@ -377,9 +420,7 @@ class ForceEngine:
         the index under the gas scope: a second pass at unchanged or locally
         edited positions (:meth:`notify_rows_moved`) reuses the cached grid
         and its candidate list, which therefore outlive this call — the
-        owner ends their life with :meth:`release_candidates`, or with
-        ``last`` (the step's last pass: the list goes as soon as the gather
-        list is made, and the rest of the pass reuses its memory).  On a
+        owner ends their life with :meth:`release_candidates`.  On a
         tracer it counts ``accel.candidate_generations``,
         ``accel.candidate_widenings`` and ``accel.candidate_pairs`` (the
         lists this pass generated or widened; a reused or repaired one adds
@@ -425,7 +466,6 @@ class ForceEngine:
                 # After notify_rows_moved: re-solve the region it touched.
                 prior=prior,
                 touched=touched,
-                release_list=last,
             )
         grid, gather = d.grid, d.pairs
         assert grid is not None and gather is not None     # a finished solve has both
@@ -444,7 +484,7 @@ class ForceEngine:
             tracer.count("accel.region_gas", gas.size)
         # The bytes of the list this pass ran on (a reach list, an edited
         # one too): the step's largest transient, alive until the step's
-        # last pass has its gather list.
+        # last pass is done.
         tracer.gauge("accel.candidate_bytes", d.candidate_bytes)
         if d.worst_bracket is not None:            # set whenever n_unconverged > 0
             self.n_unconverged += d.n_unconverged

@@ -198,8 +198,7 @@ class BaseIntegrator:
             return
         refreshed = self.engine.refresh_hydro(self.ps, "2nd")
         if refreshed is None:
-            # The step's last pass: its candidate list goes with its gather list.
-            refreshed = self.engine.hydro(self.ps, "2nd", last=True)
+            refreshed = self._hydro("2nd")
         self._hydro_acc, self._du_dt, self._vsig = refreshed
         self.engine.release_candidates()
 

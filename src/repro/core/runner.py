@@ -166,6 +166,7 @@ class CoupledRunner(BaseIntegrator):
     def step(self) -> None:
         """One fixed-dt surrogate-coupled step (the Sec. 3.2 eight-step loop)."""
         dt = self.cfg.dt
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         with self.tracer.span("step", step=self.step_count) as span:
             # (1) identify SNe in [t, t + dt).  The window is open below so
             # an *overdue* tsn also fires (a finite past tsn can only mean a
@@ -209,10 +210,14 @@ class CoupledRunner(BaseIntegrator):
             self.time += dt
             self.step_count += 1
             if self.tracer.enabled:
-                # Main's resident high-water so far (ru_maxrss is in KiB).
-                rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-                span.set(rss_mb=rss_mb)
+                # Main's resident high-water so far (ru_maxrss is in KiB) and
+                # the minor page faults it took in this step.
+                usage = resource.getrusage(resource.RUSAGE_SELF)
+                rss_mb = usage.ru_maxrss / 1024.0
+                faults = usage.ru_minflt - minflt
+                span.set(rss_mb=rss_mb, minor_faults=faults)
                 self.tracer.gauge("obs.rss_mb", rss_mb)
+                self.tracer.count("obs.minor_faults", faults)
 
     def run(self, n_steps: int) -> None:
         for _ in range(n_steps):

@@ -46,6 +46,10 @@ recorded trace:
   ``obs.rss_mb`` gauge (main's ``ru_maxrss``, set once per step) are the
   resident high-water after step 1 and after the last step — a cold start
   that costs more memory than a warm step shows as a gap between them;
+* the ``obs.minor_faults`` counter (main's ``ru_minflt`` over each step,
+  also the ``minor_faults`` attribute of every ``step`` span) gives the
+  page faults per step after the first, and the first's apart — a heap
+  handed back to the system and faulted in again every step shows here;
 * :func:`diff_reports` lines two runs up row by row for regression triage
   (``python -m repro.obs report A --diff B``).
 """
@@ -87,6 +91,8 @@ class RunReport:
     gravity_s: float = 0.0
     #: Main's resident high-water [MB] after the first step (0: not traced).
     rss_step1_mb: float = 0.0
+    #: Main's minor page faults in the first step (0: not traced).
+    faults_step1: float = 0.0
 
     def neighbor_grid_per_step(self) -> dict[str, float]:
         """Neighbor-grid builds / repairs / reuses per step, from the force
@@ -163,6 +169,15 @@ class RunReport:
             return {}
         return {"after_step_1": self.rss_step1_mb, "after_last_step": self.gauges["obs.rss_mb"]}
 
+    def minor_faults_per_step(self) -> dict[str, float]:
+        """Main's minor page faults in step 1 and per later step (empty when
+        the run counted none)."""
+        total = self.counters.get("obs.minor_faults")
+        if total is None:
+            return {}
+        later = max(self.n_steps - 1, 1)
+        return {"step_1": self.faults_step1, "per_later_step": (total - self.faults_step1) / later}
+
     # -------------------------------------------------------------- exports
     def to_json_obj(self) -> dict:
         return {
@@ -181,6 +196,7 @@ class RunReport:
             "region_per_pass": self.region_per_pass(),
             "gravity_per_pass": self.gravity_per_pass(),
             "rss_high_water_mb": self.rss_high_water(),
+            "minor_faults_per_step": self.minor_faults_per_step(),
         }
 
     def to_text(self) -> str:
@@ -268,6 +284,10 @@ class RunReport:
         if rss:
             lines += ["", f"RSS high-water: after step 1 {rss['after_step_1']:.1f} MB, "
                           f"after the last step {rss['after_last_step']:.1f} MB"]
+        faults = self.minor_faults_per_step()
+        if faults:
+            lines += [f"page faults per step: main {faults['per_later_step']:.0f} "
+                      f"(step 1: {faults['step_1']:.0f})"]
         if self.counters:
             lines += ["", "counters"]
             for name, value in sorted(self.counters.items()):
@@ -322,6 +342,7 @@ def report_traces(traces: list[LoadedTrace]) -> RunReport:
                 if "rss_mb" in rec.attrs and rec.t0 < first_step_t0:
                     first_step_t0 = rec.t0
                     report.rss_step1_mb = float(rec.attrs["rss_mb"])
+                    report.faults_step1 = float(rec.attrs.get("minor_faults", 0))
             elif rec.cat == "sim" and rec.name.endswith("Calc_Force"):
                 report.gravity_s += rec.dur
             elif rec.cat == "comm":

@@ -174,7 +174,6 @@ def compute_density(
     backend: str | KernelBackend | None = None,
     prior: DensityResult | None = None,
     touched: np.ndarray | None = None,
-    release_list: bool = False,
 ) -> DensityResult:
     """Solve for h and compute density and companion fields.
 
@@ -205,9 +204,7 @@ def compute_density(
     :meth:`NeighborGrid.move_points` moved since, the only ones whose
     position or mass changed — make this a region pass (module docstring),
     bit-identical to the full one; a prior whose grid or list is gone is
-    ignored.  ``release_list`` marks the solve as the candidate list's last
-    reader: the index releases it as soon as the gather list is made, so
-    the velocity estimators (and the caller's force pass) reuse its memory.
+    ignored.
     """
     from repro.accel.backends import get_backend
     from repro.accel.index import SpatialIndex
@@ -305,9 +302,6 @@ def compute_density(
     assert grid is not None and gather is not None
     dens, drho_dh, counts, pairs = gather.finalize(h, mass)
     reach_list, candidate_bytes = grid.has_reach_list, grid.candidate_nbytes
-    if release_list:
-        gather = None
-        index.release_pairs()
     if counter is not None:
         counter.add("hydro_density", 1, len(pairs[0]))
 

@@ -87,7 +87,9 @@ def voxelize_particles(
 
     Parameters mirror the paper: ``side = 60`` pc, ``n_grid = 64``.
     Particles outside the box still contribute to edge voxels their kernels
-    overlap.
+    overlap.  Raises ``ValueError`` naming ``center`` and ``side`` when
+    nothing is left to deposit (no gas with ``gas_only``, no particle
+    without).
     """
     center = np.asarray(center, dtype=np.float64)
     if gas_only:
@@ -100,6 +102,11 @@ def voxelize_particles(
     else:
         pos, mass, vel, h = ps.pos, ps.mass, ps.vel, ps.h
         temp = internal_energy_to_temperature(ps.u)
+    if len(pos) == 0:
+        raise ValueError(
+            f"no {'gas ' if gas_only else ''}particles to voxelize in the cube at "
+            f"center {center.tolist()} of side {side} pc"
+        )
 
     n = n_grid
     cell = side / n

@@ -261,22 +261,3 @@ def test_a_position_or_membership_signal_drops_the_region():
         assert engine._moved_since is None
         engine.hydro(ps, "2nd")
         assert engine._hydro_cache.density.n_resolved == len(gas)
-
-
-def test_the_last_pass_releases_the_list_and_changes_no_bit():
-    """``hydro(last=True)`` — the step's last pass — drops the candidate
-    list once its gather list is made; the pass, its gauged list bytes and
-    every output are those of ``last=False``."""
-    ps = _stars_then_gas(seed=9)
-    engines, states, _ = _twin_engines(ps)
-    gas = np.flatnonzero(ps.where_type(ParticleType.GAS))
-    rows = gas[:12]
-    out = []
-    for last, engine, state in zip((True, False), engines, states):
-        state.pos[rows] += 0.5
-        engine.notify_rows_moved(state, rows)
-        out.append(([a.copy() for a in engine.hydro(state, "2nd", last=last)],
-                    engine._hydro_cache))
-        assert engine.index._grid.has_compact_pairs == (not last)
-    _assert_bit_identical(states, out)
-    assert out[0][1].density.candidate_bytes == out[1][1].density.candidate_bytes > 0

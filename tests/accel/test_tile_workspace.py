@@ -287,6 +287,24 @@ def test_released_workspace_leaves_nothing_resident():
     assert float(out.stdout) < 4.0
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
+@pytest.mark.parametrize("first", [
+    "from repro.accel.engine import _keep_heap_resident; _keep_heap_resident()",
+    "from repro.accel import ForceEngine; from repro.core.integrator import IntegratorConfig;"
+    " ForceEngine(IntegratorConfig())",
+], ids=["call", "engine"])
+def test_released_workspace_leaves_nothing_resident_under_a_resident_heap(first):
+    """The same probe with the heap made resident first (glibc's trim and
+    mmap thresholds fixed, as every engine does): a heap block would now
+    stay resident once freed, the arena's own mapping still goes back."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    out = subprocess.run(
+        [sys.executable, "-c", f"{first}\n{_RELEASE_PROBE}"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert float(out.stdout) < 4.0
+
+
 def _halo(n, seed=4):
     rng = np.random.default_rng(seed)
     return ParticleSet.from_arrays(

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.fdps.particles import ParticleSet, ParticleType
+from repro.fdps.particles import FIELDS, ParticleSet, ParticleType
 
 
 def plummer_positions(n: int, a: float = 100.0, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -23,6 +25,36 @@ def plummer_positions(n: int, a: float = 100.0, rng: np.random.Generator | None 
     phi = rng.uniform(0.0, 2.0 * np.pi, n)
     s = np.sqrt(1.0 - mu**2)
     return np.column_stack([r * s * np.cos(phi), r * s * np.sin(phi), r * mu])
+
+
+#: Every float64 bit pattern a payload may carry: NaN, +-inf, -0.0,
+#: subnormals.  Integers stay exact through a float64 column (|x| < 2**53).
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_EXACT_INT = st.integers(-(2**53), 2**53)
+
+
+@st.composite
+def particle_sets(draw, max_n: int = 64) -> ParticleSet:
+    """A set of 0..``max_n`` particles with every field drawn at random —
+    float fields from any float64 value, ``ptype`` from the species."""
+    n = draw(st.integers(0, max_n))
+    ps = ParticleSet.empty(n)
+    for name, (shape, dtype, _) in FIELDS.items():
+        if name == "ptype":
+            elements = st.sampled_from([int(t) for t in ParticleType])
+        else:
+            elements = _EXACT_INT if np.dtype(dtype).kind == "i" else _ANY_FLOAT
+        ps.data[name][...] = draw(hnp.arrays(dtype, (n, *shape), elements=elements))
+    return ps
+
+
+def same_bytes(a: ParticleSet, b: ParticleSet) -> bool:
+    """Whether every field of ``a`` and ``b`` holds the same bytes."""
+    return len(a) == len(b) and all(
+        a.data[name].dtype == b.data[name].dtype
+        and a.data[name].tobytes() == b.data[name].tobytes()
+        for name in FIELDS
+    )
 
 
 def pairs_by_key(

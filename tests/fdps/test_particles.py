@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.fdps.particles import FIELDS, ParticleSet, ParticleType
+from tests.conftest import particle_sets, same_bytes
 
 
 def test_empty_allocates_all_fields():
@@ -149,3 +151,14 @@ def test_packed_width_counts_every_column():
     assert packed_width() == expected
     assert ParticleSet.empty(4).pack().shape == (4, expected)
     assert ParticleSet.empty(4).pack().nbytes == 4 * expected * 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(particle_sets())
+def test_pack_unpack_round_trips_every_bit(ps):
+    """Any 0-64 particles, NaN, +-inf and -0.0 included: ``unpack(pack())``
+    restores every field's bytes, and packs to the same buffer again."""
+    buf = ps.pack()
+    back = ParticleSet.unpack(buf)
+    assert same_bytes(back, ps)
+    assert back.pack().tobytes() == buf.tobytes()

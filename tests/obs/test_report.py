@@ -375,3 +375,30 @@ def test_report_shows_the_rss_high_water_after_step_1_and_the_last_step():
     # A run that gauged none prints no such line.
     quiet = report_traces([_as_loaded(_synthetic_tracer())])
     assert quiet.rss_high_water() == {} and "RSS" not in quiet.to_text()
+
+
+def test_report_shows_main_page_faults_per_step_under_the_rss_line():
+    """The step host counts main's ``ru_minflt`` over each step
+    (``obs.minor_faults``, and ``minor_faults`` on the step span): the report
+    prints the faults per step after the first, and the first's apart, on
+    the line under the RSS high-water."""
+    from repro import GalaxySimulation
+    from repro.sn.turbulence import make_turbulent_box
+
+    ps = make_turbulent_box(n_per_side=6, side=60.0, seed=3)
+    tr = Tracer(run_id="faults")
+    with GalaxySimulation(ps, dt=2e-3, tracer=tr) as sim:
+        sim.run(4)
+    steps = [rec.attrs["minor_faults"] for rec in tr.records if rec.name == "step"]
+    assert len(steps) == 4 and all(isinstance(f, int) and f >= 0 for f in steps)
+    assert tr.counters["obs.minor_faults"] == sum(steps)
+    report = report_traces([_as_loaded(tr)])
+    faults = report.minor_faults_per_step()
+    assert faults == {"step_1": steps[0], "per_later_step": sum(steps[1:]) / 3}
+    lines = report.to_text().splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith("RSS high-water"))
+    assert lines[at + 1] == (f"page faults per step: main {faults['per_later_step']:.0f} "
+                             f"(step 1: {faults['step_1']:.0f})")
+    assert report.to_json_obj()["minor_faults_per_step"] == faults
+    quiet = report_traces([_as_loaded(_synthetic_tracer())])
+    assert quiet.minor_faults_per_step() == {} and "page faults" not in quiet.to_text()

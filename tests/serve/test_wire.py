@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fdps.particles import ParticleSet, ParticleType, packed_width
 from repro.serve.wire import (
@@ -10,7 +12,10 @@ from repro.serve.wire import (
     ServeRequest,
     ServeResponse,
     event_rng,
+    request_nfloats,
+    response_nfloats,
 )
+from tests.conftest import particle_sets, same_bytes
 
 
 def _region(n=20, seed=0):
@@ -187,3 +192,46 @@ def test_wire_format_error_is_a_typed_value_error():
     buf[0] = -7.0
     with pytest.raises(WireFormatError):
         ServeRequest.from_buffer(buf)
+
+
+_WIRE_INT = st.integers(-(2**53), 2**53)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    particle_sets(),
+    st.tuples(_WIRE_INT, _WIRE_INT, _WIRE_INT, _WIRE_INT, _WIRE_INT),
+    st.lists(st.floats(), min_size=3, max_size=3),
+    st.integers(0, 5),
+)
+def test_request_round_trips_through_both_encodings(region, ids, center, spare):
+    """``to_buffer`` and ``encode_into`` (a larger slot, as a shm ring's)
+    write the same floats, and decoding either restores every header
+    field and every byte of the region."""
+    event_id, base_seed, star_pid, dispatch_step, return_step = ids
+    req = ServeRequest(event_id, base_seed, star_pid, dispatch_step, return_step,
+                       np.array(center), region)
+    slot = np.full(request_nfloats(len(region)) + spare, 7.0)
+    used = req.encode_into(slot)
+    buf = req.to_buffer()
+    assert used == buf.size and slot[:used].tobytes() == buf.tobytes()
+    for wire in (buf, slot[:used]):
+        back = ServeRequest.from_buffer(wire.copy())
+        assert (back.event_id, back.base_seed, back.star_pid,
+                back.dispatch_step, back.return_step) == ids
+        assert back.center.tobytes() == np.array(center).tobytes()
+        assert same_bytes(back.region, region)
+
+
+@settings(max_examples=50, deadline=None)
+@given(particle_sets(), _WIRE_INT, _WIRE_INT, st.integers(0, 5))
+def test_response_round_trips_through_both_encodings(particles, event_id, return_step, spare):
+    resp = ServeResponse(event_id=event_id, return_step=return_step, particles=particles)
+    slot = np.full(response_nfloats(len(particles)) + spare, 7.0)
+    used = resp.encode_into(slot)
+    buf = resp.to_buffer()
+    assert used == buf.size and slot[:used].tobytes() == buf.tobytes()
+    for wire in (buf, slot[:used]):
+        back = ServeResponse.from_buffer(wire.copy())
+        assert (back.event_id, back.return_step) == (event_id, return_step)
+        assert same_bytes(back.particles, particles)

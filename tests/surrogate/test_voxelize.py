@@ -78,6 +78,16 @@ def test_empty_region_falls_back_to_nearest(uniform_gas_ps):
     assert np.all(np.isfinite(grid.fields))
 
 
+@pytest.mark.parametrize("gas_only, stars", [(True, 0), (True, 5), (False, 0)])
+def test_a_cube_with_nothing_to_deposit_raises_a_typed_error(uniform_gas_ps, gas_only, stars):
+    """No gas (``gas_only``) or no particle at all: a ``ValueError`` naming
+    the cube, before any deposit."""
+    ps = uniform_gas_ps.select(np.arange(stars))
+    ps.ptype[:] = int(ParticleType.STAR)
+    with pytest.raises(ValueError, match=r"center \[1\.0, -2\.0, 3\.0\] of side 60\.0 pc"):
+        voxelize_particles(ps, np.array([1.0, -2.0, 3.0]), 60.0, n_grid=8, gas_only=gas_only)
+
+
 def test_extract_region(uniform_gas_ps):
     region, idx = extract_region(uniform_gas_ps, np.zeros(3), 20.0)
     assert len(region) == len(idx)
