@@ -52,11 +52,11 @@ def main() -> None:
     ps = box.append(star)
 
     # --- 3. integrate with the trained, exported surrogate ---------------------
-    cfg = IntegratorConfig(dt=2e-3, latency_steps=4, n_pool=4,
+    # 4 pool nodes, so each prediction lands 4 steps after its dispatch.
+    cfg = IntegratorConfig(dt=2e-3, n_pool=4, seed=0,
                            enable_star_formation=False, self_gravity=False)
-    sim = GalaxySimulation(ps, dt=2e-3, surrogate_model_path=export,
-                           surrogate_grid=8, n_pool=4,
-                           latency_steps=4, config=cfg, seed=0)
+    sim = GalaxySimulation(ps, surrogate_model_path=export, surrogate_grid=8,
+                           config=cfg)
 
     for _ in range(8):
         sim.run(1)

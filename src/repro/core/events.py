@@ -23,7 +23,7 @@ class SNEvent:
     time: float                 # explosion time [Myr]
     dispatch_step: int          # global step at which the region was sent
     return_step: int            # global step at which the prediction lands
-    pool_rank: int              # pool node running the prediction (-1: inline)
+    pool_rank: int              # pool node running the prediction
     n_region_particles: int     # gas particles shipped
     region_bytes: int = 0       # request wire bytes (header + packed FIELDS)
     returned: bool = False
@@ -32,8 +32,8 @@ class SNEvent:
     #: Base seed of the per-event Gibbs generator (with ``star_pid`` and
     #: ``dispatch_step``) — makes the prediction order-independent.
     seed: int = 0
-    #: How the dispatch was served: "pooled", or an overflow outcome
-    #: ("queued", "blocked", "spilled", "oracle").
+    #: How the dispatch was served: "pooled" on a free pool node, or
+    #: "queued" on a busy one when every node was busy.
     handling: str = "pooled"
 
     @property

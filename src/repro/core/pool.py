@@ -15,10 +15,10 @@ to the next free pool node, :meth:`collect` merges the prediction back
   with the main loop — the default ``sync`` transport executes at flush
   time in-process, preserving the old deterministic critical path for
   tests (per-event Gibbs seeding makes both transports bit-identical);
-* pool-node exhaustion is handled by an explicit
-  :class:`~repro.serve.OverflowPolicy` (queue / block / spill / oracle)
-  instead of the old silent counter — no SN event is ever dropped without
-  at least an oracle-fallback prediction.
+* when every pool node is busy the SN queues on the next one and is
+  counted (``ServiceMetrics.n_overflow``) — the paper's sizing, ``n_pool =
+  latency_steps``, makes that happen only when more than one SN per step
+  fires per pool node; no SN event is ever dropped.
 
 The step host (:class:`repro.core.runner.CoupledRunner`) runs one
 ``PoolManager`` *per main rank* — one on a 1-rank run — each a client of the
@@ -41,8 +41,8 @@ import numpy as np
 from repro.core.events import SNEvent
 from repro.fdps.comm import SimComm
 from repro.fdps.particles import ParticleSet
-from repro.serve import OverflowPolicy, SurrogateServer
-from repro.surrogate.model import SedovBlastOracle, SNSurrogate
+from repro.serve import SurrogateServer
+from repro.surrogate.model import SNSurrogate
 
 
 @dataclass
@@ -85,15 +85,6 @@ class PoolManager:
     #: when not supplied.  Pass a ``shm``-transport server for true
     #: pool-node overlap.
     server: SurrogateServer | None = None
-    overflow_policy: OverflowPolicy | str = OverflowPolicy.QUEUE
-    #: Prediction horizon [Myr] (latency_steps * dt).  PoolManager cannot
-    #: derive it (it never sees dt), so the driver passes it; it sizes the
-    #: drop-to-oracle fallback's blast age.  None falls back to the paper's
-    #: 0.1 Myr.
-    horizon: float | None = None
-    #: Surrogate used by the drop-to-oracle policy; defaults to a Sedov
-    #: oracle matching the main surrogate's grid at ``horizon``.
-    fallback_oracle: SNSurrogate | None = None
     #: World rank of pool node 0 on ``comm``: the pool sits after all
     #: ``n_ranks`` main ranks (base ``n_ranks``; 1 for a lone main rank).
     pool_rank_base: int = 1
@@ -115,7 +106,6 @@ class PoolManager:
             self.occupancy = PoolOccupancy(n_pool=self.n_pool)
         elif self.occupancy.n_pool != self.n_pool:
             raise ValueError("shared occupancy sized for a different pool")
-        self.overflow_policy = OverflowPolicy.parse(self.overflow_policy)
         if self.server is None:
             if self.surrogate is None:
                 raise ValueError("need a surrogate or a SurrogateServer")
@@ -128,7 +118,7 @@ class PoolManager:
 
     @property
     def n_overflow(self) -> int:
-        """SNe that found every pool node busy (any policy)."""
+        """SNe that found every pool node busy."""
         return self.server.metrics.n_overflow
 
     def free_pool_rank(self, step: int) -> int | None:
@@ -145,37 +135,17 @@ class PoolManager:
         step: int,
     ) -> SNEvent:
         """Send one SN region to a pool node (step 2 of the Sec. 3.2 loop)."""
-        metrics = self.server.metrics
         rank = self.free_pool_rank(step)
         handling = "pooled"
-        effective_step = step
         if rank is None:
-            metrics.n_overflow += 1
-            policy = self.overflow_policy
-            if policy is OverflowPolicy.QUEUE:
-                # Legacy: steal the next node anyway — with the paper's
-                # sizing (n_pool = latency) this only happens when >1 SN
-                # fires per step per pool node.
-                rank = self.occupancy.next_rank % self.n_pool
-                handling = "queued"
-            elif policy is OverflowPolicy.BLOCK:
-                busy = self.occupancy.busy_until
-                rank = min(busy, key=busy.get)
-                effective_step = busy[rank]
-                metrics.n_blocked += 1
-                metrics.blocked_stall_steps += effective_step - step
-                handling = "blocked"
-            elif policy is OverflowPolicy.SPILL:
-                rank = -1
-                metrics.n_spilled += 1
-                handling = "spilled"
-            else:  # OverflowPolicy.ORACLE
-                rank = -1
-                metrics.n_oracle_fallback += 1
-                handling = "oracle"
-        if rank >= 0:
-            self.occupancy.book(rank, effective_step + self.latency_steps)
-        return_step = effective_step + self.latency_steps
+            # Every node is busy: queue on the next one anyway — with the
+            # paper's sizing (n_pool = latency) this only happens when >1 SN
+            # fires per step per pool node.
+            self.server.metrics.n_overflow += 1
+            rank = self.occupancy.next_rank % self.n_pool
+            handling = "queued"
+        return_step = step + self.latency_steps
+        self.occupancy.book(rank, return_step)
 
         request = self.server.submit(
             region,
@@ -186,10 +156,6 @@ class PoolManager:
             base_seed=self.seed,
             client=self.client_id,
         )
-        if handling == "spilled":
-            self.server.predict_inline(request)
-        elif handling == "oracle":
-            self.server.predict_inline(request, self._oracle_surrogate())
 
         event = SNEvent(
             star_pid=int(star_pid),
@@ -206,7 +172,7 @@ class PoolManager:
             seed=self.seed,
             handling=handling,
         )
-        if self.comm is not None and rank >= 0:
+        if self.comm is not None:
             self.comm.send(
                 self.main_rank,
                 self.pool_rank_base + rank,
@@ -217,22 +183,6 @@ class PoolManager:
         self.events.append(event)
         self._by_event_id[event.event_id] = event
         return event
-
-    def _oracle_surrogate(self) -> SNSurrogate:
-        if self.fallback_oracle is None:
-            template = self.server.local_surrogate
-            if template.oracle is not None:
-                self.fallback_oracle = template
-            else:
-                self.fallback_oracle = SNSurrogate(
-                    oracle=SedovBlastOracle(
-                        t_after=self.horizon if self.horizon is not None else 0.1
-                    ),
-                    n_grid=template.n_grid,
-                    side=template.side,
-                    gibbs_sweeps=template.gibbs_sweeps,
-                )
-        return self.fallback_oracle
 
     # ------------------------------------------------------------------ flush
     def flush(self, step: int) -> None:
@@ -261,7 +211,7 @@ class PoolManager:
         for response in self.server.collect(step, client=self.client_id):
             event = self._by_event_id.pop(response.event_id)
             event.returned = True
-            if self.comm is not None and event.pool_rank >= 0:
+            if self.comm is not None:
                 self.comm.send(
                     self.pool_rank_base + event.pool_rank,
                     self.main_rank,

@@ -77,7 +77,7 @@ from repro.obs.trace import NullTracer, Tracer
 from repro.physics.cooling import CoolingModel
 from repro.physics.star_formation import StarFormationModel
 from repro.physics.stellar import exploding_between
-from repro.serve import OverflowPolicy, SurrogateServer
+from repro.serve import SurrogateServer
 from repro.surrogate.voxelize import extract_region
 
 
@@ -109,8 +109,6 @@ class CoupledRunner(BaseIntegrator):
         tracer: Tracer | NullTracer | None = None,
         use_torus: bool = False,
         force_mode: str = "global",
-        overflow_policy: OverflowPolicy | str = OverflowPolicy.QUEUE,
-        horizon: float | None = None,
     ) -> None:
         if n_ranks < 1:
             raise ValueError("need at least one main rank")
@@ -147,8 +145,6 @@ class CoupledRunner(BaseIntegrator):
                 comm=self.pool_comm,
                 main_rank=r,
                 server=server,
-                overflow_policy=overflow_policy,
-                horizon=horizon,
                 pool_rank_base=self.n_ranks,
                 client_id=r,
                 occupancy=self.occupancy,

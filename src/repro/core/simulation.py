@@ -30,14 +30,7 @@ from repro.fdps.io import load_checkpoint, save_snapshot
 from repro.fdps.particles import ParticleSet
 from repro.physics.cooling import CoolingModel
 from repro.physics.star_formation import StarFormationModel
-from repro.serve import (
-    FaultMode,
-    FaultPlan,
-    OverflowPolicy,
-    SupervisionConfig,
-    SurrogateServer,
-    SurrogateSpec,
-)
+from repro.serve import SurrogateServer, SurrogateSpec
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 from repro.util.logging import get_logger
 
@@ -49,6 +42,9 @@ class GalaxySimulation:
     ----------
     ps : initial particles (see :mod:`repro.ic`).
     dt : the fixed global timestep [Myr]; paper value 2e-3 (2,000 yr).
+        ``dt``, ``n_pool`` and ``seed`` left at None take their value from
+        ``config`` (whose defaults are 2e-3, 50 and 0); a keyword given
+        wins over the config.
     surrogate : optional :class:`SNSurrogate`; defaults to the analytic
         Sedov oracle on a modest grid, so a simulation runs out of the box
         with physically sensible SN behaviour.  Pass a U-Net-backed
@@ -62,29 +58,18 @@ class GalaxySimulation:
         pickled network.  Mutually exclusive with ``surrogate``.
     n_pool / latency_steps : the pool sizing rule of Sec. 3.2 — by default
         latency = n_pool so every SN region spends 0.1 Myr worth of global
-        steps in flight.
+        steps in flight.  When every pool node is busy an SN queues on the
+        next one (counted in the service metrics' ``n_overflow``).
     serve_transport : ``"sync"`` (in-process, the deterministic default) or
         ``"shm"`` (worker processes reading/writing a zero-copy
         shared-memory ring) — see the transport table in
         :mod:`repro.serve`.  Both produce bit-identical particle state for
         the same seeds.
-    serve_workers / serve_max_batch / serve_max_wait_steps : service sizing
-        (worker processes, batch coalescing, deadline-aware flush).
-    serve_shm_slots / serve_shm_slot_particles : ``shm`` ring sizing; size
-        ``serve_shm_slot_particles`` to at least the largest expected SN
-        region, or bigger requests silently fall back to the pickled queue
-        (counted in the service metrics' ``n_shm_fallback``).
-    overflow_policy : what :class:`PoolManager` does when every pool node
-        is busy — ``"queue"`` (legacy), ``"block"``, ``"spill"``, or
-        ``"oracle"`` (:class:`repro.serve.OverflowPolicy`).
-    serve_fault_mode / serve_supervision : worker fault tolerance —
-        ``"recover"`` (default: restart dead workers, re-dispatch lost
-        batches, degrade to inline inference as last resort) or ``"raise"``
-        (surface the first worker fault); :class:`repro.serve
-        .SupervisionConfig` tunes timeouts and backoff.
-    serve_fault_plan : scripted fault injection for chaos testing
-        (:class:`repro.serve.FaultPlan` or its string form); ``None``
-        reads ``REPRO_SERVE_FAULTS`` from the environment.
+    serve_workers / serve_max_batch : service sizing (worker processes,
+        batch coalescing).  The rest of the service runs on the
+        :class:`~repro.serve.SurrogateServer` defaults: it recovers from
+        worker faults, and ``REPRO_SERVE_FAULTS`` injects scripted ones
+        (:mod:`repro.serve.faults`).
     tracer : optional :class:`repro.obs.Tracer`.  Threads span tracing
         through the integrator's phase timers, the force-engine kernels,
         and the serve pipeline (dispatch/claim/batch/recovery); export
@@ -106,26 +91,19 @@ class GalaxySimulation:
     def __init__(
         self,
         ps: ParticleSet,
-        dt: float = 2.0e-3,
+        dt: float | None = None,
         surrogate: SNSurrogate | None = None,
         surrogate_model_path: str | Path | None = None,
-        n_pool: int = 50,
+        n_pool: int | None = None,
         latency_steps: int | None = None,
         config: IntegratorConfig | None = None,
         cooling: CoolingModel | None = None,
         star_formation: StarFormationModel | None = None,
         surrogate_grid: int = 16,
-        seed: int = 0,
+        seed: int | None = None,
         serve_transport: str = "sync",
         serve_workers: int = 2,
         serve_max_batch: int = 8,
-        serve_max_wait_steps: int = 1,
-        serve_shm_slots: int = 32,
-        serve_shm_slot_particles: int = 4096,
-        overflow_policy: OverflowPolicy | str = OverflowPolicy.QUEUE,
-        serve_fault_mode: FaultMode | str = FaultMode.RECOVER,
-        serve_fault_plan: "FaultPlan | str | None" = None,
-        serve_supervision: "SupervisionConfig | None" = None,
         tracer=None,
         n_ranks: int = 1,
         use_torus: bool = False,
@@ -135,14 +113,16 @@ class GalaxySimulation:
 
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # A copy: the caller's config object is never written to.
+        base = config or IntegratorConfig()
+        n_pool = base.n_pool if n_pool is None else n_pool
         cfg = replace(
-            config or IntegratorConfig(),
-            dt=dt,
+            base,
+            dt=base.dt if dt is None else dt,
             n_pool=n_pool,
-            latency_steps=latency_steps if latency_steps is not None else n_pool,
-            seed=seed,
+            latency_steps=n_pool if latency_steps is None else latency_steps,
+            seed=base.seed if seed is None else seed,
         )
-        horizon = cfg.latency_steps * dt      # prediction horizon (0.1 Myr dflt)
+        horizon = cfg.latency_steps * cfg.dt  # prediction horizon (0.1 Myr dflt)
         if surrogate_model_path is not None:
             if surrogate is not None:
                 raise ValueError(
@@ -166,12 +146,6 @@ class GalaxySimulation:
             transport=serve_transport,
             n_workers=serve_workers,
             max_batch=serve_max_batch,
-            max_wait_steps=serve_max_wait_steps,
-            shm_slots=serve_shm_slots,
-            shm_slot_particles=serve_shm_slot_particles,
-            fault_mode=serve_fault_mode,
-            fault_plan=serve_fault_plan,
-            supervision=serve_supervision,
             tracer=self.tracer,
         )
         self.server = server
@@ -185,8 +159,6 @@ class GalaxySimulation:
             tracer=self.tracer,
             use_torus=use_torus,
             force_mode=coupled_force_mode,
-            overflow_policy=overflow_policy,
-            horizon=horizon,
         )
 
     # ------------------------------------------------------------- delegation
@@ -285,9 +257,10 @@ class GalaxySimulation:
         The checkpoint format is defined here and read back by
         :meth:`restore`, its one reader: a :func:`repro.fdps.io.save_snapshot`
         file whose ``extra`` header keys carry the integrator clock and
-        counters, the star-formation RNG state, the pool sizing, the run
-        mode (``n_ranks``, ``use_torus``, ``coupled_force_mode``), the
-        serve sizing and the surrogate spec, and whose ``extra/`` arrays are
+        counters, the star-formation RNG state, the integrator config (``dt``
+        and the pool sizing included), the run mode (``n_ranks``,
+        ``use_torus``, ``coupled_force_mode``), the serve transport and
+        sizing and the surrogate spec, and whose ``extra/`` arrays are
         the current force arrays, so :meth:`restore` resumes
         bit-identically.  The pool's in-flight *predictions* are
         intentionally not captured (the paper's checkpointing strategy is
@@ -313,9 +286,6 @@ class GalaxySimulation:
             "transport": server.transport_name,
             "n_workers": max(1, server.n_workers),
             "max_batch": server.scheduler.max_batch,
-            "max_wait_steps": server.scheduler.max_wait_steps,
-            "shm_slots": server.shm_slots,
-            "shm_slot_particles": server.shm_slot_particles,
         }
         ps_save = self.ps
         pending = [e for pool in integ.pools for e in pool.events if not e.returned]
@@ -345,13 +315,8 @@ class GalaxySimulation:
                 "n_sn_events": integ.n_sn_events - n_rescheduled,
                 "n_sf_events": integ.n_sf_events,
                 "next_pid": integ.next_pid,
-                "dt": integ.cfg.dt,
-                "n_pool": integ.cfg.n_pool,
-                "latency_steps": integ.cfg.latency_steps,
-                "seed": integ.cfg.seed,
                 "rng_state": integ.rng.bit_generator.state,
                 "integrator_config": asdict(integ.cfg),
-                "overflow_policy": str(integ.pools[0].overflow_policy.value),
                 "n_ranks": integ.n_ranks,
                 "use_torus": integ.driver.use_torus,
                 "coupled_force_mode": integ.force_mode,
@@ -385,24 +350,31 @@ class GalaxySimulation:
         bit-identity above holds for every ``n_ranks``; in
         ``"distributed"`` mode the continuation is tree-accurate, not
         bitwise.  Checkpoints written before these keys existed load as
-        one rank, ``integrator_config`` keys this version no longer knows
-        are dropped with a warning, a saved serve transport of
-        ``"process"`` (retired) restores onto ``"shm"`` with a warning, and
-        a saved backend of ``"seed"`` or ``"numba"`` (retired) restores onto
-        the default backend with a warning.
+        one rank, and older checkpoints restore with what this version
+        still knows:
+
+        * ``integrator_config`` keys this version no longer knows are
+          dropped with a warning; a checkpoint with no ``integrator_config``
+          at all is read from its top-level ``dt`` / ``n_pool`` /
+          ``latency_steps`` / ``seed``;
+        * a saved serve transport of ``"process"`` (retired) restores onto
+          ``"shm"`` with a warning; the retired serve keys
+          (``max_wait_steps``, ``shm_slots``, ``shm_slot_particles``) are
+          ignored — batch timing and ring size change no prediction byte,
+          because each event is seeded on its own;
+        * a saved ``overflow_policy`` other than ``"queue"`` (retired: an SN
+          that finds every pool node busy always queues) logs a warning;
+        * a saved backend of ``"seed"`` or ``"numba"`` (retired) restores
+          onto the default backend with a warning.
 
         ``overrides`` are passed through to the constructor (e.g. a
-        different ``serve_transport`` or a freshly loaded ``surrogate``).
+        different ``serve_transport``); a ``surrogate`` or
+        ``surrogate_model_path`` override replaces the saved surrogate spec.
         """
         log = get_logger("simulation")
         state = load_checkpoint(path)
         meta = state.header.get("extra", {})
-        kwargs: dict = {
-            "dt": meta.get("dt", 2.0e-3),
-            "n_pool": meta.get("n_pool", 50),
-            "latency_steps": meta.get("latency_steps"),
-            "seed": meta.get("seed", 0),
-        }
+        kwargs: dict = {}
         for key in ("n_ranks", "use_torus", "coupled_force_mode"):
             if key in meta:                        # absent in older checkpoints
                 kwargs[key] = meta[key]
@@ -423,8 +395,16 @@ class GalaxySimulation:
                 )
                 config["backend"] = None
             kwargs["config"] = IntegratorConfig(**config)
-        if "overflow_policy" in meta:
-            kwargs["overflow_policy"] = meta["overflow_policy"]
+            kwargs["latency_steps"] = kwargs["config"].latency_steps
+        else:
+            for key in ("dt", "n_pool", "latency_steps", "seed"):
+                kwargs[key] = meta.get(key)
+        policy = meta.get("overflow_policy", "queue")
+        if policy != "queue":
+            log.warning(
+                "checkpoint %s: overflow policy %r is retired; an SN that "
+                "finds every pool node busy queues on the next one", path, policy,
+            )
         serve_meta = meta.get("serve") or {}
         if serve_meta:
             kwargs["serve_transport"] = serve_meta["transport"]
@@ -436,13 +416,17 @@ class GalaxySimulation:
                 kwargs["serve_transport"] = "shm"
             kwargs["serve_workers"] = serve_meta["n_workers"]
             kwargs["serve_max_batch"] = serve_meta["max_batch"]
-            kwargs["serve_max_wait_steps"] = serve_meta["max_wait_steps"]
-            if "shm_slots" in serve_meta:          # absent in older checkpoints
-                kwargs["serve_shm_slots"] = serve_meta["shm_slots"]
-                kwargs["serve_shm_slot_particles"] = serve_meta["shm_slot_particles"]
-        if meta.get("surrogate_spec") is not None:
-            kwargs["surrogate"] = SurrogateSpec(**meta["surrogate_spec"]).build()
-        elif "surrogate_spec" in meta and "surrogate" not in overrides:
+        # Either surrogate override replaces the saved spec; the spec's grid
+        # still sizes a surrogate_model_path one.
+        spec = meta.get("surrogate_spec")
+        overridden = any(
+            overrides.get(k) is not None for k in ("surrogate", "surrogate_model_path")
+        )
+        if spec is not None:
+            kwargs["surrogate_grid"] = spec["n_grid"]
+            if not overridden:
+                kwargs["surrogate"] = SurrogateSpec(**spec).build()
+        elif "surrogate_spec" in meta and not overridden:
             log.warning(
                 "checkpoint %s has no serializable surrogate spec (predictor"
                 "-backed run); restoring with the default Sedov oracle — pass "

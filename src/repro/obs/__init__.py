@@ -48,7 +48,7 @@ comm    ``fdps.comm.SimComm``    one span per ledger row: the op label
                                  (bytes, messages, critical_bytes) attached
 serve   ``serve.server`` /       ``serve.dispatch`` (batch, events); ``serve.claim``
         ``serve.shm``            (worker); ``serve.batch`` (worker, busy_s);
-                                 ``serve.exposed_wait``; ``serve.inline_predict``;
+                                 ``serve.exposed_wait``;
                                  ``serve.redispatch`` (generation, cause);
                                  ``serve.inline_recovery`` (events, cause);
                                  ``serve.worker_restart`` (worker);

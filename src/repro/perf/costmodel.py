@@ -119,8 +119,8 @@ def serve_summary(metrics: dict) -> dict[str, float]:
     how true that was for a measured run.  Total inference seconds split
     into a *hidden* part (executed on workers while the main loop kept
     integrating) and an *exposed* part that did land on the main-node
-    critical path: inline predictions (sync flushes, spill/oracle overflow
-    handling) plus any blocking wait for a late worker.  The overlap
+    critical path: inline predictions (sync flushes, inline fault
+    recovery) plus any blocking wait for a late worker.  The overlap
     efficiency is the hidden fraction — 1.0 is the paper's ideal, and a
     ``sync``-transport run scores 0.0 by construction.
     """
@@ -134,7 +134,7 @@ def serve_summary(metrics: dict) -> dict[str, float]:
     # — for the shm transport — the fraction of *dispatched* requests that
     # moved zero-copy through the shared ring rather than being pickled
     # down a pipe.  Both legs are counted at dispatch time, so inline
-    # predictions (spill/oracle overflow) that never touch the transport
+    # predictions (a degraded service's) that never touch the transport
     # stay out of the denominator.
     n_slot = float(metrics.get("n_shm_slot", 0.0))
     n_fallback = float(metrics.get("n_shm_fallback", 0.0))

@@ -7,16 +7,13 @@ path.  This package realizes that overlap in-process-tree form:
 
 * :class:`SurrogateServer` — owns worker processes (or a deterministic
   in-process ``sync`` transport), a :class:`BatchScheduler` that coalesces
-  in-flight SN regions into padded voxel batches with deadline-aware
-  flushing, and a :class:`ServiceMetrics` ledger (queue depth, batch
-  occupancy, p50/p95 latency in steps, worker utilization, exposed wait).
+  in-flight SN regions into voxel batches with deadline-aware flushing, and
+  a :class:`ServiceMetrics` ledger (queue depth, batch occupancy, p50/p95
+  latency in steps, worker utilization, exposed wait).
 * :mod:`repro.serve.wire` — the packed-``FIELDS`` wire format every region
   and prediction crosses the transport in (documented there, field by
   field), whose exact byte counts the :class:`~repro.fdps.comm.SimComm`
   ledger charges.
-* :class:`OverflowPolicy` — explicit backpressure (queue / block / spill /
-  oracle) replacing the old silent overflow counter; no SN event is ever
-  dropped without at least an oracle-fallback prediction.
 
 :class:`repro.core.pool.PoolManager` is a thin client over this service;
 ``examples/serve_inference.py`` drives a standalone server,
@@ -131,7 +128,7 @@ the shared service costs and hides at scale.
 from repro.serve.batch import BatchScheduler
 from repro.serve.faults import Fault, FaultInjector, FaultPlan, InjectedWorkerError
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.policies import FaultMode, OverflowPolicy
+from repro.serve.policies import FaultMode
 from repro.serve.server import SurrogateServer, SurrogateSpec, predict_batch_buffers
 from repro.serve.shm import SupervisionConfig, WorkerLost
 from repro.serve.wire import (
@@ -150,7 +147,6 @@ __all__ = [
     "FaultMode",
     "FaultPlan",
     "InjectedWorkerError",
-    "OverflowPolicy",
     "ServeRequest",
     "ServeResponse",
     "ServiceMetrics",

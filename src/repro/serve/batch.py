@@ -1,4 +1,4 @@
-"""Request coalescing: in-flight SN regions -> padded voxel batches.
+"""Request coalescing: in-flight SN regions -> voxel batches.
 
 The scheduler holds encoded requests between :meth:`add` and the next
 :meth:`due_batches` call and decides *when* to flush, trading batch
@@ -12,11 +12,6 @@ engine) against deadline safety (every prediction must land within
   steps in the queue: once the oldest pending request reaches its flush
   deadline the whole remainder is flushed as one partial batch, so the
   prediction has the rest of its latency window to execute overlapped.
-
-``pad_to`` optionally pads every flushed batch to a fixed event count (the
-predictor sees shape-stable ``(pad_to, C, n, n, n)`` inputs — what a JIT or
-graph-compiled engine wants); padding slots are flagged so the surrogate
-drops them after the forward pass.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ from repro.serve.metrics import ServiceMetrics
 @dataclass
 class _Pending:
     buffer: np.ndarray          # encoded ServeRequest
-    event_id: int
     enqueue_step: int
     flush_deadline: int         # latest step at which this request must ship
 
@@ -42,7 +36,6 @@ class BatchScheduler:
 
     max_batch: int = 8
     max_wait_steps: int = 1
-    pad_to: int | None = None
     metrics: ServiceMetrics | None = None
     _pending: list[_Pending] = field(default_factory=list)
 
@@ -51,16 +44,13 @@ class BatchScheduler:
             raise ValueError("max_batch must be >= 1")
         if self.max_wait_steps < 0:
             raise ValueError("max_wait_steps must be >= 0")
-        if self.pad_to is not None and self.pad_to < self.max_batch:
-            raise ValueError("pad_to must be >= max_batch")
 
     # ------------------------------------------------------------------ state
     @property
     def queue_depth(self) -> int:
         return len(self._pending)
 
-    def add(self, buffer: np.ndarray, event_id: int, step: int,
-            return_step: int) -> None:
+    def add(self, buffer: np.ndarray, step: int, return_step: int) -> None:
         """Queue one encoded request dispatched at ``step``.
 
         The flush deadline is ``step + max_wait_steps`` but never later than
@@ -71,7 +61,6 @@ class BatchScheduler:
         self._pending.append(
             _Pending(
                 buffer=buffer,
-                event_id=int(event_id),
                 enqueue_step=int(step),
                 flush_deadline=max(deadline, int(step)),
             )
@@ -88,13 +77,6 @@ class BatchScheduler:
         if self._pending and any(p.flush_deadline <= step for p in self._pending):
             batches.append(self._cut(len(self._pending), step))
         return batches
-
-    def remove(self, event_id: int) -> np.ndarray:
-        """Pull one pending request out of the queue (backpressure paths)."""
-        for i, p in enumerate(self._pending):
-            if p.event_id == event_id:
-                return self._pending.pop(i).buffer
-        raise ValueError(f"event {event_id} is not pending")
 
     def flush_all(self, step: int) -> list[list[np.ndarray]]:
         """Unconditionally ship everything (drain/shutdown path)."""

@@ -27,7 +27,7 @@ import numpy as np
 #: (the run report, the cost model, archived ``BENCH_*.json`` rows) key on
 #: it; bump on any rename/removal/semantic change of an exported field —
 #: *adding* fields is compatible and needs no bump.
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -52,14 +52,14 @@ class ServiceMetrics:
     #: Wall seconds the *main* rank blocked waiting for a due prediction.
     exposed_wait_s: float = 0.0
     #: Wall seconds spent running predictions inline on the main rank
-    #: (sync transport flushes, spill/oracle overflow handling).
+    #: (sync transport flushes, inline fault recovery).
     inline_predict_s: float = 0.0
-    # --- overflow policy accounting (replaces the old silent counter) -------
+    #: SNe that found every pool node busy and queued on the next one.
     n_overflow: int = 0
-    n_blocked: int = 0
-    n_spilled: int = 0
+    #: Always 0: no path degrades an SN to the Sedov oracle any more.  Kept,
+    #: with ``n_overflow``, because the end-to-end benchmark
+    #: (``benchmarks/e2e/measure.py``) reads both into its fallback share.
     n_oracle_fallback: int = 0
-    blocked_stall_steps: int = 0
     # --- fault tolerance (worker supervision + recovery) ---------------------
     #: Dead/hung workers the supervisor respawned from the spec.
     n_worker_restarts: int = 0
@@ -167,10 +167,7 @@ class ServiceMetrics:
             "exposed_wait_s": self.exposed_wait_s,
             "inline_predict_s": self.inline_predict_s,
             "n_overflow": self.n_overflow,
-            "n_blocked": self.n_blocked,
-            "n_spilled": self.n_spilled,
             "n_oracle_fallback": self.n_oracle_fallback,
-            "blocked_stall_steps": self.blocked_stall_steps,
             "n_shm_slot": self.n_shm_slot,
             "n_shm_fallback": self.n_shm_fallback,
             "shm_n_slots": self.shm_n_slots,

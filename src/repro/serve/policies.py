@@ -1,57 +1,15 @@
-"""Degradation policy: what happens when the service cannot keep up — or
-cannot stay up.
+"""Fault policy: what the service does when a worker dies, hangs, or
+returns garbage.
 
-Two independent axes of trouble share one principle (*no SN event is ever
-dropped*: every policy still delivers a prediction at the event's return
-step, at worst from the inline Sedov-oracle fallback):
-
-* **Load** — every pool node busy.  The paper sizes the pool so this never
-  happens (n_pool = latency_steps means one SN per step per pool node
-  sustains forever, Sec. 3.2), but a bursty star-formation region can
-  exceed that.  :class:`OverflowPolicy` makes the choice explicit.
-* **Crash** — a worker dies, hangs, or returns garbage.
-  :class:`FaultMode` decides whether the server recovers (re-dispatch from
-  the in-flight request registry, restart the worker, degrade to inline
-  prediction — the default, what a long production run needs) or raises
-  (the strict mode debugging wants).
+:class:`FaultMode` decides whether the server recovers (re-dispatch from
+the in-flight request registry, restart the worker, degrade to inline
+prediction — the default, what a long production run needs) or raises (the
+strict mode debugging wants).  Either way no SN event is dropped silently.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-
-
-class OverflowPolicy(str, Enum):
-    """Dispatch behaviour when :meth:`PoolManager.free_pool_rank` is None."""
-
-    #: Legacy: queue on the next pool node anyway (it runs two predictions
-    #: in one latency window — fine in simulation, optimistic on hardware).
-    QUEUE = "queue"
-    #: Stall the main loop until the earliest pool node frees, then dispatch
-    #: there; the prediction horizon starts at the *effective* dispatch step
-    #: so it still lands ``latency_steps`` later.  The stall is charged to
-    #: ``ServiceMetrics.blocked_stall_steps``.
-    BLOCK = "block"
-    #: Spill to the synchronous path: the main rank runs the full surrogate
-    #: itself, immediately, and holds the result until the return step.
-    #: Costs main-node wall-clock (``inline_predict_s``) but no pool slot.
-    SPILL = "spill"
-    #: Degrade to the analytic Sedov oracle, run inline on the main rank —
-    #: the cheapest guaranteed fallback; the event is flagged so analysis
-    #: can discount it.
-    ORACLE = "oracle"
-
-    @classmethod
-    def parse(cls, value: "OverflowPolicy | str") -> "OverflowPolicy":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            options = ", ".join(p.value for p in cls)
-            raise ValueError(
-                f"unknown overflow policy {value!r} (options: {options})"
-            ) from None
 
 
 class FaultMode(str, Enum):

@@ -89,6 +89,10 @@ from repro.util.shm import owner_finalizer
 #: ``SupervisionConfig.batch_timeout_s``).
 WORKER_TIMEOUT_S = 120.0
 
+#: Re-dispatch attempts of a lost batch before its remaining events resolve
+#: inline on the main rank.
+MAX_REDISPATCH = 2
+
 
 @dataclass(frozen=True)
 class SurrogateSpec:
@@ -202,21 +206,19 @@ class SurrogateSpec:
 
 
 def predict_batch_buffers(
-    surrogate: SNSurrogate, buffers: list[np.ndarray], pad_to: int | None = None
+    surrogate: SNSurrogate, buffers: list[np.ndarray]
 ) -> list[np.ndarray]:
     """Decode a request batch, run the batched predictor, encode responses
     (:func:`~repro.serve.shm.predict_responses`, the shm worker's path)."""
-    return [r.to_buffer() for r in predict_responses(surrogate, buffers, pad_to)]
+    return [r.to_buffer() for r in predict_responses(surrogate, buffers)]
 
 
 class _SyncTransport:
     """Execute batches inline on the caller's thread (the reference path)."""
 
-    def __init__(self, surrogate: SNSurrogate, metrics: ServiceMetrics,
-                 pad_to: int | None = None) -> None:
+    def __init__(self, surrogate: SNSurrogate, metrics: ServiceMetrics) -> None:
         self._surrogate = surrogate
         self._metrics = metrics
-        self._pad_to = pad_to
         self._done: list[Reply] = []
 
     @property
@@ -229,7 +231,7 @@ class _SyncTransport:
 
     def dispatch(self, batch_id: int, buffers: list[np.ndarray]) -> None:
         t0 = time.perf_counter()
-        responses = predict_batch_buffers(self._surrogate, buffers, self._pad_to)
+        responses = predict_batch_buffers(self._surrogate, buffers)
         elapsed = time.perf_counter() - t0
         self._metrics.inline_predict_s += elapsed
         self._done.append((batch_id, -1, responses, elapsed))
@@ -256,13 +258,13 @@ class SurrogateServer:
     surrogate : in-process surrogate (required for ``sync``; for ``shm``
         it is the recipe source when ``spec`` is absent — a spec is derived
         when possible, else the object itself is pickled — and the builder
-        of inline spill/oracle predictions).
+        of inline fault-recovery predictions).
     spec : a :class:`SurrogateSpec` workers build from (preferred for
         ``shm`` — each worker loads its own model instead of inheriting a
         pickled copy through the spawn args).
     transport : ``"sync"`` or ``"shm"`` (worker processes over a zero-copy
         shared-memory ring, see :mod:`repro.serve.shm`).
-    n_workers / max_batch / max_wait_steps / pad_to : see module and
+    n_workers / max_batch / max_wait_steps : see module and
         :class:`BatchScheduler` docs.
     shm_slots / shm_slot_particles : ``shm`` ring sizing — slot count and
         the per-slot particle capacity (a bigger request falls back to the
@@ -276,8 +278,6 @@ class SurrogateServer:
         read ``REPRO_SERVE_FAULTS`` from the environment.
     supervision : :class:`SupervisionConfig` overriding restart backoff,
         give-up threshold, and the per-batch timeout.
-    max_redispatch : lost-batch re-dispatch attempts before the remaining
-        events resolve inline on the main rank.
     """
 
     def __init__(
@@ -288,13 +288,11 @@ class SurrogateServer:
         n_workers: int = 2,
         max_batch: int = 8,
         max_wait_steps: int = 1,
-        pad_to: int | None = None,
         shm_slots: int = 32,
         shm_slot_particles: int = 4096,
         fault_mode: FaultMode | str = FaultMode.RECOVER,
         fault_plan: FaultPlan | str | None = None,
         supervision: SupervisionConfig | None = None,
-        max_redispatch: int = 2,
         tracer: Any = None,
     ) -> None:
         if surrogate is None and spec is None:
@@ -305,13 +303,10 @@ class SurrogateServer:
         self.scheduler = BatchScheduler(
             max_batch=max_batch,
             max_wait_steps=max_wait_steps,
-            pad_to=pad_to,
             metrics=self.metrics,
         )
         self._surrogate = surrogate
         self._spec = spec
-        self.shm_slots = shm_slots
-        self.shm_slot_particles = shm_slot_particles
         self._fault_mode = FaultMode.parse(fault_mode)
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
@@ -319,16 +314,12 @@ class SurrogateServer:
             fault_plan = FaultPlan.parse(fault_plan)
         self._fault_plan = fault_plan
         self._supervision = supervision if supervision is not None else SupervisionConfig()
-        self._max_redispatch = int(max_redispatch)
         self._transport: _SyncTransport | _ShmTransport
         if transport == "sync":
-            self._transport = _SyncTransport(
-                self.local_surrogate, self.metrics, pad_to
-            )
+            self._transport = _SyncTransport(self.local_surrogate, self.metrics)
         elif transport == "shm":
             self._transport = _ShmTransport(
-                self._worker_recipe(), n_workers, pad_to=pad_to,
-                n_slots=shm_slots,
+                self._worker_recipe(), n_workers, n_slots=shm_slots,
                 slot_floats=request_nfloats(shm_slot_particles),
                 metrics=self.metrics,
                 fault_plan=self._fault_plan, supervision=self._supervision,
@@ -453,29 +444,8 @@ class SurrogateServer:
         self.metrics.n_submitted += 1
         self.metrics.bytes_in += int(buf.nbytes)
         self._expected[request.event_id] = (request.dispatch_step, request.return_step)
-        self.scheduler.add(buf, request.event_id, dispatch_step, return_step)
+        self.scheduler.add(buf, dispatch_step, return_step)
         return request
-
-    def predict_inline(self, request: ServeRequest,
-                       surrogate: SNSurrogate | None = None) -> None:
-        """Run one already-submitted request *now* on the caller's thread.
-
-        The backpressure paths (spill-to-sync, drop-to-oracle) use this: the
-        request leaves the scheduler queue and its prediction is stored for
-        delivery at the normal return step.
-        """
-        buf = self.scheduler.remove(request.event_id)
-        t0 = time.perf_counter()
-        tt0 = self.tracer.now()
-        [resp_buf] = predict_batch_buffers(surrogate or self.local_surrogate, [buf])
-        elapsed = time.perf_counter() - t0
-        self.metrics.inline_predict_s += elapsed
-        if self.tracer.enabled:
-            self.tracer.span_at(
-                "serve.inline_predict", tt0, elapsed, cat="serve", tid="inline",
-                event=request.event_id,
-            )
-        self._store_response(resp_buf)
 
     # ------------------------------------------------------------------ tick
     def tick(self, step: int) -> None:
@@ -658,7 +628,7 @@ class SurrogateServer:
 
         Re-dispatch re-sends the *original* request buffers, so the
         per-event RNG (seeded by dispatch step, not wall time) and hence the
-        prediction bytes are unchanged; events past ``max_redispatch``
+        prediction bytes are unchanged; events past :data:`MAX_REDISPATCH`
         attempts — or worker-independent failures — resolve inline.
         """
         buffers = self._dispatched.get(batch_id, [])
@@ -669,7 +639,7 @@ class SurrogateServer:
             return
         can_redispatch = (
             redispatch
-            and generation < self._max_redispatch
+            and generation < MAX_REDISPATCH
             and self.n_workers > 0
             and not self._transport.degraded
         )
@@ -694,9 +664,7 @@ class SurrogateServer:
         t0 = time.perf_counter()
         tt0 = self.tracer.now()
         try:
-            responses = predict_batch_buffers(
-                self.local_surrogate, buffers, pad_to=self.scheduler.pad_to
-            )
+            responses = predict_batch_buffers(self.local_surrogate, buffers)
         except Exception as exc:
             raise RuntimeError(
                 f"serve worker fault ({cause}) could not be recovered inline"

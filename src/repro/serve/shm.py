@@ -148,7 +148,7 @@ class SupervisionConfig:
 
 
 def predict_responses(
-    surrogate: SNSurrogate, buffers: list[np.ndarray], pad_to: int | None = None
+    surrogate: SNSurrogate, buffers: list[np.ndarray]
 ) -> list[ServeResponse]:
     """Decode request buffers, run the batched predictor once, and pair
     each prediction with its request.
@@ -164,7 +164,6 @@ def predict_responses(
         [r.region for r in requests],
         [r.center for r in requests],
         [r.rng() for r in requests],
-        pad_to=pad_to,
     )
     return [
         ServeResponse(event_id=r.event_id, return_step=r.return_step, particles=p)
@@ -176,7 +175,6 @@ def serve_batch_in_place(
     surrogate: SNSurrogate,
     ring: SharedMemoryRing,
     entries: list[Entry],
-    pad_to: int | None = None,
 ) -> list[Entry]:
     """Worker inner loop: decode from slots, predict, overwrite in place.
 
@@ -189,7 +187,7 @@ def serve_batch_in_place(
     views = [ring.slot(e[1], e[2]) if e[0] == SLOT else e[1] for e in entries]
     out: list[Entry] = []
     for entry, response in zip(
-        entries, predict_responses(surrogate, views, pad_to), strict=True
+        entries, predict_responses(surrogate, views), strict=True
     ):
         if entry[0] == SLOT:
             out.append((SLOT, entry[1], response.encode_into(ring.slot(entry[1]))))
@@ -206,7 +204,6 @@ def _shm_worker_main(
     slot_floats: int,
     req_q: Any,
     res_q: Any,
-    pad_to: int | None,
     fault_plan: FaultPlan | None = None,
 ) -> None:
     """Pool-node worker: attach the ring, build the surrogate, serve.
@@ -236,7 +233,7 @@ def _shm_worker_main(
             t0 = time.perf_counter()
             try:
                 injector.on_predict()
-                responses = serve_batch_in_place(surrogate, ring, entries, pad_to)
+                responses = serve_batch_in_place(surrogate, ring, entries)
             except Exception as exc:  # ship the failure instead of dying silently
                 res_q.put(("done", worker_id, batch_id, exc, 0.0))
                 continue
@@ -392,7 +389,6 @@ class _ShmTransport:
         self,
         recipe: Any,
         n_workers: int,
-        pad_to: int | None = None,
         n_slots: int = 32,
         slot_floats: int = 0,
         metrics: ServiceMetrics | None = None,
@@ -406,7 +402,6 @@ class _ShmTransport:
             raise ValueError("shm transport needs a positive slot size")
         self._ctx = process_context()
         self._recipe = recipe
-        self._pad_to = pad_to
         self._fault_plan = fault_plan
         self._metrics = metrics if metrics is not None else ServiceMetrics()
         self._tracer = tracer if tracer is not None else NULL_TRACER
@@ -431,7 +426,7 @@ class _ShmTransport:
             target=_shm_worker_main,
             args=(
                 worker_id, self._recipe, self._ring.name, self._ring.n_slots,
-                self._ring.slot_floats, self._req_q, self._res_q, self._pad_to,
+                self._ring.slot_floats, self._req_q, self._res_q,
                 self._fault_plan,
             ),
             daemon=True,

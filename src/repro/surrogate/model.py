@@ -110,45 +110,31 @@ class SNSurrogate:
         fields = self.transform.decode_target(np.asarray(raw))
         return VoxelGrid(fields=fields, center=grid.center, side=grid.side)
 
-    def predict_fields_batch(
-        self, grids: list[VoxelGrid], pad_to: int | None = None
-    ) -> list[VoxelGrid]:
+    def predict_fields_batch(self, grids: list[VoxelGrid]) -> list[VoxelGrid]:
         """Field-space prediction for a coalesced batch of regions.
 
         The U-Net path stacks the encoded channels into one
         ``(B, 8, n, n, n)`` tensor and runs a single batched forward pass
         (``predict_batch`` / ``forward_batch`` on the predictor, falling
-        back to a per-sample loop for plain callables).  ``pad_to`` zero-pads
-        the batch axis to a fixed size — shape-stable inputs for engines
-        that specialize per shape — and the padding rows are dropped before
-        decoding.  The oracle path is elementwise per grid, so it simply
-        loops.
+        back to a per-sample loop for plain callables).  The oracle path is
+        elementwise per grid, so it simply loops.
         """
         if not grids:
             return []
         if self.oracle is not None:
             return [self.oracle(g) for g in grids]
         chans = np.stack([self.transform.encode(g.fields) for g in grids])
-        batched = hasattr(self.predictor, "predict_batch") or hasattr(
-            self.predictor, "forward_batch"
-        )
-        # Padding only helps engines that see the whole batch at once; the
-        # per-sample fallback would just burn forward passes on zero grids.
-        if batched and pad_to is not None and pad_to > len(grids):
-            pad = np.zeros((pad_to - len(grids), *chans.shape[1:]))
-            chans = np.concatenate([chans, pad], axis=0)
         if hasattr(self.predictor, "predict_batch"):
             raw = self.predictor.predict_batch(chans)
         elif hasattr(self.predictor, "forward_batch"):
             raw = self.predictor.forward_batch(chans)
         else:
             raw = np.stack([self.predictor(c) for c in chans])  # type: ignore[operator]
-        raw = np.asarray(raw)[: len(grids)]
         return [
             VoxelGrid(
                 fields=self.transform.decode_target(r), center=g.center, side=g.side
             )
-            for r, g in zip(raw, grids, strict=True)
+            for r, g in zip(np.asarray(raw), grids, strict=True)
         ]
 
     # ---------------------------------------------------------- particle path
@@ -177,7 +163,6 @@ class SNSurrogate:
         regions: list[ParticleSet],
         centers: list[np.ndarray],
         rngs: list[np.random.Generator],
-        pad_to: int | None = None,
     ) -> list[ParticleSet]:
         """Batched pool-node pipeline over coalesced SN regions.
 
@@ -197,7 +182,7 @@ class SNSurrogate:
             voxelize_particles(regions[i], centers[i], self.side, self.n_grid)
             for i in live
         ]
-        for i, grid_out in zip(live, self.predict_fields_batch(grids, pad_to=pad_to), strict=True):
+        for i, grid_out in zip(live, self.predict_fields_batch(grids), strict=True):
             out[i] = devoxelize_to_particles(
                 grid_out, regions[i], rngs[i], n_sweeps=self.gibbs_sweeps
             )

@@ -46,37 +46,47 @@ def _sim(ps, **kw):
                             surrogate_grid=8, seed=11, config=cfg, **kw)
 
 
-@pytest.mark.parametrize("n_ranks", [1, 2])
-def test_save_restore_step_matches_uninterrupted(tmp_path, n_ranks):
+@pytest.mark.parametrize(
+    "n_ranks, transport", [(1, "sync"), (2, "sync"), (1, "shm")], ids=["1", "2", "shm"]
+)
+def test_save_restore_step_matches_uninterrupted(tmp_path, n_ranks, transport):
     """Mid-flight save -> restore -> continue == uninterrupted, by bytes.
 
     The first star's prediction lands before the save; the second star's
     (dispatched at step 5, due back at step 7) is in flight at the save at
-    step 6.  A checkpoint drops in-flight predictions and re-fires their
-    SNe on the first step after the restore, so the uninterrupted reference
-    is the run whose second star is due at step 6.
+    step 6 — on a worker, under shm.  A checkpoint drops in-flight
+    predictions and re-fires their SNe on the first step after the restore,
+    so the uninterrupted reference is the run whose second star is due at
+    step 6.  The restored run is on the saved transport again.
     """
     path = tmp_path / "ckpt.npz"
+    kw = {"n_ranks": n_ranks, "serve_transport": transport}
+    straight = _sim(_ic(second_tsn=0.0125), **kw)
+    first = _sim(_ic(second_tsn=0.011), **kw)
+    resumed = None
+    try:
+        straight.run(10)
+        first.run(6)
+        assert first.server.n_outstanding == 1
+        first.save(path)
+        first.close()
+        resumed = GalaxySimulation.restore(path)
+        assert resumed.integrator.n_ranks == n_ranks
+        assert resumed.server.transport_name == transport
+        assert resumed.step_count == 6
+        assert resumed.time == first.time
+        resumed.run(4)
 
-    straight = _sim(_ic(second_tsn=0.0125), n_ranks=n_ranks)
-    straight.run(10)
-
-    first = _sim(_ic(second_tsn=0.011), n_ranks=n_ranks)
-    first.run(6)
-    assert first.server.n_outstanding == 1
-    first.save(path)
-    resumed = GalaxySimulation.restore(path)
-    assert resumed.integrator.n_ranks == n_ranks
-    assert resumed.step_count == 6
-    assert resumed.time == first.time
-    resumed.run(4)
-
-    assert resumed.step_count == straight.step_count
-    assert resumed.time == straight.time
-    assert resumed.ps.pack().tobytes() == straight.ps.pack().tobytes()
-    assert resumed.integrator.n_sn_events == straight.integrator.n_sn_events == 2
-    assert resumed.integrator.n_sf_events == straight.integrator.n_sf_events
-    assert resumed.integrator.next_pid == straight.integrator.next_pid
+        assert resumed.step_count == straight.step_count
+        assert resumed.time == straight.time
+        assert resumed.ps.pack().tobytes() == straight.ps.pack().tobytes()
+        assert resumed.integrator.n_sn_events == straight.integrator.n_sn_events == 2
+        assert resumed.integrator.n_sf_events == straight.integrator.n_sf_events
+        assert resumed.integrator.next_pid == straight.integrator.next_pid
+    finally:
+        for sim in (straight, first, resumed):
+            if sim is not None:
+                sim.close()
 
 
 def test_restore_rebuilds_counters_and_rng(tmp_path):
@@ -152,6 +162,30 @@ def test_restore_loads_old_schema_checkpoint(tmp_path, caplog):
     assert back.integrator.cfg.self_gravity is False
     back.run(1)  # must not raise
 
+    # The meta of a checkpoint written while the retired overflow policies
+    # and serve keys existed: one warning, naming the policy; the serve
+    # keys are ignored.
+    retired_meta = {
+        **old_meta,
+        "integrator_config": {
+            k: v for k, v in old_meta["integrator_config"].items() if k != "n_domains"
+        },
+        "overflow_policy": "block",
+        "serve": {"transport": "sync", "n_workers": 1, "max_batch": 8,
+                  "max_wait_steps": 3, "shm_slots": 4, "shm_slot_particles": 512},
+    }
+    path = save_snapshot(_ic(), tmp_path / "retired.npz", time=0.01, step=5,
+                         extra_meta=retired_meta)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        back = GalaxySimulation.restore(path)
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    assert "'block'" in warnings[0].getMessage()
+    assert back.pool.n_pool == 4
+    assert back.server.scheduler.max_wait_steps == 1
+    back.run(1)  # must not raise
+
 
 def _save_at_step_2(path, backend=None, serve=None):
     """A hand-written checkpoint at step 2: the star (tsn 0.003) is overdue,
@@ -220,9 +254,10 @@ def test_restore_accepts_overrides(tmp_path):
     sim = _sim(_ic(with_star=False))
     sim.run(2)
     sim.save(path)
-    back = GalaxySimulation.restore(path, n_pool=9, overflow_policy="block")
+    back = GalaxySimulation.restore(path, n_pool=9, serve_max_batch=3)
     assert back.pool.n_pool == 9
-    assert str(back.pool.overflow_policy) == "OverflowPolicy.BLOCK"
+    assert back.pool.latency_steps == 2            # still the saved one
+    assert back.server.scheduler.max_batch == 3
 
 
 def test_checkpoint_is_a_valid_plain_snapshot(tmp_path):
@@ -251,11 +286,13 @@ def test_simulation_checkpoint(tmp_path):
     ps, header = load_snapshot(p)
     assert header["step"] == 3
     assert header["time"] == pytest.approx(3e-3)
-    assert header["extra"]["dt"] == pytest.approx(1e-3)
+    saved_cfg = header["extra"]["integrator_config"]
+    assert saved_cfg["dt"] == pytest.approx(1e-3)
+    assert "dt" not in header["extra"]            # saved once, in the config
     assert np.array_equal(np.sort(ps.pid), np.sort(sim.ps.pid))
 
     # Restarting from the checkpoint continues cleanly.
-    sim2 = GalaxySimulation(ps, dt=header["extra"]["dt"], n_pool=3,
+    sim2 = GalaxySimulation(ps, dt=saved_cfg["dt"], n_pool=3,
                             config=cfg, surrogate_grid=8)
     sim2.integrator.time = header["time"]
     sim2.integrator.step_count = header["step"]
@@ -326,5 +363,28 @@ def test_checkpoint_carries_model_spec_for_exported_surrogate(tmp_path):
         assert surr.predictor.model_path == str(export)
         x = np.random.default_rng(0).normal(size=(8, 8, 8, 8))
         assert np.array_equal(surr.predictor(x), net.forward(x))
+    finally:
+        restored.close()
+
+
+def test_restore_onto_an_exported_model_replaces_the_saved_spec(tmp_path):
+    # The run saved a Sedov-oracle spec; surrogate_model_path replaces it
+    # (on the saved grid) instead of clashing with it.
+    from repro.ml.serialize import InferenceEngine, save_model
+    from repro.ml.unet import UNet3D
+
+    net = UNet3D(in_channels=8, out_channels=5, base_channels=2, depth=1, seed=0)
+    export = save_model(net, tmp_path / "unet")
+    sim = _sim(_ic(with_star=False))
+    sim.run(2)
+    path = sim.save(tmp_path / "ckpt.npz")
+
+    restored = GalaxySimulation.restore(path, surrogate_model_path=export)
+    try:
+        surr = restored.server.local_surrogate
+        assert isinstance(surr.predictor, InferenceEngine)
+        assert surr.oracle is None
+        assert surr.n_grid == 8
+        restored.run(1)  # must not raise
     finally:
         restored.close()

@@ -32,6 +32,23 @@ def test_latency_defaults_to_n_pool():
     assert sim.pool.n_pool == 7
 
 
+def test_config_values_are_used_and_keywords_win():
+    # dt / n_pool / seed left out take the config's values ...
+    cfg = _fast_cfg(dt=1e-3, n_pool=4, seed=9)
+    sim = GalaxySimulation(_small_box(), config=cfg, surrogate_grid=8)
+    used = sim.integrator.cfg
+    assert (used.dt, used.n_pool, used.latency_steps, used.seed) == (1e-3, 4, 4, 9)
+    assert (sim.pool.n_pool, sim.pool.latency_steps, sim.pool.seed) == (4, 4, 9)
+    sim.run(1)
+    assert sim.time == pytest.approx(1e-3)
+    # ... and a keyword given wins over the config, which stays untouched.
+    sim = GalaxySimulation(_small_box(), dt=2e-3, n_pool=3, seed=1, config=cfg,
+                           surrogate_grid=8)
+    used = sim.integrator.cfg
+    assert (used.dt, used.n_pool, used.latency_steps, used.seed) == (2e-3, 3, 3, 1)
+    assert (cfg.dt, cfg.n_pool, cfg.seed) == (1e-3, 4, 9)
+
+
 def test_custom_latency():
     sim = GalaxySimulation(_small_box(), dt=1e-3, n_pool=4, latency_steps=9,
                            config=_fast_cfg(), surrogate_grid=8)

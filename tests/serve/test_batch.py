@@ -14,7 +14,7 @@ def _buf(event_id):
 
 
 def _add(sched, event_id, step, return_step=None):
-    sched.add(_buf(event_id), event_id, step, return_step if return_step is not None else step + 50)
+    sched.add(_buf(event_id), step, return_step if return_step is not None else step + 50)
 
 
 def test_full_batch_flushes_immediately():
@@ -69,17 +69,6 @@ def test_fifo_order_preserved():
     assert flat == [7, 8, 9]
 
 
-def test_remove_pulls_request_out():
-    s = BatchScheduler(max_batch=4, max_wait_steps=0)
-    _add(s, 0, step=0)
-    _add(s, 1, step=0)
-    buf = s.remove(0)
-    assert int(buf[2]) == 0
-    assert s.queue_depth == 1
-    with pytest.raises(ValueError):
-        s.remove(0)
-
-
 def test_flush_all_drains_everything():
     s = BatchScheduler(max_batch=2, max_wait_steps=50)
     for k in range(3):
@@ -105,5 +94,3 @@ def test_validation():
         BatchScheduler(max_batch=0)
     with pytest.raises(ValueError):
         BatchScheduler(max_batch=2, max_wait_steps=-1)
-    with pytest.raises(ValueError):
-        BatchScheduler(max_batch=4, pad_to=2)

@@ -1,16 +1,13 @@
-"""Backpressure: pool-rank exhaustion under every overflow policy.
+"""Backpressure: pool-rank exhaustion.
 
-The invariant across all policies: *no SN event is ever dropped* — every
-dispatch eventually yields a prediction, at worst an oracle fallback.
+When every pool node is busy an SN queues on the next one and is counted;
+*no SN event is ever dropped* — every dispatch yields a prediction.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.pool import PoolManager
 from repro.fdps.particles import ParticleSet, ParticleType
-from repro.ml.unet import UNet3D
-from repro.serve import OverflowPolicy
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 
 
@@ -27,12 +24,9 @@ def _region(n=30, seed=0):
     return ps
 
 
-def _manager(policy, n_pool=2, latency=10, **kw):
+def _manager(n_pool=2, latency=10):
     surr = SNSurrogate(oracle=SedovBlastOracle(t_after=0.1), n_grid=8, side=60.0)
-    return PoolManager(
-        surrogate=surr, n_pool=n_pool, latency_steps=latency, seed=0,
-        overflow_policy=policy, **kw,
-    )
+    return PoolManager(surrogate=surr, n_pool=n_pool, latency_steps=latency, seed=0)
 
 
 def _flood(m, n, step=0):
@@ -43,14 +37,14 @@ def _flood(m, n, step=0):
 
 
 def test_free_pool_rank_exhaustion():
-    m = _manager("queue")
+    m = _manager()
     _flood(m, 2)
     assert m.free_pool_rank(0) is None          # both ranks busy
     assert m.free_pool_rank(10) is not None     # free again after latency
 
 
 def test_queue_policy_counts_overflow_and_returns_everything():
-    m = _manager("queue")
+    m = _manager()
     events = _flood(m, 3)
     assert m.n_overflow == 1
     assert [e.handling for e in events] == ["pooled", "pooled", "queued"]
@@ -59,82 +53,10 @@ def test_queue_policy_counts_overflow_and_returns_everything():
     assert all(e.returned for e in events)
 
 
-def test_block_policy_delays_return_and_charges_stall():
-    m = _manager("block")
-    events = _flood(m, 3)
-    assert m.n_overflow == 1
-    assert events[2].handling == "blocked"
-    # The third SN waited for the earliest rank to free (step 10) and its
-    # prediction horizon starts there.
-    assert events[2].return_step == 20
-    metrics = m.server.metrics
-    assert metrics.n_blocked == 1
-    assert metrics.blocked_stall_steps == 10
-    assert len(m.collect(10)) == 2
-    assert len(m.collect(20)) == 1
-    assert all(e.returned for e in events)
-
-
-def test_spill_policy_runs_inline_on_main_rank():
-    m = _manager("spill")
-    events = _flood(m, 3)
-    assert m.n_overflow == 1
-    assert events[2].handling == "spilled"
-    assert events[2].pool_rank == -1            # no pool slot consumed
-    metrics = m.server.metrics
-    assert metrics.n_spilled == 1
-    assert metrics.inline_predict_s > 0         # main-rank wall-clock paid
-    assert len(m.collect(10)) == 3              # still lands at the horizon
-    assert all(e.returned for e in events)
-
-
-def test_spill_prediction_identical_to_pooled():
-    # The spilled event's prediction is seeded per event, so it matches
-    # what a pool node would have produced bit for bit.
-    spill = _manager("spill")
-    ev_spill = _flood(spill, 3)[2]
-    [(_, pred_spill)] = [
-        (e, p) for (e, p) in spill.collect(10) if e.event_id == ev_spill.event_id
-    ]
-    roomy = _manager("queue", n_pool=8)
-    _flood(roomy, 3)
-    pred_pool = dict(
-        (e.star_pid, p) for (e, p) in roomy.collect(10)
-    )[ev_spill.star_pid]
-    assert np.array_equal(pred_spill.pos, pred_pool.pos)
-    assert np.array_equal(pred_spill.u, pred_pool.u)
-
-
-def test_oracle_policy_falls_back_and_never_drops():
-    m = _manager("oracle")
-    events = _flood(m, 3)
-    assert m.n_overflow == 1
-    assert events[2].handling == "oracle"
-    assert m.server.metrics.n_oracle_fallback == 1
-    assert len(m.collect(10)) == 3
-    assert all(e.returned for e in events)
-
-
-def test_oracle_fallback_built_for_predictor_surrogate():
-    # A U-Net-backed surrogate gets a Sedov fallback on the same grid.
-    net = UNet3D(in_channels=8, out_channels=5, base_channels=2, depth=1, seed=0)
-    surr = SNSurrogate(predictor=net.forward, n_grid=8, side=60.0)
-    m = PoolManager(surrogate=surr, n_pool=1, latency_steps=5, seed=0,
-                    overflow_policy="oracle")
-    events = _flood(m, 2)
-    assert events[1].handling == "oracle"
-    fallback = m.fallback_oracle
-    assert fallback is not surr
-    assert isinstance(fallback.oracle, SedovBlastOracle)
-    assert fallback.n_grid == 8
-    assert len(m.collect(5)) == 2
-
-
-@pytest.mark.parametrize("policy", ["queue", "block", "spill", "oracle"])
-def test_no_event_dropped_under_sustained_overload(policy):
+def test_no_event_dropped_under_sustained_overload():
     # 2 pool nodes, latency 4, two SNe per step for 8 steps: overloaded by
-    # design.  Every event must come back, whatever the policy.
-    m = _manager(policy, n_pool=2, latency=4)
+    # design.  Every event must come back.
+    m = _manager(n_pool=2, latency=4)
     events = []
     step = 0
     for step in range(8):
@@ -152,9 +74,3 @@ def test_no_event_dropped_under_sustained_overload(policy):
     assert m.n_overflow > 0
     summary = m.summary()
     assert summary["n_returned"] == len(events)
-
-
-def test_policy_parse_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown overflow policy"):
-        _manager("shrug")
-    assert OverflowPolicy.parse("BLOCK") is OverflowPolicy.BLOCK

@@ -113,20 +113,3 @@ def test_unet_batch_matches_serial():
     for ref, got in zip(serial, batched):
         assert np.array_equal(got.pos, ref.pos)
         assert np.array_equal(got.u, ref.u)
-
-
-def test_padded_batch_matches_unpadded():
-    surr = _unet_surr()
-    events = _events(2)
-
-    def args():  # fresh generators per call — they are consumed by Gibbs
-        return (
-            [r for _, r, _ in events], [c for _, _, c in events],
-            [event_rng(0, pid, 0) for pid, _, _ in events],
-        )
-
-    plain = surr.predict_batch(*args())
-    padded = surr.predict_batch(*args(), pad_to=4)
-    for ref, got in zip(plain, padded):
-        assert np.array_equal(got.pos, ref.pos)
-        assert np.array_equal(got.u, ref.u)

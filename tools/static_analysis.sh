@@ -11,6 +11,9 @@
 #   3. mypy        strictly-typed subset: the modules of the strict
 #                  [[tool.mypy.overrides]] in pyproject.toml (printed below)
 #
+# It then prints the code-line count of src/ (tools/code_lines.py), which
+# reports and never gates.
+#
 # ruff/mypy are optional locally (skipped with a note when not installed);
 # the invariant checker has no dependencies beyond the repo itself and
 # always runs.  Its strict-annotations rule is the part of gate 3 that
@@ -43,5 +46,8 @@ print(" ".join(m.removeprefix("repro.") for row in rows
 else
     echo "== mypy: not installed, skipping (CI runs it)"
 fi
+
+echo "== code lines (report only)"
+python tools/code_lines.py src
 
 exit $status
