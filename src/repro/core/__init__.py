@@ -1,9 +1,9 @@
 """The paper's primary contribution: surrogate-coupled galaxy integration.
 
 * :mod:`repro.core.events` — SN event records and region bookkeeping;
-* :mod:`repro.core.pool` — the pool-node manager: communicator split,
-  round-robin dispatch of (60 pc)^3 SN regions, the 50-step return latency,
-  and ID-based particle replacement (Fig. 3);
+* :mod:`repro.core.pool` — the pool-node manager: the pool's own
+  ``SimComm`` world, round-robin dispatch of (60 pc)^3 SN regions, the
+  50-step return latency, and ID-based particle replacement (Fig. 3);
 * :mod:`repro.core.integrator` — ``IntegratorConfig`` and
   ``BaseIntegrator``, the physics operators every scheme shares;
 * :mod:`repro.core.runner` — ``CoupledRunner``, the one host of the

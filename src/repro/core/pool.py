@@ -1,7 +1,9 @@
-"""Pool-node management: the main/pool communicator split of Sec. 3.1.
+"""Pool-node management: the main/pool split of Sec. 3.1.
 
 The MPI world is split in two: *main* ranks integrate the galaxy, *pool*
-ranks run U-Net inference on SN regions.  :class:`PoolManager` keeps the
+ranks run U-Net inference on SN regions.  Here the split is the pool's own
+:class:`SimComm` world of ``n_ranks + n_pool`` ranks, the pool ranks after
+the main ranks (``pool_rank_base``).  :class:`PoolManager` keeps the
 paper's protocol — :meth:`dispatch` ships a detected SN's (60 pc)^3 region
 to the next free pool node, :meth:`collect` merges the prediction back
 ``latency_steps`` global steps later — but it is now a *thin client* over a
@@ -239,13 +241,18 @@ class PoolManager:
 
     # -------------------------------------------------------------- statistics
     def summary(self) -> dict:
-        returned = sum(1 for e in self.events if e.returned)
-        return {
-            "n_events": len(self.events),
-            "n_returned": returned,
-            "n_in_flight": self.n_in_flight,
-            "n_overflow": self.n_overflow,
-            "total_region_particles": sum(e.n_region_particles for e in self.events),
-            "total_region_bytes": sum(e.region_bytes for e in self.events),
-            "service": self.server.metrics_dict(),
-        }
+        return summarize_pool(self.events, self.server)
+
+
+def summarize_pool(events: list[SNEvent], server: SurrogateServer) -> dict:
+    """Counts of ``events`` (one client's, or every rank's) and the export of
+    the ``server`` they went through."""
+    return {
+        "n_events": len(events),
+        "n_returned": sum(1 for e in events if e.returned),
+        "n_in_flight": server.n_outstanding,
+        "n_overflow": server.metrics.n_overflow,
+        "total_region_particles": sum(e.n_region_particles for e in events),
+        "total_region_bytes": sum(e.region_bytes for e in events),
+        "service": server.metrics_dict(),
+    }

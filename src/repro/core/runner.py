@@ -69,7 +69,7 @@ import resource
 import numpy as np
 
 from repro.core.integrator import BaseIntegrator, IntegratorConfig
-from repro.core.pool import PoolManager, PoolOccupancy
+from repro.core.pool import PoolManager, PoolOccupancy, summarize_pool
 from repro.fdps.comm import CommStats, SimComm
 from repro.fdps.distributed import DistributedGravity
 from repro.fdps.particles import ParticleSet, ParticleType
@@ -401,18 +401,9 @@ class CoupledRunner(BaseIntegrator):
         return merged
 
     def pool_summary(self) -> dict:
-        events = [e for pool in self.pools for e in pool.events]
-        returned = sum(1 for e in events if e.returned)
-        return {
-            "n_events": len(events),
-            "n_returned": returned,
-            "n_in_flight": self.server.n_outstanding,
-            "n_overflow": self.server.metrics.n_overflow,
-            "total_region_particles": sum(e.n_region_particles for e in events),
-            "total_region_bytes": sum(e.region_bytes for e in events),
-            "per_rank_events": [len(pool.events) for pool in self.pools],
-            "service": self.server.metrics_dict(),
-        }
+        out = summarize_pool([e for pool in self.pools for e in pool.events], self.server)
+        out["per_rank_events"] = [len(pool.events) for pool in self.pools]
+        return out
 
     def diagnostics(self) -> dict:
         out = super().diagnostics()

@@ -207,13 +207,7 @@ class GalaxySimulation:
         """
         if not self.tracer.enabled:
             return
-        self.tracer.attach_meta(
-            "service_metrics",
-            self.server.metrics.to_dict(
-                max_batch=self.server.scheduler.max_batch,
-                n_workers=self.server.n_workers,
-            ),
-        )
+        self.tracer.attach_meta("service_metrics", self.server.metrics_dict())
 
     def write_trace(self, run_dir: str | Path) -> Path:
         """Export the run's trace stream (see :mod:`repro.obs.export`).

@@ -9,8 +9,9 @@ this package provides:
 * **domain decomposition** — :mod:`repro.fdps.domain` (multisection with
   weighted sampling, the scheme whose thin central domains appear in Fig. 4);
 * **particle exchange & communication** — :mod:`repro.fdps.comm` (a simulated
-  MPI with alltoallv, communicator split, and the 3D-torus three-phase
-  alltoallv of Sec. 3.4 whose time complexity is O(p^{1/3}));
+  MPI with alltoallv, point-to-point messages — the main/pool split of
+  Sec. 3.1 is the pool's own ``SimComm`` world — and the 3D-torus
+  three-phase alltoallv of Sec. 3.4 whose time complexity is O(p^{1/3}));
 * **tree construction** — :mod:`repro.fdps.tree` (Morton-ordered Barnes–Hut
   octree with monopole moments);
 * **local essential tree (LET) exchange and interaction calculation** —

@@ -4,8 +4,11 @@ The paper's scalability hinges on two communication devices that this module
 reproduces *algorithmically* (the transport is an in-process loop, but the
 message pattern, byte counts and hop structure are the real ones):
 
-* an **MPI communicator split** into *main* and *pool* sub-communicators
-  (Sec. 3.1) — :meth:`SimComm.split`;
+* the **main/pool split** of the MPI world (Sec. 3.1): the SN pool is its
+  own :class:`SimComm` world of ``n_ranks + n_pool`` ranks, the pool ranks
+  after the main ranks (``CoupledRunner.pool_comm``,
+  ``PoolManager.pool_rank_base``), so main<->pool traffic is plain
+  point-to-point on one ledger row (``pool_p2p``);
 * the **three-phase 3D ``MPI_Alltoallv``** (Sec. 3.4): ranks are arranged on
   a (qx, qy, qz) grid matching the torus; a flat all-to-all is replaced by
   three axis-wise all-to-alls, so each rank only ever talks to the
@@ -18,7 +21,7 @@ byte-hops, per-rank maxima) which feeds the performance model in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,21 +145,6 @@ class SimComm:
 
     def reset_stats(self) -> None:
         self.stats.clear()
-
-    # ----------------------------------------------------------- communicator
-    def split(self, colors: list[int]) -> dict[int, "SubComm"]:
-        """Split into sub-communicators by color (MPI_Comm_split).
-
-        Returns a map color -> :class:`SubComm`; rank order within a color
-        follows world-rank order (keys = 0..len-1 as in MPI).
-        """
-        if len(colors) != self.n_ranks:
-            raise ValueError("need one color per rank")
-        out: dict[int, SubComm] = {}
-        for color in sorted(set(colors)):
-            members = [r for r, c in enumerate(colors) if c == color]
-            out[color] = SubComm(self, members)
-        return out
 
     # --------------------------------------------------------- point to point
     def send(self, src: int, dst: int, arr: np.ndarray, tag: int = 0,
@@ -299,41 +287,3 @@ class SimComm:
         """Sum of per-rank buffers (same result on every rank)."""
         gathered = self.allgather(values, label=label)
         return np.sum(np.stack(gathered[0]), axis=0)
-
-
-@dataclass
-class SubComm:
-    """A sub-communicator produced by :meth:`SimComm.split`.
-
-    Translates local ranks (0..size-1) to world ranks of the parent; the
-    paper uses one of these for the main integration and one for the pool.
-    """
-
-    world: SimComm
-    members: list[int] = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def world_rank(self, local: int) -> int:
-        return self.members[local]
-
-    def local_rank(self, world: int) -> int:
-        return self.members.index(world)
-
-    def send(
-        self,
-        src_local: int,
-        dst_local: int,
-        arr: np.ndarray,
-        tag: int = 0,
-        label: str = "p2p",
-    ) -> None:
-        self.world.send(
-            self.members[src_local], self.members[dst_local], arr, tag, label=label
-        )
-
-    def recv(self, dst_local: int, src_local: int | None = None, tag: int | None = None):
-        src = None if src_local is None else self.members[src_local]
-        return self.world.recv(self.members[dst_local], src, tag)

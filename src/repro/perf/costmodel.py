@@ -111,7 +111,7 @@ def measured_comm_breakdown(
 
 
 def serve_summary(metrics: dict) -> dict[str, float]:
-    """Price a :meth:`ServiceMetrics.as_dict` export against the paper's
+    """Price a :meth:`ServiceMetrics.to_dict` export against the paper's
     overlap claim.
 
     The paper excludes DL time from Figs. 6–7 "because it runs

@@ -58,11 +58,11 @@ the measured communication volume is transport-independent.
 Failure modes and recovery
 --------------------------
 
-A long production run must treat the oracle fallback — not a crash — as
-the worst case (the shared-ML-server deployments the paper line targets
-run for days).  Under the default ``fault_mode="recover"`` the ``shm``
-transport survives every worker-side fault; the ``sync`` transport has no
-workers and nothing to survive:
+A long production run must treat inline recovery on the main rank — not a
+crash — as the worst case (the shared-ML-server deployments the paper line
+targets run for days).  The ``shm`` transport survives every worker-side
+fault, always; the ``sync`` transport has no workers and nothing to
+survive:
 
 =================== ======================== ===============================
 fault               detection                recovery
@@ -92,11 +92,9 @@ per-event RNG — and therefore the prediction bytes — are unchanged: a run
 with injected worker kills finishes **bit-identical** to a fault-free run,
 with the recoveries visible only in :class:`ServiceMetrics`
 (``n_worker_restarts``, ``n_redispatch``, ``n_fault_oracle``,
-``n_slots_reclaimed``, ``n_batch_timeouts``, ``recovery_s``).
-``fault_mode="raise"`` disables all of this and surfaces the first fault
-as an exception (debugging the workers themselves).  Faults are scripted
-deterministically via :class:`FaultPlan` / ``REPRO_SERVE_FAULTS`` — see
-:mod:`repro.serve.faults`, ``tests/serve/test_faults.py``, and
+``n_slots_reclaimed``, ``n_batch_timeouts``, ``recovery_s``).  Faults are
+scripted deterministically via :class:`FaultPlan` / ``REPRO_SERVE_FAULTS``
+— see :mod:`repro.serve.faults`, ``tests/serve/test_faults.py``, and
 ``benchmarks/bench_serve_faults.py``.
 
 Coupled multi-rank runs: one server, many clients
@@ -128,7 +126,6 @@ the shared service costs and hides at scale.
 from repro.serve.batch import BatchScheduler
 from repro.serve.faults import Fault, FaultInjector, FaultPlan, InjectedWorkerError
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.policies import FaultMode
 from repro.serve.server import SurrogateServer, SurrogateSpec, predict_batch_buffers
 from repro.serve.shm import SupervisionConfig, WorkerLost
 from repro.serve.wire import (
@@ -144,7 +141,6 @@ __all__ = [
     "BatchScheduler",
     "Fault",
     "FaultInjector",
-    "FaultMode",
     "FaultPlan",
     "InjectedWorkerError",
     "ServeRequest",

@@ -1,13 +1,13 @@
 """Service observability: what the inference service is doing, in numbers.
 
 :class:`ServiceMetrics` is filled in by the server and scheduler as
-requests flow through, and exports one flat dict (:meth:`as_dict`) that the
-benchmarks write next to their timing rows and that
-:func:`repro.perf.costmodel.serve_summary` prices: queue depth, batch
-occupancy, per-event latency percentiles (in global steps), worker busy
-time, and the wall-clock the main rank spent *blocked* on a late
-prediction — the exposed (non-overlapped) part of the DL time that the
-paper's Figs. 6–7 exclude because, ideally, it is zero.
+requests flow through, and exports one versioned flat dict
+(:meth:`ServiceMetrics.to_dict`) that traces attach, the benchmarks write
+next to their timing rows and :func:`repro.perf.costmodel.serve_summary`
+prices: queue depth, batch occupancy, per-event latency percentiles (in
+global steps), worker busy time, and the wall-clock the main rank spent
+*blocked* on a late prediction — the exposed (non-overlapped) part of the
+DL time that the paper's Figs. 6–7 exclude because, ideally, it is zero.
 
 Fault tolerance is observable here too: worker restarts, batch
 re-dispatches, inline fault fallbacks, reclaimed shm slots, per-batch
@@ -137,9 +137,18 @@ class ServiceMetrics:
         denom = max(int(n_workers), len(self.worker_busy_s))
         return float(sum(self.worker_busy_s.values()) / (denom * window))
 
-    def as_dict(self, max_batch: int = 0, n_workers: int = 0) -> dict:
+    def to_dict(self, max_batch: int = 0, n_workers: int = 0) -> dict:
+        """The one export: every counter and summary, stamped with ``schema``.
+
+        This is the shape attached to traces (``service_metrics`` meta) and
+        consumed by :func:`repro.perf.costmodel.serve_summary` — the schema
+        field lets archived exports be validated years later.  Safe at any
+        point of the server's life: before it started, mid-flight and after
+        a restart reset the utilization window.
+        """
         p50, p95 = self.latency_percentiles()
         return {
+            "schema": METRICS_SCHEMA_VERSION,
             "n_submitted": self.n_submitted,
             "n_completed": self.n_completed,
             "n_batches": self.n_batches,
@@ -183,42 +192,4 @@ class ServiceMetrics:
                 float(np.mean(self.recovery_s)) if self.recovery_s else 0.0
             ),
             "degraded": self.degraded,
-        }
-
-    def to_dict(self, max_batch: int = 0, n_workers: int = 0) -> dict:
-        """The versioned export: :meth:`as_dict` plus a ``schema`` stamp.
-
-        This is the shape attached to traces (``service_metrics`` meta) and
-        consumed by :func:`repro.perf.costmodel.serve_summary` — the schema
-        field lets archived exports be validated years later.
-        """
-        out = {"schema": METRICS_SCHEMA_VERSION}
-        out.update(self.as_dict(max_batch=max_batch, n_workers=n_workers))
-        return out
-
-    def summary(self, max_batch: int = 0, n_workers: int = 0) -> dict:
-        """A small human-oriented digest, safe at *any* lifecycle point.
-
-        Callable before the server ever started (``started_at`` unset),
-        mid-flight (``stopped_at`` unset — the utilization window falls
-        back to "now"), and after a supervisor restart reset the window
-        (``stopped_at <= started_at`` yields zero utilization rather than a
-        negative one).  Never raises; every value is a plain float/int.
-        """
-        p50, p95 = self.latency_percentiles()
-        return {
-            "n_submitted": int(self.n_submitted),
-            "n_completed": int(self.n_completed),
-            "n_batches": int(self.n_batches),
-            "batch_occupancy": self.batch_occupancy(max_batch),
-            "latency_steps_p50": p50,
-            "latency_steps_p95": p95,
-            "worker_utilization": self.worker_utilization(n_workers),
-            "exposed_wait_s": float(self.exposed_wait_s),
-            "inline_predict_s": float(self.inline_predict_s),
-            "n_faults": int(
-                self.n_worker_restarts + self.n_batch_timeouts + self.n_worker_errors
-            ),
-            "n_redispatch": int(self.n_redispatch),
-            "degraded": bool(self.degraded),
         }

@@ -24,7 +24,7 @@ Fault tolerance
 ---------------
 
 The ``shm`` transport survives worker faults instead of surfacing them as
-crashes of the main rank (``fault_mode="recover"``, the default):
+crashes of the main rank:
 
 * **In-flight request registry** — the server keeps every dispatched
   batch's request buffers until the batch's responses are absorbed, so a
@@ -50,11 +50,10 @@ crashes of the main rank (``fault_mode="recover"``, the default):
 Every recovery is counted, never swallowed (``n_worker_restarts``,
 ``n_redispatch``, ``n_fault_oracle``, ``n_slots_reclaimed``,
 ``n_batch_timeouts``, ``recovery_s`` in :class:`ServiceMetrics`).
-``fault_mode="raise"`` restores the strict pre-fault-tolerance behaviour:
-the first worker fault raises on the main rank.  Failures are injectable
-on purpose through a :class:`~repro.serve.faults.FaultPlan` (or the
-``REPRO_SERVE_FAULTS`` environment variable) — see
-:mod:`repro.serve.faults` and ``tests/serve/test_faults.py``.
+Failures are injectable on purpose through a
+:class:`~repro.serve.faults.FaultPlan` (or the ``REPRO_SERVE_FAULTS``
+environment variable) — see :mod:`repro.serve.faults` and
+``tests/serve/test_faults.py``.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from repro.serve.batch import BatchScheduler
 from repro.serve.faults import FaultPlan
 from repro.obs.trace import NULL_TRACER
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.policies import FaultMode
 from repro.serve.shm import (
     Reply,
     SupervisionConfig,
@@ -250,6 +248,28 @@ class _SyncTransport:
         pass
 
 
+@dataclass
+class _Event:
+    """One submitted SN event, from :meth:`SurrogateServer.submit` until
+    :meth:`SurrogateServer.collect` hands its response back."""
+
+    dispatch_step: int
+    return_step: int
+    client: int | None
+    response: ServeResponse | None = None
+
+
+@dataclass
+class _Batch:
+    """One dispatched batch, held until its responses are absorbed so a lost
+    batch can be re-dispatched or resolved inline (the in-flight registry)."""
+
+    buffers: list[np.ndarray]
+    dispatched_at: float        # time.monotonic() at dispatch
+    trace_t0: float | None      # tracer.now() at dispatch, when tracing
+    generation: int = 0         # re-dispatch generation
+
+
 class SurrogateServer:
     """Batched inference over SN regions with the sync or shm transport.
 
@@ -270,9 +290,6 @@ class SurrogateServer:
         the per-slot particle capacity (a bigger request falls back to the
         pickled queue path for that event, so these are performance knobs,
         not correctness limits).
-    fault_mode : ``"recover"`` (default) survives worker faults via the
-        in-flight registry + supervision; ``"raise"`` surfaces the first
-        fault as an exception (see :class:`~repro.serve.policies.FaultMode`).
     fault_plan : scripted failure injection for the workers — a
         :class:`~repro.serve.faults.FaultPlan`, its string form, or None to
         read ``REPRO_SERVE_FAULTS`` from the environment.
@@ -290,7 +307,6 @@ class SurrogateServer:
         max_wait_steps: int = 1,
         shm_slots: int = 32,
         shm_slot_particles: int = 4096,
-        fault_mode: FaultMode | str = FaultMode.RECOVER,
         fault_plan: FaultPlan | str | None = None,
         supervision: SupervisionConfig | None = None,
         tracer: Any = None,
@@ -307,7 +323,6 @@ class SurrogateServer:
         )
         self._surrogate = surrogate
         self._spec = spec
-        self._fault_mode = FaultMode.parse(fault_mode)
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
         elif isinstance(fault_plan, str):
@@ -336,17 +351,8 @@ class SurrogateServer:
             raise ValueError(f"unknown transport {transport!r}")
         self._next_event_id = 0
         self._next_batch_id = 0
-        self._in_flight: set[int] = set()                # outstanding batch ids
-        self._expected: dict[int, tuple[int, int]] = {}  # id -> (dispatch, return)
-        self._client: dict[int, int] = {}                # id -> client tag (coupled runs)
-        self._completed: dict[int, ServeResponse] = {}
-        #: In-flight request registry: batch id -> the dispatched request
-        #: buffers, held until the batch's responses are absorbed so any
-        #: lost batch can be re-dispatched or resolved inline.
-        self._dispatched: dict[int, list[np.ndarray]] = {}
-        self._dispatch_wall: dict[int, float] = {}       # id -> monotonic dispatch time
-        self._dispatch_trace_t0: dict[int, float] = {}   # id -> tracer.now() at dispatch
-        self._redispatch_gen: dict[int, int] = {}        # id -> re-dispatch generation
+        self._events: dict[int, _Event] = {}     # event id -> outstanding event
+        self._batches: dict[int, _Batch] = {}    # batch id -> batch in flight
         self._last_depth_sample_step: int | None = None
         #: Stops the transport on close() or collection, in this process
         #: only: a forked child's copy of the server owns no worker.
@@ -388,11 +394,7 @@ class SurrogateServer:
     @property
     def n_outstanding(self) -> int:
         """Events submitted but not yet handed back by :meth:`collect`."""
-        return len(self._expected)
-
-    @property
-    def fault_mode(self) -> FaultMode:
-        return self._fault_mode
+        return len(self._events)
 
     @property
     def degraded(self) -> bool:
@@ -426,7 +428,7 @@ class SurrogateServer:
 
         ``client`` tags the event for multi-client (coupled multi-rank)
         runs: :meth:`collect` with the same tag hands back only this
-        client's predictions.  Untagged events go to any collector.
+        client's predictions; a collect without a tag takes every event.
         """
         request = ServeRequest(
             event_id=self._next_event_id,
@@ -438,12 +440,13 @@ class SurrogateServer:
             region=region,
         )
         self._next_event_id += 1
-        if client is not None:
-            self._client[request.event_id] = int(client)
         buf = request.to_buffer()
         self.metrics.n_submitted += 1
         self.metrics.bytes_in += int(buf.nbytes)
-        self._expected[request.event_id] = (request.dispatch_step, request.return_step)
+        self._events[request.event_id] = _Event(
+            request.dispatch_step, request.return_step,
+            None if client is None else int(client),
+        )
         self.scheduler.add(buf, dispatch_step, return_step)
         return request
 
@@ -470,17 +473,16 @@ class SurrogateServer:
             return
         batch_id = self._next_batch_id
         self._next_batch_id += 1
-        self._in_flight.add(batch_id)
-        self._dispatched[batch_id] = buffers
-        self._dispatch_wall[batch_id] = time.monotonic()
+        trace_t0 = None
         if self.tracer.enabled:
-            self._dispatch_trace_t0[batch_id] = self.tracer.now()
+            trace_t0 = self.tracer.now()
             self.tracer.instant(
                 "serve.dispatch", cat="serve", batch=batch_id,
                 events=len(buffers), generation=redispatch_gen,
             )
-        if redispatch_gen:
-            self._redispatch_gen[batch_id] = redispatch_gen
+        self._batches[batch_id] = _Batch(
+            buffers, time.monotonic(), trace_t0, redispatch_gen
+        )
         self._transport.dispatch(batch_id, buffers)
 
     # --------------------------------------------------------------- collect
@@ -491,25 +493,43 @@ class SurrogateServer:
         still running (the pool is genuinely contended) the call blocks
         until it lands and charges the wait to ``metrics.exposed_wait_s`` —
         the non-overlapped remainder the paper's ideal sizing drives to
-        zero.  Worker faults encountered on the way are recovered (or
-        raised, under ``fault_mode="raise"``).
+        zero.  Worker faults encountered on the way are recovered.
 
         With a ``client`` tag only that client's events are handed back
         (and popped); other clients' completions stay buffered for their
-        own collect calls.  The wait itself is still global — every due
-        event must have landed before any client's delivery, which keeps
-        the coupled runner's per-rank collect order deterministic.
+        own collect calls, and a collect without a tag takes every
+        client's.  The wait itself is still global — every due event must
+        have landed before any client's delivery, which keeps the coupled
+        runner's per-rank collect order deterministic.
         """
         self.tick(step)  # any request due back by now is past its deadline
+        self._wait(step)
+        return self._deliver(step, client)
+
+    def collect_all(self, client: int | None = None) -> list[ServeResponse]:
+        """Flush and wait for everything outstanding (drain/shutdown path)."""
+        for buffers in self.scheduler.flush_all(step=0):
+            self._dispatch(buffers)
+        self._wait(None)
+        return self._deliver(None, client)
+
+    def _wait(self, step: int | None) -> None:
+        """Block until every event due at ``step`` (every outstanding event
+        for None) has its response, recovering worker faults on the way.
+
+        Only a wait for a due step is exposed on the main rank: it alone
+        charges ``exposed_wait_s`` and raises when a degraded service
+        cannot produce a due event.
+        """
         self._absorb(self._transport.poll())
         last_progress = time.monotonic()
-        while self._missing_due(step):
+        while self._missing(step):
             self._check_timeouts()
-            if not self._missing_due(step):
+            if not self._missing(step):
                 break
             if self._transport.degraded:
                 self._recover_all_in_flight("service degraded: no live workers")
-                if self._missing_due(step):
+                if step is not None and self._missing(step):
                     raise RuntimeError(
                         "due serve events unrecoverable: service degraded and "
                         "inline recovery did not produce them"
@@ -518,12 +538,13 @@ class SurrogateServer:
             t0 = time.perf_counter()
             tt0 = self.tracer.now()
             replies = self._transport.wait(self._wait_slice())
-            waited = time.perf_counter() - t0
-            self.metrics.exposed_wait_s += waited
-            if self.tracer.enabled:
-                self.tracer.span_at(
-                    "serve.exposed_wait", tt0, waited, cat="serve", step=step,
-                )
+            if step is not None:
+                waited = time.perf_counter() - t0
+                self.metrics.exposed_wait_s += waited
+                if self.tracer.enabled:
+                    self.tracer.span_at(
+                        "serve.exposed_wait", tt0, waited, cat="serve", step=step,
+                    )
             if replies:
                 self._absorb(replies)
                 last_progress = time.monotonic()
@@ -531,50 +552,23 @@ class SurrogateServer:
                 raise TimeoutError(
                     f"no serve progress within {WORKER_TIMEOUT_S:.0f}s"
                 )
-        out = []
-        for eid in sorted(self._completed.keys()):
-            if client is not None and self._client.get(eid) != client:
-                continue
-            dispatch_step, return_step = self._expected[eid]
-            if return_step <= step:
-                out.append(self._completed.pop(eid))
-                del self._expected[eid]
-                self._client.pop(eid, None)
-                self.metrics.record_completion(dispatch_step, step)
-        return out
 
-    def collect_all(self, client: int | None = None) -> list[ServeResponse]:
-        """Flush and wait for everything outstanding (drain/shutdown path)."""
-        for buffers in self.scheduler.flush_all(step=0):
-            self._dispatch(buffers)
-        self._absorb(self._transport.poll())
-        last_progress = time.monotonic()
-        while self._in_flight:
-            self._check_timeouts()
-            if not self._in_flight:
-                break
-            if self._transport.degraded:
-                self._recover_all_in_flight("service degraded: no live workers")
-                break
-            replies = self._transport.wait(self._wait_slice())
-            if replies:
-                self._absorb(replies)
-                last_progress = time.monotonic()
-            elif time.monotonic() - last_progress > WORKER_TIMEOUT_S:
-                raise TimeoutError(
-                    f"no serve progress within {WORKER_TIMEOUT_S:.0f}s"
-                )
+    def _deliver(self, step: int | None, client: int | None) -> list[ServeResponse]:
+        """Pop the completed events due at ``step`` (all for None) in event-id
+        order, keeping other clients' for their own collect."""
         out = []
-        for eid in sorted(self._completed.keys()):
-            if client is not None and self._client.get(eid) != client:
+        for eid in sorted(self._events):
+            event = self._events[eid]
+            if event.response is None or (client is not None and event.client != client):
                 continue
-            dispatch_step, return_step = self._expected[eid]
-            out.append(self._completed.pop(eid))
-            del self._expected[eid]
-            self._client.pop(eid, None)
-            # No caller step here; the request's return step is the honest
-            # latency stand-in (the prediction was due back then).
-            self.metrics.record_completion(dispatch_step, return_step)
+            if step is None or event.return_step <= step:
+                out.append(event.response)
+                del self._events[eid]
+                # Draining has no caller step: the return step, when the
+                # prediction was due, is the honest latency stand-in.
+                self.metrics.record_completion(
+                    event.dispatch_step, event.return_step if step is None else step
+                )
         return out
 
     def _wait_slice(self) -> float:
@@ -582,41 +576,30 @@ class SurrogateServer:
         timeouts are checked several times per timeout window."""
         return max(0.05, min(1.0, self._supervision.batch_timeout_s / 4.0))
 
-    def _missing_due(self, step: int) -> bool:
-        """A due event is neither completed nor pending — it is in flight."""
-        for eid, (_d, return_step) in self._expected.items():
-            if return_step <= step and eid not in self._completed:
-                return True
-        return False
+    def _missing(self, step: int | None) -> bool:
+        """An event due at ``step`` (any, for None) has no response yet."""
+        return any(
+            e.response is None and (step is None or e.return_step <= step)
+            for e in self._events.values()
+        )
 
     # ------------------------------------------------------- fault recovery
     def _event_pending(self, event_id: int) -> bool:
-        return event_id in self._expected and event_id not in self._completed
-
-    def _retire_batch(self, batch_id: int) -> None:
-        self._in_flight.discard(batch_id)
-        self._dispatched.pop(batch_id, None)
-        self._dispatch_wall.pop(batch_id, None)
-        self._dispatch_trace_t0.pop(batch_id, None)
-        self._redispatch_gen.pop(batch_id, None)
+        event = self._events.get(event_id)
+        return event is not None and event.response is None
 
     def _check_timeouts(self) -> None:
         """Expire batches past the per-batch deadline and recover them."""
-        if not self._in_flight:
+        if not self._batches:
             return
         timeout = self._supervision.batch_timeout_s
         now = time.monotonic()
         expired = [
-            bid for bid in sorted(self._in_flight)
-            if now - self._dispatch_wall.get(bid, now) > timeout
+            bid for bid, batch in sorted(self._batches.items())
+            if now - batch.dispatched_at > timeout
         ]
         for bid in expired:
             self.metrics.n_batch_timeouts += 1
-            if self._fault_mode is FaultMode.RAISE:
-                self._retire_batch(bid)
-                raise TimeoutError(
-                    f"serve batch {bid} produced no response within {timeout:.0f}s"
-                )
             self._transport.expire_batch(bid)
             self._recover_batch(
                 bid, redispatch=True,
@@ -631,15 +614,15 @@ class SurrogateServer:
         prediction bytes are unchanged; events past :data:`MAX_REDISPATCH`
         attempts — or worker-independent failures — resolve inline.
         """
-        buffers = self._dispatched.get(batch_id, [])
-        generation = self._redispatch_gen.get(batch_id, 0)
-        self._retire_batch(batch_id)
-        pending = [b for b in buffers if self._event_pending(int(b[2]))]
+        batch = self._batches.pop(batch_id, None)
+        if batch is None:
+            return
+        pending = [b for b in batch.buffers if self._event_pending(int(b[2]))]
         if not pending:
             return
         can_redispatch = (
             redispatch
-            and generation < MAX_REDISPATCH
+            and batch.generation < MAX_REDISPATCH
             and self.n_workers > 0
             and not self._transport.degraded
         )
@@ -647,14 +630,14 @@ class SurrogateServer:
             self.metrics.n_redispatch += 1
             self.tracer.instant(
                 "serve.redispatch", cat="serve", batch=batch_id,
-                events=len(pending), generation=generation + 1, cause=cause,
+                events=len(pending), generation=batch.generation + 1, cause=cause,
             )
-            self._dispatch(pending, redispatch_gen=generation + 1)
+            self._dispatch(pending, redispatch_gen=batch.generation + 1)
         else:
             self._resolve_inline_fault(pending, cause)
 
     def _recover_all_in_flight(self, cause: str) -> None:
-        for batch_id in sorted(self._in_flight):
+        for batch_id in sorted(self._batches):
             self._recover_batch(batch_id, redispatch=False, cause=cause)
 
     def _resolve_inline_fault(self, buffers: list[np.ndarray], cause: str) -> None:
@@ -682,24 +665,17 @@ class SurrogateServer:
 
     def _absorb(self, replies: list[Reply]) -> None:
         for batch_id, worker_id, payload, busy_s in replies:
-            if batch_id not in self._in_flight:
+            batch = self._batches.get(batch_id)
+            if batch is None:
                 # Stale duplicate: a hung worker finally answered a batch
                 # already recovered (idempotent — the transport has freed
                 # its resources; the events were delivered elsewhere).
                 continue
             if isinstance(payload, WorkerLost):
-                if self._fault_mode is FaultMode.RAISE:
-                    self._retire_batch(batch_id)
-                    raise RuntimeError(str(payload)) from None
                 self._recover_batch(batch_id, redispatch=True, cause=str(payload))
                 continue
             if isinstance(payload, Exception):
                 self.metrics.n_worker_errors += 1
-                if self._fault_mode is FaultMode.RAISE:
-                    self._retire_batch(batch_id)
-                    raise RuntimeError(
-                        f"serve worker {worker_id} failed on batch {batch_id}"
-                    ) from payload
                 # The worker is alive and shipped a predict failure: the
                 # fault is request-dependent, so a retry on another worker
                 # would hit the same bug — go straight to inline recovery.
@@ -710,45 +686,39 @@ class SurrogateServer:
                 continue
             if worker_id >= 0:
                 self.metrics.add_worker_busy(worker_id, busy_s)
-            corrupt: WireFormatError | None = None
+            corrupt = False
             for buf in payload:
                 try:
                     self._store_response(buf)
-                except WireFormatError as exc:
-                    corrupt = exc
-            if corrupt is None:
-                if self.tracer.enabled:
-                    t0 = self._dispatch_trace_t0.get(batch_id)
-                    now = self.tracer.now()
-                    lane = f"worker-{worker_id}" if worker_id >= 0 else "inline"
-                    self.tracer.span_at(
-                        "serve.batch", t0 if t0 is not None else now,
-                        now - t0 if t0 is not None else 0.0, cat="serve",
-                        tid=lane, batch=batch_id, events=len(payload),
-                        busy_s=busy_s, worker=worker_id,
-                    )
-                self._retire_batch(batch_id)
-            elif self._fault_mode is FaultMode.RAISE:
-                self._retire_batch(batch_id)
-                raise RuntimeError(
-                    f"serve worker {worker_id} returned a corrupt response "
-                    f"for batch {batch_id}"
-                ) from corrupt
-            else:
+                except WireFormatError:
+                    corrupt = True
+            if corrupt:
                 # A torn response cannot name its event: recover whichever
                 # of the batch's events the good buffers did not cover.
                 self._recover_batch(
                     batch_id, redispatch=True,
                     cause=f"corrupt response from worker {worker_id}",
                 )
+                continue
+            if self.tracer.enabled:
+                t0 = batch.trace_t0
+                now = self.tracer.now()
+                lane = f"worker-{worker_id}" if worker_id >= 0 else "inline"
+                self.tracer.span_at(
+                    "serve.batch", t0 if t0 is not None else now,
+                    now - t0 if t0 is not None else 0.0, cat="serve",
+                    tid=lane, batch=batch_id, events=len(payload),
+                    busy_s=busy_s, worker=worker_id,
+                )
+            del self._batches[batch_id]
 
     def _store_response(self, buf: np.ndarray) -> None:
         response = ServeResponse.from_buffer(buf)
-        eid = response.event_id
-        if eid not in self._expected or eid in self._completed:
+        event = self._events.get(response.event_id)
+        if event is None or event.response is not None:
             return  # stale duplicate from a re-dispatched or expired batch
         self.metrics.bytes_out += int(buf.nbytes)
-        self._completed[eid] = response
+        event.response = response
 
     # ----------------------------------------------------------------- close
     def close(self) -> None:
@@ -765,6 +735,7 @@ class SurrogateServer:
         self.close()
 
     def metrics_dict(self) -> dict[str, Any]:
-        return self.metrics.as_dict(
+        """The versioned :meth:`ServiceMetrics.to_dict` export of this server."""
+        return self.metrics.to_dict(
             max_batch=self.scheduler.max_batch, n_workers=self.n_workers
         )

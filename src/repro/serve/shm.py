@@ -608,8 +608,8 @@ class _ShmTransport:
         """Block up to ``timeout`` for replies; [] on timeout or degraded.
 
         This never raises on worker death — deaths come back as
-        :class:`WorkerLost` replies and the *server* decides (recover or
-        raise) per its fault mode.
+        :class:`WorkerLost` replies, which the *server* recovers
+        (re-dispatch, or inline on the main rank).
         """
         deadline = time.monotonic() + timeout
         while True:

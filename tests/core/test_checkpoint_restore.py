@@ -47,9 +47,13 @@ def _sim(ps, **kw):
 
 
 @pytest.mark.parametrize(
-    "n_ranks, transport", [(1, "sync"), (2, "sync"), (1, "shm")], ids=["1", "2", "shm"]
+    "n_ranks, transport, faults",
+    [(1, "sync", None), (2, "sync", None), (1, "shm", None), (1, "shm", "kill@w0:b1")],
+    ids=["1", "2", "shm", "shm_faults"],
 )
-def test_save_restore_step_matches_uninterrupted(tmp_path, n_ranks, transport):
+def test_save_restore_step_matches_uninterrupted(
+    tmp_path, monkeypatch, n_ranks, transport, faults
+):
     """Mid-flight save -> restore -> continue == uninterrupted, by bytes.
 
     The first star's prediction lands before the save; the second star's
@@ -57,10 +61,15 @@ def test_save_restore_step_matches_uninterrupted(tmp_path, n_ranks, transport):
     step 6 — on a worker, under shm.  A checkpoint drops in-flight
     predictions and re-fires their SNe on the first step after the restore,
     so the uninterrupted reference is the run whose second star is due at
-    step 6.  The restored run is on the saved transport again.
+    step 6.  The restored run is on the saved transport again.  With
+    ``faults`` every run's one worker is killed by the injected plan, and
+    the restored run must recover it and still end on the same bytes.
     """
     path = tmp_path / "ckpt.npz"
     kw = {"n_ranks": n_ranks, "serve_transport": transport}
+    if faults is not None:
+        monkeypatch.setenv("REPRO_SERVE_FAULTS", faults)
+        kw["serve_workers"] = 1
     straight = _sim(_ic(second_tsn=0.0125), **kw)
     first = _sim(_ic(second_tsn=0.011), **kw)
     resumed = None
@@ -83,6 +92,9 @@ def test_save_restore_step_matches_uninterrupted(tmp_path, n_ranks, transport):
         assert resumed.integrator.n_sn_events == straight.integrator.n_sn_events == 2
         assert resumed.integrator.n_sf_events == straight.integrator.n_sf_events
         assert resumed.integrator.next_pid == straight.integrator.next_pid
+        if faults is not None:
+            m = resumed.server.metrics
+            assert m.n_worker_restarts + m.n_fault_oracle > 0
     finally:
         for sim in (straight, first, resumed):
             if sim is not None:

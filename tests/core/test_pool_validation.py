@@ -46,27 +46,12 @@ def test_alltoallv_3d_requires_topology():
         comm.alltoallv_3d([[None] * 8 for _ in range(8)])
 
 
-def test_comm_split_validates_color_count():
-    comm = SimComm(4)
-    with pytest.raises(ValueError):
-        comm.split([0, 0, 1])
-
-
 def test_stats_reset():
     comm = SimComm(2)
     comm.alltoallv([[None, np.ones(2)], [None, None]])
     assert comm.stats
     comm.reset_stats()
     assert not comm.stats
-
-
-def test_subcomm_rank_translation():
-    comm = SimComm(5)
-    subs = comm.split([1, 0, 1, 0, 1])
-    sub = subs[1]
-    assert sub.size == 3
-    assert [sub.world_rank(i) for i in range(3)] == [0, 2, 4]
-    assert sub.local_rank(4) == 2
 
 
 def test_allgather_delivers_everything():

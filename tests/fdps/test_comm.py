@@ -125,17 +125,6 @@ def test_p2p_send_recv_tags():
     assert comm.pending(2) == 0
 
 
-def test_split_main_and_pool():
-    comm = SimComm(6)
-    colors = [0, 0, 0, 0, 1, 1]  # 4 main + 2 pool
-    subs = comm.split(colors)
-    assert subs[0].size == 4
-    assert subs[1].size == 2
-    assert subs[1].world_rank(0) == 4
-    subs[1].send(0, 1, np.array([3.0]))
-    assert subs[1].recv(1)[0] == 3.0
-
-
 def test_allreduce_sum():
     comm = SimComm(3)
     vals = [np.array([1.0, 2.0]), np.array([10.0, 20.0]), np.array([100.0, 200.0])]

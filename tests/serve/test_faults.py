@@ -233,31 +233,6 @@ def test_repeated_kills_degrade_to_inline_and_finish():
     _assert_slots_free(srv)
 
 
-# ------------------------------------------------------- fault_mode="raise"
-def test_fault_mode_raise_surfaces_worker_death():
-    with _chaos_server("shm", "kill@w0:b1", fault_mode="raise") as srv:
-        for k in range(4):
-            srv.submit(
-                _region(seed=k), np.zeros(3), star_pid=k,
-                dispatch_step=0, return_step=5, base_seed=0,
-            )
-        with pytest.raises((RuntimeError, TimeoutError)):
-            srv.collect(5)
-    _assert_slots_free(srv)
-
-
-def test_fault_mode_raise_surfaces_worker_exception():
-    with _chaos_server("shm", "raise@w0:b1", fault_mode="raise") as srv:
-        for k in range(4):
-            srv.submit(
-                _region(seed=k), np.zeros(3), star_pid=k,
-                dispatch_step=0, return_step=5, base_seed=0,
-            )
-        with pytest.raises(RuntimeError, match="serve worker"):
-            srv.collect(5)
-    _assert_slots_free(srv)
-
-
 # ------------------------------------------------------------ env threading
 def test_env_fault_plan_reaches_workers(monkeypatch):
     monkeypatch.setenv("REPRO_SERVE_FAULTS", "raise@w0:b1")

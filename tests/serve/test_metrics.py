@@ -1,4 +1,4 @@
-"""ServiceMetrics exports: the versioned dict and the lifecycle-safe digest."""
+"""ServiceMetrics export: the versioned dict, safe at any lifecycle point."""
 
 import time
 
@@ -27,9 +27,6 @@ def _busy_metrics():
 def test_to_dict_stamps_schema_version():
     d = _busy_metrics().to_dict(max_batch=2, n_workers=2)
     assert d["schema"] == METRICS_SCHEMA_VERSION
-    # ...and otherwise matches the unversioned export field for field.
-    flat = _busy_metrics().as_dict(max_batch=2, n_workers=2)
-    assert {k: v for k, v in d.items() if k != "schema"} == flat
 
 
 def test_to_dict_is_json_plain():
@@ -39,41 +36,33 @@ def test_to_dict_is_json_plain():
     json.dumps(_busy_metrics().to_dict(max_batch=2, n_workers=2))
 
 
-# ------------------------------------------------------------------ summary
-def test_summary_before_any_activity():
-    # Never-started server: no window, no samples — all zeros, no raise.
-    s = ServiceMetrics().summary()
-    assert s["n_submitted"] == 0
-    assert s["worker_utilization"] == 0.0
-    assert s["latency_steps_p50"] == 0.0
-    assert s["n_faults"] == 0
-    assert s["degraded"] is False
-
-
-def test_summary_mid_flight_uses_now_as_window_end():
+# ------------------------------------------------------------ lifecycle
+def _at(point):
+    if point == "before_any_activity":
+        return ServiceMetrics()
     m = _busy_metrics()
-    m.started_at = time.perf_counter() - 1.0
-    assert m.stopped_at is None
-    s = m.summary(max_batch=2, n_workers=2)
-    assert 0.0 < s["worker_utilization"] <= 1.0
-    assert s["n_batches"] == 2
-    assert s["batch_occupancy"] == pytest.approx(1.5 / 2)
-    assert s["latency_steps_p50"] == pytest.approx(6.0)
+    if point == "mid_flight":
+        m.started_at = time.perf_counter() - 1.0
+    else:  # a supervisor restart can reset started_at past stopped_at
+        m.started_at, m.stopped_at = 100.0, 99.0
+    return m
 
 
-def test_summary_after_restart_reset_window():
-    # A supervisor restart can reset started_at past stopped_at; the
-    # digest must yield zero utilization, never a negative one.
-    m = _busy_metrics()
-    m.started_at = 100.0
-    m.stopped_at = 99.0
-    s = m.summary(n_workers=2)
-    assert s["worker_utilization"] == 0.0
-
-
-def test_summary_folds_fault_counters():
-    m = _busy_metrics()
-    m.n_worker_errors = 3
-    s = m.summary()
-    assert s["n_faults"] == 1 + 1 + 3  # restarts + timeouts + errors
-    assert s["n_redispatch"] == 2
+@pytest.mark.parametrize(
+    "point", ["before_any_activity", "mid_flight", "after_restart_reset_window"]
+)
+def test_to_dict_at_any_lifecycle_point(point):
+    d = _at(point).to_dict(max_batch=2, n_workers=2)
+    if point == "mid_flight":
+        # stopped_at unset: the utilization window ends now.
+        assert 0.0 < d["worker_utilization"] <= 1.0
+        assert d["n_batches"] == 2
+        assert d["batch_occupancy"] == pytest.approx(1.5 / 2)
+        assert d["latency_steps_p50"] == pytest.approx(6.0)
+    else:
+        # No window, or one a restart reset: zero, never negative.
+        assert d["worker_utilization"] == 0.0
+    if point == "before_any_activity":
+        assert d["n_submitted"] == 0
+        assert d["latency_steps_p50"] == 0.0
+        assert d["degraded"] is False

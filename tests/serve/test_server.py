@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.integrator import IntegratorConfig
 from repro.core.simulation import GalaxySimulation
@@ -45,6 +47,43 @@ def test_sync_collect_respects_return_step():
             assert srv.collect(step) == []
         [res] = srv.collect(5)
         assert len(res.particles) == 40
+        assert srv.n_outstanding == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    events=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 4), st.integers(0, 2)),
+        min_size=1, max_size=8,
+    ),
+    max_batch=st.integers(1, 4),
+    max_wait_steps=st.integers(0, 2),
+)
+def test_each_event_reaches_its_client_once_when_due(events, max_batch, max_wait_steps):
+    """Drawn (dispatch step, latency, client) events, one collect per client
+    per step: every event reaches its own client exactly once, never before
+    its return step, and in ascending event id within one collect."""
+    owner, due, delivered = {}, {}, []
+    last = max(d + lat for d, lat, _ in events)
+    with SurrogateServer(
+        surrogate=_surr(), transport="sync",
+        max_batch=max_batch, max_wait_steps=max_wait_steps,
+    ) as srv:
+        for step in range(last + 1):
+            for k, (d, lat, client) in enumerate(events):
+                if d == step:
+                    req = srv.submit(
+                        _region(n=20, seed=k), np.zeros(3), star_pid=k,
+                        dispatch_step=d, return_step=d + lat, base_seed=0,
+                        client=client,
+                    )
+                    owner[req.event_id], due[req.event_id] = client, d + lat
+            for client in range(3):
+                ids = [r.event_id for r in srv.collect(step, client=client)]
+                assert ids == sorted(ids)
+                assert all(owner[e] == client and due[e] <= step for e in ids)
+                delivered += ids
+        assert sorted(delivered) == sorted(owner)
         assert srv.n_outstanding == 0
 
 
