@@ -63,7 +63,7 @@ def _run(transport, fault_plan, n_events):
     spec = SurrogateSpec(kind="oracle", n_grid=8, side=60.0, t_after=0.1)
     with SurrogateServer(
         spec=spec, transport=transport, n_workers=2, max_batch=2,
-        shm_slots=16, fault_plan=fault_plan, supervision=SUPERVISION,
+        fault_plan=fault_plan, supervision=SUPERVISION,
     ) as srv:
         t0 = time.perf_counter()
         for k in range(n_events):
@@ -76,7 +76,6 @@ def _run(transport, fault_plan, n_events):
             "n_fault_oracle": srv.metrics.n_fault_oracle,
             "n_batch_timeouts": srv.metrics.n_batch_timeouts,
             "n_worker_restarts": srv.metrics.n_worker_restarts,
-            "n_slots_reclaimed": srv.metrics.n_slots_reclaimed,
             "recovery_s": list(srv.metrics.recovery_s),
         }
     return wall, got, metrics

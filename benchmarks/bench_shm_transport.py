@@ -7,9 +7,9 @@ payload-heavy SN regions at n_grid in {16, 32, 64}:
    particle predictions for the same submissions, at every grid —
    asserted on the full (event -> packed fields) mapping, for the Sedov
    oracle at all grids and for a trained, exported U-Net.
-2. **Zero-copy means zero fallbacks**: every request at every grid fits
-   its ring slot (``n_shm_fallback == 0``), so no payload ever crossed a
-   pipe.
+2. **Zero-copy means zero fallbacks**: every request at every grid
+   travels in its slot of the batch's shared block
+   (``n_shm_fallback == 0``), so no payload ever crossed a pipe.
 
 Regions/s is recorded per transport and grid, end to end and *through the
 transport layer* (wall-clock minus the in-predictor seconds, which are
@@ -57,7 +57,7 @@ def _region(n, seed):
 
 
 def _server(transport, spec, surrogate=None):
-    kwargs = dict(max_batch=1, shm_slot_particles=2 * N_PARTICLES)
+    kwargs = dict(max_batch=1)
     if transport == "shm":
         kwargs["n_workers"] = 1     # one serving process
     return SurrogateServer(
@@ -97,7 +97,7 @@ def _measure(n_grid, regions):
                 wall, busy, results = _drive(srv, regions)
                 if transport == "shm":
                     assert srv.metrics.n_shm_fallback == 0, (
-                        "a request missed its shm slot — resize the ring"
+                        "a request missed its shm slot"
                     )
             walls.append(wall)
             overheads.append(max(wall - busy, 0.0))

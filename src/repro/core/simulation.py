@@ -61,8 +61,8 @@ class GalaxySimulation:
         steps in flight.  When every pool node is busy an SN queues on the
         next one (counted in the service metrics' ``n_overflow``).
     serve_transport : ``"sync"`` (in-process, the deterministic default) or
-        ``"shm"`` (worker processes reading/writing a zero-copy
-        shared-memory ring) — see the transport table in
+        ``"shm"`` (worker processes reading/writing zero-copy
+        shared-memory blocks) — see the transport table in
         :mod:`repro.serve`.  Both produce bit-identical particle state for
         the same seeds.
     serve_workers / serve_max_batch : service sizing (worker processes,
@@ -345,69 +345,37 @@ class GalaxySimulation:
         ``"distributed"`` mode the continuation is tree-accurate, not
         bitwise.  Checkpoints written before these keys existed load as
         one rank, and older checkpoints restore with what this version
-        still knows:
+        still knows — :func:`_upgrade_meta` brings the saved meta to the
+        current shape in one step, with a warning for each retired value:
 
         * ``integrator_config`` keys this version no longer knows are
-          dropped with a warning; a checkpoint with no ``integrator_config``
-          at all is read from its top-level ``dt`` / ``n_pool`` /
-          ``latency_steps`` / ``seed``;
-        * a saved serve transport of ``"process"`` (retired) restores onto
-          ``"shm"`` with a warning; the retired serve keys
-          (``max_wait_steps``, ``shm_slots``, ``shm_slot_particles``) are
-          ignored — batch timing and ring size change no prediction byte,
-          because each event is seeded on its own;
-        * a saved ``overflow_policy`` other than ``"queue"`` (retired: an SN
-          that finds every pool node busy always queues) logs a warning;
+          dropped; a checkpoint with no ``integrator_config`` at all is read
+          from its top-level ``dt`` / ``n_pool`` / ``latency_steps`` /
+          ``seed``;
         * a saved backend of ``"seed"`` or ``"numba"`` (retired) restores
-          onto the default backend with a warning.
+          onto the default backend;
+        * a saved ``overflow_policy`` other than ``"queue"`` (retired: an SN
+          that finds every pool node busy always queues) is dropped;
+        * a saved serve transport of ``"process"`` (retired) restores onto
+          ``"shm"``; retired serve keys (batch timing, shared-memory sizing)
+          are dropped silently — they change no prediction byte, because
+          each event is seeded on its own.
 
         ``overrides`` are passed through to the constructor (e.g. a
         different ``serve_transport``); a ``surrogate`` or
         ``surrogate_model_path`` override replaces the saved surrogate spec.
         """
-        log = get_logger("simulation")
         state = load_checkpoint(path)
-        meta = state.header.get("extra", {})
+        meta = _upgrade_meta(state.header.get("extra", {}), path)
         kwargs: dict = {}
         for key in ("n_ranks", "use_torus", "coupled_force_mode"):
             if key in meta:                        # absent in older checkpoints
                 kwargs[key] = meta[key]
-        if "integrator_config" in meta:
-            known = {f.name for f in fields(IntegratorConfig)}
-            saved = meta["integrator_config"]
-            unknown = sorted(set(saved) - known)
-            if unknown:
-                log.warning(
-                    "checkpoint %s: dropping integrator_config keys this "
-                    "version does not know: %s", path, ", ".join(unknown),
-                )
-            config = {k: v for k, v in saved.items() if k in known}
-            if config.get("backend") in ("seed", "numba"):      # retired backends
-                log.warning(
-                    "checkpoint %s: backend %r is retired; restoring with the "
-                    "default backend", path, config["backend"],
-                )
-                config["backend"] = None
-            kwargs["config"] = IntegratorConfig(**config)
-            kwargs["latency_steps"] = kwargs["config"].latency_steps
-        else:
-            for key in ("dt", "n_pool", "latency_steps", "seed"):
-                kwargs[key] = meta.get(key)
-        policy = meta.get("overflow_policy", "queue")
-        if policy != "queue":
-            log.warning(
-                "checkpoint %s: overflow policy %r is retired; an SN that "
-                "finds every pool node busy queues on the next one", path, policy,
-            )
-        serve_meta = meta.get("serve") or {}
+        kwargs["config"] = IntegratorConfig(**meta["integrator_config"])
+        kwargs["latency_steps"] = kwargs["config"].latency_steps
+        serve_meta = meta.get("serve")
         if serve_meta:
             kwargs["serve_transport"] = serve_meta["transport"]
-            if serve_meta["transport"] == "process":    # retired, bit-identical
-                log.warning(
-                    "checkpoint %s: serve transport 'process' is retired; "
-                    "restoring onto 'shm'", path,
-                )
-                kwargs["serve_transport"] = "shm"
             kwargs["serve_workers"] = serve_meta["n_workers"]
             kwargs["serve_max_batch"] = serve_meta["max_batch"]
         # Either surrogate override replaces the saved spec; the spec's grid
@@ -421,7 +389,7 @@ class GalaxySimulation:
             if not overridden:
                 kwargs["surrogate"] = SurrogateSpec(**spec).build()
         elif "surrogate_spec" in meta and not overridden:
-            log.warning(
+            get_logger("simulation").warning(
                 "checkpoint %s has no serializable surrogate spec (predictor"
                 "-backed run); restoring with the default Sedov oracle — pass "
                 "restore(surrogate=...) to resume the original model", path,
@@ -445,3 +413,49 @@ class GalaxySimulation:
             integ._vsig = state.arrays["vsig"]
             integ._first_forces_done = True
         return sim
+
+
+def _upgrade_meta(meta: dict, path: str | Path) -> dict:
+    """The ``extra`` meta of a checkpoint, brought to the shape :meth:`save
+    <GalaxySimulation.save>` writes today, with a warning for each retired
+    value it carried (see :meth:`GalaxySimulation.restore`)."""
+    log = get_logger("simulation")
+    meta = dict(meta)
+    config = meta.get("integrator_config")
+    if config is None:              # written before the config was saved
+        config = {
+            k: meta[k] for k in ("dt", "n_pool", "latency_steps", "seed")
+            if meta.get(k) is not None
+        }
+        config.setdefault("latency_steps", config.get("n_pool", IntegratorConfig.n_pool))
+    known = {f.name for f in fields(IntegratorConfig)}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        log.warning(
+            "checkpoint %s: dropping integrator_config keys this version "
+            "does not know: %s", path, ", ".join(unknown),
+        )
+    config = {k: v for k, v in config.items() if k in known}
+    if config.get("backend") in ("seed", "numba"):
+        log.warning(
+            "checkpoint %s: backend %r is retired; restoring with the default "
+            "backend", path, config["backend"],
+        )
+        config["backend"] = None
+    meta["integrator_config"] = config
+    policy = meta.pop("overflow_policy", "queue")
+    if policy != "queue":
+        log.warning(
+            "checkpoint %s: overflow policy %r is retired; an SN that finds "
+            "every pool node busy queues on the next one", path, policy,
+        )
+    if meta.get("serve"):
+        serve = {k: meta["serve"][k] for k in ("transport", "n_workers", "max_batch")}
+        if serve["transport"] == "process":
+            log.warning(
+                "checkpoint %s: serve transport 'process' is retired; "
+                "restoring onto 'shm'", path,
+            )
+            serve["transport"] = "shm"
+        meta["serve"] = serve
+    return meta

@@ -46,7 +46,7 @@ from repro.fdps.tree import Octree
 from repro.fdps.domain import DomainDecomposition, multisection_bounds
 from repro.fdps.comm import SimComm, CommStats, TorusTopology
 from repro.fdps.let import build_let_exports, exchange_let
-from repro.fdps.interaction import InteractionCounter, make_groups, walk_tree_for_group
+from repro.fdps.interaction import InteractionCounter
 from repro.fdps.distributed import DistributedGravity
 from repro.fdps.io import save_snapshot, load_snapshot
 
@@ -65,8 +65,6 @@ __all__ = [
     "build_let_exports",
     "exchange_let",
     "InteractionCounter",
-    "make_groups",
-    "walk_tree_for_group",
     "DistributedGravity",
     "save_snapshot",
     "load_snapshot",

@@ -13,10 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.fdps.tree import Octree
-
 #: Operations per pairwise interaction (Table 4).
 OPS_PER_INTERACTION = {
     "gravity": 27,
@@ -60,26 +56,3 @@ class InteractionCounter:
     def reset(self) -> None:
         self.counts.clear()
         self._lists.clear()
-
-
-def make_groups(tree: Octree, n_g: int) -> list[tuple[int, int]]:
-    """Interaction groups: Morton-contiguous slices of at most ``n_g`` targets.
-
-    ``n_g`` is the group size of Sec. 5.2.4: large groups amortize the tree
-    walk over many targets but lengthen the shared interaction list (extra
-    work); the paper found 2048 best on Fugaku and 65536 on the GPU machine.
-    """
-    return tree.group_slices(n_g)
-
-
-def walk_tree_for_group(
-    tree: Octree, start: int, end: int, theta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interaction list for one group: (accepted node ids, particle indices).
-
-    Particle indices refer to the *original* (pre-sort) ordering; they
-    include the group's own members (self-interaction is masked in the
-    kernels).
-    """
-    lo, hi = tree.group_box(start, end)
-    return tree.walk_box(lo, hi, theta)

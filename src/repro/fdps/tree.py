@@ -264,6 +264,8 @@ class Octree:
 
         Because the particles are Morton sorted, each slice is spatially
         compact — these are the interaction groups of the FDPS force loop.
+        ``n_g`` is the group size of Sec. 5.2.4: larger groups amortize the
+        walk over more targets but lengthen the shared interaction list.
         """
         n = self.n_particles
         bounds = [*range(0, n, n_g), n]

@@ -53,13 +53,13 @@ Repo invariants (the rule catalog)
     reductions are order-identical and ~10x faster.
 
 ``lease-pairing``
-    In ``repro.serve.shm`` every slot lease (``_free.pop()``) reaches a
-    release (``_free.extend``/``append`` on a ``finally`` edge) or a
-    handoff into a lease registry (``_batch_slots``, or ``_zombies`` for
-    timed-out batches whose worker may still touch the slot); takeovers
-    from either registry release or hand off the same way.  Motivated by
-    the worker-exception slot-reclaim test in ``tests/serve/test_shm.py``
-    and the fault-recovery zombie protocol of ISSUE 8.
+    In ``repro.serve.shm`` every shared block a function maps
+    (``SharedMemoryRing(...)``: a batch's block created at dispatch, or a
+    worker's attachment) is closed on a ``finally`` edge or stored in the
+    in-flight map ``_blocks``, and every block popped from that map is
+    closed on a ``finally`` edge.  Motivated by the worker-exception test
+    in ``tests/serve/test_shm.py``: a block missed on an exception path
+    stays linked in ``/dev/shm`` after the run.
 
 ``silent-except``
     No bare ``except`` / ``except Exception`` / ``BaseException`` handler

@@ -1,29 +1,26 @@
-"""Shm slot-lease pairing: leases release on success *and* exception edges.
+"""Shared-block pairing: a batch's block is unlinked on success *and*
+exception edges.
 
-The zero-copy transport (PR 5) hands shared-memory ring slots to in-flight
-batches: ``dispatch`` pops indices off the free stack, ``_handle_row``
-returns them when the batch lands.  A leaked slot is not a crash — it is a
-ring that quietly shrinks until every request takes the pickled fallback path
-and the "zero-copy" benchmark numbers stop being zero-copy (the exact
-regression ``tests/serve/test_shm.py`` pins for the worker-exception path).
+The worker transport gives every dispatched batch its own shared-memory
+block (a :class:`~repro.util.shm.SharedMemoryRing`): ``dispatch`` creates
+it and stores it in the in-flight map ``_blocks``; the done row, a worker
+death, an expiry or close pops it and unlinks it.  A block that is never
+unlinked is not a crash — it is a segment that outlives the run in
+``/dev/shm`` and the memory behind it, one batch at a time.
 
 The rule is an intraprocedural walk over each function in
 ``repro.serve.shm``:
 
-* a function that *acquires* (``<x>._free.pop()``) must either release in
-  the same function or hand the lease off to a lease registry (assign into
-  ``<x>._batch_slots[...]`` or, for timed-out batches whose worker may
-  still touch the slot, ``<x>._zombies[...]``);
-* a function that *releases* (``<x>._free.extend/append``) after acquiring
-  or taking over leases (``<x>._batch_slots.pop(...)`` /
-  ``<x>._zombies.pop(...)``) must make *every* such release on a
-  ``finally`` edge, so the exception path releases too — one function may
-  serve several lease sites (the row pump frees claim-row zombies and
-  done-row leases), and a guarded site must not vouch for another;
-* a takeover with neither a release nor a handoff to the other registry is
-  a leak.
+* a function that maps a block (``SharedMemoryRing(...)`` — the dispatch
+  creating one, or a worker attaching one) must close it or store it in
+  the in-flight map (assign into ``<x>._blocks[...]``);
+* a function that takes a block out of that map (``<x>._blocks.pop(...)``)
+  must close it;
+* in either, *every* close of such a block must sit on a ``finally`` edge,
+  so the exception path unlinks too — a guarded close must not vouch for
+  another.
 
-The ``try/finally`` requirement is the CFG bit: a release reached only on
+The ``try/finally`` requirement is the CFG bit: a close reached only on
 the fall-through edge misses every raising path through the function.
 """
 
@@ -35,14 +32,9 @@ from repro.lint.base import ModuleContext, Rule, dotted_name, in_finally_block
 from repro.lint.findings import Finding
 from repro.lint.registry import register_rule
 
-#: Attribute names that define the lease protocol in repro.serve.shm.
-FREE_STACK_ATTR = "_free"
-INFLIGHT_REGISTRY_ATTR = "_batch_slots"
-#: Leases of timed-out batches park here until provably released (fault
-#: recovery, ISSUE 8) — same pairing discipline as the in-flight registry.
-ZOMBIE_REGISTRY_ATTR = "_zombies"
-
-_REGISTRY_ATTRS = (INFLIGHT_REGISTRY_ATTR, ZOMBIE_REGISTRY_ATTR)
+#: Names that define the block protocol in repro.serve.shm.
+BLOCK_CLASS = "SharedMemoryRing"
+INFLIGHT_MAP_ATTR = "_blocks"
 
 
 def _attr_chain_contains(node: ast.AST, attr: str) -> bool:
@@ -50,15 +42,29 @@ def _attr_chain_contains(node: ast.AST, attr: str) -> bool:
     return chain is not None and attr in chain.split(".")
 
 
+def _maps_block(node: ast.AST) -> bool:
+    chain = dotted_name(node.func) if isinstance(node, ast.Call) else None
+    return chain is not None and chain.split(".")[-1] == BLOCK_CLASS
+
+
+def _takes_block(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "pop"
+        and _attr_chain_contains(node.func.value, INFLIGHT_MAP_ATTR)
+    )
+
+
 @register_rule
 class LeasePairingRule(Rule):
-    """R6: every acquired shm slot lease reaches a release or a handoff."""
+    """R6: every shared block a function maps or takes over is unlinked on a
+    ``finally`` edge or held in the in-flight map."""
 
     name = "lease-pairing"
     description = (
-        "slot leases (_free.pop) must be released (_free.extend/append in a "
-        "finally) or handed to _batch_slots/_zombies; takeovers must release "
-        "in a finally or hand off"
+        "a shared block (SharedMemoryRing(...) or _blocks.pop) must be closed "
+        "in a finally or stored in _blocks"
     )
     scope_prefixes = ("repro.serve.shm",)
 
@@ -73,50 +79,50 @@ class LeasePairingRule(Rule):
         self, ctx: ModuleContext, fn: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> list[Finding]:
         acquires: list[ast.Call] = []
-        releases: list[ast.Call] = []
         takeovers: list[ast.Call] = []
-        handoffs: list[ast.AST] = []
+        handoffs: list[ast.Assign] = []
+        blocks: set[str] = set()        # local names bound to a block
         for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                owner = node.func.value
-                if node.func.attr == "pop" and _attr_chain_contains(owner, FREE_STACK_ATTR):
-                    acquires.append(node)
-                elif node.func.attr in ("extend", "append") and _attr_chain_contains(
-                    owner, FREE_STACK_ATTR
-                ):
-                    releases.append(node)
-                elif node.func.attr == "pop" and any(
-                    _attr_chain_contains(owner, attr) for attr in _REGISTRY_ATTRS
-                ):
-                    takeovers.append(node)
+            if _maps_block(node):
+                acquires.append(node)
+            elif _takes_block(node):
+                takeovers.append(node)
             elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Subscript) and any(
-                        _attr_chain_contains(target.value, attr)
-                        for attr in _REGISTRY_ATTRS
-                    ):
-                        handoffs.append(node)
+                if _maps_block(node.value) or _takes_block(node.value):
+                    blocks.update(t.id for t in node.targets if isinstance(t, ast.Name))
+                if any(
+                    isinstance(t, ast.Subscript)
+                    and _attr_chain_contains(t.value, INFLIGHT_MAP_ATTR)
+                    for t in node.targets
+                ):
+                    handoffs.append(node)
+        closes = [
+            node for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "close"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in blocks
+        ]
 
         out: list[Finding] = []
-        if acquires and not releases and not handoffs:
+        if acquires and not closes and not handoffs:
             out.append(ctx.finding(
                 acquires[0], self.name,
-                f"'{fn.name}' pops a slot lease but neither releases it nor "
-                f"records it in {INFLIGHT_REGISTRY_ATTR}/"
-                f"{ZOMBIE_REGISTRY_ATTR}; the slot leaks",
+                f"'{fn.name}' maps a shared block but neither closes it nor "
+                f"stores it in {INFLIGHT_MAP_ATTR}; the segment leaks",
             ))
-        if acquires or takeovers:
-            outside = [r for r in releases if not in_finally_block(r)]
-            if outside:
-                out.append(ctx.finding(
-                    outside[0], self.name,
-                    f"'{fn.name}' releases slot leases outside any finally "
-                    "block; an exception on the way leaks every leased slot",
-                ))
-        if takeovers and not releases and not handoffs:
+        outside = [c for c in closes if not in_finally_block(c)]
+        if outside:
+            out.append(ctx.finding(
+                outside[0], self.name,
+                f"'{fn.name}' closes a shared block outside any finally "
+                "block; an exception on the way leaks the segment",
+            ))
+        if takeovers and not closes:
             out.append(ctx.finding(
                 takeovers[0], self.name,
-                f"'{fn.name}' takes over leases from a lease registry but "
-                "neither releases them nor hands them to the other registry",
+                f"'{fn.name}' takes a block out of {INFLIGHT_MAP_ATTR} but "
+                "never closes it; the segment leaks",
             ))
         return out

@@ -52,7 +52,7 @@ serve   ``serve.server`` /       ``serve.dispatch`` (batch, events); ``serve.cla
                                  ``serve.redispatch`` (generation, cause);
                                  ``serve.inline_recovery`` (events, cause);
                                  ``serve.worker_restart`` (worker);
-                                 ``serve.shm.encode`` (slots, fallbacks)
+                                 ``serve.shm.encode`` (slots)
 ======= ======================== =====================================================
 
 Opening a trace: ``python -m repro.obs chrome RUN -o trace.json`` then load

@@ -132,14 +132,12 @@ def serve_summary(metrics: dict) -> dict[str, float]:
     hidden = max(total - exposed, 0.0)
     # Transport copy semantics: bytes that crossed to/from the workers, and
     # — for the shm transport — the fraction of *dispatched* requests that
-    # moved zero-copy through the shared ring rather than being pickled
+    # moved zero-copy through a shared block rather than being pickled
     # down a pipe.  Both legs are counted at dispatch time, so inline
-    # predictions (a degraded service's) that never touch the transport
-    # stay out of the denominator.
+    # predictions (sync flushes, a degraded service's) that never touch the
+    # transport stay out of the denominator.
     n_slot = float(metrics.get("n_shm_slot", 0.0))
-    n_fallback = float(metrics.get("n_shm_fallback", 0.0))
-    dispatched = n_slot + n_fallback
-    zero_copy = n_slot / dispatched if dispatched else 0.0
+    dispatched = n_slot + float(metrics.get("n_shm_fallback", 0.0))
     return {
         "inference_total_s": total,
         "inference_hidden_s": hidden,
@@ -150,9 +148,7 @@ def serve_summary(metrics: dict) -> dict[str, float]:
         "latency_steps_p95": float(metrics.get("latency_steps_p95", 0.0)),
         "transport_bytes": float(metrics.get("bytes_in", 0.0))
         + float(metrics.get("bytes_out", 0.0)),
-        "shm_zero_copy_fraction": (
-            zero_copy if metrics.get("shm_n_slots", 0) else 0.0
-        ),
+        "shm_zero_copy_fraction": n_slot / dispatched if dispatched else 0.0,
     }
 
 

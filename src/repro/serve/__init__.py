@@ -36,24 +36,23 @@ transport  where inference runs  payload copy semantics         when to use
                                                                  exposed on the main
                                                                  path
 ``shm``    ``n_workers`` OS      zero-copy: one memmove into a   overlapped serving
-           processes             shared ring slot, worker        (the paper's pool
-                                 decodes from and overwrites     nodes) — pipe
-                                 the slot in place; queues       traffic is
-                                 carry only slot indices         O(events), not
+           processes             slot of the batch's own shared  (the paper's pool
+                                 block, worker decodes from and  nodes) — pipe
+                                 overwrites the slot in place;   traffic is
+                                 queues carry only block names   O(events), not
                                                                  O(bytes)
 ========== ===================== ============================== =====================
 
-Under ``shm`` a request that does not fit a ring slot, or that arrives
-while every slot is leased, is pickled through the request queue instead —
-per event, counted in ``ServiceMetrics.n_shm_fallback`` — so the ring's
-size is a performance knob, never a correctness limit.  The ring
-(:class:`~repro.util.shm.SharedMemoryRing`) and the rule that workers are
-forked after it is created and own nothing they inherit live in
-:mod:`repro.util.shm`, the process toolkit this package shares with the
-force engine's gravity helper; :mod:`repro.serve.shm` is the worker
-protocol on top of it.  The ``SimComm``
-``pool_p2p`` ledger always charges the wire buffer's exact ``nbytes``, so
-the measured communication volume is transport-independent.
+Under ``shm`` every dispatched batch gets its own shared-memory block with
+one slot per request, sized to the batch's largest request; a response
+never outgrows its request, so every event travels zero-copy and there is
+no size to tune.  The block
+(:class:`~repro.util.shm.SharedMemoryRing`) and the rule that workers own
+nothing they inherit live in :mod:`repro.util.shm`, the process toolkit
+this package shares with the force engine's gravity helper;
+:mod:`repro.serve.shm` is the worker protocol on top of it.  The
+``SimComm`` ``pool_p2p`` ledger always charges the wire buffer's exact
+``nbytes``, so the measured communication volume is transport-independent.
 
 Failure modes and recovery
 --------------------------
@@ -72,9 +71,9 @@ worker dies         ``is_alive`` edge in the supervisor restarts it from the
                     claim row attributes the exponential backoff; the lost
                     batch it held            batch re-dispatches from the
                                              in-flight request registry
-worker hangs        per-batch timeout        batch re-dispatches; the hung
-                    (``SupervisionConfig     worker's shm leases park as
-                    .batch_timeout_s``)      zombies until provably released
+worker hangs        per-batch timeout        batch re-dispatches; its block
+                    (``SupervisionConfig     is unlinked — the hung worker
+                    .batch_timeout_s``)      writes into its own mapping
 response dropped    per-batch timeout        same as a hang
 response corrupt    :class:`~repro.serve     batch re-dispatches; events the
                     .wire.WireFormatError`   good buffers covered are kept
@@ -92,7 +91,7 @@ per-event RNG — and therefore the prediction bytes — are unchanged: a run
 with injected worker kills finishes **bit-identical** to a fault-free run,
 with the recoveries visible only in :class:`ServiceMetrics`
 (``n_worker_restarts``, ``n_redispatch``, ``n_fault_oracle``,
-``n_slots_reclaimed``, ``n_batch_timeouts``, ``recovery_s``).  Faults are
+``n_batch_timeouts``, ``recovery_s``).  Faults are
 scripted deterministically via :class:`FaultPlan` / ``REPRO_SERVE_FAULTS``
 — see :mod:`repro.serve.faults`, ``tests/serve/test_faults.py``, and
 ``benchmarks/bench_serve_faults.py``.

@@ -10,10 +10,10 @@ global steps), worker busy time, and the wall-clock the main rank spent
 DL time that the paper's Figs. 6–7 exclude because, ideally, it is zero.
 
 Fault tolerance is observable here too: worker restarts, batch
-re-dispatches, inline fault fallbacks, reclaimed shm slots, per-batch
-timeouts, and time-to-recovery samples all land in counters — the serve
-recovery paths *count* faults, they never swallow them (the
-``silent-except`` lint rule holds that line statically).
+re-dispatches, inline fault fallbacks, per-batch timeouts, and
+time-to-recovery samples all land in counters — the serve recovery paths
+*count* faults, they never swallow them (the ``silent-except`` lint rule
+holds that line statically).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 #: (the run report, the cost model, archived ``BENCH_*.json`` rows) key on
 #: it; bump on any rename/removal/semantic change of an exported field —
 #: *adding* fields is compatible and needs no bump.
-METRICS_SCHEMA_VERSION = 2
+METRICS_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -69,8 +69,6 @@ class ServiceMetrics:
     #: Events resolved inline on the main rank by the fault fallback (the
     #: same surrogate the workers build, so results stay bit-identical).
     n_fault_oracle: int = 0
-    #: Shm ring slots reclaimed from dead workers back into the free list.
-    n_slots_reclaimed: int = 0
     #: In-flight batches that blew their per-batch deadline (hung or lost).
     n_batch_timeouts: int = 0
     #: Exception rows shipped back by live workers (predict failures).
@@ -80,14 +78,12 @@ class ServiceMetrics:
     #: True once the server gave up on its workers and went inline-only.
     degraded: bool = False
     # --- shm-transport accounting --------------------------------------------
-    #: Requests dispatched zero-copy through a shared-memory ring slot.
+    #: Requests dispatched zero-copy through a slot of their batch's block.
     n_shm_slot: int = 0
-    #: Requests that could not use a shared-memory slot (ring exhausted or
-    #: payload larger than a slot) and rode the pickled queue instead.
+    #: Always 0: every request has a slot in its batch's block.  Kept, with
+    #: ``n_shm_slot``, because the end-to-end benchmark
+    #: (``benchmarks/e2e/measure.py``) reads both into its fallback share.
     n_shm_fallback: int = 0
-    #: Ring geometry (0 unless the transport is ``shm``).
-    shm_n_slots: int = 0
-    shm_slot_bytes: int = 0
     # --- wall-clock window for utilization ----------------------------------
     started_at: float | None = None
     stopped_at: float | None = None
@@ -179,12 +175,9 @@ class ServiceMetrics:
             "n_oracle_fallback": self.n_oracle_fallback,
             "n_shm_slot": self.n_shm_slot,
             "n_shm_fallback": self.n_shm_fallback,
-            "shm_n_slots": self.shm_n_slots,
-            "shm_slot_bytes": self.shm_slot_bytes,
             "n_worker_restarts": self.n_worker_restarts,
             "n_redispatch": self.n_redispatch,
             "n_fault_oracle": self.n_fault_oracle,
-            "n_slots_reclaimed": self.n_slots_reclaimed,
             "n_batch_timeouts": self.n_batch_timeouts,
             "n_worker_errors": self.n_worker_errors,
             "recovery_s": list(self.recovery_s),

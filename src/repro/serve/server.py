@@ -9,11 +9,11 @@ two transports:
 * ``shm`` — ``n_workers`` OS processes, each of which builds its own
   surrogate (from a picklable :class:`SurrogateSpec` or a pickled
   :class:`SNSurrogate`) and serves batches whose requests and predictions
-  live in :class:`repro.util.shm.SharedMemoryRing` slots; the queues
-  carry only slot indices (see :mod:`repro.serve.shm`, which owns the
-  worker protocol and supervision).  Inference then genuinely overlaps the
-  main loop: the only wall-clock the main rank ever pays is the
-  submit/collect bookkeeping, plus an *exposed wait* (recorded in
+  live in one shared-memory block per batch; the queues carry only block
+  names (see :mod:`repro.serve.shm`, which owns the worker protocol and
+  supervision).  Inference then genuinely overlaps the main loop: the
+  only wall-clock the main rank ever pays is the submit/collect
+  bookkeeping, plus an *exposed wait* (recorded in
   :class:`ServiceMetrics`) when a prediction misses its return step.
 
 Because the Gibbs re-sampling is seeded per event
@@ -48,8 +48,8 @@ crashes of the main rank:
   reply) is expired at the transport and recovered like a death.
 
 Every recovery is counted, never swallowed (``n_worker_restarts``,
-``n_redispatch``, ``n_fault_oracle``, ``n_slots_reclaimed``,
-``n_batch_timeouts``, ``recovery_s`` in :class:`ServiceMetrics`).
+``n_redispatch``, ``n_fault_oracle``, ``n_batch_timeouts``,
+``recovery_s`` in :class:`ServiceMetrics`).
 Failures are injectable on purpose through a
 :class:`~repro.serve.faults.FaultPlan` (or the ``REPRO_SERVE_FAULTS``
 environment variable) — see :mod:`repro.serve.faults` and
@@ -76,7 +76,7 @@ from repro.serve.shm import (
     _ShmTransport,
     predict_responses,
 )
-from repro.serve.wire import ServeRequest, ServeResponse, WireFormatError, request_nfloats
+from repro.serve.wire import ServeRequest, ServeResponse, WireFormatError
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 from repro.util.constants import SN_ENERGY
 from repro.util.shm import owner_finalizer
@@ -282,14 +282,10 @@ class SurrogateServer:
     spec : a :class:`SurrogateSpec` workers build from (preferred for
         ``shm`` — each worker loads its own model instead of inheriting a
         pickled copy through the spawn args).
-    transport : ``"sync"`` or ``"shm"`` (worker processes over a zero-copy
-        shared-memory ring, see :mod:`repro.serve.shm`).
+    transport : ``"sync"`` or ``"shm"`` (worker processes over zero-copy
+        shared-memory blocks, see :mod:`repro.serve.shm`).
     n_workers / max_batch / max_wait_steps : see module and
         :class:`BatchScheduler` docs.
-    shm_slots / shm_slot_particles : ``shm`` ring sizing — slot count and
-        the per-slot particle capacity (a bigger request falls back to the
-        pickled queue path for that event, so these are performance knobs,
-        not correctness limits).
     fault_plan : scripted failure injection for the workers — a
         :class:`~repro.serve.faults.FaultPlan`, its string form, or None to
         read ``REPRO_SERVE_FAULTS`` from the environment.
@@ -305,8 +301,6 @@ class SurrogateServer:
         n_workers: int = 2,
         max_batch: int = 8,
         max_wait_steps: int = 1,
-        shm_slots: int = 32,
-        shm_slot_particles: int = 4096,
         fault_plan: FaultPlan | str | None = None,
         supervision: SupervisionConfig | None = None,
         tracer: Any = None,
@@ -334,14 +328,10 @@ class SurrogateServer:
             self._transport = _SyncTransport(self.local_surrogate, self.metrics)
         elif transport == "shm":
             self._transport = _ShmTransport(
-                self._worker_recipe(), n_workers, n_slots=shm_slots,
-                slot_floats=request_nfloats(shm_slot_particles),
-                metrics=self.metrics,
+                self._worker_recipe(), n_workers, metrics=self.metrics,
                 fault_plan=self._fault_plan, supervision=self._supervision,
                 tracer=self.tracer,
             )
-            self.metrics.shm_n_slots = shm_slots
-            self.metrics.shm_slot_bytes = request_nfloats(shm_slot_particles) * 8
         elif transport == "process":
             raise ValueError(
                 "the 'process' transport is retired: use transport='shm' "
@@ -668,8 +658,8 @@ class SurrogateServer:
             batch = self._batches.get(batch_id)
             if batch is None:
                 # Stale duplicate: a hung worker finally answered a batch
-                # already recovered (idempotent — the transport has freed
-                # its resources; the events were delivered elsewhere).
+                # already recovered (idempotent — the transport has unlinked
+                # its block; the events were delivered elsewhere).
                 continue
             if isinstance(payload, WorkerLost):
                 self._recover_batch(batch_id, redispatch=True, cause=str(payload))

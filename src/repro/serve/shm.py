@@ -1,4 +1,4 @@
-"""The worker transport: supervised pool processes over a shared-memory ring.
+"""The worker transport: supervised pool processes over per-batch shared blocks.
 
 ``shm`` is the one transport of :mod:`repro.serve` that runs inference off
 the main rank: ``n_workers`` OS processes, each of which builds its own
@@ -11,29 +11,24 @@ payload is hundreds of kilobytes and, as the precursor works found, that
 data movement (not the forward pass) is what dominates pool-node cost.
 This module keeps the payloads off the pipe:
 
-* a :class:`~repro.util.shm.SharedMemoryRing` — one
-  ``multiprocessing.shared_memory`` block cut into fixed-size float64
-  slots, mapped as an ``(n_slots, slot_floats)`` array in the main process
-  and in every worker.  The ring, the fork rule and the stop-and-reap of a
-  worker come from :mod:`repro.util.shm`, the toolkit the gravity helper
-  uses too.
-* Requests are encoded straight into a free slot (one memmove of the
-  already-wire-framed buffer); workers decode them *from the slot*, run the
-  batched predictor, and overwrite the slot with the encoded prediction in
-  place — a response never outgrows the request that carried the same
-  particles (smaller header, identical payload shape).
-* Only tiny control tuples ``(batch_id, [(slot, nfloats), ...])`` cross the
-  queues, so pipe traffic is O(events), not O(bytes).
+* Every dispatched batch gets its own block, a
+  :class:`~repro.util.shm.SharedMemoryRing` with one float64 slot per
+  request, sized to the batch's largest request.  The ring, the fork rule
+  and the stop-and-reap of a worker come from :mod:`repro.util.shm`, the
+  toolkit the gravity helper uses too.
+* Requests are encoded straight into their slots (one memmove of the
+  already-wire-framed buffer).  The worker that takes the batch attaches
+  the block by name, runs the batched predictor, and overwrites each slot
+  with the encoded prediction — a response never outgrows the request
+  that carried the same particles (smaller header, identical payload
+  shape), so every request fits.
+* Only tiny control tuples ``(batch_id, block_name, [nfloats, ...])``
+  cross the queues, so pipe traffic is O(events), not O(bytes).
 
 The slots reuse the exact :mod:`repro.serve.wire` framing, so the byte
 figures charged to the :class:`~repro.fdps.comm.SimComm` ``pool_p2p``
 ledger — always the wire buffer's ``nbytes`` — are identical across the
 ``sync`` and ``shm`` transports.
-
-Backpressure: a request that does not fit a slot (or arrives while every
-slot is in flight) rides the request queue pickled, for that one event,
-counted in :attr:`~repro.serve.metrics.ServiceMetrics.n_shm_fallback` —
-correctness never depends on the ring being big enough.
 
 Worker protocol
 ---------------
@@ -47,27 +42,20 @@ result queue:
 * ``("claim", worker_id, batch_id)`` — posted *before* serving, so a death
   mid-batch is attributable to exactly this batch.
 * ``("done", worker_id, batch_id, payload, busy_s)`` — the response
-  entries, or the worker-side exception.
+  lengths, or the worker-side exception.
 
-Lease safety under faults
--------------------------
+Block lifetime
+--------------
 
-A slot leased to an in-flight batch has three ways home, and every one of
-them must be crash-safe (the ``lease-pairing`` lint rule checks the
-acquire/release pairing statically):
-
-* **done row** — the normal path: :meth:`_ShmTransport._handle_row` frees
-  the batch's leases on success *and* failure edges (``finally``).
-* **dead worker** — the supervisor attributes claimed batches to the dead
-  process; its leases are reclaimed immediately (a dead worker cannot
-  touch the ring again), counted in ``metrics.n_slots_reclaimed``.
-* **expired batch** — a *timed-out* batch's worker may be hung, not dead,
-  and may still read/write the slots.  The leases are parked in a zombie
-  registry instead of freed (freeing would race the hung worker's
-  in-place response write into a re-leased slot); they return to the free
-  stack only on proof the holder is done with them — its late done row,
-  a *newer* claim row from the same (strictly serial) worker, its death,
-  or transport close after every worker has exited.
+A block is unlinked once, by the first of: the batch's done row (after
+its responses are copied out), the death of the worker that claimed it,
+the server expiring the batch, or transport close.  The ``lease-pairing``
+lint rule checks that every block is unlinked on a ``finally`` edge or
+held in the in-flight map.  Blocks are never reused, so an unlink never
+races a worker: a hung or late worker keeps its own mapping and writes
+into memory nothing else will read, and its reply is dropped as stale.  A
+worker that takes a batch whose block is already gone (it expired while
+queued) cannot attach it and skips it.
 """
 
 from __future__ import annotations
@@ -75,9 +63,9 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue as queue_mod
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any
 
 import numpy as np
 
@@ -105,14 +93,6 @@ _CLOSE_GRACE_S, _HUNG_GRACE_S = 10.0, 0.25
 #: where the payload is the response buffers, a worker-side exception, or
 #: a :class:`WorkerLost` marker for a batch lost to a dead worker.
 Reply = tuple[int, int, "list[np.ndarray] | Exception", float]
-
-#: A control entry: ``(SLOT, index, nfloats)`` for ring-resident payloads,
-#: ``(INLINE, buffer)`` for queue-pickled fallbacks.
-Entry = Union[tuple[int, int, int], tuple[int, np.ndarray]]
-
-#: Control-entry tags: payload lives in a ring slot / rides the queue.
-SLOT = 0
-INLINE = 1
 
 
 class WorkerLost(RuntimeError):
@@ -172,84 +152,71 @@ def predict_responses(
 
 
 def serve_batch_in_place(
-    surrogate: SNSurrogate,
-    ring: SharedMemoryRing,
-    entries: list[Entry],
-) -> list[Entry]:
-    """Worker inner loop: decode from slots, predict, overwrite in place.
+    surrogate: SNSurrogate, block: SharedMemoryRing, sizes: list[int]
+) -> list[int]:
+    """Worker inner loop: decode the requests in ``block``'s slots (``sizes``
+    floats each), predict, and overwrite each slot with its response.
 
-    ``entries`` come from :meth:`_ShmTransport.dispatch`: ``(SLOT, index,
-    nfloats)`` for ring-resident requests, ``(INLINE, buffer)`` for
-    fallback requests that rode the queue.  Returns response entries of the
-    same two shapes.  Every request is decoded before the first response
-    overwrites its slot.
+    Returns the response lengths.  The requests are copied out of the block
+    before decoding, so no view of it outlives this call — not even in an
+    exception's traceback — and the caller can unmap it.
     """
-    views = [ring.slot(e[1], e[2]) if e[0] == SLOT else e[1] for e in entries]
-    out: list[Entry] = []
-    for entry, response in zip(
-        entries, predict_responses(surrogate, views), strict=True
-    ):
-        if entry[0] == SLOT:
-            out.append((SLOT, entry[1], response.encode_into(ring.slot(entry[1]))))
-        else:
-            out.append((INLINE, response.to_buffer()))
-    return out
+    requests = [np.array(block.slot(i, n)) for i, n in enumerate(sizes)]
+    return [
+        response.encode_into(block.slot(i))
+        for i, response in enumerate(predict_responses(surrogate, requests))
+    ]
 
 
 def _shm_worker_main(
     worker_id: int,
     recipe: Any,
-    ring_name: str,
-    n_slots: int,
-    slot_floats: int,
     req_q: Any,
     res_q: Any,
     fault_plan: FaultPlan | None = None,
 ) -> None:
-    """Pool-node worker: attach the ring, build the surrogate, serve.
+    """Pool-node worker: build the surrogate, then serve batch blocks.
 
     ``recipe`` is an :class:`SNSurrogate` (used as is) or anything with a
     ``build()`` returning one — a :class:`~repro.serve.server.SurrogateSpec`.
     ``fault_plan`` scripts deliberate failures (chaos tests); the injector
     is rebuilt per worker lifetime, so a restarted worker re-runs its
     script from claim #1.  ``corrupt`` tears the wire magic of the first
-    response *in its ring slot* when the response is slot-resident.
+    response in its slot.
     """
     injector = FaultInjector(fault_plan or FaultPlan(), worker_id)
-    ring = SharedMemoryRing(n_slots, slot_floats, name=ring_name)
-    try:
-        surrogate = recipe if isinstance(recipe, SNSurrogate) else recipe.build()
-        while True:
-            try:
-                item = req_q.get(timeout=HEARTBEAT_S)
-            except queue_mod.Empty:
-                res_q.put(("hb", worker_id))
-                continue
-            if item is None:
-                break
-            batch_id, entries = item
+    surrogate = recipe if isinstance(recipe, SNSurrogate) else recipe.build()
+    while True:
+        try:
+            item = req_q.get(timeout=HEARTBEAT_S)
+        except queue_mod.Empty:
+            res_q.put(("hb", worker_id))
+            continue
+        if item is None:
+            break
+        batch_id, name, sizes = item
+        try:
+            block = SharedMemoryRing(len(sizes), max(sizes), name=name)
+        except FileNotFoundError:
+            continue        # expired while queued: the server recovered it
+        try:
             res_q.put(("claim", worker_id, batch_id))
             injector.on_claim()
             t0 = time.perf_counter()
             try:
                 injector.on_predict()
-                responses = serve_batch_in_place(surrogate, ring, entries)
+                responses = serve_batch_in_place(surrogate, block, sizes)
             except Exception as exc:  # ship the failure instead of dying silently
                 res_q.put(("done", worker_id, batch_id, exc, 0.0))
                 continue
-            if injector.corrupts_response() and responses:
-                entry = responses[0]
-                if entry[0] == SLOT:
-                    ring.slot(entry[1])[0] = -1.0       # tear the wire magic
-                else:
-                    entry[1][0] = -1.0
-            if injector.drops_response():
-                continue
-            res_q.put(
-                ("done", worker_id, batch_id, responses, time.perf_counter() - t0)
-            )
-    finally:
-        ring.close()
+            if injector.corrupts_response():
+                block.slot(0)[0] = -1.0       # tear the wire magic
+            if not injector.drops_response():
+                res_q.put(
+                    ("done", worker_id, batch_id, responses, time.perf_counter() - t0)
+                )
+        finally:
+            block.close()
 
 
 @dataclass
@@ -376,21 +343,19 @@ class _WorkerSupervisor:
 
 
 class _ShmTransport:
-    """N supervised workers reading/writing ring slots; queues carry indices.
+    """N supervised workers serving per-batch shared blocks; queues carry names.
 
-    Owns the queue pair, the :class:`_WorkerSupervisor`, the ring with its
-    slot-lease books, and the tagged-row pump that turns worker rows into
+    Owns the queue pair, the :class:`_WorkerSupervisor`, the blocks of the
+    batches in flight, and the tagged-row pump that turns worker rows into
     :data:`Reply` items — including the synthetic :class:`WorkerLost`
     replies for batches whose claiming worker died.  See the module
-    docstring's fault section for the three ways a lease comes home.
+    docstring on when a block is unlinked.
     """
 
     def __init__(
         self,
         recipe: Any,
         n_workers: int,
-        n_slots: int = 32,
-        slot_floats: int = 0,
         metrics: ServiceMetrics | None = None,
         fault_plan: FaultPlan | None = None,
         supervision: SupervisionConfig | None = None,
@@ -398,8 +363,6 @@ class _ShmTransport:
     ) -> None:
         if n_workers < 1:
             raise ValueError("shm transport needs at least one worker")
-        if slot_floats < 1:
-            raise ValueError("shm transport needs a positive slot size")
         self._ctx = process_context()
         self._recipe = recipe
         self._fault_plan = fault_plan
@@ -409,12 +372,8 @@ class _ShmTransport:
         self._res_q = self._ctx.Queue()
         #: batch_id -> worker_id that posted the claim row (in-flight only).
         self._claims: dict[int, int] = {}
-        self._ring = SharedMemoryRing(n_slots, slot_floats)
-        self._free = list(range(n_slots - 1, -1, -1))   # stack of free slots
-        self._batch_slots: dict[int, list[int]] = {}    # in-flight slot leases
-        #: Leases of expired (timed-out) batches, parked until their holder
-        #: is provably done: batch_id -> (claiming worker or None, slots).
-        self._zombies: dict[int, tuple[int | None, list[int]]] = {}
+        #: batch_id -> the batch's block, until it is unlinked.
+        self._blocks: dict[int, SharedMemoryRing] = {}
         self._supervisor = _WorkerSupervisor(
             self._spawn, n_workers, supervision or SupervisionConfig(),
             self._metrics, tracer=self._tracer,
@@ -424,11 +383,7 @@ class _ShmTransport:
     def _spawn(self, worker_id: int) -> mp.process.BaseProcess:
         proc = self._ctx.Process(
             target=_shm_worker_main,
-            args=(
-                worker_id, self._recipe, self._ring.name, self._ring.n_slots,
-                self._ring.slot_floats, self._req_q, self._res_q,
-                self._fault_plan,
-            ),
+            args=(worker_id, self._recipe, self._req_q, self._res_q, self._fault_plan),
             daemon=True,
             name=f"repro-serve-shm-worker-{worker_id}",
         )
@@ -443,51 +398,44 @@ class _ShmTransport:
     def degraded(self) -> bool:
         return self._supervisor.degraded
 
-    @property
-    def n_free_slots(self) -> int:
-        return len(self._free)
-
     # ------------------------------------------------------------ dispatch
     def dispatch(self, batch_id: int, buffers: list[np.ndarray]) -> None:
         tt0 = self._tracer.now()
-        entries: list[Entry] = []
-        leased: list[int] = []
-        n_fallback = 0
-        for buf in buffers:
-            if self._free and buf.size <= self._ring.slot_floats:
-                index = self._free.pop()
-                self._ring.write(index, buf)
-                leased.append(index)
-                entries.append((SLOT, index, buf.size))
-                self._metrics.n_shm_slot += 1
-            else:
-                # Oversize request or exhausted ring: this one event rides
-                # the queue, pickled.
-                self._metrics.n_shm_fallback += 1
-                n_fallback += 1
-                entries.append((INLINE, buf))
-        self._batch_slots[batch_id] = leased
+        block = SharedMemoryRing(len(buffers), max(buf.size for buf in buffers))
+        self._blocks[batch_id] = block
+        for index, buf in enumerate(buffers):
+            block.write(index, buf)
+        self._metrics.n_shm_slot += len(buffers)
         if self._tracer.enabled:
             self._tracer.span_at(
                 "serve.shm.encode", tt0, self._tracer.now() - tt0, cat="serve",
-                batch=batch_id, slots=len(leased), fallbacks=n_fallback,
+                batch=batch_id, slots=len(buffers),
             )
-        self._req_q.put((batch_id, entries))
+        self._req_q.put((batch_id, block.name, [buf.size for buf in buffers]))
 
     def expire_batch(self, batch_id: int) -> None:
-        """The server timed this batch out: park its leases as zombies.
+        """The server timed this batch out: unlink its block.
 
-        The holder may be a *hung* worker that will still write its
-        in-place response into these slots; returning them to the free
-        stack now would hand a worker's output buffer to a new request.
-        The claim attribution is kept: if the worker later dies still
-        holding the batch, the death reclaims the zombie; if it eventually
-        replies, the reply frees the leases and the server drops it as a
-        stale duplicate.
+        The holder may be a hung worker that will still write its response;
+        it writes into its own mapping, which nothing reads any more.  The
+        claim is kept, so a later death of that worker is still attributed.
         """
-        leased = self._batch_slots.pop(batch_id, [])
-        if leased:
-            self._zombies[batch_id] = (self._claims.get(batch_id), leased)
+        self._unlink(batch_id)
+
+    def _unlink(self, batch_id: int, sizes: Sequence[int] = ()) -> list[np.ndarray]:
+        """Unlink the batch's block, first copying out slot ``i`` trimmed to
+        ``sizes[i]`` for each given size; [] when it is already gone."""
+        block = self._blocks.pop(batch_id, None)
+        if block is None:
+            return []
+        try:
+            return [np.array(block.slot(i, n)) for i, n in enumerate(sizes)]
+        finally:
+            block.close()
+
+    def _unlink_all(self) -> None:
+        for batch_id in list(self._blocks):
+            self._unlink(batch_id)
 
     # ------------------------------------------------------------- replies
     def _handle_row(self, row: tuple[Any, ...]) -> Reply | None:
@@ -502,45 +450,16 @@ class _ShmTransport:
                 "serve.claim", cat="serve", tid=f"worker-{worker_id}",
                 batch=batch_id, worker=worker_id,
             )
-            # Workers are strictly serial: a fresh claim proves this worker
-            # is done touching every batch it claimed earlier, so any zombie
-            # leases attributed to it are safe to free.  The claim also
-            # attributes a previously unclaimed zombie batch to its holder.
-            if batch_id in self._zombies:
-                self._zombies[batch_id] = (worker_id, self._zombies[batch_id][1])
-            stale = [
-                b for b, (w, _) in self._zombies.items()
-                if w == worker_id and b != batch_id
-            ]
-            freed: list[int] = []
-            try:
-                for b in stale:
-                    freed.extend(self._zombies.pop(b)[1])
-            finally:
-                self._free.extend(freed)
             return None
         _tag, worker_id, batch_id, payload, busy_s = row
         self._claims.pop(batch_id, None)
-        # Memmove slot-resident responses out of the ring and free the
-        # leases — for late (previously expired) done rows too, via the
-        # zombie registry, and on the worker-exception edge alike.
-        leased = self._batch_slots.pop(batch_id, None)
-        if leased is None:
-            leased = self._zombies.pop(batch_id, (None, []))[1]
-        try:
-            if isinstance(payload, Exception):
-                return (batch_id, worker_id, payload, busy_s)
-            self._supervisor.note_success(worker_id)
-            buffers: list[np.ndarray] = []
-            for entry in payload:
-                if entry[0] == SLOT:
-                    _, index, nfloats = entry
-                    buffers.append(np.array(self._ring.slot(index, nfloats)))
-                else:
-                    buffers.append(entry[1])
-            return (batch_id, worker_id, buffers, busy_s)
-        finally:
-            self._free.extend(leased)
+        if isinstance(payload, Exception):
+            self._unlink(batch_id)
+            return (batch_id, worker_id, payload, busy_s)
+        self._supervisor.note_success(worker_id)
+        if batch_id not in self._blocks:
+            return None     # late reply to a batch already recovered
+        return (batch_id, worker_id, self._unlink(batch_id, payload), busy_s)
 
     def _drain(self) -> list[Reply]:
         out: list[Reply] = []
@@ -554,52 +473,23 @@ class _ShmTransport:
                 out.append(reply)
 
     def _reap(self) -> list[Reply]:
-        """Supervision pass: convert worker deaths into WorkerLost replies.
-
-        A dead worker can never touch the ring again, so the leases of the
-        batches it claimed and the zombie leases attributed to it return to
-        the free stack at once.
-        """
+        """Supervision pass: convert worker deaths into WorkerLost replies,
+        unlinking the blocks of the batches the dead workers claimed."""
         dead = self._supervisor.reap()
         lost: list[Reply] = []
-        freed: list[int] = []
-        try:
-            for worker_id in dead:
-                for batch_id in [b for b, w in self._claims.items() if w == worker_id]:
-                    del self._claims[batch_id]
-                    freed.extend(self._batch_slots.pop(batch_id, []))
-                    lost.append((
-                        batch_id, worker_id,
-                        WorkerLost(
-                            f"serve worker {worker_id} died holding batch {batch_id}"
-                        ),
-                        0.0,
-                    ))
-                for b in [b for b, (w, _) in self._zombies.items() if w == worker_id]:
-                    freed.extend(self._zombies.pop(b)[1])
-        finally:
-            self._free.extend(freed)
-            self._metrics.n_slots_reclaimed += len(freed)
+        for worker_id in dead:
+            for batch_id in [b for b, w in self._claims.items() if w == worker_id]:
+                del self._claims[batch_id]
+                self._unlink(batch_id)
+                lost.append((
+                    batch_id, worker_id,
+                    WorkerLost(f"serve worker {worker_id} died holding batch {batch_id}"),
+                    0.0,
+                ))
         if dead and self._supervisor.degraded:
-            # No worker will ever run again: everything still leased to the
-            # transport (claimed or queued) is safe to take back.
-            self._reclaim_all()
+            # No worker will ever run again: no queued batch will be served.
+            self._unlink_all()
         return lost
-
-    def _reclaim_all(self) -> None:
-        # No live workers remain (degraded, or close after join): every
-        # outstanding lease — in-flight and zombie — is safe to take back.
-        freed: list[int] = []
-        try:
-            for leased in self._batch_slots.values():
-                freed.extend(leased)
-            self._batch_slots.clear()
-            for _w, leased in self._zombies.values():
-                freed.extend(leased)
-            self._zombies.clear()
-        finally:
-            self._free.extend(freed)
-            self._metrics.n_slots_reclaimed += len(freed)
 
     def poll(self) -> list[Reply]:
         return self._drain() + self._reap()
@@ -635,32 +525,24 @@ class _ShmTransport:
         # A worker that still holds an expired batch after the rows it
         # posted are read is hung on it.
         self._drain()
-        self._supervisor.close(frozenset(w for w, _ in self._zombies.values() if w is not None))
-        # All workers are gone.  Drain both queues: late done-rows still
-        # return their slot leases through _handle_row, and an empty
-        # request pipe is what lets join_thread() below terminate even when
-        # undelivered batches were buffered for dead workers.
-        while True:
-            try:
-                self._handle_row(self._res_q.get_nowait())
-            except queue_mod.Empty:
-                break
+        self._supervisor.close(frozenset(
+            w for b, w in self._claims.items() if b not in self._blocks
+        ))
+        # All workers are gone.  An empty request pipe is what lets
+        # join_thread() below terminate even when undelivered batches were
+        # buffered for dead workers.
         while True:
             try:
                 self._req_q.get_nowait()
             except queue_mod.Empty:
                 break
-        self._reclaim_all()
-        self._ring.close()
+        self._unlink_all()
         for q in (self._req_q, self._res_q):
             q.close()
             q.join_thread()
 
 
 __all__ = [
-    "INLINE",
-    "SLOT",
-    "Entry",
     "Reply",
     "SupervisionConfig",
     "WorkerLost",

@@ -26,9 +26,9 @@ misrouted buffer fails loudly instead of producing corrupt particles.
 Both messages can also be encoded *in place* into a caller-provided
 float64 view (:meth:`ServeRequest.encode_into` /
 :meth:`ServeResponse.encode_into`) — that is how the shared-memory
-transport writes requests and predictions directly into ring slots with no
+transport's workers write predictions directly into shared slots with no
 intermediate allocation; :func:`request_nfloats` / :func:`response_nfloats`
-size those slots.  A response for ``n`` particles always fits in the slot
+give the sizes.  A response for ``n`` particles always fits in the slot
 that carried the request for the same ``n`` (its header is smaller and the
 payload identical in shape), so a worker can overwrite a request with its
 prediction in place.

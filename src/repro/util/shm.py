@@ -4,16 +4,17 @@ Two kinds of child use it: the surrogate service's pool workers
 (:mod:`repro.serve.shm`) and the force engine's gravity helper
 (:mod:`repro.accel.gravity_helper`).  Both follow one rule:
 
-* **Before the fork** the parent creates the :class:`SharedMemoryRing`
-  the child will map.  Its segment starts the parent's resource tracker,
-  which a forked child inherits instead of starting its own (one of its
-  own would unlink the segment when the child exits).
+* **Before the fork** the parent starts its resource tracker
+  (:func:`process_context` does), which a forked child inherits instead
+  of starting its own (one of its own would unlink the parent's segments
+  when the child exits).  The parent may create rings before or after the
+  fork.
 * **After the fork** the child owns nothing it inherits.  It gets what it
   uses as arguments, attaches rings by name and only unmaps them; an
   inherited object's ``close()`` does nothing there
   (:func:`owner_finalizer`).
 * **At close** the parent stops and reaps the child
-  (:func:`stop_process`) and unlinks the ring.
+  (:func:`stop_process`) and unlinks its rings.
 
 This module imports nothing from the layers that use it.
 """
@@ -24,7 +25,7 @@ import multiprocessing as mp
 import os
 import weakref
 from collections.abc import Callable
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.process import BaseProcess
 from typing import Any
 
@@ -36,7 +37,10 @@ def process_context() -> mp.context.BaseContext:
     the platform has it (a child starts in milliseconds, with the parent's
     imports), else ``spawn``.  A child must therefore take everything it
     uses as arguments and own nothing it inherits (see
-    :class:`SharedMemoryRing` on why a ring has no finalizer)."""
+    :class:`SharedMemoryRing` on why a ring has no finalizer).  Starts this
+    process's resource tracker first, so every child started from the
+    context shares it."""
+    resource_tracker.ensure_running()
     return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
 
 

@@ -136,67 +136,78 @@ def test_restore_rebuilds_run_mode(tmp_path):
     back.run(1)  # must not raise
 
 
-def test_restore_loads_old_schema_checkpoint(tmp_path, caplog):
-    # The meta a checkpoint carried before the one-host change: no rank
-    # keys, and an ``integrator_config`` that still has ``n_domains``.
-    old_meta = {
-        "n_sn_events": 1,
-        "n_sf_events": 0,
-        "next_pid": 10_000_001,
-        "dt": 2e-3,
-        "n_pool": 4,
-        "latency_steps": 2,
-        "seed": 11,
-        "integrator_config": {
-            "dt": 2e-3, "theta": 0.5, "n_ngb": 32, "courant": 0.3, "n_g": 256,
-            "leaf_size": 16, "direct_gravity_below": 800,
-            "mixed_precision": True, "self_gravity": False,
-            "enable_cooling": True, "enable_star_formation": True,
-            "region_side": 60.0, "latency_steps": 2, "n_pool": 4,
-            "n_domains": 0, "seed": 11, "backend": None,
-        },
-        "overflow_policy": "queue",
-        "serve": {"transport": "sync", "n_workers": 1, "max_batch": 8,
-                  "max_wait_steps": 1},
-        "surrogate_spec": {"kind": "oracle", "n_grid": 8, "side": 60.0,
-                           "gibbs_sweeps": 8, "t_after": 0.004,
-                           "energy": SN_ENERGY, "t_floor": 10.0,
-                           "model_path": None, "transform": None},
-    }
-    path = save_snapshot(_ic(), tmp_path / "old.npz", time=0.01, step=5,
-                         extra_meta=old_meta)
-    with caplog.at_level(logging.WARNING):
-        back = GalaxySimulation.restore(path)
-    assert "n_domains" in caplog.text
-    assert back.integrator.n_ranks == 1
-    assert back.pool.n_pool == 4
-    assert back.step_count == 5
-    assert back.integrator.cfg.self_gravity is False
-    back.run(1)  # must not raise
+#: The integrator config a checkpoint carried before the one-host change
+#: (``n_domains`` is gone since).
+_OLD_CONFIG = {
+    "dt": 2e-3, "theta": 0.5, "n_ngb": 32, "courant": 0.3, "n_g": 256,
+    "leaf_size": 16, "direct_gravity_below": 800,
+    "mixed_precision": True, "self_gravity": False,
+    "enable_cooling": True, "enable_star_formation": True,
+    "region_side": 60.0, "latency_steps": 2, "n_pool": 4,
+    "n_domains": 0, "seed": 11, "backend": None,
+}
+_CONFIG = {k: v for k, v in _OLD_CONFIG.items() if k != "n_domains"}
+_SERVE = {"transport": "sync", "n_workers": 1, "max_batch": 8}
+#: The meta of such a checkpoint: no rank keys.
+_OLD_META = {
+    "n_sn_events": 1,
+    "n_sf_events": 0,
+    "next_pid": 10_000_001,
+    "dt": 2e-3,
+    "n_pool": 4,
+    "latency_steps": 2,
+    "seed": 11,
+    "integrator_config": _OLD_CONFIG,
+    "overflow_policy": "queue",
+    "serve": {**_SERVE, "max_wait_steps": 1},
+    "surrogate_spec": {"kind": "oracle", "n_grid": 8, "side": 60.0,
+                       "gibbs_sweeps": 8, "t_after": 0.004,
+                       "energy": SN_ENERGY, "t_floor": 10.0,
+                       "model_path": None, "transform": None},
+}
 
-    # The meta of a checkpoint written while the retired overflow policies
-    # and serve keys existed: one warning, naming the policy; the serve
-    # keys are ignored.
-    retired_meta = {
-        **old_meta,
-        "integrator_config": {
-            k: v for k, v in old_meta["integrator_config"].items() if k != "n_domains"
-        },
-        "overflow_policy": "block",
-        "serve": {"transport": "sync", "n_workers": 1, "max_batch": 8,
-                  "max_wait_steps": 3, "shm_slots": 4, "shm_slot_particles": 512},
-    }
-    path = save_snapshot(_ic(), tmp_path / "retired.npz", time=0.01, step=5,
-                         extra_meta=retired_meta)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING):
-        back = GalaxySimulation.restore(path)
-    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
-    assert len(warnings) == 1
-    assert "'block'" in warnings[0].getMessage()
-    assert back.pool.n_pool == 4
-    assert back.server.scheduler.max_wait_steps == 1
-    back.run(1)  # must not raise
+#: (what changed in the old meta — None deletes a key, the text each
+#: warning names in order, the restored config fields).
+OLD_SCHEMA_CASES = [
+    ({}, ["n_domains"], {"self_gravity": False}),
+    # No integrator_config at all: read from the top-level keys.
+    ({"integrator_config": None}, [], {"self_gravity": True, "seed": 11}),
+    ({"integrator_config": {**_CONFIG, "backend": "numba"}}, ["'numba'"],
+     {"backend": None}),
+    # Retired overflow policy and serve keys: the serve keys are ignored.
+    ({"integrator_config": _CONFIG, "overflow_policy": "block",
+      "serve": {**_SERVE, "max_wait_steps": 3, "shm_slots": 4,
+                "shm_slot_particles": 512}},
+     ["'block'"], {}),
+    ({"integrator_config": _CONFIG, "serve": {**_SERVE, "transport": "process"}},
+     ["'process'"], {}),
+]
+
+
+def test_restore_loads_old_schema_checkpoint(tmp_path, caplog):
+    for i, (changes, named, config) in enumerate(OLD_SCHEMA_CASES):
+        meta = {k: v for k, v in {**_OLD_META, **changes}.items() if v is not None}
+        path = save_snapshot(_ic(), tmp_path / f"old{i}.npz", time=0.01, step=5,
+                             extra_meta=meta)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            back = GalaxySimulation.restore(path)
+        try:
+            warnings = [
+                r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING
+            ]
+            assert len(warnings) == len(named), (changes, warnings)
+            for text, message in zip(named, warnings, strict=True):
+                assert text in message
+            assert back.integrator.n_ranks == 1
+            assert back.pool.n_pool == 4 and back.pool.latency_steps == 2
+            assert back.step_count == 5
+            assert back.server.scheduler.max_wait_steps == 1
+            for field_name, value in config.items():
+                assert getattr(back.integrator.cfg, field_name) == value
+            back.run(1)  # must not raise
+        finally:
+            back.close()
 
 
 def _save_at_step_2(path, backend=None, serve=None):

@@ -317,9 +317,9 @@ def test_lease_pairing_flags_leak():
     findings = _lint(
         """
         class T:
-            def dispatch(self):
-                index = self._free.pop()
-                return index
+            def dispatch(self, buffers):
+                block = SharedMemoryRing(len(buffers), 8)
+                return block.name
         """,
         module="repro.serve.shm",
         select=["lease-pairing"],
@@ -333,9 +333,9 @@ def test_lease_pairing_flags_release_outside_finally():
         """
         class T:
             def convert(self, batch_id):
-                leased = self._batch_slots.pop(batch_id, [])
-                buffers = self.read(leased)
-                self._free.extend(leased)
+                block = self._blocks.pop(batch_id)
+                buffers = self.read(block)
+                block.close()
                 return buffers
         """,
         module="repro.serve.shm",
@@ -346,21 +346,21 @@ def test_lease_pairing_flags_release_outside_finally():
 
 
 def test_lease_pairing_flags_each_release_outside_finally():
-    # One guarded release must not vouch for a second, unguarded one.
+    # One guarded close must not vouch for a second, unguarded one.
     findings = _lint(
         """
         class T:
             def handle(self, tag, batch_id):
-                if tag == "claim":
-                    freed = []
+                if tag == "expire":
+                    block = self._blocks.pop(batch_id)
                     try:
-                        freed.extend(self._zombies.pop(batch_id, []))
+                        self.note(block)
                     finally:
-                        self._free.extend(freed)
+                        block.close()
                     return None
-                leased = self._batch_slots.pop(batch_id, [])
-                buffers = self.read(leased)
-                self._free.extend(leased)
+                done = self._blocks.pop(batch_id)
+                buffers = self.read(done)
+                done.close()
                 return buffers
         """,
         module="repro.serve.shm",
@@ -368,7 +368,7 @@ def test_lease_pairing_flags_each_release_outside_finally():
     )
     assert _rules(findings) == ["lease-pairing"]
     assert "finally" in findings[0].message
-    assert findings[0].line == 13      # the unguarded done-path release
+    assert findings[0].line == 13      # the unguarded done-path close
 
 
 def test_lease_pairing_flags_takeover_without_release():
@@ -376,8 +376,8 @@ def test_lease_pairing_flags_takeover_without_release():
         """
         class T:
             def convert(self, batch_id):
-                leased = self._batch_slots.pop(batch_id, [])
-                return self.read(leased)
+                block = self._blocks.pop(batch_id)
+                return self.read(block)
         """,
         module="repro.serve.shm",
         select=["lease-pairing"],
@@ -389,16 +389,23 @@ def test_lease_pairing_accepts_handoff_and_finally_release():
     findings = _lint(
         """
         class T:
-            def dispatch(self, batch_id):
-                leased = [self._free.pop()]
-                self._batch_slots[batch_id] = leased
+            def dispatch(self, batch_id, buffers):
+                block = SharedMemoryRing(len(buffers), 8)
+                self._blocks[batch_id] = block
 
             def convert(self, batch_id):
-                leased = self._batch_slots.pop(batch_id, [])
+                block = self._blocks.pop(batch_id)
                 try:
-                    return self.read(leased)
+                    return self.read(block)
                 finally:
-                    self._free.extend(leased)
+                    block.close()
+
+            def serve(self, name):
+                block = SharedMemoryRing(1, 8, name=name)
+                try:
+                    return self.read(block)
+                finally:
+                    block.close()
         """,
         module="repro.serve.shm",
         select=["lease-pairing"],
@@ -498,21 +505,21 @@ def test_wire_symmetry_credits_header_counts_helper_slots():
 
 
 # ------------------------------------------------- lease-pairing: zombies
+# An expired batch's holder may be a hung ("zombie") worker still writing
+# into the block; the expiry unlinks the block anyway, because the worker
+# keeps its own mapping.  The unlink follows the same finally discipline.
 def test_lease_pairing_accepts_zombie_handoff_and_takeover():
     findings = _lint(
         """
         class T:
             def expire_batch(self, batch_id):
-                leased = self._batch_slots.pop(batch_id, [])
-                if leased:
-                    self._zombies[batch_id] = leased
-
-            def on_done_late(self, batch_id):
-                leased = self._zombies.pop(batch_id, [])
+                block = self._blocks.pop(batch_id, None)
+                if block is None:
+                    return
                 try:
-                    return self.read(leased)
+                    self.note_expired(block.name)
                 finally:
-                    self._free.extend(leased)
+                    block.close()
         """,
         module="repro.serve.shm",
         select=["lease-pairing"],
@@ -524,9 +531,9 @@ def test_lease_pairing_flags_zombie_takeover_without_release():
     findings = _lint(
         """
         class T:
-            def reap(self, batch_id):
-                leased = self._zombies.pop(batch_id, [])
-                return len(leased)
+            def expire_batch(self, batch_id):
+                block = self._blocks.pop(batch_id, None)
+                return block is not None
         """,
         module="repro.serve.shm",
         select=["lease-pairing"],

@@ -14,7 +14,8 @@ from repro.obs.report import report_run
 from repro.obs.trace import Tracer
 from repro.serve import SurrogateServer
 from tests.serve.test_faults import (
-    _assert_slots_free, _await_restart, _chaos_server, _run_rounds, _surr,
+    _await_restart, _chaos_server, _run_rounds, _surr, assert_no_block_linked,
+    recorded_blocks,
 )
 
 
@@ -27,14 +28,14 @@ def chaos_trace():
     """One killed-worker run: (tracer, final metrics, server knobs)."""
     tr = Tracer(run_id="chaos")
     rounds = ((0, 5, 4), (6, 11, 4))
-    with _chaos_server("shm", "kill@w0:b1", tracer=tr) as srv:
+    with recorded_blocks() as blocks, _chaos_server("shm", "kill@w0:b1", tracer=tr) as srv:
         _run_rounds(srv, rounds)
         _await_restart(srv)  # make the kill's restart span observable
         metrics = srv.metrics
         tr.attach_meta("service_metrics", metrics.to_dict(
             max_batch=srv.scheduler.max_batch, n_workers=srv.n_workers,
         ))
-    _assert_slots_free(srv)
+    assert_no_block_linked(blocks)
     return tr, metrics
 
 
@@ -81,16 +82,15 @@ def test_batch_spans_ride_worker_lanes(chaos_trace):
 def test_shm_transport_traces_zero_copy_encode():
     tr = Tracer(run_id="shm")
     with SurrogateServer(
-        surrogate=_surr(), transport="shm", n_workers=2, max_batch=2,
-        shm_slots=8, tracer=tr,
+        surrogate=_surr(), transport="shm", n_workers=2, max_batch=2, tracer=tr,
     ) as srv:
         _run_rounds(srv)
         m = srv.metrics
     encodes = _spans(tr, "serve.shm.encode")
     assert encodes
-    # Slot/fallback attrs sum to the transport counters exactly.
+    # The slot attrs sum to the transport counter exactly; nothing falls back.
     assert sum(r.attrs["slots"] for r in encodes) == m.n_shm_slot
-    assert sum(r.attrs["fallbacks"] for r in encodes) == m.n_shm_fallback
+    assert m.n_shm_fallback == 0
 
 
 def test_chaos_report_carries_recovery_story(chaos_trace, tmp_path):

@@ -6,15 +6,19 @@ corrupt response, raise in predict, dropped response) and asserts the
 headline invariant of the fault-tolerance work: the delivered predictions
 are byte-for-byte what the deterministic ``sync`` transport produces, with
 the recovery visible only in the :class:`ServiceMetrics` counters — and
-with every ring slot back on the free stack afterwards.
+with every shared block the server created unlinked after close.
 """
 
 import time
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.serve.shm
 from repro.fdps.particles import ParticleSet, ParticleType
+from repro.obs.trace import Tracer
 from repro.serve import (
     Fault,
     FaultPlan,
@@ -22,6 +26,7 @@ from repro.serve import (
     SurrogateServer,
 )
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
+from repro.util.shm import SharedMemoryRing
 
 #: The transports with workers to fault (``sync`` has none).
 TRANSPORTS = ["shm"]
@@ -102,12 +107,30 @@ def _chaos_server(transport, plan, **kw):
     kw.setdefault("supervision", FAST)
     return SurrogateServer(
         surrogate=_surr(), transport=transport, n_workers=2, max_batch=2,
-        shm_slots=8, fault_plan=plan, **kw,
+        fault_plan=plan, **kw,
     )
 
 
-def _assert_slots_free(srv):
-    assert srv._transport.n_free_slots == srv.metrics.shm_n_slots
+@contextmanager
+def recorded_blocks():
+    """The names of the shared blocks the serve transport creates in this
+    process while the context is open (a worker's attachments excluded)."""
+    names: list[str] = []
+
+    class Recording(SharedMemoryRing):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self._owner:
+                names.append(self.name)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.serve.shm, "SharedMemoryRing", Recording)
+        yield names
+
+
+def assert_no_block_linked(names):
+    assert names, "the transport created no block"
+    assert [n for n in names if (Path("/dev/shm") / n.lstrip("/")).exists()] == []
 
 
 # ---------------------------------------------------------------- fault plan
@@ -143,7 +166,7 @@ def test_kill_mid_flight_bit_identical_with_restart(transport):
     # resolves inline), the second proves service continues; the explicit
     # supervision drain then makes the dead worker's restart observable.
     rounds = ((0, 5, 4), (6, 11, 4))
-    with _chaos_server(transport, "kill@w0:b1") as srv:
+    with recorded_blocks() as blocks, _chaos_server(transport, "kill@w0:b1") as srv:
         got = _run_rounds(srv, rounds)
         _await_restart(srv)
         m = srv.metrics
@@ -152,58 +175,81 @@ def test_kill_mid_flight_bit_identical_with_restart(transport):
         assert m.recovery_s and all(t >= 0.0 for t in m.recovery_s)
         assert not srv.degraded
     _assert_bit_identical(got, _reference(rounds))
-    _assert_slots_free(srv)
+    assert_no_block_linked(blocks)
 
 
 # -------------------------------------------------------------- chaos: hang
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_hang_past_deadline_redispatches(transport):
     rounds = ((0, 5, 4),)
-    with _chaos_server(transport, "hang@w0:b1:30.0") as srv:
+    with recorded_blocks() as blocks, _chaos_server(transport, "hang@w0:b1:30.0") as srv:
         got = _run_rounds(srv, rounds)
         m = srv.metrics
         assert m.n_batch_timeouts >= 1
         assert m.n_redispatch + m.n_fault_oracle >= 1
     _assert_bit_identical(got, _reference(rounds))
-    # The hung worker may still hold its (zombie) leases until close
-    # terminates it — only after close must every slot be home.
-    _assert_slots_free(srv)
+    # The hung worker keeps its own mapping of the expired block, which is
+    # already unlinked: nothing it writes reaches anyone.
+    assert_no_block_linked(blocks)
 
 
 # ----------------------------------------------------------- chaos: corrupt
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_corrupt_response_redispatches(transport):
     rounds = ((0, 5, 4),)
-    with _chaos_server(transport, "corrupt@w0:b1") as srv:
+    with recorded_blocks() as blocks, _chaos_server(transport, "corrupt@w0:b1") as srv:
         got = _run_rounds(srv, rounds)
         assert srv.metrics.n_redispatch + srv.metrics.n_fault_oracle >= 1
     _assert_bit_identical(got, _reference(rounds))
-    _assert_slots_free(srv)
+    assert_no_block_linked(blocks)
 
 
 # -------------------------------------------------------------- chaos: drop
 def test_dropped_response_recovers_via_timeout():
     rounds = ((0, 5, 4),)
-    with _chaos_server("shm", "drop@w0:b1") as srv:
+    with recorded_blocks() as blocks, _chaos_server("shm", "drop@w0:b1") as srv:
         got = _run_rounds(srv, rounds)
         assert srv.metrics.n_batch_timeouts >= 1
     _assert_bit_identical(got, _reference(rounds))
-    # The dropped batch's leases park as zombies until the worker's next
-    # claim or close; either way every slot is home afterwards.
-    _assert_slots_free(srv)
+    # The dropped batch's block was unlinked when the batch expired.
+    assert_no_block_linked(blocks)
+
+
+# ------------------------------------------------ chaos: expired in queue
+def test_batch_expired_while_queued_is_skipped():
+    # One worker hangs on its first batch past the deadline, so the second
+    # batch expires before any worker claims it: its block is unlinked while
+    # it waits in the queue, and the worker skips it once it wakes.  Both
+    # batches re-dispatch, and the run stays bit-identical.
+    rounds = ((0, 5, 4),)
+    tr = Tracer(run_id="expired-in-queue")
+    with recorded_blocks() as blocks, SurrogateServer(
+        surrogate=_surr(), transport="shm", n_workers=1, max_batch=2,
+        fault_plan="hang@w0:b1:3.0", supervision=FAST, tracer=tr,
+    ) as srv:
+        got = _run_rounds(srv, rounds)
+        m = srv.metrics
+        assert m.n_batch_timeouts == 2
+        assert m.n_redispatch == 2
+        assert m.n_fault_oracle == 0 and m.n_worker_errors == 0
+        assert m.n_worker_restarts == 0     # the skip is no crash
+    _assert_bit_identical(got, _reference(rounds))
+    claimed = {r.attrs["batch"] for r in tr.records if r.name == "serve.claim"}
+    assert claimed == {0, 2, 3}         # batch 1 was never claimed
+    assert_no_block_linked(blocks)
 
 
 # ----------------------------------------------------- chaos: worker raises
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_raise_in_predict_resolves_inline(transport):
     rounds = ((0, 5, 4),)
-    with _chaos_server(transport, "raise@w0:b1") as srv:
+    with recorded_blocks() as blocks, _chaos_server(transport, "raise@w0:b1") as srv:
         got = _run_rounds(srv, rounds)
         m = srv.metrics
         assert m.n_worker_errors >= 1
         assert m.n_fault_oracle >= 1      # request-dependent: no retry
     _assert_bit_identical(got, _reference(rounds))
-    _assert_slots_free(srv)
+    assert_no_block_linked(blocks)
 
 
 # -------------------------------------------------------- chaos: degradation
@@ -218,30 +264,29 @@ def test_repeated_kills_degrade_to_inline_and_finish():
         backoff_cap_s=0.05,
         batch_timeout_s=2.0,
     )
-    with SurrogateServer(
+    with recorded_blocks() as blocks, SurrogateServer(
         surrogate=_surr(), transport="shm", n_workers=1, max_batch=2,
-        shm_slots=8, fault_plan="kill@w0:b1", supervision=supervision,
+        fault_plan="kill@w0:b1", supervision=supervision,
     ) as srv:
         got = _run_rounds(srv, rounds)
         m = srv.metrics
         assert srv.degraded and m.degraded
         assert m.n_worker_restarts >= 1
         assert m.n_fault_oracle >= 1
-        # Degrading took back every lease while the server was still open.
-        _assert_slots_free(srv)
+        # Degrading unlinked every block while the server was still open.
+        assert_no_block_linked(blocks)
     _assert_bit_identical(got, _reference(rounds))
-    _assert_slots_free(srv)
 
 
 # ------------------------------------------------------------ env threading
 def test_env_fault_plan_reaches_workers(monkeypatch):
     monkeypatch.setenv("REPRO_SERVE_FAULTS", "raise@w0:b1")
     rounds = ((0, 5, 4),)
-    with SurrogateServer(
+    with recorded_blocks() as blocks, SurrogateServer(
         surrogate=_surr(), transport="shm", n_workers=2, max_batch=2,
-        shm_slots=8, supervision=FAST,
+        supervision=FAST,
     ) as srv:
         got = _run_rounds(srv, rounds)
         assert srv.metrics.n_worker_errors >= 1
     _assert_bit_identical(got, _reference(rounds))
-    _assert_slots_free(srv)
+    assert_no_block_linked(blocks)

@@ -1,4 +1,8 @@
-"""Shared-memory transport: ring mechanics, parity, fallback, recycling."""
+"""Shared-memory transport: ring mechanics, parity, block lifetime."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from repro.perf.costmodel import serve_summary
 from repro.serve import SurrogateServer, SurrogateSpec
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 from repro.util.shm import SharedMemoryRing
+from tests.serve.test_faults import assert_no_block_linked, recorded_blocks
 
 N_WORKERS = 2
 
@@ -111,49 +116,8 @@ def test_shm_spec_built_in_worker():
     _assert_equal(res.particles, reference[res.event_id])
 
 
-def test_shm_oversize_request_falls_back_to_queue():
-    """Requests bigger than a slot still serve, bit-identically, counted."""
-    reference = _reference(3)
-    with SurrogateServer(
-        surrogate=_surr(), transport="shm", n_workers=1, max_batch=2,
-        shm_slot_particles=8,          # regions have 40 particles: never fits
-    ) as srv:
-        for k in range(3):
-            _submit(srv, k)
-        results = srv.collect(5)
-        assert len(results) == 3
-        for res in results:
-            _assert_equal(res.particles, reference[res.event_id])
-        assert srv.metrics.n_shm_fallback == 3
-
-
-def test_shm_slot_exhaustion_falls_back_then_recycles():
-    reference = _reference(6, return_step=5)
-    with SurrogateServer(
-        surrogate=_surr(), transport="shm", n_workers=1, max_batch=2,
-        shm_slots=2,
-    ) as srv:
-        # One burst of 6 at max_batch 2: the first batch leases both slots,
-        # the rest must ride the queue.
-        for k in range(6):
-            _submit(srv, k)
-        results = srv.collect(5)
-        assert len(results) == 6
-        for res in results:
-            _assert_equal(res.particles, reference[res.event_id])
-        assert srv.metrics.n_shm_fallback == 4
-        assert srv.metrics.n_shm_slot == 2
-        # After collect every lease is back; the next round is zero-copy.
-        assert srv._transport.n_free_slots == 2
-        fallbacks_before = srv.metrics.n_shm_fallback
-        for k in range(2):
-            _submit(srv, k, step=6, return_step=11)
-        assert len(srv.collect(11)) == 2
-        assert srv.metrics.n_shm_fallback == fallbacks_before
-
-
 def test_shm_collect_all_drains_outstanding():
-    with SurrogateServer(
+    with recorded_blocks() as blocks, SurrogateServer(
         surrogate=_surr(), transport="shm", n_workers=N_WORKERS, max_batch=8
     ) as srv:
         for k in range(3):
@@ -161,7 +125,7 @@ def test_shm_collect_all_drains_outstanding():
         out = srv.collect_all()
         assert len(out) == 3
         assert srv.n_outstanding == 0
-        assert srv._transport.n_free_slots == srv.metrics.shm_n_slots
+    assert_no_block_linked(blocks)
 
 
 def test_shm_metrics_and_summary():
@@ -174,13 +138,36 @@ def test_shm_metrics_and_summary():
         m = srv.metrics_dict()
         summary = serve_summary(m)
     assert m["n_completed"] == 4
-    assert m["shm_n_slots"] == 32
-    assert m["shm_slot_bytes"] > 0
     assert m["n_shm_slot"] == 4
     assert m["n_shm_fallback"] == 0
     assert m["bytes_in"] > 0 and m["bytes_out"] > 0
     assert summary["shm_zero_copy_fraction"] == 1.0
     assert summary["transport_bytes"] == m["bytes_in"] + m["bytes_out"]
+
+
+_FRESH_SERVER = """
+import numpy as np
+from repro.serve import SurrogateServer
+from tests.serve.test_shm import _submit, _surr
+
+with SurrogateServer(surrogate=_surr(), transport="shm", n_workers=1) as srv:
+    for k in range(3):
+        _submit(srv, k)
+    assert len(srv.collect(5)) == 3
+"""
+
+
+def test_shm_workers_share_the_parent_resource_tracker():
+    """In a fresh process the workers fork before the first block exists.
+    They must still share the parent's resource tracker: one of their own
+    would warn about, and unlink, the parent's blocks when a worker exits."""
+    root = os.path.join(os.path.dirname(__file__), "..", "..")
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_SERVER],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(root, "src"), root])},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert "resource_tracker" not in out.stderr
 
 
 def test_shm_close_is_idempotent():
@@ -192,7 +179,7 @@ def test_shm_close_is_idempotent():
 
 
 def test_shm_worker_exception_propagates_and_frees_slots():
-    with SurrogateServer(
+    with recorded_blocks() as blocks, SurrogateServer(
         surrogate=_surr(), transport="shm", n_workers=1, max_batch=1
     ) as srv:
         request = _submit(srv, 0)
@@ -201,7 +188,8 @@ def test_shm_worker_exception_propagates_and_frees_slots():
         request.to_buffer()[0] = -1.0
         with pytest.raises(RuntimeError, match="serve worker"):
             srv.collect(5)
-        assert srv._transport.n_free_slots == srv.metrics.shm_n_slots
+        # The exception row unlinked the batch's block at once.
+        assert_no_block_linked(blocks)
 
 
 def test_ring_slot_validates_index_and_nfloats():
