@@ -67,9 +67,12 @@ class GalaxySimulation:
         the same seeds.
     serve_workers / serve_max_batch : service sizing (worker processes,
         batch coalescing).  The rest of the service runs on the
-        :class:`~repro.serve.SurrogateServer` defaults: it recovers from
-        worker faults, and ``REPRO_SERVE_FAULTS`` injects scripted ones
-        (:mod:`repro.serve.faults`).
+        :class:`~repro.serve.SurrogateServer` defaults.  A worker that dies
+        is lost for good, and the events of a lost, late or bad batch are
+        predicted inline on the main rank with their own seeds, so faults
+        never change the particle state; with no worker left every
+        prediction is inline.  ``REPRO_SERVE_FAULTS`` injects scripted
+        faults (:mod:`repro.serve.faults`).
     tracer : optional :class:`repro.obs.Tracer`.  Threads span tracing
         through the integrator's phase timers, the force-engine kernels,
         and the serve pipeline (dispatch/claim/batch/recovery); export

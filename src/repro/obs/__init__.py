@@ -49,9 +49,8 @@ comm    ``fdps.comm.SimComm``    one span per ledger row: the op label
 serve   ``serve.server`` /       ``serve.dispatch`` (batch, events); ``serve.claim``
         ``serve.shm``            (worker); ``serve.batch`` (worker, busy_s);
                                  ``serve.exposed_wait``;
-                                 ``serve.redispatch`` (generation, cause);
                                  ``serve.inline_recovery`` (events, cause);
-                                 ``serve.worker_restart`` (worker);
+                                 ``serve.worker_lost`` (worker, batches);
                                  ``serve.shm.encode`` (slots)
 ======= ======================== =====================================================
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.perf.costmodel import RunConfig, StepCostModel
 from repro.perf.machines import Machine
-from repro.sph.timestep import timestep_mass_scaling
 
 
 @dataclass
@@ -139,13 +138,6 @@ def timestep_ratio_vs_conventional(
 ) -> float:
     """The 10x timestep claim: fixed ML step over the post-SN CFL step."""
     return dt_ml_years / dt_conventional_years
-
-
-def conventional_timestep_after_refinement(
-    m_ref: float, dt_ref_years: float, m_new: float
-) -> float:
-    """dt ~ m^{5/6}: what adaptive codes pay for star-by-star resolution."""
-    return timestep_mass_scaling(m_ref, dt_ref_years, m_new)
 
 
 def projected_one_gyr_walltime(

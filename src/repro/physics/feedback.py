@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fdps.particles import METAL_SPECIES, ParticleSet, ParticleType
+from repro.fdps.particles import ParticleSet, ParticleType
 from repro.sph.kernels import DEFAULT_KERNEL, SPHKernel
 from repro.util.constants import SN_ENERGY
 
@@ -111,7 +111,3 @@ def metallicity(ps: ParticleSet) -> np.ndarray:
     """
     return ps.zmet.sum(axis=1)
 
-
-def metal_species_index(name: str) -> int:
-    """Column index of a species in the ``zmet`` array."""
-    return METAL_SPECIES.index(name)

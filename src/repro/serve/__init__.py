@@ -59,39 +59,40 @@ Failure modes and recovery
 
 A long production run must treat inline recovery on the main rank — not a
 crash — as the worst case (the shared-ML-server deployments the paper line
-targets run for days).  The ``shm`` transport survives every worker-side
-fault, always; the ``sync`` transport has no workers and nothing to
-survive:
+targets run for days).  The ``shm`` pool follows the gravity helper's
+rule: a fault costs main rank time, never a result, and nothing is
+retried or restarted.  The ``sync`` transport has no workers and nothing
+to survive:
 
 =================== ======================== ===============================
 fault               detection                recovery
 =================== ======================== ===============================
-worker dies         ``is_alive`` edge in the supervisor restarts it from the
-(crash, OOM, kill)  supervision pass; the    picklable recipe with capped
-                    claim row attributes the exponential backoff; the lost
-                    batch it held            batch re-dispatches from the
-                                             in-flight request registry
-worker hangs        per-batch timeout        batch re-dispatches; its block
-                    (``SupervisionConfig     is unlinked — the hung worker
-                    .batch_timeout_s``)      writes into its own mapping
-response dropped    per-batch timeout        same as a hang
-response corrupt    :class:`~repro.serve     batch re-dispatches; events the
-                    .wire.WireFormatError`   good buffers covered are kept
-                    at decode                (idempotent)
-worker raises       exception row on the     events resolve *inline* on the
-in predict          result queue             main rank (request-dependent
-                                             faults would recur on retry)
-repeated failures   ``max_consecutive_       service *degrades*: all work
-                    failures`` per worker;   runs inline on the main rank
-                    every slot abandoned     and the run still finishes
+worker dies         ``is_alive`` edge, seen  the worker is lost for good;
+(crash, OOM, kill)  while the server polls;  the batches it claimed resolve
+                    the claim row attributes *inline* on the main rank, the
+                    the batch it held        survivors carry on
+worker hangs        per-batch deadline       the batch expires: its block
+                    (``server.BATCH_         is unlinked and its events
+                    DEADLINE_S``)            resolve inline; the late
+                                             worker writes into its own
+                                             mapping and is not killed
+response dropped    per-batch deadline       same as a hang
+response corrupt    :class:`~repro.serve     the events the good buffers
+                    .wire.WireFormatError`   did not cover resolve inline
+                    at decode
+worker raises       exception row on the     the batch's events resolve
+in predict          result queue             inline
+last worker lost    no live worker left      service *degrades*: all work
+                                             runs inline on the main rank
+                                             and the run still finishes
 =================== ======================== ===============================
 
-Re-dispatched requests keep their original ``dispatch_step``, so the
-per-event RNG — and therefore the prediction bytes — are unchanged: a run
-with injected worker kills finishes **bit-identical** to a fault-free run,
-with the recoveries visible only in :class:`ServiceMetrics`
-(``n_worker_restarts``, ``n_redispatch``, ``n_fault_oracle``,
-``n_batch_timeouts``, ``recovery_s``).  Faults are
+Inline recovery decodes the original request buffers, whose
+``dispatch_step`` seeds the per-event RNG, so the prediction bytes are
+unchanged: a run with injected worker kills finishes **bit-identical** to
+a fault-free run, with the recoveries visible only in
+:class:`ServiceMetrics` (``n_workers_lost``, ``n_fault_oracle``,
+``n_batch_timeouts``, ``n_worker_errors``).  Faults are
 scripted deterministically via :class:`FaultPlan` / ``REPRO_SERVE_FAULTS``
 — see :mod:`repro.serve.faults`, ``tests/serve/test_faults.py``, and
 ``benchmarks/bench_serve_faults.py``.
@@ -126,7 +127,7 @@ from repro.serve.batch import BatchScheduler
 from repro.serve.faults import Fault, FaultInjector, FaultPlan, InjectedWorkerError
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.server import SurrogateServer, SurrogateSpec, predict_batch_buffers
-from repro.serve.shm import SupervisionConfig, WorkerLost
+from repro.serve.shm import WorkerLost
 from repro.serve.wire import (
     ServeRequest,
     ServeResponse,
@@ -145,7 +146,6 @@ __all__ = [
     "ServeRequest",
     "ServeResponse",
     "ServiceMetrics",
-    "SupervisionConfig",
     "SurrogateServer",
     "SurrogateSpec",
     "WireFormatError",

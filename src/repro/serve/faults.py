@@ -1,8 +1,9 @@
 """Deterministic fault injection for the serve worker pool.
 
-The fault-tolerance layer — worker supervision in :mod:`repro.serve.shm`,
-re-dispatch and inline-oracle degradation in :mod:`repro.serve.server` —
-is only trustworthy if its failure paths are *testable on purpose*.  This
+The fault-tolerance layer — lost-worker detection in
+:mod:`repro.serve.shm`, inline recovery and degradation in
+:mod:`repro.serve.server` — is only trustworthy if its failure paths are
+*testable on purpose*.  This
 module scripts worker failures deterministically so the chaos suite
 (``tests/serve/test_faults.py``) and ``benchmarks/bench_serve_faults.py``
 can assert the headline invariant: a run with injected faults finishes
@@ -26,13 +27,14 @@ can assert the headline invariant: a run with injected faults finishes
 
 * :class:`FaultPlan` — a picklable tuple of faults, threaded to the
   ``shm`` worker main through the worker spawn args (next to the
-  :class:`~repro.serve.server.SurrogateSpec`), parseable from the
-  ``REPRO_SERVE_FAULTS`` environment variable or a
-  :class:`~repro.core.simulation.GalaxySimulation` kwarg.
+  :class:`~repro.serve.server.SurrogateSpec`), given to
+  :class:`~repro.serve.server.SurrogateServer` as ``fault_plan=`` or
+  parsed from the ``REPRO_SERVE_FAULTS`` environment variable (the way
+  into a whole :class:`~repro.core.simulation.GalaxySimulation` run).
 * :class:`FaultInjector` — the per-worker runtime: counts the batches this
-  worker process has claimed (1-based, resetting when a worker is
-  restarted — a restarted worker re-runs its script) and fires the matching
-  actions at the scripted points.
+  worker process has claimed (1-based) and fires the matching actions at
+  the scripted points.  A lost worker is never replaced, so each script
+  runs once.
 
 Faults are keyed on the *worker's own claim ordinal*, not a global batch
 id: which worker claims which batch is a queue race, but per-event seeded
@@ -51,8 +53,8 @@ from dataclasses import dataclass
 FAULT_ACTIONS = ("kill", "hang", "raise", "corrupt", "drop")
 
 #: Seconds a worker sleeps between posting its claim row and SIGKILLing
-#: itself, so the queue feeder thread flushes the claim and the supervisor
-#: can attribute the lost batch (the per-batch timeout is the backstop when
+#: itself, so the queue feeder thread flushes the claim and the transport
+#: can attribute the lost batch (the per-batch deadline is the backstop when
 #: the row is lost anyway).
 KILL_FLUSH_S = 0.05
 
@@ -134,11 +136,8 @@ class FaultPlan:
 class FaultInjector:
     """Per-worker runtime that fires a :class:`FaultPlan`'s scripted faults.
 
-    Built inside the worker process (one per worker lifetime, so a
-    restarted worker starts a fresh claim count and re-runs its script —
-    which is exactly what the degradation tests rely on: a worker whose
-    first claim always kills it can never serve, and the supervisor must
-    eventually stop restarting it).
+    Built inside the worker process, once: it counts that worker's claims
+    from 1 for the worker's whole life.
     """
 
     def __init__(self, plan: FaultPlan, worker_id: int) -> None:

@@ -9,11 +9,10 @@ global steps), worker busy time, and the wall-clock the main rank spent
 *blocked* on a late prediction — the exposed (non-overlapped) part of the
 DL time that the paper's Figs. 6–7 exclude because, ideally, it is zero.
 
-Fault tolerance is observable here too: worker restarts, batch
-re-dispatches, inline fault fallbacks, per-batch timeouts, and
-time-to-recovery samples all land in counters — the serve recovery paths
-*count* faults, they never swallow them (the ``silent-except`` lint rule
-holds that line statically).
+Fault tolerance is observable here too: lost workers, inline fault
+fallbacks, per-batch timeouts and worker exceptions all land in counters —
+the serve recovery paths *count* faults, they never swallow them (the
+``silent-except`` lint rule holds that line statically).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 #: (the run report, the cost model, archived ``BENCH_*.json`` rows) key on
 #: it; bump on any rename/removal/semantic change of an exported field —
 #: *adding* fields is compatible and needs no bump.
-METRICS_SCHEMA_VERSION = 3
+METRICS_SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -60,11 +59,13 @@ class ServiceMetrics:
     #: with ``n_overflow``, because the end-to-end benchmark
     #: (``benchmarks/e2e/measure.py``) reads both into its fallback share.
     n_oracle_fallback: int = 0
-    # --- fault tolerance (worker supervision + recovery) ---------------------
-    #: Dead/hung workers the supervisor respawned from the spec.
+    # --- fault tolerance (inline recovery) -----------------------------------
+    #: Workers found dead; a lost worker is never replaced.
+    n_workers_lost: int = 0
+    #: Always 0: nothing restarts a lost worker or re-dispatches a lost
+    #: batch.  Kept, both, because the end-to-end benchmark
+    #: (``benchmarks/e2e/measure.py``) reads them.
     n_worker_restarts: int = 0
-    #: Batches re-dispatched from the in-flight request registry after a
-    #: worker death, kill, or corrupt response.
     n_redispatch: int = 0
     #: Events resolved inline on the main rank by the fault fallback (the
     #: same surrogate the workers build, so results stay bit-identical).
@@ -73,8 +74,6 @@ class ServiceMetrics:
     n_batch_timeouts: int = 0
     #: Exception rows shipped back by live workers (predict failures).
     n_worker_errors: int = 0
-    #: Seconds from detecting each worker death to its replacement running.
-    recovery_s: list[float] = field(default_factory=list)
     #: True once the server gave up on its workers and went inline-only.
     degraded: bool = False
     # --- shm-transport accounting --------------------------------------------
@@ -140,7 +139,7 @@ class ServiceMetrics:
         consumed by :func:`repro.perf.costmodel.serve_summary` — the schema
         field lets archived exports be validated years later.  Safe at any
         point of the server's life: before it started, mid-flight and after
-        a restart reset the utilization window.
+        a window whose start is past its stop.
         """
         p50, p95 = self.latency_percentiles()
         return {
@@ -180,9 +179,6 @@ class ServiceMetrics:
             "n_fault_oracle": self.n_fault_oracle,
             "n_batch_timeouts": self.n_batch_timeouts,
             "n_worker_errors": self.n_worker_errors,
-            "recovery_s": list(self.recovery_s),
-            "mean_recovery_s": (
-                float(np.mean(self.recovery_s)) if self.recovery_s else 0.0
-            ),
+            "n_workers_lost": self.n_workers_lost,
             "degraded": self.degraded,
         }

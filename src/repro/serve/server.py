@@ -10,11 +10,11 @@ two transports:
   surrogate (from a picklable :class:`SurrogateSpec` or a pickled
   :class:`SNSurrogate`) and serves batches whose requests and predictions
   live in one shared-memory block per batch; the queues carry only block
-  names (see :mod:`repro.serve.shm`, which owns the worker protocol and
-  supervision).  Inference then genuinely overlaps the main loop: the
-  only wall-clock the main rank ever pays is the submit/collect
-  bookkeeping, plus an *exposed wait* (recorded in
-  :class:`ServiceMetrics`) when a prediction misses its return step.
+  names (see :mod:`repro.serve.shm`, which owns the worker protocol).
+  Inference then genuinely overlaps the main loop: the only wall-clock
+  the main rank ever pays is the submit/collect bookkeeping, plus an
+  *exposed wait* (recorded in :class:`ServiceMetrics`) when a prediction
+  misses its return step.
 
 Because the Gibbs re-sampling is seeded per event
 (:func:`repro.serve.wire.event_rng`), both transports — and any batch
@@ -23,33 +23,31 @@ composition or worker count — produce bit-identical predictions.
 Fault tolerance
 ---------------
 
-The ``shm`` transport survives worker faults instead of surfacing them as
-crashes of the main rank:
+The ``shm`` pool follows the gravity helper's rule: a fault never crashes
+the main rank and never changes a result, and nothing is retried.
 
 * **In-flight request registry** — the server keeps every dispatched
   batch's request buffers until the batch's responses are absorbed, so a
-  lost batch can be *re-dispatched* byte-identically (the requests keep
-  their original ``dispatch_step``, hence the same per-event RNG) or
-  resolved *inline* on the main rank by the same surrogate recipe the
-  workers build.  Duplicate replies from a worker that was merely slow are
-  idempotent: a response for an event already completed is dropped.
-* **Worker supervision** — the transport's supervisor
-  (:class:`repro.serve.shm._WorkerSupervisor`) detects dead workers
-  (``is_alive`` plus tagged heartbeat/claim rows on the result queue),
-  restarts them from the picklable recipe with capped exponential backoff,
-  and attributes each in-flight batch to the worker that claimed it so a
-  death converts exactly the claimed batches into :class:`WorkerLost`
-  replies.  After ``SupervisionConfig.max_consecutive_failures`` failures
-  without a successful batch a worker slot is abandoned; when every slot
-  is abandoned the service *degrades*: all outstanding and future work
-  runs inline on the main rank, bit-identically, and the run finishes.
-* **Per-batch timeouts** — a batch with no response within
-  ``SupervisionConfig.batch_timeout_s`` (a *hung* worker, or a dropped
-  reply) is expired at the transport and recovered like a death.
+  lost batch's pending events resolve *inline* on the main rank, by the
+  same surrogate recipe the workers build and with the same per-event
+  seeds: bit-identical to what the worker would have returned.  A reply
+  for an event already resolved is dropped.
+* **A dead worker stays dead** — the transport attributes each batch to
+  the worker that claimed it, so a death converts exactly the claimed
+  batches into :class:`WorkerLost` replies; the surviving workers carry
+  on.  With none left the service is *degraded*: all outstanding and
+  future work runs inline on the main rank and the run finishes.
+* **Per-batch deadline** — a batch with no response within
+  :data:`BATCH_DEADLINE_S` (a *hung* worker, or a dropped reply) is
+  expired: its block is unlinked and its events resolve inline.  A late
+  worker is not killed (an idle one may hold the request queue's lock);
+  it carries on, and its stale reply is dropped.
+* **Corrupt response or predict exception** — the batch's pending events
+  resolve inline; the worker stays.
 
-Every recovery is counted, never swallowed (``n_worker_restarts``,
-``n_redispatch``, ``n_fault_oracle``, ``n_batch_timeouts``,
-``recovery_s`` in :class:`ServiceMetrics`).
+Every recovery is counted, never swallowed (``n_workers_lost``,
+``n_fault_oracle``, ``n_batch_timeouts``, ``n_worker_errors`` in
+:class:`ServiceMetrics`).
 Failures are injectable on purpose through a
 :class:`~repro.serve.faults.FaultPlan` (or the ``REPRO_SERVE_FAULTS``
 environment variable) — see :mod:`repro.serve.faults` and
@@ -69,13 +67,7 @@ from repro.serve.batch import BatchScheduler
 from repro.serve.faults import FaultPlan
 from repro.obs.trace import NULL_TRACER
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.shm import (
-    Reply,
-    SupervisionConfig,
-    WorkerLost,
-    _ShmTransport,
-    predict_responses,
-)
+from repro.serve.shm import Reply, WorkerLost, _ShmTransport, predict_responses
 from repro.serve.wire import ServeRequest, ServeResponse, WireFormatError
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 from repro.util.constants import SN_ENERGY
@@ -83,13 +75,12 @@ from repro.util.shm import owner_finalizer
 
 #: Seconds of *zero progress* (no replies, no recoveries) the server
 #: tolerates before giving up with TimeoutError — a backstop against
-#: protocol bugs, not the per-batch deadline (that is
-#: ``SupervisionConfig.batch_timeout_s``).
+#: protocol bugs, not the per-batch deadline.
 WORKER_TIMEOUT_S = 120.0
 
-#: Re-dispatch attempts of a lost batch before its remaining events resolve
-#: inline on the main rank.
-MAX_REDISPATCH = 2
+#: Seconds a dispatched batch may go unanswered before it is expired (hung
+#: worker or dropped reply) and its pending events resolve inline.
+BATCH_DEADLINE_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -262,12 +253,11 @@ class _Event:
 @dataclass
 class _Batch:
     """One dispatched batch, held until its responses are absorbed so a lost
-    batch can be re-dispatched or resolved inline (the in-flight registry)."""
+    batch can be resolved inline (the in-flight registry)."""
 
     buffers: list[np.ndarray]
     dispatched_at: float        # time.monotonic() at dispatch
     trace_t0: float | None      # tracer.now() at dispatch, when tracing
-    generation: int = 0         # re-dispatch generation
 
 
 class SurrogateServer:
@@ -289,8 +279,6 @@ class SurrogateServer:
     fault_plan : scripted failure injection for the workers — a
         :class:`~repro.serve.faults.FaultPlan`, its string form, or None to
         read ``REPRO_SERVE_FAULTS`` from the environment.
-    supervision : :class:`SupervisionConfig` overriding restart backoff,
-        give-up threshold, and the per-batch timeout.
     """
 
     def __init__(
@@ -302,7 +290,6 @@ class SurrogateServer:
         max_batch: int = 8,
         max_wait_steps: int = 1,
         fault_plan: FaultPlan | str | None = None,
-        supervision: SupervisionConfig | None = None,
         tracer: Any = None,
     ) -> None:
         if surrogate is None and spec is None:
@@ -321,16 +308,13 @@ class SurrogateServer:
             fault_plan = FaultPlan.from_env()
         elif isinstance(fault_plan, str):
             fault_plan = FaultPlan.parse(fault_plan)
-        self._fault_plan = fault_plan
-        self._supervision = supervision if supervision is not None else SupervisionConfig()
         self._transport: _SyncTransport | _ShmTransport
         if transport == "sync":
             self._transport = _SyncTransport(self.local_surrogate, self.metrics)
         elif transport == "shm":
             self._transport = _ShmTransport(
                 self._worker_recipe(), n_workers, metrics=self.metrics,
-                fault_plan=self._fault_plan, supervision=self._supervision,
-                tracer=self.tracer,
+                fault_plan=fault_plan, tracer=self.tracer,
             )
         elif transport == "process":
             raise ValueError(
@@ -391,18 +375,6 @@ class SurrogateServer:
         """True once the worker pool is abandoned and service runs inline."""
         return self._transport.degraded
 
-    def supervise(self) -> None:
-        """One explicit supervision pass (deaths → recovery, due restarts).
-
-        Supervision normally rides on the transport polling inside
-        :meth:`collect`; a workload that finishes before a scheduled
-        restart's backoff elapses would otherwise close with the restart
-        pending forever.  Chaos tests (and callers that must leave the
-        pool healthy for a next phase) drive the supervisor to quiescence
-        with this instead of sleeping and hoping a collect happens by.
-        """
-        self._absorb(self._transport.poll())
-
     # ---------------------------------------------------------------- submit
     def submit(
         self,
@@ -455,7 +427,7 @@ class SurrogateServer:
         for buffers in self.scheduler.due_batches(step):
             self._dispatch(buffers)
 
-    def _dispatch(self, buffers: list[np.ndarray], redispatch_gen: int = 0) -> None:
+    def _dispatch(self, buffers: list[np.ndarray]) -> None:
         if self._transport.degraded:
             # No live workers: the batch would sit in the request queue
             # until its timeout; resolve it inline right away instead.
@@ -467,12 +439,9 @@ class SurrogateServer:
         if self.tracer.enabled:
             trace_t0 = self.tracer.now()
             self.tracer.instant(
-                "serve.dispatch", cat="serve", batch=batch_id,
-                events=len(buffers), generation=redispatch_gen,
+                "serve.dispatch", cat="serve", batch=batch_id, events=len(buffers),
             )
-        self._batches[batch_id] = _Batch(
-            buffers, time.monotonic(), trace_t0, redispatch_gen
-        )
+        self._batches[batch_id] = _Batch(buffers, time.monotonic(), trace_t0)
         self._transport.dispatch(batch_id, buffers)
 
     # --------------------------------------------------------------- collect
@@ -518,7 +487,8 @@ class SurrogateServer:
             if not self._missing(step):
                 break
             if self._transport.degraded:
-                self._recover_all_in_flight("service degraded: no live workers")
+                for batch_id in sorted(self._batches):
+                    self._recover_batch(batch_id, "service degraded: no live workers")
                 if step is not None and self._missing(step):
                     raise RuntimeError(
                         "due serve events unrecoverable: service degraded and "
@@ -564,7 +534,7 @@ class SurrogateServer:
     def _wait_slice(self) -> float:
         """Longest single transport wait — short enough that per-batch
         timeouts are checked several times per timeout window."""
-        return max(0.05, min(1.0, self._supervision.batch_timeout_s / 4.0))
+        return max(0.05, min(1.0, BATCH_DEADLINE_S / 4.0))
 
     def _missing(self, step: int | None) -> bool:
         """An event due at ``step`` (any, for None) has no response yet."""
@@ -580,55 +550,26 @@ class SurrogateServer:
 
     def _check_timeouts(self) -> None:
         """Expire batches past the per-batch deadline and recover them."""
-        if not self._batches:
-            return
-        timeout = self._supervision.batch_timeout_s
         now = time.monotonic()
         expired = [
             bid for bid, batch in sorted(self._batches.items())
-            if now - batch.dispatched_at > timeout
+            if now - batch.dispatched_at > BATCH_DEADLINE_S
         ]
         for bid in expired:
             self.metrics.n_batch_timeouts += 1
             self._transport.expire_batch(bid)
             self._recover_batch(
-                bid, redispatch=True,
-                cause=f"batch {bid} timed out after {timeout:.0f}s",
+                bid, f"batch {bid} timed out after {BATCH_DEADLINE_S:g}s"
             )
 
-    def _recover_batch(self, batch_id: int, redispatch: bool, cause: str) -> None:
-        """Re-deliver a lost batch's still-pending events.
-
-        Re-dispatch re-sends the *original* request buffers, so the
-        per-event RNG (seeded by dispatch step, not wall time) and hence the
-        prediction bytes are unchanged; events past :data:`MAX_REDISPATCH`
-        attempts — or worker-independent failures — resolve inline.
-        """
+    def _recover_batch(self, batch_id: int, cause: str) -> None:
+        """Resolve a lost batch's still-pending events inline on the main rank."""
         batch = self._batches.pop(batch_id, None)
         if batch is None:
             return
         pending = [b for b in batch.buffers if self._event_pending(int(b[2]))]
-        if not pending:
-            return
-        can_redispatch = (
-            redispatch
-            and batch.generation < MAX_REDISPATCH
-            and self.n_workers > 0
-            and not self._transport.degraded
-        )
-        if can_redispatch:
-            self.metrics.n_redispatch += 1
-            self.tracer.instant(
-                "serve.redispatch", cat="serve", batch=batch_id,
-                events=len(pending), generation=batch.generation + 1, cause=cause,
-            )
-            self._dispatch(pending, redispatch_gen=batch.generation + 1)
-        else:
+        if pending:
             self._resolve_inline_fault(pending, cause)
-
-    def _recover_all_in_flight(self, cause: str) -> None:
-        for batch_id in sorted(self._batches):
-            self._recover_batch(batch_id, redispatch=False, cause=cause)
 
     def _resolve_inline_fault(self, buffers: list[np.ndarray], cause: str) -> None:
         """Serve request buffers on the main rank — the recovery of last
@@ -662,16 +603,12 @@ class SurrogateServer:
                 # its block; the events were delivered elsewhere).
                 continue
             if isinstance(payload, WorkerLost):
-                self._recover_batch(batch_id, redispatch=True, cause=str(payload))
+                self._recover_batch(batch_id, str(payload))
                 continue
             if isinstance(payload, Exception):
                 self.metrics.n_worker_errors += 1
-                # The worker is alive and shipped a predict failure: the
-                # fault is request-dependent, so a retry on another worker
-                # would hit the same bug — go straight to inline recovery.
                 self._recover_batch(
-                    batch_id, redispatch=False,
-                    cause=f"worker {worker_id} predict error: {payload!r}",
+                    batch_id, f"worker {worker_id} predict error: {payload!r}"
                 )
                 continue
             if worker_id >= 0:
@@ -686,8 +623,7 @@ class SurrogateServer:
                 # A torn response cannot name its event: recover whichever
                 # of the batch's events the good buffers did not cover.
                 self._recover_batch(
-                    batch_id, redispatch=True,
-                    cause=f"corrupt response from worker {worker_id}",
+                    batch_id, f"corrupt response from worker {worker_id}"
                 )
                 continue
             if self.tracer.enabled:
@@ -706,7 +642,7 @@ class SurrogateServer:
         response = ServeResponse.from_buffer(buf)
         event = self._events.get(response.event_id)
         if event is None or event.response is not None:
-            return  # stale duplicate from a re-dispatched or expired batch
+            return  # stale duplicate from an expired batch
         self.metrics.bytes_out += int(buf.nbytes)
         event.response = response
 

@@ -1,4 +1,4 @@
-"""The worker transport: supervised pool processes over per-batch shared blocks.
+"""The worker transport: pool processes over per-batch shared blocks.
 
 ``shm`` is the one transport of :mod:`repro.serve` that runs inference off
 the main rank: ``n_workers`` OS processes, each of which builds its own
@@ -33,16 +33,20 @@ ledger — always the wire buffer's ``nbytes`` — are identical across the
 Worker protocol
 ---------------
 
-This module owns the whole worker side: the worker main, the
-:class:`_WorkerSupervisor` that restarts dead workers, and the tagged-row
-pump of :class:`_ShmTransport`.  Workers post three kinds of row on the
-result queue:
+This module owns the whole worker side: the worker main and the
+tagged-row pump of :class:`_ShmTransport`.  Workers post two kinds of row
+on the result queue:
 
-* ``("hb", worker_id)`` — idle heartbeat, every :data:`HEARTBEAT_S`.
 * ``("claim", worker_id, batch_id)`` — posted *before* serving, so a death
   mid-batch is attributable to exactly this batch.
 * ``("done", worker_id, batch_id, payload, busy_s)`` — the response
   lengths, or the worker-side exception.
+
+A worker that dies is lost for good, as the gravity helper is: the
+transport turns each batch it claimed into a :class:`WorkerLost` reply
+(the server resolves those inline on the main rank), and the survivors
+carry on.  Nothing restarts.  With no worker left the transport is
+``degraded``.
 
 Block lifetime
 --------------
@@ -63,8 +67,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue as queue_mod
 import time
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -76,12 +79,8 @@ from repro.serve.wire import ServeRequest, ServeResponse
 from repro.surrogate.model import SNSurrogate
 from repro.util.shm import SharedMemoryRing, process_context, stop_process
 
-#: Seconds an idle worker waits for a request before posting a heartbeat
-#: row — the supervisor's liveness signal between batches.
-HEARTBEAT_S = 5.0
-
 #: Longest single blocking read on the result queue; bounds how stale the
-#: supervisor's death/timeout checks can get while the main rank waits.
+#: death and deadline checks can get while the main rank waits.
 _WAIT_SLICE_S = 0.25
 
 #: Seconds :meth:`_ShmTransport.close` gives a worker to exit before it is
@@ -102,29 +101,6 @@ class WorkerLost(RuntimeError):
     worker deaths in dispatch order relative to real replies; it is never
     raised by the transports themselves.
     """
-
-
-@dataclass(frozen=True)
-class SupervisionConfig:
-    """Tunables for worker supervision and in-flight recovery."""
-
-    #: Worker deaths without an intervening served batch before the
-    #: supervisor stops restarting that worker slot.
-    max_consecutive_failures: int = 3
-    #: Restart backoff: ``base * 2**(failures-1)`` seconds, capped.
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    #: Seconds a dispatched batch may go unanswered before it is declared
-    #: lost (hung worker / dropped reply) and recovered.
-    batch_timeout_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.max_consecutive_failures < 1:
-            raise ValueError("max_consecutive_failures must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < self.backoff_base_s:
-            raise ValueError("need 0 <= backoff_base_s <= backoff_cap_s")
-        if self.batch_timeout_s <= 0:
-            raise ValueError("batch_timeout_s must be positive")
 
 
 def predict_responses(
@@ -179,19 +155,14 @@ def _shm_worker_main(
 
     ``recipe`` is an :class:`SNSurrogate` (used as is) or anything with a
     ``build()`` returning one — a :class:`~repro.serve.server.SurrogateSpec`.
-    ``fault_plan`` scripts deliberate failures (chaos tests); the injector
-    is rebuilt per worker lifetime, so a restarted worker re-runs its
-    script from claim #1.  ``corrupt`` tears the wire magic of the first
-    response in its slot.
+    ``fault_plan`` scripts deliberate failures (chaos tests), counted from
+    this worker's first claim.  ``corrupt`` tears the wire magic of the
+    first response in its slot.
     """
     injector = FaultInjector(fault_plan or FaultPlan(), worker_id)
     surrogate = recipe if isinstance(recipe, SNSurrogate) else recipe.build()
     while True:
-        try:
-            item = req_q.get(timeout=HEARTBEAT_S)
-        except queue_mod.Empty:
-            res_q.put(("hb", worker_id))
-            continue
+        item = req_q.get()
         if item is None:
             break
         batch_id, name, sizes = item
@@ -219,133 +190,10 @@ def _shm_worker_main(
             block.close()
 
 
-@dataclass
-class _WorkerSlot:
-    """Supervision state for one worker position in the pool."""
-
-    worker_id: int
-    proc: mp.process.BaseProcess | None = None
-    #: Deaths since the last successfully served batch.
-    failures: int = 0
-    #: Monotonic time the pending restart fires (None: no restart pending).
-    restart_at: float | None = None
-    died_at: float | None = None
-    last_seen: float = 0.0
-    #: True once the supervisor stopped restarting this slot.
-    gave_up: bool = False
-
-
-class _WorkerSupervisor:
-    """Detects dead workers, restarts them with backoff, tracks give-up.
-
-    Owns the worker processes; the transport supplies the spawn callable.
-    Liveness combines ``is_alive`` with the tagged rows workers post on the
-    result queue (heartbeats while idle, claims while busy) — ``note_seen``
-    timestamps both, and ``reap`` turns ``is_alive`` edges into restart
-    schedules.  A slot that dies ``max_consecutive_failures`` times without
-    serving a batch in between is abandoned; when every slot is abandoned
-    the supervisor reports ``degraded`` and the server finishes the run
-    inline.
-    """
-
-    def __init__(self, spawn: Callable[[int], mp.process.BaseProcess],
-                 n_workers: int, config: SupervisionConfig,
-                 metrics: ServiceMetrics, tracer: Any = None) -> None:
-        self._spawn = spawn
-        self._config = config
-        self._metrics = metrics
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._slots = [_WorkerSlot(worker_id=i) for i in range(n_workers)]
-
-    def start(self) -> None:
-        now = time.monotonic()
-        for slot in self._slots:
-            slot.proc = self._spawn(slot.worker_id)
-            slot.last_seen = now
-
-    @property
-    def n_workers(self) -> int:
-        return len(self._slots)
-
-    @property
-    def degraded(self) -> bool:
-        return all(s.gave_up for s in self._slots)
-
-    def alive_worker_ids(self) -> list[int]:
-        return [
-            s.worker_id for s in self._slots
-            if s.proc is not None and s.proc.is_alive()
-        ]
-
-    def note_seen(self, worker_id: int) -> None:
-        self._slots[worker_id].last_seen = time.monotonic()
-
-    def note_success(self, worker_id: int) -> None:
-        """A served batch resets the slot's consecutive-failure count."""
-        self._slots[worker_id].failures = 0
-
-    def reap(self) -> list[int]:
-        """One supervision pass; returns worker ids found dead *this* pass.
-
-        Newly dead workers get a restart scheduled ``backoff_base_s *
-        2**(failures-1)`` (capped) in the future, executed by a later pass;
-        each restart is counted and its detection-to-respawn latency
-        sampled into ``metrics.recovery_s``.
-        """
-        now = time.monotonic()
-        cfg = self._config
-        dead: list[int] = []
-        for slot in self._slots:
-            if slot.gave_up:
-                continue
-            if slot.proc is not None and not slot.proc.is_alive():
-                slot.proc.join(timeout=0)       # reap the zombie process
-                slot.proc = None
-                slot.failures += 1
-                slot.died_at = now
-                dead.append(slot.worker_id)
-                if slot.failures > cfg.max_consecutive_failures:
-                    slot.gave_up = True
-                    slot.restart_at = None
-                else:
-                    backoff = min(
-                        cfg.backoff_cap_s,
-                        cfg.backoff_base_s * 2.0 ** (slot.failures - 1),
-                    )
-                    slot.restart_at = now + backoff
-            elif (slot.proc is None and slot.restart_at is not None
-                  and now >= slot.restart_at):
-                slot.proc = self._spawn(slot.worker_id)
-                slot.restart_at = None
-                slot.last_seen = now
-                self._metrics.n_worker_restarts += 1
-                self._tracer.instant(
-                    "serve.worker_restart", cat="serve",
-                    tid=f"worker-{slot.worker_id}", worker=slot.worker_id,
-                    failures=slot.failures,
-                )
-                if slot.died_at is not None:
-                    self._metrics.recovery_s.append(now - slot.died_at)
-        if dead and self.degraded:
-            self._metrics.degraded = True
-        return dead
-
-    def close(self, hung: frozenset[int]) -> None:
-        """Stop every worker after a grace period to finish and exit — a
-        short one for the ``hung`` ones (holding a batch past its deadline):
-        waiting longer for them would only wait out their hang."""
-        for slot in self._slots:
-            proc, slot.proc = slot.proc, None
-            slot.gave_up = True
-            if proc is not None:
-                grace = _HUNG_GRACE_S if slot.worker_id in hung else _CLOSE_GRACE_S
-                stop_process(proc, grace_s=grace)
-
-
 class _ShmTransport:
-    """N supervised workers serving per-batch shared blocks; queues carry names.
+    """N pool workers serving per-batch shared blocks; queues carry names.
 
-    Owns the queue pair, the :class:`_WorkerSupervisor`, the blocks of the
+    Owns the queue pair, the live worker processes, the blocks of the
     batches in flight, and the tagged-row pump that turns worker rows into
     :data:`Reply` items — including the synthetic :class:`WorkerLost`
     replies for batches whose claiming worker died.  See the module
@@ -358,45 +206,36 @@ class _ShmTransport:
         n_workers: int,
         metrics: ServiceMetrics | None = None,
         fault_plan: FaultPlan | None = None,
-        supervision: SupervisionConfig | None = None,
         tracer: Any = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("shm transport needs at least one worker")
-        self._ctx = process_context()
-        self._recipe = recipe
-        self._fault_plan = fault_plan
+        ctx = process_context()
+        self.n_workers = n_workers
         self._metrics = metrics if metrics is not None else ServiceMetrics()
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._req_q = self._ctx.Queue()
-        self._res_q = self._ctx.Queue()
+        self._req_q = ctx.Queue()
+        self._res_q = ctx.Queue()
         #: batch_id -> worker_id that posted the claim row (in-flight only).
         self._claims: dict[int, int] = {}
         #: batch_id -> the batch's block, until it is unlinked.
         self._blocks: dict[int, SharedMemoryRing] = {}
-        self._supervisor = _WorkerSupervisor(
-            self._spawn, n_workers, supervision or SupervisionConfig(),
-            self._metrics, tracer=self._tracer,
-        )
-        self._supervisor.start()
-
-    def _spawn(self, worker_id: int) -> mp.process.BaseProcess:
-        proc = self._ctx.Process(
-            target=_shm_worker_main,
-            args=(worker_id, self._recipe, self._req_q, self._res_q, self._fault_plan),
-            daemon=True,
-            name=f"repro-serve-shm-worker-{worker_id}",
-        )
-        proc.start()
-        return proc
-
-    @property
-    def n_workers(self) -> int:
-        return self._supervisor.n_workers
+        #: worker_id -> process, for the workers not yet found dead.
+        self._procs: dict[int, mp.process.BaseProcess] = {}
+        for worker_id in range(n_workers):
+            proc = ctx.Process(
+                target=_shm_worker_main,
+                args=(worker_id, recipe, self._req_q, self._res_q, fault_plan),
+                daemon=True,
+                name=f"repro-serve-shm-worker-{worker_id}",
+            )
+            proc.start()
+            self._procs[worker_id] = proc
 
     @property
     def degraded(self) -> bool:
-        return self._supervisor.degraded
+        """True once every worker is lost."""
+        return not self._procs
 
     # ------------------------------------------------------------ dispatch
     def dispatch(self, batch_id: int, buffers: list[np.ndarray]) -> None:
@@ -440,9 +279,6 @@ class _ShmTransport:
     # ------------------------------------------------------------- replies
     def _handle_row(self, row: tuple[Any, ...]) -> Reply | None:
         tag, worker_id = row[0], row[1]
-        self._supervisor.note_seen(worker_id)
-        if tag == "hb":
-            return None
         if tag == "claim":
             batch_id = row[2]
             self._claims[batch_id] = worker_id
@@ -456,7 +292,6 @@ class _ShmTransport:
         if isinstance(payload, Exception):
             self._unlink(batch_id)
             return (batch_id, worker_id, payload, busy_s)
-        self._supervisor.note_success(worker_id)
         if batch_id not in self._blocks:
             return None     # late reply to a batch already recovered
         return (batch_id, worker_id, self._unlink(batch_id, payload), busy_s)
@@ -473,12 +308,21 @@ class _ShmTransport:
                 out.append(reply)
 
     def _reap(self) -> list[Reply]:
-        """Supervision pass: convert worker deaths into WorkerLost replies,
-        unlinking the blocks of the batches the dead workers claimed."""
-        dead = self._supervisor.reap()
+        """Find dead workers and lose them for good: each batch one claimed
+        becomes a :class:`WorkerLost` reply, its block unlinked."""
         lost: list[Reply] = []
-        for worker_id in dead:
-            for batch_id in [b for b, w in self._claims.items() if w == worker_id]:
+        for worker_id, proc in list(self._procs.items()):
+            if proc.is_alive():
+                continue
+            proc.join(timeout=0)        # reap the zombie process
+            del self._procs[worker_id]
+            batches = sorted(b for b, w in self._claims.items() if w == worker_id)
+            self._metrics.n_workers_lost += 1
+            self._tracer.instant(
+                "serve.worker_lost", cat="serve", tid=f"worker-{worker_id}",
+                worker=worker_id, batches=batches,
+            )
+            for batch_id in batches:
                 del self._claims[batch_id]
                 self._unlink(batch_id)
                 lost.append((
@@ -486,9 +330,10 @@ class _ShmTransport:
                     WorkerLost(f"serve worker {worker_id} died holding batch {batch_id}"),
                     0.0,
                 ))
-        if dead and self._supervisor.degraded:
-            # No worker will ever run again: no queued batch will be served.
-            self._unlink_all()
+            if not self._procs:
+                # No worker will ever run again: no queued batch will be served.
+                self._metrics.degraded = True
+                self._unlink_all()
         return lost
 
     def poll(self) -> list[Reply]:
@@ -498,15 +343,15 @@ class _ShmTransport:
         """Block up to ``timeout`` for replies; [] on timeout or degraded.
 
         This never raises on worker death — deaths come back as
-        :class:`WorkerLost` replies, which the *server* recovers
-        (re-dispatch, or inline on the main rank).
+        :class:`WorkerLost` replies, which the *server* resolves inline on
+        the main rank.
         """
         deadline = time.monotonic() + timeout
         while True:
             replies = self.poll()
             if replies:
                 return replies
-            if self._supervisor.degraded:
+            if self.degraded:
                 return []
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -520,14 +365,17 @@ class _ShmTransport:
                 return [reply]
 
     def close(self) -> None:
-        for _ in self._supervisor.alive_worker_ids():
+        """Stop every worker after a grace period to finish and exit — a
+        short one for a worker still holding an expired batch once the rows
+        it posted are read: it is hung, and waiting longer would only wait
+        out its hang."""
+        for _ in self._procs:
             self._req_q.put(None)
-        # A worker that still holds an expired batch after the rows it
-        # posted are read is hung on it.
         self._drain()
-        self._supervisor.close(frozenset(
-            w for b, w in self._claims.items() if b not in self._blocks
-        ))
+        hung = {w for b, w in self._claims.items() if b not in self._blocks}
+        procs, self._procs = self._procs, {}
+        for worker_id, proc in procs.items():
+            stop_process(proc, _HUNG_GRACE_S if worker_id in hung else _CLOSE_GRACE_S)
         # All workers are gone.  An empty request pipe is what lets
         # join_thread() below terminate even when undelivered batches were
         # buffered for dead workers.
@@ -544,7 +392,6 @@ class _ShmTransport:
 
 __all__ = [
     "Reply",
-    "SupervisionConfig",
     "WorkerLost",
     "predict_responses",
     "serve_batch_in_place",

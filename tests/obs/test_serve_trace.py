@@ -1,7 +1,7 @@
 """Chaos tracing: recovery spans line up with the ServiceMetrics counters.
 
-A killed worker leaves a visible trail — ``serve.redispatch`` /
-``serve.worker_restart`` / ``serve.inline_recovery`` span events — and
+A killed worker leaves a visible trail — ``serve.worker_lost`` /
+``serve.inline_recovery`` span events — and
 every one of those trails must agree, count for count, with the
 :class:`~repro.serve.metrics.ServiceMetrics` ledger the fault-tolerance
 suite asserts on.  One story, two witnesses.
@@ -9,12 +9,13 @@ suite asserts on.  One story, two witnesses.
 
 import pytest
 
+import repro.serve.server
 from repro.obs.export import write_run
 from repro.obs.report import report_run
 from repro.obs.trace import Tracer
 from repro.serve import SurrogateServer
 from tests.serve.test_faults import (
-    _await_restart, _chaos_server, _run_rounds, _surr, assert_no_block_linked,
+    FAST_DEADLINE_S, _chaos_server, _run_rounds, _surr, assert_no_block_linked,
     recorded_blocks,
 )
 
@@ -28,37 +29,37 @@ def chaos_trace():
     """One killed-worker run: (tracer, final metrics, server knobs)."""
     tr = Tracer(run_id="chaos")
     rounds = ((0, 5, 4), (6, 11, 4))
-    with recorded_blocks() as blocks, _chaos_server("shm", "kill@w0:b1", tracer=tr) as srv:
-        _run_rounds(srv, rounds)
-        _await_restart(srv)  # make the kill's restart span observable
-        metrics = srv.metrics
-        tr.attach_meta("service_metrics", metrics.to_dict(
-            max_batch=srv.scheduler.max_batch, n_workers=srv.n_workers,
-        ))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.serve.server, "BATCH_DEADLINE_S", FAST_DEADLINE_S)
+        with recorded_blocks() as blocks, _chaos_server(
+            "shm", "kill@w0:b1", tracer=tr,
+        ) as srv:
+            _run_rounds(srv, rounds)
+            metrics = srv.metrics
+            tr.attach_meta("service_metrics", metrics.to_dict(
+                max_batch=srv.scheduler.max_batch, n_workers=srv.n_workers,
+            ))
     assert_no_block_linked(blocks)
     return tr, metrics
 
 
 def test_recovery_spans_match_metrics_counters(chaos_trace):
     tr, m = chaos_trace
-    assert len(_spans(tr, "serve.redispatch")) == m.n_redispatch
-    assert len(_spans(tr, "serve.worker_restart")) == m.n_worker_restarts
-    assert m.n_worker_restarts >= 1  # the kill actually happened
+    lost = _spans(tr, "serve.worker_lost")
+    assert len(lost) == m.n_workers_lost == 1   # the kill actually happened
+    assert lost[0].attrs["worker"] == 0
     # Inline fallbacks resolve whole batches; their event counts sum to the
     # oracle counter exactly.
     inline = _spans(tr, "serve.inline_recovery")
-    assert sum(r.attrs["events"] for r in inline) == m.n_fault_oracle
-    assert m.n_redispatch + m.n_fault_oracle >= 1
+    assert sum(r.attrs["events"] for r in inline) == m.n_fault_oracle >= 1
+    assert m.n_redispatch == m.n_worker_restarts == 0
 
 
-def test_dispatch_spans_cover_flushes_and_redispatches(chaos_trace):
+def test_dispatch_spans_equal_flushed_batches(chaos_trace):
     tr, m = chaos_trace
-    dispatches = _spans(tr, "serve.dispatch")
-    # One instant per transport dispatch: every scheduler flush plus every
-    # re-dispatch of a lost batch (tagged with generation >= 1).
-    assert len(dispatches) == m.n_batches + m.n_redispatch
-    regen = [r for r in dispatches if r.attrs["generation"] > 0]
-    assert len(regen) == m.n_redispatch
+    # One instant per transport dispatch, one per scheduler flush: a lost
+    # batch is never dispatched again.
+    assert len(_spans(tr, "serve.dispatch")) == m.n_batches
 
 
 def test_exposed_wait_spans_sum_to_metric(chaos_trace):

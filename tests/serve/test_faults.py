@@ -6,38 +6,36 @@ corrupt response, raise in predict, dropped response) and asserts the
 headline invariant of the fault-tolerance work: the delivered predictions
 are byte-for-byte what the deterministic ``sync`` transport produces, with
 the recovery visible only in the :class:`ServiceMetrics` counters — and
-with every shared block the server created unlinked after close.
+with every shared block the server created unlinked after close.  A
+fault never re-dispatches a batch or restarts a worker: a lost batch
+resolves inline on the main rank and a dead worker stays dead.
 """
 
-import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.serve.server
 import repro.serve.shm
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.obs.trace import Tracer
-from repro.serve import (
-    Fault,
-    FaultPlan,
-    SupervisionConfig,
-    SurrogateServer,
-)
+from repro.serve import Fault, FaultPlan, SurrogateServer
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 from repro.util.shm import SharedMemoryRing
 
 #: The transports with workers to fault (``sync`` has none).
 TRANSPORTS = ["shm"]
 
-#: Fast-recovery knobs: tests must not wait out production timeouts.
-FAST = SupervisionConfig(
-    max_consecutive_failures=3,
-    backoff_base_s=0.05,
-    backoff_cap_s=0.2,
-    batch_timeout_s=2.0,
-)
+#: Per-batch deadline of the chaos runs: tests must not wait out the
+#: production one.
+FAST_DEADLINE_S = 2.0
+
+
+@pytest.fixture(autouse=True)
+def fast_deadline(monkeypatch):
+    monkeypatch.setattr(repro.serve.server, "BATCH_DEADLINE_S", FAST_DEADLINE_S)
 
 
 def _region(n=40, seed=0):
@@ -83,19 +81,6 @@ def _reference(rounds):
         return _run_rounds(srv, rounds)
 
 
-def _await_restart(srv, deadline_s=5.0):
-    """Drive supervision until the scheduled restart fires.
-
-    The restart backoff is wall-clock; a fast machine finishes the whole
-    workload inside it, and supervision only runs while the server is
-    polled — without this the restart assertion races the scheduler.
-    """
-    deadline = time.monotonic() + deadline_s
-    while srv.metrics.n_worker_restarts < 1 and time.monotonic() < deadline:
-        time.sleep(0.005)
-        srv.supervise()
-
-
 def _assert_bit_identical(got, reference):
     assert sorted(got) == sorted(reference)
     for eid, ref in reference.items():
@@ -104,7 +89,6 @@ def _assert_bit_identical(got, reference):
 
 
 def _chaos_server(transport, plan, **kw):
-    kw.setdefault("supervision", FAST)
     return SurrogateServer(
         surrogate=_surr(), transport=transport, n_workers=2, max_batch=2,
         fault_plan=plan, **kw,
@@ -131,6 +115,10 @@ def recorded_blocks():
 def assert_no_block_linked(names):
     assert names, "the transport created no block"
     assert [n for n in names if (Path("/dev/shm") / n.lstrip("/")).exists()] == []
+
+
+def assert_nothing_retried(m):
+    assert m.n_redispatch == 0 and m.n_worker_restarts == 0
 
 
 # ---------------------------------------------------------------- fault plan
@@ -161,32 +149,51 @@ def test_faultplan_from_env(monkeypatch):
 
 # -------------------------------------------------------------- chaos: kill
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_kill_mid_flight_bit_identical_with_restart(transport):
-    # Two rounds: the first absorbs the kill (lost batch re-dispatches or
-    # resolves inline), the second proves service continues; the explicit
-    # supervision drain then makes the dead worker's restart observable.
+def test_kill_mid_flight_bit_identical_and_worker_lost(transport):
+    # Two rounds: the first absorbs the kill (the lost batch resolves
+    # inline), the second proves the surviving worker carries on.
     rounds = ((0, 5, 4), (6, 11, 4))
     with recorded_blocks() as blocks, _chaos_server(transport, "kill@w0:b1") as srv:
         got = _run_rounds(srv, rounds)
-        _await_restart(srv)
         m = srv.metrics
-        assert m.n_redispatch + m.n_fault_oracle >= 1
-        assert m.n_worker_restarts >= 1
-        assert m.recovery_s and all(t >= 0.0 for t in m.recovery_s)
+        assert m.n_workers_lost == 1
+        assert m.n_fault_oracle >= 1
+        assert_nothing_retried(m)
         assert not srv.degraded
     _assert_bit_identical(got, _reference(rounds))
     assert_no_block_linked(blocks)
 
 
+def test_lost_worker_stays_lost():
+    # Worker 0 dies on its first claim; every batch after that is claimed
+    # by worker 1, and nothing takes worker 0's place.
+    rounds = ((0, 5, 4), (6, 11, 4), (12, 17, 4))
+    tr = Tracer(run_id="lost-stays-lost")
+    with recorded_blocks() as blocks, _chaos_server("shm", "kill@w0:b1", tracer=tr) as srv:
+        got = _run_rounds(srv, rounds)
+        m = srv.metrics
+        degraded = srv.degraded
+    _assert_bit_identical(got, _reference(rounds))
+    claimers = [r.attrs["worker"] for r in tr.records if r.name == "serve.claim"]
+    assert 0 in claimers
+    assert set(claimers[claimers.index(0) + 1:]) <= {1}
+    assert m.n_workers_lost == 1
+    assert not degraded
+    assert m.n_worker_restarts == 0
+    assert_no_block_linked(blocks)
+
+
 # -------------------------------------------------------------- chaos: hang
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_hang_past_deadline_redispatches(transport):
+def test_hang_past_deadline_resolves_inline(transport):
     rounds = ((0, 5, 4),)
     with recorded_blocks() as blocks, _chaos_server(transport, "hang@w0:b1:30.0") as srv:
         got = _run_rounds(srv, rounds)
         m = srv.metrics
         assert m.n_batch_timeouts >= 1
-        assert m.n_redispatch + m.n_fault_oracle >= 1
+        assert m.n_fault_oracle >= 1
+        assert m.n_workers_lost == 0        # late, not dead: never killed
+        assert_nothing_retried(m)
     _assert_bit_identical(got, _reference(rounds))
     # The hung worker keeps its own mapping of the expired block, which is
     # already unlinked: nothing it writes reaches anyone.
@@ -195,11 +202,14 @@ def test_hang_past_deadline_redispatches(transport):
 
 # ----------------------------------------------------------- chaos: corrupt
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_corrupt_response_redispatches(transport):
+def test_corrupt_response_resolves_inline(transport):
     rounds = ((0, 5, 4),)
     with recorded_blocks() as blocks, _chaos_server(transport, "corrupt@w0:b1") as srv:
         got = _run_rounds(srv, rounds)
-        assert srv.metrics.n_redispatch + srv.metrics.n_fault_oracle >= 1
+        m = srv.metrics
+        assert m.n_fault_oracle >= 1
+        assert m.n_workers_lost == 0
+        assert_nothing_retried(m)
     _assert_bit_identical(got, _reference(rounds))
     assert_no_block_linked(blocks)
 
@@ -209,7 +219,10 @@ def test_dropped_response_recovers_via_timeout():
     rounds = ((0, 5, 4),)
     with recorded_blocks() as blocks, _chaos_server("shm", "drop@w0:b1") as srv:
         got = _run_rounds(srv, rounds)
-        assert srv.metrics.n_batch_timeouts >= 1
+        m = srv.metrics
+        assert m.n_batch_timeouts >= 1
+        assert m.n_fault_oracle >= 1
+        assert_nothing_retried(m)
     _assert_bit_identical(got, _reference(rounds))
     # The dropped batch's block was unlinked when the batch expired.
     assert_no_block_linked(blocks)
@@ -219,20 +232,22 @@ def test_dropped_response_recovers_via_timeout():
 def test_batch_expired_while_queued_is_skipped():
     # One worker hangs on its first batch past the deadline, so the second
     # batch expires before any worker claims it: its block is unlinked while
-    # it waits in the queue, and the worker skips it once it wakes.  Both
-    # batches re-dispatch, and the run stays bit-identical.
-    rounds = ((0, 5, 4),)
+    # it waits in the queue.  Both resolve inline.  The second round's
+    # batches queue behind it; the worker wakes, skips batch 1 and serves
+    # them, and the run stays bit-identical.
+    rounds = ((0, 5, 4), (6, 11, 4))
     tr = Tracer(run_id="expired-in-queue")
     with recorded_blocks() as blocks, SurrogateServer(
         surrogate=_surr(), transport="shm", n_workers=1, max_batch=2,
-        fault_plan="hang@w0:b1:3.0", supervision=FAST, tracer=tr,
+        fault_plan="hang@w0:b1:3.0", tracer=tr,
     ) as srv:
         got = _run_rounds(srv, rounds)
         m = srv.metrics
         assert m.n_batch_timeouts == 2
-        assert m.n_redispatch == 2
-        assert m.n_fault_oracle == 0 and m.n_worker_errors == 0
-        assert m.n_worker_restarts == 0     # the skip is no crash
+        assert m.n_fault_oracle == 4
+        assert m.n_worker_errors == 0
+        assert m.n_workers_lost == 0        # the skip is no crash
+        assert_nothing_retried(m)
     _assert_bit_identical(got, _reference(rounds))
     claimed = {r.attrs["batch"] for r in tr.records if r.name == "serve.claim"}
     assert claimed == {0, 2, 3}         # batch 1 was never claimed
@@ -247,32 +262,28 @@ def test_raise_in_predict_resolves_inline(transport):
         got = _run_rounds(srv, rounds)
         m = srv.metrics
         assert m.n_worker_errors >= 1
-        assert m.n_fault_oracle >= 1      # request-dependent: no retry
+        assert m.n_fault_oracle >= 1
+        assert_nothing_retried(m)
     _assert_bit_identical(got, _reference(rounds))
     assert_no_block_linked(blocks)
 
 
 # -------------------------------------------------------- chaos: degradation
-def test_repeated_kills_degrade_to_inline_and_finish():
-    # A single worker whose every incarnation SIGKILLs itself on its first
-    # claim: the supervisor restarts it until max_consecutive_failures,
-    # then abandons the pool; the run must still finish bit-identically.
+def test_losing_the_last_worker_degrades_to_inline():
+    # The only worker SIGKILLs itself on its first claim: the pool is
+    # empty, every batch in flight and every later one resolves inline,
+    # and the run still finishes bit-identically.
     rounds = ((0, 5, 4), (6, 11, 4))
-    supervision = SupervisionConfig(
-        max_consecutive_failures=2,
-        backoff_base_s=0.02,
-        backoff_cap_s=0.05,
-        batch_timeout_s=2.0,
-    )
     with recorded_blocks() as blocks, SurrogateServer(
         surrogate=_surr(), transport="shm", n_workers=1, max_batch=2,
-        fault_plan="kill@w0:b1", supervision=supervision,
+        fault_plan="kill@w0:b1",
     ) as srv:
         got = _run_rounds(srv, rounds)
         m = srv.metrics
         assert srv.degraded and m.degraded
-        assert m.n_worker_restarts >= 1
-        assert m.n_fault_oracle >= 1
+        assert m.n_workers_lost == 1
+        assert m.n_fault_oracle == 8
+        assert_nothing_retried(m)
         # Degrading unlinked every block while the server was still open.
         assert_no_block_linked(blocks)
     _assert_bit_identical(got, _reference(rounds))
@@ -284,7 +295,6 @@ def test_env_fault_plan_reaches_workers(monkeypatch):
     rounds = ((0, 5, 4),)
     with recorded_blocks() as blocks, SurrogateServer(
         surrogate=_surr(), transport="shm", n_workers=2, max_batch=2,
-        supervision=FAST,
     ) as srv:
         got = _run_rounds(srv, rounds)
         assert srv.metrics.n_worker_errors >= 1

@@ -17,16 +17,18 @@ def _busy_metrics():
     m.add_worker_busy(0, 0.4)
     m.add_worker_busy(1, 0.2)
     m.exposed_wait_s = 0.1
-    m.n_worker_restarts = 1
+    m.n_workers_lost = 1
     m.n_batch_timeouts = 1
-    m.n_redispatch = 2
     return m
 
 
 # ------------------------------------------------------------------ to_dict
 def test_to_dict_stamps_schema_version():
     d = _busy_metrics().to_dict(max_batch=2, n_workers=2)
-    assert d["schema"] == METRICS_SCHEMA_VERSION
+    assert d["schema"] == METRICS_SCHEMA_VERSION == 4
+    assert d["n_workers_lost"] == 1
+    assert d["n_worker_restarts"] == d["n_redispatch"] == 0
+    assert "recovery_s" not in d and "mean_recovery_s" not in d
 
 
 def test_to_dict_is_json_plain():
@@ -43,7 +45,7 @@ def _at(point):
     m = _busy_metrics()
     if point == "mid_flight":
         m.started_at = time.perf_counter() - 1.0
-    else:  # a supervisor restart can reset started_at past stopped_at
+    else:  # a window that starts after it stops
         m.started_at, m.stopped_at = 100.0, 99.0
     return m
 
@@ -60,7 +62,7 @@ def test_to_dict_at_any_lifecycle_point(point):
         assert d["batch_occupancy"] == pytest.approx(1.5 / 2)
         assert d["latency_steps_p50"] == pytest.approx(6.0)
     else:
-        # No window, or one a restart reset: zero, never negative.
+        # No window, or an inverted one: zero, never negative.
         assert d["worker_utilization"] == 0.0
     if point == "before_any_activity":
         assert d["n_submitted"] == 0

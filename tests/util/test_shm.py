@@ -71,8 +71,9 @@ def test_close_in_a_forked_child_touches_nothing():
         assert child.exitcode == 0             # close() returned without error
 
         assert helper._h.proc.is_alive()
-        assert server._transport._supervisor.alive_worker_ids() == [0]
-        assert server.metrics.n_worker_restarts == 0
+        assert list(server._transport._procs) == [0]
+        assert server._transport._procs[0].is_alive()
+        assert server.metrics.n_workers_lost == 0
         # The helper's ring is still linked (the server keeps no segment
         # between batches: each batch has its own block).
         SharedMemoryRing(ring.n_slots, ring.slot_floats, name=ring.name).close()
@@ -80,7 +81,7 @@ def test_close_in_a_forked_child_touches_nothing():
         assert tracer.counters["accel.grav_split_passes"] == 1
         assert "accel.grav_helper_lost" not in tracer.counters
         assert _predictions(server) == reference
-        assert server.metrics.n_worker_restarts == 0
+        assert server.metrics.n_workers_lost == 0
         assert server.metrics.n_shm_fallback == 0
     finally:
         engine.close()
