@@ -5,13 +5,17 @@ injected SIGKILL mid-flight, and with one hung worker — over the ``shm``
 transport, and measures:
 
 * **recovery overhead**: wall-clock of the faulted run vs the fault-free
-  baseline (a kill loses the worker for good and its batch resolves
-  inline; a hang additionally waits out the per-batch deadline,
+  baseline (either fault loses the worker for good and its batches
+  resolve inline; a hang additionally waits out the per-batch deadline,
   ``repro.serve.server.BATCH_DEADLINE_S``, set to 1 s for the run);
-* **what the loss costs the main rank**: the kill run's lost workers and
-  the seconds it spent predicting inline (``inline_predict_s``);
+* **what the loss costs the main rank**: each run's lost workers and the
+  seconds the kill run spent predicting inline (``inline_predict_s``);
 * **the headline invariant**: every faulted run's predictions are
   byte-for-byte the fault-free run's predictions — asserted, not plotted.
+
+A ``sync`` warm-up server runs first, untimed: it pays this process's
+first prediction (imports, caches), which every worker forked after it
+inherits, so the baseline does not pay a start-up the faulted runs skip.
 
 Results land in ``benchmarks/results/BENCH_serve_faults.json``.  Runs as a
 pytest bench or standalone (the CI chaos leg):
@@ -94,6 +98,7 @@ def run_fault_bench(n_events):
         baseline_got = None
         production_deadline = repro.serve.server.BATCH_DEADLINE_S
         repro.serve.server.BATCH_DEADLINE_S = DEADLINE_S
+        _run("sync", None, n_events)          # the warm-up, untimed
         try:
             for scenario, plan in SCENARIOS.items():
                 wall, got, metrics = _run(transport, plan, n_events)
@@ -114,6 +119,7 @@ def run_fault_bench(n_events):
             [f"{transport} kill overhead [s]", f"{per['kill']['overhead_s']:.3f}"],
             [f"{transport} hang overhead [s]", f"{per['hang']['overhead_s']:.3f}"],
             [f"{transport} kill: workers lost", f"{per['kill']['n_workers_lost']}"],
+            [f"{transport} hang: workers lost", f"{per['hang']['n_workers_lost']}"],
             [
                 f"{transport} kill: inline predict [s]",
                 f"{per['kill']['inline_predict_s']:.3f}",
@@ -136,6 +142,7 @@ def test_serve_faults(benchmark, results_dir, write_result):
     for transport, per in payload["transports"].items():
         assert per["kill"]["n_fault_oracle"] >= 1
         assert per["hang"]["n_batch_timeouts"] >= 1
+        assert per["kill"]["n_workers_lost"] == per["hang"]["n_workers_lost"] == 1
 
 
 def main(argv):
@@ -154,6 +161,7 @@ def main(argv):
     for transport, per in payload["transports"].items():
         assert per["kill"]["n_fault_oracle"] >= 1, transport
         assert per["hang"]["n_batch_timeouts"] >= 1, transport
+        assert per["kill"]["n_workers_lost"] == per["hang"]["n_workers_lost"] == 1, transport
     print("serve fault bench: recoveries bit-identical")
     return 0
 

@@ -164,11 +164,12 @@ the SPH pass:
   out); it re-creates the block when star formation outgrows it and
   :meth:`ForceEngine.close` stops and reaps the process and unlinks the
   block (``CoupledRunner.close()`` / ``GalaxySimulation.close()`` call it;
-  in a forked child holding a copy, the close does nothing).  The ring, the
-  fork rule (:func:`repro.util.shm.process_context`) and the reap come from
-  :mod:`repro.util.shm`, the process toolkit the serve workers use too, so
-  this package imports nothing from :mod:`repro.serve`; the helper owns
-  nothing it inherits.
+  in a forked child holding a copy, the close does nothing).  The ring and
+  the child — :class:`repro.util.shm.Child`: the fork, the pipe, the wait
+  on the pipe and the process sentinel, the loss rule and the reap — come
+  from :mod:`repro.util.shm`, the process toolkit the serve workers use
+  too, so this package imports nothing from :mod:`repro.serve`; the helper
+  owns nothing it inherits.
 * **Start rule** — :meth:`ForceEngine.start_gravity_helper`, called by the
   step host at construction when the engine does the run's gravity
   (``force_mode="global"``), starts it only when ``cfg.self_gravity`` is

@@ -35,19 +35,21 @@ writes only its own targets' rows, giving the same floats in either
 process, in any order — so whichever side evaluated a group, and if both
 did, the assembled ``acc`` holds the same bits.
 
-Ownership.  Main owns the process and the ring: it creates both, re-creates
-the ring when the particle count outgrows it, and :meth:`GravityHelper.close`
-stops and reaps the process and unlinks the ring (also when the handle is
+Ownership.  The helper is a :class:`repro.util.shm.Child` whose handler is
+:class:`_HelperPass`, so the fork, the pipe, the wait on the pipe and the
+process sentinel, and the stop-and-reap are the ones the serve workers use.
+Main owns the process and the ring: it creates both, re-creates the ring
+when the particle count outgrows it, and :meth:`GravityHelper.close` stops
+and reaps the process and unlinks the ring (also when the handle is
 garbage-collected or the interpreter exits).  The helper owns nothing it
-inherits: it gets the pipe end and the backend name as arguments, attaches
-each ring by name and only unmaps it.  The ring, the fork rule, the
-stop-and-reap and the owner-only finalizer are :mod:`repro.util.shm`'s,
-shared with the serve workers.
+inherits: it gets the backend name as an argument, attaches each ring by
+name and only unmaps it.
 
 Failure never changes a result.  A dead helper, one that has not answered
-within :data:`DEADLINE_S`, or an answer for another pass raises
-:class:`HelperLost`; the engine then evaluates the groups below its own
-claims itself, logs once, and runs every later pass alone.  A submitted
+within :data:`DEADLINE_S` (it is killed), or an answer for another pass
+raises :class:`HelperLost`, the :class:`~repro.util.shm.ChildLost` of every
+child; the engine then evaluates the groups below its own claims itself,
+logs once, and runs every later pass alone.  A submitted
 pass that main will not collect (an exception in between) is cancelled
 (:meth:`GravityHelper.cancel`), so none is left in flight.  There is no
 restart, and no option, keyword or environment variable turns the helper
@@ -56,12 +58,9 @@ on or off.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 from collections.abc import Iterator
-from contextlib import suppress
-from dataclasses import dataclass
-from multiprocessing.connection import Connection
+from typing import Any
 
 import numpy as np
 
@@ -69,12 +68,10 @@ from repro.accel.backends import get_backend
 from repro.accel.backends.base import TileWorkspace
 from repro.fdps.tree import Octree
 from repro.gravity.treegrav import GroupTiles
-from repro.util.shm import SharedMemoryRing, owner_finalizer, process_context, stop_process
+from repro.util.shm import Child, ChildLost, SharedMemoryRing, owner_finalizer
 
 #: Seconds main waits for the helper's answer before evaluating its groups itself.
 DEADLINE_S = 10.0
-#: Longest single wait on the pipe between liveness checks.
-_POLL_S = 0.05
 #: Ring slots: pos | mass | eps in; header | acc out.
 _IN, _OUT = 0, 1
 #: The output slot's header: pass-number tag, the helper's claims
@@ -83,19 +80,13 @@ _TAG, _HELPER_HI, _MAIN_LO, _HEADER = 0, 1, 2, 3
 #: Floats of ring capacity per particle (the input slot is the larger).
 _FLOATS_PER_PARTICLE = 5
 
+#: The helper cannot deliver this pass: dead, late or out of step.
+HelperLost = ChildLost
+
 
 def _ring_floats(n: int) -> int:
     """Slot size for ``n`` particles and some growth (star formation)."""
     return _FLOATS_PER_PARTICLE * (n + n // 8 + 1)
-
-
-def _put(conn: Connection, msg: object) -> None:
-    """One control message down the pipe (the pass data is in the ring)."""
-    conn.send(msg)  # repro-lint: disable=ledger-label -- a process pipe, not the SimComm ledger
-
-
-class HelperLost(RuntimeError):
-    """The helper cannot deliver this pass: dead, late or out of step."""
 
 
 def claim_up(header: np.ndarray, n_groups: int) -> Iterator[int]:
@@ -124,66 +115,43 @@ def claim_down(header: np.ndarray, n_groups: int) -> Iterator[int]:
         g -= 1
 
 
-def _helper_main(conn: Connection, main_end: Connection, backend_name: str) -> None:
-    """The helper process: serve ``go`` messages until ``None`` or EOF."""
-    main_end.close()          # inherited under fork: EOF must mean main is gone
-    backend = get_backend(backend_name)
-    workspace = TileWorkspace()
-    ring: SharedMemoryRing | None = None
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except EOFError:
-                return
-            if msg is None:
-                return
-            pass_no, ring_name, slot_floats, n, theta, n_g, leaf_size, mixed = msg
-            t0 = time.perf_counter()
-            if ring is None or ring.name != ring_name:
-                if ring is not None:
-                    ring.close()
-                ring = SharedMemoryRing(2, slot_floats, name=ring_name)
-            inp, out = ring.slot(_IN), ring.slot(_OUT)
-            pos = inp[: 3 * n].reshape(n, 3)
-            mass, eps = inp[3 * n : 4 * n], inp[4 * n : 5 * n]
-            tiles = GroupTiles.walk(
-                Octree.build(pos, mass, leaf_size=leaf_size), pos, eps, (pos, mass, eps),
-                n_g=n_g, theta=theta, mixed=mixed,
-            )
-            acc = out[_HEADER : _HEADER + 3 * n].reshape(n, 3)
-            tiles.evaluate(acc, claim_up(out, tiles.n_groups), backend, workspace)
-            out[_TAG] = pass_no
-            _put(conn, ("done", pass_no, time.perf_counter() - t0, int(out[_HELPER_HI])))
-    finally:
-        if ring is not None:
-            ring.close()
+class _HelperPass:
+    """The helper's handler: one ``go`` is one tree pass, answered with
+    ``(pass number, busy seconds, final helper_hi)``."""
+
+    def __init__(self, backend_name: str) -> None:
+        self.backend = get_backend(backend_name)
+        self.workspace = TileWorkspace()
+        self.ring: SharedMemoryRing | None = None
+
+    def __call__(self, msg: tuple[Any, ...]) -> tuple[int, float, int]:
+        pass_no, ring_name, slot_floats, n, theta, n_g, leaf_size, mixed = msg
+        t0 = time.perf_counter()
+        if self.ring is None or self.ring.name != ring_name:
+            if self.ring is not None:
+                self.ring.close()
+            self.ring = SharedMemoryRing(2, slot_floats, name=ring_name)
+        inp, out = self.ring.slot(_IN), self.ring.slot(_OUT)
+        pos = inp[: 3 * n].reshape(n, 3)
+        mass, eps = inp[3 * n : 4 * n], inp[4 * n : 5 * n]
+        tiles = GroupTiles.walk(
+            Octree.build(pos, mass, leaf_size=leaf_size), pos, eps, (pos, mass, eps),
+            n_g=n_g, theta=theta, mixed=mixed,
+        )
+        acc = out[_HEADER : _HEADER + 3 * n].reshape(n, 3)
+        tiles.evaluate(acc, claim_up(out, tiles.n_groups), self.backend, self.workspace)
+        out[_TAG] = pass_no
+        return pass_no, time.perf_counter() - t0, int(out[_HELPER_HI])
 
 
-@dataclass
-class _Handle:
-    """What shutting the helper down needs (shared with the finalizer)."""
-
-    proc: mp.process.BaseProcess | None
-    conn: Connection
-    ring: SharedMemoryRing | None = None
-
-
-def _shutdown(h: _Handle) -> None:
-    """Stop and reap the helper, unlink the ring."""
-    proc, h.proc = h.proc, None
-    if proc is not None:
-        with suppress(OSError):   # the pipe is gone: the helper is too
-            _put(h.conn, None)
-        stop_process(proc, grace_s=5.0)
-        h.conn.close()
-    ring, h.ring = h.ring, None
-    if ring is not None:
-        ring.close()
+def _close(child: Child, rings: list[SharedMemoryRing]) -> None:
+    """Stop and reap the helper, unlink its ring."""
+    child.close()
+    rings[0].close()
 
 
 class GravityHelper:
-    """Main's side of the helper: the process, its pipe and the ring.
+    """Main's side of the helper: the :class:`~repro.util.shm.Child` and the ring.
 
     Started by :meth:`repro.accel.ForceEngine.start_gravity_helper`; one
     pass is :meth:`submit` (copy the inputs, reset the claims, send
@@ -192,30 +160,22 @@ class GravityHelper:
     """
 
     def __init__(self, backend_name: str, n_particles: int) -> None:
-        # The ring first: its segment starts this process's resource
-        # tracker, which a forked child must inherit rather than start its own
-        # (one of its own would unlink the segment when the child exits).
-        ring = SharedMemoryRing(2, _ring_floats(n_particles))
-        ctx = process_context()
-        conn, child_end = ctx.Pipe()
-        proc = ctx.Process(
-            target=_helper_main, args=(child_end, conn, backend_name),
-            daemon=True, name="repro-gravity-helper",
-        )
-        self._h = _Handle(proc=None, conn=conn, ring=ring)
-        self._finalizer = owner_finalizer(self, _shutdown, self._h)
-        proc.start()
-        self._h.proc = proc
-        child_end.close()
+        #: The current ring, in a list the finalizer shares.
+        self._rings = [SharedMemoryRing(2, _ring_floats(n_particles))]
+        self._child = Child(_HelperPass, backend_name, name="repro-gravity-helper")
+        self._finalizer = owner_finalizer(self, _close, self._child, self._rings)
         self._pass = 0
 
     @property
-    def pid(self) -> int | None:
-        return None if self._h.proc is None else int(self._h.proc.pid)
+    def pid(self) -> int:
+        return self._child.pid
+
+    @property
+    def _ring(self) -> SharedMemoryRing:
+        return self._rings[0]
 
     def _out(self) -> np.ndarray:
-        assert self._h.ring is not None
-        return self._h.ring.slot(_OUT)
+        return self._ring.slot(_OUT)
 
     def submit(
         self, pos: np.ndarray, mass: np.ndarray, eps: np.ndarray,
@@ -223,28 +183,23 @@ class GravityHelper:
     ) -> int:
         """Copy the pass's inputs into the ring, reset the claims and send
         ``go``; returns the pass number :meth:`collect` expects."""
-        h = self._h
         n = len(pos)
-        assert h.ring is not None
-        if _FLOATS_PER_PARTICLE * n > h.ring.slot_floats:
+        if _FLOATS_PER_PARTICLE * n > self._ring.slot_floats:
             # Star formation outgrew the ring; the helper, idle between
             # passes, attaches the new one by the name in this go.
-            h.ring.close()
-            h.ring = SharedMemoryRing(2, _ring_floats(n))
-        inp = h.ring.slot(_IN)
+            self._ring.close()
+            self._rings[0] = SharedMemoryRing(2, _ring_floats(n))
+        ring = self._ring
+        inp = ring.slot(_IN)
         inp[: 3 * n] = pos.ravel()
         inp[3 * n : 4 * n] = mass
         inp[4 * n : 5 * n] = eps
-        out = h.ring.slot(_OUT)
+        out = ring.slot(_OUT)
         out[_HELPER_HI], out[_MAIN_LO] = 0, np.inf
         self._pass += 1
-        try:
-            _put(h.conn, (
-                self._pass, h.ring.name, h.ring.slot_floats, n,
-                float(theta), int(n_g), int(leaf_size), bool(mixed),
-            ))
-        except OSError as exc:
-            raise HelperLost(f"the helper's pipe is closed ({exc})") from exc
+        go = (self._pass, ring.name, ring.slot_floats, n,
+              float(theta), int(n_g), int(leaf_size), bool(mixed))
+        self._child.send(go)  # repro-lint: disable=ledger-label -- a pipe
         return self._pass
 
     def claims(self, n_groups: int) -> Iterator[int]:
@@ -258,17 +213,7 @@ class GravityHelper:
     def _wait(self, pass_no: int) -> tuple[int, float]:
         """Wait for ``done`` of pass ``pass_no``; returns the helper's final
         ``helper_hi`` and busy seconds."""
-        h = self._h
-        deadline = time.monotonic() + DEADLINE_S
-        while not h.conn.poll(_POLL_S):
-            if h.proc is None or not h.proc.is_alive():
-                raise HelperLost("the helper process died")
-            if time.monotonic() > deadline:
-                raise HelperLost(f"no answer within {DEADLINE_S:g} s")
-        try:
-            _tag, done_pass, busy_s, helper_hi = h.conn.recv()
-        except (EOFError, OSError) as exc:
-            raise HelperLost("the helper process died") from exc
+        done_pass, busy_s, helper_hi = self._child.recv(DEADLINE_S)
         tag = self._out()[_TAG]
         if done_pass != pass_no or tag != pass_no:
             raise HelperLost(
@@ -298,8 +243,7 @@ class GravityHelper:
 
     def kill(self) -> None:
         """SIGKILL the helper (a lost one must not touch the ring again)."""
-        if self._h.proc is not None and self._h.proc.is_alive():
-            self._h.proc.kill()
+        self._child.kill()
 
     def close(self) -> None:
         """Stop and reap the helper and unlink its ring; idempotent, and a

@@ -75,7 +75,7 @@ class GalaxySimulation:
         faults (:mod:`repro.serve.faults`).
     tracer : optional :class:`repro.obs.Tracer`.  Threads span tracing
         through the integrator's phase timers, the force-engine kernels,
-        and the serve pipeline (dispatch/claim/batch/recovery); export
+        and the serve pipeline (dispatch/batch/recovery); export
         with :meth:`write_trace` and render with ``python -m repro.obs
         report``.  The default :data:`~repro.obs.NULL_TRACER` keeps every
         bracket a no-op; tracing never changes particle state (asserted

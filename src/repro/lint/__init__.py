@@ -65,7 +65,7 @@ Repo invariants (the rule catalog)
     No bare ``except`` / ``except Exception`` / ``BaseException`` handler
     in ``repro`` may swallow the failure without a trace: it must
     re-raise, log, or use the bound exception (e.g. ship it back over a
-    result queue).  Narrow tuples pass.  Motivated by the fault-tolerance
+    pipe).  Narrow tuples pass.  Motivated by the fault-tolerance
     work: an invisible swallow is a fault the ``ServiceMetrics`` counters
     and the chaos suite can never pin.
 

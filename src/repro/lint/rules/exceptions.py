@@ -11,7 +11,7 @@ that
   enumeration and pass), and
 * does nothing observable with the failure — no ``raise``, no logging call
   (``log.warning`` & friends, ``warnings.warn``), and no use of the bound
-  exception name (a worker shipping ``exc`` back over a result queue *is*
+  exception name (a worker shipping ``exc`` back over its pipe *is*
   the observation).
 
 Deliberate swallows — interpreter-teardown ``__del__`` guards, best-effort

@@ -46,11 +46,11 @@ sim     ``accel.engine`` /       ``{1st,2nd} Calc_Force``,
 comm    ``fdps.comm.SimComm``    one span per ledger row: the op label
                                  (``pool_p2p``, ``exchange_particles``, ...) with
                                  (bytes, messages, critical_bytes) attached
-serve   ``serve.server`` /       ``serve.dispatch`` (batch, events); ``serve.claim``
-        ``serve.shm``            (worker); ``serve.batch`` (worker, busy_s);
+serve   ``serve.server`` /       ``serve.dispatch`` (batch, events, worker);
+        ``serve.shm``            ``serve.batch`` (worker, busy_s);
                                  ``serve.exposed_wait``;
                                  ``serve.inline_recovery`` (events, cause);
-                                 ``serve.worker_lost`` (worker, batches);
+                                 ``serve.worker_lost`` (worker, batches, cause);
                                  ``serve.shm.encode`` (slots)
 ======= ======================== =====================================================
 

@@ -12,7 +12,7 @@ One :class:`Tracer` collects everything a run emits on one rank:
   interval measured elsewhere (the serve pipeline brackets batches by
   dispatch/done timestamps it already tracks).
 * **instants** — ``tracer.instant(name, ...)`` is a zero-duration marker
-  (dispatches, claims, lost workers).
+  (dispatches, lost workers).
 * **counters / gauges** — ``tracer.count(name, n)`` accumulates;
   ``tracer.gauge(name, v)`` keeps the last value.  Point metrics that are
   not worth a span land here instead of in ad-hoc dicts.

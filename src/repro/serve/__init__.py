@@ -39,8 +39,8 @@ transport  where inference runs  payload copy semantics         when to use
            processes             slot of the batch's own shared  (the paper's pool
                                  block, worker decodes from and  nodes) — pipe
                                  overwrites the slot in place;   traffic is
-                                 queues carry only block names   O(events), not
-                                                                 O(bytes)
+                                 each worker's pipe carries      O(events), not
+                                 only block names                O(bytes)
 ========== ===================== ============================== =====================
 
 Under ``shm`` every dispatched batch gets its own shared-memory block with
@@ -60,39 +60,36 @@ Failure modes and recovery
 A long production run must treat inline recovery on the main rank — not a
 crash — as the worst case (the shared-ML-server deployments the paper line
 targets run for days).  The ``shm`` pool follows the gravity helper's
-rule: a fault costs main rank time, never a result, and nothing is
-retried or restarted.  The ``sync`` transport has no workers and nothing
-to survive:
+rule, and both are a :class:`~repro.util.shm.Child`: a fault costs main
+rank time, never a result, and nothing is retried or restarted.  The
+``sync`` transport has no workers and nothing to survive.  Each fault is
+detected its own way:
 
-=================== ======================== ===============================
-fault               detection                recovery
-=================== ======================== ===============================
-worker dies         ``is_alive`` edge, seen  the worker is lost for good;
-(crash, OOM, kill)  while the server polls;  the batches it claimed resolve
-                    the claim row attributes *inline* on the main rank, the
-                    the batch it held        survivors carry on
-worker hangs        per-batch deadline       the batch expires: its block
-                    (``server.BATCH_         is unlinked and its events
-                    DEADLINE_S``)            resolve inline; the late
-                                             worker writes into its own
-                                             mapping and is not killed
-response dropped    per-batch deadline       same as a hang
-response corrupt    :class:`~repro.serve     the events the good buffers
-                    .wire.WireFormatError`   did not cover resolve inline
-                    at decode
-worker raises       exception row on the     the batch's events resolve
-in predict          result queue             inline
-last worker lost    no live worker left      service *degrades*: all work
-                                             runs inline on the main rank
-                                             and the run still finishes
-=================== ======================== ===============================
+=========================== ============================================
+fault                       detection
+=========================== ============================================
+worker dies (crash, OOM,    its process sentinel or pipe EOF, seen while
+kill)                       the server waits on every worker at once
+worker hangs, or drops a    the per-batch deadline
+reply                       (``server.BATCH_DEADLINE_S``)
+response corrupt            :class:`~repro.serve.wire.WireFormatError`
+                            when main decodes it
+worker raises in predict    the exception comes back as its reply
+=========================== ============================================
+
+and recovered one way: the worker is killed and lost for good, *every*
+batch it held resolves *inline* on the main rank from the request buffers
+main keeps, no later batch is sent to it, and the other workers carry on.
+With no worker left the service *degrades*: all work runs inline on the
+main rank and the run still finishes.
 
 Inline recovery decodes the original request buffers, whose
 ``dispatch_step`` seeds the per-event RNG, so the prediction bytes are
 unchanged: a run with injected worker kills finishes **bit-identical** to
 a fault-free run, with the recoveries visible only in
-:class:`ServiceMetrics` (``n_workers_lost``, ``n_fault_oracle``,
-``n_batch_timeouts``, ``n_worker_errors``).  Faults are
+:class:`ServiceMetrics` (``n_workers_lost`` for every loss,
+``n_batch_timeouts`` and ``n_worker_errors`` for two of its causes,
+``n_fault_oracle`` for the events resolved inline).  Faults are
 scripted deterministically via :class:`FaultPlan` / ``REPRO_SERVE_FAULTS``
 — see :mod:`repro.serve.faults`, ``tests/serve/test_faults.py``, and
 ``benchmarks/bench_serve_faults.py``.

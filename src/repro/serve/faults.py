@@ -1,10 +1,9 @@
 """Deterministic fault injection for the serve worker pool.
 
-The fault-tolerance layer — lost-worker detection in
-:mod:`repro.serve.shm`, inline recovery and degradation in
-:mod:`repro.serve.server` — is only trustworthy if its failure paths are
-*testable on purpose*.  This
-module scripts worker failures deterministically so the chaos suite
+The fault-tolerance layer — worker loss in :mod:`repro.serve.shm`, inline
+recovery and degradation in :mod:`repro.serve.server` — is only
+trustworthy if its failure paths are *testable on purpose*.  This module
+scripts worker failures deterministically so the chaos suite
 (``tests/serve/test_faults.py``) and ``benchmarks/bench_serve_faults.py``
 can assert the headline invariant: a run with injected faults finishes
 **bit-identical** to a fault-free run, with the recoveries visible only in
@@ -14,32 +13,33 @@ can assert the headline invariant: a run with injected faults finishes
   plus an optional duration.  Actions:
 
   ========== ============================================================
-  ``kill``    SIGKILL the worker process at claim time (crash fault)
-  ``hang``    sleep ``seconds`` at claim time (hung-worker fault; the
-              server's per-batch timeout must fire)
+  ``kill``    SIGKILL the worker process when the batch arrives (crash)
+  ``hang``    sleep ``seconds`` when the batch arrives (the server's
+              per-batch deadline must fire)
   ``raise``   raise :class:`InjectedWorkerError` inside the predict call
-              (shipped back as an exception row, like any worker bug)
+              (shipped back as the reply, like any worker bug)
   ``corrupt`` flip the first response buffer's wire magic after a
-              successful predict (torn/corrupt response fault)
-  ``drop``    serve the batch but never post the ``done`` row (lost
-              response fault; again the per-batch timeout must fire)
+              successful predict (torn/corrupt response)
+  ``drop``    serve the batch but send no reply (again the per-batch
+              deadline must fire)
   ========== ============================================================
 
-* :class:`FaultPlan` — a picklable tuple of faults, threaded to the
-  ``shm`` worker main through the worker spawn args (next to the
+  Each of them loses the worker for good (one rule, see
+  :mod:`repro.serve.server`).
+* :class:`FaultPlan` — a picklable tuple of faults, threaded to each
+  worker through its :class:`~repro.util.shm.Child` arguments (next to the
   :class:`~repro.serve.server.SurrogateSpec`), given to
   :class:`~repro.serve.server.SurrogateServer` as ``fault_plan=`` or
   parsed from the ``REPRO_SERVE_FAULTS`` environment variable (the way
   into a whole :class:`~repro.core.simulation.GalaxySimulation` run).
 * :class:`FaultInjector` — the per-worker runtime: counts the batches this
-  worker process has claimed (1-based) and fires the matching actions at
+  worker process has received (1-based) and fires the matching actions at
   the scripted points.  A lost worker is never replaced, so each script
   runs once.
 
-Faults are keyed on the *worker's own claim ordinal*, not a global batch
-id: which worker claims which batch is a queue race, but per-event seeded
-Gibbs makes the predictions independent of worker/ordering, so the
-bit-identity assertions hold regardless of which batch a fault lands on.
+The server sends batches to the live workers round robin, so which worker
+gets which batch is fixed by the dispatch order, and the ``nth`` batch of a
+worker is the same in every run.
 """
 
 from __future__ import annotations
@@ -52,12 +52,6 @@ from dataclasses import dataclass
 #: Actions :class:`FaultInjector` knows how to perform.
 FAULT_ACTIONS = ("kill", "hang", "raise", "corrupt", "drop")
 
-#: Seconds a worker sleeps between posting its claim row and SIGKILLing
-#: itself, so the queue feeder thread flushes the claim and the transport
-#: can attribute the lost batch (the per-batch deadline is the backstop when
-#: the row is lost anyway).
-KILL_FLUSH_S = 0.05
-
 
 class InjectedWorkerError(RuntimeError):
     """The scripted ``raise`` fault — a stand-in for any worker-side bug."""
@@ -65,7 +59,7 @@ class InjectedWorkerError(RuntimeError):
 
 @dataclass(frozen=True)
 class Fault:
-    """One scripted failure on one worker's nth claimed batch (1-based)."""
+    """One scripted failure on one worker's nth batch (1-based)."""
 
     action: str
     worker: int
@@ -136,7 +130,7 @@ class FaultPlan:
 class FaultInjector:
     """Per-worker runtime that fires a :class:`FaultPlan`'s scripted faults.
 
-    Built inside the worker process, once: it counts that worker's claims
+    Built inside the worker process, once: it counts that worker's batches
     from 1 for the worker's whole life.
     """
 
@@ -150,11 +144,10 @@ class FaultInjector:
                 return f
         return None
 
-    def on_claim(self) -> None:
-        """Claim-time faults: advance the ordinal, then kill or hang."""
+    def on_batch(self) -> None:
+        """Arrival faults: advance the ordinal, then kill or hang."""
         self._n += 1
         if self._find("kill") is not None:
-            time.sleep(KILL_FLUSH_S)      # let the claim row flush first
             os.kill(os.getpid(), signal.SIGKILL)
         hang = self._find("hang")
         if hang is not None:
@@ -164,7 +157,7 @@ class FaultInjector:
         """Predict-time fault: raise inside the worker's try block."""
         if self._find("raise") is not None:
             raise InjectedWorkerError(
-                f"injected worker fault on claim #{self._n}"
+                f"injected worker fault on batch #{self._n}"
             )
 
     def drops_response(self) -> bool:

@@ -25,8 +25,10 @@ import numpy as np
 #: Version stamp of the :meth:`ServiceMetrics.to_dict` export.  Consumers
 #: (the run report, the cost model, archived ``BENCH_*.json`` rows) key on
 #: it; bump on any rename/removal/semantic change of an exported field —
-#: *adding* fields is compatible and needs no bump.
-METRICS_SCHEMA_VERSION = 4
+#: *adding* fields is compatible and needs no bump.  5: ``n_workers_lost``
+#: counts every lost worker (a death, a missed deadline, a dropped or
+#: corrupt reply, a raise in predict), not only the dead ones.
+METRICS_SCHEMA_VERSION = 5
 
 
 @dataclass
@@ -60,7 +62,8 @@ class ServiceMetrics:
     #: (``benchmarks/e2e/measure.py``) reads both into its fallback share.
     n_oracle_fallback: int = 0
     # --- fault tolerance (inline recovery) -----------------------------------
-    #: Workers found dead; a lost worker is never replaced.
+    #: Workers lost, whatever the fault (schema 5; dead ones only before);
+    #: a lost worker is killed and never replaced.
     n_workers_lost: int = 0
     #: Always 0: nothing restarts a lost worker or re-dispatches a lost
     #: batch.  Kept, both, because the end-to-end benchmark
@@ -70,9 +73,10 @@ class ServiceMetrics:
     #: Events resolved inline on the main rank by the fault fallback (the
     #: same surrogate the workers build, so results stay bit-identical).
     n_fault_oracle: int = 0
-    #: In-flight batches that blew their per-batch deadline (hung or lost).
+    #: In-flight batches that blew their per-batch deadline (hung worker or
+    #: dropped reply); each loses its worker.
     n_batch_timeouts: int = 0
-    #: Exception rows shipped back by live workers (predict failures).
+    #: Exceptions workers shipped back from predict; each loses its worker.
     n_worker_errors: int = 0
     #: True once the server gave up on its workers and went inline-only.
     degraded: bool = False

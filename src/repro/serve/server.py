@@ -9,8 +9,9 @@ two transports:
 * ``shm`` — ``n_workers`` OS processes, each of which builds its own
   surrogate (from a picklable :class:`SurrogateSpec` or a pickled
   :class:`SNSurrogate`) and serves batches whose requests and predictions
-  live in one shared-memory block per batch; the queues carry only block
-  names (see :mod:`repro.serve.shm`, which owns the worker protocol).
+  live in one shared-memory block per batch; each worker's pipe carries
+  only block names (see :mod:`repro.serve.shm`, which owns the worker
+  protocol).
   Inference then genuinely overlaps the main loop: the only wall-clock
   the main rank ever pays is the submit/collect bookkeeping, plus an
   *exposed wait* (recorded in :class:`ServiceMetrics`) when a prediction
@@ -24,29 +25,22 @@ Fault tolerance
 ---------------
 
 The ``shm`` pool follows the gravity helper's rule: a fault never crashes
-the main rank and never changes a result, and nothing is retried.
+the main rank and never changes a result, and nothing is retried.  A
+worker that dies, misses :data:`BATCH_DEADLINE_S` (hung, or it dropped its
+reply), sends a corrupt reply or raises in predict is killed and lost for
+good; every batch it held comes back from the transport as a
+:class:`WorkerLost` reply, and the server has one recovery for all of
+them: the batch's pending events resolve *inline* on the main rank, from
+the request buffers it keeps until a batch is absorbed, by the same
+surrogate recipe the workers build and with the same per-event seeds —
+bit-identical to what the worker would have returned.  The surviving
+workers carry on.  With none left the service is *degraded*: all
+outstanding and future work runs inline on the main rank and the run
+finishes.
 
-* **In-flight request registry** — the server keeps every dispatched
-  batch's request buffers until the batch's responses are absorbed, so a
-  lost batch's pending events resolve *inline* on the main rank, by the
-  same surrogate recipe the workers build and with the same per-event
-  seeds: bit-identical to what the worker would have returned.  A reply
-  for an event already resolved is dropped.
-* **A dead worker stays dead** — the transport attributes each batch to
-  the worker that claimed it, so a death converts exactly the claimed
-  batches into :class:`WorkerLost` replies; the surviving workers carry
-  on.  With none left the service is *degraded*: all outstanding and
-  future work runs inline on the main rank and the run finishes.
-* **Per-batch deadline** — a batch with no response within
-  :data:`BATCH_DEADLINE_S` (a *hung* worker, or a dropped reply) is
-  expired: its block is unlinked and its events resolve inline.  A late
-  worker is not killed (an idle one may hold the request queue's lock);
-  it carries on, and its stale reply is dropped.
-* **Corrupt response or predict exception** — the batch's pending events
-  resolve inline; the worker stays.
-
-Every recovery is counted, never swallowed (``n_workers_lost``,
-``n_fault_oracle``, ``n_batch_timeouts``, ``n_worker_errors`` in
+Every recovery is counted, never swallowed (``n_workers_lost`` for every
+loss, ``n_batch_timeouts`` and ``n_worker_errors`` for two of its causes,
+``n_fault_oracle`` for the events resolved inline, in
 :class:`ServiceMetrics`).
 Failures are injectable on purpose through a
 :class:`~repro.serve.faults.FaultPlan` (or the ``REPRO_SERVE_FAULTS``
@@ -68,7 +62,7 @@ from repro.serve.faults import FaultPlan
 from repro.obs.trace import NULL_TRACER
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.shm import Reply, WorkerLost, _ShmTransport, predict_responses
-from repro.serve.wire import ServeRequest, ServeResponse, WireFormatError
+from repro.serve.wire import ServeRequest, ServeResponse
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 from repro.util.constants import SN_ENERGY
 from repro.util.shm import owner_finalizer
@@ -202,6 +196,12 @@ def predict_batch_buffers(
     return [r.to_buffer() for r in predict_responses(surrogate, buffers)]
 
 
+def _predict_on_main(surrogate: SNSurrogate, buffers: list[np.ndarray]) -> list[ServeResponse]:
+    """The responses a worker would deliver, predicted here: encoded and
+    decoded as the shm transport's are."""
+    return [ServeResponse.from_buffer(b) for b in predict_batch_buffers(surrogate, buffers)]
+
+
 class _SyncTransport:
     """Execute batches inline on the caller's thread (the reference path)."""
 
@@ -218,12 +218,13 @@ class _SyncTransport:
     def degraded(self) -> bool:
         return False
 
-    def dispatch(self, batch_id: int, buffers: list[np.ndarray]) -> None:
+    def dispatch(self, batch_id: int, buffers: list[np.ndarray]) -> int:
         t0 = time.perf_counter()
-        responses = predict_batch_buffers(self._surrogate, buffers)
+        responses = _predict_on_main(self._surrogate, buffers)
         elapsed = time.perf_counter() - t0
         self._metrics.inline_predict_s += elapsed
         self._done.append((batch_id, -1, responses, elapsed))
+        return -1
 
     def poll(self) -> list[Reply]:
         out, self._done = self._done, []
@@ -429,20 +430,18 @@ class SurrogateServer:
 
     def _dispatch(self, buffers: list[np.ndarray]) -> None:
         if self._transport.degraded:
-            # No live workers: the batch would sit in the request queue
-            # until its timeout; resolve it inline right away instead.
+            # No live worker to send it to: resolve it inline right away.
             self._resolve_inline_fault(buffers, "service degraded: no live workers")
             return
         batch_id = self._next_batch_id
         self._next_batch_id += 1
-        trace_t0 = None
-        if self.tracer.enabled:
-            trace_t0 = self.tracer.now()
-            self.tracer.instant(
-                "serve.dispatch", cat="serve", batch=batch_id, events=len(buffers),
-            )
+        trace_t0 = self.tracer.now() if self.tracer.enabled else None
         self._batches[batch_id] = _Batch(buffers, time.monotonic(), trace_t0)
-        self._transport.dispatch(batch_id, buffers)
+        worker_id = self._transport.dispatch(batch_id, buffers)
+        self.tracer.instant(
+            "serve.dispatch", cat="serve", batch=batch_id, events=len(buffers),
+            worker=worker_id,
+        )
 
     # --------------------------------------------------------------- collect
     def collect(self, step: int, client: int | None = None) -> list[ServeResponse]:
@@ -544,32 +543,23 @@ class SurrogateServer:
         )
 
     # ------------------------------------------------------- fault recovery
-    def _event_pending(self, event_id: int) -> bool:
-        event = self._events.get(event_id)
-        return event is not None and event.response is None
-
     def _check_timeouts(self) -> None:
-        """Expire batches past the per-batch deadline and recover them."""
+        """Lose the worker of each batch past the per-batch deadline; the
+        batches it held, this one among them, resolve inline."""
         now = time.monotonic()
-        expired = [
-            bid for bid, batch in sorted(self._batches.items())
-            if now - batch.dispatched_at > BATCH_DEADLINE_S
-        ]
-        for bid in expired:
-            self.metrics.n_batch_timeouts += 1
-            self._transport.expire_batch(bid)
-            self._recover_batch(
-                bid, f"batch {bid} timed out after {BATCH_DEADLINE_S:g}s"
-            )
+        for bid in sorted(self._batches):
+            batch = self._batches.get(bid)     # absorbed with an earlier one?
+            if batch is not None and now - batch.dispatched_at > BATCH_DEADLINE_S:
+                self.metrics.n_batch_timeouts += 1
+                self._transport.expire_batch(bid)
+                self._absorb(self._transport.poll())
 
     def _recover_batch(self, batch_id: int, cause: str) -> None:
-        """Resolve a lost batch's still-pending events inline on the main rank."""
+        """Resolve a lost batch's events inline on the main rank (a lost
+        worker delivered none of them)."""
         batch = self._batches.pop(batch_id, None)
-        if batch is None:
-            return
-        pending = [b for b in batch.buffers if self._event_pending(int(b[2]))]
-        if pending:
-            self._resolve_inline_fault(pending, cause)
+        if batch is not None:
+            self._resolve_inline_fault(batch.buffers, cause)
 
     def _resolve_inline_fault(self, buffers: list[np.ndarray], cause: str) -> None:
         """Serve request buffers on the main rank — the recovery of last
@@ -578,7 +568,7 @@ class SurrogateServer:
         t0 = time.perf_counter()
         tt0 = self.tracer.now()
         try:
-            responses = predict_batch_buffers(self.local_surrogate, buffers)
+            responses = _predict_on_main(self.local_surrogate, buffers)
         except Exception as exc:
             raise RuntimeError(
                 f"serve worker fault ({cause}) could not be recovered inline"
@@ -591,41 +581,19 @@ class SurrogateServer:
                 tid="inline", events=len(buffers), cause=cause,
             )
         self.metrics.n_fault_oracle += len(buffers)
-        for buf in responses:
-            self._store_response(buf)
+        for response in responses:
+            self._store_response(response)
 
     def _absorb(self, replies: list[Reply]) -> None:
         for batch_id, worker_id, payload, busy_s in replies:
-            batch = self._batches.get(batch_id)
-            if batch is None:
-                # Stale duplicate: a hung worker finally answered a batch
-                # already recovered (idempotent — the transport has unlinked
-                # its block; the events were delivered elsewhere).
-                continue
             if isinstance(payload, WorkerLost):
                 self._recover_batch(batch_id, str(payload))
                 continue
-            if isinstance(payload, Exception):
-                self.metrics.n_worker_errors += 1
-                self._recover_batch(
-                    batch_id, f"worker {worker_id} predict error: {payload!r}"
-                )
-                continue
+            batch = self._batches.pop(batch_id)
             if worker_id >= 0:
                 self.metrics.add_worker_busy(worker_id, busy_s)
-            corrupt = False
-            for buf in payload:
-                try:
-                    self._store_response(buf)
-                except WireFormatError:
-                    corrupt = True
-            if corrupt:
-                # A torn response cannot name its event: recover whichever
-                # of the batch's events the good buffers did not cover.
-                self._recover_batch(
-                    batch_id, f"corrupt response from worker {worker_id}"
-                )
-                continue
+            for response in payload:
+                self._store_response(response)
             if self.tracer.enabled:
                 t0 = batch.trace_t0
                 now = self.tracer.now()
@@ -636,15 +604,10 @@ class SurrogateServer:
                     tid=lane, batch=batch_id, events=len(payload),
                     busy_s=busy_s, worker=worker_id,
                 )
-            del self._batches[batch_id]
 
-    def _store_response(self, buf: np.ndarray) -> None:
-        response = ServeResponse.from_buffer(buf)
-        event = self._events.get(response.event_id)
-        if event is None or event.response is not None:
-            return  # stale duplicate from an expired batch
-        self.metrics.bytes_out += int(buf.nbytes)
-        event.response = response
+    def _store_response(self, response: ServeResponse) -> None:
+        self.metrics.bytes_out += int(response.to_buffer().nbytes)
+        self._events[response.event_id].response = response
 
     # ----------------------------------------------------------------- close
     def close(self) -> None:

@@ -1,8 +1,12 @@
 """The process toolkit of every child this repo forks.
 
-Two kinds of child use it: the surrogate service's pool workers
+Two jobs run in a child: the surrogate service's pool workers
 (:mod:`repro.serve.shm`) and the force engine's gravity helper
-(:mod:`repro.accel.gravity_helper`).  Both follow one rule:
+(:mod:`repro.accel.gravity_helper`).  Both are a :class:`Child`: a forked
+process with one duplex pipe, whose side is one loop (receive a message,
+hand it to a handler, send the handler's reply) and whose owner
+:meth:`~Child.send` s, :meth:`~Child.recv` s and closes.  Both follow one
+rule:
 
 * **Before the fork** the parent starts its resource tracker
   (:func:`process_context` does), which a forked child inherits instead
@@ -13,7 +17,10 @@ Two kinds of child use it: the surrogate service's pool workers
   uses as arguments, attaches rings by name and only unmaps them; an
   inherited object's ``close()`` does nothing there
   (:func:`owner_finalizer`).
-* **At close** the parent stops and reaps the child
+* **Loss** — a child that dies, closes its pipe or misses the deadline of
+  a :meth:`~Child.recv` is killed and the call raises :class:`ChildLost`.
+  A lost child is never restarted; its owner does its work itself.
+* **At close** the parent asks the child to stop, reaps it
   (:func:`stop_process`) and unlinks its rings.
 
 This module imports nothing from the layers that use it.
@@ -25,7 +32,9 @@ import multiprocessing as mp
 import os
 import weakref
 from collections.abc import Callable
-from multiprocessing import resource_tracker, shared_memory
+from contextlib import suppress
+from multiprocessing import connection, resource_tracker, shared_memory
+from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from typing import Any
 
@@ -164,4 +173,109 @@ class SharedMemoryRing:
     # tracker covers hard crashes of the creator.
 
 
-__all__ = ["SharedMemoryRing", "owner_finalizer", "process_context", "stop_process"]
+#: Seconds :meth:`Child.close` gives a child to exit before it is killed.
+_STOP_GRACE_S = 5.0
+
+
+class ChildLost(RuntimeError):
+    """A :class:`Child` cannot answer: it died, its pipe closed, or it missed
+    a deadline.  The child is killed before this is raised."""
+
+
+def _serve(conn: Connection, parent_end: Connection,
+           make_handler: Callable[..., Callable[[Any], Any]], args: tuple[Any, ...]) -> None:
+    """The child side of every :class:`Child`: build the handler, then hand
+    it each message until ``None`` or EOF and send back what it returns
+    (nothing when it returns ``None``)."""
+    parent_end.close()          # inherited under fork: EOF must mean the parent is gone
+    handler = make_handler(*args)
+    while True:
+        try:
+            msg = conn.recv()
+        except EOFError:
+            return
+        if msg is None:
+            return
+        reply = handler(msg)
+        if reply is not None:
+            conn.send(reply)  # repro-lint: disable=ledger-label -- a pipe
+
+
+def _stop(proc: BaseProcess, conn: Connection) -> None:
+    with suppress(OSError):     # the pipe is gone: the child is too
+        conn.send(None)  # repro-lint: disable=ledger-label -- a pipe
+    stop_process(proc, _STOP_GRACE_S)
+    conn.close()
+
+
+class Child:
+    """A forked process serving one pipe: ``make_handler(*args)`` runs in the
+    child and returns the handler of its messages (see :func:`_serve`).
+
+    Only the process that made it stops it (:func:`owner_finalizer`):
+    :meth:`close`, garbage collection or interpreter exit.
+    """
+
+    def __init__(self, make_handler: Callable[..., Callable[[Any], Any]], *args: Any,
+                 name: str) -> None:
+        ctx = process_context()
+        self._conn, child_end = ctx.Pipe()
+        self.proc = ctx.Process(
+            target=_serve, args=(child_end, self._conn, make_handler, args),
+            daemon=True, name=name,
+        )
+        self.proc.start()
+        child_end.close()
+        self._finalizer = owner_finalizer(self, _stop, self.proc, self._conn)
+
+    @property
+    def pid(self) -> int:
+        return int(self.proc.pid or 0)
+
+    def _lost(self, why: str) -> ChildLost:
+        self.kill()
+        return ChildLost(f"{self.proc.name} (pid {self.pid}) {why}")
+
+    def send(self, msg: Any) -> None:
+        """One message down the pipe; raises :class:`ChildLost` when it is closed."""
+        try:
+            self._conn.send(msg)  # repro-lint: disable=ledger-label -- a pipe
+        except OSError as exc:
+            raise self._lost(f"closed its pipe ({exc})") from exc
+
+    def recv(self, deadline_s: float) -> Any:
+        """The next reply, waiting up to ``deadline_s``; raises
+        :class:`ChildLost` when the child dies (its sentinel fires), closes
+        its pipe or sends nothing in time.  A reply sent before a death is
+        still read."""
+        fired = connection.wait([self._conn, self.proc.sentinel], deadline_s)
+        if self._conn in fired:
+            try:
+                return self._conn.recv()
+            except (EOFError, OSError) as exc:
+                raise self._lost("died") from exc
+        raise self._lost("died" if fired else f"sent nothing within {deadline_s:g} s")
+
+    def kill(self) -> None:
+        """SIGKILL the child (a no-op once it is reaped)."""
+        self.proc.kill()
+
+    def close(self) -> None:
+        """Ask the child to stop, reap it and close the pipe; idempotent, and
+        a no-op in a forked child holding a copy of this handle."""
+        self._finalizer()
+
+
+def ready(children: dict[int, Child], timeout_s: float) -> list[int]:
+    """The keys of ``children`` with a reply or a death to read, in order,
+    waiting up to ``timeout_s`` for the first."""
+    handles: dict[Any, int] = {}
+    for key, child in children.items():
+        handles[child._conn] = handles[child.proc.sentinel] = key
+    return sorted({handles[h] for h in connection.wait(list(handles), timeout_s)})
+
+
+__all__ = [
+    "Child", "ChildLost", "SharedMemoryRing", "owner_finalizer", "process_context",
+    "ready", "stop_process",
+]

@@ -69,7 +69,7 @@ def _serial(ps, cfg, counter=None):
 
 
 def _segment(engine) -> Path:
-    return Path("/dev/shm") / engine._helper._h.ring.name.lstrip("/")
+    return Path("/dev/shm") / engine._helper._ring.name.lstrip("/")
 
 
 def _kill(pid: int) -> None:
@@ -111,7 +111,7 @@ def _assert_same_forces(integ, reference):
 
 def _assert_no_pass_in_flight(engine):
     assert engine._pending is None
-    assert not engine._helper._h.conn.poll(0)             # no answer owed or unread
+    assert not engine._helper._child._conn.poll(0)        # no answer owed or unread
 
 
 @pytest.fixture(scope="module")

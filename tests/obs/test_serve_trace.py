@@ -48,6 +48,7 @@ def test_recovery_spans_match_metrics_counters(chaos_trace):
     lost = _spans(tr, "serve.worker_lost")
     assert len(lost) == m.n_workers_lost == 1   # the kill actually happened
     assert lost[0].attrs["worker"] == 0
+    assert "died" in lost[0].attrs["cause"]
     # Inline fallbacks resolve whole batches; their event counts sum to the
     # oracle counter exactly.
     inline = _spans(tr, "serve.inline_recovery")
@@ -76,8 +77,10 @@ def test_batch_spans_ride_worker_lanes(chaos_trace):
     assert all(r.tid.startswith("worker-") or r.tid == "inline"
                for r in batches)
     assert all(r.dur >= 0.0 for r in batches)
-    claims = _spans(tr, "serve.claim")
-    assert all(r.tid.startswith("worker-") for r in claims)
+    # Every batch is sent to a worker, which its batch span's lane names.
+    sent = {r.attrs["batch"]: r.attrs["worker"] for r in _spans(tr, "serve.dispatch")}
+    assert set(sent.values()) <= {0, 1}
+    assert all(r.tid == f"worker-{sent[r.attrs['batch']]}" for r in batches)
 
 
 def test_shm_transport_traces_zero_copy_encode():

@@ -6,9 +6,10 @@ corrupt response, raise in predict, dropped response) and asserts the
 headline invariant of the fault-tolerance work: the delivered predictions
 are byte-for-byte what the deterministic ``sync`` transport produces, with
 the recovery visible only in the :class:`ServiceMetrics` counters — and
-with every shared block the server created unlinked after close.  A
-fault never re-dispatches a batch or restarts a worker: a lost batch
-resolves inline on the main rank and a dead worker stays dead.
+with every shared block the server created unlinked after close.  Every
+fault loses its worker for good: the batches it held resolve inline on the
+main rank, nothing is re-dispatched or restarted, and no later batch is
+sent to it.
 """
 
 from contextlib import contextmanager
@@ -121,6 +122,27 @@ def assert_nothing_retried(m):
     assert m.n_redispatch == 0 and m.n_worker_restarts == 0
 
 
+def _dispatched(tr):
+    """Batch id -> the worker the server sent it to."""
+    return {r.attrs["batch"]: r.attrs["worker"] for r in tr.records if r.name == "serve.dispatch"}
+
+
+def assert_worker_0_lost(tr, m):
+    """Worker 0 was lost once, and every batch dispatched after that went
+    to worker 1."""
+    assert m.n_workers_lost == 1
+    serve = [r for r in tr.records if r.cat == "serve"]
+    lost = [i for i, r in enumerate(serve) if r.name == "serve.worker_lost"]
+    assert len(lost) == 1 and serve[lost[0]].attrs["worker"] == 0
+    later = [r.attrs["worker"] for r in serve[lost[0]:] if r.name == "serve.dispatch"]
+    assert later and set(later) == {1}
+
+
+#: Two rounds of two batches: one for each worker, then two for whichever
+#: is left.
+TWO_ROUNDS = ((0, 5, 4), (6, 11, 4))
+
+
 # ---------------------------------------------------------------- fault plan
 def test_faultplan_parse_roundtrip():
     plan = FaultPlan.parse("kill@w0:b1, hang@w1:b2:0.5, corrupt@w0:b3")
@@ -165,8 +187,8 @@ def test_kill_mid_flight_bit_identical_and_worker_lost(transport):
 
 
 def test_lost_worker_stays_lost():
-    # Worker 0 dies on its first claim; every batch after that is claimed
-    # by worker 1, and nothing takes worker 0's place.
+    # Worker 0 dies on its first batch; every batch after that is sent to
+    # worker 1, and nothing takes worker 0's place.
     rounds = ((0, 5, 4), (6, 11, 4), (12, 17, 4))
     tr = Tracer(run_id="lost-stays-lost")
     with recorded_blocks() as blocks, _chaos_server("shm", "kill@w0:b1", tracer=tr) as srv:
@@ -174,10 +196,8 @@ def test_lost_worker_stays_lost():
         m = srv.metrics
         degraded = srv.degraded
     _assert_bit_identical(got, _reference(rounds))
-    claimers = [r.attrs["worker"] for r in tr.records if r.name == "serve.claim"]
-    assert 0 in claimers
-    assert set(claimers[claimers.index(0) + 1:]) <= {1}
-    assert m.n_workers_lost == 1
+    assert list(_dispatched(tr).values()) == [0, 1, 1, 1, 1, 1]
+    assert_worker_0_lost(tr, m)
     assert not degraded
     assert m.n_worker_restarts == 0
     assert_no_block_linked(blocks)
@@ -186,91 +206,98 @@ def test_lost_worker_stays_lost():
 # -------------------------------------------------------------- chaos: hang
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_hang_past_deadline_resolves_inline(transport):
-    rounds = ((0, 5, 4),)
-    with recorded_blocks() as blocks, _chaos_server(transport, "hang@w0:b1:30.0") as srv:
-        got = _run_rounds(srv, rounds)
+    tr = Tracer(run_id="hang")
+    with recorded_blocks() as blocks, _chaos_server(
+        transport, "hang@w0:b1:30.0", tracer=tr,
+    ) as srv:
+        got = _run_rounds(srv, TWO_ROUNDS)
         m = srv.metrics
-        assert m.n_batch_timeouts >= 1
-        assert m.n_fault_oracle >= 1
-        assert m.n_workers_lost == 0        # late, not dead: never killed
+        assert m.n_batch_timeouts == 1
+        assert m.n_fault_oracle == 2
         assert_nothing_retried(m)
-    _assert_bit_identical(got, _reference(rounds))
-    # The hung worker keeps its own mapping of the expired block, which is
-    # already unlinked: nothing it writes reaches anyone.
+    assert_worker_0_lost(tr, m)             # late, so killed at the deadline
+    _assert_bit_identical(got, _reference(TWO_ROUNDS))
     assert_no_block_linked(blocks)
 
 
 # ----------------------------------------------------------- chaos: corrupt
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_corrupt_response_resolves_inline(transport):
-    rounds = ((0, 5, 4),)
-    with recorded_blocks() as blocks, _chaos_server(transport, "corrupt@w0:b1") as srv:
-        got = _run_rounds(srv, rounds)
+    tr = Tracer(run_id="corrupt")
+    with recorded_blocks() as blocks, _chaos_server(
+        transport, "corrupt@w0:b1", tracer=tr,
+    ) as srv:
+        got = _run_rounds(srv, TWO_ROUNDS)
         m = srv.metrics
-        assert m.n_fault_oracle >= 1
-        assert m.n_workers_lost == 0
+        assert m.n_fault_oracle == 2        # the whole batch, good buffers too
         assert_nothing_retried(m)
-    _assert_bit_identical(got, _reference(rounds))
+    assert_worker_0_lost(tr, m)
+    _assert_bit_identical(got, _reference(TWO_ROUNDS))
     assert_no_block_linked(blocks)
 
 
 # -------------------------------------------------------------- chaos: drop
 def test_dropped_response_recovers_via_timeout():
-    rounds = ((0, 5, 4),)
-    with recorded_blocks() as blocks, _chaos_server("shm", "drop@w0:b1") as srv:
-        got = _run_rounds(srv, rounds)
+    tr = Tracer(run_id="drop")
+    with recorded_blocks() as blocks, _chaos_server("shm", "drop@w0:b1", tracer=tr) as srv:
+        got = _run_rounds(srv, TWO_ROUNDS)
         m = srv.metrics
-        assert m.n_batch_timeouts >= 1
-        assert m.n_fault_oracle >= 1
+        assert m.n_batch_timeouts == 1
+        assert m.n_fault_oracle == 2
         assert_nothing_retried(m)
-    _assert_bit_identical(got, _reference(rounds))
-    # The dropped batch's block was unlinked when the batch expired.
+    assert_worker_0_lost(tr, m)
+    _assert_bit_identical(got, _reference(TWO_ROUNDS))
+    # The dropped batch's block was unlinked when its worker was lost.
     assert_no_block_linked(blocks)
 
 
-# ------------------------------------------------ chaos: expired in queue
-def test_batch_expired_while_queued_is_skipped():
-    # One worker hangs on its first batch past the deadline, so the second
-    # batch expires before any worker claims it: its block is unlinked while
-    # it waits in the queue.  Both resolve inline.  The second round's
-    # batches queue behind it; the worker wakes, skips batch 1 and serves
-    # them, and the run stays bit-identical.
-    rounds = ((0, 5, 4), (6, 11, 4))
-    tr = Tracer(run_id="expired-in-queue")
-    with recorded_blocks() as blocks, SurrogateServer(
-        surrogate=_surr(), transport="shm", n_workers=1, max_batch=2,
-        fault_plan="hang@w0:b1:3.0", tracer=tr,
+# ------------------------------------------- chaos: queued behind a hang
+def test_a_batch_queued_behind_a_hung_one_resolves_inline_with_it():
+    # Four batches in one flush, round robin: 0 and 2 to worker 0, 1 and 3
+    # to worker 1.  Worker 0 hangs on batch 0 with batch 2 waiting in its
+    # pipe; at batch 0's deadline it is lost with both, and both resolve
+    # inline while worker 1 serves its own two.
+    rounds = ((0, 5, 8),)
+    tr = Tracer(run_id="queued-behind-a-hang")
+    with recorded_blocks() as blocks, _chaos_server(
+        "shm", "hang@w0:b1:30.0", tracer=tr,
     ) as srv:
         got = _run_rounds(srv, rounds)
         m = srv.metrics
-        assert m.n_batch_timeouts == 2
+        assert m.n_batch_timeouts == 1
+        assert m.n_workers_lost == 1
         assert m.n_fault_oracle == 4
         assert m.n_worker_errors == 0
-        assert m.n_workers_lost == 0        # the skip is no crash
         assert_nothing_retried(m)
     _assert_bit_identical(got, _reference(rounds))
-    claimed = {r.attrs["batch"] for r in tr.records if r.name == "serve.claim"}
-    assert claimed == {0, 2, 3}         # batch 1 was never claimed
+    assert _dispatched(tr) == {0: 0, 1: 1, 2: 0, 3: 1}
+    lost = [r.attrs["batches"] for r in tr.records if r.name == "serve.worker_lost"]
+    assert lost == [[0, 2]]
+    served = {r.attrs["batch"]: r.attrs["worker"] for r in tr.records if r.name == "serve.batch"}
+    assert served == {1: 1, 3: 1}
     assert_no_block_linked(blocks)
 
 
 # ----------------------------------------------------- chaos: worker raises
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_raise_in_predict_resolves_inline(transport):
-    rounds = ((0, 5, 4),)
-    with recorded_blocks() as blocks, _chaos_server(transport, "raise@w0:b1") as srv:
-        got = _run_rounds(srv, rounds)
+    tr = Tracer(run_id="raise")
+    with recorded_blocks() as blocks, _chaos_server(
+        transport, "raise@w0:b1", tracer=tr,
+    ) as srv:
+        got = _run_rounds(srv, TWO_ROUNDS)
         m = srv.metrics
-        assert m.n_worker_errors >= 1
-        assert m.n_fault_oracle >= 1
+        assert m.n_worker_errors == 1
+        assert m.n_fault_oracle == 2
         assert_nothing_retried(m)
-    _assert_bit_identical(got, _reference(rounds))
+    assert_worker_0_lost(tr, m)
+    _assert_bit_identical(got, _reference(TWO_ROUNDS))
     assert_no_block_linked(blocks)
 
 
 # -------------------------------------------------------- chaos: degradation
 def test_losing_the_last_worker_degrades_to_inline():
-    # The only worker SIGKILLs itself on its first claim: the pool is
+    # The only worker SIGKILLs itself on its first batch: the pool is
     # empty, every batch in flight and every later one resolves inline,
     # and the run still finishes bit-identically.
     rounds = ((0, 5, 4), (6, 11, 4))

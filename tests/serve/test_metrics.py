@@ -25,7 +25,7 @@ def _busy_metrics():
 # ------------------------------------------------------------------ to_dict
 def test_to_dict_stamps_schema_version():
     d = _busy_metrics().to_dict(max_batch=2, n_workers=2)
-    assert d["schema"] == METRICS_SCHEMA_VERSION == 4
+    assert d["schema"] == METRICS_SCHEMA_VERSION == 5
     assert d["n_workers_lost"] == 1
     assert d["n_worker_restarts"] == d["n_redispatch"] == 0
     assert "recovery_s" not in d and "mean_recovery_s" not in d

@@ -1,11 +1,15 @@
 """The process toolkit both child kinds share: the gravity helper and the
-shm serve workers are reaped by one function, and an inherited handle's
-``close()`` in a forked child leaves the owner's processes and rings alone."""
+shm serve workers are one :class:`Child` each, lost by one rule and reaped
+by one function, and an inherited handle's ``close()`` in a forked child
+leaves the owner's processes and rings alone."""
 
+import multiprocessing as mp
+import os
 import signal
 import time
 
 import numpy as np
+import pytest
 
 from repro.accel import ForceEngine
 from repro.core.integrator import IntegratorConfig
@@ -16,7 +20,7 @@ from repro.ic.galaxy import make_mw_mini
 from repro.obs.trace import Tracer
 from repro.serve import SurrogateServer
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
-from repro.util.shm import SharedMemoryRing, process_context, stop_process
+from repro.util.shm import Child, ChildLost, SharedMemoryRing, process_context, stop_process
 from repro.util.timers import TimerRegistry
 
 
@@ -64,15 +68,15 @@ def test_close_in_a_forked_child_touches_nothing():
     server = SurrogateServer(surrogate=_surr(), transport="shm", n_workers=1, max_batch=2)
     helper = engine._helper
     try:
-        ring = helper._h.ring
+        ring = helper._ring
         child = process_context().Process(target=_close_inherited, args=(helper, server))
         child.start()
         child.join(30)
         assert child.exitcode == 0             # close() returned without error
 
-        assert helper._h.proc.is_alive()
-        assert list(server._transport._procs) == [0]
-        assert server._transport._procs[0].is_alive()
+        assert helper._child.proc.is_alive()
+        assert list(server._transport._workers) == [0]
+        assert server._transport._workers[0].proc.is_alive()
         assert server.metrics.n_workers_lost == 0
         # The helper's ring is still linked (the server keeps no segment
         # between batches: each batch has its own block).
@@ -107,3 +111,51 @@ def test_stop_process_reaps_an_exited_child_and_kills_a_stuck_one():
     stop_process(stuck, grace_s=0.2)
     assert stuck.exitcode == -signal.SIGKILL
     assert time.monotonic() - t0 < 5.0
+
+
+def _double(msg):
+    return None if msg == "quiet" else 2 * msg
+
+
+def _doubler():
+    """A handler: twice each message, and no reply to ``"quiet"``."""
+    return _double
+
+
+def test_a_child_answers_each_message_and_stops_on_close():
+    child = Child(_doubler, name="repro-test-child")
+    child.send(21)
+    child.send("quiet")
+    child.send(4)
+    assert child.recv(10.0) == 42
+    assert child.recv(10.0) == 8                  # "quiet" sent nothing
+    child.close()
+    assert child.proc.exitcode == 0               # asked to stop, not killed
+    child.close()                                 # a second close: no-op
+
+
+def test_a_killed_child_is_lost_at_once_not_at_its_deadline():
+    child = Child(_doubler, name="repro-test-child")
+    try:
+        os.kill(child.pid, signal.SIGKILL)
+        t0 = time.monotonic()
+        with pytest.raises(ChildLost, match="died"):
+            child.recv(30.0)                      # the sentinel fires
+        assert time.monotonic() - t0 < 5.0
+    finally:
+        child.close()
+    assert child.proc.exitcode == -signal.SIGKILL
+
+
+def test_a_child_that_never_answers_is_killed_at_its_deadline_and_reaped_by_close():
+    child = Child(_doubler, name="repro-test-child")
+    child.send("quiet")
+    t0 = time.monotonic()
+    with pytest.raises(ChildLost, match=r"sent nothing within 0\.3 s"):
+        child.recv(0.3)
+    assert 0.3 <= time.monotonic() - t0 < 5.0
+    t0 = time.monotonic()
+    child.close()
+    assert time.monotonic() - t0 < 2.0            # killed already: no grace to wait
+    assert child.proc.exitcode == -signal.SIGKILL
+    assert child.proc not in mp.active_children()
