@@ -26,8 +26,9 @@ the per-rank work.  This bench recovers the parallel story the paper tells
 The backend is the registry's selection (``$REPRO_BACKEND``, else
 ``numpy``), and the JSON records which backend the numbers belong to.
 Results land in
-``benchmarks/results/BENCH_coupled_scaling.json``.  Runs as a pytest bench
-or standalone (the CI coupled leg):
+``benchmarks/results/BENCH_coupled_scaling.json`` (a smoke run's in the
+gitignored ``benchmarks/results/smoke/``).  Runs as a pytest bench or
+standalone (the CI coupled leg):
 
     python benchmarks/bench_coupled_scaling.py --smoke
 """
@@ -324,8 +325,10 @@ def main(argv):
         SMOKE = True
     sizes, rank_plans, steps, backend = _plan()
     payload, rows = run_coupled_scaling(sizes, rank_plans, steps, backend)
-    results = Path(__file__).parent / "results"
-    results.mkdir(exist_ok=True)
+    # A smoke run writes to the gitignored results/smoke/, never over a
+    # committed result.
+    results = Path(__file__).parent / "results" / ("smoke" if SMOKE else "")
+    results.mkdir(parents=True, exist_ok=True)
     (results / "BENCH_coupled_scaling.json").write_text(
         json.dumps(payload, indent=2)
     )

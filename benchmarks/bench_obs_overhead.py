@@ -14,8 +14,9 @@ the default :data:`~repro.obs.NULL_TRACER`, once under a live
   — it gets proportionally more headroom while the full run holds the
   paper-scale 5% bar).
 
-Results land in ``benchmarks/results/BENCH_obs_overhead.json``.  Runs as a
-pytest bench or standalone:
+Results land in ``benchmarks/results/BENCH_obs_overhead.json`` (a smoke
+run's in the gitignored ``benchmarks/results/smoke/``).  Runs as a pytest
+bench or standalone:
 
     python benchmarks/bench_obs_overhead.py --smoke
 """
@@ -128,8 +129,10 @@ def main(argv):
     if "--smoke" in argv:
         SMOKE = True
     payload, rows = run_overhead_bench()
-    results = Path(__file__).parent / "results"
-    results.mkdir(exist_ok=True)
+    # A smoke run writes to the gitignored results/smoke/, never over a
+    # committed result.
+    results = Path(__file__).parent / "results" / ("smoke" if SMOKE else "")
+    results.mkdir(parents=True, exist_ok=True)
     (results / "BENCH_obs_overhead.json").write_text(json.dumps(payload, indent=2))
     width = max(len(str(r[0])) for r in rows)
     for name, value in rows:

@@ -17,8 +17,9 @@ A ``sync`` warm-up server runs first, untimed: it pays this process's
 first prediction (imports, caches), which every worker forked after it
 inherits, so the baseline does not pay a start-up the faulted runs skip.
 
-Results land in ``benchmarks/results/BENCH_serve_faults.json``.  Runs as a
-pytest bench or standalone (the CI chaos leg):
+Results land in ``benchmarks/results/BENCH_serve_faults.json`` (a smoke
+run's in the gitignored ``benchmarks/results/smoke/``).  Runs as a pytest
+bench or standalone (the CI chaos leg):
 
     python benchmarks/bench_serve_faults.py --smoke
 """
@@ -152,8 +153,10 @@ def main(argv):
         SMOKE = True
     n_events = 8 if SMOKE else 24
     payload, rows = run_fault_bench(n_events)
-    results = Path(__file__).parent / "results"
-    results.mkdir(exist_ok=True)
+    # A smoke run writes to the gitignored results/smoke/, never over a
+    # committed result.
+    results = Path(__file__).parent / "results" / ("smoke" if SMOKE else "")
+    results.mkdir(parents=True, exist_ok=True)
     (results / "BENCH_serve_faults.json").write_text(json.dumps(payload, indent=2))
     width = max(len(r[0]) for r in rows)
     for name, value in rows:

@@ -13,7 +13,8 @@ Measures the two claims the `repro.serve` subsystem makes:
    CI runners may not have the cores to show it).
 
 Everything is recorded in ``benchmarks/results/BENCH_serve_throughput.json``
-so future PRs can compare regions/s and overlap vs pool-worker count.
+(a smoke run's in the gitignored ``benchmarks/results/smoke/``) so later
+changes can compare regions/s and overlap vs pool-worker count.
 """
 
 import json

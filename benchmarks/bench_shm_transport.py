@@ -17,7 +17,8 @@ bit-identical code on both transports) — recorded, not asserted.
 
 Results land in ``benchmarks/results/BENCH_shm_transport.json``.  Smoke
 mode (``REPRO_BENCH_SMOKE=1``, the CI serve leg) runs the 16^3 column
-only and keeps the parity + fallback assertions.
+only, keeps the parity + fallback assertions and writes to the gitignored
+``benchmarks/results/smoke/``.
 """
 
 import json

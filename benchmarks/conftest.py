@@ -1,7 +1,9 @@
 """Benchmark support: every benchmark regenerates one paper table/figure.
 
 Each bench writes its regenerated rows/series to ``benchmarks/results/`` so
-the artifacts survive pytest's stdout capture, and registers a single
+the artifacts survive pytest's stdout capture — a smoke run
+(``REPRO_BENCH_SMOKE=1``) to the gitignored ``benchmarks/results/smoke/``,
+so it never rewrites a committed result — and registers a single
 ``benchmark.pedantic`` round (these are experiment reproductions, not
 micro-benchmarks — one measured round each keeps the suite fast while still
 producing timing data).
@@ -9,6 +11,7 @@ producing timing data).
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -18,8 +21,10 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 @pytest.fixture
 def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+    smoke = bool(int(os.environ.get("REPRO_BENCH_SMOKE", "0")))
+    path = RESULTS_DIR / "smoke" if smoke else RESULTS_DIR
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 @pytest.fixture

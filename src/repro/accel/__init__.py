@@ -131,14 +131,15 @@ position signal of any kind it returns ``None`` and step 7 is a
 :meth:`ForceEngine.notify_rows_moved` starts on the edited grid and
 re-solves the region the moved rows touched.
 
-Gravity helper: two processes per tree pass, overlapped with hydro
-------------------------------------------------------------------
+Gravity helper: two processes per gravity pass
+----------------------------------------------
 
 Inside a node the paper's force loop runs in parallel over interaction
-groups, and gravity and hydro are independent passes over the same
-positions; here :class:`ForceEngine` shares every tree pass with one
-helper process (:mod:`repro.accel.gravity_helper`) and lets it run during
-the SPH pass:
+groups, each MPI rank runs its own, and gravity and hydro are independent
+passes over the same positions; here :class:`ForceEngine` shares every
+tree pass with one helper process (:mod:`repro.accel.gravity_helper`) and
+lets it run during the SPH pass, and shares the distributed force pass
+with it by whole ranks:
 
 * **Flow** — submit → hydro → claim from both ends → collect.  The step
   host checks both passes' inputs, then
@@ -171,11 +172,20 @@ the SPH pass:
   too, so this package imports nothing from :mod:`repro.serve`; the helper
   owns nothing it inherits.
 * **Start rule** — :meth:`ForceEngine.start_gravity_helper`, called by the
-  step host at construction when the engine does the run's gravity
-  (``force_mode="global"``), starts it only when ``cfg.self_gravity`` is
-  on, the particle count is above ``cfg.direct_gravity_below`` and the host
-  has at least two CPUs.  Distributed force mode, direct summation and a
-  one-CPU host start no process.
+  step host at construction in either force mode, starts it only when
+  ``cfg.self_gravity`` is on, the particle count is above
+  ``cfg.direct_gravity_below`` and the host has at least two CPUs.  Direct
+  summation and a one-CPU host start no process.
+* **Rank pass** — in ``force_mode="distributed"`` the engine walks no
+  tree; :meth:`DistributedGravity.forces
+  <repro.fdps.distributed.DistributedGravity.forces>` ships every rank's
+  local particles and LET imports to the engine's helper
+  (:attr:`ForceEngine.helper`) and the two processes claim whole ranks
+  from the two ends, as they claim groups in a tree pass.  The helper's
+  busy seconds go to its ranks' ``Calc_Force`` timers and its interaction
+  tally to the run's counter; a rank pass gauges
+  ``accel.grav_helper_ranks`` and ``accel.grav_helper_busy_s``.  A loss
+  follows the fallback below (:meth:`ForceEngine.lose_helper`).
 * **Bit-identity** — the SPH pass never writes ``pos``/``mass``/``eps``;
   main and helper build the same octree and walk the same lists; each
   evaluates its groups with :meth:`GroupTiles.evaluate
@@ -186,7 +196,7 @@ the SPH pass:
   state of a run.
 * **Fallback** — a dead helper, one that misses
   :data:`~repro.accel.gravity_helper.DEADLINE_S`, or an answer for another
-  pass: main evaluates every group below its own claims itself, counts
+  pass: main evaluates every group or rank below its own claims itself, counts
   ``accel.grav_helper_lost``, logs one warning and runs every later pass
   alone.  No restart.
 * **Trace** — a collected pass counts ``accel.grav_split_passes`` and

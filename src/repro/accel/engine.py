@@ -127,14 +127,17 @@ class ForceEngine:
     kernels.
 
     Once :meth:`start_gravity_helper` has started a helper process (the
-    step host does at construction: global force mode, self-gravity, more
-    particles than ``direct_gravity_below``, two CPUs), every tree pass is
-    shared between this process and the helper, bit-identical to the
-    serial pass: :meth:`submit_gravity` ships it before the SPH pass and
-    :meth:`gravity` claims groups and collects it afterwards.  A lost
-    helper is replaced by this process for the rest of the run, and
-    :meth:`close` stops it.  The engine owns the helper and its shared
-    block; nothing configures it.  See :mod:`repro.accel`.
+    step host does at construction: self-gravity, more particles than
+    ``direct_gravity_below``, two CPUs), every tree pass is shared between
+    this process and the helper, bit-identical to the serial pass:
+    :meth:`submit_gravity` ships it before the SPH pass and :meth:`gravity`
+    claims groups and collects it afterwards.  In distributed force mode
+    :class:`~repro.fdps.distributed.DistributedGravity` shares its rank
+    pass with the same helper (:attr:`helper`).  A lost helper is replaced
+    by this process for the rest of the run (:meth:`lose_helper`), and
+    :meth:`close` stops it.
+    The engine owns the helper and its shared block; nothing configures
+    it.  See :mod:`repro.accel`.
 
     Constructing one keeps this process's heap resident
     (:func:`_keep_heap_resident`): a step's transients are reused from the
@@ -262,12 +265,13 @@ class ForceEngine:
 
         The rule: ``cfg.self_gravity`` is on, ``n_particles`` is above
         ``cfg.direct_gravity_below`` (smaller sets are summed directly) and
-        the host has at least two CPUs.  The step host calls this at
-        construction, when the engine does the run's gravity
-        (``force_mode="global"``) — not lazily at the first pass, so the
-        child starts with the affinity the process had before any pinning
-        of the main loop and a harness can move it to the other CPUs along
-        with every other child.  See :mod:`repro.accel.gravity_helper`.
+        the host has at least two CPUs — in either force mode: the helper
+        shares this engine's tree passes by groups, and the distributed
+        force pass by whole ranks.  The step host calls this at
+        construction — not lazily at the first pass, so the child starts
+        with the affinity the process had before any pinning of the main
+        loop and a harness can move it to the other CPUs along with every
+        other child.  See :mod:`repro.accel.gravity_helper`.
         """
         cfg = self.cfg
         if (
@@ -296,7 +300,7 @@ class ForceEngine:
                     cfg.theta, cfg.n_g, cfg.leaf_size, cfg.mixed_precision,
                 )
             except HelperLost as lost:
-                self._lose_helper(lost)
+                self.lose_helper(lost)
         self._pending = (pass_no, time.perf_counter())
 
     def drain_gravity(self) -> None:
@@ -310,7 +314,7 @@ class ForceEngine:
         try:
             helper.cancel(pass_no)
         except HelperLost as lost:
-            self._lose_helper(lost)
+            self.lose_helper(lost)
 
     def gravity(self, ps: ParticleSet, label: str) -> np.ndarray:
         """Self-gravity on all particles; at most one octree build per call
@@ -364,7 +368,7 @@ class ForceEngine:
             try:
                 helper_hi, helper_s = helper.collect(pass_no, acc, tiles)
             except HelperLost as lost:
-                self._lose_helper(lost)
+                self.lose_helper(lost)
                 tiles.evaluate(acc, range(main_lo), self.backend, self._tile_workspace)
             else:
                 self._pending = None
@@ -379,7 +383,14 @@ class ForceEngine:
             tiles.count(self.counter)
         return acc, int(tiles.costs.sum())
 
-    def _lose_helper(self, cause: Exception) -> None:
+    @property
+    def helper(self) -> GravityHelper | None:
+        """The running gravity helper, if any: the distributed force pass
+        (:meth:`repro.fdps.distributed.DistributedGravity.forces`) shares
+        whole ranks with it, and reports a loss to :meth:`lose_helper`."""
+        return self._helper
+
+    def lose_helper(self, cause: Exception) -> None:
         """The helper cannot deliver: stop it for good and say so once."""
         helper, self._helper = self._helper, None
         assert helper is not None
@@ -389,7 +400,7 @@ class ForceEngine:
         self.timers.tracer.count("accel.grav_helper_lost")
         _log.warning(
             "gravity helper (pid %s) lost: %s; this process evaluates its "
-            "groups, in this pass and every later one", pid, cause,
+            "share, in this pass and every later one", pid, cause,
         )
 
     def work_weights(self, ps: ParticleSet) -> np.ndarray:

@@ -59,7 +59,9 @@ construction:
 with every communication phase still paid for on the ledgers.
 ``force_mode="distributed"`` runs gravity through the full per-rank
 tree + LET pipeline instead (tree-code-accurate, not bitwise-equal): the
-mode the coupled scaling benchmark measures.
+mode the coupled scaling benchmark measures.  In either mode the engine's
+gravity helper, started at construction, shares the gravity pass — groups
+of the global tree pass, or whole ranks of the distributed one.
 """
 
 from __future__ import annotations
@@ -152,11 +154,11 @@ class CoupledRunner(BaseIntegrator):
             for r in range(self.n_ranks)
         ]
         self.decomp, self.owner = self.driver.decompose(ps)
-        if force_mode == "global":
-            # The engine does the gravity: part of every tree pass goes to a
-            # helper process started now, with the affinity this process has
-            # (repro.accel.gravity_helper).
-            self.engine.start_gravity_helper(len(ps))
+        # Part of every gravity pass — groups of the engine's tree pass, or
+        # whole ranks of DistributedGravity's — goes to a helper process
+        # started now, with the affinity this process has
+        # (repro.accel.gravity_helper).
+        self.engine.start_gravity_helper(len(ps))
 
     # ----------------------------------------------------------- run control
     def step(self) -> None:
@@ -353,7 +355,9 @@ class CoupledRunner(BaseIntegrator):
             index.invalidate_all()
         locals_ = self._locals()
         if self.cfg.self_gravity:
-            accs = self.driver.forces(locals_, self.decomp, counter=self.counter)
+            accs = self.driver.forces(
+                locals_, self.decomp, counter=self.counter, engine=self.engine
+            )
             pid = np.concatenate([loc.pid for loc in locals_])
             acc = np.concatenate(accs) if len(pid) else np.zeros((0, 3))
             order = np.argsort(pid, kind="stable")

@@ -25,7 +25,12 @@ at the exchange boundary (and by the host after its drift):
    domain, exported by walking the *same* cached per-rank tree;
 5. **force calculation** — group-wise walks over that same cached local
    tree, with the imported LET matter (already per-domain aggregated)
-   appended to each group's interaction list;
+   added as direct sources.  Ranks are the unit of parallelism, as in
+   FDPS, where each MPI rank runs its own force loop: with the host's
+   gravity helper running, the helper claims whole ranks from the bottom
+   while this process claims them from the top
+   (:mod:`repro.accel.gravity_helper`), so two ranks run at once and every
+   rank's forces are bit-identical to a serial loop over the ranks;
 6. **SN-region ghosts** — the remote gas of an SN cube that crosses its
    owner's domain box (:meth:`DistributedGravity.exchange_region_ghosts`).
 
@@ -39,10 +44,12 @@ model's byte-anchored comm terms).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.accel.backends.base import TileWorkspace
+from repro.accel.gravity_helper import Block, GravityHelper, HelperLost, rank_accel
 from repro.accel.index import SpatialIndex
 from repro.fdps.comm import SimComm, TorusTopology
 from repro.fdps.domain import DomainDecomposition, process_grid
@@ -50,9 +57,12 @@ from repro.fdps.interaction import InteractionCounter
 from repro.fdps.let import exchange_let
 from repro.fdps.particles import ParticleSet, ParticleType, packed_width
 from repro.fdps.tree import Octree
-from repro.gravity.treegrav import record_gravity_pass, tree_accel
+from repro.gravity.treegrav import record_gravity_pass
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.util.timers import TimerRegistry
+
+if TYPE_CHECKING:
+    from repro.accel import ForceEngine
 
 
 @dataclass
@@ -255,13 +265,28 @@ class DistributedGravity:
         locals_: list[ParticleSet],
         decomp: DomainDecomposition,
         counter: InteractionCounter | None = None,
+        engine: ForceEngine | None = None,
     ) -> list[np.ndarray]:
         """Phases 3-5: local trees, LET exchange, group-walk forces.
 
         Each rank's tree comes from its :class:`SpatialIndex` cache (at most
         one build per rank, zero when still valid) and serves both the LET
-        export walk and the force walk; imports enter the group interaction
-        lists directly.
+        export walk and the force walk; a rank's imports are direct sources
+        of each of its particles.
+
+        The force phase is one loop over whole ranks, the unit FDPS runs in
+        parallel.  When ``engine`` runs a gravity helper, every rank's local
+        ``pos``/``mass``/``eps`` and LET imports go to it first
+        (:meth:`~repro.accel.gravity_helper.GravityHelper.submit_ranks`):
+        the helper claims ranks ``0, 1, ...`` and this process ``n-1, n-2,
+        ...`` until they meet, each running
+        :func:`~repro.accel.gravity_helper.rank_accel` — the same function
+        on the same inputs, so every rank's ``acc`` is bit-identical
+        whichever process evaluated it.  The helper's busy seconds go to
+        its ranks' ``Calc_Force`` timers and its interaction tally to
+        ``counter``.  Without a helper this process claims every rank; a
+        helper lost mid-pass leaves its ranks to this process, and the
+        engine runs every later pass alone.
         """
         glo = np.min([ps.pos.min(axis=0) for ps in locals_ if len(ps)], axis=0)
         ghi = np.max([ps.pos.max(axis=0) for ps in locals_ if len(ps)], axis=0)
@@ -288,32 +313,91 @@ class DistributedGravity:
                 self.comm, safe_trees, decomp, glo, ghi, self.theta,
                 use_3d=self.use_torus,
             )
-        accs: list[np.ndarray] = []
+        blocks: list[Block] = [
+            (ps.pos, ps.mass, ps.eps, imp.pos, imp.mass)
+            for ps, imp in zip(locals_, imports, strict=True)
+        ]
+        shipped = self._ship(blocks, engine)
+        n = self.n_ranks
+        accs = [np.zeros((len(ps), 3)) for ps in locals_]
         pairs = 0
-        for rank, ps in enumerate(locals_):
-            if len(ps) == 0:
-                accs.append(np.zeros((0, 3)))
-                continue
-            with self.timers[rank].measure("Calc_Force", backend=self._backend.name):
-                res = tree_accel(
-                    ps.pos,
-                    ps.mass,
-                    ps.eps,
-                    theta=self.theta,
-                    n_g=self.n_g,
-                    leaf_size=self.leaf_size,
-                    counter=counter,
-                    mixed_precision=self.mixed_precision,
-                    extra_pos=imports[rank].pos,
-                    extra_mass=imports[rank].mass,
-                    tree=trees[rank],
-                    backend=self._backend,
-                    workspace=self._tile_workspace,
-                )
-            accs.append(res.acc)
-            pairs += res.interactions
+        claims = range(n - 1, -1, -1) if shipped is None else shipped[1].claims(n)
+        try:
+            for rank in claims:
+                pairs += self._rank_force(rank, blocks, trees, accs, counter)
+        except BaseException:
+            if shipped is not None:
+                owner, helper, pass_no = shipped
+                try:
+                    helper.cancel(pass_no)
+                except HelperLost as lost:
+                    owner.lose_helper(lost)
+            raise
+        if shipped is not None:
+            pairs += self._collect(shipped, blocks, trees, accs, counter)
         record_gravity_pass(self.tracer, pairs, self._tile_workspace)
         return accs
+
+    def _ship(
+        self, blocks: list[Block], engine: ForceEngine | None
+    ) -> tuple[ForceEngine, GravityHelper, int] | None:
+        """Send the rank pass to ``engine``'s helper, if one runs; returns
+        the engine, the helper and the pass number, or None to run alone."""
+        helper = None if engine is None else engine.helper
+        if engine is None or helper is None:
+            return None
+        try:
+            pass_no = helper.submit_ranks(
+                blocks, self.theta, self.n_g, self.leaf_size, self.mixed_precision
+            )
+        except HelperLost as lost:
+            engine.lose_helper(lost)
+            return None
+        return engine, helper, pass_no
+
+    def _collect(
+        self, shipped: tuple[ForceEngine, GravityHelper, int], blocks: list[Block],
+        trees: list[Octree | None], accs: list[np.ndarray],
+        counter: InteractionCounter | None,
+    ) -> int:
+        """Take the helper's ranks below this process's claims — its rows
+        into ``accs``, its busy seconds into their ``Calc_Force`` timers,
+        its tally into ``counter`` — or evaluate them here when the helper
+        is lost; returns their pairs."""
+        engine, helper, pass_no = shipped
+        main_lo = helper.main_lo(self.n_ranks)
+        try:
+            done = helper.collect_ranks(pass_no, accs)
+        except HelperLost as lost:
+            engine.lose_helper(lost)
+            return sum(
+                self._rank_force(rank, blocks, trees, accs, counter) for rank in range(main_lo)
+            )
+        for row in done:
+            self.timers[row.rank].record(
+                "Calc_Force", row.started, row.busy_s,
+                backend=self._backend.name, tid="gravity-helper",
+            )
+            if counter is not None:
+                counter.add_tally("gravity", row.interactions, row.n_lists, row.list_total)
+        self.tracer.gauge("accel.grav_helper_ranks", len(done))
+        self.tracer.gauge("accel.grav_helper_busy_s", sum(row.busy_s for row in done))
+        return sum(row.interactions for row in done)
+
+    def _rank_force(
+        self, rank: int, blocks: list[Block], trees: list[Octree | None],
+        accs: list[np.ndarray], counter: InteractionCounter | None,
+    ) -> int:
+        """Evaluate ``rank`` on this process into ``accs[rank]``; returns its pairs."""
+        tree = trees[rank]
+        if tree is None:
+            return 0
+        with self.timers[rank].measure("Calc_Force", backend=self._backend.name):
+            accs[rank], pairs = rank_accel(
+                blocks[rank], tree, self.theta, self.n_g, self.leaf_size,
+                self.mixed_precision, counter, self._backend, self._tile_workspace,
+            )
+        return pairs
 
     # ------------------------------------------------------- whole-set entry
     def scatter(self, ps: ParticleSet) -> tuple[DomainDecomposition, list[ParticleSet]]:

@@ -38,6 +38,19 @@ class InteractionCounter:
         tally[0] += 1
         tally[1] += int(n_sources)
 
+    def tally(self, kind: str) -> tuple[int, int, int]:
+        """``(interactions, n_lists, total list length)`` of ``kind`` — what
+        :meth:`add_tally` charges to another counter."""
+        n_lists, total = self._lists.get(kind, (0, 0))
+        return self.counts.get(kind, 0), n_lists, total
+
+    def add_tally(self, kind: str, interactions: int, n_lists: int, total: int) -> None:
+        """Charge a tally counted elsewhere (another process's counter)."""
+        self.counts[kind] = self.counts.get(kind, 0) + int(interactions)
+        tally = self._lists.setdefault(kind, [0, 0])
+        tally[0] += int(n_lists)
+        tally[1] += int(total)
+
     def interactions(self, kind: str) -> int:
         return self.counts.get(kind, 0)
 

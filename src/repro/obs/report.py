@@ -41,7 +41,10 @@ recorded trace:
   ``accel.grav_main_busy_s`` / ``accel.grav_helper_busy_s`` gauges), the
   milliseconds of it that overlapped the SPH pass
   (``accel.grav_overlap_s``) and the groups the helper claimed
-  (``accel.grav_helper_groups`` of ``accel.grav_groups``);
+  (``accel.grav_helper_groups`` of ``accel.grav_groups``) — or, for the
+  distributed rank pass, the ranks the helper delivered in the last pass
+  and its busy milliseconds (``accel.grav_helper_ranks`` /
+  ``accel.grav_helper_busy_s``);
 * the ``rss_mb`` attribute of the first ``step`` span and the
   ``obs.rss_mb`` gauge (main's ``ru_maxrss``, set once per step) are the
   resident high-water after step 1 and after the last step — a cold start
@@ -142,7 +145,9 @@ class RunReport:
         of each process — main's walk and claims against the helper's
         build, walk and claims — the milliseconds main spent between
         submitting the pass and its own walk (the SPH pass the helper
-        overlapped), and the groups the helper claimed of all groups."""
+        overlapped), and the groups the helper claimed of all groups; for a
+        distributed run, the ranks the helper delivered in its last rank
+        pass and its busy milliseconds."""
         passes = self.counters.get("accel.gravity_passes")
         if not passes:
             return {}
@@ -160,6 +165,9 @@ class RunReport:
             out["overlap_ms"] = self.gauges.get("accel.grav_overlap_s", 0.0) * 1e3
             out["helper_groups"] = self.gauges.get("accel.grav_helper_groups", 0.0)
             out["groups"] = self.gauges.get("accel.grav_groups", 0.0)
+        if "accel.grav_helper_ranks" in self.gauges:
+            out["helper_ranks"] = self.gauges["accel.grav_helper_ranks"]
+            out["helper_ms"] = self.gauges.get("accel.grav_helper_busy_s", 0.0) * 1e3
         return out
 
     def rss_high_water(self) -> dict[str, float]:
@@ -252,6 +260,9 @@ class RunReport:
                 f"{int(gravity['helper_groups'])}/{int(gravity['groups'])} groups"
                 if "split_passes" in gravity else ""
             )
+            if "helper_ranks" in gravity:
+                claims += (f", helper {int(gravity['helper_ranks'])} ranks "
+                           f"{gravity['helper_ms']:.1f} ms per pass")
             lines += ["", f"gravity: {split}{gravity['mpair_per_s']:.1f} Mpair/s, "
                       f"workspace {gravity['workspace_mb']:.2f} MB "
                       f"over {int(gravity['passes'])} passes{claims}"]

@@ -486,8 +486,8 @@ class SurrogateServer:
             if not self._missing(step):
                 break
             if self._transport.degraded:
-                for batch_id in sorted(self._batches):
-                    self._recover_batch(batch_id, "service degraded: no live workers")
+                # Every batch of the last lost worker came back as a
+                # WorkerLost reply and resolved inline when it was absorbed.
                 if step is not None and self._missing(step):
                     raise RuntimeError(
                         "due serve events unrecoverable: service degraded and "

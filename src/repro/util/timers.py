@@ -110,6 +110,20 @@ class TimerRegistry:
             finally:
                 t.stop()
 
+    def record(self, name: str, started: float, seconds: float, **attrs: Any) -> None:
+        """Charge ``seconds`` measured elsewhere (another process, which
+        began at ``time.monotonic()`` stamp ``started``) to timer ``name``,
+        as one :meth:`measure` bracket would, span included."""
+        t = self.get(name)
+        t.total += seconds
+        t.count += 1
+        tracer = self.tracer
+        if tracer.enabled:
+            if self.rank is not None:
+                attrs.setdefault("rank", self.rank)
+            t0 = tracer.now() - (time.monotonic() - started)
+            tracer.span_at(name, t0, seconds, cat=self.cat, **attrs)
+
     def totals(self) -> dict[str, float]:
         return {k: v.total for k, v in self.timers.items()}
 

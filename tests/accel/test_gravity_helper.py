@@ -1,13 +1,15 @@
-"""The gravity helper: a second process in every tree pass, overlapped with hydro.
+"""The gravity helper: a second process in every gravity pass.
 
-Contracts: the shared pass is bit-identical to ``tree_accel`` (the serial
-reference), also when both processes share one CPU; the claims from both
-ends cover every group and evaluate at most one twice, under any
+Contracts: the shared tree pass is bit-identical to ``tree_accel`` (the
+serial reference), also when both processes share one CPU; the claims from
+both ends cover every group and evaluate at most one twice, under any
 interleaving; a helper that dies before, during or after the SPH pass
 changes no byte of the run and is reported once; a non-finite input, or
 any exception between submit and collect, leaves no pass in flight;
 ``close()`` leaves no process and no shared segment; only a run whose
-engine does the gravity on a tree starts one.
+gravity walks a tree starts one.  The distributed rank pass, shared by
+whole ranks, gives every rank the serial loop's ``acc`` and the same
+interaction tally wherever the claims meet, and survives a killed helper.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro import GalaxySimulation
 from repro.accel import ForceEngine
 from repro.accel.gravity_helper import _HELPER_HI, _MAIN_LO, claim_down, claim_up
 from repro.core.integrator import BaseIntegrator, IntegratorConfig
+from repro.fdps.distributed import DistributedGravity
 from repro.fdps.interaction import InteractionCounter
 from repro.fdps.particles import ParticleType
 from repro.gravity.treegrav import GroupTiles, tree_accel
@@ -486,6 +489,130 @@ def test_close_stops_the_helper_and_unlinks_its_block(serial_mw_run):
     _assert_closed(sim, segment)
 
 
+# ---------------------------------------------------------------- rank pass
+@pytest.fixture(scope="module")
+def rank_engine():
+    """One engine whose helper every rank-pass example shares."""
+    engine = ForceEngine(IntegratorConfig(), timers=TimerRegistry(tracer=Tracer()))
+    assert engine.start_gravity_helper(4000)
+    yield engine
+    engine.close()
+
+
+def _cloud(seed: int, n: int):
+    ps = make_mw_mini(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    ps.pos += rng.normal(scale=0.05, size=ps.pos.shape)
+    return ps
+
+
+def _rank_pass(ps, n_ranks, engine=None, tracer=None):
+    """One distributed force pass of ``ps``; returns per-rank ``acc``, the
+    counter's gravity tally and the DistributedGravity."""
+    driver = DistributedGravity(n_ranks=n_ranks, tracer=tracer or Tracer())
+    decomp, locals_ = driver.scatter(ps)
+    counter = InteractionCounter()
+    accs = driver.forces(locals_, decomp, counter=counter, engine=engine)
+    return accs, counter.tally("gravity"), driver
+
+
+def _force_helper_ranks(helper, k):
+    """Make the next rank pass split at ``k``: main holds ``[k, n)`` before
+    the ``go`` leaves, so the helper claims exactly ``[0, k)``."""
+    send = helper._child.send
+
+    def send_with_main_holding_k(msg):
+        helper._out()[_MAIN_LO] = k
+        send(msg)
+
+    helper._child.send = send_with_main_holding_k
+    helper.claims = lambda n: iter(range(n - 1, k - 1, -1))
+
+
+@settings(max_examples=24, deadline=None)
+@given(n_ranks=st.integers(1, 4), seed=st.integers(0, 2**16), n=st.integers(900, 2500),
+       data=st.data())
+def test_rank_pass_is_the_serial_rank_loop_whatever_the_helper_claims(
+    rank_engine, n_ranks, seed, n, data,
+):
+    ps = _cloud(seed, n)
+    k = data.draw(st.integers(0, n_ranks), label="helper ranks")
+    ref_accs, ref_tally, _ = _rank_pass(ps, n_ranks)
+    helper = rank_engine.helper
+    _force_helper_ranks(helper, k)
+    tracer = Tracer()
+    try:
+        accs, tally, driver = _rank_pass(ps, n_ranks, rank_engine, tracer)
+    finally:
+        del helper._child.send, helper.claims
+    assert rank_engine.helper is helper                    # nothing was lost
+    assert all(np.array_equal(a, b) for a, b in zip(accs, ref_accs, strict=True))
+    assert tally == ref_tally
+    assert tracer.gauges["accel.grav_helper_ranks"] == k
+    assert (tracer.gauges["accel.grav_helper_busy_s"] > 0) == (k > 0)
+    forced = [timers.timers["Calc_Force"].count for timers in driver.timers]
+    assert forced == [1] * n_ranks                         # every rank timed once
+    assert tracer.counters["accel.gravity_pairs"] == ref_tally[0]
+
+
+@pytest.mark.parametrize("when", ["before_the_pass", "during_the_pass"])
+def test_rank_pass_survives_a_killed_helper(when, caplog):
+    ps = _cloud(3, 3000)
+    ref_accs, ref_tally, _ = _rank_pass(ps, 3)
+    tracer = Tracer()
+    engine = ForceEngine(IntegratorConfig(), timers=TimerRegistry(tracer=tracer))
+    assert engine.start_gravity_helper(len(ps))
+    helper = engine.helper
+    segment = _segment(engine)
+    if when == "before_the_pass":
+        _kill(helper.pid)
+    else:
+        submit = helper.submit_ranks
+
+        def submit_then_die(*args):
+            pass_no = submit(*args)
+            header, deadline = helper._out(), time.monotonic() + 10
+            while header[_HELPER_HI] < 1 and time.monotonic() < deadline:
+                pass
+            assert header[_HELPER_HI] >= 1              # it holds rank 0 ...
+            _kill(helper.pid)                           # ... and never delivers it
+            return pass_no
+
+        helper.submit_ranks = submit_then_die
+    with caplog.at_level(logging.WARNING, logger="repro.accel"):
+        for _ in range(3):
+            accs, tally, _ = _rank_pass(ps, 3, engine)
+            assert all(np.array_equal(a, b) for a, b in zip(accs, ref_accs, strict=True))
+            assert tally == ref_tally
+    assert tracer.counters[LOST] == 1
+    assert len([r for r in caplog.records if "gravity helper" in r.getMessage()]) == 1
+    assert engine.helper is None                           # every later pass alone
+    engine.close()
+    assert helper.pid not in {c.pid for c in mp.active_children()}
+    assert not segment.exists()
+
+
+def test_an_exception_in_mains_ranks_cancels_the_rank_pass(rank_engine):
+    ps = _cloud(5, 3000)
+    ref_accs, _, _ = _rank_pass(ps, 2)
+    helper = rank_engine.helper
+    driver = DistributedGravity(n_ranks=2)
+    decomp, locals_ = driver.scatter(ps)
+    rank_force = driver._rank_force
+
+    def fails(*args):
+        driver._rank_force = rank_force
+        raise KeyboardInterrupt
+
+    driver._rank_force = fails
+    with pytest.raises(KeyboardInterrupt):
+        driver.forces(locals_, decomp, engine=rank_engine)
+    assert rank_engine.helper is helper                    # cancelled, not lost
+    assert not helper._child._conn.poll(0)                 # no answer owed or unread
+    accs, _, _ = _rank_pass(ps, 2, rank_engine)
+    assert all(np.array_equal(a, b) for a, b in zip(accs, ref_accs, strict=True))
+
+
 # ---------------------------------------------------------------- run modes
 def test_restore_starts_its_own_helper_and_continues_bit_identically(tmp_path,
                                                                      serial_mw_run):
@@ -501,19 +628,23 @@ def test_restore_starts_its_own_helper_and_continues_bit_identically(tmp_path,
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs, helpers",
     [
-        {"coupled_force_mode": "distributed", "n_ranks": 2},
-        {"config": IntegratorConfig(direct_gravity_below=10_000)},
-        {"config": IntegratorConfig(self_gravity=False)},
+        ({"coupled_force_mode": "distributed", "n_ranks": 2}, 1),
+        ({"config": IntegratorConfig(direct_gravity_below=10_000)}, 0),
+        ({"config": IntegratorConfig(self_gravity=False)}, 0),
     ],
     ids=["distributed", "direct", "no_self_gravity"],
 )
-def test_runs_that_do_not_walk_a_tree_here_start_no_child(kwargs):
+def test_runs_that_do_not_walk_a_tree_here_start_no_child(kwargs, helpers):
+    """Direct summation and a run without self-gravity start no child; a
+    distributed run starts exactly one, the helper its rank pass shares."""
     before = set(mp.active_children())
     with GalaxySimulation(make_mw_mini(2000, seed=2), dt=2e-3, n_pool=4, surrogate_grid=8,
                           **kwargs) as sim:
-        assert set(mp.active_children()) == before
-        assert sim.integrator.engine._helper is None
+        started = set(mp.active_children()) - before
+        assert len(started) == helpers
+        assert (sim.integrator.engine.helper is not None) == bool(helpers)
         sim.run(1)
-        assert set(mp.active_children()) == before
+        assert set(mp.active_children()) - before == started
+    assert set(mp.active_children()) == before

@@ -7,6 +7,7 @@ restore -> step matches an uninterrupted run exactly — on every ``n_ranks``.
 """
 
 import logging
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -39,20 +40,28 @@ def _ic(with_star=True, seed=5, second_tsn=None):
     return box.append(star)
 
 
-def _sim(ps, **kw):
-    cfg = IntegratorConfig(self_gravity=False, enable_cooling=True,
-                           enable_star_formation=True)
+def _sim(ps, self_gravity=False, **kw):
+    # With self-gravity every pass walks a tree (direct_gravity_below=0),
+    # so a run on two CPUs starts its gravity helper.
+    cfg = IntegratorConfig(self_gravity=self_gravity, enable_cooling=True,
+                           enable_star_formation=True, direct_gravity_below=0)
     return GalaxySimulation(ps, dt=2e-3, n_pool=4, latency_steps=2,
                             surrogate_grid=8, seed=11, config=cfg, **kw)
 
 
 @pytest.mark.parametrize(
-    "n_ranks, transport, faults",
-    [(1, "sync", None), (2, "sync", None), (1, "shm", None), (1, "shm", "kill@w0:b1")],
-    ids=["1", "2", "shm", "shm_faults"],
+    "n_ranks, transport, faults, force_mode",
+    [
+        (1, "sync", None, "global"),
+        (2, "sync", None, "global"),
+        (1, "shm", None, "global"),
+        (1, "shm", "kill@w0:b1", "global"),
+        (2, "sync", None, "distributed"),
+    ],
+    ids=["1", "2", "shm", "shm_faults", "2_distributed"],
 )
 def test_save_restore_step_matches_uninterrupted(
-    tmp_path, monkeypatch, n_ranks, transport, faults
+    tmp_path, monkeypatch, n_ranks, transport, faults, force_mode
 ):
     """Mid-flight save -> restore -> continue == uninterrupted, by bytes.
 
@@ -68,6 +77,10 @@ def test_save_restore_step_matches_uninterrupted(
     """
     path = tmp_path / "ckpt.npz"
     kw = {"n_ranks": n_ranks, "serve_transport": transport}
+    if force_mode == "distributed":
+        # Self-gravity through the per-rank trees and LET, whole ranks
+        # shared with the helper.
+        kw.update(coupled_force_mode="distributed", self_gravity=True)
     if faults is not None:
         monkeypatch.setenv("REPRO_SERVE_FAULTS", faults)
         kw["serve_workers"] = 1
@@ -82,6 +95,9 @@ def test_save_restore_step_matches_uninterrupted(
         first.close()
         resumed = GalaxySimulation.restore(path)
         assert resumed.integrator.n_ranks == n_ranks
+        assert resumed.integrator.force_mode == force_mode
+        if force_mode == "distributed" and (os.cpu_count() or 1) >= 2:
+            assert resumed.integrator.engine.helper is not None
         assert resumed.server.transport_name == transport
         assert resumed.step_count == 6
         assert resumed.time == first.time
@@ -96,6 +112,8 @@ def test_save_restore_step_matches_uninterrupted(
         if faults is not None:
             m = resumed.server.metrics
             assert m.n_workers_lost == 1 and m.n_fault_oracle > 0
+        if force_mode == "distributed" and (os.cpu_count() or 1) >= 2:
+            assert resumed.integrator.engine.helper is not None     # never lost
     finally:
         for sim in (straight, first, resumed):
             if sim is not None:

@@ -318,6 +318,40 @@ def test_report_shows_the_gravity_overlap_with_hydro_and_the_claims():
     assert report.to_json_obj()["gravity_per_pass"] == gravity
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the helper needs two CPUs")
+def test_report_charges_the_helpers_ranks_to_their_ranks():
+    """A distributed pass shared with the helper: the helper's busy seconds
+    are its ranks' ``Calc_Force`` (spans and timers agree, so the
+    slowest-rank merge still sees ranks), and the gravity line prints the
+    ranks it delivered."""
+    from repro.accel import ForceEngine
+    from repro.core.integrator import IntegratorConfig
+
+    tr = Tracer(run_id="ranks")
+    ps = _cluster(1500)
+    engine = ForceEngine(IntegratorConfig(), timers=TimerRegistry(tracer=tr))
+    assert engine.start_gravity_helper(len(ps))
+    driver = DistributedGravity(n_ranks=2, tracer=tr)
+    try:
+        decomp, locals_ = driver.scatter(ps)
+        driver.forces(locals_, decomp, engine=engine)
+    finally:
+        engine.close()
+    report = report_traces([_as_loaded(tr)])
+    # Main's spans bracket its timers (a few microseconds more); the
+    # helper's span is the seconds its timer got.
+    slowest = TimerRegistry.slowest(driver.timers)["Calc_Force"]
+    assert slowest * 0.999 <= report.breakdown["Calc_Force"]["slowest"] <= slowest + 0.05
+    assert report.breakdown["Calc_Force"]["count"] == 1          # once per rank
+    helper_ranks = tr.gauges["accel.grav_helper_ranks"]
+    gravity = report.gravity_per_pass()
+    assert gravity["helper_ranks"] == helper_ranks
+    assert (f"helper {int(helper_ranks)} ranks {gravity['helper_ms']:.1f} ms per pass"
+            in report.to_text())
+    lanes = {r.tid for r in tr.records if r.name == "Calc_Force"}
+    assert ("gravity-helper" in lanes) == (helper_ranks > 0)
+
+
 def test_report_shows_reach_lists_and_widenings():
     """On a gas disk the density passes run on per-particle reach lists; a
     pass whose kernel sizes outgrow their reach widens its list, and the

@@ -316,6 +316,34 @@ def test_losing_the_last_worker_degrades_to_inline():
     _assert_bit_identical(got, _reference(rounds))
 
 
+def test_losing_every_worker_with_batches_in_flight_leaves_none_to_recover(monkeypatch):
+    # Both workers SIGKILL themselves on their first batch, each holding
+    # one: each lost batch comes back as a WorkerLost reply and resolves
+    # inline when it is absorbed, so whenever the server sees the service
+    # degraded no batch is left in flight for it to recover.
+    servers, in_flight = [], []
+    degraded = repro.serve.shm._ShmTransport.degraded
+
+    def spied(self):
+        out = degraded.fget(self)
+        if out and servers:
+            in_flight.append(len(servers[0]._batches))
+        return out
+
+    monkeypatch.setattr(repro.serve.shm._ShmTransport, "degraded", property(spied))
+    with recorded_blocks() as blocks, _chaos_server("shm", "kill@w0:b1,kill@w1:b1") as srv:
+        servers.append(srv)
+        got = _run_rounds(srv, TWO_ROUNDS)
+        m = srv.metrics
+        assert srv.degraded and m.degraded
+        assert m.n_workers_lost == 2
+        assert m.n_fault_oracle == 8
+        assert_nothing_retried(m)
+        assert_no_block_linked(blocks)
+    assert in_flight and set(in_flight) == {0}
+    _assert_bit_identical(got, _reference(TWO_ROUNDS))
+
+
 # ------------------------------------------------------------ env threading
 def test_env_fault_plan_reaches_workers(monkeypatch):
     monkeypatch.setenv("REPRO_SERVE_FAULTS", "raise@w0:b1")
