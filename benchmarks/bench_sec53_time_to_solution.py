@@ -3,16 +3,18 @@
 Three parts:
 1. the 113x arithmetic vs the GIZMO-style adaptive-timestep baseline,
    reproduced from the paper's own inputs;
-2. the 10x timestep ratio — *measured* here by running our conventional
-   integrator on a star-by-star-resolution SN and watching its CFL step
-   collapse while the surrogate scheme holds 2,000 yr;
+2. the 10x timestep ratio — *measured* here by running the conventional
+   arm of our step host (``CoupledRunner`` with no surrogate server) on a
+   star-by-star-resolution SN and watching its CFL step collapse while the
+   surrogate scheme holds 2,000 yr;
 3. the dt ~ m^{5/6} resolution scaling that makes adaptive timesteps
    untenable at 1 M_sun.
 """
 
 
 from benchmarks.conftest import fmt_table
-from repro.core.conventional import ConventionalIntegrator
+from repro.core.integrator import IntegratorConfig
+from repro.core.runner import CoupledRunner
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.perf.scaling import (
     projected_one_gyr_walltime,
@@ -51,13 +53,13 @@ def test_sec53_measured_timestep_collapse(benchmark, write_result):
         star.pid[:] = 10_000_000
         star.tsn[:] = 0.0015
         star.eps[:] = 0.5
-        sim = ConventionalIntegrator(
-            box.append(star), dt_max=2e-3, courant=0.1,
-            self_gravity=False, enable_cooling=False,
-            enable_star_formation=False,
-        )
-        sim.run(6)
-        return sim.dt_history
+        cfg = IntegratorConfig(dt=2e-3, courant=0.1, self_gravity=False,
+                               enable_cooling=False,
+                               enable_star_formation=False)
+        sim = CoupledRunner(box.append(star), server=None, n_ranks=1, config=cfg)
+        dts = [sim.step() for _ in range(6)]
+        sim.close()
+        return dts
 
     dts = benchmark.pedantic(_run, rounds=1, iterations=1)
     dt_before = dts[0]

@@ -12,7 +12,8 @@ import numpy as np
 
 from benchmarks.conftest import fmt_table
 from repro.analysis.pdfs import density_pdf, pdf_distance, temperature_pdf
-from repro.core.conventional import ConventionalIntegrator
+from repro.core.integrator import IntegratorConfig
+from repro.core.runner import CoupledRunner
 from repro.physics.feedback import SNFeedback
 from repro.sn.turbulence import make_turbulent_box
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
@@ -27,14 +28,15 @@ def _box(seed=11):
 
 
 def _run():
-    # Direct: thermal dump + adaptive CFL integration to T_AFTER.
+    # Direct: thermal dump + adaptive CFL integration to T_AFTER (the
+    # conventional arm: the step host with no surrogate server).
     direct = _box()
     SNFeedback().inject(direct, np.zeros(3))
-    sim = ConventionalIntegrator(
-        direct, dt_max=5e-4, courant=0.15, self_gravity=False,
-        enable_cooling=False, enable_star_formation=False,
-    )
+    cfg = IntegratorConfig(dt=5e-4, courant=0.15, self_gravity=False,
+                           enable_cooling=False, enable_star_formation=False)
+    sim = CoupledRunner(direct, server=None, n_ranks=1, config=cfg)
     sim.run_until(T_AFTER, max_steps=400)
+    sim.close()
     direct = sim.ps
 
     # Surrogate: one field-space prediction, no integration.

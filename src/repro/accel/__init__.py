@@ -107,9 +107,9 @@ cost as much as rebuilding, validity is explicit:
   unchanged or locally edited positions reuses the first one's grid.
 * The compact candidate list — the step's largest transient — lives from the
   first pass that generates (or widens) it to the end of the step's last hydro
-  evaluation (:meth:`ForceEngine.release_candidates`, called by the
-  integrators after step 7, or after the only pass of the conventional
-  scheme); the grid itself stays for box queries until the next signal.
+  evaluation (:meth:`ForceEngine.release_candidates`, called after step 7
+  in both arms of the step host); the grid itself stays for box queries
+  until the next signal.
 * :attr:`SpatialIndex.stats` counts builds, repairs and reuses (the engine
   mirrors the grid counts as ``accel.grid_*`` tracer counters, which
   ``python -m repro.obs report`` prints per step); the steady-state

@@ -1,13 +1,13 @@
 """The physics half of every integrator: config + ``BaseIntegrator``.
 
 :class:`IntegratorConfig` holds the numerical and physical switches;
-:class:`BaseIntegrator` implements the operators both schemes share —
-force evaluation, kicks, drift, cooling, star formation and the step-(7)
-hydro refresh — around one :class:`repro.accel.ForceEngine`.  The
-surrogate-coupled eight-step loop of Sec. 3.2 is
-:class:`repro.core.runner.CoupledRunner` (every ``n_ranks``, 1 included);
-the adaptive-timestep baseline is
-:class:`repro.core.conventional.ConventionalIntegrator`.
+:class:`BaseIntegrator` implements the operators both arms of the one host
+share — force evaluation, kicks, drift, cooling, star formation and the
+step-(7) hydro refresh — around one :class:`repro.accel.ForceEngine`.  The
+eight-step loop of Sec. 3.2 is :class:`repro.core.runner.CoupledRunner`
+(every ``n_ranks``, 1 included): with a surrogate server it is the
+surrogate-coupled scheme, without one the adaptive-timestep conventional
+baseline.
 
 All spatial work goes through one :class:`repro.accel.ForceEngine`: a single
 tree build serves the gravity walk, one neighbor grid serves every
@@ -38,7 +38,8 @@ from repro.util.timers import TimerRegistry
 
 @dataclass
 class IntegratorConfig:
-    """Numerical and physical switches shared by both integrators."""
+    """Numerical and physical switches shared by both arms of the step host
+    (``dt`` is the conventional arm's largest step)."""
 
     dt: float = 2.0e-3            # fixed global step: 2,000 yr (Sec. 3.2)
     theta: float = 0.5            # tree opening angle

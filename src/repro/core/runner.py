@@ -1,4 +1,4 @@
-"""``CoupledRunner`` — the one host of the surrogate-coupled step (Sec. 3.2).
+"""``CoupledRunner`` — the one step host of both arms of Sec. 5.3.
 
 The paper runs one code from one node to 148,900; so does this repo.
 :class:`CoupledRunner` is ``n_ranks`` simulated main ranks (``n_ranks=1``
@@ -29,6 +29,16 @@ Phase order, timer labels (the Fig. 6/Table 3 categories), pool
 flush/collect placement and the float grouping of the kicks are defined
 there and nowhere else; :class:`~repro.core.integrator.BaseIntegrator`
 supplies the physics operators.
+
+With ``server=None`` the same loop is the *conventional* arm (what the
+paper calls "conventional simulation" in Sec. 5.3): there is no pool, step
+(2) explodes each SN in place with the direct thermal dump of
+:class:`~repro.physics.feedback.SNFeedback`, step (4) receives nothing, and
+dt is the gas's CFL step at the start of the step — forces are computed
+first if they are not ready — clipped to ``[DT_MIN, cfg.dt]``.  After an
+SN that step collapses (~10x at star-by-star resolution) while the
+surrogate arm holds ``cfg.dt``; :meth:`CoupledRunner.step` returns the dt
+taken in either arm.
 
 The particle state is independent of where the cuts fall (``n_ranks``,
 flat or torus collectives, transport) — a hard contract, kept by
@@ -77,10 +87,15 @@ from repro.fdps.distributed import DistributedGravity
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.obs.trace import NullTracer, Tracer
 from repro.physics.cooling import CoolingModel
+from repro.physics.feedback import SNFeedback
 from repro.physics.star_formation import StarFormationModel
 from repro.physics.stellar import exploding_between
 from repro.serve import SurrogateServer
 from repro.surrogate.voxelize import extract_region
+
+#: The conventional arm's floor on the CFL step [Myr] and its SN feedback.
+DT_MIN = 1.0e-7
+FEEDBACK = SNFeedback()
 
 
 class CoupledRunner(BaseIntegrator):
@@ -93,6 +108,8 @@ class CoupledRunner(BaseIntegrator):
         the same thing, whatever the owner map).
     server : the shared :class:`~repro.serve.SurrogateServer`; every
         rank's :class:`~repro.core.pool.PoolManager` is a client of it.
+        ``None`` runs the conventional arm: no pool, SNe explode in place,
+        CFL step (see the module docstring).
     n_ranks : number of simulated main ranks (1 = no cut).
     use_torus : route the driver communicator's collectives through the
         3-phase 3D torus alltoallv.
@@ -103,7 +120,7 @@ class CoupledRunner(BaseIntegrator):
     def __init__(
         self,
         ps: ParticleSet,
-        server: SurrogateServer,
+        server: SurrogateServer | None,
         n_ranks: int,
         config: IntegratorConfig | None = None,
         cooling: CoolingModel | None = None,
@@ -139,7 +156,7 @@ class CoupledRunner(BaseIntegrator):
         #: Pool traffic rides its own world: ``n_ranks`` mains + the pool.
         self.pool_comm = SimComm(self.n_ranks + cfg.n_pool, tracer=self.tracer)
         self.occupancy = PoolOccupancy(n_pool=cfg.n_pool)
-        self.pools = [
+        self.pools: list[PoolManager] = [] if server is None else [
             PoolManager(
                 n_pool=cfg.n_pool,
                 latency_steps=cfg.latency_steps,
@@ -161,11 +178,17 @@ class CoupledRunner(BaseIntegrator):
         self.engine.start_gravity_helper(len(ps))
 
     # ----------------------------------------------------------- run control
-    def step(self) -> None:
-        """One fixed-dt surrogate-coupled step (the Sec. 3.2 eight-step loop)."""
-        dt = self.cfg.dt
+    def step(self) -> float:
+        """One step of the Sec. 3.2 eight-step loop; returns the dt taken."""
         minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         with self.tracer.span("step", step=self.step_count) as span:
+            if self.server is None:
+                # Conventional arm: the CFL step of the gas as it stands.
+                if not self.forces_ready:
+                    self.compute_forces("1st")
+                dt = float(np.clip(self.gas_cfl_timestep(), DT_MIN, self.cfg.dt))
+            else:
+                dt = self.cfg.dt
             # (1) identify SNe in [t, t + dt).  The window is open below so
             # an *overdue* tsn also fires (a finite past tsn can only mean a
             # checkpoint restore re-scheduled an SN whose prediction was in
@@ -175,7 +198,7 @@ class CoupledRunner(BaseIntegrator):
 
             # (2) ship each SN region to a pool node, then flush due batches
             # so inference runs overlapped with (3) instead of landing on
-            # the collect.
+            # the collect (with no server: explode each SN in place).
             with self.timers.measure("Send_SNe"):
                 self.send_sne(exploding)
                 self.flush_pools()
@@ -216,14 +239,19 @@ class CoupledRunner(BaseIntegrator):
                 span.set(rss_mb=rss_mb, minor_faults=faults)
                 self.tracer.gauge("obs.rss_mb", rss_mb)
                 self.tracer.count("obs.minor_faults", faults)
+        return dt
 
     def run(self, n_steps: int) -> None:
         for _ in range(n_steps):
             self.step()
 
-    def run_until(self, t_end: float, max_steps: int = 10_000_000) -> None:
-        while self.time < t_end and self.step_count < max_steps:
+    def run_until(self, t_end: float, max_steps: int = 10_000_000) -> int:
+        """Step until ``t_end`` or ``max_steps`` steps of this call; returns
+        the number of steps taken."""
+        start = self.step_count
+        while self.time < t_end and self.step_count - start < max_steps:
             self.step()
+        return self.step_count - start
 
     # -------------------------------------------------------------- locals
     def _locals(self) -> list[ParticleSet]:
@@ -240,7 +268,8 @@ class CoupledRunner(BaseIntegrator):
 
     def send_sne(self, exploding: np.ndarray) -> None:
         """Step (2): complete each owner's region with cross-rank ghosts,
-        then dispatch in global index order through the owner's pool client.
+        then dispatch in global index order through the owner's pool client
+        (with no server, each SN explodes in place instead).
 
         The ghost exchange runs first (one collective for all of this
         step's events); the dispatch loop then walks events in ascending
@@ -251,6 +280,13 @@ class CoupledRunner(BaseIntegrator):
         if len(exploding) == 0:
             return
         ps, cfg = self.ps, self.cfg
+        if self.server is None:
+            # Conventional arm: the direct thermal dump the surrogate bypasses.
+            for si in exploding:
+                FEEDBACK.inject(ps, ps.pos[si])
+                ps.tsn[si] = np.inf
+                self.n_sn_events += 1
+            return
         owners = [int(self.owner[si]) for si in exploding]
         centers = [ps.pos[si].copy() for si in exploding]
         locals_ = self._locals()
@@ -405,6 +441,8 @@ class CoupledRunner(BaseIntegrator):
         return merged
 
     def pool_summary(self) -> dict:
+        if self.server is None:
+            return {"n_events": 0, "per_rank_events": []}
         out = summarize_pool([e for pool in self.pools for e in pool.events], self.server)
         out["per_rank_events"] = [len(pool.events) for pool in self.pools]
         return out
@@ -424,6 +462,7 @@ class CoupledRunner(BaseIntegrator):
         stop and reap the engine's gravity helper, and hand back the force
         passes' tile scratch — tens of MB that would otherwise live as long
         as anything still refers to this run.  Idempotent."""
-        self.server.close()
+        if self.server is not None:
+            self.server.close()
         self.engine.close()
         self.driver.release_workspace()

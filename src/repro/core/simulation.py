@@ -187,8 +187,10 @@ class GalaxySimulation:
     def run(self, n_steps: int) -> None:
         self.integrator.run(n_steps)
 
-    def run_until(self, t_end: float, max_steps: int = 10_000_000) -> None:
-        self.integrator.run_until(t_end, max_steps)
+    def run_until(self, t_end: float, max_steps: int = 10_000_000) -> int:
+        """Step until ``t_end`` or ``max_steps`` steps of this call; returns
+        the number of steps taken."""
+        return self.integrator.run_until(t_end, max_steps)
 
     def diagnostics(self) -> dict:
         out = self.integrator.diagnostics()

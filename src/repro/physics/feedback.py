@@ -3,8 +3,10 @@
 This is the *direct* (conventional) feedback path: 1e51 erg of thermal
 energy plus core-collapse yields (C, O, Mg, Fe) are kernel-weighted over the
 gas neighbors of the explosion site.  In the surrogate scheme this code runs
-only inside the training-data generator and the conventional baseline — on
-the main nodes the pool-node U-Net prediction *replaces* it (Sec. 3.2 step 3
+only inside the training-data generator and the conventional arm of the
+step host (:class:`~repro.core.runner.CoupledRunner` with no server, whose
+step (2) calls it) — on the main nodes the pool-node U-Net prediction
+*replaces* it (Sec. 3.2 step 3
 explicitly integrates "without adding any feedback energy").
 """
 

@@ -127,11 +127,13 @@ def generate_sph_pair(
 
     This is the paper's actual procedure: snapshot the turbulent box,
     inject 1e51 erg thermally at the centre, integrate with the adaptive
-    CFL timestep (the *conventional* scheme — exactly the computation the
-    surrogate is trained to bypass), and snapshot again at ``t_after``.
+    CFL timestep (the *conventional* arm of the step host — exactly the
+    computation the surrogate is trained to bypass), and snapshot again at
+    ``t_after``.
     """
     # Imported lazily: repro.core depends on this package for the pool nodes.
-    from repro.core.conventional import ConventionalIntegrator
+    from repro.core.integrator import IntegratorConfig
+    from repro.core.runner import CoupledRunner
     from repro.physics.feedback import SNFeedback
 
     tf = transform or FieldTransform()
@@ -146,14 +148,15 @@ def generate_sph_pair(
     grid_in = voxelize_particles(box, np.zeros(3), side, n_grid)
 
     SNFeedback(energy=energy).inject(box, center=np.zeros(3))
-    sim = ConventionalIntegrator(
-        box,
+    cfg = IntegratorConfig(
         courant=courant,
         self_gravity=False,  # a 0.1 Myr blast: gravity is negligible
         enable_cooling=False,
         enable_star_formation=False,
     )
+    sim = CoupledRunner(box, server=None, n_ranks=1, config=cfg)
     sim.run_until(t_after, max_steps=max_steps)
+    sim.close()
     grid_out = voxelize_particles(sim.ps, np.zeros(3), side, n_grid)
     return tf.encode(grid_in.fields), tf.encode_target(grid_out.fields)
 

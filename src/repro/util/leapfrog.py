@@ -1,10 +1,9 @@
-"""In-place kick/drift primitives shared by every integrator.
+"""In-place kick/drift primitives of the one step host.
 
-Both integrators of ``repro.core`` — the one step host
-(:class:`~repro.core.runner.CoupledRunner`, every ``n_ranks`` and force
-mode) and the conventional baseline — advance particles through these
-three functions, so a kick reordered in one place cannot silently break
-the bit-identity contracts between them.  They take the
+:class:`~repro.core.runner.CoupledRunner` — both arms, every ``n_ranks``
+and force mode — advances particles through these three functions (via
+:class:`~repro.core.integrator.BaseIntegrator`), so a kick reordered in one
+place cannot silently break the bit-identity contracts between them.  They take the
 *pre-multiplied* interval (callers pass ``0.5 * dt`` for a half kick), which
 keeps the float arithmetic literally ``vel += (0.5 * dt) * acc``.
 """

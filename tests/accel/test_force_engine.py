@@ -433,9 +433,11 @@ def test_candidate_lists_end_with_step7_on_both_branches():
         assert 0 < fallbacks < 6
 
 
-def test_conventional_integrator_releases_after_its_only_pass():
-    from repro.core.conventional import ConventionalIntegrator
-
-    integ = ConventionalIntegrator(_gas_box(seed=12), enable_star_formation=False)
-    integ.compute_forces("1st")
-    assert integ.engine.index.has_grid and not integ.engine.index._grid.has_compact_pairs
+def test_conventional_arm_releases_after_step_7():
+    # The step host with no server runs step (7) too, then drops the lists.
+    cfg = IntegratorConfig(enable_star_formation=False)
+    runner = CoupledRunner(_gas_box(seed=12), server=None, n_ranks=1, config=cfg)
+    runner.step()
+    assert "2nd Calc_Kernel_Size_and_Density" in runner.timers.totals()
+    assert runner.engine.index.has_grid and not runner.engine.index._grid.has_compact_pairs
+    runner.close()

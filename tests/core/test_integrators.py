@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.conventional import ConventionalIntegrator
 from repro.core.integrator import IntegratorConfig
 from repro.core.runner import CoupledRunner
 from repro.core.simulation import GalaxySimulation
@@ -125,33 +124,51 @@ def test_timer_labels_match_paper_breakdown():
         assert expected in labels
 
 
+def _conventional(ps, n_ranks=1):
+    """The conventional arm: the step host with no server — CFL step capped
+    at 2,000 yr, every SN a direct thermal dump."""
+    cfg = IntegratorConfig(dt=2e-3, courant=0.1, self_gravity=False,
+                           enable_cooling=False, enable_star_formation=False)
+    return CoupledRunner(ps, server=None, n_ranks=n_ranks, config=cfg)
+
+
 def test_conventional_timestep_collapses_after_sn():
     """The Sec. 5.3 experiment: direct feedback shrinks the CFL step ~10x."""
     ps = _resolved_box_with_doomed_star(t_explode=0.0015)
-    sim = ConventionalIntegrator(
-        ps,
-        dt_max=2e-3,
-        courant=0.1,
-        self_gravity=False,
-        enable_cooling=False,
-        enable_star_formation=False,
-    )
-    sim.run(2)  # SN fires in step 1; step 2 feels the hot bubble
-    dt_before = sim.dt_history[0]
-    sim.run(2)
-    dt_after = min(sim.dt_history[-2:])
+    sim = _conventional(ps)
+    dts = [sim.step() for _ in range(2)]  # SN fires in step 1; step 2 feels the hot bubble
+    dt_before = dts[0]
+    dts += [sim.step() for _ in range(2)]
+    dt_after = min(dts[-2:])
     assert dt_before == pytest.approx(2e-3)
     assert dt_after < 0.2 * dt_before  # paper: 2,000 yr -> ~200 yr
+
+
+def _conventional_states(n_ranks):
+    sim = _conventional(_resolved_box_with_doomed_star(t_explode=0.0015),
+                        n_ranks=n_ranks)
+    sim.step()  # the SN explodes in place
+    states = [(sim.ps.pos.copy(), sim.ps.vel.copy(), sim.ps.u.copy())]
+    sim.run(2)
+    states.append((sim.ps.pos, sim.ps.vel, sim.ps.u))
+    assert sim.n_sn_events == 1 and sim.pools == []
+    sim.close()
+    return states
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2])
+def test_conventional_arm_state_does_not_depend_on_n_ranks(n_ranks):
+    # In-place SNe act on the global set: the runner's rank contract holds.
+    for got, want in zip(_conventional_states(n_ranks), _conventional_states(1)):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def test_surrogate_scheme_takes_fewer_steps():
     """Headline claim: fixed 2,000 yr beats adaptive CFL on steps to t_end."""
     t_end = 0.008
     ps1 = _resolved_box_with_doomed_star(t_explode=0.0015, seed=1)
-    conv = ConventionalIntegrator(
-        ps1, dt_max=2e-3, courant=0.1, self_gravity=False,
-        enable_cooling=False, enable_star_formation=False,
-    )
+    conv = _conventional(ps1)
     n_conv = conv.run_until(t_end, max_steps=500)
 
     ps2 = _resolved_box_with_doomed_star(t_explode=0.0015, seed=1)

@@ -10,7 +10,9 @@ from repro.surrogate.training_data import (
     SNTrainingDataset,
     build_dataset,
     generate_sedov_pair,
+    generate_sph_pair,
 )
+from repro.surrogate.transforms import FieldTransform
 from repro.surrogate.voxelize import voxelize_particles
 from repro.util.constants import internal_energy_to_temperature
 
@@ -109,6 +111,19 @@ def test_generate_sedov_pair_shapes():
     assert x.shape == (8, 8, 8, 8)
     assert y.shape == (5, 8, 8, 8)
     assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+
+
+def test_generate_sph_pair_runs_the_conventional_arm():
+    # A 216-particle box integrated through a thermal SN for a few kyr.
+    tf = FieldTransform()
+    x, y = generate_sph_pair(seed=0, n_grid=8, n_per_side=6, t_after=0.004,
+                             transform=tf)
+    fields = np.ones((5, 8, 8, 8))
+    assert x.shape == tf.encode(fields).shape
+    assert y.shape == tf.encode_target(fields).shape
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+    # Channels 0-1 (log density, log temperature) share one encoding.
+    assert not np.allclose(x[:2], y[:2])
 
 
 def test_pairs_differ_by_seed():
