@@ -18,6 +18,7 @@ from repro.core.pool import PoolManager
 from repro.fdps.comm import SimComm, TorusTopology
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.gravity.kernels import accel_between, accel_between_mixed
+from repro.serve import SurrogateServer
 from repro.sph.timestep import hierarchical_efficiency
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 
@@ -43,7 +44,9 @@ def test_ablation_pool_sizing(benchmark, write_result):
         latency = 20
         for n_pool in (5, 10, 15, 20, 30):
             surr = SNSurrogate(oracle=SedovBlastOracle(), n_grid=8, side=60.0)
-            mgr = PoolManager(surrogate=surr, n_pool=n_pool, latency_steps=latency)
+            mgr = PoolManager(
+                server=SurrogateServer(surrogate=surr), n_pool=n_pool, latency_steps=latency
+            )
             for step in range(100):
                 mgr.dispatch(_region(seed=step % 3), np.zeros(3), step, 0.0, step)
                 mgr.collect(step)

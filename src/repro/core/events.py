@@ -24,6 +24,7 @@ class SNEvent:
     dispatch_step: int          # global step at which the region was sent
     return_step: int            # global step at which the prediction lands
     pool_rank: int              # pool node running the prediction
+    main_rank: int              # main rank that sent the region
     n_region_particles: int     # gas particles shipped
     region_bytes: int = 0       # request wire bytes (header + packed FIELDS)
     returned: bool = False

@@ -22,16 +22,14 @@ to the next free pool node, :meth:`collect` merges the prediction back
   latency_steps``, makes that happen only when more than one SN per step
   fires per pool node; no SN event is ever dropped.
 
-The step host (:class:`repro.core.runner.CoupledRunner`) runs one
-``PoolManager`` *per main rank* — one on a 1-rank run — each a client of the
-one shared server: requests are rank-tagged via ``client_id`` (so each
-rank's :meth:`collect` pops only its own events), the pool-node occupancy
-calendar is shared through one :class:`PoolOccupancy` (no double-booking
-across ranks), and ``pool_rank_base`` places the pool nodes after *all* main
-ranks in the world communicator — every rank's traffic joins the same
-``pool_p2p`` ledger.  A manager built on its own (no ``comm``, no shared
-calendar, a private sync server from ``surrogate``) is the standalone client
-its unit tests and the pool-sizing ablation drive.
+The step host (:class:`repro.core.runner.CoupledRunner`) runs *one*
+``PoolManager`` for all of its main ranks, as the paper's pool nodes serve
+every main rank: :meth:`dispatch` takes the sending rank (``main_rank``,
+recorded on the :class:`SNEvent`), one busy calendar books the pool nodes
+for every rank (no double-booking), and ``pool_rank_base`` places the pool
+nodes after *all* main ranks in the pool world, so every rank's traffic
+joins the same ``pool_p2p`` ledger.  The server hands predictions back in
+event-id order — dispatch order — whichever rank sent them.
 """
 
 from __future__ import annotations
@@ -44,74 +42,34 @@ from repro.core.events import SNEvent
 from repro.fdps.comm import SimComm
 from repro.fdps.particles import ParticleSet
 from repro.serve import SurrogateServer
-from repro.surrogate.model import SNSurrogate
-
-
-@dataclass
-class PoolOccupancy:
-    """The pool nodes' shared busy calendar (round-robin, per-step grain).
-
-    One instance per *server*: the step host passes one object to every
-    rank's :class:`PoolManager` so two ranks can never book the same pool
-    node for overlapping latency windows.
-    """
-
-    n_pool: int
-    busy_until: dict[int, int] = field(default_factory=dict)
-    next_rank: int = 0
-
-    def free_rank(self, step: int) -> int | None:
-        """First pool rank idle at ``step`` (round-robin scan)."""
-        for k in range(self.n_pool):
-            cand = (self.next_rank + k) % self.n_pool
-            if self.busy_until.get(cand, -1) <= step:
-                return cand
-        return None
-
-    def book(self, rank: int, until_step: int) -> None:
-        self.next_rank = (rank + 1) % self.n_pool
-        self.busy_until[rank] = until_step
 
 
 @dataclass
 class PoolManager:
-    """Round-robin dispatcher over ``n_pool`` surrogate workers."""
+    """Round-robin dispatcher over ``n_pool`` pool nodes of one server."""
 
-    surrogate: SNSurrogate | None = None
+    #: Inference service (a ``shm``-transport server overlaps the pool
+    #: nodes' work with the main loop).
+    server: SurrogateServer
     n_pool: int = 50
     latency_steps: int = 50
     seed: int = 0
     comm: SimComm | None = None     # optional: counts pool traffic bytes
-    main_rank: int = 0
-    #: Inference service; built lazily (sync transport) from ``surrogate``
-    #: when not supplied.  Pass a ``shm``-transport server for true
-    #: pool-node overlap.
-    server: SurrogateServer | None = None
     #: World rank of pool node 0 on ``comm``: the pool sits after all
     #: ``n_ranks`` main ranks (base ``n_ranks``; 1 for a lone main rank).
     pool_rank_base: int = 1
-    #: Client tag for multi-rank runs: when set, the server hands this
-    #: manager only its own events back (see ``SurrogateServer.collect``).
-    client_id: int | None = None
-    #: Shared busy calendar; None builds a private one.
-    occupancy: PoolOccupancy | None = None
 
     events: list[SNEvent] = field(default_factory=list)
-    _by_event_id: dict[int, SNEvent] = field(default_factory=dict, repr=False)
+    _by_event_id: dict[int, SNEvent] = field(default_factory=dict, init=False, repr=False)
+    #: The busy calendar: pool rank -> step its prediction is due back.
+    _busy_until: dict[int, int] = field(default_factory=dict, init=False, repr=False)
+    _next_rank: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_pool < 1:
             raise ValueError("need at least one pool node")
         if self.comm is not None and self.comm.n_ranks < self.pool_rank_base + self.n_pool:
             raise ValueError("communicator too small for main + pool ranks")
-        if self.occupancy is None:
-            self.occupancy = PoolOccupancy(n_pool=self.n_pool)
-        elif self.occupancy.n_pool != self.n_pool:
-            raise ValueError("shared occupancy sized for a different pool")
-        if self.server is None:
-            if self.surrogate is None:
-                raise ValueError("need a surrogate or a SurrogateServer")
-            self.server = SurrogateServer(surrogate=self.surrogate, transport="sync")
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -125,7 +83,11 @@ class PoolManager:
 
     def free_pool_rank(self, step: int) -> int | None:
         """First pool rank idle at ``step`` (round-robin scan)."""
-        return self.occupancy.free_rank(step)
+        for k in range(self.n_pool):
+            cand = (self._next_rank + k) % self.n_pool
+            if self._busy_until.get(cand, -1) <= step:
+                return cand
+        return None
 
     # --------------------------------------------------------------- dispatch
     def dispatch(
@@ -135,8 +97,10 @@ class PoolManager:
         star_pid: int,
         time: float,
         step: int,
+        main_rank: int = 0,
     ) -> SNEvent:
-        """Send one SN region to a pool node (step 2 of the Sec. 3.2 loop)."""
+        """Send one SN region from ``main_rank`` to a pool node (step 2 of
+        the Sec. 3.2 loop)."""
         rank = self.free_pool_rank(step)
         handling = "pooled"
         if rank is None:
@@ -144,10 +108,11 @@ class PoolManager:
             # paper's sizing (n_pool = latency) this only happens when >1 SN
             # fires per step per pool node.
             self.server.metrics.n_overflow += 1
-            rank = self.occupancy.next_rank % self.n_pool
+            rank = self._next_rank
             handling = "queued"
         return_step = step + self.latency_steps
-        self.occupancy.book(rank, return_step)
+        self._next_rank = (rank + 1) % self.n_pool
+        self._busy_until[rank] = return_step
 
         request = self.server.submit(
             region,
@@ -156,7 +121,6 @@ class PoolManager:
             dispatch_step=int(step),
             return_step=int(return_step),
             base_seed=self.seed,
-            client=self.client_id,
         )
 
         event = SNEvent(
@@ -166,6 +130,7 @@ class PoolManager:
             dispatch_step=int(step),
             return_step=int(return_step),
             pool_rank=int(rank),
+            main_rank=int(main_rank),
             n_region_particles=len(region),
             # The request's wire bytes (cached encode) — the same figure the
             # pool_p2p ledger charges, so summary() and CommStats agree.
@@ -176,7 +141,7 @@ class PoolManager:
         )
         if self.comm is not None:
             self.comm.send(
-                self.main_rank,
+                event.main_rank,
                 self.pool_rank_base + rank,
                 request.to_buffer(),
                 tag=event.dispatch_step,
@@ -193,16 +158,16 @@ class PoolManager:
 
         A no-op for the sync transport: flushing there would *execute* the
         predictions inline inside the caller's step-(2) timer, moving DL
-        seconds from the Receive_SNe breakdown row (where the legacy lazy
-        path paid them at collect time) into Send_SNe.  Collect still ticks,
-        so sync timing categories match the pre-service code exactly.
+        seconds from the Receive_SNe breakdown row into Send_SNe.  Collect
+        still ticks, so a sync run pays them under Receive_SNe.
         """
         if self.server.transport_name != "sync":
             self.server.tick(step)
 
     # ----------------------------------------------------------------- collect
     def collect(self, step: int) -> list[tuple[SNEvent, ParticleSet]]:
-        """Predictions due at ``step`` (step 4 of the loop).
+        """Predictions due at ``step`` (step 4 of the loop), in event-id
+        order.
 
         Returns (event, predicted particles) pairs; the caller merges them
         with ``replace_by_pid``.  With the shm transport the work
@@ -210,28 +175,28 @@ class PoolManager:
         here and the wait is charged to the service metrics.
         """
         out: list[tuple[SNEvent, ParticleSet]] = []
-        for response in self.server.collect(step, client=self.client_id):
+        for response in self.server.collect(step):
             event = self._by_event_id.pop(response.event_id)
             event.returned = True
             if self.comm is not None:
+                pool_rank = self.pool_rank_base + event.pool_rank
                 self.comm.send(
-                    self.pool_rank_base + event.pool_rank,
-                    self.main_rank,
+                    pool_rank,
+                    event.main_rank,
                     response.to_buffer(),
                     tag=event.return_step,
                     label="pool_p2p",
                 )
                 # drain the mailboxes so the simulated comm doesn't grow
-                self.comm.recv(self.pool_rank_base + event.pool_rank)
-                self.comm.recv(self.main_rank)
+                self.comm.recv(pool_rank, src=event.main_rank)
+                self.comm.recv(event.main_rank, src=pool_rank)
             out.append((event, response.particles))
         return out
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Shut down the service (terminates shm-transport workers)."""
-        if self.server is not None:
-            self.server.close()
+        self.server.close()
 
     def __enter__(self) -> "PoolManager":
         return self
@@ -241,18 +206,13 @@ class PoolManager:
 
     # -------------------------------------------------------------- statistics
     def summary(self) -> dict:
-        return summarize_pool(self.events, self.server)
-
-
-def summarize_pool(events: list[SNEvent], server: SurrogateServer) -> dict:
-    """Counts of ``events`` (one client's, or every rank's) and the export of
-    the ``server`` they went through."""
-    return {
-        "n_events": len(events),
-        "n_returned": sum(1 for e in events if e.returned),
-        "n_in_flight": server.n_outstanding,
-        "n_overflow": server.metrics.n_overflow,
-        "total_region_particles": sum(e.n_region_particles for e in events),
-        "total_region_bytes": sum(e.region_bytes for e in events),
-        "service": server.metrics_dict(),
-    }
+        events, server = self.events, self.server
+        return {
+            "n_events": len(events),
+            "n_returned": sum(1 for e in events if e.returned),
+            "n_in_flight": server.n_outstanding,
+            "n_overflow": server.metrics.n_overflow,
+            "total_region_particles": sum(e.n_region_particles for e in events),
+            "total_region_bytes": sum(e.region_bytes for e in events),
+            "service": server.metrics_dict(),
+        }

@@ -8,8 +8,9 @@ two ledgers:
 * the *driver communicator* (``DistributedGravity.comm``) carries domain
   migration (``exchange_particles``), LET traffic, and the cross-rank
   SN-region ghosts (``region_ghost``);
-* the *pool communicator* carries every rank's SN-region round trips under
-  the ``pool_p2p`` label, with pool ranks placed after all main ranks
+* the *pool communicator* (``pool.comm``, built only with a server)
+  carries every rank's SN-region round trips under the ``pool_p2p``
+  label, with pool ranks placed after all main ranks
   (``pool_rank_base = n_ranks``).
 
 :meth:`CoupledRunner.step` is the eight-step loop:
@@ -27,8 +28,13 @@ two ledgers:
 
 Phase order, timer labels (the Fig. 6/Table 3 categories), pool
 flush/collect placement and the float grouping of the kicks are defined
-there and nowhere else; :class:`~repro.core.integrator.BaseIntegrator`
-supplies the physics operators.
+there and nowhere else.  The same class holds the physics operators —
+forces, kicks, drift, cooling, star formation and the step-(7) hydro
+refresh — around one :class:`~repro.accel.ForceEngine`: a single tree
+build serves the gravity walk, one neighbor grid serves every kernel-size
+sweep and the hydro force pass, and step (7) re-evaluates hydro on the
+pair lists cached in step (3) instead of paying a second full density
+solve.
 
 With ``server=None`` the same loop is the *conventional* arm (what the
 paper calls "conventional simulation" in Sec. 5.3): there is no pool, step
@@ -49,20 +55,19 @@ construction:
   materialized views (copies) used for the communication phases, so the
   exchanged bytes are real while the physics state never round-trips
   through the wire format;
-* SN events are dispatched in **global index order** (= pid order) through
-  each owner rank's :class:`~repro.core.pool.PoolManager`; all managers
-  share one :class:`~repro.serve.SurrogateServer` and one
-  :class:`~repro.core.pool.PoolOccupancy`, so event ids, pool-node
-  bookings, return steps and per-event Gibbs seeds
-  (``event_rng(base_seed, star_pid, dispatch_step)`` — rank-free) do not
-  depend on the owner map;
+* SN events are dispatched in **global index order** (= pid order)
+  through the run's one :class:`~repro.core.pool.PoolManager`, each from
+  its owner rank (``main_rank``); one server and one busy calendar serve
+  every rank, so event ids, pool-node bookings, return steps and
+  per-event Gibbs seeds (``event_rng(base_seed, star_pid, dispatch_step)``
+  — rank-free) do not depend on the owner map;
 * a region whose cube crosses the owner's domain box is completed with
   ghost particles pulled through
   :meth:`~repro.fdps.distributed.DistributedGravity.exchange_region_ghosts`
   and pid-sorted, so its content *and order* match an extraction from the
   global set;
-* received predictions are merged across ranks and applied in event-id
-  order.
+* received predictions are applied in event-id order, the order the
+  server delivers them in.
 
 ``force_mode="global"`` (default) evaluates forces on the global
 :class:`~repro.accel.ForceEngine` — bit-identical for every ``n_ranks``,
@@ -80,25 +85,30 @@ import resource
 
 import numpy as np
 
-from repro.core.integrator import BaseIntegrator, IntegratorConfig
-from repro.core.pool import PoolManager, PoolOccupancy, summarize_pool
+from repro.accel import ForceEngine
+from repro.core.integrator import IntegratorConfig
+from repro.core.pool import PoolManager
 from repro.fdps.comm import CommStats, SimComm
 from repro.fdps.distributed import DistributedGravity
+from repro.fdps.interaction import InteractionCounter
 from repro.fdps.particles import ParticleSet, ParticleType
-from repro.obs.trace import NullTracer, Tracer
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.physics.cooling import CoolingModel
 from repro.physics.feedback import SNFeedback
 from repro.physics.star_formation import StarFormationModel
 from repro.physics.stellar import exploding_between
 from repro.serve import SurrogateServer
+from repro.sph.timestep import cfl_timestep
 from repro.surrogate.voxelize import extract_region
+from repro.util.leapfrog import energy_kick, leapfrog_drift, leapfrog_kick
+from repro.util.timers import TimerRegistry
 
 #: The conventional arm's floor on the CFL step [Myr] and its SN feedback.
 DT_MIN = 1.0e-7
 FEEDBACK = SNFeedback()
 
 
-class CoupledRunner(BaseIntegrator):
+class CoupledRunner:
     """Surrogate-coupled integration on ``n_ranks`` main ranks, one service.
 
     Parameters
@@ -106,11 +116,14 @@ class CoupledRunner(BaseIntegrator):
     ps : the global particle set (must be pid-sorted with unique pids —
         the invariant that makes global index order and pid order one and
         the same thing, whatever the owner map).
-    server : the shared :class:`~repro.serve.SurrogateServer`; every
-        rank's :class:`~repro.core.pool.PoolManager` is a client of it.
-        ``None`` runs the conventional arm: no pool, SNe explode in place,
-        CFL step (see the module docstring).
+    server : the :class:`~repro.serve.SurrogateServer` of the run's one
+        :class:`~repro.core.pool.PoolManager` (``pool``), which every main
+        rank dispatches through.  ``None`` runs the conventional arm: no
+        pool, SNe explode in place, CFL step (see the module docstring).
     n_ranks : number of simulated main ranks (1 = no cut).
+    config / cooling / star_formation : the physics (defaults when None).
+    tracer : a :class:`~repro.obs.Tracer`; every timer bracket doubles as
+        a span.
     use_torus : route the driver communicator's collectives through the
         3-phase 3D torus alltoallv.
     force_mode : ``"global"`` (bit-identical, default) or
@@ -138,11 +151,30 @@ class CoupledRunner(BaseIntegrator):
                 "CoupledRunner requires a pid-sorted particle set with "
                 "unique pids (global index order must equal pid order)"
             )
-        super().__init__(ps, config, cooling, star_formation, tracer=tracer)
-        cfg = self.cfg
+        self.ps = ps
+        self.cfg = cfg = config or IntegratorConfig()
+        self.cooling = cooling or CoolingModel()
+        self.star_formation = star_formation or StarFormationModel()
+        self.time = 0.0
+        self.step_count = 0
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        # Every timer bracket below doubles as a sim-category span, so the
+        # in-process Table-3 rows and the exported trace agree by construction.
+        self.timers = TimerRegistry(tracer=self.tracer)
+        self.counter = InteractionCounter()
+        self.engine = ForceEngine(cfg, timers=self.timers, counter=self.counter)
+        self.rng = np.random.default_rng(cfg.seed)
+        self.next_pid = int(ps.pid.max()) + 1 if len(ps) else 0
+        self.n_sf_events = 0
+        self.n_sn_events = 0
+        self.sf_history: list[tuple[float, float]] = []  # (time, mass formed)
+        self._grav_acc = np.zeros((len(ps), 3))
+        self._hydro_acc = np.zeros((len(ps), 3))
+        self._du_dt = np.zeros(len(ps))
+        self._vsig = np.zeros(len(ps))
+        self._first_forces_done = False
         self.n_ranks = int(n_ranks)
         self.force_mode = force_mode
-        self.server = server
         self.driver = DistributedGravity(
             n_ranks=self.n_ranks,
             theta=cfg.theta,
@@ -153,23 +185,16 @@ class CoupledRunner(BaseIntegrator):
             backend=cfg.backend,
             tracer=self.tracer,
         )
-        #: Pool traffic rides its own world: ``n_ranks`` mains + the pool.
-        self.pool_comm = SimComm(self.n_ranks + cfg.n_pool, tracer=self.tracer)
-        self.occupancy = PoolOccupancy(n_pool=cfg.n_pool)
-        self.pools: list[PoolManager] = [] if server is None else [
-            PoolManager(
-                n_pool=cfg.n_pool,
-                latency_steps=cfg.latency_steps,
-                seed=cfg.seed,
-                comm=self.pool_comm,
-                main_rank=r,
-                server=server,
-                pool_rank_base=self.n_ranks,
-                client_id=r,
-                occupancy=self.occupancy,
-            )
-            for r in range(self.n_ranks)
-        ]
+        #: The one pool client; its traffic rides its own world of
+        #: ``n_ranks`` mains + the pool.
+        self.pool: PoolManager | None = None if server is None else PoolManager(
+            server=server,
+            n_pool=cfg.n_pool,
+            latency_steps=cfg.latency_steps,
+            seed=cfg.seed,
+            comm=SimComm(self.n_ranks + cfg.n_pool, tracer=self.tracer),
+            pool_rank_base=self.n_ranks,
+        )
         self.decomp, self.owner = self.driver.decompose(ps)
         # Part of every gravity pass — groups of the engine's tree pass, or
         # whole ranks of DistributedGravity's — goes to a helper process
@@ -177,12 +202,21 @@ class CoupledRunner(BaseIntegrator):
         # (repro.accel.gravity_helper).
         self.engine.start_gravity_helper(len(ps))
 
+    @property
+    def _acc(self) -> np.ndarray:
+        return self._grav_acc + self._hydro_acc
+
+    @property
+    def forces_ready(self) -> bool:
+        """True once stored forces are valid for the current membership."""
+        return self._first_forces_done
+
     # ----------------------------------------------------------- run control
     def step(self) -> float:
         """One step of the Sec. 3.2 eight-step loop; returns the dt taken."""
         minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         with self.tracer.span("step", step=self.step_count) as span:
-            if self.server is None:
+            if self.pool is None:
                 # Conventional arm: the CFL step of the gas as it stands.
                 if not self.forces_ready:
                     self.compute_forces("1st")
@@ -268,19 +302,18 @@ class CoupledRunner(BaseIntegrator):
 
     def send_sne(self, exploding: np.ndarray) -> None:
         """Step (2): complete each owner's region with cross-rank ghosts,
-        then dispatch in global index order through the owner's pool client
-        (with no server, each SN explodes in place instead).
+        then dispatch each from its owner rank in global index order (with
+        no server, each SN explodes in place instead).
 
         The ghost exchange runs first (one collective for all of this
         step's events); the dispatch loop then walks events in ascending
-        global index — pid order — so the shared server assigns the same
-        event ids and the shared occupancy books the same pool nodes
-        wherever the cuts fall.
+        global index — pid order — so the server assigns the same event ids
+        and the pool books the same pool nodes wherever the cuts fall.
         """
         if len(exploding) == 0:
             return
-        ps, cfg = self.ps, self.cfg
-        if self.server is None:
+        ps, cfg, pool = self.ps, self.cfg, self.pool
+        if pool is None:
             # Conventional arm: the direct thermal dump the surrogate bypasses.
             for si in exploding:
                 FEEDBACK.inject(ps, ps.pos[si])
@@ -302,22 +335,21 @@ class CoupledRunner(BaseIntegrator):
                 domain=self.decomp.domain_box(r),
                 ghosts=ghosts[k],
             )
-            self.pools[r].dispatch(
+            pool.dispatch(
                 region, centers[k], int(ps.pid[si]), float(ps.tsn[si]),
-                self.step_count,
+                self.step_count, main_rank=r,
             )
             ps.tsn[si] = np.inf  # fires exactly once
             self.n_sn_events += 1
 
     def flush_pools(self) -> None:
-        # Server ticks are idempotent within a step; every client flushes so
-        # the first one (whichever rank dispatched) ships the due batches.
-        for pool in self.pools:
-            pool.flush(self.step_count)
+        """Ship the pool's due batches (after step (2)'s dispatch loop)."""
+        if self.pool is not None:
+            self.pool.flush(self.step_count)
 
     def receive_sne(self) -> None:
-        """Step (4): gather every rank's due predictions, apply in event-id
-        order — the order the server assigned at dispatch.
+        """Step (4): apply the due predictions in event-id order — the
+        order the server assigned at dispatch and delivers in.
 
         Three things happen, in this order: the predicted particles replace
         their originals by ID; their ``h`` — a pool node's guess from its
@@ -340,10 +372,9 @@ class CoupledRunner(BaseIntegrator):
         in on by its bracketed update (:mod:`repro.sph.density`), which needs
         no better seed than this.
         """
-        pairs: list = []
-        for pool in self.pools:
-            pairs.extend(pool.collect(self.step_count))
-        pairs.sort(key=lambda ep: ep[0].event_id)
+        if self.pool is None:
+            return
+        pairs = self.pool.collect(self.step_count)
         if not pairs:
             return
         ps = self.ps
@@ -381,39 +412,136 @@ class CoupledRunner(BaseIntegrator):
 
     # --------------------------------------------------------------- forces
     def compute_forces(self, label: str = "1st") -> None:
+        """Full force evaluation; stores acc/du_dt/vsig for the kicks.
+
+        ``force_mode="global"``: gravity and hydro are two independent
+        passes over the same positions — gravity reads only
+        ``pos``/``mass``/``eps``, which the SPH pass never writes — so they
+        overlap: after both passes' inputs are checked (a ``ValueError``
+        names the first non-finite row, before anything is shipped), the
+        tree pass goes out to the engine's gravity helper
+        (:meth:`ForceEngine.submit_gravity`), this process runs density +
+        hydro, then :meth:`ForceEngine.gravity` claims its share of the
+        groups and collects the helper's.  The result is bit-identical to
+        running the two passes one after the other; an exception in between
+        leaves no pass in flight.
+
+        ``force_mode="distributed"``: gravity runs through the per-rank
+        trees and LET imports of the driver, then hydro on the engine.
+        """
+        ps, engine = self.ps, self.engine
         if self.force_mode == "global":
-            super().compute_forces(label)
-            return
-        # Distributed gravity: per-rank cached trees + LET imports.  The
-        # local sets are fresh copies, so the per-rank spatial caches from
-        # the previous pass never match — invalidate rather than risk reuse.
-        for index in self.driver.indices:
-            index.invalidate_all()
-        locals_ = self._locals()
-        if self.cfg.self_gravity:
-            accs = self.driver.forces(
-                locals_, self.decomp, counter=self.counter, engine=self.engine
-            )
-            pid = np.concatenate([loc.pid for loc in locals_])
-            acc = np.concatenate(accs) if len(pid) else np.zeros((0, 3))
-            order = np.argsort(pid, kind="stable")
-            # acc[order] is pid-sorted == row order of the canonical set.
-            self._grav_acc = acc[order]
+            engine.check_sph_inputs(ps)
+            if self.cfg.self_gravity:
+                engine.submit_gravity(ps)
+            try:
+                self._hydro_acc, self._du_dt, self._vsig = engine.hydro(ps, label)
+                self._grav_acc = (
+                    engine.gravity(ps, label) if self.cfg.self_gravity
+                    else np.zeros((len(ps), 3))
+                )
+            finally:
+                engine.drain_gravity()
         else:
-            self._grav_acc = np.zeros((len(self.ps), 3))
-        self._hydro_acc, self._du_dt, self._vsig = self._hydro(label)
+            # The local sets are fresh copies, so the per-rank spatial caches
+            # from the previous pass never match — invalidate rather than
+            # risk reuse.
+            for index in self.driver.indices:
+                index.invalidate_all()
+            locals_ = self._locals()
+            if self.cfg.self_gravity:
+                accs = self.driver.forces(
+                    locals_, self.decomp, counter=self.counter, engine=engine
+                )
+                pid = np.concatenate([loc.pid for loc in locals_])
+                acc = np.concatenate(accs) if len(pid) else np.zeros((0, 3))
+                order = np.argsort(pid, kind="stable")
+                # acc[order] is pid-sorted == row order of the canonical set.
+                self._grav_acc = acc[order]
+            else:
+                self._grav_acc = np.zeros((len(ps), 3))
+            self._hydro_acc, self._du_dt, self._vsig = engine.hydro(ps, label)
         self._first_forces_done = True
+
+    def kick(self, dt: float) -> None:
+        """Velocity + internal-energy kick over ``dt`` (callers pass the
+        half step; the primitives keep the historical float grouping)."""
+        leapfrog_kick(self.ps.vel, self._acc, dt)
+        energy_kick(self.ps.u, self._du_dt, dt)
+
+    def drift(self, dt: float) -> None:
+        """Advance positions; every spatial structure is now stale."""
+        leapfrog_drift(self.ps.pos, self.ps.vel, dt)
+        self.engine.notify_positions_changed()
+
+    # -------------------------------------------------------------- operators
+    def apply_cooling(self, dt: float) -> None:
+        # Cooling only moves u: the spatial caches stay valid.
+        if not self.cfg.enable_cooling:
+            return
+        ps = self.ps
+        gas = np.flatnonzero(ps.where_type(ParticleType.GAS))
+        if gas.size == 0:
+            return
+        with self.timers.measure("Feedback_and_Cooling"):
+            ps.u[gas] = self.cooling.integrate(
+                ps.u[gas], ps.dens[gas], dt, z=ps.zmet[gas].sum(axis=1)
+            )
+
+    def apply_star_formation(self, dt: float) -> None:
+        if not self.cfg.enable_star_formation:
+            return
+        with self.timers.measure("Star Formation"):
+            new_ps, events, self.next_pid = self.star_formation.form_stars(
+                self.ps, self.time, dt, self.rng, self.next_pid
+            )
+        if events:
+            self.n_sf_events += len(events)
+            mass_formed = float(sum(e.star_masses.sum() for e in events))
+            self.sf_history.append((self.time, mass_formed))
+            self._replace_particle_set(new_ps)
+
+    def refresh_hydro(self) -> None:
+        """Step (7): recompute hydro after the internal-energy changes.
+
+        The gravity computed in step (3) is at the current (post-drift)
+        positions, so the next first kick can reuse it; only the hydro state
+        is stale once cooling/feedback touched u.  When positions are
+        untouched since (3) the engine re-evaluates on the cached pair lists
+        (no h solve, no neighbor search); if SN replacements moved particles
+        it falls back to a full pass — on the neighbor grid of (3), edited
+        for the replaced rows, where that edit was exact, re-solving only
+        the gas they touched — and if star
+        formation changed the membership ``_replace_particle_set`` already
+        flagged a full recompute for the next step.  Either way this was the
+        step's last hydro evaluation: the candidate lists go.
+        """
+        if not self._first_forces_done:
+            return
+        refreshed = self.engine.refresh_hydro(self.ps, "2nd")
+        if refreshed is None:
+            refreshed = self.engine.hydro(self.ps, "2nd")
+        self._hydro_acc, self._du_dt, self._vsig = refreshed
+        self.engine.release_candidates()
 
     # ------------------------------------------------------------ membership
     def _replace_particle_set(self, new_ps: ParticleSet) -> None:
-        """Star formation changed the membership: remap the owner array.
+        """Star formation changed the membership: swap in ``new_ps``, re-size
+        the force arrays and remap the owner array.
 
         Surviving particles keep their owner (found by pid in the old,
         sorted, pid array); newly formed stars are assigned by position
         against the current decomposition.
         """
         old_pid = self.ps.pid
-        super()._replace_particle_set(new_ps)
+        n = len(new_ps)
+        self.ps = new_ps
+        self.engine.notify_membership_changed()
+        self._grav_acc = np.zeros((n, 3))
+        self._hydro_acc = np.zeros((n, 3))
+        self._du_dt = np.zeros(n)
+        self._vsig = np.zeros(n)
+        self._first_forces_done = False
         new_pid = new_ps.pid
         slot = np.searchsorted(old_pid, new_pid)
         slot_c = np.minimum(slot, max(len(old_pid) - 1, 0))
@@ -429,40 +557,62 @@ class CoupledRunner(BaseIntegrator):
             owner[fresh] = self.decomp.assign(new_ps.pos[fresh])
         self.owner = owner
 
+    # ------------------------------------------------------------- diagnostics
+    def gas_cfl_timestep(self) -> float:
+        ps = self.ps
+        gas = ps.where_type(ParticleType.GAS)
+        if not gas.any():
+            return np.inf
+        vsig = np.maximum(self._vsig[gas], ps.csnd[gas])
+        dts = cfl_timestep(ps.h[gas], np.maximum(vsig, 1e-300), self.cfg.courant)
+        return float(dts.min())
+
+    def diagnostics(self) -> dict:
+        ps = self.ps
+        return {
+            "time": self.time,
+            "step": self.step_count,
+            "n_particles": len(ps),
+            "n_gas": int(ps.where_type(ParticleType.GAS).sum()),
+            "n_stars": int(ps.where_type(ParticleType.STAR).sum()),
+            "total_mass": ps.total_mass(),
+            "kinetic_energy": ps.kinetic_energy(),
+            "thermal_energy": ps.thermal_energy(),
+            "momentum": ps.momentum().tolist(),
+            "n_sf_events": self.n_sf_events,
+            "n_sn_events": self.n_sn_events,
+            "n_ranks": self.n_ranks,
+            "force_mode": self.force_mode,
+            "rank_counts": np.bincount(self.owner, minlength=self.n_ranks).tolist(),
+        }
+
     # ------------------------------------------------------------ accounting
     def comm_stats(self) -> dict[str, CommStats]:
-        """Merged byte ledger: driver labels + the shared pool traffic.
+        """Merged byte ledger: driver labels + the pool traffic.
 
         The label sets are disjoint by construction (``pool_p2p`` lives on
         the pool communicator; migration/LET/ghost labels on the driver's).
         """
         merged = dict(self.driver.comm.stats)
-        merged.update(self.pool_comm.stats)
+        if self.pool is not None and self.pool.comm is not None:
+            merged.update(self.pool.comm.stats)
         return merged
 
     def pool_summary(self) -> dict:
-        if self.server is None:
+        if self.pool is None:
             return {"n_events": 0, "per_rank_events": []}
-        out = summarize_pool([e for pool in self.pools for e in pool.events], self.server)
-        out["per_rank_events"] = [len(pool.events) for pool in self.pools]
-        return out
-
-    def diagnostics(self) -> dict:
-        out = super().diagnostics()
-        out["n_ranks"] = self.n_ranks
-        out["force_mode"] = self.force_mode
-        out["rank_counts"] = np.bincount(
-            self.owner, minlength=self.n_ranks
-        ).tolist()
+        out = self.pool.summary()
+        main_ranks = np.array([e.main_rank for e in self.pool.events], dtype=np.int64)
+        out["per_rank_events"] = np.bincount(main_ranks, minlength=self.n_ranks).tolist()
         return out
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut down the shared service once (all pools are its clients),
-        stop and reap the engine's gravity helper, and hand back the force
-        passes' tile scratch — tens of MB that would otherwise live as long
-        as anything still refers to this run.  Idempotent."""
-        if self.server is not None:
-            self.server.close()
+        """Shut down the pool's service, stop and reap the engine's gravity
+        helper, and hand back the force passes' tile scratch — tens of MB
+        that would otherwise live as long as anything still refers to this
+        run.  Idempotent."""
+        if self.pool is not None:
+            self.pool.close()
         self.engine.close()
         self.driver.release_workspace()

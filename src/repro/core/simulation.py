@@ -82,8 +82,8 @@ class GalaxySimulation:
         bit-identical in ``benchmarks/bench_obs_overhead.py``).
     n_ranks : number of simulated main ranks of the one step host
         (:class:`repro.core.runner.CoupledRunner`): genuine domain
-        migration, cross-rank SN-region ghosts, and one shared inference
-        service with per-rank pool clients.  The particle state does not
+        migration, cross-rank SN-region ghosts, and one pool client that
+        every rank dispatches through.  The particle state does not
         depend on it (with the default ``coupled_force_mode="global"``).
     use_torus : route the driver collectives through the 3-phase 3D torus
         alltoallv.
@@ -167,10 +167,9 @@ class GalaxySimulation:
     # ------------------------------------------------------------- delegation
     @property
     def pool(self) -> PoolManager | None:
-        """The pool client of a 1-rank run (``integrator.pools[0]``); None
-        when there are several — read-only either way."""
-        pools = self.integrator.pools
-        return pools[0] if len(pools) == 1 else None
+        """The run's one pool client (``integrator.pool``), for every
+        ``n_ranks``."""
+        return self.integrator.pool
 
     @property
     def ps(self) -> ParticleSet:
@@ -267,8 +266,7 @@ class GalaxySimulation:
         are not lost, the saved ``tsn`` of each in-flight event's star is
         reset to its explosion time — dispatch marked it fired with ``inf``
         — and the restored integrator re-dispatches overdue SNe on its
-        first step.  Pending events are gathered across every rank's pool
-        client; the owner map is not stored (restore re-derives it).
+        first step.  The owner map is not stored (restore re-derives it).
         """
         integ = self.integrator
         server = self.server
@@ -287,7 +285,9 @@ class GalaxySimulation:
             "max_batch": server.scheduler.max_batch,
         }
         ps_save = self.ps
-        pending = [e for pool in integ.pools for e in pool.events if not e.returned]
+        pending = [] if integ.pool is None else [
+            e for e in integ.pool.events if not e.returned
+        ]
         n_rescheduled = 0
         if pending:
             ps_save = self.ps.copy()

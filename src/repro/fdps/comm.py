@@ -6,8 +6,8 @@ message pattern, byte counts and hop structure are the real ones):
 
 * the **main/pool split** of the MPI world (Sec. 3.1): the SN pool is its
   own :class:`SimComm` world of ``n_ranks + n_pool`` ranks, the pool ranks
-  after the main ranks (``CoupledRunner.pool_comm``,
-  ``PoolManager.pool_rank_base``), so main<->pool traffic is plain
+  after the main ranks (``PoolManager.comm``, ``pool_rank_base``; built
+  only by a run with a surrogate server), so main<->pool traffic is plain
   point-to-point on one ledger row (``pool_p2p``);
 * the **three-phase 3D ``MPI_Alltoallv``** (Sec. 3.4): ranks are arranged on
   a (qx, qy, qz) grid matching the torus; a flat all-to-all is replaced by

@@ -94,25 +94,21 @@ scripted deterministically via :class:`FaultPlan` / ``REPRO_SERVE_FAULTS``
 — see :mod:`repro.serve.faults`, ``tests/serve/test_faults.py``, and
 ``benchmarks/bench_serve_faults.py``.
 
-Coupled multi-rank runs: one server, many clients
--------------------------------------------------
+Coupled multi-rank runs: one server, one client
+-----------------------------------------------
 
 In the paper's production topology every *main* rank submits its own SN
 regions to the shared pool (Fig. 1); here the
-:class:`~repro.core.runner.CoupledRunner` gives each simulated
-rank its own :class:`~repro.core.pool.PoolManager` client of **one**
-``SurrogateServer``.  Two server features exist for exactly that shape:
-
-* ``submit(..., client=r)`` tags a request with its owner rank, and
-  ``collect(step, client=r)`` / ``collect_all(client=r)`` deliver only
-  that client's due predictions — while still *waiting* globally, so
-  batches mixing several ranks' events flush exactly as they would for a
-  single caller.  Event ids, batch composition and per-event seeds are
-  assigned in submission order, which the coupled runner makes the global
-  (= single-rank) dispatch order;
-* a shared :class:`~repro.core.pool.PoolOccupancy` calendar arbitrates
-  pool-node bookings across clients, so two ranks can never double-book a
-  pool rank and the booking sequence is identical to a single-rank run.
+:class:`~repro.core.runner.CoupledRunner` sends every simulated rank's
+regions through **one** :class:`~repro.core.pool.PoolManager` client of
+one ``SurrogateServer``.  The manager records the sending rank on each
+event (``SNEvent.main_rank``, the source and destination of its
+``pool_p2p`` messages) and keeps one busy calendar, so no pool rank is
+double-booked and the booking sequence is that of a single-rank run.  The
+server needs no notion of ranks: event ids, batch composition and
+per-event seeds are assigned in submission order, which the coupled
+runner makes the global (= single-rank) dispatch order, and
+``collect(step)`` hands every due prediction back in event-id order.
 
 The result is the contract ``tests/core/test_coupled.py`` enforces: an
 ``n_ranks > 1`` coupled run is byte-identical to the single-rank one, on

@@ -78,8 +78,13 @@ class BatchScheduler:
             batches.append(self._cut(len(self._pending), step))
         return batches
 
-    def flush_all(self, step: int) -> list[list[np.ndarray]]:
-        """Unconditionally ship everything (drain/shutdown path)."""
+    def flush_all(self) -> list[list[np.ndarray]]:
+        """Unconditionally ship everything (drain/shutdown path).
+
+        A drain has no caller step: it ships at the latest pending enqueue
+        step, so no recorded flush wait is negative.
+        """
+        step = max((p.enqueue_step for p in self._pending), default=0)
         batches: list[list[np.ndarray]] = []
         while self._pending:
             batches.append(self._cut(min(self.max_batch, len(self._pending)), step))

@@ -4,8 +4,8 @@ The server owns a :class:`BatchScheduler`, the recovery policy, and one of
 two transports:
 
 * ``sync`` — predictions execute in-process at flush time on the caller's
-  thread.  Deterministic, dependency-free, and exactly the critical-path
-  shape of the old lazy ``PoolManager`` — the tests' reference path.
+  thread.  Deterministic, dependency-free, and the whole prediction cost
+  sits on the main loop's collect — the tests' reference path.
 * ``shm`` — ``n_workers`` OS processes, each of which builds its own
   surrogate (from a picklable :class:`SurrogateSpec` or a pickled
   :class:`SNSurrogate`) and serves batches whose requests and predictions
@@ -247,7 +247,6 @@ class _Event:
 
     dispatch_step: int
     return_step: int
-    client: int | None
     response: ServeResponse | None = None
 
 
@@ -385,14 +384,8 @@ class SurrogateServer:
         dispatch_step: int,
         return_step: int,
         base_seed: int = 0,
-        client: int | None = None,
     ) -> ServeRequest:
-        """Encode one SN region and queue it for batched prediction.
-
-        ``client`` tags the event for multi-client (coupled multi-rank)
-        runs: :meth:`collect` with the same tag hands back only this
-        client's predictions; a collect without a tag takes every event.
-        """
+        """Encode one SN region and queue it for batched prediction."""
         request = ServeRequest(
             event_id=self._next_event_id,
             base_seed=int(base_seed),
@@ -406,10 +399,7 @@ class SurrogateServer:
         buf = request.to_buffer()
         self.metrics.n_submitted += 1
         self.metrics.bytes_in += int(buf.nbytes)
-        self._events[request.event_id] = _Event(
-            request.dispatch_step, request.return_step,
-            None if client is None else int(client),
-        )
+        self._events[request.event_id] = _Event(request.dispatch_step, request.return_step)
         self.scheduler.add(buf, dispatch_step, return_step)
         return request
 
@@ -444,32 +434,25 @@ class SurrogateServer:
         )
 
     # --------------------------------------------------------------- collect
-    def collect(self, step: int, client: int | None = None) -> list[ServeResponse]:
-        """All predictions due at ``step``.
+    def collect(self, step: int) -> list[ServeResponse]:
+        """All predictions due at ``step``, in event-id order.
 
         Drains finished batches without blocking; if a due prediction is
         still running (the pool is genuinely contended) the call blocks
         until it lands and charges the wait to ``metrics.exposed_wait_s`` —
         the non-overlapped remainder the paper's ideal sizing drives to
         zero.  Worker faults encountered on the way are recovered.
-
-        With a ``client`` tag only that client's events are handed back
-        (and popped); other clients' completions stay buffered for their
-        own collect calls, and a collect without a tag takes every
-        client's.  The wait itself is still global — every due event must
-        have landed before any client's delivery, which keeps the coupled
-        runner's per-rank collect order deterministic.
         """
         self.tick(step)  # any request due back by now is past its deadline
         self._wait(step)
-        return self._deliver(step, client)
+        return self._deliver(step)
 
-    def collect_all(self, client: int | None = None) -> list[ServeResponse]:
+    def collect_all(self) -> list[ServeResponse]:
         """Flush and wait for everything outstanding (drain/shutdown path)."""
-        for buffers in self.scheduler.flush_all(step=0):
+        for buffers in self.scheduler.flush_all():
             self._dispatch(buffers)
         self._wait(None)
-        return self._deliver(None, client)
+        return self._deliver(None)
 
     def _wait(self, step: int | None) -> None:
         """Block until every event due at ``step`` (every outstanding event
@@ -512,13 +495,13 @@ class SurrogateServer:
                     f"no serve progress within {WORKER_TIMEOUT_S:.0f}s"
                 )
 
-    def _deliver(self, step: int | None, client: int | None) -> list[ServeResponse]:
+    def _deliver(self, step: int | None) -> list[ServeResponse]:
         """Pop the completed events due at ``step`` (all for None) in event-id
-        order, keeping other clients' for their own collect."""
+        order."""
         out = []
         for eid in sorted(self._events):
             event = self._events[eid]
-            if event.response is None or (client is not None and event.client != client):
+            if event.response is None:
                 continue
             if step is None or event.return_step <= step:
                 out.append(event.response)

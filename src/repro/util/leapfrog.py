@@ -1,8 +1,8 @@
 """In-place kick/drift primitives of the one step host.
 
 :class:`~repro.core.runner.CoupledRunner` — both arms, every ``n_ranks``
-and force mode — advances particles through these three functions (via
-:class:`~repro.core.integrator.BaseIntegrator`), so a kick reordered in one
+and force mode — advances particles through these three functions (its
+``kick`` and ``drift``), so a kick reordered in one
 place cannot silently break the bit-identity contracts between them.  They take the
 *pre-multiplied* interval (callers pass ``0.5 * dt`` for a half kick), which
 keeps the float arithmetic literally ``vel += (0.5 * dt) * acc``.

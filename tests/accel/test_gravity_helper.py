@@ -30,7 +30,8 @@ from hypothesis import strategies as st
 from repro import GalaxySimulation
 from repro.accel import ForceEngine
 from repro.accel.gravity_helper import _HELPER_HI, _MAIN_LO, claim_down, claim_up
-from repro.core.integrator import BaseIntegrator, IntegratorConfig
+from repro.core.integrator import IntegratorConfig
+from repro.core.runner import CoupledRunner
 from repro.fdps.distributed import DistributedGravity
 from repro.fdps.interaction import InteractionCounter
 from repro.fdps.particles import ParticleType
@@ -120,14 +121,15 @@ def _assert_no_pass_in_flight(engine):
 @pytest.fixture(scope="module")
 def serial_box_forces():
     """One force evaluation of the gas box on this process alone."""
-    integ = BaseIntegrator(_ic("turbulent_box"))
+    integ = CoupledRunner(_ic("turbulent_box"), None, 1)
+    integ.engine.close()
     integ.compute_forces("1st")
     return _forces(integ)
 
 
 def _box_integrator():
-    integ = BaseIntegrator(_ic("turbulent_box"), tracer=Tracer())
-    assert integ.engine.start_gravity_helper(len(integ.ps))
+    integ = CoupledRunner(_ic("turbulent_box"), None, 1, tracer=Tracer())
+    assert integ.engine.helper is not None
     return integ
 
 
@@ -351,7 +353,8 @@ def _kill_in_next_hydro_with_a_pass_out(engine):
 
 
 def test_pass_survives_a_helper_killed_during_hydro(caplog):
-    serial = BaseIntegrator(_ic("turbulent_box"))
+    serial = CoupledRunner(_ic("turbulent_box"), None, 1)
+    serial.engine.close()
     integ = _box_integrator()
     engine = integ.engine
     segment = _segment(engine)

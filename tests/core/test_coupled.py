@@ -6,7 +6,7 @@ same code with no cut.  What this suite pins is cut-independence — an
 ``n_ranks > 1`` run over one shared surrogate service produces *byte-for-
 byte* the particle state, event ids and request wire bytes of the no-cut
 run, while genuinely paying for domain migration, cross-rank SN-region
-ghosts and per-rank pool traffic on the communication ledgers.  The ICs below
+ghosts and every rank's pool traffic on the communication ledgers.  The ICs below
 force one SN whose (60 pc)^3 region straddles a domain cut, so every run
 exercises the ``region_ghost`` path.
 """
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro import GalaxySimulation
 from repro.core.integrator import IntegratorConfig
-from repro.core.pool import PoolOccupancy
 from repro.fdps.domain import DomainDecomposition, process_grid
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.ic.galaxy import make_mw_mini
@@ -125,10 +124,7 @@ def test_event_ids_and_region_bytes_independent_of_cuts(no_cut_state):
     _, _, ref_events, ref_bytes, _ = no_cut_state
     sim = _run(2)
     try:
-        events = sorted(
-            (e for pool in sim.integrator.pools for e in pool.events),
-            key=lambda e: e.event_id,
-        )
+        events = sim.pool.events
         assert [e.event_id for e in events] == ref_events
         assert [e.region_bytes for e in events] == ref_bytes
     finally:
@@ -136,7 +132,7 @@ def test_event_ids_and_region_bytes_independent_of_cuts(no_cut_state):
 
 
 def test_pool_p2p_ledger_independent_of_cuts(no_cut_state):
-    """Every byte the 2-rank run's per-rank clients charge to ``pool_p2p``
+    """Every byte the 2-rank run's ranks charge to ``pool_p2p``
     is on the no-cut run's ledger too — requests and responses are
     rank-free wire buffers."""
     ref = no_cut_state[4]
@@ -387,12 +383,37 @@ def test_owner_remap_after_membership_change():
         sim.close()
 
 
-def test_shared_occupancy_prevents_double_booking():
-    """Two clients of one calendar can never book the same node twice."""
-    occ = PoolOccupancy(n_pool=2)
-    assert occ.free_rank(0) == 0
-    occ.book(0, until_step=5)
-    assert occ.free_rank(0) == 1
-    occ.book(1, until_step=5)
-    assert occ.free_rank(0) is None
-    assert occ.free_rank(5) == 0  # both free again at their until_step
+def _two_sided_sn_ic():
+    """A turbulent box with one doomed star on each side of the 2-rank cut."""
+    box = make_turbulent_box(n_per_side=10, side=120.0, mean_density=0.05,
+                             temperature=100.0, mach=1.0, seed=5)
+    return box.append(_star([-30.0, 0.0, 0.0], 10_000_000, 1e-3)).append(
+        _star([30.0, 0.0, 0.0], 10_000_001, 1e-3)
+    )
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2])
+def test_per_rank_events_count_the_dispatching_ranks(n_ranks):
+    """``per_rank_events`` counts each event under the owner of its star at
+    dispatch and sums to ``n_events``; on one rank it is ``[n_events]``."""
+    cfg = IntegratorConfig(enable_cooling=False, enable_star_formation=False,
+                           self_gravity=False, seed=SEED)
+    sim = GalaxySimulation(_two_sided_sn_ic(), dt=DT, n_pool=N_POOL,
+                           latency_steps=LATENCY, seed=SEED, surrogate_grid=8,
+                           config=cfg, n_ranks=n_ranks)
+    with sim:
+        runner = sim.integrator
+        stars = np.flatnonzero(np.isfinite(sim.ps.tsn))
+        owner = dict(zip(sim.ps.pid[stars].tolist(), runner.owner[stars].tolist()))
+        sim.run(1)
+        summary = runner.pool_summary()
+        events = runner.pool.events
+    assert summary["n_events"] == len(events) == 2
+    assert [e.main_rank for e in events] == [owner[e.star_pid] for e in events]
+    expected = np.bincount(list(owner.values()), minlength=n_ranks).tolist()
+    assert summary["per_rank_events"] == expected
+    assert sum(summary["per_rank_events"]) == summary["n_events"]
+    if n_ranks == 1:
+        assert summary["per_rank_events"] == [2]
+    else:
+        assert summary["per_rank_events"] == [1, 1]     # one SN each side

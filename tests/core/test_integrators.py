@@ -52,7 +52,7 @@ def test_sn_detected_and_dispatched():
     sim = _make_scheme(_box_with_doomed_star(t_explode=0.003))
     sim.run(2)  # t covers [0, 0.004): the SN at 0.003 fires in step 2
     assert sim.n_sn_events == 1
-    assert sim.server.n_outstanding == 1
+    assert sim.pool.n_in_flight == 1
     # The star never re-explodes.
     sim.run(2)
     assert sim.n_sn_events == 1
@@ -151,9 +151,23 @@ def _conventional_states(n_ranks):
     states = [(sim.ps.pos.copy(), sim.ps.vel.copy(), sim.ps.u.copy())]
     sim.run(2)
     states.append((sim.ps.pos, sim.ps.vel, sim.ps.u))
-    assert sim.n_sn_events == 1 and sim.pools == []
+    assert sim.n_sn_events == 1 and sim.pool is None
     sim.close()
     return states
+
+
+def test_conventional_arm_builds_no_pool_world():
+    """No server, no pool: no pool communicator, no ``pool_p2p`` row and no
+    pool events, on two ranks too."""
+    sim = _conventional(_resolved_box_with_doomed_star(t_explode=0.0015), n_ranks=2)
+    try:
+        sim.step()  # the SN explodes in place
+        assert sim.n_sn_events == 1
+        assert sim.pool is None
+        assert "pool_p2p" not in sim.comm_stats()
+        assert sim.pool_summary()["n_events"] == 0
+    finally:
+        sim.close()
 
 
 @pytest.mark.parametrize("n_ranks", [1, 2])

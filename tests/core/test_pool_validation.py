@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.pool import PoolManager
 from repro.fdps.comm import SimComm, TorusTopology
+from repro.serve import SurrogateServer
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 
 
@@ -14,12 +15,12 @@ def _surr():
 
 def test_pool_rejects_zero_nodes():
     with pytest.raises(ValueError):
-        PoolManager(surrogate=_surr(), n_pool=0)
+        PoolManager(server=SurrogateServer(surrogate=_surr()), n_pool=0)
 
 
 def test_pool_rejects_undersized_communicator():
     with pytest.raises(ValueError):
-        PoolManager(surrogate=_surr(), n_pool=4, comm=SimComm(3))
+        PoolManager(server=SurrogateServer(surrogate=_surr()), n_pool=4, comm=SimComm(3))
 
 
 def test_comm_rejects_zero_ranks():

@@ -121,7 +121,8 @@ def test_domain_decomposition_follows_n_ranks():
     sim = GalaxySimulation(_small_box(), dt=1e-3, n_pool=3, config=_fast_cfg(),
                            surrogate_grid=8, n_ranks=4)
     sim.run(1)
-    assert sim.pool is None                     # four pool clients, no single one
+    assert sim.pool is sim.integrator.pool      # one pool client for the four ranks
+    assert sim.pool.pool_rank_base == 4
     assert sim.integrator.decomp.n_domains == 4
     assert sum(sim.diagnostics()["rank_counts"]) == len(sim.ps)
     assert "Exchange_Particle" in sim.integrator.driver.timers[0].totals()

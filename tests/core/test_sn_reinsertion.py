@@ -93,7 +93,7 @@ def _land(runner, predicted: ParticleSet) -> None:
     """Step (4) with ``predicted`` as the one prediction due: the pool hands
     it over, ``receive_sne`` does the rest."""
     event = SimpleNamespace(event_id=0)
-    runner.pools[0].collect = lambda step: [(event, predicted)]
+    runner.pool.collect = lambda step: [(event, predicted)]
     runner.receive_sne()
 
 

@@ -292,13 +292,13 @@ def test_report_shows_the_gravity_overlap_with_hydro_and_the_claims():
     """A force evaluation ships the tree pass before the SPH pass: the
     gravity line prints how long main ran hydro while the helper worked and
     how many groups the helper claimed, so a starved helper shows."""
-    from repro.core.integrator import BaseIntegrator
+    from repro.core.runner import CoupledRunner
     from repro.sn.turbulence import make_turbulent_box
 
     tr = Tracer(run_id="overlap")
     box = make_turbulent_box(n_per_side=11, side=60.0, mach=2.0, seed=4)
-    integ = BaseIntegrator(box, tracer=tr)
-    assert integ.engine.start_gravity_helper(len(box))
+    integ = CoupledRunner(box, None, 1, tracer=tr)
+    assert integ.engine.helper is not None
     try:
         for _ in range(2):
             integ.compute_forces("1st")

@@ -73,7 +73,7 @@ def test_flush_all_drains_everything():
     s = BatchScheduler(max_batch=2, max_wait_steps=50)
     for k in range(3):
         _add(s, k, step=0)
-    batches = s.flush_all(0)
+    batches = s.flush_all()
     assert [len(b) for b in batches] == [2, 1]
     assert s.queue_depth == 0
 

@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.core.pool import PoolManager
 from repro.fdps.particles import ParticleSet, ParticleType
+from repro.serve import SurrogateServer
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 
 
@@ -26,7 +27,9 @@ def _region(n=30, seed=0):
 
 def _manager(n_pool=2, latency=10):
     surr = SNSurrogate(oracle=SedovBlastOracle(t_after=0.1), n_grid=8, side=60.0)
-    return PoolManager(surrogate=surr, n_pool=n_pool, latency_steps=latency, seed=0)
+    return PoolManager(
+        server=SurrogateServer(surrogate=surr), n_pool=n_pool, latency_steps=latency, seed=0
+    )
 
 
 def _flood(m, n, step=0):

@@ -53,37 +53,34 @@ def test_sync_collect_respects_return_step():
 @settings(max_examples=40, deadline=None)
 @given(
     events=st.lists(
-        st.tuples(st.integers(0, 5), st.integers(0, 4), st.integers(0, 2)),
-        min_size=1, max_size=8,
+        st.tuples(st.integers(0, 5), st.integers(0, 4)), min_size=1, max_size=8,
     ),
     max_batch=st.integers(1, 4),
     max_wait_steps=st.integers(0, 2),
 )
-def test_each_event_reaches_its_client_once_when_due(events, max_batch, max_wait_steps):
-    """Drawn (dispatch step, latency, client) events, one collect per client
-    per step: every event reaches its own client exactly once, never before
-    its return step, and in ascending event id within one collect."""
-    owner, due, delivered = {}, {}, []
-    last = max(d + lat for d, lat, _ in events)
+def test_each_event_is_delivered_once_when_due(events, max_batch, max_wait_steps):
+    """Drawn (dispatch step, latency) events, one collect per step: every
+    event is delivered exactly once, at its return step — never before, and
+    never later — and in ascending event id within one collect."""
+    due, delivered = {}, []
+    last = max(d + lat for d, lat in events)
     with SurrogateServer(
         surrogate=_surr(), transport="sync",
         max_batch=max_batch, max_wait_steps=max_wait_steps,
     ) as srv:
         for step in range(last + 1):
-            for k, (d, lat, client) in enumerate(events):
+            for k, (d, lat) in enumerate(events):
                 if d == step:
                     req = srv.submit(
                         _region(n=20, seed=k), np.zeros(3), star_pid=k,
                         dispatch_step=d, return_step=d + lat, base_seed=0,
-                        client=client,
                     )
-                    owner[req.event_id], due[req.event_id] = client, d + lat
-            for client in range(3):
-                ids = [r.event_id for r in srv.collect(step, client=client)]
-                assert ids == sorted(ids)
-                assert all(owner[e] == client and due[e] <= step for e in ids)
-                delivered += ids
-        assert sorted(delivered) == sorted(owner)
+                    due[req.event_id] = d + lat
+            ids = [r.event_id for r in srv.collect(step)]
+            assert ids == sorted(ids)
+            assert all(due[e] == step for e in ids)
+            delivered += ids
+        assert sorted(delivered) == sorted(due)
         assert srv.n_outstanding == 0
 
 
@@ -232,6 +229,21 @@ def test_collect_all_drains_outstanding():
         out = srv.collect_all()
         assert len(out) == 3
         assert srv.n_outstanding == 0
+
+
+def test_collect_all_records_no_negative_flush_wait():
+    """The drain ships at the latest pending enqueue step: events queued at
+    steps 3 and 5 wait 2 and 0 steps, not -3 and -5."""
+    with SurrogateServer(
+        surrogate=_surr(), transport="sync", max_batch=8, max_wait_steps=10
+    ) as srv:
+        _submit(srv, 0, step=3, return_step=50)
+        _submit(srv, 1, step=5, return_step=50)
+        assert len(srv.collect_all()) == 2
+        m = srv.metrics_dict()
+    assert sorted(srv.metrics.flush_wait_steps) == [0, 2]
+    assert min(srv.metrics.flush_wait_steps) >= 0
+    assert m["mean_flush_wait_steps"] == 1.0
 
 
 def test_metrics_populated():

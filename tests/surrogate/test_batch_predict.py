@@ -5,6 +5,7 @@ import numpy as np
 from repro.core.pool import PoolManager
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.ml.unet import UNet3D
+from repro.serve import SurrogateServer
 from repro.serve.wire import event_rng
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 
@@ -75,7 +76,9 @@ def test_pool_collect_order_independence():
     (the old shared-RNG collect made them order-dependent)."""
 
     def run(order):
-        m = PoolManager(surrogate=_oracle_surr(), n_pool=4, latency_steps=5, seed=0)
+        m = PoolManager(
+            server=SurrogateServer(surrogate=_oracle_surr()), n_pool=4, latency_steps=5, seed=0
+        )
         for k in order:
             m.dispatch(_region(seed=k), np.zeros(3), star_pid=k, time=0.0, step=0)
         return {e.star_pid: p for e, p in m.collect(5)}
