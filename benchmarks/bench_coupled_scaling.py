@@ -11,8 +11,9 @@ the per-rank work.  This bench recovers the parallel story the paper tells
   (the planted SN straddles the domain cut) — asserted, not plotted;
 * **measured scaling**: ``force_mode="distributed"`` runs (per-rank trees
   + LET exchange) are timed, and the modeled parallel step time replaces
-  the serialized per-rank phase seconds with the slowest rank's
-  (``TimerRegistry.slowest`` — the paper's "slowest MPI process");
+  the serialized per-rank phase seconds with the slowest rank's, phase by
+  phase (``driver.timers[r].totals()``, the per-rank rows of the run's
+  tracer — the paper's "slowest MPI process");
 * **cost-model pricing**: the measured byte ledgers (migration, LET,
   region ghosts, pool round trips) are priced on Fugaku's network model
   (:func:`repro.perf.costmodel.comm_seconds_from_ledger`), and the
@@ -30,7 +31,7 @@ Results land in
 gitignored ``benchmarks/results/smoke/``).  Runs as a pytest bench or
 standalone (the CI coupled leg):
 
-    python benchmarks/bench_coupled_scaling.py --smoke
+    REPRO_BENCH_SMOKE=1 python benchmarks/bench_coupled_scaling.py
 """
 
 import json
@@ -44,6 +45,7 @@ import numpy as np
 from repro import GalaxySimulation
 from repro.accel.backends import get_backend
 from repro.core.integrator import IntegratorConfig
+from repro.fdps.distributed import PHASES
 from repro.fdps.particles import ParticleType
 from repro.ic.galaxy import make_mw_mini
 from repro.perf.calibrate import calibration_factors, load_bench
@@ -55,7 +57,6 @@ from repro.perf.costmodel import (
     serve_summary,
 )
 from repro.perf.machines import FUGAKU
-from repro.util.timers import TimerRegistry
 
 SMOKE = bool(int(os.environ.get("REPRO_BENCH_SMOKE", "0")))
 DT = 2e-3
@@ -126,15 +127,15 @@ def _run(n_total, n_ranks, steps, backend, force_mode="global", transport="sync"
         if n_ranks > 1:
             runner = sim.integrator
             stats = runner.comm_stats()
-            per_rank = [sum(t.totals().values()) for t in runner.driver.timers]
-            slowest = sum(TimerRegistry.slowest(runner.driver.timers).values())
+            per_rank = [rank.totals() for rank in runner.driver.timers]
+            slowest = sum(max(t.get(name, 0.0) for t in per_rank) for name in PHASES)
             out.update(
                 comm_bytes={k: s.bytes_total for k, s in stats.items() if s.n_calls},
                 comm_modeled_s=measured_comm_breakdown(stats, FUGAKU, n_ranks),
                 region_ghost_bytes=stats["region_ghost"].bytes_total,
                 # Replace the serialized per-rank phase seconds with the
                 # slowest rank's: the parallel wall the emulation stands for.
-                parallel_wall=wall - sum(per_rank) + slowest,
+                parallel_wall=wall - sum(sum(t.values()) for t in per_rank) + slowest,
             )
         else:
             out.update(comm_bytes={}, comm_modeled_s={}, parallel_wall=wall)
@@ -318,11 +319,8 @@ def test_coupled_scaling(benchmark, results_dir, write_result):
     assert payload["extrapolation"]["model_total_s"] > 0
 
 
-def main(argv):
+def main():
     """Standalone entry for the CI coupled leg (no pytest-benchmark needed)."""
-    global SMOKE
-    if "--smoke" in argv:
-        SMOKE = True
     sizes, rank_plans, steps, backend = _plan()
     payload, rows = run_coupled_scaling(sizes, rank_plans, steps, backend)
     # A smoke run writes to the gitignored results/smoke/, never over a
@@ -340,4 +338,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -2,9 +2,10 @@
 
 The ISSUE 9 acceptance bar for ``repro.obs``: with tracing enabled, a
 20k-particle run is **bit-identical** to the untraced run and at most 5%
-slower.  This bench runs the same simulation twice per repeat — once under
-the default :data:`~repro.obs.NULL_TRACER`, once under a live
-:class:`~repro.obs.Tracer` — interleaved, takes the best wall time of each
+slower.  This bench runs the same simulation twice per repeat — once
+untraced (the default ``Tracer(enabled=False)``, which keeps only the
+per-phase sums), once under an enabled :class:`~repro.obs.Tracer` —
+interleaved, takes the best wall time of each
 (min-of-repeats is robust to scheduler noise), and asserts both halves:
 
 * every particle array of the final state is ``np.array_equal`` between
@@ -18,7 +19,7 @@ Results land in ``benchmarks/results/BENCH_obs_overhead.json`` (a smoke
 run's in the gitignored ``benchmarks/results/smoke/``).  Runs as a pytest
 bench or standalone:
 
-    python benchmarks/bench_obs_overhead.py --smoke
+    REPRO_BENCH_SMOKE=1 python benchmarks/bench_obs_overhead.py
 """
 
 import json
@@ -123,11 +124,8 @@ def test_obs_overhead(benchmark, results_dir, write_result):
     write_result("obs_overhead", fmt_table(["metric", "value"], rows))
 
 
-def main(argv):
+def main():
     """Standalone entry (CI serve job; no pytest-benchmark needed)."""
-    global SMOKE
-    if "--smoke" in argv:
-        SMOKE = True
     payload, rows = run_overhead_bench()
     # A smoke run writes to the gitignored results/smoke/, never over a
     # committed result.
@@ -145,4 +143,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

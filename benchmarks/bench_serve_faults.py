@@ -21,7 +21,7 @@ Results land in ``benchmarks/results/BENCH_serve_faults.json`` (a smoke
 run's in the gitignored ``benchmarks/results/smoke/``).  Runs as a pytest
 bench or standalone (the CI chaos leg):
 
-    python benchmarks/bench_serve_faults.py --smoke
+    REPRO_BENCH_SMOKE=1 python benchmarks/bench_serve_faults.py
 """
 
 import json
@@ -146,11 +146,8 @@ def test_serve_faults(benchmark, results_dir, write_result):
         assert per["kill"]["n_workers_lost"] == per["hang"]["n_workers_lost"] == 1
 
 
-def main(argv):
+def main():
     """Standalone entry for the CI chaos leg (no pytest-benchmark needed)."""
-    global SMOKE
-    if "--smoke" in argv:
-        SMOKE = True
     n_events = 8 if SMOKE else 24
     payload, rows = run_fault_bench(n_events)
     # A smoke run writes to the gitignored results/smoke/, never over a
@@ -170,4 +167,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -182,7 +182,7 @@ with it by whole ranks:
   local particles and LET imports to the engine's helper
   (:attr:`ForceEngine.helper`) and the two processes claim whole ranks
   from the two ends, as they claim groups in a tree pass.  The helper's
-  busy seconds go to its ranks' ``Calc_Force`` timers and its interaction
+  busy seconds go to its ranks' ``Calc_Force`` spans and its interaction
   tally to the run's counter; a rank pass gauges
   ``accel.grav_helper_ranks`` and ``accel.grav_helper_busy_s``.  A loss
   follows the fallback below (:meth:`ForceEngine.lose_helper`).

@@ -16,7 +16,6 @@ from __future__ import annotations
 import ctypes
 import os
 import platform
-import time
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -31,6 +30,7 @@ from repro.fdps.particles import ParticleSet, ParticleType
 from repro.fdps.tree import Octree
 from repro.gravity.kernels import accel_direct
 from repro.gravity.treegrav import GroupTiles, record_gravity_pass
+from repro.obs.trace import Tracer
 from repro.sph.density import (
     DensityResult,
     compute_density,
@@ -41,7 +41,6 @@ from repro.sph.eos import pressure, sound_speed_from_density
 from repro.sph.forces import compute_hydro_forces
 from repro.sph.neighbors import half_pairs_from_gather
 from repro.util.logging import get_logger
-from repro.util.timers import TimerRegistry
 
 _log = get_logger("accel")
 #: The per-particle fields an SPH pass reads besides the positions (which
@@ -147,12 +146,12 @@ class ForceEngine:
     def __init__(
         self,
         cfg: Any,
-        timers: TimerRegistry | None = None,
+        tracer: Tracer | None = None,
         counter: InteractionCounter | None = None,
     ) -> None:
         _keep_heap_resident()
         self.cfg = cfg
-        self.timers = timers or TimerRegistry()
+        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.counter = counter
         self.index = SpatialIndex()
         self.backend = get_backend(getattr(cfg, "backend", None))
@@ -206,7 +205,7 @@ class ForceEngine:
         if cache is not None and cache.n_total != len(ps):
             self.index.abandon_grid("the particle count changed since the indexed pass")
         elif self.index.move_points(rows, ps.pos[rows]):
-            self.timers.tracer.count("accel.grid_repairs")
+            self.tracer.count("accel.grid_repairs")
             if cache is not None:
                 # Rows inside the gas scope (the index checked): gas indices.
                 moved = np.searchsorted(cache.gas, np.asarray(rows, dtype=np.int64))
@@ -301,7 +300,7 @@ class ForceEngine:
                 )
             except HelperLost as lost:
                 self.lose_helper(lost)
-        self._pending = (pass_no, time.perf_counter())
+        self._pending = (pass_no, self.tracer.now())
 
     def drain_gravity(self) -> None:
         """Leave no pass in flight: cancel one :meth:`submit_gravity` shipped
@@ -329,17 +328,17 @@ class ForceEngine:
         if self._pending is None:
             self.submit_gravity(ps)
         try:
-            with self.timers.measure(f"{label} Calc_Force", backend=self.backend.name):
+            with self.tracer.span(f"{label} Calc_Force", backend=self.backend.name):
                 if len(ps) <= cfg.direct_gravity_below:
                     acc = accel_direct(
                         ps.pos, ps.mass, ps.eps, counter=self.counter,
                         backend=self.backend, workspace=self._tile_workspace,
                     )
-                    record_gravity_pass(self.timers.tracer, len(ps) ** 2, self._tile_workspace)
+                    record_gravity_pass(self.tracer, len(ps) ** 2, self._tile_workspace)
                     return acc
                 tree = self.index.tree_for(ps.pos, ps.mass, leaf_size=cfg.leaf_size)
                 acc, pairs = self._tree_pass(ps, tree)
-                record_gravity_pass(self.timers.tracer, pairs, self._tile_workspace)
+                record_gravity_pass(self.tracer, pairs, self._tile_workspace)
                 return acc
         finally:
             self.drain_gravity()
@@ -349,10 +348,10 @@ class ForceEngine:
         process claims from the top while the helper claims from the bottom,
         and take the helper's rows — or, without a helper, evaluate every
         group."""
-        cfg, tracer, helper = self.cfg, self.timers.tracer, self._helper
+        cfg, tracer, helper = self.cfg, self.tracer, self._helper
         assert self._pending is not None
         pass_no, submitted = self._pending
-        t0 = time.perf_counter()
+        t0 = tracer.now()
         tiles = GroupTiles.walk(
             tree, ps.pos, ps.eps, (ps.pos, ps.mass, ps.eps),
             n_g=cfg.n_g, theta=cfg.theta, mixed=cfg.mixed_precision,
@@ -364,7 +363,7 @@ class ForceEngine:
         else:
             tiles.evaluate(acc, helper.claims(n), self.backend, self._tile_workspace)
             main_lo = helper.main_lo(n)
-            main_s = time.perf_counter() - t0
+            main_s = tracer.now() - t0
             try:
                 helper_hi, helper_s = helper.collect(pass_no, acc, tiles)
             except HelperLost as lost:
@@ -397,7 +396,7 @@ class ForceEngine:
         pid = helper.pid
         helper.kill()
         helper.close()
-        self.timers.tracer.count("accel.grav_helper_lost")
+        self.tracer.count("accel.grav_helper_lost")
         _log.warning(
             "gravity helper (pid %s) lost: %s; this process evaluates its "
             "share, in this pass and every later one", pid, cause,
@@ -458,7 +457,7 @@ class ForceEngine:
         if since is not None and np.array_equal(since[0], gas):
             _, prior, touched = since
         reuses = self.index.stats.grid_reuses
-        with self.timers.measure(
+        with self.tracer.span(
             f"{label} Calc_Kernel_Size_and_Density", backend=self.backend.name
         ):
             d = compute_density(
@@ -480,7 +479,7 @@ class ForceEngine:
             )
         grid, gather = d.grid, d.pairs
         assert grid is not None and gather is not None     # a finished solve has both
-        tracer = self.timers.tracer
+        tracer = self.tracer
         tracer.count("accel.grid_builds", d.grid_builds)
         tracer.count("accel.grid_reuses", self.index.stats.grid_reuses - reuses)
         tracer.count("accel.density_passes")
@@ -539,7 +538,7 @@ class ForceEngine:
             return None
         gas, d = cache.gas, cache.density
         _require_finite("SPH", ps, _SPH_INPUTS, gas)
-        with self.timers.measure(
+        with self.tracer.span(
             f"{label} Calc_Kernel_Size_and_Density", backend=self.backend.name
         ):
             pres = pressure(d.dens, ps.u[gas])
@@ -558,7 +557,7 @@ class ForceEngine:
         ps.h[gas], ps.dens[gas], ps.pres[gas], ps.csnd[gas] = d.h, d.dens, pres, csnd
         ps.divv[gas], ps.curlv[gas], ps.fgrad[gas] = divv, curlv, d.omega
         acc, du, vsig = self._full_buffers(len(ps))
-        with self.timers.measure(f"{label} Calc_Hydro_Force", backend=self.backend.name):
+        with self.tracer.span(f"{label} Calc_Hydro_Force", backend=self.backend.name):
             f = compute_hydro_forces(
                 ps.pos[gas], ps.vel[gas], ps.mass[gas], d.h, d.dens, pres, csnd,
                 omega=d.omega, divv=divv, curlv=curlv,

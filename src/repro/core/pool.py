@@ -157,7 +157,7 @@ class PoolManager:
         dispatch loop so inference overlaps the force computation).
 
         A no-op for the sync transport: flushing there would *execute* the
-        predictions inline inside the caller's step-(2) timer, moving DL
+        predictions inline inside the caller's step-(2) span, moving DL
         seconds from the Receive_SNe breakdown row into Send_SNe.  Collect
         still ticks, so a sync run pays them under Receive_SNe.
         """

@@ -26,7 +26,7 @@ two ledgers:
    changes;
 8. repeat.
 
-Phase order, timer labels (the Fig. 6/Table 3 categories), pool
+Phase order, span names (the Fig. 6/Table 3 categories), pool
 flush/collect placement and the float grouping of the kicks are defined
 there and nowhere else.  The same class holds the physics operators —
 forces, kicks, drift, cooling, star formation and the step-(7) hydro
@@ -89,10 +89,10 @@ from repro.accel import ForceEngine
 from repro.core.integrator import IntegratorConfig
 from repro.core.pool import PoolManager
 from repro.fdps.comm import CommStats, SimComm
-from repro.fdps.distributed import DistributedGravity
+from repro.fdps.distributed import PHASES, DistributedGravity
 from repro.fdps.interaction import InteractionCounter
 from repro.fdps.particles import ParticleSet, ParticleType
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.trace import Tracer
 from repro.physics.cooling import CoolingModel
 from repro.physics.feedback import SNFeedback
 from repro.physics.star_formation import StarFormationModel
@@ -101,7 +101,6 @@ from repro.serve import SurrogateServer
 from repro.sph.timestep import cfl_timestep
 from repro.surrogate.voxelize import extract_region
 from repro.util.leapfrog import energy_kick, leapfrog_drift, leapfrog_kick
-from repro.util.timers import TimerRegistry
 
 #: The conventional arm's floor on the CFL step [Myr] and its SN feedback.
 DT_MIN = 1.0e-7
@@ -122,8 +121,8 @@ class CoupledRunner:
         pool, SNe explode in place, CFL step (see the module docstring).
     n_ranks : number of simulated main ranks (1 = no cut).
     config / cooling / star_formation : the physics (defaults when None).
-    tracer : a :class:`~repro.obs.Tracer`; every timer bracket doubles as
-        a span.
+    tracer : the run's :class:`~repro.obs.Tracer`, the one clock of every
+        phase bracket (a disabled one when None).
     use_torus : route the driver communicator's collectives through the
         3-phase 3D torus alltoallv.
     force_mode : ``"global"`` (bit-identical, default) or
@@ -138,7 +137,7 @@ class CoupledRunner:
         config: IntegratorConfig | None = None,
         cooling: CoolingModel | None = None,
         star_formation: StarFormationModel | None = None,
-        tracer: Tracer | NullTracer | None = None,
+        tracer: Tracer | None = None,
         use_torus: bool = False,
         force_mode: str = "global",
     ) -> None:
@@ -157,12 +156,11 @@ class CoupledRunner:
         self.star_formation = star_formation or StarFormationModel()
         self.time = 0.0
         self.step_count = 0
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Every timer bracket below doubles as a sim-category span, so the
-        # in-process Table-3 rows and the exported trace agree by construction.
-        self.timers = TimerRegistry(tracer=self.tracer)
+        # Every phase bracket below is a sim-category span on it, so the
+        # in-process Table-3 rows and the exported trace are the same spans.
+        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.counter = InteractionCounter()
-        self.engine = ForceEngine(cfg, timers=self.timers, counter=self.counter)
+        self.engine = ForceEngine(cfg, tracer=self.tracer, counter=self.counter)
         self.rng = np.random.default_rng(cfg.seed)
         self.next_pid = int(ps.pid.max()) + 1 if len(ps) else 0
         self.n_sf_events = 0
@@ -227,28 +225,28 @@ class CoupledRunner:
             # an *overdue* tsn also fires (a finite past tsn can only mean a
             # checkpoint restore re-scheduled an SN whose prediction was in
             # flight at save time).
-            with self.timers.measure("Identify_SNe"):
+            with self.tracer.span("Identify_SNe"):
                 exploding = self.identify_sne(dt)
 
             # (2) ship each SN region to a pool node, then flush due batches
             # so inference runs overlapped with (3) instead of landing on
             # the collect (with no server: explode each SN in place).
-            with self.timers.measure("Send_SNe"):
+            with self.tracer.span("Send_SNe"):
                 self.send_sne(exploding)
                 self.flush_pools()
 
             # (3) KDK without feedback energy.
             if not self.forces_ready:
                 self.compute_forces("1st")
-            with self.timers.measure("Integration"):
+            with self.tracer.span("Integration"):
                 self.kick(0.5 * dt)
                 self.drift(dt)
             self.compute_forces("1st")
-            with self.timers.measure("Final_kick"):
+            with self.tracer.span("Final_kick"):
                 self.kick(0.5 * dt)
 
             # (4) receive due predictions, replace by particle ID.
-            with self.timers.measure("Receive_SNe"):
+            with self.tracer.span("Receive_SNe"):
                 self.receive_sne()
 
             # (5) domain decomposition / particle exchange.
@@ -274,6 +272,13 @@ class CoupledRunner:
                 self.tracer.gauge("obs.rss_mb", rss_mb)
                 self.tracer.count("obs.minor_faults", faults)
         return dt
+
+    def timing_breakdown(self) -> dict[str, float]:
+        """Seconds per bracket of the step host and its force engine (the
+        Fig. 6 categories): not the ``step`` span around them, nor the
+        driver's per-rank :data:`~repro.fdps.distributed.PHASES`."""
+        totals = self.tracer.totals(cat="sim", rank=self.tracer.rank)
+        return {name: s for name, s in totals.items() if name != "step" and name not in PHASES}
 
     def run(self, n_steps: int) -> None:
         for _ in range(n_steps):
@@ -483,7 +488,7 @@ class CoupledRunner:
         gas = np.flatnonzero(ps.where_type(ParticleType.GAS))
         if gas.size == 0:
             return
-        with self.timers.measure("Feedback_and_Cooling"):
+        with self.tracer.span("Feedback_and_Cooling"):
             ps.u[gas] = self.cooling.integrate(
                 ps.u[gas], ps.dens[gas], dt, z=ps.zmet[gas].sum(axis=1)
             )
@@ -491,7 +496,7 @@ class CoupledRunner:
     def apply_star_formation(self, dt: float) -> None:
         if not self.cfg.enable_star_formation:
             return
-        with self.timers.measure("Star Formation"):
+        with self.tracer.span("Star Formation"):
             new_ps, events, self.next_pid = self.star_formation.form_stars(
                 self.ps, self.time, dt, self.rng, self.next_pid
             )

@@ -28,6 +28,7 @@ from repro.core.pool import PoolManager
 from repro.core.runner import CoupledRunner
 from repro.fdps.io import load_checkpoint, save_snapshot
 from repro.fdps.particles import ParticleSet
+from repro.obs.trace import Tracer
 from repro.physics.cooling import CoolingModel
 from repro.physics.star_formation import StarFormationModel
 from repro.serve import SurrogateServer, SurrogateSpec
@@ -73,13 +74,14 @@ class GalaxySimulation:
         never change the particle state; with no worker left every
         prediction is inline.  ``REPRO_SERVE_FAULTS`` injects scripted
         faults (:mod:`repro.serve.faults`).
-    tracer : optional :class:`repro.obs.Tracer`.  Threads span tracing
-        through the integrator's phase timers, the force-engine kernels,
-        and the serve pipeline (dispatch/batch/recovery); export
+    tracer : optional :class:`repro.obs.Tracer`, the clock of every phase
+        bracket of the step host, the force-engine kernels, the multi-rank
+        driver and the serve pipeline (dispatch/batch/recovery); export
         with :meth:`write_trace` and render with ``python -m repro.obs
-        report``.  The default :data:`~repro.obs.NULL_TRACER` keeps every
-        bracket a no-op; tracing never changes particle state (asserted
-        bit-identical in ``benchmarks/bench_obs_overhead.py``).
+        report``.  None gives ``Tracer(enabled=False)``, which keeps only
+        the per-phase seconds (:meth:`timing_breakdown`); tracing never
+        changes particle state (asserted bit-identical in
+        ``benchmarks/bench_obs_overhead.py``).
     n_ranks : number of simulated main ranks of the one step host
         (:class:`repro.core.runner.CoupledRunner`): genuine domain
         migration, cross-rank SN-region ghosts, and one pool client that
@@ -107,14 +109,12 @@ class GalaxySimulation:
         serve_transport: str = "sync",
         serve_workers: int = 2,
         serve_max_batch: int = 8,
-        tracer=None,
+        tracer: Tracer | None = None,
         n_ranks: int = 1,
         use_torus: bool = False,
         coupled_force_mode: str = "global",
     ) -> None:
-        from repro.obs.trace import NULL_TRACER
-
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         # A copy: the caller's config object is never written to.
         base = config or IntegratorConfig()
         n_pool = base.n_pool if n_pool is None else n_pool
@@ -198,7 +198,7 @@ class GalaxySimulation:
 
     def timing_breakdown(self) -> dict[str, float]:
         """Accumulated per-part wall-clock seconds (Fig. 6 categories)."""
-        return self.integrator.timers.totals()
+        return self.integrator.timing_breakdown()
 
     # ---------------------------------------------------------- observability
     def attach_service_metrics(self) -> None:
@@ -207,7 +207,7 @@ class GalaxySimulation:
         Call once near the end of a traced run (before :meth:`write_trace`)
         so ``python -m repro.obs report`` can price hidden vs exposed
         inference from the same counters ``metrics_dict`` reports.  A no-op
-        under the null tracer.
+        on a disabled tracer.
         """
         if not self.tracer.enabled:
             return

@@ -31,7 +31,7 @@ cannot extract a complete region —
 :func:`repro.surrogate.voxelize.extract_region` raises
 ``RegionIncompleteError`` rather than silently truncating.
 :meth:`DistributedGravity.exchange_region_ghosts` is the remedy: one
-collective (label ``region_ghost``, flat or 3-phase torus alltoallv, timer
+collective (label ``region_ghost``, flat or 3-phase torus alltoallv, span
 ``Exchange_Region``) in which every non-owner rank packs its in-cube gas
 through the :mod:`repro.fdps.particles` wire format and the owner merges
 the blocks back into a pid-sorted region identical to a single-rank

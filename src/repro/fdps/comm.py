@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import Tracer
 
 
 @dataclass
@@ -106,14 +106,14 @@ class SimComm:
     """
 
     def __init__(self, n_ranks: int, topology: TorusTopology | None = None,
-                 tracer=None) -> None:
+                 tracer: Tracer | None = None) -> None:
         if n_ranks <= 0:
             raise ValueError("communicator needs at least one rank")
         self.n_ranks = n_ranks
         self.topology = topology
         if topology is not None and topology.n_ranks != n_ranks:
             raise ValueError("topology size does not match communicator size")
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.stats: dict[str, CommStats] = {}
         self._mailboxes: list[list[tuple[int, int, np.ndarray]]] = [
             [] for _ in range(n_ranks)
@@ -133,15 +133,12 @@ class SimComm:
         trace's per-label byte sums reproduce the ledger by construction.
         """
         self._stat(label).merge_call(per_rank_bytes, n_messages, byte_hops)
-        tr = self.tracer
-        if tr.enabled:
-            now = tr.now()
-            tr.span_at(
-                label, t0, now - t0, cat="comm",
-                bytes=int(per_rank_bytes.sum()),
-                messages=int(n_messages),
-                critical_bytes=int(per_rank_bytes.max(initial=0)),
-            )
+        self.tracer.span_at(
+            label, t0, self.tracer.now() - t0, cat="comm",
+            bytes=int(per_rank_bytes.sum()),
+            messages=int(n_messages),
+            critical_bytes=int(per_rank_bytes.max(initial=0)),
+        )
 
     def reset_stats(self) -> None:
         self.stats.clear()

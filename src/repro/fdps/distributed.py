@@ -44,7 +44,8 @@ model's byte-anchored comm terms).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -58,11 +59,28 @@ from repro.fdps.let import exchange_let
 from repro.fdps.particles import ParticleSet, ParticleType, packed_width
 from repro.fdps.tree import Octree
 from repro.gravity.treegrav import record_gravity_pass
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.util.timers import TimerRegistry
+from repro.obs.trace import Tracer
 
 if TYPE_CHECKING:
     from repro.accel import ForceEngine
+
+#: The driver's phases: the ``sim`` spans it opens per rank (``rank=``).
+PHASES = (
+    "Decompose_Domain", "Exchange_Particle", "Exchange_Region",
+    "Tree_Construction", "Exchange_LET", "Calc_Force",
+)
+
+
+class RankPhases(NamedTuple):
+    """One rank's phase seconds on the driver's tracer (read-only)."""
+
+    tracer: Tracer
+    rank: int
+
+    def totals(self) -> dict[str, float]:
+        """Seconds per driver phase this rank ran, the helper's ranks too."""
+        sums = self.tracer.totals(cat="sim", rank=self.rank)
+        return {name: sums[name] for name in PHASES if name in sums}
 
 
 @dataclass
@@ -91,15 +109,12 @@ class DistributedGravity:
     #: Per-rank phase spans and the communicator's ledger spans land on it
     #: (``rank`` attr = the simulated rank, so the run report's
     #: slowest-rank merge sees ranks); disabled by default.
-    tracer: Tracer | NullTracer = NULL_TRACER
+    tracer: Tracer = field(default_factory=partial(Tracer, enabled=False))
     grid: tuple[int, int, int] = field(init=False)
     comm: SimComm = field(init=False)
     #: One spatial index per rank: the cached octree serves the LET export
     #: and the force walk; its stats record the builds-per-step guarantee.
     indices: list[SpatialIndex] = field(init=False)
-    #: One timer registry per rank — the Table-3 bookkeeping of the
-    #: distributed phases, merged with :meth:`TimerRegistry.slowest`.
-    timers: list[TimerRegistry] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n_ranks < 1:
@@ -108,15 +123,18 @@ class DistributedGravity:
         topo = TorusTopology(self.grid) if self.use_torus else None
         self.comm = SimComm(self.n_ranks, topology=topo, tracer=self.tracer)
         self.indices = [SpatialIndex() for _ in range(self.n_ranks)]
-        self.timers = [
-            TimerRegistry(tracer=self.tracer, rank=r) for r in range(self.n_ranks)
-        ]
         from repro.accel.backends import get_backend
 
         self._backend = get_backend(self.backend)
         #: Gravity tile scratch shared by the per-rank walks and their import
         #: tiles (ranks run one after another; not thread-safe).
         self._tile_workspace = TileWorkspace()
+
+    @property
+    def timers(self) -> list[RankPhases]:
+        """Per rank, its :data:`PHASES` seconds on :attr:`tracer`
+        (``timers[r].totals()``), the Table-3 rows of that rank."""
+        return [RankPhases(self.tracer, r) for r in range(self.n_ranks)]
 
     def release_workspace(self) -> None:
         """Hand the gravity tile scratch back (the owner is done stepping);
@@ -128,7 +146,7 @@ class DistributedGravity:
         self, ps: ParticleSet, weights: np.ndarray | None = None
     ) -> tuple[DomainDecomposition, np.ndarray]:
         """Phase 1: fit the multisection and assign every particle a rank."""
-        with self.timers[0].measure("Decompose_Domain"):
+        with self.tracer.span("Decompose_Domain", rank=0):
             decomp = DomainDecomposition.fit(ps.pos, self.grid, weights=weights)
             return decomp, decomp.assign(ps.pos)
 
@@ -150,7 +168,7 @@ class DistributedGravity:
         keep: list[ParticleSet] = []
         emigrated = [False] * p
         for src in range(p):
-            with self.timers[src].measure("Exchange_Particle"):
+            with self.tracer.span("Exchange_Particle", rank=src):
                 ps = locals_[src]
                 owner = decomp.assign(ps.pos)
                 keep.append(ps.select(owner == src))
@@ -169,7 +187,7 @@ class DistributedGravity:
         )
         out: list[ParticleSet] = []
         for dst in range(p):
-            with self.timers[dst].measure("Exchange_Particle"):
+            with self.tracer.span("Exchange_Particle", rank=dst):
                 merged = keep[dst]
                 immigrated = False
                 for buf in recv[dst]:
@@ -213,7 +231,7 @@ class DistributedGravity:
             return ghosts
         send: list[list[np.ndarray | None]] = [[None] * p for _ in range(p)]
         for src in range(p):
-            with self.timers[src].measure("Exchange_Region"):
+            with self.tracer.span("Exchange_Region", rank=src):
                 ps = locals_[src]
                 if len(ps) == 0:
                     continue
@@ -244,7 +262,7 @@ class DistributedGravity:
             else self.comm.alltoallv(send, label="region_ghost")
         )
         for dst in range(p):
-            with self.timers[dst].measure("Exchange_Region"):
+            with self.tracer.span("Exchange_Region", rank=dst):
                 for src in range(p):
                     buf = recv[dst][src]
                     if buf is None:
@@ -283,7 +301,7 @@ class DistributedGravity:
         :func:`~repro.accel.gravity_helper.rank_accel` — the same function
         on the same inputs, so every rank's ``acc`` is bit-identical
         whichever process evaluated it.  The helper's busy seconds go to
-        its ranks' ``Calc_Force`` timers and its interaction tally to
+        its ranks' ``Calc_Force`` spans and its interaction tally to
         ``counter``.  Without a helper this process claims every rank; a
         helper lost mid-pass leaves its ranks to this process, and the
         engine runs every later pass alone.
@@ -292,7 +310,7 @@ class DistributedGravity:
         ghi = np.max([ps.pos.max(axis=0) for ps in locals_ if len(ps)], axis=0)
         trees: list[Octree | None] = []
         for rank, ps in enumerate(locals_):
-            with self.timers[rank].measure("Tree_Construction"):
+            with self.tracer.span("Tree_Construction", rank=rank):
                 trees.append(
                     self.indices[rank].tree_for(
                         ps.pos, ps.mass, leaf_size=self.leaf_size
@@ -308,7 +326,7 @@ class DistributedGravity:
             else Octree.build(np.array([[1e12, 1e12, 1e12]]), np.array([0.0]))
             for t in trees
         ]
-        with self.timers[0].measure("Exchange_LET"):
+        with self.tracer.span("Exchange_LET", rank=0):
             imports = exchange_let(
                 self.comm, safe_trees, decomp, glo, ghi, self.theta,
                 use_3d=self.use_torus,
@@ -361,7 +379,7 @@ class DistributedGravity:
         counter: InteractionCounter | None,
     ) -> int:
         """Take the helper's ranks below this process's claims — its rows
-        into ``accs``, its busy seconds into their ``Calc_Force`` timers,
+        into ``accs``, its busy seconds into their ``Calc_Force`` spans,
         its tally into ``counter`` — or evaluate them here when the helper
         is lost; returns their pairs."""
         engine, helper, pass_no = shipped
@@ -374,8 +392,8 @@ class DistributedGravity:
                 self._rank_force(rank, blocks, trees, accs, counter) for rank in range(main_lo)
             )
         for row in done:
-            self.timers[row.rank].record(
-                "Calc_Force", row.started, row.busy_s,
+            self.tracer.span_at(
+                "Calc_Force", self.tracer.at(row.started), row.busy_s, rank=row.rank,
                 backend=self._backend.name, tid="gravity-helper",
             )
             if counter is not None:
@@ -392,7 +410,7 @@ class DistributedGravity:
         tree = trees[rank]
         if tree is None:
             return 0
-        with self.timers[rank].measure("Calc_Force", backend=self._backend.name):
+        with self.tracer.span("Calc_Force", rank=rank, backend=self._backend.name):
             accs[rank], pairs = rank_accel(
                 blocks[rank], tree, self.theta, self.n_g, self.leaf_size,
                 self.mixed_precision, counter, self._backend, self._tile_workspace,

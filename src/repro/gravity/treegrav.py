@@ -25,7 +25,7 @@ from repro.fdps.tree import Octree
 from repro.util.constants import GRAV_CONST
 
 if TYPE_CHECKING:
-    from repro.obs.trace import NullTracer, Tracer
+    from repro.obs.trace import Tracer
 
 
 @dataclass
@@ -244,7 +244,7 @@ def tree_accel(
 
 
 def record_gravity_pass(
-    tracer: Tracer | NullTracer, pairs: int, workspace: TileWorkspace | None
+    tracer: Tracer, pairs: int, workspace: TileWorkspace | None
 ) -> None:
     """Trace one force pass: ``accel.gravity_passes`` / ``accel.gravity_pairs``
     counters (the report's Mpair/s over the ``Calc_Force`` spans) and the

@@ -2,25 +2,27 @@
 
 The paper's headline evidence is a per-routine wall-clock breakdown
 (Table 3: MPI_Wtime/Barrier brackets reduced to the slowest rank) and the
-scaling curves built from it (Figs. 6–7).  Before this package the repo's
-telemetry was three disconnected systems — :class:`repro.util.timers
-.TimerRegistry`, :class:`repro.serve.metrics.ServiceMetrics`, and the
-:class:`repro.fdps.comm.CommStats` ledger — none of which could answer
-"where did step 1234 spend its time, and was inference hidden or exposed?"
-for a live run.  ``repro.obs`` is the one stream they all feed:
+scaling curves built from it (Figs. 6–7).  ``repro.obs`` is the one clock
+and the one store of those brackets, and the stream the
+:class:`repro.serve.metrics.ServiceMetrics` export and the
+:class:`repro.fdps.comm.CommStats` ledger feed, so it can answer "where did
+step 1234 spend its time, and was inference hidden or exposed?" for a live
+run:
 
 * :class:`Tracer` — nested context-manager spans with categories and
   key/value attributes, monotonic-clock only (the determinism lint rule
-  holds here too), plus counters/gauges and attached meta blobs;
-* :class:`NullTracer` — the default everywhere; an untraced run pays one
-  no-op call per bracket (``benchmarks/bench_obs_overhead.py`` pins the
-  enabled-tracer overhead at <=5% on the 20k-particle step and asserts
-  traced runs stay bit-identical);
+  holds here too), plus counters/gauges and attached meta blobs.  Every
+  run has one: an untraced run gets ``Tracer(enabled=False)``, which keeps
+  only the per-``(cat, rank, name)`` span seconds and counts — the
+  in-process Table-3 rows — and records nothing else
+  (``benchmarks/bench_obs_overhead.py`` pins the enabled tracer's overhead
+  at <=5% on the 20k-particle step and asserts traced runs stay
+  bit-identical);
 * exporters (:mod:`repro.obs.export`) — per-rank JSONL streams and
   Chrome-trace/Perfetto JSON (``pid`` = rank, ``tid`` = worker/phase lane);
 * the run report (:mod:`repro.obs.report`, CLI ``python -m repro.obs
-  report <run>``) — a Table-3-style breakdown using the same slowest-rank
-  ``TimerRegistry`` reduction, per-label comm bytes matching the
+  report <run>``) — a Table-3-style breakdown reduced to the slowest rank
+  as the paper's footnote does, per-label comm bytes matching the
   ``CommStats`` ledger, hidden-vs-exposed inference priced by
   :func:`repro.perf.costmodel.serve_summary`, and a two-run diff mode.
 
@@ -35,11 +37,10 @@ cat     emitted by               span names (attrs)
 ======= ======================== =====================================================
 sim     ``core.runner`` (the     ``step`` (step); ``Identify_SNe``; ``Send_SNe``;
         step host, every         ``Integration``; ``Final_kick``; ``Receive_SNe``;
-        ``n_ranks``) via the     ``Star Formation``; ``Feedback_and_Cooling``
-        bridged ``TimerRegistry``
+        ``n_ranks``)             ``Star Formation``; ``Feedback_and_Cooling``
 sim     ``accel.engine`` /       ``{1st,2nd} Calc_Force``,
         ``fdps.distributed``     ``... Calc_Kernel_Size_and_Density``,
-        (same bridge)            ``... Calc_Hydro_Force`` (backend);
+                                 ``... Calc_Hydro_Force`` (backend);
                                  ``Decompose_Domain``, ``Exchange_Particle``,
                                  ``Exchange_Region``, ``Exchange_LET`` — per rank
                                  (rank)
@@ -66,8 +67,8 @@ lanes.  Report examples::
 
 Tracing a simulation: pass ``tracer=Tracer()`` to
 :class:`repro.core.simulation.GalaxySimulation` (it threads the tracer
-through the step host's timers, the force engine, the serve pipeline, and
-the communicators) and export with
+through the step host, the force engine, the multi-rank driver, the serve
+pipeline, and the communicators) and export with
 ``sim.write_trace(run_dir)``.
 """
 
@@ -81,11 +82,9 @@ from repro.obs.export import (
     write_run,
 )
 from repro.obs.report import RunReport, diff_reports, report_run, report_traces
-from repro.obs.trace import NULL_TRACER, NullTracer, Span, SpanRecord, Tracer
+from repro.obs.trace import Span, SpanRecord, Tracer
 
 __all__ = [
-    "NULL_TRACER",
-    "NullTracer",
     "RunReport",
     "Span",
     "SpanRecord",

@@ -146,35 +146,37 @@ def to_chrome_trace(traces: list[LoadedTrace] | Tracer) -> dict:
         snapshot.records = list(traces.records)
         snapshot.counters = dict(traces.counters)
         traces = [snapshot]
-    events: list[dict] = []
-    for trace in traces:
-        events.append({
-            "name": "process_name", "ph": "M", "pid": trace.rank,
-            "args": {"name": f"rank {trace.rank}"},
-        })
-        tids = {rec.tid for rec in trace.records}
-        tid_index = {tid: i for i, tid in enumerate(sorted(tids))}
-        for tid, i in tid_index.items():
-            events.append({
-                "name": "thread_name", "ph": "M", "pid": trace.rank,
-                "tid": i, "args": {"name": tid},
-            })
-        for rec in trace.records:
-            event = {
-                "name": rec.name,
-                "cat": rec.cat,
-                "ph": "X" if rec.dur > 0.0 else "i",
-                "ts": rec.t0 * 1e6,
-                "pid": rec.rank,
-                "tid": tid_index[rec.tid],
-            }
-            if rec.dur > 0.0:
-                event["dur"] = rec.dur * 1e6
-            else:
-                event["s"] = "t"  # instant scope: thread
-            if rec.attrs:
-                event["args"] = rec.attrs
-            events.append(event)
+    records = [rec for trace in traces for rec in trace.records]
+    # One process per rank and one named lane per (rank, tid) the events
+    # use: simulated ranks record on one stream through the ``rank=``
+    # override.  A tid keeps its lane number in every process.
+    tid_index = {tid: i for i, tid in enumerate(sorted({rec.tid for rec in records}))}
+    pids = sorted({trace.rank for trace in traces} | {rec.rank for rec in records})
+    events: list[dict] = [
+        {"name": "process_name", "ph": "M", "pid": pid, "args": {"name": f"rank {pid}"}}
+        for pid in pids
+    ]
+    events += [
+        {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid_index[tid],
+         "args": {"name": tid}}
+        for pid, tid in sorted({(rec.rank, rec.tid) for rec in records})
+    ]
+    for rec in records:
+        event = {
+            "name": rec.name,
+            "cat": rec.cat,
+            "ph": "X" if rec.dur > 0.0 else "i",
+            "ts": rec.t0 * 1e6,
+            "pid": rec.rank,
+            "tid": tid_index[rec.tid],
+        }
+        if rec.dur > 0.0:
+            event["dur"] = rec.dur * 1e6
+        else:
+            event["s"] = "t"  # instant scope: thread
+        if rec.attrs:
+            event["args"] = rec.attrs
+        events.append(event)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

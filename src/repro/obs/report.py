@@ -5,10 +5,10 @@ MPI_Wtime/MPI_Barrier brackets and reduced to the *slowest* MPI process
 (its footnote).  :func:`report_run` reproduces that accounting from a
 recorded trace:
 
-* every ``sim``-category span name becomes one breakdown row; per-rank
-  totals are rebuilt into :class:`repro.util.timers.TimerRegistry` objects
-  and merged with :meth:`TimerRegistry.slowest` — literally the same
-  reduction the in-process timers use;
+* every ``sim``-category span name becomes one breakdown row: the slowest
+  rank's summed seconds, the mean over the ranks that ran it, and the most
+  spans of one rank — the same spans whose per-rank sums
+  :meth:`repro.obs.trace.Tracer.totals` keeps in process;
 * ``comm``-category spans (one per labelled :class:`~repro.fdps.comm
   .SimComm` ledger row) aggregate into per-label seconds, bytes, messages,
   and critical-path bytes — the byte figures match the
@@ -64,7 +64,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.export import LoadedTrace, load_run
-from repro.util.timers import TimerRegistry
 
 __all__ = ["RunReport", "diff_reports", "report_run", "report_traces"]
 
@@ -306,18 +305,17 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _sim_registries(traces: list[LoadedTrace]) -> list[TimerRegistry]:
-    """Rebuild one TimerRegistry per rank from the sim-category spans."""
-    by_rank: dict[int, TimerRegistry] = {}
+def _sim_rows(traces: list[LoadedTrace]) -> dict[str, dict[int, list[float]]]:
+    """Per sim-category span name: rank -> [summed seconds, spans]."""
+    rows: dict[str, dict[int, list[float]]] = {}
     for trace in traces:
         for rec in trace.records:
             if rec.cat != "sim" or rec.name in _UMBRELLA_NAMES:
                 continue
-            reg = by_rank.setdefault(rec.rank, TimerRegistry())
-            timer = reg.get(rec.name)
-            timer.total += rec.dur
-            timer.count += 1
-    return [by_rank[r] for r in sorted(by_rank)]
+            acc = rows.setdefault(rec.name, {}).setdefault(rec.rank, [0.0, 0])
+            acc[0] += rec.dur
+            acc[1] += 1
+    return rows
 
 
 def report_traces(traces: list[LoadedTrace]) -> RunReport:
@@ -330,16 +328,13 @@ def report_traces(traces: list[LoadedTrace]) -> RunReport:
     }
     report.n_ranks = max(len(ranks), 1)
 
-    # --- Table-3 rows: slowest-rank reduction via TimerRegistry ------------
-    registries = _sim_registries(traces)
-    slowest = TimerRegistry.slowest(registries)
-    for name, worst in slowest.items():
-        counts = [reg.get(name).count for reg in registries if name in reg.timers]
-        totals = [reg.get(name).total for reg in registries if name in reg.timers]
+    # --- Table-3 rows: the slowest rank, as the paper's footnote ---------
+    for name, per_rank in _sim_rows(traces).items():
+        totals = [acc[0] for acc in per_rank.values()]
         report.breakdown[name] = {
-            "slowest": worst,
-            "mean": sum(totals) / len(totals) if totals else 0.0,
-            "count": max(counts) if counts else 0,
+            "slowest": max(totals),
+            "mean": sum(totals) / len(totals),
+            "count": int(max(acc[1] for acc in per_rank.values())),
         }
 
     # --- steps + wall extent ----------------------------------------------

@@ -1,4 +1,4 @@
-"""Span tracing: nested, attributed, monotonic-clock wall-time records.
+"""Span tracing: the one clock and the one store of a run's timed intervals.
 
 One :class:`Tracer` collects everything a run emits on one rank:
 
@@ -21,16 +21,19 @@ One :class:`Tracer` collects everything a run emits on one rank:
   :meth:`~repro.serve.metrics.ServiceMetrics.to_dict` export so the run
   report can price hidden vs exposed inference).
 
-Clocks: all timestamps are ``time.monotonic()`` seconds relative to the
-tracer's construction epoch.  Nothing here reads the absolute wall clock —
-the repo's determinism rule (``repro.lint`` R1) applies to this package
-too, and traces from two runs are comparable by construction.
+Every span, also on a disabled tracer (``Tracer(enabled=False)``, what an
+untraced run gets), adds its seconds and a count to a per-``(cat, rank,
+name)`` sum: :meth:`Tracer.totals` / :meth:`Tracer.counts` are the in-process
+Table-3 rows, and the step host, the force engine and the multi-rank driver
+keep no timers of their own.  A disabled tracer keeps only those sums — no
+records, counters, gauges or meta — so ``enabled`` lets the hottest paths
+skip building what it would drop.
 
-:class:`NullTracer` is the default everywhere a tracer can be passed: every
-method is a no-op returning a shared null span, so an untraced hot path
-pays one attribute load and one call — the <5% overhead budget of
-``benchmarks/bench_obs_overhead.py`` is enforced against the *enabled*
-tracer; the null path is free for all practical purposes.
+Clocks: all timestamps are ``time.monotonic()`` seconds relative to the
+tracer's construction epoch (:meth:`Tracer.now`), and main-process code
+takes its durations from it too.  Nothing here reads the absolute wall
+clock — the repo's determinism rule (``repro.lint`` R1) applies to this
+package too, and traces from two runs are comparable by construction.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["NULL_TRACER", "NullTracer", "Span", "SpanRecord", "Tracer"]
+__all__ = ["Span", "SpanRecord", "Tracer"]
 
 
 @dataclass
@@ -69,63 +72,6 @@ class SpanRecord:
         if self.attrs:
             obj["attrs"] = self.attrs
         return obj
-
-
-class _NullSpan:
-    """The shared no-op span: context manager + attribute sink."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-    def set(self, **attrs: Any) -> "_NullSpan":
-        return self
-
-
-class NullTracer:
-    """Disabled tracer: every call is a no-op (the default everywhere).
-
-    ``enabled`` is False so instrumented code can skip even argument
-    construction on its hottest paths (``if tracer.enabled: ...``).
-    """
-
-    enabled = False
-    rank = 0
-
-    def span(self, name: str, cat: str = "sim", tid: str | None = None,
-             **attrs: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def span_at(self, name: str, t0: float, dur: float, cat: str = "sim",
-                tid: str | None = None, **attrs: Any) -> None:
-        pass
-
-    def instant(self, name: str, cat: str = "sim", tid: str | None = None,
-                **attrs: Any) -> None:
-        pass
-
-    def count(self, name: str, n: float = 1.0) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
-    def attach_meta(self, key: str, values: dict) -> None:
-        pass
-
-    def now(self) -> float:
-        return 0.0
-
-
-_NULL_SPAN = _NullSpan()
-
-#: The shared disabled tracer — pass this (or None, which resolves to it)
-#: anywhere tracing is optional.
-NULL_TRACER = NullTracer()
 
 
 class Span:
@@ -161,11 +107,8 @@ class Span:
         tr = self._tracer
         dur = tr.now() - self._t0
         tr._stack.pop()
-        tr.records.append(SpanRecord(
-            name=self.name, cat=self.cat, t0=self._t0, dur=dur,
-            rank=self.rank, tid=self.tid, depth=self._depth,
-            attrs=self.attrs,
-        ))
+        tr._close(self.name, self.cat, self._t0, dur, self.rank, self.tid,
+                  self._depth, self.attrs)
         return False
 
 
@@ -176,18 +119,21 @@ class Tracer:
     ----------
     rank : the MPI-style rank this tracer records for (Chrome-trace pid).
     run_id : free-form run label carried into every export.
+    enabled : keep records, counters, gauges and meta; a disabled tracer
+        keeps only the per-``(cat, rank, name)`` span sums.
     """
 
-    enabled = True
-
-    def __init__(self, rank: int = 0, run_id: str = "run") -> None:
+    def __init__(self, rank: int = 0, run_id: str = "run", enabled: bool = True) -> None:
         self.rank = int(rank)
         self.run_id = str(run_id)
+        self.enabled = bool(enabled)
         self.records: list[SpanRecord] = []
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        self.meta: dict[str, dict] = {}
+        self.meta: dict[str, dict[str, Any]] = {}
         self._stack: list[str] = []
+        #: (cat, rank, name) -> [seconds, count] of every closed span.
+        self._sums: dict[tuple[str, int, str], list[float]] = {}
         # Monotonic epoch: every timestamp is relative to this instant.
         self._epoch = time.monotonic()
 
@@ -195,6 +141,11 @@ class Tracer:
     def now(self) -> float:
         """Seconds since the tracer epoch (monotonic clock only)."""
         return time.monotonic() - self._epoch
+
+    def at(self, stamp: float) -> float:
+        """The :meth:`now` reading of a ``time.monotonic()`` stamp taken in
+        this process or in a child it forked (they share the clock)."""
+        return stamp - self._epoch
 
     # ----------------------------------------------------------------- spans
     def span(self, name: str, cat: str = "sim", tid: str | None = None,
@@ -213,40 +164,57 @@ class Tracer:
         """Record an interval measured externally (timestamps from
         :meth:`now`); it does not interact with the nesting stack."""
         rank = int(attrs.pop("rank", self.rank))
-        self.records.append(SpanRecord(
-            name=name, cat=cat, t0=float(t0), dur=float(dur), rank=rank,
-            tid=tid if tid is not None else "main", depth=len(self._stack),
-            attrs=attrs,
-        ))
+        self._close(name, cat, float(t0), float(dur), rank,
+                    tid if tid is not None else "main", len(self._stack), attrs)
 
     def instant(self, name: str, cat: str = "sim", tid: str | None = None,
                 **attrs: Any) -> None:
         """A zero-duration marker event."""
         self.span_at(name, self.now(), 0.0, cat=cat, tid=tid, **attrs)
 
+    def _close(self, name: str, cat: str, t0: float, dur: float, rank: int,
+               tid: str, depth: int, attrs: dict[str, Any]) -> None:
+        """Add a closed span to its sum and, when enabled, keep its record."""
+        acc = self._sums.get((cat, rank, name))
+        if acc is None:
+            self._sums[(cat, rank, name)] = [dur, 1.0]
+        else:
+            acc[0] += dur
+            acc[1] += 1.0
+        if self.enabled:
+            self.records.append(SpanRecord(
+                name=name, cat=cat, t0=t0, dur=dur, rank=rank, tid=tid,
+                depth=depth, attrs=attrs,
+            ))
+
     # ------------------------------------------------------ counters / gauges
     def count(self, name: str, n: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + n
+        if self.enabled:
+            self.counters[name] = self.counters.get(name, 0.0) + n
 
     def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = float(value)
+        if self.enabled:
+            self.gauges[name] = float(value)
 
-    def attach_meta(self, key: str, values: dict) -> None:
+    def attach_meta(self, key: str, values: dict[str, Any]) -> None:
         """Store one JSON-able mapping under ``key`` (last write wins)."""
-        self.meta[str(key)] = dict(values)
+        if self.enabled:
+            self.meta[str(key)] = dict(values)
 
     # ------------------------------------------------------------- summaries
-    def totals(self, cat: str | None = None) -> dict[str, float]:
-        """Summed span seconds per name (optionally one category only).
-
-        Nested spans each contribute their own duration — names are
-        distinct across nesting levels in the repo's taxonomy, so per-name
-        sums match what a :class:`repro.util.timers.TimerRegistry` would
-        have accumulated for the same brackets.
-        """
+    def _sum(self, slot: int, cat: str | None, rank: int | None) -> dict[str, float]:
         out: dict[str, float] = {}
-        for rec in self.records:
-            if cat is not None and rec.cat != cat:
-                continue
-            out[rec.name] = out.get(rec.name, 0.0) + rec.dur
+        for (c, r, name), acc in self._sums.items():
+            if (cat is None or c == cat) and (rank is None or r == rank):
+                out[name] = out.get(name, 0.0) + acc[slot]
         return out
+
+    def totals(self, cat: str | None = None, rank: int | None = None) -> dict[str, float]:
+        """Summed span seconds per name, optionally of one category and one
+        rank (every span counts, enabled or not; names are distinct across
+        nesting levels in the repo's taxonomy, so nothing is counted twice)."""
+        return self._sum(0, cat, rank)
+
+    def counts(self, cat: str | None = None, rank: int | None = None) -> dict[str, int]:
+        """Closed spans per name, filtered as :meth:`totals`."""
+        return {name: int(n) for name, n in self._sum(1, cat, rank).items()}

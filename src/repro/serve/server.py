@@ -59,7 +59,7 @@ import numpy as np
 from repro.fdps.particles import ParticleSet
 from repro.serve.batch import BatchScheduler
 from repro.serve.faults import FaultPlan
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import Tracer
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.shm import Reply, WorkerLost, _ShmTransport, predict_responses
 from repro.serve.wire import ServeRequest, ServeResponse
@@ -205,9 +205,10 @@ def _predict_on_main(surrogate: SNSurrogate, buffers: list[np.ndarray]) -> list[
 class _SyncTransport:
     """Execute batches inline on the caller's thread (the reference path)."""
 
-    def __init__(self, surrogate: SNSurrogate, metrics: ServiceMetrics) -> None:
+    def __init__(self, surrogate: SNSurrogate, metrics: ServiceMetrics, tracer: Tracer) -> None:
         self._surrogate = surrogate
         self._metrics = metrics
+        self._tracer = tracer
         self._done: list[Reply] = []
 
     @property
@@ -219,9 +220,9 @@ class _SyncTransport:
         return False
 
     def dispatch(self, batch_id: int, buffers: list[np.ndarray]) -> int:
-        t0 = time.perf_counter()
+        t0 = self._tracer.now()
         responses = _predict_on_main(self._surrogate, buffers)
-        elapsed = time.perf_counter() - t0
+        elapsed = self._tracer.now() - t0
         self._metrics.inline_predict_s += elapsed
         self._done.append((batch_id, -1, responses, elapsed))
         return -1
@@ -256,8 +257,7 @@ class _Batch:
     batch can be resolved inline (the in-flight registry)."""
 
     buffers: list[np.ndarray]
-    dispatched_at: float        # time.monotonic() at dispatch
-    trace_t0: float | None      # tracer.now() at dispatch, when tracing
+    dispatched_at: float        # tracer.now() at dispatch
 
 
 class SurrogateServer:
@@ -290,12 +290,12 @@ class SurrogateServer:
         max_batch: int = 8,
         max_wait_steps: int = 1,
         fault_plan: FaultPlan | str | None = None,
-        tracer: Any = None,
+        tracer: Tracer | None = None,
     ) -> None:
         if surrogate is None and spec is None:
             raise ValueError("need a surrogate or a SurrogateSpec")
         self.transport_name = transport
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.metrics = ServiceMetrics(started_at=time.perf_counter())
         self.scheduler = BatchScheduler(
             max_batch=max_batch,
@@ -310,7 +310,7 @@ class SurrogateServer:
             fault_plan = FaultPlan.parse(fault_plan)
         self._transport: _SyncTransport | _ShmTransport
         if transport == "sync":
-            self._transport = _SyncTransport(self.local_surrogate, self.metrics)
+            self._transport = _SyncTransport(self.local_surrogate, self.metrics, self.tracer)
         elif transport == "shm":
             self._transport = _ShmTransport(
                 self._worker_recipe(), n_workers, metrics=self.metrics,
@@ -425,8 +425,7 @@ class SurrogateServer:
             return
         batch_id = self._next_batch_id
         self._next_batch_id += 1
-        trace_t0 = self.tracer.now() if self.tracer.enabled else None
-        self._batches[batch_id] = _Batch(buffers, time.monotonic(), trace_t0)
+        self._batches[batch_id] = _Batch(buffers, self.tracer.now())
         worker_id = self._transport.dispatch(batch_id, buffers)
         self.tracer.instant(
             "serve.dispatch", cat="serve", batch=batch_id, events=len(buffers),
@@ -462,8 +461,9 @@ class SurrogateServer:
         charges ``exposed_wait_s`` and raises when a degraded service
         cannot produce a due event.
         """
+        tracer = self.tracer
         self._absorb(self._transport.poll())
-        last_progress = time.monotonic()
+        last_progress = tracer.now()
         while self._missing(step):
             self._check_timeouts()
             if not self._missing(step):
@@ -477,20 +477,16 @@ class SurrogateServer:
                         "inline recovery did not produce them"
                     )
                 break
-            t0 = time.perf_counter()
-            tt0 = self.tracer.now()
+            t0 = tracer.now()
             replies = self._transport.wait(self._wait_slice())
+            now = tracer.now()
             if step is not None:
-                waited = time.perf_counter() - t0
-                self.metrics.exposed_wait_s += waited
-                if self.tracer.enabled:
-                    self.tracer.span_at(
-                        "serve.exposed_wait", tt0, waited, cat="serve", step=step,
-                    )
+                self.metrics.exposed_wait_s += now - t0
+                tracer.span_at("serve.exposed_wait", t0, now - t0, cat="serve", step=step)
             if replies:
                 self._absorb(replies)
-                last_progress = time.monotonic()
-            elif time.monotonic() - last_progress > WORKER_TIMEOUT_S:
+                last_progress = now
+            elif now - last_progress > WORKER_TIMEOUT_S:
                 raise TimeoutError(
                     f"no serve progress within {WORKER_TIMEOUT_S:.0f}s"
                 )
@@ -529,7 +525,7 @@ class SurrogateServer:
     def _check_timeouts(self) -> None:
         """Lose the worker of each batch past the per-batch deadline; the
         batches it held, this one among them, resolve inline."""
-        now = time.monotonic()
+        now = self.tracer.now()
         for bid in sorted(self._batches):
             batch = self._batches.get(bid)     # absorbed with an earlier one?
             if batch is not None and now - batch.dispatched_at > BATCH_DEADLINE_S:
@@ -548,21 +544,19 @@ class SurrogateServer:
         """Serve request buffers on the main rank — the recovery of last
         resort, bit-identical because :attr:`local_surrogate` is built from
         the same recipe the workers use."""
-        t0 = time.perf_counter()
-        tt0 = self.tracer.now()
+        t0 = self.tracer.now()
         try:
             responses = _predict_on_main(self.local_surrogate, buffers)
         except Exception as exc:
             raise RuntimeError(
                 f"serve worker fault ({cause}) could not be recovered inline"
             ) from exc
-        elapsed = time.perf_counter() - t0
+        elapsed = self.tracer.now() - t0
         self.metrics.inline_predict_s += elapsed
-        if self.tracer.enabled:
-            self.tracer.span_at(
-                "serve.inline_recovery", tt0, elapsed, cat="serve",
-                tid="inline", events=len(buffers), cause=cause,
-            )
+        self.tracer.span_at(
+            "serve.inline_recovery", t0, elapsed, cat="serve",
+            tid="inline", events=len(buffers), cause=cause,
+        )
         self.metrics.n_fault_oracle += len(buffers)
         for response in responses:
             self._store_response(response)
@@ -577,16 +571,12 @@ class SurrogateServer:
                 self.metrics.add_worker_busy(worker_id, busy_s)
             for response in payload:
                 self._store_response(response)
-            if self.tracer.enabled:
-                t0 = batch.trace_t0
-                now = self.tracer.now()
-                lane = f"worker-{worker_id}" if worker_id >= 0 else "inline"
-                self.tracer.span_at(
-                    "serve.batch", t0 if t0 is not None else now,
-                    now - t0 if t0 is not None else 0.0, cat="serve",
-                    tid=lane, batch=batch_id, events=len(payload),
-                    busy_s=busy_s, worker=worker_id,
-                )
+            lane = f"worker-{worker_id}" if worker_id >= 0 else "inline"
+            self.tracer.span_at(
+                "serve.batch", batch.dispatched_at, self.tracer.now() - batch.dispatched_at,
+                cat="serve", tid=lane, batch=batch_id, events=len(payload),
+                busy_s=busy_s, worker=worker_id,
+            )
 
     def _store_response(self, response: ServeResponse) -> None:
         self.metrics.bytes_out += int(response.to_buffer().nbytes)

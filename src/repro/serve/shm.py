@@ -64,7 +64,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import Tracer
 from repro.serve.faults import FaultInjector, FaultPlan
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.wire import ServeRequest, ServeResponse
@@ -178,13 +178,13 @@ class _ShmTransport:
         n_workers: int,
         metrics: ServiceMetrics | None = None,
         fault_plan: FaultPlan | None = None,
-        tracer: Any = None,
+        tracer: Tracer | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("shm transport needs at least one worker")
         self.n_workers = n_workers
         self._metrics = metrics if metrics is not None else ServiceMetrics()
-        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: batch_id -> the batch's block, until it is unlinked.
         self._blocks: dict[int, SharedMemoryRing] = {}
         #: batch_id -> the worker it was sent to (in flight only).
@@ -215,11 +215,10 @@ class _ShmTransport:
         for index, buf in enumerate(buffers):
             block.write(index, buf)
         self._metrics.n_shm_slot += len(buffers)
-        if self._tracer.enabled:
-            self._tracer.span_at(
-                "serve.shm.encode", tt0, self._tracer.now() - tt0, cat="serve",
-                batch=batch_id, slots=len(buffers),
-            )
+        self._tracer.span_at(
+            "serve.shm.encode", tt0, self._tracer.now() - tt0, cat="serve",
+            batch=batch_id, slots=len(buffers),
+        )
         live = sorted(self._workers)
         worker_id = live[self._sent % len(live)]
         self._sent += 1

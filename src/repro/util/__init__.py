@@ -1,4 +1,6 @@
-"""Shared utilities: unit system, constants, RNG streams, timers, logging.
+"""Shared utilities: unit system, constants, RNG streams, logging.
+
+Phase timing lives in :class:`repro.obs.Tracer`, the one clock of a run.
 
 The whole library works in the "galactic" unit system used by ASURA-style
 codes: length in parsec, mass in solar masses, time in megayears.  In these
@@ -26,7 +28,6 @@ from repro.util.constants import (
     sound_speed,
 )
 from repro.util.rng import RandomStreams, default_rng
-from repro.util.timers import Timer, TimerRegistry
 from repro.util.logging import get_logger
 
 __all__ = [
@@ -47,7 +48,5 @@ __all__ = [
     "sound_speed",
     "RandomStreams",
     "default_rng",
-    "Timer",
-    "TimerRegistry",
     "get_logger",
 ]

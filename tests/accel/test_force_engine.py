@@ -326,10 +326,9 @@ def test_candidate_generations_are_counted_and_the_list_gauged():
     on; a pass that reuses the cached list or runs on the repaired one
     generates none."""
     from repro.obs.trace import Tracer
-    from repro.util.timers import TimerRegistry
 
     tr = Tracer(run_id="candidates")
-    engine = ForceEngine(IntegratorConfig(self_gravity=False), timers=TimerRegistry(tracer=tr))
+    engine = ForceEngine(IntegratorConfig(self_gravity=False), tracer=tr)
     stats = engine.index.stats
     ps = _stars_then_gas(seed=12)
 
@@ -365,10 +364,9 @@ def test_a_gas_disk_pass_runs_on_a_reach_list_and_gauges_it():
     it is — which a full search would have to widen to the whole cell."""
     from repro.ic.galaxy import MW_SPEC, make_mw_model
     from repro.obs.trace import Tracer
-    from repro.util.timers import TimerRegistry
 
     tr = Tracer(run_id="reach")
-    engine = ForceEngine(IntegratorConfig(self_gravity=False), timers=TimerRegistry(tracer=tr))
+    engine = ForceEngine(IntegratorConfig(self_gravity=False), tracer=tr)
     ps = make_mw_model(1200, seed=3, spec=MW_SPEC.scaled(0.01), count_fractions=(0.02, 0.02, 0.96))
     engine.hydro(ps, "1st")                  # cold: refreshes ps.h
     engine.notify_positions_changed()
@@ -438,6 +436,6 @@ def test_conventional_arm_releases_after_step_7():
     cfg = IntegratorConfig(enable_star_formation=False)
     runner = CoupledRunner(_gas_box(seed=12), server=None, n_ranks=1, config=cfg)
     runner.step()
-    assert "2nd Calc_Kernel_Size_and_Density" in runner.timers.totals()
+    assert "2nd Calc_Kernel_Size_and_Density" in runner.timing_breakdown()
     assert runner.engine.index.has_grid and not runner.engine.index._grid.has_compact_pairs
     runner.close()

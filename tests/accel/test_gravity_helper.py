@@ -39,7 +39,6 @@ from repro.gravity.treegrav import GroupTiles, tree_accel
 from repro.ic.galaxy import make_mw_mini
 from repro.obs.trace import Tracer
 from repro.sn.turbulence import make_turbulent_box
-from repro.util.timers import TimerRegistry
 
 pytestmark = pytest.mark.skipif(
     (os.cpu_count() or 1) < 2, reason="the helper starts only on a host with two CPUs"
@@ -58,7 +57,7 @@ def _ic(kind: str):
 def _engine(ps, tracer=None, **cfg):
     engine = ForceEngine(
         IntegratorConfig(**cfg),
-        timers=TimerRegistry(tracer=tracer or Tracer()),
+        tracer=tracer or Tracer(),
         counter=InteractionCounter(),
     )
     assert engine.start_gravity_helper(len(ps))
@@ -496,7 +495,7 @@ def test_close_stops_the_helper_and_unlinks_its_block(serial_mw_run):
 @pytest.fixture(scope="module")
 def rank_engine():
     """One engine whose helper every rank-pass example shares."""
-    engine = ForceEngine(IntegratorConfig(), timers=TimerRegistry(tracer=Tracer()))
+    engine = ForceEngine(IntegratorConfig(), tracer=Tracer())
     assert engine.start_gravity_helper(4000)
     yield engine
     engine.close()
@@ -553,7 +552,7 @@ def test_rank_pass_is_the_serial_rank_loop_whatever_the_helper_claims(
     assert tally == ref_tally
     assert tracer.gauges["accel.grav_helper_ranks"] == k
     assert (tracer.gauges["accel.grav_helper_busy_s"] > 0) == (k > 0)
-    forced = [timers.timers["Calc_Force"].count for timers in driver.timers]
+    forced = [tracer.counts(cat="sim", rank=r).get("Calc_Force") for r in range(n_ranks)]
     assert forced == [1] * n_ranks                         # every rank timed once
     assert tracer.counters["accel.gravity_pairs"] == ref_tally[0]
 
@@ -563,7 +562,7 @@ def test_rank_pass_survives_a_killed_helper(when, caplog):
     ps = _cloud(3, 3000)
     ref_accs, ref_tally, _ = _rank_pass(ps, 3)
     tracer = Tracer()
-    engine = ForceEngine(IntegratorConfig(), timers=TimerRegistry(tracer=tracer))
+    engine = ForceEngine(IntegratorConfig(), tracer=tracer)
     assert engine.start_gravity_helper(len(ps))
     helper = engine.helper
     segment = _segment(engine)

@@ -16,7 +16,6 @@ from repro.core.integrator import IntegratorConfig
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.ic.galaxy import MW_SPEC, make_mw_model
 from repro.obs.trace import Tracer
-from repro.util.timers import TimerRegistry
 from tests.accel.test_force_engine import _stars_then_gas
 
 #: The gas fields a pass writes onto the particle set.
@@ -40,7 +39,7 @@ def _twin_engines(ps: ParticleSet) -> tuple[list[ForceEngine], list[ParticleSet]
     the first counts on a tracer."""
     tr = Tracer(run_id="region")
     cfg = IntegratorConfig(self_gravity=False)
-    engines = [ForceEngine(cfg, timers=TimerRegistry(tracer=tr)), ForceEngine(cfg)]
+    engines = [ForceEngine(cfg, tracer=tr), ForceEngine(cfg)]
     states = [ps.copy(), ps.copy()]
     for engine, state in zip(engines, states):
         engine.hydro(state, "1st")               # from the IC's guess

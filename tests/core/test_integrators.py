@@ -110,7 +110,7 @@ def _resolved_box_with_doomed_star(t_explode=0.0015, seed=1):
 def test_timer_labels_match_paper_breakdown():
     sim = _make_scheme(_box_with_doomed_star(), self_gravity=True)
     sim.run(2)
-    labels = set(sim.timers.totals())
+    labels = set(sim.timing_breakdown())
     for expected in (
         "Identify_SNe",
         "Send_SNe",

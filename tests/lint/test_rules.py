@@ -250,7 +250,7 @@ def test_forbidden_import_table_keeps_compute_below_core_and_serve():
     allowed = """
     from repro.util.shm import SharedMemoryRing
     from repro.fdps.tree import Octree
-    from repro.obs.trace import NULL_TRACER
+    from repro.obs.trace import Tracer
     """
     assert _lint(allowed, module="repro.accel.gravity_helper", select=["backend-purity"]) == []
     # The layers above may import the compute layer.

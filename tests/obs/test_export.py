@@ -98,6 +98,22 @@ def test_chrome_trace_events(tmp_path):
     json.dumps(doc)  # the whole document must be JSON-serializable
 
 
+def test_chrome_trace_names_every_simulated_rank_and_lane():
+    """Simulated ranks record on one tracer (the ``rank=`` override): each
+    rank the events use is a named process, each lane a named thread."""
+    from repro.fdps.distributed import DistributedGravity
+    from repro.ic.galaxy import make_mw_mini
+
+    tr = Tracer(run_id="two-ranks")
+    DistributedGravity(n_ranks=2, tracer=tr).global_accel(make_mw_mini(1500, seed=1))
+    events = to_chrome_trace(tr)["traceEvents"]
+    used = [e for e in events if e["ph"] != "M"]
+    processes = {e["pid"] for e in events if e["name"] == "process_name"}
+    lanes = {(e["pid"], e["tid"]) for e in events if e["name"] == "thread_name"}
+    assert {e["pid"] for e in used} == processes == {0, 1}
+    assert {(e["pid"], e["tid"]) for e in used} == lanes
+
+
 def test_chrome_trace_accepts_live_tracer(tmp_path):
     out = write_chrome_trace(_traced(), tmp_path / "chrome.json")
     doc = json.loads(out.read_text())

@@ -2,6 +2,7 @@
 both driven *through the span layer* of a multi-rank simulated run."""
 
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from repro.fdps.particles import ParticleSet, ParticleType
 from repro.obs.export import write_run
 from repro.obs.report import diff_reports, report_run, report_traces
 from repro.obs.trace import Tracer
-from repro.util.timers import TimerRegistry
 from tests.conftest import plummer_positions
 
 
@@ -61,6 +61,25 @@ def test_slowest_rank_merge_from_spans():
     assert report.n_ranks == 3
 
 
+def _slowest(per_rank):
+    """Per name, the largest of the ranks' seconds (the paper's footnote)."""
+    out = {}
+    for totals in per_rank:
+        for name, seconds in totals.items():
+            out[name] = max(out.get(name, 0.0), seconds)
+    return out
+
+
+def _most_spans_of_one_rank(tr):
+    """Per sim span name below ``step``, its most records on one rank."""
+    per_rank = Counter((rec.name, rec.rank) for rec in tr.records
+                       if rec.cat == "sim" and rec.name != "step")
+    out = {}
+    for (name, _rank), n in per_rank.items():
+        out[name] = max(out.get(name, 0), n)
+    return out
+
+
 def _as_loaded(tr):
     from repro.obs.export import LoadedTrace
 
@@ -78,7 +97,7 @@ def _as_loaded(tr):
 def test_distributed_run_report_matches_in_process_accounting(
     tmp_path, use_torus
 ):
-    """Span-layer accounting == in-process TimerRegistry + CommStats."""
+    """Span-layer accounting == in-process Table-3 rows + CommStats."""
     tr = Tracer(run_id="dist")
     dg = DistributedGravity(n_ranks=8, theta=0.35, use_torus=use_torus,
                             tracer=tr)
@@ -99,21 +118,13 @@ def test_distributed_run_report_matches_in_process_accounting(
     write_run(tr, run_dir)
     report = report_run(run_dir)
 
-    # --- Table-3 rows: the span-rebuilt slowest-rank merge must agree with
-    # the in-process TimerRegistry reduction (spans bracket the timers, so
-    # they carry a few microseconds of extra overhead per call, never less).
-    in_process = TimerRegistry.slowest(dg.timers)
+    # --- Table-3 rows: the exported spans' slowest-rank merge is the
+    # in-process per-rank view, to rounding (both are the same spans).
+    in_process = _slowest([rank.totals() for rank in dg.timers])
     assert set(report.breakdown) == set(in_process)
     for name, worst in in_process.items():
-        from_spans = report.breakdown[name]["slowest"]
-        assert from_spans >= worst * 0.999
-        assert from_spans <= worst + 0.05
-    counts = {
-        name: max(reg.get(name).count for reg in dg.timers
-                  if name in reg.timers)
-        for name in in_process
-    }
-    for name, count in counts.items():
+        assert report.breakdown[name]["slowest"] == pytest.approx(worst, rel=1e-12)
+    for name, count in _most_spans_of_one_rank(tr).items():
         assert report.breakdown[name]["count"] == count
 
     # --- comm rows: byte-exact against the CommStats ledger, including the
@@ -231,10 +242,9 @@ def test_report_shows_gravity_pair_rate_and_workspace():
     from repro.accel import ForceEngine
     from repro.accel.backends import numpy_backend
     from repro.core.integrator import IntegratorConfig
-    from repro.util.timers import TimerRegistry
 
     tr = Tracer(run_id="halo")
-    engine = ForceEngine(IntegratorConfig(direct_gravity_below=0), timers=TimerRegistry(tracer=tr))
+    engine = ForceEngine(IntegratorConfig(direct_gravity_below=0), tracer=tr)
     ps = _cluster(1500)
     for _ in range(2):
         engine.gravity(ps, "step")
@@ -265,7 +275,7 @@ def test_report_shows_split_gravity_passes_per_process():
 
     tr = Tracer(run_id="split")
     ps = _cluster(1500)
-    engine = ForceEngine(IntegratorConfig(), timers=TimerRegistry(tracer=tr))
+    engine = ForceEngine(IntegratorConfig(), tracer=tr)
     assert engine.start_gravity_helper(len(ps))
     try:
         for _ in range(2):
@@ -283,7 +293,7 @@ def test_report_shows_split_gravity_passes_per_process():
     assert report.to_json_obj()["gravity_per_pass"] == gravity
     # A serial run's gravity line names no processes.
     serial = Tracer(run_id="serial")
-    ForceEngine(IntegratorConfig(), timers=TimerRegistry(tracer=serial)).gravity(ps, "step")
+    ForceEngine(IntegratorConfig(), tracer=serial).gravity(ps, "step")
     assert "processes" not in report_traces([_as_loaded(serial)]).to_text()
 
 
@@ -321,15 +331,15 @@ def test_report_shows_the_gravity_overlap_with_hydro_and_the_claims():
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the helper needs two CPUs")
 def test_report_charges_the_helpers_ranks_to_their_ranks():
     """A distributed pass shared with the helper: the helper's busy seconds
-    are its ranks' ``Calc_Force`` (spans and timers agree, so the
-    slowest-rank merge still sees ranks), and the gravity line prints the
-    ranks it delivered."""
+    are its ranks' ``Calc_Force`` (the in-process rows and the report
+    agree, so the slowest-rank merge still sees ranks), and the gravity
+    line prints the ranks it delivered."""
     from repro.accel import ForceEngine
     from repro.core.integrator import IntegratorConfig
 
     tr = Tracer(run_id="ranks")
     ps = _cluster(1500)
-    engine = ForceEngine(IntegratorConfig(), timers=TimerRegistry(tracer=tr))
+    engine = ForceEngine(IntegratorConfig(), tracer=tr)
     assert engine.start_gravity_helper(len(ps))
     driver = DistributedGravity(n_ranks=2, tracer=tr)
     try:
@@ -338,11 +348,10 @@ def test_report_charges_the_helpers_ranks_to_their_ranks():
     finally:
         engine.close()
     report = report_traces([_as_loaded(tr)])
-    # Main's spans bracket its timers (a few microseconds more); the
-    # helper's span is the seconds its timer got.
-    slowest = TimerRegistry.slowest(driver.timers)["Calc_Force"]
-    assert slowest * 0.999 <= report.breakdown["Calc_Force"]["slowest"] <= slowest + 0.05
+    slowest = _slowest([rank.totals() for rank in driver.timers])["Calc_Force"]
+    assert report.breakdown["Calc_Force"]["slowest"] == pytest.approx(slowest, rel=1e-12)
     assert report.breakdown["Calc_Force"]["count"] == 1          # once per rank
+    assert _most_spans_of_one_rank(tr)["Calc_Force"] == 1
     helper_ranks = tr.gauges["accel.grav_helper_ranks"]
     gravity = report.gravity_per_pass()
     assert gravity["helper_ranks"] == helper_ranks
@@ -436,3 +445,57 @@ def test_report_shows_main_page_faults_per_step_under_the_rss_line():
     assert report.to_json_obj()["minor_faults_per_step"] == faults
     quiet = report_traces([_as_loaded(_synthetic_tracer())])
     assert quiet.minor_faults_per_step() == {} and "page faults" not in quiet.to_text()
+
+
+#: The step host's and the force engine's brackets of four untraced steps of
+#: ``_doomed_box`` (one SN): the key set of ``timing_breakdown()``.
+_HOST = {
+    "Identify_SNe", "Send_SNe", "Integration", "Final_kick", "Receive_SNe",
+    "Feedback_and_Cooling", "Star Formation", "1st Calc_Hydro_Force",
+    "1st Calc_Kernel_Size_and_Density", "2nd Calc_Hydro_Force",
+    "2nd Calc_Kernel_Size_and_Density",
+}
+#: Per rank, the distributed force pass's phases (the LET exchange is
+#: timed on rank 0, the collective's one bracket).
+_FORCE_TREE = {"Tree_Construction", "Calc_Force"}
+
+
+def _doomed_box():
+    from repro.sn.turbulence import make_turbulent_box
+
+    ps = make_turbulent_box(n_per_side=7, side=30.0, mean_density=0.1,
+                            temperature=500.0, mach=1.0, seed=2)
+    star = ParticleSet.empty(1)
+    star.mass[:] = 20.0
+    star.ptype[:] = int(ParticleType.STAR)
+    star.pid[:] = 10_000_000
+    star.tsn[:] = 1e-3
+    star.eps[:] = 0.5
+    return ps.append(star)
+
+
+@pytest.mark.parametrize(("n_ranks", "mode", "breakdown", "phases"), [
+    (1, "global", _HOST | {"1st Calc_Force"},
+     [{"Decompose_Domain", "Exchange_Particle"}]),
+    (2, "global", _HOST | {"1st Calc_Force"},
+     [{"Decompose_Domain", "Exchange_Particle", "Exchange_Region"},
+      {"Exchange_Particle", "Exchange_Region"}]),
+    (2, "distributed", _HOST,
+     [{"Decompose_Domain", "Exchange_Particle", "Exchange_Region", "Exchange_LET"} | _FORCE_TREE,
+      {"Exchange_Particle", "Exchange_Region"} | _FORCE_TREE]),
+])
+def test_untraced_run_keeps_the_host_and_the_driver_rows_apart(n_ranks, mode, breakdown, phases):
+    """One disabled tracer times the host, the engine and every driver rank:
+    ``timing_breakdown()`` holds the host's and the engine's brackets only
+    (no ``step``, no driver phase of rank 0), each ``driver.timers[r]`` the
+    phases rank ``r`` ran."""
+    from repro import GalaxySimulation
+
+    with GalaxySimulation(_doomed_box(), dt=1e-3, n_pool=2, surrogate_grid=8,
+                          n_ranks=n_ranks, coupled_force_mode=mode) as sim:
+        sim.run(4)
+        assert not sim.tracer.enabled and sim.tracer.records == []
+        assert sim.diagnostics()["pool"]["n_events"] == 1
+        assert set(sim.timing_breakdown()) == breakdown
+        assert [set(rank.totals()) for rank in sim.integrator.driver.timers] == phases
+        assert all(s >= 0.0 for s in sim.timing_breakdown().values())

@@ -1,10 +1,10 @@
-"""Tracer core: spans, nesting, null path, counters, rank override."""
+"""Tracer core: spans, nesting, the disabled tracer, counters, rank override."""
 
 import time
 
 import pytest
 
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.trace import Tracer
 
 
 def test_span_records_name_cat_attrs():
@@ -110,21 +110,41 @@ def test_totals_sums_per_name_and_filters_cat():
     assert tr.totals(cat="sim").keys() == {"a"}
 
 
-def test_null_tracer_is_inert():
-    nt = NullTracer()
-    assert nt.enabled is False
-    with nt.span("anything", cat="serve", bytes=1) as sp:
+def test_disabled_tracer_keeps_only_span_sums():
+    tr = Tracer(enabled=False)
+    assert tr.enabled is False
+    with tr.span("anything", cat="serve", bytes=1) as sp:
         sp.set(more=2)
-    nt.span_at("x", 0.0, 1.0)
-    nt.instant("y")
-    nt.count("c")
-    nt.gauge("g", 1.0)
-    nt.attach_meta("k", {})
-    assert nt.now() == 0.0
-    assert not hasattr(nt, "records")
+    tr.span_at("x", 0.0, 1.0, rank=3)
+    tr.instant("y")
+    tr.count("c")
+    tr.gauge("g", 1.0)
+    tr.attach_meta("k", {})
+    assert (tr.records, tr.counters, tr.gauges, tr.meta) == ([], {}, {}, {})
+    assert tr._stack == []
+    assert tr.totals(cat="serve").keys() == {"anything"}
+    assert tr.totals(rank=3) == {"x": 1.0}
+    assert tr.counts() == {"anything": 1, "x": 1, "y": 1}
 
 
-def test_null_tracer_singleton_shares_null_span():
-    a = NULL_TRACER.span("a")
-    b = NULL_TRACER.span("b")
-    assert a is b  # one shared no-op handle: the zero-allocation fast path
+def test_disabled_tracer_totals_are_the_enabled_tracers_record_sums():
+    """The same spans on both kinds of tracer: a disabled tracer's sums are
+    the per-name sums of an enabled tracer's records, and the enabled
+    tracer's own sums are too."""
+    enabled, disabled = Tracer(), Tracer(enabled=False)
+    for tr in (enabled, disabled):
+        for k in range(5):
+            tr.span_at("Calc_Force", 0.1 * k, 0.01 * (k + 1), rank=k % 2)
+            tr.span_at("Exchange_LET", 0.1 * k, 0.003, cat="sim")
+            tr.span_at("pool_p2p", 0.1 * k, 0.002 * k, cat="comm")
+    sums, counts = {}, {}
+    for rec in enabled.records:
+        sums[rec.name] = sums.get(rec.name, 0.0) + rec.dur
+        counts[rec.name] = counts.get(rec.name, 0) + 1
+    for tr in (enabled, disabled):
+        assert tr.totals().keys() == sums.keys()
+        for name, seconds in sums.items():
+            assert tr.totals()[name] == pytest.approx(seconds, rel=1e-12)
+        assert tr.counts() == counts
+    assert disabled.totals(rank=1) == pytest.approx({"Calc_Force": 0.02 + 0.04})
+    assert disabled.counts(cat="sim", rank=0) == {"Calc_Force": 3, "Exchange_LET": 5}

@@ -1,13 +1,9 @@
-"""RandomStreams determinism and TimerRegistry bookkeeping."""
-
-import time
+"""RandomStreams determinism (phase timing is tested with the tracer,
+``tests/obs/test_trace.py``)."""
 
 import numpy as np
-import pytest
 
-from repro.obs.trace import Tracer
 from repro.util.rng import RandomStreams, default_rng
-from repro.util.timers import Timer, TimerRegistry
 
 
 def test_streams_are_reproducible():
@@ -42,96 +38,3 @@ def test_fork_gives_new_family():
 
 def test_default_rng_seeded():
     assert default_rng(3).integers(1000) == default_rng(3).integers(1000)
-
-
-def test_timer_accumulates():
-    reg = TimerRegistry()
-    with reg.measure("part"):
-        time.sleep(0.01)
-    with reg.measure("part"):
-        time.sleep(0.01)
-    t = reg.get("part")
-    assert t.count == 2
-    assert t.total >= 0.02
-    assert t.mean >= 0.01
-
-
-def test_timer_slowest_merge():
-    r1, r2 = TimerRegistry(), TimerRegistry()
-    r1.get("a").total = 1.0
-    r2.get("a").total = 3.0
-    r2.get("b").total = 0.5
-    worst = TimerRegistry.slowest([r1, r2])
-    assert worst == {"a": 3.0, "b": 0.5}
-
-
-def test_timer_reset():
-    reg = TimerRegistry()
-    with reg.measure("x"):
-        pass
-    reg.reset()
-    assert reg.get("x").total == 0.0
-    assert reg.get("x").count == 0
-
-
-# ------------------------------------------------------------- reentrancy
-def test_timer_reentrant_measure_counts_outermost_only():
-    # A phase measured inside itself (recursive phase, two code paths
-    # sharing a name) must neither clobber the start stamp nor double
-    # count: one interval, one count, total >= the full outer window.
-    reg = TimerRegistry()
-    with reg.measure("phase"):
-        time.sleep(0.005)
-        with reg.measure("phase"):
-            time.sleep(0.005)
-        time.sleep(0.005)
-    t = reg.get("phase")
-    assert t.count == 1
-    assert t.total >= 0.015
-    assert not t.running
-
-
-def test_timer_inner_stop_returns_zero():
-    t = Timer("x")
-    t.start()
-    t.start()
-    assert t.stop() == 0.0          # inner exit: nothing accumulated yet
-    assert t.running
-    assert t.stop() > 0.0           # outermost exit closes the interval
-    assert t.count == 1
-
-
-def test_timer_stop_before_start_raises():
-    with pytest.raises(RuntimeError, match="stopped before start"):
-        Timer("x").stop()
-
-
-def test_timer_restarts_after_full_cycle():
-    t = Timer("x")
-    for _ in range(2):
-        t.start()
-        t.stop()
-    assert t.count == 2
-
-
-# ----------------------------------------------------------- tracer bridge
-def test_measure_bridges_spans_to_tracer():
-    tr = Tracer()
-    reg = TimerRegistry(tracer=tr, cat="sim", rank=2)
-    with reg.measure("Calc_Force", backend="numpy"):
-        pass
-    [rec] = tr.records
-    assert rec.name == "Calc_Force"
-    assert rec.cat == "sim"
-    assert rec.rank == 2
-    assert rec.attrs == {"backend": "numpy"}
-    # The span brackets the timer: its duration can only be wider.
-    assert rec.dur >= reg.get("Calc_Force").total
-
-
-def test_measure_without_tracer_emits_nothing():
-    reg = TimerRegistry()  # defaults to NULL_TRACER
-    with reg.measure("x"):
-        pass
-    assert not hasattr(reg.tracer, "records")
-    assert reg.get("x").count == 1

@@ -21,7 +21,6 @@ from repro.obs.trace import Tracer
 from repro.serve import SurrogateServer
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 from repro.util.shm import Child, ChildLost, SharedMemoryRing, process_context, stop_process
-from repro.util.timers import TimerRegistry
 
 
 def _region(n=40, seed=0):
@@ -57,7 +56,7 @@ def _close_inherited(helper, server):
 def test_close_in_a_forked_child_touches_nothing():
     ps = make_mw_mini(4000, seed=1)
     tracer = Tracer()
-    engine = ForceEngine(IntegratorConfig(), timers=TimerRegistry(tracer=tracer),
+    engine = ForceEngine(IntegratorConfig(), tracer=tracer,
                          counter=InteractionCounter())
     assert engine.start_gravity_helper(len(ps))
     cfg = engine.cfg
