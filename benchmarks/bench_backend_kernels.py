@@ -40,13 +40,19 @@ region).
 The SPH pass after the candidate list is timed the same way
 (``sph_pair_kernels``, ms per call and the ratio) on the same 5k turbulent
 box and on the gas of an exponential disk: the coordinate-plane ``finalize``
-/ ``_velocity_estimators`` / ``hydro_force_pairs(pairs=)`` against the
+/ ``velocity_estimators`` / ``hydro_force_pairs(pairs=)`` against the
 masked ``kernel.value`` finalize of ``tests/sph/test_density.py`` over the
 full stencil, the row-gather estimator oracle of the same file and the
 row-gather force kernel of ``tests/sph/test_forces.py`` (box: >= 1.3x /
 1.8x / 1.25x), and the half pairs derived from the gather list against the
 search over the compacted candidates (disk: >= 8x; that ratio is the
 candidates-to-gather-list ratio, 2.6 on the uniform box).
+``sph_loops_ns_per_pair`` records, on the same two clouds, ns per pair of
+each SPH pair pass — the weight sweep and the finalize per candidate entry,
+the velocity estimators per gather pair, the hydro force per half pair —
+with the compiled loops (``repro.accel.backends.compiled``) and with the
+numpy code (the loaded library swapped out), and whether the loops loaded;
+no floor.  Where they load, the ``sph_pair_kernels`` ms above time them.
 ``tree_build`` is the level-by-level ``Octree.build`` of the 4,000-particle
 halo against the per-node oracle of ``tests/fdps/test_tree.py`` (>= 3x).
 
@@ -146,7 +152,7 @@ from benchmarks.e2e.workloads import (
     gas_disk,
 )
 from repro.accel import ForceEngine
-from repro.accel.backends import get_backend, numpy_backend
+from repro.accel.backends import compiled, get_backend, numpy_backend
 from repro.accel.backends.base import TileWorkspace
 from repro.core.integrator import IntegratorConfig
 from repro.core.runner import CoupledRunner
@@ -156,7 +162,7 @@ from repro.gravity.treegrav import tree_accel
 from repro.ic.galaxy import MW_SPEC, make_mw_mini, make_mw_model
 from repro.serve import SurrogateServer
 from repro.sn.turbulence import make_turbulent_box
-from repro.sph.density import _REACH, _velocity_estimators, compute_density
+from repro.sph.density import _REACH, compute_density
 from repro.sph.forces import compute_hydro_forces
 from repro.sph.kernels import DEFAULT_KERNEL
 from repro.sph.neighbors import NeighborGrid, half_pairs_from_gather
@@ -658,7 +664,7 @@ def _time_sph_pair_kernels(cloud):
     pieces = {
         "finalize": (lambda: gather.finalize(d.h, mass),
                      lambda: _finalize_reference(stencil, d.h, mass, DEFAULT_KERNEL)),
-        "velocity_estimators": (lambda: _velocity_estimators(*estimator_args),
+        "velocity_estimators": (lambda: numpy_bk.velocity_estimators(*estimator_args),
                                 lambda: _velocity_estimators_reference(*estimator_args)),
         "hydro_force": (lambda: numpy_bk.hydro_force_pairs(*force_args, pairs=half),
                         lambda: _hydro_force_reference(*force_args, half)),
@@ -670,6 +676,51 @@ def _time_sph_pair_kernels(cloud):
     for label, (fn, ref_fn) in pieces.items():
         ms, ref_ms = _best_of(fn, 7) * 1e3, _best_of(ref_fn, 5) * 1e3
         out[label] = {"ms": ms, "reference_ms": ref_ms, "speedup": ref_ms / ms}
+    return out
+
+
+def _time_sph_loops(cloud):
+    """ns per pair of each SPH pair pass with the compiled loops and with
+    numpy's (the loaded library swapped out), best of a few, on ``cloud``
+    at its converged ``h``: the weight sweep and the finalize per candidate
+    entry read, the velocity estimators per gather pair, the hydro force
+    per half pair."""
+    pos, vel, mass = cloud.pos, cloud.vel, cloud.mass
+    numpy_bk = get_backend("numpy")
+    d = compute_density(pos, vel, mass, cloud.u, cloud.h, n_ngb=32, backend=numpy_bk)
+    dens_safe = np.maximum(d.dens, 1e-300)
+    half = half_pairs_from_gather(d.pairs, d.h)
+    balsara = np.abs(d.divv) / (np.abs(d.divv) + d.curlv + 1e-4 * d.csnd / d.h)
+    force_args = (pos, vel, mass, d.h, d.dens, d.pres, d.csnd, d.omega, balsara,
+                  1.0, 2.0, DEFAULT_KERNEL)
+    pieces = {
+        "weight_sweep": (
+            lambda: numpy_bk.density_gather(d.grid, pos, DEFAULT_KERNEL).weight_sum(d.h),
+            len(d.grid.candidate_list()),
+        ),
+        "finalize": (
+            lambda: numpy_bk.density_gather(d.grid, pos, DEFAULT_KERNEL).finalize(d.h, mass),
+            len(d.grid.candidate_list()),
+        ),
+        "velocity_estimators": (
+            lambda: numpy_bk.velocity_estimators(
+                d.pairs, pos, vel, mass, d.h, dens_safe, DEFAULT_KERNEL),
+            len(d.pairs[0]),
+        ),
+        "hydro_force": (
+            lambda: numpy_bk.hydro_force_pairs(*force_args, pairs=half), len(half[0])
+        ),
+    }
+    out: dict = {"compiled_loaded": compiled.sph_loops() is not None}
+    for label, (fn, pairs) in pieces.items():
+        ns = _best_of(fn, 9) / pairs * 1e9
+        loaded, compiled._loaded = compiled._loaded, None
+        try:
+            numpy_ns = _best_of(fn, 9) / pairs * 1e9
+        finally:
+            compiled._loaded = loaded
+        out[label] = {"pairs": pairs, "compiled_ns_per_pair": ns,
+                      "numpy_ns_per_pair": numpy_ns, "speedup": numpy_ns / ns}
     return out
 
 
@@ -727,6 +778,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     plane_kernels = _time_plane_kernels()
     sph_pair_kernels = {"box_5k": _time_sph_pair_kernels(_box(17)),
                         "gas_disk": _time_sph_pair_kernels(_gas_disk())}
+    sph_loops = {"box_5k": _time_sph_loops(_box(17)), "gas_disk": _time_sph_loops(_gas_disk())}
     tree_build = _time_tree_build()
     sn_local_edit = _time_sn_local_edit()
     sn_region_pass = _time_sn_region_pass()
@@ -742,6 +794,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
         "gravity_pass_n4000": gravity_pass,
         "plane_kernels": plane_kernels,
         "sph_pair_kernels": sph_pair_kernels,
+        "sph_loops_ns_per_pair": sph_loops,
         "tree_build": tree_build,
         "sn_local_edit": sn_local_edit,
         "sn_region_pass": sn_region_pass,
@@ -775,6 +828,11 @@ def test_backend_kernels(benchmark, results_dir, write_result):
         for label in floors:
             rows.append([f"sph {label} vs reference", "numpy", cloud,
                          sph_pair_kernels[cloud][label]["speedup"]])
+    for cloud, per_pass in sph_loops.items():
+        for label in ("weight_sweep", "finalize", "velocity_estimators", "hydro_force"):
+            for side in ("compiled", "numpy"):
+                rows.append([f"sph {label} ns/pair", side, cloud,
+                             per_pass[label][f"{side}_ns_per_pair"]])
     rows.append(["tree build vs per-node", "numpy", "4k halo", tree_build["speedup"]])
     for label in ("moved_4pct", "moved_55pct"):
         rows.append(["grid edit vs fresh candidates", "numpy", label,

@@ -4,14 +4,17 @@ The paper's performance story rests on PIKG generating
 architecture-specific interaction kernels behind one interface (Sec. 3.5,
 Table 4) — the same DSL emits SVE, AVX and CUDA loops.  This package is
 that seam for the reproduction: every hot kernel of the force pipeline
-(pairwise/tree-walk gravity, SPH density gather, half-pair hydro scatter)
+(pairwise/tree-walk gravity, SPH density gather, velocity estimators,
+half-pair hydro scatter)
 is dispatched through a :class:`~repro.accel.backends.base.KernelBackend`,
 and there are two of them:
 
 ``numpy``
     The tuned vectorized reference (default) — bincount scatter reduction,
     compacted candidate lists, gravity tiles in pair blocks sized to L2
-    (mixed precision).  Every workload runs it.
+    (mixed precision).  Every workload runs it.  Its SPH pair passes run as
+    C loops, bit for bit its numpy code, where the host's ``cc`` builds
+    them (:mod:`repro.accel.backends.compiled`); nothing selects them.
 ``pikg``
     Kernels *generated* from the PIKG DSL
     (:func:`repro.pikg.codegen.generate_numba_kernel`), jitted when numba

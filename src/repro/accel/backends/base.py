@@ -12,6 +12,9 @@ pipeline — exactly the kernels PIKG generates per ISA in the production code
   h-iteration inner loop of the SPH kernel-size solve: repeated
   sum-of-W sweeps over one neighbor binning, then the final density /
   grad-h sums;
+* **velocity estimators** (:meth:`KernelBackend.velocity_estimators`) —
+  ``divv`` / ``curlv`` over the gather list, in the density pass and in the
+  step-7 fast path;
 * **hydro force scatter** (:meth:`KernelBackend.hydro_force_pairs`) — the
   half-pair momentum/energy/signal-velocity evaluation mirrored onto both
   pair endpoints.
@@ -28,6 +31,10 @@ There are two: ``numpy``, the reference, and ``pikg``, which overrides the
 kernels its DSL expresses (the float64 gravity tile, the density sweep) and
 inherits ``numpy``'s elsewhere.  Both construct in any environment: ``pikg``
 runs its generated kernels as plain Python where numba is missing.
+``numpy`` runs its four SPH pair passes (the gather's sweep and finalize,
+the velocity estimators, the hydro force) as compiled C loops where the
+host's C compiler builds them (:mod:`repro.accel.backends.compiled`), with
+the same bits as its numpy code, which runs where there is none.
 """
 
 from __future__ import annotations
@@ -214,6 +221,24 @@ class KernelBackend:
         ``grid`` covers exactly ``pos`` and every search radius the solve
         will use (the caller rebuilds it when h outgrows the cell size).
         """
+        raise NotImplementedError
+
+    def velocity_estimators(
+        self,
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+        pos: np.ndarray,
+        vel: np.ndarray,
+        mass: np.ndarray,
+        h: np.ndarray,
+        dens_safe: np.ndarray,
+        kernel: SPHKernel,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The standard SPH (divv, curlv) estimators over a gather list
+        ``pairs`` (i, j, r) with ``r < h_i``: ``divv_i = -(1/rho_i) sum_j
+        m_j (v_ij . r_ij) gf`` and ``curlv_i = (1/rho_i) |sum_j m_j (v_ij x
+        r_ij) gf|``, ``gf`` the kernel's (1/r) dW/dr at ``h_i``.  The full
+        density pass and the step-7 fast path both call it, so the two never
+        diverge."""
         raise NotImplementedError
 
     # --------------------------------------------------------- hydro force

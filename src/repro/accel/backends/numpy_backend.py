@@ -34,7 +34,14 @@
   weight and the coincidence mask from the caller's
   :class:`~repro.accel.backends.base.TileWorkspace` (5 reals + 1 byte per
   pair of one block, written through ``out=``), with ``w * sqrt(w)`` for
-  ``w ** 1.5``: the arithmetic of the jitted kernels.
+  ``w ** 1.5``: the arithmetic of the jitted kernels;
+* the four SPH pair passes — the gather's weight sweep, its finalize (sums
+  and gather list), the velocity estimators and the half-pair force — run
+  as the compiled C loops of :mod:`repro.accel.backends.compiled` with the
+  cubic spline wherever the host's ``cc`` builds them (the numpy code below
+  runs otherwise, and for every other kernel): one pass over the pairs, no
+  per-pair temporaries, the cuts (``alive``, the tail, ``targets``,
+  ``r < h_i``) fused into the loop in list order.
 
 What is exact and what is bounded, against the plain references under
 ``tests/`` — the trailing-axis tile of ``tests/accel/test_tile_workspace.py``,
@@ -57,7 +64,12 @@ SPH sum (``dens``, ``drho_dh``, ``divv``, ``curlv``, ``acc``, ``du_dt``) to
 1e-12, the signal velocity (a max, but of ``v.r / r``) to 1e-13.  With and
 without a workspace the tile is bit-identical, and the workspace never holds
 more than one block.  No environment variable, config field or argument
-selects the block size.
+selects the block size.  The compiled SPH loops are bit-identical to the
+numpy code on every output (``dens``, ``drho_dh``, counts, the gather
+list, ``divv``, ``curlv``, ``acc``, ``du_dt``, ``v_signal``): each repeats
+its operations in its order and each bincount as a sequential sum in list
+order (``tests/accel/test_compiled_loops.py`` draws clouds with coincident
+points, edited and resumed lists); nothing selects them either.
 """
 
 from __future__ import annotations
@@ -67,6 +79,10 @@ import math
 import numpy as np
 
 from repro.accel.backends.base import DensityGatherState, KernelBackend, TileWorkspace
+from repro.accel.backends.compiled import (  # repro-lint: disable=backend-purity -- not a backend: numpy's own pair loops, compiled from sph_loops.c
+    SphLoops,
+    sph_loops,
+)
 from repro.sph.neighbors import CandidateList, NeighborGrid, pair_differences
 from repro.util.constants import GRAV_CONST
 
@@ -104,6 +120,36 @@ def pair_blocks(n_targets: int, n_sources: int) -> tuple[list[int], list[int]]:
     return t_edges, _edges(n_sources, _TILE_PAIRS // t_block)
 
 
+def _c(a: np.ndarray, dtype: type = np.float64) -> np.ndarray:
+    """``a`` as the compiled loops take it: C-contiguous ``dtype`` (itself
+    when it already is)."""
+    return np.ascontiguousarray(a, dtype=dtype)
+
+
+def _loop_inputs(
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, *fields: np.ndarray | None
+) -> tuple[np.ndarray | None, ...]:
+    """``pairs`` (i, j, r) and the per-particle ``fields`` (``None`` passed
+    on) as the compiled loops take them, their shapes checked: a pointer
+    past an array's end is read, not refused.  (The loops check that every
+    pair's ends are among the ``n`` particles.)"""
+    i, j, r = _c(pairs[0], np.int64), _c(pairs[1], np.int64), _c(pairs[2])
+    fields = tuple(None if f is None else _c(f) for f in fields)
+    shapes = [f.shape for f in fields if f is not None]
+    if not len(i) == len(j) == len(r) or any(sh not in ((n,), (n, 3)) for sh in shapes):
+        raise ValueError(
+            f"pair arrays of lengths {len(i)}, {len(j)}, {len(r)}; per-particle "
+            f"shapes {shapes} for {n} particles"
+        )
+    return (i, j, r, *fields)
+
+
+def _check_ends(bad: int, i: np.ndarray, j: np.ndarray, n: int) -> None:
+    """Raise for the pair a compiled loop stopped at (``bad`` >= 0)."""
+    if bad >= 0:
+        raise IndexError(f"pair {bad} = ({i[bad]}, {j[bad]}) has an end outside the {n} particles")
+
+
 class _NumpyDensityGather(DensityGatherState):
     """Compacted-candidate gather with changed-target sweep reuse.
 
@@ -118,6 +164,10 @@ class _NumpyDensityGather(DensityGatherState):
     def __init__(self, grid: NeighborGrid, pos: np.ndarray, kernel) -> None:
         self.kernel = kernel
         self.n = len(pos)
+        if grid.n_points != self.n:
+            raise ValueError(f"a grid over {grid.n_points} points for {self.n} positions")
+        #: The compiled pair loops for this kernel; ``None``: numpy's.
+        self._loops = sph_loops(kernel)
         # The grid's list as it is: a reach list holds every pair the solve
         # evaluates, in the full list's order.
         self.candidates = grid.candidate_list()
@@ -140,17 +190,33 @@ class _NumpyDensityGather(DensityGatherState):
         region = CandidateList(self.candidates.select(targets=stale))
         self._resumed = (stale, region, (dens, drho_dh, counts))
 
-    def _profile_sum(self, i: np.ndarray, r: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """sum_j w(r_ij / h_i) per target over candidates ``(i, r)`` inside
-        their target's support."""
-        q = r / h.take(i)
-        return np.bincount(i, weights=self.kernel.w(q), minlength=self.n)
+    def _per_target(self, a: np.ndarray, dtype: type = np.float64) -> np.ndarray:
+        """A per-target array as the compiled loops take it (:func:`_c`),
+        one entry per point: the loops index it with the list's entries."""
+        a = _c(a, dtype)
+        if a.shape != (self.n,):
+            raise ValueError(f"an array of shape {a.shape} for {self.n} points")
+        return a
+
+    def _profile_sum(
+        self, source: CandidateList, h: np.ndarray, targets: np.ndarray | None = None
+    ) -> np.ndarray:
+        """sum_j w(r_ij / h_i) per target over the entries of ``source``
+        inside their target's support (and of a ``targets`` one only)."""
+        loops = self._loops
+        if loops is None:
+            i, _, r = source.select(radius=h, targets=targets)
+            q = r / h.take(i)
+            return np.bincount(i, weights=self.kernel.w(q), minlength=self.n)
+        out, h = np.zeros(self.n), self._per_target(h)
+        for (i, _, r), alive in source.blocks():
+            loops.sph_profile_sum(len(i), i, r, alive, targets, h, out)
+        return out
 
     def weight_sum(self, h: np.ndarray) -> np.ndarray:
         norm = self.kernel.sigma / (h * h * h)
         if self._h_prev is None:
-            i, _, r = self.candidates.select(radius=h)
-            wsum = norm * self._profile_sum(i, r, h)
+            wsum = norm * self._profile_sum(self.candidates, h)
         else:
             changed = h != self._h_prev
             if not changed.any():
@@ -161,8 +227,7 @@ class _NumpyDensityGather(DensityGatherState):
             source = self.candidates
             if self._resumed is not None and not np.any(changed & ~self._resumed[0]):
                 source = self._resumed[1]
-            i, _, r = source.select(radius=h, targets=changed)
-            upd = norm * self._profile_sum(i, r, h)
+            upd = norm * self._profile_sum(source, h, changed)
             wsum = np.where(changed, upd, self._wsum)
         self._h_prev = h.copy()
         self._wsum = wsum.copy()
@@ -171,32 +236,63 @@ class _NumpyDensityGather(DensityGatherState):
     def _sums(
         self, i: np.ndarray, j: np.ndarray, r: np.ndarray, h: np.ndarray, mass: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(dens, drho_dh, counts) per target over gather entries ``(i, j, r)``."""
+        """Per target over gather entries ``(i, j, r)``: sum_j m_j w(q),
+        sum_j m_j (3 w(q) + q dw(q)) — dW/dh = -(sigma / h^4) (3 w + q dw),
+        the grad-h pair term — and the count."""
         q = r / h.take(i)
         m_j = mass.take(j)
         w = self.kernel.w(q)
         w *= m_j
-        # dW/dh = -(sigma / h^4) (3 w + q dw): the grad-h pair term.
         dwdh = self.kernel.dw(q)
         dwdh *= q
         dwdh *= m_j
         dwdh += 3.0 * w
-        norm = self.kernel.sigma / (h * h * h)
-        dens = norm * np.bincount(i, weights=w, minlength=self.n)
-        drho_dh = -norm / h * np.bincount(i, weights=dwdh, minlength=self.n)
-        return dens, drho_dh, np.bincount(i, minlength=self.n)
+        return (
+            np.bincount(i, weights=w, minlength=self.n),
+            np.bincount(i, weights=dwdh, minlength=self.n),
+            np.bincount(i, minlength=self.n),
+        )
+
+    def _gather(
+        self, loops: SphLoops, h: np.ndarray, mass: np.ndarray, targets: np.ndarray | None
+    ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The compiled finalize: the gather list (every live entry with
+        ``r < h_i``, in order) and :meth:`_sums` over its entries of a
+        ``targets`` target (every one when ``None``)."""
+        blocks, h, mass = self.candidates.blocks(), self._per_target(h), self._per_target(mass)
+        if targets is not None:
+            targets = self._per_target(targets, np.bool_)
+        sizes = [loops.sph_gather_count(len(i), i, r, alive, h) for (i, _, r), alive in blocks]
+        total = sum(sizes)
+        gi, gj, gr = np.empty(total, np.int64), np.empty(total, np.int64), np.empty(total)
+        sums = np.zeros(self.n), np.zeros(self.n), np.zeros(self.n, np.int64)
+        at = 0
+        for ((i, j, r), alive), size in zip(blocks, sizes, strict=True):
+            loops.sph_gather(
+                len(i), i, j, r, alive, targets, h, mass,
+                gi[at:], gj[at:], gr[at:], *sums,
+            )
+            at += size
+        return sums, (gi, gj, gr)
 
     def finalize(
         self, h: np.ndarray, mass: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        ii, jj, rr = self.candidates.select(radius=h)
+        # A resumed pass sums the stale targets' entries of the gather list only.
+        stale = None if self._resumed is None else self._resumed[0]
+        if self._loops is not None:
+            (wm, dwdh, counts), pairs = self._gather(self._loops, h, mass, stale)
+        else:
+            pairs = self.candidates.select(radius=h)
+            source = pairs if self._resumed is None else self._resumed[1].select(radius=h)
+            wm, dwdh, counts = self._sums(*source, h, mass)
+        norm = self.kernel.sigma / (h * h * h)
+        fresh = norm * wm, -norm / h * dwdh, counts
         if self._resumed is None:
-            return (*self._sums(ii, jj, rr, h, mass), (ii, jj, rr))
-        # The stale targets' entries of the gather list, in its order.
-        stale, region, kept = self._resumed
-        fresh = self._sums(*region.select(radius=h), h, mass)
+            return (*fresh, pairs)
+        kept = self._resumed[2]
         dens, drho_dh, counts = (np.where(stale, a, b) for a, b in zip(fresh, kept, strict=True))
-        return dens, drho_dh, counts, (ii, jj, rr)
+        return dens, drho_dh, counts, pairs
 
 
 class NumpyBackend(KernelBackend):
@@ -272,6 +368,45 @@ class NumpyBackend(KernelBackend):
     def density_gather(self, grid, pos: np.ndarray, kernel) -> DensityGatherState:
         return _NumpyDensityGather(grid, pos, kernel)
 
+    def velocity_estimators(
+        self,
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+        pos: np.ndarray,
+        vel: np.ndarray,
+        mass: np.ndarray,
+        h: np.ndarray,
+        dens_safe: np.ndarray,
+        kernel,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        i, j, r = pairs
+        n = len(dens_safe)
+        loops = sph_loops(kernel)
+        if loops is not None and len(i):       # no pairs: bincount's integer zeros
+            args = _loop_inputs(pairs, n, pos, vel, mass, h)
+            sums = np.zeros((4, n))
+            _check_ends(loops.sph_velocity_sums(len(i), n, *args, kernel.sigma, *sums), i, j, n)
+            div, cx, cy, cz = sums
+        else:
+            # m_j (1/r) dW/dr at h_i: the weight all four sums share.
+            wgt = kernel.grad_factor(r, h.take(i))
+            wgt *= mass.take(j)
+            dx, dy, dz = pair_differences(pos, i, j)
+            vx, vy, vz = pair_differences(vel, i, j)
+
+            def gather_sum(term: np.ndarray) -> np.ndarray:
+                term *= wgt
+                return np.bincount(i, weights=term, minlength=n)
+
+            div = gather_sum(vx * dx + vy * dy + vz * dz)
+            cx = gather_sum(vy * dz - vz * dy)
+            cy = gather_sum(vz * dx - vx * dz)
+            cz = gather_sum(vx * dy - vy * dx)
+        # div v_i = -(1/rho_i) sum_j m_j (v_ij . r_ij) gf
+        divv = -div / dens_safe
+        # curl v_i = (1/rho_i) | sum_j m_j (v_ij x r_ij) gf |
+        curlv = np.sqrt(cx * cx + cy * cy + cz * cz) / dens_safe
+        return divv, curlv
+
     # --------------------------------------------------------- hydro force
     def _half_pairs(
         self, pos: np.ndarray, h: np.ndarray, grid: NeighborGrid | None
@@ -333,6 +468,23 @@ class NumpyBackend(KernelBackend):
             i, j, r = self._half_pairs(pos, h, grid)
         if len(i) == 0:
             return np.zeros((n, 3)), np.zeros(n), csnd.copy(), (i, j, r)
+        p_term = pres / (omega * dens_safe * dens_safe)   # once per particle
+        loops = sph_loops(kernel)
+        if loops is not None:
+            acc, du_dt, du_j = np.zeros((n, 3)), np.zeros(n), np.zeros(n)
+            v_signal = np.array(csnd, dtype=np.float64)
+            # The halves the pair means add, once per particle.
+            args = _loop_inputs(
+                (i, j, r), n, pos, vel, mass, h, csnd, p_term, 0.5 * h, 0.5 * csnd,
+                0.5 * dens_safe, None if balsara is None else 0.5 * balsara,
+            )
+            bad = loops.sph_hydro_force(
+                len(i), n, *args, alpha_visc, beta_visc, kernel.sigma,
+                acc, du_dt, du_j, v_signal, np.empty(2 * len(i)),
+            )
+            _check_ends(bad, i, j, n)
+            du_dt += du_j
+            return acc, du_dt, v_signal, (i, j, r)
 
         def pair_mean(x: np.ndarray) -> np.ndarray:
             half = 0.5 * x                  # once per particle, exact
@@ -362,7 +514,6 @@ class NumpyBackend(KernelBackend):
         visc_gf *= visc
 
         # --- pressure gradient -------------------------------------------
-        p_term = pres / (omega * dens_safe * dens_safe)   # once per particle
         pg_i = p_term.take(i) * gf_i
         pg_j = p_term.take(j) * gf_j
         scal = pg_i + pg_j

@@ -11,8 +11,12 @@ when numba is importable and run as plain Python otherwise (correct but
 slow — fine for the parity tests a bare environment runs).
 
 Coverage follows what the DSL expresses: the hydro force (whose half-pair
-scatter structure the tile DSL does not model) and the mixed-precision
-gravity variant inherit the numpy reference.  The density gather feeds the
+scatter structure the tile DSL does not model), the velocity estimators,
+the gather's finalize and the mixed-precision gravity variant inherit the
+numpy reference — and with it, where the host's ``cc`` builds them, its
+compiled SPH loops (:mod:`repro.accel.backends.compiled`), bit-identical to
+its numpy code, so ``pikg`` agrees with ``numpy`` on those bit for bit
+either way.  The density gather feeds the
 generated kernel the grid's candidate list as it is (a reach list too, the
 very list the numpy gather reads), unfiltered: pairs beyond the
 support radius contribute exactly zero because the DSL encodes the cutoff

@@ -543,7 +543,9 @@ class ForceEngine:
         ):
             pres = pressure(d.dens, ps.u[gas])
             csnd = sound_speed_from_density(d.dens, pres)
-            divv, curlv = refresh_velocity_fields(d, ps.pos[gas], ps.vel[gas], ps.mass[gas])
+            divv, curlv = refresh_velocity_fields(
+                d, ps.pos[gas], ps.vel[gas], ps.mass[gas], backend=self.backend
+            )
         return self._force_pass(ps, label, gas, d, pres, csnd, divv, curlv, cache.force_pairs)
 
     def _force_pass(

@@ -97,7 +97,7 @@ import numpy as np
 from repro.fdps.interaction import InteractionCounter
 from repro.sph.eos import pressure, sound_speed_from_density
 from repro.sph.kernels import DEFAULT_KERNEL, SPHKernel
-from repro.sph.neighbors import NeighborGrid, pair_differences
+from repro.sph.neighbors import NeighborGrid
 
 if TYPE_CHECKING:  # annotation only: the backends import this package
     from repro.accel.backends.base import DensityGatherState, KernelBackend
@@ -310,7 +310,7 @@ def compute_density(
     omega = 1.0 + h / (3.0 * dens_safe) * drho_dh
     omega = np.clip(omega, 0.2, 5.0)  # guard against pathological geometry
 
-    divv, curlv = _velocity_estimators(pairs, pos, vel, mass, h, dens_safe, kernel)
+    divv, curlv = bk.velocity_estimators(pairs, pos, vel, mass, h, dens_safe, kernel)
 
     pres = pressure(dens, u)
     csnd = sound_speed_from_density(dens, pres)
@@ -447,56 +447,27 @@ def _next_kernel_size(
     return np.where((new > cell) & (lo < cell), cell, new)
 
 
-def _velocity_estimators(
-    pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
-    pos: np.ndarray,
-    vel: np.ndarray,
-    mass: np.ndarray,
-    h: np.ndarray,
-    dens_safe: np.ndarray,
-    kernel: SPHKernel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Standard SPH (divv, curlv) estimators over a gather pair list.
-
-    Shared by the full density pass and the step-7 fast path so the two can
-    never diverge.
-    """
-    i, j, r = pairs
-    n = len(dens_safe)
-    # m_j (1/r) dW/dr at h_i: the weight all four sums share.
-    wgt = kernel.grad_factor(r, h.take(i))
-    wgt *= mass.take(j)
-    dx, dy, dz = pair_differences(pos, i, j)
-    vx, vy, vz = pair_differences(vel, i, j)
-
-    def gather_sum(term: np.ndarray) -> np.ndarray:
-        term *= wgt
-        return np.bincount(i, weights=term, minlength=n)
-
-    # div v_i = -(1/rho_i) sum_j m_j (v_ij . r_ij) gf
-    divv = -gather_sum(vx * dx + vy * dy + vz * dz) / dens_safe
-    # curl v_i = (1/rho_i) | sum_j m_j (v_ij x r_ij) gf |
-    cx = gather_sum(vy * dz - vz * dy)
-    cy = gather_sum(vz * dx - vx * dz)
-    cz = gather_sum(vx * dy - vy * dx)
-    curlv = np.sqrt(cx * cx + cy * cy + cz * cz) / dens_safe
-    return divv, curlv
-
-
 def refresh_velocity_fields(
     d: DensityResult,
     pos: np.ndarray,
     vel: np.ndarray,
     mass: np.ndarray,
     kernel: SPHKernel = DEFAULT_KERNEL,
+    backend: str | KernelBackend | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recompute (divv, curlv) for *changed velocities only*.
 
     Valid while positions and kernel sizes match the ``DensityResult`` —
     the cached gather pair list is reused, so no neighbor search or h
     iteration is paid.  This is the step-7 fast path of the integrator
-    (positions identical; kicks changed v, cooling changed u).
+    (positions identical; kicks changed v, cooling changed u).  The
+    estimators run on the selected compute backend, as in
+    :func:`compute_density`.
     """
+    from repro.accel.backends import get_backend
+
     assert d.pairs is not None
     dens_safe = np.maximum(d.dens, 1e-300)
-    return _velocity_estimators(d.pairs, pos, vel, mass, d.h, dens_safe, kernel)
+    return get_backend(backend).velocity_estimators(
+        d.pairs, pos, vel, mass, d.h, dens_safe, kernel
+    )

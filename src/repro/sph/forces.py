@@ -27,7 +27,14 @@ The per-pair arithmetic and the scatter reduction run on the selected
 compute backend (:mod:`repro.accel.backends`): a vectorized
 bincount-reduction on coordinate planes, on both ``numpy`` and ``pikg``
 (the PIKG DSL does not express the half-pair scatter, so ``pikg`` inherits
-``numpy``'s kernel).
+``numpy``'s kernel) — or, where the host's C compiler builds it, one
+compiled loop over the pairs that repeats that arithmetic in its order and
+the reduction as sequential sums: the same bits
+(:mod:`repro.accel.backends.compiled`).
+
+The Balsara limiter ``f_i = |divv| / (|divv| + curlv + 1e-4 csnd / h)`` is
+formed once per particle, here, for every backend; where its denominator is
+0 — cold gas at rest — it is 1, the unswitched viscosity.
 """
 
 from __future__ import annotations
@@ -92,9 +99,12 @@ def compute_hydro_forces(
 
     if divv is not None and curlv is not None:
         # Per-particle Balsara limiter; the backend averages it per pair.
-        balsara = np.abs(divv) / (
-            np.abs(divv) + np.asarray(curlv) + 1e-4 * csnd / np.maximum(h, 1e-300)
-        )
+        # Gas at rest and cold (divv = curlv = csnd = 0) has no flow to
+        # switch on: 0/0 there would poison every pair it is in, so it
+        # takes the unswitched viscosity, 1.
+        abs_divv = np.abs(divv)
+        den = abs_divv + np.asarray(curlv) + 1e-4 * csnd / np.maximum(h, 1e-300)
+        balsara = np.divide(abs_divv, den, out=np.ones(n), where=den != 0.0)
     else:
         balsara = None
 

@@ -131,14 +131,21 @@ class CandidateList:
         triple; an edited one holds its dead entries and mask besides)."""
         return len(self) * sum(a.itemsize for a in self.base)
 
+    def blocks(
+        self,
+    ) -> list[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray | None]]:
+        """The list as its blocks in order, each ``(entries, alive)``: the
+        base with its mask, then the tail (every entry live), if any."""
+        if self.tail is None:
+            return [(self.base, self.alive)]
+        return [(self.base, self.alive), (self.tail, None)]
+
     def select(
         self, radius: np.ndarray | None = None, targets: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live entries ``(i, j, r)`` with ``r < radius[i]`` and
         ``targets[i]`` (each cut only when given), in the list's order."""
-        parts = [_cut(self.base, self.alive, radius, targets)]
-        if self.tail is not None:
-            parts.append(_cut(self.tail, None, radius, targets))
+        parts = [_cut(entries, alive, radius, targets) for entries, alive in self.blocks()]
         if len(parts) == 1:
             return parts[0]
         i, j, r = (np.concatenate(col) for col in zip(*parts, strict=True))

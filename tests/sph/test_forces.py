@@ -144,6 +144,41 @@ def test_empty_neighborhood_is_handled():
     assert f.n_pairs == 0
 
 
+def _cold_forces(vel):
+    """Forces on 300 random gas particles with ``u = 0`` (the
+    ``ParticleSet.from_arrays`` default), at the velocities ``vel``."""
+    rng = np.random.default_rng(11)
+    n = len(vel)
+    pos = rng.uniform(0.0, 1.0, (n, 3))
+    mass = np.ones(n)
+    d = _prepared_state(pos, vel, mass, np.zeros(n), h0=0.2, n_ngb=32)
+    assert np.all(d.csnd == 0.0)
+    return pos, compute_hydro_forces(
+        pos, vel, mass, d.h, d.dens, d.pres, d.csnd,
+        omega=d.omega, divv=d.divv, curlv=d.curlv,
+    )
+
+
+def test_cold_gas_at_rest_feels_no_force():
+    # divv = curlv = csnd = 0: the Balsara limiter was 0/0 and every pair NaN.
+    _, f = _cold_forces(np.zeros((300, 3)))
+    assert np.all(f.acc == 0.0) and np.all(f.du_dt == 0.0)
+    assert np.all(f.v_signal == 0.0)
+
+
+def test_a_cold_converging_pair_among_gas_at_rest_gets_finite_forces():
+    vel = np.zeros((300, 3))
+    pos, _ = _cold_forces(vel)
+    a, b = 0, int(np.argsort(np.linalg.norm(pos - pos[0], axis=1))[1])   # nearest neighbors
+    vel[a], vel[b] = pos[b] - pos[a], pos[a] - pos[b]                    # approaching
+    _, f = _cold_forces(vel)
+    assert np.isfinite(f.acc).all() and np.isfinite(f.du_dt).all()
+    assert f.du_dt[a] > 0.0 and f.du_dt[b] > 0.0          # viscous heating, switch on
+    assert np.any(f.acc[a] != 0.0)
+    # Every particle has unit mass: the accelerations sum to zero.
+    assert np.all(np.abs(f.acc.sum(axis=0)) < 1e-12 * np.abs(f.acc).sum())
+
+
 @given(st.integers(30, 120), st.integers(0, 30))
 @settings(max_examples=10, deadline=None)
 def test_conservation_property(n, seed):
