@@ -70,21 +70,11 @@ moved the edit now costs more than a fresh generation — 8.7-11 ms against
 generation.  The edit's full stencil of each moved point is twice the half
 stencil per point of a fresh generation, plus O(n) bookkeeping.
 
-``sn_region_pass`` is the step-7 pass after one SN replacement on the
-``sn_storm`` box (12^3 gas, 180 pc; the gas of one 60 pc cube swept into a
-shell with ``h`` at the cap of ``receive_sne``), timed after the converged
-pass before it: ms of the grid edit (``notify_rows_moved``: a dead-entry
-mask and the moved rows' appended walk) against the edit plus the copy that
-compacts its list (what the edit did before the mask), and ms of the
-region pass (``ForceEngine.hydro`` re-solving the touched gas) against the
-full solve on the same edited grid; with the gas re-solved of all.
-Asserted: the region pass re-solves under half the gas, and every field,
-the gather list, the half pairs and the forces are bit-identical to the
-full solve's.  ``voxel_deposit`` is one ``cluster_2rank`` SN region (the
-gas of the workload's clump, seed 21, at converged ``h``) deposited at 8^3
-and 16^3: ms of ``voxelize._deposit_pairs`` with the per-axis support cut
-against without it (the same code, the cut's margin infinite), asserted
-bit-identical.  Both record milliseconds with no floor.
+``voxel_deposit`` is one ``cluster_2rank`` SN region (the gas of the
+workload's clump, seed 21, at converged ``h``) deposited at 8^3 and 16^3: ms
+of ``voxelize._deposit_pairs`` with the per-axis support cut against without
+it (the same code, the cut's margin infinite), asserted bit-identical; ms
+with no floor.
 
 ``h_solve`` is the kernel-size solve on the two shapes the multiplicative
 fixed point could not close: a blast shell re-inserted with ``h`` at the cap
@@ -146,18 +136,14 @@ from benchmarks.conftest import fmt_table
 from benchmarks.e2e.workloads import (
     DISK_FRACTIONS,
     DISK_N,
-    STORM_PER_SIDE,
-    STORM_SIDE,
     cluster_2rank,
     gas_disk,
 )
-from repro.accel import ForceEngine
 from repro.accel.backends import compiled, get_backend, numpy_backend
 from repro.accel.backends.base import TileWorkspace
 from repro.core.integrator import IntegratorConfig
 from repro.core.runner import CoupledRunner
 from repro.fdps.interaction import InteractionCounter
-from repro.fdps.particles import ParticleType
 from repro.gravity.treegrav import tree_accel
 from repro.ic.galaxy import MW_SPEC, make_mw_mini, make_mw_model
 from repro.serve import SurrogateServer
@@ -447,62 +433,6 @@ def _time_sn_local_edit():
     return out
 
 
-def _time_sn_region_pass():
-    """The grid edit and the step-7 pass after one SN replacement on the
-    ``sn_storm`` box: ms (median of a few, each after a fresh converged
-    pass) of the edit with and without compacting its list, and of the
-    region pass and of the full solve on the same edited grid."""
-    cfg = IntegratorConfig(self_gravity=False)
-    box = make_turbulent_box(n_per_side=STORM_PER_SIDE, side=STORM_SIDE, seed=3)
-    engine = ForceEngine(cfg)
-    engine.hydro(box, "1st")                    # from the IC's guess: converged h
-    rows = np.flatnonzero(np.all(np.abs(box.pos) < 30.0, axis=1))
-    shell = np.random.default_rng(19).normal(size=(len(rows), 3))
-    shell = 25.0 * shell / np.linalg.norm(shell, axis=1, keepdims=True)
-    h_cap = np.delete(box.h, rows).max()
-    timings: dict[str, list[float]] = {"edit": [], "compact": [], "region": [], "full": []}
-    results = {}
-    for k in range(14):
-        ps, region = box.copy(), k % 2 == 0
-        engine.notify_positions_changed()
-        engine.hydro(ps, "1st")                 # the step-3 pass: its grid and list
-        ps.pos[rows], ps.u[rows] = shell, 50.0 * ps.u[rows]
-        ps.h[rows] = np.minimum(ps.h[rows], h_cap)
-        t0 = time.perf_counter()
-        engine.notify_rows_moved(ps, rows)
-        t1 = time.perf_counter()
-        if not region:
-            # The edit as it was: compacted into one new triple.
-            engine.index._grid.candidates()
-            timings["compact"].append(time.perf_counter() - t0)
-            engine._moved_since = None          # the full solve
-        else:
-            timings["edit"].append(t1 - t0)
-        t0 = time.perf_counter()
-        forces = [a.copy() for a in engine.hydro(ps, "2nd")]
-        timings["region" if region else "full"].append(time.perf_counter() - t0)
-        cache = engine._hydro_cache
-        results[region] = (
-            [getattr(ps, name).copy() for name in ("h", "dens", "fgrad", "divv", "curlv")],
-            forces, cache.density.n_neighbors, cache.density.pairs, cache.force_pairs,
-            cache.density.n_resolved,
-        )
-        engine.release_candidates()
-
-    def flat(r):
-        fields, forces, counts, gather, half, _ = r
-        return [*fields, *forces, counts, *gather, *half]
-
-    out = {"n_gas": len(box), "rows": len(rows), "resolved": results[True][-1]}
-    out.update({f"{label}_ms": float(np.median(t)) * 1e3 for label, t in timings.items()})
-    out["edit_speedup"] = out["compact_ms"] / out["edit_ms"]
-    out["pass_speedup"] = out["full_ms"] / out["region_ms"]
-    out["bit_identical"] = all(
-        np.array_equal(a, b) for a, b in zip(flat(results[True]), flat(results[False]))
-    )
-    return out
-
-
 def _time_voxel_deposit():
     """One ``cluster_2rank`` SN region deposited at 8^3 and 16^3: ms (best
     of a few) of the deposit with the per-axis support cut and without."""
@@ -781,7 +711,6 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     sph_loops = {"box_5k": _time_sph_loops(_box(17)), "gas_disk": _time_sph_loops(_gas_disk())}
     tree_build = _time_tree_build()
     sn_local_edit = _time_sn_local_edit()
-    sn_region_pass = _time_sn_region_pass()
     voxel_deposit = _time_voxel_deposit()
     h_solve = _time_h_solve()
     density_reach = _time_density_reach()
@@ -797,7 +726,6 @@ def test_backend_kernels(benchmark, results_dir, write_result):
         "sph_loops_ns_per_pair": sph_loops,
         "tree_build": tree_build,
         "sn_local_edit": sn_local_edit,
-        "sn_region_pass": sn_region_pass,
         "voxel_deposit": voxel_deposit,
         "h_solve": h_solve,
         "density_reach": density_reach,
@@ -837,9 +765,6 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     for label in ("moved_4pct", "moved_55pct"):
         rows.append(["grid edit vs fresh candidates", "numpy", label,
                      sn_local_edit[label]["speedup"]])
-    for label in ("edit", "pass"):
-        rows.append([f"sn region {label} vs full", "numpy", "sn_storm box",
-                     sn_region_pass[f"{label}_speedup"]])
     for label in ("grid_8", "grid_16"):
         rows.append(["voxel deposit: cut vs uncut", "numpy", label,
                      voxel_deposit[label]["speedup"]])
@@ -885,10 +810,7 @@ def test_backend_kernels(benchmark, results_dir, write_result):
     assert tree_build["speedup"] >= MIN_TREE_BUILD_SPEEDUP, tree_build
     # One SN region's edit must stay well under a second candidate generation.
     assert sn_local_edit["moved_4pct"]["speedup"] >= MIN_LOCAL_EDIT_SPEEDUP, sn_local_edit
-    # The step-7 pass after a replacement re-solves the region it touched,
-    # bit for bit the full solve; the deposit's support cut changes no bit.
-    assert sn_region_pass["bit_identical"], sn_region_pass
-    assert sn_region_pass["resolved"] < sn_region_pass["n_gas"] // 2, sn_region_pass
+    # The deposit's support cut changes no bit.
     for label in ("grid_8", "grid_16"):
         assert voxel_deposit[label]["bit_identical"], voxel_deposit
     # The kernel-size solve converges where the fixed point did not — counts,

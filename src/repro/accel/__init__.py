@@ -51,53 +51,36 @@ cost as much as rebuilding, validity is explicit:
     :meth:`SpatialIndex.invalidate_positions`: grid, tree and pair lists go;
   - *these rows moved and nothing else did* (an SN region replaced by
     particle ID) — :meth:`ForceEngine.notify_rows_moved` /
-    :meth:`SpatialIndex.move_points`: tree and pair lists go, but the grid
-    is **edited** — the moved points
-    re-binned, the compact candidate list repaired in place: the entries
-    with a moved end die in a mask, the moved points' walk is appended
+    :meth:`SpatialIndex.move_points`: tree and pair lists go; a grid
+    holding the full candidate list is **edited** — the moved points
+    re-binned, the list repaired in place: the entries with a moved end die
+    in a mask, the moved points' walk is appended
     (:meth:`NeighborGrid.move_points
-    <repro.sph.neighbors.NeighborGrid.move_points>`) — so the pass that
-    follows neither bins nor generates candidates a second time, and
-    re-solves only the gas the moved rows touched (below).
+    <repro.sph.neighbors.NeighborGrid.move_points>`) — so the full solve
+    that follows neither bins nor generates candidates a second time.  The
+    edited list holds the same candidate *set* with bit-equal separations
+    as a fresh generation on the same binning, in another order: sums agree
+    with a fresh engine's to rounding (1e-12), not bit for bit.
 
   A local edit answers exactly or not at all: when no grid or no candidate
-  list is cached, a row is outside the grid's scope, the particle count
-  changed, or a new position is not finite, the index falls back to
-  ``invalidate_positions`` by itself (never a half-repaired grid), counts
-  nothing in ``stats.grid_repairs`` and logs the cause once on the
-  ``repro.accel`` logger.  No option, threshold or environment variable
-  chooses between repair and rebuild.  A finite position *outside* the box
-  of the first binning is no such case: it is binned to the edge cell, which
-  keeps every search exact.
-* What an edited grid guarantees: the same candidate *set* with bit-equal
-  separations as a fresh generation on the same binning, hence the same
-  gather pairs, ``n_neighbors`` and sweep count; the list's *order* differs,
-  so sums agree to rounding (1e-12), not bit for bit.  Against the pass
-  before the edit, every entry without a moved end keeps its place: a gas
-  particle with no moved row inside its ``h`` before or after the move keeps
-  its sums bit for bit.  So the pass after :meth:`ForceEngine.notify_rows_moved`
-  is a *region pass*: it re-solves the touched set — the moved rows and
-  every gas particle with a moved row inside its ``h`` before or after —
-  and keeps the rest's ``h``, density, grad-h term, neighbor count and
-  weight sum from the pass before; the gather list, half pairs, velocity
-  estimators and forces still run over all the gas.  Bit-identical to the
-  full solve on the edited grid (:func:`repro.sph.density.compute_density`
-  has the argument), so no threshold chooses between them: with every
-  particle touched it *is* the full solve, and a regrid in its course makes
-  it one.
+  list is cached, the list is a reach list, a row is outside the grid's
+  scope, the particle count changed, or a new position is not finite, the
+  index falls back to ``invalidate_positions`` by itself (never a
+  half-repaired grid), counts nothing in ``stats.grid_repairs`` and logs
+  the cause once on the ``repro.accel`` logger; the pass after it is a
+  fresh engine's, bit for bit.  No option, threshold or environment
+  variable chooses between repair and rebuild.  A finite position
+  *outside* the box of the first binning is no such case: it is binned to
+  the edge cell, which keeps every search exact.
 * The density solve's list covers each gas particle's reach
   (:meth:`NeighborGrid.compact_self_pairs
   <repro.sph.neighbors.NeighborGrid.compact_self_pairs>`), and a kernel size
-  beyond its reach *widens* it.  So that a widened list is exactly the list
-  the same generation and edits would give, a grid holding a reach list
-  also keeps an *edit log*: a copy of the positions, order and keys it was
-  generated on, and every local edit since, in order.  A widening
-  regenerates on that binning and replays the log — a fresh generation on
-  the edited grid would hold the same pairs in another order, and change
-  the digests of the runs that edit.  The log goes with the list: a
+  beyond its reach *widens* it: the list is generated again on the same
+  binning, those particles reaching the cell.  A reach list is never
+  edited, so a widened list is the full list cut to the new reaches.  A
   position or membership signal drops the grid, and
   :meth:`SpatialIndex.release_pairs` (or replacing the grid in
-  :meth:`SpatialIndex.grid_for`) drops list, reach and log together, so one
+  :meth:`SpatialIndex.grid_for`) drops list and reach together, so one
   candidate list is alive at a time.
 * Accessors (:meth:`SpatialIndex.grid_for`, :meth:`SpatialIndex.tree_for`)
   additionally verify cheap structural facts — particle count, cell-size
@@ -117,7 +100,7 @@ cost as much as rebuilding, validity is explicit:
   most one tree build per step (asserted by the tier-1 tests and recorded
   by ``benchmarks/bench_accel_reuse.py``), and a step whose SN replacement
   was a local edit still builds one grid unless its step-7 solve outgrows
-  the cell.
+  the cell (a refused edit builds one more).
 
 :class:`ForceEngine` layers the per-step force pipeline on top: persistent
 work buffers, one full gravity + density + hydro pass
@@ -128,8 +111,8 @@ cached pair lists after cooling/feedback changed ``u`` and kicks changed
 to a cold recompute whose h solve converges on its first sweep.  After a
 position signal of any kind it returns ``None`` and step 7 is a
 :meth:`ForceEngine.hydro` — one solve path — which after
-:meth:`ForceEngine.notify_rows_moved` starts on the edited grid and
-re-solves the region the moved rows touched.
+:meth:`ForceEngine.notify_rows_moved` starts on the edited grid when the
+edit was made.
 
 Gravity helper: two processes per gravity pass
 ----------------------------------------------

@@ -146,19 +146,6 @@ class DensityGatherState:
         """Sum_j W(r_ij, h_i) per target (gather, including self)."""
         raise NotImplementedError
 
-    def resume(
-        self, stale: np.ndarray, h: np.ndarray, wsum: np.ndarray,
-        dens: np.ndarray, drho_dh: np.ndarray, counts: np.ndarray,
-    ) -> None:
-        """Start from a finished pass over the same points on this list's
-        grid: ``h`` its kernel sizes, ``wsum`` its last :meth:`weight_sum`
-        and the rest its :meth:`finalize` sums.  A target not ``stale`` has
-        the same entries within its ``h``, in the same order, as in that
-        pass, so an implementation may return the pass's values for it —
-        they are the bits it would compute — while its ``h`` is unchanged,
-        and compute only the stale ones.  Computing every target is as
-        exact: the default does nothing."""
-
     def finalize(
         self, h: np.ndarray, mass: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -51,7 +51,7 @@ SOURCE = Path(__file__).with_name("sph_loops.c")
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 #: What ``sph_loops_abi()`` of a library built from :data:`SOURCE` returns.
-_ABI = 1
+_ABI = 2
 
 
 def _array(dtype: type) -> type:
@@ -76,7 +76,7 @@ _N, _D = ctypes.c_int64, ctypes.c_double
 _SIGNATURES: dict[str, tuple[object, list[object]]] = {
     "sph_profile_sum": (None, [_N, _I, _F, _OPT_B, _OPT_B, _F, _F]),
     "sph_gather_count": (_N, [_N, _I, _F, _OPT_B, _F]),
-    "sph_gather": (_N, [_N, _I, _I, _F, _OPT_B, _OPT_B, _F, _F, _I, _I, _F, _F, _F, _I]),
+    "sph_gather": (_N, [_N, _I, _I, _F, _OPT_B, _F, _F, _I, _I, _F, _F, _F, _I]),
     "sph_velocity_sums": (_N, [_N, _N, _I, _I, _F, _F, _F, _F, _F, _D, _F, _F, _F, _F]),
     "sph_hydro_force": (_N, [
         _N, _N, _I, _I, _F, _F, _F, _F, _F, _F, _F, _F, _F, _F, _OPT_F, _D, _D, _D,

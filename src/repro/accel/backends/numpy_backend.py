@@ -69,7 +69,7 @@ numpy code on every output (``dens``, ``drho_dh``, counts, the gather
 list, ``divv``, ``curlv``, ``acc``, ``du_dt``, ``v_signal``): each repeats
 its operations in its order and each bincount as a sequential sum in list
 order (``tests/accel/test_compiled_loops.py`` draws clouds with coincident
-points, edited and resumed lists); nothing selects them either.
+points, full, edited and reach lists); nothing selects them either.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ from repro.accel.backends.compiled import (  # repro-lint: disable=backend-purit
     SphLoops,
     sph_loops,
 )
-from repro.sph.neighbors import CandidateList, NeighborGrid, pair_differences
+from repro.sph.neighbors import NeighborGrid, pair_differences
 from repro.util.constants import GRAV_CONST
 
 #: Pairs in one gravity tile block (target block x source block).  Five
@@ -173,22 +173,6 @@ class _NumpyDensityGather(DensityGatherState):
         self.candidates = grid.candidate_list()
         self._h_prev: np.ndarray | None = None
         self._wsum: np.ndarray | None = None
-        #: A resumed pass (see :meth:`resume`): its stale targets, their
-        #: candidates in the list's order, and its (dens, drho_dh, counts).
-        self._resumed: tuple[
-            np.ndarray, CandidateList, tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] | None = None
-
-    def resume(
-        self, stale: np.ndarray, h: np.ndarray, wsum: np.ndarray,
-        dens: np.ndarray, drho_dh: np.ndarray, counts: np.ndarray,
-    ) -> None:
-        # A stale target's last h is NaN: the first sweep sees it changed.
-        self._h_prev = np.where(stale, np.nan, h)
-        self._wsum = wsum.copy()
-        # Every sweep changes stale targets only: cut their entries once.
-        region = CandidateList(self.candidates.select(targets=stale))
-        self._resumed = (stale, region, (dens, drho_dh, counts))
 
     def _per_target(self, a: np.ndarray, dtype: type = np.float64) -> np.ndarray:
         """A per-target array as the compiled loops take it (:func:`_c`),
@@ -198,25 +182,23 @@ class _NumpyDensityGather(DensityGatherState):
             raise ValueError(f"an array of shape {a.shape} for {self.n} points")
         return a
 
-    def _profile_sum(
-        self, source: CandidateList, h: np.ndarray, targets: np.ndarray | None = None
-    ) -> np.ndarray:
-        """sum_j w(r_ij / h_i) per target over the entries of ``source``
-        inside their target's support (and of a ``targets`` one only)."""
+    def _profile_sum(self, h: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
+        """sum_j w(r_ij / h_i) per target over the candidates inside their
+        target's support (and of a ``targets`` one only)."""
         loops = self._loops
         if loops is None:
-            i, _, r = source.select(radius=h, targets=targets)
+            i, _, r = self.candidates.select(radius=h, targets=targets)
             q = r / h.take(i)
             return np.bincount(i, weights=self.kernel.w(q), minlength=self.n)
         out, h = np.zeros(self.n), self._per_target(h)
-        for (i, _, r), alive in source.blocks():
+        for (i, _, r), alive in self.candidates.blocks():
             loops.sph_profile_sum(len(i), i, r, alive, targets, h, out)
         return out
 
     def weight_sum(self, h: np.ndarray) -> np.ndarray:
         norm = self.kernel.sigma / (h * h * h)
         if self._h_prev is None:
-            wsum = norm * self._profile_sum(self.candidates, h)
+            wsum = norm * self._profile_sum(h)
         else:
             changed = h != self._h_prev
             if not changed.any():
@@ -224,10 +206,7 @@ class _NumpyDensityGather(DensityGatherState):
             # Every candidate of a changed target is recomputed in the same
             # order a full sweep would visit it, so the partial sums match a
             # cold evaluation bit-for-bit; unchanged targets keep theirs.
-            source = self.candidates
-            if self._resumed is not None and not np.any(changed & ~self._resumed[0]):
-                source = self._resumed[1]
-            upd = norm * self._profile_sum(source, h, changed)
+            upd = norm * self._profile_sum(h, changed)
             wsum = np.where(changed, upd, self._wsum)
         self._h_prev = h.copy()
         self._wsum = wsum.copy()
@@ -254,45 +233,31 @@ class _NumpyDensityGather(DensityGatherState):
         )
 
     def _gather(
-        self, loops: SphLoops, h: np.ndarray, mass: np.ndarray, targets: np.ndarray | None
+        self, loops: SphLoops, h: np.ndarray, mass: np.ndarray
     ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The compiled finalize: the gather list (every live entry with
-        ``r < h_i``, in order) and :meth:`_sums` over its entries of a
-        ``targets`` target (every one when ``None``)."""
+        ``r < h_i``, in order) and :meth:`_sums` over it."""
         blocks, h, mass = self.candidates.blocks(), self._per_target(h), self._per_target(mass)
-        if targets is not None:
-            targets = self._per_target(targets, np.bool_)
         sizes = [loops.sph_gather_count(len(i), i, r, alive, h) for (i, _, r), alive in blocks]
         total = sum(sizes)
         gi, gj, gr = np.empty(total, np.int64), np.empty(total, np.int64), np.empty(total)
         sums = np.zeros(self.n), np.zeros(self.n), np.zeros(self.n, np.int64)
         at = 0
         for ((i, j, r), alive), size in zip(blocks, sizes, strict=True):
-            loops.sph_gather(
-                len(i), i, j, r, alive, targets, h, mass,
-                gi[at:], gj[at:], gr[at:], *sums,
-            )
+            loops.sph_gather(len(i), i, j, r, alive, h, mass, gi[at:], gj[at:], gr[at:], *sums)
             at += size
         return sums, (gi, gj, gr)
 
     def finalize(
         self, h: np.ndarray, mass: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        # A resumed pass sums the stale targets' entries of the gather list only.
-        stale = None if self._resumed is None else self._resumed[0]
         if self._loops is not None:
-            (wm, dwdh, counts), pairs = self._gather(self._loops, h, mass, stale)
+            (wm, dwdh, counts), pairs = self._gather(self._loops, h, mass)
         else:
             pairs = self.candidates.select(radius=h)
-            source = pairs if self._resumed is None else self._resumed[1].select(radius=h)
-            wm, dwdh, counts = self._sums(*source, h, mass)
+            wm, dwdh, counts = self._sums(*pairs, h, mass)
         norm = self.kernel.sigma / (h * h * h)
-        fresh = norm * wm, -norm / h * dwdh, counts
-        if self._resumed is None:
-            return (*fresh, pairs)
-        kept = self._resumed[2]
-        dens, drho_dh, counts = (np.where(stale, a, b) for a, b in zip(fresh, kept, strict=True))
-        return dens, drho_dh, counts, pairs
+        return norm * wm, -norm / h * dwdh, counts, pairs
 
 
 class NumpyBackend(KernelBackend):

@@ -63,7 +63,7 @@ static inline double grad_factor(double r, double h, double sigma)
     return out / den;
 }
 
-int sph_loops_abi(void) { return 1; }
+int sph_loops_abi(void) { return 2; }
 
 /* Candidate entries are cut in chunks of CHUNK: first the chunk's kept
  * entries are listed without a branch (a cut that keeps ~30% of a reach
@@ -118,13 +118,12 @@ idx_t sph_gather_count(idx_t n, const idx_t *i, const double *r, const uint8_t *
 }
 
 /* The finalize: copy the live entries of one candidate block with r < h[i]
- * to (gi, gj, gr), in order, and add the sums of those with targets[i]
- * (targets NULL: every one): wsum[i] += m_j w(q),
+ * to (gi, gj, gr), in order, and add their sums: wsum[i] += m_j w(q),
  * dwsum[i] += q dw(q) m_j + 3 m_j w(q), counts[i] += 1.
  * Returns the number of entries copied. */
 idx_t sph_gather(idx_t n, const idx_t *i, const idx_t *j, const double *r,
-                 const uint8_t *alive, const uint8_t *targets, const double *h,
-                 const double *mass, idx_t *gi, idx_t *gj, double *gr,
+                 const uint8_t *alive, const double *h, const double *mass,
+                 idx_t *gi, idx_t *gj, double *gr,
                  double *wsum, double *dwsum, int64_t *counts)
 {
     idx_t keep[CHUNK], total = 0;
@@ -135,8 +134,6 @@ idx_t sph_gather(idx_t n, const idx_t *i, const idx_t *j, const double *r,
             gi[total] = a;
             gj[total] = j[k];
             gr[total] = r[k];
-            if (targets != NULL && !targets[a])
-                continue;
             double q = r[k] / h[a];
             double m_j = mass[j[k]];
             double w = cubic_w(q);

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ctypes
 import os
 import platform
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -31,12 +31,7 @@ from repro.fdps.tree import Octree
 from repro.gravity.kernels import accel_direct
 from repro.gravity.treegrav import GroupTiles, record_gravity_pass
 from repro.obs.trace import Tracer
-from repro.sph.density import (
-    DensityResult,
-    compute_density,
-    moved_neighborhood,
-    refresh_velocity_fields,
-)
+from repro.sph.density import DensityResult, compute_density, refresh_velocity_fields
 from repro.sph.eos import pressure, sound_speed_from_density
 from repro.sph.forces import compute_hydro_forces
 from repro.sph.neighbors import half_pairs_from_gather
@@ -169,10 +164,6 @@ class ForceEngine:
         #: The gravity pass :meth:`submit_gravity` shipped and :meth:`gravity`
         #: has not collected yet: (helper pass number or None, submit time).
         self._pending: tuple[int | None, float] | None = None
-        #: After one repaired :meth:`notify_rows_moved`: the gas of the last
-        #: pass, its density result (without its pair lists) and the gas it
-        #: knows touched — the next :meth:`hydro` re-solves only that region.
-        self._moved_since: tuple[np.ndarray, DensityResult, np.ndarray] | None = None
 
     # ---------------------------------------------------------- invalidation
     def notify_positions_changed(self) -> None:
@@ -180,7 +171,6 @@ class ForceEngine:
         lists are stale."""
         self.index.invalidate_positions()
         self._hydro_cache = None
-        self._moved_since = None
 
     def notify_rows_moved(self, ps: ParticleSet, rows: np.ndarray) -> None:
         """Only ``rows`` of ``ps`` have new coordinates (an SN region
@@ -188,37 +178,24 @@ class ForceEngine:
         changed its mass or ``h``.
 
         The pair lists are stale — :meth:`refresh_hydro` returns ``None``
-        and the caller runs :meth:`hydro` — but the neighbor grid of the
-        last pass is edited in place (:meth:`SpatialIndex.move_points`), so
-        that pass finds its grid and the candidate list ready instead of
-        generating both a second time, and re-solves only the gas the
-        replacement touched (a region pass of
-        :func:`~repro.sph.density.compute_density`).  Where the edit cannot
-        be exact the index invalidates itself: the same pass, from a fresh
-        grid, over all the gas.  The last pass's pair lists go here, as
-        before: what the region needs of them — the gas with a moved row
-        inside its ``h`` — is taken first.  A second notification before the
-        pass makes it a full one.
+        and the caller runs :meth:`hydro`, the full solve over all the gas.
+        When the last pass left the full candidate list, the neighbor grid
+        is edited in place (:meth:`SpatialIndex.move_points`), so that pass
+        finds its grid and list ready instead of generating both a second
+        time.  Otherwise — a reach list, no list, a changed particle count
+        — the index invalidates itself and says why once: the same pass,
+        from a fresh grid, bit for bit what a fresh engine computes.
         """
         cache, self._hydro_cache = self._hydro_cache, None
-        self._moved_since = None
         if cache is not None and cache.n_total != len(ps):
             self.index.abandon_grid("the particle count changed since the indexed pass")
         elif self.index.move_points(rows, ps.pos[rows]):
             self.tracer.count("accel.grid_repairs")
-            if cache is not None:
-                # Rows inside the gas scope (the index checked): gas indices.
-                moved = np.searchsorted(cache.gas, np.asarray(rows, dtype=np.int64))
-                d = cache.density
-                self._moved_since = (
-                    cache.gas, replace(d, pairs=None), moved_neighborhood(d, moved)
-                )
 
     def notify_membership_changed(self) -> None:
         """Particles appeared/vanished/reordered (star formation, exchange)."""
         self.index.invalidate_all()
         self._hydro_cache = None
-        self._moved_since = None
 
     @property
     def fast_path_available(self) -> bool:
@@ -436,10 +413,8 @@ class ForceEngine:
         lists this pass generated or widened; a reused or repaired one adds
         none), ``accel.reach_list_passes`` (this pass ran on a reach list)
         and gauges ``accel.candidate_bytes``.  After
-        :meth:`notify_rows_moved` the pass re-solves only the gas the moved
-        rows touched, bit-identical to a full solve on the edited grid, and
-        counts ``accel.region_passes``, ``accel.region_targets`` (the gas
-        it re-solved) and ``accel.region_gas`` (all of it).
+        :meth:`notify_rows_moved` it is the same full solve, on the edited
+        grid or on a fresh one.
 
         The returned arrays are the engine's *persistent work buffers*:
         they are overwritten in place by the next :meth:`hydro` /
@@ -449,13 +424,9 @@ class ForceEngine:
         cfg = self.cfg
         gas = np.flatnonzero(ps.where_type(ParticleType.GAS))
         _require_finite("SPH", ps, _SPH_INPUTS, gas)
-        since, self._moved_since = self._moved_since, None
         if gas.size < 2:
             self._hydro_cache = None
             return self._full_buffers(len(ps))
-        prior = touched = None
-        if since is not None and np.array_equal(since[0], gas):
-            _, prior, touched = since
         reuses = self.index.stats.grid_reuses
         with self.tracer.span(
             f"{label} Calc_Kernel_Size_and_Density", backend=self.backend.name
@@ -473,9 +444,6 @@ class ForceEngine:
                 # through the same grid, and the next pass recognises it.
                 scope=gas,
                 backend=self.backend,
-                # After notify_rows_moved: re-solve the region it touched.
-                prior=prior,
-                touched=touched,
             )
         grid, gather = d.grid, d.pairs
         assert grid is not None and gather is not None     # a finished solve has both
@@ -488,10 +456,6 @@ class ForceEngine:
         tracer.count("accel.candidate_widenings", d.candidate_widenings)
         tracer.count("accel.candidate_pairs", d.candidate_pairs)
         tracer.count("accel.reach_list_passes", int(d.reach_list))
-        if prior is not None:
-            tracer.count("accel.region_passes")
-            tracer.count("accel.region_targets", d.n_resolved)
-            tracer.count("accel.region_gas", gas.size)
         # The bytes of the list this pass ran on (a reach list, an edited
         # one too): the step's largest transient, alive until the step's
         # last pass is done.
@@ -528,7 +492,8 @@ class ForceEngine:
         Returns ``None`` when no valid cache exists (positions — all of them
         or a few rows — or membership changed since the last full pass): the
         caller must fall back to :meth:`hydro`, the one solve path, which
-        after :meth:`notify_rows_moved` starts from the repaired grid.  Like
+        after :meth:`notify_rows_moved` starts from the repaired grid when
+        there is one.  Like
         :meth:`hydro`, the returned arrays are the engine's persistent
         buffers — valid until the next pass.  Raises ``ValueError`` on a
         non-finite SPH input, as :meth:`hydro` does.

@@ -71,9 +71,10 @@ class SpatialIndex:
         (:meth:`NeighborGrid.move_points <repro.sph.neighbors.NeighborGrid.move_points>`,
         rows mapped through the grid's scope): the next :meth:`grid_for` at a
         radius it covers reuses it, candidate list included.  Returns
-        ``True`` when the grid was repaired.  When it cannot be — no grid,
-        a row outside the grid's scope, no candidate list to repair, a
-        position that is not finite — the index ends as after
+        ``True`` when the grid was repaired.  When it is not — no grid, a
+        row outside the grid's scope, no candidate list to repair, a reach
+        list (generated again instead), a position that is not finite — the
+        index ends as after
         :meth:`invalidate_positions` (never half-repaired), the cause is
         logged once, and ``False`` is returned.
         """
@@ -90,14 +91,16 @@ class SpatialIndex:
             rows = slot
         if not grid.has_compact_pairs:
             return self.abandon_grid("the grid holds no candidate list (released)")
+        if grid.has_reach_list:
+            return self.abandon_grid("the grid holds a reach list (generated again, never edited)")
         if not grid.move_points(rows, new_pos):
             return self.abandon_grid("a moved row is no point of the grid, or its position is not finite")
         self.stats.grid_repairs += 1
         return True
 
     def abandon_grid(self, cause: str) -> bool:
-        """A local edit cannot be answered exactly: invalidate as for any
-        position change, say why once per cause.  Returns ``False``."""
+        """A local edit is not made: invalidate as for any position change,
+        say why once per cause.  Returns ``False``."""
         if cause not in self._fallbacks_logged:
             self._fallbacks_logged.add(cause)
             _log.info(

@@ -364,11 +364,11 @@ class CoupledRunner:
         it for every gas particle; and the engine is told *which rows* landed
         with new coordinates
         (:meth:`~repro.accel.ForceEngine.notify_rows_moved`), not that
-        everything moved.  Step (7) then solves on the neighbor grid of
-        step (3), edited for these rows, instead of binning and generating
-        candidates for all the gas a second time — and only for the gas the
-        replacement touched: the rest keeps step (3)'s kernel sizes and
-        sums, bit for bit what a full solve would find.
+        everything moved.  Step (7) then runs the full density solve: on
+        step (3)'s neighbor grid, edited for these rows, when step (3) left
+        the full candidate list, instead of binning and generating
+        candidates for all the gas a second time; on a fresh grid when it
+        left a reach list.
 
         Nothing here fits ``h`` to the merged set: the re-inserted particles
         and the gas around them — whose ``h`` was solved for neighbors that

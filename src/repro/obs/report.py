@@ -123,20 +123,6 @@ class RunReport:
             "passes": self.counters.get("accel.density_passes", 0.0),
         }
 
-    def region_per_pass(self) -> dict[str, float]:
-        """The density passes after an SN replacement that re-solved only the
-        gas it touched: their count and, per pass, the gas re-solved and
-        all the gas (empty when the run emitted no ``accel.region_*``
-        counters)."""
-        passes = self.counters.get("accel.region_passes")
-        if not passes:
-            return {}
-        return {
-            "passes": passes,
-            "targets": self.counters.get("accel.region_targets", 0.0) / passes,
-            "gas": self.counters.get("accel.region_gas", 0.0) / passes,
-        }
-
     def gravity_per_pass(self) -> dict[str, float]:
         """Pair rate and tile workspace of the gravity passes (empty when
         the run traced none); for a run whose passes were shared with the
@@ -200,7 +186,6 @@ class RunReport:
             "gauges": self.gauges,
             "neighbor_grid_per_step": self.neighbor_grid_per_step(),
             "candidates_per_step": self.candidates_per_step(),
-            "region_per_pass": self.region_per_pass(),
             "gravity_per_pass": self.gravity_per_pass(),
             "rss_high_water_mb": self.rss_high_water(),
             "minor_faults_per_step": self.minor_faults_per_step(),
@@ -286,10 +271,6 @@ class RunReport:
                 line += (f"  ** {left} particle(s) left outside tolerance "
                          "(see the repro.accel warnings) **")
             lines += ["", line]
-        region = self.region_per_pass()
-        if region:
-            lines += ["", f"post-SN pass: {region['targets']:.0f} of {region['gas']:.0f} gas "
-                          f"re-solved (mean of {int(region['passes'])} passes)"]
         rss = self.rss_high_water()
         if rss:
             lines += ["", f"RSS high-water: after step 1 {rss['after_step_1']:.1f} MB, "

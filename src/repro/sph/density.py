@@ -50,22 +50,10 @@ stop, the others get a new ``h``:
   sum, the gather list and the sweep count are those of the full list; the
   ``h`` iterates do not depend on the list at all.  One list is alive at a
   time: a regrid or a widening drops the previous one and its gather state
-  before making the next.
-* *A region pass.*  A solve given the finished pass before it on the same
-  grid (``prior``) and the points :meth:`NeighborGrid.move_points` moved
-  since, with those that had one inside their ``h``
-  (:func:`moved_neighborhood`, ``touched``), re-solves only the *touched*
-  set: those, every point with a moved one inside its ``h`` after the move
-  (the list's tail), and any point whose ``h`` is not the prior's.  Every other point has the same entries within
-  its ``h``, in the same order, as in the prior pass — the edit kept them
-  in place — so its sums, ``h`` and convergence are the prior's bits, and
-  it keeps them (:meth:`DensityGatherState.resume
-  <repro.accel.backends.base.DensityGatherState.resume>`).  The gather
-  list and the velocity estimators still cover every point.  A regrid or
-  a widening makes a new gather state, which computes every point again:
-  then the solve is the full one.  With every point touched it is the
-  full one from the start.  Bit for bit the full solve on the edited list,
-  so no size threshold chooses between them.
+  before making the next.  A grid whose full list
+  :meth:`NeighborGrid.move_points` edited (an SN region replaced by
+  particle ID) is solved on like any other: every point, on the edited
+  list.
 * *No root.*  Where ``N`` stays above ``N_ngb`` without falling as ``h``
   shrinks, every neighbor in reach coincides with the particle (or the target
   is below the self contribution) and no ``h`` satisfies the equation: the
@@ -144,18 +132,8 @@ class DensityResult:
     #: whose live entries' i/j/r took ``candidate_bytes``.
     reach_list: bool = False
     candidate_bytes: int = 0
-    #: Points whose sums this solve computed: all of them, or the touched
-    #: set of a region pass (see the module docstring).
-    n_resolved: int = 0
     grid: NeighborGrid | None = None  # the grid of the final sweep (reusable)
     pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # gather (i, j, r)
-    #: Sum_j W(r_ij, h_i) of the last sweep and d rho / d h at ``h``: with
-    #: ``dens`` and ``n_neighbors`` what a region pass keeps of this one,
-    #: while ``grid`` holds the list of its final sums (``grid.generations``
-    #: still ``list_generation``).
-    wsum: np.ndarray | None = None
-    drho_dh: np.ndarray | None = None
-    list_generation: int = 0
 
 
 def compute_density(
@@ -172,8 +150,6 @@ def compute_density(
     index: SpatialIndex | None = None,
     scope: np.ndarray | None = None,
     backend: str | KernelBackend | None = None,
-    prior: DensityResult | None = None,
-    touched: np.ndarray | None = None,
 ) -> DensityResult:
     """Solve for h and compute density and companion fields.
 
@@ -196,15 +172,9 @@ def compute_density(
     that the cached grid is recognised by the next pass over the same subset.
     The gather sums run on the selected compute backend (name or instance;
     see :func:`repro.accel.backends.get_backend`), which keeps per-solve
-    state so repeated sweeps over one grid stay cheap.
-
-    ``prior`` — a converged solve over the same points on the index's grid
-    (its pair lists may be dropped) — and ``touched`` —
-    :func:`moved_neighborhood` of it for the points the grid's
-    :meth:`NeighborGrid.move_points` moved since, the only ones whose
-    position or mass changed — make this a region pass (module docstring),
-    bit-identical to the full one; a prior whose grid or list is gone is
-    ignored.
+    state so repeated sweeps over one grid stay cheap.  A cached grid whose
+    full list :meth:`NeighborGrid.move_points` edited is solved on as it is:
+    every point, the sums agreeing with a fresh grid's to rounding.
     """
     from repro.accel.backends import get_backend
     from repro.accel.index import SpatialIndex
@@ -220,25 +190,22 @@ def compute_density(
 
     used_iter = 0
     n_unconverged = 0
-    wsum: np.ndarray | None = None
     grid: NeighborGrid | None = None
     gather: DensityGatherState | None = None
     generated = widened = made = 0  # lists generated, widened; their pairs
-    stale: np.ndarray | None = None  # the points a region pass re-solves
 
     def gather_covering(h: np.ndarray) -> DensityGatherState:
         """The per-solve gather state over a list that holds every pair
         ``r < h_i``: rebuilt over a new grid when ``h.max()`` outgrew the
         binning (or on first use), over a widened list when an ``h_i``
-        outgrew its reach — and then computing every point."""
-        nonlocal grid, gather, generated, widened, made, stale
+        outgrew its reach."""
+        nonlocal grid, gather, generated, widened, made
         new_grid = index.grid_for(pos, float(h.max()), scope=scope)
         if gather is not None and new_grid is grid and grid.reaches(h):
             return gather
         # One list alive at a time: the old list's gather state goes before
         # the next list is made (the index released a replaced grid's list).
         gather = None
-        stale = None
         grid = new_grid
         if not grid.reaches(h):
             if grid.has_compact_pairs:
@@ -250,15 +217,6 @@ def compute_density(
         # Every backend's gather state is made over the grid's list as it is.
         gather = bk.density_gather(grid, pos, kernel)
         return gather
-
-    if prior is not None and touched is not None and _resumable(prior, n):
-        gather = gather_covering(h)
-        # The prior's grid with its list, edited in place: not regenerated.
-        if grid is prior.grid and grid.generations == prior.list_generation:
-            stale = _stale(prior, touched, grid.candidate_list().tail, h)
-            assert prior.wsum is not None and prior.drho_dh is not None
-            gather.resume(stale, prior.h, prior.wsum, prior.dens, prior.drho_dh,
-                          prior.n_neighbors)
 
     # Per-particle bracket of the root and the sample before the current one
     # (see the module docstring); ``err`` is ln(N / N_ngb).
@@ -333,51 +291,9 @@ def compute_density(
         candidate_pairs=made,
         reach_list=reach_list,
         candidate_bytes=candidate_bytes,
-        n_resolved=n if stale is None else int(np.count_nonzero(stale)),
         grid=grid,
         pairs=pairs,
-        wsum=wsum,
-        drho_dh=drho_dh,
-        list_generation=grid.generations,
     )
-
-
-def moved_neighborhood(d: DensityResult, moved: np.ndarray) -> np.ndarray:
-    """Mask of the points ``moved`` and of those with a moved point inside
-    their ``h`` in the solve ``d`` (an entry of its gather list): what a
-    region pass after the move re-solves at least."""
-    assert d.pairs is not None
-    touched = np.zeros(len(d.h), dtype=bool)
-    touched[moved] = True
-    gather_i, gather_j, _ = d.pairs
-    reached = gather_i.take(np.flatnonzero(touched.take(gather_j)))
-    touched[reached] = True
-    return touched
-
-
-def _resumable(prior: DensityResult, n: int) -> bool:
-    """Whether a region pass can keep ``prior``'s values: a solve over ``n``
-    points that converged on its last sweep (so its sums are at its ``h``)."""
-    return (
-        prior.n_unconverged == 0 and len(prior.h) == n
-        and prior.wsum is not None and prior.drho_dh is not None
-    )
-
-
-def _stale(
-    prior: DensityResult, touched: np.ndarray, tail: tuple[np.ndarray, ...] | None,
-    h: np.ndarray,
-) -> np.ndarray:
-    """The points a region pass re-solves (mask): the ``touched`` ones, every
-    point with a moved one inside its ``h`` after the move (an entry of the
-    edited list's ``tail``, which holds every entry with a moved end), and
-    every point whose ``h`` is not ``prior``'s."""
-    stale = h != prior.h
-    stale |= touched
-    if tail is not None:
-        tail_i, _, tail_r = tail
-        stale[tail_i.take(np.flatnonzero(tail_r < h.take(tail_i)))] = True
-    return stale
 
 
 def kernel_size_guess(pos: np.ndarray, n_ngb: int) -> np.ndarray:

@@ -52,17 +52,16 @@ already holds the gather list of a density pass gets the same set from it
 with :func:`half_pairs_from_gather` — the same unordered pairs with bit-equal
 ``r``, in another order — without a second pass over the candidates.
 
-A grid is also *editable*: when a few points moved and nothing else did
-(an SN region replaced by particle ID), :meth:`NeighborGrid.move_points`
-re-bins those points and repairs the cached candidate list instead of
-generating it a second time — without copying it: the entries with a moved
-end die in a mask over the list, and the moved points' stencil walk is
-appended behind it (a :class:`CandidateList`, which readers filter in one
-pass).  Exact after an edit: the *set* of candidates and every ``r``
-(bit-equal to a fresh generation on the same binning).  Not kept: their
-order — so sums over the list agree with a fresh grid's to rounding, not
-bit for bit; every entry that did not move keeps its place, so a point no
-moved point came near or left keeps its sums bit for bit.
+A grid holding the full list is also *editable*: when a few points moved
+and nothing else did (an SN region replaced by particle ID),
+:meth:`NeighborGrid.move_points` re-bins those points and repairs the cached
+list instead of generating it a second time — without copying it: the
+entries with a moved end die in a mask over the list, and the moved points'
+stencil walk is appended behind it (a :class:`CandidateList`, which readers
+filter in one pass).  Exact after an edit: the *set* of candidates and every
+``r`` (bit-equal to a fresh generation on the same binning).  Not kept:
+their order — so sums over the list agree with a fresh grid's to rounding,
+not bit for bit.  A reach list is never edited: it is generated again.
 """
 
 from __future__ import annotations
@@ -87,8 +86,8 @@ _MAX_CELLS = 2.0**62
 #: Largest share of the full candidate list a reach list is expected to keep.
 #: A point of reach ``R`` keeps about ``(R / cell)^3`` of its pairs, so a
 #: generation with reaches whose mean of that exceeds this makes the full
-#: list instead — on the full list's code path, with no per-pair reach test
-#: and no edit log: a reach list pays for its filter and its widenings only
+#: list instead — on the full list's code path, with no per-pair reach test,
+#: and editable: a reach list pays for its filter and its widenings only
 #: when it at least halves the list.  Measured means at 1.5 ``h``: 0.16-0.23
 #: on the gas disk and the halo's gas, 0.84-1.0 on the SN storm's turbulent
 #: box, 0.21-1.0 on the two-rank cluster's (its SN regions spread ``h``).
@@ -201,20 +200,8 @@ class NeighborGrid:
     # binning, so every h-iteration and the force pass share one generation.
     # Release with :meth:`release_pairs` once the per-step searches are done.
     _list: CandidateList | None = field(default=None, repr=False, compare=False)
-    # Per-point reach of the cached list (``None``: the cell for every
-    # point) and, for a reach list, what widening it takes: the positions,
-    # order and keys it was generated on, and every move_points edit since.
+    # Per-point reach of the cached list (``None``: the cell for every point).
     _reach: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _origin: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _edits: list[tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=list, repr=False, compare=False
-    )
-    #: Lists this grid has generated or widened so far: a list that reads
-    #: ``generations`` equal to an earlier reading is the one read then,
-    #: changed by :meth:`move_points` edits only.
-    generations: int = field(default=0, compare=False)
 
     @classmethod
     def build(cls, pos: np.ndarray, cell: float) -> "NeighborGrid":
@@ -382,13 +369,10 @@ class NeighborGrid:
         then made instead.  A cached reach list that falls short is
         *widened*: every point whose asked radius exceeds its reach gets the
         cell (``reach=None``: every point), the others keep theirs, and the
-        list is generated again on the binning it was first generated on,
-        with every :meth:`move_points` edit since replayed (an edit gives
-        the points it moves the cell for a reach).  So a list, however
-        widened and edited, is always the full list that the same generation
-        and edits give, cut to ``r < reach[i]`` — a fresh generation on an
-        edited grid would hold the same pairs in another order.  The previous
-        list is dropped before the next one is made.
+        list is generated again.  :meth:`move_points` never edits a reach
+        list, so a widened list is the full list of the same binning cut to
+        ``r < reach[i]``.  The previous list is dropped before the next one
+        is made.
         """
         return self.cover(reach).select()
 
@@ -446,26 +430,17 @@ class NeighborGrid:
                 reach = None
         self._list = CandidateList(self._half_stencil_pairs(reach))
         self._reach = reach
-        self.generations += 1
-        if reach is not None:
-            # Owned copies: move_points writes pos in place, never order or keys.
-            self._origin = (self.pos.copy(), self.order, self.sorted_keys)
 
     def _widen(self, radius: np.ndarray | None) -> None:
         """Regenerate the cached reach list with the points whose ``radius``
-        exceeds their reach at the cell (``None``: all), on the binning of
-        its generation, and replay the edits made since."""
-        assert self._reach is not None and self._origin is not None
+        exceeds their reach at the cell (``None``: all)."""
+        assert self._reach is not None
         reach = (
             None if radius is None
             else np.where(radius > self._reach, self.cell, self._reach)
         )
-        (pos, order, keys), edits = self._origin, self._edits
         self.release_pairs()
-        self.pos, self.order, self.sorted_keys = pos, order, keys
         self._generate(reach)
-        for rows, new_pos in edits:
-            self._edit(rows, new_pos)
 
     def _half_stencil_pairs(
         self, reach: np.ndarray | None
@@ -511,8 +486,8 @@ class NeighborGrid:
 
     @property
     def has_compact_pairs(self) -> bool:
-        """True while the compacted candidate list is cached — the state
-        :meth:`move_points` can repair."""
+        """True while a compacted candidate list is cached (a reach list
+        too)."""
         return self._list is not None
 
     def move_points(self, rows: np.ndarray, new_pos: np.ndarray) -> bool:
@@ -521,7 +496,7 @@ class NeighborGrid:
         Re-bins the moved points (``pos``, ``order`` and ``sorted_keys`` end
         up exactly as a fresh binning of the edited positions on this
         ``lo``/``cell``/``dims`` would leave them, so box queries and the
-        cell-walking searches stay exact) and *repairs* the cached compact
+        cell-walking searches stay exact) and *repairs* the cached full
         candidate list in place of a copy: the entries with either end in
         ``rows`` die in the :class:`CandidateList` mask (and leave its
         tail), and the row walk of :meth:`_pairs_within_cell` — all 27
@@ -533,14 +508,9 @@ class NeighborGrid:
         on this binning yields, with bit-equal ``r``, in another order; sums
         over it agree to rounding.  The live entries read in the order a
         compacting repair would leave them: the surviving entries in place,
-        then the tail — so the entries of a point with no moved end keep
-        their order, and its sums their bits.  A reach list gives the moved
-        points the cell for a reach (so all their entries stay), keeps of
-        the mirror entries those within the reach of their unmoved end, and
-        logs the edit for a later widening.  Cost: one pass of two boolean
-        gathers over the list plus the full stencil of the moved points —
-        no copy of the list, against the half stencil of every point for a
-        fresh generation.
+        then the tail.  Cost: one pass of two boolean gathers over the list
+        plus the full stencil of the moved points — no copy of the list,
+        against the half stencil of every point for a fresh generation.
 
         A new position may lie outside the box the grid was built over: it
         is binned to the edge cell, as :meth:`build` and every query bin by
@@ -549,15 +519,19 @@ class NeighborGrid:
         adjacent cells, and the ``r < cell`` filter and
         :meth:`points_in_box` compare true coordinates.
 
-        Returns ``False``, leaving the grid untouched, when it cannot answer
-        exactly: no compact list is cached, a row is not a point of the
-        grid, or a new position is not finite.  The caller then invalidates,
-        as for any position change.  Duplicate ``rows`` are allowed (the last
-        position given wins).
+        Returns ``False``, leaving the grid untouched, when it does not
+        edit: no list is cached, the cached list is a reach list (an edit
+        would grow the moved points' reaches to the cell and have to be
+        replayed by every widening; where reach lists are made, SN regions
+        move about half the gas and a fresh generation is the cheaper), a
+        row is not a point of the grid, or a new position is not finite.
+        The caller then invalidates, as for any position change.  Duplicate
+        ``rows`` are allowed (the last position given wins).
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         new_pos = np.asarray(new_pos, dtype=np.float64).reshape(len(rows), 3)
-        if self._list is None:
+        listed = self._list
+        if listed is None or self._reach is not None:
             return False
         if not len(rows):
             return True
@@ -565,22 +539,9 @@ class NeighborGrid:
             return False
         if not np.all(np.isfinite(new_pos)):
             return False
-        self._edit(rows, new_pos)
-        return True
-
-    def _edit(self, rows: np.ndarray, new_pos: np.ndarray) -> None:
-        """The re-binning and list repair of :meth:`move_points`, on
-        arguments it checked (for a reach list, logged as given)."""
-        listed = self._list
-        assert listed is not None
-        if self._reach is not None:
-            self._edits.append((rows.copy(), new_pos.copy()))
         n = self.n_points
         self.pos[rows] = new_pos
         rows = np.unique(rows)
-        if self._reach is not None:
-            # Nothing bounds a moved point's next radius by its old one.
-            self._reach[rows] = self.cell
         keys = np.empty(n, dtype=np.int64)
         keys[self.order] = self.sorted_keys
         keys[rows] = self._keys_of(self.pos[rows], self.lo, self.cell, self.dims)
@@ -607,21 +568,19 @@ class NeighborGrid:
         # with the same r, squares being sign-blind — unless the other end
         # moved too and walks its own stencil.
         mirror = np.flatnonzero(~moved.take(new_j))
-        mirrored = (new_j.take(mirror), new_i.take(mirror), new_r.take(mirror))
-        if self._reach is not None:
-            # A moved point reaches the cell: only its mirror entries are cut.
-            mirrored = _within_reach(mirrored, self._reach)
-        blocks += [(new_i, new_j, new_r), mirrored]
+        blocks += [
+            (new_i, new_j, new_r),
+            (new_j.take(mirror), new_i.take(mirror), new_r.take(mirror)),
+        ]
         i, j, r = (np.concatenate(col) for col in zip(*blocks, strict=True))
         self._list = CandidateList(listed.base, alive, (i, j, r))
+        return True
 
     def release_pairs(self) -> None:
-        """Drop the cached candidate list (the largest transient of a step),
-        with its reach and edit log."""
+        """Drop the cached candidate list (the largest transient of a step)
+        with its reach."""
         self._list = None
         self._reach = None
-        self._origin = None
-        self._edits = []
 
     # ------------------------------------------------------------ box query
     def points_in_box(self, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:

@@ -50,15 +50,14 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
 @st.composite
 def clouds(draw):
     """What one draw of the property runs: a cloud with coincident points,
-    a full or a reach list, edited by ``move_points`` or not, resumed on a
-    region or not, with or without the Balsara switch."""
+    a full list (edited by ``move_points`` or not) or a reach list, with or
+    without the Balsara switch."""
     return {
         "n": draw(st.integers(2, 160)),
         "seed": draw(st.integers(0, 2**31)),
         "coincident": draw(st.integers(0, 6)),
         "reach": draw(st.booleans()),
         "moved": draw(st.integers(0, 5)),
-        "resume": draw(st.booleans()),
         "balsara": draw(st.booleans()),
         "cold": draw(st.booleans()),
     }
@@ -78,10 +77,9 @@ def _kernel_outputs(case: dict) -> list[np.ndarray]:
     grid = NeighborGrid.build(pos, cell)
     h = rng.uniform(0.1, 1.0, n) * cell
     grid.cover(np.minimum(1.5 * h, cell) if case["reach"] else None)
-    if case["moved"]:
+    if case["moved"] and not grid.has_reach_list:       # only a full list is edited
         rows = rng.choice(n, size=min(case["moved"], n), replace=False)
-        grid.move_points(rows, rng.uniform(0.0, 1.0, (len(rows), 3)))
-        grid.cover(None if not grid.has_reach_list else np.minimum(1.5 * h, cell))
+        assert grid.move_points(rows, rng.uniform(0.0, 1.0, (len(rows), 3)))
     pos = grid.pos.copy()
     out = []
 
@@ -93,14 +91,6 @@ def _kernel_outputs(case: dict) -> list[np.ndarray]:
     # The finalize: sums and the gather list.
     dens, drho_dh, counts, pairs = gather.finalize(h2, mass)
     out += [dens, drho_dh, counts, *pairs]
-    if case["resume"]:
-        # A region pass: the stale targets' sums recomputed, the rest kept.
-        region = bk.density_gather(grid, pos, kernel)
-        stale = rng.random(n) < 0.3
-        region.resume(stale, h2, out[1], dens, drho_dh, counts)
-        h3 = np.where(stale & (rng.random(n) < 0.5), h2 * 0.95, h2)
-        out.append(region.weight_sum(h3))
-        out += [*region.finalize(h3, mass)[:3]]
 
     dens_safe = np.maximum(dens, 1e-300)
     pres = pressure(dens, u)

@@ -1,5 +1,7 @@
 """ForceEngine: half-pair force parity, fast-path exactness, build budgets."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -255,50 +257,77 @@ def test_second_pass_at_unchanged_positions_reuses_the_grid():
     assert np.array_equal(idx, extract_region(ps, center, 30.0)[1])
 
 
-def _replace_a_region(ps: ParticleSet, seed: int) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _disk_ic() -> ParticleSet:
+    from repro.ic.galaxy import MW_SPEC, make_mw_model
+
+    return make_mw_model(1200, seed=3, spec=MW_SPEC.scaled(0.01),
+                         count_fractions=(0.02, 0.02, 0.96))
+
+
+def _disk() -> ParticleSet:
+    """A gas disk whose kernel sizes span far more than the cell: its
+    density passes run on reach lists."""
+    return _disk_ic().copy()
+
+
+def _replace_a_region(ps: ParticleSet, seed: int, radius: float = 14.0) -> np.ndarray:
     """What ``receive_sne`` does to the state: the gas of a central sphere
     swept into a shell, hotter, with an ``h`` no larger than the rest's."""
     gas = ps.where_type(ParticleType.GAS)
-    rows = np.flatnonzero(gas & (np.linalg.norm(ps.pos, axis=1) < 14.0))
+    rows = np.flatnonzero(gas & (np.linalg.norm(ps.pos, axis=1) < radius))
     assert 0.02 * len(ps) < rows.size < 0.2 * len(ps)
     stayed = gas.copy()
     stayed[rows] = False
     shell = np.random.default_rng(seed).normal(size=(rows.size, 3))
-    ps.pos[rows] = 12.0 * shell / np.linalg.norm(shell, axis=1, keepdims=True)
+    ps.pos[rows] = radius * 6.0 / 7.0 * shell / np.linalg.norm(shell, axis=1, keepdims=True)
     ps.u[rows] *= 50.0
     ps.h[rows] = np.minimum(ps.h[rows], ps.h[stayed].max())
     return rows
 
 
+#: Why each refused edit falls back to a rebuild, as the index logs it.
+_FALLBACK_CAUSES = {
+    "released": "no candidate list (released)",
+    "reach": "a reach list (generated again, never edited)",
+}
+
+
 @pytest.mark.parametrize(
-    "backend, released",
+    "backend, listed",
     [
-        pytest.param("numpy", False, id="numpy"),
-        pytest.param("pikg", False, id="pikg"),
-        pytest.param("numpy", True, id="numpy-released"),
+        pytest.param("numpy", "full", id="numpy"),
+        pytest.param("pikg", "full", id="pikg"),
+        pytest.param("numpy", "released", id="numpy-released"),
+        pytest.param("numpy", "reach", id="numpy-reach"),
     ],
 )
-def test_step7_pass_on_the_repaired_grid_matches_a_cold_pass(backend, released, caplog):
+def test_step7_pass_on_the_repaired_grid_matches_a_cold_pass(backend, listed, caplog):
     """After ``notify_rows_moved`` the full pass runs on the edited grid of
     the pass before and finds what a fresh engine finds: gather set,
     ``n_neighbors`` and sweep count exact, every sum to 1e-12.  With its
-    candidate list released first, the edit falls back to a rebuild and
-    says why — same answer, one more grid."""
+    candidate list released first, or with a reach list (a gas disk's), the
+    edit falls back to a rebuild and says why, once — and the pass is a
+    fresh engine's bit for bit, on one more grid."""
     import logging
 
     cfg = IntegratorConfig(self_gravity=False, backend=backend)
-    ps = _stars_then_gas(seed=10)
+    ps = _disk() if listed == "reach" else _stars_then_gas(seed=10)
     engine = ForceEngine(cfg)
     engine.hydro(ps, "1st")
-    if released:
+    assert engine.index._grid.has_reach_list == (listed == "reach")
+    if listed == "released":
         engine.index.release_pairs()
-    rows = _replace_a_region(ps, seed=10)
+    gas = ps.pos[ps.where_type(ParticleType.GAS)]
+    radius = np.quantile(np.linalg.norm(gas, axis=1), 0.08) if listed == "reach" else 14.0
+    rows = _replace_a_region(ps, seed=10, radius=radius)
     rows = np.concatenate([rows, rows[:3]])         # two regions naming one pid
     with caplog.at_level(logging.INFO, logger="repro.accel"):
         engine.notify_rows_moved(ps, rows)
-    assert ("no candidate list (released)" in caplog.text) == released
+    for case, cause in _FALLBACK_CAUSES.items():
+        assert caplog.text.count(cause) == (case == listed)
     assert not engine.fast_path_available and engine.refresh_hydro(ps, "2nd") is None
-    repaired = not released
+    repaired = listed == "full"
     stats = engine.index.stats
     assert stats.grid_repairs == int(repaired) and engine.index.has_grid == repaired
 
@@ -314,10 +343,14 @@ def test_step7_pass_on_the_repaired_grid_matches_a_cold_pass(backend, released, 
         assert np.array_equal(a, b)
     assert np.array_equal(d_got.n_neighbors, d_want.n_neighbors)
     assert d_got.iterations == d_want.iterations
-    for a, b in zip(
-        (ps.h, ps.dens, *got[:2]), (cold_ps.h, cold_ps.dens, *want[:2])
-    ):
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+    for a, b in zip((ps.h, ps.dens, *got), (cold_ps.h, cold_ps.dens, *want)):  # acc, du_dt, vsig
+        if repaired:                                # another list order
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+        else:
+            assert np.array_equal(a, b)
+    if listed == "reach":                           # the cause is logged once
+        engine.notify_rows_moved(ps, rows)
+        assert caplog.text.count(_FALLBACK_CAUSES[listed]) == 1
 
 
 def test_candidate_generations_are_counted_and_the_list_gauged():
@@ -362,12 +395,11 @@ def test_a_gas_disk_pass_runs_on_a_reach_list_and_gauges_it():
     """Where kernel sizes span far more than the cell needs (a gas disk) the
     pass runs on a per-particle reach list — counted, and gauged as the list
     it is — which a full search would have to widen to the whole cell."""
-    from repro.ic.galaxy import MW_SPEC, make_mw_model
     from repro.obs.trace import Tracer
 
     tr = Tracer(run_id="reach")
     engine = ForceEngine(IntegratorConfig(self_gravity=False), tracer=tr)
-    ps = make_mw_model(1200, seed=3, spec=MW_SPEC.scaled(0.01), count_fractions=(0.02, 0.02, 0.96))
+    ps = _disk()
     engine.hydro(ps, "1st")                  # cold: refreshes ps.h
     engine.notify_positions_changed()
     engine.hydro(ps, "1st")

@@ -198,34 +198,6 @@ def test_report_shows_neighbor_grid_work_per_step():
     assert "neighbor grid" not in quiet.to_text() and "kernel-size solve" not in quiet.to_text()
 
 
-def test_report_shows_the_post_sn_region_pass():
-    """Each step-7 pass after an SN replacement re-solves the gas the
-    replacement touched: the report prints how much of it, per pass; a run
-    without such passes prints nothing about them."""
-    from repro import GalaxySimulation
-    from repro.core.integrator import IntegratorConfig
-    from tests.core.test_sn_reinsertion import DT, LATENCY, _storm
-
-    tr = Tracer(run_id="storm")
-    sim = GalaxySimulation(
-        _storm(6), dt=DT, latency_steps=LATENCY, n_pool=4, surrogate_grid=8, tracer=tr,
-        config=IntegratorConfig(enable_star_formation=False),
-    )
-    with sim:
-        sim.run(6)
-        n_gas = int(sim.ps.where_type(ParticleType.GAS).sum())
-    report = report_traces([_as_loaded(tr)])
-    region = report.region_per_pass()
-    assert region["passes"] == tr.counters["accel.grid_repairs"] >= 2
-    assert region["gas"] == n_gas
-    assert 0 < region["targets"] < n_gas
-    assert (f"post-SN pass: {region['targets']:.0f} of {n_gas} gas re-solved"
-            in report.to_text())
-    assert report.to_json_obj()["region_per_pass"] == region
-    quiet = report_traces([_as_loaded(_synthetic_tracer())])
-    assert quiet.region_per_pass() == {} and "post-SN pass" not in quiet.to_text()
-
-
 def test_report_flags_unconverged_kernel_sizes():
     tr = _synthetic_tracer()
     tr.count("accel.density_passes", 4)
