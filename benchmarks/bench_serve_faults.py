@@ -65,7 +65,7 @@ def _run(transport, fault_plan, n_events):
     """One submit/collect workload; returns (wall_s, {eid: particles}, metrics)."""
     spec = SurrogateSpec(kind="oracle", n_grid=8, side=60.0, t_after=0.1)
     with SurrogateServer(
-        spec=spec, transport=transport, n_workers=2, max_batch=2,
+        surrogate=spec.build(), transport=transport, n_workers=2, max_batch=2,
         fault_plan=fault_plan,
     ) as srv:
         t0 = time.perf_counter()

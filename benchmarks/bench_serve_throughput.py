@@ -83,7 +83,7 @@ def _worker_scaling(n_regions):
         ("sync", dict(transport="sync")),
         *((f"shm-{w}", dict(transport="shm", n_workers=w)) for w in WORKER_COUNTS),
     ]:
-        with SurrogateServer(spec=spec, max_batch=4, **kwargs) as srv:
+        with SurrogateServer(surrogate=spec.build(), max_batch=4, **kwargs) as srv:
             t0 = time.perf_counter()
             for k in range(n_regions):
                 srv.submit(_region(seed=k), np.zeros(3), star_pid=k,
@@ -105,7 +105,7 @@ def _overlap_run(transport, n_workers, n_steps, main_step_s):
     """
     spec = SurrogateSpec(kind="oracle", n_grid=12, side=60.0, t_after=0.1)
     with SurrogateServer(
-        spec=spec, transport=transport, n_workers=n_workers,
+        surrogate=spec.build(), transport=transport, n_workers=n_workers,
         max_batch=2, max_wait_steps=0,
     ) as srv:
         t0 = time.perf_counter()
@@ -134,7 +134,7 @@ def test_serve_throughput(benchmark, results_dir, write_result):
     # Calibrate the main step to ~1.5x one region's inference cost, so the
     # workers have the headroom to hide everything.
     spec = SurrogateSpec(kind="oracle", n_grid=12, side=60.0, t_after=0.1)
-    with SurrogateServer(spec=spec, transport="sync") as cal:
+    with SurrogateServer(surrogate=spec.build(), transport="sync") as cal:
         for k in range(4):
             cal.submit(_region(seed=k), np.zeros(3), star_pid=k,
                        dispatch_step=0, return_step=1)

@@ -57,13 +57,11 @@ def _region(n, seed):
     return ps
 
 
-def _server(transport, spec, surrogate=None):
+def _server(transport, spec):
     kwargs = dict(max_batch=1)
     if transport == "shm":
         kwargs["n_workers"] = 1     # one serving process
-    return SurrogateServer(
-        surrogate=surrogate, spec=spec, transport=transport, **kwargs
-    )
+    return SurrogateServer(surrogate=spec.build(), transport=transport, **kwargs)
 
 
 def _drive(server, regions):

@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.perf.costmodel import serve_summary
-from repro.serve import SurrogateServer, SurrogateSpec
+from repro.serve import SurrogateServer
+from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 
 N_CLIENTS = 4          # simulated main ranks
 N_STEPS = 24           # global steps driven by each client
@@ -41,9 +42,9 @@ def make_region(n: int, seed: int) -> ParticleSet:
 
 
 def main() -> None:
-    spec = SurrogateSpec(kind="oracle", n_grid=12, side=60.0, t_after=0.1)
+    surrogate = SNSurrogate(oracle=SedovBlastOracle(t_after=0.1), n_grid=12, side=60.0)
     server = SurrogateServer(
-        spec=spec, transport="shm", n_workers=2,
+        surrogate=surrogate, transport="shm", n_workers=2,
         max_batch=4, max_wait_steps=1,
     )
     print(f"server up: {server.n_workers} workers, "

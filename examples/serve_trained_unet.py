@@ -5,8 +5,8 @@ The full production deployment path of the paper, end to end:
 1. train the 3D U-Net surrogate on Sedov-in-turbulence pairs;
 2. export it with :func:`repro.ml.serialize.save_model` (the ONNX-like
    CPU deployment artifact);
-3. describe it as a picklable ``SurrogateSpec(kind="model")`` — every pool
-   worker loads the export itself, no weights cross a queue;
+3. load it back with ``InferenceEngine.load`` into an ``SNSurrogate`` — the
+   one object the server predicts with, and every pool worker with it;
 4. serve SN regions through :class:`repro.serve.SurrogateServer` on the
    zero-copy ``shm`` transport, and verify the predictions are
    bit-identical to the deterministic in-process ``sync`` transport.
@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.fdps.particles import ParticleSet, ParticleType
-from repro.ml.serialize import save_model
+from repro.ml.serialize import InferenceEngine, save_model
 from repro.ml.train import train_model
 from repro.ml.unet import UNet3D
 from repro.perf.costmodel import serve_summary
-from repro.serve import SurrogateServer, SurrogateSpec
+from repro.serve import SurrogateServer
+from repro.surrogate.model import SNSurrogate
 from repro.surrogate.training_data import build_dataset
 
 N_GRID = 8         # paper: 64^3; small so the demo trains in seconds
@@ -47,10 +48,10 @@ def make_region(n: int, seed: int) -> ParticleSet:
     return ps
 
 
-def serve_events(spec: SurrogateSpec, transport: str) -> dict[int, np.ndarray]:
+def serve_events(surrogate: SNSurrogate, transport: str) -> dict[int, np.ndarray]:
     """Dispatch N_EVENTS regions, collect all predictions, pack them."""
     with SurrogateServer(
-        spec=spec, transport=transport, n_workers=2, max_batch=2
+        surrogate=surrogate, transport=transport, n_workers=2, max_batch=2
     ) as server:
         for k in range(N_EVENTS):
             server.submit(
@@ -83,13 +84,13 @@ def main() -> None:
         export = save_model(net, Path(deploy_dir) / "trained_unet")  # suffix normalized
         print(f"  exported to {export}")
 
-        # --- 3. the worker-buildable recipe -----------------------------------
-        spec = SurrogateSpec(kind="model", model_path=str(export),
-                             n_grid=N_GRID, side=60.0)
+        # --- 3. the deployed surrogate ---------------------------------------
+        surrogate = SNSurrogate(predictor=InferenceEngine.load(export),
+                                n_grid=N_GRID, side=60.0)
 
         # --- 4. serve on both transports, compare bytes -----------------------
         print(f"serving {N_EVENTS} SN regions through the trained model ...")
-        results = {t: serve_events(spec, t) for t in ("sync", "shm")}
+        results = {t: serve_events(surrogate, t) for t in ("sync", "shm")}
     for eid, packed in results["sync"].items():
         assert np.array_equal(results["shm"][eid], packed), eid
     print("predictions bit-identical across sync / shm transports")

@@ -91,8 +91,8 @@ cost as much as rebuilding, validity is explicit:
 * The compact candidate list — the step's largest transient — lives from the
   first pass that generates (or widens) it to the end of the step's last hydro
   evaluation (:meth:`ForceEngine.release_candidates`, called after step 7
-  in both arms of the step host); the grid itself stays for box queries
-  until the next signal.
+  in both arms of the step host); the grid itself stays until the next
+  signal, for a pass at unchanged positions to reuse.
 * :attr:`SpatialIndex.stats` counts builds, repairs and reuses (the engine
   mirrors the grid counts as ``accel.grid_*`` tracer counters, which
   ``python -m repro.obs report`` prints per step); the steady-state

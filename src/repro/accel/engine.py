@@ -205,8 +205,8 @@ class ForceEngine:
         """The step's last hydro evaluation is done: drop the neighbor
         grid's candidate lists, the step's largest transient.  They live
         from the first pass to here so that a step-7 pass (after
-        :meth:`notify_rows_moved`) reuses them; the grid itself stays for
-        box queries."""
+        :meth:`notify_rows_moved`) reuses them; the grid itself stays until
+        the next position signal."""
         self.index.release_pairs()
 
     def release_workspace(self) -> None:
@@ -440,8 +440,8 @@ class ForceEngine:
                 n_ngb=min(cfg.n_ngb, max(gas.size - 1, 1)),
                 counter=self.counter,
                 index=self.index,
-                # The gas scope: box queries (SN region extraction) answer
-                # through the same grid, and the next pass recognises it.
+                # The gas scope: the next pass recognises the grid by it,
+                # and move_points maps rows through it.
                 scope=gas,
                 backend=self.backend,
             )

@@ -134,9 +134,9 @@ class SpatialIndex:
         points, else a fresh build (which becomes the new cache entry).
 
         ``scope`` identifies the subset of a larger particle set the grid
-        covers (e.g. global indices of the gas, ascending); box queries
-        report indices through it and :meth:`move_points` finds grid rows
-        through it.  A cached grid is reused only for an equal scope.
+        covers (e.g. global indices of the gas, ascending);
+        :meth:`move_points` finds grid rows through it.  A cached grid is
+        reused only for an equal scope.
         """
         g = self._grid
         if (
@@ -154,17 +154,6 @@ class SpatialIndex:
         self._grid = g
         self._grid_scope = None if scope is None else np.asarray(scope)
         return g
-
-    def query_box(self, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray | None:
-        """Indices of cached-grid points inside [box_lo, box_hi] (inclusive),
-        mapped through the grid's scope; ``None`` when no grid is cached (the
-        caller falls back to a full scan)."""
-        if self._grid is None:
-            return None
-        local = self._grid.points_in_box(box_lo, box_hi)
-        if self._grid_scope is None:
-            return local
-        return self._grid_scope[local]
 
     # ------------------------------------------------------------------ tree
     def tree_for(self, pos: np.ndarray, mass: np.ndarray, leaf_size: int = 16) -> Octree:

@@ -54,9 +54,9 @@ class GalaxySimulation:
     surrogate_model_path : path to a trained U-Net export
         (:func:`repro.ml.serialize.save_model`); builds the trained-model
         surrogate on ``surrogate_grid`` directly, and — because the loaded
-        engine remembers its path — serve workers and checkpoints carry a
-        ``kind="model"`` :class:`~repro.serve.SurrogateSpec` instead of a
-        pickled network.  Mutually exclusive with ``surrogate``.
+        engine remembers its path — checkpoints carry a ``kind="model"``
+        :class:`~repro.serve.SurrogateSpec` instead of the network.  Mutually
+        exclusive with ``surrogate``.
     n_pool / latency_steps : the pool sizing rule of Sec. 3.2 — by default
         latency = n_pool so every SN region spends 0.1 Myr worth of global
         steps in flight.  When every pool node is busy an SN queues on the
@@ -271,10 +271,11 @@ class GalaxySimulation:
         integ = self.integrator
         server = self.server
         # Persist what is needed to rebuild the same service: the surrogate
-        # itself only when a spec is derivable (the Sedov oracle, or a trained
-        # export whose InferenceEngine records its model_path); a surrogate
-        # backed by an anonymous in-memory predictor must be re-supplied via
-        # restore(surrogate=) — restore() warns in that case.
+        # itself only when a spec is derivable (the Sedov oracle itself, or a
+        # trained export whose InferenceEngine records its model_path); any
+        # other surrogate — an oracle subclass, an anonymous in-memory
+        # predictor — must be re-supplied via restore(surrogate=), and
+        # restore() warns in that case.
         try:
             surrogate_spec = asdict(SurrogateSpec.from_surrogate(server.local_surrogate))
         except ValueError:

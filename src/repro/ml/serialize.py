@@ -70,8 +70,8 @@ class InferenceEngine:
 
     An engine built through :meth:`load` remembers its ``model_path``, which
     is what lets :meth:`repro.serve.SurrogateSpec.from_surrogate` derive a
-    ``kind="model"`` recipe — serve workers then reload the export
-    themselves instead of receiving a pickled copy of every weight tensor.
+    ``kind="model"`` recipe — a checkpoint then names the export instead of
+    holding a copy of every weight tensor.
     """
 
     def __init__(self, model: UNet3D, model_path: str | Path | None = None) -> None:

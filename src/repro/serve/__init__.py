@@ -5,8 +5,8 @@ SN surrogate inference runs on dedicated *pool* ranks, fully overlapped
 with the main-node integration, so the DL time never touches the critical
 path.  This package realizes that overlap in-process-tree form:
 
-* :class:`SurrogateServer` — owns worker processes (or a deterministic
-  in-process ``sync`` transport), a :class:`BatchScheduler` that coalesces
+* :class:`SurrogateServer` — owns the surrogate, its worker processes (or
+  none: ``sync`` predicts on this process), a :class:`BatchScheduler` that coalesces
   in-flight SN regions into voxel batches with deadline-aware flushing, and
   a :class:`ServiceMetrics` ledger (queue depth, batch occupancy, p50/p95
   latency in steps, worker utilization, exposed wait).
@@ -30,9 +30,9 @@ differ only in *where* inference runs and *how* the payload bytes move:
 ========== ===================== ============================== =====================
 transport  where inference runs  payload copy semantics         when to use
 ========== ===================== ============================== =====================
-``sync``   caller's thread, at   none — buffers stay in          tests, debugging,
-           flush time            process                         deterministic refs;
-                                                                 inference is fully
+``sync``   the server, on this   none — buffers stay in          tests, debugging,
+           process, at flush     process                         deterministic refs;
+           time                                                  inference is fully
                                                                  exposed on the main
                                                                  path
 ``shm``    ``n_workers`` OS      zero-copy: one memmove into a   overlapped serving
@@ -46,7 +46,9 @@ transport  where inference runs  payload copy semantics         when to use
 Under ``shm`` every dispatched batch gets its own shared-memory block with
 one slot per request, sized to the batch's largest request; a response
 never outgrows its request, so every event travels zero-copy and there is
-no size to tune.  The block
+no size to tune.  Every worker serves the surrogate object the server
+holds (inherited at the fork), so a worker, ``sync`` and an inline
+recovery run one model and return the same bytes.  The block
 (:class:`~repro.util.shm.SharedMemoryRing`) and the rule that workers own
 nothing they inherit live in :mod:`repro.util.shm`, the process toolkit
 this package shares with the force engine's gravity helper;
@@ -119,7 +121,7 @@ the shared service costs and hides at scale.
 from repro.serve.batch import BatchScheduler
 from repro.serve.faults import Fault, FaultInjector, FaultPlan, InjectedWorkerError
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.server import SurrogateServer, SurrogateSpec, predict_batch_buffers
+from repro.serve.server import SurrogateServer, SurrogateSpec
 from repro.serve.shm import WorkerLost
 from repro.serve.wire import (
     ServeRequest,
@@ -144,7 +146,6 @@ __all__ = [
     "WireFormatError",
     "WorkerLost",
     "event_rng",
-    "predict_batch_buffers",
     "request_nfloats",
     "response_nfloats",
 ]

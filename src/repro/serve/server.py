@@ -1,25 +1,29 @@
 """`SurrogateServer` — the asynchronous, batched SN-inference service.
 
-The server owns a :class:`BatchScheduler`, the recovery policy, and one of
-two transports:
+The server owns a :class:`BatchScheduler`, the recovery policy, the
+surrogate it was given, and at most one worker transport:
 
-* ``sync`` — predictions execute in-process at flush time on the caller's
-  thread.  Deterministic, dependency-free, and the whole prediction cost
-  sits on the main loop's collect — the tests' reference path.
-* ``shm`` — ``n_workers`` OS processes, each of which builds its own
-  surrogate (from a picklable :class:`SurrogateSpec` or a pickled
-  :class:`SNSurrogate`) and serves batches whose requests and predictions
-  live in one shared-memory block per batch; each worker's pipe carries
-  only block names (see :mod:`repro.serve.shm`, which owns the worker
-  protocol).
+* ``sync`` — no transport: the server predicts each batch on this process
+  when it flushes, on the caller's thread.  Deterministic,
+  dependency-free, and the whole prediction cost sits on the main loop —
+  the tests' reference path.
+* ``shm`` — ``n_workers`` OS processes, each serving the surrogate object
+  the server holds (a forked worker inherits it; under ``spawn`` it is
+  pickled), on batches whose requests and predictions live in one
+  shared-memory block per batch; each worker's pipe carries only block
+  names (see :mod:`repro.serve.shm`, which owns the worker protocol).
   Inference then genuinely overlaps the main loop: the only wall-clock
   the main rank ever pays is the submit/collect bookkeeping, plus an
   *exposed wait* (recorded in :class:`ServiceMetrics`) when a prediction
   misses its return step.
 
-Because the Gibbs re-sampling is seeded per event
-(:func:`repro.serve.wire.event_rng`), both transports — and any batch
-composition or worker count — produce bit-identical predictions.
+Every prediction made on this process — a ``sync`` batch, or a lost
+batch's recovery — goes through one method, :meth:`SurrogateServer
+._predict_inline`, which encodes and decodes the responses as a worker's
+are.  Because the Gibbs re-sampling is seeded per event
+(:func:`repro.serve.wire.event_rng`) and every path runs the same
+surrogate object, both transports — and any batch composition or worker
+count — produce bit-identical predictions.
 
 Fault tolerance
 ---------------
@@ -31,12 +35,11 @@ reply), sends a corrupt reply or raises in predict is killed and lost for
 good; every batch it held comes back from the transport as a
 :class:`WorkerLost` reply, and the server has one recovery for all of
 them: the batch's pending events resolve *inline* on the main rank, from
-the request buffers it keeps until a batch is absorbed, by the same
-surrogate recipe the workers build and with the same per-event seeds —
-bit-identical to what the worker would have returned.  The surviving
-workers carry on.  With none left the service is *degraded*: all
-outstanding and future work runs inline on the main rank and the run
-finishes.
+the request buffers it keeps until a batch is absorbed, by the surrogate
+the workers serve and with the same per-event seeds — bit-identical to
+what the worker would have returned.  The surviving workers carry on.
+With none left the service is *degraded*: all outstanding and future work
+runs inline on the main rank and the run finishes.
 
 Every recovery is counted, never swallowed (``n_workers_lost`` for every
 loss, ``n_batch_timeouts`` and ``n_worker_errors`` for two of its causes,
@@ -79,11 +82,14 @@ BATCH_DEADLINE_S = 30.0
 
 @dataclass(frozen=True)
 class SurrogateSpec:
-    """A picklable recipe for building the surrogate inside a worker.
+    """The checkpoint's recipe for the surrogate of a run.
 
     ``kind="oracle"`` builds the analytic Sedov oracle; ``kind="model"``
     loads an exported U-Net through :class:`repro.ml.serialize
     .InferenceEngine` — the two pool-node deployments of Sec. 3.3.
+    :meth:`GalaxySimulation.save <repro.core.simulation.GalaxySimulation
+    .save>` writes it and ``restore`` builds the surrogate back from it;
+    the server and its workers never see it.
     """
 
     kind: str = "oracle"
@@ -98,8 +104,7 @@ class SurrogateSpec:
     model_path: str | None = None
     #: Non-default field-transform parameters as (rho_floor, t_floor,
     #: v_floor, v_scale); None means the default FieldTransform.  Captured
-    #: so a worker-built surrogate encodes/decodes exactly like the
-    #: in-process one.
+    #: so a restored surrogate encodes/decodes exactly like the saved one.
     transform: tuple[float, ...] | None = None
 
     def _transform_kwargs(self) -> dict[str, Any]:
@@ -136,13 +141,15 @@ class SurrogateSpec:
 
     @classmethod
     def from_surrogate(cls, surr: SNSurrogate) -> "SurrogateSpec":
-        """Best-effort spec for an existing surrogate.
+        """The spec that builds this surrogate back, or ``ValueError``.
 
-        Two deployments are derivable: the analytic Sedov oracle, and a
-        trained exported model whose predictor remembers where it was
-        loaded from (:class:`repro.ml.serialize.InferenceEngine` records
-        ``model_path``) — workers then reload the export themselves instead
-        of inheriting a pickled copy of every weight tensor.
+        Two deployments are derivable: the analytic Sedov oracle (exactly
+        :class:`SedovBlastOracle`: a subclass may predict anything, so it
+        has no spec), and a trained exported model whose predictor
+        remembers where it was loaded from
+        (:class:`repro.ml.serialize.InferenceEngine` records
+        ``model_path``) — a checkpoint then names the export instead of
+        holding every weight tensor.
         """
         from dataclasses import astuple
 
@@ -151,14 +158,14 @@ class SurrogateSpec:
         if type(surr.transform) is not FieldTransform:
             raise ValueError(
                 "no derivable spec: the surrogate uses a custom transform "
-                "object the spec cannot capture; let the server pickle the "
-                "surrogate itself"
+                "object the spec cannot capture; pass the surrogate itself "
+                "to restore(surrogate=...)"
             )
         transform = (
             None if surr.transform == FieldTransform()
             else astuple(surr.transform)
         )
-        if isinstance(surr.oracle, SedovBlastOracle):
+        if type(surr.oracle) is SedovBlastOracle:
             return cls(
                 kind="oracle",
                 n_grid=surr.n_grid,
@@ -182,63 +189,9 @@ class SurrogateSpec:
         raise ValueError(
             "no derivable spec: the surrogate is neither Sedov-oracle-backed "
             "nor backed by a predictor that records its model_path (load the "
-            "export via InferenceEngine.load); pass a SurrogateSpec("
-            "kind='model', model_path=...) or let the server pickle the "
-            "surrogate object itself"
+            "export via InferenceEngine.load); pass the surrogate itself to "
+            "restore(surrogate=...)"
         )
-
-
-def predict_batch_buffers(
-    surrogate: SNSurrogate, buffers: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Decode a request batch, run the batched predictor, encode responses
-    (:func:`~repro.serve.shm.predict_responses`, the shm worker's path)."""
-    return [r.to_buffer() for r in predict_responses(surrogate, buffers)]
-
-
-def _predict_on_main(surrogate: SNSurrogate, buffers: list[np.ndarray]) -> list[ServeResponse]:
-    """The responses a worker would deliver, predicted here: encoded and
-    decoded as the shm transport's are."""
-    return [ServeResponse.from_buffer(b) for b in predict_batch_buffers(surrogate, buffers)]
-
-
-class _SyncTransport:
-    """Execute batches inline on the caller's thread (the reference path)."""
-
-    def __init__(self, surrogate: SNSurrogate, metrics: ServiceMetrics, tracer: Tracer) -> None:
-        self._surrogate = surrogate
-        self._metrics = metrics
-        self._tracer = tracer
-        self._done: list[Reply] = []
-
-    @property
-    def n_workers(self) -> int:
-        return 0
-
-    @property
-    def degraded(self) -> bool:
-        return False
-
-    def dispatch(self, batch_id: int, buffers: list[np.ndarray]) -> int:
-        t0 = self._tracer.now()
-        responses = _predict_on_main(self._surrogate, buffers)
-        elapsed = self._tracer.now() - t0
-        self._metrics.inline_predict_s += elapsed
-        self._done.append((batch_id, -1, responses, elapsed))
-        return -1
-
-    def poll(self) -> list[Reply]:
-        out, self._done = self._done, []
-        return out
-
-    def wait(self, timeout: float) -> list[Reply]:
-        raise RuntimeError("sync transport never has in-flight batches")
-
-    def expire_batch(self, batch_id: int) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 @dataclass
@@ -261,30 +214,29 @@ class _Batch:
 
 
 class SurrogateServer:
-    """Batched inference over SN regions with the sync or shm transport.
+    """Batched inference over SN regions, on this process or on shm workers.
 
     Parameters
     ----------
-    surrogate : in-process surrogate (required for ``sync``; for ``shm``
-        it is the recipe source when ``spec`` is absent — a spec is derived
-        when possible, else the object itself is pickled — and the builder
-        of inline fault-recovery predictions).
-    spec : a :class:`SurrogateSpec` workers build from (preferred for
-        ``shm`` — each worker loads its own model instead of inheriting a
-        pickled copy through the spawn args).
-    transport : ``"sync"`` or ``"shm"`` (worker processes over zero-copy
+    surrogate : the surrogate every prediction runs: this process's (every
+        ``sync`` batch, and the inline recovery of a lost ``shm`` batch)
+        and each ``shm`` worker's (inherited under ``fork``, pickled under
+        ``spawn``) — one object, so every path returns the same bytes.
+    transport : ``"sync"`` (no workers: batches are predicted on this
+        process) or ``"shm"`` (worker processes over zero-copy
         shared-memory blocks, see :mod:`repro.serve.shm`).
     n_workers / max_batch / max_wait_steps : see module and
         :class:`BatchScheduler` docs.
     fault_plan : scripted failure injection for the workers — a
         :class:`~repro.serve.faults.FaultPlan`, its string form, or None to
         read ``REPRO_SERVE_FAULTS`` from the environment.
+    tracer : the run's :class:`~repro.obs.trace.Tracer` (an untraced one by
+        default).
     """
 
     def __init__(
         self,
-        surrogate: SNSurrogate | None = None,
-        spec: SurrogateSpec | None = None,
+        surrogate: SNSurrogate,
         transport: str = "sync",
         n_workers: int = 2,
         max_batch: int = 8,
@@ -292,8 +244,7 @@ class SurrogateServer:
         fault_plan: FaultPlan | str | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        if surrogate is None and spec is None:
-            raise ValueError("need a surrogate or a SurrogateSpec")
+        self.local_surrogate = surrogate
         self.transport_name = transport
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.metrics = ServiceMetrics(started_at=time.perf_counter())
@@ -302,18 +253,15 @@ class SurrogateServer:
             max_wait_steps=max_wait_steps,
             metrics=self.metrics,
         )
-        self._surrogate = surrogate
-        self._spec = spec
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
         elif isinstance(fault_plan, str):
             fault_plan = FaultPlan.parse(fault_plan)
-        self._transport: _SyncTransport | _ShmTransport
-        if transport == "sync":
-            self._transport = _SyncTransport(self.local_surrogate, self.metrics, self.tracer)
-        elif transport == "shm":
+        #: The worker pool; None for ``sync``, which has no workers.
+        self._transport: _ShmTransport | None = None
+        if transport == "shm":
             self._transport = _ShmTransport(
-                self._worker_recipe(), n_workers, metrics=self.metrics,
+                surrogate, n_workers, metrics=self.metrics,
                 fault_plan=fault_plan, tracer=self.tracer,
             )
         elif transport == "process":
@@ -321,49 +269,23 @@ class SurrogateServer:
                 "the 'process' transport is retired: use transport='shm' "
                 "(the same worker pool; results are bit-identical)"
             )
-        else:
+        elif transport != "sync":
             raise ValueError(f"unknown transport {transport!r}")
         self._next_event_id = 0
         self._next_batch_id = 0
         self._events: dict[int, _Event] = {}     # event id -> outstanding event
         self._batches: dict[int, _Batch] = {}    # batch id -> batch in flight
         self._last_depth_sample_step: int | None = None
-        #: Stops the transport on close() or collection, in this process
+        #: Stops the workers on close() or collection, in this process
         #: only: a forked child's copy of the server owns no worker.
-        self._finalizer = owner_finalizer(self, self._transport.close)
-
-    # -------------------------------------------------------------- plumbing
-    def _worker_recipe(self) -> SurrogateSpec | SNSurrogate | None:
-        """What the ``shm`` workers build their surrogate from.
-
-        Prefer a :class:`SurrogateSpec` (explicit, or derived from the
-        in-process surrogate — oracle- and exported-model-backed both
-        derive) so each worker builds its own; fall back to pickling the
-        surrogate object for predictors with no serializable recipe.
-        """
-        if self._spec is not None:
-            return self._spec
-        try:
-            return SurrogateSpec.from_surrogate(self._surrogate)
-        except ValueError:
-            return self._surrogate
-
-    @property
-    def local_surrogate(self) -> SNSurrogate:
-        """An in-process surrogate (built lazily from the spec if needed).
-
-        This is also the fault-recovery fallback: it is built from the
-        *same* recipe the workers build from, so inline recovery
-        predictions are bit-identical to what the lost worker would have
-        returned.
-        """
-        if self._surrogate is None:
-            self._surrogate = self._spec.build()
-        return self._surrogate
+        self._finalizer = owner_finalizer(
+            self, self._transport.close if self._transport is not None else lambda: None
+        )
 
     @property
     def n_workers(self) -> int:
-        return self._transport.n_workers
+        """Worker processes started (0 for ``sync``)."""
+        return 0 if self._transport is None else self._transport.n_workers
 
     @property
     def n_outstanding(self) -> int:
@@ -373,7 +295,7 @@ class SurrogateServer:
     @property
     def degraded(self) -> bool:
         """True once the worker pool is abandoned and service runs inline."""
-        return self._transport.degraded
+        return self._transport is not None and self._transport.degraded
 
     # ---------------------------------------------------------------- submit
     def submit(
@@ -419,18 +341,23 @@ class SurrogateServer:
             self._dispatch(buffers)
 
     def _dispatch(self, buffers: list[np.ndarray]) -> None:
-        if self._transport.degraded:
+        transport = self._transport
+        if transport is not None and transport.degraded:
             # No live worker to send it to: resolve it inline right away.
-            self._resolve_inline_fault(buffers, "service degraded: no live workers")
+            self._predict_inline(buffers, cause="service degraded: no live workers")
             return
         batch_id = self._next_batch_id
         self._next_batch_id += 1
-        self._batches[batch_id] = _Batch(buffers, self.tracer.now())
-        worker_id = self._transport.dispatch(batch_id, buffers)
+        worker_id = -1
+        if transport is not None:
+            self._batches[batch_id] = _Batch(buffers, self.tracer.now())
+            worker_id = transport.dispatch(batch_id, buffers)
         self.tracer.instant(
             "serve.dispatch", cat="serve", batch=batch_id, events=len(buffers),
             worker=worker_id,
         )
+        if transport is None:
+            self._predict_inline(buffers, batch_id=batch_id)
 
     # --------------------------------------------------------------- collect
     def collect(self, step: int) -> list[ServeResponse]:
@@ -461,14 +388,17 @@ class SurrogateServer:
         charges ``exposed_wait_s`` and raises when a degraded service
         cannot produce a due event.
         """
+        transport = self._transport
+        if transport is None:
+            return          # sync: every batch was predicted when it shipped
         tracer = self.tracer
-        self._absorb(self._transport.poll())
+        self._absorb(transport.poll())
         last_progress = tracer.now()
         while self._missing(step):
-            self._check_timeouts()
+            self._check_timeouts(transport)
             if not self._missing(step):
                 break
-            if self._transport.degraded:
+            if transport.degraded:
                 # Every batch of the last lost worker came back as a
                 # WorkerLost reply and resolved inline when it was absorbed.
                 if step is not None and self._missing(step):
@@ -478,7 +408,7 @@ class SurrogateServer:
                     )
                 break
             t0 = tracer.now()
-            replies = self._transport.wait(self._wait_slice())
+            replies = transport.wait(self._wait_slice())
             now = tracer.now()
             if step is not None:
                 self.metrics.exposed_wait_s += now - t0
@@ -522,7 +452,7 @@ class SurrogateServer:
         )
 
     # ------------------------------------------------------- fault recovery
-    def _check_timeouts(self) -> None:
+    def _check_timeouts(self, transport: _ShmTransport) -> None:
         """Lose the worker of each batch past the per-batch deadline; the
         batches it held, this one among them, resolve inline."""
         now = self.tracer.now()
@@ -530,34 +460,51 @@ class SurrogateServer:
             batch = self._batches.get(bid)     # absorbed with an earlier one?
             if batch is not None and now - batch.dispatched_at > BATCH_DEADLINE_S:
                 self.metrics.n_batch_timeouts += 1
-                self._transport.expire_batch(bid)
-                self._absorb(self._transport.poll())
+                transport.expire_batch(bid)
+                self._absorb(transport.poll())
 
     def _recover_batch(self, batch_id: int, cause: str) -> None:
         """Resolve a lost batch's events inline on the main rank (a lost
         worker delivered none of them)."""
         batch = self._batches.pop(batch_id, None)
         if batch is not None:
-            self._resolve_inline_fault(batch.buffers, cause)
+            self._predict_inline(batch.buffers, cause=cause)
 
-    def _resolve_inline_fault(self, buffers: list[np.ndarray], cause: str) -> None:
-        """Serve request buffers on the main rank — the recovery of last
-        resort, bit-identical because :attr:`local_surrogate` is built from
-        the same recipe the workers use."""
+    def _predict_inline(
+        self, buffers: list[np.ndarray], batch_id: int = -1, cause: str | None = None,
+    ) -> None:
+        """Predict request buffers on this process: batch ``batch_id`` of
+        ``sync``, or — given a ``cause`` — the recovery of a batch no worker
+        can serve (its events count in ``n_fault_oracle``).
+
+        The responses are encoded and decoded as a worker's are, by the
+        surrogate object the workers serve, so they are the worker's bytes.
+        """
         t0 = self.tracer.now()
         try:
-            responses = _predict_on_main(self.local_surrogate, buffers)
+            responses = [
+                ServeResponse.from_buffer(r.to_buffer())
+                for r in predict_responses(self.local_surrogate, buffers)
+            ]
         except Exception as exc:
+            if cause is None:
+                raise
             raise RuntimeError(
                 f"serve worker fault ({cause}) could not be recovered inline"
             ) from exc
         elapsed = self.tracer.now() - t0
         self.metrics.inline_predict_s += elapsed
-        self.tracer.span_at(
-            "serve.inline_recovery", t0, elapsed, cat="serve",
-            tid="inline", events=len(buffers), cause=cause,
-        )
-        self.metrics.n_fault_oracle += len(buffers)
+        if cause is None:
+            self.tracer.span_at(
+                "serve.batch", t0, elapsed, cat="serve", tid="inline",
+                batch=batch_id, events=len(buffers), busy_s=elapsed, worker=-1,
+            )
+        else:
+            self.tracer.span_at(
+                "serve.inline_recovery", t0, elapsed, cat="serve",
+                tid="inline", events=len(buffers), cause=cause,
+            )
+            self.metrics.n_fault_oracle += len(buffers)
         for response in responses:
             self._store_response(response)
 
@@ -567,14 +514,12 @@ class SurrogateServer:
                 self._recover_batch(batch_id, str(payload))
                 continue
             batch = self._batches.pop(batch_id)
-            if worker_id >= 0:
-                self.metrics.add_worker_busy(worker_id, busy_s)
+            self.metrics.add_worker_busy(worker_id, busy_s)
             for response in payload:
                 self._store_response(response)
-            lane = f"worker-{worker_id}" if worker_id >= 0 else "inline"
             self.tracer.span_at(
                 "serve.batch", batch.dispatched_at, self.tracer.now() - batch.dispatched_at,
-                cat="serve", tid=lane, batch=batch_id, events=len(payload),
+                cat="serve", tid=f"worker-{worker_id}", batch=batch_id, events=len(payload),
                 busy_s=busy_s, worker=worker_id,
             )
 
@@ -584,8 +529,8 @@ class SurrogateServer:
 
     # ----------------------------------------------------------------- close
     def close(self) -> None:
-        """Stop the transport's workers; idempotent, and a no-op in a
-        forked child holding a copy of this server."""
+        """Stop the workers; idempotent, and a no-op in a forked child
+        holding a copy of this server."""
         if self._finalizer.alive:
             self.metrics.stopped_at = time.perf_counter()
         self._finalizer()

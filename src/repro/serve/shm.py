@@ -1,14 +1,13 @@
 """The worker transport: pool processes over per-batch shared blocks.
 
 ``shm`` is the one transport of :mod:`repro.serve` that runs inference off
-the main rank: ``n_workers`` OS processes, each of which builds its own
-surrogate (from a picklable :class:`~repro.serve.server.SurrogateSpec` or a
-pickled :class:`~repro.surrogate.model.SNSurrogate`) and serves the batches
-main sends it.  Pickling every float64 payload through a pipe would copy
-it twice; at the paper's production grid the per-event payload is hundreds
-of kilobytes and, as the precursor works found, that data movement (not
-the forward pass) is what dominates pool-node cost.  This module keeps the
-payloads off the pipe:
+the main rank: ``n_workers`` OS processes, each of which serves the batches
+main sends it with the server's own
+:class:`~repro.surrogate.model.SNSurrogate`.  Pickling every float64
+payload through a pipe would copy it twice; at the paper's production grid
+the per-event payload is hundreds of kilobytes and, as the precursor works
+found, that data movement (not the forward pass) is what dominates
+pool-node cost.  This module keeps the payloads off the pipe:
 
 * Every dispatched batch gets its own block, a
   :class:`~repro.util.shm.SharedMemoryRing` with one float64 slot per
@@ -32,10 +31,14 @@ Workers
 -------
 
 Each worker is a :class:`~repro.util.shm.Child` (the gravity helper is the
-other) whose handler is :func:`_worker`: one pipe per worker, so main
-sends each batch to the next live worker, round robin, and knows which
-worker holds it from the moment it is sent.  :meth:`_ShmTransport.wait`
-blocks on every live worker's pipe and process sentinel at once.
+other) whose handler is :func:`_worker`.  A worker inherits the surrogate
+object the server holds (it is a ``Child`` argument: forked with the
+process, or pickled where only ``spawn`` exists); it builds none, so it
+predicts exactly what an inline prediction on main does.  One pipe per
+worker, so main sends each batch to the next live worker, round robin,
+and knows which worker holds it from the moment it is sent.
+:meth:`_ShmTransport.wait` blocks on every live worker's pipe and process
+sentinel at once.
 
 One loss rule, the helper's: a worker that dies, closes its pipe, misses
 the per-batch deadline (the server calls :meth:`_ShmTransport.expire_batch`),
@@ -92,11 +95,11 @@ def predict_responses(
     """Decode request buffers, run the batched predictor once, and pair
     each prediction with its request.
 
-    The one inference path of every transport — the ``sync`` transport,
-    inline recovery (:func:`repro.serve.server.predict_batch_buffers`) and
-    the shm worker (:func:`serve_batch_in_place`) — so their response bytes
-    agree by construction: same decode, same batched call, same per-event
-    seeded RNG.
+    The one inference path of every prediction — the server's inline one
+    (every ``sync`` batch and every recovery) and the shm worker's
+    (:func:`serve_batch_in_place`) — so their response bytes agree by
+    construction: same surrogate, same decode, same batched call, same
+    per-event seeded RNG.
     """
     requests = [ServeRequest.from_buffer(b) for b in buffers]
     predicted = surrogate.predict_batch(
@@ -128,19 +131,16 @@ def serve_batch_in_place(
 
 
 def _worker(
-    worker_id: int, recipe: Any, fault_plan: FaultPlan | None,
+    worker_id: int, surrogate: SNSurrogate, fault_plan: FaultPlan | None,
 ) -> Callable[[tuple[int, str, list[int]]], tuple[Any, ...] | None]:
-    """Pool-node worker: build the surrogate, then return the handler that
-    serves one batch block per message.
+    """Pool-node worker: the handler that serves one batch block per
+    message with ``surrogate``.
 
-    ``recipe`` is an :class:`SNSurrogate` (used as is) or anything with a
-    ``build()`` returning one — a :class:`~repro.serve.server.SurrogateSpec`.
     ``fault_plan`` scripts deliberate failures (chaos tests), counted from
     this worker's first batch.  ``corrupt`` tears the wire magic of the
     first response in its slot; ``drop`` returns no reply.
     """
     injector = FaultInjector(fault_plan or FaultPlan(), worker_id)
-    surrogate = recipe if isinstance(recipe, SNSurrogate) else recipe.build()
 
     def serve(msg: tuple[int, str, list[int]]) -> tuple[Any, ...] | None:
         batch_id, name, sizes = msg
@@ -174,7 +174,7 @@ class _ShmTransport:
 
     def __init__(
         self,
-        recipe: Any,
+        surrogate: SNSurrogate,
         n_workers: int,
         metrics: ServiceMetrics | None = None,
         fault_plan: FaultPlan | None = None,
@@ -195,7 +195,7 @@ class _ShmTransport:
         #: worker_id -> the worker, for the workers not yet lost.
         self._workers = {
             worker_id: Child(
-                _worker, worker_id, recipe, fault_plan,
+                _worker, worker_id, surrogate, fault_plan,
                 name=f"repro-serve-shm-worker-{worker_id}",
             )
             for worker_id in range(n_workers)

@@ -168,8 +168,8 @@ def compute_density(
     solve's lists full ones.  The grid always
     comes from a :class:`repro.accel.SpatialIndex`: pass ``index`` to share
     one (a private one serves otherwise), and ``scope`` — the indices of
-    ``pos`` in the larger particle set the index serves box queries for — so
-    that the cached grid is recognised by the next pass over the same subset.
+    ``pos`` in the larger particle set the index serves — so that the
+    cached grid is recognised by the next pass over the same subset.
     The gather sums run on the selected compute backend (name or instance;
     see :func:`repro.accel.backends.get_backend`), which keeps per-solve
     state so repeated sweeps over one grid stay cheap.  A cached grid whose

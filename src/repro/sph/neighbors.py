@@ -42,9 +42,8 @@ far more than the cell needs; every other search asks for the full list.
 
 A built :class:`NeighborGrid` is *reusable*: the same grid serves every
 h-iteration of the density solve and the force pass, as long as the largest
-search radius still fits inside one cell (``grid.covers(radius)``), and it
-answers box queries (:meth:`NeighborGrid.points_in_box`) for region
-extraction.  The symmetric force search additionally
+search radius still fits inside one cell (``grid.covers(radius)``).  The
+symmetric force search additionally
 supports a *half-pair* mode that emits each unordered pair exactly once
 (an ``i < j`` cut of the cached candidates), so the force kernel does half
 the pairwise work and mirrors the result by scatter-add.  A caller that
@@ -495,8 +494,8 @@ class NeighborGrid:
 
         Re-bins the moved points (``pos``, ``order`` and ``sorted_keys`` end
         up exactly as a fresh binning of the edited positions on this
-        ``lo``/``cell``/``dims`` would leave them, so box queries and the
-        cell-walking searches stay exact) and *repairs* the cached full
+        ``lo``/``cell``/``dims`` would leave them, so the cell-walking
+        searches stay exact) and *repairs* the cached full
         candidate list in place of a copy: the entries with either end in
         ``rows`` die in the :class:`CandidateList` mask (and leave its
         tail), and the row walk of :meth:`_pairs_within_cell` — all 27
@@ -516,8 +515,8 @@ class NeighborGrid:
         is binned to the edge cell, as :meth:`build` and every query bin by
         clipping.  That stays exact — clipping cell indices is 1-Lipschitz,
         so two points within ``cell`` of each other still sit in equal or
-        adjacent cells, and the ``r < cell`` filter and
-        :meth:`points_in_box` compare true coordinates.
+        adjacent cells, and the ``r < cell`` filter compares true
+        coordinates.
 
         Returns ``False``, leaving the grid untouched, when it does not
         edit: no list is cached, the cached list is a reach list (an edit
@@ -581,35 +580,6 @@ class NeighborGrid:
         with its reach."""
         self._list = None
         self._reach = None
-
-    # ------------------------------------------------------------ box query
-    def points_in_box(self, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:
-        """Indices of the grid's points inside [box_lo, box_hi] (inclusive).
-
-        Candidate cells overlapping the box are gathered via contiguous
-        z-runs of the sorted keys; candidates are then filtered exactly, so
-        the result is identical to a full scan at O(cells + candidates) cost.
-        """
-        box_lo = np.asarray(box_lo, dtype=np.float64)
-        box_hi = np.asarray(box_hi, dtype=np.float64)
-        clo = np.clip(np.floor((box_lo - self.lo) / self.cell).astype(np.int64), 0, self.dims - 1)
-        chi = np.clip(np.floor((box_hi - self.lo) / self.cell).astype(np.int64), 0, self.dims - 1)
-        xs = np.arange(clo[0], chi[0] + 1)
-        ys = np.arange(clo[1], chi[1] + 1)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        base = (gx.ravel() * self.dims[1] + gy.ravel()) * self.dims[2]
-        starts = np.searchsorted(self.sorted_keys, base + clo[2], side="left")
-        ends = np.searchsorted(self.sorted_keys, base + chi[2], side="right")
-        lens = ends - starts
-        total = int(lens.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        cum = np.concatenate([[0], np.cumsum(lens)])
-        local = np.arange(total) - np.repeat(cum[:-1], lens)
-        cand = self.order[np.repeat(starts, lens) + local]
-        p = self.pos[cand]
-        inside = np.all((p >= box_lo) & (p <= box_hi), axis=1)
-        return cand[inside]
 
 
 def _squared_separation(

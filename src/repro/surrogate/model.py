@@ -10,8 +10,8 @@ The predictor is pluggable:
 * a trained :class:`~repro.ml.serialize.InferenceEngine` / ``UNet3D``
   (the paper's path) — build the engine with ``InferenceEngine.load`` so
   it remembers its export path and the surrogate gains a derivable
-  ``kind="model"`` :class:`~repro.serve.SurrogateSpec` (serve workers and
-  checkpoints then reload the export instead of pickling weights), or
+  ``kind="model"`` :class:`~repro.serve.SurrogateSpec` (a checkpoint then
+  names the export instead of holding the weights), or
 * :class:`SedovBlastOracle` — the exact Sedov–Taylor field update, which is
   the physics the U-Net learns; it lets the full coupled scheme run and be
   validated without a lengthy training phase, and it provides the training

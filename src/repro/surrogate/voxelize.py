@@ -259,7 +259,6 @@ def extract_region(
     ps: ParticleSet,
     center: np.ndarray,
     side: float,
-    index=None,
     domain: tuple[np.ndarray, np.ndarray] | None = None,
     ghosts: ParticleSet | None = None,
 ) -> tuple[ParticleSet, np.ndarray]:
@@ -267,10 +266,7 @@ def extract_region(
 
     Returns the extracted copy and the indices into ``ps`` — this is step
     (2) of the Sec. 3.2 loop ("pick up particles in the (60 pc)^3 box around
-    the exploding star").  ``index`` (a :class:`repro.accel.SpatialIndex`
-    whose cached grid scopes this particle set) answers the cube query from
-    the binned cells instead of a full O(N) scan; the exact distance-and-type
-    filter below makes the result identical either way.
+    the exploding star"), found by one O(N) scan of ``ps``.
 
     ``domain`` declares the (lo, hi) slab that ``ps`` is complete for (a
     rank's domain box; ±inf bounds mark outer faces).  A cube that crosses
@@ -293,17 +289,9 @@ def extract_region(
                 "a finite domain face; pass the remote gas as `ghosts` or "
                 "extract from the global particle set"
             )
-    cand = None
-    if index is not None:
-        cand = index.query_box(center - half, center + half)
-    if cand is None:
-        inside = np.all(np.abs(ps.pos - center[None, :]) <= half, axis=1)
-        inside &= ps.where_type(ParticleType.GAS)
-        idx = np.flatnonzero(inside)
-    else:
-        inside = np.all(np.abs(ps.pos[cand] - center[None, :]) <= half, axis=1)
-        inside &= ps.where_type(ParticleType.GAS)[cand]
-        idx = np.sort(cand[inside])
+    inside = np.all(np.abs(ps.pos - center[None, :]) <= half, axis=1)
+    inside &= ps.where_type(ParticleType.GAS)
+    idx = np.flatnonzero(inside)
     region = ps.select(idx)
     if ghosts is not None and len(ghosts):
         g_in = np.all(np.abs(ghosts.pos - center[None, :]) <= half, axis=1)

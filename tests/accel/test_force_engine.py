@@ -16,7 +16,6 @@ from repro.sph.forces import compute_hydro_forces
 from repro.sph.kernels import DEFAULT_KERNEL
 from repro.sn.turbulence import make_turbulent_box
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
-from repro.surrogate.voxelize import extract_region
 from tests.conftest import pairs_by_key
 
 
@@ -131,17 +130,6 @@ def test_fast_path_unavailable_after_membership_change():
     assert engine.refresh_hydro(ps, "2nd") is None
 
 
-def test_extract_region_via_index_matches_scan():
-    ps = _gas_box(seed=7)
-    engine = ForceEngine(IntegratorConfig(self_gravity=False))
-    engine.hydro(ps, "1st")
-    center = np.array([5.0, -3.0, 2.0])
-    r_idx, idx = extract_region(ps, center, 30.0, index=engine.index)
-    r_ref, idx_ref = extract_region(ps, center, 30.0)
-    assert np.array_equal(idx, idx_ref)
-    assert np.array_equal(r_idx.pid, r_ref.pid)
-
-
 def _steady_integrator(n_per_side=8, **cfg_kw):
     ps = _gas_box(seed=8, n_per_side=n_per_side)
     cfg = IntegratorConfig(
@@ -251,10 +239,6 @@ def test_second_pass_at_unchanged_positions_reuses_the_grid():
     assert stats.grid_builds == builds and stats.grid_reuses > reuses
     for a, b in zip(first, second):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(a).max())
-    # Box queries still report global rows through that scope.
-    center = np.array([5.0, -3.0, 2.0])
-    _, idx = extract_region(ps, center, 30.0, index=engine.index)
-    assert np.array_equal(idx, extract_region(ps, center, 30.0)[1])
 
 
 @functools.lru_cache(maxsize=1)

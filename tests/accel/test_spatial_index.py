@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.accel import SpatialIndex
-from repro.sph.neighbors import NeighborGrid, neighbor_pairs
+from repro.sph.neighbors import neighbor_pairs
 
 
 def _brute_half_pairs(pos, radius):
@@ -40,15 +40,6 @@ def test_half_pairs_require_symmetric_mode(rng):
     pos = rng.uniform(0, 5, (30, 3))
     with pytest.raises(ValueError):
         neighbor_pairs(pos, 1.0, mode="gather", half=True)
-
-
-def test_points_in_box_matches_scan(rng):
-    pos = rng.uniform(-5, 5, (400, 3))
-    grid = NeighborGrid.build(pos, 0.8)
-    lo, hi = np.array([-1.5, -2.0, 0.0]), np.array([2.5, 1.0, 4.0])
-    got = np.sort(grid.points_in_box(lo, hi))
-    ref = np.flatnonzero(np.all((pos >= lo) & (pos <= hi), axis=1))
-    assert np.array_equal(got, ref)
 
 
 # --------------------------------------------------------------- index cache
@@ -115,21 +106,10 @@ def test_tree_rebuilt_on_leaf_size_change(rng):
     assert t2 is not t1
 
 
-def test_query_box_through_scope(rng):
-    idx = SpatialIndex()
-    all_pos = rng.uniform(0, 10, (400, 3))
-    scope = np.flatnonzero(all_pos[:, 0] > 3.0)   # the "gas" subset
-    idx.grid_for(all_pos[scope], 1.0, scope=scope)
-    lo, hi = np.array([4.0, 2.0, 2.0]), np.array([8.0, 8.0, 8.0])
-    got = np.sort(idx.query_box(lo, hi))
-    ref = scope[np.all((all_pos[scope] >= lo) & (all_pos[scope] <= hi), axis=1)]
-    assert np.array_equal(got, np.sort(ref))
-
-
 def test_move_points_edits_the_grid_through_the_scope_and_drops_the_tree(rng):
     """Global rows are mapped to grid rows through the scope; the edited grid
-    is the next ``grid_for``'s answer, box queries see the new positions,
-    the octree is gone, and the edit is counted."""
+    is the next ``grid_for``'s answer and holds the new positions, the
+    octree is gone, and the edit is counted."""
     idx = SpatialIndex()
     all_pos = rng.uniform(0, 10, (400, 3))
     scope = np.flatnonzero(all_pos[:, 0] > 3.0)
@@ -143,9 +123,6 @@ def test_move_points_edits_the_grid_through_the_scope_and_drops_the_tree(rng):
     assert idx.grid_for(all_pos[scope], 0.9, scope=scope) is grid
     assert idx.stats.grid_builds == 1
     assert np.array_equal(grid.pos, all_pos[scope])
-    lo, hi = np.array([4.0, 2.0, 2.0]), np.array([8.0, 8.0, 8.0])
-    ref = scope[np.all((all_pos[scope] >= lo) & (all_pos[scope] <= hi), axis=1)]
-    assert np.array_equal(np.sort(idx.query_box(lo, hi)), ref)
 
     stats = idx.stats.as_dict()
     assert stats["grid_repairs"] == 1 and stats["grid_builds"] == 1
@@ -168,8 +145,3 @@ def test_move_points_that_cannot_repair_leaves_nothing_cached(rng):
         assert not idx.has_grid and not idx.has_tree
     assert not idx.move_points(scope[:2], all_pos[scope[:2]])    # nothing cached
     assert idx.stats.grid_repairs == 0
-
-
-def test_query_box_none_without_grid():
-    idx = SpatialIndex()
-    assert idx.query_box(np.zeros(3), np.ones(3)) is None

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.fdps.particles import FIELDS, ParticleSet, ParticleType
+from repro.surrogate.model import SedovBlastOracle
+from repro.surrogate.voxelize import VoxelGrid
 
 
 def plummer_positions(n: int, a: float = 100.0, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -55,6 +57,19 @@ def same_bytes(a: ParticleSet, b: ParticleSet) -> bool:
         and a.data[name].tobytes() == b.data[name].tobytes()
         for name in FIELDS
     )
+
+
+class HotSedovOracle(SedovBlastOracle):
+    """The Sedov oracle with twice its predicted temperature field.
+
+    A subclass: no :class:`~repro.serve.SurrogateSpec` describes it, so only
+    a path that runs the object itself predicts what it does.
+    """
+
+    def __call__(self, grid: VoxelGrid) -> VoxelGrid:
+        out = super().__call__(grid)
+        out.fields[1] *= 2.0
+        return out
 
 
 def pairs_by_key(

@@ -18,7 +18,9 @@ from repro.core.simulation import GalaxySimulation
 from repro.fdps.io import load_checkpoint, load_snapshot, save_snapshot
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.sn.turbulence import make_turbulent_box
+from repro.surrogate.model import SNSurrogate
 from repro.util.constants import SN_ENERGY
+from tests.conftest import HotSedovOracle
 
 
 def _ic(with_star=True, seed=5, second_tsn=None):
@@ -407,6 +409,24 @@ def test_checkpoint_carries_model_spec_for_exported_surrogate(tmp_path):
         assert np.array_equal(surr.predictor(x), net.forward(x))
     finally:
         restored.close()
+
+
+def test_checkpoint_of_an_oracle_subclass_saves_no_spec(tmp_path, caplog):
+    # A SedovBlastOracle subclass predicts what no spec says: the checkpoint
+    # holds no spec, and restore warns instead of putting the plain oracle
+    # back in silence.
+    surr = SNSurrogate(oracle=HotSedovOracle(t_after=0.1), n_grid=8, side=60.0)
+    sim = _sim(_ic(with_star=False), surrogate=surr)
+    sim.run(1)
+    path = sim.save(tmp_path / "hot.npz")
+    sim.close()
+
+    _, header = load_snapshot(path)
+    assert header["extra"]["surrogate_spec"] is None
+    with caplog.at_level(logging.WARNING):
+        restored = GalaxySimulation.restore(path)
+    restored.close()
+    assert "no serializable surrogate spec" in caplog.text
 
 
 def test_restore_onto_an_exported_model_replaces_the_saved_spec(tmp_path):

@@ -25,6 +25,7 @@ from repro.obs.trace import Tracer
 from repro.serve import Fault, FaultPlan, SurrogateServer
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 from repro.util.shm import SharedMemoryRing
+from tests.conftest import HotSedovOracle
 
 #: The transports with workers to fault (``sync`` has none).
 TRANSPORTS = ["shm"]
@@ -52,8 +53,8 @@ def _region(n=40, seed=0):
     return ps
 
 
-def _surr():
-    return SNSurrogate(oracle=SedovBlastOracle(t_after=0.1), n_grid=8, side=60.0)
+def _surr(oracle=SedovBlastOracle):
+    return SNSurrogate(oracle=oracle(t_after=0.1), n_grid=8, side=60.0)
 
 
 def _run_rounds(srv, rounds=((0, 5, 4),)):
@@ -77,8 +78,8 @@ def _run_rounds(srv, rounds=((0, 5, 4),)):
     return out
 
 
-def _reference(rounds):
-    with SurrogateServer(surrogate=_surr(), transport="sync", max_batch=2) as srv:
+def _reference(rounds, oracle=SedovBlastOracle):
+    with SurrogateServer(surrogate=_surr(oracle), transport="sync", max_batch=2) as srv:
         return _run_rounds(srv, rounds)
 
 
@@ -89,9 +90,9 @@ def _assert_bit_identical(got, reference):
             assert np.array_equal(got[eid].data[name], arr), (eid, name)
 
 
-def _chaos_server(transport, plan, **kw):
+def _chaos_server(transport, plan, oracle=SedovBlastOracle, **kw):
     return SurrogateServer(
-        surrogate=_surr(), transport=transport, n_workers=2, max_batch=2,
+        surrogate=_surr(oracle), transport=transport, n_workers=2, max_batch=2,
         fault_plan=plan, **kw,
     )
 
@@ -173,17 +174,21 @@ def test_faultplan_from_env(monkeypatch):
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_kill_mid_flight_bit_identical_and_worker_lost(transport):
     # Two rounds: the first absorbs the kill (the lost batch resolves
-    # inline), the second proves the surviving worker carries on.
+    # inline), the second proves the surviving worker carries on.  An
+    # oracle subclass too: inline recovery returns the worker's bytes.
     rounds = ((0, 5, 4), (6, 11, 4))
-    with recorded_blocks() as blocks, _chaos_server(transport, "kill@w0:b1") as srv:
-        got = _run_rounds(srv, rounds)
-        m = srv.metrics
-        assert m.n_workers_lost == 1
-        assert m.n_fault_oracle >= 1
-        assert_nothing_retried(m)
-        assert not srv.degraded
-    _assert_bit_identical(got, _reference(rounds))
-    assert_no_block_linked(blocks)
+    for oracle in (SedovBlastOracle, HotSedovOracle):
+        with recorded_blocks() as blocks, _chaos_server(
+            transport, "kill@w0:b1", oracle=oracle,
+        ) as srv:
+            got = _run_rounds(srv, rounds)
+            m = srv.metrics
+            assert m.n_workers_lost == 1
+            assert m.n_fault_oracle >= 1
+            assert_nothing_retried(m)
+            assert not srv.degraded
+        _assert_bit_identical(got, _reference(rounds, oracle))
+        assert_no_block_linked(blocks)
 
 
 def test_lost_worker_stays_lost():

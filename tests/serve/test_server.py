@@ -12,6 +12,7 @@ from repro.perf.costmodel import serve_summary
 from repro.serve import SurrogateServer, SurrogateSpec
 from repro.sn.turbulence import make_turbulent_box
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
+from tests.conftest import HotSedovOracle
 
 N_WORKERS = 2  # the CI serve leg runs these tests with two worker processes
 
@@ -29,8 +30,8 @@ def _region(n=40, seed=0):
     return ps
 
 
-def _surr():
-    return SNSurrogate(oracle=SedovBlastOracle(t_after=0.1), n_grid=8, side=60.0)
+def _surr(oracle=SedovBlastOracle):
+    return SNSurrogate(oracle=oracle(t_after=0.1), n_grid=8, side=60.0)
 
 
 def _submit(server, k, step=0, return_step=5):
@@ -86,36 +87,27 @@ def test_each_event_is_delivered_once_when_due(events, max_batch, max_wait_steps
 
 @pytest.mark.parametrize("transport", ["shm"])
 def test_worker_transport_bit_identical_to_sync(transport):
-    """The acceptance criterion: >= 2 workers, identical bytes out."""
-    reference = {}
-    with SurrogateServer(surrogate=_surr(), transport="sync", max_batch=2) as srv:
-        for k in range(5):
-            _submit(srv, k)
-        for res in srv.collect(5):
-            reference[res.event_id] = res.particles
-    with SurrogateServer(
-        surrogate=_surr(), transport=transport, n_workers=N_WORKERS, max_batch=2
-    ) as srv:
-        for k in range(5):
-            _submit(srv, k)
-        srv.tick(0)  # ships two full batches to the workers immediately
-        results = srv.collect(5)
-        assert len(results) == 5
-        for res in results:
-            ref = reference[res.event_id]
-            for name, arr in ref.data.items():
-                assert np.array_equal(res.particles.data[name], arr), name
-
-
-def test_spec_built_in_worker():
-    spec = SurrogateSpec(kind="oracle", n_grid=8, side=60.0, t_after=0.1)
-    with SurrogateServer(spec=spec, transport="shm", n_workers=1) as srv:
-        _submit(srv, 3)
-        [res] = srv.collect(5)
-    with SurrogateServer(surrogate=_surr(), transport="sync") as sync:
-        _submit(sync, 3)
-        [ref] = sync.collect(5)
-    assert np.array_equal(res.particles.pos, ref.particles.pos)
+    """The acceptance criterion: >= 2 workers, identical bytes out — also
+    for an oracle subclass, which the workers must run as it is."""
+    for oracle in (SedovBlastOracle, HotSedovOracle):
+        reference = {}
+        with SurrogateServer(surrogate=_surr(oracle), transport="sync", max_batch=2) as srv:
+            for k in range(5):
+                _submit(srv, k)
+            for res in srv.collect(5):
+                reference[res.event_id] = res.particles
+        with SurrogateServer(
+            surrogate=_surr(oracle), transport=transport, n_workers=N_WORKERS, max_batch=2
+        ) as srv:
+            for k in range(5):
+                _submit(srv, k)
+            srv.tick(0)  # ships two full batches to the workers immediately
+            results = srv.collect(5)
+            assert len(results) == 5
+            for res in results:
+                ref = reference[res.event_id]
+                for name, arr in ref.data.items():
+                    assert np.array_equal(res.particles.data[name], arr), (oracle, name)
 
 
 def test_spec_from_surrogate_roundtrip():
@@ -206,7 +198,7 @@ def test_trained_model_bit_identical_across_all_transports(tmp_path):
     results = {}
     for transport in ("sync", "shm"):
         with SurrogateServer(
-            spec=spec, transport=transport, n_workers=N_WORKERS, max_batch=2
+            surrogate=spec.build(), transport=transport, n_workers=N_WORKERS, max_batch=2
         ) as srv:
             for k in range(4):
                 _submit(srv, k)
@@ -294,10 +286,6 @@ def test_close_is_idempotent():
     srv.close()
     srv.close()
 
-
-def test_requires_surrogate_or_spec():
-    with pytest.raises(ValueError):
-        SurrogateServer()
     with pytest.raises(ValueError):
         SurrogateServer(surrogate=_surr(), transport="smoke-signals")
 

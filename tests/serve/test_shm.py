@@ -9,7 +9,7 @@ import pytest
 
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.perf.costmodel import serve_summary
-from repro.serve import SurrogateServer, SurrogateSpec
+from repro.serve import SurrogateServer
 from repro.surrogate.model import SedovBlastOracle, SNSurrogate
 from repro.util.shm import SharedMemoryRing
 from tests.serve.test_faults import assert_no_block_linked, recorded_blocks
@@ -105,15 +105,6 @@ def test_shm_bit_identical_to_sync():
         for res in results:
             _assert_equal(res.particles, reference[res.event_id])
         assert srv.metrics.n_shm_fallback == 0
-
-
-def test_shm_spec_built_in_worker():
-    spec = SurrogateSpec(kind="oracle", n_grid=8, side=60.0, t_after=0.1)
-    reference = _reference(1)
-    with SurrogateServer(spec=spec, transport="shm", n_workers=1) as srv:
-        _submit(srv, 0)
-        [res] = srv.collect(5)
-    _assert_equal(res.particles, reference[res.event_id])
 
 
 def test_shm_collect_all_drains_outstanding():

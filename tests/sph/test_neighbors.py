@@ -313,15 +313,13 @@ def _fresh_on_same_binning(grid: NeighborGrid, pos: np.ndarray) -> NeighborGrid:
 
 
 def _assert_grids_answer_alike(got: NeighborGrid, want: NeighborGrid, rng) -> None:
-    """Same candidate set with bit-equal r, same binning, same box and
+    """Same candidate set with bit-equal r, same binning, same
     external-query answers."""
     for a, b in zip(pairs_by_key(got.compact_self_pairs()), pairs_by_key(want.compact_self_pairs())):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert np.array_equal(got.pos, want.pos)
     assert np.array_equal(got.order, want.order)
     assert np.array_equal(got.sorted_keys, want.sorted_keys)
-    lo, hi = np.sort(rng.uniform(want.pos.min() - 1.0, want.pos.max() + 1.0, (2, 3)), axis=0)
-    assert np.array_equal(got.points_in_box(lo, hi), want.points_in_box(lo, hi))
     queries = rng.uniform(want.pos.min() - 1.0, want.pos.max() + 1.0, (7, 3))
     for a, b in zip(_stencil_pairs_reference(got, queries), _stencil_pairs_reference(want, queries)):
         assert np.array_equal(a, b)
@@ -341,8 +339,8 @@ def test_move_points_repairs_to_the_fresh_candidate_list(
     n, extent, cell, moved, onto_another, n_duplicates, seed
 ):
     """After ``move_points`` the compact list, sorted by (i, j), equals a
-    fresh generation on the same binning — keys exact, r bit-equal — and box
-    and external queries answer alike.  Zero extents stack every point on
+    fresh generation on the same binning — keys exact, r bit-equal — and
+    external queries answer alike.  Zero extents stack every point on
     one site or a line, small ones give a single cell; ``onto_another`` lands
     one moved point exactly on an unmoved one; duplicate rows repeat a moved
     point (same position: the last one given wins anyway)."""
@@ -405,11 +403,6 @@ def test_move_points_outside_the_box_stays_exact(n, cell, n_moved, sides, seed):
     got_i, got_j, got_r = pairs_by_key(grid.compact_self_pairs())
     assert np.array_equal(got_i, want_i) and np.array_equal(got_j, want_j)
     np.testing.assert_allclose(got_r, r[want_i, want_j], rtol=1e-14, atol=1e-14)
-    lo, hi = new_pos.min(axis=0), new_pos.max(axis=0)
-    assert np.array_equal(
-        np.sort(grid.points_in_box(lo, hi)),
-        np.flatnonzero(np.all((edited >= lo) & (edited <= hi), axis=1)),
-    )
 
 
 def test_move_points_refuses_what_it_cannot_answer_exactly(rng):
