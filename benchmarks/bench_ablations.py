@@ -138,9 +138,9 @@ def test_ablation_torus_alltoallv(benchmark, write_result):
         payload = np.ones(8)
         send = [[payload if s != d else None for d in range(p)] for s in range(p)]
         flat = SimComm(p, topology=topo)
-        flat.alltoallv(send)
+        flat.alltoallv(send, label="alltoallv")
         routed = SimComm(p, topology=topo)
-        routed.alltoallv_3d(send)
+        routed.alltoallv_3d(send, label="alltoallv_3d")
         return (
             flat.stats["alltoallv"].n_messages,
             routed.stats["alltoallv_3d"].n_messages,

@@ -295,7 +295,7 @@ class GravityHelper:
         self._pass += 1
         go = (kind, self._pass, ring.name, ring.slot_floats, sizes,
               float(theta), int(n_g), int(leaf_size), bool(mixed))
-        self._child.send(go)  # repro-lint: disable=ledger-label -- a pipe
+        self._child.send(go)
         return self._pass
 
     def submit(

@@ -514,12 +514,12 @@ class CoupledRunner:
         is stale once cooling/feedback touched u.  When positions are
         untouched since (3) the engine re-evaluates on the cached pair lists
         (no h solve, no neighbor search); if SN replacements moved particles
-        it falls back to a full pass — on the neighbor grid of (3), edited
-        for the replaced rows, where that edit was exact, re-solving only
-        the gas they touched — and if star
-        formation changed the membership ``_replace_particle_set`` already
-        flagged a full recompute for the next step.  Either way this was the
-        step's last hydro evaluation: the candidate lists go.
+        it falls back to the full density + hydro solve over all the gas —
+        on the neighbor grid of (3) edited for the replaced rows where that
+        edit was exact, else on a fresh grid — and if star formation
+        changed the membership ``_replace_particle_set`` already flagged a
+        full recompute for the next step.  Either way this was the step's
+        last hydro evaluation: the candidate lists go.
         """
         if not self._first_forces_done:
             return

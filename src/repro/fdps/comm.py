@@ -14,9 +14,9 @@ message pattern, byte counts and hop structure are the real ones):
   three axis-wise all-to-alls, so each rank only ever talks to the
   :math:`O(p^{1/3})` ranks in its own line — :meth:`SimComm.alltoallv_3d`.
 
-Every operation updates a :class:`CommStats` ledger (messages, bytes,
-byte-hops, per-rank maxima) which feeds the performance model in
-:mod:`repro.perf`.
+Every operation updates the :class:`CommStats` ledger row its caller names
+with the required ``label=`` keyword (messages, bytes, byte-hops, per-rank
+maxima), which feeds the performance model in :mod:`repro.perf`.
 """
 
 from __future__ import annotations
@@ -144,13 +144,15 @@ class SimComm:
         self.stats.clear()
 
     # --------------------------------------------------------- point to point
-    def send(self, src: int, dst: int, arr: np.ndarray, tag: int = 0,
-             label: str = "p2p") -> None:
+    def send(self, src: int, dst: int, arr: np.ndarray, tag: int = 0, *,
+             label: str) -> None:
         """Post a message; delivery happens at the matching :meth:`recv`.
 
-        ``label`` picks the :class:`CommStats` ledger row — the pool traffic
-        of :mod:`repro.core.pool` uses ``"pool_p2p"`` so the perf model can
-        price main<->pool transfers separately from intra-main exchanges.
+        ``label`` picks the :class:`CommStats` ledger row.  It is a required
+        keyword here and on every collective, so no call's bytes land in a
+        row it did not name: the pool traffic of :mod:`repro.core.pool`
+        uses ``"pool_p2p"`` so the perf model can price main<->pool
+        transfers separately from intra-main exchanges.
         """
         t0 = self.tracer.now()
         per_rank = np.zeros(self.n_ranks, dtype=np.int64)
@@ -175,7 +177,8 @@ class SimComm:
     def alltoallv(
         self,
         send: list[list[np.ndarray | None]],
-        label: str = "alltoallv",
+        *,
+        label: str,
     ) -> list[list[np.ndarray | None]]:
         """Flat all-to-all: ``recv[dst][src] = send[src][dst]``.
 
@@ -211,7 +214,8 @@ class SimComm:
     def alltoallv_3d(
         self,
         send: list[list[np.ndarray | None]],
-        label: str = "alltoallv_3d",
+        *,
+        label: str,
     ) -> list[list[np.ndarray | None]]:
         """Three-phase torus alltoallv (Sec. 3.4).
 
@@ -274,13 +278,13 @@ class SimComm:
                 recv[dst][src] = buf
         return recv
 
-    def allgather(self, values: list[np.ndarray], label: str = "allgather") -> list[list[np.ndarray]]:
+    def allgather(self, values: list[np.ndarray], *, label: str) -> list[list[np.ndarray]]:
         """Every rank receives every rank's buffer."""
         send = [[values[src] for _dst in range(self.n_ranks)] for src in range(self.n_ranks)]
         recv = self.alltoallv(send, label=label)
         return [[recv[dst][src] for src in range(self.n_ranks)] for dst in range(self.n_ranks)]
 
-    def allreduce_sum(self, values: list[np.ndarray], label: str = "allreduce") -> np.ndarray:
+    def allreduce_sum(self, values: list[np.ndarray], *, label: str) -> np.ndarray:
         """Sum of per-rank buffers (same result on every rank)."""
         gathered = self.allgather(values, label=label)
         return np.sum(np.stack(gathered[0]), axis=0)

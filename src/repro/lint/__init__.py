@@ -2,12 +2,20 @@
 
 The codebase's headline guarantees are *cross-cutting*: bit-identical
 physics across compute backends, transports, batch compositions and worker
-counts; exact :class:`~repro.fdps.comm.SimComm` byte ledgers; a zero-copy
-shm slot-lease protocol that never leaks.  Runtime tests catch violations
-only when the right configuration happens to run — a global RNG call
-surfaces as a *flaky* parity failure weeks later.  This package holds the
-line at lint time instead: ``python -m repro.lint src`` runs in CI next to
-ruff and fails on the whole violation class, deterministically.
+counts, and a layering in which the compute layers never reach up into the
+step host or the serve layer.  Runtime tests catch violations only when the
+right configuration happens to run — a global RNG call surfaces as a
+*flaky* parity failure weeks later.  This package holds the line at lint
+time instead: ``python -m repro.lint src`` runs in CI next to ruff and
+fails on the whole violation class, deterministically.
+
+An invariant the code can hold by construction is held there, not here:
+the serve wire headers are one table of slot names per message
+(:mod:`repro.serve.wire`), each shared block has one owner closed by a
+``with`` (:mod:`repro.serve.shm`), every :class:`~repro.fdps.comm.SimComm`
+ledger call must name its row (``label`` is a required keyword), and the
+strict modules' annotations are CI's mypy step
+(``disallow_untyped_defs`` in ``pyproject.toml``).
 
 Repo invariants (the rule catalog)
 ----------------------------------
@@ -21,13 +29,6 @@ Repo invariants (the rule catalog)
     ``perf_counter``/``monotonic``.  Motivated by the cross-backend /
     cross-transport parity suites (``tests/accel/test_backends.py``,
     ``tests/serve``) — the paper's surrogate-coupling correctness claim.
-
-``ledger-label``
-    Every comm-crossing call site (``send``, ``alltoallv``/``_3d``,
-    ``allgather``, ``allreduce_sum``) passes an explicit ``label=`` so its
-    bytes land in a deliberately chosen :class:`CommStats` row.  Motivated
-    by the PR 2 exchange-ledger exactness tests and the ``pool_p2p``
-    accounting of PR 4/5.
 
 ``import-gating``
     Optional toolchains (``numba``, and ``cupy``/``triton`` when the GPU
@@ -52,15 +53,6 @@ Repo invariants (the rule catalog)
     ``repro.analysis.maps``).  Motivated by the kernel benchmarks: bincount
     reductions are order-identical and ~10x faster.
 
-``lease-pairing``
-    In ``repro.serve.shm`` every shared block a function maps
-    (``SharedMemoryRing(...)``: a batch's block created at dispatch, or a
-    worker's attachment) is closed on a ``finally`` edge or stored in the
-    in-flight map ``_blocks``, and every block popped from that map is
-    closed on a ``finally`` edge.  Motivated by the worker-exception test
-    in ``tests/serve/test_shm.py``: a block missed on an exception path
-    stays linked in ``/dev/shm`` after the run.
-
 ``silent-except``
     No bare ``except`` / ``except Exception`` / ``BaseException`` handler
     in ``repro`` may swallow the failure without a trace: it must
@@ -68,13 +60,6 @@ Repo invariants (the rule catalog)
     pipe).  Narrow tuples pass.  Motivated by the fault-tolerance
     work: an invisible swallow is a fault the ``ServiceMetrics`` counters
     and the chaos suite can never pin.
-
-``wire-symmetry``
-    Every wire encoder class defines ``from_buffer``, and the constant
-    header slots written by ``encode_into`` equal those read by
-    ``from_buffer`` (slots validated by a shared ``*check_header*`` helper
-    count as read).  Motivated by the PR 5 in-place shm encoding, where a
-    header drift corrupts silently.
 
 ``rng-plumbing``
     Public functions that build a generator take the seed from their
@@ -90,14 +75,6 @@ Repo invariants (the rule catalog)
     includes ``repro.obs``.  Motivated by the ISSUE 9 observability
     subsystem: traces must stay comparable across runs and complete under
     exceptions.
-
-``strict-annotations``
-    Every ``def`` in a module of the strict ``[[tool.mypy.overrides]]`` in
-    ``pyproject.toml`` (the one list, read from there) annotates each
-    parameter — ``*args``/``**kwargs`` included, a method's ``self``/``cls``
-    excepted — and its return.  mypy checks the types in CI; this rule
-    keeps the signatures it needs complete wherever the tier-1 loop runs,
-    mypy installed or not.
 
 Suppressions
 ------------

@@ -46,18 +46,6 @@ def enclosing_function(node: ast.AST) -> ast.FunctionDef | ast.AsyncFunctionDef 
     return None
 
 
-def in_finally_block(node: ast.AST) -> bool:
-    """True when ``node`` executes on a ``finally`` edge of some try."""
-    cur, parent = node, getattr(node, "parent", None)
-    while parent is not None:
-        if isinstance(parent, ast.Try) and any(
-            cur is stmt or _contains(stmt, cur) for stmt in parent.finalbody
-        ):
-            return True
-        cur, parent = parent, getattr(parent, "parent", None)
-    return False
-
-
 def in_import_guard(node: ast.AST) -> bool:
     """True when ``node`` sits in a try body whose handlers catch ImportError."""
     cur, parent = node, getattr(node, "parent", None)

@@ -144,15 +144,16 @@ class SurrogateSpec:
         """The spec that builds this surrogate back, or ``ValueError``.
 
         Two deployments are derivable: the analytic Sedov oracle (exactly
-        :class:`SedovBlastOracle`: a subclass may predict anything, so it
-        has no spec), and a trained exported model whose predictor
-        remembers where it was loaded from
-        (:class:`repro.ml.serialize.InferenceEngine` records
+        :class:`SedovBlastOracle`), and a trained exported model whose
+        predictor remembers where it was loaded from (exactly
+        :class:`repro.ml.serialize.InferenceEngine`, which records
         ``model_path``) — a checkpoint then names the export instead of
-        holding every weight tensor.
+        holding every weight tensor.  A subclass of either may predict
+        anything, so it has no spec.
         """
         from dataclasses import astuple
 
+        from repro.ml.serialize import InferenceEngine
         from repro.surrogate.transforms import FieldTransform
 
         if type(surr.transform) is not FieldTransform:
@@ -176,11 +177,10 @@ class SurrogateSpec:
                 t_floor=surr.oracle.t_floor,
                 transform=transform,
             )
-        model_path = getattr(surr.predictor, "model_path", None)
-        if model_path:
+        if type(surr.predictor) is InferenceEngine and surr.predictor.model_path:
             return cls(
                 kind="model",
-                model_path=str(model_path),
+                model_path=surr.predictor.model_path,
                 n_grid=surr.n_grid,
                 side=surr.side,
                 gibbs_sweeps=surr.gibbs_sweeps,
@@ -188,9 +188,9 @@ class SurrogateSpec:
             )
         raise ValueError(
             "no derivable spec: the surrogate is neither Sedov-oracle-backed "
-            "nor backed by a predictor that records its model_path (load the "
-            "export via InferenceEngine.load); pass the surrogate itself to "
-            "restore(surrogate=...)"
+            "nor backed by a plain InferenceEngine that records its model_path "
+            "(load the export via InferenceEngine.load); pass the surrogate "
+            "itself to restore(surrogate=...)"
         )
 
 

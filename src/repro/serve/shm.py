@@ -53,10 +53,12 @@ Block lifetime
 
 A block is unlinked once, by the first of: the batch's reply (after its
 responses are copied out), the loss of the worker holding it, or transport
-close.  The ``lease-pairing`` lint rule checks that every block is
-unlinked on a ``finally`` edge or held in the in-flight map.  A worker is
-killed before the blocks it holds are unlinked, so no block is gone while
-a live worker may still attach it.
+close.  It has one owner: the in-flight map ``_blocks`` from dispatch on,
+and :meth:`_ShmTransport._unlink`, the one place a block leaves that map,
+which closes it by leaving a ``with`` on it, a copy-out that raises
+included.  A worker's attachment is a ``with`` too.  A worker is killed
+before the blocks it holds are unlinked, so no block is gone while a live
+worker may still attach it.
 """
 
 from __future__ import annotations
@@ -146,16 +148,14 @@ def _worker(
         batch_id, name, sizes = msg
         injector.on_batch()
         t0 = time.perf_counter()
-        block = SharedMemoryRing(len(sizes), max(sizes), name=name)
-        try:
-            injector.on_predict()
-            responses = serve_batch_in_place(surrogate, block, sizes)
-            if injector.corrupts_response():
-                block.slot(0)[0] = -1.0       # tear the wire magic
-        except Exception as exc:  # ship the failure instead of dying silently
-            return (batch_id, exc, 0.0)
-        finally:
-            block.close()
+        with SharedMemoryRing(len(sizes), max(sizes), name=name) as block:
+            try:
+                injector.on_predict()
+                responses = serve_batch_in_place(surrogate, block, sizes)
+                if injector.corrupts_response():
+                    block.slot(0)[0] = -1.0       # tear the wire magic
+            except Exception as exc:  # ship the failure instead of dying silently
+                return (batch_id, exc, 0.0)
         if injector.drops_response():
             return None
         return (batch_id, responses, time.perf_counter() - t0)
@@ -225,7 +225,7 @@ class _ShmTransport:
         self._holder[batch_id] = worker_id
         msg = (batch_id, block.name, [buf.size for buf in buffers])
         try:
-            self._workers[worker_id].send(msg)  # repro-lint: disable=ledger-label -- a pipe
+            self._workers[worker_id].send(msg)
         except ChildLost as lost:
             self._lose(worker_id, str(lost))
         return worker_id
@@ -242,10 +242,8 @@ class _ShmTransport:
         block = self._blocks.pop(batch_id, None)
         if block is None:
             return []
-        try:
+        with block:
             return [np.array(block.slot(i, n)) for i, n in enumerate(sizes)]
-        finally:
-            block.close()
 
     # ------------------------------------------------------------- replies
     def _lose(self, worker_id: int, cause: str) -> None:

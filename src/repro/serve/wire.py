@@ -20,6 +20,13 @@ Layout (offsets in float64 slots)::
               [3] return_step     [4] n_particles   [5] packed_width
               [6:] particle payload (n * width)
 
+Each header is written down once, as a table of slot names
+(:data:`REQUEST_HEADER`, :data:`RESPONSE_HEADER`) whose order is the
+layout above.  The encoder fills a header by slot name and must name every
+slot of its table, no more; the decoder reads slots by name from the same
+table.  An offset therefore lives in one place, and a field cannot be
+written by one side only.
+
 Decoding validates magic, version, and payload length, so a torn or
 misrouted buffer fails loudly instead of producing corrupt particles.
 
@@ -47,8 +54,12 @@ WIRE_VERSION = 1
 REQUEST_MAGIC = float(0x53524551)
 RESPONSE_MAGIC = float(0x53524553)
 
-_REQ_HEADER = 12
-_RES_HEADER = 6
+#: The header slots of each message, in wire order.
+REQUEST_HEADER = (
+    "magic", "version", "event_id", "base_seed", "star_pid", "dispatch_step",
+    "return_step", "cx", "cy", "cz", "n", "width",
+)
+RESPONSE_HEADER = ("magic", "version", "event_id", "return_step", "n", "width")
 
 
 class WireFormatError(ValueError):
@@ -64,12 +75,12 @@ class WireFormatError(ValueError):
 
 def request_nfloats(n_particles: int) -> int:
     """Float64 slots one encoded request for ``n_particles`` occupies."""
-    return _REQ_HEADER + int(n_particles) * packed_width()
+    return len(REQUEST_HEADER) + int(n_particles) * packed_width()
 
 
 def response_nfloats(n_particles: int) -> int:
     """Float64 slots one encoded response for ``n_particles`` occupies."""
-    return _RES_HEADER + int(n_particles) * packed_width()
+    return len(RESPONSE_HEADER) + int(n_particles) * packed_width()
 
 
 @dataclass
@@ -113,40 +124,25 @@ class ServeRequest:
         too small.  The cached :attr:`buffer` is *not* set — an external
         view must never be aliased past the caller's control.
         """
-        payload = self.region.pack()
-        n, w = payload.shape
-        total = _REQ_HEADER + n * w
-        if out.size < total:
-            raise ValueError(
-                f"serve request needs {total} float64 slots, target has {out.size}"
-            )
-        out[0] = REQUEST_MAGIC
-        out[1] = WIRE_VERSION
-        out[2] = self.event_id
-        out[3] = self.base_seed
-        out[4] = self.star_pid
-        out[5] = self.dispatch_step
-        out[6] = self.return_step
-        out[7:10] = np.asarray(self.center, dtype=np.float64)
-        out[10] = n
-        out[11] = w
-        out[_REQ_HEADER:total] = payload.ravel()
-        return total
+        cx, cy, cz = np.asarray(self.center, dtype=np.float64).tolist()
+        return _encode(
+            out, REQUEST_HEADER, self.region, "request", magic=REQUEST_MAGIC,
+            event_id=self.event_id, base_seed=self.base_seed, star_pid=self.star_pid,
+            dispatch_step=self.dispatch_step, return_step=self.return_step,
+            cx=cx, cy=cy, cz=cz,
+        )
 
     @classmethod
     def from_buffer(cls, buf: np.ndarray) -> "ServeRequest":
         buf = np.asarray(buf, dtype=np.float64).ravel()
-        _check_header(buf, REQUEST_MAGIC, _REQ_HEADER, "request")
-        n, w = _header_counts(buf, 10, 11, "request")
-        _check_payload(buf, _REQ_HEADER, n, w, "request")
-        region = ParticleSet.unpack(buf[_REQ_HEADER:].reshape(n, w))
+        h, region = _decode(buf, REQUEST_HEADER, REQUEST_MAGIC, "request")
         return cls(
-            event_id=int(buf[2]),
-            base_seed=int(buf[3]),
-            star_pid=int(buf[4]),
-            dispatch_step=int(buf[5]),
-            return_step=int(buf[6]),
-            center=buf[7:10].copy(),
+            event_id=int(h["event_id"]),
+            base_seed=int(h["base_seed"]),
+            star_pid=int(h["star_pid"]),
+            dispatch_step=int(h["dispatch_step"]),
+            return_step=int(h["return_step"]),
+            center=np.array([h["cx"], h["cy"], h["cz"]]),
             region=region,
             buffer=buf,
         )
@@ -173,30 +169,16 @@ class ServeResponse:
     def encode_into(self, out: np.ndarray) -> int:
         """Write the wire encoding into ``out`` (see :meth:`ServeRequest
         .encode_into`); a shm worker overwrites the request slot with this."""
-        payload = self.particles.pack()
-        n, w = payload.shape
-        total = _RES_HEADER + n * w
-        if out.size < total:
-            raise ValueError(
-                f"serve response needs {total} float64 slots, target has {out.size}"
-            )
-        out[0] = RESPONSE_MAGIC
-        out[1] = WIRE_VERSION
-        out[2] = self.event_id
-        out[3] = self.return_step
-        out[4] = n
-        out[5] = w
-        out[_RES_HEADER:total] = payload.ravel()
-        return total
+        return _encode(
+            out, RESPONSE_HEADER, self.particles, "response", magic=RESPONSE_MAGIC,
+            event_id=self.event_id, return_step=self.return_step,
+        )
 
     @classmethod
     def from_buffer(cls, buf: np.ndarray) -> "ServeResponse":
         buf = np.asarray(buf, dtype=np.float64).ravel()
-        _check_header(buf, RESPONSE_MAGIC, _RES_HEADER, "response")
-        n, w = _header_counts(buf, 4, 5, "response")
-        _check_payload(buf, _RES_HEADER, n, w, "response")
-        particles = ParticleSet.unpack(buf[_RES_HEADER:].reshape(n, w))
-        return cls(event_id=int(buf[2]), return_step=int(buf[3]),
+        h, particles = _decode(buf, RESPONSE_HEADER, RESPONSE_MAGIC, "response")
+        return cls(event_id=int(h["event_id"]), return_step=int(h["return_step"]),
                    particles=particles, buffer=buf)
 
 
@@ -207,25 +189,60 @@ def event_rng(base_seed: int, star_pid: int, dispatch_step: int) -> np.random.Ge
     )
 
 
-def _check_header(buf: np.ndarray, magic: float, header: int, kind: str) -> None:
+def _encode(out: np.ndarray, table: tuple[str, ...], particles: ParticleSet,
+            kind: str, **slots: float) -> int:
+    """Write ``slots`` (every slot of ``table`` but the version and the
+    counts, which this fills) and the packed payload into ``out``; returns
+    the float64 entries used."""
+    payload = particles.pack()
+    n, w = payload.shape
+    header = len(table)
+    total = header + n * w
+    if out.size < total:
+        raise ValueError(
+            f"serve {kind} needs {total} float64 slots, target has {out.size}"
+        )
+    slots.update(version=WIRE_VERSION, n=n, width=w)
+    if slots.keys() != set(table):
+        raise ValueError(f"serve {kind} header slots {sorted(slots)} != {table}")
+    out[:header] = [slots[name] for name in table]
+    out[header:total] = payload.ravel()
+    return total
+
+
+def _decode(buf: np.ndarray, table: tuple[str, ...], magic: float,
+            kind: str) -> tuple[dict[str, float], ParticleSet]:
+    """The header of ``buf`` by slot name, and its particles, once magic,
+    version, counts and payload length are validated."""
+    header = len(table)
     if len(buf) < header:
         raise WireFormatError(f"serve {kind} buffer too short for its header")
-    if buf[0] != magic:
-        raise WireFormatError(f"serve {kind} buffer has wrong magic {buf[0]!r}")
-    if not np.isfinite(buf[1]) or int(buf[1]) != WIRE_VERSION:
+    h = dict(zip(table, buf[:header].tolist(), strict=True))
+    if h["magic"] != magic:
+        raise WireFormatError(f"serve {kind} buffer has wrong magic {h['magic']!r}")
+    if not np.isfinite(h["version"]) or int(h["version"]) != WIRE_VERSION:
         raise WireFormatError(
-            f"serve {kind} wire version {buf[1]!r} != {WIRE_VERSION}"
+            f"serve {kind} wire version {h['version']!r} != {WIRE_VERSION}"
         )
+    n, w = _header_counts(h["n"], h["width"], kind)
+    if w != packed_width():
+        raise WireFormatError(
+            f"serve {kind} payload width {w} != registry width {packed_width()}"
+        )
+    if len(buf) != header + n * w:
+        raise WireFormatError(
+            f"serve {kind} buffer length {len(buf)} != header + {n}x{w} payload"
+        )
+    return h, ParticleSet.unpack(buf[header:].reshape(n, w))
 
 
-def _header_counts(buf: np.ndarray, n_slot: int, w_slot: int, kind: str) -> tuple[int, int]:
+def _header_counts(n_f: float, w_f: float, kind: str) -> tuple[int, int]:
     """Decode (n_particles, packed_width) from a validated header.
 
     A corrupt header can hold anything a float64 can (NaN, inf, negative,
     fractional); every such value must surface as :class:`WireFormatError`
     before the payload length is trusted.
     """
-    n_f, w_f = float(buf[n_slot]), float(buf[w_slot])
     if not (np.isfinite(n_f) and np.isfinite(w_f)):
         raise WireFormatError(f"serve {kind} header counts are not finite")
     n, w = int(n_f), int(w_f)
@@ -235,14 +252,3 @@ def _header_counts(buf: np.ndarray, n_slot: int, w_slot: int, kind: str) -> tupl
             "(count, width) integers"
         )
     return n, w
-
-
-def _check_payload(buf: np.ndarray, header: int, n: int, w: int, kind: str) -> None:
-    if w != packed_width():
-        raise WireFormatError(
-            f"serve {kind} payload width {w} != registry width {packed_width()}"
-        )
-    if len(buf) != header + n * w:
-        raise WireFormatError(
-            f"serve {kind} buffer length {len(buf)} != header + {n}x{w} payload"
-        )

@@ -156,7 +156,15 @@ class SharedMemoryRing:
         self._arr[index, :n] = buf
         return n
 
+    def __enter__(self) -> "SharedMemoryRing":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
     def close(self) -> None:
+        """Unmap the block, and unlink it in the creating process;
+        idempotent."""
         if self._arr is None:
             return
         self._arr = None
@@ -169,8 +177,8 @@ class SharedMemoryRing:
     # No __del__: a forked child inherits the owner's ring object, and a
     # finalizer there would unlink the segment under the parent when the
     # child exits.  Lifetime is explicit — the owner and the child's
-    # attachments both close() in their shutdown paths, and the resource
-    # tracker covers hard crashes of the creator.
+    # attachments both close() (or leave a ``with`` on the ring), and the
+    # resource tracker covers hard crashes of the creator.
 
 
 #: Seconds :meth:`Child.close` gives a child to exit before it is killed.
@@ -198,12 +206,12 @@ def _serve(conn: Connection, parent_end: Connection,
             return
         reply = handler(msg)
         if reply is not None:
-            conn.send(reply)  # repro-lint: disable=ledger-label -- a pipe
+            conn.send(reply)
 
 
 def _stop(proc: BaseProcess, conn: Connection) -> None:
     with suppress(OSError):     # the pipe is gone: the child is too
-        conn.send(None)  # repro-lint: disable=ledger-label -- a pipe
+        conn.send(None)
     stop_process(proc, _STOP_GRACE_S)
     conn.close()
 
@@ -239,7 +247,7 @@ class Child:
     def send(self, msg: Any) -> None:
         """One message down the pipe; raises :class:`ChildLost` when it is closed."""
         try:
-            self._conn.send(msg)  # repro-lint: disable=ledger-label -- a pipe
+            self._conn.send(msg)
         except OSError as exc:
             raise self._lost(f"closed its pipe ({exc})") from exc
 

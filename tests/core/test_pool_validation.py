@@ -36,20 +36,20 @@ def test_comm_rejects_mismatched_topology():
 def test_alltoallv_validates_matrix_shape():
     comm = SimComm(3)
     with pytest.raises(ValueError):
-        comm.alltoallv([[None] * 3] * 2)  # wrong row count
+        comm.alltoallv([[None] * 3] * 2, label="alltoallv")  # wrong row count
     with pytest.raises(ValueError):
-        comm.alltoallv([[None] * 2] * 3)  # wrong row length
+        comm.alltoallv([[None] * 2] * 3, label="alltoallv")  # wrong row length
 
 
 def test_alltoallv_3d_requires_topology():
     comm = SimComm(8)
     with pytest.raises(RuntimeError):
-        comm.alltoallv_3d([[None] * 8 for _ in range(8)])
+        comm.alltoallv_3d([[None] * 8 for _ in range(8)], label="alltoallv_3d")
 
 
 def test_stats_reset():
     comm = SimComm(2)
-    comm.alltoallv([[None, np.ones(2)], [None, None]])
+    comm.alltoallv([[None, np.ones(2)], [None, None]], label="alltoallv")
     assert comm.stats
     comm.reset_stats()
     assert not comm.stats
@@ -58,7 +58,7 @@ def test_stats_reset():
 def test_allgather_delivers_everything():
     comm = SimComm(3)
     vals = [np.full(2, float(r)) for r in range(3)]
-    out = comm.allgather(vals)
+    out = comm.allgather(vals, label="allgather")
     for dst in range(3):
         for src in range(3):
             assert np.all(out[dst][src] == src)

@@ -21,7 +21,7 @@ def test_alltoallv_transposes():
     p = 4
     comm = SimComm(p)
     send = [[np.array([float(s * 10 + d)]) for d in range(p)] for s in range(p)]
-    recv = comm.alltoallv(send)
+    recv = comm.alltoallv(send, label="alltoallv")
     for d in range(p):
         for s in range(p):
             assert recv[d][s][0] == s * 10 + d
@@ -30,7 +30,7 @@ def test_alltoallv_transposes():
 def test_alltoallv_none_passthrough():
     comm = SimComm(2)
     send = [[None, np.ones(3)], [None, None]]
-    recv = comm.alltoallv(send)
+    recv = comm.alltoallv(send, label="alltoallv")
     assert recv[1][0].sum() == 3.0
     assert recv[0][0] is None and recv[0][1] is None
 
@@ -57,8 +57,8 @@ def test_3d_alltoallv_matches_flat(dims):
     rng = np.random.default_rng(p)
     comm = SimComm(p, topology=topo)
     send = _random_send_matrix(p, rng)
-    flat = SimComm(p, topology=topo).alltoallv(send)
-    routed = comm.alltoallv_3d(send)
+    flat = SimComm(p, topology=topo).alltoallv(send, label="alltoallv")
+    routed = comm.alltoallv_3d(send, label="alltoallv_3d")
     for d in range(p):
         for s in range(p):
             if flat[d][s] is None:
@@ -75,7 +75,7 @@ def test_3d_alltoallv_delivery_property(qx, qy, qz, seed):
     rng = np.random.default_rng(seed)
     comm = SimComm(p, topology=topo)
     send = _random_send_matrix(p, rng, empty_prob=0.5)
-    routed = comm.alltoallv_3d(send)
+    routed = comm.alltoallv_3d(send, label="alltoallv_3d")
     for d in range(p):
         for s in range(p):
             ref = send[s][d]
@@ -94,9 +94,9 @@ def test_3d_alltoallv_fewer_peers_per_phase():
         [np.ones(4) if s != d else None for d in range(p)] for s in range(p)
     ]
     flat_comm = SimComm(p, topology=topo)
-    flat_comm.alltoallv(send)
+    flat_comm.alltoallv(send, label="alltoallv")
     torus_comm = SimComm(p, topology=topo)
-    torus_comm.alltoallv_3d(send)
+    torus_comm.alltoallv_3d(send, label="alltoallv_3d")
     flat_msgs = flat_comm.stats["alltoallv"].n_messages
     routed_msgs = torus_comm.stats["alltoallv_3d"].n_messages
     assert flat_msgs == p * (p - 1)
@@ -108,7 +108,7 @@ def test_3d_alltoallv_fewer_peers_per_phase():
 def test_stats_byte_accounting():
     comm = SimComm(2)
     send = [[None, np.zeros(10)], [np.zeros(5), None]]
-    comm.alltoallv(send)
+    comm.alltoallv(send, label="alltoallv")
     st_ = comm.stats["alltoallv"]
     assert st_.bytes_total == 15 * 8
     assert st_.n_messages == 2
@@ -117,8 +117,8 @@ def test_stats_byte_accounting():
 
 def test_p2p_send_recv_tags():
     comm = SimComm(3)
-    comm.send(0, 2, np.array([1.0]), tag=7)
-    comm.send(1, 2, np.array([2.0]), tag=9)
+    comm.send(0, 2, np.array([1.0]), tag=7, label="p2p")
+    comm.send(1, 2, np.array([2.0]), tag=9, label="p2p")
     assert comm.recv(2, tag=9)[0] == 2.0
     assert comm.recv(2, src=0)[0] == 1.0
     assert comm.recv(2) is None
@@ -128,5 +128,21 @@ def test_p2p_send_recv_tags():
 def test_allreduce_sum():
     comm = SimComm(3)
     vals = [np.array([1.0, 2.0]), np.array([10.0, 20.0]), np.array([100.0, 200.0])]
-    out = comm.allreduce_sum(vals)
+    out = comm.allreduce_sum(vals, label="allreduce")
     assert np.array_equal(out, [111.0, 222.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda c, m: c.send(0, 1, m[0][1]),
+    lambda c, m: c.alltoallv(m),
+    lambda c, m: c.alltoallv_3d(m),
+    lambda c, m: c.allgather([m[0][1], m[1][0]]),
+    lambda c, m: c.allreduce_sum([m[0][1], m[1][0]]),
+], ids=["send", "alltoallv", "alltoallv_3d", "allgather", "allreduce_sum"])
+def test_every_ledger_call_requires_a_label_keyword(call):
+    # No default row: a call that names none fails before it moves a byte.
+    comm = SimComm(2, topology=TorusTopology((2, 1, 1)))
+    send = [[None, np.ones(2)], [np.ones(2), None]]
+    with pytest.raises(TypeError, match="label"):
+        call(comm, send)
+    assert comm.stats == {} and comm.pending(1) == 0

@@ -84,7 +84,7 @@ def test_cli_list_rules_names_the_catalog():
     assert proc.returncode == 0
     for name in registered_rules():
         assert name in proc.stdout
-    assert len(registered_rules()) == 11
+    assert len(registered_rules()) == 7
 
 
 def test_module_name_for_anchors_at_repro():

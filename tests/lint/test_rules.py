@@ -112,32 +112,6 @@ def test_rng_plumbing_accepts_seed_param_self_attr_and_private():
     assert findings == []
 
 
-# ------------------------------------------------------------ ledger-label
-def test_ledger_label_flags_unlabeled_send():
-    findings = _lint(
-        """
-        def exchange(comm, arr):
-            comm.send(0, 1, arr)
-        """,
-        module="repro.fdps.distributed",
-        select=["ledger-label"],
-    )
-    assert _rules(findings) == ["ledger-label"]
-
-
-def test_ledger_label_accepts_explicit_label():
-    findings = _lint(
-        """
-        def exchange(comm, parts, arr):
-            comm.send(0, 1, arr, label="exchange_particles")
-            comm.alltoallv(parts, label="exchange_let")
-        """,
-        module="repro.fdps.distributed",
-        select=["ledger-label"],
-    )
-    assert findings == []
-
-
 # ----------------------------------------------------------- import-gating
 def test_import_gating_flags_optional_dep_outside_seam():
     findings = _lint(
@@ -312,235 +286,6 @@ def test_hotpath_accepts_bincount_and_covers_backends():
     )) == ["hotpath-hygiene"]
 
 
-# ----------------------------------------------------------- lease-pairing
-def test_lease_pairing_flags_leak():
-    findings = _lint(
-        """
-        class T:
-            def dispatch(self, buffers):
-                block = SharedMemoryRing(len(buffers), 8)
-                return block.name
-        """,
-        module="repro.serve.shm",
-        select=["lease-pairing"],
-    )
-    assert _rules(findings) == ["lease-pairing"]
-    assert "leaks" in findings[0].message
-
-
-def test_lease_pairing_flags_release_outside_finally():
-    findings = _lint(
-        """
-        class T:
-            def convert(self, batch_id):
-                block = self._blocks.pop(batch_id)
-                buffers = self.read(block)
-                block.close()
-                return buffers
-        """,
-        module="repro.serve.shm",
-        select=["lease-pairing"],
-    )
-    assert _rules(findings) == ["lease-pairing"]
-    assert "finally" in findings[0].message
-
-
-def test_lease_pairing_flags_each_release_outside_finally():
-    # One guarded close must not vouch for a second, unguarded one.
-    findings = _lint(
-        """
-        class T:
-            def handle(self, tag, batch_id):
-                if tag == "expire":
-                    block = self._blocks.pop(batch_id)
-                    try:
-                        self.note(block)
-                    finally:
-                        block.close()
-                    return None
-                done = self._blocks.pop(batch_id)
-                buffers = self.read(done)
-                done.close()
-                return buffers
-        """,
-        module="repro.serve.shm",
-        select=["lease-pairing"],
-    )
-    assert _rules(findings) == ["lease-pairing"]
-    assert "finally" in findings[0].message
-    assert findings[0].line == 13      # the unguarded done-path close
-
-
-def test_lease_pairing_flags_takeover_without_release():
-    findings = _lint(
-        """
-        class T:
-            def convert(self, batch_id):
-                block = self._blocks.pop(batch_id)
-                return self.read(block)
-        """,
-        module="repro.serve.shm",
-        select=["lease-pairing"],
-    )
-    assert _rules(findings) == ["lease-pairing"]
-
-
-def test_lease_pairing_accepts_handoff_and_finally_release():
-    findings = _lint(
-        """
-        class T:
-            def dispatch(self, batch_id, buffers):
-                block = SharedMemoryRing(len(buffers), 8)
-                self._blocks[batch_id] = block
-
-            def convert(self, batch_id):
-                block = self._blocks.pop(batch_id)
-                try:
-                    return self.read(block)
-                finally:
-                    block.close()
-
-            def serve(self, name):
-                block = SharedMemoryRing(1, 8, name=name)
-                try:
-                    return self.read(block)
-                finally:
-                    block.close()
-        """,
-        module="repro.serve.shm",
-        select=["lease-pairing"],
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------- wire-symmetry
-def test_wire_symmetry_flags_missing_decoder():
-    findings = _lint(
-        """
-        class Packet:
-            def encode_into(self, out):
-                out[0] = 1.0
-                return 1
-        """,
-        module="repro.serve.mywire",
-        select=["wire-symmetry"],
-    )
-    assert _rules(findings) == ["wire-symmetry"]
-    assert "write-only" in findings[0].message
-
-
-def test_wire_symmetry_flags_header_slot_drift():
-    findings = _lint(
-        """
-        class Packet:
-            def encode_into(self, out):
-                out[0] = 1.0
-                out[1] = 2.0
-                out[2] = 3.0
-                return 3
-
-            @classmethod
-            def from_buffer(cls, buf):
-                return cls(buf[0], buf[1])
-        """,
-        module="repro.serve.mywire",
-        select=["wire-symmetry"],
-    )
-    assert _rules(findings) == ["wire-symmetry"]
-    assert "written but never decoded: [2]" in findings[0].message
-
-
-def test_wire_symmetry_accepts_symmetric_header_and_check_helper():
-    findings = _lint(
-        """
-        def _check_header(buf):
-            assert buf[0] == 7.0 and buf[1] == 1.0
-
-        class Packet:
-            def encode_into(self, out):
-                out[0] = 7.0
-                out[1] = 1.0
-                out[2] = 3.0
-                out[3:5] = (1.0, 2.0)
-                return 5
-
-            @classmethod
-            def from_buffer(cls, buf):
-                _check_header(buf)
-                return cls(buf[2], buf[3:5])
-        """,
-        module="repro.serve.mywire",
-        select=["wire-symmetry"],
-    )
-    assert findings == []
-
-
-def test_wire_symmetry_credits_header_counts_helper_slots():
-    findings = _lint(
-        """
-        def _check_header(buf):
-            assert buf[0] == 7.0 and buf[1] == 1.0
-
-        def _header_counts(buf, n_slot, w_slot):
-            return int(buf[n_slot]), int(buf[w_slot])
-
-        class Packet:
-            def encode_into(self, out):
-                out[0] = 7.0
-                out[1] = 1.0
-                out[2] = 5.0
-                out[3] = 4.0
-                return 4
-
-            @classmethod
-            def from_buffer(cls, buf):
-                _check_header(buf)
-                n, w = _header_counts(buf, 2, 3)
-                return cls(n, w)
-        """,
-        module="repro.serve.mywire",
-        select=["wire-symmetry"],
-    )
-    assert findings == []
-
-
-# ------------------------------------------------- lease-pairing: zombies
-# An expired batch's holder may be a hung ("zombie") worker still writing
-# into the block; the expiry unlinks the block anyway, because the worker
-# keeps its own mapping.  The unlink follows the same finally discipline.
-def test_lease_pairing_accepts_zombie_handoff_and_takeover():
-    findings = _lint(
-        """
-        class T:
-            def expire_batch(self, batch_id):
-                block = self._blocks.pop(batch_id, None)
-                if block is None:
-                    return
-                try:
-                    self.note_expired(block.name)
-                finally:
-                    block.close()
-        """,
-        module="repro.serve.shm",
-        select=["lease-pairing"],
-    )
-    assert findings == []
-
-
-def test_lease_pairing_flags_zombie_takeover_without_release():
-    findings = _lint(
-        """
-        class T:
-            def expire_batch(self, batch_id):
-                block = self._blocks.pop(batch_id, None)
-                return block is not None
-        """,
-        module="repro.serve.shm",
-        select=["lease-pairing"],
-    )
-    assert _rules(findings) == ["lease-pairing"]
-
-
 # ------------------------------------------------------------ silent-except
 def test_silent_except_flags_bare_and_broad_pass():
     findings = _lint(
@@ -713,14 +458,13 @@ def test_determinism_covers_obs_clocks():
 def test_scopes_cover_the_runner_layer():
     """``repro.core.runner`` rides the existing prefixes.
 
-    The step host owns comm-crossing calls (region ghosts, pool dispatch)
-    and seeded randomness, so the ledger-label, determinism and
-    rng-plumbing rules must all apply to it — by prefix, not by a
+    The step host owns seeded randomness, so the determinism and
+    rng-plumbing rules must both apply to it — by prefix, not by a
     hand-maintained list that a rename would silently miss.
     """
     from repro.lint.registry import get_rule
 
-    for rule_name in ("determinism", "rng-plumbing", "ledger-label"):
+    for rule_name in ("determinism", "rng-plumbing"):
         assert get_rule(rule_name).applies_to("repro.core.runner"), rule_name
 
 
@@ -736,76 +480,3 @@ def test_determinism_fires_in_runner_modules():
         select=["determinism"],
     )
     assert _rules(findings) == ["determinism"]
-
-
-def test_ledger_label_fires_in_runner_modules():
-    findings = _lint(
-        """
-        def ship(comm, arr):
-            comm.send(0, 1, arr)
-        """,
-        module="repro.core.runner",
-        select=["ledger-label"],
-    )
-    assert _rules(findings) == ["ledger-label"]
-
-
-# ------------------------------------------------------- strict-annotations
-def test_strict_annotations_reads_the_strict_modules_from_pyproject():
-    from repro.lint.rules.annotations import strict_modules
-
-    strict = strict_modules()
-    assert {"repro.accel.gravity_helper", "repro.accel.engine", "repro.util.shm"} <= strict
-    assert "repro.core.integrator" not in strict
-
-
-def test_strict_annotations_flags_each_missing_annotation():
-    findings = _lint(
-        """
-        class Helper:
-            def submit(self, pos, n: int):
-                def claim(g: int):
-                    return g
-                return claim(n)
-
-            @classmethod
-            def start(cls, *args, **kwargs) -> "Helper":
-                return cls()
-
-
-        def collect(pass_no: int, *, acc) -> None:
-            pass
-        """,
-        module="repro.accel.gravity_helper",
-        select=["strict-annotations"],
-    )
-    assert _rules(findings) == ["strict-annotations"] * 4
-    messages = [f.message for f in findings]
-    assert "submit() is in a strictly typed module but does not annotate pos, return" in messages
-    assert any(m.startswith("claim() ") and m.endswith("annotate return") for m in messages)
-    assert any(m.startswith("start() ") and m.endswith("annotate *args, **kwargs")
-               for m in messages)
-    assert any(m.startswith("collect() ") and m.endswith("annotate acc") for m in messages)
-
-
-def test_strict_annotations_accepts_annotated_defs_and_ignores_other_modules():
-    source = """
-        from collections.abc import Iterator
-
-        import numpy as np
-
-
-        class Helper:
-            def __init__(self, n: int) -> None:
-                self.n = n
-
-            def claims(self, n_groups: int) -> Iterator[int]:
-                yield from range(n_groups)
-
-
-        def collect(pass_no: int, *rows: int, acc: np.ndarray, **kw: float) -> None:
-            pass
-        """
-    assert _lint(source, module="repro.accel.engine", select=["strict-annotations"]) == []
-    untyped = "def step(self, dt):\n    return dt\n"
-    assert _lint(untyped, module="repro.core.integrator", select=["strict-annotations"]) == []

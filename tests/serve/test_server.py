@@ -149,6 +149,28 @@ def test_spec_from_surrogate_derives_model_kind(tmp_path):
     assert np.array_equal(built.predictor(x), engine(x))
 
 
+def test_spec_from_surrogate_refuses_an_engine_subclass(tmp_path):
+    """Only a plain InferenceEngine is the export its model_path names; a
+    subclass may predict anything, so it has no spec."""
+    from repro.ml.serialize import InferenceEngine, save_model
+    from repro.ml.unet import UNet3D
+
+    class Doubled(InferenceEngine):
+        def __call__(self, x):
+            return 2.0 * super().__call__(x)
+
+    net = UNet3D(in_channels=8, out_channels=5, base_channels=2, depth=1, seed=0)
+    path = save_model(net, tmp_path / "unet_export")
+    with pytest.raises(ValueError, match="no derivable spec"):
+        SurrogateSpec.from_surrogate(
+            SNSurrogate(predictor=Doubled.load(path), n_grid=8, side=60.0)
+        )
+    spec = SurrogateSpec.from_surrogate(
+        SNSurrogate(predictor=InferenceEngine.load(path), n_grid=8, side=60.0)
+    )
+    assert spec.kind == "model" and spec.model_path == str(path)
+
+
 def test_spec_captures_custom_transform(tmp_path):
     """A non-default FieldTransform must survive the spec round trip."""
     from repro.ml.serialize import InferenceEngine

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import repro.serve.shm
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.perf.costmodel import serve_summary
 from repro.serve import SurrogateServer
@@ -197,3 +198,27 @@ def test_ring_slot_validates_index_and_nfloats():
         ring.close()
     with pytest.raises(ValueError):
         ring.slot(0)
+
+
+def test_a_reply_longer_than_its_slot_loses_the_worker_and_unlinks_the_block(monkeypatch):
+    # The worker (which inherits the patch at the fork) reports a response
+    # one float longer than its slot, so the copy-out on main raises.  The
+    # worker is lost, the batch resolves inline bit-identically, and the
+    # block is unlinked all the same.
+    def overlong(surrogate, block, sizes):
+        return [block.slot_floats + 1 for _ in sizes]
+
+    monkeypatch.setattr(repro.serve.shm, "serve_batch_in_place", overlong)
+    with recorded_blocks() as blocks, SurrogateServer(
+        surrogate=_surr(), transport="shm", n_workers=1, max_batch=2
+    ) as srv:
+        _submit(srv, 0)
+        _submit(srv, 1)
+        got = {res.event_id: res.particles for res in srv.collect(5)}
+        assert srv.metrics.n_workers_lost == 1 and srv.degraded
+        assert srv.metrics.n_fault_oracle == 2
+        assert_no_block_linked(blocks)
+    reference = _reference(2)
+    assert sorted(got) == sorted(reference)
+    for eid, ref in reference.items():
+        _assert_equal(got[eid], ref)

@@ -9,6 +9,7 @@ from repro.fdps.particles import ParticleSet, ParticleType, packed_width
 from repro.serve.wire import (
     REQUEST_MAGIC,
     RESPONSE_MAGIC,
+    WIRE_VERSION,
     ServeRequest,
     ServeResponse,
     event_rng,
@@ -69,6 +70,22 @@ def test_response_roundtrip_is_exact():
 def test_buffer_nbytes_is_header_plus_packed_payload():
     req = _request(n=20)
     assert req.to_buffer().nbytes == (12 + 20 * packed_width()) * 8
+
+
+def test_headers_sit_at_their_documented_offsets():
+    # The module docstring's layout, slot by slot: a reordered header table
+    # moves a field and fails here, whatever both sides agree on.
+    req = _request(n=20)
+    buf = req.to_buffer()
+    assert buf[0] == REQUEST_MAGIC and buf[1] == WIRE_VERSION
+    assert list(buf[2:7]) == [42, 3, 123, 10, 15]
+    assert np.array_equal(buf[7:10], req.center)
+    assert buf[10] == 20 and buf[11] == packed_width()
+    assert np.array_equal(buf[12:], req.region.pack().ravel())
+    res = ServeResponse(event_id=9, return_step=55, particles=_region(11, seed=4))
+    buf = res.to_buffer()
+    assert list(buf[:6]) == [RESPONSE_MAGIC, WIRE_VERSION, 9, 55, 11, packed_width()]
+    assert np.array_equal(buf[6:], res.particles.pack().ravel())
 
 
 def test_empty_region_roundtrip():

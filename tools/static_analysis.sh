@@ -3,11 +3,10 @@
 # job runs, for local pre-commit use:
 #
 #   1. ruff        style + bugbear/numpy/ruff correctness rules (pyproject)
-#   2. repro.lint  repo-invariant checker (determinism, ledger labels,
-#                  import gating, backend purity, hot-path hygiene, shm
-#                  lease pairing, wire symmetry, rng plumbing,
-#                  silent-except, span pairing, strict-annotations); see
-#                  the repro.lint package docstring for the rule catalog
+#   2. repro.lint  repo-invariant checker, seven rules: determinism,
+#                  import-gating, backend-purity, hotpath-hygiene,
+#                  silent-except, rng-plumbing, span-pairing; see the
+#                  repro.lint package docstring for the rule catalog
 #   3. mypy        strictly-typed subset: the modules of the strict
 #                  [[tool.mypy.overrides]] in pyproject.toml (printed below)
 #
@@ -16,9 +15,9 @@
 #
 # ruff/mypy are optional locally (skipped with a note when not installed);
 # the invariant checker has no dependencies beyond the repo itself and
-# always runs.  Its strict-annotations rule is the part of gate 3 that
-# needs no mypy: every def in the strict modules annotates each parameter
-# and its return, so an unannotated signature fails here too.
+# always runs.  Gate 3 alone holds the strict-annotation contract (every
+# def in the strict modules annotates each parameter and its return):
+# without mypy it goes unchecked here, and the script says so.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -45,6 +44,7 @@ print(" ".join(m.removeprefix("repro.") for row in rows
     mypy || status=1
 else
     echo "== mypy: not installed, skipping (CI runs it)"
+    echo "   the strict-annotation contract of pyproject.toml is unchecked locally"
 fi
 
 echo "== code lines (report only)"
