@@ -79,7 +79,7 @@ import math
 import numpy as np
 
 from repro.accel.backends.base import DensityGatherState, KernelBackend, TileWorkspace
-from repro.accel.backends.compiled import (  # repro-lint: disable=backend-purity -- not a backend: numpy's own pair loops, compiled from sph_loops.c
+from repro.accel.backends.compiled import (  # numpy's own pair loops, compiled from sph_loops.c
     SphLoops,
     sph_loops,
 )

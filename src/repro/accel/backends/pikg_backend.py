@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accel.backends.numpy_backend import (  # repro-lint: disable=backend-purity -- numpy is the reference backend; PIKG inherits the kernels its DSL does not express
+from repro.accel.backends.numpy_backend import (  # PIKG inherits the kernels its DSL does not express
     NumpyBackend,
     _NumpyDensityGather,
 )

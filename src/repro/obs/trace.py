@@ -32,7 +32,7 @@ skip building what it would drop.
 Clocks: all timestamps are ``time.monotonic()`` seconds relative to the
 tracer's construction epoch (:meth:`Tracer.now`), and main-process code
 takes its durations from it too.  Nothing here reads the absolute wall
-clock — the repo's determinism rule (``repro.lint`` R1) applies to this
+clock — the ``determinism`` rule of :mod:`repro.lint` applies to this
 package too, and traces from two runs are comparable by construction.
 """
 
@@ -151,6 +151,10 @@ class Tracer:
     def span(self, name: str, cat: str = "sim", tid: str | None = None,
              **attrs: Any) -> Span:
         """An unopened span handle; use as ``with tracer.span(...) as sp:``.
+
+        The handle touches no tracer state until ``__enter__``: a handle
+        that is never opened records nothing and leaves the nesting stack
+        and every later depth as they were.
 
         A ``rank=`` keyword overrides the recorded rank for this span —
         simulated-MPI code records per-rank spans on one shared tracer.

@@ -280,6 +280,10 @@ class _ShmTransport:
             self._metrics.n_worker_errors += 1
             self._lose(worker_id, f"predict raised {result!r}")
             return
+        n_slots = self._blocks[batch_id].n_slots
+        if len(result) != n_slots:         # an unlisted event would never resolve
+            self._lose(worker_id, f"corrupt response ({len(result)} lengths for {n_slots} slots)")
+            return
         try:
             responses = [ServeResponse.from_buffer(b) for b in self._unlink(batch_id, result)]
         except ValueError as exc:          # a WireFormatError, or a bad slot length

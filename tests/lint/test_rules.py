@@ -2,12 +2,18 @@
 on the idiomatic version of the same code."""
 
 import textwrap
+from pathlib import Path
 
 from repro.lint import lint_source
+from repro.lint.rules import FORBIDDEN_IMPORTS, KERNEL_MODULES, RULES
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def _lint(source, module, select=None):
-    return lint_source(textwrap.dedent(source), module=module, select=select)
+def _lint(source, module, rule):
+    """The findings of ``rule`` alone on ``source`` linted as ``module``."""
+    findings = lint_source(textwrap.dedent(source), module=module)
+    return [f for f in findings if f.rule == rule]
 
 
 def _rules(findings):
@@ -24,8 +30,9 @@ def test_determinism_flags_global_rng():
             return x + np.random.normal(size=x.shape)
         """,
         module="repro.sph.density",
+        rule="determinism",
     )
-    assert "determinism" in _rules(findings)
+    assert _rules(findings) == ["determinism"]
     assert "global RNG state" in findings[0].message
 
 
@@ -39,7 +46,7 @@ def test_determinism_flags_stdlib_random_and_wall_clock():
             return random.random() + time.time()
         """,
         module="repro.core.sim",
-        select=["determinism"],
+        rule="determinism",
     )
     assert len(findings) == 2
 
@@ -56,23 +63,23 @@ def test_determinism_allows_seeded_generator_and_perf_counter():
             return x + rng.normal(size=x.shape), time.perf_counter() - t0
         """,
         module="repro.sph.density",
-        select=["determinism"],
+        rule="determinism",
     )
     assert findings == []
 
 
-def test_determinism_scoped_to_deterministic_modules():
-    findings = _lint(
-        """
-        import numpy as np
+def test_determinism_scans_all_of_repro():
+    # No hand-kept module list: the gravity helper, the cut code and the
+    # observables are in scope like the physics packages.
+    source = """
+    import numpy as np
 
-        def noise():
-            return np.random.normal()
-        """,
-        module="repro.analysis.maps",  # observables, not a physics path
-        select=["determinism"],
-    )
-    assert findings == []
+    def noise():
+        return np.random.normal()
+    """
+    for module in ("repro.analysis.maps", "repro.accel.gravity_helper",
+                   "repro.fdps.distributed", "repro.util.rng"):
+        assert _rules(_lint(source, module=module, rule="determinism")) == ["determinism"]
 
 
 # ------------------------------------------------------------ rng-plumbing
@@ -86,7 +93,7 @@ def test_rng_plumbing_flags_unpinnable_generator():
             return rng.uniform(size=n)
         """,
         module="repro.ic.disk",
-        select=["rng-plumbing"],
+        rule="rng-plumbing",
     )
     assert _rules(findings) == ["rng-plumbing"]
 
@@ -107,63 +114,23 @@ def test_rng_plumbing_accepts_seed_param_self_attr_and_private():
                 return np.random.default_rng(self.seed).uniform(size=n)
         """,
         module="repro.ic.disk",
-        select=["rng-plumbing"],
+        rule="rng-plumbing",
     )
     assert findings == []
 
 
-# ----------------------------------------------------------- import-gating
-def test_import_gating_flags_optional_dep_outside_seam():
-    findings = _lint(
-        """
-        import numba
-        """,
-        module="repro.sph.density",
-        select=["import-gating"],
-    )
-    assert _rules(findings) == ["import-gating"]
-    assert "outside the backend seam" in findings[0].message
-
-
-def test_import_gating_flags_unguarded_import_in_seam():
-    findings = _lint(
-        """
-        import numba
-        """,
-        module="repro.accel.backends.gpu_backend",
-        select=["import-gating"],
-    )
-    assert _rules(findings) == ["import-gating"]
-    assert "try/except ImportError" in findings[0].message
-
-
-def test_import_gating_accepts_guarded_import_in_seam():
-    findings = _lint(
-        """
-        try:
-            import numba
-            HAVE_NUMBA = True
-        except ImportError:
-            numba = None
-            HAVE_NUMBA = False
-        """,
-        module="repro.accel.backends.gpu_backend",
-        select=["import-gating"],
-    )
-    assert findings == []
-
-
-# ---------------------------------------------------------- backend-purity
-def test_backend_purity_flags_sibling_and_orchestration_imports():
+# ---------------------------------------------------------------- layering
+def test_layering_flags_orchestration_imports_not_siblings():
     findings = _lint(
         """
         from repro.accel.backends.pikg_backend import PikgBackend
         from repro.core.sim import Simulation
         """,
         module="repro.accel.backends.gpu_backend",
-        select=["backend-purity"],
+        rule="layering",
     )
-    assert _rules(findings) == ["backend-purity", "backend-purity"]
+    assert _rules(findings) == ["layering"]
+    assert "repro.core.sim" in findings[0].message
 
 
 def test_backend_purity_accepts_base_and_kernel_params():
@@ -173,7 +140,7 @@ def test_backend_purity_accepts_base_and_kernel_params():
         from repro.sph.kernels import CubicSpline
         """,
         module="repro.accel.backends.gpu_backend",
-        select=["backend-purity"],
+        rule="layering",
     )
     assert findings == []
 
@@ -183,8 +150,8 @@ def test_backend_purity_exempts_registry_init_and_base():
     from repro.accel.backends.numpy_backend import NumpyBackend
     """
     # The registry package __init__ must import backends to register them.
-    assert _lint(source, module="repro.accel.backends", select=["backend-purity"]) == []
-    assert _lint(source, module="repro.accel.backends.base", select=["backend-purity"]) == []
+    assert _lint(source, module="repro.accel.backends", rule="layering") == []
+    assert _lint(source, module="repro.accel.backends.base", rule="layering") == []
 
 
 def test_forbidden_import_table_keeps_fdps_below_core():
@@ -194,20 +161,20 @@ def test_forbidden_import_table_keeps_fdps_below_core():
     def lazy():
         import repro.core.pool
     """
-    findings = _lint(source, module="repro.fdps.distributed", select=["backend-purity"])
-    assert _rules(findings) == ["backend-purity", "backend-purity"]
+    findings = _lint(source, module="repro.fdps.distributed", rule="layering")
+    assert _rules(findings) == ["layering", "layering"]
     # fdps may use the layers beside and below it, not the service;
     # core may import fdps.
     allowed = """
     from repro.util.leapfrog import leapfrog_kick
     """
-    assert _lint(allowed, module="repro.fdps.io", select=["backend-purity"]) == []
+    assert _lint(allowed, module="repro.fdps.io", rule="layering") == []
     serve = """
     from repro.serve import SurrogateSpec
     """
-    findings = _lint(serve, module="repro.fdps.io", select=["backend-purity"])
-    assert _rules(findings) == ["backend-purity"]
-    assert _lint(source, module="repro.core.simulation", select=["backend-purity"]) == []
+    findings = _lint(serve, module="repro.fdps.io", rule="layering")
+    assert _rules(findings) == ["layering"]
+    assert _lint(source, module="repro.core.simulation", rule="layering") == []
 
 
 def test_forbidden_import_table_keeps_compute_below_core_and_serve():
@@ -219,16 +186,16 @@ def test_forbidden_import_table_keeps_compute_below_core_and_serve():
     """
     for module in ("repro.accel.gravity_helper", "repro.accel.engine",
                    "repro.gravity.treegrav", "repro.sph.density"):
-        findings = _lint(source, module=module, select=["backend-purity"])
-        assert _rules(findings) == ["backend-purity", "backend-purity"], module
+        findings = _lint(source, module=module, rule="layering")
+        assert _rules(findings) == ["layering", "layering"], module
     allowed = """
     from repro.util.shm import SharedMemoryRing
     from repro.fdps.tree import Octree
     from repro.obs.trace import Tracer
     """
-    assert _lint(allowed, module="repro.accel.gravity_helper", select=["backend-purity"]) == []
+    assert _lint(allowed, module="repro.accel.gravity_helper", rule="layering") == []
     # The layers above may import the compute layer.
-    assert _lint(allowed, module="repro.serve.shm", select=["backend-purity"]) == []
+    assert _lint(allowed, module="repro.serve.shm", rule="layering") == []
 
 
 def test_forbidden_import_table_keeps_util_below_serve_and_accel():
@@ -238,13 +205,13 @@ def test_forbidden_import_table_keeps_util_below_serve_and_accel():
     def lazy():
         from repro.accel import ForceEngine
     """
-    findings = _lint(source, module="repro.util.shm", select=["backend-purity"])
-    assert _rules(findings) == ["backend-purity", "backend-purity"]
+    findings = _lint(source, module="repro.util.shm", rule="layering")
+    assert _rules(findings) == ["layering", "layering"]
     allowed = """
     import numpy as np
     from repro.util.logging import get_logger
     """
-    assert _lint(allowed, module="repro.util.shm", select=["backend-purity"]) == []
+    assert _lint(allowed, module="repro.util.shm", rule="layering") == []
 
 
 # --------------------------------------------------------- hotpath-hygiene
@@ -261,7 +228,7 @@ def test_hotpath_flags_add_at_and_per_particle_loops():
                 grid[i] += 1
         """,
         module="repro.sph.density",
-        select=["hotpath-hygiene"],
+        rule="hotpath-hygiene",
     )
     assert _rules(findings) == ["hotpath-hygiene"] * 3
 
@@ -273,7 +240,7 @@ def test_hotpath_accepts_bincount_and_covers_backends():
     def deposit(idx, w, size):
         return np.bincount(idx, weights=w, minlength=size)
     """
-    assert _lint(clean, module="repro.sph.density", select=["hotpath-hygiene"]) == []
+    assert _lint(clean, module="repro.sph.density", rule="hotpath-hygiene") == []
     scalar = """
     import numpy as np
 
@@ -282,7 +249,7 @@ def test_hotpath_accepts_bincount_and_covers_backends():
     """
     # The backends are kernel modules too: no exemption.
     assert _rules(_lint(
-        scalar, module="repro.accel.backends.numpy_backend", select=["hotpath-hygiene"]
+        scalar, module="repro.accel.backends.numpy_backend", rule="hotpath-hygiene"
     )) == ["hotpath-hygiene"]
 
 
@@ -303,7 +270,7 @@ def test_silent_except_flags_bare_and_broad_pass():
                 pass
         """,
         module="repro.serve.server",
-        select=["silent-except"],
+        rule="silent-except",
     )
     assert _rules(findings) == ["silent-except", "silent-except"]
     assert "swallows" in findings[0].message
@@ -319,7 +286,7 @@ def test_silent_except_accepts_narrow_tuple():
                 pass
         """,
         module="repro.serve.server",
-        select=["silent-except"],
+        rule="silent-except",
     )
     assert findings == []
 
@@ -346,7 +313,7 @@ def test_silent_except_accepts_log_raise_and_exc_use():
                 res_q.put(("done", wid, bid, exc, 0.0))
         """,
         module="repro.serve.server",
-        select=["silent-except"],
+        rule="silent-except",
     )
     assert findings == []
 
@@ -361,81 +328,9 @@ def test_silent_except_flags_unused_bound_exception():
                 pass
         """,
         module="repro.core.sim",
-        select=["silent-except"],
+        rule="silent-except",
     )
     assert _rules(findings) == ["silent-except"]
-
-
-# ------------------------------------------------------------ span-pairing
-def test_span_pairing_flags_bare_span_call():
-    findings = _lint(
-        """
-        def phase(tracer):
-            tracer.span("gravity", cat="sim")
-            do_work()
-        """,
-        module="repro.core.sim",
-        select=["span-pairing"],
-    )
-    assert _rules(findings) == ["span-pairing"]
-    assert "never closed" in findings[0].message
-
-
-def test_span_pairing_flags_leaked_handle():
-    findings = _lint(
-        """
-        class Engine:
-            def phase(self):
-                sp = self._tracer.span("gravity")
-                do_work()
-        """,
-        module="repro.accel.engine",
-        select=["span-pairing"],
-    )
-    assert _rules(findings) == ["span-pairing"]
-
-
-def test_span_pairing_accepts_with_statement():
-    findings = _lint(
-        """
-        class Engine:
-            def phase(self):
-                with self.tracer.span("gravity", backend="numpy"):
-                    do_work()
-        """,
-        module="repro.accel.engine",
-        select=["span-pairing"],
-    )
-    assert findings == []
-
-
-def test_span_pairing_accepts_finally_closed_handle():
-    findings = _lint(
-        """
-        def phase(tracer):
-            sp = tracer.span("gravity")
-            sp.__enter__()
-            try:
-                do_work()
-            finally:
-                sp.__exit__(None, None, None)
-        """,
-        module="repro.core.sim",
-        select=["span-pairing"],
-    )
-    assert findings == []
-
-
-def test_span_pairing_ignores_unrelated_span_methods():
-    findings = _lint(
-        """
-        def fn(array):
-            return array.span("x")  # not a tracer-named receiver
-        """,
-        module="repro.core.sim",
-        select=["span-pairing"],
-    )
-    assert findings == []
 
 
 def test_determinism_covers_obs_clocks():
@@ -449,23 +344,21 @@ def test_determinism_covers_obs_clocks():
             return time.time()
         """,
         module="repro.obs.trace",
-        select=["determinism"],
+        rule="determinism",
     )
     assert _rules(findings) == ["determinism"]
 
 
-# ------------------------------------------------------- runner-layer scope
-def test_scopes_cover_the_runner_layer():
-    """``repro.core.runner`` rides the existing prefixes.
-
-    The step host owns seeded randomness, so the determinism and
-    rng-plumbing rules must both apply to it — by prefix, not by a
-    hand-maintained list that a rename would silently miss.
-    """
-    from repro.lint.registry import get_rule
-
-    for rule_name in ("determinism", "rng-plumbing"):
-        assert get_rule(rule_name).applies_to("repro.core.runner"), rule_name
+# ------------------------------------------------------------------ scopes
+def test_every_scope_prefix_names_a_module():
+    """A renamed package must not quietly empty a rule's scope or a
+    layering row: every prefix names a module or package under src/repro."""
+    prefixes = {p for _, scope, _ in RULES for p in scope}
+    prefixes |= {p for row in FORBIDDEN_IMPORTS.values() for p in row}
+    assert set(KERNEL_MODULES) <= prefixes
+    for prefix in sorted(prefixes):
+        path = SRC.joinpath(*prefix.split("."))
+        assert path.with_suffix(".py").is_file() or (path / "__init__.py").is_file(), prefix
 
 
 def test_determinism_fires_in_runner_modules():
@@ -477,6 +370,6 @@ def test_determinism_fires_in_runner_modules():
             return np.random.normal()
         """,
         module="repro.core.runner",
-        select=["determinism"],
+        rule="determinism",
     )
     assert _rules(findings) == ["determinism"]

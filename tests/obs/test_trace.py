@@ -31,6 +31,17 @@ def test_spans_nest_with_depth():
     # Nesting containment: inner lies within outer's interval.
     assert outer.t0 <= inner.t0
     assert inner.t0 + inner.dur <= outer.t0 + outer.dur + 1e-9
+    # A handle that is never opened records nothing and shifts no depth.
+    with tr.span("outer"):
+        tr.span("never")
+        assert tr._stack == ["outer"]
+        with tr.span("inner"):
+            pass
+    tr.span("never")
+    assert tr._stack == []
+    assert [(r.name, r.depth) for r in tr.records] == [
+        ("inner", 1), ("outer", 0), ("inner", 1), ("outer", 0)]
+    assert "never" not in tr.totals()
 
 
 def test_span_records_on_exception_and_stack_unwinds():

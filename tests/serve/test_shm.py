@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import repro.serve.server
 import repro.serve.shm
 from repro.fdps.particles import ParticleSet, ParticleType
 from repro.perf.costmodel import serve_summary
@@ -200,15 +201,32 @@ def test_ring_slot_validates_index_and_nfloats():
         ring.slot(0)
 
 
+def _overlong(surrogate, block, sizes):
+    return [block.slot_floats + 1 for _ in sizes]
+
+
+def _short(surrogate, block, sizes, _serve=repro.serve.shm.serve_batch_in_place):
+    return _serve(surrogate, block, sizes)[:-1]
+
+
 def test_a_reply_longer_than_its_slot_loses_the_worker_and_unlinks_the_block(monkeypatch):
     # The worker (which inherits the patch at the fork) reports a response
-    # one float longer than its slot, so the copy-out on main raises.  The
-    # worker is lost, the batch resolves inline bit-identically, and the
-    # block is unlinked all the same.
-    def overlong(surrogate, block, sizes):
-        return [block.slot_floats + 1 for _ in sizes]
+    # one float longer than its slot, so the copy-out on main raises.
+    _assert_bad_reply_loses_the_worker(monkeypatch, _overlong)
 
-    monkeypatch.setattr(repro.serve.shm, "serve_batch_in_place", overlong)
+
+def test_a_reply_short_of_its_slots_loses_the_worker_and_unlinks_the_block(monkeypatch):
+    # The worker lists one response length fewer than the block has slots,
+    # so one event would never resolve.  A low progress timeout makes that
+    # fail fast instead of after WORKER_TIMEOUT_S.
+    monkeypatch.setattr(repro.serve.server, "WORKER_TIMEOUT_S", 5.0)
+    _assert_bad_reply_loses_the_worker(monkeypatch, _short)
+
+
+def _assert_bad_reply_loses_the_worker(monkeypatch, reply):
+    """The worker is lost, the batch resolves inline bit-identically, and
+    the block is unlinked all the same."""
+    monkeypatch.setattr(repro.serve.shm, "serve_batch_in_place", reply)
     with recorded_blocks() as blocks, SurrogateServer(
         surrogate=_surr(), transport="shm", n_workers=1, max_batch=2
     ) as srv:

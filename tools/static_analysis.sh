@@ -3,10 +3,12 @@
 # job runs, for local pre-commit use:
 #
 #   1. ruff        style + bugbear/numpy/ruff correctness rules (pyproject)
-#   2. repro.lint  repo-invariant checker, seven rules: determinism,
-#                  import-gating, backend-purity, hotpath-hygiene,
-#                  silent-except, rng-plumbing, span-pairing; see the
-#                  repro.lint package docstring for the rule catalog
+#   2. repro.lint  repo-invariant checker, five rules: determinism,
+#                  rng-plumbing, silent-except, layering, hotpath-hygiene;
+#                  see the repro.lint package docstring for the catalog.
+#                  Import gating and span pairing are tier-1 tests:
+#                  tests/lint/test_imports.py and
+#                  tests/obs/test_trace.py::test_spans_nest_with_depth
 #   3. mypy        strictly-typed subset: the modules of the strict
 #                  [[tool.mypy.overrides]] in pyproject.toml (printed below)
 #
