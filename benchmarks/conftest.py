@@ -1,12 +1,12 @@
-"""Benchmark support: every benchmark regenerates one paper table/figure.
+"""Shared fixtures of the pytest benches (the paper's tables and figures are
+``benchmarks/paper.py``, a plain script).
 
-Each bench writes its regenerated rows/series to ``benchmarks/results/`` so
-the artifacts survive pytest's stdout capture — a smoke run
-(``REPRO_BENCH_SMOKE=1``) to the gitignored ``benchmarks/results/smoke/``,
-so it never rewrites a committed result — and registers a single
-``benchmark.pedantic`` round (these are experiment reproductions, not
-micro-benchmarks — one measured round each keeps the suite fast while still
-producing timing data).
+Each bench writes its rows to ``benchmarks/results/`` so the artifacts
+survive pytest's stdout capture — a smoke run (``REPRO_BENCH_SMOKE=1``) to
+the gitignored ``benchmarks/results/smoke/``, so it never rewrites a
+committed result — and registers a single ``benchmark.pedantic`` round (one
+measured round each keeps the suite fast while still producing timing
+data).  This file is also the parent conftest of ``benchmarks/e2e/tests``.
 """
 
 from __future__ import annotations

@@ -97,8 +97,9 @@ cost as much as rebuilding, validity is explicit:
   mirrors the grid counts as ``accel.grid_*`` tracer counters, which
   ``python -m repro.obs report`` prints per step); the steady-state
   integrator step performs at most one grid build per density solve and at
-  most one tree build per step (asserted by the tier-1 tests and recorded
-  by ``benchmarks/bench_accel_reuse.py``), and a step whose SN replacement
+  most one tree build per step (asserted by
+  ``tests/accel/test_force_engine.py::test_steady_step_build_budget``), and
+  a step whose SN replacement
   was a local edit still builds one grid unless its step-7 solve outgrows
   the cell (a refused edit builds one more).
 

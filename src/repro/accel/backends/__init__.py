@@ -24,7 +24,9 @@ and there are two of them:
 Selection: an explicit name (config field ``cfg.backend``, threaded by
 :class:`~repro.accel.ForceEngine` and
 :class:`~repro.fdps.distributed.DistributedGravity`) wins; otherwise the
-``REPRO_BACKEND`` environment variable; otherwise ``numpy``.  Instances
+``REPRO_BACKEND`` environment variable; otherwise ``numpy``; an unknown
+name raises ``ValueError``.  The two agree on the physics to 1e-10
+relative (``tests/accel/test_backends.py``).  Instances
 are process-wide singletons — backends hold no per-simulation state (all
 caching lives in :class:`~repro.accel.SpatialIndex` and per-solve gather
 objects), so sharing them is safe.

@@ -81,7 +81,7 @@ class GalaxySimulation:
         report``.  None gives ``Tracer(enabled=False)``, which keeps only
         the per-phase seconds (:meth:`timing_breakdown`); tracing never
         changes particle state (asserted bit-identical in
-        ``benchmarks/bench_obs_overhead.py``).
+        ``tests/obs/test_trace.py::test_tracing_leaves_the_particle_state_unchanged``).
     n_ranks : number of simulated main ranks of the one step host
         (:class:`repro.core.runner.CoupledRunner`): genuine domain
         migration, cross-rank SN-region ghosts, and one pool client that

@@ -60,6 +60,10 @@ class Octree:
         ``leaf_size`` bounds the number of particles per leaf; smaller values
         deepen the tree (cheaper interaction lists, costlier walks) — this is
         one half of the ``n_g`` trade-off discussed in Sec. 5.2.4.
+
+        Built level by level (one ``searchsorted`` per level, not one call
+        per node); every node array equals a node-at-a-time build, which
+        ``tests/fdps/test_tree.py`` keeps as the oracle.
         """
         pos = np.ascontiguousarray(pos, dtype=np.float64)
         mass = np.ascontiguousarray(mass, dtype=np.float64)

@@ -14,10 +14,11 @@ run:
   holds here too), plus counters/gauges and attached meta blobs.  Every
   run has one: an untraced run gets ``Tracer(enabled=False)``, which keeps
   only the per-``(cat, rank, name)`` span seconds and counts — the
-  in-process Table-3 rows — and records nothing else
-  (``benchmarks/bench_obs_overhead.py`` pins the enabled tracer's overhead
-  at <=5% on the 20k-particle step and asserts traced runs stay
-  bit-identical);
+  in-process Table-3 rows — and records nothing else.  Tracing never
+  changes particle state
+  (``tests/obs/test_trace.py::test_tracing_leaves_the_particle_state_unchanged``;
+  the e2e harness also requires traced == untraced digests on every
+  workload), and its cost is the e2e metric ``obs.trace_overhead_ratio``;
 * exporters (:mod:`repro.obs.export`) — per-rank JSONL streams and
   Chrome-trace/Perfetto JSON (``pid`` = rank, ``tid`` = worker/phase lane);
 * the run report (:mod:`repro.obs.report`, CLI ``python -m repro.obs

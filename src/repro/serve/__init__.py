@@ -17,9 +17,10 @@ path.  This package realizes that overlap in-process-tree form:
 
 :class:`repro.core.pool.PoolManager` is a thin client over this service;
 ``examples/serve_inference.py`` drives a standalone server,
-``examples/serve_trained_unet.py`` serves a trained exported U-Net, and
-``benchmarks/bench_serve_throughput.py`` / ``bench_shm_transport.py``
-measure regions/s, overlap efficiency, and cross-transport parity.
+``examples/serve_trained_unet.py`` serves a trained exported U-Net and
+checks its predictions bit-identical on both transports, and
+``benchmarks/bench_serve_throughput.py`` measures regions/s, the batching
+floor and overlap efficiency.
 
 Choosing a transport
 --------------------
@@ -93,8 +94,7 @@ a fault-free run, with the recoveries visible only in
 ``n_batch_timeouts`` and ``n_worker_errors`` for two of its causes,
 ``n_fault_oracle`` for the events resolved inline).  Faults are
 scripted deterministically via :class:`FaultPlan` / ``REPRO_SERVE_FAULTS``
-— see :mod:`repro.serve.faults`, ``tests/serve/test_faults.py``, and
-``benchmarks/bench_serve_faults.py``.
+— see :mod:`repro.serve.faults` and ``tests/serve/test_faults.py``.
 
 Coupled multi-rank runs: one server, one client
 -----------------------------------------------

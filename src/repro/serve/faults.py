@@ -4,9 +4,9 @@ The fault-tolerance layer — worker loss in :mod:`repro.serve.shm`, inline
 recovery and degradation in :mod:`repro.serve.server` — is only
 trustworthy if its failure paths are *testable on purpose*.  This module
 scripts worker failures deterministically so the chaos suite
-(``tests/serve/test_faults.py``) and ``benchmarks/bench_serve_faults.py``
-can assert the headline invariant: a run with injected faults finishes
-**bit-identical** to a fault-free run, with the recoveries visible only in
+(``tests/serve/test_faults.py``) can assert the headline invariant: a run
+with injected faults finishes **bit-identical** to a fault-free run, with
+the recoveries visible only in
 :class:`~repro.serve.metrics.ServiceMetrics`.
 
 * :class:`Fault` — one scripted failure: ``(action, worker, nth batch)``

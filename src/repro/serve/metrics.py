@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 #: Version stamp of the :meth:`ServiceMetrics.to_dict` export.  Consumers
-#: (the run report, the cost model, archived ``BENCH_*.json`` rows) key on
+#: (the run report, the cost model, the e2e harness's ``serve.*`` metrics) key on
 #: it; bump on any rename/removal/semantic change of an exported field —
 #: *adding* fields is compatible and needs no bump.  5: ``n_workers_lost``
 #: counts every lost worker (a death, a missed deadline, a dropped or

@@ -124,6 +124,8 @@ def make_turbulent_box(
     is scaled to the requested Mach number relative to the isothermal sound
     speed at ``temperature``.  This is the paper's SN-training environment:
     sample a box, optionally let it relax, explode a star at the center.
+    Kernel sizes start at twice the lattice spacing (``make_mw_model``
+    seeds a neighbour-distance guess instead; a lattice needs none).
     """
     rng = np.random.default_rng(seed)
     g = (np.arange(n_per_side) + 0.5) / n_per_side * side - side / 2.0

@@ -159,3 +159,17 @@ def test_disabled_tracer_totals_are_the_enabled_tracers_record_sums():
         assert tr.counts() == counts
     assert disabled.totals(rank=1) == pytest.approx({"Calc_Force": 0.02 + 0.04})
     assert disabled.counts(cat="sim", rank=0) == {"Calc_Force": 3, "Exchange_LET": 5}
+
+
+def test_tracing_leaves_the_particle_state_unchanged():
+    """An enabled tracer reads clocks, never physics: three steps of a small
+    galaxy end byte-equal with and without one."""
+    from repro import GalaxySimulation, make_mw_mini
+
+    states = []
+    for tracer in (None, Tracer()):
+        with GalaxySimulation(make_mw_mini(900, seed=3), dt=2e-3, tracer=tracer) as sim:
+            sim.run(3)
+            states.append(sim.ps.pack().tobytes())
+    assert len(sim.tracer.records) > 3 * 5  # the traced run did record spans
+    assert states[0] == states[1]
